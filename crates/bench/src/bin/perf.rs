@@ -76,8 +76,9 @@ use sdso_bench::netbench::{
 };
 use sdso_bench::shardbench::{run_shard_suite, ShardReport};
 use sdso_bench::wirebench::{run_wire_suite, WireReport, WIRE_REDUCTION_FLOOR};
-use sdso_game::{Protocol, Scenario};
-use sdso_harness::run_experiment_obs;
+use sdso_core::ObsSet;
+use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_harness::{run_planned, RunSummary};
 use sdso_net::TraceConfig;
 use sdso_sim::NetworkModel;
 
@@ -89,6 +90,19 @@ fn scenario(nodes: u16, range: u16, ticks: u64) -> Scenario {
     Scenario::paper(nodes, range).with_ticks(ticks).with_seed(PLACEMENT_SEED)
 }
 
+/// One run on the paper testbed, recorded under `trace`.
+fn run_traced(
+    scenario: &Scenario,
+    protocol: Protocol,
+    trace: TraceConfig,
+) -> Result<(RunSummary, ObsSet), String> {
+    let obs = ObsSet::new(scenario.teams, trace);
+    let plan = RunPlan::default().with_obs(obs.clone());
+    let summary = run_planned(scenario, protocol, NetworkModel::paper_testbed(), &plan)
+        .map_err(|e| e.to_string())?;
+    Ok((summary, obs))
+}
+
 /// Runs the whole matrix (counters always on, event tracing off) and
 /// summarizes each cell.
 fn run_matrix(ticks: u64) -> Result<Vec<BenchCell>, String> {
@@ -97,13 +111,9 @@ fn run_matrix(ticks: u64) -> Result<Vec<BenchCell>, String> {
         for nodes in MATRIX_NODES {
             for range in MATRIX_RANGES {
                 let t0 = Instant::now();
-                let (summary, obs) = run_experiment_obs(
-                    &scenario(nodes, range, ticks),
-                    protocol,
-                    NetworkModel::paper_testbed(),
-                    TraceConfig::off(),
-                )
-                .map_err(|e| format!("{protocol} n={nodes} range={range}: {e}"))?;
+                let (summary, obs) =
+                    run_traced(&scenario(nodes, range, ticks), protocol, TraceConfig::off())
+                        .map_err(|e| format!("{protocol} n={nodes} range={range}: {e}"))?;
                 let exchange = obs.merged_snapshot().histograms.get("dso.exchange_micros").cloned();
                 let (p50, p99) =
                     exchange.map(|h| (h.percentile(50.0), h.percentile(99.0))).unwrap_or((0, 0));
@@ -140,13 +150,8 @@ fn measure_recorder_overhead(ticks: u64) -> Result<f64, String> {
         let mut best = Duration::MAX;
         for _ in 0..OVERHEAD_REPEATS {
             let t0 = Instant::now();
-            run_experiment_obs(
-                &scenario(4, 1, overhead_ticks),
-                Protocol::Msync2,
-                NetworkModel::paper_testbed(),
-                config,
-            )
-            .map_err(|e| format!("overhead run: {e}"))?;
+            run_traced(&scenario(4, 1, overhead_ticks), Protocol::Msync2, config)
+                .map_err(|e| format!("overhead run: {e}"))?;
             best = best.min(t0.elapsed());
         }
         Ok(best)
@@ -164,13 +169,8 @@ fn measure_recorder_overhead(ticks: u64) -> Result<f64, String> {
 /// Traces a 16-process MSYNC2 run in full mode and writes the Chrome
 /// trace (load it at <https://ui.perfetto.dev>).
 fn export_trace(path: &str, ticks: u64) -> Result<(), String> {
-    let (summary, obs) = run_experiment_obs(
-        &scenario(16, 3, ticks),
-        Protocol::Msync2,
-        NetworkModel::paper_testbed(),
-        TraceConfig::full(),
-    )
-    .map_err(|e| format!("trace run: {e}"))?;
+    let (summary, obs) = run_traced(&scenario(16, 3, ticks), Protocol::Msync2, TraceConfig::full())
+        .map_err(|e| format!("trace run: {e}"))?;
     std::fs::write(path, obs.chrome_trace()).map_err(|e| format!("writing {path}: {e}"))?;
     eprintln!(
         "  trace: 16-process MSYNC2, {} events ({} dropped), {} msgs -> {path}",

@@ -19,8 +19,8 @@
 //!   measured unavailability window must stay under
 //!   [`CRASH_DOWNTIME_CEILING_MICROS`] of virtual time.
 
-use sdso_game::{Protocol, Scenario};
-use sdso_harness::{crash_converged, default_crash_plan, run_crash_experiment};
+use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_harness::{converged_in, default_crash_plan, run_planned};
 use sdso_net::{FaultPlan, SimSpan};
 use sdso_sim::NetworkModel;
 
@@ -279,13 +279,14 @@ pub fn crash_bench_plan() -> FaultPlan {
 /// Returns simulator errors from any protocol's run.
 pub fn run_crash_suite() -> Result<CrashReport, String> {
     let scenario = Scenario::paper(CRASH_NODES, 1).with_ticks(CRASH_TICKS).with_seed(CRASH_SEED);
-    let faults = crash_bench_plan();
+    let plan = RunPlan::default().with_faults(crash_bench_plan());
     let mut cells = Vec::with_capacity(Protocol::PAPER.len());
     for protocol in Protocol::PAPER {
         let t0 = std::time::Instant::now();
-        let summary =
-            run_crash_experiment(&scenario, protocol, NetworkModel::paper_testbed(), &faults)
-                .map_err(|e| format!("{protocol}: {e}"))?;
+        let summary = run_planned(&scenario, protocol, NetworkModel::paper_testbed(), &plan)
+            .map_err(|e| format!("{protocol}: {e}"))?;
+        let final_view =
+            plan.views(&scenario, protocol).map_err(|e| format!("{protocol}: {e}"))?.final_view();
         let downtime = summary.per_node.iter().fold(SimSpan::ZERO, |acc, s| acc + s.recovery_time);
         let cell = CrashCell {
             protocol: protocol.name().to_owned(),
@@ -294,7 +295,7 @@ pub fn run_crash_suite() -> Result<CrashReport, String> {
             downtime_micros: downtime.as_micros(),
             cross_epoch: summary.per_node.iter().map(|s| s.dso.cross_epoch_dropped).sum(),
             snapshots: summary.per_node.iter().map(|s| s.dso.snapshots_sent).sum(),
-            converged: crash_converged(&summary, &scenario, &faults),
+            converged: converged_in(&summary, &final_view),
         };
         eprintln!(
             "  {protocol:<6}: {} recovery, {} WAL records, down {:.2}ms, \

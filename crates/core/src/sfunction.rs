@@ -52,10 +52,10 @@ pub trait SFunction {
     ) -> Option<LogicalTime>;
 
     /// Membership-delta hook: called once per view change, after the
-    /// runtime has pruned leavers and before it schedules first exchanges
-    /// with joiners. S-functions that cache per-peer spatial state (e.g.
-    /// interaction predictions keyed by peer) override this to recompute
-    /// their groups; stateless s-functions need not.
+    /// runtime has pruned leavers and asked [`SFunction::next_exchange`]
+    /// for each joiner's first exchange. S-functions that cache per-peer
+    /// spatial state (e.g. interaction predictions keyed by peer) override
+    /// this to recompute their groups; stateless s-functions need not.
     fn on_view_change(&mut self, joined: &[NodeId], left: &[NodeId]) {
         let _ = (joined, left);
     }

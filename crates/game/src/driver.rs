@@ -1,17 +1,83 @@
-//! Per-node game drivers: one per consistency protocol.
+//! The game driver: one loop for every protocol and every plan.
 //!
 //! The game logic itself ([`GameCore`]) is protocol-agnostic — it reads and
-//! writes blocks through a [`BlockPort`]. Each driver wires that port to a
-//! protocol: the lookahead family writes through the S-DSO runtime and
-//! rendezvous after every iteration; entry consistency (and LRC) bracket
-//! each iteration in a lockset; causal memory pushes every write.
+//! writes blocks through a [`BlockPort`]. [`run_node_with`] runs it to
+//! completion in one loop — think, play the tick, pay the write cost,
+//! exchange — under a [`RunPlan`]: planned joins and leaves, a crash
+//! schedule, tracing. A static run ([`run_node`]) is that loop under the
+//! empty plan.
+//!
+//! What differs between protocols sits behind one private trait with four
+//! implementations: the lookahead family (BSYNC, MSYNC, MSYNC2,
+//! MSYNC2-SHARD) writes through the S-DSO runtime and rendezvouses after
+//! every iteration; entry consistency and LRC bracket each iteration in a
+//! lockset; causal memory pushes every write. The loop, the plan
+//! validator ([`RunPlan::views`]), the runtime builder, the join / leave /
+//! crash / restart handling and the [`NodeStats`] assembly each exist
+//! once.
+//!
+//! # The view-change barrier
+//!
+//! A change triggered at tick `T` proceeds in lock-step:
+//!
+//! 1. every old-view member runs its tick-`T` iteration — a leaver's
+//!    iteration is [`GameCore::retire`], clearing its tank off the board;
+//! 2. every old-view member performs one full barrier exchange in place
+//!    of the tick's regular one: under the lookahead family a broadcast
+//!    rendezvous ([`sdso_protocols::Lookahead::step_barrier`]), under EC a
+//!    state-flush barrier ([`sdso_protocols::EntryConsistency::view_sync`]).
+//!    All tick-`T` writes, including the leaver's tombstone, converge
+//!    across the old view;
+//! 3. leavers settle their reliability tails and exit with their stats;
+//! 4. continuers apply the view change (epoch bump; leavers pruned from
+//!    exchange list, slotted buffer, reliability links and transport;
+//!    joiners scheduled);
+//! 5. the donor — the lowest continuing member — pushes one O(objects)
+//!    state snapshot to each joiner;
+//! 6. joiners install the snapshot (replica bodies plus the logical-clock
+//!    frontier) and enter the loop at tick `T + 1` in respawn limbo.
+//!
+//! Epoch stamps keep the transition safe under skew: rendezvous traffic
+//! from a peer that already crossed the barrier is buffered until this
+//! process catches up, residue from a departed peer is acknowledged and
+//! dropped, and EC lock traffic from beyond the barrier is deferred until
+//! the lock state it must land on exists.
+//!
+//! Tick numbering is global: a joiner's [`GameCore`] starts at the trigger
+//! tick, so cross-team fire-record freshness windows stay comparable and
+//! [`NodeStats::ticks`] reports the global tick a process reached (a
+//! leaver reports its trigger tick, a crasher its crash tick).
+//!
+//! # The crash model
+//!
+//! Fail-stop at barrier granularity. A process scheduled to crash at tick
+//! `C` runs its tick-`C` iteration and the tick's barrier like everyone
+//! else, then dies abruptly: no reliability settling, no view change, no
+//! farewell write — its tank freezes on the board exactly where the
+//! barrier left it. Survivors observe the crash as the leave-flavoured
+//! view change [`sdso_dur::crash_membership_plan`] derives for tick `C`,
+//! so the regular churn machinery (epoch bump, slot compaction, link
+//! pruning) executes the failure. Two things survive the crash, as they
+//! would on a real host: the journal (`crate::durable`: WAL + snapshot
+//! image, one record set per tick, logged after the tick's barrier and
+//! before the view change) and the transport endpoint — a rebooted host
+//! keeps its address.
+//!
+//! At its restart tick `R` the process replays the journal for its
+//! pre-crash identity, clock frontier and game state, restores the
+//! frontier, installs the rejoin view, drains crash-era residue frames,
+//! pulls the donor's snapshot, and resumes at tick `R + 1`. Replaying the
+//! same plan reproduces the same run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use sdso_core::{
-    DsoConfig, DsoError, DsoMetrics, EveryTick, ObjectId, Obs, SFunction, SdsoRuntime, SendMode,
+    DsoConfig, DsoError, DsoMetrics, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId,
+    ObjectStore, Obs, ObsSet, SFunction, SdsoRuntime, SendMode, ViewChange,
 };
-use sdso_net::{Endpoint, NetMetricsSnapshot, NodeId, SimSpan};
+use sdso_dur::{crash_membership_plan, validate_crash_plan};
+use sdso_net::{Endpoint, FaultPlan, NetMetricsSnapshot, NodeId, SimSpan};
+use sdso_obs::EventKind;
 use sdso_protocols::{
     CausalMemory, CausalMetrics, EcMetrics, EntryConsistency, LockMode, LockRequest, Lookahead,
     Lrc, LrcMetrics,
@@ -19,6 +85,7 @@ use sdso_protocols::{
 
 use crate::ai::{decide, Action};
 use crate::block::{Block, FireRecord};
+use crate::durable::{record_recovery, Journal};
 use crate::scenario::{Scenario, GOAL_POINTS};
 use crate::world::{Direction, Pos};
 
@@ -571,93 +638,380 @@ impl StateCursor<'_> {
 }
 
 // ---------------------------------------------------------------------
-// Ports
+// The run plan
 // ---------------------------------------------------------------------
 
-/// Port over the S-DSO runtime (lookahead family and causal pushes go
-/// through protocol-specific wrappers below).
-pub(crate) struct RuntimePort<'a, E: Endpoint> {
-    pub(crate) runtime: &'a mut SdsoRuntime<E>,
-    pub(crate) scenario: &'a Scenario,
+/// Everything a run is played under besides its scenario and protocol.
+/// The default is the paper's setting: a static group, no crashes,
+/// tracing off.
+#[derive(Debug, Clone, Default)]
+pub struct RunPlan {
+    /// Planned joins and leaves; `None` is the static group of
+    /// `scenario.teams` processes.
+    pub membership: Option<MembershipPlan>,
+    /// The fault plan. Its crash schedule is realised by the driver; its
+    /// link faults belong to the transport (the harness hands them to the
+    /// simulated cluster, real meshes wrap their endpoints).
+    pub faults: Option<FaultPlan>,
+    /// Per-node observability bundles; `None` traces nothing.
+    pub obs: Option<ObsSet>,
 }
 
-impl<E: Endpoint> BlockPort for RuntimePort<'_, E> {
-    fn read_block(&self, pos: Pos) -> Result<Block, DsoError> {
-        let bytes = self.runtime.read(self.scenario.grid.object_at(pos))?;
-        Block::decode(bytes)
-            .ok_or_else(|| DsoError::ProtocolViolation(format!("corrupt block at {pos:?}")))
+impl RunPlan {
+    /// Returns a copy that plays under the membership plan.
+    pub fn with_membership(mut self, membership: MembershipPlan) -> Self {
+        self.membership = Some(membership);
+        self
     }
-    fn write_block(&mut self, pos: Pos, block: Block) -> Result<(), DsoError> {
-        let object = self.scenario.grid.object_at(pos);
-        self.runtime.write(object, 0, &block.encode(self.scenario.block_bytes))
+
+    /// Returns a copy that plays under the fault plan.
+    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
+        self.faults = Some(faults);
+        self
+    }
+
+    /// Returns a copy whose nodes record into `obs`.
+    pub fn with_obs(mut self, obs: ObsSet) -> Self {
+        self.obs = Some(obs);
+        self
+    }
+
+    /// Checks the plan against the scenario and the protocol and returns
+    /// the membership schedule it realises: the explicit one, the one its
+    /// crashes derive (crash = leave at the crash tick, restart = join at
+    /// the restart tick), or the static group. This is the one place that
+    /// decides which (protocol × plan) combinations exist.
+    ///
+    /// # Errors
+    ///
+    /// [`DsoError::ProtocolViolation`] for a capacity other than
+    /// `scenario.teams`, a trigger, crash or restart tick outside
+    /// `1..scenario.ticks`, an unrealisable crash schedule, explicit view
+    /// changes combined with crashes, and a non-static plan under LRC or
+    /// causal memory (neither has a view-change barrier).
+    pub fn views(
+        &self,
+        scenario: &Scenario,
+        protocol: Protocol,
+    ) -> Result<MembershipPlan, DsoError> {
+        let violation = |why: String| Err(DsoError::ProtocolViolation(why));
+        if scenario.team_size != 1 {
+            return violation(
+                "multi-tank teams are not implemented (the paper fixes team size to one)".into(),
+            );
+        }
+        let teams = usize::from(scenario.teams);
+        let static_group = MembershipPlan::static_group(teams);
+        let explicit = self.membership.as_ref().unwrap_or(&static_group);
+        let views = match &self.faults {
+            Some(faults) if !faults.crashes.is_empty() => {
+                if *explicit != static_group {
+                    return violation(
+                        "a plan with both view changes and crashes is not supported".into(),
+                    );
+                }
+                if let Err(why) = validate_crash_plan(faults, teams) {
+                    return violation(format!("unrealisable crash schedule: {why}"));
+                }
+                crash_membership_plan(teams, 0..scenario.teams, faults)
+            }
+            _ => explicit.clone(),
+        };
+        if views.capacity() != teams {
+            return violation(format!(
+                "the plan provisions {} slots for {teams} teams (one team per slot)",
+                views.capacity()
+            ));
+        }
+        if let Some((t, _)) = views.changes().iter().find(|(t, _)| !(1..scenario.ticks).contains(t))
+        {
+            return violation(format!(
+                "view change, crash or restart at tick {t} falls outside the run (1..{})",
+                scenario.ticks
+            ));
+        }
+        if views != static_group && matches!(protocol, Protocol::Lrc | Protocol::Causal) {
+            return violation(format!(
+                "{protocol} has no view-change barrier; membership and crash plans cover \
+                 BSYNC, MSYNC, MSYNC2, MSYNC2-SHARD and EC"
+            ));
+        }
+        Ok(views)
     }
 }
 
-/// Port over entry consistency: writes go through the lock layer and the
-/// modified set is recorded for the release.
-pub(crate) struct EcPort<'a, E: Endpoint> {
-    pub(crate) ec: &'a mut EntryConsistency<E>,
-    pub(crate) scenario: &'a Scenario,
-    pub(crate) modified: &'a mut BTreeSet<ObjectId>,
+// ---------------------------------------------------------------------
+// Protocol families
+// ---------------------------------------------------------------------
+
+/// What a protocol family contributes to the one game loop ([`drive`]):
+/// how blocks are read and written, and what happens around an iteration.
+/// Costs, plans, barriers, crashes and statistics are the loop's.
+trait Family: Sized {
+    type E: Endpoint;
+
+    /// `(arbitrate, strict)` for [`GameCore::with_flags`]: lock-based
+    /// families rely on their locks instead of the lowest-ID rule, and
+    /// only the lookahead family's freshness makes a clobbered own cell a
+    /// protocol bug — causal memory arbitrates on possibly-stale views, so
+    /// races resolve by last-writer-wins and clobbers are tolerated.
+    const FLAGS: (bool, bool);
+
+    fn runtime_mut(&mut self) -> &mut SdsoRuntime<Self::E>;
+    fn into_runtime(self) -> SdsoRuntime<Self::E>;
+    fn read(&self, object: ObjectId) -> Result<&[u8], DsoError>;
+    fn write(&mut self, object: ObjectId, bytes: &[u8]) -> Result<(), DsoError>;
+
+    /// Services whatever arrived since the last iteration.
+    fn begin_tick(&mut self) -> Result<(), DsoError> {
+        Ok(())
+    }
+
+    /// Opens the iteration's critical section over `locks` (the lock-based
+    /// families; the others never ask for the set).
+    fn open(&mut self, _locks: impl FnOnce() -> Vec<LockRequest>) -> Result<(), DsoError> {
+        Ok(())
+    }
+
+    /// Closes the critical section and performs the tick's exchange; on a
+    /// view-change trigger tick the full barrier over the old view
+    /// *replaces* it, keeping one logical tick per iteration.
+    fn end_tick(&mut self, barrier: bool) -> Result<(), DsoError>;
+
+    /// Turns the epoch after the barrier.
+    fn apply_view_change(&mut self, _change: &ViewChange) -> Result<(), DsoError> {
+        Err(DsoError::ProtocolViolation("this protocol has no view-change barrier".into()))
+    }
+
+    /// Terminal synchronisation: afterwards every replica of the final
+    /// view holds the globally newest version of every object.
+    fn finish(&mut self) -> Result<(), DsoError>;
+
+    /// Adds the family's own counters to the report.
+    fn report(&self, _stats: &mut NodeStats) {}
 }
 
-impl<E: Endpoint> BlockPort for EcPort<'_, E> {
-    fn read_block(&self, pos: Pos) -> Result<Block, DsoError> {
-        let bytes = self.ec.read(self.scenario.grid.object_at(pos))?;
-        Block::decode(bytes)
-            .ok_or_else(|| DsoError::ProtocolViolation(format!("corrupt block at {pos:?}")))
+/// The game's s-functions behind one type: the runtime calls an s-function
+/// through `&mut dyn` anyway, and this way the four lookahead protocols
+/// share one instantiation of the loop and of the game logic.
+struct AnySFunction(Box<dyn SFunction>);
+
+impl SFunction for AnySFunction {
+    fn next_exchange(
+        &mut self,
+        peer: NodeId,
+        now: LogicalTime,
+        view: &ObjectStore,
+    ) -> Option<LogicalTime> {
+        self.0.next_exchange(peer, now, view)
     }
-    fn write_block(&mut self, pos: Pos, block: Block) -> Result<(), DsoError> {
-        let object = self.scenario.grid.object_at(pos);
-        self.ec.write(object, 0, &block.encode(self.scenario.block_bytes))?;
+    fn on_view_change(&mut self, joined: &[NodeId], left: &[NodeId]) {
+        self.0.on_view_change(joined, left);
+    }
+}
+
+impl<E: Endpoint> Family for Lookahead<E, AnySFunction> {
+    type E = E;
+    const FLAGS: (bool, bool) = (true, true);
+
+    fn runtime_mut(&mut self) -> &mut SdsoRuntime<E> {
+        Lookahead::runtime_mut(self)
+    }
+    fn into_runtime(self) -> SdsoRuntime<E> {
+        Lookahead::into_runtime(self)
+    }
+    fn read(&self, object: ObjectId) -> Result<&[u8], DsoError> {
+        Lookahead::runtime(self).read(object)
+    }
+    fn write(&mut self, object: ObjectId, bytes: &[u8]) -> Result<(), DsoError> {
+        Lookahead::runtime_mut(self).write(object, 0, bytes)
+    }
+    fn end_tick(&mut self, barrier: bool) -> Result<(), DsoError> {
+        if barrier { self.step_barrier() } else { self.step() }.map(drop)
+    }
+    fn apply_view_change(&mut self, change: &ViewChange) -> Result<(), DsoError> {
+        Lookahead::apply_view_change(self, change)
+    }
+    fn finish(&mut self) -> Result<(), DsoError> {
+        // One broadcast rendezvous flushes every buffered slot (MSYNC-family
+        // slots for non-due peers would otherwise stay pending forever),
+        // then the reliability layer — when on — retransmits until the tail
+        // is acknowledged.
+        let rt = Lookahead::runtime_mut(self);
+        rt.exchange(true, SendMode::Broadcast, &mut Never)?;
+        rt.settle().map(drop)
+    }
+}
+
+/// Entry consistency plus the set of objects the open iteration modified
+/// (what its release ships).
+struct EcNode<E: Endpoint> {
+    ec: EntryConsistency<E>,
+    modified: BTreeSet<ObjectId>,
+}
+
+impl<E: Endpoint> Family for EcNode<E> {
+    type E = E;
+    const FLAGS: (bool, bool) = (false, false);
+
+    fn runtime_mut(&mut self) -> &mut SdsoRuntime<E> {
+        self.ec.runtime_mut()
+    }
+    fn into_runtime(self) -> SdsoRuntime<E> {
+        self.ec.into_runtime()
+    }
+    fn read(&self, object: ObjectId) -> Result<&[u8], DsoError> {
+        self.ec.read(object)
+    }
+    fn write(&mut self, object: ObjectId, bytes: &[u8]) -> Result<(), DsoError> {
+        self.ec.write(object, 0, bytes)?;
         self.modified.insert(object);
         Ok(())
     }
+    fn begin_tick(&mut self) -> Result<(), DsoError> {
+        self.ec.service_pending()
+    }
+    fn open(&mut self, locks: impl FnOnce() -> Vec<LockRequest>) -> Result<(), DsoError> {
+        self.ec.acquire(&locks())
+    }
+    fn end_tick(&mut self, barrier: bool) -> Result<(), DsoError> {
+        // The caller has already advanced the write cost: locks are held
+        // across it.
+        self.ec.release_all(&std::mem::take(&mut self.modified))?;
+        if barrier {
+            // Flush barrier over the old view: all newest copies (a
+            // leaver's tombstone, a crasher's frozen tank) disseminate
+            // before the epoch turns.
+            self.ec.view_sync()?;
+        }
+        Ok(())
+    }
+    fn apply_view_change(&mut self, change: &ViewChange) -> Result<(), DsoError> {
+        self.ec.apply_view_change(change)
+    }
+    fn finish(&mut self) -> Result<(), DsoError> {
+        self.ec.finish()?;
+        // Pull-based EC leaves replicas stale wherever this process never
+        // locked; the final-sync barrier disseminates every object's newest
+        // version so snapshots agree across processes. The settle pass then
+        // keeps retransmitting (and acknowledging) until the tail of the
+        // barrier itself is delivered — without it, a process whose last
+        // SyncDone was dropped would exit and leave its peers starving.
+        self.ec.final_sync()?;
+        self.ec.runtime_mut().settle().map(drop)
+    }
+    fn report(&self, stats: &mut NodeStats) {
+        stats.ec = self.ec.metrics();
+    }
 }
 
-/// Port over LRC: writes enter the open interval.
-struct LrcPort<'a, E: Endpoint> {
-    lrc: &'a mut Lrc<E>,
+/// LRC plus the locks the open iteration holds, in acquisition order.
+struct LrcNode<E: Endpoint> {
+    lrc: Lrc<E>,
+    held: Vec<u32>,
+}
+
+impl<E: Endpoint> Family for LrcNode<E> {
+    type E = E;
+    const FLAGS: (bool, bool) = (false, false);
+
+    fn runtime_mut(&mut self) -> &mut SdsoRuntime<E> {
+        self.lrc.runtime_mut()
+    }
+    fn into_runtime(self) -> SdsoRuntime<E> {
+        self.lrc.into_runtime()
+    }
+    fn read(&self, object: ObjectId) -> Result<&[u8], DsoError> {
+        self.lrc.read(object)
+    }
+    fn write(&mut self, object: ObjectId, bytes: &[u8]) -> Result<(), DsoError> {
+        self.lrc.write(object, 0, bytes)
+    }
+    fn begin_tick(&mut self) -> Result<(), DsoError> {
+        self.lrc.service_pending()
+    }
+    fn open(&mut self, locks: impl FnOnce() -> Vec<LockRequest>) -> Result<(), DsoError> {
+        // LRC locks are plain synchronisation variables; the game uses one
+        // lock per block it would write-lock under EC, acquired in order.
+        self.held =
+            locks().iter().filter(|l| l.mode == LockMode::Write).map(|l| l.object.0).collect();
+        self.held.sort_unstable();
+        self.held.iter().try_for_each(|&lock| self.lrc.acquire(lock))
+    }
+    fn end_tick(&mut self, _barrier: bool) -> Result<(), DsoError> {
+        self.held.iter().rev().try_for_each(|&lock| self.lrc.release(lock))
+    }
+    fn finish(&mut self) -> Result<(), DsoError> {
+        self.lrc.finish()
+    }
+    fn report(&self, stats: &mut NodeStats) {
+        stats.lrc = self.lrc.metrics();
+    }
+}
+
+/// Causal memory: every write is pushed to all processes. Push-based and
+/// non-blocking, so there is no exchange and no termination handshake.
+impl<E: Endpoint> Family for CausalMemory<E> {
+    type E = E;
+    const FLAGS: (bool, bool) = (true, false);
+
+    fn runtime_mut(&mut self) -> &mut SdsoRuntime<E> {
+        CausalMemory::runtime_mut(self)
+    }
+    fn into_runtime(self) -> SdsoRuntime<E> {
+        CausalMemory::into_runtime(self)
+    }
+    fn read(&self, object: ObjectId) -> Result<&[u8], DsoError> {
+        CausalMemory::read(self, object)
+    }
+    fn write(&mut self, object: ObjectId, bytes: &[u8]) -> Result<(), DsoError> {
+        CausalMemory::write(self, object, 0, bytes)
+    }
+    fn begin_tick(&mut self) -> Result<(), DsoError> {
+        self.deliver_pending().map(drop)
+    }
+    fn end_tick(&mut self, _barrier: bool) -> Result<(), DsoError> {
+        Ok(())
+    }
+    fn finish(&mut self) -> Result<(), DsoError> {
+        Ok(())
+    }
+    fn report(&self, stats: &mut NodeStats) {
+        stats.causal = self.metrics();
+    }
+}
+
+/// The world as one protocol family provides it.
+struct Port<'a, F> {
+    node: &'a mut F,
     scenario: &'a Scenario,
 }
 
-impl<E: Endpoint> BlockPort for LrcPort<'_, E> {
+impl<F: Family> BlockPort for Port<'_, F> {
     fn read_block(&self, pos: Pos) -> Result<Block, DsoError> {
-        let bytes = self.lrc.read(self.scenario.grid.object_at(pos))?;
+        let bytes = self.node.read(self.scenario.grid.object_at(pos))?;
         Block::decode(bytes)
             .ok_or_else(|| DsoError::ProtocolViolation(format!("corrupt block at {pos:?}")))
     }
     fn write_block(&mut self, pos: Pos, block: Block) -> Result<(), DsoError> {
         let object = self.scenario.grid.object_at(pos);
-        self.lrc.write(object, 0, &block.encode(self.scenario.block_bytes))
-    }
-}
-
-/// Port over causal memory: every write is pushed to all processes.
-struct CausalPort<'a, E: Endpoint> {
-    causal: &'a mut CausalMemory<E>,
-    scenario: &'a Scenario,
-}
-
-impl<E: Endpoint> BlockPort for CausalPort<'_, E> {
-    fn read_block(&self, pos: Pos) -> Result<Block, DsoError> {
-        let bytes = self.causal.read(self.scenario.grid.object_at(pos))?;
-        Block::decode(bytes)
-            .ok_or_else(|| DsoError::ProtocolViolation(format!("corrupt block at {pos:?}")))
-    }
-    fn write_block(&mut self, pos: Pos, block: Block) -> Result<(), DsoError> {
-        let object = self.scenario.grid.object_at(pos);
-        self.causal.write(object, 0, &block.encode(self.scenario.block_bytes))
+        self.node.write(object, &block.encode(self.scenario.block_bytes))
     }
 }
 
 // ---------------------------------------------------------------------
-// Runners
+// The driver
 // ---------------------------------------------------------------------
 
+/// Builds the runtime over the deterministic initial world, minus the
+/// tanks of teams that are not initial members — their spawn points stay
+/// clear until they join. Every process (joiners and restarted processes
+/// included) shares the identical initial bodies, so a snapshot only ever
+/// carries objects modified since the start.
 fn build_runtime<E: Endpoint>(
     endpoint: E,
     scenario: &Scenario,
+    views: &MembershipPlan,
     obs: Obs,
 ) -> Result<SdsoRuntime<E>, DsoError> {
     let config = DsoConfig {
@@ -669,14 +1023,57 @@ fn build_runtime<E: Endpoint>(
         ..DsoConfig::paper()
     };
     let mut rt = SdsoRuntime::with_obs(endpoint, config, obs);
-    for (idx, block) in scenario.initial_world().iter().enumerate() {
+    let mut world = scenario.initial_world();
+    for team in (0..scenario.teams).filter(|&team| !views.is_initial(team)) {
+        world[scenario.grid.object_at(scenario.start_of(team)).0 as usize] = Block::Empty;
+    }
+    for (idx, block) in world.iter().enumerate() {
         rt.share(ObjectId(idx as u32), block.encode(scenario.block_bytes))?;
     }
     Ok(rt)
 }
 
+/// Brings a runtime into the group and returns the first game tick this
+/// process executes. Initial members install the plan's initial view and
+/// start at tick 1. A joiner installs the view of its join epoch and
+/// blocks for the donor's snapshot; a restarted process (`rejoin_at`)
+/// takes the same late-joiner path at its restart tick, draining the
+/// crash-era residue (ghost ARQ frames, stale acks) addressed to its
+/// previous incarnation first.
+fn enter<E: Endpoint>(
+    rt: &mut SdsoRuntime<E>,
+    views: &MembershipPlan,
+    rejoin_at: Option<u64>,
+) -> Result<u64, DsoError> {
+    let violation = |why: String| DsoError::ProtocolViolation(why);
+    let me = rt.node_id();
+    let join = match rejoin_at {
+        Some(restart) => restart,
+        None if views.is_initial(me) => {
+            rt.set_membership(views.view_at(0));
+            return Ok(1);
+        }
+        None => views.join_tick_of(me).ok_or_else(|| {
+            violation(format!("process {me} is neither an initial member nor a planned joiner"))
+        })?,
+    };
+    let change = views
+        .change_at(join)
+        .ok_or_else(|| violation(format!("tick {join} carries no view change for {me} to join")))?;
+    let view = views.view_at(join);
+    let donor = view
+        .donor_for(change)
+        .ok_or_else(|| violation("view change admits joiners but leaves no donor".into()))?;
+    rt.set_membership(view);
+    if rejoin_at.is_some() {
+        rt.drain_crash_residue()?;
+    }
+    rt.await_snapshot(donor)?;
+    Ok(join + 1)
+}
+
 /// Decodes a runtime's final replica of the whole grid.
-pub(crate) fn snapshot_world<E: Endpoint>(rt: &SdsoRuntime<E>, scenario: &Scenario) -> Vec<Block> {
+fn snapshot_world<E: Endpoint>(rt: &SdsoRuntime<E>, scenario: &Scenario) -> Vec<Block> {
     scenario
         .grid
         .iter()
@@ -687,137 +1084,6 @@ pub(crate) fn snapshot_world<E: Endpoint>(rt: &SdsoRuntime<E>, scenario: &Scenar
                 .unwrap_or(Block::Empty)
         })
         .collect()
-}
-
-/// Per-tick modelled compute: the look phase plus the decision.
-pub(crate) fn think_cost(scenario: &Scenario) -> SimSpan {
-    let blocks_looked = 4 * u64::from(scenario.range);
-    SimSpan::from_micros(scenario.look_cost.as_micros() * blocks_looked) + scenario.decide_cost
-}
-
-pub(crate) fn write_cost(scenario: &Scenario, mods: u64) -> SimSpan {
-    SimSpan::from_micros(scenario.write_cost.as_micros() * mods)
-}
-
-/// Runs one process of the game under the given protocol to completion
-/// (`scenario.ticks` iterations) and reports its statistics.
-///
-/// This is the entry point the evaluation harness calls once per simulated
-/// (or real) node.
-///
-/// # Errors
-///
-/// Propagates transport, store and protocol errors.
-pub fn run_node<E: Endpoint>(
-    endpoint: E,
-    scenario: &Scenario,
-    protocol: Protocol,
-) -> Result<NodeStats, DsoError> {
-    run_node_obs(endpoint, scenario, protocol, Obs::disabled())
-}
-
-/// Like [`run_node`], but records into the given observability bundle:
-/// flight-recorder events (exchanges, rendezvous waits, locks, faults)
-/// land in `obs`'s recorder and every counter in its registry. The
-/// harness constructs one bundle per node up front (an
-/// [`sdso_core::ObsSet`]) so it can export a cluster-wide trace after
-/// the run.
-///
-/// # Errors
-///
-/// Propagates transport, store and protocol errors.
-pub fn run_node_obs<E: Endpoint>(
-    endpoint: E,
-    scenario: &Scenario,
-    protocol: Protocol,
-    obs: Obs,
-) -> Result<NodeStats, DsoError> {
-    assert_eq!(
-        scenario.team_size, 1,
-        "multi-tank teams are not implemented (the paper fixes team size to one)"
-    );
-    match protocol {
-        Protocol::Bsync => run_lookahead(endpoint, scenario, EveryTick, None, obs),
-        Protocol::Msync => {
-            let me = endpoint.node_id();
-            let sfunc = crate::sfuncs::Msync::new(me, scenario.clone());
-            run_lookahead(endpoint, scenario, sfunc, None, obs)
-        }
-        Protocol::Msync2 => {
-            let me = endpoint.node_id();
-            let sfunc = crate::sfuncs::Msync2::new(me, scenario.clone());
-            run_lookahead(endpoint, scenario, sfunc, None, obs)
-        }
-        Protocol::Msync2Shard => {
-            let me = endpoint.node_id();
-            let sfunc = crate::shard::ShardMsync2::new(me, scenario.clone());
-            let router = Box::new(crate::shard::ShardRouter::new(scenario.clone(), me));
-            run_lookahead(endpoint, scenario, sfunc, Some(router), obs)
-        }
-        Protocol::Entry => run_entry(endpoint, scenario, obs),
-        Protocol::Lrc => run_lrc(endpoint, scenario, obs),
-        Protocol::Causal => run_causal(endpoint, scenario, obs),
-    }
-}
-
-fn run_lookahead<E: Endpoint, S: SFunction>(
-    endpoint: E,
-    scenario: &Scenario,
-    sfunc: S,
-    router: Option<Box<dyn sdso_core::DiffRouter>>,
-    obs: Obs,
-) -> Result<NodeStats, DsoError> {
-    let me = endpoint.node_id();
-    let mut rt = build_runtime(endpoint, scenario, obs)?;
-    rt.set_diff_router(router);
-    let mut node = Lookahead::new(rt, sfunc)?;
-    let mut core = GameCore::new(scenario.clone(), me);
-    let mut compute = SimSpan::ZERO;
-
-    for _ in 0..scenario.ticks {
-        let think = think_cost(scenario);
-        node.runtime_mut().advance(think);
-        compute += think;
-
-        let mods = {
-            let mut port = RuntimePort { runtime: node.runtime_mut(), scenario };
-            core.run_tick(&mut port)?
-        };
-        let wc = write_cost(scenario, mods);
-        node.runtime_mut().advance(wc);
-        compute += wc;
-
-        node.step()?;
-    }
-
-    let mut rt = node.into_runtime();
-    // Deltas, not lifetime-cumulative: stats must cover this run only even
-    // when the endpoint outlives it (TCP meshes, repeated runs).
-    let net_live = rt.net_metrics_delta();
-    // Terminal full synchronisation: one broadcast rendezvous flushes every
-    // buffered slot (MSYNC-family slots for non-due peers would otherwise
-    // stay pending forever), then the reliability layer — when on —
-    // retransmits until the tail is acknowledged. After this, every replica
-    // holds the globally newest version of every object.
-    rt.exchange(true, SendMode::Broadcast, &mut sdso_core::Never)?;
-    rt.settle()?;
-    Ok(NodeStats {
-        node: me,
-        ticks: core.tick,
-        modifications: core.modifications,
-        score: core.score,
-        goals: core.goals,
-        deaths: core.deaths,
-        shots: core.shots,
-        bonuses: core.bonuses,
-        exec_time: rt.now().saturating_since(sdso_net::SimInstant::ZERO),
-        compute_time: compute,
-        net: net_live.merged(&rt.net_metrics_delta()),
-        net_live,
-        dso: rt.metrics(),
-        final_world: snapshot_world(&rt, scenario),
-        ..NodeStats::default()
-    })
 }
 
 /// The paper's EC lockset: write locks on the tank's own block and the four
@@ -841,159 +1107,199 @@ pub fn ec_lockset(scenario: &Scenario, pos: Pos) -> Vec<LockRequest> {
     locks
 }
 
-fn run_entry<E: Endpoint>(
+/// Runs one process of the game under the given protocol to completion
+/// (`scenario.ticks` iterations) in the paper's setting — a static group,
+/// no crashes, tracing off — and reports its statistics.
+///
+/// # Errors
+///
+/// Propagates transport, store and protocol errors.
+pub fn run_node<E: Endpoint>(
     endpoint: E,
     scenario: &Scenario,
-    obs: Obs,
+    protocol: Protocol,
 ) -> Result<NodeStats, DsoError> {
-    let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
-    let mut ec = EntryConsistency::new(rt);
-    let mut core = GameCore::with_arbitration(scenario.clone(), me, false);
-    let mut compute = SimSpan::ZERO;
-
-    for _ in 0..scenario.ticks {
-        ec.service_pending()?;
-        let think = think_cost(scenario);
-        ec.runtime_mut().advance(think);
-        compute += think;
-
-        let lockset = ec_lockset(scenario, core.tank.pos);
-        ec.acquire(&lockset)?;
-
-        let mut modified = BTreeSet::new();
-        let mods = {
-            let mut port = EcPort { ec: &mut ec, scenario, modified: &mut modified };
-            core.run_tick(&mut port)?
-        };
-        let wc = write_cost(scenario, mods);
-        ec.runtime_mut().advance(wc);
-        compute += wc;
-
-        ec.release_all(&modified)?;
-    }
-    let net_live = ec.runtime_mut().net_metrics_delta();
-    ec.finish()?;
-    // Pull-based EC leaves replicas stale wherever this process never
-    // locked; the final-sync barrier disseminates every object's newest
-    // version so snapshots agree across processes. The settle pass then
-    // keeps retransmitting (and acknowledging) until the tail of the
-    // barrier itself is delivered — without it, a process whose last
-    // SyncDone was dropped would exit and leave its peers starving.
-    ec.final_sync()?;
-    ec.runtime_mut().settle()?;
-
-    Ok(NodeStats {
-        node: me,
-        ticks: core.tick,
-        modifications: core.modifications,
-        score: core.score,
-        goals: core.goals,
-        deaths: core.deaths,
-        shots: core.shots,
-        bonuses: core.bonuses,
-        exec_time: ec.runtime().now().saturating_since(sdso_net::SimInstant::ZERO),
-        compute_time: compute,
-        net: net_live.merged(&ec.runtime_mut().net_metrics_delta()),
-        net_live,
-        dso: ec.runtime().metrics(),
-        ec: ec.metrics(),
-        final_world: snapshot_world(ec.runtime(), scenario),
-        ..NodeStats::default()
-    })
+    run_node_with(endpoint, scenario, protocol, &RunPlan::default())
 }
 
-fn run_lrc<E: Endpoint>(endpoint: E, scenario: &Scenario, obs: Obs) -> Result<NodeStats, DsoError> {
-    let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
-    let mut lrc = Lrc::new(rt);
-    let mut core = GameCore::with_arbitration(scenario.clone(), me, false);
-    let mut compute = SimSpan::ZERO;
-
-    for _ in 0..scenario.ticks {
-        lrc.service_pending()?;
-        let think = think_cost(scenario);
-        lrc.runtime_mut().advance(think);
-        compute += think;
-
-        // LRC locks are plain synchronisation variables; the game uses one
-        // lock per block it would write-lock under EC, acquired in order.
-        let mut locks: Vec<u32> = ec_lockset(scenario, core.tank.pos)
-            .into_iter()
-            .filter(|l| l.mode == LockMode::Write)
-            .map(|l| l.object.0)
-            .collect();
-        locks.sort_unstable();
-        for &lock in &locks {
-            lrc.acquire(lock)?;
-        }
-
-        let mods = {
-            let mut port = LrcPort { lrc: &mut lrc, scenario };
-            core.run_tick(&mut port)?
-        };
-        let wc = write_cost(scenario, mods);
-        lrc.runtime_mut().advance(wc);
-        compute += wc;
-
-        for &lock in locks.iter().rev() {
-            lrc.release(lock)?;
-        }
-    }
-    let net_live = lrc.runtime_mut().net_metrics_delta();
-    lrc.finish()?;
-
-    Ok(NodeStats {
-        node: me,
-        ticks: core.tick,
-        modifications: core.modifications,
-        score: core.score,
-        goals: core.goals,
-        deaths: core.deaths,
-        shots: core.shots,
-        bonuses: core.bonuses,
-        exec_time: lrc.runtime().now().saturating_since(sdso_net::SimInstant::ZERO),
-        compute_time: compute,
-        net: net_live.merged(&lrc.runtime_mut().net_metrics_delta()),
-        net_live,
-        lrc: lrc.metrics(),
-        final_world: snapshot_world(lrc.runtime(), scenario),
-        ..NodeStats::default()
-    })
-}
-
-fn run_causal<E: Endpoint>(
+/// Runs one process of the game under `protocol` and `plan`. This is the
+/// entry point the evaluation harness calls once per simulated (or real)
+/// node; every slot of the transport runs it.
+///
+/// Under a membership plan, initial members play from tick 1, a planned
+/// joiner blocks until its donor's snapshot arrives and plays from the
+/// tick after its join, and a planned leaver exits at its trigger tick
+/// with the stats it accumulated. Under a crash schedule, a process dies
+/// abruptly at its crash tick and — if the event has a restart tick —
+/// recovers from its journal and rejoins, finishing the game with its
+/// pre-crash state; everyone else weathers the crash as a view change.
+/// With tracing on, flight-recorder events (exchanges, rendezvous waits,
+/// locks, view changes, snapshots, WAL replays) land in the node's
+/// recorder and every counter in its registry.
+///
+/// # Errors
+///
+/// Rejects unsupported plans before any message is sent (see
+/// [`RunPlan::views`]); propagates transport, store and protocol errors.
+pub fn run_node_with<E: Endpoint>(
     endpoint: E,
     scenario: &Scenario,
-    obs: Obs,
+    protocol: Protocol,
+    plan: &RunPlan,
+) -> Result<NodeStats, DsoError> {
+    let views = plan.views(scenario, protocol)?;
+    let me = endpoint.node_id();
+    let world = || scenario.clone();
+    let lookahead = |rt, sfunc: Box<dyn SFunction>| Lookahead::new(rt, AnySFunction(sfunc));
+    match protocol {
+        Protocol::Bsync => {
+            drive(endpoint, scenario, plan, &views, &|rt| lookahead(rt, Box::new(EveryTick)))
+        }
+        Protocol::Msync => drive(endpoint, scenario, plan, &views, &|rt| {
+            lookahead(rt, Box::new(crate::sfuncs::Msync::new(me, world())))
+        }),
+        Protocol::Msync2 => drive(endpoint, scenario, plan, &views, &|rt| {
+            lookahead(rt, Box::new(crate::sfuncs::Msync2::new(me, world())))
+        }),
+        Protocol::Msync2Shard => drive(endpoint, scenario, plan, &views, &|mut rt| {
+            rt.set_diff_router(Some(Box::new(crate::shard::ShardRouter::new(world(), me))));
+            lookahead(rt, Box::new(crate::shard::ShardMsync2::new(me, world())))
+        }),
+        Protocol::Entry => drive(endpoint, scenario, plan, &views, &|rt| {
+            Ok(EcNode { ec: EntryConsistency::new(rt), modified: BTreeSet::new() })
+        }),
+        Protocol::Lrc => drive(endpoint, scenario, plan, &views, &|rt| {
+            Ok(LrcNode { lrc: Lrc::new(rt), held: Vec::new() })
+        }),
+        Protocol::Causal => {
+            drive(endpoint, scenario, plan, &views, &|rt| Ok(CausalMemory::new(rt)))
+        }
+    }
+}
+
+/// How a process's run ended.
+#[derive(PartialEq)]
+enum Exit {
+    /// Played the last tick.
+    Finished,
+    /// Left the group at its planned trigger tick.
+    Left,
+    /// Crashed with no restart scheduled.
+    Died,
+}
+
+/// The one game loop: think → play the tick → write cost → exchange, with
+/// the plan's view changes and crashes woven in at tick granularity.
+fn drive<E: Endpoint, F: Family<E = E>>(
+    endpoint: E,
+    scenario: &Scenario,
+    plan: &RunPlan,
+    views: &MembershipPlan,
+    make: &dyn Fn(SdsoRuntime<E>) -> Result<F, DsoError>,
 ) -> Result<NodeStats, DsoError> {
     let me = endpoint.node_id();
-    let rt = build_runtime(endpoint, scenario, obs)?;
-    let mut causal = CausalMemory::new(rt);
-    // Causal memory arbitrates on possibly-stale views: races resolve by
-    // last-writer-wins, so clobbers are tolerated rather than fatal.
-    let mut core = GameCore::with_flags(scenario.clone(), me, true, false);
-    let mut compute = SimSpan::ZERO;
+    let obs = plan.obs.as_ref().map_or_else(Obs::disabled, |set| set.node(me));
+    let crashes = plan.faults.as_ref().map_or(&[][..], |f| &f.crashes);
+    let crash = crashes.iter().find(|c| c.node == me).copied();
+    let mut journal = Journal::new(!crashes.is_empty());
+    // Accumulates what spans a process's incarnations: compute time and the
+    // recovery counters.
+    let mut tally = NodeStats::default();
 
-    for _ in 0..scenario.ticks {
-        causal.deliver_pending()?;
-        let think = think_cost(scenario);
-        causal.runtime_mut().advance(think);
-        compute += think;
-
-        let mods = {
-            let mut port = CausalPort { causal: &mut causal, scenario };
-            core.run_tick(&mut port)?
-        };
-        let wc = write_cost(scenario, mods);
-        causal.runtime_mut().advance(wc);
-        compute += wc;
+    let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
+    let mut tick = enter(&mut rt, views, None)?;
+    journal.ident(me, rt.membership().epoch())?;
+    let mut node = make(rt)?;
+    let mut core = GameCore::with_flags(scenario.clone(), me, F::FLAGS.0, F::FLAGS.1);
+    if tick > 1 {
+        // A late joiner begins in respawn limbo — its tank materialises on
+        // the spawn at its first tick, the path a destroyed tank takes, so
+        // no peer can contend with it before seeing it — with the global
+        // tick counter aligned.
+        core.tick = tick - 1;
+        core.tank.alive = false;
     }
-    // Push-based and non-blocking: no termination handshake needed, so
-    // live and total counters coincide.
-    let net = causal.runtime_mut().net_metrics_delta();
+    // A crash is a leave only to the survivors.
+    let leave_tick = views.leave_tick_of(me).filter(|_| crash.is_none());
+    // Modelled compute per tick: the look phase plus the decision, then
+    // the writes.
+    let looks = scenario.look_cost.as_micros() * 4 * u64::from(scenario.range);
+    let think = SimSpan::from_micros(looks) + scenario.decide_cost;
 
-    Ok(NodeStats {
+    let exit = loop {
+        if tick > scenario.ticks {
+            break Exit::Finished;
+        }
+        let leaving = leave_tick == Some(tick);
+        node.begin_tick()?;
+        node.runtime_mut().advance(think);
+
+        // The paper's lockset — or, for a leaver's last iteration, only the
+        // cell its tank stands on (if it has one).
+        node.open(|| match leaving {
+            false => ec_lockset(scenario, core.tank.pos),
+            true if core.tank.alive => {
+                vec![LockRequest::write(scenario.grid.object_at(core.tank.pos))]
+            }
+            true => Vec::new(),
+        })?;
+        let mods = {
+            let mut port = Port { node: &mut node, scenario };
+            if leaving {
+                core.retire(&mut port)?
+            } else {
+                core.run_tick(&mut port)?
+            }
+        };
+        let wc = SimSpan::from_micros(scenario.write_cost.as_micros() * mods);
+        node.runtime_mut().advance(wc);
+        tally.compute_time += think + wc;
+
+        // Everyone in the old view — leaver and crasher included — takes
+        // part in the trigger tick's barrier, so their tick's writes (the
+        // tombstone, the frozen tank) converge before the epoch turns.
+        let change = views.change_at(tick);
+        node.end_tick(change.is_some())?;
+        journal.tick(node.runtime_mut(), &core, tick, &obs)?;
+
+        if leaving {
+            break Exit::Left;
+        }
+        if crash.is_some_and(|c| c.crash_tick == tick) {
+            let Some(back) = crash.and_then(|c| c.restart_tick) else {
+                break Exit::Died;
+            };
+            (node, core) =
+                restart(node, &mut journal, scenario, views, back, &obs, &mut tally, make)?;
+            tick = back;
+        } else if let Some(change) = change {
+            node.apply_view_change(change)?;
+            journal.ident(me, node.runtime_mut().membership().epoch())?;
+            // The donor — the lowest continuing member — pushes one
+            // O(objects) state snapshot to each joiner.
+            if node.runtime_mut().membership().donor_for(change) == Some(me) {
+                for &joiner in &change.joined {
+                    node.runtime_mut().send_snapshot(joiner)?;
+                }
+            }
+        }
+        tick += 1;
+    };
+
+    // Deltas, not lifetime-cumulative: stats must cover this run only even
+    // when the endpoint outlives it (TCP meshes, repeated runs).
+    let net_live = node.runtime_mut().net_metrics_delta();
+    match exit {
+        Exit::Finished => node.finish()?,
+        // The leaver's pending per-peer diff slots are compacted by the
+        // view change at its peers, not leaked; it only settles its
+        // reliability tails.
+        Exit::Left => drop(node.runtime_mut().settle()?),
+        // It died: no settling, no farewell.
+        Exit::Died => {}
+    }
+    let rt = node.runtime_mut();
+    let mut stats = NodeStats {
         node: me,
         ticks: core.tick,
         modifications: core.modifications,
@@ -1002,14 +1308,74 @@ fn run_causal<E: Endpoint>(
         deaths: core.deaths,
         shots: core.shots,
         bonuses: core.bonuses,
-        exec_time: causal.runtime().now().saturating_since(sdso_net::SimInstant::ZERO),
-        compute_time: compute,
-        net,
-        net_live: net,
-        causal: causal.metrics(),
-        final_world: snapshot_world(causal.runtime(), scenario),
-        ..NodeStats::default()
-    })
+        exec_time: rt.now().saturating_since(sdso_net::SimInstant::ZERO),
+        net: net_live.merged(&rt.net_metrics_delta()),
+        net_live,
+        dso: rt.metrics(),
+        final_world: snapshot_world(rt, scenario),
+        ..tally
+    };
+    node.report(&mut stats);
+    if exit == Exit::Died {
+        // The endpoint must outlive the survivors' view-change settling, so
+        // leak it the way a dead host's address outlives the process.
+        std::mem::forget(node.into_runtime().into_endpoint());
+    }
+    Ok(stats)
+}
+
+/// Fail-stop and recovery. The volatile state (runtime, reliability
+/// links, game core) vanishes; the journal and the endpoint — the disk and
+/// the host's address — survive. The new incarnation replays the journal
+/// for its pre-crash identity, clock frontier and game state, rejoins
+/// through the late-joiner path and resumes at the tick after its restart
+/// with its score, tank and fire-record history intact.
+#[allow(clippy::too_many_arguments)]
+fn restart<E: Endpoint, F: Family<E = E>>(
+    node: F,
+    journal: &mut Journal,
+    scenario: &Scenario,
+    views: &MembershipPlan,
+    back: u64,
+    obs: &Obs,
+    tally: &mut NodeStats,
+    make: &dyn Fn(SdsoRuntime<E>) -> Result<F, DsoError>,
+) -> Result<(F, GameCore), DsoError> {
+    let rt = node.into_runtime();
+    let (me, down_at) = (rt.node_id(), rt.now());
+    let endpoint = rt.into_endpoint();
+
+    let recovered = journal.reopen(me)?;
+    let mut core = GameCore::decode(scenario.clone(), me, F::FLAGS.0, F::FLAGS.1, &recovered.app)
+        .ok_or_else(|| {
+        DsoError::ProtocolViolation("recovered game state failed to decode".into())
+    })?;
+    let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
+    rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
+    let (records, truncated) = (recovered.records as u32, recovered.truncated as u32);
+    obs.record(rt.now().as_micros(), EventKind::WalReplay, records, truncated, 0);
+    enter(&mut rt, views, Some(back))?;
+    let epoch = rt.membership().epoch();
+    obs.record(rt.now().as_micros(), EventKind::Recover, u32::from(me), records, epoch.0);
+
+    let downtime = rt.now().saturating_since(down_at);
+    tally.recoveries += 1;
+    tally.wal_replayed += recovered.records;
+    tally.recovery_time += downtime;
+    record_recovery(obs, recovered.records, downtime);
+    journal.ident(me, epoch)?;
+    let mut node = make(rt)?;
+
+    // The tick counter aligns with the global tick, and the tank falls back
+    // to the respawn path if its cell no longer holds it (defensive; while
+    // the process is down its tank sits frozen and invulnerable, since fire
+    // records are absorbed by the owning process).
+    core.tick = back;
+    if core.tank.alive {
+        let here = Port { node: &mut node, scenario }.read_block(core.tank.pos)?;
+        core.tank.alive = matches!(here, Block::Tank { team, .. } if team == me);
+    }
+    Ok((node, core))
 }
 
 #[cfg(test)]
@@ -1200,5 +1566,176 @@ mod tests {
         assert_eq!(core.deaths, 1);
         assert!(core.respawn_pending());
         assert_eq!(port.read_block(to).unwrap(), Block::Empty, "bomb consumed");
+    }
+
+    // --- the driver under plans (in-process channels: a bug here hangs) ---
+
+    fn run_all(protocol: Protocol, scenario: &Scenario, plan: &RunPlan) -> Vec<NodeStats> {
+        use sdso_net::memory::MemoryHub;
+        let handles: Vec<_> = MemoryHub::new(usize::from(scenario.teams))
+            .into_endpoints()
+            .into_iter()
+            .map(|ep| {
+                let (s, p) = (scenario.clone(), plan.clone());
+                std::thread::spawn(move || run_node_with(ep, &s, protocol, &p))
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+    }
+
+    /// 4 capacity slots, 3 initial members; node 1 leaves and node 3
+    /// joins at the same barrier.
+    fn churn_plan() -> RunPlan {
+        RunPlan::default().with_membership(
+            MembershipPlan::new(4, [0, 1, 2]).with_change(4, ViewChange::new([3], [1])),
+        )
+    }
+
+    /// Node 1 crashes at tick 3 and is back at tick 6; node 3 crashes at
+    /// tick 7 for good.
+    fn crash_plan() -> RunPlan {
+        RunPlan::default()
+            .with_faults(FaultPlan::new(23).with_crash(1, 3, Some(6)).with_crash(3, 7, None))
+    }
+
+    const DYNAMIC: [Protocol; 5] = [
+        Protocol::Entry,
+        Protocol::Bsync,
+        Protocol::Msync,
+        Protocol::Msync2,
+        Protocol::Msync2Shard,
+    ];
+
+    #[test]
+    fn every_barrier_protocol_plays_out_every_plan() {
+        let scenario = Scenario::paper(4, 1).with_ticks(10);
+        for protocol in DYNAMIC {
+            let stats = run_all(protocol, &scenario, &churn_plan());
+            assert_eq!(stats[1].ticks, 4, "{protocol}: the leaver exits at its trigger tick");
+            assert_eq!(stats[0].ticks, 10);
+            assert_eq!(stats[3].ticks, 10, "{protocol}: the joiner plays to the end");
+            // Every final-view member converges to the identical world...
+            assert_eq!(stats[0].final_world, stats[2].final_world, "{protocol}: 0 vs 2");
+            assert_eq!(stats[0].final_world, stats[3].final_world, "{protocol}: 0 vs 3");
+            // ...from which the leaver's tank is gone.
+            let leaver_present =
+                stats[0].final_world.iter().any(|b| matches!(b, Block::Tank { team: 1, .. }));
+            assert!(!leaver_present, "{protocol}: leaver's tank must be gone");
+            assert!(stats.iter().all(|s| s.recoveries == 0 && s.wal_replayed == 0));
+
+            let stats = run_all(protocol, &scenario, &crash_plan());
+            assert_eq!(stats[1].recoveries, 1, "{protocol}: one crash/restart cycle");
+            assert!(stats[1].wal_replayed > 0, "{protocol}: the WAL replayed something");
+            assert_eq!(stats[1].ticks, 10, "{protocol}: the restarted process finishes");
+            assert_eq!(stats[3].ticks, 7, "{protocol}: the unrecovered crasher died at its tick");
+            for survivor in [0, 2] {
+                assert_eq!((stats[survivor].recoveries, stats[survivor].ticks), (0, 10));
+            }
+            // Live members — the restarted process included — converge.
+            assert_eq!(stats[0].final_world, stats[1].final_world, "{protocol}: 0 vs 1");
+            assert_eq!(stats[0].final_world, stats[2].final_world, "{protocol}: 0 vs 2");
+        }
+    }
+
+    #[test]
+    fn replaying_the_same_crash_plan_is_deterministic() {
+        let scenario = Scenario::paper(4, 1).with_ticks(10);
+        let a = run_all(Protocol::Msync, &scenario, &crash_plan());
+        let b = run_all(Protocol::Msync, &scenario, &crash_plan());
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!((x.ticks, x.score), (y.ticks, y.score));
+            assert_eq!(x.final_world, y.final_world, "node {}", x.node);
+        }
+    }
+
+    #[test]
+    fn snapshot_is_o_objects_not_o_history() {
+        // Same plan, 4x the ticks before the join: the snapshot's byte
+        // count must not grow with history, only with modified objects
+        // (bounded by the object count).
+        let sizes: Vec<u64> = [6u64, 24]
+            .into_iter()
+            .map(|join_tick| {
+                let scenario = Scenario::paper(4, 1).with_ticks(join_tick + 2);
+                let plan = RunPlan::default().with_membership(
+                    MembershipPlan::new(4, [0, 1, 2]).with_change(join_tick, ViewChange::join([3])),
+                );
+                // The donor (node 0) counted the snapshot bytes it sent.
+                run_all(Protocol::Bsync, &scenario, &plan)[0].dso.snapshot_bytes
+            })
+            .collect();
+        assert!(sizes[0] > 0, "a snapshot was sent");
+        let cells = u64::from(Scenario::paper(4, 1).grid.cells());
+        let bound = cells * (64 + 32);
+        assert!(
+            sizes[1] <= bound && sizes[0] <= bound,
+            "snapshot sizes {sizes:?} must stay O(objects), bound {bound}"
+        );
+    }
+
+    #[test]
+    fn unsupported_plans_are_typed_errors_before_any_message() {
+        let scenario = Scenario::paper(4, 1).with_ticks(10);
+        let crash = |node, at, back| {
+            RunPlan::default().with_faults(FaultPlan::new(1).with_crash(node, at, back))
+        };
+        let change_at = |tick| {
+            RunPlan::default().with_membership(
+                MembershipPlan::new(4, [0, 1, 2]).with_change(tick, ViewChange::join([3])),
+            )
+        };
+        let both = RunPlan { faults: crash(2, 3, None).faults, ..churn_plan() };
+        let five_slots = RunPlan::default().with_membership(MembershipPlan::static_group(5));
+        let rejected = [
+            ("LRC has no barrier", Protocol::Lrc, churn_plan()),
+            ("causal has no barrier", Protocol::Causal, churn_plan()),
+            ("LRC cannot lose a member", Protocol::Lrc, crash(1, 2, None)),
+            ("view changes and crashes", Protocol::Bsync, both),
+            ("trigger at tick 0", Protocol::Bsync, change_at(0)),
+            ("trigger at the last tick", Protocol::Bsync, change_at(10)),
+            ("crash at tick 0", Protocol::Bsync, crash(1, 0, Some(4))),
+            ("crash past the run", Protocol::Bsync, crash(1, 12, None)),
+            ("restart at the last tick", Protocol::Bsync, crash(1, 2, Some(10))),
+            ("crash of a node beyond the teams", Protocol::Bsync, crash(9, 2, None)),
+            ("one slot too many", Protocol::Bsync, five_slots),
+        ];
+        for (what, protocol, plan) in rejected {
+            // One endpoint on its own: a driver that sent or awaited
+            // anything first would block here instead of returning.
+            let ep = sdso_net::memory::MemoryHub::new(4).into_endpoints().remove(0);
+            let err = run_node_with(ep, &scenario, protocol, &plan).unwrap_err();
+            assert!(matches!(err, DsoError::ProtocolViolation(_)), "{what}: {err}");
+        }
+        for protocol in Protocol::ALL {
+            assert!(RunPlan::default().views(&scenario, protocol).is_ok(), "{protocol}: static");
+        }
+        for protocol in DYNAMIC {
+            assert!(churn_plan().views(&scenario, protocol).is_ok(), "{protocol}: churn");
+            assert!(crash_plan().views(&scenario, protocol).is_ok(), "{protocol}: crash");
+        }
+    }
+
+    #[test]
+    fn game_core_round_trips_through_the_wal_codec() {
+        let scenario = Scenario::paper(4, 1).with_ticks(10);
+        let mut core = GameCore::new(scenario.clone(), 2);
+        core.tick = 17;
+        core.score = -3;
+        core.goals = 1;
+        core.deaths = 2;
+        core.shots = 9;
+        core.bonuses = 4;
+        core.modifications = 55;
+        core.tank.hp = 1;
+        core.tank.alive = false;
+        let bytes = core.encode();
+        let back = GameCore::decode(scenario, 2, true, true, &bytes).expect("decodes");
+        assert_eq!(back.encode(), bytes, "re-encode is identical");
+        assert_eq!(back.tick, 17);
+        assert_eq!(back.score, -3);
+        assert_eq!(back.tank.hp, 1);
+        assert!(!back.tank.alive);
+        assert!(GameCore::decode(Scenario::paper(4, 1), 2, true, true, &bytes[..bytes.len() - 1])
+            .is_none());
     }
 }

@@ -24,12 +24,11 @@
 //!   [`sdso_core::EveryTick`]);
 //! * [`shard`] — the region-sharded MSYNC2-SHARD s-function and interest
 //!   router (the 64/256-node scaling extension over `sdso-shard`);
-//! * [`driver`] — per-protocol node runners producing [`NodeStats`];
-//! * [`churn`] — the same runners under a membership plan (players leave
-//!   and join mid-game through epoch-numbered view changes);
-//! * [`crash`] — the same runners under a [`sdso_net::FaultPlan`] crash
-//!   schedule: processes fail-stop mid-game and recover from their WAL
-//!   (`sdso-dur`), rejoining with pre-crash identity and state;
+//! * [`driver`] — the game state and the one node driver producing
+//!   [`NodeStats`]: one loop for every protocol, played under a
+//!   [`RunPlan`] (players leave and join mid-game through epoch-numbered
+//!   view changes; processes fail-stop and recover from their journal,
+//!   rejoining with pre-crash identity and state; tracing);
 //! * [`mod@render`] — ASCII display of (possibly stale) world replicas.
 //!
 //! # Example
@@ -59,9 +58,8 @@
 
 pub mod ai;
 pub mod block;
-pub mod churn;
-pub mod crash;
 pub mod driver;
+mod durable;
 pub mod render;
 pub mod scenario;
 pub mod sfuncs;
@@ -70,10 +68,9 @@ pub mod world;
 
 pub use ai::{decide, Action, WorldView};
 pub use block::{Block, FireRecord};
-pub use churn::{run_churn_node, run_churn_node_obs};
-pub use crash::{run_crash_node, run_crash_node_obs};
 pub use driver::{
-    ec_lockset, run_node, run_node_obs, BlockPort, GameCore, NodeStats, Protocol, TankState,
+    ec_lockset, run_node, run_node_with, BlockPort, GameCore, NodeStats, Protocol, RunPlan,
+    TankState,
 };
 pub use render::{render, scoreboard, RenderOptions};
 pub use scenario::{Scenario, GOAL_POINTS};

@@ -242,14 +242,21 @@ impl SFunction for ShardMsync2 {
         }
     }
 
-    fn on_view_change(&mut self, _joined: &[NodeId], _left: &[NodeId]) {
-        // The barrier's broadcast exchange flushed every slot, so all
-        // replicas agree on every tank block: rebuild pair beliefs from
-        // the store, which both endpoints of every pair now share.
-        self.last_seen.clear();
-        self.last_delivered.clear();
-        self.cache_at = None;
-        self.cache.clear();
+    fn on_view_change(&mut self, _joined: &[NodeId], left: &[NodeId]) {
+        // Only a departed peer's beliefs go: if it ever rejoins, it does
+        // so with empty maps and a snapshot of the barrier's converged
+        // store, and this side must derive the pair's positions from the
+        // same two sources. Beliefs about continuing peers stay — the
+        // barrier's own reschedule just refreshed them, and a tank that
+        // dies before the pair's next rendezvous falls back on exactly
+        // that barrier position on both sides (its tombstone may be
+        // interest-suppressed, leaving the peer a phantom there).
+        // Joiners need nothing: the runtime asked for their first
+        // exchange just before this hook, from fresh entries.
+        for peer in left {
+            self.last_seen.remove(peer);
+            self.last_delivered.remove(peer);
+        }
     }
 }
 

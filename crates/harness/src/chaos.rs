@@ -9,11 +9,11 @@
 //! every replica still converged to the identical final world.
 
 use sdso_core::RetryConfig;
-use sdso_game::{run_node, Protocol, Scenario};
-use sdso_net::{FaultPlan, NetError, SimSpan};
-use sdso_sim::{NetworkModel, SimCluster, SimError};
+use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_net::{FaultPlan, SimSpan};
+use sdso_sim::{NetworkModel, SimError};
 
-use crate::experiment::RunSummary;
+use crate::experiment::{converged, run_planned};
 use crate::table::Table;
 
 /// A retransmission tuning that recovers briskly on the simulated testbed:
@@ -36,39 +36,6 @@ pub fn chaos_plan(seed: u64) -> FaultPlan {
             sdso_net::SimInstant::from_micros(2_000),
             sdso_net::SimInstant::from_micros(8_000),
         )
-}
-
-/// Runs `scenario` under `protocol` on a simulated cluster whose links
-/// misbehave per `plan`. The scenario's reliability layer must be on (use
-/// [`Scenario::with_reliability`]) or lost rendezvous traffic will turn
-/// into timeouts.
-///
-/// # Errors
-///
-/// Returns the first node's error if any process failed (including
-/// retry-budget exhaustion, surfaced as a timeout).
-pub fn run_chaos_experiment(
-    scenario: &Scenario,
-    protocol: Protocol,
-    model: NetworkModel,
-    plan: &FaultPlan,
-) -> Result<RunSummary, SimError> {
-    let nodes = usize::from(scenario.teams);
-    let scenario_for_nodes = scenario.clone();
-    let outcome = SimCluster::new(nodes, model)
-        .with_faults(plan.clone())
-        .run(move |ep| run_node(ep, &scenario_for_nodes, protocol).map_err(NetError::from))?;
-    let per_node = outcome.into_results()?;
-    Ok(RunSummary { protocol, nodes, range: scenario.range, per_node })
-}
-
-/// Whether every process's final replica of the world is identical.
-pub fn converged(summary: &RunSummary) -> bool {
-    let mut worlds = summary.per_node.iter().map(|s| &s.final_world);
-    let Some(reference) = worlds.next() else {
-        return true;
-    };
-    worlds.all(|w| w == reference)
 }
 
 /// Runs the chaos scenario for each protocol in `protocols` and renders
@@ -105,7 +72,8 @@ pub fn chaos_table(
         ],
     );
     for &protocol in protocols {
-        let summary = run_chaos_experiment(scenario, protocol, model, plan)?;
+        let summary =
+            run_planned(scenario, protocol, model, &RunPlan::default().with_faults(plan.clone()))?;
         let drops: u64 = summary.per_node.iter().map(|s| s.net.drops_injected).sum();
         let dups: u64 = summary.per_node.iter().map(|s| s.net.dups_injected).sum();
         let resyncs: u64 = summary.per_node.iter().map(|s| s.dso.resyncs).sum();
@@ -133,10 +101,9 @@ mod tests {
     #[test]
     fn chaos_run_converges_and_reports_recovery() {
         let scenario = Scenario::paper(3, 1).with_ticks(40).with_reliability(chaos_retry_config());
-        let plan = chaos_plan(0xC1A05);
+        let plan = RunPlan::default().with_faults(chaos_plan(0xC1A05));
         let summary =
-            run_chaos_experiment(&scenario, Protocol::Bsync, NetworkModel::paper_testbed(), &plan)
-                .unwrap();
+            run_planned(&scenario, Protocol::Bsync, NetworkModel::paper_testbed(), &plan).unwrap();
         assert!(converged(&summary), "replicas must agree despite faults");
         let drops: u64 = summary.per_node.iter().map(|s| s.net.drops_injected).sum();
         assert!(drops > 0, "the plan must actually inject drops");

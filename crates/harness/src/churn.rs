@@ -9,11 +9,11 @@
 //! still converged to the identical final world.
 
 use sdso_core::{MembershipPlan, ViewChange};
-use sdso_game::{run_churn_node, Protocol, Scenario};
-use sdso_net::{FaultPlan, NetError, NodeId};
-use sdso_sim::{NetworkModel, SimCluster, SimError};
+use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_net::{FaultPlan, NodeId};
+use sdso_sim::{NetworkModel, SimError};
 
-use crate::experiment::RunSummary;
+use crate::experiment::{converged_in, run_planned};
 use crate::table::Table;
 
 /// The default churn plan for a `capacity`-slot cluster: the two
@@ -33,51 +33,6 @@ pub fn default_churn_plan(capacity: usize, ticks: u64) -> MembershipPlan {
     let plan = MembershipPlan::new(capacity, 0..capacity as NodeId - 2);
     plan.with_change(ticks / 3, ViewChange::new([joiners[0]], [1]))
         .with_change(2 * ticks / 3, ViewChange::new([joiners[1]], [2]))
-}
-
-/// Runs `scenario` under `protocol` with membership churn per `plan`,
-/// optionally injecting `faults` into every link. The cluster is
-/// provisioned at the plan's full capacity; empty slots block until their
-/// join barrier.
-///
-/// # Errors
-///
-/// Returns the first node's error if any process failed (a stuck
-/// view-change barrier surfaces as a deadlock or timeout).
-pub fn run_churn_experiment(
-    scenario: &Scenario,
-    protocol: Protocol,
-    model: NetworkModel,
-    plan: &MembershipPlan,
-    faults: Option<&FaultPlan>,
-) -> Result<RunSummary, SimError> {
-    let nodes = plan.capacity();
-    let scenario_for_nodes = scenario.clone();
-    let plan_for_nodes = plan.clone();
-    let mut cluster = SimCluster::new(nodes, model);
-    if let Some(f) = faults {
-        cluster = cluster.with_faults(f.clone());
-    }
-    let outcome = cluster.run(move |ep| {
-        run_churn_node(ep, &scenario_for_nodes, protocol, &plan_for_nodes).map_err(NetError::from)
-    })?;
-    let per_node = outcome.into_results()?;
-    Ok(RunSummary { protocol, nodes, range: scenario.range, per_node })
-}
-
-/// Whether every member of the plan's final view holds the identical
-/// final world (members that left mid-run are not expected to).
-pub fn churn_converged(summary: &RunSummary, plan: &MembershipPlan) -> bool {
-    let final_view = plan.final_view();
-    let mut worlds = summary
-        .per_node
-        .iter()
-        .filter(|s| final_view.members().contains(&s.node))
-        .map(|s| &s.final_world);
-    let Some(reference) = worlds.next() else {
-        return true;
-    };
-    worlds.all(|w| w == reference)
 }
 
 /// Runs the churn scenario for each protocol in `protocols` and renders
@@ -110,8 +65,9 @@ pub fn churn_table(
             "converged",
         ],
     );
+    let run = RunPlan { membership: Some(plan.clone()), faults: faults.cloned(), obs: None };
     for &protocol in protocols {
-        let summary = run_churn_experiment(scenario, protocol, model, plan, faults)?;
+        let summary = run_planned(scenario, protocol, model, &run)?;
         let view_changes: u64 = summary.per_node.iter().map(|s| s.dso.view_changes).sum();
         let cross_epoch: u64 = summary.per_node.iter().map(|s| s.dso.cross_epoch_dropped).sum();
         let compacted: u64 = summary.per_node.iter().map(|s| s.dso.slots_compacted).sum();
@@ -124,7 +80,11 @@ pub fn churn_table(
             compacted.to_string(),
             snapshots.to_string(),
             snapshot_bytes.to_string(),
-            if churn_converged(&summary, plan) { "yes".to_owned() } else { "NO".to_owned() },
+            if converged_in(&summary, &plan.final_view()) {
+                "yes".to_owned()
+            } else {
+                "NO".to_owned()
+            },
         ]);
     }
     Ok(table)
@@ -150,15 +110,14 @@ mod tests {
     fn churn_experiment_converges_and_counts_membership_traffic() {
         let scenario = Scenario::paper(5, 1).with_ticks(9);
         let plan = default_churn_plan(5, 9);
-        let summary = run_churn_experiment(
+        let summary = run_planned(
             &scenario,
             Protocol::Bsync,
             NetworkModel::paper_testbed(),
-            &plan,
-            None,
+            &RunPlan::default().with_membership(plan.clone()),
         )
         .unwrap();
-        assert!(churn_converged(&summary, &plan), "final view must agree");
+        assert!(converged_in(&summary, &plan.final_view()), "final view must agree");
         let snapshots: u64 = summary.per_node.iter().map(|s| s.dso.snapshots_sent).sum();
         assert_eq!(snapshots, 2, "one snapshot per joiner");
         let view_changes: u64 = summary.per_node.iter().map(|s| s.dso.view_changes).sum();

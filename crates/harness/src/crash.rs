@@ -9,13 +9,11 @@
 //! WAL records replayed, and the summed virtual absence (downtime) per
 //! process — alongside the usual convergence check over the final view.
 
-use sdso_core::MembershipPlan;
-use sdso_dur::crash_membership_plan;
-use sdso_game::{run_crash_node, Protocol, Scenario};
+use sdso_game::{Protocol, RunPlan, Scenario};
 use sdso_net::{FaultPlan, NetError, SimSpan};
-use sdso_sim::{NetworkModel, SimCluster, SimError};
+use sdso_sim::{NetworkModel, SimError};
 
-use crate::experiment::RunSummary;
+use crate::experiment::{converged_in, run_planned};
 use crate::table::Table;
 
 /// The default crash plan for an `n`-team run over `ticks` ticks: one
@@ -35,52 +33,6 @@ pub fn default_crash_plan(seed: u64, n: usize, ticks: u64) -> FaultPlan {
         3 * ticks / 4,
         None,
     )
-}
-
-/// The membership plan a crash run derives from its fault plan — exposed
-/// so callers can reason about the final view (for convergence checks)
-/// without re-deriving it.
-pub fn crash_plan_membership(scenario: &Scenario, faults: &FaultPlan) -> MembershipPlan {
-    crash_membership_plan(usize::from(scenario.teams), 0..scenario.teams, faults)
-}
-
-/// Runs `scenario` under `protocol` with the fault plan's crash schedule.
-/// Crash realisation happens inside the nodes (abrupt death, WAL
-/// recovery, snapshot rejoin); the network itself stays healthy.
-///
-/// # Errors
-///
-/// Returns the first node's error if any process failed.
-pub fn run_crash_experiment(
-    scenario: &Scenario,
-    protocol: Protocol,
-    model: NetworkModel,
-    faults: &FaultPlan,
-) -> Result<RunSummary, SimError> {
-    let nodes = usize::from(scenario.teams);
-    let scenario_for_nodes = scenario.clone();
-    let faults_for_nodes = faults.clone();
-    let outcome = SimCluster::new(nodes, model).run(move |ep| {
-        run_crash_node(ep, &scenario_for_nodes, protocol, &faults_for_nodes).map_err(NetError::from)
-    })?;
-    let per_node = outcome.into_results()?;
-    Ok(RunSummary { protocol, nodes, range: scenario.range, per_node })
-}
-
-/// Whether every member of the crash plan's final view — restarted
-/// processes included — holds the identical final world. Processes that
-/// crashed without a restart are not expected to.
-pub fn crash_converged(summary: &RunSummary, scenario: &Scenario, faults: &FaultPlan) -> bool {
-    let final_view = crash_plan_membership(scenario, faults).final_view();
-    let mut worlds = summary
-        .per_node
-        .iter()
-        .filter(|s| final_view.members().contains(&s.node))
-        .map(|s| &s.final_world);
-    let Some(reference) = worlds.next() else {
-        return true;
-    };
-    worlds.all(|w| w == reference)
 }
 
 /// Runs the crash scenario for each protocol in `protocols` and renders
@@ -107,8 +59,10 @@ pub fn crash_table(
             "converged",
         ],
     );
+    let run = RunPlan::default().with_faults(faults.clone());
     for &protocol in protocols {
-        let summary = run_crash_experiment(scenario, protocol, model, faults)?;
+        let summary = run_planned(scenario, protocol, model, &run)?;
+        let final_view = run.views(scenario, protocol).map_err(NetError::from)?.final_view();
         let recoveries: u64 = summary.per_node.iter().map(|s| s.recoveries).sum();
         let wal_replayed: u64 = summary.per_node.iter().map(|s| s.wal_replayed).sum();
         let downtime: SimSpan =
@@ -122,11 +76,7 @@ pub fn crash_table(
             format!("{:.2}", downtime.as_micros() as f64 / 1000.0),
             cross_epoch.to_string(),
             snapshots.to_string(),
-            if crash_converged(&summary, scenario, faults) {
-                "yes".to_owned()
-            } else {
-                "NO".to_owned()
-            },
+            if converged_in(&summary, &final_view) { "yes".to_owned() } else { "NO".to_owned() },
         ]);
     }
     Ok(table)
@@ -148,15 +98,11 @@ mod tests {
     #[test]
     fn crash_experiment_recovers_and_converges() {
         let scenario = Scenario::paper(4, 1).with_ticks(12);
-        let faults = default_crash_plan(3, 4, 12);
-        let summary = run_crash_experiment(
-            &scenario,
-            Protocol::Bsync,
-            NetworkModel::paper_testbed(),
-            &faults,
-        )
-        .unwrap();
-        assert!(crash_converged(&summary, &scenario, &faults));
+        let plan = RunPlan::default().with_faults(default_crash_plan(3, 4, 12));
+        let summary =
+            run_planned(&scenario, Protocol::Bsync, NetworkModel::paper_testbed(), &plan).unwrap();
+        let final_view = plan.views(&scenario, Protocol::Bsync).unwrap().final_view();
+        assert!(converged_in(&summary, &final_view));
         let recoveries: u64 = summary.per_node.iter().map(|s| s.recoveries).sum();
         assert_eq!(recoveries, 1, "one process came back");
         let replayed: u64 = summary.per_node.iter().map(|s| s.wal_replayed).sum();

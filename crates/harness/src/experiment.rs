@@ -1,9 +1,9 @@
 //! Running one game configuration across a simulated cluster and
 //! aggregating its statistics.
 
-use sdso_core::ObsSet;
-use sdso_game::{run_node, run_node_obs, NodeStats, Protocol, Scenario};
-use sdso_net::{Endpoint, NetError, SimSpan, TraceConfig};
+use sdso_core::MembershipView;
+use sdso_game::{run_node_with, NodeStats, Protocol, RunPlan, Scenario};
+use sdso_net::{NetError, SimSpan};
 use sdso_sim::{NetworkModel, SimCluster, SimError};
 
 /// Aggregated result of one cluster run.
@@ -104,7 +104,8 @@ impl RunSummary {
 }
 
 /// Runs `scenario` under `protocol` on a simulated cluster with `model`
-/// timing, returning aggregated statistics.
+/// timing in the paper's setting — static group, healthy network, tracing
+/// off — returning aggregated statistics.
 ///
 /// # Errors
 ///
@@ -115,39 +116,63 @@ pub fn run_experiment(
     protocol: Protocol,
     model: NetworkModel,
 ) -> Result<RunSummary, SimError> {
+    run_planned(scenario, protocol, model, &RunPlan::default())
+}
+
+/// Runs `scenario` under `protocol` and `plan` on a simulated cluster of
+/// `scenario.teams` nodes (a membership plan's empty slots block until
+/// their join barrier). The plan's link faults — seeded drops,
+/// duplicates, reordering, healing partitions — are injected into every
+/// link when it has any, in which case the scenario's reliability layer
+/// must be on (use [`Scenario::with_reliability`]) or lost rendezvous
+/// traffic turns into timeouts; crashes are realised inside the nodes
+/// (abrupt death, journal recovery, snapshot rejoin) over a network that
+/// stays as healthy as the link faults leave it. With `plan.obs` set,
+/// every node records into its bundle of that set — keep a clone to
+/// export a cluster-wide Chrome trace ([`sdso_core::ObsSet::chrome_trace`])
+/// or a merged metrics snapshot after the run; event timestamps are
+/// virtual time, so traces are deterministic for a given scenario.
+///
+/// # Errors
+///
+/// Returns the first node's error if any process failed: an unsupported
+/// plan (see [`RunPlan::views`]), retry-budget exhaustion (surfaced as a
+/// timeout), a stuck view-change barrier (a deadlock or timeout).
+pub fn run_planned(
+    scenario: &Scenario,
+    protocol: Protocol,
+    model: NetworkModel,
+    plan: &RunPlan,
+) -> Result<RunSummary, SimError> {
     let nodes = usize::from(scenario.teams);
-    let scenario_for_nodes = scenario.clone();
-    let outcome = SimCluster::new(nodes, model)
-        .run(move |ep| run_node(ep, &scenario_for_nodes, protocol).map_err(NetError::from))?;
+    let mut cluster = SimCluster::new(nodes, model);
+    if let Some(faults) = plan.faults.as_ref().filter(|f| f.has_link_faults()) {
+        cluster = cluster.with_faults(faults.clone());
+    }
+    let (scenario_for_nodes, plan_for_nodes) = (scenario.clone(), plan.clone());
+    let outcome = cluster.run(move |ep| {
+        run_node_with(ep, &scenario_for_nodes, protocol, &plan_for_nodes).map_err(NetError::from)
+    })?;
     let per_node = outcome.into_results()?;
     Ok(RunSummary { protocol, nodes, range: scenario.range, per_node })
 }
 
-/// Like [`run_experiment`], but with observability: every node records
-/// into a per-node bundle of the returned [`ObsSet`], so the caller can
-/// export a cluster-wide Chrome trace ([`ObsSet::chrome_trace`]) or a
-/// merged metrics snapshot after the run. Event timestamps are virtual
-/// time, so traces are deterministic for a given scenario.
-///
-/// # Errors
-///
-/// Returns the first node's error if any process failed.
-pub fn run_experiment_obs(
-    scenario: &Scenario,
-    protocol: Protocol,
-    model: NetworkModel,
-    trace: TraceConfig,
-) -> Result<(RunSummary, ObsSet), SimError> {
-    let nodes = usize::from(scenario.teams);
-    let obs_set = ObsSet::new(scenario.teams, trace);
-    let scenario_for_nodes = scenario.clone();
-    let obs_for_nodes = obs_set.clone();
-    let outcome = SimCluster::new(nodes, model).run(move |ep| {
-        let obs = obs_for_nodes.node(ep.node_id());
-        run_node_obs(ep, &scenario_for_nodes, protocol, obs).map_err(NetError::from)
-    })?;
-    let per_node = outcome.into_results()?;
-    Ok((RunSummary { protocol, nodes, range: scenario.range, per_node }, obs_set))
+/// Whether every member of `view` holds the identical final world.
+/// Processes outside it — members that left mid-run, crashers that never
+/// restarted — are not expected to.
+pub fn converged_in(summary: &RunSummary, view: &MembershipView) -> bool {
+    let mut worlds =
+        summary.per_node.iter().filter(|s| view.contains(s.node)).map(|s| &s.final_world);
+    let Some(reference) = worlds.next() else {
+        return true;
+    };
+    worlds.all(|w| w == reference)
+}
+
+/// Whether every process's final replica of the world is identical.
+pub fn converged(summary: &RunSummary) -> bool {
+    let nodes = summary.per_node.len();
+    nodes == 0 || converged_in(summary, &MembershipView::full(nodes))
 }
 
 /// Runs the same configuration across several placement seeds and returns
@@ -179,6 +204,8 @@ pub fn mean_of(runs: &[RunSummary], f: impl Fn(&RunSummary) -> f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdso_core::ObsSet;
+    use sdso_net::TraceConfig;
 
     fn tiny(protocol: Protocol) -> RunSummary {
         let scenario = Scenario::paper(2, 1).with_ticks(30);
@@ -224,13 +251,10 @@ mod tests {
     #[test]
     fn obs_run_produces_exchange_spans_and_counters() {
         let scenario = Scenario::paper(2, 1).with_ticks(20);
-        let (summary, obs) = run_experiment_obs(
-            &scenario,
-            Protocol::Msync2,
-            NetworkModel::paper_testbed(),
-            TraceConfig::full(),
-        )
-        .unwrap();
+        let obs = ObsSet::new(2, TraceConfig::full());
+        let plan = RunPlan::default().with_obs(obs.clone());
+        let summary =
+            run_planned(&scenario, Protocol::Msync2, NetworkModel::paper_testbed(), &plan).unwrap();
         assert!(summary.total_messages() > 0);
         assert!(obs.total_events() > 0, "full tracing must record events");
         let trace = obs.chrome_trace();
@@ -246,13 +270,10 @@ mod tests {
     #[test]
     fn obs_off_records_no_events_but_counters_work() {
         let scenario = Scenario::paper(2, 1).with_ticks(10);
-        let (summary, obs) = run_experiment_obs(
-            &scenario,
-            Protocol::Bsync,
-            NetworkModel::paper_testbed(),
-            TraceConfig::off(),
-        )
-        .unwrap();
+        let obs = ObsSet::new(2, TraceConfig::off());
+        let plan = RunPlan::default().with_obs(obs.clone());
+        let summary =
+            run_planned(&scenario, Protocol::Bsync, NetworkModel::paper_testbed(), &plan).unwrap();
         assert_eq!(obs.total_events(), 0, "off mode must not record events");
         assert!(obs.merged_snapshot().counter("dso.exchanges") > 0);
         assert!(summary.total_messages() > 0);

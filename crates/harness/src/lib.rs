@@ -40,12 +40,12 @@ mod shard;
 mod table;
 pub mod transports;
 
-pub use chaos::{chaos_plan, chaos_retry_config, chaos_table, converged, run_chaos_experiment};
-pub use churn::{churn_converged, churn_table, default_churn_plan, run_churn_experiment};
-pub use crash::{
-    crash_converged, crash_plan_membership, crash_table, default_crash_plan, run_crash_experiment,
+pub use chaos::{chaos_plan, chaos_retry_config, chaos_table};
+pub use churn::{churn_table, default_churn_plan};
+pub use crash::{crash_table, default_crash_plan};
+pub use experiment::{
+    converged, converged_in, mean_of, run_experiment, run_planned, run_seeds, RunSummary,
 };
-pub use experiment::{mean_of, run_experiment, run_experiment_obs, run_seeds, RunSummary};
 pub use figures::Sweep;
 pub use shard::{
     bytes_per_node_tick, exchanges_per_node_tick, run_shard_comparison, run_shard_window,

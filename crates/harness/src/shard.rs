@@ -10,8 +10,7 @@
 use sdso_game::{Protocol, Scenario};
 use sdso_sim::{NetworkModel, SimError};
 
-use crate::chaos::converged;
-use crate::experiment::{run_experiment, RunSummary};
+use crate::experiment::{converged, run_experiment, RunSummary};
 
 /// Result of one sharded-vs-mesh pairing at a given cluster size.
 #[derive(Debug, Clone)]

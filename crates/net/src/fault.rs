@@ -257,14 +257,19 @@ impl FaultPlan {
         self.crashes.iter().map(|c| c.node).collect()
     }
 
+    /// Whether the plan makes links misbehave (as opposed to only
+    /// scheduling crashes, which the transport never sees).
+    pub fn has_link_faults(&self) -> bool {
+        self.drop_prob > 0.0
+            || self.dup_prob > 0.0
+            || self.reorder_prob > 0.0
+            || self.jitter != SimSpan::ZERO
+            || !self.partitions.is_empty()
+    }
+
     /// Whether the plan can inject anything at all.
     pub fn is_noop(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.dup_prob <= 0.0
-            && self.reorder_prob <= 0.0
-            && self.jitter == SimSpan::ZERO
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
+        !self.has_link_faults() && self.crashes.is_empty()
     }
 
     /// Whether `a → b` traffic at `at` crosses an active partition.

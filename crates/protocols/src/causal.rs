@@ -87,6 +87,11 @@ impl<E: Endpoint> CausalMemory<E> {
         &mut self.runtime
     }
 
+    /// Dismantles the protocol layer, returning the underlying runtime.
+    pub fn into_runtime(self) -> SdsoRuntime<E> {
+        self.runtime
+    }
+
     /// Protocol counters.
     pub fn metrics(&self) -> CausalMetrics {
         self.metrics

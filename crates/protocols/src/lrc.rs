@@ -234,6 +234,11 @@ impl<E: Endpoint> Lrc<E> {
         &mut self.runtime
     }
 
+    /// Dismantles the protocol layer, returning the underlying runtime.
+    pub fn into_runtime(self) -> SdsoRuntime<E> {
+        self.runtime
+    }
+
     /// Protocol counters.
     pub fn metrics(&self) -> LrcMetrics {
         self.metrics

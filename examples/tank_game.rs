@@ -33,8 +33,7 @@
 
 use sdso_core::{text_histogram_dump, ObsSet};
 use sdso_game::{
-    render, run_churn_node_obs, run_crash_node_obs, run_node_obs, scoreboard, Pos, Protocol,
-    RenderOptions, Scenario,
+    render, run_node_with, scoreboard, Pos, Protocol, RenderOptions, RunPlan, Scenario,
 };
 use sdso_harness::{default_churn_plan, default_crash_plan};
 use sdso_net::SimSpan;
@@ -62,9 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     args.retain(|a| a != "--churn");
     let do_crash = args.iter().any(|a| a == "--crash");
     args.retain(|a| a != "--crash");
-    if do_churn && do_crash {
-        return Err("--churn and --crash are separate experiments; pick one".into());
-    }
     let trace_path = args
         .iter()
         .position(|a| a == "--trace")
@@ -87,41 +83,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let range: u16 = args.get(2).map(|a| a.parse()).transpose()?.unwrap_or(1);
     let ticks: u64 = args.get(3).map(|a| a.parse()).transpose()?.unwrap_or(200);
 
-    let plan = if do_churn {
-        if !Protocol::PAPER.contains(&protocol) {
-            return Err(format!(
-                "{protocol} has no view-change barrier; --churn needs one of \
-                                bsync/msync/msync2/ec"
-            )
-            .into());
-        }
-        if teams < 4 {
-            return Err("--churn needs at least 4 teams (donor, leavers, spare slots)".into());
-        }
-        Some(default_churn_plan(usize::from(teams), ticks))
-    } else {
-        None
+    // The default plans' own preconditions; which plans a protocol supports
+    // is the driver's call.
+    if (do_churn || do_crash) && teams < 4 {
+        return Err(
+            "--churn and --crash need at least 4 teams (a donor, two to lose, a spare)".into()
+        );
+    }
+    if do_crash && ticks < 8 {
+        return Err("--crash needs at least 8 ticks (crash, restart, a tail of play)".into());
+    }
+    let config = if trace_path.is_some() { TraceConfig::full() } else { TraceConfig::off() };
+    let obs_set = ObsSet::new(teams, config);
+    let plan = RunPlan {
+        membership: do_churn.then(|| default_churn_plan(usize::from(teams), ticks)),
+        faults: do_crash.then(|| default_crash_plan(0x5D50_C4A5, usize::from(teams), ticks)),
+        obs: Some(obs_set.clone()),
     };
-    let faults = if do_crash {
-        if !Protocol::PAPER.contains(&protocol) {
-            return Err(format!(
-                "{protocol} has no view-change barrier; --crash needs one of \
-                                bsync/msync/msync2/ec"
-            )
-            .into());
-        }
-        if teams < 4 {
-            return Err("--crash needs at least 4 teams (donor, crashers, a bystander)".into());
-        }
-        if ticks < 8 {
-            return Err("--crash needs at least 8 ticks (crash, restart, a tail of play)".into());
-        }
-        Some(default_crash_plan(0x5D50_C4A5, usize::from(teams), ticks))
-    } else {
-        None
-    };
-
     let scenario = Scenario::paper(teams, range).with_ticks(ticks);
+    plan.views(&scenario, protocol).map_err(|e| e.to_string())?;
+
     println!(
         "running {protocol} with {teams} teams, range {range}, {ticks} ticks{} \
          on a simulated {}-node cluster (10 Mbps switched Ethernet model)…",
@@ -134,12 +115,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
         teams
     );
-    if let Some(plan) = &plan {
-        for (tick, change) in plan.changes() {
+    if let Some(membership) = &plan.membership {
+        for (tick, change) in membership.changes() {
             println!("  tick {tick}: {:?} join, {:?} leave", change.joined, change.left);
         }
     }
-    if let Some(faults) = &faults {
+    if let Some(faults) = &plan.faults {
         for crash in &faults.crashes {
             match crash.restart_tick {
                 Some(r) => println!(
@@ -154,26 +135,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let config = if trace_path.is_some() { TraceConfig::full() } else { TraceConfig::off() };
-    let obs_set = ObsSet::new(teams, config);
-    let obs_for_nodes = obs_set.clone();
-    let run_scenario = scenario.clone();
-    let run_plan = plan.clone();
-    let run_faults = faults.clone();
+    let (run_scenario, run_plan) = (scenario.clone(), plan.clone());
     let outcome =
         SimCluster::new(usize::from(teams), NetworkModel::paper_testbed()).run(move |ep| {
-            let obs = obs_for_nodes.node(sdso_net::Endpoint::node_id(&ep));
-            match (&run_plan, &run_faults) {
-                (Some(plan), _) => run_churn_node_obs(ep, &run_scenario, protocol, plan, obs)
-                    .map_err(sdso_net::NetError::from),
-                (None, Some(faults)) => {
-                    run_crash_node_obs(ep, &run_scenario, protocol, faults, obs)
-                        .map_err(sdso_net::NetError::from)
-                }
-                (None, None) => {
-                    run_node_obs(ep, &run_scenario, protocol, obs).map_err(sdso_net::NetError::from)
-                }
-            }
+            run_node_with(ep, &run_scenario, protocol, &run_plan).map_err(sdso_net::NetError::from)
         })?;
 
     println!(
@@ -205,7 +170,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("virtual makespan: {}", outcome.makespan());
 
-    if plan.is_some() || faults.is_some() {
+    if do_churn || do_crash {
         let stats: Vec<_> = outcome.nodes.iter().filter_map(|n| n.result.as_ref().ok()).collect();
         let view_changes: u64 = stats.iter().map(|s| s.dso.view_changes).sum();
         let snapshots: u64 = stats.iter().map(|s| s.dso.snapshots_sent).sum();
@@ -216,7 +181,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
              ({snapshot_bytes} bytes) to late joiners, {compacted} diff slot(s) compacted"
         );
     }
-    if faults.is_some() {
+    if do_crash {
         let stats: Vec<_> = outcome.nodes.iter().filter_map(|n| n.result.as_ref().ok()).collect();
         let recoveries: u64 = stats.iter().map(|s| s.recoveries).sum();
         let wal_replayed: u64 = stats.iter().map(|s| s.wal_replayed).sum();

@@ -9,17 +9,18 @@
 //! testbed, so a driver refactor that claims "no behaviour change" is
 //! checked bit for bit.
 //!
-//! The constants were recorded at commit `ba53507` from the per-plan entry
-//! points that existed then (`run_node`, `run_churn_node`,
-//! `run_crash_node`). A legitimate behaviour change re-records them and
-//! says so; a refactor only ever touches the call sites in `play`.
+//! The constants were recorded at commit `ba53507` from the three per-plan
+//! node entry points that existed then (static, churn, crash — each on a
+//! hand-built `SimCluster`). A legitimate behaviour change re-records them
+//! and says so; a refactor only ever touches the call sites in `play`.
 
 use sdso_core::{MembershipPlan, ViewChange};
 use sdso_game::block::MIN_BLOCK_BYTES;
-use sdso_game::{run_churn_node, run_crash_node, run_node, NodeStats, Protocol, Scenario};
-use sdso_harness::{chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan};
-use sdso_net::{FaultPlan, NetError};
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
+use sdso_harness::{
+    chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan, run_planned,
+};
+use sdso_sim::NetworkModel;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -56,42 +57,16 @@ fn node_fingerprint(s: &NodeStats) -> u64 {
     hash
 }
 
-/// What, besides the scenario and the protocol, a run is played under.
-enum Plan {
-    Static,
-    Churn(MembershipPlan, Option<FaultPlan>),
-    Crash(FaultPlan),
-    Chaos(FaultPlan),
-}
-
-fn play(scenario: &Scenario, protocol: Protocol, plan: &Plan) -> Vec<NodeStats> {
-    let s = scenario.clone();
-    let mut cluster = SimCluster::new(usize::from(scenario.teams), NetworkModel::paper_testbed());
-    let outcome = match plan {
-        Plan::Static => cluster.run(move |ep| run_node(ep, &s, protocol).map_err(NetError::from)),
-        Plan::Churn(membership, faults) => {
-            if let Some(f) = faults {
-                cluster = cluster.with_faults(f.clone());
-            }
-            let m = membership.clone();
-            cluster.run(move |ep| run_churn_node(ep, &s, protocol, &m).map_err(NetError::from))
-        }
-        Plan::Crash(faults) => {
-            let f = faults.clone();
-            cluster.run(move |ep| run_crash_node(ep, &s, protocol, &f).map_err(NetError::from))
-        }
-        Plan::Chaos(faults) => {
-            cluster = cluster.with_faults(faults.clone());
-            cluster.run(move |ep| run_node(ep, &s, protocol).map_err(NetError::from))
-        }
-    };
-    outcome.expect("cluster runs").into_results().expect("every node finishes")
+fn play(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> Vec<NodeStats> {
+    run_planned(scenario, protocol, NetworkModel::paper_testbed(), plan)
+        .expect("every node finishes")
+        .per_node
 }
 
 /// Plays each protocol and compares the fold of its per-node fingerprints
 /// (node-id order) with the pinned constant; a mismatch lists every
 /// protocol's actual value and the per-node fingerprints behind it.
-fn check(case: &str, scenario: &Scenario, plan: &Plan, golden: &[(Protocol, u64)]) {
+fn check(case: &str, scenario: &Scenario, plan: &RunPlan, golden: &[(Protocol, u64)]) {
     let mut report = String::new();
     let mut ok = true;
     for &(protocol, expected) in golden {
@@ -122,7 +97,7 @@ fn static_range_1() {
     check(
         "static, 8 nodes, range 1",
         &Scenario::paper(8, 1).with_ticks(40),
-        &Plan::Static,
+        &RunPlan::default(),
         &[
             (Protocol::Entry, 0x710D_E2D9_116B_0C2B),
             (Protocol::Bsync, 0x58FA_A6F2_02D1_3638),
@@ -139,7 +114,7 @@ fn static_range_3() {
     check(
         "static, 8 nodes, range 3",
         &Scenario::paper(8, 3).with_ticks(40),
-        &Plan::Static,
+        &RunPlan::default(),
         &[
             (Protocol::Entry, 0x9B01_2377_F485_F46C),
             (Protocol::Bsync, 0x5367_C27C_136E_0350),
@@ -156,7 +131,7 @@ fn static_sharded_64() {
     check(
         "static, 64 nodes, sharded",
         &Scenario::scaled(64, 1).with_ticks(12),
-        &Plan::Static,
+        &RunPlan::default(),
         &[(Protocol::Msync2Shard, 0x1B51_5A93_261E_0739)],
     );
 }
@@ -166,7 +141,7 @@ fn churn_16_slots_four_changes() {
     check(
         "churn, 16 slots, 4 changes",
         &Scenario::paper(16, 1).with_ticks(24),
-        &Plan::Churn(four_change_plan(), None),
+        &RunPlan::default().with_membership(four_change_plan()),
         &[
             (Protocol::Entry, 0xCA5F_77FA_7CA4_9631),
             (Protocol::Bsync, 0x0DFF_4E59_2CC2_7816),
@@ -181,7 +156,9 @@ fn churn_with_chaos_8_slots() {
     check(
         "churn + chaos, 8 slots",
         &Scenario::paper(8, 1).with_ticks(40).with_reliability(chaos_retry_config()),
-        &Plan::Churn(default_churn_plan(8, 40), Some(chaos_plan(0x5D50_1997))),
+        &RunPlan::default()
+            .with_membership(default_churn_plan(8, 40))
+            .with_faults(chaos_plan(0x5D50_1997)),
         &[
             (Protocol::Entry, 0xA730_5737_06C2_30D8),
             (Protocol::Bsync, 0x79F1_B8DA_D59C_ABD0),
@@ -196,7 +173,7 @@ fn crash_16_teams() {
     check(
         "crash, 16 teams",
         &Scenario::paper(16, 1).with_ticks(24),
-        &Plan::Crash(default_crash_plan(0x5D50_C4A5, 16, 24)),
+        &RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 16, 24)),
         &[
             (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
             (Protocol::Bsync, 0x3224_0A2D_6FD7_3211),
@@ -211,7 +188,7 @@ fn chaos_4_nodes() {
     check(
         "chaos, 4 nodes",
         &Scenario::paper(4, 1).with_ticks(60).with_reliability(chaos_retry_config()),
-        &Plan::Chaos(chaos_plan(0xBAD_CAB1E)),
+        &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
             (Protocol::Entry, 0x9F83_C74C_C7B9_D826),
             (Protocol::Bsync, 0x1574_B0C9_7B4F_7717),

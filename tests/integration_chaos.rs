@@ -4,33 +4,21 @@
 //! protocols still converge every replica to the identical final world,
 //! and the whole faulty run replays bit-identically from its seed.
 
-use sdso_core::RetryConfig;
-use sdso_game::{run_node, NodeStats, Protocol, Scenario};
-use sdso_net::{FaultPlan, SimInstant, SimSpan};
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
+use sdso_harness::{chaos_plan, chaos_retry_config as retry, run_planned};
+use sdso_net::{FaultPlan, SimInstant};
+use sdso_sim::NetworkModel;
 
-/// ≥5% drops, reordering via hold-back, duplicates, and one partition that
-/// isolates node 0 early in the run and then heals.
-fn plan(seed: u64) -> FaultPlan {
-    FaultPlan::new(seed)
-        .with_drop(0.05)
-        .with_dup(0.02)
-        .with_reorder(0.25, SimSpan::from_millis(2))
-        .with_partition(vec![0], SimInstant::from_micros(2_000), SimInstant::from_micros(8_000))
+fn play_under(scenario: &Scenario, protocol: Protocol, faults: FaultPlan) -> Vec<NodeStats> {
+    let plan = RunPlan::default().with_faults(faults);
+    run_planned(scenario, protocol, NetworkModel::paper_testbed(), &plan).unwrap().per_node
 }
 
-fn retry() -> RetryConfig {
-    RetryConfig { rto: SimSpan::from_millis(5), max_retries: 2_000 }
-}
-
+/// Plays under [`chaos_plan`]: ≥5% drops, reordering via hold-back,
+/// duplicates, and one partition that isolates node 0 early in the run and
+/// then heals.
 fn play_chaos(scenario: &Scenario, protocol: Protocol, fault_seed: u64) -> Vec<NodeStats> {
-    let s = scenario.clone();
-    SimCluster::new(usize::from(scenario.teams), NetworkModel::paper_testbed())
-        .with_faults(plan(fault_seed))
-        .run(move |ep| run_node(ep, &s, protocol).map_err(sdso_net::NetError::from))
-        .unwrap()
-        .into_results()
-        .unwrap()
+    play_under(scenario, protocol, chaos_plan(fault_seed))
 }
 
 #[test]
@@ -111,14 +99,7 @@ fn a_healing_partition_alone_is_survivable() {
         SimInstant::from_micros(6_000),
     );
     for protocol in Protocol::PAPER {
-        let s = scenario.clone();
-        let p = partition_only.clone();
-        let stats: Vec<NodeStats> = SimCluster::new(4, NetworkModel::paper_testbed())
-            .with_faults(p)
-            .run(move |ep| run_node(ep, &s, protocol).map_err(sdso_net::NetError::from))
-            .unwrap()
-            .into_results()
-            .unwrap();
+        let stats = play_under(&scenario, protocol, partition_only.clone());
         let drops: u64 = stats.iter().map(|s| s.net.drops_injected).sum();
         assert!(drops > 0, "{protocol}: the partition must sever live traffic");
         let reference = &stats[0].final_world;

@@ -10,12 +10,10 @@
 //! * a late joiner's snapshot is O(objects), not O(history).
 
 use sdso_core::{MembershipPlan, ViewChange};
-use sdso_game::{run_churn_node, Block, NodeStats, Protocol, Scenario};
-use sdso_harness::{
-    chaos_plan, chaos_retry_config, churn_converged, default_churn_plan, run_churn_experiment,
-};
+use sdso_game::{Block, NodeStats, Protocol, RunPlan, Scenario};
+use sdso_harness::{chaos_plan, chaos_retry_config, converged_in, default_churn_plan, run_planned};
 use sdso_net::NodeId;
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_sim::NetworkModel;
 
 const CAPACITY: usize = 16;
 const TICKS: u64 = 24;
@@ -32,14 +30,13 @@ fn churn_plan() -> MembershipPlan {
     plan
 }
 
+fn play_under(scenario: &Scenario, protocol: Protocol, plan: MembershipPlan) -> Vec<NodeStats> {
+    let plan = RunPlan::default().with_membership(plan);
+    run_planned(scenario, protocol, NetworkModel::paper_testbed(), &plan).unwrap().per_node
+}
+
 fn play(scenario: &Scenario, protocol: Protocol) -> Vec<NodeStats> {
-    let s = scenario.clone();
-    let plan = churn_plan();
-    SimCluster::new(CAPACITY, NetworkModel::paper_testbed())
-        .run(move |ep| run_churn_node(ep, &s, protocol, &plan).map_err(sdso_net::NetError::from))
-        .unwrap()
-        .into_results()
-        .unwrap()
+    play_under(scenario, protocol, churn_plan())
 }
 
 fn survivors() -> Vec<usize> {
@@ -110,17 +107,14 @@ fn every_protocol_survives_churn_on_a_faulty_network() {
     // before it is pruned, so churn and packet loss compose.
     let plan = default_churn_plan(8, 40);
     let scenario = Scenario::paper(8, 1).with_ticks(40).with_reliability(chaos_retry_config());
-    let faults = chaos_plan(0x5D50_1997);
+    let run = RunPlan::default().with_membership(plan.clone()).with_faults(chaos_plan(0x5D50_1997));
     for protocol in Protocol::PAPER {
-        let summary = run_churn_experiment(
-            &scenario,
-            protocol,
-            NetworkModel::paper_testbed(),
-            &plan,
-            Some(&faults),
-        )
-        .unwrap_or_else(|e| panic!("{protocol} failed under churn + faults: {e}"));
-        assert!(churn_converged(&summary, &plan), "{protocol} diverged under churn + faults");
+        let summary = run_planned(&scenario, protocol, NetworkModel::paper_testbed(), &run)
+            .unwrap_or_else(|e| panic!("{protocol} failed under churn + faults: {e}"));
+        assert!(
+            converged_in(&summary, &plan.final_view()),
+            "{protocol} diverged under churn + faults"
+        );
     }
 }
 
@@ -133,17 +127,9 @@ fn snapshots_stay_o_objects_as_history_grows() {
         .into_iter()
         .map(|join_tick| {
             let scenario = Scenario::paper(CAPACITY as u16, 1).with_ticks(join_tick + 2);
-            let s = scenario.clone();
             let plan =
                 MembershipPlan::new(CAPACITY, 0..15).with_change(join_tick, ViewChange::join([15]));
-            let stats = SimCluster::new(CAPACITY, NetworkModel::paper_testbed())
-                .run(move |ep| {
-                    run_churn_node(ep, &s, Protocol::Bsync, &plan).map_err(sdso_net::NetError::from)
-                })
-                .unwrap()
-                .into_results()
-                .unwrap();
-            stats[0].dso.snapshot_bytes
+            play_under(&scenario, Protocol::Bsync, plan)[0].dso.snapshot_bytes
         })
         .collect();
     assert!(sizes[0] > 0, "the donor sent a snapshot");

@@ -14,11 +14,11 @@
 //! included — is written there win or lose; the CI job uploads it as an
 //! artifact when the job fails.
 
-use sdso_game::{run_crash_node_obs, Protocol, Scenario};
-use sdso_harness::{crash_converged, default_crash_plan, run_crash_experiment};
-use sdso_net::{FaultPlan, NetError};
+use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_harness::{converged_in, default_crash_plan, run_planned};
+use sdso_net::FaultPlan;
 use sdso_obs::{ObsSet, TraceConfig};
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_sim::NetworkModel;
 
 /// Runs one seeded crash soak and returns an error description instead of
 /// panicking so the caller can dump the flight-recorder trace first.
@@ -30,17 +30,10 @@ fn run_crash_soak(
     obs: &ObsSet,
 ) -> Result<(), String> {
     let scenario = Scenario::paper(n, 1).with_ticks(ticks);
-    let s = scenario.clone();
-    let f = faults.clone();
-    let obs_for_nodes = obs.clone();
-    let stats = SimCluster::new(usize::from(n), NetworkModel::paper_testbed())
-        .run(move |ep| {
-            let node_obs = obs_for_nodes.node(sdso_net::Endpoint::node_id(&ep));
-            run_crash_node_obs(ep, &s, protocol, &f, node_obs).map_err(NetError::from)
-        })
-        .map_err(|e| format!("{protocol} soak setup: {e}"))?
-        .into_results()
-        .map_err(|e| format!("{protocol} node failed: {e}"))?;
+    let plan = RunPlan::default().with_faults(faults.clone()).with_obs(obs.clone());
+    let stats = run_planned(&scenario, protocol, NetworkModel::paper_testbed(), &plan)
+        .map_err(|e| format!("{protocol} node failed: {e}"))?
+        .per_node;
 
     let restarters: Vec<_> =
         faults.crashes.iter().filter(|c| c.restart_tick.is_some()).map(|c| c.node).collect();
@@ -109,14 +102,12 @@ fn crash_soak_64_full() {
 #[test]
 fn crash_experiment_is_deterministic_across_replays() {
     let scenario = Scenario::paper(8, 1).with_ticks(16);
-    let faults = default_crash_plan(0xD15C, 8, 16);
-    let a =
-        run_crash_experiment(&scenario, Protocol::Msync2, NetworkModel::paper_testbed(), &faults)
-            .unwrap();
-    let b =
-        run_crash_experiment(&scenario, Protocol::Msync2, NetworkModel::paper_testbed(), &faults)
-            .unwrap();
-    assert!(crash_converged(&a, &scenario, &faults));
+    let plan = RunPlan::default().with_faults(default_crash_plan(0xD15C, 8, 16));
+    let play =
+        || run_planned(&scenario, Protocol::Msync2, NetworkModel::paper_testbed(), &plan).unwrap();
+    let (a, b) = (play(), play());
+    let final_view = plan.views(&scenario, Protocol::Msync2).unwrap().final_view();
+    assert!(converged_in(&a, &final_view));
     for (x, y) in a.per_node.iter().zip(&b.per_node) {
         assert_eq!(x.final_world, y.final_world, "node {}: deterministic final state", x.node);
         assert_eq!(x.score, y.score, "node {}: deterministic score", x.node);

@@ -21,9 +21,9 @@
 #![cfg(target_os = "linux")]
 
 use sdso_core::{ObsSet, RetryConfig};
-use sdso_game::{run_node_obs, NodeStats, Protocol, Scenario};
+use sdso_game::{run_node_with, NodeStats, Protocol, RunPlan, Scenario};
 use sdso_net::reactor::ReactorMesh;
-use sdso_net::{Endpoint, FaultPlan, FaultyEndpoint, SimInstant, SimSpan, TraceConfig};
+use sdso_net::{FaultPlan, FaultyEndpoint, SimInstant, SimSpan, TraceConfig};
 
 /// Seeded drops, duplicates and reordering, plus one partition that
 /// isolates node 0 and heals. The window is later and wider than the
@@ -46,15 +46,15 @@ fn retry() -> RetryConfig {
 /// panicked, so the caller can dump the trace first.
 fn run_soak(n: u16, ticks: u64, obs: &ObsSet) -> Result<Vec<NodeStats>, String> {
     let scenario = Scenario::scaled(n, 1).with_ticks(ticks).with_reliability(retry());
+    let plan = RunPlan::default().with_obs(obs.clone());
     let endpoints = ReactorMesh::local(usize::from(n)).map_err(|e| format!("mesh setup: {e}"))?;
     let handles: Vec<_> = endpoints
         .into_iter()
         .map(|ep| {
-            let s = scenario.clone();
-            let node_obs = obs.node(ep.node_id());
+            let (s, plan) = (scenario.clone(), plan.clone());
             let faulty = FaultyEndpoint::new(ep, soak_plan(0x5AADD));
             std::thread::spawn(move || {
-                run_node_obs(faulty, &s, Protocol::Msync2Shard, node_obs)
+                run_node_with(faulty, &s, Protocol::Msync2Shard, &plan)
                     .map_err(|e| format!("node run: {e}"))
             })
         })
