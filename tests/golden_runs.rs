@@ -14,7 +14,7 @@
 //! hand-built `SimCluster`). A legitimate behaviour change re-records them
 //! and says so; a refactor only ever touches the call sites in `play`.
 
-use sdso_core::{MembershipPlan, ViewChange};
+use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
 use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
 use sdso_harness::{
@@ -194,6 +194,48 @@ fn chaos_4_nodes() {
             (Protocol::Bsync, 0x1574_B0C9_7B4F_7717),
             (Protocol::Msync, 0x2C7C_143B_58A1_9C6B),
             (Protocol::Msync2, 0x4AD1_3D4D_782C_F39D),
+        ],
+    );
+}
+
+/// Everything on at once — reliability, codec v2 (XOR-delta, batch dedup)
+/// and drop/dup/reorder — recorded at commit `28dcfa5`, before the ARQ and
+/// codec state moved out of the runtime into `core::session`.
+#[test]
+fn chaos_4_nodes_codec_v2() {
+    check(
+        "chaos + codec v2, 4 nodes",
+        &Scenario::paper(4, 1)
+            .with_ticks(60)
+            .with_reliability(chaos_retry_config())
+            .with_wire(WireConfig::compressed()),
+        &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
+        &[
+            (Protocol::Entry, 0x9F83_C74C_C7B9_D826),
+            (Protocol::Bsync, 0x1339_BB75_0431_B6F5),
+            (Protocol::Msync, 0x94D5_FB9F_6A5C_F3F8),
+            (Protocol::Msync2, 0xC9B1_23B5_C5AE_E86C),
+        ],
+    );
+}
+
+/// As [`chaos_4_nodes_codec_v2`], with view changes on top.
+#[test]
+fn churn_with_chaos_8_slots_codec_v2() {
+    check(
+        "churn + chaos + codec v2, 8 slots",
+        &Scenario::paper(8, 1)
+            .with_ticks(40)
+            .with_reliability(chaos_retry_config())
+            .with_wire(WireConfig::compressed()),
+        &RunPlan::default()
+            .with_membership(default_churn_plan(8, 40))
+            .with_faults(chaos_plan(0x5D50_1997)),
+        &[
+            (Protocol::Entry, 0xA730_5737_06C2_30D8),
+            (Protocol::Bsync, 0xC468_0129_8AED_3E6F),
+            (Protocol::Msync, 0x2A90_84F5_984E_FE54),
+            (Protocol::Msync2, 0x84CE_B992_2E1A_3ECD),
         ],
     );
 }
