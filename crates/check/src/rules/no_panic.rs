@@ -13,7 +13,7 @@ use crate::diag::Diagnostic;
 pub const RULE: &str = "no-panic";
 
 /// Exact files in scope.
-const SCOPE_FILES: &[&str] = &["crates/core/src/runtime.rs"];
+const SCOPE_FILES: &[&str] = &["crates/core/src/runtime.rs", "crates/core/src/session.rs"];
 /// Path prefixes in scope.
 const SCOPE_PREFIXES: &[&str] = &["crates/protocols/src/", "crates/net/src/", "crates/shard/src/"];
 
@@ -67,9 +67,11 @@ mod tests {
 
     #[test]
     fn flags_unwrap_in_scope() {
-        let d = run("crates/protocols/src/entry.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 1);
+        for path in ["crates/protocols/src/entry.rs", "crates/core/src/session.rs"] {
+            let d = run(path, "fn f() { x.unwrap(); }");
+            assert_eq!(d.len(), 1, "{path}");
+            assert_eq!(d[0].line, 1);
+        }
     }
 
     #[test]

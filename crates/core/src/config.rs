@@ -72,12 +72,6 @@ pub struct DsoConfig {
     /// testbed network did not lose messages) adds zero wire or metric
     /// overhead.
     pub reliability: Option<RetryConfig>,
-    /// Flush each exchange's messages to a peer (its `Data` + `SYNC` pair)
-    /// as one batched transport write instead of one write per message.
-    /// Message content, ordering, and per-message metrics are identical
-    /// either way — batching only collapses the number of syscalls/locks on
-    /// transports that support it.
-    pub batch_frames: bool,
     /// Which real-socket transport cluster builders should construct when a
     /// deployment runs over actual TCP. Purely advisory for the runtime
     /// itself (it accepts any [`Endpoint`](sdso_net::Endpoint)); harness and
@@ -97,7 +91,6 @@ impl DsoConfig {
             frame_wire_len: Some(2048),
             merge_diffs: true,
             reliability: None,
-            batch_frames: true,
             transport: TransportKind::default(),
             wire: WireConfig::default(),
         }
@@ -109,7 +102,6 @@ impl DsoConfig {
             frame_wire_len: None,
             merge_diffs: true,
             reliability: None,
-            batch_frames: true,
             transport: TransportKind::default(),
             wire: WireConfig::default(),
         }
@@ -130,12 +122,6 @@ impl DsoConfig {
     /// Returns a copy with the reliability layer switched.
     pub fn with_reliability(mut self, reliability: Option<RetryConfig>) -> Self {
         self.reliability = reliability;
-        self
-    }
-
-    /// Returns a copy with per-peer frame batching switched.
-    pub fn with_batch_frames(mut self, batch: bool) -> Self {
-        self.batch_frames = batch;
         self
     }
 
@@ -178,13 +164,6 @@ mod tests {
         assert_eq!(c.reliability, None);
         let r = c.with_reliability(Some(RetryConfig::default()));
         assert_eq!(r.reliability.unwrap().max_retries, 50);
-    }
-
-    #[test]
-    fn batching_defaults_on_and_toggles() {
-        assert!(DsoConfig::paper().batch_frames);
-        assert!(DsoConfig::compact().batch_frames);
-        assert!(!DsoConfig::paper().with_batch_frames(false).batch_frames);
     }
 
     #[test]

@@ -78,6 +78,7 @@ mod metrics;
 mod object;
 mod router;
 mod runtime;
+mod session;
 mod sfunction;
 mod slotted_buffer;
 mod store;

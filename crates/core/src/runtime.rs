@@ -1,18 +1,18 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sdso_member::{leave_change_from_events, Epoch, MembershipView, ViewChange};
-use sdso_net::{Endpoint, MsgClass, NetError, NodeId, Payload, PeerEvent, SimSpan};
+use sdso_net::{Endpoint, MsgClass, NodeId, PeerEvent, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
 use crate::clock::{LogicalClock, LogicalTime};
-use crate::codec::{self, ShadowState, CODEC_V2};
-use crate::config::{DsoConfig, RetryConfig};
+use crate::config::DsoConfig;
 use crate::diff::Diff;
 use crate::error::DsoError;
 use crate::exchange_list::ExchangeList;
 use crate::metrics::{DsoCounters, DsoMetrics};
 use crate::object::{ObjectId, Version};
 use crate::router::DiffRouter;
+use crate::session::{Reset, Session};
 use crate::sfunction::SFunction;
 use crate::slotted_buffer::SlottedBuffer;
 use crate::store::ObjectStore;
@@ -76,78 +76,23 @@ struct EarlyEntry {
     sync: bool,
 }
 
-/// Per-link ARQ state of the optional reliability layer: sequenced
-/// envelopes, cumulative acks, retransmit-on-timeout. Gives in-order
-/// exactly-once delivery over transports that drop, duplicate, or reorder.
-#[derive(Debug)]
-struct ArqState {
-    cfg: RetryConfig,
-    /// Next sequence number to assign, per destination.
-    tx_seq: Vec<u64>,
-    /// Sent but unacknowledged messages, per destination, by sequence.
-    unacked: Vec<BTreeMap<u64, DsoMessage>>,
-    /// Next sequence number expected, per source.
-    rx_next: Vec<u64>,
-    /// Out-of-order arrivals waiting for their predecessors, per source.
-    ooo: Vec<BTreeMap<u64, DsoMessage>>,
-    /// In-order messages delivered by the ARQ but not yet consumed.
-    ready: VecDeque<(NodeId, DsoMessage)>,
-}
-
-impl ArqState {
-    fn new(cfg: RetryConfig, n: usize) -> Self {
-        ArqState {
-            cfg,
-            tx_seq: vec![0; n],
-            unacked: (0..n).map(|_| BTreeMap::new()).collect(),
-            rx_next: vec![0; n],
-            ooo: (0..n).map(|_| BTreeMap::new()).collect(),
-            ready: VecDeque::new(),
-        }
-    }
-
-    /// Resets the per-link state for a departed peer: its unacked traffic
-    /// is undeliverable, its out-of-order residue must not poison a future
-    /// occupant of the slot, and sequencing restarts from zero if the slot
-    /// is ever reused by a joiner.
-    fn forget_peer(&mut self, peer: NodeId) {
-        let p = usize::from(peer);
-        self.tx_seq[p] = 0;
-        self.unacked[p].clear();
-        self.rx_next[p] = 0;
-        self.ooo[p].clear();
-        self.ready.retain(|(from, _)| *from != peer);
-    }
-}
-
-/// Per-link wire-codec state, present iff [`crate::WireConfig::codec_v2`]
-/// is on: what the peer has negotiated, and the XOR shadows both
-/// directions of the link evolve in lockstep (see [`crate::codec`]).
-#[derive(Debug, Default)]
-struct LinkCodec {
-    /// Highest codec version the peer has offered; `None` until its
-    /// [`DsoMessage::CodecOffer`] arrives — sends stay v1 until then.
-    peer_version: Option<u8>,
-    /// Whether this process's own offer has gone out on the link.
-    offered: bool,
-    /// Sender-side shadows for the `Data2` batches this process emits.
-    tx: ShadowState,
-    /// Receiver-side shadows for the `Data2` batches the peer emits.
-    rx: ShadowState,
-}
-
 /// The S-DSO runtime: one per process.
 ///
 /// Owns the process's object replicas, logical clock, exchange list and
-/// slotted buffer, and implements the paper's library interface — `share`,
+/// slotted buffer — everything Fig. 4 names — and implements the paper's
+/// library interface — `share`,
 /// `async_put`, `sync_put`, `async_get`, `sync_get` and, centrally,
 /// [`SdsoRuntime::exchange`] (Fig. 4).
 ///
 /// The runtime is transport-generic: `E` may be the in-process transport,
-/// the TCP mesh, or the virtual-time simulator endpoint.
+/// the TCP mesh, or the virtual-time simulator endpoint. The endpoint
+/// lives one layer down, in the session, which hands this kernel
+/// exactly-once, in-order logical messages whatever the transport does.
 #[derive(Debug)]
 pub struct SdsoRuntime<E: Endpoint> {
-    endpoint: E,
+    /// The reliable, possibly compressed channel to every peer (and the
+    /// transport endpoint under it).
+    session: Session<E>,
     config: DsoConfig,
     store: ObjectStore,
     clock: LogicalClock,
@@ -170,11 +115,6 @@ pub struct SdsoRuntime<E: Endpoint> {
     app_inbox: VecDeque<(NodeId, MsgClass, Vec<u8>)>,
     /// `sync_put` acknowledgements received so far.
     acks_received: u64,
-    /// Reliability layer state, present iff `config.reliability` is set.
-    arq: Option<ArqState>,
-    /// Per-link wire-codec negotiation and shadow state, present iff
-    /// `config.wire.codec_v2` is set.
-    codec: Option<Vec<LinkCodec>>,
     /// The membership view every exchange is computed under. Starts as the
     /// full static group (the paper's fixed cluster); churn-aware drivers
     /// install an explicit initial view and advance it at view-change
@@ -211,7 +151,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         let _ = endpoint.metrics_delta();
         let counters = DsoCounters::in_registry(obs.registry());
         SdsoRuntime {
-            endpoint,
+            session: Session::new(endpoint, config, obs.clone(), counters.clone()),
             config,
             store: ObjectStore::new(),
             clock: LogicalClock::new(),
@@ -222,8 +162,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
             early: BTreeMap::new(),
             app_inbox: VecDeque::new(),
             acks_received: 0,
-            arq: config.reliability.map(|cfg| ArqState::new(cfg, n)),
-            codec: config.wire.codec_v2.then(|| (0..n).map(|_| LinkCodec::default()).collect()),
             view: MembershipView::full(n),
             router: None,
             obs,
@@ -233,12 +171,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
     /// This process's node id.
     pub fn node_id(&self) -> NodeId {
-        self.endpoint.node_id()
+        self.session.endpoint.node_id()
     }
 
     /// Cluster size.
     pub fn num_nodes(&self) -> usize {
-        self.endpoint.num_nodes()
+        self.session.endpoint.num_nodes()
     }
 
     /// The logical clock's current time.
@@ -253,12 +191,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
     /// The transport clock (virtual or wall time).
     pub fn now(&self) -> sdso_net::SimInstant {
-        self.endpoint.now()
+        self.session.endpoint.now()
     }
 
     /// Models `dt` of local computation (no-op on real transports).
     pub fn advance(&mut self, dt: SimSpan) {
-        self.endpoint.advance(dt);
+        self.session.endpoint.advance(dt);
     }
 
     /// Runtime-level counters (a by-value view over the live `dso.*`
@@ -269,13 +207,13 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
     /// Transport-level counters, cumulative for the endpoint's lifetime.
     pub fn net_metrics(&self) -> sdso_net::NetMetricsSnapshot {
-        self.endpoint.metrics()
+        self.session.endpoint.metrics()
     }
 
     /// Transport-level counters since the previous delta read (correct for
     /// per-run accounting over a reused transport).
     pub fn net_metrics_delta(&mut self) -> sdso_net::NetMetricsSnapshot {
-        self.endpoint.metrics_delta()
+        self.session.endpoint.metrics_delta()
     }
 
     /// This runtime's observability bundle.
@@ -286,7 +224,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// Direct access to the transport (for protocol layers that manage
     /// their own timing instrumentation).
     pub fn endpoint_mut(&mut self) -> &mut E {
-        &mut self.endpoint
+        &mut self.session.endpoint
     }
 
     /// Consumes the runtime, returning the transport. A crash-simulating
@@ -295,7 +233,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// buffers, reliability windows — is dropped on the floor, exactly as
     /// a process crash would.
     pub fn into_endpoint(self) -> E {
-        self.endpoint
+        self.session.endpoint
     }
 
     /// Restores the logical-time and Lamport frontiers a restarted process
@@ -335,32 +273,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport and codec errors.
     pub fn drain_crash_residue(&mut self) -> Result<u64, DsoError> {
-        if self.arq.is_none() {
-            return Ok(0);
-        }
-        let mut dropped = 0u64;
-        while let Some(incoming) = self.endpoint.try_recv().map_err(DsoError::Net)? {
-            let msg: DsoMessage =
-                sdso_net::wire::decode(&incoming.payload.bytes).map_err(DsoError::Net)?;
-            let stale = match &msg {
-                DsoMessage::SeqAck { .. } => true,
-                other => other.epoch().is_some_and(|e| e < self.view.epoch()),
-            };
-            if stale {
-                dropped += 1;
-                self.counters.cross_epoch_dropped.inc();
-                reclaim_incoming(incoming.payload);
-                continue;
-            }
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let (Some(m), Some(arq)) = (admitted, self.arq.as_mut()) {
-                // Deliverable already: park it where the blocking
-                // receives look first.
-                arq.ready.push_back(m);
-            }
-        }
-        Ok(dropped)
+        self.session.drain_residue(&self.store)
     }
 
     /// The exchange list (for inspection by tests and protocol layers).
@@ -409,12 +322,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
             "membership capacity must match the transport"
         );
         assert!(view.contains(self.node_id()), "set_membership: local process not in view");
-        self.view = view;
+        self.install_view(view);
         self.reconcile_buffer_slots();
     }
 
     /// Applies one view change at a barrier: prunes departed peers from
-    /// every data structure (exchange list, slotted buffer, reliability
+    /// every data structure (exchange list, slotted buffer, session
     /// links, early-arrival buffer, transport), bumps the epoch, activates
     /// slots for joiners and asks the s-function for their first exchange
     /// times, and fires the s-function's membership-delta hook.
@@ -446,11 +359,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
         // strand the leaver in its barrier with nobody left to retransmit,
         // so drain each departing link first, while the leaver is still a
         // member and acks flow normally.
-        if self.arq.is_some() {
-            for &leaver in &change.left {
-                if leaver != self.node_id() {
-                    self.settle_link(leaver)?;
-                }
+        for &leaver in &change.left {
+            if leaver != self.node_id() {
+                self.session.settle_link(leaver, &self.store)?;
             }
         }
         for &leaver in &change.left {
@@ -459,19 +370,16 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 let orphaned = self.buffer.remove_peer(leaver);
                 self.counters.slots_compacted.add(orphaned.len() as u64);
             }
-            if let Some(arq) = &mut self.arq {
-                arq.forget_peer(leaver);
-            }
-            self.reset_link_codec(leaver);
+            self.session.reset(leaver, Reset::Left);
             self.early.retain(|&(peer, _), _| peer != leaver);
-            self.endpoint.remove_peer(leaver);
+            self.session.endpoint.remove_peer(leaver);
         }
-        self.view = next_view;
+        self.install_view(next_view);
         for &joiner in &change.joined {
             if joiner == self.node_id() {
                 continue;
             }
-            self.endpoint.add_peer(joiner);
+            self.session.endpoint.add_peer(joiner);
             if !self.buffer.has_peer(joiner) {
                 self.buffer.add_peer(joiner);
             }
@@ -492,7 +400,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
         self.counters.view_changes.inc();
         self.obs.record(
-            self.endpoint.now().as_micros(),
+            self.now().as_micros(),
             EventKind::ViewChange,
             self.view.epoch().0,
             joined.len() as u32,
@@ -514,18 +422,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// exchange completes, so every surviving member applies the same
     /// change at the same logical time.
     pub fn drain_departures(&mut self) -> Option<ViewChange> {
-        let events = self.endpoint.take_peer_events();
-        // Any link flap invalidates codec negotiation with that peer: a
-        // reconnected peer may have restarted, losing its XOR shadows and
-        // its knowledge of our version offer. Downgrade to v1 and
-        // re-negotiate — even when the flap cancels out of the membership
-        // change below. The receive direction is deliberately left alive:
-        // frames encoded before the flap may still be in flight or be
-        // retransmitted, and must decode against the shadows they were
-        // built on.
+        let events = self.session.endpoint.take_peer_events();
+        // Any link flap invalidates codec negotiation with that peer —
+        // even when the flap cancels out of the membership change below.
         for event in &events {
             let (PeerEvent::Down(peer) | PeerEvent::Up(peer)) = *event;
-            self.downgrade_link_codec(peer);
+            self.session.reset(peer, Reset::Flapped);
         }
         let change = leave_change_from_events(&self.view, &events);
         if change.is_empty() {
@@ -565,13 +467,13 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.counters.snapshots_sent.inc();
         self.counters.snapshot_bytes.add(bytes as u64);
         self.obs.record(
-            self.endpoint.now().as_micros(),
+            self.now().as_micros(),
             EventKind::SnapshotSend,
             u32::from(to),
             bytes as u32,
             self.view.epoch().0,
         );
-        self.send_msg(to, msg)?;
+        self.session.send(to, msg)?;
         Ok(bytes)
     }
 
@@ -590,7 +492,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// snapshot is stamped with a different epoch than this view's.
     pub fn await_snapshot(&mut self, donor: NodeId) -> Result<LogicalTime, DsoError> {
         loop {
-            let (from, msg) = self.next_msg_wait()?;
+            let (from, msg) = self.session.recv_patiently(&self.store)?;
             match msg {
                 DsoMessage::Snapshot { epoch, time, lamport, updates } if from == donor => {
                     if epoch != self.view.epoch() {
@@ -604,7 +506,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     self.clock.advance_to(time);
                     self.counters.snapshots_installed.inc();
                     self.obs.record(
-                        self.endpoint.now().as_micros(),
+                        self.now().as_micros(),
                         EventKind::SnapshotInstall,
                         u32::from(from),
                         updates.len() as u32,
@@ -613,12 +515,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     return Ok(time);
                 }
                 DsoMessage::Data { epoch, time, updates } if epoch >= self.view.epoch() => {
-                    self.counters.early_buffered.inc();
-                    self.early.entry((from, time)).or_default().updates.extend(updates);
+                    self.file_early(from, time, Some(updates));
                 }
                 DsoMessage::Sync { epoch, time } if epoch >= self.view.epoch() => {
-                    self.counters.early_buffered.inc();
-                    self.early.entry((from, time)).or_default().sync = true;
+                    self.file_early(from, time, None);
                 }
                 DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {
                     self.counters.cross_epoch_dropped.inc();
@@ -630,6 +530,13 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 }
             }
         }
+    }
+
+    /// Makes `view` the view of both layers: the kernel computes exchanges
+    /// under it, the session filters sends and residue by it.
+    fn install_view(&mut self, view: MembershipView) {
+        self.session.set_view(view.clone());
+        self.view = view;
     }
 
     /// Deactivates slotted-buffer slots for non-members and activates
@@ -677,7 +584,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         let bytes = self.store.read(id)?;
         let version = self.store.replica(id)?.version();
         self.obs.record(
-            self.endpoint.now().as_micros(),
+            self.now().as_micros(),
             EventKind::ObjectRead,
             id.0,
             version.time.as_ticks() as u32,
@@ -721,10 +628,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
         entry.0.merge_in_place(&diff);
         entry.1 = entry.1.max(stamp);
         if merging {
-            self.obs.record(self.endpoint.now().as_micros(), EventKind::DiffMerge, id.0, 0, 0);
+            self.obs.record(self.now().as_micros(), EventKind::DiffMerge, id.0, 0, 0);
         }
         self.obs.record(
-            self.endpoint.now().as_micros(),
+            self.now().as_micros(),
             EventKind::ObjectWrite,
             id.0,
             stamp.time.as_ticks() as u32,
@@ -871,12 +778,11 @@ impl<E: Endpoint> SdsoRuntime<E> {
         sfunc: &mut dyn SFunction,
         budget: Option<SimSpan>,
     ) -> Result<(ExchangeReport, Vec<NodeId>), DsoError> {
-        let started = self.endpoint.now();
+        let started = self.now();
         let t = self.clock.tick();
-        let me = self.node_id();
 
         let due: Vec<NodeId> = match how {
-            SendMode::Broadcast => self.view.peers_of(me),
+            SendMode::Broadcast => self.view.peers_of(self.node_id()),
             SendMode::Multicast => self.exchange_list.due(t),
         };
         self.obs.record(
@@ -933,16 +839,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.dedup_updates(&mut updates);
             }
             updates_sent += updates.len();
-            let epoch = self.view.epoch();
-            let mut msgs = Vec::with_capacity(3);
-            if self.codec_offer_due(peer) {
-                msgs.push(DsoMessage::CodecOffer { version: CODEC_V2 });
-            }
-            if !updates.is_empty() {
-                msgs.push(self.encode_data(peer, epoch, t, updates));
-            }
-            msgs.push(DsoMessage::Sync { epoch, time: t });
-            self.send_msgs(peer, msgs)?;
+            self.session.send_rendezvous(peer, t, updates, &self.store)?;
         }
         if suppressed > 0 {
             self.counters.shard_suppressed.add(suppressed);
@@ -962,7 +859,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 None => self.buffer.buffer_for_all(*object, diff, *version, &due),
             }
         }
-        let _ = me;
 
         let mut updates_applied = 0usize;
         let mut unresponsive = Vec::new();
@@ -992,7 +888,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.counters.exchanges.inc();
         self.counters.rendezvous_peers.add(due.len() as u64);
         self.counters.updates_sent.add(updates_sent as u64);
-        let ended = self.endpoint.now();
+        let ended = self.now();
         let elapsed = ended.saturating_since(started).as_micros();
         self.counters.exchange_time_micros.add(elapsed);
         self.counters.exchange_latency.observe(elapsed);
@@ -1011,7 +907,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// discards `SYNC` markers (push mode has no rendezvous to complete).
     fn drain_pushed(&mut self) -> Result<usize, DsoError> {
         let mut applied = 0usize;
-        while let Some((from, msg)) = self.next_msg_try()? {
+        while let Some((from, msg)) = self.session.recv_now(&self.store)? {
             match msg {
                 DsoMessage::Data { epoch, updates, .. } => {
                     if epoch < self.view.epoch() {
@@ -1060,7 +956,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             }
         }
 
-        let wait_start = self.endpoint.now();
+        let wait_start = self.now();
         let deadline = budget.map(|b| wait_start + b);
         let mut unresponsive: Vec<NodeId> = Vec::new();
         self.obs.record(
@@ -1072,8 +968,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
         );
         while !outstanding.is_empty() {
             let (from, msg) = match deadline {
-                None => self.next_msg_blocking()?,
-                Some(d) => match self.next_msg_deadline(d)? {
+                None => self.session.recv(&self.store)?,
+                Some(d) => match self.session.recv_until(d, &self.store)? {
                     Some(m) => m,
                     None => {
                         // Budget exhausted: whoever still owes a pair is
@@ -1099,8 +995,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     if time == t && due.contains(&from) {
                         applied += self.apply_updates(&updates)?;
                     } else if time > t {
-                        self.counters.early_buffered.inc();
-                        self.early.entry((from, time)).or_default().updates.extend(updates);
+                        self.file_early(from, time, Some(updates));
                     } else {
                         return Err(DsoError::ProtocolViolation(format!(
                             "data from {from} stamped {time} during rendezvous at {t}"
@@ -1111,8 +1006,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     if time == t && outstanding.remove(&from) {
                         // Rendezvous with `from` complete.
                     } else if time > t {
-                        self.counters.early_buffered.inc();
-                        self.early.entry((from, time)).or_default().sync = true;
+                        self.file_early(from, time, None);
                     } else {
                         return Err(DsoError::ProtocolViolation(format!(
                             "SYNC from {from} stamped {time} during rendezvous at {t}"
@@ -1130,7 +1024,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 }
             }
         }
-        let wait_end = self.endpoint.now();
+        let wait_end = self.now();
         let waited = wait_end.saturating_since(wait_start).as_micros();
         self.counters.exchange_wait_micros.add(waited);
         self.counters.wait_latency.observe(waited);
@@ -1142,6 +1036,17 @@ impl<E: Endpoint> SdsoRuntime<E> {
             0,
         );
         Ok((applied, unresponsive))
+    }
+
+    /// Buffers one half of a rendezvous pair stamped in the logical future
+    /// (`None` is the SYNC half) until this process's clock reaches it.
+    fn file_early(&mut self, from: NodeId, time: LogicalTime, updates: Option<Vec<WireUpdate>>) {
+        self.counters.early_buffered.inc();
+        let entry = self.early.entry((from, time)).or_default();
+        match updates {
+            Some(updates) => entry.updates.extend(updates),
+            None => entry.sync = true,
+        }
     }
 
     fn apply_updates(&mut self, updates: &[WireUpdate]) -> Result<usize, DsoError> {
@@ -1159,10 +1064,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
         Ok(applied)
     }
-
-    // ------------------------------------------------------------------
-    // The wire codec layer (version negotiation, compressed batches)
-    // ------------------------------------------------------------------
 
     /// Coalesces same-object updates in an outgoing batch into one update
     /// each: diffs merged in shipping order (later bytes win overlaps,
@@ -1196,496 +1097,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
     }
 
-    /// Whether this process still owes `peer` its codec offer; flips the
-    /// flag when it does, because the caller is about to send one. Always
-    /// `false` with compression off — no offer is ever owed, and peers
-    /// keep encoding v1 toward us.
-    fn codec_offer_due(&mut self, peer: NodeId) -> bool {
-        match &mut self.codec {
-            Some(links) => {
-                let link = &mut links[usize::from(peer)];
-                let due = !link.offered;
-                link.offered = true;
-                due
-            }
-            None => false,
-        }
-    }
-
-    /// Builds the data message for one exchange send: the compressed v2
-    /// `Data2` when the peer has negotiated it — falling back to the
-    /// absolute v1 `Data` when a run exceeds the decoder's inflation
-    /// budget or an XOR shadow cannot be seeded — and plain v1 `Data`
-    /// before negotiation completes.
-    fn encode_data(
-        &mut self,
-        peer: NodeId,
-        epoch: Epoch,
-        time: LogicalTime,
-        updates: Vec<WireUpdate>,
-    ) -> DsoMessage {
-        if let Some(links) = &mut self.codec {
-            let link = &mut links[usize::from(peer)];
-            if link.peer_version.is_some_and(|v| v >= CODEC_V2) {
-                let store = &self.store;
-                let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
-                if let Some((basis, blob)) = codec::encode_updates(
-                    &updates,
-                    self.config.wire.xor_delta,
-                    &mut link.tx,
-                    &mut seed,
-                ) {
-                    self.counters.codec_v2_sent.inc();
-                    return DsoMessage::Data2 { epoch, time, basis, blob };
-                }
-                self.counters.codec_v2_fallbacks.inc();
-            }
-        }
-        DsoMessage::Data { epoch, time, updates }
-    }
-
-    /// Resolves codec-layer messages at their exactly-once delivery point:
-    /// consumes a [`DsoMessage::CodecOffer`] (recording the peer's version
-    /// and replying with ours if it has not gone out yet), decodes a
-    /// [`DsoMessage::Data2`] back into the plain `Data` it compresses
-    /// (advancing this link's receive shadows), and passes everything else
-    /// through untouched.
-    fn deliver(
-        &mut self,
-        from: NodeId,
-        msg: DsoMessage,
-    ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        match msg {
-            DsoMessage::CodecOffer { version } => {
-                self.handle_codec_offer(from, version)?;
-                Ok(None)
-            }
-            DsoMessage::Data2 { epoch, time, basis, blob } => {
-                let updates = self.decode_data2(from, basis, &blob)?;
-                Ok(Some((from, DsoMessage::Data { epoch, time, updates })))
-            }
-            other => Ok(Some((from, other))),
-        }
-    }
-
-    /// Records a peer's codec offer. A *repeat* offer on an already
-    /// negotiated link means the peer downgraded its side (link flap, or a
-    /// restart without a view change) and no longer knows our version, so
-    /// our own offer must cross again before the peer resumes v2 toward
-    /// us. No storm: the repeat branch only fires when the sender's
-    /// `peer_version` is freshly `None`, which absorbs our reply silently.
-    fn handle_codec_offer(&mut self, from: NodeId, version: u8) -> Result<(), DsoError> {
-        let Some(links) = &mut self.codec else {
-            // Compression is off here: never offer back, so the peer keeps
-            // encoding v1 toward us. Interop, not an error.
-            return Ok(());
-        };
-        let link = &mut links[usize::from(from)];
-        let repeat = link.peer_version.is_some();
-        link.peer_version = Some(version);
-        if repeat {
-            link.offered = false;
-        }
-        if link.offered {
-            return Ok(());
-        }
-        link.offered = true;
-        self.send_msg(from, DsoMessage::CodecOffer { version: CODEC_V2 })
-    }
-
-    /// Decodes a `Data2` blob against this link's receive shadows.
-    fn decode_data2(
-        &mut self,
-        from: NodeId,
-        basis: u64,
-        blob: &[u8],
-    ) -> Result<Vec<WireUpdate>, DsoError> {
-        let store = &self.store;
-        let Some(links) = &mut self.codec else {
-            return Err(DsoError::ProtocolViolation(format!(
-                "compressed Data2 from {from} but codec v2 is not enabled here"
-            )));
-        };
-        let link = &mut links[usize::from(from)];
-        // Basis 0 announces the first batch of a fresh compressed stream:
-        // the peer restarted its transmit shadows (after a link flap or a
-        // process restart). Restart ours to match — a sender's basis only
-        // returns to 0 by reset, never by wraparound.
-        if basis == 0 && link.rx.basis() != 0 {
-            link.rx.reset();
-        }
-        let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
-        codec::decode_updates(blob, basis, &mut link.rx, &mut seed).map_err(DsoError::Net)
-    }
-
-    /// Forgets everything negotiated with `peer`: its version offer, ours,
-    /// and both directions' XOR shadows. Called when the peer leaves the
-    /// view — its link state is gone for good, and a joiner reusing the
-    /// slot starts from a clean slate.
-    fn reset_link_codec(&mut self, peer: NodeId) {
-        if let Some(links) = &mut self.codec {
-            links[usize::from(peer)] = LinkCodec::default();
-        }
-    }
-
-    /// Downgrades the link after a reconnect flap: forget the negotiation
-    /// (v1 until fresh offers cross) and restart our compressed stream
-    /// from scratch, but keep the receive shadows — the peer's pre-flap
-    /// frames, reliability-layer retransmits included, must still decode.
-    /// If the peer really restarted, its first fresh `Data2` carries
-    /// basis 0, which resets the receive side then (see `decode_data2`).
-    fn downgrade_link_codec(&mut self, peer: NodeId) {
-        if let Some(links) = &mut self.codec {
-            let link = &mut links[usize::from(peer)];
-            link.peer_version = None;
-            link.offered = false;
-            link.tx.reset();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // The reliability layer (sequencing, acks, retransmit-on-timeout)
-    // ------------------------------------------------------------------
-
-    /// Decodes one raw transport message and runs it through the
-    /// reliability layer, returning the next in-order logical message if
-    /// this delivery produced one. Without a reliability config, every
-    /// message passes straight through.
-    fn admit_raw(
-        &mut self,
-        from: NodeId,
-        bytes: &[u8],
-    ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        let msg: DsoMessage = sdso_net::wire::decode(bytes).map_err(DsoError::Net)?;
-        // Residue from a departed member (sequenced traffic stamped with a
-        // past epoch): pretend-ack it so the leaver's settle converges
-        // promptly, but keep its content and sequencing out of the live
-        // per-link state — a joiner reusing the slot starts from zero.
-        if self.arq.is_some() && !self.view.contains(from) {
-            if let DsoMessage::Env { seq, ref inner } = msg {
-                if inner.epoch().is_some_and(|e| e < self.view.epoch()) {
-                    self.counters.cross_epoch_dropped.inc();
-                    self.send_msg(from, DsoMessage::SeqAck { next: seq + 1 })?;
-                    return Ok(None);
-                }
-            }
-        }
-        let Some(arq) = &mut self.arq else {
-            return self.deliver(from, msg);
-        };
-        let p = usize::from(from);
-        match msg {
-            DsoMessage::Env { seq, inner } => {
-                // In-order arrivals — this frame and any out-of-order
-                // successors it unblocks — in delivery order. Codec
-                // resolution happens below, after sequencing: this is the
-                // exactly-once point the XOR shadows' lockstep relies on.
-                let mut chain = Vec::new();
-                if seq == arq.rx_next[p] {
-                    arq.rx_next[p] += 1;
-                    chain.push(*inner);
-                    while let Some(next) = arq.ooo[p].remove(&arq.rx_next[p]) {
-                        chain.push(next);
-                        arq.rx_next[p] += 1;
-                    }
-                } else if seq > arq.rx_next[p] {
-                    arq.ooo[p].entry(seq).or_insert(*inner);
-                } else {
-                    self.counters.duplicates_dropped.inc();
-                }
-                // Cumulative ack; doubles as a gap report when `seq` ran
-                // ahead of `rx_next`. The sender may have exited between
-                // emitting the frame and our ack (its frame sat in our rx
-                // queue) — an ack nobody is left to consume is not owed.
-                let ack = DsoMessage::SeqAck { next: arq.rx_next[p] };
-                match self.send_msg(from, ack) {
-                    Err(DsoError::Net(NetError::Disconnected)) => {}
-                    other => other?,
-                }
-                // First resolved message is returned directly (callers
-                // consume it before anything queued after it); the rest
-                // queue behind whatever `ready` already holds, preserving
-                // per-link FIFO.
-                let mut delivered = None;
-                for m in chain {
-                    if let Some(d) = self.deliver(from, m)? {
-                        if delivered.is_none() {
-                            delivered = Some(d);
-                        } else if let Some(arq) = &mut self.arq {
-                            arq.ready.push_back(d);
-                        }
-                    }
-                }
-                Ok(delivered)
-            }
-            DsoMessage::SeqAck { next } => {
-                arq.unacked[p].retain(|&s, _| s >= next);
-                Ok(None)
-            }
-            // A plain message from a peer running without the layer (or a
-            // legacy ack) is delivered as-is, codec resolution included.
-            other => self.deliver(from, other),
-        }
-    }
-
-    /// Blocking receive of the next logical message. With reliability
-    /// enabled, waits are bounded by the retransmission timeout: each
-    /// timeout resends everything unacknowledged (the `resync` path) until
-    /// traffic flows again or the retry budget runs out.
-    fn next_msg_blocking(&mut self) -> Result<(NodeId, DsoMessage), DsoError> {
-        let Some(arq) = &mut self.arq else {
-            // No reliability layer: still admit through the codec layer so
-            // offers are consumed and compressed batches resolve.
-            loop {
-                let incoming = self.endpoint.recv().map_err(DsoError::Net)?;
-                let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                reclaim_incoming(incoming.payload);
-                if let Some(m) = admitted {
-                    return Ok(m);
-                }
-            }
-        };
-        if let Some(m) = arq.ready.pop_front() {
-            return Ok(m);
-        }
-        let cfg = arq.cfg;
-        let mut silent = 0u32;
-        loop {
-            match self.endpoint.recv_deadline(cfg.rto).map_err(DsoError::Net)? {
-                Some(incoming) => {
-                    silent = 0;
-                    let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                    reclaim_incoming(incoming.payload);
-                    if let Some(m) = admitted {
-                        return Ok(m);
-                    }
-                }
-                None => {
-                    if silent >= cfg.max_retries {
-                        return Err(DsoError::Timeout { retries: silent });
-                    }
-                    silent += 1;
-                    self.counters.resyncs.inc();
-                    self.obs.record(
-                        self.endpoint.now().as_micros(),
-                        EventKind::Resync,
-                        silent,
-                        0,
-                        0,
-                    );
-                    self.retransmit_unacked()?;
-                }
-            }
-        }
-    }
-
-    /// Receive bounded by a wall/virtual-time `deadline` rather than the
-    /// reliability layer's silent-round budget: used by bounded rendezvous
-    /// waits, where "how long am I willing to wait" is the caller's
-    /// decision, not the link layer's. With reliability enabled the wait
-    /// is sliced at the retransmission timeout so unacked traffic keeps
-    /// being resynced while the budget drains; `Ok(None)` means the
-    /// deadline passed without a deliverable message.
-    fn next_msg_deadline(
-        &mut self,
-        deadline: sdso_net::SimInstant,
-    ) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
-                return Ok(Some(m));
-            }
-        }
-        let rto = self.arq.as_ref().map(|a| a.cfg.rto);
-        loop {
-            let remaining = deadline.saturating_since(self.endpoint.now());
-            if remaining == SimSpan::ZERO {
-                return Ok(None);
-            }
-            let slice = match rto {
-                Some(rto) if rto < remaining => rto,
-                _ => remaining,
-            };
-            match self.endpoint.recv_deadline(slice).map_err(DsoError::Net)? {
-                Some(incoming) => {
-                    let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-                    reclaim_incoming(incoming.payload);
-                    if let Some(m) = admitted {
-                        return Ok(Some(m));
-                    }
-                }
-                None => {
-                    // A silent RTO slice: resync unacked traffic exactly
-                    // like the unbounded path, but charge the caller's
-                    // budget instead of a retry counter.
-                    if rto.is_some() {
-                        self.counters.resyncs.inc();
-                        self.obs.record(
-                            self.endpoint.now().as_micros(),
-                            EventKind::Resync,
-                            0,
-                            0,
-                            0,
-                        );
-                        self.retransmit_unacked()?;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocking receive without the silent-round retry budget: for a
-    /// joiner waiting to be admitted, where arbitrarily long silence is
-    /// expected (its join barrier lies at a far-future trigger tick) and
-    /// it holds no unacknowledged traffic whose recovery a timeout would
-    /// drive. A genuine group failure parks this process in the
-    /// transport and surfaces through the scheduler's stall detection
-    /// instead of a spurious retry-budget error.
-    fn next_msg_wait(&mut self) -> Result<(NodeId, DsoMessage), DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
-                return Ok(m);
-            }
-        }
-        loop {
-            let incoming = self.endpoint.recv().map_err(DsoError::Net)?;
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let Some(m) = admitted {
-                return Ok(m);
-            }
-        }
-    }
-
-    /// Non-blocking receive of the next logical message.
-    fn next_msg_try(&mut self) -> Result<Option<(NodeId, DsoMessage)>, DsoError> {
-        if let Some(arq) = &mut self.arq {
-            if let Some(m) = arq.ready.pop_front() {
-                return Ok(Some(m));
-            }
-        }
-        while let Some(incoming) = self.endpoint.try_recv().map_err(DsoError::Net)? {
-            let admitted = self.admit_raw(incoming.from, &incoming.payload.bytes)?;
-            reclaim_incoming(incoming.payload);
-            if let Some(m) = admitted {
-                return Ok(Some(m));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Resends every unacknowledged message on every link, oldest first.
-    fn retransmit_unacked(&mut self) -> Result<(), DsoError> {
-        let Some(arq) = &self.arq else { return Ok(()) };
-        let pending: Vec<(NodeId, u64, DsoMessage)> = arq
-            .unacked
-            .iter()
-            .enumerate()
-            .filter(|&(p, _)| self.view.contains(p as NodeId))
-            .flat_map(|(p, q)| q.iter().map(move |(&s, m)| (p as NodeId, s, m.clone())))
-            .collect();
-        for (peer, seq, inner) in pending {
-            self.counters.retransmits.inc();
-            self.obs.record(
-                self.endpoint.now().as_micros(),
-                EventKind::Retransmit,
-                u32::from(peer),
-                seq as u32,
-                0,
-            );
-            let payload = DsoMessage::Env { seq, inner: Box::new(inner) }
-                .into_payload(self.config.frame_wire_len);
-            self.send_retransmit(peer, payload)?;
-        }
-        Ok(())
-    }
-
-    /// One retransmission send. A permanently disconnected peer has
-    /// finished its run and torn its endpoint down — every exchange it
-    /// owed this process completed, so its unacked queue is residue (acks
-    /// lost in the shutdown race), not recoverable traffic. Write the
-    /// link off instead of turning every subsequent timeout into a fatal
-    /// transport error.
-    fn send_retransmit(&mut self, peer: NodeId, payload: Payload) -> Result<(), DsoError> {
-        match self.endpoint.send(peer, payload) {
-            Ok(()) => Ok(()),
-            Err(NetError::Disconnected) => {
-                self.counters.links_abandoned.inc();
-                if let Some(arq) = &mut self.arq {
-                    arq.unacked[usize::from(peer)].clear();
-                }
-                Ok(())
-            }
-            Err(e) => Err(DsoError::Net(e)),
-        }
-    }
-
-    /// Drains the reliability link toward a departing peer: waits
-    /// (retransmitting that link on each timeout) until the peer has
-    /// acknowledged every frame this process sent it. Messages from other
-    /// peers delivered along the way are queued for normal consumption.
-    ///
-    /// Bounded: returns after `LINK_SETTLE_ROUNDS` timeouts even if
-    /// acks never came — the peer then settled and exited already, and
-    /// nothing further is owed on the link.
-    fn settle_link(&mut self, peer: NodeId) -> Result<(), DsoError> {
-        const LINK_SETTLE_ROUNDS: u32 = 32;
-        let Some(arq) = &self.arq else { return Ok(()) };
-        let cfg = arq.cfg;
-        let mut silent = 0u32;
-        loop {
-            let link_empty =
-                self.arq.as_ref().is_none_or(|a| a.unacked[usize::from(peer)].is_empty());
-            if link_empty || silent >= LINK_SETTLE_ROUNDS.min(cfg.max_retries) {
-                return Ok(());
-            }
-            match self.endpoint.recv_deadline(cfg.rto).map_err(DsoError::Net)? {
-                Some(incoming) => {
-                    let queued = self.arq.as_ref().map_or(0, |a| a.ready.len());
-                    if let Some(m) = self.admit_raw(incoming.from, &incoming.payload.bytes)? {
-                        if let Some(arq) = &mut self.arq {
-                            // Per-link FIFO: the head goes in front of the
-                            // successors `admit_raw` queued behind it.
-                            arq.ready.insert(queued, m);
-                        }
-                    }
-                }
-                None => {
-                    silent += 1;
-                    self.counters.resyncs.inc();
-                    self.obs.record(
-                        self.endpoint.now().as_micros(),
-                        EventKind::Resync,
-                        silent,
-                        0,
-                        0,
-                    );
-                    self.retransmit_link(peer)?;
-                }
-            }
-        }
-    }
-
-    /// Resends every unacknowledged frame on one link, oldest first.
-    fn retransmit_link(&mut self, peer: NodeId) -> Result<(), DsoError> {
-        let Some(arq) = &self.arq else { return Ok(()) };
-        let pending: Vec<(u64, DsoMessage)> =
-            arq.unacked[usize::from(peer)].iter().map(|(&s, m)| (s, m.clone())).collect();
-        for (seq, inner) in pending {
-            self.counters.retransmits.inc();
-            self.obs.record(
-                self.endpoint.now().as_micros(),
-                EventKind::Retransmit,
-                u32::from(peer),
-                seq as u32,
-                0,
-            );
-            let payload = DsoMessage::Env { seq, inner: Box::new(inner) }
-                .into_payload(self.config.frame_wire_len);
-            self.send_retransmit(peer, payload)?;
-        }
-        Ok(())
-    }
-
     /// Best-effort tail flush of the reliability layer: keeps receiving
     /// (and retransmitting on timeout) until every peer has acknowledged
     /// everything this process sent, then returns `true`. Returns `false`
@@ -1699,50 +1110,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport errors other than end-of-run conditions.
     pub fn settle(&mut self) -> Result<bool, DsoError> {
-        let Some(arq) = &self.arq else {
-            return Ok(true);
-        };
-        let cfg = arq.cfg;
-        let mut silent = 0u32;
         loop {
-            let all_acked =
-                self.arq.as_ref().is_none_or(|a| a.unacked.iter().all(|q| q.is_empty()));
-            if all_acked {
-                return Ok(true);
+            if let Some(acked) = self.session.settle_recv(&self.store)? {
+                return Ok(acked);
             }
-            if silent >= cfg.max_retries {
-                return Ok(false);
-            }
-            match self.endpoint.recv_deadline(cfg.rto) {
-                Ok(Some(incoming)) => {
-                    silent = 0;
-                    let (from, bytes) = (incoming.from, incoming.payload.bytes);
-                    let admitted = self.admit_raw(from, &bytes)?;
-                    sdso_net::pool::global().reclaim(bytes);
-                    if let Some((from, msg)) = admitted {
-                        self.absorb_settled(from, msg)?;
-                    }
-                    while let Some((from, msg)) =
-                        self.arq.as_mut().and_then(|a| a.ready.pop_front())
-                    {
-                        self.absorb_settled(from, msg)?;
-                    }
-                }
-                Ok(None) => {
-                    silent += 1;
-                    self.counters.resyncs.inc();
-                    self.obs.record(
-                        self.endpoint.now().as_micros(),
-                        EventKind::Resync,
-                        silent,
-                        0,
-                        0,
-                    );
-                    self.retransmit_unacked()?;
-                }
-                // Every other node finished: nobody is left to ack.
-                Err(NetError::Deadlock(_)) | Err(NetError::Disconnected) => return Ok(false),
-                Err(e) => return Err(DsoError::Net(e)),
+            while let Some((from, msg)) = self.session.pop_ready() {
+                self.absorb_settled(from, msg)?;
             }
         }
     }
@@ -1757,12 +1130,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
         match msg {
             DsoMessage::Data { time, updates, .. } if time > self.clock.now() => {
-                self.counters.early_buffered.inc();
-                self.early.entry((from, time)).or_default().updates.extend(updates);
+                self.file_early(from, time, Some(updates));
             }
             DsoMessage::Sync { time, .. } if time > self.clock.now() => {
-                self.counters.early_buffered.inc();
-                self.early.entry((from, time)).or_default().sync = true;
+                self.file_early(from, time, None);
             }
             DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {}
             other => {
@@ -1791,7 +1162,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             body: replica.data().to_vec(),
             wants_ack: false,
         };
-        self.send_msg(peer, msg)
+        self.session.send(peer, msg)
     }
 
     /// Pushes an object's full body to `peer` and blocks until the peer
@@ -1808,7 +1179,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             body: replica.data().to_vec(),
             wants_ack: true,
         };
-        self.send_msg(peer, msg)?;
+        self.session.send(peer, msg)?;
         let target = self.acks_received + 1;
         while self.acks_received < target {
             match self.recv_event()? {
@@ -1829,7 +1200,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport errors.
     pub fn async_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
-        self.send_msg(peer, DsoMessage::GetReq { object: id })
+        self.session.send(peer, DsoMessage::GetReq { object: id })
     }
 
     /// Pulls an object's current body from `peer`, blocking until it
@@ -1841,7 +1212,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport errors.
     pub fn sync_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
-        self.send_msg(peer, DsoMessage::GetReq { object: id })?;
+        self.session.send(peer, DsoMessage::GetReq { object: id })?;
         loop {
             match self.recv_event()? {
                 Event::GetRep { from, object } if from == peer && object == id => return Ok(()),
@@ -1865,7 +1236,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         class: MsgClass,
         bytes: Vec<u8>,
     ) -> Result<(), DsoError> {
-        self.send_msg(peer, DsoMessage::App { class, bytes })
+        self.session.send(peer, DsoMessage::App { class, bytes })
     }
 
     /// Blocks until the next protocol-layer message arrives, servicing
@@ -1917,7 +1288,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// traffic.
     pub fn recv_event(&mut self) -> Result<Event, DsoError> {
         loop {
-            let (from, msg) = self.next_msg_blocking()?;
+            let (from, msg) = self.session.recv(&self.store)?;
             if let Some(event) = self.dispatch(from, msg)? {
                 return Ok(event);
             }
@@ -1931,7 +1302,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// Returns transport errors or a protocol violation on rendezvous
     /// traffic.
     pub fn try_recv_event(&mut self) -> Result<Option<Event>, DsoError> {
-        while let Some((from, msg)) = self.next_msg_try()? {
+        while let Some((from, msg)) = self.session.recv_now(&self.store)? {
             if let Some(event) = self.dispatch(from, msg)? {
                 return Ok(Some(event));
             }
@@ -1947,7 +1318,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.lamport = self.lamport.max(version.time.as_ticks());
                 self.store.replace_if_newer(object, &body, version)?;
                 if wants_ack {
-                    self.send_msg(from, DsoMessage::Ack)?;
+                    self.session.send(from, DsoMessage::Ack)?;
                 }
                 Ok(None)
             }
@@ -1958,7 +1329,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     version: replica.version(),
                     body: replica.data().to_vec(),
                 };
-                self.send_msg(from, rep)?;
+                self.session.send(from, rep)?;
                 Ok(None)
             }
             DsoMessage::GetRep { object, version, body } => {
@@ -1980,81 +1351,15 @@ impl<E: Endpoint> SdsoRuntime<E> {
             DsoMessage::Data { .. } | DsoMessage::Sync { .. } => Err(DsoError::ProtocolViolation(
                 format!("rendezvous message from {from} outside an exchange"),
             )),
-            DsoMessage::Env { .. } | DsoMessage::SeqAck { .. } => Err(DsoError::ProtocolViolation(
-                format!("reliability-layer message from {from} reached dispatch"),
-            )),
-            // Consumed (offer) or resolved into plain `Data` (compressed
-            // batch) by `deliver` at admission; reaching dispatch means a
-            // receive path skipped the codec layer.
-            DsoMessage::CodecOffer { .. } | DsoMessage::Data2 { .. } => {
-                Err(DsoError::ProtocolViolation(format!(
-                    "codec-layer message from {from} reached dispatch"
-                )))
-            }
+            // Envelopes, sequence acks, codec offers and compressed batches
+            // are the session's vocabulary, consumed or resolved into plain
+            // `Data` below this layer; one reaching dispatch means a receive
+            // path skipped the session.
+            other => Err(DsoError::ProtocolViolation(format!(
+                "session-layer message {other:?} from {from} reached dispatch"
+            ))),
         }
     }
-
-    fn send_msg(&mut self, peer: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
-        // Suppress protocol traffic to non-members: a departed peer will
-        // never consume it, and queueing it on the reliability layer would
-        // leave permanently-unackable state. Sequence acks are exempt —
-        // they are what lets a leaver's final settle converge.
-        if !self.view.contains(peer) && !matches!(msg, DsoMessage::SeqAck { .. }) {
-            self.counters.non_member_dropped.inc();
-            return Ok(());
-        }
-        let payload = self.wrap_for_send(peer, msg);
-        self.endpoint.send(peer, payload).map_err(DsoError::Net)
-    }
-
-    /// Sends several messages to `peer`, flushing them as one batched
-    /// transport write when [`DsoConfig::batch_frames`] is on. Message
-    /// content, order, and per-message accounting are identical to sending
-    /// each with [`SdsoRuntime::send_msg`]; only the number of underlying
-    /// transport writes changes.
-    fn send_msgs(&mut self, peer: NodeId, msgs: Vec<DsoMessage>) -> Result<(), DsoError> {
-        if !self.config.batch_frames || msgs.len() < 2 {
-            for msg in msgs {
-                self.send_msg(peer, msg)?;
-            }
-            return Ok(());
-        }
-        // Exchange batches never carry SeqAck, so suppression is all-or-none.
-        if !self.view.contains(peer) {
-            self.counters.non_member_dropped.add(msgs.len() as u64);
-            return Ok(());
-        }
-        let mut payloads = Vec::with_capacity(msgs.len());
-        for msg in msgs {
-            payloads.push(self.wrap_for_send(peer, msg));
-        }
-        self.endpoint.send_batch(peer, payloads).map_err(DsoError::Net)
-    }
-
-    /// Wraps `msg` in the reliability envelope (when configured) and encodes
-    /// it for the wire. Callers must have done non-member suppression.
-    fn wrap_for_send(&mut self, peer: NodeId, msg: DsoMessage) -> Payload {
-        let msg = match &mut self.arq {
-            // Acks police the sequenced stream and must not join it.
-            Some(arq) if !matches!(msg, DsoMessage::SeqAck { .. }) => {
-                let p = usize::from(peer);
-                let seq = arq.tx_seq[p];
-                arq.tx_seq[p] += 1;
-                arq.unacked[p].insert(seq, msg.clone());
-                DsoMessage::Env { seq, inner: Box::new(msg) }
-            }
-            _ => msg,
-        };
-        msg.into_payload(self.config.frame_wire_len)
-    }
-}
-
-/// Hands a fully-consumed incoming payload's storage back to the global
-/// buffer pool, closing the pooled-encode recycle loop. A no-op when the
-/// bytes are still shared (e.g. a fault layer kept a duplicate) or the
-/// pool is full.
-fn reclaim_incoming(payload: Payload) {
-    sdso_net::pool::global().reclaim(payload.bytes);
 }
 
 #[cfg(test)]
@@ -2180,7 +1485,7 @@ mod tests {
             if me == 0 {
                 // What drain_departures does when node 1's link flaps:
                 // forget the negotiation, restart the compressed stream.
-                rt.downgrade_link_codec(1);
+                rt.session.reset(1, Reset::Flapped);
             }
             let before = rt.metrics().codec_v2_sent;
             step(rt); // Node 0 re-offers; its data goes v1 this round.
@@ -2235,7 +1540,7 @@ mod tests {
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
         assert!(rt.drain_departures().is_none(), "no link events before any traffic");
         // Sending into the closed channel surfaces the dead link.
-        assert!(rt.endpoint_mut().send(2, Payload::control(vec![0u8])).is_err());
+        assert!(rt.endpoint_mut().send(2, sdso_net::Payload::control(vec![0u8])).is_err());
         assert_eq!(rt.drain_departures(), Some(ViewChange::leave([2])));
         assert!(rt.drain_departures().is_none(), "the drain consumes its events");
     }
@@ -2406,7 +1711,7 @@ mod tests {
     fn lossy_exchange_recovers_via_resync() {
         use sdso_net::{FaultPlan, FaultyEndpoint};
         let plan = FaultPlan::new(7).with_drop(0.3).with_dup(0.1);
-        let retry = RetryConfig { rto: SimSpan::from_millis(5), max_retries: 400 };
+        let retry = crate::RetryConfig { rto: SimSpan::from_millis(5), max_retries: 400 };
         let cfg = DsoConfig::compact().with_reliability(Some(retry));
         let runtimes: Vec<_> = MemoryHub::new(2)
             .into_endpoints()
