@@ -3,16 +3,30 @@ use sdso_net::{SimSpan, TransportKind};
 /// Retransmission tuning for the runtime's optional reliability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryConfig {
-    /// How long a blocking wait lasts before unacknowledged traffic is
-    /// retransmitted (the paper's `resync` path, triggered by a timeout
-    /// instead of hanging on a lost rendezvous message).
+    /// The seed and the floor of each link's retransmission timeout. A
+    /// link times its own round trips and waits SRTT + max(4·RTTVAR, `rto`)
+    /// for an ack before it retransmits (the paper's `resync` path,
+    /// triggered by a timeout instead of hanging on a lost rendezvous
+    /// message); before its first sample it estimates as if that sample
+    /// had been `rto`, and every expiry doubles the wait (six times at
+    /// most) until a fresh frame is acknowledged. Half of `rto` is also the
+    /// slack of a delayed ack: an owed ack waits for a frame to ride on
+    /// that much longer than acks on its link have usually taken, before it
+    /// travels alone — inside the floor the peer's timeout allows on top of
+    /// those very latencies, so a delayed ack is never mistaken for a loss.
     pub rto: SimSpan,
-    /// Consecutive silent timeout rounds tolerated before a blocking wait
-    /// fails with [`crate::DsoError::Timeout`].
+    /// Consecutive unanswered rounds tolerated before a blocking wait
+    /// fails with [`crate::DsoError::Timeout`]: retransmission rounds on
+    /// one link with no fresh frame acknowledged in between, or idle
+    /// rounds — nothing unacknowledged, nothing arriving, each twice as
+    /// long as the last.
     pub max_retries: u32,
 }
 
 impl Default for RetryConfig {
+    /// A 20 ms floor: several round trips of a LAN, and short next to the
+    /// 42 ms a 16-node exchange takes on the paper's 10 Mbps testbed — the
+    /// estimator, not the default, is what adapts a link to its network.
     fn default() -> Self {
         RetryConfig { rto: SimSpan::from_millis(20), max_retries: 50 }
     }

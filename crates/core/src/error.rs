@@ -28,11 +28,22 @@ pub enum DsoError {
     /// A peer violated the exchange protocol (e.g. a message stamped in the
     /// logical past, or an unexpected message kind during a rendezvous).
     ProtocolViolation(String),
-    /// A reliability-layer blocking wait exhausted its retry budget without
-    /// hearing anything from the network.
+    /// A reliability-layer blocking wait exhausted its retry budget: a
+    /// link went that many retransmission rounds unanswered, or as many
+    /// idle rounds passed without hearing anything from the network.
     Timeout {
-        /// Retransmission rounds performed before giving up.
+        /// Consecutive unanswered rounds before giving up.
         retries: u32,
+    },
+    /// A send found the reliability layer's window to `peer` full: that
+    /// many frames are sent and unacknowledged, so the peer has stopped
+    /// acknowledging (or consuming) and queueing more would only grow
+    /// memory. Raised by the send path instead of buffering without limit.
+    WindowFull {
+        /// The peer whose link is full.
+        peer: NodeId,
+        /// Frames held unacknowledged on the link.
+        unacked: usize,
     },
     /// A bounded rendezvous wait ran out of budget with peers still owing
     /// their `(data, SYNC)` pair, and the caller had no membership-level
@@ -60,6 +71,9 @@ impl fmt::Display for DsoError {
             DsoError::ProtocolViolation(msg) => write!(f, "protocol violation: {msg}"),
             DsoError::Timeout { retries } => {
                 write!(f, "gave up after {retries} retransmission rounds with no incoming traffic")
+            }
+            DsoError::WindowFull { peer, unacked } => {
+                write!(f, "send window to peer {peer} is full: {unacked} frames unacknowledged")
             }
             DsoError::PeerUnresponsive { peers, waited } => {
                 write!(f, "peers {peers:?} unresponsive after a {waited:?} bounded rendezvous")

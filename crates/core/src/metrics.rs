@@ -27,8 +27,8 @@ pub struct DsoMetrics {
     /// Messages that arrived stamped in the logical future and were
     /// buffered until their tick.
     pub early_buffered: u64,
-    /// Blocking waits that timed out and triggered the resync path
-    /// (retransmission of all unacknowledged traffic).
+    /// Link retransmission deadlines that expired and triggered the resync
+    /// path (retransmission of that link's unacknowledged traffic).
     pub resyncs: u64,
     /// Individual messages retransmitted by the reliability layer.
     pub retransmits: u64,
@@ -39,6 +39,12 @@ pub struct DsoMetrics {
     /// peer permanently disconnected mid-retransmit: the peer finished
     /// and tore its endpoint down, so its unacked queue is undeliverable.
     pub links_abandoned: u64,
+    /// Owed acknowledgements that rode a sequenced frame already going the
+    /// peer's way — the free ones.
+    pub acks_piggybacked: u64,
+    /// Acknowledgements sent as frames of their own (nothing went the
+    /// peer's way within the ack delay, a duplicate or gap, a settle).
+    pub acks_standalone: u64,
     /// View changes applied (join/leave barriers crossed).
     pub view_changes: u64,
     /// Rendezvous messages dropped because they were stamped with a stale
@@ -92,6 +98,8 @@ impl DsoMetrics {
             retransmits: self.retransmits + other.retransmits,
             duplicates_dropped: self.duplicates_dropped + other.duplicates_dropped,
             links_abandoned: self.links_abandoned + other.links_abandoned,
+            acks_piggybacked: self.acks_piggybacked + other.acks_piggybacked,
+            acks_standalone: self.acks_standalone + other.acks_standalone,
             view_changes: self.view_changes + other.view_changes,
             cross_epoch_dropped: self.cross_epoch_dropped + other.cross_epoch_dropped,
             slots_compacted: self.slots_compacted + other.slots_compacted,
@@ -133,6 +141,8 @@ pub(crate) struct DsoCounters {
     pub(crate) retransmits: Counter,
     pub(crate) duplicates_dropped: Counter,
     pub(crate) links_abandoned: Counter,
+    pub(crate) acks_piggybacked: Counter,
+    pub(crate) acks_standalone: Counter,
     pub(crate) view_changes: Counter,
     pub(crate) cross_epoch_dropped: Counter,
     pub(crate) slots_compacted: Counter,
@@ -165,6 +175,8 @@ impl DsoCounters {
             retransmits: registry.counter("dso.retransmits"),
             duplicates_dropped: registry.counter("dso.duplicates_dropped"),
             links_abandoned: registry.counter("dso.links_abandoned"),
+            acks_piggybacked: registry.counter("dso.acks_piggybacked"),
+            acks_standalone: registry.counter("dso.acks_standalone"),
             view_changes: registry.counter("dso.member.view_changes"),
             cross_epoch_dropped: registry.counter("dso.member.cross_epoch_dropped"),
             slots_compacted: registry.counter("dso.member.slots_compacted"),
@@ -196,6 +208,8 @@ impl DsoCounters {
             retransmits: self.retransmits.get(),
             duplicates_dropped: self.duplicates_dropped.get(),
             links_abandoned: self.links_abandoned.get(),
+            acks_piggybacked: self.acks_piggybacked.get(),
+            acks_standalone: self.acks_standalone.get(),
             view_changes: self.view_changes.get(),
             cross_epoch_dropped: self.cross_epoch_dropped.get(),
             slots_compacted: self.slots_compacted.get(),

@@ -4,11 +4,17 @@
 //!
 //! This is the reliable channel beneath the algorithm. The kernel in
 //! [`crate::runtime`] hands logical messages to [`Session::send`] and takes
-//! them from the `recv*` family; sequencing, acknowledgement,
-//! retransmit-on-timeout (the paper's `resync` path), codec negotiation and
-//! the XOR shadows never leave this module. Every reset of per-peer state
-//! goes through [`Link::reset`], whose body is the only table of which
-//! fields each reason clears.
+//! them from the `recv*` family; sequencing, acknowledgement, retransmission
+//! (the paper's `resync` path), codec negotiation and the XOR shadows never
+//! leave this module. Every reset of per-peer state goes through
+//! [`Link::reset`], the only table of which fields each reason clears.
+//!
+//! The ARQ is a sliding window that is free while nothing is lost: acks
+//! ride the frames going the other way (alone only after
+//! [`Link::ack_delay`]), and each link times its own round trips and
+//! retransmits alone. Its timers run on time this process spent listening
+//! and are served when a receive finds the transport silent: a frame that
+//! already arrived may carry the very ack a timer is missing.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -18,7 +24,7 @@ use sdso_obs::{EventKind, Obs};
 
 use crate::clock::LogicalTime;
 use crate::codec::{self, ShadowState, CODEC_V2};
-use crate::config::DsoConfig;
+use crate::config::{DsoConfig, RetryConfig};
 use crate::error::DsoError;
 use crate::metrics::DsoCounters;
 use crate::object::ObjectId;
@@ -27,6 +33,30 @@ use crate::wire::{DsoMessage, WireUpdate};
 
 /// A logical message and the peer it came from.
 pub(crate) type Delivery = (NodeId, DsoMessage);
+
+/// Frames a link may hold unacknowledged before a send fails with `WindowFull`.
+const WINDOW: usize = 4096;
+
+/// Doublings a retransmission timeout, or an idle receive's wait, backs off by.
+const MAX_BACKOFF: u32 = 6;
+
+/// Unanswered rounds a settle spends on one link: its peer has then exited.
+const SETTLE_ROUNDS: u32 = 32;
+
+/// Folds one ack latency (µs) into a Jacobson estimate of it: the smoothed
+/// mean and the mean deviation.
+fn observe(estimate: &mut Option<(u64, u64)>, sample: u64) {
+    *estimate = Some(match *estimate {
+        None => (sample, sample / 2),
+        Some((mean, dev)) => ((7 * mean + sample) / 8, (3 * dev + mean.abs_diff(sample)) / 4),
+    });
+}
+
+/// `rto` doubled once per unanswered round, at most [`MAX_BACKOFF`] times:
+/// the policy of [`sdso_net::Backoff`], over a base that moves.
+fn backed_off(rto: SimSpan, rounds: u32) -> SimSpan {
+    SimSpan::from_micros(rto.as_micros() << rounds.min(MAX_BACKOFF))
+}
 
 /// Why a link's state is being reset (see [`Link::reset`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,26 +67,41 @@ pub(crate) enum Reset {
     /// The transport reported a reconnect flap: the peer may have
     /// restarted, losing its XOR shadows and its knowledge of our offer.
     Flapped,
-    /// A retransmission found the peer permanently disconnected: it
-    /// finished its run, so what is unacknowledged is residue (acks lost
-    /// in the shutdown race), not recoverable traffic.
+    /// A retransmission found the peer permanently disconnected: it finished
+    /// its run, so what is unacknowledged is residue, not recoverable traffic.
     Abandoned,
 }
 
 /// Everything this process remembers about its link with one peer: ARQ
-/// sequencing in both directions and the wire codec negotiated on it. The
-/// ARQ fields only move when reliability is configured, the codec fields
-/// only when [`crate::WireConfig::codec_v2`] is.
+/// sequencing both ways (moved only when reliability is configured) and the
+/// wire codec negotiated on it (only when [`crate::WireConfig::codec_v2`] is).
 #[derive(Debug, Default)]
 pub(crate) struct Link {
     /// Next sequence number to assign to an outgoing message.
     tx_seq: u64,
-    /// Sent but unacknowledged messages, by sequence.
-    unacked: BTreeMap<u64, DsoMessage>,
+    /// Sent but unacknowledged messages, and when each first went out.
+    unacked: BTreeMap<u64, (SimInstant, DsoMessage)>,
+    /// When the oldest unacknowledged frame counts as lost, if any is.
+    deadline: Option<SimInstant>,
+    /// How long the peer's acks take ([`observe`]d round trips), once sampled.
+    rtt: Option<(u64, u64)>,
+    /// Deadlines expired since the last sample: the timeout's doublings,
+    /// and the rounds unanswered that `max_retries` bounds.
+    expiries: u32,
+    /// Sequence numbers below this were retransmitted: an ack for one is
+    /// ambiguous and gives no sample (Karn's rule).
+    resent_below: u64,
     /// Next sequence number expected from the peer.
     rx_next: u64,
     /// Out-of-order arrivals waiting for their predecessors.
     ooo: BTreeMap<u64, DsoMessage>,
+    /// Since when the peer is owed an ack that no frame has carried yet.
+    ack_owed: Option<SimInstant>,
+    /// How long this side's acks take: what the peer's `rtt` sees, less transit.
+    lag: Option<(u64, u64)>,
+    /// How long the last ack sent alone had waited; it counts in `lag` once
+    /// a frame follows that could have carried it.
+    alone: Option<u64>,
     /// Highest codec version the peer has offered; `None` until its
     /// [`DsoMessage::CodecOffer`] arrives — sends stay v1 until then.
     peer_version: Option<u8>,
@@ -71,18 +116,16 @@ pub(crate) struct Link {
 impl Link {
     /// The one reset entry point. Which fields each reason clears:
     ///
-    /// | reason      | `tx_seq` `rx_next` `ooo` | `unacked` | `peer_version` `offered` `tx` | `rx` |
-    /// |-------------|--------------------------|-----------|-------------------------------|------|
-    /// | `Left`      | cleared                  | cleared   | cleared                       | cleared |
-    /// | `Flapped`   | kept                     | kept      | cleared                       | kept |
-    /// | `Abandoned` | kept                     | cleared   | kept                          | kept |
+    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` | `peer_version` `offered` `tx` | `rx` |
+    /// |-------------|-----------|-----------|-----------|---------|
+    /// | `Left`      | cleared   | cleared   | cleared   | cleared |
+    /// | `Flapped`   | kept      | kept      | cleared   | kept    |
+    /// | `Abandoned` | kept      | cleared   | kept      | kept    |
     ///
-    /// A flap keeps the receive shadows on purpose: frames the peer
-    /// encoded before the flap may still be in flight or be retransmitted,
-    /// and must decode against the shadows they were built on. If the peer
-    /// really restarted, its first fresh `Data2` carries basis 0, which
-    /// restarts the receive side where it is decoded
-    /// ([`Session::deliver`]).
+    /// A flap keeps the receive shadows on purpose: frames the peer encoded
+    /// before it may still be in flight or be retransmitted, and must decode
+    /// against the shadows they were built on. If the peer really restarted,
+    /// its first fresh `Data2` carries basis 0 ([`Session::deliver`]).
     pub(crate) fn reset(&mut self, why: Reset) {
         match why {
             Reset::Left => *self = Link::default(),
@@ -91,17 +134,57 @@ impl Link {
                 self.offered = false;
                 self.tx.reset();
             }
-            Reset::Abandoned => self.unacked.clear(),
+            Reset::Abandoned => {
+                self.unacked.clear();
+                self.deadline = None;
+            }
         }
     }
 
-    /// Puts `msg` in the next sequenced envelope, keeping a copy until the
-    /// peer acknowledges it.
-    fn sequence(&mut self, msg: DsoMessage) -> DsoMessage {
+    /// The retransmission timeout: SRTT + max(4·RTTVAR, `cfg.rto`) —
+    /// estimated, before the first sample, as if that sample had been
+    /// `cfg.rto` — doubled per expiry since the last sample.
+    fn rto(&self, cfg: &RetryConfig) -> SimSpan {
+        let floor = cfg.rto.as_micros();
+        let (srtt, var) = self.rtt.unwrap_or((floor, floor / 2));
+        backed_off(SimSpan::from_micros(srtt + (4 * var).max(floor)), self.expiries)
+    }
+
+    /// How long an owed ack waits for a frame to ride on before it travels
+    /// alone: half the RTO floor longer than this side's acks usually take
+    /// (the peer's timeout is its own smoothed view of those latencies plus at
+    /// least the whole floor: never a loss), and no longer than any backoff.
+    fn ack_delay(&self, cfg: &RetryConfig) -> SimSpan {
+        let usual = self.lag.map_or(0, |(usual, _)| usual);
+        SimSpan::from_micros(usual + cfg.rto.as_micros() / 2).min(backed_off(cfg.rto, MAX_BACKOFF))
+    }
+
+    /// Assigns `msg` the next sequence number, keeping a copy until the
+    /// peer acknowledges it and arming the deadline if none is running.
+    fn sequence(&mut self, msg: &DsoMessage, now: SimInstant, cfg: &RetryConfig) -> u64 {
         let seq = self.tx_seq;
         self.tx_seq += 1;
-        self.unacked.insert(seq, msg.clone());
-        DsoMessage::Env { seq, inner: Box::new(msg) }
+        self.unacked.insert(seq, (now, msg.clone()));
+        self.deadline.get_or_insert(now + self.rto(cfg));
+        seq
+    }
+
+    /// The peer holds everything below `next`: forget it, restart the deadline
+    /// for what is left, and sample the round trip of the oldest
+    /// never-retransmitted frame it covers, which also ends the backoff. An ack
+    /// for more than this link ever sent was for the slot's previous occupant.
+    fn acked(&mut self, next: u64, now: SimInstant, cfg: &RetryConfig) {
+        let news = self.unacked.first_key_value().is_some_and(|(&oldest, _)| oldest < next);
+        if !news || next > self.tx_seq {
+            return;
+        }
+        let fresh = self.resent_below.min(next)..next;
+        if let Some((_, &(sent, _))) = self.unacked.range(fresh).next() {
+            observe(&mut self.rtt, now.saturating_since(sent).as_micros());
+            self.expiries = 0;
+        }
+        self.unacked.retain(|&s, _| s >= next);
+        self.deadline = (!self.unacked.is_empty()).then(|| now + self.rto(cfg));
     }
 
     /// Files the peer's `seq`-th message and returns what became
@@ -160,6 +243,8 @@ pub(crate) struct Session<E: Endpoint> {
     /// The kernel's current view: who may be sent to, and which epoch
     /// separates live traffic from a departed member's residue.
     view: MembershipView,
+    /// When this process last took from the transport, or was about to wait.
+    heard: SimInstant,
     obs: Obs,
     counters: DsoCounters,
 }
@@ -173,6 +258,7 @@ impl<E: Endpoint> Session<E> {
             links: (0..n).map(|_| Link::default()).collect(),
             ready: VecDeque::new(),
             view: MembershipView::full(n),
+            heard: SimInstant::ZERO,
             obs,
             counters,
         }
@@ -197,32 +283,26 @@ impl<E: Endpoint> Session<E> {
         self.ready.pop_front()
     }
 
-    // ------------------------------------------------------------------
-    // Sending
-    // ------------------------------------------------------------------
+    // ---- Sending ----
 
     /// Sends one logical message to `peer`.
     pub(crate) fn send(&mut self, peer: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         // Suppress protocol traffic to non-members: a departed peer will
         // never consume it, and queueing it on the reliability layer would
-        // leave permanently-unackable state. Sequence acks are exempt —
-        // they are what lets a leaver's final settle converge.
-        if !self.view.contains(peer) && !matches!(msg, DsoMessage::SeqAck { .. }) {
+        // leave permanently-unackable state.
+        if !self.view.contains(peer) {
             self.counters.non_member_dropped.inc();
             return Ok(());
         }
-        let payload = self.wrap(peer, msg);
+        let payload = self.wrap(peer, msg)?;
         self.endpoint.send(peer, payload).map_err(DsoError::Net)
     }
 
     /// Sends one exchange's traffic to `peer` — the `(data, SYNC)` pair of
-    /// Fig. 4 stamped with the view's epoch, the data half omitted when
-    /// there is nothing to report and compressed when the link negotiated
-    /// it, with this process's codec offer in front while it is still owed
-    /// — as one batched transport write. Message content, order, and
-    /// per-message accounting are identical to sending each with
-    /// [`Session::send`]; only the number of underlying transport writes
-    /// changes.
+    /// Fig. 4 stamped with the view's epoch, the data half omitted when empty
+    /// and compressed when the link negotiated it, this process's codec offer
+    /// in front while it is still owed — as one batched transport write.
+    /// Content, order and accounting are those of [`Session::send`] per message.
     pub(crate) fn send_rendezvous(
         &mut self,
         peer: NodeId,
@@ -245,30 +325,71 @@ impl<E: Endpoint> Session<E> {
         if msgs.len() < 2 {
             return msgs.into_iter().try_for_each(|msg| self.send(peer, msg));
         }
-        // Exchange batches never carry SeqAck, so suppression is all-or-none.
         if !self.view.contains(peer) {
             self.counters.non_member_dropped.add(msgs.len() as u64);
             return Ok(());
         }
-        let payloads = msgs.into_iter().map(|msg| self.wrap(peer, msg)).collect();
+        let payloads =
+            msgs.into_iter().map(|msg| self.wrap(peer, msg)).collect::<Result<_, _>>()?;
         self.endpoint.send_batch(peer, payloads).map_err(DsoError::Net)
     }
 
-    /// Wraps `msg` in the reliability envelope (when configured) and encodes
-    /// it for the wire. Callers must have done non-member suppression.
-    fn wrap(&mut self, peer: NodeId, msg: DsoMessage) -> Payload {
-        // Acks police the sequenced stream and must not join it.
-        let sequenced =
-            self.config.reliability.is_some() && !matches!(msg, DsoMessage::SeqAck { .. });
-        let msg = if sequenced { self.links[usize::from(peer)].sequence(msg) } else { msg };
-        msg.into_payload(self.config.frame_wire_len)
+    /// Sequences `msg` on `peer`'s link (when reliability is configured) and
+    /// encodes it for the wire. Callers have done non-member suppression.
+    fn wrap(&mut self, peer: NodeId, msg: DsoMessage) -> Result<Payload, DsoError> {
+        let Some(cfg) = self.config.reliability else {
+            return Ok(msg.into_payload(self.config.frame_wire_len));
+        };
+        let link = &mut self.links[usize::from(peer)];
+        if link.unacked.len() >= WINDOW {
+            return Err(DsoError::WindowFull { peer, unacked: link.unacked.len() });
+        }
+        let seq = link.sequence(&msg, self.endpoint.now(), &cfg);
+        Ok(self.envelope(peer, seq, msg))
     }
 
-    /// Builds the data message for one exchange send: the compressed v2
-    /// `Data2` when the peer has negotiated it — falling back to the
-    /// absolute v1 `Data` when a run exceeds the decoder's inflation
-    /// budget or an XOR shadow cannot be seeded — and plain v1 `Data`
-    /// before negotiation completes.
+    /// Encodes the `seq`-th message to `peer` in its envelope, whose
+    /// cumulative ack carries whatever ack was owed for free.
+    fn envelope(&mut self, peer: NodeId, seq: u64, inner: DsoMessage) -> Payload {
+        let now = self.endpoint.now();
+        let link = &mut self.links[usize::from(peer)];
+        if let Some(waited) = link.alone.take() {
+            observe(&mut link.lag, waited);
+        }
+        if let Some(since) = link.ack_owed.take() {
+            observe(&mut link.lag, now.saturating_since(since).as_micros());
+            self.counters.acks_piggybacked.inc();
+        }
+        DsoMessage::Env { seq, ack: link.rx_next, inner: Box::new(inner) }
+            .into_payload(self.config.frame_wire_len)
+    }
+
+    /// Tells `peer` where its stream stands, in a frame of its own.
+    fn ack(&mut self, peer: NodeId) -> Result<(), DsoError> {
+        let now = self.endpoint.now();
+        let link = &mut self.links[usize::from(peer)];
+        if let Some(since) = link.ack_owed.take() {
+            link.alone = Some(now.saturating_since(since).as_micros());
+        }
+        let next = link.rx_next;
+        self.send_ack(peer, next)
+    }
+
+    fn send_ack(&mut self, peer: NodeId, next: u64) -> Result<(), DsoError> {
+        self.counters.acks_standalone.inc();
+        let payload = DsoMessage::SeqAck { next }.into_payload(self.config.frame_wire_len);
+        match self.endpoint.send(peer, payload) {
+            // The peer may have exited since its frame went out (it sat in
+            // our rx queue): an ack nobody is left to consume is not owed.
+            Ok(()) | Err(NetError::Disconnected) => Ok(()),
+            Err(e) => Err(DsoError::Net(e)),
+        }
+    }
+
+    /// Builds the data message for one exchange send: the compressed `Data2`
+    /// once the peer has negotiated v2 — falling back to the absolute `Data`
+    /// when a run exceeds the decoder's inflation budget or an XOR shadow
+    /// cannot be seeded — and plain `Data` before.
     fn encode_data(
         &mut self,
         peer: NodeId,
@@ -291,19 +412,13 @@ impl<E: Endpoint> Session<E> {
         DsoMessage::Data { epoch, time, updates }
     }
 
-    // ------------------------------------------------------------------
-    // Receiving: one step, driven by seven stop rules
-    // ------------------------------------------------------------------
+    // ---- Receiving: one step, driven by seven stop rules ----
 
     /// The one receive step: take at most one frame off the transport, run
-    /// it through the link ([`Session::admit`]), and hand the consumed
-    /// payload's storage back to the global buffer pool, closing the
-    /// pooled-encode recycle loop (a no-op when the bytes are still shared,
-    /// e.g. a fault layer kept a duplicate, or the pool is full).
-    ///
-    /// With a `residue` counter the step also discards — and counts there —
-    /// what a restarted process must never admit (see
-    /// [`Session::drain_residue`]).
+    /// it through the link ([`Session::admit`]), and hand the payload's
+    /// storage back to the global buffer pool (a no-op while the bytes are
+    /// shared or the pool is full). With a `residue` counter it also discards,
+    /// and counts there, what [`Session::drain_residue`] must never admit.
     fn step(
         &mut self,
         wait: Wait,
@@ -315,6 +430,7 @@ impl<E: Endpoint> Session<E> {
             Wait::For(span) => self.endpoint.recv_deadline(span),
             Wait::Poll => self.endpoint.try_recv(),
         };
+        self.heard = self.endpoint.now();
         let Some(Incoming { from, payload }) = arrived.map_err(DsoError::Net)? else {
             return Ok(Step::Silent);
         };
@@ -336,53 +452,49 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Runs one decoded frame through the reliability layer, returning the
-    /// next in-order logical message if this arrival produced one. Without
-    /// a reliability config every frame passes straight to the codec layer
-    /// (so offers are still consumed and compressed batches resolve).
+    /// next in-order logical message if this arrival produced one. Without a
+    /// reliability config every frame passes straight to the codec layer.
     fn admit(
         &mut self,
         from: NodeId,
         msg: DsoMessage,
         store: &ObjectStore,
     ) -> Result<Option<Delivery>, DsoError> {
-        if self.config.reliability.is_none() {
-            return self.deliver(from, msg, store);
-        }
-        // Residue from a departed member (sequenced traffic stamped with a
-        // past epoch): pretend-ack it so the leaver's settle converges
-        // promptly, but keep its content and sequencing out of the live
-        // per-link state — a joiner reusing the slot starts from zero.
-        if !self.view.contains(from) {
-            if let DsoMessage::Env { seq, ref inner } = msg {
-                if inner.epoch().is_some_and(|e| e < self.view.epoch()) {
-                    self.counters.cross_epoch_dropped.inc();
-                    self.send(from, DsoMessage::SeqAck { next: seq + 1 })?;
-                    return Ok(None);
-                }
+        let Some(cfg) = self.config.reliability else { return self.deliver(from, msg, store) };
+        let now = self.endpoint.now();
+        let link = &mut self.links[usize::from(from)];
+        // Residue of a slot's previous occupant — a departed member's last
+        // frames (a past epoch), or what was retransmitted at this process
+        // while it was down (it acknowledges more than this link ever sent):
+        // pretend-ack it so the sender's settle converges, but keep it out of
+        // the live link state — the slot's new streams start from zero.
+        if let DsoMessage::Env { seq, ack, ref inner } = msg {
+            let past = |epoch| !self.view.contains(from) && epoch < self.view.epoch();
+            if ack > link.tx_seq || inner.epoch().is_some_and(past) {
+                self.counters.cross_epoch_dropped.inc();
+                self.send_ack(from, seq + 1)?;
+                return Ok(None);
             }
         }
-        let link = &mut self.links[usize::from(from)];
         match msg {
-            DsoMessage::Env { seq, inner } => {
+            DsoMessage::Env { seq, ack, inner } => {
+                link.acked(ack, now, &cfg);
                 let chain = link.accept(seq, *inner);
-                if chain.is_none() {
-                    self.counters.duplicates_dropped.inc();
+                if chain.as_ref().is_some_and(|chain| !chain.is_empty()) {
+                    // In order: the ack waits for the next frame that way.
+                    link.ack_owed.get_or_insert(now);
+                } else {
+                    // A duplicate (the peer missed an ack) or a gap (we
+                    // missed a frame): say where the stream stands at once.
+                    if chain.is_none() {
+                        self.counters.duplicates_dropped.inc();
+                    }
+                    self.ack(from)?;
                 }
-                // Cumulative ack; doubles as a gap report when `seq` ran
-                // ahead of `rx_next`. The sender may have exited between
-                // emitting the frame and our ack (its frame sat in our rx
-                // queue) — an ack nobody is left to consume is not owed.
-                let ack = DsoMessage::SeqAck { next: link.rx_next };
-                match self.send(from, ack) {
-                    Err(DsoError::Net(NetError::Disconnected)) => {}
-                    other => other?,
-                }
-                // Codec resolution happens here, after sequencing: this is
-                // the exactly-once point the XOR shadows' lockstep relies
-                // on. The first resolved message is returned directly
-                // (callers consume it before anything queued after it);
-                // the rest queue behind whatever `ready` already holds,
-                // preserving per-link FIFO.
+                // Codec resolution happens here, after sequencing: the
+                // exactly-once point the XOR shadows' lockstep relies on.
+                // The first resolved message is returned (callers consume it
+                // first); the rest queue behind `ready`, keeping per-link FIFO.
                 let mut delivered = None;
                 for m in chain.unwrap_or_default() {
                     if let Some(d) = self.deliver(from, m, store)? {
@@ -396,7 +508,7 @@ impl<E: Endpoint> Session<E> {
                 Ok(delivered)
             }
             DsoMessage::SeqAck { next } => {
-                link.unacked.retain(|&s, _| s >= next);
+                link.acked(next, now, &cfg);
                 Ok(None)
             }
             // A plain message from a peer running without the layer is
@@ -406,10 +518,9 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Resolves codec-layer messages at their exactly-once delivery point:
-    /// consumes a [`DsoMessage::CodecOffer`], decodes a
-    /// [`DsoMessage::Data2`] back into the plain `Data` it compresses
-    /// (advancing this link's receive shadows), and passes everything else
-    /// through untouched.
+    /// consumes a [`DsoMessage::CodecOffer`], decodes a [`DsoMessage::Data2`]
+    /// back into the plain `Data` it compresses (advancing this link's
+    /// receive shadows), and passes everything else through untouched.
     fn deliver(
         &mut self,
         from: NodeId,
@@ -422,13 +533,11 @@ impl<E: Endpoint> Session<E> {
             // encoding v1 toward us. Interop, not an error.
             DsoMessage::CodecOffer { .. } if !self.config.wire.codec_v2 => Ok(None),
             DsoMessage::CodecOffer { version } => {
-                // A *repeat* offer on an already negotiated link means the
-                // peer downgraded its side (link flap, or a restart without
-                // a view change) and no longer knows our version, so our
-                // own offer must cross again before the peer resumes v2
-                // toward us. No storm: the repeat branch only fires when
-                // the sender's `peer_version` is freshly `None`, which
-                // absorbs our reply silently.
+                // A *repeat* offer on a negotiated link means the peer
+                // downgraded its side (a flap, or a restart without a view
+                // change) and no longer knows our version: our offer must
+                // cross again before it resumes v2 toward us. No storm: the
+                // sender's `peer_version` is then `None` and absorbs our reply.
                 let repeat = link.peer_version.replace(version).is_some();
                 if repeat || !link.offered {
                     link.offered = true;
@@ -442,11 +551,10 @@ impl<E: Endpoint> Session<E> {
                 )))
             }
             DsoMessage::Data2 { epoch, time, basis, blob } => {
-                // Basis 0 announces the first batch of a fresh compressed
-                // stream: the peer restarted its transmit shadows (after a
-                // link flap or a process restart). Restart ours to match —
-                // a sender's basis only returns to 0 by reset, never by
-                // wraparound.
+                // Basis 0 announces a fresh compressed stream: the peer
+                // restarted its transmit shadows (a flap or a process
+                // restart). Restart ours to match — a sender's basis only
+                // returns to 0 by reset, never by wraparound.
                 if basis == 0 && link.rx.basis() != 0 {
                     link.rx.reset();
                 }
@@ -459,59 +567,52 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Blocking receive of the next logical message. With reliability
-    /// enabled, waits are bounded by the retransmission timeout: each
-    /// silent timeout resends everything unacknowledged (the `resync`
-    /// path) until traffic flows again or the retry budget runs out.
+    /// Blocking receive of the next logical message. With reliability on it
+    /// sleeps until the earliest link timer and serves it, and fails with
+    /// [`DsoError::Timeout`] once a link went `max_retries` rounds
+    /// unanswered, or after as many idle rounds, each twice the last.
     pub(crate) fn recv(&mut self, store: &ObjectStore) -> Result<Delivery, DsoError> {
-        let Some(cfg) = self.config.reliability else {
-            return self.recv_patiently(store);
-        };
-        if let Some(m) = self.ready.pop_front() {
-            return Ok(m);
-        }
-        let mut silent = 0u32;
-        loop {
-            match self.step(Wait::For(cfg.rto), store, None)? {
-                Step::Delivered(m) => return Ok(m),
-                Step::Absorbed => silent = 0,
-                Step::Silent if silent >= cfg.max_retries => {
-                    return Err(DsoError::Timeout { retries: silent });
-                }
-                Step::Silent => {
-                    silent += 1;
-                    self.resync(silent, None)?;
-                }
-            }
-        }
+        self.recv_next(false, store)
     }
 
-    /// Blocking receive without the silent-round retry budget: for a
-    /// joiner waiting to be admitted, where arbitrarily long silence is
-    /// expected (its join barrier lies at a far-future trigger tick) and
-    /// it holds no unacknowledged traffic whose recovery a timeout would
-    /// drive. A genuine group failure parks this process in the
-    /// transport and surfaces through the scheduler's stall detection
-    /// instead of a spurious retry-budget error.
+    /// Blocking receive without the idle-round budget: for a joiner awaiting
+    /// admission, where arbitrarily long silence is expected. With no link
+    /// timer pending, a genuine group failure parks this process in the
+    /// transport and surfaces through the scheduler's stall detection instead.
     pub(crate) fn recv_patiently(&mut self, store: &ObjectStore) -> Result<Delivery, DsoError> {
+        self.recv_next(true, store)
+    }
+
+    fn recv_next(&mut self, patient: bool, store: &ObjectStore) -> Result<Delivery, DsoError> {
         if let Some(m) = self.ready.pop_front() {
             return Ok(m);
         }
+        let mut idle = 0u32;
         loop {
-            if let Step::Delivered(m) = self.step(Wait::Block, store, None)? {
-                return Ok(m);
+            let timer = self.next_timer();
+            let wait = match (timer, self.config.reliability) {
+                (Some(at), _) => Wait::For(at.saturating_since(self.endpoint.now())),
+                (None, Some(cfg)) if !patient => Wait::For(backed_off(cfg.rto, idle)),
+                _ => Wait::Block,
+            };
+            match self.step(wait, store, None)? {
+                Step::Delivered(m) => return Ok(m),
+                Step::Absorbed => idle = 0,
+                Step::Silent => {
+                    idle += u32::from(timer.is_none());
+                    let rounds = self.serve_timers()?.max(idle);
+                    if self.config.reliability.is_some_and(|cfg| rounds >= cfg.max_retries) {
+                        return Err(DsoError::Timeout { retries: rounds });
+                    }
+                }
             }
         }
     }
 
     /// Receive bounded by a wall/virtual-time `deadline` rather than the
-    /// reliability layer's silent-round budget: used by bounded rendezvous
-    /// waits, where "how long am I willing to wait" is the caller's
-    /// decision, not the link layer's. With reliability enabled the wait
-    /// is sliced at the retransmission timeout so unacked traffic keeps
-    /// being resynced while the budget drains — charged to the caller's
-    /// budget instead of a retry counter; `Ok(None)` means the deadline
-    /// passed without a deliverable message.
+    /// retry budget: for bounded rendezvous waits, where how long to wait is
+    /// the caller's decision. Link timers are served meanwhile; `Ok(None)`
+    /// means the deadline passed with nothing to deliver.
     pub(crate) fn recv_until(
         &mut self,
         deadline: SimInstant,
@@ -520,22 +621,22 @@ impl<E: Endpoint> Session<E> {
         if let Some(m) = self.ready.pop_front() {
             return Ok(Some(m));
         }
-        let rto = self.config.reliability.map(|cfg| cfg.rto);
         loop {
-            let remaining = deadline.saturating_since(self.endpoint.now());
-            if remaining == SimSpan::ZERO {
+            let now = self.endpoint.now();
+            if now >= deadline {
                 return Ok(None);
             }
-            let slice = rto.map_or(remaining, |rto| rto.min(remaining));
-            match self.step(Wait::For(slice), store, None)? {
+            let wake = self.next_timer().map_or(deadline, |at| at.min(deadline));
+            match self.step(Wait::For(wake.saturating_since(now)), store, None)? {
                 Step::Delivered(m) => return Ok(Some(m)),
-                Step::Silent if rto.is_some() => self.resync(0, None)?,
-                Step::Absorbed | Step::Silent => {}
+                Step::Absorbed => {}
+                Step::Silent => drop(self.serve_timers()?),
             }
         }
     }
 
-    /// Non-blocking receive of the next logical message.
+    /// Non-blocking receive of the next logical message; serves the link
+    /// timers once nothing is left to take.
     pub(crate) fn recv_now(&mut self, store: &ObjectStore) -> Result<Option<Delivery>, DsoError> {
         if let Some(m) = self.ready.pop_front() {
             return Ok(Some(m));
@@ -544,41 +645,40 @@ impl<E: Endpoint> Session<E> {
             match self.step(Wait::Poll, store, None)? {
                 Step::Delivered(m) => return Ok(Some(m)),
                 Step::Absorbed => {}
-                Step::Silent => return Ok(None),
+                Step::Silent => return self.serve_timers().map(|_| None),
             }
         }
     }
 
-    /// One receipt of the tail flush ([`crate::SdsoRuntime::settle`]):
-    /// waits, retransmitting on every silent timeout, until a frame
-    /// arrives — `None`, with whatever it delivered at the front of the
-    /// ready queue for the caller to absorb — or the flush is over:
-    /// `Some(true)` once every peer has acknowledged everything this
-    /// process sent (always, without a reliability config), `Some(false)`
-    /// when the retry budget ran out or every other node has finished, so
-    /// nobody is left to ack and what is still unacknowledged is
-    /// undeliverable.
+    /// One receipt of the tail flush ([`crate::SdsoRuntime::settle`]): sends
+    /// every ack still owed, then waits, serving the link timers, until a
+    /// frame arrives — `None`, what it delivered parked at the front of the
+    /// ready queue — or the flush is over: `Some(true)` once every peer has
+    /// acknowledged everything this process sent (always, without a
+    /// reliability config), `Some(false)` when a link went [`SETTLE_ROUNDS`]
+    /// rounds unanswered or every other node has finished.
     pub(crate) fn settle_recv(&mut self, store: &ObjectStore) -> Result<Option<bool>, DsoError> {
-        let Some(cfg) = self.config.reliability else {
-            return Ok(Some(true));
-        };
-        let mut silent = 0u32;
+        let Some(cfg) = self.config.reliability else { return Ok(Some(true)) };
+        for peer in 0..self.links.len() as NodeId {
+            if self.links[usize::from(peer)].ack_owed.is_some() {
+                self.ack(peer)?;
+            }
+        }
         loop {
-            if self.links.iter().all(|link| link.unacked.is_empty()) {
-                return Ok(Some(true));
-            }
-            if silent >= cfg.max_retries {
-                return Ok(Some(false));
-            }
-            match self.step(Wait::For(cfg.rto), store, None) {
+            // No ack is owed, so what timers are left are the deadlines of
+            // links that still hold unacknowledged frames.
+            let Some(deadline) = self.next_timer() else { return Ok(Some(true)) };
+            let wait = Wait::For(deadline.saturating_since(self.endpoint.now()));
+            match self.step(wait, store, None) {
                 Ok(Step::Delivered(m)) => {
                     self.ready.push_front(m);
                     return Ok(None);
                 }
                 Ok(Step::Absorbed) => return Ok(None),
                 Ok(Step::Silent) => {
-                    silent += 1;
-                    self.resync(silent, None)?;
+                    if self.serve_timers()? >= SETTLE_ROUNDS.min(cfg.max_retries) {
+                        return Ok(Some(false));
+                    }
                 }
                 Err(DsoError::Net(NetError::Deadlock(_) | NetError::Disconnected)) => {
                     return Ok(Some(false));
@@ -588,46 +688,42 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Drains the reliability link toward a departing peer: waits
-    /// (retransmitting that link on each timeout) until the peer has
-    /// acknowledged every frame this process sent it. Messages from other
-    /// peers delivered along the way are queued for normal consumption.
-    ///
-    /// Bounded: returns after `LINK_SETTLE_ROUNDS` timeouts even if
-    /// acks never came — the peer then settled and exited already, and
-    /// nothing further is owed on the link.
+    /// Drains the link toward a departing peer: acks what it is owed, then
+    /// waits, serving every link's timers, until it has acknowledged all this
+    /// process sent it or [`SETTLE_ROUNDS`] rounds went unanswered. What other
+    /// peers deliver meanwhile is queued as usual.
     pub(crate) fn settle_link(
         &mut self,
         peer: NodeId,
         store: &ObjectStore,
     ) -> Result<(), DsoError> {
-        const LINK_SETTLE_ROUNDS: u32 = 32;
         let Some(cfg) = self.config.reliability else { return Ok(()) };
-        let mut silent = 0u32;
-        while !self.links[usize::from(peer)].unacked.is_empty()
-            && silent < LINK_SETTLE_ROUNDS.min(cfg.max_retries)
-        {
+        if self.links[usize::from(peer)].ack_owed.is_some() {
+            self.ack(peer)?;
+        }
+        loop {
+            let link = &self.links[usize::from(peer)];
+            if link.deadline.is_none() || link.expiries >= SETTLE_ROUNDS.min(cfg.max_retries) {
+                return Ok(());
+            }
+            let Some(timer) = self.next_timer() else { return Ok(()) };
             let queued = self.ready.len();
-            match self.step(Wait::For(cfg.rto), store, None)? {
+            let wait = Wait::For(timer.saturating_since(self.endpoint.now()));
+            match self.step(wait, store, None)? {
                 // Per-link FIFO: the head goes in front of the successors
                 // `admit` queued behind it.
                 Step::Delivered(m) => self.ready.insert(queued, m),
                 Step::Absorbed => {}
-                Step::Silent => {
-                    silent += 1;
-                    self.resync(silent, Some(peer))?;
-                }
+                Step::Silent => drop(self.serve_timers()?),
             }
         }
-        Ok(())
     }
 
-    /// Discards crash-era residue sitting in a restarted process's receive
-    /// queue (see [`crate::SdsoRuntime::drain_crash_residue`]): any
-    /// sequenced frame stamped before the view's epoch is dropped unacked,
-    /// and so is any ack. Fresh traffic that overtook the drain is admitted
-    /// normally and parked where the blocking receives look first. Returns
-    /// the number of frames dropped; a no-op without a reliability config.
+    /// Discards crash-era residue in a restarted process's receive queue
+    /// ([`crate::SdsoRuntime::drain_crash_residue`]): a sequenced frame stamped
+    /// before the view's epoch is dropped unacked, and so is any ack. Fresh
+    /// traffic that overtook the drain is admitted and parked where the
+    /// blocking receives look first. Returns the frames dropped.
     pub(crate) fn drain_residue(&mut self, store: &ObjectStore) -> Result<u64, DsoError> {
         if self.config.reliability.is_none() {
             return Ok(0);
@@ -644,64 +740,142 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// A silent retransmission timeout — the paper's `resync` path: count
-    /// it, trace it, and resend what is unacknowledged (on `only`'s link,
-    /// or on every member's).
-    fn resync(&mut self, round: u32, only: Option<NodeId>) -> Result<(), DsoError> {
+    /// The earliest instant a link wants attention, for a receive about to
+    /// block: an owed ack's delay running out, or a retransmission deadline.
+    /// If the process comes back from sending or computing, no ack could be
+    /// heard meanwhile and peers in step with it were as busy, so each
+    /// deadline first moves out by the time away — to at most one timeout
+    /// from now. (A receive that only polls never waits: its deadlines run on.)
+    fn next_timer(&mut self) -> Option<SimInstant> {
+        let cfg = self.config.reliability?;
+        let now = self.endpoint.now();
+        let away = now.saturating_since(std::mem::replace(&mut self.heard, now));
+        let timers = self.links.iter_mut().flat_map(|link| {
+            let fresh = now + link.rto(&cfg);
+            link.deadline = link.deadline.map(|at| (at + away).min(fresh));
+            [link.ack_owed.map(|since| since + link.ack_delay(&cfg)), link.deadline]
+        });
+        timers.flatten().min()
+    }
+
+    /// Serves every due link timer, once a receive found the transport silent:
+    /// a link whose deadline passed retransmits, an ack that waited its delay
+    /// travels alone. Returns the most unanswered rounds of any link resent.
+    fn serve_timers(&mut self) -> Result<u32, DsoError> {
+        let Some(cfg) = self.config.reliability else { return Ok(0) };
+        let now = self.endpoint.now();
+        let mut rounds = 0;
+        for peer in 0..self.links.len() as NodeId {
+            if self.links[usize::from(peer)].deadline.is_some_and(|at| at <= now) {
+                rounds = rounds.max(self.retransmit(peer, cfg)?);
+            }
+            let link = &self.links[usize::from(peer)];
+            if link.ack_owed.is_some_and(|since| since + link.ack_delay(&cfg) <= now) {
+                self.ack(peer)?;
+            }
+        }
+        Ok(rounds)
+    }
+
+    /// One link's retransmission round — the paper's `resync` path, for
+    /// the one peer whose ack is overdue: count it, trace it, double the
+    /// timeout, resend what is unacknowledged. Returns its rounds unanswered.
+    fn retransmit(&mut self, peer: NodeId, cfg: RetryConfig) -> Result<u32, DsoError> {
+        let now = self.endpoint.now();
+        let link = &mut self.links[usize::from(peer)];
+        link.expiries += 1;
+        link.resent_below = link.tx_seq;
+        link.deadline = Some(now + link.rto(&cfg));
+        let round = link.expiries;
+        let pending: Vec<(u64, DsoMessage)> =
+            link.unacked.iter().map(|(&seq, (_, msg))| (seq, msg.clone())).collect();
         self.counters.resyncs.inc();
-        self.obs.record(self.endpoint.now().as_micros(), EventKind::Resync, round, 0, 0);
-        let pending: Vec<(NodeId, u64, DsoMessage)> = self
-            .links
-            .iter()
-            .enumerate()
-            .map(|(p, link)| (p as NodeId, link))
-            .filter(|&(p, _)| only.map_or_else(|| self.view.contains(p), |peer| peer == p))
-            .flat_map(|(p, link)| link.unacked.iter().map(move |(&s, m)| (p, s, m.clone())))
-            .collect();
-        for (peer, seq, inner) in pending {
+        self.obs.record(now.as_micros(), EventKind::Resync, round, 0, 0);
+        for (seq, inner) in pending {
             self.counters.retransmits.inc();
-            self.obs.record(
-                self.endpoint.now().as_micros(),
-                EventKind::Retransmit,
-                u32::from(peer),
-                seq as u32,
-                0,
-            );
-            let payload = DsoMessage::Env { seq, inner: Box::new(inner) }
-                .into_payload(self.config.frame_wire_len);
+            self.obs.record(now.as_micros(), EventKind::Retransmit, u32::from(peer), seq as u32, 0);
+            let payload = self.envelope(peer, seq, inner);
             match self.endpoint.send(peer, payload) {
                 Ok(()) => {}
-                // Write the link off instead of turning every subsequent
-                // timeout into a fatal transport error.
+                // The peer finished and tore its endpoint down: write the
+                // link off, once, with whatever else it still held.
                 Err(NetError::Disconnected) => {
                     self.counters.links_abandoned.inc();
                     self.reset(peer, Reset::Abandoned);
+                    break;
                 }
                 Err(e) => return Err(DsoError::Net(e)),
             }
         }
-        Ok(())
+        Ok(round)
     }
 }
 
 /// The Link contract, checked without a kernel: two sessions over an
 /// in-process pair behind a seeded drop/dup/reorder plan, reliability and
-/// codec v2 on. Single-threaded and poll-driven (a retransmission round is
-/// an explicit call, not a wall-clock timeout), so it is deterministic and
+/// codec v2 on. Single-threaded, poll-driven and on a hand-wound clock (a
+/// retransmission round is an explicit call that winds the clock past
+/// every deadline, never a wall-clock timeout), so it is deterministic and
 /// small enough for Miri.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{RetryConfig, WireConfig};
+    use crate::config::WireConfig;
     use crate::diff::Diff;
     use crate::object::Version;
     use sdso_member::ViewChange;
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
-    use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass};
+    use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass, NetMetricsSnapshot};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
-    type Peer = Session<FaultyEndpoint<MemoryEndpoint>>;
+    /// An in-process endpoint on a hand-wound clock shared by both ends:
+    /// time passes only when a test winds it or a bounded wait runs out,
+    /// so every link timer fires exactly where the test puts it.
+    #[derive(Debug)]
+    struct Wound {
+        inner: MemoryEndpoint,
+        micros: Arc<AtomicU64>,
+    }
+
+    impl Endpoint for Wound {
+        fn node_id(&self) -> NodeId {
+            self.inner.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
+            self.inner.send(to, payload)
+        }
+        fn recv(&mut self) -> Result<Incoming, NetError> {
+            self.inner.recv()
+        }
+        fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
+            self.inner.try_recv()
+        }
+        fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
+            let arrived = self.inner.try_recv()?;
+            if arrived.is_none() {
+                self.advance(timeout);
+            }
+            Ok(arrived)
+        }
+        fn advance(&mut self, dt: SimSpan) {
+            self.micros.fetch_add(dt.as_micros(), Ordering::Relaxed);
+        }
+        fn now(&self) -> SimInstant {
+            SimInstant::from_micros(self.micros.load(Ordering::Relaxed))
+        }
+        fn metrics(&self) -> NetMetricsSnapshot {
+            self.inner.metrics()
+        }
+    }
+
+    type Peer = Session<FaultyEndpoint<Wound>>;
 
     const OBJECT: ObjectId = ObjectId(7);
+    const RETRY: RetryConfig = RetryConfig { rto: SimSpan::from_millis(1), max_retries: 8 };
 
     fn lossy() -> FaultPlan {
         FaultPlan::new(0x11AC)
@@ -710,23 +884,37 @@ mod tests {
             .with_reorder(0.2, SimSpan::from_millis(4))
     }
 
-    fn session(endpoint: MemoryEndpoint, plan: &FaultPlan) -> Peer {
-        let retry = RetryConfig { rto: SimSpan::from_millis(1), max_retries: 8 };
+    fn lossless() -> FaultPlan {
+        FaultPlan::new(1)
+    }
+
+    fn session(endpoint: Wound, plan: &FaultPlan) -> Peer {
         let config =
-            DsoConfig::compact().with_reliability(Some(retry)).with_wire(WireConfig::compressed());
+            DsoConfig::compact().with_reliability(Some(RETRY)).with_wire(WireConfig::compressed());
         let obs = Obs::disabled();
         let counters = DsoCounters::in_registry(obs.registry());
         Session::new(FaultyEndpoint::new(endpoint, plan.clone()), config, obs, counters)
     }
 
-    /// Node 0, node 1, and the store both seed their XOR shadows from.
-    fn pair(plan: &FaultPlan) -> (Peer, Peer, ObjectStore) {
-        let mut endpoints = MemoryHub::new(2).into_endpoints();
-        let b = session(endpoints.pop().unwrap(), plan);
-        let a = session(endpoints.pop().unwrap(), plan);
+    /// Nodes `0..n` on one clock, and the store they seed their XOR shadows
+    /// from.
+    fn group(n: usize, plan: &FaultPlan) -> (Vec<Peer>, ObjectStore) {
+        let micros = Arc::new(AtomicU64::new(0));
+        let nodes = MemoryHub::new(n)
+            .into_endpoints()
+            .into_iter()
+            .map(|inner| session(Wound { inner, micros: micros.clone() }, plan))
+            .collect();
         let mut store = ObjectStore::new();
         store.share(OBJECT, vec![0u8; 16]).unwrap();
-        (a, b, store)
+        (nodes, store)
+    }
+
+    /// Node 0, node 1, and their store.
+    fn pair(plan: &FaultPlan) -> (Peer, Peer, ObjectStore) {
+        let (mut nodes, store) = group(2, plan);
+        let b = nodes.pop().unwrap();
+        (nodes.pop().unwrap(), b, store)
     }
 
     /// The one-update batch `who` reports at tick `t`.
@@ -752,18 +940,44 @@ mod tests {
         from.send_rendezvous(to, LogicalTime::from_ticks(t), batch(me, t), store).unwrap();
     }
 
-    /// Takes whatever already arrived, without retransmitting.
+    fn app(byte: u8) -> DsoMessage {
+        DsoMessage::App { class: MsgClass::Control, bytes: vec![byte] }
+    }
+
+    /// Takes whatever already arrived, then serves the timers due on the
+    /// clock as it stands.
     fn poll(s: &mut Peer, store: &ObjectStore, got: &mut Vec<Delivery>) {
         while let Some(d) = s.recv_now(store).unwrap() {
             got.push(d);
         }
     }
 
+    /// Listens for `span`, taking what arrives and serving the timers as
+    /// they fall due.
+    fn listen(s: &mut Peer, span: SimSpan, store: &ObjectStore, got: &mut Vec<Delivery>) {
+        let until = s.endpoint.now() + span;
+        while let Some(d) = s.recv_until(until, store).unwrap() {
+            got.push(d);
+        }
+    }
+
+    /// One forced retransmission round: winds the clock to the last of the
+    /// session's timers and serves them all.
+    fn expire(s: &mut Peer) {
+        let timers = s.links.iter().flat_map(|link| {
+            [link.deadline, link.ack_owed.map(|since| since + link.ack_delay(&RETRY))]
+        });
+        if let Some(last) = timers.flatten().max() {
+            s.endpoint.advance(last.saturating_since(s.endpoint.now()));
+        }
+        s.serve_timers().unwrap();
+    }
+
     fn acked(s: &Peer) -> bool {
         s.links.iter().all(|link| link.unacked.is_empty())
     }
 
-    /// Runs silent-timeout rounds until neither side has anything
+    /// Runs retransmission rounds until neither side has anything
     /// unacknowledged.
     fn pump(
         a: &mut Peer,
@@ -772,7 +986,7 @@ mod tests {
         got_a: &mut Vec<Delivery>,
         got_b: &mut Vec<Delivery>,
     ) {
-        for round in 1..200 {
+        for _ in 1..200 {
             // Twice: the second pass collects the acks the first provoked.
             for _ in 0..2 {
                 poll(a, store, got_a);
@@ -781,8 +995,8 @@ mod tests {
             if acked(a) && acked(b) {
                 return;
             }
-            a.resync(round, None).unwrap();
-            b.resync(round, None).unwrap();
+            expire(a);
+            expire(b);
         }
         panic!("links never settled");
     }
@@ -798,9 +1012,8 @@ mod tests {
             exchange(&mut b, 0, t, &store);
             sent_b.extend(pair_of(1, Epoch(0), t));
             if t % 4 == 0 {
-                let app = DsoMessage::App { class: MsgClass::Control, bytes: vec![t as u8] };
-                a.send(1, app.clone()).unwrap();
-                sent_a.push((0, app));
+                a.send(1, app(t as u8)).unwrap();
+                sent_a.push((0, app(t as u8)));
             }
             poll(&mut a, &store, &mut got_a);
             poll(&mut b, &store, &mut got_b);
@@ -812,6 +1025,209 @@ mod tests {
         assert!(a.codec_v2_sent > 0 && b.codec_v2_sent > 0, "both directions negotiated v2");
         assert!(a.retransmits + b.retransmits > 0, "the plan really lost frames");
         assert!(a.duplicates_dropped + b.duplicates_dropped > 0);
+        assert!(a.acks_piggybacked > 0 && b.acks_piggybacked > 0, "acks rode the exchanges");
+    }
+
+    #[test]
+    fn a_delayed_lossless_link_costs_nothing_once_the_estimator_has_a_sample() {
+        // Frames overtake each other but none is lost, and an ack takes
+        // six times the configured timeout to come back: the two sides
+        // listen in turn, 3 ms each.
+        let late = FaultPlan::new(0xDE1A).with_reorder(0.4, SimSpan::from_millis(4));
+        let (mut a, mut b, store) = pair(&late);
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
+        let mut warm = None;
+        for t in 1..=40u64 {
+            exchange(&mut a, 1, t, &store);
+            sent_a.extend(pair_of(0, Epoch(0), t));
+            exchange(&mut b, 0, t, &store);
+            sent_b.extend(pair_of(1, Epoch(0), t));
+            listen(&mut a, SimSpan::from_millis(3), &store, &mut got_a);
+            listen(&mut b, SimSpan::from_millis(3), &store, &mut got_b);
+            if a.links[1].rtt.is_some() && b.links[0].rtt.is_some() {
+                warm.get_or_insert((t, a.counters.view(), b.counters.view()));
+            }
+        }
+        let (t, warm_a, warm_b) = warm.expect("both estimators took a sample");
+        assert!(t <= 4, "the backoff outlasts the round trip within a few ticks, not {t}");
+        for (now, then) in [(a.counters.view(), warm_a), (b.counters.view(), warm_b)] {
+            assert_eq!(now.retransmits, then.retransmits, "no spurious timeout after a sample");
+            assert_eq!(now.duplicates_dropped, then.duplicates_dropped);
+            assert_eq!(now.resyncs, then.resyncs);
+        }
+        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        assert_eq!(got_b, sent_a, "0 → 1: exactly once, in order");
+        assert_eq!(got_a, sent_b, "1 → 0");
+        // The estimator learnt the round trip it was shown.
+        let (srtt, _) = a.links[1].rtt.unwrap();
+        assert!((5_000..=7_000).contains(&srtt), "srtt {srtt} µs for a 6 ms round trip");
+    }
+
+    #[test]
+    fn a_lost_piggybacked_ack_is_repaired_by_the_next_frames_cumulative_ack() {
+        let (mut a, mut b, store) = pair(&lossless());
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        a.send(1, app(1)).unwrap();
+        poll(&mut b, &store, &mut got_b);
+        // Node 1's reply carries the ack for it — and is lost in flight.
+        b.send(0, app(2)).unwrap();
+        assert_eq!(b.counters.view().acks_piggybacked, 1);
+        while a.endpoint.try_recv().unwrap().is_some() {}
+        assert_eq!(a.links[1].unacked.len(), 1);
+        // The next frame that way arrives ahead of a gap, which node 0
+        // reports at once; its cumulative ack already covers node 0's frame.
+        b.send(0, app(3)).unwrap();
+        poll(&mut a, &store, &mut got_a);
+        assert!(a.links[1].unacked.is_empty() && a.links[1].deadline.is_none());
+        assert!(got_a.is_empty(), "nothing is delivered past the gap");
+        assert_eq!(a.counters.view().acks_standalone, 1, "the gap report");
+        // The lost frame itself comes back by node 1's own timeout.
+        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        assert_eq!(got_a, [(1, app(2)), (1, app(3))]);
+        assert_eq!((a.counters.view().retransmits, b.counters.view().resyncs), (0, 1));
+    }
+
+    #[test]
+    fn an_owed_ack_travels_alone_only_after_its_delay() {
+        let (mut a, mut b, store) = pair(&lossless());
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        a.send(1, app(1)).unwrap();
+        poll(&mut b, &store, &mut got_b);
+        assert_eq!(b.links[0].ack_owed, Some(SimInstant::ZERO));
+        // Just short of the delay nothing goes out...
+        let delay = b.links[0].ack_delay(&RETRY);
+        assert_eq!(delay.as_micros(), RETRY.rto.as_micros() / 2, "nothing known of the link yet");
+        b.endpoint.advance(SimSpan::from_micros(delay.as_micros() - 1));
+        poll(&mut b, &store, &mut got_b);
+        poll(&mut a, &store, &mut got_a);
+        assert_eq!((b.counters.view().acks_standalone, a.links[1].unacked.len()), (0, 1));
+        // ...and at the delay, with nothing going that way, the ack does —
+        // still inside the sender's timeout.
+        b.endpoint.advance(SimSpan::from_micros(1));
+        poll(&mut b, &store, &mut got_b);
+        poll(&mut a, &store, &mut got_a);
+        assert_eq!((b.counters.view().acks_standalone, b.links[0].ack_owed), (1, None));
+        assert!(a.links[1].unacked.is_empty());
+        assert_eq!(a.counters.view().retransmits, 0);
+    }
+
+    #[test]
+    fn the_ack_delay_follows_how_long_acks_on_the_link_usually_take() {
+        let (mut a, mut b, store) = pair(&lossless());
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        // An ack that found a ride after 400 µs: the next may wait half
+        // the floor longer than that.
+        a.send(1, app(1)).unwrap();
+        poll(&mut b, &store, &mut got_b);
+        b.endpoint.advance(SimSpan::from_micros(400));
+        b.send(0, app(2)).unwrap();
+        assert_eq!(
+            (b.links[0].lag, b.links[0].ack_delay(&RETRY).as_micros()),
+            (Some((400, 200)), 900)
+        );
+        poll(&mut a, &store, &mut got_a);
+        a.send(1, app(3)).unwrap();
+        poll(&mut b, &store, &mut got_b);
+        b.endpoint.advance(SimSpan::from_micros(899));
+        poll(&mut b, &store, &mut got_b);
+        assert_eq!(b.counters.view().acks_standalone, 0);
+        b.endpoint.advance(SimSpan::from_micros(1));
+        poll(&mut b, &store, &mut got_b);
+        assert_eq!(b.counters.view().acks_standalone, 1);
+        // An ack that went alone counts only once a frame follows that
+        // could have carried it: a link nothing rides on keeps its delay.
+        assert_eq!((b.links[0].lag, b.links[0].alone), (Some((400, 200)), Some(900)));
+        b.send(0, app(4)).unwrap();
+        assert_eq!((b.links[0].lag, b.links[0].alone), (Some((462, 275)), None));
+        poll(&mut a, &store, &mut got_a);
+        assert_eq!(a.counters.view().retransmits, 0);
+    }
+
+    /// The invariant the delayed acks rest on: *RTO floor > ack delay*.
+    #[test]
+    fn the_timeout_stays_above_the_ack_delay_and_the_round_trip() {
+        let chaos = RetryConfig { rto: SimSpan::from_millis(5), max_retries: 2_000 };
+        for cfg in [RETRY, chaos, RetryConfig::default()] {
+            let floor = cfg.rto.as_micros();
+            // The peer's estimator sees this side's ack latencies plus the
+            // transit. However they move — every ack as late as allowed, so
+            // that the delay creeps up, or a ride at once — an ack delayed
+            // to the limit arrives inside the peer's timeout.
+            let (mut me, mut peer) = (Link::default(), Link::default());
+            let transit = floor / 8;
+            for i in 0..400u64 {
+                let limit = me.ack_delay(&cfg).as_micros();
+                assert!(limit + transit < peer.rto(&cfg).as_micros(), "{cfg:?}, ack {i}");
+                let waited = [limit, limit, limit, 0, limit / 3][(i % 5) as usize];
+                observe(&mut me.lag, waited);
+                observe(&mut peer.rtt, waited + transit);
+            }
+            assert!(me.ack_delay(&cfg) > cfg.rto, "the delay did follow the latencies");
+            let stuck = Link { lag: Some((1_000 * floor, 0)), ..Link::default() };
+            assert_eq!(stuck.ack_delay(&cfg), backed_off(cfg.rto, MAX_BACKOFF), "but is bounded");
+            // Backing off is capped; the round trip it starts from is not.
+            for expiries in [0, 1, MAX_BACKOFF, 1_000] {
+                let far = Link { rtt: Some((100 * floor, floor)), expiries, ..Link::default() };
+                let base = SimSpan::from_micros(104 * floor);
+                assert!(far.rto(&cfg) >= base, "a timeout below the round trip");
+                assert!(far.rto(&cfg) <= backed_off(base, MAX_BACKOFF));
+            }
+        }
+    }
+
+    #[test]
+    fn deadlines_stand_still_while_away_but_not_for_a_process_that_only_polls() {
+        let (mut a, mut b, store) = pair(&lossless());
+        let mut got = Vec::new();
+        a.send(1, app(1)).unwrap();
+        while b.endpoint.try_recv().unwrap().is_some() {}
+        // Polling never waits, so the time between polls is not time away:
+        // the first timeout, three floors, falls due on the clock.
+        for _ in 0..3 {
+            assert_eq!(a.counters.view().retransmits, 0);
+            a.endpoint.advance(RETRY.rto);
+            poll(&mut a, &store, &mut got);
+        }
+        assert_eq!(a.counters.view().retransmits, 1);
+        // A receive that blocks after 10 ms away gives the peer, as busy as
+        // this process was, its whole doubled timeout again.
+        a.endpoint.advance(SimSpan::from_millis(10));
+        listen(&mut a, SimSpan::from_millis(5), &store, &mut got);
+        assert_eq!(a.counters.view().retransmits, 1);
+        listen(&mut a, SimSpan::from_millis(1), &store, &mut got);
+        assert_eq!((a.counters.view().retransmits, a.links[1].expiries), (2, 2));
+    }
+
+    #[test]
+    fn draining_one_link_keeps_the_other_links_timers() {
+        let (mut nodes, store) = group(3, &lossless());
+        let mut got = Vec::new();
+        // Node 0 owes node 2 an ack while it drains its link to node 1,
+        // which never answers.
+        nodes[2].send(0, app(1)).unwrap();
+        poll(&mut nodes[0], &store, &mut got);
+        nodes[0].send(1, app(2)).unwrap();
+        nodes[0].settle_link(1, &store).unwrap();
+        assert_eq!(nodes[0].links[1].expiries, RETRY.max_retries, "node 1 was given up on");
+        // The ack left when it fell due, not at link 1's first deadline.
+        assert_eq!(nodes[0].links[2].alone, Some(RETRY.rto.as_micros() / 2));
+        poll(&mut nodes[2], &store, &mut got);
+        assert!(nodes[2].links[0].unacked.is_empty());
+        assert_eq!(nodes[2].counters.view().retransmits, 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_acks_fills_the_window() {
+        let (mut a, _b, _store) = pair(&lossless());
+        for i in 0..WINDOW {
+            a.send(1, app(i as u8)).unwrap();
+        }
+        match a.send(1, app(0)) {
+            Err(DsoError::WindowFull { peer: 1, unacked: WINDOW }) => {}
+            other => panic!("expected a full window, got {other:?}"),
+        }
+        assert_eq!(a.links[1].unacked.len(), WINDOW, "the refused frame was not queued");
     }
 
     #[test]
@@ -837,12 +1253,14 @@ mod tests {
             (0, 0, None, false)
         );
         assert!(link.unacked.is_empty() && link.ooo.is_empty());
+        assert_eq!((link.deadline, link.ack_owed, link.rtt, link.expiries), (None, None, None, 0));
+        assert_eq!((link.lag, link.alone), (None, None));
         assert_eq!((link.tx.basis(), link.rx.basis()), (0, 0));
 
         // The old occupant's last frames (old epoch, old sequence numbers)
         // are pretend-acked and leave no trace in the slot.
         exchange(&mut b, 0, 5, &store);
-        b.resync(1, None).unwrap();
+        expire(&mut b);
         got_a.clear();
         poll(&mut a, &store, &mut got_a);
         assert!(got_a.is_empty());
@@ -875,8 +1293,47 @@ mod tests {
     }
 
     #[test]
+    fn frames_retransmitted_at_a_restarted_process_are_residue() {
+        let plan = lossless();
+        let (mut a, mut b, store) = pair(&plan);
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        b.send(0, app(1)).unwrap();
+        poll(&mut a, &store, &mut got_a);
+        // Node 1 takes three frames and dies owing their ack: its next
+        // incarnation is a fresh session on the same endpoint.
+        for byte in 2..5 {
+            a.send(1, app(byte)).unwrap();
+        }
+        poll(&mut b, &store, &mut got_b);
+        assert!(b.links[0].ack_owed.is_some());
+        let mut b = session(b.endpoint.into_inner(), &plan);
+        // Node 0's retransmissions acknowledge a frame the new incarnation
+        // never sent: they are pretend-acked and leave no trace, neither
+        // delivered, nor sequenced, nor parked out of order.
+        got_b.clear();
+        expire(&mut a);
+        poll(&mut b, &store, &mut got_b);
+        assert!(got_b.is_empty());
+        assert_eq!(b.counters.view().cross_epoch_dropped, 3);
+        assert_eq!((b.links[0].rx_next, b.links[0].ooo.len()), (0, 0));
+        // The pretend-acks let node 0's settle converge; it then prunes the
+        // crashed member, and both fresh streams deliver from zero. An ack
+        // meant for the old stream is ignored by the new one.
+        poll(&mut a, &store, &mut got_a);
+        assert!(a.links[1].unacked.is_empty());
+        a.reset(1, Reset::Left);
+        a.send(1, app(9)).unwrap();
+        a.links[1].acked(4, SimInstant::ZERO, &RETRY);
+        assert_eq!(a.links[1].unacked.len(), 1);
+        got_a.clear();
+        b.send(0, app(8)).unwrap();
+        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        assert_eq!((got_a, got_b), (vec![(1, app(8))], vec![(0, app(9))]));
+    }
+
+    #[test]
     fn flapped_sends_v1_until_offers_cross_and_still_decodes_pre_flap_retransmits() {
-        let (mut a, mut b, store) = pair(&FaultPlan::new(1));
+        let (mut a, mut b, store) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         for t in 1..=3 {
             exchange(&mut a, 1, t, &store);
@@ -898,7 +1355,7 @@ mod tests {
         got_b.clear();
         exchange(&mut b, 0, 4, &store);
         assert_eq!(b.counters.view().codec_v2_sent, v2_before);
-        a.resync(1, None).unwrap();
+        expire(&mut a);
         pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
         assert_eq!(got_b, pair_of(0, Epoch(0), 4));
 
@@ -914,7 +1371,7 @@ mod tests {
 
     #[test]
     fn abandoned_clears_only_unacked() {
-        let (mut a, mut b, store) = pair(&FaultPlan::new(1));
+        let (mut a, mut b, store) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         for t in 1..=2 {
             exchange(&mut a, 1, t, &store);
@@ -937,11 +1394,14 @@ mod tests {
         let before = rest(&a.links[1]);
         assert_eq!(before, (7, 5, 0, Some(CODEC_V2), true, 2, 1));
         // Node 1 finishes and tears its endpoint down: the next
-        // retransmission round writes the link off.
+        // retransmission round writes the link off — once, however many
+        // frames it held.
+        let resent = a.counters.view().retransmits;
         drop(b);
-        a.resync(1, None).unwrap();
-        assert_eq!(a.counters.view().links_abandoned, 2, "once per frame of that round");
-        assert!(a.links[1].unacked.is_empty());
+        expire(&mut a);
+        assert_eq!(a.counters.view().links_abandoned, 1, "once per link");
+        assert_eq!(a.counters.view().retransmits, resent + 1, "and the round stops there");
+        assert!(a.links[1].unacked.is_empty() && a.links[1].deadline.is_none());
         assert_eq!(rest(&a.links[1]), before);
     }
 }

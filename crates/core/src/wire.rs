@@ -97,17 +97,23 @@ pub enum DsoMessage {
         bytes: Vec<u8>,
     },
     /// A sequenced envelope added by the reliability layer: `inner` is the
-    /// `seq`-th message on this link. Envelopes never nest and never carry
-    /// a [`DsoMessage::SeqAck`] (the codec rejects both).
+    /// `seq`-th message on this link, and `ack` acknowledges the reverse
+    /// direction for free. Envelopes never nest and never carry a
+    /// [`DsoMessage::SeqAck`] (the codec rejects both).
     Env {
         /// Per-link sequence number, starting at 0.
         seq: u64,
+        /// Cumulative acknowledgement of the peer's own envelopes: the
+        /// sender's next expected sequence number, as in
+        /// [`DsoMessage::SeqAck`].
+        ack: u64,
         /// The enveloped message.
         inner: Box<DsoMessage>,
     },
     /// Cumulative acknowledgement of [`DsoMessage::Env`] traffic: every
     /// sequence number below `next` has been delivered on this link. Sent
-    /// outside any envelope (loss is repaired by the next ack).
+    /// outside any envelope, and only when no envelope went the peer's way
+    /// to carry it (loss is repaired by the next ack of either kind).
     SeqAck {
         /// The receiver's next expected sequence number.
         next: u64,
@@ -279,9 +285,10 @@ impl Wire for DsoMessage {
                 w.put_u8(class.to_wire_u8());
                 w.put_bytes(bytes);
             }
-            DsoMessage::Env { seq, inner } => {
+            DsoMessage::Env { seq, ack, inner } => {
                 w.put_u8(TAG_ENV);
                 w.put_u64(*seq);
+                w.put_u64(*ack);
                 inner.encode(w);
             }
             DsoMessage::SeqAck { next } => {
@@ -348,6 +355,7 @@ impl Wire for DsoMessage {
             }
             TAG_ENV => {
                 let seq = r.get_u64()?;
+                let ack = r.get_u64()?;
                 let inner = DsoMessage::decode(r)?;
                 // Legitimate senders wrap exactly once and never envelope
                 // acks; rejecting the alternatives here bounds decoder
@@ -355,7 +363,7 @@ impl Wire for DsoMessage {
                 if matches!(inner, DsoMessage::Env { .. } | DsoMessage::SeqAck { .. }) {
                     return Err(NetError::Codec("nested or ack-bearing envelope".into()));
                 }
-                Ok(DsoMessage::Env { seq, inner: Box::new(inner) })
+                Ok(DsoMessage::Env { seq, ack, inner: Box::new(inner) })
             }
             TAG_SEQ_ACK => Ok(DsoMessage::SeqAck { next: r.get_u64()? }),
             TAG_SNAPSHOT_REQ => Ok(DsoMessage::SnapshotReq { epoch: Epoch(r.get_u32()?) }),
@@ -436,7 +444,8 @@ mod tests {
         roundtrip(DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] });
         roundtrip(DsoMessage::Ack);
         roundtrip(DsoMessage::App { class: MsgClass::Control, bytes: vec![9, 9] });
-        roundtrip(DsoMessage::Env { seq: 17, inner: Box::new(DsoMessage::Ack) });
+        roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: Box::new(DsoMessage::Ack) });
+        roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: Box::new(DsoMessage::Ack) });
         roundtrip(DsoMessage::SeqAck { next: 42 });
         roundtrip(DsoMessage::SnapshotReq { epoch: Epoch(3) });
         roundtrip(DsoMessage::Snapshot {
@@ -462,11 +471,13 @@ mod tests {
     fn envelope_class_follows_inner() {
         let env = DsoMessage::Env {
             seq: 0,
+            ack: 0,
             inner: Box::new(DsoMessage::Sync { epoch: Epoch::ZERO, time: LogicalTime::ZERO }),
         };
         assert_eq!(env.class(), MsgClass::Control);
         let env = DsoMessage::Env {
             seq: 0,
+            ack: 0,
             inner: Box::new(DsoMessage::Data {
                 epoch: Epoch::ZERO,
                 time: LogicalTime::ZERO,
@@ -481,11 +492,13 @@ mod tests {
     fn nested_envelopes_rejected() {
         let nested = DsoMessage::Env {
             seq: 1,
-            inner: Box::new(DsoMessage::Env { seq: 2, inner: Box::new(DsoMessage::Ack) }),
+            ack: 0,
+            inner: Box::new(DsoMessage::Env { seq: 2, ack: 0, inner: Box::new(DsoMessage::Ack) }),
         };
         let encoded = wire::encode(&nested);
         assert!(wire::decode::<DsoMessage>(&encoded).is_err());
-        let acked = DsoMessage::Env { seq: 1, inner: Box::new(DsoMessage::SeqAck { next: 0 }) };
+        let acked =
+            DsoMessage::Env { seq: 1, ack: 0, inner: Box::new(DsoMessage::SeqAck { next: 0 }) };
         assert!(wire::decode::<DsoMessage>(&wire::encode(&acked)).is_err());
     }
 
@@ -564,7 +577,7 @@ mod tests {
             DsoMessage::GetReq { object: ObjectId(8) },
             DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] },
             DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9] },
-            DsoMessage::Env { seq: 17, inner: Box::new(DsoMessage::Ack) },
+            DsoMessage::Env { seq: 17, ack: 9, inner: Box::new(DsoMessage::Ack) },
             DsoMessage::SeqAck { next: 42 },
             DsoMessage::SnapshotReq { epoch: Epoch(2) },
             DsoMessage::CodecOffer { version: 2 },

@@ -229,6 +229,29 @@ proptest! {
     ) {
         let _ = sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&bytes);
     }
+
+    #[test]
+    fn envelope_roundtrips_any_seq_and_ack(
+        seq in any::<u64>(),
+        ack in any::<u64>(),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use sdso_core::wire::DsoMessage;
+        let inner = DsoMessage::App { class: sdso_net::MsgClass::Control, bytes };
+        let env = DsoMessage::Env { seq, ack, inner: Box::new(inner) };
+        let decoded: DsoMessage = sdso_net::wire::decode(&sdso_net::wire::encode(&env)).unwrap();
+        prop_assert_eq!(decoded, env);
+    }
+
+    #[test]
+    fn garbage_behind_an_envelope_header_never_panics(
+        tail in proptest::collection::vec(any::<u8>(), 0..512)
+    ) {
+        // Tag 8 opens an envelope, so the bytes behind it drive the decoder
+        // through `seq`, `ack` and the nested message.
+        let bytes: Vec<u8> = std::iter::once(8).chain(tail).collect();
+        let _ = sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&bytes);
+    }
 }
 
 // ---------------------------------------------------------------------

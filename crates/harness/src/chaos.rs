@@ -9,7 +9,7 @@
 //! every replica still converged to the identical final world.
 
 use sdso_core::RetryConfig;
-use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
 use sdso_net::{FaultPlan, SimSpan};
 use sdso_sim::{NetworkModel, SimError};
 
@@ -40,8 +40,9 @@ pub fn chaos_plan(seed: u64) -> FaultPlan {
 
 /// Runs the chaos scenario for each protocol in `protocols` and renders
 /// the per-protocol recovery statistics as a table: faults injected,
-/// resyncs triggered, messages retransmitted, duplicates discarded, stale
-/// updates dropped by last-writer-wins, and whether the replicas
+/// resyncs triggered, messages retransmitted, duplicates discarded, acks
+/// that rode a frame for free against acks that cost a frame of their own,
+/// stale updates dropped by last-writer-wins, and whether the replicas
 /// converged.
 ///
 /// # Errors
@@ -67,6 +68,8 @@ pub fn chaos_table(
             "resyncs",
             "retransmits",
             "dup_dropped",
+            "acks_piggy",
+            "acks_alone",
             "stale",
             "converged",
         ],
@@ -74,20 +77,17 @@ pub fn chaos_table(
     for &protocol in protocols {
         let summary =
             run_planned(scenario, protocol, model, &RunPlan::default().with_faults(plan.clone()))?;
-        let drops: u64 = summary.per_node.iter().map(|s| s.net.drops_injected).sum();
-        let dups: u64 = summary.per_node.iter().map(|s| s.net.dups_injected).sum();
-        let resyncs: u64 = summary.per_node.iter().map(|s| s.dso.resyncs).sum();
-        let retransmits: u64 = summary.per_node.iter().map(|s| s.dso.retransmits).sum();
-        let dup_dropped: u64 = summary.per_node.iter().map(|s| s.dso.duplicates_dropped).sum();
-        let stale: u64 = summary.per_node.iter().map(|s| s.dso.updates_stale).sum();
+        let sum = |of: fn(&NodeStats) -> u64| summary.per_node.iter().map(of).sum::<u64>();
         table.push_row(vec![
             protocol.name().to_owned(),
-            drops.to_string(),
-            dups.to_string(),
-            resyncs.to_string(),
-            retransmits.to_string(),
-            dup_dropped.to_string(),
-            stale.to_string(),
+            sum(|s| s.net.drops_injected).to_string(),
+            sum(|s| s.net.dups_injected).to_string(),
+            sum(|s| s.dso.resyncs).to_string(),
+            sum(|s| s.dso.retransmits).to_string(),
+            sum(|s| s.dso.duplicates_dropped).to_string(),
+            sum(|s| s.dso.acks_piggybacked).to_string(),
+            sum(|s| s.dso.acks_standalone).to_string(),
+            sum(|s| s.dso.updates_stale).to_string(),
             if converged(&summary) { "yes".to_owned() } else { "NO".to_owned() },
         ]);
     }

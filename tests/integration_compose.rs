@@ -11,12 +11,13 @@
 //! at 32 nodes (which the crash runner sidestepped by rejecting the
 //! protocol outright).
 
-use sdso_core::{MembershipPlan, ViewChange, WireConfig};
+use sdso_core::{MembershipPlan, RetryConfig, ViewChange, WireConfig};
 use sdso_game::{Protocol, RunPlan, Scenario};
 use sdso_harness::{
     chaos_retry_config, converged_in, default_churn_plan, default_crash_plan, run_planned,
     RunSummary,
 };
+use sdso_net::SimSpan;
 use sdso_sim::NetworkModel;
 
 const CRASH_SEED: u64 = 0x5D50_C4A5;
@@ -89,6 +90,59 @@ fn sharding_composes_with_churn_and_crash_at_32_nodes() {
         for crash in restarted {
             let node = &summary.per_node[usize::from(crash.node)];
             assert_eq!((node.recoveries, node.ticks), (1, 24), "node {} came back", crash.node);
+        }
+    }
+}
+
+/// The paper's own operating point with the reliability layer on and no
+/// faults: 16 nodes on the 10 Mbps testbed, library-default `RetryConfig`
+/// (a 20 ms `rto` inside a 42 ms tick), and the same with `rto` five times
+/// as long — the result must not hang on the one number a user can set.
+/// An ARQ that is free when nothing is lost must finish every protocol,
+/// retransmit (next to) nothing, cost under a tenth of the run, and leave
+/// the game exactly as the unreliable run played it.
+#[test]
+fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
+    let bare = Scenario::paper(16, 3);
+    let plan = RunPlan::default();
+    let default = RetryConfig::default();
+    let patient = RetryConfig { rto: SimSpan::from_micros(5 * default.rto.as_micros()), ..default };
+    for protocol in Protocol::PAPER {
+        let off = play_converged(&bare, protocol, &plan);
+        for retry in [default, patient] {
+            let rto = retry.rto;
+            let on = play_converged(&bare.clone().with_reliability(retry), protocol, &plan);
+            // The lookahead family plays the same game whatever the
+            // transport does underneath; EC's lock order follows message
+            // timing, so it is held to completion and convergence
+            // (`play_converged`).
+            for (a, b) in off.per_node.iter().zip(&on.per_node) {
+                assert_eq!(a.ticks, b.ticks, "{protocol}, rto {rto}, node {}: unfinished", a.node);
+                assert!(
+                    protocol == Protocol::Entry
+                        || (a.modifications, a.score, &a.final_world)
+                            == (b.modifications, b.score, &b.final_world),
+                    "{protocol}, rto {rto}, node {}: reliability changed the outcome",
+                    a.node
+                );
+            }
+            let sum = |f: fn(&sdso_game::NodeStats) -> u64| on.per_node.iter().map(f).sum::<u64>();
+            let (sent, retransmits) = (sum(|s| s.net.total_sent()), sum(|s| s.dso.retransmits));
+            if protocol == Protocol::Bsync {
+                assert_eq!(retransmits, 0, "BSYNC, rto {rto}: every ack rides the next tick");
+            }
+            assert!(
+                retransmits * 100 <= sent,
+                "{protocol}, rto {rto}: {retransmits} spurious retransmits in {sent} frames"
+            );
+            let secs_per_mod = |run: &RunSummary| {
+                run.per_node.iter().map(|s| s.time_per_modification().as_secs_f64()).sum::<f64>()
+            };
+            let (off, on) = (secs_per_mod(&off), secs_per_mod(&on));
+            assert!(
+                on <= off * 1.10,
+                "{protocol}, rto {rto}: {on:.4} s/mod with reliability, {off:.4} without"
+            );
         }
     }
 }
