@@ -13,12 +13,16 @@
 //! node entry points that existed then (static, churn, crash — each on a
 //! hand-built `SimCluster`). A legitimate behaviour change re-records them
 //! and says so; a refactor only ever touches the call sites in `play`.
+//! The four rows that turn the reliability layer on were re-recorded when
+//! its ARQ became a sliding window (see `check_reliable`); every other row
+//! still holds its `ba53507` value.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
 use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
 use sdso_harness::{
-    chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan, run_planned,
+    chaos_plan, chaos_retry_config, converged_in, default_churn_plan, default_crash_plan,
+    run_planned, RunSummary,
 };
 use sdso_sim::NetworkModel;
 
@@ -57,21 +61,28 @@ fn node_fingerprint(s: &NodeStats) -> u64 {
     hash
 }
 
-fn play(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> Vec<NodeStats> {
+fn play(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> RunSummary {
     run_planned(scenario, protocol, NetworkModel::paper_testbed(), plan)
         .expect("every node finishes")
-        .per_node
 }
 
 /// Plays each protocol and compares the fold of its per-node fingerprints
 /// (node-id order) with the pinned constant; a mismatch lists every
 /// protocol's actual value and the per-node fingerprints behind it.
-fn check(case: &str, scenario: &Scenario, plan: &RunPlan, golden: &[(Protocol, u64)]) {
+/// Returns the runs, in `golden`'s order.
+fn check(
+    case: &str,
+    scenario: &Scenario,
+    plan: &RunPlan,
+    golden: &[(Protocol, u64)],
+) -> Vec<RunSummary> {
     let mut report = String::new();
     let mut ok = true;
+    let mut runs = Vec::new();
     for &(protocol, expected) in golden {
-        let per_node: Vec<u64> =
-            play(scenario, protocol, plan).iter().map(node_fingerprint).collect();
+        let run = play(scenario, protocol, plan);
+        let per_node: Vec<u64> = run.per_node.iter().map(node_fingerprint).collect();
+        runs.push(run);
         let mut run = 0xCBF2_9CE4_8422_2325u64;
         for fp in &per_node {
             fnv1a(&mut run, &fp.to_le_bytes());
@@ -81,6 +92,38 @@ fn check(case: &str, scenario: &Scenario, plan: &RunPlan, golden: &[(Protocol, u
         report.push_str(&format!("    per node: {per_node:x?}\n"));
     }
     assert!(ok, "{case}: fingerprints moved\n{report}");
+    runs
+}
+
+/// A row with the reliability layer on (and link faults for it to repair).
+/// Its fingerprints hold `exec_time` and `net.total_sent`, so they move
+/// with every change to ack or retransmit traffic — they were last
+/// re-recorded when acks began to ride on reverse traffic and each link
+/// got its own retransmit timer. What must hold however that traffic
+/// moves is asserted beside them: the plan's final view converges, and the
+/// lookahead family plays exactly the game of its unreliable twin — the
+/// same scenario and membership plan, reliability off, no link faults.
+/// (EC's lock order follows message timing; convergence is its oracle.)
+fn check_reliable(case: &str, bare: &Scenario, plan: &RunPlan, golden: &[(Protocol, u64)]) {
+    let reliable = bare.clone().with_reliability(chaos_retry_config());
+    let runs = check(case, &reliable, plan, golden);
+    let lossless = RunPlan { faults: None, ..plan.clone() };
+    for (&(protocol, _), run) in golden.iter().zip(&runs) {
+        let last = plan.views(&reliable, protocol).expect("the run validated it").final_view();
+        assert!(converged_in(run, &last), "{case}, {protocol}: the final view diverged");
+        if protocol == Protocol::Entry {
+            continue;
+        }
+        let twin = play(bare, protocol, &lossless);
+        for (a, b) in run.per_node.iter().zip(&twin.per_node) {
+            assert_eq!(
+                (a.ticks, a.modifications, a.score, &a.final_world),
+                (b.ticks, b.modifications, b.score, &b.final_world),
+                "{case}, {protocol}, node {}: not the game its unreliable twin played",
+                a.node
+            );
+        }
+    }
 }
 
 /// The 16-slot / 4-change plan of `tests/integration_churn.rs`.
@@ -153,17 +196,17 @@ fn churn_16_slots_four_changes() {
 
 #[test]
 fn churn_with_chaos_8_slots() {
-    check(
+    check_reliable(
         "churn + chaos, 8 slots",
-        &Scenario::paper(8, 1).with_ticks(40).with_reliability(chaos_retry_config()),
+        &Scenario::paper(8, 1).with_ticks(40),
         &RunPlan::default()
             .with_membership(default_churn_plan(8, 40))
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
-            (Protocol::Entry, 0xA730_5737_06C2_30D8),
-            (Protocol::Bsync, 0x79F1_B8DA_D59C_ABD0),
-            (Protocol::Msync, 0xFAA8_FE42_B399_F840),
-            (Protocol::Msync2, 0x56C6_151A_4C75_F234),
+            (Protocol::Entry, 0x12AA_EB9A_DFF9_3F4B),
+            (Protocol::Bsync, 0x5A49_A4F4_630E_2942),
+            (Protocol::Msync, 0x902D_BA55_BFBE_5BCA),
+            (Protocol::Msync2, 0xF339_66E4_495B_9C7F),
         ],
     );
 }
@@ -185,36 +228,32 @@ fn crash_16_teams() {
 
 #[test]
 fn chaos_4_nodes() {
-    check(
+    check_reliable(
         "chaos, 4 nodes",
-        &Scenario::paper(4, 1).with_ticks(60).with_reliability(chaos_retry_config()),
+        &Scenario::paper(4, 1).with_ticks(60),
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
-            (Protocol::Entry, 0x9F83_C74C_C7B9_D826),
-            (Protocol::Bsync, 0x1574_B0C9_7B4F_7717),
-            (Protocol::Msync, 0x2C7C_143B_58A1_9C6B),
-            (Protocol::Msync2, 0x4AD1_3D4D_782C_F39D),
+            (Protocol::Entry, 0xC666_24DF_73DF_8CA3),
+            (Protocol::Bsync, 0xABB9_07D9_1607_953D),
+            (Protocol::Msync, 0x8F6F_B8AF_9B22_66ED),
+            (Protocol::Msync2, 0x0E48_F757_E166_1F51),
         ],
     );
 }
 
 /// Everything on at once — reliability, codec v2 (XOR-delta, batch dedup)
-/// and drop/dup/reorder — recorded at commit `28dcfa5`, before the ARQ and
-/// codec state moved out of the runtime into `core::session`.
+/// and drop/dup/reorder.
 #[test]
 fn chaos_4_nodes_codec_v2() {
-    check(
+    check_reliable(
         "chaos + codec v2, 4 nodes",
-        &Scenario::paper(4, 1)
-            .with_ticks(60)
-            .with_reliability(chaos_retry_config())
-            .with_wire(WireConfig::compressed()),
+        &Scenario::paper(4, 1).with_ticks(60).with_wire(WireConfig::compressed()),
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
-            (Protocol::Entry, 0x9F83_C74C_C7B9_D826),
-            (Protocol::Bsync, 0x1339_BB75_0431_B6F5),
-            (Protocol::Msync, 0x94D5_FB9F_6A5C_F3F8),
-            (Protocol::Msync2, 0xC9B1_23B5_C5AE_E86C),
+            (Protocol::Entry, 0xC666_24DF_73DF_8CA3),
+            (Protocol::Bsync, 0xB8E2_A1C2_6A2D_ABA8),
+            (Protocol::Msync, 0x1149_A438_705A_F96C),
+            (Protocol::Msync2, 0x56FD_A78A_8D14_3655),
         ],
     );
 }
@@ -222,20 +261,17 @@ fn chaos_4_nodes_codec_v2() {
 /// As [`chaos_4_nodes_codec_v2`], with view changes on top.
 #[test]
 fn churn_with_chaos_8_slots_codec_v2() {
-    check(
+    check_reliable(
         "churn + chaos + codec v2, 8 slots",
-        &Scenario::paper(8, 1)
-            .with_ticks(40)
-            .with_reliability(chaos_retry_config())
-            .with_wire(WireConfig::compressed()),
+        &Scenario::paper(8, 1).with_ticks(40).with_wire(WireConfig::compressed()),
         &RunPlan::default()
             .with_membership(default_churn_plan(8, 40))
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
-            (Protocol::Entry, 0xA730_5737_06C2_30D8),
-            (Protocol::Bsync, 0xC468_0129_8AED_3E6F),
-            (Protocol::Msync, 0x2A90_84F5_984E_FE54),
-            (Protocol::Msync2, 0x84CE_B992_2E1A_3ECD),
+            (Protocol::Entry, 0x12AA_EB9A_DFF9_3F4B),
+            (Protocol::Bsync, 0x6363_E3B2_446F_3612),
+            (Protocol::Msync, 0xD5EF_21ED_B960_FDD8),
+            (Protocol::Msync2, 0xDFDB_E106_7114_6F23),
         ],
     );
 }
