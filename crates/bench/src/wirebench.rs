@@ -14,14 +14,15 @@
 //! * **`bytes_per_tick`** (v1 and v2) and **`total_msgs`** are exact
 //!   virtual-time measurements — the simulator is deterministic, so any
 //!   drift beyond ±tolerance is a protocol or codec change, not noise.
-//!   Compression must never change *how many* messages flow, only their
-//!   size; the suite asserts the v2 run's count exceeds v1's by at most
-//!   the one-off `CodecOffer` per directed link.
+//!   Compression changes the message flow in exactly two ways, and the
+//!   suite asserts the equation per cell: a negotiated link sends each
+//!   rendezvous as one frame instead of two (`dso.rendezvous_fused`), and
+//!   negotiation costs one `CodecOffer` per directed link —
+//!   `v2_msgs == v1_msgs − fused + offers`, data messages unchanged.
 //! * **`exchange_us`** (mean per-process exchange time) is virtual time
 //!   too, gated ±tolerance; it is where the link-speed sweep shows up —
-//!   on 10 Mbps serialisation dominates and shrinking frames shortens
-//!   the rendezvous, on 10 Gbps per-message CPU dominates and the gain
-//!   vanishes (EXPERIMENTS.md Ext. H).
+//!   the per-message stack cost dominates every link, so it follows the
+//!   frame count, not the byte count (EXPERIMENTS.md Ext. H).
 //! * **The reduction contract** is enforced fresh on every `record` and
 //!   `check`: MSYNC2 must ship at least [`WIRE_REDUCTION_FLOOR`] fewer
 //!   bytes per tick compressed than absolute (worst link taken), and no
@@ -94,10 +95,9 @@ pub struct WireCell {
     /// Mean per-process exchange time compressed, virtual microseconds.
     /// Gated.
     pub v2_exchange_us: f64,
-    /// Cluster-wide message count of the v1 run. The v2 run's count may
-    /// exceed it only by the one-off `CodecOffer` per directed link
-    /// (asserted by the suite); compression changes frame sizes, never
-    /// message flow. Exact; gated.
+    /// Cluster-wide message count of the v1 run. The v2 run's count is
+    /// this less its fused rendezvous plus the one-off `CodecOffer` per
+    /// directed link (asserted by the suite). Exact; gated.
     pub total_msgs: u64,
 }
 
@@ -352,7 +352,8 @@ fn outcomes(summary: &RunSummary) -> Vec<(u64, i64)> {
 ///
 /// Returns run errors, and fails outright if any compressed run's game
 /// outcome diverges from its absolute twin (decode bit-identity broken)
-/// or their message counts differ.
+/// or its message count is not the twin's less the fused rendezvous plus
+/// the codec offers.
 pub fn run_wire_suite_with(teams: u16, ticks: u64) -> Result<WireReport, String> {
     let scenario = wire_scenario(teams, ticks);
     let mut cells = Vec::new();
@@ -373,18 +374,28 @@ pub fn run_wire_suite_with(teams: u16, ticks: u64) -> Result<WireReport, String>
                     outcomes(&v2)
                 ));
             }
-            // Compression may add at most one CodecOffer per directed
-            // link (lazy negotiation); beyond that it must not change
-            // how many messages flow, only their size.
-            let offer_budget = u64::from(teams) * (u64::from(teams) - 1);
-            let extra = v2.total_messages().wrapping_sub(v1.total_messages());
-            if extra > offer_budget {
+            // Compression removes one SYNC per fused rendezvous and adds
+            // at most one CodecOffer per directed link (lazy negotiation),
+            // none under EC, which never exchanges. Nothing else may
+            // change how many messages flow, and no data message at all.
+            let fused: u64 = v2.per_node.iter().map(|s| s.dso.rendezvous_fused).sum();
+            let offer_budget = match protocol {
+                Protocol::Entry => 0,
+                _ => u64::from(teams) * (u64::from(teams) - 1),
+            };
+            let offers = (v2.total_messages() + fused).checked_sub(v1.total_messages());
+            if offers.is_none_or(|offers| offers > offer_budget)
+                || v2.data_messages() != v1.data_messages()
+            {
                 return Err(format!(
-                    "[{link} {}] compression changed the message count: {} vs {} \
-                     (negotiation may add at most {offer_budget})",
+                    "[{link} {}] compression changed the message flow: {} ({} data) vs {} \
+                     ({} data) with {fused} fused rendezvous (negotiation may add at most \
+                     {offer_budget})",
                     protocol.name(),
                     v1.total_messages(),
-                    v2.total_messages()
+                    v1.data_messages(),
+                    v2.total_messages(),
+                    v2.data_messages()
                 ));
             }
             let cell = WireCell {

@@ -25,7 +25,7 @@ usage:
   sdso-check replay  --protocol NAME [--schedule N,N,...]
   sdso-check race    TRACE.json [TRACE.json ...]
 
-protocols: bsync msync msync2 ec churn churn-ec crash-churn (explore default: all)
+protocols: bsync msync msync2 ec churn churn-ec crash-churn codec-v2 (explore default: all)
 explore defaults: --depth 12 --max-runs 600 --min-distinct 0
 race: TRACE.json is an event log exported by sdso-obs (ObsSet::event_log)";
 

@@ -23,13 +23,18 @@
 //! reach everyone, and under EC no lock grant or counter increment is
 //! lost across the view change (a stuck view-change barrier surfaces as a
 //! scheduler deadlock, which is a violation like any other).
+//!
+//! The codec-v2 scenario runs the lookahead workloads with
+//! `WireConfig::compressed()` on every link, so what the oracle reorders
+//! across senders are `CodecOffer`s and the fused `Data2` frames that carry
+//! their own SYNC: BSYNC's workload, then MSYNC2's, in every schedule.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use sdso_core::{
     DsoConfig, DsoError, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId, ObjectStore,
-    SdsoRuntime, SendMode, ViewChange,
+    SdsoRuntime, SendMode, ViewChange, WireConfig,
 };
 use sdso_dur::{DurRecord, DurStore};
 use sdso_net::{Endpoint, NetError, NodeId};
@@ -79,6 +84,11 @@ const CRASH_RESTART_GAP: u64 = 2;
 /// The member that crashes and recovers from its WAL.
 const CRASHER: NodeId = 1;
 
+/// Workloads every schedule of the codec-v2 scenario plays, in order: a
+/// rendezvous with everyone every tick, then per-pair s-functions under
+/// which offers and fused frames of different ticks are in flight together.
+const CODEC_V2_WORKLOADS: [Protocol; 2] = [Protocol::Bsync, Protocol::Msync2];
+
 /// The protocol workload a scenario exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
@@ -101,11 +111,14 @@ pub enum Protocol {
     /// fail-stops at an oracle-chosen tick (its host partitioned from the
     /// group while down) and rejoins from its WAL with pre-crash state.
     CrashChurn,
+    /// The wire format negotiated per link: BSYNC's workload, then
+    /// MSYNC2's, with codec v2 offered by every node.
+    CodecV2,
 }
 
 impl Protocol {
     /// All scenarios, in CLI order.
-    pub const ALL: [Protocol; 7] = [
+    pub const ALL: [Protocol; 8] = [
         Protocol::Bsync,
         Protocol::Msync,
         Protocol::Msync2,
@@ -113,6 +126,7 @@ impl Protocol {
         Protocol::Churn,
         Protocol::ChurnEc,
         Protocol::CrashChurn,
+        Protocol::CodecV2,
     ];
 
     /// CLI name.
@@ -125,6 +139,7 @@ impl Protocol {
             Protocol::Churn => "churn",
             Protocol::ChurnEc => "churn-ec",
             Protocol::CrashChurn => "crash-churn",
+            Protocol::CodecV2 => "codec-v2",
         }
     }
 
@@ -140,17 +155,22 @@ impl Protocol {
             Protocol::Bsync => 3,
             Protocol::Msync => 8,
             Protocol::Msync2 => 12,
-            Protocol::Ec | Protocol::Churn | Protocol::ChurnEc | Protocol::CrashChurn => 0,
+            Protocol::Ec
+            | Protocol::Churn
+            | Protocol::ChurnEc
+            | Protocol::CrashChurn
+            | Protocol::CodecV2 => 0,
         }
     }
 }
 
-/// What one node reports back: per-step exchange times and a final
-/// snapshot of every replica.
+/// What one node reports back: per-step exchange times, a final snapshot
+/// of every replica, and how many rendezvous it sent as one fused frame.
 #[derive(Debug, PartialEq, Eq)]
 struct NodeSnap {
     times: Vec<LogicalTime>,
     objects: Vec<(u32, Vec<u8>)>,
+    fused: u64,
 }
 
 /// Adapts a protocol to the `Explorer`'s scenario signature.
@@ -171,18 +191,39 @@ pub fn run_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), Str
     if protocol == Protocol::CrashChurn {
         return run_crash_churn_once(oracle);
     }
+    if protocol == Protocol::CodecV2 {
+        // One cluster after the other under the one oracle: the branching
+        // depth spans the end of the first workload and the start of the
+        // second, where the offers cross.
+        return CODEC_V2_WORKLOADS
+            .into_iter()
+            .try_for_each(|workload| run_static_once(workload, WireConfig::compressed(), &oracle));
+    }
+    run_static_once(protocol, WireConfig::v1(), &oracle)
+}
+
+/// Runs one schedule of a static-group workload on the given wire format.
+fn run_static_once(
+    workload: Protocol,
+    wire: WireConfig,
+    oracle: &Arc<ReplayOracle>,
+) -> Result<(), String> {
     let cluster = SimCluster::new(NODES, NetworkModel::instant())
-        .with_oracle(oracle as Arc<dyn DeliveryOracle>);
-    let outcome = match protocol {
+        .with_oracle(Arc::clone(oracle) as Arc<dyn DeliveryOracle>);
+    let outcome = match workload {
         Protocol::Ec => cluster.run(ec_node),
-        _ => cluster.run(move |ep| lookahead_node(ep, protocol)),
+        _ => cluster.run(move |ep| lookahead_node(ep, workload, wire)),
     }
     .map_err(|e| format!("cluster failed to run: {e}"))?;
     let mut snaps = Vec::with_capacity(NODES);
     for (id, node) in outcome.nodes.into_iter().enumerate() {
-        snaps.push(node.result.map_err(|e| format!("node {id}: {e}"))?);
+        snaps.push(node.result.map_err(|e| format!("{} node {id}: {e}", workload.name()))?);
     }
-    check_invariants(protocol, &snaps)
+    // A run that never left v1 explores nothing a v2 scenario is for.
+    if let Some(id) = snaps.iter().position(|snap| wire.codec_v2 && snap.fused == 0) {
+        return Err(format!("{} node {id} never sent a fused frame", workload.name()));
+    }
+    check_invariants(workload, &snaps)
 }
 
 /// Runs one schedule of a churn scenario. The first choice point is
@@ -571,9 +612,13 @@ fn check_churn_invariants(
 
 /// BSYNC / MSYNC / MSYNC2: every node owns one object and writes the tick
 /// number into it before each exchange.
-fn lookahead_node(ep: SimEndpoint, protocol: Protocol) -> Result<NodeSnap, NetError> {
+fn lookahead_node(
+    ep: SimEndpoint,
+    protocol: Protocol,
+    wire: WireConfig,
+) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
-    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact().with_wire(wire));
     for id in 0..NODES as u32 {
         rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
     }
@@ -588,8 +633,12 @@ fn lookahead_node(ep: SimEndpoint, protocol: Protocol) -> Result<NodeSnap, NetEr
                     4
                 }
             }
-            Protocol::Ec | Protocol::Churn | Protocol::ChurnEc | Protocol::CrashChurn => {
-                unreachable!("EC, churn and crash have dedicated node runners")
+            Protocol::Ec
+            | Protocol::Churn
+            | Protocol::ChurnEc
+            | Protocol::CrashChurn
+            | Protocol::CodecV2 => {
+                unreachable!("EC, churn and crash have dedicated node runners; codec v2 picks one")
             }
         };
         Some(now.plus(gap))
@@ -639,7 +688,7 @@ fn snapshot<E: Endpoint>(
     for id in rt.object_ids() {
         objects.push((id.0, rt.read(id).map_err(NetError::from)?.to_vec()));
     }
-    Ok(NodeSnap { times, objects })
+    Ok(NodeSnap { times, objects, fused: rt.metrics().rendezvous_fused })
 }
 
 fn check_invariants(protocol: Protocol, snaps: &[NodeSnap]) -> Result<(), String> {
@@ -725,6 +774,19 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{} trigger {trigger}: {e}", p.name()));
             }
         }
+    }
+
+    #[test]
+    fn codec_v2_schedules_reach_into_the_second_workload() {
+        // The explorer branches at the first 12 choice points of a run: they
+        // must outlast BSYNC's, or MSYNC2's races would never be permuted.
+        let of = |workload| {
+            let oracle = Arc::new(ReplayOracle::new(Vec::new()));
+            run_static_once(workload, WireConfig::compressed(), &oracle).unwrap();
+            oracle.trace().len()
+        };
+        let (first, second) = (of(Protocol::Bsync), of(Protocol::Msync2));
+        assert!(first < 12 && second > 0, "{first} then {second} choice points");
     }
 
     #[test]

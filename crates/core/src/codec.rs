@@ -686,6 +686,39 @@ mod proptests {
         }
 
         #[test]
+        fn a_data2_frame_with_any_flag_byte_and_blob_never_panics_or_overallocates(
+            flags in any::<u8>(),
+            blob in proptest::collection::vec(any::<u8>(), 0..256),
+        ) {
+            use crate::wire::DsoMessage;
+            // Tag 13 opens a `Data2`: flags, epoch, time, basis, blob.
+            let mut w = WireWriter::new();
+            w.put_u8(13);
+            w.put_u8(flags);
+            w.put_u32(0);
+            w.put_u64(1);
+            w.put_u64(0);
+            w.put_bytes(&blob);
+            match sdso_net::wire::decode::<DsoMessage>(&w.into_bytes()) {
+                Ok(DsoMessage::Data2 { basis, blob, sync, .. }) => {
+                    prop_assert!(flags <= 1, "unknown flag bits {:#x} were accepted", flags);
+                    prop_assert_eq!(sync, flags == 1);
+                    let mut rx = ShadowState::default();
+                    for update in decode_updates(&blob, basis, &mut rx, &mut no_seed).unwrap_or_default() {
+                        for (_, bytes) in update.diff.runs() {
+                            prop_assert!(bytes.len() as u64 <= MAX_RUN_LEN);
+                        }
+                    }
+                }
+                Ok(other) => prop_assert!(false, "decoded as {:?}", other),
+                Err(e) => {
+                    prop_assert!(flags > 1, "flags {:#x} rejected: {}", flags, e);
+                    prop_assert!(matches!(e, NetError::Codec(_)), "{:?}", e);
+                }
+            }
+        }
+
+        #[test]
         fn absolute_batches_roundtrip_bit_exact(updates in arb_updates()) {
             let mut tx = ShadowState::default();
             let mut rx = ShadowState::default();

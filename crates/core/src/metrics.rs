@@ -63,6 +63,9 @@ pub struct DsoMetrics {
     /// Update batches shipped in the compressed v2 wire encoding
     /// (varint/run-length, optionally XOR-delta'd against the link shadow).
     pub codec_v2_sent: u64,
+    /// Rendezvous sent as one frame: a v2 data frame that is also the SYNC,
+    /// so no `Sync` message followed it.
+    pub rendezvous_fused: u64,
     /// Update batches that fell back to the absolute v1 encoding after v2
     /// was negotiated (oversized run, or no seedable XOR shadow).
     pub codec_v2_fallbacks: u64,
@@ -106,6 +109,7 @@ impl DsoMetrics {
             non_member_dropped: self.non_member_dropped + other.non_member_dropped,
             shard_suppressed: self.shard_suppressed + other.shard_suppressed,
             codec_v2_sent: self.codec_v2_sent + other.codec_v2_sent,
+            rendezvous_fused: self.rendezvous_fused + other.rendezvous_fused,
             codec_v2_fallbacks: self.codec_v2_fallbacks + other.codec_v2_fallbacks,
             batch_deduped: self.batch_deduped + other.batch_deduped,
             snapshots_sent: self.snapshots_sent + other.snapshots_sent,
@@ -149,6 +153,7 @@ pub(crate) struct DsoCounters {
     pub(crate) non_member_dropped: Counter,
     pub(crate) shard_suppressed: Counter,
     pub(crate) codec_v2_sent: Counter,
+    pub(crate) rendezvous_fused: Counter,
     pub(crate) codec_v2_fallbacks: Counter,
     pub(crate) batch_deduped: Counter,
     pub(crate) snapshots_sent: Counter,
@@ -183,6 +188,7 @@ impl DsoCounters {
             non_member_dropped: registry.counter("dso.member.non_member_dropped"),
             shard_suppressed: registry.counter("dso.shard.suppressed"),
             codec_v2_sent: registry.counter("dso.codec.v2_sent"),
+            rendezvous_fused: registry.counter("dso.rendezvous_fused"),
             codec_v2_fallbacks: registry.counter("dso.codec.v2_fallbacks"),
             batch_deduped: registry.counter("dso.codec.batch_deduped"),
             snapshots_sent: registry.counter("dso.member.snapshots_sent"),
@@ -216,6 +222,7 @@ impl DsoCounters {
             non_member_dropped: self.non_member_dropped.get(),
             shard_suppressed: self.shard_suppressed.get(),
             codec_v2_sent: self.codec_v2_sent.get(),
+            rendezvous_fused: self.rendezvous_fused.get(),
             codec_v2_fallbacks: self.codec_v2_fallbacks.get(),
             batch_deduped: self.batch_deduped.get(),
             snapshots_sent: self.snapshots_sent.get(),

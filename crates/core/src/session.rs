@@ -219,17 +219,6 @@ enum Wait {
     Poll,
 }
 
-/// What one receive step did.
-enum Step {
-    /// A frame arrived and produced the next in-order logical message.
-    Delivered(Delivery),
-    /// A frame arrived and was consumed below the kernel: an ack, a codec
-    /// offer, a duplicate, an out-of-order arrival, residue.
-    Absorbed,
-    /// Nothing arrived within the wait.
-    Silent,
-}
-
 /// Owns the transport endpoint and one [`Link`] per peer slot.
 #[derive(Debug)]
 pub(crate) struct Session<E: Endpoint> {
@@ -238,7 +227,8 @@ pub(crate) struct Session<E: Endpoint> {
     pub(crate) endpoint: E,
     config: DsoConfig,
     links: Vec<Link>,
-    /// In-order messages delivered by a link but not yet consumed.
+    /// In-order messages delivered by a link but not yet consumed: every
+    /// receive queues here first, so per-link FIFO holds by construction.
     ready: VecDeque<Delivery>,
     /// The kernel's current view: who may be sent to, and which epoch
     /// separates live traffic from a departed member's residue.
@@ -299,10 +289,11 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Sends one exchange's traffic to `peer` — the `(data, SYNC)` pair of
-    /// Fig. 4 stamped with the view's epoch, the data half omitted when empty
-    /// and compressed when the link negotiated it, this process's codec offer
-    /// in front while it is still owed — as one batched transport write.
-    /// Content, order and accounting are those of [`Session::send`] per message.
+    /// Fig. 4 stamped with the view's epoch: one `Data2` frame that is both
+    /// when the link negotiated v2, else the data half (omitted when empty)
+    /// and a `Sync`; this process's codec offer in front while it is still
+    /// owed — two or more messages as one batched transport write. Content,
+    /// order and accounting are those of [`Session::send`] per message.
     pub(crate) fn send_rendezvous(
         &mut self,
         peer: NodeId,
@@ -321,7 +312,11 @@ impl<E: Endpoint> Session<E> {
         if !updates.is_empty() {
             msgs.push(self.encode_data(peer, epoch, time, updates, store));
         }
-        msgs.push(DsoMessage::Sync { epoch, time });
+        if matches!(msgs.last(), Some(DsoMessage::Data2 { .. })) {
+            self.counters.rendezvous_fused.inc();
+        } else {
+            msgs.push(DsoMessage::Sync { epoch, time });
+        }
         if msgs.len() < 2 {
             return msgs.into_iter().try_for_each(|msg| self.send(peer, msg));
         }
@@ -386,10 +381,10 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Builds the data message for one exchange send: the compressed `Data2`
-    /// once the peer has negotiated v2 — falling back to the absolute `Data`
-    /// when a run exceeds the decoder's inflation budget or an XOR shadow
-    /// cannot be seeded — and plain `Data` before.
+    /// Builds the data message for one exchange send: the compressed `Data2`,
+    /// SYNC on board, once the peer has negotiated v2 — falling back to the
+    /// absolute `Data` when a run exceeds the decoder's inflation budget or an
+    /// XOR shadow cannot be seeded — and plain `Data` before.
     fn encode_data(
         &mut self,
         peer: NodeId,
@@ -405,7 +400,7 @@ impl<E: Endpoint> Session<E> {
                 codec::encode_updates(&updates, self.config.wire.xor_delta, &mut link.tx, &mut seed)
             {
                 self.counters.codec_v2_sent.inc();
-                return DsoMessage::Data2 { epoch, time, basis, blob };
+                return DsoMessage::Data2 { epoch, time, basis, blob, sync: true };
             }
             self.counters.codec_v2_fallbacks.inc();
         }
@@ -415,16 +410,18 @@ impl<E: Endpoint> Session<E> {
     // ---- Receiving: one step, driven by seven stop rules ----
 
     /// The one receive step: take at most one frame off the transport, run
-    /// it through the link ([`Session::admit`]), and hand the payload's
-    /// storage back to the global buffer pool (a no-op while the bytes are
-    /// shared or the pool is full). With a `residue` counter it also discards,
-    /// and counts there, what [`Session::drain_residue`] must never admit.
+    /// it through the link ([`Session::admit`]) — which queues the logical
+    /// messages it completes, none for an ack, an offer, a duplicate, a gap or
+    /// residue — and hand the payload's storage back to the global buffer pool
+    /// (a no-op while the bytes are shared or the pool is full). With a
+    /// `residue` counter it also discards, and counts there, what
+    /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
     fn step(
         &mut self,
         wait: Wait,
         store: &ObjectStore,
         residue: Option<&mut u64>,
-    ) -> Result<Step, DsoError> {
+    ) -> Result<bool, DsoError> {
         let arrived = match wait {
             Wait::Block => self.endpoint.recv().map(Some),
             Wait::For(span) => self.endpoint.recv_deadline(span),
@@ -432,34 +429,33 @@ impl<E: Endpoint> Session<E> {
         };
         self.heard = self.endpoint.now();
         let Some(Incoming { from, payload }) = arrived.map_err(DsoError::Net)? else {
-            return Ok(Step::Silent);
+            return Ok(false);
         };
         let msg: DsoMessage = sdso_net::wire::decode(&payload.bytes).map_err(DsoError::Net)?;
         let stale = |msg: &DsoMessage| match msg {
             DsoMessage::SeqAck { .. } => true,
             other => other.epoch().is_some_and(|e| e < self.view.epoch()),
         };
-        let admitted = match residue {
+        match residue {
             Some(dropped) if stale(&msg) => {
                 *dropped += 1;
                 self.counters.cross_epoch_dropped.inc();
-                None
             }
             _ => self.admit(from, msg, store)?,
-        };
+        }
         sdso_net::pool::global().reclaim(payload.bytes);
-        Ok(admitted.map_or(Step::Absorbed, Step::Delivered))
+        Ok(true)
     }
 
-    /// Runs one decoded frame through the reliability layer, returning the
-    /// next in-order logical message if this arrival produced one. Without a
-    /// reliability config every frame passes straight to the codec layer.
+    /// Runs one decoded frame through the reliability layer and on to the
+    /// codec layer whatever this arrival put in order. Without a reliability
+    /// config every frame passes straight through.
     fn admit(
         &mut self,
         from: NodeId,
         msg: DsoMessage,
         store: &ObjectStore,
-    ) -> Result<Option<Delivery>, DsoError> {
+    ) -> Result<(), DsoError> {
         let Some(cfg) = self.config.reliability else { return self.deliver(from, msg, store) };
         let now = self.endpoint.now();
         let link = &mut self.links[usize::from(from)];
@@ -472,8 +468,7 @@ impl<E: Endpoint> Session<E> {
             let past = |epoch| !self.view.contains(from) && epoch < self.view.epoch();
             if ack > link.tx_seq || inner.epoch().is_some_and(past) {
                 self.counters.cross_epoch_dropped.inc();
-                self.send_ack(from, seq + 1)?;
-                return Ok(None);
+                return self.send_ack(from, seq + 1);
             }
         }
         match msg {
@@ -493,23 +488,11 @@ impl<E: Endpoint> Session<E> {
                 }
                 // Codec resolution happens here, after sequencing: the
                 // exactly-once point the XOR shadows' lockstep relies on.
-                // The first resolved message is returned (callers consume it
-                // first); the rest queue behind `ready`, keeping per-link FIFO.
-                let mut delivered = None;
-                for m in chain.unwrap_or_default() {
-                    if let Some(d) = self.deliver(from, m, store)? {
-                        if delivered.is_none() {
-                            delivered = Some(d);
-                        } else {
-                            self.ready.push_back(d);
-                        }
-                    }
-                }
-                Ok(delivered)
+                chain.unwrap_or_default().into_iter().try_for_each(|m| self.deliver(from, m, store))
             }
             DsoMessage::SeqAck { next } => {
                 link.acked(next, now, &cfg);
-                Ok(None)
+                Ok(())
             }
             // A plain message from a peer running without the layer is
             // delivered as-is, codec resolution included.
@@ -517,21 +500,22 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Resolves codec-layer messages at their exactly-once delivery point:
-    /// consumes a [`DsoMessage::CodecOffer`], decodes a [`DsoMessage::Data2`]
-    /// back into the plain `Data` it compresses (advancing this link's
-    /// receive shadows), and passes everything else through untouched.
+    /// Resolves codec-layer messages at their exactly-once delivery point and
+    /// queues the result for the kernel: consumes a [`DsoMessage::CodecOffer`],
+    /// decodes a [`DsoMessage::Data2`] back into the plain `Data` it compresses
+    /// (advancing this link's receive shadows) with, directly behind it, the
+    /// `Sync` it carries, and passes everything else through untouched.
     fn deliver(
         &mut self,
         from: NodeId,
         msg: DsoMessage,
         store: &ObjectStore,
-    ) -> Result<Option<Delivery>, DsoError> {
+    ) -> Result<(), DsoError> {
         let link = &mut self.links[usize::from(from)];
         match msg {
             // Compression is off here: never offer back, so the peer keeps
             // encoding v1 toward us. Interop, not an error.
-            DsoMessage::CodecOffer { .. } if !self.config.wire.codec_v2 => Ok(None),
+            DsoMessage::CodecOffer { .. } if !self.config.wire.codec_v2 => {}
             DsoMessage::CodecOffer { version } => {
                 // A *repeat* offer on a negotiated link means the peer
                 // downgraded its side (a flap, or a restart without a view
@@ -543,14 +527,13 @@ impl<E: Endpoint> Session<E> {
                     link.offered = true;
                     self.send(from, DsoMessage::CodecOffer { version: CODEC_V2 })?;
                 }
-                Ok(None)
             }
             DsoMessage::Data2 { .. } if !self.config.wire.codec_v2 => {
-                Err(DsoError::ProtocolViolation(format!(
+                return Err(DsoError::ProtocolViolation(format!(
                     "compressed Data2 from {from} but codec v2 is not enabled here"
-                )))
+                )));
             }
-            DsoMessage::Data2 { epoch, time, basis, blob } => {
+            DsoMessage::Data2 { epoch, time, basis, blob, sync } => {
                 // Basis 0 announces a fresh compressed stream: the peer
                 // restarted its transmit shadows (a flap or a process
                 // restart). Restart ours to match — a sender's basis only
@@ -561,10 +544,14 @@ impl<E: Endpoint> Session<E> {
                 let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
                 let updates = codec::decode_updates(&blob, basis, &mut link.rx, &mut seed)
                     .map_err(DsoError::Net)?;
-                Ok(Some((from, DsoMessage::Data { epoch, time, updates })))
+                self.ready.push_back((from, DsoMessage::Data { epoch, time, updates }));
+                if sync {
+                    self.ready.push_back((from, DsoMessage::Sync { epoch, time }));
+                }
             }
-            other => Ok(Some((from, other))),
+            other => self.ready.push_back((from, other)),
         }
+        Ok(())
     }
 
     /// Blocking receive of the next logical message. With reliability on it
@@ -584,27 +571,25 @@ impl<E: Endpoint> Session<E> {
     }
 
     fn recv_next(&mut self, patient: bool, store: &ObjectStore) -> Result<Delivery, DsoError> {
-        if let Some(m) = self.ready.pop_front() {
-            return Ok(m);
-        }
         let mut idle = 0u32;
         loop {
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(m);
+            }
             let timer = self.next_timer();
             let wait = match (timer, self.config.reliability) {
                 (Some(at), _) => Wait::For(at.saturating_since(self.endpoint.now())),
                 (None, Some(cfg)) if !patient => Wait::For(backed_off(cfg.rto, idle)),
                 _ => Wait::Block,
             };
-            match self.step(wait, store, None)? {
-                Step::Delivered(m) => return Ok(m),
-                Step::Absorbed => idle = 0,
-                Step::Silent => {
-                    idle += u32::from(timer.is_none());
-                    let rounds = self.serve_timers()?.max(idle);
-                    if self.config.reliability.is_some_and(|cfg| rounds >= cfg.max_retries) {
-                        return Err(DsoError::Timeout { retries: rounds });
-                    }
-                }
+            if self.step(wait, store, None)? {
+                idle = 0;
+                continue;
+            }
+            idle += u32::from(timer.is_none());
+            let rounds = self.serve_timers()?.max(idle);
+            if self.config.reliability.is_some_and(|cfg| rounds >= cfg.max_retries) {
+                return Err(DsoError::Timeout { retries: rounds });
             }
         }
     }
@@ -618,19 +603,17 @@ impl<E: Endpoint> Session<E> {
         deadline: SimInstant,
         store: &ObjectStore,
     ) -> Result<Option<Delivery>, DsoError> {
-        if let Some(m) = self.ready.pop_front() {
-            return Ok(Some(m));
-        }
         loop {
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(Some(m));
+            }
             let now = self.endpoint.now();
             if now >= deadline {
                 return Ok(None);
             }
             let wake = self.next_timer().map_or(deadline, |at| at.min(deadline));
-            match self.step(Wait::For(wake.saturating_since(now)), store, None)? {
-                Step::Delivered(m) => return Ok(Some(m)),
-                Step::Absorbed => {}
-                Step::Silent => drop(self.serve_timers()?),
+            if !self.step(Wait::For(wake.saturating_since(now)), store, None)? {
+                self.serve_timers()?;
             }
         }
     }
@@ -638,22 +621,20 @@ impl<E: Endpoint> Session<E> {
     /// Non-blocking receive of the next logical message; serves the link
     /// timers once nothing is left to take.
     pub(crate) fn recv_now(&mut self, store: &ObjectStore) -> Result<Option<Delivery>, DsoError> {
-        if let Some(m) = self.ready.pop_front() {
-            return Ok(Some(m));
-        }
         loop {
-            match self.step(Wait::Poll, store, None)? {
-                Step::Delivered(m) => return Ok(Some(m)),
-                Step::Absorbed => {}
-                Step::Silent => return self.serve_timers().map(|_| None),
+            if let Some(m) = self.ready.pop_front() {
+                return Ok(Some(m));
+            }
+            if !self.step(Wait::Poll, store, None)? {
+                return self.serve_timers().map(|_| None);
             }
         }
     }
 
     /// One receipt of the tail flush ([`crate::SdsoRuntime::settle`]): sends
     /// every ack still owed, then waits, serving the link timers, until a
-    /// frame arrives — `None`, what it delivered parked at the front of the
-    /// ready queue — or the flush is over: `Some(true)` once every peer has
+    /// frame arrives — `None`, what it delivered waiting in the ready
+    /// queue — or the flush is over: `Some(true)` once every peer has
     /// acknowledged everything this process sent (always, without a
     /// reliability config), `Some(false)` when a link went [`SETTLE_ROUNDS`]
     /// rounds unanswered or every other node has finished.
@@ -670,12 +651,8 @@ impl<E: Endpoint> Session<E> {
             let Some(deadline) = self.next_timer() else { return Ok(Some(true)) };
             let wait = Wait::For(deadline.saturating_since(self.endpoint.now()));
             match self.step(wait, store, None) {
-                Ok(Step::Delivered(m)) => {
-                    self.ready.push_front(m);
-                    return Ok(None);
-                }
-                Ok(Step::Absorbed) => return Ok(None),
-                Ok(Step::Silent) => {
+                Ok(true) => return Ok(None),
+                Ok(false) => {
                     if self.serve_timers()? >= SETTLE_ROUNDS.min(cfg.max_retries) {
                         return Ok(Some(false));
                     }
@@ -707,14 +684,9 @@ impl<E: Endpoint> Session<E> {
                 return Ok(());
             }
             let Some(timer) = self.next_timer() else { return Ok(()) };
-            let queued = self.ready.len();
             let wait = Wait::For(timer.saturating_since(self.endpoint.now()));
-            match self.step(wait, store, None)? {
-                // Per-link FIFO: the head goes in front of the successors
-                // `admit` queued behind it.
-                Step::Delivered(m) => self.ready.insert(queued, m),
-                Step::Absorbed => {}
-                Step::Silent => drop(self.serve_timers()?),
+            if !self.step(wait, store, None)? {
+                self.serve_timers()?;
             }
         }
     }
@@ -729,15 +701,8 @@ impl<E: Endpoint> Session<E> {
             return Ok(0);
         }
         let mut dropped = 0u64;
-        loop {
-            let queued = self.ready.len();
-            match self.step(Wait::Poll, store, Some(&mut dropped))? {
-                // In front of its successors, as in `settle_link`.
-                Step::Delivered(m) => self.ready.insert(queued, m),
-                Step::Absorbed => {}
-                Step::Silent => return Ok(dropped),
-            }
-        }
+        while self.step(Wait::Poll, store, Some(&mut dropped))? {}
+        Ok(dropped)
     }
 
     /// The earliest instant a link wants attention, for a receive about to
@@ -889,8 +854,11 @@ mod tests {
     }
 
     fn session(endpoint: Wound, plan: &FaultPlan) -> Peer {
-        let config =
-            DsoConfig::compact().with_reliability(Some(RETRY)).with_wire(WireConfig::compressed());
+        session_on(endpoint, plan, WireConfig::compressed())
+    }
+
+    fn session_on(endpoint: Wound, plan: &FaultPlan, wire: WireConfig) -> Peer {
+        let config = DsoConfig::compact().with_reliability(Some(RETRY)).with_wire(wire);
         let obs = Obs::disabled();
         let counters = DsoCounters::in_registry(obs.registry());
         Session::new(FaultyEndpoint::new(endpoint, plan.clone()), config, obs, counters)
@@ -899,11 +867,17 @@ mod tests {
     /// Nodes `0..n` on one clock, and the store they seed their XOR shadows
     /// from.
     fn group(n: usize, plan: &FaultPlan) -> (Vec<Peer>, ObjectStore) {
+        group_on(&vec![WireConfig::compressed(); n], plan)
+    }
+
+    /// As [`group`], node `i` speaking `wires[i]`.
+    fn group_on(wires: &[WireConfig], plan: &FaultPlan) -> (Vec<Peer>, ObjectStore) {
         let micros = Arc::new(AtomicU64::new(0));
-        let nodes = MemoryHub::new(n)
+        let nodes = MemoryHub::new(wires.len())
             .into_endpoints()
             .into_iter()
-            .map(|inner| session(Wound { inner, micros: micros.clone() }, plan))
+            .zip(wires)
+            .map(|(inner, &wire)| session_on(Wound { inner, micros: micros.clone() }, plan, wire))
             .collect();
         let mut store = ObjectStore::new();
         store.share(OBJECT, vec![0u8; 16]).unwrap();
@@ -1286,9 +1260,9 @@ mod tests {
         }
         assert_eq!(got_b, sent_a);
         assert_eq!(got_a, sent_b);
-        // Four exchanges and one offer each way, from sequence 0 / basis 0:
-        // the first batch went v1, the other three compressed.
-        assert_eq!((a.links[1].tx_seq, a.links[1].rx_next), (9, 9));
+        // From sequence 0 / basis 0: the offer and the first batch's v1 pair,
+        // then one frame for each of the other three exchanges.
+        assert_eq!((a.links[1].tx_seq, a.links[1].rx_next), (6, 6));
         assert_eq!((a.links[1].tx.basis(), a.links[1].rx.basis()), (3, 3));
     }
 
@@ -1379,7 +1353,8 @@ mod tests {
             pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
         }
         exchange(&mut a, 1, 3, &store);
-        assert_eq!(a.links[1].unacked.len(), 2);
+        exchange(&mut a, 1, 4, &store);
+        assert_eq!(a.links[1].unacked.len(), 2, "one frame per rendezvous");
         let rest = |l: &Link| {
             (
                 l.tx_seq,
@@ -1392,7 +1367,7 @@ mod tests {
             )
         };
         let before = rest(&a.links[1]);
-        assert_eq!(before, (7, 5, 0, Some(CODEC_V2), true, 2, 1));
+        assert_eq!(before, (6, 4, 0, Some(CODEC_V2), true, 3, 1));
         // Node 1 finishes and tears its endpoint down: the next
         // retransmission round writes the link off — once, however many
         // frames it held.
@@ -1403,5 +1378,147 @@ mod tests {
         assert_eq!(a.counters.view().retransmits, resent + 1, "and the round stops there");
         assert!(a.links[1].unacked.is_empty() && a.links[1].deadline.is_none());
         assert_eq!(rest(&a.links[1]), before);
+    }
+
+    /// Both sides' offers cross and the first, v1, pair is delivered: from
+    /// here on every non-empty batch travels as one fused frame.
+    fn negotiated() -> (Peer, Peer, ObjectStore) {
+        let (mut a, mut b, store) = pair(&lossless());
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        exchange(&mut a, 1, 1, &store);
+        exchange(&mut b, 0, 1, &store);
+        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        assert_eq!(
+            (got_a, got_b),
+            (pair_of(1, Epoch(0), 1).to_vec(), pair_of(0, Epoch(0), 1).to_vec())
+        );
+        assert_eq!(
+            a.counters.view().rendezvous_fused,
+            0,
+            "nothing to fuse before the offers cross"
+        );
+        (a, b, store)
+    }
+
+    #[test]
+    fn a_fused_frame_is_one_frame_and_delivers_data_then_sync() {
+        let (mut a, mut b, store) = negotiated();
+        let mut got_b = Vec::new();
+        let sent = a.links[1].tx_seq;
+        exchange(&mut a, 1, 2, &store);
+        assert_eq!((a.links[1].tx_seq, a.links[1].unacked.len()), (sent + 1, 1));
+        let (seq, frame) = a.links[1].unacked.first_key_value().map(|(s, (_, m))| (*s, m)).unwrap();
+        assert!(matches!(frame, DsoMessage::Data2 { sync: true, .. }), "seq {seq}: {frame:?}");
+        assert_eq!(frame.class(), MsgClass::Data);
+        assert_eq!(a.counters.view().rendezvous_fused, 1);
+        poll(&mut b, &store, &mut got_b);
+        assert_eq!(got_b, pair_of(0, Epoch(0), 2));
+        // Retransmitted unacknowledged, the duplicate yields no second SYNC.
+        let before = (a.counters.view().retransmits, b.counters.view().duplicates_dropped);
+        expire(&mut a);
+        poll(&mut b, &store, &mut got_b);
+        let after = (a.counters.view().retransmits, b.counters.view().duplicates_dropped);
+        assert_eq!(after, (before.0 + 1, before.1 + 1));
+        assert_eq!(got_b, pair_of(0, Epoch(0), 2));
+    }
+
+    #[test]
+    fn a_fused_frame_keeps_its_place_in_a_gap_filled_chain() {
+        let (mut a, mut b, store) = negotiated();
+        let mut got_b = Vec::new();
+        // The frame ahead of the fused one is lost; it and its successor wait
+        // out of order until the retransmission fills the gap.
+        a.send(1, app(1)).unwrap();
+        drop(b.endpoint.try_recv().unwrap().expect("the frame to lose"));
+        exchange(&mut a, 1, 2, &store);
+        a.send(1, app(3)).unwrap();
+        poll(&mut b, &store, &mut got_b);
+        assert!(got_b.is_empty() && b.links[0].ooo.len() == 2);
+        expire(&mut a);
+        poll(&mut b, &store, &mut got_b);
+        let [data, sync] = pair_of(0, Epoch(0), 2);
+        assert_eq!(got_b, [(0, app(1)), data, sync, (0, app(3))]);
+    }
+
+    #[test]
+    fn the_settles_queue_a_fused_frames_sync_directly_behind_its_data() {
+        let (mut a, mut b, store) = negotiated();
+        let [data, sync] = pair_of(1, Epoch(0), 2);
+        // Node 0 settles while it holds an unacknowledged frame; node 1's
+        // traffic, sent before that frame reached it, acknowledges nothing.
+        b.send(0, app(7)).unwrap();
+        exchange(&mut b, 0, 2, &store);
+        a.send(1, app(1)).unwrap();
+        assert_eq!(a.settle_recv(&store).unwrap(), None, "a frame arrived: not settled yet");
+        assert_eq!(a.settle_recv(&store).unwrap(), None);
+        let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
+        assert_eq!(queued, [(1, app(7)), data.clone(), sync.clone()]);
+        // The same through the per-link drain, which node 1 never answers.
+        b.send(0, app(8)).unwrap();
+        let [data3, sync3] = pair_of(1, Epoch(0), 3);
+        exchange(&mut b, 0, 3, &store);
+        a.settle_link(1, &store).unwrap();
+        assert_eq!(a.links[1].expiries, RETRY.max_retries, "node 1 was given up on");
+        let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
+        assert_eq!(queued, [(1, app(8)), data3, sync3]);
+    }
+
+    #[test]
+    fn fallback_and_empty_batches_keep_their_v1_frames() {
+        let (mut a, mut b, store) = negotiated();
+        let mut got_b = Vec::new();
+        let time = LogicalTime::from_ticks(2);
+        let sent = a.links[1].tx_seq;
+        // Nothing to report: the SYNC travels alone.
+        a.send_rendezvous(1, time, Vec::new(), &store).unwrap();
+        assert_eq!(a.links[1].tx_seq, sent + 1);
+        // An object the store cannot seed an XOR shadow for: plain `Data`
+        // and a `Sync`, the compressed stream's basis where it was.
+        let unseedable = vec![WireUpdate { object: ObjectId(99), ..batch(0, 2).remove(0) }];
+        let basis = a.links[1].tx.basis();
+        a.send_rendezvous(1, time, unseedable.clone(), &store).unwrap();
+        assert_eq!((a.links[1].tx_seq, a.links[1].tx.basis()), (sent + 3, basis));
+        let kinds: Vec<&DsoMessage> = a.links[1].unacked.values().map(|(_, m)| m).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [DsoMessage::Sync { .. }, DsoMessage::Data { .. }, DsoMessage::Sync { .. }]
+            ),
+            "{kinds:?}"
+        );
+        let view = a.counters.view();
+        assert_eq!((view.codec_v2_fallbacks, view.rendezvous_fused), (1, 0));
+        poll(&mut b, &store, &mut got_b);
+        let epoch = Epoch(0);
+        assert_eq!(
+            got_b,
+            [
+                (0, DsoMessage::Sync { epoch, time }),
+                (0, DsoMessage::Data { epoch, time, updates: unseedable }),
+                (0, DsoMessage::Sync { epoch, time }),
+            ]
+        );
+    }
+
+    #[test]
+    fn toward_a_v1_peer_nothing_changes() {
+        let (mut nodes, store) =
+            group_on(&[WireConfig::compressed(), WireConfig::v1()], &lossless());
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
+        for t in 1..=3 {
+            exchange(&mut a, 1, t, &store);
+            sent_a.extend(pair_of(0, Epoch(0), t));
+            exchange(&mut b, 0, t, &store);
+            sent_b.extend(pair_of(1, Epoch(0), t));
+            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        }
+        assert_eq!((got_a, got_b), (sent_b, sent_a));
+        // The offer that is never answered, then a (data, SYNC) pair a tick.
+        assert_eq!((a.links[1].tx_seq, b.links[0].tx_seq), (7, 6));
+        let view = a.counters.view();
+        assert_eq!((view.codec_v2_sent, view.rendezvous_fused), (0, 0));
     }
 }

@@ -150,13 +150,14 @@ pub enum DsoMessage {
         /// Highest codec version the sender can decode.
         version: u8,
     },
-    /// The v2 data half of a rendezvous pair: semantically identical to
-    /// [`DsoMessage::Data`], but with the update list encoded by the
-    /// varint/run-length (and optionally XOR-delta) codec into an opaque
-    /// blob. The blob is resolved back into a plain `Data` at the
-    /// exactly-once delivery point in the runtime (where the per-link XOR
-    /// shadows live), keeping this decode pure so stored ARQ retransmit
-    /// clones re-encode safely.
+    /// The v2 data frame of a rendezvous: the update list of a
+    /// [`DsoMessage::Data`], encoded by the varint/run-length (and
+    /// optionally XOR-delta) codec into an opaque blob, and — with `sync`
+    /// set — the [`DsoMessage::Sync`] that would have followed it, so one
+    /// frame is the whole `(data, SYNC)` pair. The session resolves it back
+    /// into those plain messages at its exactly-once delivery point (where
+    /// the per-link XOR shadows live), keeping this decode pure so stored
+    /// ARQ retransmit clones re-encode safely.
     Data2 {
         /// Membership epoch the sender computed this exchange under.
         epoch: Epoch,
@@ -170,8 +171,15 @@ pub enum DsoMessage {
         basis: u64,
         /// The codec-v2 encoded update list (see `crate::codec`).
         blob: Vec<u8>,
+        /// Whether this frame is also the sender's SYNC for `time`: no
+        /// separate [`DsoMessage::Sync`] follows it.
+        sync: bool,
     },
 }
+
+/// Bit of the `Data2` header's flag byte that carries `sync`; a frame with
+/// any other bit set is rejected.
+const DATA2_SYNC: u8 = 1;
 
 const TAG_DATA: u8 = 1;
 const TAG_SYNC: u8 = 2;
@@ -310,8 +318,9 @@ impl Wire for DsoMessage {
                 w.put_u8(TAG_CODEC_OFFER);
                 w.put_u8(*version);
             }
-            DsoMessage::Data2 { epoch, time, basis, blob } => {
+            DsoMessage::Data2 { epoch, time, basis, blob, sync } => {
                 w.put_u8(TAG_DATA2);
+                w.put_u8(if *sync { DATA2_SYNC } else { 0 });
                 w.put_u32(epoch.0);
                 w.put_u64(time.as_ticks());
                 w.put_u64(*basis);
@@ -376,11 +385,15 @@ impl Wire for DsoMessage {
             }
             TAG_CODEC_OFFER => Ok(DsoMessage::CodecOffer { version: r.get_u8()? }),
             TAG_DATA2 => {
+                let flags = r.get_u8()?;
+                if flags & !DATA2_SYNC != 0 {
+                    return Err(NetError::Codec(format!("unknown Data2 flags {flags:#x}")));
+                }
                 let epoch = Epoch(r.get_u32()?);
                 let time = LogicalTime::from_ticks(r.get_u64()?);
                 let basis = r.get_u64()?;
                 let blob = r.get_bytes()?.to_vec();
-                Ok(DsoMessage::Data2 { epoch, time, basis, blob })
+                Ok(DsoMessage::Data2 { epoch, time, basis, blob, sync: flags == DATA2_SYNC })
             }
             tag => Err(NetError::Codec(format!("unknown DsoMessage tag {tag:#x}"))),
         }
@@ -459,12 +472,40 @@ mod tests {
             }],
         });
         roundtrip(DsoMessage::CodecOffer { version: 2 });
-        roundtrip(DsoMessage::Data2 {
-            epoch: Epoch(4),
-            time: LogicalTime::from_ticks(11),
-            basis: 3,
-            blob: vec![0x81, 0x02, 0x00],
-        });
+        for sync in [true, false] {
+            roundtrip(DsoMessage::Data2 {
+                epoch: Epoch(4),
+                time: LogicalTime::from_ticks(11),
+                basis: 3,
+                blob: vec![0x81, 0x02, 0x00],
+                sync,
+            });
+        }
+    }
+
+    #[test]
+    fn data2_flag_byte_carries_sync_and_nothing_else() {
+        let fused = DsoMessage::Data2 {
+            epoch: Epoch(1),
+            time: LogicalTime::from_ticks(2),
+            basis: 0,
+            blob: vec![0],
+            sync: true,
+        };
+        let encoded = wire::encode(&fused).to_vec();
+        assert_eq!(encoded[..2], [TAG_DATA2, DATA2_SYNC], "the flags follow the tag");
+        for flags in 0..=u8::MAX {
+            let mut frame = encoded.clone();
+            frame[1] = flags;
+            match (flags, wire::decode::<DsoMessage>(&frame)) {
+                (0 | DATA2_SYNC, Ok(DsoMessage::Data2 { sync, .. })) => {
+                    assert_eq!(sync, flags == DATA2_SYNC);
+                }
+                (0 | DATA2_SYNC, other) => panic!("flags {flags:#x} decoded as {other:?}"),
+                (_, Err(NetError::Codec(why))) => assert!(why.contains("Data2 flags"), "{why}"),
+                (_, other) => panic!("unknown flags {flags:#x} decoded as {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -538,9 +579,18 @@ mod tests {
         );
         assert_eq!(DsoMessage::Ack.class(), MsgClass::Control);
         assert_eq!(DsoMessage::CodecOffer { version: 2 }.class(), MsgClass::Control);
-        let d2 =
-            DsoMessage::Data2 { epoch: Epoch(1), time: LogicalTime::ZERO, basis: 0, blob: vec![] };
-        assert_eq!(d2.class(), MsgClass::Data, "compressed data is still data");
+        let d2 = DsoMessage::Data2 {
+            epoch: Epoch(1),
+            time: LogicalTime::ZERO,
+            basis: 0,
+            blob: vec![],
+            sync: true,
+        };
+        assert_eq!(
+            d2.class(),
+            MsgClass::Data,
+            "compressed data is still data, SYNC on board or not"
+        );
         assert_eq!(d2.epoch(), Some(Epoch(1)));
         assert_eq!(DsoMessage::CodecOffer { version: 2 }.epoch(), None);
     }
@@ -586,6 +636,7 @@ mod tests {
                 time: LogicalTime::from_ticks(6),
                 basis: 1,
                 blob: vec![3, 1, 4, 1, 5],
+                sync: true,
             },
             DsoMessage::Snapshot {
                 epoch: Epoch(2),

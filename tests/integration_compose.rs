@@ -146,3 +146,80 @@ fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
         }
     }
 }
+
+/// A fused rendezvous in the books: on a negotiated link the SYNC rides in
+/// the v2 data frame, so against the v1 twin (the same batches — dedup on —
+/// in the absolute format) every node sends the same data messages, receives
+/// the same updates and ends in the same world, and its control messages are
+/// the twin's less one per fused rendezvous plus its one codec offer per
+/// peer (standalone acks aside, whose number follows the timing). With reliability on top — the paper's operating point with
+/// everything on — the run still beats the bare v1 run's time per
+/// modification and BSYNC still retransmits nothing.
+#[test]
+fn a_fused_rendezvous_is_one_data_message_and_no_control_message() {
+    let bare = Scenario::paper(16, 3).with_ticks(24);
+    let plan = RunPlan::default();
+    let peers = u64::from(bare.teams) - 1;
+    let secs_per_mod = |run: &RunSummary| {
+        run.per_node.iter().map(|s| s.time_per_modification().as_secs_f64()).sum::<f64>()
+    };
+    for protocol in Protocol::PAPER {
+        let lookahead = protocol != Protocol::Entry;
+        let unreliable_v1 = play_converged(&bare, protocol, &plan);
+        let same_batches = WireConfig { batch_dedup: true, ..WireConfig::v1() };
+        for v1 in [bare.clone(), bare.clone().with_reliability(RetryConfig::default())] {
+            let v1 = v1.with_wire(same_batches);
+            let arq = v1.reliability.is_some();
+            let plain = play_converged(&v1, protocol, &plan);
+            let packed = play_converged(&v1.with_wire(WireConfig::compressed()), protocol, &plan);
+            for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
+                let case = format!("{protocol}, reliability {arq}, node {}", a.node);
+                assert_eq!(a.ticks, b.ticks, "{case}: unfinished");
+                // EC's lock order follows message timing, which the ARQ's
+                // acks move; without it, and for the lookahead family
+                // always, the codec changes nothing the game can see.
+                if lookahead || !arq {
+                    // Updates received: whether one is applied or found stale
+                    // follows the order two writers' frames arrive in.
+                    let received =
+                        |s: &sdso_game::NodeStats| s.dso.updates_applied + s.dso.updates_stale;
+                    assert_eq!(
+                        (a.modifications, a.score, received(a)),
+                        (b.modifications, b.score, received(b)),
+                        "{case}: v2 changed the outcome"
+                    );
+                    assert!(a.final_world == b.final_world, "{case}: v2 changed the world");
+                }
+                if !lookahead {
+                    // EC never exchanges: nothing to offer, nothing to fuse.
+                    assert_eq!((b.dso.rendezvous_fused, b.dso.codec_v2_sent), (0, 0), "{case}");
+                    continue;
+                }
+                assert!(b.dso.rendezvous_fused > 0, "{case}: nothing was fused");
+                assert_eq!(b.dso.rendezvous_fused, b.dso.codec_v2_sent, "{case}");
+                let retransmitted = |s: &sdso_game::NodeStats| s.dso.retransmits;
+                let sequenced = |s: &sdso_game::NodeStats| {
+                    (s.net.data_sent.msgs, s.net.control_sent.msgs - s.dso.acks_standalone)
+                };
+                if retransmitted(a) + retransmitted(b) > 0 {
+                    continue; // resent frames count twice on the wire
+                }
+                let ((data_v1, control_v1), (data_v2, control_v2)) = (sequenced(a), sequenced(b));
+                assert_eq!(data_v2, data_v1, "{case}: a fused frame is a data message");
+                assert_eq!(
+                    control_v2 + b.dso.rendezvous_fused,
+                    control_v1 + peers,
+                    "{case}: control messages are the twin's, less the fused SYNCs, plus the offers"
+                );
+            }
+            if arq {
+                let resent: u64 = packed.per_node.iter().map(|s| s.dso.retransmits).sum();
+                assert!(protocol != Protocol::Bsync || resent == 0, "BSYNC resent {resent} frames");
+                if lookahead {
+                    let (off, on) = (secs_per_mod(&unreliable_v1), secs_per_mod(&packed));
+                    assert!(on < off, "{protocol}: {on:.4} s/mod all on, {off:.4} bare");
+                }
+            }
+        }
+    }
+}
