@@ -14,8 +14,9 @@
 //! hand-built `SimCluster`). A legitimate behaviour change re-records them
 //! and says so; a refactor only ever touches the call sites in `play`.
 //! The four rows that turn the reliability layer on were re-recorded when
-//! its ARQ became a sliding window (see `check_reliable`); every other row
-//! still holds its `ba53507` value.
+//! its ARQ became a sliding window (see `check_reliable`), and the two of
+//! them that also negotiate codec v2 again when a v2 rendezvous became one
+//! frame; every other row still holds its `ba53507` value.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
@@ -242,7 +243,8 @@ fn chaos_4_nodes() {
 }
 
 /// Everything on at once — reliability, codec v2 (XOR-delta, batch dedup)
-/// and drop/dup/reorder.
+/// and drop/dup/reorder. What a negotiated link puts on the wire moves this
+/// row and the next; EC never exchanges, so its constants are the v1 twins'.
 #[test]
 fn chaos_4_nodes_codec_v2() {
     check_reliable(
@@ -251,9 +253,9 @@ fn chaos_4_nodes_codec_v2() {
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
             (Protocol::Entry, 0xC666_24DF_73DF_8CA3),
-            (Protocol::Bsync, 0xB8E2_A1C2_6A2D_ABA8),
-            (Protocol::Msync, 0x1149_A438_705A_F96C),
-            (Protocol::Msync2, 0x56FD_A78A_8D14_3655),
+            (Protocol::Bsync, 0xC646_FF31_D930_D2F9),
+            (Protocol::Msync, 0x90C8_C337_1C99_02D1),
+            (Protocol::Msync2, 0x9413_9EA8_7351_F1F5),
         ],
     );
 }
@@ -269,9 +271,9 @@ fn churn_with_chaos_8_slots_codec_v2() {
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
             (Protocol::Entry, 0x12AA_EB9A_DFF9_3F4B),
-            (Protocol::Bsync, 0x6363_E3B2_446F_3612),
-            (Protocol::Msync, 0xD5EF_21ED_B960_FDD8),
-            (Protocol::Msync2, 0xDFDB_E106_7114_6F23),
+            (Protocol::Bsync, 0x2C92_F44B_D084_1DD7),
+            (Protocol::Msync, 0x62FB_C6A0_622D_1886),
+            (Protocol::Msync2, 0xCFED_8ED4_EF1D_4BDA),
         ],
     );
 }
