@@ -691,15 +691,12 @@ mod proptests {
             blob in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
             use crate::wire::DsoMessage;
-            // Tag 13 opens a `Data2`: flags, epoch, time, basis, blob.
-            let mut w = WireWriter::new();
-            w.put_u8(13);
-            w.put_u8(flags);
-            w.put_u32(0);
-            w.put_u64(1);
-            w.put_u64(0);
-            w.put_bytes(&blob);
-            match sdso_net::wire::decode::<DsoMessage>(&w.into_bytes()) {
+            let (epoch, time) = (sdso_member::Epoch(0), LogicalTime::from_ticks(1));
+            let fused = DsoMessage::Data2 { epoch, time, basis: 0, blob, sync: true };
+            // The flag byte follows the tag.
+            let mut frame = sdso_net::wire::encode(&fused).to_vec();
+            frame[1] = flags;
+            match sdso_net::wire::decode::<DsoMessage>(&frame) {
                 Ok(DsoMessage::Data2 { basis, blob, sync, .. }) => {
                     prop_assert!(flags <= 1, "unknown flag bits {:#x} were accepted", flags);
                     prop_assert_eq!(sync, flags == 1);

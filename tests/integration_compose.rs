@@ -22,6 +22,11 @@ use sdso_sim::NetworkModel;
 
 const CRASH_SEED: u64 = 0x5D50_C4A5;
 
+/// The paper's Fig. 5 metric, summed over the nodes of a run.
+fn secs_per_mod(run: &RunSummary) -> f64 {
+    run.per_node.iter().map(|s| s.time_per_modification().as_secs_f64()).sum()
+}
+
 /// Plays the run and checks every member of the plan's final view holds
 /// the identical world.
 fn play_converged(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> RunSummary {
@@ -135,9 +140,6 @@ fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
                 retransmits * 100 <= sent,
                 "{protocol}, rto {rto}: {retransmits} spurious retransmits in {sent} frames"
             );
-            let secs_per_mod = |run: &RunSummary| {
-                run.per_node.iter().map(|s| s.time_per_modification().as_secs_f64()).sum::<f64>()
-            };
             let (off, on) = (secs_per_mod(&off), secs_per_mod(&on));
             assert!(
                 on <= off * 1.10,
@@ -152,17 +154,15 @@ fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
 /// in the absolute format) every node sends the same data messages, receives
 /// the same updates and ends in the same world, and its control messages are
 /// the twin's less one per fused rendezvous plus its one codec offer per
-/// peer (standalone acks aside, whose number follows the timing). With reliability on top — the paper's operating point with
-/// everything on — the run still beats the bare v1 run's time per
-/// modification and BSYNC still retransmits nothing.
+/// peer (standalone acks aside, whose number follows the timing). With
+/// reliability on top — the paper's operating point with everything on — the
+/// run still beats the bare v1 run's time per modification and BSYNC still
+/// retransmits nothing.
 #[test]
 fn a_fused_rendezvous_is_one_data_message_and_no_control_message() {
     let bare = Scenario::paper(16, 3).with_ticks(24);
     let plan = RunPlan::default();
     let peers = u64::from(bare.teams) - 1;
-    let secs_per_mod = |run: &RunSummary| {
-        run.per_node.iter().map(|s| s.time_per_modification().as_secs_f64()).sum::<f64>()
-    };
     for protocol in Protocol::PAPER {
         let lookahead = protocol != Protocol::Entry;
         let unreliable_v1 = play_converged(&bare, protocol, &plan);
@@ -197,11 +197,10 @@ fn a_fused_rendezvous_is_one_data_message_and_no_control_message() {
                 }
                 assert!(b.dso.rendezvous_fused > 0, "{case}: nothing was fused");
                 assert_eq!(b.dso.rendezvous_fused, b.dso.codec_v2_sent, "{case}");
-                let retransmitted = |s: &sdso_game::NodeStats| s.dso.retransmits;
                 let sequenced = |s: &sdso_game::NodeStats| {
                     (s.net.data_sent.msgs, s.net.control_sent.msgs - s.dso.acks_standalone)
                 };
-                if retransmitted(a) + retransmitted(b) > 0 {
+                if a.dso.retransmits + b.dso.retransmits > 0 {
                     continue; // resent frames count twice on the wire
                 }
                 let ((data_v1, control_v1), (data_v2, control_v2)) = (sequenced(a), sequenced(b));
