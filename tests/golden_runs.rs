@@ -277,3 +277,27 @@ fn churn_with_chaos_8_slots_codec_v2() {
         ],
     );
 }
+
+/// The wire diet alone: no faults, no reliability, 256-byte blocks on
+/// payload-sized frames (fixed 2048-byte frames would pad every message to
+/// the same size), so the fingerprints hold exactly the bytes and virtual
+/// time codec v2 leaves on the 10 Mbps testbed.
+#[test]
+fn static_codec_v2_fat_blocks() {
+    let mut scenario = Scenario::paper(4, 1)
+        .with_ticks(120)
+        .with_block_bytes(256)
+        .with_wire(WireConfig::compressed());
+    scenario.frame_wire_len = None;
+    check(
+        "static + codec v2, 4 nodes, 256-byte blocks",
+        &scenario,
+        &RunPlan::default(),
+        &[
+            (Protocol::Entry, 0x9052_2D1D_35ED_2BC2),
+            (Protocol::Bsync, 0x9BA1_3B19_750D_A9D5),
+            (Protocol::Msync, 0xA3F1_44E6_C7B2_CEFE),
+            (Protocol::Msync2, 0x9D4A_190B_035B_2F54),
+        ],
+    );
+}
