@@ -14,7 +14,10 @@
 //!   ext-proto   Ext. D: LRC and causal memory alongside the paper's four
 //!   churn       Ext. E: dynamic membership (leave/join barriers), clean + faulty net
 //!   crash       Ext. G: fail-stop crashes with WAL + snapshot recovery, 16 and 64 teams
+//!   wire        Ext. H: v1 vs codec-v2 bytes and exchange time, four link speeds (fixed shape)
 //!   all         Everything above, in order
+//!   shard       Ext. F: sharded vs full-mesh traffic at 64 and 256 nodes (fixed shape;
+//!               about seven minutes, so not part of `all`)
 //!
 //! FLAGS
 //!   --quick     Small grid (2–4 processes, 40 ticks) for a fast look
@@ -31,7 +34,7 @@
 use sdso_game::{Protocol, Scenario};
 use sdso_harness::{
     chaos_plan, chaos_retry_config, churn_table, crash_table, default_churn_plan,
-    default_crash_plan, Sweep, Table,
+    default_crash_plan, shard_table, wire_sweep, wire_table, Sweep, Table,
 };
 use sdso_sim::NetworkModel;
 
@@ -151,6 +154,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "ext-proto" => sweep.ext_protocols()?,
             "churn" => churn_tables(sweep)?,
             "crash" => crash_tables(sweep)?,
+            "wire" => vec![wire_table(&wire_sweep()?)],
+            "shard" => vec![shard_table()?],
             other => return Err(format!("unknown command {other:?}").into()),
         };
         print_tables(&tables, csv);
@@ -179,7 +184,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // doesn't hide the rest of the evaluation; report and fail at
         // the end.
         let mut failures: Vec<(String, String)> = Vec::new();
-        for name in [
+        let sets = [
             "fig5",
             "fig6",
             "fig7",
@@ -190,7 +195,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "ext-proto",
             "churn",
             "crash",
-        ] {
+            "wire",
+        ];
+        for name in sets {
             if let Err(e) = run(name, &sweep) {
                 eprintln!("[{name} FAILED: {e}]\n");
                 failures.push((name.to_owned(), e.to_string()));
@@ -204,9 +211,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             for (name, e) in &failures {
                 eprintln!("FAILED {name}: {e}");
             }
-            return Err(
-                format!("{} of 10 experiment sets failed to converge", failures.len()).into()
-            );
+            let (failed, of) = (failures.len(), sets.len());
+            return Err(format!("{failed} of {of} experiment sets failed to converge").into());
         }
     } else {
         run(&command, &sweep)?;

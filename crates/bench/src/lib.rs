@@ -1,18 +1,12 @@
-//! Benchmark crate: criterion micro-benchmarks (`benches/`), the
-//! `experiments` binary that regenerates the paper's figures, and the
-//! `perf` binary that records/checks the perf-regression baseline
-//! (`BENCH_<k>.json` at the repository root).
+//! The `experiments` binary, which regenerates the paper's figures and
+//! the extension tables of EXPERIMENTS.md, and [`json`], the
+//! dependency-free JSON reader/writer `benchmark/` parses its own result
+//! lines with.
 //!
-//! The library part holds what the `perf` binary needs to be testable
-//! offline: a dependency-free JSON reader/writer ([`json`]) and the
-//! baseline schema plus tolerance comparison ([`baseline`]).
+//! Nothing here gates anything: each measured contract is an assertion in
+//! the test file of the subsystem it guards (docs/ARCHITECTURE.md §9), and
+//! everything timed is measured by `benchmark/`.
 
 #![warn(missing_docs)]
 
-pub mod baseline;
-pub mod crashbench;
 pub mod json;
-pub mod micro;
-pub mod netbench;
-pub mod shardbench;
-pub mod wirebench;

@@ -15,6 +15,8 @@
 //! | Ext. B | blocking breakdown | [`Sweep::ext_blocking`] |
 //! | Ext. C | diff-merging ablation | [`Sweep::ext_diff_merging`] |
 //! | Ext. D | LRC + causal comparison | [`Sweep::ext_protocols`] |
+//! | Ext. F | sharded vs full-mesh traffic | [`shard_table`] |
+//! | Ext. H | wire diet across link speeds | [`wire_sweep`] |
 //!
 //! # Example
 //!
@@ -39,6 +41,7 @@ mod figures;
 mod shard;
 mod table;
 pub mod transports;
+mod wire;
 
 pub use chaos::{chaos_plan, chaos_retry_config, chaos_table};
 pub use churn::{churn_table, default_churn_plan};
@@ -48,7 +51,7 @@ pub use experiment::{
 };
 pub use figures::Sweep;
 pub use shard::{
-    bytes_per_node_tick, exchanges_per_node_tick, run_shard_comparison, run_shard_window,
-    ShardComparison, ShardWindow,
+    run_shard_comparison, run_shard_window, shard_table, ShardComparison, ShardWindow,
 };
 pub use table::Table;
+pub use wire::{wire_sweep, wire_table, WireCell};

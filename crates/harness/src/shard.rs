@@ -4,13 +4,15 @@
 //! module drives the region-sharded MSYNC2-SHARD protocol (see
 //! `sdso_game::shard` and the `sdso-shard` crate) against plain MSYNC2
 //! on [`Scenario::scaled`] grids, and reports the first-class scaling
-//! metric the perf gate (`BENCH_4.json`) consumes: per-node bytes per
-//! tick, sharded as a fraction of full-mesh.
+//! metric: per-node live bytes per tick in a steady-state window, sharded
+//! as a fraction of full-mesh. The tests below hold its contract;
+//! `experiments shard` prints its numbers ([`shard_table`]).
 
 use sdso_game::{Protocol, Scenario};
 use sdso_sim::{NetworkModel, SimError};
 
 use crate::experiment::{converged, run_experiment, RunSummary};
+use crate::table::Table;
 
 /// Result of one sharded-vs-mesh pairing at a given cluster size.
 #[derive(Debug, Clone)]
@@ -23,21 +25,8 @@ pub struct ShardComparison {
     pub sharded: RunSummary,
 }
 
-/// Mean *live* bytes each node puts on the wire per game tick —
-/// excluding the terminal measurement flush, which ships every
-/// suppressed diff once at shutdown so cross-replica oracles can compare
-/// final worlds, and which would otherwise cancel out exactly the
-/// traffic that interest routing avoids in steady state.
-pub fn bytes_per_node_tick(summary: &RunSummary) -> f64 {
-    let ticks: u64 = summary.per_node.iter().map(|s| s.ticks).sum();
-    if ticks == 0 {
-        return 0.0;
-    }
-    summary.live_bytes() as f64 / ticks as f64
-}
-
 /// Mean live exchanges each node performs per game tick.
-pub fn exchanges_per_node_tick(summary: &RunSummary) -> f64 {
+fn exchanges_per_node_tick(summary: &RunSummary) -> f64 {
     let ticks: u64 = summary.per_node.iter().map(|s| s.ticks).sum();
     if ticks == 0 {
         return 0.0;
@@ -46,15 +35,6 @@ pub fn exchanges_per_node_tick(summary: &RunSummary) -> f64 {
 }
 
 impl ShardComparison {
-    /// Sharded bytes/tick over mesh bytes/tick — the gated ratio.
-    pub fn traffic_ratio(&self) -> f64 {
-        let mesh = bytes_per_node_tick(&self.mesh);
-        if mesh == 0.0 {
-            return f64::INFINITY;
-        }
-        bytes_per_node_tick(&self.sharded) / mesh
-    }
-
     /// Sharded exchanges/tick over mesh exchanges/tick.
     pub fn exchange_ratio(&self) -> f64 {
         let mesh = exchanges_per_node_tick(&self.mesh);
@@ -162,6 +142,33 @@ pub fn run_shard_window(
     Ok(ShardWindow { warmup: warmup_cmp, full: full_cmp })
 }
 
+/// Ext. F's table: the steady-state pairing at 64 nodes (12..60 t) and at
+/// 256 (48..96 t — past the transient where the mesh's far pairs have not
+/// yet come due; the four 256-process runs take minutes).
+///
+/// # Errors
+///
+/// Fails if any cluster run fails.
+pub fn shard_table() -> Result<Table, SimError> {
+    let mut table = Table::new(
+        "Sharded vs full-mesh live bytes per node-tick (steady-state window, range 1)",
+        &["nodes", "window", "mesh", "sharded", "ratio", "exchange_ratio", "suppressed"],
+    );
+    for (nodes, warmup, ticks) in [(64, 12, 60), (256, 48, 96)] {
+        let win = run_shard_window(nodes, 1, warmup, ticks, NetworkModel::paper_testbed())?;
+        table.push_row(vec![
+            nodes.to_string(),
+            format!("{warmup}..{ticks} t"),
+            format!("{:.0}", win.mesh_steady_rate()),
+            format!("{:.0}", win.sharded_steady_rate()),
+            format!("{:.3}", win.steady_traffic_ratio()),
+            format!("{:.3}", win.full.exchange_ratio()),
+            win.full.suppressed().to_string(),
+        ]);
+    }
+    Ok(table)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,38 +197,35 @@ mod tests {
         assert!(converged(&summary), "EC diverged at 64 nodes");
     }
 
-    /// Interest routing must cut live traffic well below full mesh. The
-    /// run must be long enough for mesh far-pair exchanges to ship their
-    /// accumulated trails — short runs understate mesh steady-state (far
-    /// pairs have not come due yet) and overstate the ratio.
+    /// Interest routing must cut live traffic well below full mesh: at 64
+    /// nodes the sharded steady-state rate is at most 0.55 of the mesh's
+    /// (measured 0.498). The window starts late enough for the mesh's far
+    /// pairs to have come due — a cumulative short run flatters the mesh.
     #[test]
     fn sharding_cuts_traffic_at_64_nodes() {
-        let cmp = run_shard_comparison(64, 1, 60, NetworkModel::paper_testbed()).unwrap();
-        assert!(cmp.both_converged(), "mesh and sharded runs must both converge");
-        assert!(cmp.suppressed() > 0, "the router must actually suppress something");
-        assert!(
-            cmp.traffic_ratio() < 0.6,
-            "sharded traffic should be well under mesh at 64 nodes: {}",
-            cmp.traffic_ratio()
-        );
+        let win = run_shard_window(64, 1, 12, 60, NetworkModel::paper_testbed()).unwrap();
+        assert!(win.full.both_converged(), "mesh and sharded runs must both converge");
+        assert!(win.full.suppressed() > 0, "the router must actually suppress something");
+        let ratio = win.steady_traffic_ratio();
+        assert!(ratio <= 0.55, "steady sharded/mesh bytes per node-tick at 64 nodes: {ratio}");
     }
 
-    /// The flagship scale gate, mirrored by `perf shard check` (the same
-    /// window shape is recorded in `BENCH_4.json`): at 256 nodes, sharded
-    /// steady-state bytes/node-tick at most a quarter of full-mesh.
-    /// Heavy (four 256-process cluster runs), so ignored in the default
-    /// test pass and run explicitly by CI.
+    /// The flagship scale claim: at 256 nodes, sharded steady-state
+    /// bytes/node-tick at most a quarter of full-mesh (measured 0.223), and
+    /// per-node load follows the interest set, not the cluster — four times
+    /// the nodes, at most 2.5 times the sharded rate (measured 1.6).
+    /// Eight cluster runs, four of them 256 processes wide: seven minutes.
     #[test]
-    #[ignore = "256-node pairing: run explicitly (CI shard-soak / perf shard)"]
-    fn sharding_cuts_traffic_to_a_quarter_at_256_nodes() {
+    #[ignore = "256-node pairing, minutes long: run by the CI contracts job"]
+    fn contract_sharding_cuts_traffic_to_a_quarter_at_256_nodes() {
+        let small = run_shard_window(64, 1, 12, 60, NetworkModel::paper_testbed()).unwrap();
         let win = run_shard_window(256, 1, 48, 96, NetworkModel::paper_testbed()).unwrap();
         assert!(win.full.both_converged());
         assert!(win.full.suppressed() > 0, "the router must actually suppress something");
-        assert!(
-            win.steady_traffic_ratio() <= 0.25,
-            "steady-state sharded bytes/node-tick must be <= 25% of full-mesh \
-             at 256 nodes: {}",
-            win.steady_traffic_ratio()
-        );
+        let ratio = win.steady_traffic_ratio();
+        assert!(ratio <= 0.25, "steady sharded/mesh bytes per node-tick at 256 nodes: {ratio}");
+        let growth = win.sharded_steady_rate() / small.sharded_steady_rate();
+        assert!(growth <= 2.5, "sharded per-node traffic grew {growth:.2}x from 64 to 256 nodes");
+        println!("256 nodes: ratio {ratio:.3}, 64 -> 256 sharded growth {growth:.2}x");
     }
 }

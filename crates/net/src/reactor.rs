@@ -15,7 +15,7 @@
 //!
 //! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
-//! other node — the shape the 256-peer soak and `perf net` bench use), and
+//! other node — the shape the 256-peer soak and its timed twin use), and
 //! [`ReactorMesh::join`] the distributed listen/dial dance of
 //! `TcpMesh::join`.
 //!

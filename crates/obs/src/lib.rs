@@ -11,8 +11,8 @@
 //! 3. **Exporters** ([`chrome_trace`], [`text_histogram_dump`]): a
 //!    Perfetto-loadable Chrome trace of a cluster run and a plain-text
 //!    histogram dump.
-//! 4. The perf-regression runner in `sdso-bench` builds on the three
-//!    above to emit and check `BENCH_<k>.json` baselines.
+//! 4. The benchmark (`benchmark/`, `BENCHMARK.json`) reads the same
+//!    registry and recorder to split a tick's time by layer.
 //!
 //! The crate is dependency-free and sits below `sdso-net` in the crate
 //! graph so every layer can record into it.

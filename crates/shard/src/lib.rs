@@ -29,8 +29,8 @@
 //! broadcast exchange (epoch barriers, the terminal sync), so final
 //! worlds are bit-identical with and without sharding. The crate is
 //! game-agnostic — it never decodes object bodies; the game layer feeds
-//! it positions (`sdso-game`'s region-aware driver) and the bench gates
-//! the traffic ratio (`BENCH_4.json`).
+//! it positions (`sdso-game`'s region-aware driver) and the harness
+//! holds the traffic ratio (`crates/harness/src/shard.rs`).
 
 #![warn(missing_docs)]
 

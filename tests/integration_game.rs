@@ -71,6 +71,25 @@ fn lookahead_message_ordering_matches_paper() {
 }
 
 #[test]
+fn execution_time_ordering_matches_paper() {
+    // Figure 5's rightmost points, both graphs: at 16 processes a
+    // modification costs the most under EC, then BSYNC, MSYNC, MSYNC2
+    // (about 0.042 / 0.023 / 0.018 / 0.007 s at range 1).
+    for range in [1, 3] {
+        let scenario = Scenario::paper(16, range).with_ticks(60);
+        let secs_per_mod = Protocol::PAPER.map(|protocol| {
+            let stats = play(&scenario, protocol);
+            let sum: f64 = stats.iter().map(|s| s.time_per_modification().as_secs_f64()).sum();
+            sum / stats.len() as f64
+        });
+        assert!(
+            secs_per_mod.windows(2).all(|pair| pair[0] > pair[1]),
+            "range {range}: expected EC > BSYNC > MSYNC > MSYNC2, got {secs_per_mod:?}"
+        );
+    }
+}
+
+#[test]
 fn ec_ships_fewest_data_messages() {
     // Figure 7's headline: the pull-based protocol transfers the fewest
     // data messages.
