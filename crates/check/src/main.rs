@@ -25,7 +25,8 @@ usage:
   sdso-check replay  --protocol NAME [--schedule N,N,...]
   sdso-check race    TRACE.json [TRACE.json ...]
 
-protocols: bsync msync msync2 ec churn churn-ec crash-churn codec-v2 (explore default: all)
+protocols: bsync msync msync2 ec churn churn-ec crash-churn codec-v2 codec-v2-arq
+           (explore default: all nine)
 explore defaults: --depth 12 --max-runs 600 --min-distinct 0
 race: TRACE.json is an event log exported by sdso-obs (ObsSet::event_log)";
 
@@ -128,14 +129,14 @@ fn explore(args: &[String]) -> Result<bool, String> {
     let explorer = Explorer::new(depth, max_runs);
     let mut ok = true;
     for protocol in protocols {
-        let report = explorer.explore(scenarios::scenario(protocol));
+        let report = scenarios::explore(protocol, explorer);
         let status = match &report.violation {
             Some(_) => "VIOLATION",
             None if report.distinct < min_distinct => "TOO FEW",
             None => "ok",
         };
         println!(
-            "explore {:7} depth={depth} runs={} distinct={} max_choice_points={}{} .. {status}",
+            "explore {:12} depth={depth} runs={} distinct={} max_choice_points={}{} .. {status}",
             protocol.name(),
             report.runs,
             report.distinct,

@@ -28,18 +28,32 @@
 //! `WireConfig::compressed()` on every link, so what the oracle reorders
 //! across senders are `CodecOffer`s and the fused `Data2` frames that carry
 //! their own SYNC: BSYNC's workload, then MSYNC2's, in every schedule.
+//!
+//! The codec-v2-arq scenario turns the ARQ on as well. Its synthetic first
+//! choice point picks one of those two workloads and one link fault (see
+//! [`LinkFault`]): a fused frame lost and retransmitted, one delivered
+//! twice, the transport reporting a reconnect flap, or a loss with the flap
+//! before its retransmission — what can take a link's XOR shadows out of
+//! lockstep, interleaved with the delivery orders.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use sdso_core::wire::DsoMessage;
 use sdso_core::{
-    DsoConfig, DsoError, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId, ObjectStore,
-    SdsoRuntime, SendMode, ViewChange, WireConfig,
+    DsoConfig, DsoError, DsoMetrics, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId,
+    ObjectStore, RetryConfig, SdsoRuntime, SendMode, ViewChange, WireConfig,
 };
 use sdso_dur::{DurRecord, DurStore};
-use sdso_net::{Endpoint, NetError, NodeId};
+use sdso_net::{
+    Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, PeerEvent, SimInstant,
+    SimSpan,
+};
 use sdso_protocols::{EntryConsistency, LockRequest, Lookahead};
-use sdso_sim::{Candidate, DeliveryOracle, NetworkModel, ReplayOracle, SimCluster, SimEndpoint};
+use sdso_sim::{
+    Candidate, DeliveryOracle, ExploreReport, Explorer, NetworkModel, ReplayOracle, SimCluster,
+    SimEndpoint,
+};
 
 /// Every scenario runs this many nodes — enough for three-way delivery
 /// races and a distance-2 pair for MSYNC2, small enough to keep a single
@@ -89,6 +103,49 @@ const CRASHER: NodeId = 1;
 /// which offers and fused frames of different ticks are in flight together.
 const CODEC_V2_WORKLOADS: [Protocol; 2] = [Protocol::Bsync, Protocol::Msync2];
 
+/// The node whose links the codec-v2-arq scenario faults.
+const FAULTED: NodeId = 0;
+
+/// The peer whose frame from [`FAULTED`] is lost or doubled.
+const FAULT_PEER: NodeId = 1;
+
+/// The link faults the codec-v2-arq scenario's synthetic first choice point
+/// selects between (crossed with [`CODEC_V2_WORKLOADS`]). The last is the
+/// one a sender's shadows must not be reset for: the lost frame is sent
+/// again after the flap, and still has to decode.
+const LINK_FAULTS: [LinkFault; 5] = [
+    LinkFault { frame: Some(FrameFault::Drop), flap: None },
+    LinkFault { frame: Some(FrameFault::Dup), flap: None },
+    LinkFault { frame: None, flap: Some(0) },
+    LinkFault { frame: None, flap: Some(1) },
+    LinkFault { frame: Some(FrameFault::Drop), flap: Some(0) },
+];
+
+/// Ticks BSYNC's workload runs for under the ARQ: twice its usual three, so
+/// that a flap halfway leaves the offers time to cross again.
+const ARQ_BSYNC_TICKS: u8 = 6;
+
+/// What goes wrong in one schedule of the codec-v2-arq scenario, on node
+/// [`FAULTED`]'s side.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LinkFault {
+    /// The fate of its first fused `Data2` to [`FAULT_PEER`].
+    frame: Option<FrameFault>,
+    /// This many ticks past the workload's midpoint the transport reports
+    /// every link down and up again: both negotiations start over, through
+    /// `SdsoRuntime::drain_departures`, and must come back to fused frames.
+    flap: Option<u8>,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameFault {
+    /// Lost in flight: the retransmission must decode exactly once, against
+    /// the shadow it was built on.
+    Drop,
+    /// Delivered twice: the copy must not be resolved again.
+    Dup,
+}
+
 /// The protocol workload a scenario exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protocol {
@@ -114,11 +171,14 @@ pub enum Protocol {
     /// The wire format negotiated per link: BSYNC's workload, then
     /// MSYNC2's, with codec v2 offered by every node.
     CodecV2,
+    /// One of [`Protocol::CodecV2`]'s workloads with the ARQ on, under one
+    /// link fault: a fused frame dropped or duplicated, a reconnect flap.
+    CodecV2Arq,
 }
 
 impl Protocol {
     /// All scenarios, in CLI order.
-    pub const ALL: [Protocol; 8] = [
+    pub const ALL: [Protocol; 9] = [
         Protocol::Bsync,
         Protocol::Msync,
         Protocol::Msync2,
@@ -127,6 +187,7 @@ impl Protocol {
         Protocol::ChurnEc,
         Protocol::CrashChurn,
         Protocol::CodecV2,
+        Protocol::CodecV2Arq,
     ];
 
     /// CLI name.
@@ -140,12 +201,28 @@ impl Protocol {
             Protocol::ChurnEc => "churn-ec",
             Protocol::CrashChurn => "crash-churn",
             Protocol::CodecV2 => "codec-v2",
+            Protocol::CodecV2Arq => "codec-v2-arq",
         }
     }
 
     /// Parses a CLI name.
     pub fn from_name(s: &str) -> Option<Protocol> {
         Protocol::ALL.into_iter().find(|p| p.name() == s)
+    }
+
+    /// Ways the scenario's synthetic first choice point can go: trigger
+    /// ticks, or workloads × link faults. One where it has none.
+    pub fn variants(self) -> usize {
+        match self {
+            Protocol::Churn | Protocol::ChurnEc => CHURN_TRIGGERS.len(),
+            Protocol::CrashChurn => CRASH_TRIGGERS.len(),
+            Protocol::CodecV2Arq => CODEC_V2_WORKLOADS.len() * LINK_FAULTS.len(),
+            Protocol::Bsync
+            | Protocol::Msync
+            | Protocol::Msync2
+            | Protocol::Ec
+            | Protocol::CodecV2 => 1,
+        }
     }
 
     /// Ticks the lookahead scenarios run for (the last tick is chosen so
@@ -159,23 +236,51 @@ impl Protocol {
             | Protocol::Churn
             | Protocol::ChurnEc
             | Protocol::CrashChurn
-            | Protocol::CodecV2 => 0,
+            | Protocol::CodecV2
+            | Protocol::CodecV2Arq => 0,
         }
     }
 }
 
 /// What one node reports back: per-step exchange times, a final snapshot
-/// of every replica, and how many rendezvous it sent as one fused frame.
+/// of every replica, its runtime counters, and — where its links flapped —
+/// how many rendezvous it had sent as one fused frame by then.
 #[derive(Debug, PartialEq, Eq)]
 struct NodeSnap {
     times: Vec<LogicalTime>,
     objects: Vec<(u32, Vec<u8>)>,
-    fused: u64,
+    metrics: DsoMetrics,
+    fused_at_flap: Option<u64>,
 }
 
 /// Adapts a protocol to the `Explorer`'s scenario signature.
 pub fn scenario(protocol: Protocol) -> impl FnMut(Arc<ReplayOracle>) -> Result<(), String> {
     move |oracle| run_once(protocol, oracle)
+}
+
+/// Explores `protocol`'s schedules. Where the first choice point is
+/// synthetic, each of its alternatives is explored on its own with an even
+/// share of the run cap: the explorer's depth-first order would spend the
+/// whole cap beneath the first one.
+pub fn explore(protocol: Protocol, explorer: Explorer) -> ExploreReport {
+    let variants = protocol.variants();
+    if variants == 1 {
+        return explorer.explore(scenario(protocol));
+    }
+    let share = Explorer::new(explorer.depth, explorer.max_runs / variants);
+    let mut total = ExploreReport::default();
+    for variant in 0..variants {
+        let report = share.explore_from(vec![variant], scenario(protocol));
+        total.runs += report.runs;
+        total.distinct += report.distinct;
+        total.max_choice_points = total.max_choice_points.max(report.max_choice_points);
+        total.truncated |= report.truncated;
+        if report.violation.is_some() {
+            total.violation = report.violation;
+            break;
+        }
+    }
+    total
 }
 
 /// Runs one schedule of `protocol` under `oracle` and checks invariants.
@@ -185,27 +290,79 @@ pub fn scenario(protocol: Protocol) -> impl FnMut(Arc<ReplayOracle>) -> Result<(
 /// Returns a description of the first violated invariant (including any
 /// node failing outright, e.g. a schedule-induced deadlock).
 pub fn run_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), String> {
-    if matches!(protocol, Protocol::Churn | Protocol::ChurnEc) {
-        return run_churn_once(protocol, oracle);
-    }
-    if protocol == Protocol::CrashChurn {
-        return run_crash_churn_once(oracle);
-    }
-    if protocol == Protocol::CodecV2 {
+    match protocol {
+        Protocol::Churn | Protocol::ChurnEc => run_churn_once(protocol, oracle),
+        Protocol::CrashChurn => run_crash_churn_once(oracle),
         // One cluster after the other under the one oracle: the branching
         // depth spans the end of the first workload and the start of the
         // second, where the offers cross.
-        return CODEC_V2_WORKLOADS
+        Protocol::CodecV2 => CODEC_V2_WORKLOADS
             .into_iter()
-            .try_for_each(|workload| run_static_once(workload, WireConfig::compressed(), &oracle));
+            .try_for_each(|workload| run_static_once(workload, Wire::V2, &oracle)),
+        // One workload under one fault, the pair picked by the synthetic first
+        // choice point: the branching depth then starts where that workload
+        // does, whichever it is.
+        Protocol::CodecV2Arq => {
+            let case = oracle.choose(0, &synthetic(protocol.variants()));
+            let fault = LINK_FAULTS[case % LINK_FAULTS.len()];
+            let workload = CODEC_V2_WORKLOADS[case / LINK_FAULTS.len()];
+            run_static_once(workload, Wire::V2Arq(fault), &oracle)
+        }
+        Protocol::Bsync | Protocol::Msync | Protocol::Msync2 | Protocol::Ec => {
+            run_static_once(protocol, Wire::V1, &oracle)
+        }
     }
-    run_static_once(protocol, WireConfig::v1(), &oracle)
 }
 
-/// Runs one schedule of a static-group workload on the given wire format.
+/// The candidates of a synthetic choice point with `arity` ways to go: the
+/// explorer branches over them exactly like over a delivery race.
+fn synthetic(arity: usize) -> Vec<Candidate> {
+    (0..arity).map(|i| Candidate { from: i as NodeId, seq: i as u64, deliver_at: 0 }).collect()
+}
+
+/// What a static-group workload's links speak.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Wire {
+    /// The paper's frames.
+    V1,
+    /// Codec v2 offered by every node.
+    V2,
+    /// Codec v2 over the ARQ, with one link fault for it to repair.
+    V2Arq(LinkFault),
+}
+
+impl Wire {
+    fn config(self) -> DsoConfig {
+        let config = DsoConfig::compact();
+        match self {
+            Wire::V1 => config.with_wire(WireConfig::v1()),
+            Wire::V2 => config.with_wire(WireConfig::compressed()),
+            Wire::V2Arq(_) => config
+                .with_wire(WireConfig::compressed())
+                .with_reliability(Some(RetryConfig::default())),
+        }
+    }
+
+    fn fault(self) -> Option<LinkFault> {
+        match self {
+            Wire::V2Arq(fault) => Some(fault),
+            Wire::V1 | Wire::V2 => None,
+        }
+    }
+
+    /// Ticks `workload` runs for on this wire.
+    fn ticks(self, workload: Protocol) -> u8 {
+        match (self, workload) {
+            (Wire::V2Arq(_), Protocol::Bsync) => ARQ_BSYNC_TICKS,
+            _ => workload.ticks(),
+        }
+    }
+}
+
+/// Runs one schedule of a static-group workload on the given wire.
 fn run_static_once(
     workload: Protocol,
-    wire: WireConfig,
+    wire: Wire,
     oracle: &Arc<ReplayOracle>,
 ) -> Result<(), String> {
     let cluster = SimCluster::new(NODES, NetworkModel::instant())
@@ -220,10 +377,31 @@ fn run_static_once(
         snaps.push(node.result.map_err(|e| format!("{} node {id}: {e}", workload.name()))?);
     }
     // A run that never left v1 explores nothing a v2 scenario is for.
-    if let Some(id) = snaps.iter().position(|snap| wire.codec_v2 && snap.fused == 0) {
+    let fused = |snap: &NodeSnap| snap.metrics.rendezvous_fused;
+    if let Some(id) = snaps.iter().position(|snap| wire != Wire::V1 && fused(snap) == 0) {
         return Err(format!("{} node {id} never sent a fused frame", workload.name()));
     }
-    check_invariants(workload, &snaps)
+    // Nor does a fault that never bit: the lost frame was sent again, the
+    // doubled one dropped once, the flapped links are back to fused frames.
+    let (faulted, peer) = (&snaps[usize::from(FAULTED)], &snaps[usize::from(FAULT_PEER)]);
+    let fault = wire.fault().unwrap_or(LinkFault { frame: None, flap: None });
+    let unrepaired = match fault.frame {
+        Some(FrameFault::Drop) => faulted.metrics.retransmits == 0,
+        Some(FrameFault::Dup) => peer.metrics.duplicates_dropped == 0,
+        None => false,
+    };
+    let still_v1 = faulted.fused_at_flap.is_none_or(|then| fused(faulted) <= then);
+    if unrepaired || (fault.flap.is_some() && still_v1) {
+        return Err(format!(
+            "{} under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}, \
+             fused at the flap: {:?}; node {FAULT_PEER}: {:?})",
+            workload.name(),
+            faulted.metrics,
+            faulted.fused_at_flap,
+            peer.metrics
+        ));
+    }
+    check_invariants(workload, wire.ticks(workload), &snaps)
 }
 
 /// Runs one schedule of a churn scenario. The first choice point is
@@ -236,12 +414,7 @@ fn run_static_once(
 /// Returns a description of the first violated invariant; a node stuck in
 /// the view-change barrier shows up as a scheduler deadlock here.
 fn run_churn_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), String> {
-    let candidates: Vec<Candidate> = CHURN_TRIGGERS
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| Candidate { from: i as NodeId, seq: t, deliver_at: 0 })
-        .collect();
-    let trigger = CHURN_TRIGGERS[oracle.choose(0, &candidates)];
+    let trigger = CHURN_TRIGGERS[oracle.choose(0, &synthetic(CHURN_TRIGGERS.len()))];
     let cluster = SimCluster::new(CHURN_CAPACITY, NetworkModel::instant())
         .with_oracle(oracle as Arc<dyn DeliveryOracle>);
     let outcome = match protocol {
@@ -275,12 +448,7 @@ fn churn_plan(trigger: u64) -> MembershipPlan {
 /// Returns a description of the first violated invariant; a restart stuck
 /// awaiting its snapshot shows up as a scheduler deadlock here.
 fn run_crash_churn_once(oracle: Arc<ReplayOracle>) -> Result<(), String> {
-    let candidates: Vec<Candidate> = CRASH_TRIGGERS
-        .iter()
-        .enumerate()
-        .map(|(i, &t)| Candidate { from: i as NodeId, seq: t, deliver_at: 0 })
-        .collect();
-    let crash = CRASH_TRIGGERS[oracle.choose(0, &candidates)];
+    let crash = CRASH_TRIGGERS[oracle.choose(0, &synthetic(CRASH_TRIGGERS.len()))];
     let cluster = SimCluster::new(CHURN_CAPACITY, NetworkModel::instant())
         .with_oracle(oracle as Arc<dyn DeliveryOracle>);
     let outcome = cluster
@@ -611,14 +779,14 @@ fn check_churn_invariants(
 }
 
 /// BSYNC / MSYNC / MSYNC2: every node owns one object and writes the tick
-/// number into it before each exchange.
-fn lookahead_node(
-    ep: SimEndpoint,
-    protocol: Protocol,
-    wire: WireConfig,
-) -> Result<NodeSnap, NetError> {
+/// number into it before each exchange. Every tick starts by draining the
+/// transport's link events, as a deployment's driver does; only
+/// [`LinkFault::flap`] ever queues any.
+fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
-    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact().with_wire(wire));
+    let fault = wire.fault().filter(|_| me == FAULTED);
+    let transport = Faulted { inner: ep, fault: fault.and_then(|f| f.frame), events: Vec::new() };
+    let mut rt = SdsoRuntime::new(transport, wire.config());
     for id in 0..NODES as u32 {
         rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
     }
@@ -637,7 +805,8 @@ fn lookahead_node(
             | Protocol::Churn
             | Protocol::ChurnEc
             | Protocol::CrashChurn
-            | Protocol::CodecV2 => {
+            | Protocol::CodecV2
+            | Protocol::CodecV2Arq => {
                 unreachable!("EC, churn and crash have dedicated node runners; codec v2 picks one")
             }
         };
@@ -645,11 +814,95 @@ fn lookahead_node(
     };
     let mut la = Lookahead::new(rt, sfunc).map_err(NetError::from)?;
     let mut times = Vec::new();
-    for tick in 1..=protocol.ticks() {
-        la.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick]).map_err(NetError::from)?;
+    let mut fused_at_flap = None;
+    let ticks = wire.ticks(protocol);
+    for tick in 1..=ticks {
+        let rt = la.runtime_mut();
+        if fault.and_then(|fault| fault.flap).is_some_and(|late| tick == ticks / 2 + late) {
+            rt.endpoint_mut().flap();
+            fused_at_flap = Some(rt.metrics().rendezvous_fused);
+        }
+        if let Some(change) = rt.drain_departures() {
+            return Err(NetError::from(DsoError::ProtocolViolation(format!(
+                "a flap that cancels out proposed {change:?}"
+            ))));
+        }
+        rt.write(ObjectId(u32::from(me)), 0, &[tick]).map_err(NetError::from)?;
         times.push(la.step().map_err(NetError::from)?.time);
     }
-    snapshot(&la.into_runtime(), times)
+    let mut rt = la.into_runtime();
+    rt.settle().map_err(NetError::from)?;
+    Ok(NodeSnap { fused_at_flap, ..snapshot(&rt, times)? })
+}
+
+/// The transport under every lookahead node: a [`SimEndpoint`] that is
+/// transparent but for the [`LinkFault`] node [`FAULTED`] carries in a
+/// codec-v2-arq schedule.
+#[derive(Debug)]
+struct Faulted {
+    inner: SimEndpoint,
+    /// The frame fault still to inject, if any.
+    fault: Option<FrameFault>,
+    /// Link events queued for [`Endpoint::take_peer_events`].
+    events: Vec<PeerEvent>,
+}
+
+impl Faulted {
+    /// Every link goes down and comes back, as a reconnecting transport
+    /// reports it.
+    fn flap(&mut self) {
+        let me = self.node_id();
+        for peer in (0..self.num_nodes() as NodeId).filter(|&peer| peer != me) {
+            self.events.extend([PeerEvent::Down(peer), PeerEvent::Up(peer)]);
+        }
+    }
+}
+
+/// Whether `payload` is a sequenced `Data2` frame that carries its SYNC.
+fn is_fused(payload: &Payload) -> bool {
+    let Ok(DsoMessage::Env { inner, .. }) = sdso_net::wire::decode(&payload.bytes) else {
+        return false;
+    };
+    matches!(*inner, DsoMessage::Data2 { sync: true, .. })
+}
+
+impl Endpoint for Faulted {
+    fn node_id(&self) -> NodeId {
+        self.inner.node_id()
+    }
+    fn num_nodes(&self) -> usize {
+        self.inner.num_nodes()
+    }
+    fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
+        if self.fault.is_some() && to == FAULT_PEER && is_fused(&payload) {
+            match self.fault.take() {
+                Some(FrameFault::Drop) => return Ok(()),
+                _ => self.inner.send(to, payload.clone())?,
+            }
+        }
+        self.inner.send(to, payload)
+    }
+    fn recv(&mut self) -> Result<Incoming, NetError> {
+        self.inner.recv()
+    }
+    fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
+        self.inner.try_recv()
+    }
+    fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
+        self.inner.recv_deadline(timeout)
+    }
+    fn advance(&mut self, dt: SimSpan) {
+        self.inner.advance(dt);
+    }
+    fn now(&self) -> SimInstant {
+        self.inner.now()
+    }
+    fn metrics(&self) -> NetMetricsSnapshot {
+        self.inner.metrics()
+    }
+    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
+        std::mem::take(&mut self.events)
+    }
 }
 
 /// EC: three shared counters whose managers are spread across all three
@@ -688,10 +941,10 @@ fn snapshot<E: Endpoint>(
     for id in rt.object_ids() {
         objects.push((id.0, rt.read(id).map_err(NetError::from)?.to_vec()));
     }
-    Ok(NodeSnap { times, objects, fused: rt.metrics().rendezvous_fused })
+    Ok(NodeSnap { times, objects, metrics: rt.metrics(), fused_at_flap: None })
 }
 
-fn check_invariants(protocol: Protocol, snaps: &[NodeSnap]) -> Result<(), String> {
+fn check_invariants(protocol: Protocol, last_write: u8, snaps: &[NodeSnap]) -> Result<(), String> {
     for (id, snap) in snaps.iter().enumerate() {
         for w in snap.times.windows(2) {
             if w[1] <= w[0] {
@@ -726,7 +979,6 @@ fn check_invariants(protocol: Protocol, snaps: &[NodeSnap]) -> Result<(), String
             }
         }
         _ => {
-            let last_write = protocol.ticks();
             for (obj, bytes) in &snaps[0].objects {
                 if bytes[0] != last_write {
                     return Err(format!(
@@ -744,7 +996,6 @@ fn check_invariants(protocol: Protocol, snaps: &[NodeSnap]) -> Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdso_sim::Explorer;
 
     #[test]
     fn default_schedule_passes_for_every_protocol() {
@@ -782,11 +1033,22 @@ mod tests {
         // must outlast BSYNC's, or MSYNC2's races would never be permuted.
         let of = |workload| {
             let oracle = Arc::new(ReplayOracle::new(Vec::new()));
-            run_static_once(workload, WireConfig::compressed(), &oracle).unwrap();
+            run_static_once(workload, Wire::V2, &oracle).unwrap();
             oracle.trace().len()
         };
         let (first, second) = (of(Protocol::Bsync), of(Protocol::Msync2));
         assert!(first < 12 && second > 0, "{first} then {second} choice points");
+    }
+
+    #[test]
+    fn every_link_fault_is_injected_and_repaired() {
+        // Each preset [i] resolves the synthetic first choice point to one
+        // workload under one fault; `run_static_once` fails a fault that left
+        // no trace in the counters.
+        for case in 0..Protocol::CodecV2Arq.variants() {
+            run_once(Protocol::CodecV2Arq, Arc::new(ReplayOracle::new(vec![case])))
+                .unwrap_or_else(|e| panic!("codec-v2-arq, case {case}: {e}"));
+        }
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn explorer_smoke_covers_every_protocol() {
     // set of distinct interleavings with no invariant violation.
     let explorer = Explorer::new(6, 24);
     for protocol in Protocol::ALL {
-        let report = explorer.explore(scenarios::scenario(protocol));
+        let report = scenarios::explore(protocol, explorer);
         assert!(report.violation.is_none(), "{}: {:?}", protocol.name(), report.violation);
         assert!(
             report.distinct >= 8,

@@ -147,12 +147,25 @@ impl Explorer {
     /// return `Err(description)` if one fails. It is called once per
     /// schedule; exploration stops at the first violation, when the
     /// frontier is exhausted, or at `max_runs`.
-    pub fn explore<F>(&self, mut scenario: F) -> ExploreReport
+    pub fn explore<F>(&self, scenario: F) -> ExploreReport
+    where
+        F: FnMut(Arc<ReplayOracle>) -> Result<(), String>,
+    {
+        self.explore_from(Vec::new(), scenario)
+    }
+
+    /// As [`Explorer::explore`], over the schedules that begin with `root`
+    /// only: its choices are replayed in every run and never varied. The
+    /// search is depth-first under a run cap, so it spends the whole cap
+    /// beneath the first alternative of an early choice point; a caller who
+    /// wants each alternative of such a point explored roots one search
+    /// there per alternative.
+    pub fn explore_from<F>(&self, root: Schedule, mut scenario: F) -> ExploreReport
     where
         F: FnMut(Arc<ReplayOracle>) -> Result<(), String>,
     {
         let mut report = ExploreReport::default();
-        let mut frontier: Vec<Schedule> = vec![Vec::new()];
+        let mut frontier: Vec<Schedule> = vec![root];
         let mut seen: HashSet<Vec<(NodeId, NodeId, u64)>> = HashSet::new();
         while let Some(prefix) = frontier.pop() {
             if report.runs >= self.max_runs {
