@@ -15,6 +15,7 @@
 //!   churn       Ext. E: dynamic membership (leave/join barriers), clean + faulty net
 //!   crash       Ext. G: fail-stop crashes with WAL + snapshot recovery, 16 and 64 teams
 //!   wire        Ext. H: v1 vs codec-v2 bytes and exchange time, four link speeds (fixed shape)
+//!   ext-default Ext. J: v1 vs the default wire, time and messages per tick at the widest range
 //!   all         Everything above, in order
 //!   shard       Ext. F: sharded vs full-mesh traffic at 64 and 256 nodes (fixed shape;
 //!               about seven minutes, so not part of `all`)
@@ -155,6 +156,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "churn" => churn_tables(sweep)?,
             "crash" => crash_tables(sweep)?,
             "wire" => vec![wire_table(&wire_sweep()?)],
+            "ext-default" => sweep.ext_default_wire()?,
             "shard" => vec![shard_table()?],
             other => return Err(format!("unknown command {other:?}").into()),
         };
@@ -196,6 +198,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "churn",
             "crash",
             "wire",
+            "ext-default",
         ];
         for name in sets {
             if let Err(e) = run(name, &sweep) {

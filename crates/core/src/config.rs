@@ -34,10 +34,16 @@ impl Default for RetryConfig {
 
 /// Wire-compression tunables (codec v2; see `ARCHITECTURE.md` §14).
 ///
-/// Everything here defaults to **off**: the committed perf baselines and
-/// the bit-identical replay suites were recorded against the v1 wire
-/// format, and compression only switches on for peers that negotiated it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Everything here defaults to **on** ([`WireConfig::compressed`]): a
+/// process offers codec v2 on every link and, once the peer's offer has
+/// crossed, sends each rendezvous as one compressed frame. The paper's v1
+/// frames are still what a link speaks until then, toward a peer
+/// configured [`WireConfig::v1`] (it never offers, and mixed clusters
+/// interoperate per link), for a batch the codec cannot take (a run past
+/// the decoder's budget, an object no XOR shadow can be seeded for) and
+/// for an empty batch. [`WireConfig::v1`] is also the reference the
+/// paper's figures are reproduced on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireConfig {
     /// Offer codec v2 (varint/run-length diff encoding) to peers and use
     /// it on links where the peer offered it back. Peers that never offer
@@ -57,10 +63,16 @@ pub struct WireConfig {
     pub batch_dedup: bool,
 }
 
+impl Default for WireConfig {
+    fn default() -> Self {
+        WireConfig::compressed()
+    }
+}
+
 impl WireConfig {
     /// Everything off — the v1 wire format, byte-for-byte.
     pub fn v1() -> Self {
-        WireConfig::default()
+        WireConfig { codec_v2: false, xor_delta: false, batch_dedup: false }
     }
 
     /// The full bandwidth diet: v2 codec, XOR-delta, batch dedup.
@@ -93,8 +105,8 @@ pub struct DsoConfig {
     /// this knob entirely, so deterministic replays are unaffected.
     pub transport: TransportKind,
     /// Wire-compression layer (codec v2 negotiation, XOR-delta, batch
-    /// dedup). Defaults to all-off, which reproduces the v1 wire format
-    /// byte-for-byte.
+    /// dedup). Defaults to all-on; [`WireConfig::v1`] reproduces the v1
+    /// wire format byte-for-byte, as does any link whose peer never offers.
     pub wire: WireConfig,
 }
 
@@ -181,12 +193,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_compression_defaults_off_and_toggles() {
-        assert_eq!(DsoConfig::paper().wire, WireConfig::v1());
+    fn wire_compression_defaults_on_and_v1_is_all_off() {
+        assert_eq!(WireConfig::default(), WireConfig::compressed());
+        assert_eq!(DsoConfig::paper().wire, WireConfig::compressed());
         assert_eq!(DsoConfig::compact().wire, WireConfig::default());
-        let c = DsoConfig::compact().with_wire(WireConfig::compressed());
-        assert!(c.wire.codec_v2 && c.wire.xor_delta && c.wire.batch_dedup);
-        assert!(!WireConfig::v1().codec_v2);
+        let on = WireConfig::compressed();
+        assert!(on.codec_v2 && on.xor_delta && on.batch_dedup);
+        let c = DsoConfig::paper().with_wire(WireConfig::v1());
+        assert!(!c.wire.codec_v2 && !c.wire.xor_delta && !c.wire.batch_dedup);
     }
 
     #[test]

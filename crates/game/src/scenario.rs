@@ -44,9 +44,11 @@ pub struct Scenario {
     /// testbed) adds zero overhead; chaos runs set it so drops and
     /// reordering are recovered via the resync path.
     pub reliability: Option<RetryConfig>,
-    /// Wire-compression tunables. The default ([`WireConfig::v1`])
-    /// reproduces the paper's absolute diff encoding byte-for-byte; the
-    /// wire-diet bench sweeps [`WireConfig::compressed`] against it.
+    /// Wire-compression tunables. The library default: codec v2 offered
+    /// on every link, one compressed frame per rendezvous once negotiated.
+    /// [`WireConfig::v1`] reproduces the paper's absolute diff encoding and
+    /// its (data, SYNC) frame pair byte-for-byte — the figure sweeps and
+    /// the wire-diet sweep name it.
     pub wire: WireConfig,
     /// Number of bonus pick-ups scattered on the map.
     pub bonuses: usize,
@@ -86,7 +88,7 @@ impl Scenario {
             frame_wire_len: Some(2048),
             merge_diffs: true,
             reliability: None,
-            wire: WireConfig::v1(),
+            wire: WireConfig::default(),
             bonuses: 20,
             bombs: 10,
             obstacles: 24,
@@ -368,6 +370,12 @@ mod tests {
                 assert!(starts.iter().all(|&st| pos.manhattan(st) > 2));
             }
         }
+    }
+
+    #[test]
+    fn the_paper_scenario_runs_the_library_default_wire() {
+        assert_eq!(Scenario::paper(2, 1).wire, WireConfig::default());
+        assert_eq!(Scenario::scaled(64, 1).wire, WireConfig::compressed());
     }
 
     #[test]

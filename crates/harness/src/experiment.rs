@@ -204,23 +204,33 @@ pub fn mean_of(runs: &[RunSummary], f: impl Fn(&RunSummary) -> f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdso_core::ObsSet;
+    use sdso_core::{ObsSet, WireConfig};
     use sdso_net::TraceConfig;
 
-    fn tiny(protocol: Protocol) -> RunSummary {
-        let scenario = Scenario::paper(2, 1).with_ticks(30);
+    fn tiny_on(protocol: Protocol, wire: WireConfig) -> RunSummary {
+        let scenario = Scenario::paper(2, 1).with_ticks(30).with_wire(wire);
         run_experiment(&scenario, protocol, NetworkModel::paper_testbed()).unwrap()
+    }
+
+    fn tiny(protocol: Protocol) -> RunSummary {
+        tiny_on(protocol, WireConfig::default())
     }
 
     #[test]
     fn bsync_summary_has_traffic_and_time() {
-        let s = tiny(Protocol::Bsync);
-        assert!(s.total_messages() > 0);
-        assert!(s.avg_exec_secs() > 0.0);
-        assert!(s.avg_time_per_modification_secs() > 0.0);
-        assert!(s.total_modifications() > 0);
-        // BSYNC: one SYNC per peer per tick at minimum.
-        assert!(s.control_messages() >= 2 * 30);
+        for wire in [WireConfig::v1(), WireConfig::default()] {
+            let s = tiny_on(Protocol::Bsync, wire);
+            assert!(s.total_messages() > 0);
+            assert!(s.avg_exec_secs() > 0.0);
+            assert!(s.avg_time_per_modification_secs() > 0.0);
+            assert!(s.total_modifications() > 0);
+            // BSYNC: one SYNC per peer per tick at minimum — a control message
+            // of its own on the paper's frames, on board the data frame of
+            // every rendezvous a negotiated link fused.
+            let fused: u64 = s.per_node.iter().map(|n| n.dso.rendezvous_fused).sum();
+            assert_eq!(fused > 0, wire.codec_v2, "{wire:?}");
+            assert!(s.control_messages() + fused >= 2 * 30, "{wire:?}");
+        }
     }
 
     #[test]

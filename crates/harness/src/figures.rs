@@ -12,6 +12,7 @@
 //! endpoint outlives a single run (TCP meshes, warm-up traffic): figures
 //! must only count the run they describe.
 
+use sdso_core::WireConfig;
 use sdso_game::{Protocol, Scenario};
 use sdso_sim::{NetworkModel, SimError};
 
@@ -60,8 +61,12 @@ impl Sweep {
         }
     }
 
+    /// One cell's scenario, on the paper's own frames: the figures count
+    /// messages, and a negotiated v2 link sends half of them (under it BSYNC
+    /// at 16 processes would undercut EC and reverse Fig. 6's observation).
+    /// [`Sweep::ext_default_wire`] shows the library default beside it.
     fn scenario(&self, teams: u16, range: u16) -> Scenario {
-        Scenario::paper(teams, range).with_ticks(self.ticks)
+        Scenario::paper(teams, range).with_ticks(self.ticks).with_wire(WireConfig::v1())
     }
 
     /// Runs the whole grid once per (protocol, n, range) cell and formats
@@ -262,6 +267,53 @@ impl Sweep {
             }
         }
         Ok(vec![table])
+    }
+
+    /// **Ext. J**: the library-default wire (codec v2 negotiated, one frame
+    /// per rendezvous) beside the paper's frames, over the sweep's process
+    /// counts at its widest range: normalised time, and messages per process
+    /// per tick.
+    ///
+    /// # Errors
+    ///
+    /// Fails on the first failing run.
+    pub fn ext_default_wire(&self) -> Result<Vec<Table>, SimError> {
+        let range = *self.ranges.last().expect("non-empty sweep");
+        let headers: Vec<String> = ["protocol".to_owned(), "wire".to_owned()]
+            .into_iter()
+            .chain(self.process_counts.iter().map(|n| format!("n={n}")))
+            .collect();
+        let table =
+            |what: &str| Table { title: what.to_owned(), headers: headers.clone(), rows: vec![] };
+        let mut time = table(&format!(
+            "Ext. J: normalised execution time, v1 vs default wire — range {range} \
+             (s/modification)"
+        ));
+        let mut msgs = table(&format!(
+            "Ext. J: messages per process per tick, v1 vs default wire — range {range}"
+        ));
+        for &protocol in &self.protocols {
+            for (label, wire) in [("v1", WireConfig::v1()), ("default", WireConfig::default())] {
+                let mut time_row = vec![protocol.name().to_owned(), label.to_owned()];
+                let mut msgs_row = time_row.clone();
+                for &n in &self.process_counts {
+                    let scenario = self.scenario(n, range).with_wire(wire);
+                    let runs = run_seeds(&scenario, protocol, self.model, &self.seeds)?;
+                    let process_ticks = f64::from(n) * self.ticks as f64;
+                    time_row.push(format!(
+                        "{:.4}",
+                        mean_of(&runs, RunSummary::avg_time_per_modification_secs)
+                    ));
+                    msgs_row.push(format!(
+                        "{:.2}",
+                        mean_of(&runs, |r| r.total_messages() as f64) / process_ticks
+                    ));
+                }
+                time.push_row(time_row);
+                msgs.push_row(msgs_row);
+            }
+        }
+        Ok(vec![time, msgs])
     }
 
     /// **Ext. D**: the paper's qualitative §2.3 comparison made

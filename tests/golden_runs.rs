@@ -16,6 +16,14 @@
 //! its ARQ became a sliding window (see `check_reliable`), and the two of
 //! them that also negotiate codec v2 again when a v2 rendezvous became one
 //! frame; every other row still holds its `ba53507` value.
+//!
+//! Those `ba53507` rows are the paper's v1 frames, and say so since codec
+//! v2 became the library default: their constants did not move, which is
+//! the proof that the fallback path is bit-identical. Each has a twin on
+//! the default wire (see `check_wires`; the two chaos rows' twins are the
+//! `*_codec_v2` rows, whose constants did not move either), recorded when
+//! the default flipped, and the lookahead family must play the v1 row's
+//! game there.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
@@ -95,33 +103,70 @@ fn check(
     runs
 }
 
+/// Whether `protocol` synchronises by rendezvous: its game is decided by
+/// what the exchanges deliver, never by how the bytes travelled. (EC's lock
+/// order follows message timing; LRC and causal memory never rendezvous.)
+fn lookahead(protocol: Protocol) -> bool {
+    use Protocol::{Bsync, Msync, Msync2, Msync2Shard};
+    matches!(protocol, Bsync | Msync | Msync2 | Msync2Shard)
+}
+
+/// Asserts that `run` played `twin`'s game, node by node.
+fn assert_same_game(case: &str, run: &RunSummary, twin: &RunSummary, twin_is: &str) {
+    for (a, b) in run.per_node.iter().zip(&twin.per_node) {
+        assert_eq!(
+            (a.ticks, a.modifications, a.score, &a.final_world),
+            (b.ticks, b.modifications, b.score, &b.final_world),
+            "{case}, {}, node {}: not the game its {twin_is} twin played",
+            run.protocol,
+            a.node
+        );
+    }
+}
+
+/// A row on the paper's v1 frames, pinned at `ba53507`, and its twin on the
+/// default wire (`scenario`'s own). Beside the fingerprints, the lookahead
+/// family must play the same game on both. Returns every run, the v1 ones
+/// first.
+fn check_wires(
+    case: &str,
+    scenario: &Scenario,
+    plan: &RunPlan,
+    v1: &[(Protocol, u64)],
+    default: &[(Protocol, u64)],
+) -> Vec<RunSummary> {
+    assert_eq!(scenario.wire, WireConfig::default(), "{case}: the twin runs library defaults");
+    let on_v1 = scenario.clone().with_wire(WireConfig::v1());
+    let mut runs = check(&format!("{case}, v1 frames"), &on_v1, plan, v1);
+    let twins = check(&format!("{case}, default wire"), scenario, plan, default);
+    for (run, twin) in twins.iter().zip(&runs).filter(|(run, _)| lookahead(run.protocol)) {
+        assert_eq!(run.protocol, twin.protocol, "{case}: the two rows list the same protocols");
+        assert_same_game(case, run, twin, "v1");
+    }
+    runs.extend(twins);
+    runs
+}
+
 /// A row with the reliability layer on (and link faults for it to repair).
 /// Its fingerprints hold `exec_time` and `net.total_sent`, so they move
 /// with every change to ack or retransmit traffic — they were last
 /// re-recorded when acks began to ride on reverse traffic and each link
 /// got its own retransmit timer. What must hold however that traffic
 /// moves is asserted beside them: the plan's final view converges, and the
-/// lookahead family plays exactly the game of its unreliable twin — the
-/// same scenario and membership plan, reliability off, no link faults.
-/// (EC's lock order follows message timing; convergence is its oracle.)
+/// lookahead family plays exactly the game of its bare twin — the same
+/// scenario and membership plan on the paper's v1 frames, reliability off,
+/// no link faults. (EC's lock order follows message timing; convergence is
+/// its oracle.)
 fn check_reliable(case: &str, bare: &Scenario, plan: &RunPlan, golden: &[(Protocol, u64)]) {
     let reliable = bare.clone().with_reliability(chaos_retry_config());
     let runs = check(case, &reliable, plan, golden);
     let lossless = RunPlan { faults: None, ..plan.clone() };
+    let bare_v1 = bare.clone().with_wire(WireConfig::v1());
     for (&(protocol, _), run) in golden.iter().zip(&runs) {
         let last = plan.views(&reliable, protocol).expect("the run validated it").final_view();
         assert!(converged_in(run, &last), "{case}, {protocol}: the final view diverged");
-        if protocol == Protocol::Entry {
-            continue;
-        }
-        let twin = play(bare, protocol, &lossless);
-        for (a, b) in run.per_node.iter().zip(&twin.per_node) {
-            assert_eq!(
-                (a.ticks, a.modifications, a.score, &a.final_world),
-                (b.ticks, b.modifications, b.score, &b.final_world),
-                "{case}, {protocol}, node {}: not the game its unreliable twin played",
-                a.node
-            );
+        if lookahead(protocol) {
+            assert_same_game(case, run, &play(&bare_v1, protocol, &lossless), "bare v1");
         }
     }
 }
@@ -137,7 +182,7 @@ fn four_change_plan() -> MembershipPlan {
 
 #[test]
 fn static_range_1() {
-    check(
+    check_wires(
         "static, 8 nodes, range 1",
         &Scenario::paper(8, 1).with_ticks(40),
         &RunPlan::default(),
@@ -149,12 +194,20 @@ fn static_range_1() {
             (Protocol::Lrc, 0x47A3_BCF7_0995_0C70),
             (Protocol::Causal, 0xBAAD_E7BB_B9B4_4C8A),
         ],
+        &[
+            (Protocol::Entry, 0),
+            (Protocol::Bsync, 0),
+            (Protocol::Msync, 0),
+            (Protocol::Msync2, 0),
+            (Protocol::Lrc, 0),
+            (Protocol::Causal, 0),
+        ],
     );
 }
 
 #[test]
 fn static_range_3() {
-    check(
+    check_wires(
         "static, 8 nodes, range 3",
         &Scenario::paper(8, 3).with_ticks(40),
         &RunPlan::default(),
@@ -166,22 +219,31 @@ fn static_range_3() {
             (Protocol::Lrc, 0x0E79_FB32_5743_6178),
             (Protocol::Causal, 0x4721_ECD6_BCF0_3B5A),
         ],
+        &[
+            (Protocol::Entry, 0),
+            (Protocol::Bsync, 0),
+            (Protocol::Msync, 0),
+            (Protocol::Msync2, 0),
+            (Protocol::Lrc, 0),
+            (Protocol::Causal, 0),
+        ],
     );
 }
 
 #[test]
 fn static_sharded_64() {
-    check(
+    check_wires(
         "static, 64 nodes, sharded",
         &Scenario::scaled(64, 1).with_ticks(12),
         &RunPlan::default(),
         &[(Protocol::Msync2Shard, 0x1B51_5A93_261E_0739)],
+        &[(Protocol::Msync2Shard, 0)],
     );
 }
 
 #[test]
 fn churn_16_slots_four_changes() {
-    check(
+    check_wires(
         "churn, 16 slots, 4 changes",
         &Scenario::paper(16, 1).with_ticks(24),
         &RunPlan::default().with_membership(four_change_plan()),
@@ -191,6 +253,7 @@ fn churn_16_slots_four_changes() {
             (Protocol::Msync, 0x0C11_61B5_DA73_E2A6),
             (Protocol::Msync2, 0xF968_1BBE_15E2_868B),
         ],
+        &[(Protocol::Entry, 0), (Protocol::Bsync, 0), (Protocol::Msync, 0), (Protocol::Msync2, 0)],
     );
 }
 
@@ -198,7 +261,7 @@ fn churn_16_slots_four_changes() {
 fn churn_with_chaos_8_slots() {
     check_reliable(
         "churn + chaos, 8 slots",
-        &Scenario::paper(8, 1).with_ticks(40),
+        &Scenario::paper(8, 1).with_ticks(40).with_wire(WireConfig::v1()),
         &RunPlan::default()
             .with_membership(default_churn_plan(8, 40))
             .with_faults(chaos_plan(0x5D50_1997)),
@@ -220,13 +283,15 @@ fn churn_with_chaos_8_slots() {
 fn crash_16_teams() {
     let scenario = Scenario::paper(16, 1).with_ticks(24);
     let plan = RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 16, 24));
-    let golden = [
+    let v1 = [
         (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
         (Protocol::Bsync, 0x3224_0A2D_6FD7_3211),
         (Protocol::Msync, 0x9D9B_A465_6D6A_66D1),
         (Protocol::Msync2, 0xFBB1_BCE4_D7CE_6462),
     ];
-    for run in check("crash, 16 teams", &scenario, &plan, &golden) {
+    let default =
+        [(Protocol::Entry, 0), (Protocol::Bsync, 0), (Protocol::Msync, 0), (Protocol::Msync2, 0)];
+    for run in check_wires("crash, 16 teams", &scenario, &plan, &v1, &default) {
         let protocol = run.protocol;
         let last = plan.views(&scenario, protocol).expect("the run validated it").final_view();
         assert!(converged_in(&run, &last), "{protocol}: the final view diverged");
@@ -242,7 +307,7 @@ fn crash_16_teams() {
 fn chaos_4_nodes() {
     check_reliable(
         "chaos, 4 nodes",
-        &Scenario::paper(4, 1).with_ticks(60),
+        &Scenario::paper(4, 1).with_ticks(60).with_wire(WireConfig::v1()),
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
             (Protocol::Entry, 0xC666_24DF_73DF_8CA3),
@@ -254,8 +319,9 @@ fn chaos_4_nodes() {
 }
 
 /// Everything on at once — reliability, codec v2 (XOR-delta, batch dedup)
-/// and drop/dup/reorder. What a negotiated link puts on the wire moves this
-/// row and the next; EC never exchanges, so its constants are the v1 twins'.
+/// and drop/dup/reorder: [`chaos_4_nodes`] on the default wire. What a
+/// negotiated link puts on the wire moves this row and the next; EC never
+/// exchanges, so its constants are the v1 twins'.
 #[test]
 fn chaos_4_nodes_codec_v2() {
     check_reliable(

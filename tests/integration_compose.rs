@@ -44,7 +44,7 @@ fn codec_v2_composes_with_churn_and_crash() {
         Scenario::paper(16, 1).with_ticks(24),
         Scenario::paper(8, 1).with_ticks(24).with_reliability(chaos_retry_config()),
     ];
-    for v1 in worlds {
+    for v1 in worlds.map(|world| world.with_wire(WireConfig::v1())) {
         let teams = usize::from(v1.teams);
         let plans = [
             RunPlan::default().with_membership(default_churn_plan(teams, v1.ticks)),
@@ -88,8 +88,11 @@ fn sharding_composes_with_churn_and_crash_at_32_nodes() {
         RunPlan::default().with_faults(default_crash_plan(CRASH_SEED, 32, 24)),
     ] {
         let summary = play_converged(&scenario, Protocol::Msync2Shard, &plan);
-        let suppressed: u64 = summary.per_node.iter().map(|s| s.dso.shard_suppressed).sum();
-        assert!(suppressed > 0, "interest routing must actually suppress diffs");
+        let sum = |f: fn(&sdso_game::NodeStats) -> u64| summary.per_node.iter().map(f).sum::<u64>();
+        assert!(sum(|s| s.dso.shard_suppressed) > 0, "interest routing must suppress diffs");
+        // Sharded links negotiate the default wire like any other.
+        assert!(sum(|s| s.dso.codec_v2_sent) > 0, "codec v2 never ran under sharding");
+        assert!(sum(|s| s.dso.rendezvous_fused) > 0, "no sharded rendezvous was fused");
         let restarted =
             plan.faults.iter().flat_map(|f| &f.crashes).filter(|c| c.restart_tick.is_some());
         for crash in restarted {
@@ -97,6 +100,29 @@ fn sharding_composes_with_churn_and_crash_at_32_nodes() {
             assert_eq!((node.recoveries, node.ticks), (1, 24), "node {} came back", crash.node);
         }
     }
+}
+
+/// Sharding on the default wire against its twin on the paper's frames, static
+/// group: region groups and interest routing decide who exchanges what, the
+/// codec only how it travels, so every node plays the same game.
+#[test]
+fn sharding_plays_the_same_game_on_v1_and_on_the_default_wire() {
+    let scenario = Scenario::scaled(32, 1).with_ticks(24);
+    let plan = RunPlan::default();
+    let packed = play_converged(&scenario, Protocol::Msync2Shard, &plan);
+    let plain =
+        play_converged(&scenario.clone().with_wire(WireConfig::v1()), Protocol::Msync2Shard, &plan);
+    for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
+        assert_eq!(
+            (a.ticks, a.modifications, a.score, &a.final_world),
+            (b.ticks, b.modifications, b.score, &b.final_world),
+            "node {}: the default wire changed the outcome",
+            a.node
+        );
+        assert_eq!((a.dso.codec_v2_sent, a.dso.rendezvous_fused), (0, 0), "node {}", a.node);
+    }
+    let fused: u64 = packed.per_node.iter().map(|s| s.dso.rendezvous_fused).sum();
+    assert!(fused > 0, "no sharded rendezvous was fused");
 }
 
 /// The paper's own operating point with the reliability layer on and no
@@ -160,7 +186,7 @@ fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
 /// retransmits nothing.
 #[test]
 fn a_fused_rendezvous_is_one_data_message_and_no_control_message() {
-    let bare = Scenario::paper(16, 3).with_ticks(24);
+    let bare = Scenario::paper(16, 3).with_ticks(24).with_wire(WireConfig::v1());
     let plan = RunPlan::default();
     let peers = u64::from(bare.teams) - 1;
     for protocol in Protocol::PAPER {
