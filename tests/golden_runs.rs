@@ -195,12 +195,12 @@ fn static_range_1() {
             (Protocol::Causal, 0xBAAD_E7BB_B9B4_4C8A),
         ],
         &[
-            (Protocol::Entry, 0),
-            (Protocol::Bsync, 0),
-            (Protocol::Msync, 0),
-            (Protocol::Msync2, 0),
-            (Protocol::Lrc, 0),
-            (Protocol::Causal, 0),
+            (Protocol::Entry, 0x710D_E2D9_116B_0C2B),
+            (Protocol::Bsync, 0xFF8D_9CF4_E50D_AF68),
+            (Protocol::Msync, 0xEDB5_09BA_5B36_86D8),
+            (Protocol::Msync2, 0x9BDA_A3DB_9593_F837),
+            (Protocol::Lrc, 0x47A3_BCF7_0995_0C70),
+            (Protocol::Causal, 0xBAAD_E7BB_B9B4_4C8A),
         ],
     );
 }
@@ -220,12 +220,12 @@ fn static_range_3() {
             (Protocol::Causal, 0x4721_ECD6_BCF0_3B5A),
         ],
         &[
-            (Protocol::Entry, 0),
-            (Protocol::Bsync, 0),
-            (Protocol::Msync, 0),
-            (Protocol::Msync2, 0),
-            (Protocol::Lrc, 0),
-            (Protocol::Causal, 0),
+            (Protocol::Entry, 0x9B01_2377_F485_F46C),
+            (Protocol::Bsync, 0x790D_224A_2106_5DB8),
+            (Protocol::Msync, 0xA24D_440C_CF36_AAB6),
+            (Protocol::Msync2, 0x6C7F_469E_685C_A00F),
+            (Protocol::Lrc, 0x0E79_FB32_5743_6178),
+            (Protocol::Causal, 0x4721_ECD6_BCF0_3B5A),
         ],
     );
 }
@@ -237,7 +237,7 @@ fn static_sharded_64() {
         &Scenario::scaled(64, 1).with_ticks(12),
         &RunPlan::default(),
         &[(Protocol::Msync2Shard, 0x1B51_5A93_261E_0739)],
-        &[(Protocol::Msync2Shard, 0)],
+        &[(Protocol::Msync2Shard, 0xDE78_BF1B_8324_C249)],
     );
 }
 
@@ -253,7 +253,12 @@ fn churn_16_slots_four_changes() {
             (Protocol::Msync, 0x0C11_61B5_DA73_E2A6),
             (Protocol::Msync2, 0xF968_1BBE_15E2_868B),
         ],
-        &[(Protocol::Entry, 0), (Protocol::Bsync, 0), (Protocol::Msync, 0), (Protocol::Msync2, 0)],
+        &[
+            (Protocol::Entry, 0xCA5F_77FA_7CA4_9631),
+            (Protocol::Bsync, 0x3AD3_9BDA_90CB_D28B),
+            (Protocol::Msync, 0x5F56_AD44_870E_E270),
+            (Protocol::Msync2, 0x19F2_E585_9BCE_95DE),
+        ],
     );
 }
 
@@ -289,8 +294,12 @@ fn crash_16_teams() {
         (Protocol::Msync, 0x9D9B_A465_6D6A_66D1),
         (Protocol::Msync2, 0xFBB1_BCE4_D7CE_6462),
     ];
-    let default =
-        [(Protocol::Entry, 0), (Protocol::Bsync, 0), (Protocol::Msync, 0), (Protocol::Msync2, 0)];
+    let default = [
+        (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
+        (Protocol::Bsync, 0x54F3_2B73_1681_1EEE),
+        (Protocol::Msync, 0x9F77_EEF0_EA24_23FC),
+        (Protocol::Msync2, 0x5DB4_8BD2_1169_45A0),
+    ];
     for run in check_wires("crash, 16 teams", &scenario, &plan, &v1, &default) {
         let protocol = run.protocol;
         let last = plan.views(&scenario, protocol).expect("the run validated it").final_view();
