@@ -126,8 +126,8 @@ const LINK_FAULTS: [LinkFault; 5] = [
 const ARQ_BSYNC_TICKS: u8 = 6;
 
 /// What goes wrong in one schedule of the codec-v2-arq scenario, on node
-/// [`FAULTED`]'s side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`FAULTED`]'s side. The default: nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct LinkFault {
     /// The fate of its first fused `Data2` to [`FAULT_PEER`].
     frame: Option<FrameFault>,
@@ -343,10 +343,10 @@ impl Wire {
         }
     }
 
-    fn fault(self) -> Option<LinkFault> {
+    fn fault(self) -> LinkFault {
         match self {
-            Wire::V2Arq(fault) => Some(fault),
-            Wire::V1 | Wire::V2 => None,
+            Wire::V2Arq(fault) => fault,
+            Wire::V1 | Wire::V2 => LinkFault::default(),
         }
     }
 
@@ -384,7 +384,7 @@ fn run_static_once(
     // Nor does a fault that never bit: the lost frame was sent again, the
     // doubled one dropped once, the flapped links are back to fused frames.
     let (faulted, peer) = (&snaps[usize::from(FAULTED)], &snaps[usize::from(FAULT_PEER)]);
-    let fault = wire.fault().unwrap_or(LinkFault { frame: None, flap: None });
+    let fault = wire.fault();
     let unrepaired = match fault.frame {
         Some(FrameFault::Drop) => faulted.metrics.retransmits == 0,
         Some(FrameFault::Dup) => peer.metrics.duplicates_dropped == 0,
@@ -784,8 +784,8 @@ fn check_churn_invariants(
 /// [`LinkFault::flap`] ever queues any.
 fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
-    let fault = wire.fault().filter(|_| me == FAULTED);
-    let transport = Faulted { inner: ep, fault: fault.and_then(|f| f.frame), events: Vec::new() };
+    let fault = if me == FAULTED { wire.fault() } else { LinkFault::default() };
+    let transport = Faulted { inner: ep, fault: fault.frame, events: Vec::new() };
     let mut rt = SdsoRuntime::new(transport, wire.config());
     for id in 0..NODES as u32 {
         rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
@@ -818,7 +818,7 @@ fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<Nod
     let ticks = wire.ticks(protocol);
     for tick in 1..=ticks {
         let rt = la.runtime_mut();
-        if fault.and_then(|fault| fault.flap).is_some_and(|late| tick == ticks / 2 + late) {
+        if fault.flap.is_some_and(|late| tick == ticks / 2 + late) {
             rt.endpoint_mut().flap();
             fused_at_flap = Some(rt.metrics().rendezvous_fused);
         }

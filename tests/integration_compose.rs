@@ -37,6 +37,19 @@ fn play_converged(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> Ru
     summary
 }
 
+/// Asserts that two runs played the same game, node by node: the wire
+/// changes bytes and frames, never what the game can see.
+fn assert_same_game(case: &str, plain: &RunSummary, packed: &RunSummary) {
+    for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
+        assert_eq!(
+            (a.ticks, a.modifications, a.score, &a.final_world),
+            (b.ticks, b.modifications, b.score, &b.final_world),
+            "{case}, node {}: v2 changed the outcome",
+            a.node
+        );
+    }
+}
+
 #[test]
 fn codec_v2_composes_with_churn_and_crash() {
     // 16 nodes on the bare testbed, 8 with the reliability layer on.
@@ -55,15 +68,7 @@ fn codec_v2_composes_with_churn_and_crash() {
             for protocol in Protocol::PAPER {
                 let plain = play_converged(&v1, protocol, plan);
                 let packed = play_converged(&v2, protocol, plan);
-                // The codec changes bytes on the wire, never the game.
-                for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
-                    assert_eq!(
-                        (a.ticks, a.modifications, a.score, &a.final_world),
-                        (b.ticks, b.modifications, b.score, &b.final_world),
-                        "{protocol}, {teams} teams, node {}: v2 changed the outcome",
-                        a.node
-                    );
-                }
+                assert_same_game(&format!("{protocol}, {teams} teams"), &plain, &packed);
                 // ...and it must actually have run (EC ships no exchange
                 // data; the paper scenario's fixed 2 KiB frames hide the
                 // byte saving, so count frames).
@@ -112,17 +117,10 @@ fn sharding_plays_the_same_game_on_v1_and_on_the_default_wire() {
     let packed = play_converged(&scenario, Protocol::Msync2Shard, &plan);
     let plain =
         play_converged(&scenario.clone().with_wire(WireConfig::v1()), Protocol::Msync2Shard, &plan);
-    for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
-        assert_eq!(
-            (a.ticks, a.modifications, a.score, &a.final_world),
-            (b.ticks, b.modifications, b.score, &b.final_world),
-            "node {}: the default wire changed the outcome",
-            a.node
-        );
-        assert_eq!((a.dso.codec_v2_sent, a.dso.rendezvous_fused), (0, 0), "node {}", a.node);
-    }
-    let fused: u64 = packed.per_node.iter().map(|s| s.dso.rendezvous_fused).sum();
-    assert!(fused > 0, "no sharded rendezvous was fused");
+    assert_same_game("MSYNC2-SHARD, 32 teams", &plain, &packed);
+    let fused = |run: &RunSummary| run.per_node.iter().map(|s| s.dso.rendezvous_fused).sum::<u64>();
+    assert_eq!(fused(&plain), 0, "the v1 twin fused a rendezvous");
+    assert!(fused(&packed) > 0, "no sharded rendezvous was fused");
 }
 
 /// The paper's own operating point with the reliability layer on and no
