@@ -1,10 +1,11 @@
 //! A minimal JSON value, writer and recursive-descent parser.
 //!
-//! The perf-regression baseline (`BENCH_<k>.json`) must be written and
-//! read back without external dependencies (the workspace builds
-//! offline), so this module implements the small JSON subset the
-//! baseline needs: objects, arrays, strings with the standard escapes,
-//! f64 numbers, booleans and null.
+//! `benchmark/` writes one JSON result line per run and reads those lines
+//! back (`--record`, `compare`, its workload contract against
+//! `BENCHMARK.json`) without external dependencies (the workspace builds
+//! offline), so this module implements the small JSON subset that takes:
+//! objects, arrays, strings with the standard escapes, f64 numbers,
+//! booleans and null.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,3 +1,4 @@
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use sdso_member::{leave_change_from_events, Epoch, MembershipView, ViewChange};
@@ -575,22 +576,28 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.store.share(id, initial)
     }
 
-    /// Reads an object's local replica.
+    /// Reads an object's local replica: one store lookup, and — the
+    /// paper's premise that every read is local — no clock unless a
+    /// recorder is listening. sdso-check: hot-path
     ///
     /// # Errors
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
+    #[inline]
     pub fn read(&self, id: ObjectId) -> Result<&[u8], DsoError> {
-        let bytes = self.store.read(id)?;
-        let version = self.store.replica(id)?.version();
-        self.obs.record(
-            self.now().as_micros(),
-            EventKind::ObjectRead,
-            id.0,
-            version.time.as_ticks() as u32,
-            0,
-        );
-        Ok(bytes)
+        let replica = self.store.replica(id)?;
+        // `now()` is a clock_gettime on real transports and the scheduler
+        // mutex in the simulator: only a recorded read pays for it.
+        if self.obs.recorder().enabled() {
+            self.obs.record(
+                self.now().as_micros(),
+                EventKind::ObjectRead,
+                id.0,
+                replica.version().time.as_ticks() as u32,
+                0,
+            );
+        }
+        Ok(replica.data())
     }
 
     /// An object's current version stamp.
@@ -623,20 +630,31 @@ impl<E: Endpoint> SdsoRuntime<E> {
         let stamp = Version::new(LogicalTime::from_ticks(self.lamport), self.node_id());
         self.store.write(id, offset, bytes, stamp)?;
         let diff = Diff::single(offset, bytes.to_vec());
-        let merging = self.current_mods.contains_key(&id);
-        let entry = self.current_mods.entry(id).or_insert_with(|| (Diff::empty(), stamp));
-        entry.0.merge_in_place(&diff);
-        entry.1 = entry.1.max(stamp);
-        if merging {
-            self.obs.record(self.now().as_micros(), EventKind::DiffMerge, id.0, 0, 0);
+        let merging = match self.current_mods.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert((diff, stamp));
+                false
+            }
+            Entry::Occupied(mut slot) => {
+                let (merged, newest) = slot.get_mut();
+                merged.merge_in_place(&diff);
+                *newest = (*newest).max(stamp);
+                true
+            }
+        };
+        if self.obs.recorder().enabled() {
+            let at = self.now().as_micros();
+            if merging {
+                self.obs.record(at, EventKind::DiffMerge, id.0, 0, 0);
+            }
+            self.obs.record(
+                at,
+                EventKind::ObjectWrite,
+                id.0,
+                stamp.time.as_ticks() as u32,
+                bytes.len() as u32,
+            );
         }
-        self.obs.record(
-            self.now().as_micros(),
-            EventKind::ObjectWrite,
-            id.0,
-            stamp.time.as_ticks() as u32,
-            bytes.len() as u32,
-        );
         Ok(())
     }
 
@@ -1367,6 +1385,10 @@ mod tests {
     use super::*;
     use crate::sfunction::EveryTick;
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
+    use sdso_net::{Incoming, NetError, Payload};
+    use sdso_obs::TraceConfig;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn pair_with(config: DsoConfig) -> Vec<SdsoRuntime<MemoryEndpoint>> {
         MemoryHub::new(2)
@@ -1763,5 +1785,143 @@ mod tests {
         let mut runtimes = pair();
         let a = &mut runtimes[0];
         assert!(matches!(a.write(ObjectId(99), 0, &[1]), Err(DsoError::UnknownObject(_))));
+    }
+
+    // --- local access: one lookup, and a clock only for a live recorder ---
+
+    /// An endpoint that counts its `now()` calls.
+    struct ClockCounting {
+        inner: MemoryEndpoint,
+        now_calls: Arc<AtomicU64>,
+    }
+
+    impl Endpoint for ClockCounting {
+        fn node_id(&self) -> NodeId {
+            self.inner.node_id()
+        }
+        fn num_nodes(&self) -> usize {
+            self.inner.num_nodes()
+        }
+        fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
+            self.inner.send(to, payload)
+        }
+        fn recv(&mut self) -> Result<Incoming, NetError> {
+            self.inner.recv()
+        }
+        fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
+            self.inner.try_recv()
+        }
+        fn advance(&mut self, dt: SimSpan) {
+            self.inner.advance(dt);
+        }
+        fn now(&self) -> sdso_net::SimInstant {
+            self.now_calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.now()
+        }
+        fn metrics(&self) -> sdso_net::NetMetricsSnapshot {
+            self.inner.metrics()
+        }
+    }
+
+    /// 1 000 reads with 100 writes interleaved (one before every tenth
+    /// read), over two 8-byte objects.
+    fn thousand_reads_hundred_writes<E: Endpoint>(rt: &mut SdsoRuntime<E>) {
+        rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
+        rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+        for i in 0..1000u32 {
+            if i % 10 == 0 {
+                let w = i / 10;
+                rt.write(ObjectId(w % 2), w % 7, &[w as u8, 0xEE][..1 + (w % 2) as usize]).unwrap();
+            }
+            rt.read(ObjectId(i % 2)).unwrap();
+        }
+    }
+
+    #[test]
+    fn local_access_with_recording_off_never_reads_the_clock() {
+        let now_calls = Arc::new(AtomicU64::new(0));
+        let inner = MemoryHub::new(2).into_endpoints().remove(0);
+        let endpoint = ClockCounting { inner, now_calls: now_calls.clone() };
+        let mut rt = SdsoRuntime::with_obs(endpoint, DsoConfig::compact(), Obs::disabled());
+        thousand_reads_hundred_writes(&mut rt);
+        assert_eq!(now_calls.load(Ordering::Relaxed), 0);
+        assert_eq!(rt.read(ObjectId(1)).unwrap()[1..3], [99, 0xEE], "the last write landed");
+    }
+
+    #[test]
+    fn local_access_with_recording_on_records_every_read_and_write() {
+        let obs = Obs::new(0, TraceConfig::full());
+        let endpoint = MemoryHub::new(2).into_endpoints().remove(0);
+        let mut rt = SdsoRuntime::with_obs(endpoint, DsoConfig::compact(), obs.clone());
+        thousand_reads_hundred_writes(&mut rt);
+
+        let counts = obs.recorder().counts();
+        assert_eq!(counts[EventKind::ObjectRead as usize], 1000);
+        assert_eq!(counts[EventKind::ObjectWrite as usize], 100);
+        // Every write but the first to each object folds into the open interval.
+        assert_eq!(counts[EventKind::DiffMerge as usize], 98);
+
+        let of = |kind| -> Vec<(u32, u32, u32)> {
+            let events = obs.recorder().events();
+            events.iter().filter(|e| e.kind == kind).map(|e| (e.a, e.b, e.c)).collect()
+        };
+        // (object, version ticks, 0): the version is the Lamport stamp of
+        // the newest write to that object so far.
+        let reads = of(EventKind::ObjectRead);
+        assert_eq!(reads[0], (0, 1, 0), "object 0 after write 1");
+        assert_eq!(reads[1], (1, 0, 0), "object 1 never written yet");
+        assert_eq!(reads[999], (1, 100, 0), "object 1 after write 100");
+        // (object, stamp ticks, bytes written).
+        let writes = of(EventKind::ObjectWrite);
+        assert_eq!(writes[0], (0, 1, 1));
+        assert_eq!(writes[1], (1, 2, 2));
+        assert_eq!(writes[99], (1, 100, 2));
+        // A merge is recorded just ahead of the write that caused it.
+        let kinds: Vec<EventKind> = obs
+            .recorder()
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .filter(|&k| k != EventKind::ObjectRead)
+            .collect();
+        assert_eq!(kinds[..2], [EventKind::ObjectWrite; 2], "first writes open the interval");
+        assert_eq!(kinds[2..4], [EventKind::DiffMerge, EventKind::ObjectWrite]);
+    }
+
+    #[test]
+    fn a_traced_bsync_run_records_its_reads_writes_and_merges() {
+        let runtimes: Vec<_> = MemoryHub::new(2)
+            .into_endpoints()
+            .into_iter()
+            .map(|ep| {
+                let obs = Obs::new(ep.node_id(), TraceConfig::full());
+                let mut rt = SdsoRuntime::with_obs(ep, DsoConfig::compact(), obs);
+                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+                rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
+                rt.init_schedule(&mut EveryTick).unwrap();
+                rt
+            })
+            .collect();
+        let done = run_pair(runtimes, |rt| {
+            let own = ObjectId(1 + u32::from(rt.node_id()));
+            for round in 0..5u8 {
+                rt.write(own, 0, &[round]).unwrap();
+                rt.write(own, 4, &[round]).unwrap();
+                rt.read(ObjectId(1)).unwrap();
+                rt.read(ObjectId(2)).unwrap();
+                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            }
+        });
+        for rt in &done {
+            let counts = rt.obs().recorder().counts();
+            assert_eq!(counts[EventKind::ObjectRead as usize], 10);
+            assert_eq!(counts[EventKind::ObjectWrite as usize], 10);
+            // The second write of every interval merges; the exchange
+            // closes the interval, so the next first write does not.
+            assert_eq!(counts[EventKind::DiffMerge as usize], 5);
+            assert_eq!(counts[EventKind::ExchangeBegin as usize], 5);
+            assert_eq!(counts[EventKind::ExchangeEnd as usize], 5);
+        }
+        assert_eq!(done[0].read(ObjectId(2)).unwrap(), done[1].read(ObjectId(2)).unwrap());
     }
 }

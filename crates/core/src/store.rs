@@ -1,5 +1,3 @@
-use std::collections::BTreeMap;
-
 use crate::diff::Diff;
 use crate::dirty::DirtyRanges;
 use crate::error::DsoError;
@@ -69,9 +67,15 @@ impl Replica {
 /// declared shared at the initialization phase of a program"; S-DSO has no
 /// `unshare`). Every process registers the same objects with the same
 /// initial contents, so replicas start identical.
+///
+/// Replicas sit in one `Vec` sorted by id. A program that registers ids
+/// `0..n` (every shipped application does) finds object `i` at index `i`
+/// in one probe; any other id set costs a binary search.
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    objects: BTreeMap<ObjectId, Replica>,
+    /// Ascending by id, no duplicates — [`ObjectStore::iter`]'s order.
+    objects: Vec<(ObjectId, Replica)>,
+    generation: u64,
 }
 
 impl ObjectStore {
@@ -86,19 +90,33 @@ impl ObjectStore {
     ///
     /// Returns [`DsoError::AlreadyShared`] if `id` was registered before.
     pub fn share(&mut self, id: ObjectId, initial: Vec<u8>) -> Result<(), DsoError> {
-        if self.objects.contains_key(&id) {
+        let Err(at) = self.position(id) else {
             return Err(DsoError::AlreadyShared(id));
-        }
-        self.objects.insert(
-            id,
-            Replica {
-                data: initial.clone(),
-                initial,
-                version: Version::INITIAL,
-                dirty: DirtyRanges::new(),
-            },
-        );
+        };
+        let replica = Replica {
+            data: initial.clone(),
+            initial,
+            version: Version::INITIAL,
+            dirty: DirtyRanges::new(),
+        };
+        self.objects.insert(at, (id, replica));
         Ok(())
+    }
+
+    /// Where `id` sits in `objects`, or where it would be inserted.
+    /// sdso-check: hot-path
+    #[inline]
+    fn position(&self, id: ObjectId) -> Result<usize, usize> {
+        let dense = id.0 as usize;
+        match self.objects.get(dense) {
+            Some((held, _)) if *held == id => Ok(dense),
+            _ => self.objects.binary_search_by_key(&id, |&(held, _)| held),
+        }
+    }
+
+    fn replica_mut(&mut self, id: ObjectId) -> Result<&mut Replica, DsoError> {
+        let at = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
+        Ok(&mut self.objects[at].1)
     }
 
     /// Looks up a replica.
@@ -106,8 +124,10 @@ impl ObjectStore {
     /// # Errors
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
+    #[inline]
     pub fn replica(&self, id: ObjectId) -> Result<&Replica, DsoError> {
-        self.objects.get(&id).ok_or(DsoError::UnknownObject(id))
+        let at = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
+        Ok(&self.objects[at].1)
     }
 
     /// Reads an object's bytes.
@@ -131,7 +151,7 @@ impl ObjectStore {
         bytes: &[u8],
         version: Version,
     ) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.replica_mut(id)?;
         let end = offset as usize + bytes.len();
         if end > replica.data.len() {
             return Err(DsoError::OutOfBounds {
@@ -144,6 +164,7 @@ impl ObjectStore {
         replica.data[offset as usize..end].copy_from_slice(bytes);
         replica.version = replica.version.max(version);
         replica.dirty.record(offset, bytes.len() as u32);
+        self.generation += 1;
         Ok(())
     }
 
@@ -155,7 +176,7 @@ impl ObjectStore {
     /// Returns [`DsoError::UnknownObject`], or [`DsoError::OutOfBounds`] if
     /// the body size does not match the registered size.
     pub fn replace(&mut self, id: ObjectId, body: &[u8], version: Version) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.replica_mut(id)?;
         if body.len() != replica.data.len() {
             return Err(DsoError::OutOfBounds {
                 object: id,
@@ -167,6 +188,7 @@ impl ObjectStore {
         replica.data.copy_from_slice(body);
         replica.version = version;
         replica.dirty.record(0, body.len() as u32);
+        self.generation += 1;
         Ok(())
     }
 
@@ -208,7 +230,7 @@ impl ObjectStore {
         diff: &Diff,
         version: Version,
     ) -> Result<bool, DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.replica_mut(id)?;
         if version <= replica.version {
             return Ok(false);
         }
@@ -217,6 +239,7 @@ impl ObjectStore {
         for (offset, bytes) in diff.runs() {
             replica.dirty.record(offset, bytes.len() as u32);
         }
+        self.generation += 1;
         Ok(true)
     }
 
@@ -228,7 +251,7 @@ impl ObjectStore {
     ///
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
     pub fn clear_dirty(&mut self, id: ObjectId) -> Result<(), DsoError> {
-        let replica = self.objects.get_mut(&id).ok_or(DsoError::UnknownObject(id))?;
+        let replica = self.replica_mut(id)?;
         replica.dirty.clear();
         Ok(())
     }
@@ -243,15 +266,29 @@ impl ObjectStore {
         self.objects.is_empty()
     }
 
-    /// Iterates over `(id, replica)` pairs in id order.
+    /// A counter that moves whenever some replica's bytes or version may
+    /// have: bumped by every successful [`ObjectStore::write`] and
+    /// [`ObjectStore::replace`] and every *applied*
+    /// [`ObjectStore::apply_remote`]; a discarded stale update, a failed
+    /// call and [`ObjectStore::clear_dirty`] leave it alone. `share` does
+    /// not bump it either — it moves [`ObjectStore::len`] — so
+    /// `(generation(), len())` unchanged means anything derived from this
+    /// store's contents is still valid. Only comparable between two
+    /// observations of the same store.
+    pub fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Iterates over `(id, replica)` pairs in ascending id order (snapshots,
+    /// fingerprints and s-functions depend on that order).
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Replica)> {
-        self.objects.iter().map(|(&id, r)| (id, r))
+        self.objects.iter().map(|(id, r)| (*id, r))
     }
 
     /// The bytes `id` was registered with, or `None` if it was never
     /// shared. See [`Replica::initial_body`].
     pub fn initial_body(&self, id: ObjectId) -> Option<&[u8]> {
-        self.objects.get(&id).map(|r| r.initial_body())
+        self.replica(id).ok().map(Replica::initial_body)
     }
 }
 

@@ -1,7 +1,10 @@
 //! Property tests of the core data structures' invariants.
 
 use proptest::prelude::*;
-use sdso_core::{Diff, DirtyRanges, ExchangeList, LogicalTime, ObjectId, SlottedBuffer, Version};
+use sdso_core::{
+    Diff, DirtyRanges, DsoError, ExchangeList, LogicalTime, ObjectId, ObjectStore, SlottedBuffer,
+    Version,
+};
 
 // ---------------------------------------------------------------------
 // ExchangeList: earliest-first ordering, uniqueness, due semantics
@@ -297,6 +300,179 @@ proptest! {
             let touched: std::collections::BTreeSet<u32> =
                 drained.iter().map(|u| u.object.0).collect();
             prop_assert_eq!(drained.len(), touched.len());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// ObjectStore: the id-sorted Vec behaves as the ordered map it replaced
+// ---------------------------------------------------------------------
+
+/// What the store must hold for one object.
+#[derive(Debug, Clone, PartialEq)]
+struct ModelReplica {
+    data: Vec<u8>,
+    initial: Vec<u8>,
+    version: Version,
+}
+
+/// The error (by kind and culprit) a call returned, or `None`.
+fn failure<T>(result: &Result<T, DsoError>) -> Option<(&'static str, u32)> {
+    match result {
+        Ok(_) => None,
+        Err(DsoError::AlreadyShared(id)) => Some(("already shared", id.0)),
+        Err(DsoError::UnknownObject(id)) => Some(("unknown", id.0)),
+        Err(DsoError::OutOfBounds { object, .. }) => Some(("out of bounds", object.0)),
+        Err(DsoError::Net(_)) => Some(("codec", 0)),
+        Err(other) => panic!("the store never returns {other:?}"),
+    }
+}
+
+proptest! {
+    #[test]
+    fn object_store_matches_an_ordered_map_model(
+        ops in proptest::collection::vec(
+            // (operation, id pick, offset, length, fill byte, (version time, writer))
+            (0u8..6, 0usize..12, 0u32..10, 0usize..10, any::<u8>(), (0u64..6, 0u16..3)),
+            1..96,
+        )
+    ) {
+        let mut store = ObjectStore::new();
+        let mut model: std::collections::BTreeMap<u32, ModelReplica> = Default::default();
+        // Dense, sparse and out-of-order ids; the last two track `len()`,
+        // where the dense guess runs off the end or lands on a neighbour.
+        let pool = |pick: usize, len: usize| -> u32 {
+            match pick {
+                0..=5 => [3, 0, 1, 2, 5, 4][pick],
+                6 => 7,
+                7 => 10,
+                8 => 1000,
+                9 => u32::MAX,
+                10 => len as u32,
+                _ => len as u32 + 1,
+            }
+        };
+        for (op, pick, offset, length, byte, (time, writer)) in ops {
+            let id = pool(pick, store.len());
+            let version = Version::new(LogicalTime::from_ticks(time), writer);
+            let bytes = vec![byte; length];
+            let before = store.generation();
+            let known = model.get(&id).cloned();
+            let fits = |r: &ModelReplica| offset as usize + length <= r.data.len();
+            // Runs the call on the store and works out, from the model
+            // alone, what it must have returned and whether it applied.
+            let (got, want, applied) = match op {
+                0 => {
+                    let got = failure(&store.share(ObjectId(id), bytes.clone()));
+                    let want = known.as_ref().map(|_| ("already shared", id));
+                    if known.is_none() {
+                        let fresh = ModelReplica {
+                            data: bytes.clone(),
+                            initial: bytes.clone(),
+                            version: Version::INITIAL,
+                        };
+                        model.insert(id, fresh);
+                    }
+                    (got, want, false)
+                }
+                1 => {
+                    let got = failure(&store.write(ObjectId(id), offset, &bytes, version));
+                    let want = match &known {
+                        None => Some(("unknown", id)),
+                        Some(r) if !fits(r) => Some(("out of bounds", id)),
+                        Some(_) => None,
+                    };
+                    if want.is_none() {
+                        let r = model.get_mut(&id).unwrap();
+                        r.data[offset as usize..offset as usize + length].copy_from_slice(&bytes);
+                        r.version = r.version.max(version);
+                    }
+                    (got, want, want.is_none())
+                }
+                2 | 3 => {
+                    // Whole-body replacement, unconditional or newer-only.
+                    let result = if op == 2 {
+                        store.replace(ObjectId(id), &bytes, version).map(|()| true)
+                    } else {
+                        store.replace_if_newer(ObjectId(id), &bytes, version)
+                    };
+                    let stale = op == 3 && known.as_ref().is_some_and(|r| version <= r.version);
+                    let want = match &known {
+                        None => Some(("unknown", id)),
+                        Some(r) if !stale && r.data.len() != length => Some(("out of bounds", id)),
+                        Some(_) => None,
+                    };
+                    let applied = want.is_none() && !stale;
+                    prop_assert_eq!(result.as_ref().ok().copied(), want.is_none().then_some(applied));
+                    if applied {
+                        let r = model.get_mut(&id).unwrap();
+                        r.data.copy_from_slice(&bytes);
+                        r.version = version;
+                    }
+                    (failure(&result), want, applied)
+                }
+                4 => {
+                    let diff = Diff::single(offset, bytes.clone());
+                    let result = store.apply_remote(ObjectId(id), &diff, version);
+                    let stale = known.as_ref().is_some_and(|r| version <= r.version);
+                    let want = match &known {
+                        None => Some(("unknown", id)),
+                        // An empty diff has no run to be out of bounds.
+                        Some(r) if !stale && length > 0 && !fits(r) => Some(("codec", 0)),
+                        Some(_) => None,
+                    };
+                    let applied = want.is_none() && !stale;
+                    prop_assert_eq!(result.as_ref().ok().copied(), want.is_none().then_some(applied));
+                    if applied && length > 0 {
+                        let r = model.get_mut(&id).unwrap();
+                        r.data[offset as usize..offset as usize + length].copy_from_slice(&bytes);
+                    }
+                    if applied {
+                        model.get_mut(&id).unwrap().version = version;
+                    }
+                    (failure(&result), want, applied)
+                }
+                _ => {
+                    let got = failure(&store.clear_dirty(ObjectId(id)));
+                    if got.is_none() {
+                        prop_assert!(store.replica(ObjectId(id)).unwrap().dirty_ranges().is_clean());
+                    }
+                    (got, known.is_none().then_some(("unknown", id)), false)
+                }
+            };
+            prop_assert_eq!(got, want, "op {} on id {}", op, id);
+            prop_assert_eq!(
+                store.generation() != before,
+                applied,
+                "generation moves exactly when bytes or version could have (op {})",
+                op
+            );
+
+            // The whole table, in order, and every lookup path.
+            let listed: Vec<(u32, ModelReplica)> = store
+                .iter()
+                .map(|(id, r)| {
+                    let seen = ModelReplica {
+                        data: r.data().to_vec(),
+                        initial: r.initial_body().to_vec(),
+                        version: r.version(),
+                    };
+                    (id.0, seen)
+                })
+                .collect();
+            prop_assert!(listed.windows(2).all(|w| w[0].0 < w[1].0), "iter strictly ascending");
+            prop_assert_eq!(&listed, &model.clone().into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.is_empty(), model.is_empty());
+            for pick in 0..12 {
+                let probe = pool(pick, store.len());
+                let held = model.get(&probe);
+                prop_assert_eq!(store.read(ObjectId(probe)).ok(), held.map(|r| &r.data[..]));
+                prop_assert_eq!(store.initial_body(ObjectId(probe)), held.map(|r| &r.initial[..]));
+                let replica = store.replica(ObjectId(probe));
+                prop_assert_eq!(failure(&replica), held.is_none().then_some(("unknown", probe)));
+                prop_assert_eq!(replica.ok().map(|r| r.version()), held.map(|r| r.version));
+            }
         }
     }
 }

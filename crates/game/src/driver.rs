@@ -1380,30 +1380,27 @@ fn restart<E: Endpoint, F: Family<E = E>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap as Map;
 
-    /// An in-memory port for exercising GameCore in isolation.
-    #[derive(Debug, Default)]
+    /// An in-memory port for exercising GameCore in isolation: the world
+    /// as a bare array of blocks, indexed like the shared objects.
+    #[derive(Debug)]
     struct LocalPort {
-        blocks: Map<Pos, Block>,
+        grid: crate::world::Grid,
+        blocks: Vec<Block>,
     }
 
     impl LocalPort {
         fn from_world(scenario: &Scenario) -> Self {
-            let mut blocks = Map::new();
-            for (idx, block) in scenario.initial_world().into_iter().enumerate() {
-                blocks.insert(scenario.grid.pos_of(ObjectId(idx as u32)), block);
-            }
-            LocalPort { blocks }
+            LocalPort { grid: scenario.grid, blocks: scenario.initial_world() }
         }
     }
 
     impl BlockPort for LocalPort {
         fn read_block(&self, pos: Pos) -> Result<Block, DsoError> {
-            Ok(self.blocks.get(&pos).copied().unwrap_or(Block::Empty))
+            Ok(self.blocks[self.grid.object_at(pos).0 as usize])
         }
         fn write_block(&mut self, pos: Pos, block: Block) -> Result<(), DsoError> {
-            self.blocks.insert(pos, block);
+            self.blocks[self.grid.object_at(pos).0 as usize] = block;
             Ok(())
         }
     }
@@ -1565,6 +1562,49 @@ mod tests {
         assert_eq!(core.deaths, 1);
         assert!(core.respawn_pending());
         assert_eq!(port.read_block(to).unwrap(), Block::Empty, "bomb consumed");
+    }
+
+    /// What "every read is local" has to mean for the frame loop: the
+    /// same seeded game, tick for tick, through a runtime's replica store
+    /// (lookup, decode, encode, diff bookkeeping; recorder off, no
+    /// exchange) costs a small multiple of playing it on a bare map of
+    /// blocks. A fresh ratio on one host, both sides back to back, best of
+    /// three (docs/ARCHITECTURE.md §9.5).
+    #[test]
+    #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
+    fn contract_a_tick_through_the_runtime_costs_at_most_8x_the_in_memory_port() {
+        use sdso_net::memory::MemoryHub;
+        use std::hint::black_box;
+        const TICKS: u32 = 20_000;
+        let s = Scenario::paper(2, 1);
+        let views = RunPlan::default().views(&s, Protocol::Bsync).unwrap();
+        // Plays TICKS ticks on `port`: ns per tick, and how the game went.
+        fn play(s: &Scenario, port: &mut impl BlockPort) -> (f64, (u64, i64)) {
+            let mut core = GameCore::new(s.clone(), 0);
+            let t0 = std::time::Instant::now();
+            for _ in 0..TICKS {
+                black_box(core.run_tick(port).unwrap());
+            }
+            (t0.elapsed().as_nanos() as f64 / f64::from(TICKS), (core.modifications, core.score))
+        }
+        fn best_of_3(mut run: impl FnMut() -> (f64, (u64, i64))) -> (f64, (u64, i64)) {
+            let (a, b, c) = (run(), run(), run());
+            (a.0.min(b.0).min(c.0), c.1)
+        }
+        let (in_memory, bare_game) = best_of_3(|| play(&s, &mut LocalPort::from_world(&s)));
+        let (through_runtime, shared_game) = best_of_3(|| {
+            let endpoint = MemoryHub::new(2).into_endpoints().remove(0);
+            let rt = build_runtime(endpoint, &s, &views, Obs::disabled()).unwrap();
+            let mut node = Lookahead::new(rt, AnySFunction(Box::new(EveryTick))).unwrap();
+            play(&s, &mut Port { node: &mut node, scenario: &s })
+        });
+        assert_eq!(bare_game, shared_game, "one game on both ports");
+        let ratio = through_runtime / in_memory;
+        println!(
+            "game tick: in-memory port {in_memory:.0} ns, through the runtime \
+             {through_runtime:.0} ns, ratio {ratio:.1}x"
+        );
+        assert!(ratio <= 8.0, "a local tick costs {ratio:.1}x the in-memory port");
     }
 
     // --- the driver under plans (in-process channels: a bug here hangs) ---

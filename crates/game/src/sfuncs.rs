@@ -48,19 +48,57 @@ pub fn team_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) ->
         .collect()
 }
 
+/// A value derived from a store's contents, rebuilt only when the store
+/// has changed: `(generation, len)` unchanged means no replica's bytes or
+/// version moved and no object was shared since (see
+/// [`ObjectStore::generation`]). The runtime asks an s-function for each
+/// due peer in turn after a rendezvous and nothing is written between
+/// those calls, so one scan serves them all.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StoreMemo<T> {
+    pub(crate) value: T,
+    built_at: Option<(u64, usize)>,
+    /// Rebuilds so far.
+    pub(crate) builds: u64,
+}
+
+impl<T> StoreMemo<T> {
+    pub(crate) fn get(&mut self, store: &ObjectStore, build: impl FnOnce(&ObjectStore) -> T) -> &T {
+        let state = (store.generation(), store.len());
+        if self.built_at != Some(state) {
+            self.value = build(store);
+            self.built_at = Some(state);
+            self.builds += 1;
+        }
+        &self.value
+    }
+}
+
+/// Every tank on the board as `(team, position)`, in ascending object
+/// order — [`team_positions`] for all teams in one scan.
+fn tanks_on(store: &ObjectStore, scenario: &Scenario) -> Vec<(NodeId, Pos)> {
+    let grid = scenario.grid;
+    store
+        .iter()
+        .filter_map(|(id, replica)| match Block::decode(replica.data())? {
+            Block::Tank { team, .. } => Some((team, grid.pos_of(id))),
+            _ => None,
+        })
+        .collect()
+}
+
 /// The candidate positions of `team` for lookahead purposes: its visible
 /// tanks plus its spawn point (the ghost position respawns teleport to).
-fn candidate_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) -> Vec<Pos> {
-    let mut positions = team_positions(store, scenario, team);
+fn candidate_positions(tanks: &[(NodeId, Pos)], scenario: &Scenario, team: NodeId) -> Vec<Pos> {
+    let mut positions: Vec<Pos> =
+        tanks.iter().filter(|&&(t, _)| t == team).map(|&(_, pos)| pos).collect();
     positions.push(scenario.start_of(team));
     positions
 }
 
 /// Ticks until *any* cross-team tank pair could reach row/column alignment
 /// (the MSYNC trigger), minimised over pairs and ghost positions.
-fn ticks_to_any_alignment(store: &ObjectStore, scenario: &Scenario, a: NodeId, b: NodeId) -> u64 {
-    let ours = candidate_positions(store, scenario, a);
-    let theirs = candidate_positions(store, scenario, b);
+fn ticks_to_any_alignment(ours: &[Pos], theirs: &[Pos]) -> u64 {
     ours.iter()
         .flat_map(|&m| theirs.iter().map(move |&t| m.ticks_to_alignment(t)))
         .min()
@@ -69,15 +107,7 @@ fn ticks_to_any_alignment(store: &ObjectStore, scenario: &Scenario, a: NodeId, b
 
 /// Ticks until any cross-team pair could be aligned **and** within `d`
 /// blocks (the MSYNC2 trigger).
-fn ticks_to_any_interaction(
-    store: &ObjectStore,
-    scenario: &Scenario,
-    a: NodeId,
-    b: NodeId,
-    d: u32,
-) -> u64 {
-    let ours = candidate_positions(store, scenario, a);
-    let theirs = candidate_positions(store, scenario, b);
+fn ticks_to_any_interaction(ours: &[Pos], theirs: &[Pos], d: u32) -> u64 {
     ours.iter()
         .flat_map(|&m| {
             theirs.iter().map(move |&t| m.ticks_to_alignment(t).max(m.ticks_to_within(t, d)))
@@ -91,12 +121,13 @@ fn ticks_to_any_interaction(
 pub struct Msync {
     me: NodeId,
     scenario: Scenario,
+    board: StoreMemo<Vec<(NodeId, Pos)>>,
 }
 
 impl Msync {
     /// Creates the s-function for process `me`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
-        Msync { me, scenario }
+        Msync { me, scenario, board: StoreMemo::default() }
     }
 }
 
@@ -107,7 +138,12 @@ impl SFunction for Msync {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let delta = ticks_to_any_alignment(view, &self.scenario, self.me, peer);
+        let scenario = &self.scenario;
+        let tanks = self.board.get(view, |store| tanks_on(store, scenario));
+        let delta = ticks_to_any_alignment(
+            &candidate_positions(tanks, scenario, self.me),
+            &candidate_positions(tanks, scenario, peer),
+        );
         Some(now.plus(delta.max(1)))
     }
 }
@@ -118,6 +154,7 @@ pub struct Msync2 {
     me: NodeId,
     scenario: Scenario,
     d: u32,
+    board: StoreMemo<Vec<(NodeId, Pos)>>,
 }
 
 impl Msync2 {
@@ -125,7 +162,7 @@ impl Msync2 {
     /// relevance distance as `d`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
         let d = scenario.relevance_distance();
-        Msync2 { me, scenario, d }
+        Msync2 { me, scenario, d, board: StoreMemo::default() }
     }
 }
 
@@ -136,7 +173,13 @@ impl SFunction for Msync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let delta = ticks_to_any_interaction(view, &self.scenario, self.me, peer, self.d);
+        let scenario = &self.scenario;
+        let tanks = self.board.get(view, |store| tanks_on(store, scenario));
+        let delta = ticks_to_any_interaction(
+            &candidate_positions(tanks, scenario, self.me),
+            &candidate_positions(tanks, scenario, peer),
+            self.d,
+        );
         Some(now.plus(delta.max(1)))
     }
 }
@@ -171,6 +214,14 @@ mod tests {
         Scenario::paper(2, 1)
     }
 
+    /// The uncached definition of a team's candidates: a scan of the
+    /// store per call, through the public [`team_positions`].
+    fn scanned_candidates(store: &ObjectStore, scenario: &Scenario, team: NodeId) -> Vec<Pos> {
+        let mut positions = team_positions(store, scenario, team);
+        positions.push(scenario.start_of(team));
+        positions
+    }
+
     #[test]
     fn team_positions_finds_tanks() {
         let s = scenario();
@@ -196,7 +247,11 @@ mod tests {
         // Rows differ by 8; columns far apart. Spawn ghosts may tighten the
         // bound, so compare against the full candidate-set computation.
         let store = store_with_tanks(&s, &[(0, Pos::new(3, 2)), (1, Pos::new(25, 10))]);
-        let expected = ticks_to_any_alignment(&store, &s, 0, 1).max(1);
+        let expected = ticks_to_any_alignment(
+            &scanned_candidates(&store, &s, 0),
+            &scanned_candidates(&store, &s, 1),
+        )
+        .max(1);
         let mut f = Msync::new(0, s);
         let next = f.next_exchange(1, LogicalTime::from_ticks(0), &store).unwrap();
         assert_eq!(next.as_ticks(), expected);
@@ -258,5 +313,102 @@ mod tests {
         let mut f = Msync2::new(0, s);
         let next = f.next_exchange(1, LogicalTime::from_ticks(0), &store).unwrap();
         assert!(next.as_ticks() <= 2, "spawn ghost must keep the schedule tight, got {next}");
+    }
+
+    #[test]
+    fn cached_schedules_equal_the_uncached_definition_and_scan_once_per_store_state() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use sdso_core::{Diff, ObjectId, Version};
+
+        let s = Scenario::paper(16, 1);
+        let mut store = ObjectStore::new();
+        for (idx, block) in s.initial_world().iter().enumerate() {
+            store.share(ObjectId(idx as u32), block.encode(s.block_bytes)).unwrap();
+        }
+        let tank = |team: NodeId| Block::Tank {
+            team,
+            tank: 0,
+            hp: 2,
+            facing: crate::world::Direction::North,
+            fired: None,
+        };
+        let mut at: Vec<Pos> = s.starts();
+        let (mut msync, mut msync2) = (Msync::new(0, s.clone()), Msync2::new(3, s.clone()));
+        let mut rng = StdRng::seed_from_u64(0x5F_CAC4E);
+        let mut lamport = 0u64;
+        let mut applied_steps = 0u64;
+
+        for step in 0..200u64 {
+            // One tank moves to a free neighbouring cell — or, every
+            // eighth step, dies back to its spawn — and the two cells
+            // reach the store one of four ways.
+            let team = rng.gen_range(0..16u16);
+            let from = at[usize::from(team)];
+            let to = if step % 8 == 7 {
+                s.start_of(team)
+            } else {
+                let dir = crate::world::Direction::ALL[rng.gen_range(0..4usize)];
+                from.step(dir, s.grid).unwrap_or(from)
+            };
+            if to == from || at.contains(&to) {
+                continue;
+            }
+            let how = rng.gen_range(0..4u8);
+            let stale = how == 3;
+            for (pos, block) in [(from, Block::Empty), (to, tank(team))] {
+                lamport += 1;
+                let fresh = Version::new(LogicalTime::from_ticks(lamport), team);
+                let (id, body) = (s.grid.object_at(pos), block.encode(s.block_bytes));
+                match how {
+                    0 => store.write(id, 0, &body, fresh).unwrap(),
+                    1 => assert!(store.apply_remote(id, &Diff::single(0, body), fresh).unwrap()),
+                    2 => store.replace(id, &body, fresh).unwrap(),
+                    // Older than anything written: discarded, the store
+                    // does not change and neither may the schedule.
+                    _ => assert!(!store
+                        .apply_remote(id, &Diff::single(0, body), Version::INITIAL)
+                        .unwrap()),
+                }
+            }
+            if !stale {
+                at[usize::from(team)] = to;
+                applied_steps += 1;
+            }
+
+            let now = LogicalTime::from_ticks(step);
+            for peer in (0..16).filter(|&p| p != 0) {
+                let bound = ticks_to_any_alignment(
+                    &scanned_candidates(&store, &s, 0),
+                    &scanned_candidates(&store, &s, peer),
+                );
+                assert_eq!(
+                    msync.next_exchange(peer, now, &store),
+                    Some(now.plus(bound.max(1))),
+                    "MSYNC towards {peer} at step {step}"
+                );
+            }
+            for peer in (0..16).filter(|&p| p != 3) {
+                let bound = ticks_to_any_interaction(
+                    &scanned_candidates(&store, &s, 3),
+                    &scanned_candidates(&store, &s, peer),
+                    s.relevance_distance(),
+                );
+                assert_eq!(
+                    msync2.next_exchange(peer, now, &store),
+                    Some(now.plus(bound.max(1))),
+                    "MSYNC2 towards {peer} at step {step}"
+                );
+            }
+            // Fifteen peers asked, one scan — and none at all when the
+            // only thing that happened was a discarded update.
+            assert_eq!(msync.board.builds, applied_steps.max(1), "step {step} ({how})");
+            assert_eq!(msync2.board.builds, applied_steps.max(1), "step {step} ({how})");
+        }
+        assert!(applied_steps > 100, "the walk really moved tanks: {applied_steps}");
+        let mut seen: Vec<Pos> = (0..16).flat_map(|t| team_positions(&store, &s, t)).collect();
+        seen.sort();
+        at.sort();
+        assert_eq!(seen, at, "the store holds the walk's board");
     }
 }

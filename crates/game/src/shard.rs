@@ -67,6 +67,7 @@ use sdso_shard::{InterestRouter, RegionLattice};
 
 use crate::block::Block;
 use crate::scenario::Scenario;
+use crate::sfuncs::StoreMemo;
 use crate::world::Pos;
 
 /// The group cadence, in logical ticks: out-of-group rendezvous are
@@ -91,9 +92,9 @@ pub fn shard_lattice(scenario: &Scenario) -> RegionLattice {
 }
 
 /// The latest-versioned tank position per team visible in a store, as
-/// `(position, Lamport stamp)`. One linear scan; the s-function caches
-/// the result per logical tick, so rescheduling `n` due peers costs one
-/// scan instead of `n`.
+/// `(position, Lamport stamp)`. One linear scan; the s-function keeps
+/// the result until the store changes, so rescheduling `n` due peers
+/// costs one scan instead of `n`.
 fn tank_frontier(store: &ObjectStore, scenario: &Scenario) -> BTreeMap<NodeId, (Pos, LogicalTime)> {
     let grid = scenario.grid;
     let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
@@ -130,9 +131,8 @@ pub struct ShardMsync2 {
     /// Own position as of the last rendezvous with each peer — what that
     /// peer's replica says about this team while this tank is dead.
     last_delivered: BTreeMap<NodeId, Pos>,
-    /// Per-tick memo of [`tank_frontier`].
-    cache_at: Option<LogicalTime>,
-    cache: BTreeMap<NodeId, (Pos, LogicalTime)>,
+    /// Memo of [`tank_frontier`] (the caching rule MSYNC and MSYNC2 use).
+    cache: StoreMemo<BTreeMap<NodeId, (Pos, LogicalTime)>>,
 }
 
 impl ShardMsync2 {
@@ -149,15 +149,7 @@ impl ShardMsync2 {
             r_int,
             last_seen: BTreeMap::new(),
             last_delivered: BTreeMap::new(),
-            cache_at: None,
-            cache: BTreeMap::new(),
-        }
-    }
-
-    fn refresh_cache(&mut self, now: LogicalTime, view: &ObjectStore) {
-        if self.cache_at != Some(now) {
-            self.cache = tank_frontier(view, &self.scenario);
-            self.cache_at = Some(now);
+            cache: StoreMemo::default(),
         }
     }
 
@@ -187,14 +179,15 @@ impl SFunction for ShardMsync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        self.refresh_cache(now, view);
+        let scenario = &self.scenario;
+        let frontier = self.cache.get(view, |store| tank_frontier(store, scenario));
         let my_start = self.scenario.start_of(self.me);
         let peer_start = self.scenario.start_of(peer);
 
         // The peer's pair-agreed position: advance only on fresher
         // evidence (a delivered current cell), never on phantom churn.
         let seen = self.last_seen.entry(peer).or_insert((peer_start, LogicalTime::ZERO));
-        if let Some(&fresh) = self.cache.get(&peer) {
+        if let Some(&fresh) = frontier.get(&peer) {
             if fresh.1 >= seen.1 {
                 *seen = fresh;
             }
@@ -204,7 +197,7 @@ impl SFunction for ShardMsync2 {
         // Own pair-agreed position: current when alive (that cell's
         // write is delivered at this very rendezvous), else whatever
         // this pair last rendezvoused on.
-        let own_pos = match self.cache.get(&self.me) {
+        let own_pos = match frontier.get(&self.me) {
             Some(&(p, _)) => {
                 self.last_delivered.insert(peer, p);
                 p
@@ -353,7 +346,7 @@ impl DiffRouter for ShardRouter {
 mod tests {
     use super::*;
     use crate::world::Direction;
-    use sdso_core::ObjectStore;
+    use sdso_core::{ObjectStore, Version};
 
     fn store_with_tanks(scenario: &Scenario, tanks: &[(NodeId, Pos)]) -> ObjectStore {
         let mut store = ObjectStore::new();
@@ -448,19 +441,39 @@ mod tests {
     fn dead_peer_uses_frozen_last_delivered_position() {
         let s = Scenario::scaled(64, 1);
         let now = LogicalTime::from_ticks(4);
-        // Rendezvous 1: both tanks visible and close.
-        let store = store_with_tanks(&s, &[(0, Pos::new(30, 20)), (1, Pos::new(32, 20))]);
+        // Rendezvous 1: both tanks visible and close. Each side schedules
+        // from its own replica, as it does under a runtime.
+        let tanks = [(0, Pos::new(30, 20)), (1, Pos::new(32, 20))];
+        let (mut store_a, mut store_b) =
+            (store_with_tanks(&s, &tanks), store_with_tanks(&s, &tanks));
         let mut a = ShardMsync2::new(0, s.clone());
         let mut b = ShardMsync2::new(1, s.clone());
-        assert_eq!(a.next_exchange(1, now, &store), b.next_exchange(0, now, &store));
+        assert_eq!(a.next_exchange(1, now, &store_a), b.next_exchange(0, now, &store_b));
         // Rendezvous 2: team 1's tank is gone (destroyed, Empty write
-        // delivered). Both sides must still agree — the dead side falls
-        // back to what it last delivered, the live side to what it last
-        // saw.
+        // delivered) and team 0's moved on. Both sides must still agree —
+        // the dead side falls back to what it last delivered, the live
+        // side to what it last saw.
         let later = LogicalTime::from_ticks(6);
-        let store_a = store_with_tanks(&s, &[(0, Pos::new(30, 21))]);
-        let store_b = store_with_tanks(&s, &[(0, Pos::new(30, 21))]);
+        for store in [&mut store_a, &mut store_b] {
+            let mut put = |pos: Pos, block: Block, lamport: u64| {
+                let stamp = Version::new(LogicalTime::from_ticks(lamport), 0);
+                store.write(s.grid.object_at(pos), 0, &block.encode(s.block_bytes), stamp).unwrap();
+            };
+            put(Pos::new(32, 20), Block::Empty, 1);
+            put(Pos::new(30, 20), Block::Empty, 2);
+            let moved =
+                Block::Tank { team: 0, tank: 0, hp: 2, facing: Direction::North, fired: None };
+            put(Pos::new(30, 21), moved, 3);
+        }
+        assert_eq!(
+            a.cache.value.get(&1),
+            Some(&(Pos::new(32, 20), LogicalTime::ZERO)),
+            "seen alive"
+        );
         assert_eq!(a.next_exchange(1, later, &store_a), b.next_exchange(0, later, &store_b));
+        assert_eq!(a.cache.value.get(&1), None, "the rescan saw the tank gone");
+        assert_eq!(a.last_seen[&1].0, Pos::new(32, 20), "and the belief froze where it was");
+        assert_eq!(b.last_delivered[&0], Pos::new(32, 20));
     }
 
     #[test]

@@ -132,7 +132,13 @@ impl Recorder {
         self.shared.mode.load(Ordering::Relaxed) != MODE_OFF
     }
 
-    /// Records one event. With tracing off this is one relaxed atomic load.
+    /// Records one event. With tracing off this is one relaxed atomic load
+    /// — which buys nothing if the caller has already paid for `at`: a
+    /// clock read costs far more than the load that then throws it away.
+    /// On a path that runs per object access, check [`Recorder::enabled`]
+    /// first and read the clock only when it says yes (the runtime's
+    /// `read` and `write` do); paths that run a few times a tick need not
+    /// bother.
     #[inline]
     pub fn record(&self, at: u64, kind: EventKind, a: u32, b: u32, c: u32) {
         let mode = self.shared.mode.load(Ordering::Relaxed);
