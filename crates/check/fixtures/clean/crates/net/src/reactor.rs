@@ -3,12 +3,12 @@
 //! and nothing sleeps (must lint clean).
 
 impl Reactor {
-    fn run(mut self) {
+    fn turn(&mut self, timeout: Option<Duration>) {
         {
             let mut guard = self.shared.peer_events.lock();
             guard.clear();
         }
-        self.poller.wait(&mut self.events, None);
+        self.poller.wait(&mut self.events, timeout);
         while let Ok(cmd) = self.cmd_rx.try_recv() {
             self.dispatch(cmd);
         }

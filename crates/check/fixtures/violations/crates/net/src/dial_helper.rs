@@ -1,5 +1,5 @@
 //! Fixture: helper with a blocking channel receive, reachable from the
-//! reactor's `run` across files (part of the `no-blocking-in-reactor`
+//! reactor's `turn` across files (part of the `no-blocking-in-reactor`
 //! fixture).
 
 pub fn drain_commands_slowly(rx: &Receiver<Command>) {

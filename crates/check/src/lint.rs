@@ -181,7 +181,7 @@ mod tests {
         assert!(
             report.diagnostics.iter().any(|d| d.rule == "no-blocking-in-reactor"
                 && d.path == "crates/net/src/dial_helper.rs"
-                && d.message.contains("`run` -> `drain_commands_slowly`")),
+                && d.message.contains("`turn` -> `drain_commands_slowly`")),
             "cross-file blocking finding missing:\n{:#?}",
             report.diagnostics
         );

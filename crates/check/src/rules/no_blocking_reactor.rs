@@ -1,13 +1,14 @@
-//! `no-blocking-in-reactor`: the poll thread never blocks anywhere but
+//! `no-blocking-in-reactor`: the poll turn never blocks anywhere but
 //! `epoll_wait`.
 //!
-//! One thread multiplexes every connection of an endpoint. Any other
-//! blocking point on that thread — a sleeping backoff, a blocking channel
-//! receive, a connect, a blocking socket write — stalls *all* peers at
-//! once, and holding a lock across the `epoll_wait` call publishes that
-//! stall to every thread that touches the lock. The rule takes the
-//! reactor's entry point (`fn run` in `crates/net/src/reactor.rs`), walks
-//! the call graph to everything reachable from it, and denies:
+//! One poll loop multiplexes every connection of an endpoint, and its turn
+//! runs inside every endpoint call, on the owner's thread. Any other
+//! blocking point in a turn — a sleeping backoff, a blocking channel
+//! receive, a connect, a blocking socket write — stalls *all* peers at once
+//! and the caller with them, and holding a lock across the `epoll_wait`
+//! call publishes that stall to every thread that touches the lock. The
+//! rule takes the poll turn (`fn turn` in `crates/net/src/reactor.rs`),
+//! walks the call graph to everything reachable from it, and denies:
 //!
 //! * known blocking constructs (`thread::sleep`, blocking channel
 //!   `recv`/`recv_timeout`, `TcpStream::connect`/`connect_timeout`,
@@ -16,10 +17,10 @@
 //! * a lock guard held live across a `.wait(` call (the `epoll_wait`
 //!   wrapper) in any reachable function.
 //!
-//! The dialer thread exists precisely so the poll thread never connects;
-//! code it alone runs is not reachable from `run` and is exempt by
-//! construction. A deliberate exception (the final blocking flush on
-//! shutdown) carries an inline `sdso-check: allow(no-blocking-in-reactor)`
+//! The dialer thread exists precisely so a turn never connects; code it
+//! alone runs is not reachable from `turn` and is exempt by construction,
+//! as is the endpoint's bounded blocking flush on drop. A deliberate
+//! exception would carry an inline `sdso-check: allow(no-blocking-in-reactor)`
 //! with its justification.
 
 use std::collections::HashMap;
@@ -31,14 +32,14 @@ use crate::rules::Prepared;
 /// Rule identifier.
 pub const RULE: &str = "no-blocking-in-reactor";
 
-/// The file whose `fn run` definitions root the reachability walk.
+/// The file whose `fn turn` definitions root the reachability walk.
 const ROOT_FILE: &str = "crates/net/src/reactor.rs";
-/// The root entry-point name.
-const ROOT_FN: &str = "run";
+/// The root: one poll turn, which every endpoint call runs.
+const ROOT_FN: &str = "turn";
 
-/// Blocking constructs and why each stalls the poll thread.
+/// Blocking constructs and why each stalls the poll turn.
 const PATTERNS: &[(&str, &str)] = &[
-    ("thread::sleep", "sleeps the poll thread; use a DeadlineQueue timer"),
+    ("thread::sleep", "sleeps the poll turn; use a DeadlineQueue timer"),
     (".recv()", "blocking channel receive; use try_recv and the waker"),
     (".recv_timeout(", "blocking channel receive; use try_recv and the waker"),
     ("connect_timeout(", "blocking connect; hand the dial to the dialer thread"),
@@ -46,11 +47,11 @@ const PATTERNS: &[(&str, &str)] = &[
     (".write_all(", "blocking write loop; queue bytes and wait for writability"),
     (".read_to_end(", "unbounded blocking read; read readiness-driven chunks"),
     (".read_exact(", "blocking read loop; decode incrementally from the buffer"),
-    (".join()", "joins a thread from the poll loop; join from the endpoint's Drop"),
-    ("set_nonblocking(false)", "switches a socket to blocking mode on the poll thread"),
+    (".join()", "joins a thread from the poll turn; join from the endpoint's Drop"),
+    ("set_nonblocking(false)", "switches a socket to blocking mode in the poll turn"),
 ];
 
-/// Runs the rule: reachability from `Reactor::run` plus the
+/// Runs the rule: reachability from `Reactor::turn` plus the
 /// lock-across-wait scan.
 pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
     let Some(root_file) = files.iter().position(|f| f.rel_path == ROOT_FILE) else {
@@ -66,7 +67,7 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
     if roots.is_empty() {
         return Vec::new();
     }
-    // BFS with parents so diagnostics can print how `run` reaches the sin.
+    // BFS with parents so diagnostics can print how `turn` reaches the sin.
     let mut parent: HashMap<usize, usize> = HashMap::new();
     let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
     let mut reachable: std::collections::HashSet<usize> = roots.iter().copied().collect();
@@ -89,7 +90,7 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
                 out.push(file.diag(
                     RULE,
                     def.body.0 + at,
-                    format!("`{pat}` on the poll thread ({chain}): {why}"),
+                    format!("`{pat}` in the poll turn ({chain}): {why}"),
                 ));
             }
         }
@@ -98,7 +99,7 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
                 RULE,
                 def.body.0 + at,
                 format!(
-                    "lock guard held across `.wait(` on the poll thread ({chain}); \
+                    "lock guard held across `.wait(` in the poll turn ({chain}); \
                      release the guard before blocking in epoll_wait"
                 ),
             ));
@@ -107,7 +108,7 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
     out
 }
 
-/// `run -> a -> b` rendering of how the root reaches `def`.
+/// `turn -> a -> b` rendering of how the root reaches `def`.
 fn chain_to_root(
     graph: &CallGraph,
     parent: &HashMap<usize, usize>,
@@ -181,10 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn sleep_in_run_is_flagged() {
+    fn sleep_in_turn_is_flagged() {
         let d = run_rule(&[(
             "crates/net/src/reactor.rs",
-            "impl Reactor { fn run(mut self) { std::thread::sleep(d); } }",
+            "impl Reactor { fn turn(&mut self) { std::thread::sleep(d); } }",
         )]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("thread::sleep"));
@@ -193,19 +194,22 @@ mod tests {
     #[test]
     fn blocking_reached_through_helper_in_other_file_is_flagged() {
         let d = run_rule(&[
-            ("crates/net/src/reactor.rs", "impl Reactor { fn run(mut self) { pause_briefly(); } }"),
+            (
+                "crates/net/src/reactor.rs",
+                "impl Reactor { fn turn(&mut self) { pause_briefly(); } }",
+            ),
             ("crates/net/src/deadline.rs", "pub fn pause_briefly() { thread::sleep(MS); }"),
         ]);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].path, "crates/net/src/deadline.rs");
-        assert!(d[0].message.contains("`run` -> `pause_briefly`"), "{}", d[0].message);
+        assert!(d[0].message.contains("`turn` -> `pause_briefly`"), "{}", d[0].message);
     }
 
     #[test]
     fn unreachable_blocking_is_exempt() {
         let d = run_rule(&[(
             "crates/net/src/reactor.rs",
-            "impl Reactor { fn run(mut self) {} }\n\
+            "impl Reactor { fn turn(&mut self) {} }\n\
              fn dialer_loop() { thread::sleep(MS); rx.recv(); }",
         )]);
         assert!(d.is_empty(), "{d:?}");
@@ -215,14 +219,14 @@ mod tests {
     fn lock_across_wait_is_flagged_and_scoped_release_passes() {
         let bad = run_rule(&[(
             "crates/net/src/reactor.rs",
-            "impl Reactor { fn run(mut self) { let g = self.shared.x.lock(); \
+            "impl Reactor { fn turn(&mut self) { let g = self.shared.x.lock(); \
              self.poller.wait(&mut ev, t); } }",
         )]);
         assert_eq!(bad.len(), 1, "{bad:?}");
         assert!(bad[0].message.contains("held across"));
         let good = run_rule(&[(
             "crates/net/src/reactor.rs",
-            "impl Reactor { fn run(mut self) { { let g = self.shared.x.lock(); } \
+            "impl Reactor { fn turn(&mut self) { { let g = self.shared.x.lock(); } \
              self.poller.wait(&mut ev, t); } }",
         )]);
         assert!(good.is_empty(), "{good:?}");
@@ -232,7 +236,7 @@ mod tests {
     fn try_recv_is_not_blocking() {
         let d = run_rule(&[(
             "crates/net/src/reactor.rs",
-            "impl Reactor { fn run(mut self) { while let Ok(c) = self.cmd_rx.try_recv() {} } }",
+            "impl Reactor { fn turn(&mut self) { while let Ok(c) = self.cmd_rx.try_recv() {} } }",
         )]);
         assert!(d.is_empty(), "{d:?}");
     }

@@ -8,7 +8,8 @@
 //! clusters the same way.
 //!
 //! [`TransportKind::TcpReactor`] maps to the event-driven reactor mesh
-//! (Linux only — one poll thread per endpoint, see `sdso_net::reactor`);
+//! (Linux only — one poll loop per endpoint, run on the endpoint owner's
+//! thread inside its calls, see `sdso_net::reactor`);
 //! [`TransportKind::Tcp`] maps to the thread-per-peer `TcpMesh` fallback.
 //! On non-Linux hosts asking for the reactor is an error rather than a
 //! silent substitution, so CI jobs that gate reactor behaviour cannot pass

@@ -48,6 +48,13 @@ pub trait Endpoint: Send {
 
     /// Sends `payload` to `to`. Non-blocking (transports buffer).
     ///
+    /// Progress may be tied to this endpoint's own calls: the reactor
+    /// transport writes what the socket takes here, and only later calls on
+    /// the same endpoint (a receive, `take_peer_events`, another send) flush
+    /// the rest or read anything. Callers block in a receive after they
+    /// send, which is all that asks; one that sends and then only computes
+    /// may leave a remainder queued until its next call.
+    ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidPeer`] if `to` is out of range or equal to

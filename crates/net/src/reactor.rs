@@ -1,17 +1,31 @@
-//! Event-driven reactor TCP transport: one poll loop for every peer.
+//! Event-driven reactor TCP transport: one poll loop for every peer, run on
+//! the endpoint owner's thread.
 //!
 //! [`TcpMesh`](crate::tcp::TcpMesh) spends two threads per connection (a
 //! reader and, effectively, a writer inside `send`), which caps a process at
 //! a few hundred peers. `ReactorMesh` multiplexes *all* connections of one
-//! endpoint onto a single reactor thread built on a hand-rolled `epoll`
-//! wrapper ([`crate::sys`]): readiness-driven reads decode frames
-//! incrementally out of a flat buffer ([`decode_frame_at`]), writes coalesce
-//! every queued payload into one pooled batch buffer per wakeup (the
-//! `send_batch` path and the plain `send` path share it), and a
-//! [`DeadlineQueue`] fires reconnect backoff and keepalives in
-//! virtual-deadline order. Torn links surface as
-//! [`PeerEvent`]s for the membership layer, exactly as they do on the
-//! threaded transport.
+//! endpoint onto a single poll loop built on a hand-rolled `epoll` wrapper
+//! ([`crate::sys`]), and runs that loop inside the endpoint's own calls, so
+//! a message crosses no thread hand-off between socket and application.
+//! Readiness-driven reads decode frames incrementally out of a flat buffer
+//! ([`decode_frame_at`]) into an inbox, `send` and `send_batch` encode into
+//! one pooled write buffer and `write` at once, and a [`DeadlineQueue`]
+//! fires reconnect backoff and keepalives in deadline order. Torn links
+//! surface as [`PeerEvent`]s for the membership layer, exactly as they do
+//! on the threaded transport.
+//!
+//! # Progress
+//!
+//! A link makes progress while its owner is inside an endpoint call, not
+//! while the owner computes. Every receive (`recv`, `recv_deadline`,
+//! `try_recv`) and `take_peer_events` runs poll turns, which read, finish
+//! partial writes, accept re-dials and fire timers; every `send` writes
+//! what the socket takes right away. Every caller in the tree blocks in a
+//! receive after it sends, which is all this asks. A send toward a link
+//! that is down first applies the dialer's results and fires the due timers
+//! (without polling), so a caller that only retries sends still sees the
+//! reconnect or the exhausted budget. The one thread an endpoint starts is
+//! its dialer, which keeps a blocking `connect` off the owner's thread.
 //!
 //! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
@@ -19,23 +33,21 @@
 //! [`ReactorMesh::join`] the distributed listen/dial dance of
 //! `TcpMesh::join`.
 //!
-//! Sends are asynchronous: `send` enqueues and the reactor drains. A peer
-//! that stops draining accumulates queued bytes until the per-peer budget
-//! ([`ReactorTuning::max_queued_bytes`]) is hit, at which point `send`
-//! fails with [`NetError::Backpressure`] instead of growing without bound.
+//! Sends are asynchronous: what the socket does not take is queued and a
+//! later turn drains it. A peer that stops draining accumulates queued
+//! bytes until the per-peer budget ([`ReactorTuning::max_queued_bytes`]) is
+//! hit, at which point `send` fails with [`NetError::Backpressure`] instead
+//! of growing without bound.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
-use sdso_obs::{EventKind, MonoClock, Recorder, THREAD_ROLE_DIALER, THREAD_ROLE_REACTOR};
+use crossbeam::channel::{unbounded, Receiver, Sender};
+use sdso_obs::{EventKind, MonoClock, Recorder, THREAD_ROLE_DIALER};
 
 use crate::deadline::{Backoff, DeadlineQueue};
 use crate::endpoint::{check_peer, Endpoint, NodeId, PeerEvent};
@@ -50,7 +62,7 @@ use crate::time::{SimInstant, SimSpan};
 /// application sees them and excluded from protocol metrics.
 const KEEPALIVE_FROM: NodeId = NodeId::MAX;
 
-/// Poll token of the eventfd waker.
+/// Poll token of the eventfd the dialer wakes.
 const TOKEN_WAKER: u64 = u64::MAX;
 /// Poll token of the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
@@ -94,54 +106,6 @@ impl Default for ReactorTuning {
             max_queued_bytes: 32 * 1024 * 1024,
         }
     }
-}
-
-/// State shared between the application-facing endpoint and its reactor
-/// thread. All flags are advisory snapshots — races only shift which error
-/// path a racing send takes, never its safety.
-#[derive(Debug)]
-struct Shared {
-    /// Accepted-but-unwritten payload bytes per peer (backpressure gauge).
-    queued: Vec<AtomicUsize>,
-    /// Whether a live connection to the peer exists right now.
-    link_up: Vec<AtomicBool>,
-    /// Whether the link is permanently dead (reconnect budget exhausted).
-    dead: Vec<AtomicBool>,
-    /// Membership: sends to inactive peers are dropped silently.
-    active: Vec<AtomicBool>,
-    /// Link events queued for [`Endpoint::take_peer_events`].
-    peer_events: Mutex<Vec<PeerEvent>>,
-    /// Collapses app-side wakeups between reactor command drains.
-    notified: AtomicBool,
-}
-
-impl Shared {
-    fn new(n: usize) -> Arc<Shared> {
-        Arc::new(Shared {
-            queued: (0..n).map(|_| AtomicUsize::new(0)).collect(),
-            link_up: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            active: (0..n).map(|_| AtomicBool::new(true)).collect(),
-            peer_events: Mutex::new(Vec::new()),
-            notified: AtomicBool::new(false),
-        })
-    }
-}
-
-/// Commands from the endpoint (and the dialer thread) to the reactor.
-enum Cmd {
-    /// Enqueue one payload for `to`.
-    Send { to: NodeId, payload: Payload },
-    /// Enqueue several payloads for `to`, coalesced into one flush.
-    Batch { to: NodeId, payloads: Vec<Payload> },
-    /// Test hook / fault injection: tear the connection down now.
-    InjectDisconnect(NodeId),
-    /// Ask the reactor to (re)dial `peer` (membership re-join).
-    Redial(NodeId),
-    /// Outcome of a dial request, reported by the dialer thread.
-    Dialed { peer: NodeId, stream: Result<TcpStream, std::io::Error> },
-    /// Stop the loop and close everything.
-    Shutdown,
 }
 
 /// A dial order for the auxiliary dialer thread.
@@ -197,8 +161,8 @@ struct PendingConn {
 pub struct ReactorMesh;
 
 impl ReactorMesh {
-    /// Builds an `n`-node full mesh over loopback, one single-threaded
-    /// reactor per endpoint.
+    /// Builds an `n`-node full mesh over loopback, one poll loop per
+    /// endpoint.
     ///
     /// # Errors
     ///
@@ -400,26 +364,28 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, 
     }
 }
 
-/// The auxiliary dialer thread: the only blocking connect in the transport.
-/// The reactor posts [`DialReq`]s; results come back as [`Cmd::Dialed`] plus
-/// a waker nudge. One thread serves all peers — reconnects are rare and the
-/// backoff schedule serializes them naturally.
+/// The auxiliary dialer thread: the only blocking connect in the transport,
+/// and the only thread an endpoint starts. The reactor posts [`DialReq`]s;
+/// each outcome comes back over `results` with a waker nudge, so an owner
+/// blocked in `epoll_wait` sees it. `None` stops the thread. One thread
+/// serves all peers — reconnects are rare and the backoff schedule
+/// serializes them naturally.
 fn spawn_dialer(
     me: NodeId,
-    rx: Receiver<DialReq>,
-    cmd_tx: Sender<Cmd>,
+    rx: Receiver<Option<DialReq>>,
+    results: Sender<(NodeId, std::io::Result<TcpStream>)>,
     waker: WakeHandle,
     connect_timeout: Duration,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        while let Ok(req) = rx.recv() {
+        while let Ok(Some(req)) = rx.recv() {
             let stream =
                 TcpStream::connect_timeout(&req.addr, connect_timeout).and_then(|mut s| {
                     s.set_nodelay(true)?;
                     s.write_all(&me.to_le_bytes())?;
                     Ok(s)
                 });
-            if cmd_tx.send(Cmd::Dialed { peer: req.peer, stream }).is_err() {
+            if results.send((req.peer, stream)).is_err() {
                 return;
             }
             waker.wake();
@@ -429,23 +395,24 @@ fn spawn_dialer(
 
 /// One node's endpoint over the reactor transport.
 ///
-/// Dropping it shuts the reactor down and joins its threads.
-#[derive(Debug)]
+/// The poll loop runs inside this endpoint's calls, on its owner's thread:
+/// links make progress while the owner sends, receives or drains peer
+/// events, not while it computes (see the module docs). Dropping it flushes
+/// what is queued (bounded), closes every socket and joins the dialer.
 pub struct ReactorEndpoint {
-    id: NodeId,
-    num_nodes: usize,
-    shared: Arc<Shared>,
-    has_link: Vec<bool>,
-    tuning: ReactorTuning,
-    cmd_tx: Sender<Cmd>,
-    rx: Receiver<Result<Incoming, NetError>>,
-    waker: WakeHandle,
-    reactor: Option<JoinHandle<()>>,
+    reactor: Reactor,
     dialer: Option<JoinHandle<()>>,
-    clock: MonoClock,
-    metrics: NetMetrics,
     recorder: Recorder,
-    listen_addr_inner: Option<SocketAddr>,
+}
+
+impl std::fmt::Debug for ReactorEndpoint {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReactorEndpoint")
+            .field("id", &self.reactor.me)
+            .field("num_nodes", &self.reactor.n)
+            .field("tuning", &self.reactor.tuning)
+            .finish_non_exhaustive()
+    }
 }
 
 impl ReactorEndpoint {
@@ -462,44 +429,45 @@ impl ReactorEndpoint {
         let poller = Poller::new()?;
         let waker = WakeHandle::new()?;
         poller.add(&waker, TOKEN_WAKER, Interest::READ)?;
-        let mut listen_addr_inner = None;
         if let Some(l) = &listener {
-            listen_addr_inner = l.local_addr().ok();
             l.set_nonblocking(true)?;
             poller.add(l, TOKEN_LISTENER, Interest::READ)?;
         }
-        let shared = Shared::new(num_nodes);
         let mut conns: Vec<Option<Conn>> = Vec::with_capacity(num_nodes);
         for (peer, stream) in peers.into_iter().enumerate() {
-            match stream {
-                None => conns.push(None),
+            conns.push(match stream {
+                None => None,
                 Some(s) => {
                     s.set_nonblocking(true)?;
                     poller.add(&s, peer as u64, Interest::READ)?;
-                    shared.link_up[peer].store(true, Ordering::SeqCst);
-                    conns.push(Some(Conn::new(s)));
+                    Some(Conn::new(s))
                 }
-            }
+            });
         }
-        let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
-        let (tx, rx) = unbounded::<Result<Incoming, NetError>>();
-        let (dial_tx, dial_rx) = unbounded::<DialReq>();
-        let dialer =
-            spawn_dialer(id, dial_rx, cmd_tx.clone(), waker.clone(), tuning.connect_timeout);
+        let (dial_tx, dial_rx) = unbounded();
+        let (results_tx, results_rx) = unbounded();
+        let dialer = spawn_dialer(id, dial_rx, results_tx, waker.clone(), tuning.connect_timeout);
+        let clock = MonoClock::new();
+        let mut timers = DeadlineQueue::new();
+        if !tuning.keepalive_interval.is_zero() {
+            let first = clock.micros() + tuning.keepalive_interval.as_micros() as u64;
+            timers.schedule(first, Timer::Keepalive);
+        }
         let reactor = Reactor {
             me: id,
             n: num_nodes,
             tuning,
             poller,
-            waker: waker.clone(),
-            shared: Arc::clone(&shared),
+            waker,
             conns,
             queues: (0..num_nodes).map(|_| VecDeque::new()).collect(),
-            dirty: vec![false; num_nodes],
+            queued: vec![0; num_nodes],
+            dead: vec![false; num_nodes],
+            active: vec![true; num_nodes],
             pending: Vec::new(),
             listener,
             addrs,
-            has_link: has_link.clone(),
+            has_link,
             backoff: (0..num_nodes)
                 .map(|_| {
                     Backoff::new(
@@ -510,43 +478,23 @@ impl ReactorEndpoint {
                 })
                 .collect(),
             dialing: vec![false; num_nodes],
-            timers: DeadlineQueue::new(),
-            clock: MonoClock::new(),
-            cmd_rx,
+            timers,
+            clock,
             dial_tx,
-            tx,
+            dialed_rx: results_rx,
+            inbox: VecDeque::new(),
+            peer_events: Vec::new(),
+            events: Vec::new(),
+            chunk: vec![0; READ_CHUNK].into_boxed_slice(),
             metrics: NetMetrics::new(),
         };
-        let metrics = reactor.metrics.clone();
-        let handle = std::thread::spawn(move || reactor.run());
-        Ok(ReactorEndpoint {
-            id,
-            num_nodes,
-            shared,
-            has_link,
-            tuning,
-            cmd_tx,
-            rx,
-            waker,
-            reactor: Some(handle),
-            dialer: Some(dialer),
-            clock: MonoClock::new(),
-            metrics,
-            recorder: Recorder::disabled(),
-            listen_addr_inner,
-        })
-    }
-
-    fn wake(&self) {
-        if !self.shared.notified.swap(true, Ordering::SeqCst) {
-            self.waker.wake();
-        }
+        Ok(ReactorEndpoint { reactor, dialer: Some(dialer), recorder: Recorder::disabled() })
     }
 
     fn note_send(&self, to: NodeId, payload: &Payload) {
-        self.metrics.record_send(payload.class, payload.wire_len());
+        self.reactor.metrics.record_send(payload.class, payload.wire_len());
         self.recorder.record(
-            self.clock.micros(),
+            self.reactor.clock.micros(),
             EventKind::Send,
             u32::from(to),
             obs_class(payload.class),
@@ -555,9 +503,9 @@ impl ReactorEndpoint {
     }
 
     fn note_recv(&self, msg: &Incoming) {
-        self.metrics.record_recv(msg.payload.class, msg.payload.wire_len());
+        self.reactor.metrics.record_recv(msg.payload.class, msg.payload.wire_len());
         self.recorder.record(
-            self.clock.micros(),
+            self.reactor.clock.micros(),
             EventKind::Recv,
             u32::from(msg.from),
             obs_class(msg.payload.class),
@@ -565,75 +513,41 @@ impl ReactorEndpoint {
         );
     }
 
-    /// Validates a send to `to` against topology, membership, liveness, and
-    /// the backpressure budget. `Ok(true)` means "enqueue it", `Ok(false)`
-    /// means "drop silently" (removed peer).
-    fn admit(&self, to: NodeId, bytes: usize) -> Result<bool, NetError> {
-        check_peer(self.id, to, self.num_nodes)?;
-        if !self.has_link[usize::from(to)] {
-            return Err(NetError::Disconnected);
-        }
-        if !self.shared.active[usize::from(to)].load(Ordering::SeqCst) {
-            return Ok(false);
-        }
-        if self.shared.dead[usize::from(to)].load(Ordering::SeqCst) {
-            return Err(NetError::Disconnected);
-        }
-        // The higher-id side of a pair dials; the lower-id side can only
-        // wait to be re-dialled, so its sends fail while the link is down
-        // (mirroring `TcpMesh`).
-        if self.id < to && !self.shared.link_up[usize::from(to)].load(Ordering::SeqCst) {
-            return Err(NetError::Disconnected);
-        }
-        let queued = self.shared.queued[usize::from(to)].load(Ordering::SeqCst);
-        if queued + bytes > self.tuning.max_queued_bytes {
-            return Err(NetError::Backpressure {
-                peer: to,
-                queued,
-                limit: self.tuning.max_queued_bytes,
-            });
-        }
-        self.shared.queued[usize::from(to)].fetch_add(bytes, Ordering::SeqCst);
-        Ok(true)
-    }
-
     /// Test hook: forcibly tears down the connection to `peer`, as if the
-    /// network dropped it. On the dialling side the reactor re-dials with
+    /// network dropped it. On the dialling side the next calls re-dial with
     /// backoff; on the accepting side sends fail until the peer re-dials.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidPeer`] for out-of-range peers.
     pub fn inject_disconnect(&mut self, peer: NodeId) -> Result<(), NetError> {
-        check_peer(self.id, peer, self.num_nodes)?;
-        self.cmd_tx.send(Cmd::InjectDisconnect(peer)).map_err(|_| NetError::Disconnected)?;
-        self.wake();
+        check_peer(self.reactor.me, peer, self.reactor.n)?;
+        self.reactor.teardown(usize::from(peer));
         Ok(())
     }
 
     /// The address this endpoint accepts re-dials on, if it listens at all
     /// (star spokes do not).
     pub fn listen_addr(&self) -> Option<SocketAddr> {
-        self.listen_addr_inner
+        self.reactor.listener.as_ref().and_then(|l| l.local_addr().ok())
     }
 }
 
 impl Endpoint for ReactorEndpoint {
     fn node_id(&self) -> NodeId {
-        self.id
+        self.reactor.me
     }
 
     fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.reactor.n
     }
 
     fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
-        if !self.admit(to, payload.bytes.len())? {
+        if !self.reactor.admit(to, payload.bytes.len())? {
             return Ok(());
         }
         self.note_send(to, &payload);
-        self.cmd_tx.send(Cmd::Send { to, payload }).map_err(|_| NetError::Disconnected)?;
-        self.wake();
+        self.reactor.enqueue(usize::from(to), std::iter::once(payload));
         Ok(())
     }
 
@@ -642,61 +556,51 @@ impl Endpoint for ReactorEndpoint {
             return Ok(());
         }
         let total: usize = payloads.iter().map(|p| p.bytes.len()).sum();
-        if !self.admit(to, total)? {
+        if !self.reactor.admit(to, total)? {
             return Ok(());
         }
         let wire_bytes: u64 = payloads.iter().map(|p| u64::from(p.wire_len())).sum();
         for payload in &payloads {
             self.note_send(to, payload);
         }
-        self.metrics.record_batch(payloads.len(), wire_bytes);
+        self.reactor.metrics.record_batch(payloads.len(), wire_bytes);
         self.recorder.record(
-            self.clock.micros(),
+            self.reactor.clock.micros(),
             EventKind::BatchSend,
             u32::from(to),
             payloads.len() as u32,
             wire_bytes as u32,
         );
-        self.cmd_tx.send(Cmd::Batch { to, payloads }).map_err(|_| NetError::Disconnected)?;
-        self.wake();
+        self.reactor.enqueue(usize::from(to), payloads);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Incoming, NetError> {
         let before = self.now();
-        let msg = self.rx.recv().map_err(|_| NetError::Disconnected)??;
-        self.metrics.record_blocked(self.now().saturating_since(before));
+        let msg = self.reactor.next_incoming(None)?.ok_or(NetError::Disconnected)?;
+        self.reactor.metrics.record_blocked(self.now().saturating_since(before));
         self.note_recv(&msg);
         Ok(msg)
     }
 
     fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
-        match self.rx.try_recv() {
-            Ok(Ok(msg)) => {
-                self.note_recv(&msg);
-                Ok(Some(msg))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(TryRecvError::Empty) => Ok(None),
-            Err(TryRecvError::Disconnected) => Err(NetError::Disconnected),
+        let now = self.reactor.clock.micros();
+        let msg = self.reactor.next_incoming(Some(now))?;
+        if let Some(msg) = &msg {
+            self.note_recv(msg);
         }
+        Ok(msg)
     }
 
     fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
         let before = self.now();
-        match self.rx.recv_timeout(Duration::from_micros(timeout.as_micros())) {
-            Ok(Ok(msg)) => {
-                self.metrics.record_blocked(self.now().saturating_since(before));
-                self.note_recv(&msg);
-                Ok(Some(msg))
-            }
-            Ok(Err(e)) => Err(e),
-            Err(RecvTimeoutError::Timeout) => {
-                self.metrics.record_blocked(self.now().saturating_since(before));
-                Ok(None)
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
+        let deadline = before.as_micros().saturating_add(timeout.as_micros());
+        let msg = self.reactor.next_incoming(Some(deadline))?;
+        self.reactor.metrics.record_blocked(self.now().saturating_since(before));
+        if let Some(msg) = &msg {
+            self.note_recv(msg);
         }
+        Ok(msg)
     }
 
     fn advance(&mut self, _dt: SimSpan) {
@@ -704,57 +608,59 @@ impl Endpoint for ReactorEndpoint {
     }
 
     fn now(&self) -> SimInstant {
-        SimInstant::from_micros(self.clock.micros())
+        SimInstant::from_micros(self.reactor.clock.micros())
     }
 
     fn metrics(&self) -> NetMetricsSnapshot {
-        self.metrics.snapshot()
+        self.reactor.metrics.snapshot()
     }
 
     fn metrics_delta(&mut self) -> NetMetricsSnapshot {
-        self.metrics.snapshot_delta()
+        self.reactor.metrics.snapshot_delta()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-        // The poll and dialer threads were spawned before any recorder
-        // existed; announce them now. Attachment happens-before everything
-        // the recorder sees from either thread, so the edge is sound.
-        let at = self.clock.micros();
+        // The dialer was spawned before any recorder existed; announce it
+        // now. Attachment happens-before everything the recorder sees from
+        // it, so the edge is sound.
         self.recorder.record(
-            at,
+            self.reactor.clock.micros(),
             EventKind::ThreadSpawn,
-            u32::from(self.id),
-            THREAD_ROLE_REACTOR,
+            u32::from(self.reactor.me),
+            THREAD_ROLE_DIALER,
             0,
         );
-        self.recorder.record(at, EventKind::ThreadSpawn, u32::from(self.id), THREAD_ROLE_DIALER, 0);
     }
 
     fn remove_peer(&mut self, peer: NodeId) {
-        if usize::from(peer) < self.num_nodes {
-            self.shared.active[usize::from(peer)].store(false, Ordering::SeqCst);
+        if let Some(active) = self.reactor.active.get_mut(usize::from(peer)) {
+            *active = false;
         }
     }
 
     fn add_peer(&mut self, peer: NodeId) {
-        if usize::from(peer) < self.num_nodes {
-            self.shared.active[usize::from(peer)].store(true, Ordering::SeqCst);
-            self.shared.dead[usize::from(peer)].store(false, Ordering::SeqCst);
+        let p = usize::from(peer);
+        let r = &mut self.reactor;
+        if p < r.n {
+            r.active[p] = true;
+            r.dead[p] = false;
             // Dial side: proactively re-establish the link for the rejoiner.
-            if self.id > peer && !self.shared.link_up[usize::from(peer)].load(Ordering::SeqCst) {
-                let _ = self.cmd_tx.send(Cmd::Redial(peer));
-                self.wake();
+            if r.me > peer && r.conns[p].is_none() && !r.dialing[p] && r.addrs[p].is_some() {
+                r.backoff[p].reset();
+                r.schedule_dial(p, 0);
             }
         }
     }
 
     fn take_peer_events(&mut self) -> Vec<PeerEvent> {
-        let events: Vec<PeerEvent> = std::mem::take(&mut *self.shared.peer_events.lock());
+        // A poll failure resurfaces on the next receive, which returns it.
+        let _ = self.reactor.turn(Some(Duration::ZERO));
+        let events = std::mem::take(&mut self.reactor.peer_events);
         for ev in &events {
             if let PeerEvent::Down(peer) = ev {
                 self.recorder.record(
-                    self.clock.micros(),
+                    self.reactor.clock.micros(),
                     EventKind::PeerDown,
                     u32::from(*peer),
                     0,
@@ -768,24 +674,13 @@ impl Endpoint for ReactorEndpoint {
 
 impl Drop for ReactorEndpoint {
     fn drop(&mut self) {
-        let _ = self.cmd_tx.send(Cmd::Shutdown);
-        self.waker.wake();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-            self.recorder.record(
-                self.clock.micros(),
-                EventKind::ThreadJoin,
-                u32::from(self.id),
-                THREAD_ROLE_REACTOR,
-                0,
-            );
-        }
+        self.reactor.shutdown();
         if let Some(t) = self.dialer.take() {
             let _ = t.join();
             self.recorder.record(
-                self.clock.micros(),
+                self.reactor.clock.micros(),
                 EventKind::ThreadJoin,
-                u32::from(self.id),
+                u32::from(self.reactor.me),
                 THREAD_ROLE_DIALER,
                 0,
             );
@@ -793,23 +688,27 @@ impl Drop for ReactorEndpoint {
     }
 }
 
-/// The single-threaded poll loop owning every socket of one endpoint.
+/// The poll loop owning every socket of one endpoint. Only the endpoint's
+/// owner touches it, from inside its endpoint calls.
 struct Reactor {
     me: NodeId,
     n: usize,
     tuning: ReactorTuning,
     poller: Poller,
+    /// Written by the dialer with each result; only drained here.
     waker: WakeHandle,
-    shared: Arc<Shared>,
+    /// Live connections; `Some` exactly while the link is up.
     conns: Vec<Option<Conn>>,
     /// Per-peer queues of `(frame-from, payload)` accepted but not yet
     /// encoded. Parked entries survive reconnects (the peer just gets them
     /// late), which is what lets backoff state outlive a torn link.
     queues: Vec<VecDeque<(NodeId, Payload)>>,
-    /// Peers whose queue grew during this wakeup's command drain. Flushed
-    /// once per wakeup so a burst of sends to one peer coalesces into a
-    /// single `write` instead of one syscall per command.
-    dirty: Vec<bool>,
+    /// Accepted-but-unwritten payload bytes per peer (backpressure gauge).
+    queued: Vec<usize>,
+    /// Whether the link is permanently dead (reconnect budget exhausted).
+    dead: Vec<bool>,
+    /// Membership: sends to inactive peers are dropped silently.
+    active: Vec<bool>,
     pending: Vec<Option<PendingConn>>,
     listener: Option<TcpListener>,
     addrs: Vec<Option<SocketAddr>>,
@@ -818,99 +717,137 @@ struct Reactor {
     dialing: Vec<bool>,
     timers: DeadlineQueue<Timer>,
     clock: MonoClock,
-    cmd_rx: Receiver<Cmd>,
-    dial_tx: Sender<DialReq>,
-    tx: Sender<Result<Incoming, NetError>>,
+    dial_tx: Sender<Option<DialReq>>,
+    dialed_rx: Receiver<(NodeId, std::io::Result<TcpStream>)>,
+    /// Decoded messages (and fatal decode errors, in order) not yet handed
+    /// to the application.
+    inbox: VecDeque<Result<Incoming, NetError>>,
+    /// Link events queued for [`Endpoint::take_peer_events`].
+    peer_events: Vec<PeerEvent>,
+    /// Readiness scratch, cleared by every turn.
+    events: Vec<Ready>,
+    /// Read scratch shared by every connection, allocated once.
+    chunk: Box<[u8]>,
     metrics: NetMetrics,
 }
 
 impl Reactor {
-    fn run(mut self) {
-        let ka = self.tuning.keepalive_interval;
-        if !ka.is_zero() {
-            self.timers.schedule(self.clock.micros() + ka.as_micros() as u64, Timer::Keepalive);
+    /// One poll turn: waits for readiness no longer than `timeout` (`None`:
+    /// no bound of its own) and no longer than the next timer, then serves
+    /// socket readiness, the dialer's results and the timers that are due.
+    /// Runs inside every endpoint call, on the owner's thread, so the only
+    /// place it may block is `epoll_wait`. sdso-check: hot-path
+    fn turn(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
+        let wait = match (timeout, self.timers.timeout_until(self.clock.micros())) {
+            (Some(t), Some(timer)) => Some(t.min(timer)),
+            (t, timer) => t.or(timer),
+        };
+        let mut events = std::mem::take(&mut self.events);
+        events.clear();
+        let polled = self.poller.wait(&mut events, wait);
+        for ev in &events {
+            match ev.token {
+                TOKEN_WAKER => self.waker.drain(),
+                TOKEN_LISTENER => self.accept_ready(),
+                t if t >= TOKEN_PENDING_BASE => {
+                    self.pending_ready((t - TOKEN_PENDING_BASE) as usize);
+                }
+                t => {
+                    let peer = t as usize;
+                    if peer >= self.n {
+                        continue;
+                    }
+                    if ev.readable {
+                        self.conn_readable(peer);
+                    }
+                    if ev.error {
+                        self.teardown(peer);
+                    } else if ev.writable {
+                        self.drain_writes(peer);
+                    }
+                }
+            }
         }
-        let mut events: Vec<Ready> = Vec::new();
-        loop {
-            let timeout = self.timers.timeout_until(self.clock.micros());
-            events.clear();
-            if self.poller.wait(&mut events, timeout).is_err() {
-                // The poller itself failed: nothing can make progress.
-                let _ = self.tx.send(Err(NetError::Disconnected));
-                self.shutdown();
-                return;
-            }
-            for ev in events.drain(..) {
-                match ev.token {
-                    TOKEN_WAKER => self.waker.drain(),
-                    TOKEN_LISTENER => self.accept_ready(),
-                    t if t >= TOKEN_PENDING_BASE => {
-                        self.pending_ready((t - TOKEN_PENDING_BASE) as usize);
-                    }
-                    t => {
-                        let peer = t as usize;
-                        if peer >= self.n {
-                            continue;
-                        }
-                        if ev.readable {
-                            self.conn_readable(peer);
-                        }
-                        if ev.error {
-                            self.teardown(peer);
-                        } else if ev.writable {
-                            self.drain_writes(peer);
-                        }
-                    }
-                }
-            }
-            self.shared.notified.store(false, Ordering::SeqCst);
-            loop {
-                match self.cmd_rx.try_recv() {
-                    Ok(Cmd::Shutdown) => {
-                        self.shutdown();
-                        return;
-                    }
-                    Ok(cmd) => self.handle_cmd(cmd),
-                    Err(_) => break,
-                }
-            }
-            for peer in 0..self.n {
-                if self.dirty[peer] {
-                    self.dirty[peer] = false;
-                    self.drain_writes(peer);
-                }
-            }
-            let now = self.clock.micros();
-            while let Some(timer) = self.timers.pop_due(now) {
-                self.fire_timer(timer);
-            }
+        self.events = events;
+        polled?;
+        self.serve_due();
+        Ok(())
+    }
+
+    /// Applies the dialer's results and fires the timers that are due,
+    /// without polling the sockets.
+    fn serve_due(&mut self) {
+        while let Ok((peer, stream)) = self.dialed_rx.try_recv() {
+            self.dialed(usize::from(peer), stream);
+        }
+        let now = self.clock.micros();
+        while let Some(timer) = self.timers.pop_due(now) {
+            self.fire_timer(timer);
         }
     }
 
-    fn handle_cmd(&mut self, cmd: Cmd) {
-        match cmd {
-            Cmd::Send { to, payload } => {
-                self.queues[usize::from(to)].push_back((self.me, payload));
-                self.dirty[usize::from(to)] = true;
+    /// Turns until the inbox has a message or `deadline` (µs on the
+    /// reactor's clock; `None`: never) has passed — and at least once, so a
+    /// deadline already due still polls without blocking.
+    fn next_incoming(&mut self, deadline: Option<u64>) -> Result<Option<Incoming>, NetError> {
+        let mut polled = false;
+        loop {
+            if let Some(msg) = self.inbox.pop_front() {
+                return msg.map(Some);
             }
-            Cmd::Batch { to, payloads } => {
-                let q = &mut self.queues[usize::from(to)];
-                for payload in payloads {
-                    q.push_back((self.me, payload));
-                }
-                self.dirty[usize::from(to)] = true;
+            let left = deadline.map(|at| at.saturating_sub(self.clock.micros()));
+            if polled && left == Some(0) {
+                return Ok(None);
             }
-            Cmd::InjectDisconnect(peer) => self.teardown(usize::from(peer)),
-            Cmd::Redial(peer) => {
-                let p = usize::from(peer);
-                if self.conns[p].is_none() && !self.dialing[p] && self.addrs[p].is_some() {
-                    self.backoff[p].reset();
-                    self.schedule_dial(p, 0);
-                }
-            }
-            Cmd::Dialed { peer, stream } => self.dialed(usize::from(peer), stream),
-            Cmd::Shutdown => self.shutdown(),
+            self.turn(left.map(Duration::from_micros))?;
+            polled = true;
         }
+    }
+
+    /// Validates a send to `to` against topology, membership, liveness, and
+    /// the backpressure budget. `Ok(true)` means "enqueue it", `Ok(false)`
+    /// means "drop silently" (removed peer).
+    fn admit(&mut self, to: NodeId, bytes: usize) -> Result<bool, NetError> {
+        check_peer(self.me, to, self.n)?;
+        let p = usize::from(to);
+        if !self.has_link[p] {
+            return Err(NetError::Disconnected);
+        }
+        if self.conns[p].is_none() {
+            // The link is down: let a caller that only retries sends see
+            // the reconnect or the exhausted budget. A live link skips this.
+            self.serve_due();
+        }
+        if !self.active[p] {
+            return Ok(false);
+        }
+        if self.dead[p] {
+            return Err(NetError::Disconnected);
+        }
+        // The higher-id side of a pair dials; the lower-id side can only
+        // wait to be re-dialled, so its sends fail while the link is down
+        // (mirroring `TcpMesh`).
+        if self.me < to && self.conns[p].is_none() {
+            return Err(NetError::Disconnected);
+        }
+        let queued = self.queued[p];
+        if queued + bytes > self.tuning.max_queued_bytes {
+            return Err(NetError::Backpressure {
+                peer: to,
+                queued,
+                limit: self.tuning.max_queued_bytes,
+            });
+        }
+        self.queued[p] += bytes;
+        Ok(true)
+    }
+
+    /// Queues admitted `payloads` for `peer` and writes what the socket
+    /// takes now; a partial write arms write interest for a later turn.
+    fn enqueue(&mut self, peer: usize, payloads: impl IntoIterator<Item = Payload>) {
+        let me = self.me;
+        self.queues[peer].extend(payloads.into_iter().map(|p| (me, p)));
+        self.drain_writes(peer);
     }
 
     fn fire_timer(&mut self, timer: Timer) {
@@ -929,15 +866,12 @@ impl Reactor {
             Timer::Reconnect(peer) => {
                 let p = usize::from(peer);
                 self.dialing[p] = false;
-                if !self.shared.active[p].load(Ordering::SeqCst)
-                    || self.shared.dead[p].load(Ordering::SeqCst)
-                    || self.conns[p].is_some()
-                {
+                if !self.active[p] || self.dead[p] || self.conns[p].is_some() {
                     return;
                 }
                 let Some(addr) = self.addrs[p] else { return };
                 self.metrics.record_retry();
-                if self.dial_tx.send(DialReq { peer, addr }).is_ok() {
+                if self.dial_tx.send(Some(DialReq { peer, addr })).is_ok() {
                     self.dialing[p] = true;
                 }
             }
@@ -949,7 +883,7 @@ impl Reactor {
         self.timers.schedule(self.clock.micros() + delay_micros, Timer::Reconnect(peer as NodeId));
     }
 
-    fn dialed(&mut self, peer: usize, stream: Result<TcpStream, std::io::Error>) {
+    fn dialed(&mut self, peer: usize, stream: std::io::Result<TcpStream>) {
         self.dialing[peer] = false;
         match stream {
             Ok(s) => {
@@ -962,9 +896,8 @@ impl Reactor {
                 self.conns[peer] = Some(Conn::new(s));
                 self.backoff[peer].reset();
                 self.metrics.record_reconnect();
-                self.shared.link_up[peer].store(true, Ordering::SeqCst);
-                self.shared.dead[peer].store(false, Ordering::SeqCst);
-                self.shared.peer_events.lock().push(PeerEvent::Up(peer as NodeId));
+                self.dead[peer] = false;
+                self.peer_events.push(PeerEvent::Up(peer as NodeId));
                 self.drain_writes(peer);
             }
             Err(_) => self.dial_failed(peer),
@@ -972,14 +905,14 @@ impl Reactor {
     }
 
     fn dial_failed(&mut self, peer: usize) {
-        if !self.shared.active[peer].load(Ordering::SeqCst) {
+        if !self.active[peer] {
             return;
         }
         match self.backoff[peer].next_delay() {
             Some(delay) => self.schedule_dial(peer, delay.as_micros() as u64),
             None => {
                 // Budget exhausted: the link is dead. Release queued bytes.
-                self.shared.dead[peer].store(true, Ordering::SeqCst);
+                self.dead[peer] = true;
                 self.drop_queue(peer);
             }
         }
@@ -993,7 +926,7 @@ impl Reactor {
             }
             crate::pool::global().reclaim(payload.bytes);
         }
-        self.shared.queued[peer].fetch_sub(released, Ordering::SeqCst);
+        self.queued[peer] -= released;
     }
 
     /// Tears the connection to `peer` down: deregister, close, surface a
@@ -1005,10 +938,8 @@ impl Reactor {
         self.poller.delete(&conn.stream);
         let _ = conn.stream.shutdown(Shutdown::Both);
         crate::pool::global().put(conn.wbuf);
-        self.shared.link_up[peer].store(false, Ordering::SeqCst);
-        self.shared.peer_events.lock().push(PeerEvent::Down(peer as NodeId));
-        let active = self.shared.active[peer].load(Ordering::SeqCst);
-        if !active {
+        self.peer_events.push(PeerEvent::Down(peer as NodeId));
+        if !self.active[peer] {
             self.drop_queue(peer);
             return;
         }
@@ -1024,7 +955,7 @@ impl Reactor {
     /// match whether anything is left. sdso-check: hot-path
     fn drain_writes(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
-        let result = fill_and_write(&mut conn, &mut self.queues[peer], &self.shared, peer);
+        let result = fill_and_write(&mut conn, &mut self.queues[peer], &mut self.queued[peer]);
         match result {
             Ok(()) => {
                 let want = conn.woff < conn.wbuf.len() || !self.queues[peer].is_empty();
@@ -1044,35 +975,32 @@ impl Reactor {
     }
 
     /// Reads until the socket blocks, decoding complete frames out of the
-    /// flat inbound buffer and forwarding them to the application (keepalive
-    /// frames excepted). EOF and connection resets tear the link down; a
-    /// partial frame left in the buffer at that point is discarded — its
-    /// sender never completed it. sdso-check: hot-path
+    /// flat inbound buffer into the inbox (keepalive frames excepted). EOF
+    /// and connection resets tear the link down; a partial frame left in the
+    /// buffer at that point is discarded — its sender never completed it.
+    /// sdso-check: hot-path
     fn conn_readable(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
         let mut torn = false;
-        let mut fatal: Option<NetError> = None;
-        let mut chunk = [0u8; READ_CHUNK];
         'reads: loop {
-            match conn.stream.read(&mut chunk) {
+            match conn.stream.read(&mut self.chunk) {
                 Ok(0) => {
                     torn = true;
                     break;
                 }
                 Ok(got) => {
-                    conn.rbuf.extend_from_slice(&chunk[..got]);
+                    conn.rbuf.extend_from_slice(&self.chunk[..got]);
                     let mut pos = 0usize;
                     loop {
                         match decode_frame_at(&conn.rbuf, &mut pos) {
                             Ok(Some(inc)) => {
-                                if inc.from != KEEPALIVE_FROM && self.tx.send(Ok(inc)).is_err() {
-                                    torn = true;
-                                    break 'reads;
+                                if inc.from != KEEPALIVE_FROM {
+                                    self.inbox.push_back(Ok(inc));
                                 }
                             }
                             Ok(None) => break,
                             Err(e) => {
-                                fatal = Some(e);
+                                self.inbox.push_back(Err(e));
                                 torn = true;
                                 break 'reads;
                             }
@@ -1085,7 +1013,7 @@ impl Reactor {
                     // now; skip the would-be EAGAIN syscall. The poller is
                     // level-triggered, so anything that lands later is
                     // re-reported.
-                    if got < chunk.len() {
+                    if got < self.chunk.len() {
                         break;
                     }
                 }
@@ -1103,16 +1031,13 @@ impl Reactor {
                     break;
                 }
                 Err(e) => {
-                    fatal = Some(NetError::Io(e));
+                    self.inbox.push_back(Err(NetError::Io(e)));
                     torn = true;
                     break;
                 }
             }
         }
         self.conns[peer] = Some(conn);
-        if let Some(e) = fatal {
-            let _ = self.tx.send(Err(e));
-        }
         if torn {
             self.teardown(peer);
         }
@@ -1198,30 +1123,25 @@ impl Reactor {
         }
         self.conns[pu] = Some(Conn::new(p.stream));
         self.metrics.record_reconnect();
-        self.shared.link_up[pu].store(true, Ordering::SeqCst);
-        self.shared.dead[pu].store(false, Ordering::SeqCst);
-        self.shared.peer_events.lock().push(PeerEvent::Up(peer));
+        self.dead[pu] = false;
+        self.peer_events.push(PeerEvent::Up(peer));
         self.drain_writes(pu);
     }
 
+    /// Closes every socket and stops the dialer. Runs once, from the
+    /// endpoint's `Drop` — never inside a turn.
     fn shutdown(&mut self) {
         for peer in 0..self.n {
-            self.dirty[peer] = false;
             let Some(mut conn) = self.conns[peer].take() else { continue };
-            // Best-effort final flush: an endpoint that sends and is then
-            // dropped enqueues `Send .. Send, Shutdown` back-to-back, and
-            // closing before draining would strand those last frames. A
-            // short send timeout bounds the wait on a stalled peer (the
-            // timeout surfaces as `WouldBlock`, which `fill_and_write`
-            // treats as "done for now").
+            // Best-effort final flush: a node that sends and then drops its
+            // endpoint must not strand its last frames. A short send timeout
+            // bounds the wait on a stalled peer (the timeout surfaces as
+            // `WouldBlock`, which `fill_and_write` treats as "done for now").
             if (conn.woff < conn.wbuf.len() || !self.queues[peer].is_empty())
-                // Deliberate: a bounded blocking flush once, at teardown,
-                // after the poll loop has exited — not on the event path
-                // (allowlisted in no-blocking-in-reactor.allow).
                 && conn.stream.set_nonblocking(false).is_ok()
             {
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = fill_and_write(&mut conn, &mut self.queues[peer], &self.shared, peer);
+                let _ = fill_and_write(&mut conn, &mut self.queues[peer], &mut self.queued[peer]);
             }
             self.poller.delete(&conn.stream);
             let _ = conn.stream.shutdown(Shutdown::Both);
@@ -1233,18 +1153,18 @@ impl Reactor {
             }
         }
         self.listener = None;
+        let _ = self.dial_tx.send(None);
     }
 }
 
 /// Encodes queued payloads into `conn.wbuf` (batch coalescing) and writes
-/// until the socket blocks or everything is flushed. A free function so the
-/// reactor can split-borrow its connection and queue tables.
-/// sdso-check: hot-path
+/// until the socket blocks or everything is flushed, releasing each encoded
+/// payload's bytes from `queued`. A free function so the reactor can
+/// split-borrow its connection and queue tables. sdso-check: hot-path
 fn fill_and_write(
     conn: &mut Conn,
     queue: &mut VecDeque<(NodeId, Payload)>,
-    shared: &Shared,
-    peer: usize,
+    queued: &mut usize,
 ) -> Result<(), std::io::Error> {
     loop {
         if conn.woff == conn.wbuf.len() {
@@ -1253,7 +1173,7 @@ fn fill_and_write(
             while conn.wbuf.len() < WRITE_COALESCE_BUDGET {
                 let Some((from, payload)) = queue.pop_front() else { break };
                 if from != KEEPALIVE_FROM {
-                    shared.queued[peer].fetch_sub(payload.bytes.len(), Ordering::SeqCst);
+                    *queued -= payload.bytes.len();
                 }
                 append_frame(&mut conn.wbuf, from, &payload);
                 crate::pool::global().reclaim(payload.bytes);
@@ -1263,12 +1183,7 @@ fn fill_and_write(
             }
         }
         match conn.stream.write(&conn.wbuf[conn.woff..]) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "socket accepted zero bytes",
-                ))
-            }
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
             Ok(n) => conn.woff += n,
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(()),
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1280,6 +1195,7 @@ fn fill_and_write(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn fast_tuning() -> ReactorTuning {
         ReactorTuning {
@@ -1303,11 +1219,10 @@ mod tests {
         assert_eq!(&a.recv().unwrap().payload.bytes[..], b"pong");
     }
 
-    /// Regression: `drop` enqueues `Send .. Send, Shutdown` back-to-back on
-    /// the command channel, and the reactor must flush those sends before it
-    /// closes the sockets — otherwise a node that finishes and drops its
-    /// endpoint strands its final frames. Looped because the original bug
-    /// was a per-wakeup batching race.
+    /// Regression: a node that sends and then drops its endpoint must not
+    /// strand its final frames — `drop` flushes whatever the socket has not
+    /// taken yet before it closes. Looped because the original bug was a
+    /// per-wakeup batching race.
     #[test]
     fn frames_sent_just_before_drop_still_arrive() {
         for _ in 0..20 {
@@ -1409,31 +1324,42 @@ mod tests {
         assert!(matches!(s1.send(2, Payload::data(vec![0])), Err(NetError::Disconnected)));
     }
 
+    /// The re-dial happens inside the dialling side's own calls, so node b
+    /// runs on a thread of its own and waits in `recv_deadline` for the
+    /// acknowledgement while the test thread drives node a.
     #[test]
     fn reconnect_with_backoff_after_forced_drop() {
         let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
         let mut b = eps.pop().unwrap(); // id 1: the dialling side
         let mut a = eps.pop().unwrap(); // id 0: the accepting side
-        b.send(0, Payload::data(b"one".as_ref())).unwrap();
+        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
+        let dialler = std::thread::spawn(move || {
+            b.send(0, Payload::data(b"one".as_ref())).unwrap();
+            go_rx.recv().unwrap();
+            b.inject_disconnect(0).unwrap();
+            // The send parks in the queue and flushes once b's own turns
+            // have re-dialled.
+            b.send(0, Payload::data(b"two".as_ref())).unwrap();
+            let ack = b
+                .recv_deadline(SimSpan::from_millis(10_000))
+                .unwrap()
+                .expect("a acknowledges over the re-dialled link");
+            assert_eq!(&ack.payload.bytes[..], b"ack");
+            let m = b.metrics();
+            assert!(m.retries >= 1, "reconnect attempts are counted, got {m:?}");
+            assert!(m.reconnects >= 1, "re-established connection is counted, got {m:?}");
+            let events = b.take_peer_events();
+            assert!(events.contains(&PeerEvent::Down(0)), "torn link must surface: {events:?}");
+            assert!(events.contains(&PeerEvent::Up(0)), "redial must surface: {events:?}");
+            b
+        });
         assert_eq!(&a.recv().unwrap().payload.bytes[..], b"one");
-
-        b.inject_disconnect(0).unwrap();
-        // The send is asynchronous: it parks in the queue and flushes once
-        // the reactor has re-dialled.
-        b.send(0, Payload::data(b"two".as_ref())).unwrap();
+        go_tx.send(()).unwrap();
         let got = a.recv().unwrap();
         assert_eq!(got.from, 1);
         assert_eq!(&got.payload.bytes[..], b"two");
-
-        let m = b.metrics();
-        assert!(m.retries >= 1, "reconnect attempts are counted, got {m:?}");
-        assert!(m.reconnects >= 1, "re-established connection is counted, got {m:?}");
         a.send(1, Payload::control(b"ack".as_ref())).unwrap();
-        assert_eq!(&b.recv().unwrap().payload.bytes[..], b"ack");
-
-        let events = b.take_peer_events();
-        assert!(events.contains(&PeerEvent::Down(0)), "torn link must surface: {events:?}");
-        assert!(events.contains(&PeerEvent::Up(0)), "redial must surface: {events:?}");
+        drop(dialler.join().unwrap());
     }
 
     #[test]
@@ -1442,7 +1368,7 @@ mod tests {
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let addr = a.listen_addr().expect("node 0 listens");
-        drop(b); // node 1 exits; its Down will surface asynchronously
+        drop(b); // node 1 exits; its Down surfaces in a's next calls
 
         // A raw socket impersonates node 1 re-dialling: handshake, then a
         // *partial* frame (length prefix says 20 bytes, only 5 arrive), then
@@ -1484,10 +1410,14 @@ mod tests {
             ..ReactorTuning::default()
         };
         let mut eps = ReactorMesh::local_with(2, tuning).unwrap();
-        let _a = eps.remove(0);
-        let mut b = eps.remove(0); // id 1: the dialling side, so sends park
+        let mut b = eps.pop().unwrap(); // id 1: the dialling side, so sends park
+
+        // Node 0 goes away, so the immediate re-dial is refused and the
+        // backoff keeps the link down for the whole burst. (With node 0 alive
+        // the re-dial races the burst, and a link that comes back mid-burst
+        // takes every later send straight into its socket buffer.)
+        drop(eps);
         b.inject_disconnect(0).unwrap();
-        std::thread::sleep(Duration::from_millis(50)); // let the teardown land
 
         let mut hit = None;
         for _ in 0..64 {
@@ -1574,7 +1504,10 @@ mod tests {
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
+        let called = Instant::now();
         assert!(b.recv_deadline(SimSpan::from_millis(30)).unwrap().is_none());
+        let waited = called.elapsed();
+        assert!(waited >= Duration::from_millis(30), "timed out early, after {waited:?}");
         a.send(1, Payload::data(b"late".as_ref())).unwrap();
         let got = b
             .recv_deadline(SimSpan::from_millis(2_000))
@@ -1612,18 +1545,61 @@ mod tests {
         assert_eq!(&got.payload.bytes[..], &body[..], "megabyte payload survives chunked reads");
     }
 
+    /// 16 MiB is far past what loopback's socket buffers hold and under the
+    /// 32 MiB queue budget: what `send`'s one write leaves queued crosses
+    /// only because the sender's receive turns keep flushing it.
+    #[test]
+    fn a_payload_larger_than_the_socket_buffers_crosses_while_its_sender_waits_in_recv() {
+        const LEN: u32 = 16 << 20;
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let receiver = std::thread::spawn(move || {
+            let got = b
+                .recv_deadline(SimSpan::from_millis(10_000))
+                .unwrap()
+                .expect("the payload arrives while its sender waits");
+            assert_eq!(got.payload.bytes.len(), LEN as usize);
+            assert!(
+                got.payload.bytes.iter().zip(0..LEN).all(|(&x, i)| x == (i % 251) as u8),
+                "the payload crosses intact"
+            );
+            b.send(0, Payload::control(vec![1u8])).unwrap();
+            b
+        });
+        a.send(1, Payload::data((0..LEN).map(|i| (i % 251) as u8).collect::<Vec<u8>>())).unwrap();
+        let reply = a
+            .recv_deadline(SimSpan::from_millis(10_000))
+            .unwrap()
+            .expect("the reply arrives: receive turns flush pending writes");
+        assert_eq!(&reply.payload.bytes[..], &[1u8]);
+        drop(receiver.join().unwrap());
+    }
+
+    /// As for the forced drop: the dialling side re-dials inside its own
+    /// calls, so it runs on its own thread, waiting in `recv_deadline`.
     #[test]
     fn messages_queued_during_outage_arrive_in_order_after_reconnect() {
         let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
         let mut b = eps.pop().unwrap(); // dialling side
         let mut a = eps.pop().unwrap();
-        b.inject_disconnect(0).unwrap();
-        for i in 0..10u8 {
-            b.send(0, Payload::data(vec![i])).unwrap();
-        }
+        let dialler = std::thread::spawn(move || {
+            b.inject_disconnect(0).unwrap();
+            for i in 0..10u8 {
+                b.send(0, Payload::data(vec![i])).unwrap();
+            }
+            let done = b
+                .recv_deadline(SimSpan::from_millis(10_000))
+                .unwrap()
+                .expect("a confirms over the re-dialled link");
+            assert_eq!(&done.payload.bytes[..], b"done");
+            b
+        });
         for i in 0..10u8 {
             let got = a.recv().unwrap();
             assert_eq!(got.payload.bytes[0], i, "order preserved across the outage");
         }
+        a.send(1, Payload::control(b"done".as_ref())).unwrap();
+        drop(dialler.join().unwrap());
     }
 }

@@ -198,7 +198,7 @@ fn soak_256_spokes_full() {
     soak_with_trace(256, 50, Duration::from_secs(240));
 }
 
-/// One poll thread per endpoint must not be slower than a reader thread per
+/// One poll loop per endpoint must not be slower than a reader thread per
 /// peer. Same host, same process, the two stars back to back at 256 spokes x
 /// 100 pings, best of three each — a fresh ratio, which travels across hosts
 /// where a wall-clock number does not: the reactor sustains at least 0.9 of
@@ -219,4 +219,82 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
     let ratio = threaded.as_secs_f64() / reactor.as_secs_f64();
     println!("256 spokes x 100 pings: reactor {reactor:?}, thread-per-peer {threaded:?}");
     assert!(ratio >= 0.9, "the reactor sustains only {ratio:.2} of the thread-per-peer rate");
+}
+
+/// A message must not cost the reactor much more than it costs the socket
+/// under it. Two nodes on two threads bounce a 64-byte payload 20 000 times
+/// over `ReactorMesh::local(2)` and then over a plain `TCP_NODELAY`
+/// `TcpStream` pair doing `write_all` / `read_exact`, back to back in this
+/// process, best of three each — a fresh ratio: the reactor's round trip
+/// is at most twice the blocking pair's (measured 1.10–1.16× alone and
+/// 1.17–1.67× beside the 256-spoke contract; 2.81–2.87× and 4.11–5.41× while
+/// the poll loop ran on a thread of its own).
+#[test]
+#[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
+fn contract_reactor_round_trip_is_within_2x_of_a_blocking_socket_pair() {
+    use std::io::{Read, Write};
+    use std::net::{TcpListener, TcpStream};
+
+    const TRIPS: u32 = 20_000;
+    const LEN: usize = 64;
+
+    fn over_the_reactor() -> Duration {
+        let mut eps = ReactorMesh::local(2).expect("reactor pair");
+        let mut b = eps.pop().expect("node 1");
+        let mut a = eps.pop().expect("node 0");
+        let echo = std::thread::spawn(move || {
+            for _ in 0..TRIPS {
+                let msg = b.recv().expect("echo recv");
+                b.send(0, msg.payload).expect("echo send");
+            }
+            b
+        });
+        let started = Instant::now();
+        for _ in 0..TRIPS {
+            a.send(1, Payload::control(vec![7u8; LEN])).expect("send");
+            a.recv().expect("recv");
+        }
+        let took = started.elapsed();
+        drop(echo.join().expect("echo thread"));
+        took
+    }
+
+    fn over_a_socket_pair() -> Duration {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut a = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (mut b, _) = listener.accept().expect("accept");
+        a.set_nodelay(true).expect("nodelay");
+        b.set_nodelay(true).expect("nodelay");
+        let echo = std::thread::spawn(move || {
+            let mut buf = [0u8; LEN];
+            for _ in 0..TRIPS {
+                b.read_exact(&mut buf).expect("echo read");
+                b.write_all(&buf).expect("echo write");
+            }
+        });
+        let mut buf = [7u8; LEN];
+        let started = Instant::now();
+        for _ in 0..TRIPS {
+            a.write_all(&buf).expect("write");
+            a.read_exact(&mut buf).expect("read");
+        }
+        let took = started.elapsed();
+        echo.join().expect("echo thread");
+        took
+    }
+
+    let (mut reactor, mut pair) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        reactor = reactor.min(over_the_reactor());
+        pair = pair.min(over_a_socket_pair());
+    }
+    let micros = |d: Duration| d.as_secs_f64() * 1e6 / f64::from(TRIPS);
+    let ratio = reactor.as_secs_f64() / pair.as_secs_f64();
+    println!(
+        "{LEN}-byte round trip, best of 3 x {TRIPS}: reactor {:.1} us, blocking socket pair \
+         {:.1} us, ratio {ratio:.2}",
+        micros(reactor),
+        micros(pair)
+    );
+    assert!(ratio <= 2.0, "a reactor round trip costs {ratio:.2}x a blocking socket pair's");
 }
