@@ -1,7 +1,8 @@
 //! Fixture: blocking constructs in the poll turn (must trip
 //! `no-blocking-in-reactor` three ways: a direct sleep, a lock guard held
-//! across `epoll_wait`, and a blocking receive reached through a helper in
-//! another file).
+//! across `poll`, and a blocking receive reached through a helper in
+//! another file). The lock also trips `lock-order`: the reactor declares
+//! no lock, so any acquisition is undeclared.
 
 impl Reactor {
     fn turn(&mut self, timeout: Option<Duration>) {

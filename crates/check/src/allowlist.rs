@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! # comment
-//! crates/net/src/tcp.rs                  # whole file
-//! crates/net/src/tcp.rs: spawn_reader(   # only lines containing the needle
+//! crates/net/src/reactor.rs              # whole file
+//! crates/net/src/reactor.rs: spawn_dialer( # only lines containing the needle
 //! ```
 //!
 //! A diagnostic is suppressed when its path ends with the entry's path and,
@@ -198,17 +198,17 @@ mod tests {
 
     #[test]
     fn whole_file_entry_suppresses() {
-        let a = lists("no-panic", "crates/net/src/tcp.rs\n# comment\n");
-        assert!(a.allows("no-panic", "crates/net/src/tcp.rs", "x.unwrap()"));
+        let a = lists("no-panic", "crates/net/src/reactor.rs\n# comment\n");
+        assert!(a.allows("no-panic", "crates/net/src/reactor.rs", "x.unwrap()"));
         assert!(!a.allows("no-panic", "crates/net/src/memory.rs", "x.unwrap()"));
-        assert!(!a.allows("wall-clock", "crates/net/src/tcp.rs", "x"));
+        assert!(!a.allows("wall-clock", "crates/net/src/reactor.rs", "x"));
     }
 
     #[test]
     fn needle_entry_matches_line_content() {
-        let a = lists("no-panic", "crates/net/src/tcp.rs: spawn thread\n");
-        assert!(a.allows("no-panic", "crates/net/src/tcp.rs", "x.expect(\"spawn thread\")"));
-        assert!(!a.allows("no-panic", "crates/net/src/tcp.rs", "x.unwrap()"));
+        let a = lists("no-panic", "crates/net/src/reactor.rs: spawn thread\n");
+        assert!(a.allows("no-panic", "crates/net/src/reactor.rs", "x.expect(\"spawn thread\")"));
+        assert!(!a.allows("no-panic", "crates/net/src/reactor.rs", "x.unwrap()"));
     }
 
     #[test]
@@ -221,9 +221,11 @@ mod tests {
 
     #[test]
     fn unused_entries_become_stale_diagnostics() {
-        let a =
-            lists("no-panic", "# header\ncrates/net/src/tcp.rs: spawn\ncrates/net/src/gone.rs\n");
-        a.allows("no-panic", "crates/net/src/tcp.rs", "x.expect(\"spawn\")");
+        let a = lists(
+            "no-panic",
+            "# header\ncrates/net/src/reactor.rs: spawn\ncrates/net/src/gone.rs\n",
+        );
+        a.allows("no-panic", "crates/net/src/reactor.rs", "x.expect(\"spawn\")");
         let stale = a.stale_diagnostics();
         assert_eq!(stale.len(), 1, "{stale:?}");
         assert_eq!(stale[0].rule, STALE_RULE);

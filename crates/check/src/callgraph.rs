@@ -238,7 +238,7 @@ fn parse_defs(file_idx: usize, clean: &str, out: &mut Vec<Def>) {
 }
 
 /// Index of the `}` matching the `{` at `open`.
-fn match_brace(b: &[u8], open: usize) -> Option<usize> {
+pub(crate) fn match_brace(b: &[u8], open: usize) -> Option<usize> {
     let mut depth = 0usize;
     for (i, &c) in b.iter().enumerate().skip(open) {
         match c {

@@ -1,12 +1,12 @@
 //! `no-blocking-in-reactor`: the poll turn never blocks anywhere but
-//! `epoll_wait`.
+//! `poll`.
 //!
 //! One poll loop multiplexes every connection of an endpoint, and its turn
 //! runs inside every endpoint call, on the owner's thread. Any other
 //! blocking point in a turn — a sleeping backoff, a blocking channel
 //! receive, a connect, a blocking socket write — stalls *all* peers at once
-//! and the caller with them, and holding a lock across the `epoll_wait`
-//! call publishes that stall to every thread that touches the lock. The
+//! and the caller with them, and holding a lock across the `poll` call
+//! publishes that stall to every thread that touches the lock. The
 //! rule takes the poll turn (`fn turn` in `crates/net/src/reactor.rs`),
 //! walks the call graph to everything reachable from it, and denies:
 //!
@@ -14,8 +14,8 @@
 //!   `recv`/`recv_timeout`, `TcpStream::connect`/`connect_timeout`,
 //!   blocking reads/writes, `join()`, `set_nonblocking(false)`) in any
 //!   reachable function, across files and crates;
-//! * a lock guard held live across a `.wait(` call (the `epoll_wait`
-//!   wrapper) in any reachable function.
+//! * a lock guard held live across a `.wait(` call (the `poll` wrapper)
+//!   in any reachable function.
 //!
 //! The dialer thread exists precisely so a turn never connects; code it
 //! alone runs is not reachable from `turn` and is exempt by construction,
@@ -100,7 +100,7 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
                 def.body.0 + at,
                 format!(
                     "lock guard held across `.wait(` in the poll turn ({chain}); \
-                     release the guard before blocking in epoll_wait"
+                     release the guard before blocking in poll"
                 ),
             ));
         }

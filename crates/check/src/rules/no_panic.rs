@@ -84,7 +84,7 @@ mod tests {
     #[test]
     fn unwrap_or_variants_are_fine() {
         let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(id); z.unwrap_or_default(); }";
-        assert!(run("crates/net/src/tcp.rs", src).is_empty());
+        assert!(run("crates/net/src/reactor.rs", src).is_empty());
     }
 
     #[test]

@@ -6,12 +6,14 @@
 //!   comment on its own line or within the three lines above it;
 //! * a module containing FFI (`extern "…"` blocks) must open with a
 //!   `## Safety audit` doc-header containing a markdown table (`//! |`
-//!   rows) enumerating each foreign entry point's contract.
+//!   rows) with one row naming each `fn` its `extern` blocks declare, and
+//!   that function's contract.
 //!
-//! The reactor's `sys.rs` is the motivating case: raw epoll/eventfd
+//! The reactor's `sys.rs` is the motivating case: raw `poll`/`getrlimit`
 //! bindings whose soundness rests on argument conventions the compiler
 //! cannot check. An unsafe block without its argument is a review hazard;
-//! an FFI module without its table is an unauditable one.
+//! an FFI module without its table is an unauditable one, and a table that
+//! names functions the block no longer declares audits nothing.
 
 use super::FileCtx;
 use crate::diag::Diagnostic;
@@ -49,8 +51,9 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     }
     if let Some(&at) = crate::lexer::find_bounded(ctx.clean, "extern \"").first() {
         let has_header = ctx.lines.iter().any(|l| l.contains("## Safety audit"));
-        let has_table = ctx.lines.iter().any(|l| l.trim_start().starts_with("//! |"));
-        if !(has_header && has_table) {
+        let rows: Vec<&str> =
+            ctx.lines.iter().map(|l| l.trim_start()).filter(|l| l.starts_with("//! |")).collect();
+        if !has_header || rows.is_empty() {
             out.push(
                 ctx.diag(
                     RULE,
@@ -61,6 +64,54 @@ pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
                         .to_owned(),
                 ),
             );
+        } else {
+            for (at, name) in foreign_fns(ctx.clean) {
+                let cell = format!("`{name}`");
+                if !rows.iter().any(|row| row.contains(&cell)) {
+                    out.push(ctx.diag(
+                        RULE,
+                        at,
+                        format!(
+                            "foreign function `{name}` has no row in the `## Safety audit` \
+                             table; add `//! | {cell} | <contract> |`"
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every `fn` declared inside an `extern "…" { … }` block of the cleaned
+/// source, with its offset. `extern "C" fn f() {}` is a definition, not a
+/// block, and is skipped.
+fn foreign_fns(clean: &str) -> Vec<(usize, String)> {
+    let b = clean.as_bytes();
+    let mut out = Vec::new();
+    for at in crate::lexer::find_bounded(clean, "extern \"") {
+        // The ABI literal is blanked but keeps its quotes.
+        let abi = at + "extern \"".len();
+        let Some(close) = clean[abi..].find('"').map(|i| abi + i + 1) else { continue };
+        let open = close + (clean[close..].len() - clean[close..].trim_start().len());
+        if b.get(open) != Some(&b'{') {
+            continue;
+        }
+        let Some(end) = crate::callgraph::match_brace(b, open) else { continue };
+        let block = &clean[open..end];
+        for f in crate::lexer::find_bounded(block, "fn") {
+            let rest = &block[f + 2..];
+            if !rest.starts_with(char::is_whitespace) {
+                continue;
+            }
+            let name: String = rest
+                .trim_start()
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_')
+                .collect();
+            if !name.is_empty() {
+                out.push((open + f, name));
+            }
         }
     }
     out
@@ -109,6 +160,21 @@ mod tests {
         let src = "//! ## Safety audit\n//! | entry point | contract |\n//! | `close` | fd \
                    is open |\nextern \"C\" { fn close(fd: i32) -> i32; }";
         assert!(run(src).is_empty());
+    }
+
+    /// A table left naming the functions of an earlier binding audits
+    /// nothing: every declared `fn` needs a row of its own.
+    #[test]
+    fn every_foreign_function_needs_a_row_naming_it() {
+        let stale = "//! ## Safety audit\n//! | entry point | contract |\n//! | `select` | the \
+                     fd sets are writable |\nextern \"C\" {\n    fn poll(fds: *mut PollFd, nfds: \
+                     u64, timeout: i32) -> i32;\n}";
+        let d = run(stale);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(d[0].message.contains("`poll`"), "{}", d[0].message);
+        assert!(run(&stale.replace("select", "poll")).is_empty());
+        // A definition with an ABI is not a foreign declaration.
+        assert!(foreign_fns("extern \"C\" fn callback() { inner(); }").is_empty());
     }
 
     #[test]

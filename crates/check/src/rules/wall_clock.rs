@@ -3,9 +3,9 @@
 //! The simulator, the core runtime, and the protocol layer must be
 //! bit-for-bit replayable: time comes from the `net::time` virtual clocks
 //! (`SimInstant`/`SimSpan`) and randomness from seeded PRNGs. Real
-//! transports (`tcp.rs`, `memory.rs`) legitimately read the host clock and
-//! are out of scope; `fault.rs` is in scope because fault plans must replay
-//! identically.
+//! transports (`reactor.rs`, `memory.rs`) legitimately read the host clock
+//! and are out of scope; `fault.rs` is in scope because fault plans must
+//! replay identically.
 
 use super::FileCtx;
 use crate::diag::Diagnostic;
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn real_transports_are_out_of_scope() {
         let src = "let t = std::time::Instant::now();";
-        assert!(run("crates/net/src/tcp.rs", src).is_empty());
+        assert!(run("crates/net/src/reactor.rs", src).is_empty());
         assert!(run("crates/net/src/memory.rs", src).is_empty());
     }
 

@@ -1,4 +1,4 @@
-use sdso_net::{SimSpan, TransportKind};
+use sdso_net::SimSpan;
 
 /// Retransmission tuning for the runtime's optional reliability layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,12 +98,6 @@ pub struct DsoConfig {
     /// testbed network did not lose messages) adds zero wire or metric
     /// overhead.
     pub reliability: Option<RetryConfig>,
-    /// Which real-socket transport cluster builders should construct when a
-    /// deployment runs over actual TCP. Purely advisory for the runtime
-    /// itself (it accepts any [`Endpoint`](sdso_net::Endpoint)); harness and
-    /// deployment code consult it. Simulated and in-memory transports ignore
-    /// this knob entirely, so deterministic replays are unaffected.
-    pub transport: TransportKind,
     /// Wire-compression layer (codec v2 negotiation, XOR-delta, batch
     /// dedup). Defaults to all-on; [`WireConfig::v1`] reproduces the v1
     /// wire format byte-for-byte, as does any link whose peer never offers.
@@ -117,7 +111,6 @@ impl DsoConfig {
             frame_wire_len: Some(2048),
             merge_diffs: true,
             reliability: None,
-            transport: TransportKind::default(),
             wire: WireConfig::default(),
         }
     }
@@ -128,7 +121,6 @@ impl DsoConfig {
             frame_wire_len: None,
             merge_diffs: true,
             reliability: None,
-            transport: TransportKind::default(),
             wire: WireConfig::default(),
         }
     }
@@ -148,12 +140,6 @@ impl DsoConfig {
     /// Returns a copy with the reliability layer switched.
     pub fn with_reliability(mut self, reliability: Option<RetryConfig>) -> Self {
         self.reliability = reliability;
-        self
-    }
-
-    /// Returns a copy selecting a real-socket transport implementation.
-    pub fn with_transport(mut self, transport: TransportKind) -> Self {
-        self.transport = transport;
         self
     }
 
@@ -201,12 +187,5 @@ mod tests {
         assert!(on.codec_v2 && on.xor_delta && on.batch_dedup);
         let c = DsoConfig::paper().with_wire(WireConfig::v1());
         assert!(!c.wire.codec_v2 && !c.wire.xor_delta && !c.wire.batch_dedup);
-    }
-
-    #[test]
-    fn transport_defaults_to_platform_and_toggles() {
-        assert_eq!(DsoConfig::paper().transport, TransportKind::default());
-        let c = DsoConfig::paper().with_transport(TransportKind::Tcp);
-        assert_eq!(c.transport, TransportKind::Tcp);
     }
 }

@@ -1019,7 +1019,6 @@ fn build_runtime<E: Endpoint>(
         merge_diffs: scenario.merge_diffs,
         reliability: scenario.reliability,
         wire: scenario.wire,
-        ..DsoConfig::paper()
     };
     let mut rt = SdsoRuntime::with_obs(endpoint, config, obs);
     let mut world = scenario.initial_world();

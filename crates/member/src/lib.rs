@@ -353,8 +353,8 @@ impl MembershipPlan {
 /// [`ViewChange`].
 ///
 /// This is the bridge from connection teardown to membership: when a
-/// transport (the reactor, or `TcpMesh` after its reconnect budget runs
-/// out) reports links going down via
+/// transport (the reactor, on a torn connection) reports links going down
+/// via
 /// [`Endpoint::take_peer_events`](sdso_net::Endpoint::take_peer_events),
 /// the *net* effect of the drain decides who leaves. A peer whose **last**
 /// event in the batch is [`PeerEvent::Down`] and who is a live member of

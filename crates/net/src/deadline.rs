@@ -3,11 +3,8 @@
 //! Every timer a transport needs — reconnect backoff, keepalives, retry
 //! pacing — is a `(deadline, key)` pair in one [`DeadlineQueue`]. The reactor
 //! event loop asks the queue how long it may sleep ([`DeadlineQueue::
-//! timeout_until`]), parks in `epoll_wait` for exactly that long, and then
-//! drains every due entry with [`DeadlineQueue::pop_due`]. The blocking
-//! `TcpMesh` transport uses the same queue for its reconnect backoff, so the
-//! backoff *state machine* is identical whether timers fire from a poll loop
-//! or from a blocking send path.
+//! timeout_until`]), parks in `poll` for exactly that long, and then drains
+//! every due entry with [`DeadlineQueue::pop_due`].
 //!
 //! Ordering is a total order: entries pop by ascending deadline, and entries
 //! with *equal* deadlines pop in insertion order (a strictly increasing
@@ -98,11 +95,10 @@ impl<K: Ord> DeadlineQueue<K> {
 
 /// Bounded exponential backoff state for one link.
 ///
-/// The *state* lives with the peer and survives individual attempts — and,
-/// because both `TcpMesh` and the reactor drive it through a
-/// [`DeadlineQueue`], it survives the migration between them: an endpoint
-/// mid-backoff keeps its attempt counter and current delay whichever loop
-/// fires the timer.
+/// The *state* lives with the peer and survives individual attempts: the
+/// reactor keeps one per link and fires each next attempt from its
+/// [`DeadlineQueue`], so a link mid-backoff keeps its attempt counter and
+/// current delay across turns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Backoff {
     base: Duration,

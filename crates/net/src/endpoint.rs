@@ -27,8 +27,9 @@ pub enum PeerEvent {
 ///
 /// * [`memory::MemoryEndpoint`](crate::memory::MemoryEndpoint) — crossbeam
 ///   channels, real threads, wall-clock time;
-/// * [`tcp::TcpEndpoint`](crate::tcp::TcpEndpoint) — a real TCP mesh, the
-///   moral equivalent of the original system's socket layer;
+/// * `reactor::ReactorEndpoint` — a real TCP mesh driven by one `poll(2)`
+///   loop per endpoint (every unix), the moral equivalent of the original
+///   system's socket layer;
 /// * `sdso_sim::SimEndpoint` — deterministic virtual time over a modelled
 ///   network, used for the paper's evaluation figures.
 ///
@@ -180,8 +181,8 @@ pub trait Endpoint: Send {
 /// A boxed endpoint is an endpoint: every method — including the ones with
 /// default bodies — forwards to the inner transport, so boxing never
 /// silently downgrades behaviour (batched writes stay batched, peer events
-/// still surface). This is what lets harness code pick a transport by
-/// [`crate::TransportKind`] at runtime and hand the runtime a uniform type.
+/// still surface). This is what lets harness code hand the runtime one
+/// uniform type whichever transport built the cluster.
 impl Endpoint for Box<dyn Endpoint + Send> {
     fn node_id(&self) -> NodeId {
         (**self).node_id()

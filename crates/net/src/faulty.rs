@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use sdso_obs::{EventKind, Recorder, FAULT_DELAY, FAULT_DROP, FAULT_DUP};
 
-use crate::endpoint::{Endpoint, NodeId};
+use crate::endpoint::{Endpoint, NodeId, PeerEvent};
 use crate::error::NetError;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::message::{Incoming, Payload};
@@ -256,6 +256,18 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
         self.recorder = recorder.clone();
         self.inner.attach_recorder(recorder);
     }
+
+    fn remove_peer(&mut self, peer: NodeId) {
+        self.inner.remove_peer(peer);
+    }
+
+    fn add_peer(&mut self, peer: NodeId) {
+        self.inner.add_peer(peer);
+    }
+
+    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
+        self.inner.take_peer_events()
+    }
 }
 
 #[cfg(test)]
@@ -343,6 +355,22 @@ mod tests {
         }
         assert_eq!(seen, vec![1, 1, 2, 2]);
         assert_eq!(a.metrics().dups_injected, 2);
+    }
+
+    /// Faults are injected on traffic only: link events and membership pass
+    /// straight through, so a torn link reaches the membership layer and a
+    /// removed peer's torn link stays quiet.
+    #[test]
+    fn peer_events_and_membership_pass_through_to_the_transport() {
+        let (mut a, b) = pair(FaultPlan::new(5));
+        drop(b);
+        assert!(matches!(a.send(1, Payload::data(vec![1])), Err(NetError::Disconnected)));
+        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
+        a.remove_peer(1);
+        a.send(1, Payload::data(vec![2])).unwrap();
+        a.add_peer(1);
+        assert!(matches!(a.send(1, Payload::data(vec![3])), Err(NetError::Disconnected)));
+        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
     }
 
     #[test]

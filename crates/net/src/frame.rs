@@ -12,12 +12,11 @@
 //! `len` counts everything after itself. `wire_len` carries the *modelled*
 //! message size (see [`Payload::wire_len`]) so that metrics agree between
 //! real and simulated transports.
-
+//!
 //! A *batch* is a plain concatenation of frames: each sub-frame keeps its own
-//! length prefix, so a receiver consumes a batch by calling [`read_frame`] in
-//! a loop — no separate batch header exists to parse or to corrupt.
-
-use std::io::{Read, Write};
+//! length prefix, so a receiver consumes a batch by calling
+//! [`decode_frame_at`] in a loop — no separate batch header exists to parse
+//! or to corrupt.
 
 use bytes::{Bytes, BytesMut};
 
@@ -31,27 +30,7 @@ const HEADER: usize = 2 + 1 + 4;
 /// Maximum accepted frame body, a defence against corrupt length prefixes.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Writes one framed message to `w`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_frame<W: Write>(w: &mut W, from: NodeId, payload: &Payload) -> Result<(), NetError> {
-    let body_len = payload.bytes.len();
-    let len = (HEADER + body_len) as u32;
-    let mut head = [0u8; 4 + HEADER];
-    head[0..4].copy_from_slice(&len.to_le_bytes());
-    head[4..6].copy_from_slice(&from.to_le_bytes());
-    head[6] = payload.class.to_wire();
-    head[7..11].copy_from_slice(&payload.wire_len.to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(&payload.bytes)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Appends one framed message to `out`, byte-identical to what
-/// [`write_frame`] writes. sdso-check: hot-path
+/// Appends one framed message to `out`. sdso-check: hot-path
 pub fn append_frame(out: &mut BytesMut, from: NodeId, payload: &Payload) {
     let body_len = payload.bytes.len();
     let len = (HEADER + body_len) as u32;
@@ -62,71 +41,6 @@ pub fn append_frame(out: &mut BytesMut, from: NodeId, payload: &Payload) {
     head[7..11].copy_from_slice(&payload.wire_len.to_le_bytes());
     out.extend_from_slice(&head);
     out.extend_from_slice(&payload.bytes);
-}
-
-/// Writes `payloads` as one batch — length-prefixed sub-frames concatenated
-/// into `scratch` (cleared first) and flushed with a single
-/// `write_all` + `flush`, instead of one write-and-flush per message.
-///
-/// The byte stream is identical to calling [`write_frame`] once per payload;
-/// receivers keep using [`read_frame`] unchanged. sdso-check: hot-path
-///
-/// # Errors
-///
-/// Propagates I/O errors from the writer.
-pub fn write_batch<W: Write>(
-    w: &mut W,
-    from: NodeId,
-    payloads: &[Payload],
-    scratch: &mut BytesMut,
-) -> Result<(), NetError> {
-    scratch.clear();
-    for payload in payloads {
-        append_frame(scratch, from, payload);
-    }
-    w.write_all(scratch)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Reads one framed message from `r`, blocking until complete.
-///
-/// # Errors
-///
-/// Returns [`NetError::Disconnected`] on a clean EOF at a frame boundary,
-/// [`NetError::Codec`] on malformed frames, and [`NetError::Io`] otherwise.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Incoming, NetError> {
-    // Fill the length prefix byte by byte so that EOF *at* a frame boundary
-    // (a clean disconnect) is distinguishable from EOF *inside* the prefix
-    // (a torn frame, reported as an I/O error).
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < len_buf.len() {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Err(NetError::Disconnected),
-            Ok(0) => {
-                return Err(NetError::Io(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame length prefix",
-                )));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(NetError::Io(e)),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if !(HEADER..=MAX_FRAME).contains(&len) {
-        return Err(codec_bad_len(len));
-    }
-    let mut frame = vec![0u8; len];
-    r.read_exact(&mut frame)?;
-    let from = NodeId::from_le_bytes([frame[0], frame[1]]);
-    let class = MsgClass::from_wire(frame[2]).ok_or_else(|| codec_bad_class(frame[2]))?;
-    let wire_len = u32::from_le_bytes([frame[3], frame[4], frame[5], frame[6]]);
-    let body = Bytes::copy_from_slice(&frame[HEADER..]);
-    let wire_len = wire_len.max(body.len() as u32);
-    Ok(Incoming { from, payload: Payload { class, bytes: body, wire_len } })
 }
 
 /// Malformed-length error, out of line so decoders stay allocation-free on
@@ -147,15 +61,15 @@ fn codec_bad_class(byte: u8) -> NetError {
 /// the message; returns `Ok(None)` when `buf[*pos..]` holds only a frame
 /// prefix (the caller should read more bytes and retry).
 ///
-/// This is the nonblocking sibling of [`read_frame`] for reactor-style
-/// transports that accumulate socket reads in a flat buffer: the caller owns
-/// compaction (dropping `buf[..pos]` once a read burst is drained), which
-/// keeps the decoder free of any buffer-management policy.
+/// Made for transports that accumulate socket reads in a flat buffer: the
+/// caller owns compaction (dropping `buf[..pos]` once a read burst is
+/// drained), which keeps the decoder free of any buffer-management policy.
+/// A stream that ends with `Ok(None)` pending ended mid-frame; the reactor
+/// discards that tail rather than deliver it.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Codec`] on a malformed length or class byte, exactly
-/// as [`read_frame`] would.
+/// Returns [`NetError::Codec`] on a malformed length or class byte.
 pub fn decode_frame_at(buf: &[u8], pos: &mut usize) -> Result<Option<Incoming>, NetError> {
     let rest = &buf[*pos..];
     if rest.len() < 4 {
@@ -181,12 +95,21 @@ pub fn decode_frame_at(buf: &[u8], pos: &mut usize) -> Result<Option<Incoming>, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+
+    fn encode(from: NodeId, payloads: &[Payload]) -> Vec<u8> {
+        let mut out = BytesMut::new();
+        for p in payloads {
+            append_frame(&mut out, from, p);
+        }
+        out.to_vec()
+    }
 
     fn roundtrip(payload: Payload) -> Incoming {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 3, &payload).unwrap();
-        read_frame(&mut Cursor::new(buf)).unwrap()
+        let buf = encode(3, &[payload]);
+        let mut pos = 0;
+        let got = decode_frame_at(&buf, &mut pos).unwrap().expect("one whole frame");
+        assert_eq!(pos, buf.len());
+        got
     }
 
     #[test]
@@ -205,76 +128,27 @@ mod tests {
     }
 
     #[test]
-    fn eof_at_boundary_is_disconnected() {
-        let err = read_frame(&mut Cursor::new(Vec::<u8>::new())).unwrap_err();
-        assert!(matches!(err, NetError::Disconnected));
-    }
-
-    #[test]
-    fn truncated_body_is_io_error() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 0, &Payload::data(vec![1u8; 50])).unwrap();
-        buf.truncate(buf.len() - 10);
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, NetError::Io(_)));
-    }
-
-    #[test]
     fn hostile_length_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(u32::MAX).to_le_bytes());
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, NetError::Codec(_)));
+        let buf = u32::MAX.to_le_bytes();
+        assert!(matches!(decode_frame_at(&buf, &mut 0), Err(NetError::Codec(_))));
     }
 
     #[test]
     fn invalid_class_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 0, &Payload::control(vec![1])).unwrap();
+        let mut buf = encode(0, &[Payload::control(vec![1])]);
         buf[6] = 0xFF; // corrupt the class byte
-        let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-        assert!(matches!(err, NetError::Codec(_)));
-    }
-
-    #[test]
-    fn short_length_prefix_is_io_error() {
-        // EOF strictly inside the 4-byte length prefix is a torn frame, not
-        // a clean disconnect.
-        for cut in 1..4usize {
-            let mut buf = Vec::new();
-            write_frame(&mut buf, 0, &Payload::data(vec![7u8; 8])).unwrap();
-            buf.truncate(cut);
-            let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-            assert!(matches!(err, NetError::Io(_)), "cut at {cut}: {err:?}");
-        }
+        assert!(matches!(decode_frame_at(&buf, &mut 0), Err(NetError::Codec(_))));
     }
 
     #[test]
     fn undersized_length_rejected() {
         // A length smaller than the fixed header can never hold a frame.
         for len in 0..HEADER as u32 {
-            let mut buf = Vec::new();
-            buf.extend_from_slice(&len.to_le_bytes());
-            buf.extend_from_slice(&vec![0u8; len as usize]);
-            let err = read_frame(&mut Cursor::new(buf)).unwrap_err();
-            assert!(matches!(err, NetError::Codec(_)), "len {len}: {err:?}");
+            let mut buf = len.to_le_bytes().to_vec();
+            buf.resize(4 + len as usize, 0);
+            let got = decode_frame_at(&buf, &mut 0);
+            assert!(matches!(got, Err(NetError::Codec(_))), "len {len}: {got:?}");
         }
-    }
-
-    #[test]
-    fn every_truncation_errors_and_never_panics() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 5, &Payload::data(vec![0xAB; 32]).with_wire_len(2048)).unwrap();
-        for cut in 0..buf.len() {
-            let mut short = buf.clone();
-            short.truncate(cut);
-            assert!(
-                read_frame(&mut Cursor::new(short)).is_err(),
-                "prefix of {cut} bytes must not parse as a complete frame"
-            );
-        }
-        // The untruncated frame still parses.
-        assert!(read_frame(&mut Cursor::new(buf)).is_ok());
     }
 
     fn sample_batch() -> Vec<Payload> {
@@ -287,135 +161,77 @@ mod tests {
     }
 
     #[test]
-    fn batch_is_byte_identical_to_sequential_frames() {
+    fn batch_roundtrips_through_decode_frame_at() {
         let payloads = sample_batch();
-        let mut sequential = Vec::new();
-        for p in &payloads {
-            write_frame(&mut sequential, 9, p).unwrap();
-        }
-        let mut batched = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut batched, 9, &payloads, &mut scratch).unwrap();
-        assert_eq!(batched, sequential);
-    }
-
-    #[test]
-    fn batch_roundtrips_through_read_frame() {
-        let payloads = sample_batch();
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, 7, &payloads, &mut scratch).unwrap();
-        let mut cursor = Cursor::new(buf);
+        let buf = encode(7, &payloads);
+        let mut pos = 0;
         for expect in &payloads {
-            let got = read_frame(&mut cursor).unwrap();
+            let got = decode_frame_at(&buf, &mut pos).unwrap().unwrap();
             assert_eq!(got.from, 7);
             assert_eq!(got.payload.bytes, expect.bytes);
             assert_eq!(got.payload.class, expect.class);
             assert_eq!(got.payload.wire_len(), expect.wire_len());
-        }
-        assert!(matches!(read_frame(&mut cursor).unwrap_err(), NetError::Disconnected));
-    }
-
-    #[test]
-    fn batch_scratch_is_reusable_across_batches() {
-        let mut scratch = BytesMut::new();
-        let mut first = Vec::new();
-        write_batch(&mut first, 1, &sample_batch(), &mut scratch).unwrap();
-        let cap = scratch.capacity();
-        // A smaller second batch must not carry stale bytes from the first.
-        let small = vec![Payload::control(vec![9u8; 2])];
-        let mut second = Vec::new();
-        write_batch(&mut second, 1, &small, &mut scratch).unwrap();
-        assert_eq!(scratch.capacity(), cap, "no reallocation for a smaller batch");
-        let got = read_frame(&mut Cursor::new(second)).unwrap();
-        assert_eq!(&got.payload.bytes[..], &[9u8, 9]);
-    }
-
-    #[test]
-    fn truncated_batch_errors_at_every_cut_and_never_panics() {
-        let payloads = sample_batch();
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, 2, &payloads, &mut scratch).unwrap();
-        for cut in 0..buf.len() {
-            let mut short = buf.clone();
-            short.truncate(cut);
-            let mut cursor = Cursor::new(short);
-            // Reading the truncated batch must end in an error — never a
-            // panic, never a phantom extra message.
-            let mut parsed = 0usize;
-            let err = loop {
-                match read_frame(&mut cursor) {
-                    Ok(_) => parsed += 1,
-                    Err(e) => break e,
-                }
-            };
-            assert!(parsed <= payloads.len(), "cut {cut} yielded phantom frames");
-            if cut == 0 {
-                assert!(matches!(err, NetError::Disconnected));
-            }
-        }
-    }
-
-    #[test]
-    fn corrupt_mid_batch_header_poisons_only_the_tail() {
-        let payloads = sample_batch();
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut buf, 2, &payloads, &mut scratch).unwrap();
-        // Corrupt the second sub-frame's class byte: frame 1 still parses,
-        // frame 2 errors.
-        let first_len = 4 + HEADER + payloads[0].bytes.len();
-        buf[first_len + 6] = 0xFF;
-        let mut cursor = Cursor::new(buf);
-        assert!(read_frame(&mut cursor).is_ok());
-        assert!(matches!(read_frame(&mut cursor).unwrap_err(), NetError::Codec(_)));
-    }
-
-    #[test]
-    fn empty_batch_writes_nothing() {
-        let mut buf = Vec::new();
-        let mut scratch = BytesMut::new();
-        scratch.extend_from_slice(b"stale");
-        write_batch(&mut buf, 0, &[], &mut scratch).unwrap();
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn decode_frame_at_matches_read_frame() {
-        let payloads = sample_batch();
-        let mut buf = Vec::new();
-        for p in &payloads {
-            write_frame(&mut buf, 4, p).unwrap();
-        }
-        let mut pos = 0usize;
-        let mut cursor = Cursor::new(buf.clone());
-        for _ in &payloads {
-            let inc = decode_frame_at(&buf, &mut pos).unwrap().unwrap();
-            let blocking = read_frame(&mut cursor).unwrap();
-            assert_eq!(inc.from, blocking.from);
-            assert_eq!(inc.payload, blocking.payload);
         }
         assert_eq!(pos, buf.len());
         assert!(decode_frame_at(&buf, &mut pos).unwrap().is_none());
     }
 
     #[test]
+    fn truncated_batch_decodes_only_whole_frames_at_every_cut() {
+        let payloads = sample_batch();
+        let buf = encode(2, &payloads);
+        let ends: Vec<usize> = payloads
+            .iter()
+            .scan(0, |end, p| {
+                *end += 4 + HEADER + p.bytes.len();
+                Some(*end)
+            })
+            .collect();
+        // A cut yields exactly the frames that end at or before it — never
+        // a phantom, never a panic — and `pos` stops behind the last one.
+        for cut in 0..=buf.len() {
+            let (mut pos, mut whole) = (0, 0);
+            while let Some(got) = decode_frame_at(&buf[..cut], &mut pos).unwrap() {
+                assert_eq!(got.payload.bytes, payloads[whole].bytes, "cut {cut}");
+                whole += 1;
+            }
+            assert_eq!(whole, ends.iter().filter(|&&end| end <= cut).count(), "cut {cut}");
+            assert_eq!(pos, whole.checked_sub(1).map_or(0, |last| ends[last]), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn corrupt_mid_batch_header_poisons_only_the_tail() {
+        let payloads = sample_batch();
+        let mut buf = encode(2, &payloads);
+        // Corrupt the second sub-frame's class byte: frame 1 still parses,
+        // frame 2 errors.
+        let first_len = 4 + HEADER + payloads[0].bytes.len();
+        buf[first_len + 6] = 0xFF;
+        let mut pos = 0;
+        assert!(decode_frame_at(&buf, &mut pos).unwrap().is_some());
+        assert!(matches!(decode_frame_at(&buf, &mut pos), Err(NetError::Codec(_))));
+        assert_eq!(pos, first_len);
+    }
+
+    /// Every truncation — the empty buffer at a frame boundary, a cut
+    /// inside the length prefix, the header or the body — is a frame still
+    /// arriving: no frame, no error, no panic, and `pos` stays put.
+    #[test]
     fn decode_frame_at_every_partial_prefix_returns_none() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, &Payload::data(vec![3u8; 25]).with_wire_len(99)).unwrap();
+        let buf = encode(1, &[Payload::data(vec![3u8; 25]).with_wire_len(99)]);
         for cut in 0..buf.len() {
             let mut pos = 0usize;
             let got = decode_frame_at(&buf[..cut], &mut pos).unwrap();
             assert!(got.is_none(), "prefix of {cut} bytes decoded a frame");
             assert_eq!(pos, 0, "pos must not move on a partial frame");
         }
+        assert!(decode_frame_at(&buf, &mut 0).unwrap().is_some());
     }
 
     #[test]
     fn decode_frame_at_rejects_corruption_without_advancing() {
-        let mut good = Vec::new();
-        write_frame(&mut good, 1, &Payload::control(vec![1, 2])).unwrap();
+        let good = encode(1, &[Payload::control(vec![1, 2])]);
 
         let mut hostile = good.clone();
         hostile[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
@@ -433,11 +249,10 @@ mod tests {
     #[test]
     fn decode_frame_at_resumes_mid_buffer() {
         // Two frames; decoding starts after the first one.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 1, &Payload::data(vec![1u8; 10])).unwrap();
-        let first_end = buf.len();
-        write_frame(&mut buf, 2, &Payload::control(vec![2u8; 4])).unwrap();
-        let mut pos = first_end;
+        let first = encode(1, &[Payload::data(vec![1u8; 10])]);
+        let mut buf = first.clone();
+        buf.extend(encode(2, &[Payload::control(vec![2u8; 4])]));
+        let mut pos = first.len();
         let inc = decode_frame_at(&buf, &mut pos).unwrap().unwrap();
         assert_eq!(inc.from, 2);
         assert_eq!(pos, buf.len());
@@ -447,11 +262,11 @@ mod tests {
     fn multiple_frames_in_sequence() {
         let mut buf = Vec::new();
         for i in 0..5u8 {
-            write_frame(&mut buf, i as NodeId, &Payload::data(vec![i])).unwrap();
+            buf.extend(encode(i as NodeId, &[Payload::data(vec![i])]));
         }
-        let mut cursor = Cursor::new(buf);
+        let mut pos = 0;
         for i in 0..5u8 {
-            let got = read_frame(&mut cursor).unwrap();
+            let got = decode_frame_at(&buf, &mut pos).unwrap().unwrap();
             assert_eq!(got.from, i as NodeId);
             assert_eq!(got.payload.bytes[0], i);
         }

@@ -9,17 +9,17 @@
 //!   split).
 //! * [`Endpoint`] — the transport abstraction all protocols are written
 //!   against. Implementations exist for in-process channels
-//!   ([`memory::MemoryHub`]), real TCP meshes ([`tcp::TcpMesh`]), and the
-//!   virtual-time cluster simulator in the `sdso-sim` crate.
+//!   ([`memory::MemoryHub`]), real TCP meshes (`reactor::ReactorMesh`, on
+//!   every unix), and the virtual-time cluster simulator in the `sdso-sim`
+//!   crate.
 //! * [`wire`] — a small, dependency-free binary codec used by every message
 //!   type in the workspace.
-//! * [`frame`] — length-prefixed framing shared by the TCP transport and any
-//!   future stream transport.
+//! * [`frame`] — length-prefixed framing for stream transports.
 //!
 //! The original S-DSO system (West, Schwan, Tacic, Ahamad; ICDCS 1997) was
-//! "directly layered onto sockets"; [`tcp`] plays that role here, while
-//! [`memory`] and the simulator make the same protocol code testable and
-//! measurable deterministically.
+//! "directly layered onto sockets"; the reactor plays that role here — one
+//! `poll(2)` loop per endpoint — while [`memory`] and the simulator make the
+//! same protocol code testable and measurable deterministically.
 //!
 //! # Example
 //!
@@ -55,11 +55,10 @@ pub mod faulty;
 pub mod frame;
 pub mod memory;
 pub mod pool;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 pub mod reactor;
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 mod sys;
-pub mod tcp;
 pub mod wire;
 
 pub use deadline::{Backoff, DeadlineQueue};

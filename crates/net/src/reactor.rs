@@ -1,18 +1,17 @@
 //! Event-driven reactor TCP transport: one poll loop for every peer, run on
-//! the endpoint owner's thread.
+//! the endpoint owner's thread. It is the workspace's one real-socket
+//! transport, on every unix.
 //!
-//! [`TcpMesh`](crate::tcp::TcpMesh) spends two threads per connection (a
-//! reader and, effectively, a writer inside `send`), which caps a process at
-//! a few hundred peers. `ReactorMesh` multiplexes *all* connections of one
-//! endpoint onto a single poll loop built on a hand-rolled `epoll` wrapper
+//! `ReactorMesh` multiplexes *all* connections of one endpoint onto a
+//! single poll loop built on a hand-rolled POSIX `poll(2)` table
 //! ([`crate::sys`]), and runs that loop inside the endpoint's own calls, so
-//! a message crosses no thread hand-off between socket and application.
-//! Readiness-driven reads decode frames incrementally out of a flat buffer
-//! ([`decode_frame_at`]) into an inbox, `send` and `send_batch` encode into
-//! one pooled write buffer and `write` at once, and a [`DeadlineQueue`]
-//! fires reconnect backoff and keepalives in deadline order. Torn links
-//! surface as [`PeerEvent`]s for the membership layer, exactly as they do
-//! on the threaded transport.
+//! a message crosses no thread hand-off between socket and application and
+//! a process is not capped at a few hundred peers by a thread per
+//! connection. Readiness-driven reads decode frames incrementally out of a
+//! flat buffer ([`decode_frame_at`]) into an inbox, `send` and `send_batch`
+//! encode into one pooled write buffer and `write` at once, and a
+//! [`DeadlineQueue`] fires reconnect backoff and keepalives in deadline
+//! order. Torn links surface as [`PeerEvent`]s for the membership layer.
 //!
 //! # Progress
 //!
@@ -30,8 +29,7 @@
 //! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
 //! other node — the shape the 256-peer soak and its timed twin use), and
-//! [`ReactorMesh::join`] the distributed listen/dial dance of
-//! `TcpMesh::join`.
+//! [`ReactorMesh::join`] a distributed mesh from a list of listen addresses.
 //!
 //! Sends are asynchronous: what the socket does not take is queued and a
 //! later turn drains it. A peer that stops draining accumulates queued
@@ -62,7 +60,7 @@ use crate::time::{SimInstant, SimSpan};
 /// application sees them and excluded from protocol metrics.
 const KEEPALIVE_FROM: NodeId = NodeId::MAX;
 
-/// Poll token of the eventfd the dialer wakes.
+/// Poll token of the waker the dialer writes.
 const TOKEN_WAKER: u64 = u64::MAX;
 /// Poll token of the listening socket.
 const TOKEN_LISTENER: u64 = u64::MAX - 1;
@@ -166,7 +164,7 @@ impl ReactorMesh {
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup errors.
+    /// Propagates socket setup errors.
     ///
     /// # Panics
     ///
@@ -179,7 +177,7 @@ impl ReactorMesh {
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup errors.
+    /// Propagates socket setup errors.
     ///
     /// # Panics
     ///
@@ -188,8 +186,8 @@ impl ReactorMesh {
         assert!(n > 0, "cluster must have at least one node");
         assert!(n < usize::from(NodeId::MAX), "cluster too large");
         // A full mesh holds both ends of every pairwise connection in this
-        // process: n*(n-1) stream fds plus each endpoint's listener, epoll
-        // and wakeup fds. At 256 nodes that is ~66k descriptors — far past
+        // process: n*(n-1) stream fds plus each endpoint's listener and
+        // waker socket pair. At 256 nodes that is ~66k descriptors — far past
         // the usual 1024 soft limit, so bump it like `star_with` does.
         crate::sys::raise_nofile_limit((n as u64) * (n as u64) + 4 * (n as u64) + 64);
         let listeners: Vec<TcpListener> =
@@ -241,7 +239,7 @@ impl ReactorMesh {
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup errors.
+    /// Propagates socket setup errors.
     ///
     /// # Panics
     ///
@@ -254,7 +252,7 @@ impl ReactorMesh {
     ///
     /// # Errors
     ///
-    /// Propagates socket and epoll setup errors.
+    /// Propagates socket setup errors.
     ///
     /// # Panics
     ///
@@ -300,9 +298,9 @@ impl ReactorMesh {
     }
 
     /// Joins a distributed full mesh as node `id`, given every node's listen
-    /// address — the same dance as `TcpMesh::join`: listen on `addrs[id]`,
-    /// dial every lower-id peer (sending a 2-byte id handshake), accept one
-    /// connection from every higher-id peer.
+    /// address: listen on `addrs[id]`, dial every lower-id peer (sending a
+    /// 2-byte id handshake), accept one connection from every higher-id
+    /// peer.
     ///
     /// # Errors
     ///
@@ -367,7 +365,7 @@ fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, 
 /// The auxiliary dialer thread: the only blocking connect in the transport,
 /// and the only thread an endpoint starts. The reactor posts [`DialReq`]s;
 /// each outcome comes back over `results` with a waker nudge, so an owner
-/// blocked in `epoll_wait` sees it. `None` stops the thread. One thread
+/// blocked in `poll` sees it. `None` stops the thread. One thread
 /// serves all peers — reconnects are rare and the backoff schedule
 /// serializes them naturally.
 fn spawn_dialer(
@@ -426,7 +424,7 @@ impl ReactorEndpoint {
         has_link: Vec<bool>,
         tuning: ReactorTuning,
     ) -> Result<ReactorEndpoint, NetError> {
-        let poller = Poller::new()?;
+        let mut poller = Poller::new();
         let waker = WakeHandle::new()?;
         poller.add(&waker, TOKEN_WAKER, Interest::READ)?;
         if let Some(l) = &listener {
@@ -736,7 +734,7 @@ impl Reactor {
     /// no bound of its own) and no longer than the next timer, then serves
     /// socket readiness, the dialer's results and the timers that are due.
     /// Runs inside every endpoint call, on the owner's thread, so the only
-    /// place it may block is `epoll_wait`. sdso-check: hot-path
+    /// place it may block is `poll`. sdso-check: hot-path
     fn turn(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
         let wait = match (timeout, self.timers.timeout_until(self.clock.micros())) {
             (Some(t), Some(timer)) => Some(t.min(timer)),
@@ -825,8 +823,7 @@ impl Reactor {
             return Err(NetError::Disconnected);
         }
         // The higher-id side of a pair dials; the lower-id side can only
-        // wait to be re-dialled, so its sends fail while the link is down
-        // (mirroring `TcpMesh`).
+        // wait to be re-dialled, so its sends fail while the link is down.
         if self.me < to && self.conns[p].is_none() {
             return Err(NetError::Disconnected);
         }
@@ -951,7 +948,7 @@ impl Reactor {
     }
 
     /// Coalesces queued payloads into the connection's pooled write buffer
-    /// and writes until the socket blocks, adjusting epoll write interest to
+    /// and writes until the socket blocks, adjusting the poll write interest to
     /// match whether anything is left. sdso-check: hot-path
     fn drain_writes(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
@@ -1152,7 +1149,9 @@ impl Reactor {
                 self.poller.delete(&p.stream);
             }
         }
-        self.listener = None;
+        if let Some(listener) = self.listener.take() {
+            self.poller.delete(&listener);
+        }
         let _ = self.dial_tx.send(None);
     }
 }

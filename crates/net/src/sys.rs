@@ -1,78 +1,67 @@
-//! Minimal Linux `epoll`/`eventfd` bindings for the reactor transport.
+//! Minimal POSIX `poll(2)` bindings for the reactor transport.
 //!
 //! The workspace builds with no external crates (every dependency is a
 //! vendored shim), so instead of `mio` or `libc` this module declares the
-//! four syscall entry points the reactor needs directly: `std` already links
-//! the platform C library, and the ABI of `epoll_create1`/`epoll_ctl`/
-//! `epoll_wait`/`eventfd` has been stable for as long as the kernel has had
-//! them. Everything is wrapped in safe types ([`Poller`], [`WakeHandle`])
-//! immediately; no raw fd escapes this module un-owned.
+//! three C library entry points the reactor needs directly: `std` already
+//! links the platform C library, and `poll`/`getrlimit`/`setrlimit` are
+//! POSIX, with one ABI on every unix up to the two constants `cfg`'d below.
+//! Everything is wrapped in safe types ([`Poller`], [`WakeHandle`])
+//! immediately; no raw fd escapes this module.
 //!
-//! Non-Linux builds compile this module away (`#[cfg(target_os = "linux")]`
-//! at the `mod` site); the reactor constructors then return
-//! [`NetError::Io`](crate::NetError::Io) with `Unsupported`.
+//! Non-unix builds compile this module away (`#[cfg(unix)]` at the `mod`
+//! site), and with it the reactor.
 //!
 //! ## Safety audit
 //!
 //! This is the workspace's only FFI module; `sdso-check`'s `unsafe-audit`
-//! rule requires this table to enumerate every foreign entry point and its
-//! soundness argument, and a `// SAFETY:` comment at each `unsafe` use.
+//! rule requires this table to name every foreign function the `extern`
+//! block declares, with its soundness argument, and a `// SAFETY:` comment
+//! at each `unsafe` use.
 //!
-//! | entry point     | contract                                            |
-//! |-----------------|-----------------------------------------------------|
-//! | `epoll_create1` | no pointers; returns an fd or -1 (checked by `cvt`) |
-//! | `epoll_ctl`     | `event` points at a live `EpollEvent` for the call  |
-//! | `epoll_wait`    | `events` points at `maxevents` writable records     |
-//! | `eventfd`       | no pointers; returns an fd or -1 (checked by `cvt`) |
-//! | `getrlimit`     | `rlim` points at a live, writable `Rlimit`          |
-//! | `setrlimit`     | `rlim` points at a live, readable `Rlimit`          |
+//! | entry point | contract                                               |
+//! |-------------|--------------------------------------------------------|
+//! | `poll`      | `fds` points at `nfds` live, writable `PollFd` records |
+//! | `getrlimit` | `rlim` points at a live, writable `Rlimit`             |
+//! | `setrlimit` | `rlim` points at a live, readable `Rlimit`             |
 //!
-//! Every fd obtained here is wrapped in an owning type (`OwnedFd`, `File`)
-//! in the same expression, so close-on-drop is never forgotten and no raw
-//! fd escapes this module (`fd-ownership` enforces the same property for
-//! the rest of `sdso-net`).
+//! The poll table holds descriptor *numbers*, not owners. A socket closed
+//! while still registered leaves an entry that reports `POLLNVAL` or, once
+//! the number is reused, another socket's readiness under the old token.
+//! So the reactor deletes every registration before it closes the socket,
+//! and [`Poller::add`] refuses a number that is still registered: a missed
+//! delete fails at the next add instead of misrouting readiness.
 
-use std::fs::File;
+use std::ffi::{c_int, c_short};
 use std::io::{Read, Write};
-use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
 
 // --- raw ABI ---------------------------------------------------------------
 
-/// `struct epoll_event`. Packed on x86-64 (a 20-year-old ABI quirk: the
-/// 64-bit port kept the 32-bit layout), naturally aligned everywhere else.
-#[cfg(target_arch = "x86_64")]
-#[repr(C, packed)]
-#[derive(Clone, Copy)]
-pub struct EpollEvent {
-    events: u32,
-    data: u64,
-}
-
-/// `struct epoll_event` (naturally aligned layout).
-#[cfg(not(target_arch = "x86_64"))]
+/// `struct pollfd`, laid out alike on every unix.
 #[repr(C)]
-#[derive(Clone, Copy)]
-pub struct EpollEvent {
-    events: u32,
-    data: u64,
+#[derive(Debug, Clone, Copy)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
 }
 
-const EPOLLIN: u32 = 0x001;
-const EPOLLOUT: u32 = 0x004;
-const EPOLLERR: u32 = 0x008;
-const EPOLLHUP: u32 = 0x010;
-const EPOLLRDHUP: u32 = 0x2000;
+const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
+const POLLERR: c_short = 0x008;
+const POLLHUP: c_short = 0x010;
+const POLLNVAL: c_short = 0x020;
 
-const EPOLL_CTL_ADD: i32 = 1;
-const EPOLL_CTL_DEL: i32 = 2;
-const EPOLL_CTL_MOD: i32 = 3;
-
-const EPOLL_CLOEXEC: i32 = 0x80000;
-const EFD_CLOEXEC: i32 = 0x80000;
-const EFD_NONBLOCK: i32 = 0x800;
+/// `nfds_t`: `unsigned long` on Linux, `unsigned int` on macOS and the BSDs.
+#[cfg(target_os = "linux")]
+type NfdsT = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NfdsT = std::ffi::c_uint;
 
 #[repr(C)]
 struct Rlimit {
@@ -80,23 +69,16 @@ struct Rlimit {
     rlim_max: u64,
 }
 
-const RLIMIT_NOFILE: i32 = 7;
+/// `RLIMIT_NOFILE`: 7 on Linux, 8 on macOS and the BSDs.
+#[cfg(target_os = "linux")]
+const RLIMIT_NOFILE: c_int = 7;
+#[cfg(not(target_os = "linux"))]
+const RLIMIT_NOFILE: c_int = 8;
 
 extern "C" {
-    fn epoll_create1(flags: i32) -> i32;
-    fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
-    fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
-    fn eventfd(initval: u32, flags: i32) -> i32;
-    fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-}
-
-fn cvt(ret: i32) -> Result<i32, NetError> {
-    if ret < 0 {
-        Err(NetError::Io(std::io::Error::last_os_error()))
-    } else {
-        Ok(ret)
-    }
+    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
+    fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
 }
 
 // --- safe wrappers ---------------------------------------------------------
@@ -116,107 +98,104 @@ impl Interest {
     /// Read + write interest.
     pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
 
-    fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+    fn events(self) -> c_short {
+        let mut e = 0;
         if self.readable {
-            m |= EPOLLIN;
+            e |= POLLIN;
         }
         if self.writable {
-            m |= EPOLLOUT;
+            e |= POLLOUT;
         }
-        m
+        e
     }
 }
 
-/// One readiness notification, decoded from the kernel's event mask.
+/// One readiness notification, decoded from the kernel's `revents`.
 #[derive(Debug, Clone, Copy)]
 pub struct Ready {
     /// The `token` the fd was registered with.
     pub token: u64,
-    /// Readable (or a half-close/EOF is pending — reads will not block).
+    /// Readable (or a hang-up is pending — reads will not block).
     pub readable: bool,
     /// Writable.
     pub writable: bool,
-    /// Error or hang-up: the connection is gone or going.
+    /// Error, hang-up or a closed descriptor: the connection is gone or going.
     pub error: bool,
 }
 
-/// A level-triggered `epoll` instance.
+/// A `poll(2)` table: one `pollfd` per registration, its token beside it.
 ///
-/// Level-triggered is deliberate: the reactor may stop reading mid-burst
-/// (e.g. to bound per-peer work per wakeup) and the kernel will simply
-/// re-report readiness on the next wait, with no risk of a lost edge.
-#[derive(Debug)]
+/// `poll` is level-triggered, which the reactor relies on: it may stop
+/// reading mid-burst (e.g. to bound per-peer work per turn) and the kernel
+/// simply re-reports readiness on the next wait, with no lost edge.
+#[derive(Debug, Default)]
 pub struct Poller {
-    epfd: OwnedFd,
+    fds: Vec<PollFd>,
+    tokens: Vec<u64>,
 }
 
 impl Poller {
-    /// Creates the epoll instance.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `epoll_create1` errno.
-    pub fn new() -> Result<Poller, NetError> {
-        // SAFETY: `epoll_create1` takes no pointers; `cvt` rejects -1, so
-        // `from_raw_fd` wraps a live fd this process exclusively owns.
-        let fd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
-        // SAFETY: see above — `fd` is a freshly created, owned descriptor.
-        Ok(Poller { epfd: unsafe { OwnedFd::from_raw_fd(fd) } })
+    /// An empty table.
+    pub fn new() -> Poller {
+        Poller::default()
+    }
+
+    fn slot(&self, fd: RawFd) -> Option<usize> {
+        self.fds.iter().position(|p| p.fd == fd)
     }
 
     /// Registers `source` under `token` with the given interest.
     ///
     /// Taking `&impl AsRawFd` (not a `RawFd`) keeps the borrow of the
     /// owning socket alive across the call, so the fd cannot be closed
-    /// while the kernel is being told about it.
+    /// while it is being registered.
     ///
     /// # Errors
     ///
-    /// Propagates the `epoll_ctl` errno.
+    /// `AlreadyExists` if the descriptor is registered already: its
+    /// previous owner was closed without a [`Poller::delete`].
     pub fn add(
-        &self,
+        &mut self,
         source: &impl AsRawFd,
         token: u64,
         interest: Interest,
     ) -> Result<(), NetError> {
-        let mut ev = EpollEvent { events: interest.mask(), data: token };
-        // SAFETY: `ev` is a live local for the duration of the call; both
-        // fds are borrowed from owning types and thus open.
-        cvt(unsafe {
-            epoll_ctl(self.epfd.as_raw_fd(), EPOLL_CTL_ADD, source.as_raw_fd(), &mut ev)
-        })?;
+        let fd = source.as_raw_fd();
+        if self.slot(fd).is_some() {
+            return Err(NetError::Io(std::io::ErrorKind::AlreadyExists.into()));
+        }
+        self.fds.push(PollFd { fd, events: interest.events(), revents: 0 });
+        self.tokens.push(token);
         Ok(())
     }
 
-    /// Changes the interest set of an already-registered `source`.
+    /// Changes the token and interest of an already-registered `source`:
+    /// a field write, no syscall.
     ///
     /// # Errors
     ///
-    /// Propagates the `epoll_ctl` errno.
+    /// `NotFound` if `source` is not registered.
     pub fn modify(
-        &self,
+        &mut self,
         source: &impl AsRawFd,
         token: u64,
         interest: Interest,
     ) -> Result<(), NetError> {
-        let mut ev = EpollEvent { events: interest.mask(), data: token };
-        // SAFETY: `ev` is a live local for the duration of the call; both
-        // fds are borrowed from owning types and thus open.
-        cvt(unsafe {
-            epoll_ctl(self.epfd.as_raw_fd(), EPOLL_CTL_MOD, source.as_raw_fd(), &mut ev)
-        })?;
+        let i = self
+            .slot(source.as_raw_fd())
+            .ok_or_else(|| NetError::Io(std::io::ErrorKind::NotFound.into()))?;
+        self.fds[i].events = interest.events();
+        self.tokens[i] = token;
         Ok(())
     }
 
-    /// Deregisters `source`. Errors are swallowed: the fd may already be
-    /// gone, and deregistration is always followed by closing it anyway.
-    pub fn delete(&self, source: &impl AsRawFd) {
-        let mut ev = EpollEvent { events: 0, data: 0 };
-        // SAFETY: `ev` is a live local for the duration of the call; both
-        // fds are borrowed from owning types and thus open.
-        let _ =
-            unsafe { epoll_ctl(self.epfd.as_raw_fd(), EPOLL_CTL_DEL, source.as_raw_fd(), &mut ev) };
+    /// Deregisters `source`, if registered. Call it before closing the
+    /// descriptor (see the module docs).
+    pub fn delete(&mut self, source: &impl AsRawFd) {
+        if let Some(i) = self.slot(source.as_raw_fd()) {
+            self.fds.swap_remove(i);
+            self.tokens.swap_remove(i);
+        }
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
@@ -225,27 +204,23 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates the `epoll_wait` errno (`EINTR` is retried internally).
-    pub fn wait(&self, out: &mut Vec<Ready>, timeout: Option<Duration>) -> Result<usize, NetError> {
-        const MAX_EVENTS: usize = 256;
-        let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
+    /// Propagates the `poll` errno (`EINTR` is retried internally).
+    pub fn wait(
+        &mut self,
+        out: &mut Vec<Ready>,
+        timeout: Option<Duration>,
+    ) -> Result<usize, NetError> {
         // Round up so a 100µs timer does not spin at timeout=0.
-        let timeout_ms: i32 = match timeout {
+        let timeout_ms: c_int = match timeout {
             None => -1,
             Some(d) if d.is_zero() => 0,
-            Some(d) => i32::try_from(d.as_millis().max(1)).unwrap_or(i32::MAX),
+            Some(d) => c_int::try_from(d.as_millis().max(1)).unwrap_or(c_int::MAX),
         };
         let n = loop {
-            // SAFETY: `events` is a live stack array of MAX_EVENTS
-            // records and the kernel writes at most `maxevents` of them.
-            let ret = unsafe {
-                epoll_wait(
-                    self.epfd.as_raw_fd(),
-                    events.as_mut_ptr(),
-                    MAX_EVENTS as i32,
-                    timeout_ms,
-                )
-            };
+            // SAFETY: `fds` is a live, initialised Vec of exactly `len`
+            // records, borrowed mutably for the call; the kernel writes
+            // only their `revents` fields.
+            let ret = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NfdsT, timeout_ms) };
             if ret >= 0 {
                 break ret as usize;
             }
@@ -254,54 +229,49 @@ impl Poller {
                 return Err(NetError::Io(err));
             }
         };
-        for ev in events.iter().take(n) {
-            // Copy out of the (potentially packed) struct before use.
-            let mask = ev.events;
-            let token = ev.data;
-            out.push(Ready {
-                token,
-                readable: mask & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                writable: mask & EPOLLOUT != 0,
-                error: mask & (EPOLLERR | EPOLLHUP) != 0,
-            });
-        }
+        let ready = self.fds.iter().zip(&self.tokens).filter(|(p, _)| p.revents != 0);
+        out.extend(ready.take(n).map(|(p, &token)| Ready {
+            token,
+            readable: p.revents & (POLLIN | POLLHUP) != 0,
+            writable: p.revents & POLLOUT != 0,
+            error: p.revents & (POLLERR | POLLHUP | POLLNVAL) != 0,
+        }));
         Ok(n)
     }
 }
 
-/// An `eventfd`-backed waker: any thread can nudge the poll loop out of
-/// `epoll_wait` by writing to it. Cloning shares the same underlying fd.
+/// A socket-pair waker: any thread can nudge the poll loop out of `poll`
+/// by writing a byte to one end, while the loop polls the other. Cloning
+/// shares the same pair.
 #[derive(Debug, Clone)]
 pub struct WakeHandle {
-    file: std::sync::Arc<File>,
+    /// (polled end, written end), both nonblocking.
+    pair: Arc<(UnixStream, UnixStream)>,
 }
 
 impl WakeHandle {
-    /// Creates the eventfd (nonblocking, close-on-exec).
+    /// Creates the socket pair (nonblocking, close-on-exec).
     ///
     /// # Errors
     ///
-    /// Propagates the `eventfd` errno.
+    /// Propagates the `socketpair` / `fcntl` errno.
     pub fn new() -> Result<WakeHandle, NetError> {
-        // SAFETY: `eventfd` takes no pointers; `cvt` rejects -1, so
-        // `from_raw_fd` wraps a live fd this process exclusively owns.
-        let fd = cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?;
-        // SAFETY: see above — `fd` is a freshly created, owned descriptor.
-        let file = unsafe { File::from_raw_fd(fd) };
-        Ok(WakeHandle { file: std::sync::Arc::new(file) })
+        let (polled, written) = UnixStream::pair()?;
+        polled.set_nonblocking(true)?;
+        written.set_nonblocking(true)?;
+        Ok(WakeHandle { pair: Arc::new((polled, written)) })
     }
 
-    /// Wakes the poll loop. Saturation (`EAGAIN` on a full counter) is
-    /// fine — the loop is already guaranteed to wake.
+    /// Wakes the poll loop. A full buffer (`WouldBlock`) is fine — the
+    /// loop is already guaranteed to wake.
     pub fn wake(&self) {
-        let one = 1u64.to_ne_bytes();
-        let _ = (&*self.file).write(&one);
+        let _ = (&self.pair.1).write(&[1]);
     }
 
-    /// Drains the counter so the next `wake` is visible again.
+    /// Reads every pending byte so the next `wake` is visible again.
     pub fn drain(&self) {
-        let mut buf = [0u8; 8];
-        let _ = (&*self.file).read(&mut buf);
+        let mut buf = [0u8; 64];
+        while matches!((&self.pair.0).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -309,7 +279,7 @@ impl AsRawFd for WakeHandle {
     /// Lets a `WakeHandle` be registered with a [`Poller`] directly,
     /// without ever exposing its raw fd to callers.
     fn as_raw_fd(&self) -> RawFd {
-        self.file.as_raw_fd()
+        self.pair.0.as_raw_fd()
     }
 }
 
@@ -338,7 +308,7 @@ mod tests {
 
     #[test]
     fn waker_wakes_and_drains() {
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new();
         let waker = WakeHandle::new().unwrap();
         poller.add(&waker, 42, Interest::READ).unwrap();
 
@@ -346,6 +316,7 @@ mod tests {
         // Nothing pending: times out.
         assert_eq!(poller.wait(&mut out, Some(Duration::from_millis(1))).unwrap(), 0);
 
+        waker.wake();
         waker.wake();
         let n = poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
         assert_eq!(n, 1);
@@ -365,10 +336,9 @@ mod tests {
         let (server, _) = listener.accept().unwrap();
         server.set_nonblocking(true).unwrap();
 
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new();
         poller.add(&server, 7, Interest::READ).unwrap();
 
-        use std::io::Write as _;
         client.write_all(b"x").unwrap();
         let mut out = Vec::new();
         poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
@@ -388,12 +358,64 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let (server, _) = listener.accept().unwrap();
-        let poller = Poller::new().unwrap();
+        let mut poller = Poller::new();
         poller.add(&server, 1, Interest::READ).unwrap();
         drop(client);
         let mut out = Vec::new();
         poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
         assert!(out.iter().any(|r| r.token == 1 && r.readable), "{out:?}");
+    }
+
+    /// The table keys entries by descriptor number, and a closed socket's
+    /// number is the next one handed out. A deregistered socket must leave
+    /// nothing behind for its successor to be reported under. Another
+    /// test's thread may take the freed number first, so the check retries
+    /// until the new socket really reuses it.
+    #[test]
+    fn a_reused_fd_number_reports_only_its_new_token() {
+        for _ in 0..100 {
+            let mut poller = Poller::new();
+            let (a, _a_peer) = UnixStream::pair().unwrap();
+            let number = a.as_raw_fd();
+            poller.add(&a, 1, Interest::READ).unwrap();
+            poller.delete(&a);
+            drop(a);
+            let (b, mut b_peer) = UnixStream::pair().unwrap();
+            if b.as_raw_fd() != number {
+                continue;
+            }
+            poller.add(&b, 2, Interest::READ).unwrap();
+            b_peer.write_all(b"x").unwrap();
+            let mut out = Vec::new();
+            poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
+            let tokens: Vec<u64> = out.iter().map(|r| r.token).collect();
+            assert_eq!(tokens, vec![2]);
+            return;
+        }
+        panic!("a freed descriptor number was never reused");
+    }
+
+    /// A descriptor closed under the table reports `POLLNVAL`, which must
+    /// read as an error and never as bare readability. Another test's
+    /// thread may take the freed number before `poll` runs (the entry then
+    /// reports that socket), so the check retries until `POLLNVAL` shows.
+    #[test]
+    fn a_closed_fd_reports_error_through_pollnval_never_readable_alone() {
+        for _ in 0..100 {
+            let mut poller = Poller::new();
+            let (a, _peer) = UnixStream::pair().unwrap();
+            poller.add(&a, 5, Interest::READ).unwrap();
+            drop(a);
+            let mut out = Vec::new();
+            poller.wait(&mut out, Some(Duration::ZERO)).unwrap();
+            if poller.fds[0].revents & POLLNVAL == 0 {
+                continue;
+            }
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert!(out[0].token == 5 && out[0].error && !out[0].readable, "{out:?}");
+            return;
+        }
+        panic!("a closed descriptor never reported POLLNVAL");
     }
 
     #[test]

@@ -1,95 +1,13 @@
-//! Selection between the two real TCP transport implementations.
-//!
-//! The reactor transport is the default on Linux; the thread-per-peer
-//! [`tcp::TcpMesh`](crate::tcp::TcpMesh) remains available behind this flag
-//! for one release as a fallback. Select explicitly in code, via
-//! [`DsoConfig`](https://docs.rs/sdso-core)'s `transport` field, or with the
-//! `SDSO_TRANSPORT` environment variable (`tcp` / `tcp-reactor`).
+//! The one real-socket transport, as a type.
 
-use std::fmt;
-use std::str::FromStr;
-
-/// Which real-socket transport a cluster builder should construct.
+/// Names the real-socket transport a cluster builder constructs. There is
+/// one — the reactor (`reactor::ReactorMesh`, every unix) — so this type
+/// has one value. It survives only because the frozen `benchmark/` crate
+/// calls `local_cluster(TransportKind::default(), n)`; ROADMAP item 2
+/// deletes it, with `local_cluster`'s argument, in the next `benchmark` PR.
 ///
-/// Simulated and in-memory transports are not covered by this knob: they are
-/// chosen structurally (by calling into `sdso-sim` or
-/// [`memory::MemoryHub`](crate::memory::MemoryHub)) and are unaffected by the
-/// reactor migration, which keeps explorer/chaos/churn replays bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TransportKind {
-    /// Thread-per-peer blocking mesh ([`tcp::TcpMesh`](crate::tcp::TcpMesh)).
-    Tcp,
-    /// Single-threaded epoll reactor (`reactor::ReactorMesh`, Linux only).
-    TcpReactor,
-}
-
-// Not derivable: the default variant is platform-dependent, and
-// `#[default]` cannot carry the cfg.
-#[allow(clippy::derivable_impls)]
-impl Default for TransportKind {
-    fn default() -> Self {
-        #[cfg(target_os = "linux")]
-        {
-            TransportKind::TcpReactor
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            TransportKind::Tcp
-        }
-    }
-}
-
-impl fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransportKind::Tcp => write!(f, "tcp"),
-            TransportKind::TcpReactor => write!(f, "tcp-reactor"),
-        }
-    }
-}
-
-impl FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "tcp" | "threaded" => Ok(TransportKind::Tcp),
-            "tcp-reactor" | "reactor" => Ok(TransportKind::TcpReactor),
-            other => Err(format!("unknown transport {other:?} (expected tcp or tcp-reactor)")),
-        }
-    }
-}
-
-impl TransportKind {
-    /// Reads `SDSO_TRANSPORT` from the environment, falling back to the
-    /// platform default when unset or unparseable.
-    pub fn from_env() -> TransportKind {
-        std::env::var("SDSO_TRANSPORT").ok().and_then(|s| s.parse().ok()).unwrap_or_default()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_both_kinds_and_aliases() {
-        assert_eq!("tcp".parse::<TransportKind>().unwrap(), TransportKind::Tcp);
-        assert_eq!("TCP-Reactor".parse::<TransportKind>().unwrap(), TransportKind::TcpReactor);
-        assert_eq!("reactor".parse::<TransportKind>().unwrap(), TransportKind::TcpReactor);
-        assert!("udp".parse::<TransportKind>().is_err());
-    }
-
-    #[test]
-    fn display_roundtrips_through_parse() {
-        for kind in [TransportKind::Tcp, TransportKind::TcpReactor] {
-            assert_eq!(kind.to_string().parse::<TransportKind>().unwrap(), kind);
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn linux_defaults_to_the_reactor() {
-        assert_eq!(TransportKind::default(), TransportKind::TcpReactor);
-    }
-}
+/// Simulated and in-memory transports are not named here: they are chosen
+/// structurally (by calling into `sdso-sim` or
+/// [`memory::MemoryHub`](crate::memory::MemoryHub)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TransportKind;

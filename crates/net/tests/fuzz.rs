@@ -3,9 +3,18 @@
 
 use bytes::BytesMut;
 use proptest::prelude::*;
-use sdso_net::frame::{read_frame, write_batch, write_frame};
+use sdso_net::frame::{append_frame, decode_frame_at};
 use sdso_net::wire::{WireReader, WireWriter};
 use sdso_net::{MsgClass, Payload};
+
+/// Frames `payloads` back to back, as the reactor's write buffer does.
+fn encode(from: u16, payloads: &[Payload]) -> Vec<u8> {
+    let mut out = BytesMut::new();
+    for p in payloads {
+        append_frame(&mut out, from, p);
+    }
+    out.to_vec()
+}
 
 proptest! {
     #[test]
@@ -17,9 +26,10 @@ proptest! {
     ) {
         let class = if data { MsgClass::Data } else { MsgClass::Control };
         let payload = Payload::new(class, body.clone()).with_wire_len(wire_len);
-        let mut buf = Vec::new();
-        write_frame(&mut buf, from, &payload).unwrap();
-        let got = read_frame(&mut std::io::Cursor::new(buf)).unwrap();
+        let buf = encode(from, std::slice::from_ref(&payload));
+        let mut pos = 0;
+        let got = decode_frame_at(&buf, &mut pos).unwrap().unwrap();
+        prop_assert_eq!(pos, buf.len());
         prop_assert_eq!(got.from, from);
         prop_assert_eq!(got.payload.class, class);
         prop_assert_eq!(got.payload.bytes.to_vec(), body);
@@ -30,23 +40,26 @@ proptest! {
     fn frame_reader_never_panics_on_garbage(
         garbage in proptest::collection::vec(any::<u8>(), 0..256)
     ) {
-        let _ = read_frame(&mut std::io::Cursor::new(garbage)); // Err is fine
+        // Err or a partial frame is fine; whatever decodes lies inside the input.
+        let mut pos = 0;
+        while let Ok(Some(_)) = decode_frame_at(&garbage, &mut pos) {}
+        prop_assert!(pos <= garbage.len());
     }
 
     #[test]
-    fn truncated_valid_frames_error_cleanly(
+    fn truncated_valid_frames_never_decode(
         body in proptest::collection::vec(any::<u8>(), 1..512),
         cut in any::<proptest::sample::Index>(),
     ) {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, 3, &Payload::data(body)).unwrap();
-        let cut_at = cut.index(buf.len().saturating_sub(1)).max(1);
-        buf.truncate(cut_at);
-        prop_assert!(read_frame(&mut std::io::Cursor::new(buf)).is_err());
+        let buf = encode(3, &[Payload::data(body)]);
+        let short = &buf[..cut.index(buf.len())];
+        let mut pos = 0;
+        prop_assert!(decode_frame_at(short, &mut pos).unwrap().is_none());
+        prop_assert_eq!(pos, 0);
     }
 
     #[test]
-    fn batched_frames_roundtrip_as_a_read_frame_loop(
+    fn batched_frames_roundtrip_as_a_decode_loop(
         bodies in proptest::collection::vec(
             (proptest::collection::vec(any::<u8>(), 0..512), any::<bool>()), 0..8),
         from in 0u16..64,
@@ -58,39 +71,36 @@ proptest! {
                 Payload::new(class, body.clone())
             })
             .collect();
-        let mut wire = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut wire, from, &payloads, &mut scratch).unwrap();
-        let mut cursor = std::io::Cursor::new(&wire[..]);
+        let wire = encode(from, &payloads);
+        let mut pos = 0;
         for p in &payloads {
-            let got = read_frame(&mut cursor).unwrap();
+            let got = decode_frame_at(&wire, &mut pos).unwrap().unwrap();
             prop_assert_eq!(got.from, from);
             prop_assert_eq!(got.payload.class, p.class);
             prop_assert_eq!(&got.payload.bytes[..], &p.bytes[..]);
         }
-        prop_assert!(read_frame(&mut cursor).is_err(), "batch fully consumed");
+        prop_assert_eq!(pos, wire.len());
+        prop_assert!(decode_frame_at(&wire, &mut pos).unwrap().is_none(), "batch fully consumed");
     }
 
     #[test]
-    fn truncated_batches_error_and_never_panic(
+    fn truncated_batches_decode_only_whole_frames(
         bodies in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..64), 1..6),
         cut in any::<proptest::sample::Index>(),
     ) {
         let payloads: Vec<Payload> =
             bodies.into_iter().map(Payload::data).collect();
-        let mut wire = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut wire, 5, &payloads, &mut scratch).unwrap();
-        wire.truncate(cut.index(wire.len()));
-        // Reading the truncated batch yields some whole frames, then an
-        // error — never a panic, never a phantom frame.
-        let mut cursor = std::io::Cursor::new(&wire[..]);
-        let mut whole = 0usize;
-        while read_frame(&mut cursor).is_ok() {
+        let wire = encode(5, &payloads);
+        let short = &wire[..cut.index(wire.len())];
+        // Decoding the truncated batch yields a prefix of the frames, then
+        // waits for more — never a panic, never a phantom frame.
+        let (mut pos, mut whole) = (0, 0usize);
+        while let Some(got) = decode_frame_at(short, &mut pos).unwrap() {
+            prop_assert_eq!(&got.payload.bytes[..], &payloads[whole].bytes[..]);
             whole += 1;
         }
-        prop_assert!(whole <= payloads.len());
+        prop_assert!(whole < payloads.len());
     }
 
     #[test]
@@ -102,19 +112,18 @@ proptest! {
     ) {
         let payloads: Vec<Payload> =
             bodies.into_iter().map(Payload::data).collect();
-        let mut wire = Vec::new();
-        let mut scratch = BytesMut::new();
-        write_batch(&mut wire, 5, &payloads, &mut scratch).unwrap();
+        let mut wire = encode(5, &payloads);
         let at = corrupt_at.index(wire.len());
         wire[at] = corrupt_to;
-        let mut cursor = std::io::Cursor::new(&wire[..]);
         // Smashed length prefixes / class bytes may poison the rest of the
-        // stream; each read must still end in Ok or Err, never a panic.
+        // stream; each decode must still end in Ok or Err, never a panic.
+        let mut pos = 0;
         for _ in 0..payloads.len() {
-            if read_frame(&mut cursor).is_err() {
+            if !matches!(decode_frame_at(&wire, &mut pos), Ok(Some(_))) {
                 break;
             }
         }
+        prop_assert!(pos <= wire.len());
     }
 
     #[test]

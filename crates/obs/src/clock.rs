@@ -3,7 +3,7 @@
 //!
 //! This module is the single place in the workspace where observability
 //! code may read the host clock: the deterministic sim stamps events with
-//! virtual time from its scheduler, while `TcpEndpoint`/`MemoryEndpoint`
+//! virtual time from its scheduler, while `ReactorEndpoint`/`MemoryEndpoint`
 //! stamp with a [`MonoClock`]. The `sdso-check` wall-clock lint scopes
 //! `crates/obs` and allowlists exactly this file.
 

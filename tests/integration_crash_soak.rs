@@ -120,7 +120,7 @@ fn crash_experiment_is_deterministic_across_replays() {
 /// (their process vanishes without a goodbye), the hub's reactor surfaces
 /// peer-down events and the membership layer derives exactly the dead
 /// nodes as the leave set.
-#[cfg(target_os = "linux")]
+#[cfg(unix)]
 #[test]
 fn reactor_abrupt_death_is_detected_as_a_leave() {
     use sdso_core::{leave_change_from_events, MembershipPlan};

@@ -18,7 +18,7 @@
 //! `SDSO_SHARD_TRACE` names a file, the merged flight-recorder trace is
 //! written there win or lose; the CI job uploads it on failure.
 
-#![cfg(target_os = "linux")]
+#![cfg(unix)]
 
 use sdso_core::{ObsSet, RetryConfig};
 use sdso_game::{run_node_with, NodeStats, Protocol, RunPlan, Scenario};

@@ -1,12 +1,14 @@
 //! Transport-equivalence tests: the same protocol code must behave
 //! identically (at the logical level) over in-process channels, a real TCP
-//! mesh, and the virtual-time simulator.
+//! mesh (the reactor), and the virtual-time simulator.
+
+#![cfg(unix)]
 
 use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime};
 use sdso_game::{run_node, Protocol, Scenario};
 use sdso_harness::transports::local_cluster;
 use sdso_net::memory::MemoryHub;
-use sdso_net::tcp::TcpMesh;
+use sdso_net::reactor::ReactorMesh;
 use sdso_net::{Endpoint, NetMetricsSnapshot, TransportKind};
 use sdso_protocols::Lookahead;
 use sdso_sim::{NetworkModel, SimCluster};
@@ -36,11 +38,12 @@ fn play_game<E: Endpoint + 'static>(
 fn game_outcome_is_identical_across_all_three_transports() {
     // The lookahead rendezvous are logically synchronous, so the *game*
     // (scores, modifications, message counts) must not depend on the
-    // transport's timing at all.
+    // transport's timing at all. The TCP mesh is built the way deployment
+    // and benchmark code build it: `local_cluster`, boxed endpoints.
     let scenario = Scenario::paper(3, 1).with_ticks(40);
 
     let memory = play_game(MemoryHub::new(3).into_endpoints(), &scenario);
-    let tcp = play_game(TcpMesh::local(3).unwrap(), &scenario);
+    let tcp = play_game(local_cluster(TransportKind, 3).unwrap(), &scenario);
 
     let sim_scenario = scenario.clone();
     let sim_outcome = SimCluster::new(3, NetworkModel::paper_testbed())
@@ -60,33 +63,22 @@ fn game_outcome_is_identical_across_all_three_transports() {
     assert_eq!(memory, sim, "memory vs simulator");
 }
 
-#[cfg(target_os = "linux")]
 #[test]
 fn game_outcome_is_identical_over_the_reactor() {
-    // The reactor multiplexes every peer behind one poll loop instead of
-    // spawning reader/writer threads, but at the logical level it must be
-    // indistinguishable from the other transports.
+    // The reactor multiplexes every peer behind one poll loop on the
+    // caller's thread, but at the logical level it must be
+    // indistinguishable from in-process channels — typed endpoints here,
+    // no boxing.
     let scenario = Scenario::paper(3, 1).with_ticks(40);
     let memory = play_game(MemoryHub::new(3).into_endpoints(), &scenario);
-    let reactor = play_game(sdso_net::reactor::ReactorMesh::local(3).unwrap(), &scenario);
+    let reactor = play_game(ReactorMesh::local(3).unwrap(), &scenario);
     assert_eq!(memory, reactor, "memory vs reactor");
-}
-
-#[test]
-fn config_selected_transport_runs_the_game() {
-    // The same path deployment code takes: DsoConfig names a TransportKind,
-    // the harness builds the cluster, the game neither knows nor cares.
-    let scenario = Scenario::paper(2, 1).with_ticks(20);
-    let config = DsoConfig::paper(); // platform-default transport
-    let via_config = play_game(local_cluster(config.transport, 2).unwrap(), &scenario);
-    let via_memory = play_game(MemoryHub::new(2).into_endpoints(), &scenario);
-    assert_eq!(via_config, via_memory);
 }
 
 #[test]
 fn tcp_mesh_supports_the_full_exchange_protocol() {
     let scenario = Scenario::paper(2, 1).with_ticks(25);
-    let results = play_game(TcpMesh::local(2).unwrap(), &scenario);
+    let results = play_game(ReactorMesh::local(2).unwrap(), &scenario);
     assert_eq!(results.len(), 2);
     for (_, mods, msgs) in results {
         assert!(mods > 0);
@@ -96,7 +88,7 @@ fn tcp_mesh_supports_the_full_exchange_protocol() {
 
 #[test]
 fn runtime_works_over_tcp_for_puts_and_gets() {
-    let mut endpoints = TcpMesh::local(2).unwrap();
+    let mut endpoints = ReactorMesh::local(2).unwrap();
     let b = endpoints.pop().unwrap();
     let a = endpoints.pop().unwrap();
 
@@ -119,7 +111,7 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
 
 #[test]
 fn metrics_agree_between_transports_for_identical_traffic() {
-    // Send the same frames over memory and TCP: counters must agree.
+    // Send the same frames over memory and the reactor: counters must agree.
     let run = |snapshotter: &dyn Fn() -> (NetMetricsSnapshot, NetMetricsSnapshot)| snapshotter();
 
     let memory = run(&|| {
@@ -133,7 +125,7 @@ fn metrics_agree_between_transports_for_identical_traffic() {
         (a.metrics(), b.metrics())
     });
     let tcp = run(&|| {
-        let mut eps = TcpMesh::local(2).unwrap();
+        let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         a.send(1, sdso_net::Payload::data(vec![0u8; 100]).with_wire_len(2048)).unwrap();
@@ -180,18 +172,11 @@ fn lookahead_over_tcp_matches_memory_visibility() {
         .into_iter()
         .map(|e| Box::new(e) as Box<dyn Endpoint + Send>)
         .collect();
-    let tcp = local_cluster(TransportKind::Tcp, 2).unwrap();
+    let tcp = local_cluster(TransportKind, 2).unwrap();
 
     let mut via_mem = game(mem);
     let mut via_tcp = game(tcp);
     via_mem.sort();
     via_tcp.sort();
     assert_eq!(via_mem, via_tcp);
-
-    #[cfg(target_os = "linux")]
-    {
-        let mut via_reactor = game(local_cluster(TransportKind::TcpReactor, 2).unwrap());
-        via_reactor.sort();
-        assert_eq!(via_mem, via_reactor);
-    }
 }
