@@ -40,6 +40,8 @@ mod experiment;
 mod figures;
 mod shard;
 mod table;
+#[cfg(test)]
+mod tcp;
 pub mod transports;
 mod wire;
 

@@ -45,6 +45,27 @@ fn reactor_cluster(_n: usize) -> Result<Vec<BoxedTransport>, NetError> {
 mod tests {
     use super::*;
 
+    /// The cluster's endpoints are `Send`: each can move to a thread of its
+    /// own, and since a link makes progress inside its owner's calls, two
+    /// owners on two threads still carry an echo both ways.
+    #[cfg(unix)]
+    #[test]
+    fn threaded_cluster_builds_and_echoes() {
+        let mut eps = local_cluster(TransportKind, 2).unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let echo = std::thread::spawn(move || {
+            let got = b.recv().unwrap();
+            assert_eq!(got.from, 0);
+            b.send(got.from, got.payload).unwrap();
+        });
+        a.send(1, sdso_net::Payload::control(vec![9u8])).unwrap();
+        let got = a.recv().unwrap();
+        assert_eq!(got.from, 1);
+        assert_eq!(&got.payload.bytes[..], &[9u8]);
+        echo.join().unwrap();
+    }
+
     #[cfg(unix)]
     #[test]
     fn reactor_cluster_builds_and_echoes() {

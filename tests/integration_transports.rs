@@ -76,6 +76,17 @@ fn game_outcome_is_identical_over_the_reactor() {
 }
 
 #[test]
+fn config_selected_transport_runs_the_game() {
+    // The same path deployment and benchmark code take: the one
+    // `TransportKind` (so `DsoConfig` no longer names it), the harness
+    // builds the cluster, the game neither knows nor cares.
+    let scenario = Scenario::paper(2, 1).with_ticks(20);
+    let via_default = play_game(local_cluster(TransportKind, 2).unwrap(), &scenario);
+    let via_memory = play_game(MemoryHub::new(2).into_endpoints(), &scenario);
+    assert_eq!(via_default, via_memory);
+}
+
+#[test]
 fn tcp_mesh_supports_the_full_exchange_protocol() {
     let scenario = Scenario::paper(2, 1).with_ticks(25);
     let results = play_game(ReactorMesh::local(2).unwrap(), &scenario);
