@@ -293,7 +293,8 @@ impl<E: Endpoint> Session<E> {
     /// when the link negotiated v2, else the data half (omitted when empty)
     /// and a `Sync`; this process's codec offer in front while it is still
     /// owed — two or more messages as one batched transport write. Content,
-    /// order and accounting are those of [`Session::send`] per message.
+    /// order and accounting are those of [`Session::send`] per message
+    /// ([`Session::send_all`]).
     pub(crate) fn send_rendezvous(
         &mut self,
         peer: NodeId,
@@ -317,6 +318,13 @@ impl<E: Endpoint> Session<E> {
         } else {
             msgs.push(DsoMessage::Sync { epoch, time });
         }
+        self.send_all(peer, msgs)
+    }
+
+    /// Sends `msgs` to `peer` in order, two or more as one batched transport
+    /// write. Content, order and accounting are those of [`Session::send`]
+    /// per message.
+    pub(crate) fn send_all(&mut self, peer: NodeId, msgs: Vec<DsoMessage>) -> Result<(), DsoError> {
         if msgs.len() < 2 {
             return msgs.into_iter().try_for_each(|msg| self.send(peer, msg));
         }
