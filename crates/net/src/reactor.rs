@@ -25,6 +25,10 @@
 //! (without polling), so a caller that only retries sends still sees the
 //! reconnect or the exhausted budget. The one thread an endpoint starts is
 //! its dialer, which keeps a blocking `connect` off the owner's thread.
+//! A receive that has to wait spins on non-blocking turns for a few tens of
+//! microseconds before it parks in `poll`, so a prompt reply does not pay
+//! for waking a parked thread; a wait that outlasts the window turns the
+//! spin off until a wait ends inside it again.
 //!
 //! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
@@ -71,6 +75,10 @@ const TOKEN_PENDING_BASE: u64 = 1 << 32;
 const READ_CHUNK: usize = 64 * 1024;
 /// Bytes of queued payloads coalesced into one write buffer per refill.
 const WRITE_COALESCE_BUDGET: usize = 256 * 1024;
+/// How long a receive keeps running non-blocking turns before it parks in
+/// `poll`. A parked thread woken on an idle CPU costs about half a loopback
+/// round trip; a reply that lands inside this window skips that wake-up.
+const SPIN_MICROS: u64 = 50;
 
 /// Timeout, backoff, keepalive, and queue-budget tuning for a
 /// [`ReactorEndpoint`].
@@ -484,6 +492,7 @@ impl ReactorEndpoint {
             peer_events: Vec::new(),
             events: Vec::new(),
             chunk: vec![0; READ_CHUNK].into_boxed_slice(),
+            spin: true,
             metrics: NetMetrics::new(),
         };
         Ok(ReactorEndpoint { reactor, dialer: Some(dialer), recorder: Recorder::disabled() })
@@ -726,6 +735,9 @@ struct Reactor {
     events: Vec<Ready>,
     /// Read scratch shared by every connection, allocated once.
     chunk: Box<[u8]>,
+    /// Whether the next wait spins before it parks: cleared by a wait that
+    /// outlasted [`SPIN_MICROS`], set by one that ended inside it.
+    spin: bool,
     metrics: NetMetrics,
 }
 
@@ -787,18 +799,48 @@ impl Reactor {
     /// Turns until the inbox has a message or `deadline` (µs on the
     /// reactor's clock; `None`: never) has passed — and at least once, so a
     /// deadline already due still polls without blocking.
+    ///
+    /// A wait (empty inbox, deadline not yet due) spins for up to
+    /// [`SPIN_MICROS`], never past `deadline`, before it parks in `poll`,
+    /// unless the previous wait outlasted the window; how long this one
+    /// takes decides whether the next one spins. A deadline already due
+    /// (`try_recv`) neither spins nor moves the flag.
     fn next_incoming(&mut self, deadline: Option<u64>) -> Result<Option<Incoming>, NetError> {
-        let mut polled = false;
+        if let Some(msg) = self.inbox.pop_front() {
+            return msg.map(Some);
+        }
+        let start = self.clock.micros();
+        if deadline.is_some_and(|at| at <= start) {
+            self.turn(Some(Duration::ZERO))?;
+            return self.inbox.pop_front().transpose();
+        }
+        let mut polled = self.spin;
+        if self.spin {
+            let window = start + SPIN_MICROS;
+            self.spin_until(deadline.map_or(window, |at| at.min(window)))?;
+        }
         loop {
-            if let Some(msg) = self.inbox.pop_front() {
-                return msg.map(Some);
-            }
-            let left = deadline.map(|at| at.saturating_sub(self.clock.micros()));
-            if polled && left == Some(0) {
-                return Ok(None);
+            let now = self.clock.micros();
+            let left = deadline.map(|at| at.saturating_sub(now));
+            if !self.inbox.is_empty() || (polled && left == Some(0)) {
+                self.spin = now - start < SPIN_MICROS;
+                return self.inbox.pop_front().transpose();
             }
             self.turn(left.map(Duration::from_micros))?;
             polled = true;
+        }
+    }
+
+    /// Runs non-blocking turns, yielding the CPU between them, until the
+    /// inbox has a message or the reactor's clock reaches `until`; at least
+    /// one turn. sdso-check: hot-path
+    fn spin_until(&mut self, until: u64) -> Result<(), NetError> {
+        loop {
+            self.turn(Some(Duration::ZERO))?;
+            if !self.inbox.is_empty() || self.clock.micros() >= until {
+                return Ok(());
+            }
+            std::thread::yield_now();
         }
     }
 
@@ -1513,6 +1555,68 @@ mod tests {
             .unwrap()
             .expect("message arrives within the deadline");
         assert_eq!(&got.payload.bytes[..], b"late");
+    }
+
+    /// The spin never runs past the caller's deadline: a timeout a fifth of
+    /// the window returns after about that timeout, well short of the
+    /// window (half of it, since the clock counts whole microseconds). Best
+    /// of several calls, so a preempted one does not count.
+    #[test]
+    fn a_timeout_shorter_than_the_spin_window_bounds_the_spin() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let _b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let timeout = SPIN_MICROS / 5;
+        let mut fastest = Duration::MAX;
+        for _ in 0..20 {
+            a.reactor.spin = true;
+            let called = Instant::now();
+            assert!(a.recv_deadline(SimSpan::from_micros(timeout)).unwrap().is_none());
+            fastest = fastest.min(called.elapsed());
+        }
+        assert!(
+            fastest < Duration::from_micros(SPIN_MICROS / 2),
+            "a {timeout} us timeout took at least {fastest:?}: the spin ran past its deadline"
+        );
+    }
+
+    #[test]
+    fn try_recv_on_an_empty_inbox_does_not_spin() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let _b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        let mut fastest = Duration::MAX;
+        for _ in 0..20 {
+            let called = Instant::now();
+            assert!(a.try_recv().unwrap().is_none());
+            fastest = fastest.min(called.elapsed());
+        }
+        assert!(fastest < Duration::from_micros(SPIN_MICROS / 2), "try_recv spun: {fastest:?}");
+        assert!(a.reactor.spin, "a try_recv is not a wait and leaves the flag set");
+        a.reactor.spin = false;
+        assert!(a.try_recv().unwrap().is_none());
+        assert!(!a.reactor.spin, "a try_recv is not a wait and leaves the flag clear");
+    }
+
+    /// The adaptive rule, read off the flag: a wait that outlasts the
+    /// window parks the next one at once; a wait that ends inside it (a
+    /// frame already in the socket) re-arms the spin. Retried, because a
+    /// preempted short wait may outlast the window too.
+    #[test]
+    fn a_long_wait_clears_the_spin_and_a_short_wait_rearms_it() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        assert!(b.reactor.spin, "a fresh endpoint spins");
+        assert!(b.recv_deadline(SimSpan::from_millis(5)).unwrap().is_none());
+        assert!(!b.reactor.spin, "a wait that outlasted the window clears the flag");
+        let rearmed = (0..20u8).any(|i| {
+            a.send(1, Payload::data(vec![i])).unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(b.recv().unwrap().payload.bytes[..], [i]);
+            b.reactor.spin
+        });
+        assert!(rearmed, "a wait that ended inside the window re-arms the spin");
     }
 
     #[test]

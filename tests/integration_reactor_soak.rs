@@ -30,6 +30,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Sender};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -40,6 +41,17 @@ use sdso_obs::{EventKind, MonoClock, ObsSet, TraceConfig, THREAD_ROLE_WORKER};
 /// Pings a spoke keeps in flight: enough to keep every spoke's traffic
 /// moving at once without serialising on round trips.
 const WINDOW: u32 = 4;
+
+/// Held by each wall-clock contract below while it times, so that neither
+/// times the other's threads. The test harness runs them side by side; on
+/// a two-CPU host the round trip's spinning receivers then took the
+/// 256-spoke ratio as low as 0.87, and the soak's busy CPUs spared the
+/// blocking socket pair its idle-CPU wake-ups.
+static TIMING: Mutex<()> = Mutex::new(());
+
+fn timing_alone() -> MutexGuard<'static, ()> {
+    TIMING.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One spoke's ping body: spoke id + sequence number, echoed verbatim by
 /// the hub.
@@ -282,14 +294,16 @@ fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
 /// peer. Same host, same process, the two stars back to back at 256 spokes x
 /// 100 pings, best of three each — a fresh ratio, which travels across hosts
 /// where a wall-clock number does not: the reactor sustains at least 0.9 of
-/// the thread-per-peer rate. Measured 1.14–1.34 against
-/// [`thread_per_peer_soak`]; the `epoll` reactor this one replaced read
+/// the thread-per-peer rate. Measured 1.19–1.56 against
+/// [`thread_per_peer_soak`] (1.14–1.34 before receives spun before
+/// parking); the `epoll` reactor this one replaced read
 /// 0.92–1.31 against it and 1.32–1.57 against the deleted thread-per-peer
 /// transport, which this hub outruns by 1.1–1.5×.
 #[test]
 #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
 fn contract_reactor_sustains_the_thread_per_peer_rate() {
     const N: usize = 256 + 1;
+    let _alone = timing_alone();
     let obs = ObsSet::new(N as u16, TraceConfig::counters());
     let (mut reactor, mut threaded) = (Duration::MAX, Duration::MAX);
     for _ in 0..3 {
@@ -304,18 +318,19 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
     assert!(ratio >= 0.9, "the reactor sustains only {ratio:.2} of the thread-per-peer rate");
 }
 
-/// A message must not cost the reactor much more than it costs the socket
-/// under it. Two nodes on two threads bounce a 64-byte payload 20 000 times
-/// over `ReactorMesh::local(2)` and then over a plain `TCP_NODELAY`
-/// `TcpStream` pair doing `write_all` / `read_exact`, back to back in this
-/// process, best of three each — a fresh ratio: the reactor's round trip
-/// is at most twice the blocking pair's (measured 1.17–1.35× alone and
-/// 1.38–1.52× beside the 256-spoke contract; 1.11–1.25× alone on the
-/// `epoll` loop `poll(2)` replaced; 2.81–2.87× and 4.11–5.41× while the
+/// A message must not cost the reactor more than it costs the socket under
+/// it. Two nodes on two threads bounce a 64-byte payload 20 000 times over
+/// `ReactorMesh::local(2)` and then over a plain `TCP_NODELAY` `TcpStream`
+/// pair doing `write_all` / `read_exact`, back to back in this process,
+/// best of three each — a fresh ratio: the reactor's round trip is at most
+/// the blocking pair's. The reactor's receive spins briefly before it
+/// parks, so a prompt reply skips the wake-up of a parked thread that the
+/// blocking pair pays on every trip (measured 0.50–0.61×; 1.11–1.35×
+/// before the spin, when the contract allowed 2×; 2.81–2.87× while the
 /// poll loop ran on a thread of its own).
 #[test]
 #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
-fn contract_reactor_round_trip_is_within_2x_of_a_blocking_socket_pair() {
+fn contract_reactor_round_trip_is_no_slower_than_a_blocking_socket_pair() {
     const TRIPS: u32 = 20_000;
     const LEN: usize = 64;
 
@@ -364,6 +379,7 @@ fn contract_reactor_round_trip_is_within_2x_of_a_blocking_socket_pair() {
         took
     }
 
+    let _alone = timing_alone();
     let (mut reactor, mut pair) = (Duration::MAX, Duration::MAX);
     for _ in 0..3 {
         reactor = reactor.min(over_the_reactor());
@@ -377,5 +393,5 @@ fn contract_reactor_round_trip_is_within_2x_of_a_blocking_socket_pair() {
         micros(reactor),
         micros(pair)
     );
-    assert!(ratio <= 2.0, "a reactor round trip costs {ratio:.2}x a blocking socket pair's");
+    assert!(ratio <= 1.0, "a reactor round trip costs {ratio:.2}x a blocking socket pair's");
 }
