@@ -706,6 +706,7 @@ impl<E: Endpoint> EntryConsistency<E> {
                 return Ok(());
             }
         }
+        let mut out = Vec::new();
         match msg {
             EcMessage::Acquire { object, mode, epoch: _ } => {
                 let me = self.runtime.node_id();
@@ -713,37 +714,25 @@ impl<E: Endpoint> EntryConsistency<E> {
                 if lock.queue.is_empty() && lock.compatible(mode) {
                     lock.add_holder(from, mode);
                     let (owner, version) = (lock.owner, lock.version);
-                    let mut out = Vec::new();
                     self.deliver_grant(from, object, owner, version, &mut out);
-                    self.send_runs(out)?;
                 } else {
                     lock.queue.push_back((from, mode));
                 }
-                Ok(())
             }
             EcMessage::Release { object, modified, version } => {
-                let mut out = Vec::new();
                 self.local_release(object, from, modified, version, &mut out);
-                self.send_runs(out)
             }
             EcMessage::Grant { object, owner, version } => {
                 self.granted.insert(object, (owner, version));
-                Ok(())
             }
-            EcMessage::Done => {
-                self.dones_seen += 1;
-                Ok(())
-            }
+            EcMessage::Done => self.dones_seen += 1,
             EcMessage::State { object, version, bytes } => {
                 let diff = Diff::single(0, bytes);
                 self.runtime.apply_remote(object, &diff, version)?;
-                Ok(())
             }
-            EcMessage::SyncDone { epoch: _ } => {
-                self.sync_dones_seen += 1;
-                Ok(())
-            }
+            EcMessage::SyncDone { epoch: _ } => self.sync_dones_seen += 1,
         }
+        self.send_runs(out)
     }
 
     /// Acquire when this process is the manager: grant immediately when
