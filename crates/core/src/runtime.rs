@@ -1256,30 +1256,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.session.send(peer, DsoMessage::App { class, bytes })
     }
 
-    /// [`SdsoRuntime::send_app`] for several messages to one peer, in order,
-    /// as one batched transport write — unless reliability is configured.
-    /// Then each goes out on its own, as `send_app` would send it: the ARQ
-    /// times a frame's round trip from its sequencing, and a batch
-    /// sequences every frame before the first is sent, which on the
-    /// simulator (where each send takes virtual time) would move every
-    /// reliability-on run.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    pub fn send_app_batch(
-        &mut self,
-        peer: NodeId,
-        class: MsgClass,
-        batch: Vec<Vec<u8>>,
-    ) -> Result<(), DsoError> {
-        if self.config.reliability.is_some() {
-            return batch.into_iter().try_for_each(|bytes| self.send_app(peer, class, bytes));
-        }
-        let msgs = batch.into_iter().map(|bytes| DsoMessage::App { class, bytes }).collect();
-        self.session.send_all(peer, msgs)
-    }
-
     /// Blocks until the next protocol-layer message arrives, servicing
     /// object traffic (`Put`, `GetReq`, `GetRep`, `Ack`) internally along
     /// the way.
