@@ -27,8 +27,11 @@
 //! its dialer, which keeps a blocking `connect` off the owner's thread.
 //! A receive that has to wait spins on non-blocking turns for a few tens of
 //! microseconds before it parks in `poll`, so a prompt reply does not pay
-//! for waking a parked thread; a wait that outlasts the window turns the
-//! spin off until a wait ends inside it again.
+//! for waking a parked thread; a wait that no message ends inside the
+//! window (a long wait or a timeout) turns the spin off until one does
+//! again. The flag sees only this endpoint's own waits, not what else
+//! wants the CPU: a spinner whose replies come back promptly keeps
+//! spinning on a CPU it shares with other threads.
 //!
 //! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
@@ -735,8 +738,8 @@ struct Reactor {
     events: Vec<Ready>,
     /// Read scratch shared by every connection, allocated once.
     chunk: Box<[u8]>,
-    /// Whether the next wait spins before it parks: cleared by a wait that
-    /// outlasted [`SPIN_MICROS`], set by one that ended inside it.
+    /// Whether the next wait spins before it parks: set by a wait that a
+    /// message ended inside [`SPIN_MICROS`], cleared by any other wait.
     spin: bool,
     metrics: NetMetrics,
 }
@@ -802,9 +805,10 @@ impl Reactor {
     ///
     /// A wait (empty inbox, deadline not yet due) spins for up to
     /// [`SPIN_MICROS`], never past `deadline`, before it parks in `poll`,
-    /// unless the previous wait outlasted the window; how long this one
-    /// takes decides whether the next one spins. A deadline already due
-    /// (`try_recv`) neither spins nor moves the flag.
+    /// unless the previous wait did not end with a message inside the
+    /// window: only a message that lands within [`SPIN_MICROS`] makes the
+    /// next wait spin, so a timeout, however short, parks the next one. A
+    /// deadline already due (`try_recv`) neither spins nor moves the flag.
     fn next_incoming(&mut self, deadline: Option<u64>) -> Result<Option<Incoming>, NetError> {
         if let Some(msg) = self.inbox.pop_front() {
             return msg.map(Some);
@@ -823,7 +827,7 @@ impl Reactor {
             let now = self.clock.micros();
             let left = deadline.map(|at| at.saturating_sub(now));
             if !self.inbox.is_empty() || (polled && left == Some(0)) {
-                self.spin = now - start < SPIN_MICROS;
+                self.spin = !self.inbox.is_empty() && now - start < SPIN_MICROS;
                 return self.inbox.pop_front().transpose();
             }
             self.turn(left.map(Duration::from_micros))?;
@@ -1599,9 +1603,10 @@ mod tests {
     }
 
     /// The adaptive rule, read off the flag: a wait that outlasts the
-    /// window parks the next one at once; a wait that ends inside it (a
-    /// frame already in the socket) re-arms the spin. Retried, because a
-    /// preempted short wait may outlast the window too.
+    /// window parks the next one at once; a wait that a message ends inside
+    /// it (a frame already in the socket) re-arms the spin; a wait that
+    /// times out inside it, with nothing arriving, clears it again.
+    /// Retried, because a preempted short wait may outlast the window too.
     #[test]
     fn a_long_wait_clears_the_spin_and_a_short_wait_rearms_it() {
         let mut eps = ReactorMesh::local(2).unwrap();
@@ -1617,6 +1622,8 @@ mod tests {
             b.reactor.spin
         });
         assert!(rearmed, "a wait that ended inside the window re-arms the spin");
+        assert!(b.recv_deadline(SimSpan::from_micros(SPIN_MICROS / 5)).unwrap().is_none());
+        assert!(!b.reactor.spin, "a short wait that timed out clears the flag");
     }
 
     #[test]

@@ -43,10 +43,16 @@ use sdso_obs::{EventKind, MonoClock, ObsSet, TraceConfig, THREAD_ROLE_WORKER};
 const WINDOW: u32 = 4;
 
 /// Held by each wall-clock contract below while it times, so that neither
-/// times the other's threads. The test harness runs them side by side; on
-/// a two-CPU host the round trip's spinning receivers then took the
-/// 256-spoke ratio as low as 0.87, and the soak's busy CPUs spared the
-/// blocking socket pair its idle-CPU wake-ups.
+/// times the other's threads. The lock hides a real cost, recorded here:
+/// the reactor's receive spins up to 50 µs per wait before it parks, and
+/// its adaptive flag watches only how long its own waits take, not what
+/// else wants the CPU — so receivers whose replies come back promptly keep
+/// spinning on CPUs they share. Side by side, unlocked, on a two-CPU host
+/// (ten runs of CI's `contracts` command), the round trip's spinning
+/// receivers slowed the 256 reactor spokes to a ratio of 0.87–1.57, one run
+/// below the 0.9 floor, against 0.97–1.38 side by side before the spin; the
+/// soak's busy CPUs in turn spared the blocking socket pair its idle-CPU
+/// wake-ups, putting the round trip ratio at 1.05–1.66.
 static TIMING: Mutex<()> = Mutex::new(());
 
 fn timing_alone() -> MutexGuard<'static, ()> {
