@@ -300,7 +300,7 @@ fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
 /// peer. Same host, same process, the two stars back to back at 256 spokes x
 /// 100 pings, best of three each — a fresh ratio, which travels across hosts
 /// where a wall-clock number does not: the reactor sustains at least 0.9 of
-/// the thread-per-peer rate. Measured 1.19–1.56 against
+/// the thread-per-peer rate. Measured 1.12–1.65 against
 /// [`thread_per_peer_soak`] (1.14–1.34 before receives spun before
 /// parking); the `epoll` reactor this one replaced read
 /// 0.92–1.31 against it and 1.32–1.57 against the deleted thread-per-peer
@@ -331,7 +331,7 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
 /// best of three each — a fresh ratio: the reactor's round trip is at most
 /// the blocking pair's. The reactor's receive spins briefly before it
 /// parks, so a prompt reply skips the wake-up of a parked thread that the
-/// blocking pair pays on every trip (measured 0.50–0.61×; 1.11–1.35×
+/// blocking pair pays on every trip (measured 0.50–0.62×; 1.11–1.35×
 /// before the spin, when the contract allowed 2×; 2.81–2.87× while the
 /// poll loop ran on a thread of its own).
 #[test]
