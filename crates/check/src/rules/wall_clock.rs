@@ -30,11 +30,10 @@ const PATTERNS: &[(&str, &str)] = &[
     ("SystemTime", "net::time::SimInstant"),
     ("UNIX_EPOCH", "net::time::SimInstant"),
     ("thread::sleep", "Endpoint::advance (virtual time)"),
-    ("thread_rng", "a seeded PRNG (rand::rngs::SmallRng equivalent)"),
-    ("OsRng", "a seeded PRNG"),
+    ("thread_rng", "a seeded `sdso_net::DetRng`"),
+    ("OsRng", "a seeded `sdso_net::DetRng`"),
     ("from_entropy", "a fixed or plan-provided seed"),
-    ("getrandom", "a seeded PRNG"),
-    ("rand::random", "a seeded PRNG"),
+    ("getrandom", "a seeded `sdso_net::DetRng`"),
 ];
 
 /// True if `rel_path` is governed by this rule.

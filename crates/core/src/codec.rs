@@ -691,7 +691,7 @@ mod proptests {
             blob in proptest::collection::vec(any::<u8>(), 0..256),
         ) {
             use crate::wire::DsoMessage;
-            let (epoch, time) = (sdso_member::Epoch(0), LogicalTime::from_ticks(1));
+            let (epoch, time) = (crate::membership::Epoch(0), LogicalTime::from_ticks(1));
             let fused = DsoMessage::Data2 { epoch, time, basis: 0, blob, sync: true };
             // The flag byte follows the tag.
             let mut frame = sdso_net::wire::encode(&fused).to_vec();

@@ -74,6 +74,7 @@ mod diff;
 mod dirty;
 mod error;
 mod exchange_list;
+mod membership;
 mod metrics;
 mod object;
 mod router;
@@ -91,13 +92,13 @@ pub use diff::Diff;
 pub use dirty::DirtyRanges;
 pub use error::DsoError;
 pub use exchange_list::ExchangeList;
+pub use membership::{
+    leave_change_from_events, Epoch, MemberError, MembershipPlan, MembershipView, ViewChange,
+};
 pub use metrics::DsoMetrics;
 pub use object::{ObjectId, Version};
 pub use router::{DiffRouter, RouteAll};
 pub use runtime::{Event, ExchangeReport, SdsoRuntime, SendMode};
-pub use sdso_member::{
-    leave_change_from_events, Epoch, MemberError, MembershipPlan, MembershipView, ViewChange,
-};
 pub use sdso_obs::{text_histogram_dump, Obs, ObsSet};
 pub use sfunction::{EveryTick, Never, SFunction};
 pub use slotted_buffer::{PendingUpdate, SlottedBuffer};

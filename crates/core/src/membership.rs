@@ -2,7 +2,7 @@
 //!
 //! The paper fixes the process group at startup: `share()` is called once
 //! and the exchange list (Fig. 2) and slotted buffer (Fig. 3) are sized for
-//! a static cluster. This crate adds the vocabulary for groups that change
+//! a static cluster. This module adds the vocabulary for groups that change
 //! at runtime:
 //!
 //! * [`MembershipView`] — the current group: an [`Epoch`] number plus the
@@ -18,12 +18,10 @@
 //!   are applied at identical logical times everywhere and runs replay
 //!   bit-identically.
 //!
-//! The runtime layers on top: `sdso-core` tags every rendezvous message
-//! with the epoch it was computed under and rejects cross-epoch traffic at
-//! its view-change barrier; late joiners reach a consistent state via an
+//! The runtime layers on top: it tags every rendezvous message with the
+//! epoch it was computed under and rejects cross-epoch traffic at its
+//! view-change barrier; late joiners reach a consistent state via an
 //! object snapshot transfer instead of full-history replay.
-
-#![warn(missing_docs)]
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -1,7 +1,7 @@
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use sdso_member::{leave_change_from_events, Epoch, MembershipView, ViewChange};
+use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
 use sdso_net::{Endpoint, MsgClass, NodeId, PeerEvent, SimSpan};
 use sdso_obs::{EventKind, Obs};
 

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use sdso_member::{Epoch, MembershipView};
+use crate::membership::{Epoch, MembershipView};
 use sdso_net::{Endpoint, Incoming, NetError, NodeId, Payload, SimInstant, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
@@ -795,8 +795,8 @@ mod tests {
     use super::*;
     use crate::config::WireConfig;
     use crate::diff::Diff;
+    use crate::membership::ViewChange;
     use crate::object::Version;
-    use sdso_member::ViewChange;
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
     use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass, NetMetricsSnapshot};
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -5,7 +5,7 @@
 //! consistency's lock traffic, LRC's write notices, …) travel inside the
 //! [`DsoMessage::App`] escape hatch so that one framing layer serves all.
 
-use sdso_member::Epoch;
+use crate::membership::Epoch;
 use sdso_net::wire::{Wire, WireReader, WireWriter};
 use sdso_net::{MsgClass, NetError, Payload};
 

@@ -9,7 +9,7 @@
 //! events lets every existing churn-aware runner execute a crash scenario
 //! unchanged.
 
-use sdso_member::{MembershipPlan, ViewChange};
+use sdso_core::{MembershipPlan, ViewChange};
 use sdso_net::{FaultPlan, NodeId};
 
 /// Derives the [`MembershipPlan`] that realises `plan`'s crash events

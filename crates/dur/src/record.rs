@@ -2,84 +2,12 @@
 //!
 //! Each [`DurRecord`] is one committed fact a process journals before
 //! acting on it: its identity and epoch, tick-frontier advances, local
-//! object writes, opaque application checkpoints, and replicated
-//! lock-manager commands. The codec is self-contained (tag byte +
-//! little-endian fields) so a record decodes without any schema outside
-//! this module; an undecodable payload is treated like tail corruption by
-//! the store — replay stops there.
+//! object writes and opaque application checkpoints. The codec is
+//! self-contained (tag byte + little-endian fields) so a record decodes
+//! without any schema outside this module; an undecodable payload is
+//! treated like tail corruption by the store — replay stops there.
 
 use sdso_net::NodeId;
-
-/// A replicated lock-manager command — the unit of quorum log
-/// replication and the lock-flavoured WAL record payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LockCmd {
-    /// `lock` was granted to `to`.
-    Grant {
-        /// The lock's object id.
-        lock: u32,
-        /// The grantee.
-        to: NodeId,
-    },
-    /// `lock` was released by `from`.
-    Release {
-        /// The lock's object id.
-        lock: u32,
-        /// The releasing holder.
-        from: NodeId,
-    },
-    /// `lock` moved from `from` to `to` without an intervening release
-    /// (entry consistency's interval transfer).
-    Transfer {
-        /// The lock's object id.
-        lock: u32,
-        /// Previous holder.
-        from: NodeId,
-        /// New holder.
-        to: NodeId,
-    },
-}
-
-impl LockCmd {
-    /// The lock this command concerns.
-    pub fn lock(&self) -> u32 {
-        match *self {
-            LockCmd::Grant { lock, .. }
-            | LockCmd::Release { lock, .. }
-            | LockCmd::Transfer { lock, .. } => lock,
-        }
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            LockCmd::Grant { lock, to } => {
-                out.push(0);
-                out.extend_from_slice(&lock.to_le_bytes());
-                out.extend_from_slice(&u32::from(to).to_le_bytes());
-            }
-            LockCmd::Release { lock, from } => {
-                out.push(1);
-                out.extend_from_slice(&lock.to_le_bytes());
-                out.extend_from_slice(&u32::from(from).to_le_bytes());
-            }
-            LockCmd::Transfer { lock, from, to } => {
-                out.push(2);
-                out.extend_from_slice(&lock.to_le_bytes());
-                out.extend_from_slice(&u32::from(from).to_le_bytes());
-                out.extend_from_slice(&u32::from(to).to_le_bytes());
-            }
-        }
-    }
-
-    fn decode_from(r: &mut Reader<'_>) -> Option<LockCmd> {
-        match r.u8()? {
-            0 => Some(LockCmd::Grant { lock: r.u32()?, to: r.node()? }),
-            1 => Some(LockCmd::Release { lock: r.u32()?, from: r.node()? }),
-            2 => Some(LockCmd::Transfer { lock: r.u32()?, from: r.node()?, to: r.node()? }),
-            _ => None,
-        }
-    }
-}
 
 /// One committed fact in a process's write-ahead log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,23 +51,14 @@ pub enum DurRecord {
         /// The encoded state.
         bytes: Vec<u8>,
     },
-    /// A replicated lock-manager log entry (term + index locate it in the
-    /// quorum log).
-    Lock {
-        /// Election term the entry was appended under.
-        term: u64,
-        /// 1-based position in the quorum log.
-        index: u64,
-        /// The replicated command.
-        cmd: LockCmd,
-    },
 }
 
 const TAG_IDENT: u8 = 1;
 const TAG_TICK: u8 = 2;
 const TAG_WRITE: u8 = 3;
 const TAG_APP: u8 = 4;
-const TAG_LOCK: u8 = 5;
+// Tag 5 is retired (old logs may hold replicated lock-manager entries
+// under it): it decodes to `None` like any unknown tag. Do not reuse it.
 
 impl DurRecord {
     /// The record's wire tag (also the `WalAppend` event operand).
@@ -149,7 +68,6 @@ impl DurRecord {
             DurRecord::Tick { .. } => TAG_TICK,
             DurRecord::Write { .. } => TAG_WRITE,
             DurRecord::App { .. } => TAG_APP,
-            DurRecord::Lock { .. } => TAG_LOCK,
         }
     }
 
@@ -179,11 +97,6 @@ impl DurRecord {
                 out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
                 out.extend_from_slice(bytes);
             }
-            DurRecord::Lock { term, index, cmd } => {
-                out.extend_from_slice(&term.to_le_bytes());
-                out.extend_from_slice(&index.to_le_bytes());
-                cmd.encode_into(&mut out);
-            }
         }
         out
     }
@@ -191,7 +104,7 @@ impl DurRecord {
     /// Decodes a WAL payload; `None` on any malformed input (the store
     /// treats that as corruption and stops replay).
     pub fn decode(payload: &[u8]) -> Option<DurRecord> {
-        let mut r = Reader { data: payload, pos: 0 };
+        let mut r = Reader::new(payload);
         let rec = match r.u8()? {
             TAG_IDENT => DurRecord::Ident { node: r.node()?, epoch: r.u32()? },
             TAG_TICK => DurRecord::Tick { time: r.u64()?, lamport: r.u64()? },
@@ -208,27 +121,29 @@ impl DurRecord {
                 let bytes = r.bytes()?;
                 DurRecord::App { tag, bytes }
             }
-            TAG_LOCK => {
-                let term = r.u64()?;
-                let index = r.u64()?;
-                DurRecord::Lock { term, index, cmd: LockCmd::decode_from(&mut r)? }
-            }
             _ => return None,
         };
-        if r.pos == payload.len() {
-            Some(rec)
-        } else {
-            None
-        }
+        r.end(rec)
     }
 }
 
+/// A bounds-checked little-endian cursor; every read is `None` past the
+/// end of the input.
 pub(crate) struct Reader<'a> {
-    pub(crate) data: &'a [u8],
-    pub(crate) pos: usize,
+    data: &'a [u8],
+    pos: usize,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
+    pub(crate) fn new(data: &'a [u8]) -> Self {
+        Reader { data, pos: 0 }
+    }
+
+    /// `value` if the whole input was consumed, else `None`.
+    pub(crate) fn end<T>(self, value: T) -> Option<T> {
+        (self.pos == self.data.len()).then_some(value)
+    }
+
     pub(crate) fn u8(&mut self) -> Option<u8> {
         let b = *self.data.get(self.pos)?;
         self.pos += 1;
@@ -262,6 +177,7 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn samples() -> Vec<DurRecord> {
         vec![
@@ -269,13 +185,6 @@ mod tests {
             DurRecord::Tick { time: 42, lamport: 99 },
             DurRecord::Write { object: 5, offset: 16, bytes: vec![1, 2, 3], stamp: 8, writer: 2 },
             DurRecord::App { tag: 9, bytes: b"state".to_vec() },
-            DurRecord::Lock { term: 2, index: 11, cmd: LockCmd::Grant { lock: 4, to: 1 } },
-            DurRecord::Lock { term: 3, index: 12, cmd: LockCmd::Release { lock: 4, from: 1 } },
-            DurRecord::Lock {
-                term: 3,
-                index: 13,
-                cmd: LockCmd::Transfer { lock: 4, from: 1, to: 2 },
-            },
         ]
     }
 
@@ -298,5 +207,66 @@ mod tests {
         }
         assert_eq!(DurRecord::decode(&[]), None);
         assert_eq!(DurRecord::decode(&[200]), None, "unknown tag");
+        // A lock entry as tag 5 used to write it: term, index, then a
+        // grant of lock 4 to node 1.
+        let mut retired = vec![5];
+        retired.extend_from_slice(&2u64.to_le_bytes());
+        retired.extend_from_slice(&11u64.to_le_bytes());
+        retired.push(0);
+        retired.extend_from_slice(&4u32.to_le_bytes());
+        retired.extend_from_slice(&1u32.to_le_bytes());
+        assert_eq!(DurRecord::decode(&retired), None, "tag 5 is retired");
+    }
+
+    /// A record of every kind, built from raw fields.
+    fn record(kind: u8, a: u16, b: u32, c: u64, bytes: Vec<u8>) -> DurRecord {
+        match kind {
+            0 => DurRecord::Ident { node: a, epoch: b },
+            1 => DurRecord::Tick { time: c, lamport: c ^ u64::from(b) },
+            2 => DurRecord::Write { object: b, offset: u32::from(a), bytes, stamp: c, writer: a },
+            _ => DurRecord::App { tag: a as u8, bytes },
+        }
+    }
+
+    /// The decoder's contract on any input: it never panics, and whatever
+    /// it accepts re-encodes to exactly the bytes it was given (so no
+    /// payload with retired tag 5 is accepted).
+    fn check_decode(input: &[u8]) -> Result<(), TestCaseError> {
+        if let Some(rec) = DurRecord::decode(input) {
+            prop_assert_eq!(rec.encode(), input.to_vec(), "accepted {:?}", rec);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_payloads_decode_canonically_or_not_at_all(
+            tag in 0u8..=6,
+            body in proptest::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let mut input = vec![tag];
+            input.extend_from_slice(&body);
+            check_decode(&input)?;
+        }
+
+        #[test]
+        fn damaged_records_decode_canonically_or_not_at_all(
+            (kind, a, b, c) in (0u8..4, any::<u16>(), any::<u32>(), any::<u64>()),
+            bytes in proptest::collection::vec(any::<u8>(), 0..16),
+            pos_permille in 0u64..1000,
+            flip in any::<u8>(),
+            cut in any::<bool>(),
+        ) {
+            let mut input = record(kind, a, b, c, bytes).encode();
+            let pos = (input.len() * pos_permille as usize) / 1000;
+            if cut {
+                input.truncate(pos);
+            } else {
+                input[pos] ^= flip;
+            }
+            check_decode(&input)?;
+        }
     }
 }

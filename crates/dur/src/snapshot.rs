@@ -83,7 +83,7 @@ impl SnapshotImage {
         if crc32(body) != crc {
             return None;
         }
-        let mut r = Reader { data: body, pos: 0 };
+        let mut r = Reader::new(body);
         let node = r.node()?;
         let epoch = r.u32()?;
         let time = r.u64()?;
@@ -98,10 +98,7 @@ impl SnapshotImage {
             objects.push(SnapObject { id, stamp, writer, body });
         }
         let app = r.bytes()?;
-        if r.pos != body.len() {
-            return None;
-        }
-        Some(SnapshotImage { node, epoch, time, lamport, objects, app })
+        r.end(SnapshotImage { node, epoch, time, lamport, objects, app })
     }
 }
 

@@ -210,7 +210,6 @@ impl<S: CommitSink> DurStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LockCmd;
     use crate::snapshot::SnapObject;
 
     fn write(object: u32, stamp: u64) -> DurRecord {
@@ -287,15 +286,5 @@ mod tests {
         let (_, rec) = DurStore::from_bytes(wal, snap).unwrap();
         assert_eq!(rec.app_state(0), Some(b"new".as_slice()));
         assert_eq!(rec.app_state(1), None, "unknown tag: snapshot app is tag-0 only");
-    }
-
-    #[test]
-    fn lock_records_survive_with_the_rest() {
-        let mut store = DurStore::in_memory();
-        let lock = DurRecord::Lock { term: 1, index: 1, cmd: LockCmd::Grant { lock: 3, to: 0 } };
-        store.append(&lock).unwrap();
-        let (wal, snap) = store.into_bytes();
-        let (_, rec) = DurStore::from_bytes(wal, snap).unwrap();
-        assert_eq!(rec.records, vec![lock]);
     }
 }

@@ -5,10 +5,8 @@
 //! "For all cases, we use the same random seed value to place the teams of
 //! tanks in the shared environment."
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sdso_core::{RetryConfig, WireConfig};
-use sdso_net::{NodeId, SimSpan};
+use sdso_net::{DetRng, NodeId, SimSpan};
 
 use crate::block::{Block, MIN_BLOCK_BYTES};
 use crate::world::{Grid, Pos};
@@ -225,11 +223,12 @@ impl Scenario {
             pos.manhattan(self.goal()) <= 2 || starts.iter().any(|&s| pos.manhattan(s) <= 2)
         };
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let place = |world: &mut Vec<Block>, rng: &mut StdRng, block: Block| {
+        let mut rng = DetRng::new(self.seed);
+        let place = |world: &mut Vec<Block>, rng: &mut DetRng, block: Block| {
             for _ in 0..10_000 {
-                let pos =
-                    Pos::new(rng.gen_range(0..self.grid.width), rng.gen_range(0..self.grid.height));
+                let x = rng.up_to(u64::from(self.grid.width) - 1) as u16;
+                let y = rng.up_to(u64::from(self.grid.height) - 1) as u16;
+                let pos = Pos::new(x, y);
                 let idx = self.grid.object_at(pos).0 as usize;
                 if world[idx] == Block::Empty && !reserved(pos) {
                     world[idx] = block;
@@ -245,7 +244,7 @@ impl Scenario {
             place(&mut world, &mut rng, Block::Bomb);
         }
         for _ in 0..self.bonuses {
-            let points = rng.gen_range(5..=25);
+            let points = 5 + rng.up_to(20) as u8;
             place(&mut world, &mut rng, Block::Bonus { points });
         }
         world

@@ -317,9 +317,8 @@ mod tests {
 
     #[test]
     fn cached_schedules_equal_the_uncached_definition_and_scan_once_per_store_state() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         use sdso_core::{Diff, ObjectId, Version};
+        use sdso_net::DetRng;
 
         let s = Scenario::paper(16, 1);
         let mut store = ObjectStore::new();
@@ -335,7 +334,7 @@ mod tests {
         };
         let mut at: Vec<Pos> = s.starts();
         let (mut msync, mut msync2) = (Msync::new(0, s.clone()), Msync2::new(3, s.clone()));
-        let mut rng = StdRng::seed_from_u64(0x5F_CAC4E);
+        let mut rng = DetRng::new(0x5F_CAC4E);
         let mut lamport = 0u64;
         let mut applied_steps = 0u64;
 
@@ -343,18 +342,18 @@ mod tests {
             // One tank moves to a free neighbouring cell — or, every
             // eighth step, dies back to its spawn — and the two cells
             // reach the store one of four ways.
-            let team = rng.gen_range(0..16u16);
+            let team = rng.up_to(15) as u16;
             let from = at[usize::from(team)];
             let to = if step % 8 == 7 {
                 s.start_of(team)
             } else {
-                let dir = crate::world::Direction::ALL[rng.gen_range(0..4usize)];
+                let dir = crate::world::Direction::ALL[rng.up_to(3) as usize];
                 from.step(dir, s.grid).unwrap_or(from)
             };
             if to == from || at.contains(&to) {
                 continue;
             }
-            let how = rng.gen_range(0..4u8);
+            let how = rng.up_to(3) as u8;
             let stale = how == 3;
             for (pos, block) in [(from, Block::Empty), (to, tank(team))] {
                 lamport += 1;

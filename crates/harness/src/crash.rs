@@ -7,7 +7,8 @@
 //! rejoin with their pre-crash identity. The experiment reports the
 //! recovery statistics the durability layer is gated on — recovery count,
 //! WAL records replayed, and the summed virtual absence (downtime) per
-//! process — alongside the usual convergence check over the final view.
+//! process — alongside the survivors' mean tick and the usual convergence
+//! check over the final view.
 
 use sdso_game::{Protocol, RunPlan, Scenario};
 use sdso_net::{FaultPlan, NetError, SimSpan};
@@ -54,6 +55,7 @@ pub fn crash_table(
             "recoveries",
             "wal_replayed",
             "downtime_ms",
+            "tick_ms",
             "cross_epoch",
             "snapshots",
             "converged",
@@ -69,11 +71,16 @@ pub fn crash_table(
             summary.per_node.iter().fold(SimSpan::ZERO, |acc, s| acc + s.recovery_time);
         let cross_epoch: u64 = summary.per_node.iter().map(|s| s.dso.cross_epoch_dropped).sum();
         let snapshots: u64 = summary.per_node.iter().map(|s| s.dso.snapshots_sent).sum();
+        // Node 0 is the snapshot donor and never crashes, so its mean tick
+        // is the survivors' pace: the yardstick for `downtime_ms`.
+        let tick_ms =
+            summary.per_node[0].exec_time.as_micros() as f64 / 1000.0 / scenario.ticks as f64;
         table.push_row(vec![
             protocol.name().to_owned(),
             recoveries.to_string(),
             wal_replayed.to_string(),
             format!("{:.2}", downtime.as_micros() as f64 / 1000.0),
+            format!("{tick_ms:.2}"),
             cross_epoch.to_string(),
             snapshots.to_string(),
             if converged_in(&summary, &final_view) { "yes".to_owned() } else { "NO".to_owned() },
@@ -124,5 +131,9 @@ mod tests {
         let text = table.to_string();
         assert!(text.contains("BSYNC") && text.contains("EC"));
         assert!(text.contains("yes"), "both runs converge:\n{text}");
+        let tick_col = table.headers.iter().position(|h| h == "tick_ms").unwrap();
+        for row in &table.rows {
+            assert!(row[tick_col].parse::<f64>().unwrap() > 0.0, "survivors tick:\n{text}");
+        }
     }
 }

@@ -25,7 +25,7 @@ pub enum PeerEvent {
 /// An endpoint belongs to exactly one node of a fixed-size cluster and can
 /// exchange [`Payload`]s with every other node. Three implementations exist:
 ///
-/// * [`memory::MemoryEndpoint`](crate::memory::MemoryEndpoint) — crossbeam
+/// * [`memory::MemoryEndpoint`](crate::memory::MemoryEndpoint) — `std` mpsc
 ///   channels, real threads, wall-clock time;
 /// * `reactor::ReactorEndpoint` — a real TCP mesh driven by one `poll(2)`
 ///   loop per endpoint (every unix), the moral equivalent of the original

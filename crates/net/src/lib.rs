@@ -74,3 +74,13 @@ pub use transport::TransportKind;
 // Observability vocabulary, re-exported so transports implementing
 // [`Endpoint::attach_recorder`] need not depend on `sdso-obs` directly.
 pub use sdso_obs::{EventKind, EventRecord, Recorder, TraceConfig, TraceMode};
+
+/// The guard from a `Mutex::lock` or `Condvar::wait`, even when another
+/// thread panicked while holding the lock.
+///
+/// A panic on one thread must not cascade into every thread that shares
+/// the lock (the simulator still has to mark a panicked node done); the
+/// panic itself is reported where its thread is joined.
+pub fn unpoisoned<G>(result: std::sync::LockResult<G>) -> G {
+    result.unwrap_or_else(std::sync::PoisonError::into_inner)
+}

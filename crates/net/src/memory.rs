@@ -1,13 +1,13 @@
-//! In-process transport backed by crossbeam channels.
+//! In-process transport backed by `std::sync::mpsc` channels.
 //!
 //! Every node of a [`MemoryHub`] runs on its own OS thread; message delivery
 //! is immediate (no modelled latency). This transport is the workhorse for
 //! unit and property tests of protocol logic; timing-sensitive evaluation
 //! uses the virtual-time simulator instead.
 
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::Instant;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use sdso_obs::{EventKind, Recorder};
 
 use crate::endpoint::{check_peer, Endpoint, NodeId, PeerEvent};
@@ -46,7 +46,7 @@ impl MemoryHub {
         assert!(n <= usize::from(NodeId::MAX), "cluster too large");
         let start = Instant::now();
         let channels: Vec<(Sender<Incoming>, Receiver<Incoming>)> =
-            (0..n).map(|_| unbounded()).collect();
+            (0..n).map(|_| channel()).collect();
         let senders: Vec<Sender<Incoming>> = channels.iter().map(|(s, _)| s.clone()).collect();
         let endpoints = channels
             .into_iter()
@@ -184,7 +184,6 @@ impl Endpoint for MemoryEndpoint {
     }
 
     fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
-        use crossbeam::channel::RecvTimeoutError;
         let before = self.now();
         match self.rx.recv_timeout(std::time::Duration::from_micros(timeout.as_micros())) {
             Ok(msg) => {

@@ -294,7 +294,7 @@ impl NetMetrics {
     /// this instead. The delta baseline is shared by clones.
     pub fn snapshot_delta(&self) -> NetMetricsSnapshot {
         let now = self.snapshot();
-        let mut last = self.last.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut last = crate::unpoisoned(self.last.lock());
         let delta = now.saturating_delta(&last);
         *last = now;
         delta

@@ -12,11 +12,11 @@
 //! hoarded.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use bytes::{Bytes, BytesMut};
+
+use crate::unpoisoned;
 
 /// Default cap on pooled buffers (per pool).
 pub const DEFAULT_MAX_BUFFERS: usize = 64;
@@ -74,7 +74,7 @@ impl BufPool {
 
     /// Takes a cleared buffer from the freelist, allocating if it is empty.
     pub fn get(&self) -> BytesMut {
-        let recycled = self.free.lock().pop();
+        let recycled = unpoisoned(self.free.lock()).pop();
         match recycled {
             Some(mut buf) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -95,7 +95,7 @@ impl BufPool {
             self.discards.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        let mut free = self.free.lock();
+        let mut free = unpoisoned(self.free.lock());
         if free.len() >= self.max_buffers {
             self.discards.fetch_add(1, Ordering::Relaxed);
             return;
@@ -117,7 +117,7 @@ impl BufPool {
 
     /// Buffers currently parked in the freelist.
     pub fn idle(&self) -> usize {
-        self.free.lock().len()
+        unpoisoned(self.free.lock()).len()
     }
 
     /// Cumulative hit/miss/return/discard counts.

@@ -47,11 +47,11 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sdso_obs::{EventKind, MonoClock, Recorder, THREAD_ROLE_DIALER};
 
 use crate::deadline::{Backoff, DeadlineQueue};
@@ -453,8 +453,8 @@ impl ReactorEndpoint {
                 }
             });
         }
-        let (dial_tx, dial_rx) = unbounded();
-        let (results_tx, results_rx) = unbounded();
+        let (dial_tx, dial_rx) = channel();
+        let (results_tx, results_rx) = channel();
         let dialer = spawn_dialer(id, dial_rx, results_tx, waker.clone(), tuning.connect_timeout);
         let clock = MonoClock::new();
         let mut timers = DeadlineQueue::new();

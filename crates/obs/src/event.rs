@@ -74,12 +74,10 @@ pub enum EventKind {
     /// A crashed process finished local recovery and is rejoining.
     /// `(node, epoch, records_replayed)`.
     Recover = 24,
-    /// A quorum replica won a leader election. `(replica, term, 0)`.
-    ElectionWon = 25,
 }
 
 /// Number of distinct event kinds (size of the per-kind counter array).
-pub const KIND_COUNT: usize = 26;
+pub const KIND_COUNT: usize = 25;
 
 /// `ThreadSpawn`/`ThreadJoin` role operand: a transport dialer thread.
 /// (Role 1, a reactor poll thread, is retired: recorded logs may hold it.)
@@ -116,7 +114,6 @@ impl EventKind {
         EventKind::WalAppend,
         EventKind::WalReplay,
         EventKind::Recover,
-        EventKind::ElectionWon,
     ];
 
     /// Stable lower-case name used by exporters and dumps.
@@ -147,7 +144,6 @@ impl EventKind {
             EventKind::WalAppend => "wal_append",
             EventKind::WalReplay => "wal_replay",
             EventKind::Recover => "recover",
-            EventKind::ElectionWon => "election_won",
         }
     }
 }

@@ -247,16 +247,6 @@ pub fn chrome_trace(nodes: &[(u16, Vec<EventRecord>)]) -> String {
                     &mut out,
                     &mut first,
                 ),
-                EventKind::ElectionWon => emit(
-                    instant(
-                        tid,
-                        "election_won",
-                        ev.at,
-                        &format!("\"replica\":{},\"term\":{}", ev.a, ev.b),
-                    ),
-                    &mut out,
-                    &mut first,
-                ),
                 // Like Send/Recv, per-access object events dominate volume
                 // without adding visual information; the race checker reads
                 // them from the event log instead.

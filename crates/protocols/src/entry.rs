@@ -264,41 +264,6 @@ impl EcMetrics {
     }
 }
 
-/// A pluggable lock-manager placement policy: maps an object to a
-/// placement key, and the manager becomes the live member at
-/// `key mod |members|` (ascending node-id order).
-///
-/// The default (no policy) is the paper's even spread, `key = object id`.
-/// A *region-aware* policy maps every object of one spatial region to the
-/// same key (e.g. `sdso_shard::RegionLattice::region_of_object`), so a
-/// lockset of adjacent cells talks to one or two managers instead of
-/// scattering across the cluster — the manager-placement analogue of the
-/// region sharding the lookahead family gets from interest routing.
-///
-/// Every process of a cluster must install the same policy: both the
-/// requester and the manager evaluate it, and a disagreement strands lock
-/// requests at a process that does not consider itself the manager.
-#[derive(Clone)]
-pub struct Placement(std::sync::Arc<dyn Fn(ObjectId) -> u32 + Send + Sync>);
-
-impl Placement {
-    /// Wraps a placement-key function.
-    pub fn new(f: impl Fn(ObjectId) -> u32 + Send + Sync + 'static) -> Self {
-        Placement(std::sync::Arc::new(f))
-    }
-
-    /// The placement key of `object`.
-    pub fn key(&self, object: ObjectId) -> u32 {
-        (self.0)(object)
-    }
-}
-
-impl std::fmt::Debug for Placement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Placement(..)")
-    }
-}
-
 /// One process of an entry-consistent application.
 ///
 /// The typical iteration mirrors the paper's game loop:
@@ -311,12 +276,6 @@ impl std::fmt::Debug for Placement {
 #[derive(Debug)]
 pub struct EntryConsistency<E: Endpoint> {
     runtime: SdsoRuntime<E>,
-    /// Manager-placement policy; `None` is the paper's `object mod n`.
-    placement: Option<Placement>,
-    /// Manager-route overrides: statically placed manager → the process
-    /// actually serving its lock duties (a replica group's current
-    /// leader). Single-hop, applied after placement.
-    route: BTreeMap<NodeId, NodeId>,
     managed: BTreeMap<ObjectId, ManagedLock>,
     /// Grants received but not yet consumed by `acquire`.
     granted: BTreeMap<ObjectId, (NodeId, Version)>,
@@ -338,8 +297,6 @@ impl<E: Endpoint> EntryConsistency<E> {
     pub fn new(runtime: SdsoRuntime<E>) -> Self {
         EntryConsistency {
             runtime,
-            placement: None,
-            route: BTreeMap::new(),
             managed: BTreeMap::new(),
             granted: BTreeMap::new(),
             held: BTreeMap::new(),
@@ -358,58 +315,17 @@ impl<E: Endpoint> EntryConsistency<E> {
         (object.0 % n as u32) as NodeId
     }
 
-    /// Installs a manager-[`Placement`] policy. Must be called before the
-    /// first acquire, with the identical policy on every process.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = Some(placement);
-        self
-    }
-
     /// The manager of `object` under the current membership view: the live
-    /// members sorted ascending, indexed by the object's placement key
-    /// (its raw id without a [`Placement`] policy) `mod |members|`. With
-    /// the full static group and no policy this reduces to the paper's
-    /// `object mod n`; under churn the mapping re-distributes manager
-    /// duty over exactly the processes that exist.
+    /// members sorted ascending, indexed by `object mod |members|`. With
+    /// the full static group this is the paper's `object mod n`; under
+    /// churn the mapping re-distributes manager duty over exactly the
+    /// processes that exist.
     pub fn manager_of_view(&self, object: ObjectId) -> NodeId {
         let members = self.runtime.membership().members();
-        let key = match &self.placement {
-            Some(p) => p.key(object),
-            None => object.0,
-        };
-        let idx = key as usize % members.len();
+        let idx = object.0 as usize % members.len();
         // The index is in range by construction; a view always contains at
         // least this process, so the fallback cannot be reached.
-        let placed = members.iter().copied().nth(idx).unwrap_or_else(|| self.runtime.node_id());
-        self.route.get(&placed).copied().unwrap_or(placed)
-    }
-
-    /// Redirects lock traffic for every object statically placed at
-    /// `placed` toward `leader` (`None` clears the override). This is how
-    /// a crash-tolerant deployment keeps EC's lock RPCs pointed at a
-    /// replica group's *current* leader: placement stays static, the
-    /// route table follows elections.
-    ///
-    /// Like [`Placement`], every process must install the same routes —
-    /// both the requester and the serving process evaluate
-    /// [`EntryConsistency::manager_of_view`], and a disagreement strands
-    /// lock requests at a process that does not consider itself the
-    /// manager. Routes are single-hop: a redirect's target is used as-is,
-    /// never re-looked-up.
-    pub fn set_manager_route(&mut self, placed: NodeId, leader: Option<NodeId>) {
-        match leader {
-            Some(to) => {
-                self.route.insert(placed, to);
-            }
-            None => {
-                self.route.remove(&placed);
-            }
-        }
-    }
-
-    /// The installed manager-route overrides.
-    pub fn manager_routes(&self) -> &BTreeMap<NodeId, NodeId> {
-        &self.route
+        members.iter().copied().nth(idx).unwrap_or_else(|| self.runtime.node_id())
     }
 
     /// The underlying runtime (object reads, metrics).
@@ -952,60 +868,6 @@ mod tests {
         assert_eq!(nodes[0].manager_of_view(ObjectId(1)), 2);
         assert_eq!(nodes[0].manager_of_view(ObjectId(2)), 3);
         assert_eq!(nodes[0].manager_of_view(ObjectId(3)), 0);
-    }
-
-    #[test]
-    fn manager_route_overrides_follow_the_leader() {
-        // A replica group's election moves lock duty off the statically
-        // placed manager: the route table redirects exactly that node's
-        // objects, composes with placement and the view, and clears back.
-        let mut nodes = cluster(4, 4);
-        let node = &mut nodes[0];
-        assert_eq!(node.manager_of_view(ObjectId(1)), 1);
-        assert_eq!(node.manager_of_view(ObjectId(5)), 1);
-        node.set_manager_route(1, Some(3));
-        assert_eq!(node.manager_of_view(ObjectId(1)), 3, "redirected to the leader");
-        assert_eq!(node.manager_of_view(ObjectId(5)), 3, "every object placed at 1 follows");
-        assert_eq!(node.manager_of_view(ObjectId(2)), 2, "other managers untouched");
-        // Single-hop: a route whose target is itself rerouted is not
-        // chased (3 -> 0 does not turn 1's traffic toward 0).
-        node.set_manager_route(3, Some(0));
-        assert_eq!(node.manager_of_view(ObjectId(1)), 3);
-        node.set_manager_route(1, None);
-        node.set_manager_route(3, None);
-        assert_eq!(node.manager_of_view(ObjectId(1)), 1, "cleared routes restore placement");
-        assert!(node.manager_routes().is_empty());
-    }
-
-    #[test]
-    fn region_placement_colocates_adjacent_lock_managers() {
-        // With the region lattice as placement policy, every cell of a
-        // region shares one manager, so a lockset of adjacent cells talks
-        // to one or two managers instead of scattering `object mod n`.
-        let lattice = sdso_shard::RegionLattice::paper();
-        let mut nodes = cluster(4, 4);
-        let node = nodes
-            .pop()
-            .unwrap()
-            .with_placement(Placement::new(move |obj| u32::from(lattice.region_of_object(obj).0)));
-        let cell = |x: u32, y: u32| ObjectId(y * 32 + x);
-        // Cells (0,0), (7,0) and (7,7) all sit in region 0 — one manager —
-        // where the default policy would scatter them over three nodes.
-        assert_eq!(node.manager_of_view(cell(0, 0)), node.manager_of_view(cell(7, 0)));
-        assert_eq!(node.manager_of_view(cell(0, 0)), node.manager_of_view(cell(7, 7)));
-        // Manager duty still spreads over the whole cluster: the paper
-        // lattice's 12 regions cover all four nodes under `region mod 4`.
-        let managers: BTreeSet<NodeId> = (0..u32::from(lattice.regions()))
-            .map(|r| node.manager_of_view(cell((r % 4) * 8, (r / 4) * 8)))
-            .collect();
-        assert_eq!(managers, BTreeSet::from([0, 1, 2, 3]));
-        // And the mapping still follows the membership view: with node 1
-        // absent, region keys index the sorted members {0, 2, 3}.
-        let mut node = node;
-        let view = sdso_core::MembershipView::initial(4, [0, 2, 3]).unwrap();
-        node.runtime_mut().set_membership(view);
-        assert_eq!(node.manager_of_view(cell(8, 0)), 2, "region 1 -> members[1 % 3]");
-        assert_eq!(node.manager_of_view(cell(16, 0)), 3, "region 2 -> members[2 % 3]");
     }
 
     #[test]

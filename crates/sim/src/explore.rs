@@ -17,10 +17,9 @@
 
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-use sdso_net::NodeId;
+use sdso_net::{unpoisoned, NodeId};
 
 /// One deliverable message at a choice point: the earliest pending message
 /// from one sender whose arrival time has been reached.
@@ -80,13 +79,13 @@ impl ReplayOracle {
 
     /// The choice points encountered so far, in global virtual-time order.
     pub fn trace(&self) -> Vec<ChoicePoint> {
-        self.record.lock().clone()
+        unpoisoned(self.record.lock()).clone()
     }
 }
 
 impl DeliveryOracle for ReplayOracle {
     fn choose(&self, receiver: NodeId, candidates: &[Candidate]) -> usize {
-        let mut rec = self.record.lock();
+        let mut rec = unpoisoned(self.record.lock());
         let i = rec.len();
         let choice = self.preset.get(i).copied().unwrap_or(0).min(candidates.len() - 1);
         rec.push(ChoicePoint {

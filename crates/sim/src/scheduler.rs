@@ -10,11 +10,12 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-use parking_lot::{Condvar, Mutex};
 use sdso_net::fault::Verdict;
-use sdso_net::{FaultInjector, Incoming, NetError, NodeId, Payload, SimInstant, SimSpan};
+use sdso_net::{
+    unpoisoned, FaultInjector, Incoming, NetError, NodeId, Payload, SimInstant, SimSpan,
+};
 
 use crate::explore::{Candidate, DeliveryOracle};
 use crate::model::NetworkModel;
@@ -247,18 +248,18 @@ impl Scheduler {
 
     /// Installs a fault injector; call before any node starts running.
     pub(crate) fn set_faults(&self, injector: FaultInjector) {
-        self.state.lock().injector = Some(injector);
+        unpoisoned(self.state.lock()).injector = Some(injector);
     }
 
     /// Installs a delivery-choice oracle; call before any node starts
     /// running.
     pub(crate) fn set_oracle(&self, oracle: Arc<dyn DeliveryOracle>) {
-        self.state.lock().oracle = Some(oracle);
+        unpoisoned(self.state.lock()).oracle = Some(oracle);
     }
 
     /// The number of nodes this scheduler serves.
     pub(crate) fn num_nodes(&self) -> usize {
-        self.state.lock().nodes.len()
+        unpoisoned(self.state.lock()).nodes.len()
     }
 
     /// Wakes exactly the node that now holds the virtual-time minimum.
@@ -300,24 +301,23 @@ impl Scheduler {
     /// Blocks until `id` is the minimal-time node (or the run deadlocked).
     fn wait_turn<'a>(
         &'a self,
-        st: &mut parking_lot::MutexGuard<'a, State>,
+        mut st: MutexGuard<'a, State>,
         id: usize,
-    ) -> Result<(), NetError> {
+    ) -> Result<MutexGuard<'a, State>, NetError> {
         loop {
             if let Some(d) = &st.deadlock {
                 return Err(NetError::Deadlock(d.clone()));
             }
             if st.is_min(id) {
-                return Ok(());
+                return Ok(st);
             }
-            self.cvs[id].wait(st);
+            st = unpoisoned(self.cvs[id].wait(st));
         }
     }
 
     /// Models local computation: advances `id`'s clock by `dt`.
     pub(crate) fn advance(&self, id: usize, dt: SimSpan) -> Result<(), NetError> {
-        let mut st = self.state.lock();
-        self.wait_turn(&mut st, id)?;
+        let mut st = self.wait_turn(unpoisoned(self.state.lock()), id)?;
         st.nodes[id].clock += dt.as_micros();
         self.wake_min(&mut st);
         Ok(())
@@ -325,7 +325,7 @@ impl Scheduler {
 
     /// Current clock of `id` in microseconds.
     pub(crate) fn now(&self, id: usize) -> u64 {
-        self.state.lock().nodes[id].clock
+        unpoisoned(self.state.lock()).nodes[id].clock
     }
 
     /// Sends `payload` from `id` to `to` under the network model.
@@ -340,8 +340,7 @@ impl Scheduler {
         to: usize,
         payload: Payload,
     ) -> Result<Option<Verdict>, NetError> {
-        let mut st = self.state.lock();
-        self.wait_turn(&mut st, id)?;
+        let mut st = self.wait_turn(unpoisoned(self.state.lock()), id)?;
         let wire_len = payload.wire_len();
         let seq = st.next_seq;
         st.next_seq += 1;
@@ -399,7 +398,7 @@ impl Scheduler {
     /// Returns the message plus the span the node spent blocked (arrival
     /// time minus the clock at call time, clamped to zero).
     pub(crate) fn recv(&self, id: usize) -> Result<(Incoming, SimSpan), NetError> {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         let entry_clock = st.nodes[id].clock;
         loop {
             if let Some(d) = st.deadlock.clone() {
@@ -438,7 +437,7 @@ impl Scheduler {
                 self.wake_min(&mut st);
                 return Err(NetError::Deadlock(diag));
             }
-            self.cvs[id].wait(&mut st);
+            st = unpoisoned(self.cvs[id].wait(st));
         }
     }
 
@@ -455,7 +454,7 @@ impl Scheduler {
         id: usize,
         timeout: SimSpan,
     ) -> Result<(Option<Incoming>, SimSpan), NetError> {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         let entry_clock = st.nodes[id].clock;
         let deadline = entry_clock + timeout.as_micros();
         st.nodes[id].deadline = Some(deadline);
@@ -497,15 +496,14 @@ impl Scheduler {
                 self.wake_min(&mut st);
                 return Ok((None, timeout));
             }
-            self.cvs[id].wait(&mut st);
+            st = unpoisoned(self.cvs[id].wait(st));
         }
     }
 
     /// Receives a message only if one has already arrived at `id`'s current
     /// clock; never advances past other nodes' earlier events.
     pub(crate) fn try_recv(&self, id: usize) -> Result<Option<Incoming>, NetError> {
-        let mut st = self.state.lock();
-        self.wait_turn(&mut st, id)?;
+        let mut st = self.wait_turn(unpoisoned(self.state.lock()), id)?;
         let node = &st.nodes[id];
         let due = node.inbox.peek().is_some_and(|Reverse(e)| e.deliver_at <= node.clock);
         if !due {
@@ -521,7 +519,7 @@ impl Scheduler {
 
     /// Marks `id` finished (its closure returned or panicked).
     pub(crate) fn mark_done(&self, id: usize) {
-        let mut st = self.state.lock();
+        let mut st = unpoisoned(self.state.lock());
         st.nodes[id].status = Status::Done;
         // A finish can expose a deadlock among the remaining nodes;
         // wake_min detects the no-next-event case and flags it.
