@@ -1779,6 +1779,85 @@ mod tests {
         drop(b);
     }
 
+    /// How the runtime under test meets the raw peers' input.
+    #[derive(Debug, Clone, Copy)]
+    enum Wait {
+        /// A multicast exchange at tick 1 in which only peer 1 is due.
+        Rendezvous,
+        /// A pull-mode wait for the next protocol-layer message.
+        RecvApp,
+    }
+
+    /// A name, how the runtime waits, what the raw peers send it, and what
+    /// the error must say.
+    type Case = (&'static str, Wait, Vec<(NodeId, DsoMessage)>, &'static str);
+
+    #[test]
+    fn peer_input_that_breaks_the_rendezvous_rules_is_rejected_loudly() {
+        let (epoch, past, now) = (Epoch::ZERO, LogicalTime::ZERO, LogicalTime::from_ticks(1));
+        let data = |time| DsoMessage::Data { epoch, time, updates: vec![] };
+        let sync = |time| DsoMessage::Sync { epoch, time };
+        let app = || DsoMessage::App { class: MsgClass::Control, bytes: vec![7] };
+        // Each row's offending input comes first; what follows it would
+        // end the wait cleanly, so a missing check fails instead of hanging.
+        let cases: [Case; 5] = [
+            (
+                "data stamped in the past",
+                Wait::Rendezvous,
+                vec![(1, data(past)), (1, sync(now))],
+                "data from 1 stamped 0 during rendezvous at 1",
+            ),
+            (
+                "SYNC stamped in the past",
+                Wait::Rendezvous,
+                vec![(1, sync(past)), (1, sync(now))],
+                "SYNC from 1 stamped 0 during rendezvous at 1",
+            ),
+            (
+                "SYNC from a peer that is not due",
+                Wait::Rendezvous,
+                vec![(2, sync(now)), (1, sync(now))],
+                "SYNC from 2 stamped 1 during rendezvous at 1",
+            ),
+            (
+                "app message during a rendezvous",
+                Wait::Rendezvous,
+                vec![(1, app()), (1, sync(now))],
+                "unexpected App",
+            ),
+            (
+                "SYNC reaching a pull-mode wait",
+                Wait::RecvApp,
+                vec![(1, sync(now)), (1, app())],
+                "rendezvous message from 1 outside an exchange",
+            ),
+        ];
+        for (name, wait, inputs, expected) in cases {
+            let mut eps = MemoryHub::new(3).into_endpoints();
+            let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
+            rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+            let mut only_peer_1 =
+                |peer: NodeId, now: LogicalTime, _: &ObjectStore| (peer == 1).then(|| now.plus(1));
+            rt.init_schedule(&mut only_peer_1).unwrap();
+            for (from, msg) in inputs {
+                let raw = &mut eps[usize::from(from) - 1];
+                raw.send(0, msg.into_payload(None)).unwrap();
+            }
+            let outcome = match wait {
+                Wait::Rendezvous => {
+                    rt.exchange(true, SendMode::Multicast, &mut only_peer_1).map(drop)
+                }
+                Wait::RecvApp => rt.recv_app().map(drop),
+            };
+            match outcome {
+                Err(DsoError::ProtocolViolation(why)) => {
+                    assert!(why.contains(expected), "{name}: {why}");
+                }
+                other => panic!("{name}: expected a protocol violation, got {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn unknown_object_write_rejected() {
         let mut runtimes = pair();
