@@ -564,7 +564,7 @@ fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
         tick = restart + 1;
     }
     let mut rt = la.into_runtime();
-    rt.exchange(true, SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
+    rt.exchange(SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
     rt.settle().map_err(NetError::from)?;
     snapshot(&rt, times)
 }
@@ -666,7 +666,7 @@ fn churn_lookahead_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetEr
         }
     }
     let mut rt = la.into_runtime();
-    rt.exchange(true, SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
+    rt.exchange(SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
     rt.settle().map_err(NetError::from)?;
     snapshot(&rt, times)
 }

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use sdso_net::{NetError, NodeId, SimSpan};
+use sdso_net::{NetError, NodeId};
 
 use crate::object::ObjectId;
 
@@ -45,17 +45,6 @@ pub enum DsoError {
         /// Frames held unacknowledged on the link.
         unacked: usize,
     },
-    /// A bounded rendezvous wait ran out of budget with peers still owing
-    /// their `(data, SYNC)` pair, and the caller had no membership-level
-    /// escalation left (e.g. removing them would empty the group). The
-    /// crash-tolerant protocols normally convert this condition into a
-    /// view change instead of surfacing it.
-    PeerUnresponsive {
-        /// The peers that never completed the rendezvous.
-        peers: Vec<NodeId>,
-        /// How long the bounded wait was willing to wait.
-        waited: SimSpan,
-    },
 }
 
 impl fmt::Display for DsoError {
@@ -74,9 +63,6 @@ impl fmt::Display for DsoError {
             }
             DsoError::WindowFull { peer, unacked } => {
                 write!(f, "send window to peer {peer} is full: {unacked} frames unacknowledged")
-            }
-            DsoError::PeerUnresponsive { peers, waited } => {
-                write!(f, "peers {peers:?} unresponsive after a {waited:?} bounded rendezvous")
             }
         }
     }

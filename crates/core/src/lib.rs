@@ -54,7 +54,7 @@
 //!         rt.init_schedule(&mut EveryTick)?;
 //!         let me = rt.node_id();
 //!         rt.write(ObjectId(u32::from(me)), 0, &[me as u8 + 1])?;
-//!         rt.exchange(true, SendMode::Multicast, &mut EveryTick)?;
+//!         rt.exchange(SendMode::Multicast, &mut EveryTick)?;
 //!         Ok((rt.read(ObjectId(0))?[0], rt.read(ObjectId(1))?[0]))
 //!     }));
 //! }
@@ -98,7 +98,7 @@ pub use membership::{
 pub use metrics::DsoMetrics;
 pub use object::{ObjectId, Version};
 pub use router::{DiffRouter, RouteAll};
-pub use runtime::{Event, ExchangeReport, SdsoRuntime, SendMode};
+pub use runtime::{ExchangeReport, SdsoRuntime, SendMode};
 pub use sdso_obs::{text_histogram_dump, Obs, ObsSet};
 pub use sfunction::{EveryTick, Never, SFunction};
 pub use slotted_buffer::{PendingUpdate, SlottedBuffer};

@@ -44,33 +44,6 @@ pub struct ExchangeReport {
     pub updates_applied: usize,
 }
 
-/// An event surfaced to code layered above the runtime by the message pump
-/// (`Put`/`GetReq` traffic is serviced internally and never surfaces).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// An [`DsoMessage::App`] message from a peer protocol layer.
-    App {
-        /// Sender.
-        from: NodeId,
-        /// Accounting class the sender declared.
-        class: MsgClass,
-        /// The embedded encoding.
-        bytes: Vec<u8>,
-    },
-    /// A `GetRep` arrived (and was already applied if newer).
-    GetRep {
-        /// Replier.
-        from: NodeId,
-        /// The object it carried.
-        object: ObjectId,
-    },
-    /// An acknowledgement of an earlier `sync_put`.
-    Ack {
-        /// Acknowledging peer.
-        from: NodeId,
-    },
-}
-
 #[derive(Debug, Default)]
 struct EarlyEntry {
     updates: Vec<WireUpdate>,
@@ -112,8 +85,8 @@ pub struct SdsoRuntime<E: Endpoint> {
     /// Rendezvous messages stamped in the logical future, buffered per
     /// (peer, time) until this process's clock reaches them.
     early: BTreeMap<(NodeId, LogicalTime), EarlyEntry>,
-    /// App messages received while waiting for something else.
-    app_inbox: VecDeque<(NodeId, MsgClass, Vec<u8>)>,
+    /// App messages received and not yet taken by `recv_app`.
+    app_inbox: VecDeque<(NodeId, Vec<u8>)>,
     /// `sync_put` acknowledgements received so far.
     acks_received: u64,
     /// The membership view every exchange is computed under. Starts as the
@@ -523,11 +496,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {
                     self.counters.cross_epoch_dropped.inc();
                 }
-                other => {
-                    if let Some(Event::App { from, class, bytes }) = self.dispatch(from, other)? {
-                        self.app_inbox.push_back((from, class, bytes));
-                    }
-                }
+                other => self.dispatch(from, other)?,
             }
         }
     }
@@ -731,21 +700,19 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     /// Performs one exchange: advances the logical clock, ships buffered
-    /// and current-interval updates to the due peers, optionally blocks
-    /// until those peers reciprocate (`resync`), and re-runs the s-function
-    /// to reschedule them.
-    ///
-    /// `resync` selects one of two *cluster-wide* disciplines: either every
-    /// process rendezvouses (`true`, the lookahead protocols) or every
-    /// process pushes and opportunistically drains (`false`). The two must
-    /// not be mixed against one peer — a pusher never replies with the
-    /// stamped pair a resync-mode peer waits for, and the engine rejects
-    /// the resulting logically-stale traffic loudly rather than hanging.
+    /// and current-interval updates to the due peers, blocks until those
+    /// peers reciprocate, and re-runs the s-function to reschedule them.
     ///
     /// This is the paper's
-    /// `exchange(shared_obj, resync_flag, how, s_func, arg)`; the Rust
-    /// API drops the first argument (the runtime already tracks every
-    /// modified object) and carries `arg` inside the s-function closure.
+    /// `exchange(shared_obj, resync_flag, how, s_func, arg)`. The Rust API
+    /// drops the first argument, because the runtime already tracks every
+    /// modified object, and `resync_flag`, because every protocol the paper
+    /// evaluates waits for its SYNCs. It carries `arg` inside the
+    /// s-function closure.
+    ///
+    /// The wait has no deadline of its own: with reliability on, the
+    /// session's [`DsoError::Timeout`] bounds it; with it off, only the
+    /// simulator's deadlock detection does.
     ///
     /// # Errors
     ///
@@ -755,46 +722,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// is not due, or a non-rendezvous message during the wait).
     pub fn exchange(
         &mut self,
-        resync: bool,
         how: SendMode,
         sfunc: &mut dyn SFunction,
     ) -> Result<ExchangeReport, DsoError> {
-        self.exchange_with_budget(resync, how, sfunc, None).map(|(report, _)| report)
-    }
-
-    /// [`SdsoRuntime::exchange`] with a bounded rendezvous wait: if the
-    /// due peers have not all reciprocated within `budget`, the still-owed
-    /// peers are declared unresponsive, the rendezvous completes without
-    /// them, and their ids are returned alongside the report.
-    ///
-    /// This is the crash-detection half of the MSYNC fix: the unbounded
-    /// rendezvous parks forever on a vanished peer, while the reliability
-    /// layer's retry budget is the wrong tool (it trips on *network*
-    /// silence, not on one peer's). The caller — normally a crash-aware
-    /// protocol layer — escalates a non-empty unresponsive set to the
-    /// membership layer as an abrupt leave rather than stalling the group.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`SdsoRuntime::exchange`]'s errors; budget exhaustion is a
-    /// report, not an error.
-    pub fn exchange_bounded(
-        &mut self,
-        resync: bool,
-        how: SendMode,
-        sfunc: &mut dyn SFunction,
-        budget: SimSpan,
-    ) -> Result<(ExchangeReport, Vec<NodeId>), DsoError> {
-        self.exchange_with_budget(resync, how, sfunc, Some(budget))
-    }
-
-    fn exchange_with_budget(
-        &mut self,
-        resync: bool,
-        how: SendMode,
-        sfunc: &mut dyn SFunction,
-        budget: Option<SimSpan>,
-    ) -> Result<(ExchangeReport, Vec<NodeId>), DsoError> {
         let started = self.now();
         let t = self.clock.tick();
 
@@ -877,17 +807,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             }
         }
 
-        let mut updates_applied = 0usize;
-        let mut unresponsive = Vec::new();
-        if resync && !due.is_empty() {
-            (updates_applied, unresponsive) = self.await_rendezvous(t, &due, budget)?;
-        } else if !resync {
-            // Push mode never blocks, but it must still *drain*: peers'
-            // pushed updates would otherwise accumulate unboundedly and
-            // never be applied. Application is version-gated, so arrival
-            // order does not matter.
-            updates_applied = self.drain_pushed()?;
-        }
+        let updates_applied = if due.is_empty() { 0 } else { self.await_rendezvous(t, &due)? };
 
         // Re-run the s-function for the peers just exchanged with.
         for &peer in &due {
@@ -916,50 +836,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
             updates_sent as u32,
             updates_applied as u32,
         );
-        Ok((ExchangeReport { time: t, peers: due, updates_sent, updates_applied }, unresponsive))
-    }
-
-    /// Non-blocking drain used by push-mode exchanges: applies every
-    /// already-arrived `Data` (last-writer-wins handles ordering) and
-    /// discards `SYNC` markers (push mode has no rendezvous to complete).
-    fn drain_pushed(&mut self) -> Result<usize, DsoError> {
-        let mut applied = 0usize;
-        while let Some((from, msg)) = self.session.recv_now(&self.store)? {
-            match msg {
-                DsoMessage::Data { epoch, updates, .. } => {
-                    if epoch < self.view.epoch() {
-                        self.counters.cross_epoch_dropped.inc();
-                    } else {
-                        applied += self.apply_updates(&updates)?;
-                    }
-                }
-                DsoMessage::Sync { .. } => {}
-                DsoMessage::SnapshotReq { .. } => {
-                    self.send_snapshot(from)?;
-                }
-                DsoMessage::Snapshot { .. } => {} // duplicate of an installed snapshot
-                other => {
-                    return Err(DsoError::ProtocolViolation(format!(
-                        "unexpected {other:?} from {from} during push-mode drain"
-                    )));
-                }
-            }
-        }
-        Ok(applied)
+        Ok(ExchangeReport { time: t, peers: due, updates_sent, updates_applied })
     }
 
     /// Blocks until every due peer's `(data, SYNC)` pair for tick `t` has
     /// arrived, applying updates as they come and buffering early traffic.
-    ///
-    /// With a `budget`, the whole wait is bounded: peers still owing their
-    /// pair when the budget runs out are returned as unresponsive (second
-    /// element) and the rendezvous completes without them.
-    fn await_rendezvous(
-        &mut self,
-        t: LogicalTime,
-        due: &[NodeId],
-        budget: Option<SimSpan>,
-    ) -> Result<(usize, Vec<NodeId>), DsoError> {
+    fn await_rendezvous(&mut self, t: LogicalTime, due: &[NodeId]) -> Result<usize, DsoError> {
         let mut applied = 0usize;
         let mut outstanding: BTreeSet<NodeId> = due.iter().copied().collect();
 
@@ -974,8 +856,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
 
         let wait_start = self.now();
-        let deadline = budget.map(|b| wait_start + b);
-        let mut unresponsive: Vec<NodeId> = Vec::new();
         self.obs.record(
             wait_start.as_micros(),
             EventKind::RendezvousWaitBegin,
@@ -984,21 +864,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             0,
         );
         while !outstanding.is_empty() {
-            let (from, msg) = match deadline {
-                None => self.session.recv(&self.store)?,
-                Some(d) => match self.session.recv_until(d, &self.store)? {
-                    Some(m) => m,
-                    None => {
-                        // Budget exhausted: whoever still owes a pair is
-                        // declared unresponsive and the rendezvous closes
-                        // without them. The caller escalates to the
-                        // membership layer (or errors) — the engine itself
-                        // must not invent a view change mid-exchange.
-                        unresponsive = outstanding.iter().copied().collect();
-                        break;
-                    }
-                },
-            };
+            let (from, msg) = self.session.recv(&self.store)?;
             // Cross-epoch traffic never errors the engine: residue from a
             // peer that has since left is dropped (and counted), traffic
             // from a peer that is an epoch ahead is buffered by its
@@ -1030,9 +896,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
                         )));
                     }
                 }
-                DsoMessage::SnapshotReq { .. } => {
-                    self.send_snapshot(from)?;
-                }
                 DsoMessage::Snapshot { .. } => {} // duplicate of an installed snapshot
                 other => {
                     return Err(DsoError::ProtocolViolation(format!(
@@ -1049,10 +912,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
             wait_end.as_micros(),
             EventKind::RendezvousWaitEnd,
             t.as_ticks() as u32,
-            unresponsive.len() as u32,
+            0,
             0,
         );
-        Ok((applied, unresponsive))
+        Ok(applied)
     }
 
     /// Buffers one half of a rendezvous pair stamped in the logical future
@@ -1153,11 +1016,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.file_early(from, time, None);
             }
             DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {}
-            other => {
-                if let Some(Event::App { from, class, bytes }) = self.dispatch(from, other)? {
-                    self.app_inbox.push_back((from, class, bytes));
-                }
-            }
+            other => self.dispatch(from, other)?,
         }
         Ok(())
     }
@@ -1199,19 +1058,15 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.session.send(peer, msg)?;
         let target = self.acks_received + 1;
         while self.acks_received < target {
-            match self.recv_event()? {
-                Event::App { from, class, bytes } => {
-                    self.app_inbox.push_back((from, class, bytes));
-                }
-                Event::Ack { .. } | Event::GetRep { .. } => {}
-            }
+            let (from, msg) = self.session.recv(&self.store)?;
+            self.dispatch(from, msg)?;
         }
         Ok(())
     }
 
     /// Requests an object's current body from `peer` without blocking
-    /// (`async_get`); the reply is applied whenever the message pump next
-    /// runs.
+    /// (`async_get`); the reply is applied whenever this runtime next
+    /// receives.
     ///
     /// # Errors
     ///
@@ -1231,12 +1086,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
     pub fn sync_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
         self.session.send(peer, DsoMessage::GetReq { object: id })?;
         loop {
-            match self.recv_event()? {
-                Event::GetRep { from, object } if from == peer && object == id => return Ok(()),
-                Event::App { from, class, bytes } => {
-                    self.app_inbox.push_back((from, class, bytes));
-                }
-                Event::GetRep { .. } | Event::Ack { .. } => {}
+            let (from, msg) = self.session.recv(&self.store)?;
+            let reply =
+                from == peer && matches!(msg, DsoMessage::GetRep { object, .. } if object == id);
+            self.dispatch(from, msg)?;
+            if reply {
+                return Ok(());
             }
         }
     }
@@ -1266,14 +1121,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// traffic shows up (exchange- and pull-based protocols must not be
     /// mixed on one runtime).
     pub fn recv_app(&mut self) -> Result<(NodeId, Vec<u8>), DsoError> {
-        if let Some((from, _class, bytes)) = self.app_inbox.pop_front() {
-            return Ok((from, bytes));
-        }
         loop {
-            match self.recv_event()? {
-                Event::App { from, bytes, .. } => return Ok((from, bytes)),
-                Event::GetRep { .. } | Event::Ack { .. } => {}
+            if let Some(app) = self.app_inbox.pop_front() {
+                return Ok(app);
             }
+            let (from, msg) = self.session.recv(&self.store)?;
+            self.dispatch(from, msg)?;
         }
     }
 
@@ -1285,51 +1138,19 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// Returns transport errors or a protocol violation on rendezvous
     /// traffic.
     pub fn try_recv_app(&mut self) -> Result<Option<(NodeId, Vec<u8>)>, DsoError> {
-        if let Some((from, _class, bytes)) = self.app_inbox.pop_front() {
-            return Ok(Some((from, bytes)));
-        }
-        while let Some(event) = self.try_recv_event()? {
-            if let Event::App { from, bytes, .. } = event {
-                return Ok(Some((from, bytes)));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Blocking message pump: receives one message, services object traffic
-    /// internally, and surfaces everything else as an [`Event`].
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or a protocol violation on rendezvous
-    /// traffic.
-    pub fn recv_event(&mut self) -> Result<Event, DsoError> {
         loop {
-            let (from, msg) = self.session.recv(&self.store)?;
-            if let Some(event) = self.dispatch(from, msg)? {
-                return Ok(event);
+            if let Some(app) = self.app_inbox.pop_front() {
+                return Ok(Some(app));
             }
+            let Some((from, msg)) = self.session.recv_now(&self.store)? else { return Ok(None) };
+            self.dispatch(from, msg)?;
         }
     }
 
-    /// Non-blocking message pump.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or a protocol violation on rendezvous
-    /// traffic.
-    pub fn try_recv_event(&mut self) -> Result<Option<Event>, DsoError> {
-        while let Some((from, msg)) = self.session.recv_now(&self.store)? {
-            if let Some(event) = self.dispatch(from, msg)? {
-                return Ok(Some(event));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Services one logical message; returns an event if it must surface
-    /// to the caller.
-    fn dispatch(&mut self, from: NodeId, msg: DsoMessage) -> Result<Option<Event>, DsoError> {
+    /// Services one logical message outside a rendezvous: object traffic
+    /// is answered or applied, a `sync_put` ack is counted, and an app
+    /// message joins the inbox [`SdsoRuntime::recv_app`] reads.
+    fn dispatch(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         match msg {
             DsoMessage::Put { object, version, body, wants_ack } => {
                 self.lamport = self.lamport.max(version.time.as_ticks());
@@ -1337,7 +1158,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 if wants_ack {
                     self.session.send(from, DsoMessage::Ack)?;
                 }
-                Ok(None)
             }
             DsoMessage::GetReq { object } => {
                 let replica = self.store.replica(object)?;
@@ -1347,35 +1167,31 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     body: replica.data().to_vec(),
                 };
                 self.session.send(from, rep)?;
-                Ok(None)
             }
             DsoMessage::GetRep { object, version, body } => {
                 self.lamport = self.lamport.max(version.time.as_ticks());
                 self.store.replace_if_newer(object, &body, version)?;
-                Ok(Some(Event::GetRep { from, object }))
             }
-            DsoMessage::Ack => {
-                self.acks_received += 1;
-                Ok(Some(Event::Ack { from }))
-            }
-            DsoMessage::App { class, bytes } => Ok(Some(Event::App { from, class, bytes })),
-            DsoMessage::SnapshotReq { .. } => {
-                self.send_snapshot(from)?;
-                Ok(None)
-            }
+            DsoMessage::Ack => self.acks_received += 1,
+            DsoMessage::App { bytes, .. } => self.app_inbox.push_back((from, bytes)),
             // A duplicate of a snapshot this process already installed.
-            DsoMessage::Snapshot { .. } => Ok(None),
-            DsoMessage::Data { .. } | DsoMessage::Sync { .. } => Err(DsoError::ProtocolViolation(
-                format!("rendezvous message from {from} outside an exchange"),
-            )),
+            DsoMessage::Snapshot { .. } => {}
+            DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {
+                return Err(DsoError::ProtocolViolation(format!(
+                    "rendezvous message from {from} outside an exchange"
+                )));
+            }
             // Envelopes, sequence acks, codec offers and compressed batches
             // are the session's vocabulary, consumed or resolved into plain
             // `Data` below this layer; one reaching dispatch means a receive
             // path skipped the session.
-            other => Err(DsoError::ProtocolViolation(format!(
-                "session-layer message {other:?} from {from} reached dispatch"
-            ))),
+            other => {
+                return Err(DsoError::ProtocolViolation(format!(
+                    "session-layer message {other:?} from {from} reached dispatch"
+                )));
+            }
         }
+        Ok(())
     }
 }
 
@@ -1434,7 +1250,7 @@ mod tests {
             let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
             for round in 0..4u8 {
                 rt.write(obj, usize::from(round) as u32, &[me as u8 + 1]).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
                 if round == 0 {
                     // Offers cross during the first exchange, so its data
                     // had to go out v1 absolute.
@@ -1476,7 +1292,7 @@ mod tests {
             let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
             for _ in 0..3 {
                 rt.write(obj, 0, &[me as u8 + 1; 4]).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
             // The peer never offers back, so node 0 stays on v1 forever.
             assert_eq!(rt.metrics().codec_v2_sent, 0);
@@ -1497,7 +1313,7 @@ mod tests {
             let mut round = 0u8;
             let mut step = |rt: &mut SdsoRuntime<MemoryEndpoint>| {
                 rt.write(obj, u32::from(round % 8), &[me as u8 + 1]).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
                 round += 1;
             };
             step(rt);
@@ -1573,7 +1389,7 @@ mod tests {
             let me = rt.node_id();
             let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
             rt.write(obj, 0, &[me as u8 + 1; 4]).unwrap();
-            let report = rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            let report = rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             assert_eq!(report.time, LogicalTime::from_ticks(1));
             assert_eq!(report.peers.len(), 1);
         });
@@ -1590,7 +1406,7 @@ mod tests {
             let me = rt.node_id();
             // Both write the same object in the same interval.
             rt.write(ObjectId(1), 0, &[me as u8 + 10; 8]).unwrap();
-            rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
         });
         // Same tick, higher writer id wins everywhere.
         for rt in &done {
@@ -1604,7 +1420,7 @@ mod tests {
         let done = run_pair(runtimes, |rt| {
             for i in 0..5u8 {
                 rt.write(ObjectId(1), 0, &[i]).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
         });
         for rt in &done {
@@ -1659,10 +1475,10 @@ mod tests {
         let t = std::thread::spawn(move || {
             // B writes the same object at stamp 1 too but with higher id.
             b.write(ObjectId(1), 0, &[7; 8]).unwrap();
-            b.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+            b.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             b
         });
-        a.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+        a.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
         let b = t.join().unwrap();
         assert_eq!(a.read(ObjectId(1)).unwrap(), &[7; 8]);
         assert_eq!(b.read(ObjectId(1)).unwrap(), &[7; 8]);
@@ -1700,32 +1516,12 @@ mod tests {
             .collect();
         let done = run_pair(runtimes, |rt| {
             rt.write(ObjectId(1), 0, &[rt.node_id() as u8 + 1]).unwrap();
-            let report = rt.exchange(true, SendMode::Broadcast, &mut EveryTick).unwrap();
+            let report = rt.exchange(SendMode::Broadcast, &mut EveryTick).unwrap();
             assert_eq!(report.peers.len(), 1);
         });
         for rt in &done {
             assert_eq!(rt.read(ObjectId(1)).unwrap()[0], 2);
         }
-    }
-
-    #[test]
-    fn push_mode_does_not_block() {
-        // resync = false: the sender pushes and proceeds without replies.
-        let mut runtimes = pair();
-        let mut b = runtimes.pop().unwrap();
-        let mut a = runtimes.pop().unwrap();
-        a.write(ObjectId(1), 0, &[3]).unwrap();
-        let report = a.exchange(false, SendMode::Multicast, &mut EveryTick).unwrap();
-        assert_eq!(report.updates_applied, 0);
-        // B's own (resync) exchange consumes A's pushed pair — A's push
-        // already satisfied B's wait, so B completes without A blocking.
-        let t = std::thread::spawn(move || {
-            b.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
-            assert_eq!(b.read(ObjectId(1)).unwrap()[0], 3);
-            b
-        });
-        t.join().unwrap();
-        let _ = a;
     }
 
     #[test]
@@ -1747,7 +1543,7 @@ mod tests {
         let done = run_pair(runtimes, |rt| {
             for i in 0..10u8 {
                 rt.write(ObjectId(1), 0, &[(rt.node_id() as u8 + 1) * 10 + i]).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
             rt.settle().unwrap();
         });
@@ -1844,9 +1640,7 @@ mod tests {
                 raw.send(0, msg.into_payload(None)).unwrap();
             }
             let outcome = match wait {
-                Wait::Rendezvous => {
-                    rt.exchange(true, SendMode::Multicast, &mut only_peer_1).map(drop)
-                }
+                Wait::Rendezvous => rt.exchange(SendMode::Multicast, &mut only_peer_1).map(drop),
                 Wait::RecvApp => rt.recv_app().map(drop),
             };
             match outcome {
@@ -1987,7 +1781,7 @@ mod tests {
                 rt.write(own, 4, &[round]).unwrap();
                 rt.read(ObjectId(1)).unwrap();
                 rt.read(ObjectId(2)).unwrap();
-                rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
         });
         for rt in &done {

@@ -602,30 +602,6 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Receive bounded by a wall/virtual-time `deadline` rather than the
-    /// retry budget: for bounded rendezvous waits, where how long to wait is
-    /// the caller's decision. Link timers are served meanwhile; `Ok(None)`
-    /// means the deadline passed with nothing to deliver.
-    pub(crate) fn recv_until(
-        &mut self,
-        deadline: SimInstant,
-        store: &ObjectStore,
-    ) -> Result<Option<Delivery>, DsoError> {
-        loop {
-            if let Some(m) = self.ready.pop_front() {
-                return Ok(Some(m));
-            }
-            let now = self.endpoint.now();
-            if now >= deadline {
-                return Ok(None);
-            }
-            let wake = self.next_timer().map_or(deadline, |at| at.min(deadline));
-            if !self.step(Wait::For(wake.saturating_since(now)), store, None)? {
-                self.serve_timers()?;
-            }
-        }
-    }
-
     /// Non-blocking receive of the next logical message; serves the link
     /// timers once nothing is left to take.
     pub(crate) fn recv_now(&mut self, store: &ObjectStore) -> Result<Option<Delivery>, DsoError> {
@@ -938,8 +914,16 @@ mod tests {
     /// they fall due.
     fn listen(s: &mut Peer, span: SimSpan, store: &ObjectStore, got: &mut Vec<Delivery>) {
         let until = s.endpoint.now() + span;
-        while let Some(d) = s.recv_until(until, store).unwrap() {
-            got.push(d);
+        loop {
+            got.extend(s.ready.drain(..));
+            let now = s.endpoint.now();
+            if now >= until {
+                return;
+            }
+            let wake = s.next_timer().map_or(until, |at| at.min(until));
+            if !s.step(Wait::For(wake.saturating_since(now)), store, None).unwrap() {
+                s.serve_timers().unwrap();
+            }
         }
     }
 

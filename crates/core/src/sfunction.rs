@@ -94,7 +94,8 @@ impl SFunction for EveryTick {
     }
 }
 
-/// An s-function that never schedules exchanges (pure push-mode usage).
+/// An s-function that never schedules exchanges: for runtimes that meet
+/// their peers only in broadcast barriers, or never.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Never;
 

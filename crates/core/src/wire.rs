@@ -118,13 +118,6 @@ pub enum DsoMessage {
         /// The receiver's next expected sequence number.
         next: u64,
     },
-    /// A late joiner asking its designated donor for a state snapshot in
-    /// `epoch` (the donor usually pushes unprompted at the view-change
-    /// barrier; the request covers a joiner that raced ahead of it).
-    SnapshotReq {
-        /// The epoch the joiner is entering.
-        epoch: Epoch,
-    },
     /// A full-state transfer to a late joiner: every shared object's
     /// current body (as a from-zero diff reusing the rendezvous wire
     /// encoding) plus the donor's logical-clock frontier. O(objects) bytes,
@@ -190,7 +183,9 @@ const TAG_ACK: u8 = 6;
 const TAG_APP: u8 = 7;
 const TAG_ENV: u8 = 8;
 const TAG_SEQ_ACK: u8 = 9;
-const TAG_SNAPSHOT_REQ: u8 = 10;
+// Tag 10 is retired (it carried a joiner's snapshot request, which no
+// process sends): it decodes to a codec error like any unknown tag. Do
+// not reuse it.
 const TAG_SNAPSHOT: u8 = 11;
 const TAG_CODEC_OFFER: u8 = 12;
 const TAG_DATA2: u8 = 13;
@@ -203,7 +198,6 @@ impl DsoMessage {
             DsoMessage::Data { epoch, .. }
             | DsoMessage::Data2 { epoch, .. }
             | DsoMessage::Sync { epoch, .. }
-            | DsoMessage::SnapshotReq { epoch }
             | DsoMessage::Snapshot { epoch, .. } => Some(*epoch),
             DsoMessage::Env { inner, .. } => inner.epoch(),
             DsoMessage::Put { .. }
@@ -228,7 +222,6 @@ impl DsoMessage {
             DsoMessage::Sync { .. }
             | DsoMessage::GetReq { .. }
             | DsoMessage::Ack
-            | DsoMessage::SnapshotReq { .. }
             | DsoMessage::CodecOffer { .. } => MsgClass::Control,
             DsoMessage::App { class, .. } => *class,
             DsoMessage::Env { inner, .. } => inner.class(),
@@ -303,10 +296,6 @@ impl Wire for DsoMessage {
                 w.put_u8(TAG_SEQ_ACK);
                 w.put_u64(*next);
             }
-            DsoMessage::SnapshotReq { epoch } => {
-                w.put_u8(TAG_SNAPSHOT_REQ);
-                w.put_u32(epoch.0);
-            }
             DsoMessage::Snapshot { epoch, time, lamport, updates } => {
                 w.put_u8(TAG_SNAPSHOT);
                 w.put_u32(epoch.0);
@@ -375,7 +364,6 @@ impl Wire for DsoMessage {
                 Ok(DsoMessage::Env { seq, ack, inner: Box::new(inner) })
             }
             TAG_SEQ_ACK => Ok(DsoMessage::SeqAck { next: r.get_u64()? }),
-            TAG_SNAPSHOT_REQ => Ok(DsoMessage::SnapshotReq { epoch: Epoch(r.get_u32()?) }),
             TAG_SNAPSHOT => {
                 let epoch = Epoch(r.get_u32()?);
                 let time = LogicalTime::from_ticks(r.get_u64()?);
@@ -460,7 +448,6 @@ mod tests {
         roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: Box::new(DsoMessage::Ack) });
         roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: Box::new(DsoMessage::Ack) });
         roundtrip(DsoMessage::SeqAck { next: 42 });
-        roundtrip(DsoMessage::SnapshotReq { epoch: Epoch(3) });
         roundtrip(DsoMessage::Snapshot {
             epoch: Epoch(3),
             time: LogicalTime::from_ticks(40),
@@ -555,7 +542,6 @@ mod tests {
             DsoMessage::Sync { epoch: Epoch::ZERO, time: LogicalTime::ZERO }.class(),
             MsgClass::Control
         );
-        assert_eq!(DsoMessage::SnapshotReq { epoch: Epoch::ZERO }.class(), MsgClass::Control);
         assert_eq!(
             DsoMessage::Snapshot {
                 epoch: Epoch::ZERO,
@@ -606,8 +592,12 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        let res: Result<DsoMessage, _> = wire::decode(&[0xEE]);
-        assert!(res.is_err());
+        // The second frame is what a snapshot request for epoch 2 encoded
+        // to under the retired tag 10 (the epoch is little-endian).
+        for frame in [&[0xEE][..], &[10, 2, 0, 0, 0]] {
+            let res: Result<DsoMessage, _> = wire::decode(frame);
+            assert!(matches!(res, Err(NetError::Codec(_))), "{frame:?} decoded as {res:?}");
+        }
     }
 
     fn sample_messages() -> Vec<DsoMessage> {
@@ -629,7 +619,6 @@ mod tests {
             DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9] },
             DsoMessage::Env { seq: 17, ack: 9, inner: Box::new(DsoMessage::Ack) },
             DsoMessage::SeqAck { next: 42 },
-            DsoMessage::SnapshotReq { epoch: Epoch(2) },
             DsoMessage::CodecOffer { version: 2 },
             DsoMessage::Data2 {
                 epoch: Epoch(2),

@@ -838,7 +838,7 @@ impl<E: Endpoint> Family for Lookahead<E, AnySFunction> {
         // then the reliability layer — when on — retransmits until the tail
         // is acknowledged.
         let rt = Lookahead::runtime_mut(self);
-        rt.exchange(true, SendMode::Broadcast, &mut Never)?;
+        rt.exchange(SendMode::Broadcast, &mut Never)?;
         rt.settle().map(drop)
     }
 }

@@ -17,7 +17,7 @@
 //! | MSYNC2 | `sdso_game::sfuncs::Msync2` — alignment **and** within range |
 
 use sdso_core::{DsoError, ExchangeReport, SFunction, SdsoRuntime, SendMode, ViewChange};
-use sdso_net::{Endpoint, NodeId, SimSpan};
+use sdso_net::Endpoint;
 
 /// A lookahead-consistent process: an S-DSO runtime paired with the
 /// s-function that drives its exchange schedule.
@@ -43,7 +43,6 @@ use sdso_net::{Endpoint, NodeId, SimSpan};
 pub struct Lookahead<E: Endpoint, S: SFunction> {
     runtime: SdsoRuntime<E>,
     sfunc: S,
-    mode: SendMode,
 }
 
 impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
@@ -56,20 +55,7 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     /// non-future initial exchange.
     pub fn new(mut runtime: SdsoRuntime<E>, mut sfunc: S) -> Result<Self, DsoError> {
         runtime.init_schedule(&mut sfunc)?;
-        Ok(Lookahead { runtime, sfunc, mode: SendMode::Multicast })
-    }
-
-    /// Like [`Lookahead::new`] but every exchange is forced to broadcast to
-    /// all processes (the paper's `how = broadcast` override).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsoError::ProtocolViolation`] if the s-function schedules a
-    /// non-future initial exchange.
-    pub fn new_broadcast(runtime: SdsoRuntime<E>, sfunc: S) -> Result<Self, DsoError> {
-        let mut this = Self::new(runtime, sfunc)?;
-        this.mode = SendMode::Broadcast;
-        Ok(this)
+        Ok(Lookahead { runtime, sfunc })
     }
 
     /// Performs one synchronous exchange (push-pull rendezvous with every
@@ -79,94 +65,20 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     ///
     /// Propagates transport errors and schedule violations.
     pub fn step(&mut self) -> Result<ExchangeReport, DsoError> {
-        self.runtime.exchange(true, self.mode, &mut self.sfunc)
+        self.runtime.exchange(SendMode::Multicast, &mut self.sfunc)
     }
 
-    /// Performs one push-only exchange (no blocking for reciprocation) —
-    /// the paper's `resync_flag = false` mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors and schedule violations.
-    pub fn step_push(&mut self) -> Result<ExchangeReport, DsoError> {
-        self.runtime.exchange(false, self.mode, &mut self.sfunc)
-    }
-
-    /// Performs one full-rendezvous broadcast exchange regardless of the
-    /// configured mode: every current-view peer is met and the schedule is
-    /// recomputed from the converged state. This is the view-change
-    /// barrier — churn drivers call it on every old-view member at the
-    /// trigger tick before [`Lookahead::apply_view_change`].
+    /// Performs one full-rendezvous broadcast exchange: every current-view
+    /// peer is met and the schedule is recomputed from the converged state.
+    /// This is the view-change barrier — churn drivers call it on every
+    /// old-view member at the trigger tick before
+    /// [`Lookahead::apply_view_change`].
     ///
     /// # Errors
     ///
     /// Propagates transport errors and schedule violations.
     pub fn step_barrier(&mut self) -> Result<ExchangeReport, DsoError> {
-        self.runtime.exchange(true, SendMode::Broadcast, &mut self.sfunc)
-    }
-
-    /// [`Lookahead::step`] with crash detection: the rendezvous wait is
-    /// bounded by `budget`, and peers that never reciprocated within it
-    /// are escalated to the membership layer as an abrupt leave (the
-    /// returned [`ViewChange`], empty on a quiet step). This is the fix
-    /// for MSYNC/MSYNC2 parking forever on a vanished rendezvous partner:
-    /// the group re-forms around the survivors instead of stalling.
-    ///
-    /// Every survivor must run the same bounded discipline under a
-    /// schedule that makes the vanished peer due to all of them at the
-    /// same tick (`EveryTick`, a broadcast barrier, or a planned crash
-    /// schedule); otherwise eviction skew between survivors can drop one
-    /// interval of their mutual traffic at the epoch boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`DsoError::PeerUnresponsive`] when *every* live peer went silent —
-    /// a process that lost the whole group cannot tell "they all crashed"
-    /// from "I am partitioned", and continuing alone would fork the world.
-    /// Otherwise propagates [`Lookahead::step`]'s errors.
-    pub fn step_bounded(
-        &mut self,
-        budget: SimSpan,
-    ) -> Result<(ExchangeReport, ViewChange), DsoError> {
-        let (report, unresponsive) =
-            self.runtime.exchange_bounded(true, self.mode, &mut self.sfunc, budget)?;
-        self.escalate(report, unresponsive, budget)
-    }
-
-    /// [`Lookahead::step_barrier`] with the same bounded-wait escalation
-    /// as [`Lookahead::step_bounded`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Lookahead::step_bounded`].
-    pub fn step_barrier_bounded(
-        &mut self,
-        budget: SimSpan,
-    ) -> Result<(ExchangeReport, ViewChange), DsoError> {
-        let (report, unresponsive) =
-            self.runtime.exchange_bounded(true, SendMode::Broadcast, &mut self.sfunc, budget)?;
-        self.escalate(report, unresponsive, budget)
-    }
-
-    /// Converts a non-empty unresponsive set into an applied leave-flavour
-    /// view change, refusing to evict the entire peer group.
-    fn escalate(
-        &mut self,
-        report: ExchangeReport,
-        unresponsive: Vec<NodeId>,
-        budget: SimSpan,
-    ) -> Result<(ExchangeReport, ViewChange), DsoError> {
-        if unresponsive.is_empty() {
-            return Ok((report, ViewChange::new([], [])));
-        }
-        let me = self.runtime.node_id();
-        let live_peers = self.runtime.membership().peers_of(me).len();
-        if unresponsive.len() >= live_peers {
-            return Err(DsoError::PeerUnresponsive { peers: unresponsive, waited: budget });
-        }
-        let change = ViewChange::leave(unresponsive);
-        self.apply_view_change(&change)?;
-        Ok((report, change))
+        self.runtime.exchange(SendMode::Broadcast, &mut self.sfunc)
     }
 
     /// Applies one membership change through the runtime, letting this
@@ -176,7 +88,7 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     /// # Errors
     ///
     /// Propagates [`sdso_core::SdsoRuntime::apply_view_change`] errors.
-    pub fn apply_view_change(&mut self, change: &sdso_core::ViewChange) -> Result<(), DsoError> {
+    pub fn apply_view_change(&mut self, change: &ViewChange) -> Result<(), DsoError> {
         self.runtime.apply_view_change(change, &mut self.sfunc)
     }
 
@@ -191,17 +103,6 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
         &mut self.runtime
     }
 
-    /// The s-function.
-    pub fn sfunction(&self) -> &S {
-        &self.sfunc
-    }
-
-    /// Mutable access to the s-function (e.g. to feed it application state
-    /// between steps).
-    pub fn sfunction_mut(&mut self) -> &mut S {
-        &mut self.sfunc
-    }
-
     /// Unwraps into the runtime, dropping the s-function.
     pub fn into_runtime(self) -> SdsoRuntime<E> {
         self.runtime
@@ -213,6 +114,7 @@ mod tests {
     use super::*;
     use sdso_core::{DsoConfig, EveryTick, LogicalTime, ObjectId, ObjectStore};
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
+    use sdso_net::NodeId;
 
     fn cluster(n: usize) -> Vec<SdsoRuntime<MemoryEndpoint>> {
         MemoryHub::new(n)
@@ -297,90 +199,5 @@ mod tests {
                 assert_eq!(rt.read(ObjectId(id)).unwrap()[0], 6);
             }
         }
-    }
-
-    #[test]
-    fn bounded_step_evicts_a_vanished_peer_and_survivors_converge() {
-        // Satellite regression: a rendezvous peer that vanishes mid-run
-        // used to park MSYNC-style steps forever in `await_rendezvous`.
-        // With the bounded step, both survivors declare it unresponsive,
-        // apply the same abrupt leave, and keep exchanging.
-        let mut rts = cluster(3);
-        let ghost_rt = rts.remove(2);
-        // The ghost participates for ticks 1 and 2, then dies abruptly —
-        // no settle, no goodbye. Its endpoint is kept alive (below) so
-        // survivor traffic to it queues instead of erroring, exactly like
-        // an OS buffering frames for a dead process's socket.
-        let ghost = std::thread::spawn(move || {
-            let mut node = Lookahead::new(ghost_rt, EveryTick).unwrap();
-            for tick in 0..2u8 {
-                node.runtime_mut().write(ObjectId(2), 0, &[tick + 1]).unwrap();
-                node.step().unwrap();
-            }
-            node.into_runtime()
-        });
-        let survivors: Vec<_> = rts
-            .into_iter()
-            .map(|rt| {
-                std::thread::spawn(move || {
-                    let mut node = Lookahead::new(rt, EveryTick).unwrap();
-                    let me = node.runtime().node_id();
-                    let mut evicted = Vec::new();
-                    for tick in 0..5u8 {
-                        node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick + 1]).unwrap();
-                        let (_, change) = node.step_bounded(SimSpan::from_millis(200)).unwrap();
-                        evicted.extend(change.left.iter().copied());
-                    }
-                    (node.into_runtime(), evicted)
-                })
-            })
-            .collect();
-        let ghost_rt = ghost.join().unwrap();
-        for h in survivors {
-            let (rt, evicted) = h.join().unwrap();
-            assert_eq!(evicted, vec![2], "the ghost was evicted exactly once");
-            assert!(!rt.membership().contains(2));
-            // Survivors converged with each other through tick 5...
-            assert_eq!(rt.read(ObjectId(0)).unwrap()[0], 5);
-            assert_eq!(rt.read(ObjectId(1)).unwrap()[0], 5);
-            // ...and retain the ghost's last pre-crash write.
-            assert_eq!(rt.read(ObjectId(2)).unwrap()[0], 2);
-        }
-        drop(ghost_rt);
-    }
-
-    #[test]
-    fn bounded_step_refuses_to_evict_the_whole_group() {
-        // A process whose *every* peer went silent cannot distinguish a
-        // group crash from its own partition; continuing alone would fork
-        // the world, so the bounded step errors instead of evicting.
-        let mut rts = cluster(2);
-        let ghost_rt = rts.pop().unwrap();
-        let rt = rts.pop().unwrap();
-        let mut node = Lookahead::new(rt, EveryTick).unwrap();
-        node.runtime_mut().write(ObjectId(0), 0, &[1]).unwrap();
-        match node.step_bounded(SimSpan::from_millis(50)) {
-            Err(DsoError::PeerUnresponsive { peers, .. }) => assert_eq!(peers, vec![1]),
-            other => panic!("expected PeerUnresponsive, got {other:?}"),
-        }
-        drop(ghost_rt);
-    }
-
-    #[test]
-    fn push_mode_step_does_not_wait() {
-        let mut nodes = cluster(2);
-        let b = nodes.pop().unwrap();
-        let a = nodes.pop().unwrap();
-        let mut a = Lookahead::new(a, EveryTick).unwrap();
-        a.runtime_mut().write(ObjectId(0), 0, &[9]).unwrap();
-        let report = a.step_push().unwrap(); // returns immediately
-        assert_eq!(report.peers.len(), 1);
-        // The peer's blocking step consumes the push.
-        let t = std::thread::spawn(move || {
-            let mut b = Lookahead::new(b, EveryTick).unwrap();
-            b.step().unwrap();
-            assert_eq!(b.runtime().read(ObjectId(0)).unwrap()[0], 9);
-        });
-        t.join().unwrap();
     }
 }

@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             runtime.write(ObjectId(u32::from(me)), 0, text)?;
 
             // ...and exchanges with whoever is due (here: the other side).
-            let report = runtime.exchange(true, SendMode::Multicast, &mut EveryTick)?;
+            let report = runtime.exchange(SendMode::Multicast, &mut EveryTick)?;
             assert_eq!(report.peers.len(), 1);
 
             Ok(format!(

@@ -178,14 +178,14 @@ proptest! {
                 // Whole-object writes (the documented convergence unit).
                 for (obj, value) in writes {
                     rt.write(ObjectId(obj), 0, &[value; 4]).unwrap();
-                    rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                    rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
                 }
                 // Drain the tick difference: keep exchanging until both
                 // sides have performed the same number of exchanges.
                 (0..16)
                     .map(|_| ())
                     .for_each(|()| {
-                        rt.exchange(true, SendMode::Multicast, &mut EveryTick).unwrap();
+                        rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
                     });
                 (0..6u32).map(|id| rt.read(ObjectId(id)).unwrap().to_vec()).collect()
             })
