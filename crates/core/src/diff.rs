@@ -236,6 +236,10 @@ impl Diff {
 
     /// Overlays `newer` onto `self`: the result applied to any buffer equals
     /// applying `self` then `newer`.
+    ///
+    /// This is the byte-overlay reference that
+    /// `merge_in_place_is_equivalent_to_overlay_merge` holds
+    /// [`Diff::merge_in_place`] to; no hot path calls it.
     pub fn merge(&self, newer: &Diff) -> Diff {
         if self.runs.is_empty() {
             return newer.clone();

@@ -263,8 +263,7 @@ impl<E: Endpoint> Lrc<E> {
         let stamp = Version::new(sdso_core::LogicalTime::from_ticks(self.vc.get(me) + 1), me);
         self.runtime.write_local(object, offset, bytes, stamp)?;
         let diff = Diff::single(offset, bytes.to_vec());
-        let entry = self.open_writes.entry(object).or_default();
-        *entry = entry.merge(&diff);
+        self.open_writes.entry(object).or_default().merge_in_place(&diff);
         Ok(())
     }
 
