@@ -134,6 +134,41 @@ mod tests {
         assert!(report.diagnostics.is_empty(), "workspace must lint clean:\n{rendered:?}");
     }
 
+    /// Every backticked `crates/…`, `tests/…`, `examples/…` or `shims/…`
+    /// path in the living docs exists. A `:line` or `::item` suffix is
+    /// cut off; globs and `<placeholder>`s are skipped. History files
+    /// (CHANGES, RELEASE_NOTES, ROADMAP) are out of scope.
+    #[test]
+    fn documented_paths_exist() {
+        let root = workspace_root();
+        let mut missing = Vec::new();
+        for doc in [
+            "README.md",
+            "DESIGN.md",
+            "docs/ARCHITECTURE.md",
+            "EXPERIMENTS.md",
+            "PAPER.md",
+            ".claude/skills/verify/SKILL.md",
+        ] {
+            let text = std::fs::read_to_string(root.join(doc)).unwrap();
+            // Fence lines would flip the backtick parity; drop them.
+            let text: Vec<&str> =
+                text.lines().filter(|l| !l.trim_start().starts_with("```")).collect();
+            let text = text.join("\n");
+            for span in text.split('`').skip(1).step_by(2) {
+                let Some(word) = span.split_whitespace().next() else { continue };
+                let path = word.split(':').next().unwrap_or(word);
+                let named = ["crates/", "tests/", "examples/", "shims/"]
+                    .iter()
+                    .any(|dir| path.starts_with(dir));
+                if named && !path.contains(['*', '<']) && !root.join(path).exists() {
+                    missing.push(format!("{doc}: `{span}`"));
+                }
+            }
+        }
+        assert!(missing.is_empty(), "documented paths that do not exist:\n{}", missing.join("\n"));
+    }
+
     #[test]
     fn violation_fixture_is_caught() {
         let fixture = workspace_root().join("crates/check/fixtures/violations");
@@ -150,7 +185,6 @@ mod tests {
             "fd-ownership",
             "no-blocking-in-reactor",
             "region-routing",
-            "durability",
             "wire-compat",
         ] {
             assert!(rules.contains(rule), "fixture must trip {rule}; got {rules:?}");

@@ -7,7 +7,6 @@
 //! original lines for snippets and inline allow markers.
 
 pub mod cross;
-pub mod durability;
 pub mod exhaustive_match;
 pub mod fd_ownership;
 pub mod lock_order;
@@ -95,7 +94,6 @@ pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     out.extend(exhaustive_match::check(ctx));
     out.extend(no_alloc_hot_path::check(ctx));
     out.extend(region_routing::check(ctx));
-    out.extend(durability::check(ctx));
     out.extend(unsafe_audit::check(ctx));
     out.extend(fd_ownership::check(ctx));
     out.extend(wire_compat::check(ctx));

@@ -44,7 +44,7 @@ use sdso_core::{
     DsoConfig, DsoError, DsoMetrics, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId,
     ObjectStore, RetryConfig, SdsoRuntime, SendMode, ViewChange, WireConfig,
 };
-use sdso_dur::{DurRecord, DurStore};
+use sdso_game::Journal;
 use sdso_net::{
     Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, PeerEvent, SimInstant,
     SimSpan,
@@ -485,7 +485,7 @@ fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
         Ok(rt)
     };
     let mut rt = build(ep)?;
-    let mut store = DurStore::in_memory();
+    let mut journal = Journal::default();
     let start = churn_enter(&mut rt, &plan, me)?;
     let mut la = Lookahead::new(rt, EveryTick).map_err(NetError::from)?;
     let mut times = Vec::new();
@@ -503,18 +503,8 @@ fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
             };
             times.push(report.time);
             if me == CRASHER {
-                let (time, lamport) =
-                    (la.runtime().logical_now().as_ticks(), la.runtime().lamport());
-                let epoch = la.runtime().membership().epoch().0;
-                store
-                    .append(&DurRecord::Ident { node: me, epoch })
-                    .and_then(|()| store.append(&DurRecord::Tick { time, lamport }))
-                    .and_then(|()| {
-                        store.append(&DurRecord::App { tag: 0, bytes: vec![tick as u8] })
-                    })
-                    .map_err(|e| {
-                        NetError::from(DsoError::ProtocolViolation(format!("WAL append: {e}")))
-                    })?;
+                journal.ident(me, la.runtime().membership().epoch());
+                journal.tick(la.runtime(), tick, vec![tick as u8]);
                 if tick == crash {
                     break;
                 }
@@ -532,28 +522,19 @@ fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
         if me != CRASHER || tick > CRASH_TICKS {
             break;
         }
-        // Fail-stop: volatile state vanishes; the WAL bytes and the host's
-        // endpoint survive. While down, the group sees a leave.
+        // Fail-stop: volatile state vanishes; the journal and the host's
+        // endpoint survive. While down, the group sees a leave. Reopening
+        // checks the recovered identity is the crasher's.
         let endpoint = la.into_runtime().into_endpoint();
-        let (wal, snap) = store.into_bytes();
-        let (recovered_store, image) = DurStore::from_bytes(wal, snap)
-            .map_err(|e| NetError::from(DsoError::ProtocolViolation(format!("recovery: {e}"))))?;
-        store = recovered_store;
-        let violation = |what: String| NetError::from(DsoError::ProtocolViolation(what));
-        if image.ident().map(|(node, _)| node) != Some(me) {
-            return Err(violation("recovered identity does not match the crasher".into()));
+        let recovered = journal.reopen(me).map_err(NetError::from)?;
+        if recovered.app != [crash as u8] {
+            return Err(NetError::from(DsoError::ProtocolViolation(format!(
+                "recovered state {:?} is not the crash-tick write {crash}",
+                recovered.app
+            ))));
         }
-        let state = image
-            .app_state(0)
-            .ok_or_else(|| violation("recovered WAL holds no app state".into()))?;
-        if state != [crash as u8] {
-            return Err(violation(format!(
-                "recovered state {state:?} is not the crash-tick write {crash}"
-            )));
-        }
-        let (time, lamport) = image.frontier();
         let mut rt = build(endpoint)?;
-        rt.restore_frontier(LogicalTime::from_ticks(time), lamport);
+        rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
         let change = plan.change_at(restart).expect("restart tick carries the rejoin");
         let view = plan.view_at(restart);
         let donor = view.donor_for(change).expect("a survivor donates the snapshot");

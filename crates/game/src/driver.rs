@@ -55,7 +55,7 @@
 //! else, then dies abruptly: no reliability settling, no view change, no
 //! farewell write — its tank freezes on the board exactly where the
 //! barrier left it. Survivors observe the crash as the leave-flavoured
-//! view change [`sdso_dur::crash_membership_plan`] derives for tick `C`,
+//! view change `crate::durable::crash_views` derives for tick `C`,
 //! so the regular churn machinery (epoch bump, slot compaction, link
 //! pruning) executes the failure. Two things survive the crash, as they
 //! would on a real host: the journal (`crate::durable`: WAL + snapshot
@@ -75,7 +75,6 @@ use sdso_core::{
     DsoConfig, DsoError, DsoMetrics, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId,
     ObjectStore, Obs, ObsSet, SFunction, SdsoRuntime, SendMode, ViewChange,
 };
-use sdso_dur::{crash_membership_plan, validate_crash_plan};
 use sdso_net::{Endpoint, FaultPlan, NetMetricsSnapshot, NodeId, SimSpan};
 use sdso_obs::EventKind;
 use sdso_protocols::{
@@ -85,7 +84,7 @@ use sdso_protocols::{
 
 use crate::ai::{decide, Action};
 use crate::block::{Block, FireRecord};
-use crate::durable::{record_recovery, Journal};
+use crate::durable::{crash_views, record_recovery, Journal};
 use crate::scenario::{Scenario, GOAL_POINTS};
 use crate::world::{Direction, Pos};
 
@@ -338,7 +337,7 @@ impl GameCore {
 
     /// Serialises the dynamic game state — everything
     /// [`GameCore::with_flags`] cannot reconstruct from its arguments —
-    /// for the crash-recovery WAL (`DurRecord::App`, tag 0).
+    /// for the crash-recovery journal's `App` records.
     /// Fixed-width little-endian fields behind a leading version byte;
     /// the format is private to this crate.
     pub fn encode(&self) -> Vec<u8> {
@@ -710,10 +709,8 @@ impl RunPlan {
                         "a plan with both view changes and crashes is not supported".into(),
                     );
                 }
-                if let Err(why) = validate_crash_plan(faults, teams) {
-                    return violation(format!("unrealisable crash schedule: {why}"));
-                }
-                crash_membership_plan(teams, 0..scenario.teams, faults)
+                crash_views(faults, teams)
+                    .or_else(|why| violation(format!("unrealisable crash schedule: {why}")))?
             }
             _ => explicit.clone(),
         };
@@ -1199,14 +1196,16 @@ fn drive<E: Endpoint, F: Family<E = E>>(
     let obs = plan.obs.as_ref().map_or_else(Obs::disabled, |set| set.node(me));
     let crashes = plan.faults.as_ref().map_or(&[][..], |f| &f.crashes);
     let crash = crashes.iter().find(|c| c.node == me).copied();
-    let mut journal = Journal::new(!crashes.is_empty());
+    let mut journal = (!crashes.is_empty()).then(Journal::default);
     // Accumulates what spans a process's incarnations: compute time and the
     // recovery counters.
     let mut tally = NodeStats::default();
 
     let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
     let mut tick = enter(&mut rt, views, None)?;
-    journal.ident(me, rt.membership().epoch())?;
+    if let Some(journal) = &mut journal {
+        journal.ident(me, rt.membership().epoch());
+    }
     let mut node = make(rt)?;
     let mut core = GameCore::with_flags(scenario.clone(), me, F::FLAGS.0, F::FLAGS.1);
     if tick > 1 {
@@ -1258,7 +1257,9 @@ fn drive<E: Endpoint, F: Family<E = E>>(
         // tombstone, the frozen tank) converge before the epoch turns.
         let change = views.change_at(tick);
         node.end_tick(change.is_some())?;
-        journal.tick(node.runtime_mut(), &core, tick, &obs)?;
+        if let Some(journal) = &mut journal {
+            journal.tick(node.runtime_mut(), tick, core.encode());
+        }
 
         if leaving {
             break Exit::Left;
@@ -1267,12 +1268,14 @@ fn drive<E: Endpoint, F: Family<E = E>>(
             let Some(back) = crash.and_then(|c| c.restart_tick) else {
                 break Exit::Died;
             };
-            (node, core) =
-                restart(node, &mut journal, scenario, views, back, &obs, &mut tally, make)?;
+            let journal = journal.as_mut().expect("a run with crashes keeps a journal");
+            (node, core) = restart(node, journal, scenario, views, back, &obs, &mut tally, make)?;
             tick = back;
         } else if let Some(change) = change {
             node.apply_view_change(change)?;
-            journal.ident(me, node.runtime_mut().membership().epoch())?;
+            if let Some(journal) = &mut journal {
+                journal.ident(me, node.runtime_mut().membership().epoch());
+            }
             // The donor — the lowest continuing member — pushes one
             // O(objects) state snapshot to each joiner.
             if node.runtime_mut().membership().donor_for(change) == Some(me) {
@@ -1361,7 +1364,7 @@ fn restart<E: Endpoint, F: Family<E = E>>(
     tally.wal_replayed += recovered.records;
     tally.recovery_time += downtime;
     record_recovery(obs, recovered.records, downtime);
-    journal.ident(me, epoch)?;
+    journal.ident(me, epoch);
     let mut node = make(rt)?;
 
     // The tick counter aligns with the global tick, and the tank falls back

@@ -72,6 +72,7 @@ pub use driver::{
     ec_lockset, run_node, run_node_with, BlockPort, GameCore, NodeStats, Protocol, RunPlan,
     TankState,
 };
+pub use durable::{Journal, Recovered};
 pub use render::{render, scoreboard, RenderOptions};
 pub use scenario::{Scenario, GOAL_POINTS};
 pub use sfuncs::{team_positions, Msync, Msync2};

@@ -65,8 +65,8 @@ pub enum EventKind {
     /// A shared object was written through the runtime.
     /// `(object, version_lo32, bytes)`.
     ObjectWrite = 21,
-    /// A record was appended (and synced) to the write-ahead log.
-    /// `(record_tag, payload_bytes, wal_len_lo32)`.
+    /// A completed tick was journalled for crash recovery.
+    /// `(tick, app_state_bytes, 0)`.
     WalAppend = 22,
     /// A recovering process replayed its write-ahead log.
     /// `(records_replayed, truncated_bytes, 0)`.

@@ -26,9 +26,33 @@ pub mod prelude {
     pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
 }
 
-/// Defines property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]`-able function that runs the body over generated
-/// inputs.
+/// Defines property tests: each `#[test] fn name(pat in strategy, ...)
+/// { body }` becomes a test that runs the body over generated inputs.
+///
+/// `#[test]` is required, after any doc comments: a property without it
+/// would compile to a function nothing calls, so the macro rejects it.
+///
+/// ```
+/// use proptest::prelude::*;
+///
+/// proptest! {
+///     /// Doc comments come first.
+///     #[test]
+///     fn runs(x in 0u8..4) {
+///         prop_assert!(x < 4);
+///     }
+/// }
+/// ```
+///
+/// ```compile_fail
+/// use proptest::prelude::*;
+///
+/// proptest! {
+///     fn never_runs(x in 0u8..4) {
+///         prop_assert!(x < 4);
+///     }
+/// }
+/// ```
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -46,9 +70,13 @@ macro_rules! proptest {
 #[macro_export]
 macro_rules! __proptest_impl {
     (@cfg($cfg:expr) $(
+        $(#[doc = $doc:expr])*
+        #[test]
         $(#[$meta:meta])*
         fn $name:ident( $($p:pat in $s:expr),+ $(,)? ) $body:block
     )*) => {$(
+        $(#[doc = $doc])*
+        #[test]
         $(#[$meta])*
         fn $name() {
             let config = $cfg;
