@@ -1096,19 +1096,21 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
     }
 
-    /// Sends protocol-layer bytes to `peer` with an explicit accounting
-    /// class.
+    /// Sends protocol-layer messages, each `(peer, bytes)` under the
+    /// accounting `class`, in order: each run of consecutive messages to
+    /// one peer goes out as one transport write.
     ///
     /// # Errors
     ///
-    /// Returns transport errors.
+    /// Returns transport errors; the messages before the failing run have
+    /// been sent.
     pub fn send_app(
         &mut self,
-        peer: NodeId,
         class: MsgClass,
-        bytes: Vec<u8>,
+        msgs: impl IntoIterator<Item = (NodeId, Vec<u8>)>,
     ) -> Result<(), DsoError> {
-        self.session.send(peer, DsoMessage::App { class, bytes })
+        let msgs = msgs.into_iter().map(|(peer, bytes)| (peer, DsoMessage::App { class, bytes }));
+        self.session.write(msgs)
     }
 
     /// Blocks until the next protocol-layer message arrives, servicing
@@ -1444,7 +1446,7 @@ mod tests {
         });
         a.write(ObjectId(1), 0, &[9u8; 8]).unwrap();
         a.sync_put(1, ObjectId(1)).unwrap();
-        a.send_app(1, MsgClass::Control, b"done".to_vec()).unwrap();
+        a.send_app(MsgClass::Control, [(1, b"done".to_vec())]).unwrap();
         t.join().unwrap();
     }
 
@@ -1461,7 +1463,7 @@ mod tests {
         });
         // Make B's copy the newer one first.
         a.sync_get(1, ObjectId(1)).unwrap(); // pulls (identical) state
-        a.send_app(1, MsgClass::Control, b"bye".to_vec()).unwrap();
+        a.send_app(MsgClass::Control, [(1, b"bye".to_vec())]).unwrap();
         t.join().unwrap();
     }
 

@@ -3,7 +3,8 @@
 //! [`DsoMessage`] delivery.
 //!
 //! This is the reliable channel beneath the algorithm. The kernel in
-//! [`crate::runtime`] hands logical messages to [`Session::send`] and takes
+//! [`crate::runtime`] hands logical messages to [`Session::write`], which
+//! puts each run of them to one peer in one transport write, and takes
 //! them from the `recv*` family; sequencing, acknowledgement, retransmission
 //! (the paper's `resync` path), codec negotiation and the XOR shadows never
 //! leave this module. Every reset of per-peer state goes through
@@ -275,26 +276,16 @@ impl<E: Endpoint> Session<E> {
 
     // ---- Sending ----
 
-    /// Sends one logical message to `peer`.
+    /// Sends one logical message to `peer` ([`Session::write`]).
     pub(crate) fn send(&mut self, peer: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
-        // Suppress protocol traffic to non-members: a departed peer will
-        // never consume it, and queueing it on the reliability layer would
-        // leave permanently-unackable state.
-        if !self.view.contains(peer) {
-            self.counters.non_member_dropped.inc();
-            return Ok(());
-        }
-        let payload = self.wrap(peer, msg)?;
-        self.endpoint.send(peer, payload).map_err(DsoError::Net)
+        self.write([(peer, msg)])
     }
 
     /// Sends one exchange's traffic to `peer` — the `(data, SYNC)` pair of
     /// Fig. 4 stamped with the view's epoch: one `Data2` frame that is both
     /// when the link negotiated v2, else the data half (omitted when empty)
     /// and a `Sync`; this process's codec offer in front while it is still
-    /// owed — two or more messages as one batched transport write. Content,
-    /// order and accounting are those of [`Session::send`] per message
-    /// ([`Session::send_all`]).
+    /// owed — as one run of [`Session::write`].
     pub(crate) fn send_rendezvous(
         &mut self,
         peer: NodeId,
@@ -318,27 +309,46 @@ impl<E: Endpoint> Session<E> {
         } else {
             msgs.push(DsoMessage::Sync { epoch, time });
         }
-        self.send_all(peer, msgs)
+        self.write(msgs.into_iter().map(|msg| (peer, msg)))
     }
 
-    /// Sends `msgs` to `peer` in order, two or more as one batched transport
-    /// write. Content, order and accounting are those of [`Session::send`]
-    /// per message.
-    pub(crate) fn send_all(&mut self, peer: NodeId, msgs: Vec<DsoMessage>) -> Result<(), DsoError> {
-        if msgs.len() < 2 {
-            return msgs.into_iter().try_for_each(|msg| self.send(peer, msg));
+    /// The one send path: sends `msgs` in order, each maximal run of
+    /// consecutive messages to one peer as one transport write (a plain
+    /// send for a run of one). A run to a non-member is dropped and counted:
+    /// a departed peer will never consume it, and queueing it on the
+    /// reliability layer would leave permanently-unackable state. Every
+    /// other message is sequenced and encoded in order, a run's frames at
+    /// its write. A window that fills partway through a run still writes
+    /// what the run sequenced before it, then fails with `WindowFull`.
+    pub(crate) fn write(
+        &mut self,
+        msgs: impl IntoIterator<Item = (NodeId, DsoMessage)>,
+    ) -> Result<(), DsoError> {
+        let mut msgs = msgs.into_iter().peekable();
+        while let Some((peer, first)) = msgs.next() {
+            let more = std::iter::from_fn(|| msgs.next_if(|&(to, _)| to == peer).map(|(_, m)| m));
+            let run = std::iter::once(first).chain(more);
+            if !self.view.contains(peer) {
+                self.counters.non_member_dropped.add(run.count() as u64);
+                continue;
+            }
+            let mut payloads = Vec::new();
+            let full =
+                run.map(|msg| self.wrap(peer, msg)).try_for_each(|p| p.map(|p| payloads.push(p)));
+            let written = if payloads.len() > 1 {
+                self.endpoint.send_batch(peer, payloads)
+            } else {
+                payloads.pop().map_or(Ok(()), |payload| self.endpoint.send(peer, payload))
+            };
+            written.map_err(DsoError::Net)?;
+            full?;
         }
-        if !self.view.contains(peer) {
-            self.counters.non_member_dropped.add(msgs.len() as u64);
-            return Ok(());
-        }
-        let payloads =
-            msgs.into_iter().map(|msg| self.wrap(peer, msg)).collect::<Result<_, _>>()?;
-        self.endpoint.send_batch(peer, payloads).map_err(DsoError::Net)
+        Ok(())
     }
 
     /// Sequences `msg` on `peer`'s link (when reliability is configured) and
-    /// encodes it for the wire. Callers have done non-member suppression.
+    /// encodes it for the wire. [`Session::write`] has done non-member
+    /// suppression.
     fn wrap(&mut self, peer: NodeId, msg: DsoMessage) -> Result<Payload, DsoError> {
         let Some(cfg) = self.config.reliability else {
             return Ok(msg.into_payload(self.config.frame_wire_len));
@@ -780,11 +790,13 @@ mod tests {
 
     /// An in-process endpoint on a hand-wound clock shared by both ends:
     /// time passes only when a test winds it or a bounded wait runs out,
-    /// so every link timer fires exactly where the test puts it.
+    /// so every link timer fires exactly where the test puts it. It logs
+    /// each transport write as `(peer, messages)`.
     #[derive(Debug)]
     struct Wound {
         inner: MemoryEndpoint,
         micros: Arc<AtomicU64>,
+        writes: Vec<(NodeId, usize)>,
     }
 
     impl Endpoint for Wound {
@@ -795,7 +807,12 @@ mod tests {
             self.inner.num_nodes()
         }
         fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
+            self.writes.push((to, 1));
             self.inner.send(to, payload)
+        }
+        fn send_batch(&mut self, to: NodeId, payloads: Vec<Payload>) -> Result<(), NetError> {
+            self.writes.push((to, payloads.len()));
+            self.inner.send_batch(to, payloads)
         }
         fn recv(&mut self) -> Result<Incoming, NetError> {
             self.inner.recv()
@@ -861,7 +878,10 @@ mod tests {
             .into_endpoints()
             .into_iter()
             .zip(wires)
-            .map(|(inner, &wire)| session_on(Wound { inner, micros: micros.clone() }, plan, wire))
+            .map(|(inner, &wire)| {
+                let wound = Wound { inner, micros: micros.clone(), writes: Vec::new() };
+                session_on(wound, plan, wire)
+            })
             .collect();
         let mut store = ObjectStore::new();
         store.share(OBJECT, vec![0u8; 16]).unwrap();
@@ -977,9 +997,16 @@ mod tests {
             sent_a.extend(pair_of(0, Epoch(0), t));
             exchange(&mut b, 0, t, &store);
             sent_b.extend(pair_of(1, Epoch(0), t));
+            // Runs of several messages to one peer, in one write each.
             if t % 4 == 0 {
-                a.send(1, app(t as u8)).unwrap();
-                sent_a.push((0, app(t as u8)));
+                let run = [app(t as u8), app(t as u8 + 100), app(t as u8 + 200)];
+                a.write(run.clone().map(|msg| (1, msg))).unwrap();
+                sent_a.extend(run.map(|msg| (0, msg)));
+            }
+            if t % 3 == 0 {
+                let run = [app(t as u8), app(t as u8 + 100)];
+                b.write(run.clone().map(|msg| (0, msg))).unwrap();
+                sent_b.extend(run.map(|msg| (1, msg)));
             }
             poll(&mut a, &store, &mut got_a);
             poll(&mut b, &store, &mut got_b);
@@ -1185,15 +1212,50 @@ mod tests {
 
     #[test]
     fn a_peer_that_never_acks_fills_the_window() {
-        let (mut a, _b, _store) = pair(&lossless());
-        for i in 0..WINDOW {
+        let (mut a, mut b, _store) = pair(&lossless());
+        for i in 0..WINDOW - 1 {
             a.send(1, app(i as u8)).unwrap();
         }
+        while b.endpoint.try_recv().unwrap().is_some() {}
+        // A run the window fills partway through writes what it sequenced.
+        match a.write([1, 2, 3].map(|byte| (1, app(byte)))) {
+            Err(DsoError::WindowFull { peer: 1, unacked: WINDOW }) => {}
+            other => panic!("expected a full window, got {other:?}"),
+        }
+        let mut arrived = 0;
+        while b.endpoint.try_recv().unwrap().is_some() {
+            arrived += 1;
+        }
+        assert_eq!(arrived, 1, "the one frame the run sequenced went out");
+        assert_eq!(a.links[1].unacked.len(), WINDOW);
         match a.send(1, app(0)) {
             Err(DsoError::WindowFull { peer: 1, unacked: WINDOW }) => {}
             other => panic!("expected a full window, got {other:?}"),
         }
         assert_eq!(a.links[1].unacked.len(), WINDOW, "the refused frame was not queued");
+    }
+
+    #[test]
+    fn each_run_of_messages_to_one_peer_is_one_write_with_or_without_reliability() {
+        for reliability in [None, Some(RETRY)] {
+            let (mut nodes, store) = group(3, &lossless());
+            for node in &mut nodes {
+                node.config.reliability = reliability;
+            }
+            let list = [(1, app(1)), (1, app(2)), (2, app(3)), (1, app(4))];
+            nodes[0].write(list).unwrap();
+            assert_eq!(
+                nodes[0].endpoint.inner().writes,
+                [(1, 2), (2, 1), (1, 1)],
+                "{reliability:?}"
+            );
+            let mut got = Vec::new();
+            poll(&mut nodes[1], &store, &mut got);
+            assert_eq!(got, [(0, app(1)), (0, app(2)), (0, app(4))], "{reliability:?}");
+            got.clear();
+            poll(&mut nodes[2], &store, &mut got);
+            assert_eq!(got, [(0, app(3))], "{reliability:?}");
+        }
     }
 
     #[test]

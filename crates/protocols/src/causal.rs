@@ -137,11 +137,8 @@ impl<E: Endpoint> CausalMemory<E> {
             diff: Diff::single(offset, bytes.to_vec()),
         };
         let encoded = sdso_net::wire::encode(&msg).to_vec();
-        for peer in 0..self.runtime.num_nodes() as NodeId {
-            if peer != me {
-                self.runtime.send_app(peer, MsgClass::Data, encoded.clone())?;
-            }
-        }
+        let peers = (0..self.runtime.num_nodes() as NodeId).filter(|&peer| peer != me);
+        self.runtime.send_app(MsgClass::Data, peers.map(|peer| (peer, encoded.clone())))?;
         self.metrics.writes_pushed += 1;
         Ok(())
     }

@@ -393,10 +393,8 @@ impl<E: Endpoint> EntryConsistency<E> {
                 self.local_acquire(req.object, req.mode)?;
             } else {
                 let epoch = self.runtime.epoch();
-                self.send_ec(
-                    manager,
-                    EcMessage::Acquire { object: req.object, mode: req.mode, epoch },
-                )?;
+                let acquire = EcMessage::Acquire { object: req.object, mode: req.mode, epoch };
+                self.send_ec([(manager, acquire)])?;
             }
             // Wait for the grant (self-grants land in `granted` too).
             let (owner, version) = loop {
@@ -456,7 +454,9 @@ impl<E: Endpoint> EntryConsistency<E> {
     }
 
     /// Releases every held lock, telling each manager whether the object
-    /// was modified (so it can update the owner pointer).
+    /// was modified (so it can update the owner pointer). The Releases and
+    /// the Grants they free at this process's own managers go out in order,
+    /// each run of consecutive messages to one peer as one write.
     ///
     /// # Errors
     ///
@@ -464,6 +464,7 @@ impl<E: Endpoint> EntryConsistency<E> {
     pub fn release_all(&mut self, modified: &BTreeSet<ObjectId>) -> Result<(), DsoError> {
         let me = self.runtime.node_id();
         let held = std::mem::take(&mut self.held);
+        let mut out = Vec::new();
         for (object, _mode) in held {
             self.runtime.obs().record(
                 self.runtime.now().as_micros(),
@@ -476,15 +477,12 @@ impl<E: Endpoint> EntryConsistency<E> {
             let version = self.runtime.version_of(object)?;
             let manager = self.manager_of_view(object);
             if manager == me {
-                self.local_release(object, me, was_modified, version)?;
+                self.local_release(object, me, was_modified, version, &mut out);
             } else {
-                self.send_ec(
-                    manager,
-                    EcMessage::Release { object, modified: was_modified, version },
-                )?;
+                out.push((manager, EcMessage::Release { object, modified: was_modified, version }));
             }
         }
-        Ok(())
+        self.send_ec(out)
     }
 
     /// Announces the end of this process's run, then keeps serving manager
@@ -498,9 +496,7 @@ impl<E: Endpoint> EntryConsistency<E> {
     pub fn finish(&mut self) -> Result<(), DsoError> {
         let me = self.runtime.node_id();
         let peers = self.runtime.membership().peers_of(me);
-        for &peer in &peers {
-            self.send_ec(peer, EcMessage::Done)?;
-        }
+        self.send_ec(peers.iter().map(|&peer| (peer, EcMessage::Done)))?;
         while self.dones_seen < peers.len() {
             self.pump_one()?;
         }
@@ -546,13 +542,11 @@ impl<E: Endpoint> EntryConsistency<E> {
             }
             let bytes = self.runtime.read(object)?.to_vec();
             for &peer in &peers {
-                self.send_ec(peer, EcMessage::State { object, version, bytes: bytes.clone() })?;
+                self.send_ec([(peer, EcMessage::State { object, version, bytes: bytes.clone() })])?;
             }
         }
         let epoch = self.runtime.epoch();
-        for &peer in &peers {
-            self.send_ec(peer, EcMessage::SyncDone { epoch })?;
-        }
+        self.send_ec(peers.iter().map(|&peer| (peer, EcMessage::SyncDone { epoch })))?;
         while self.sync_dones_seen < peers.len() {
             self.pump_one()?;
         }
@@ -622,6 +616,7 @@ impl<E: Endpoint> EntryConsistency<E> {
                 return Ok(());
             }
         }
+        let mut out = Vec::new();
         match msg {
             EcMessage::Acquire { object, mode, epoch: _ } => {
                 let me = self.runtime.node_id();
@@ -629,33 +624,25 @@ impl<E: Endpoint> EntryConsistency<E> {
                 if lock.queue.is_empty() && lock.compatible(mode) {
                     lock.add_holder(from, mode);
                     let (owner, version) = (lock.owner, lock.version);
-                    self.deliver_grant(from, object, owner, version)?;
+                    self.deliver_grant(from, object, owner, version, &mut out);
                 } else {
                     lock.queue.push_back((from, mode));
                 }
-                Ok(())
             }
             EcMessage::Release { object, modified, version } => {
-                self.local_release(object, from, modified, version)
+                self.local_release(object, from, modified, version, &mut out);
             }
             EcMessage::Grant { object, owner, version } => {
                 self.granted.insert(object, (owner, version));
-                Ok(())
             }
-            EcMessage::Done => {
-                self.dones_seen += 1;
-                Ok(())
-            }
+            EcMessage::Done => self.dones_seen += 1,
             EcMessage::State { object, version, bytes } => {
                 let diff = Diff::single(0, bytes);
                 self.runtime.apply_remote(object, &diff, version)?;
-                Ok(())
             }
-            EcMessage::SyncDone { epoch: _ } => {
-                self.sync_dones_seen += 1;
-                Ok(())
-            }
+            EcMessage::SyncDone { epoch: _ } => self.sync_dones_seen += 1,
         }
+        self.send_ec(out)
     }
 
     /// Acquire when this process is the manager: grant immediately when
@@ -666,14 +653,16 @@ impl<E: Endpoint> EntryConsistency<E> {
         self.handle(me, EcMessage::Acquire { object, mode, epoch })
     }
 
-    /// Release processing at the manager (local or remote requester).
+    /// Release processing at the manager (local or remote requester); the
+    /// Grants it frees for remote waiters are appended to `out`.
     fn local_release(
         &mut self,
         object: ObjectId,
         who: NodeId,
         modified: bool,
         version: Version,
-    ) -> Result<(), DsoError> {
+        out: &mut Vec<(NodeId, EcMessage)>,
+    ) {
         let me = self.runtime.node_id();
         let lock = self.managed.entry(object).or_insert_with(|| ManagedLock::new(me));
         lock.remove_holder(who);
@@ -690,29 +679,35 @@ impl<E: Endpoint> EntryConsistency<E> {
             lock.queue.pop_front();
             lock.add_holder(next, mode);
             let (owner, version) = (lock.owner, lock.version);
-            self.deliver_grant(next, object, owner, version)?;
+            self.deliver_grant(next, object, owner, version, out);
         }
-        Ok(())
     }
 
+    /// Grants `object` to `to`: at once when `to` is this process, else as
+    /// a Grant appended to `out`.
     fn deliver_grant(
         &mut self,
         to: NodeId,
         object: ObjectId,
         owner: NodeId,
         version: Version,
-    ) -> Result<(), DsoError> {
+        out: &mut Vec<(NodeId, EcMessage)>,
+    ) {
         if to == self.runtime.node_id() {
             self.granted.insert(object, (owner, version));
-            Ok(())
         } else {
-            self.send_ec(to, EcMessage::Grant { object, owner, version })
+            out.push((to, EcMessage::Grant { object, owner, version }));
         }
     }
 
-    fn send_ec(&mut self, to: NodeId, msg: EcMessage) -> Result<(), DsoError> {
-        let bytes = sdso_net::wire::encode(&msg).to_vec();
-        self.runtime.send_app(to, MsgClass::Control, bytes)
+    /// Sends `out` in order, each run of consecutive messages to one peer
+    /// as one transport write.
+    fn send_ec(
+        &mut self,
+        out: impl IntoIterator<Item = (NodeId, EcMessage)>,
+    ) -> Result<(), DsoError> {
+        let out = out.into_iter().map(|(to, msg)| (to, sdso_net::wire::encode(&msg).to_vec()));
+        self.runtime.send_app(MsgClass::Control, out)
     }
 }
 
@@ -821,6 +816,34 @@ mod tests {
         }
         let n1 = t.join().unwrap();
         let _ = (n0, n1);
+    }
+
+    #[test]
+    fn release_all_sends_one_batch_per_run_of_messages_to_one_peer() {
+        use sdso_net::{Recorder, TraceConfig};
+        let mut nodes = cluster(2, 4);
+        let mut n1 = nodes.pop().unwrap();
+        let mut n0 = nodes.pop().unwrap();
+        let recorder = Recorder::new(0, TraceConfig::counters());
+        n0.runtime_mut().endpoint_mut().attach_recorder(recorder.clone());
+        // n0 manages object 0 and holds it, with n1 queued behind; it also
+        // holds objects 1 and 3, which n1 manages.
+        n0.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
+        n0.handle(
+            1,
+            EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch::ZERO },
+        )
+        .unwrap();
+        n0.held.insert(ObjectId(1), LockMode::Write);
+        n0.held.insert(ObjectId(3), LockMode::Write);
+        n0.release_all(&BTreeSet::from([ObjectId(1), ObjectId(3)])).unwrap();
+        let counts = recorder.counts();
+        assert_eq!(counts[EventKind::Send as usize], 3, "a Grant and two Releases");
+        assert_eq!(counts[EventKind::BatchSend as usize], 1, "all three in one write");
+        n1.service_pending().unwrap();
+        assert!(n1.granted.contains_key(&ObjectId(0)), "the freed Grant arrived");
+        assert_eq!(n1.managed[&ObjectId(1)].owner, 0);
+        assert_eq!(n1.managed[&ObjectId(3)].owner, 0);
     }
 
     #[test]

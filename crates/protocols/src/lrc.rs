@@ -467,7 +467,7 @@ impl<E: Endpoint> Lrc<E> {
 
     fn send(&mut self, to: NodeId, class: MsgClass, msg: LrcMessage) -> Result<(), DsoError> {
         let bytes = sdso_net::wire::encode(&msg).to_vec();
-        self.runtime.send_app(to, class, bytes)
+        self.runtime.send_app(class, [(to, bytes)])
     }
 }
 

@@ -4,12 +4,12 @@
 
 #![cfg(unix)]
 
-use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime};
-use sdso_game::{run_node, Protocol, Scenario};
+use sdso_core::{DsoConfig, EveryTick, ObjectId, ObsSet, RetryConfig, SdsoRuntime};
+use sdso_game::{run_node, run_node_with, Protocol, RunPlan, Scenario};
 use sdso_harness::transports::local_cluster;
 use sdso_net::memory::MemoryHub;
 use sdso_net::reactor::ReactorMesh;
-use sdso_net::{Endpoint, NetMetricsSnapshot, TransportKind};
+use sdso_net::{Endpoint, EventKind, NetMetricsSnapshot, TraceConfig, TransportKind};
 use sdso_protocols::Lookahead;
 use sdso_sim::{NetworkModel, SimCluster};
 
@@ -98,6 +98,34 @@ fn tcp_mesh_supports_the_full_exchange_protocol() {
 }
 
 #[test]
+fn ec_writes_runs_to_one_manager_as_one_write_with_reliability_off_and_on() {
+    // EC hands each operation's messages to the session in one call: over
+    // real sockets its releases to one manager leave in one write whatever
+    // the reliability setting, and the replicas still converge.
+    let bare = Scenario::paper(2, 1).with_ticks(25);
+    for scenario in [bare.clone(), bare.with_reliability(RetryConfig::default())] {
+        let obs = ObsSet::new(2, TraceConfig::counters());
+        let plan = RunPlan::default().with_obs(obs.clone());
+        let nodes: Vec<_> = ReactorMesh::local(2)
+            .unwrap()
+            .into_iter()
+            .map(|ep| {
+                let (scenario, plan) = (scenario.clone(), plan.clone());
+                std::thread::spawn(move || run_node_with(ep, &scenario, Protocol::Entry, &plan))
+            })
+            .collect();
+        let stats: Vec<_> =
+            nodes.into_iter().map(|h| h.join().unwrap().expect("EC game")).collect();
+        let reliability = scenario.reliability;
+        assert!(stats.iter().all(|s| s.modifications > 0), "{reliability:?}");
+        assert_eq!(stats[0].final_world, stats[1].final_world, "{reliability:?}");
+        let batches: u64 =
+            (0..2).map(|i| obs.node(i).recorder().counts()[EventKind::BatchSend as usize]).sum();
+        assert!(batches > 0, "{reliability:?}: no batched write");
+    }
+}
+
+#[test]
 fn runtime_works_over_tcp_for_puts_and_gets() {
     let mut endpoints = ReactorMesh::local(2).unwrap();
     let b = endpoints.pop().unwrap();
@@ -116,7 +144,7 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
     rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
     rt.write(ObjectId(0), 0, &[7u8; 8]).unwrap();
     rt.sync_put(1, ObjectId(0)).unwrap();
-    rt.send_app(1, sdso_net::MsgClass::Control, b"check".to_vec()).unwrap();
+    rt.send_app(sdso_net::MsgClass::Control, [(1, b"check".to_vec())]).unwrap();
     tb.join().unwrap();
 }
 
