@@ -136,7 +136,9 @@ mod tests {
 
     /// Every backticked `crates/…`, `tests/…`, `examples/…` or `shims/…`
     /// path in the living docs exists. A `:line` or `::item` suffix is
-    /// cut off; globs and `<placeholder>`s are skipped. History files
+    /// cut off; globs and `<placeholder>`s are skipped. A path followed
+    /// by `` : `name` ``, as in ARCHITECTURE §9's "Asserted by" column,
+    /// cites a function: `fn name` must occur in that file. History files
     /// (CHANGES, RELEASE_NOTES, ROADMAP) are out of scope.
     #[test]
     fn documented_paths_exist() {
@@ -155,18 +157,44 @@ mod tests {
             let text: Vec<&str> =
                 text.lines().filter(|l| !l.trim_start().starts_with("```")).collect();
             let text = text.join("\n");
-            for span in text.split('`').skip(1).step_by(2) {
+            let pieces: Vec<&str> = text.split('`').collect();
+            for (i, span) in pieces.iter().enumerate().skip(1).step_by(2) {
                 let Some(word) = span.split_whitespace().next() else { continue };
                 let path = word.split(':').next().unwrap_or(word);
                 let named = ["crates/", "tests/", "examples/", "shims/"]
                     .iter()
                     .any(|dir| path.starts_with(dir));
-                if named && !path.contains(['*', '<']) && !root.join(path).exists() {
-                    missing.push(format!("{doc}: `{span}`"));
+                if !named || path.contains(['*', '<']) {
+                    continue;
+                }
+                let Ok(src) = std::fs::read_to_string(root.join(path)) else {
+                    if !root.join(path).exists() {
+                        missing.push(format!("{doc}: `{span}`"));
+                    }
+                    continue;
+                };
+                let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+                let cited = match (pieces.get(i + 1), pieces.get(i + 2)) {
+                    (Some(gap), Some(name))
+                        if gap.trim() == ":" && !name.is_empty() && name.chars().all(ident) =>
+                    {
+                        *name
+                    }
+                    _ => continue,
+                };
+                let defined = src
+                    .match_indices(&format!("fn {cited}"))
+                    .any(|(at, m)| !src[at + m.len()..].starts_with(ident));
+                if !defined {
+                    missing.push(format!("{doc}: `{span}`: `{cited}` (no `fn {cited}` there)"));
                 }
             }
         }
-        assert!(missing.is_empty(), "documented paths that do not exist:\n{}", missing.join("\n"));
+        assert!(
+            missing.is_empty(),
+            "documented paths or tests that do not exist:\n{}",
+            missing.join("\n")
+        );
     }
 
     #[test]

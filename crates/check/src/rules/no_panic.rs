@@ -15,7 +15,8 @@ pub const RULE: &str = "no-panic";
 /// Exact files in scope.
 const SCOPE_FILES: &[&str] = &["crates/core/src/runtime.rs", "crates/core/src/session.rs"];
 /// Path prefixes in scope.
-const SCOPE_PREFIXES: &[&str] = &["crates/protocols/src/", "crates/net/src/", "crates/shard/src/"];
+const SCOPE_PREFIXES: &[&str] =
+    &["crates/protocols/src/", "crates/net/src/", "crates/game/src/shard/"];
 
 /// Panicking constructs and how to refer to them in the diagnostic.
 /// Shared with the cross-file reachability pass in [`super::cross`].

@@ -7,11 +7,12 @@
 //! restores O(cluster) per-node traffic while every convergence oracle
 //! still passes (routing is a pure deferral, so nothing diverges; the
 //! regression is invisible except in the traffic gates). The rule scans
-//! every `fn routes(..)` defined under `crates/shard/src/` and denies
-//! bodies that ignore the peer: either the parameter is spelled unused
-//! (`_peer`, `_`) or the body text never mentions it. The intentionally
-//! conservative blanket router (`DefaultRouter` in `sdso-core`) lives
-//! outside the sharding crate and is out of scope by construction.
+//! every `fn routes(..)` defined under `crates/game/src/shard/` and
+//! denies bodies that ignore the peer: either the parameter is spelled
+//! unused (`_peer`, `_`) or the body text never mentions it. The
+//! intentionally conservative blanket router (`DefaultRouter` in
+//! `sdso-core`) lives outside the sharding module and is out of scope by
+//! construction.
 
 use super::FileCtx;
 use crate::diag::Diagnostic;
@@ -20,7 +21,7 @@ use crate::diag::Diagnostic;
 pub const RULE: &str = "region-routing";
 
 /// Path prefix governed by this rule.
-const SCOPE_PREFIX: &str = "crates/shard/src/";
+const SCOPE_PREFIX: &str = "crates/game/src/shard/";
 
 /// The routing decision method every interest router implements.
 const PATTERN: &str = "fn routes(";
@@ -157,7 +158,7 @@ mod tests {
 
     #[test]
     fn unused_peer_param_is_flagged() {
-        let d = run("crates/shard/src/router.rs", LEAKY);
+        let d = run("crates/game/src/shard/router.rs", LEAKY);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule, RULE);
         assert_eq!(d[0].line, 2);
@@ -167,7 +168,7 @@ mod tests {
     fn body_that_never_reads_peer_is_flagged() {
         let src = "fn routes(&self, peer: NodeId, object: ObjectId) -> bool {\n    \
              self.lattice.contains(object)\n}";
-        let d = run("crates/shard/src/router.rs", src);
+        let d = run("crates/game/src/shard/router.rs", src);
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`peer`"));
     }
@@ -176,13 +177,29 @@ mod tests {
     fn consulting_the_peer_is_clean() {
         let src = "fn routes(&self, peer: NodeId, object: ObjectId) -> bool {\n    \
              self.interest_of(peer).covers(self.lattice.region_of_object(object))\n}";
-        assert!(run("crates/shard/src/router.rs", src).is_empty());
+        assert!(run("crates/game/src/shard/router.rs", src).is_empty());
     }
 
     #[test]
     fn trait_declarations_and_other_crates_are_exempt() {
         let decl = "pub trait DiffRouter { fn routes(&self, peer: NodeId, o: ObjectId) -> bool; }";
-        assert!(run("crates/shard/src/router.rs", decl).is_empty());
+        assert!(run("crates/game/src/shard/router.rs", decl).is_empty());
         assert!(run("crates/core/src/router.rs", LEAKY).is_empty());
+    }
+
+    #[test]
+    fn the_installed_shard_router_is_in_scope() {
+        // The router MSYNC2-SHARD installs: its `fn routes` consults the
+        // peer, and spelling that parameter unused must trip the rule.
+        let path = "crates/game/src/shard/mod.rs";
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let src = std::fs::read_to_string(root.join(path)).unwrap();
+        assert!(run(path, &src).is_empty(), "{:?}", run(path, &src));
+        let real = "fn routes(&self, peer: NodeId";
+        assert_eq!(src.matches(real).count(), 1, "one `fn routes` in {path}");
+        let leaky = src.replace(real, "fn routes(&self, _peer: NodeId");
+        let d = run(path, &leaky);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!(d[0].rule, RULE);
     }
 }

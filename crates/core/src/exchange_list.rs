@@ -42,22 +42,6 @@ impl ExchangeList {
         self.by_time.insert((time, peer), ());
     }
 
-    /// Schedules an exchange with `peer` at `time`, keeping the *earlier*
-    /// of the existing entry and `time` if one is already present.
-    ///
-    /// This is the merge operation for region-sharded scheduling: when a
-    /// boundary-straddling peer appears in several region exchange groups,
-    /// each group proposes its own exchange time, and the peer must end up
-    /// with exactly one entry — the earliest proposal — rather than one
-    /// per group (which would make it rendezvous, and receive diffs, once
-    /// per overlapping region).
-    pub fn schedule_min(&mut self, peer: NodeId, time: LogicalTime) {
-        match self.by_peer.get(&peer) {
-            Some(&existing) if existing <= time => {}
-            _ => self.schedule(peer, time),
-        }
-    }
-
     /// Removes `peer`'s entry, returning its scheduled time if present.
     pub fn remove(&mut self, peer: NodeId) -> Option<LogicalTime> {
         let time = self.by_peer.remove(&peer)?;
@@ -148,20 +132,6 @@ mod tests {
         assert!(list.is_empty());
         assert_eq!(list.remove(4), None);
         assert_eq!(list.peek_next(), None);
-    }
-
-    #[test]
-    fn schedule_min_keeps_the_earliest_proposal() {
-        let mut list = ExchangeList::new();
-        // Three region groups propose times for the same straddling peer.
-        list.schedule_min(4, t(10));
-        list.schedule_min(4, t(3));
-        list.schedule_min(4, t(7));
-        assert_eq!(list.len(), 1, "one entry per peer, not one per group");
-        assert_eq!(list.time_for(4), Some(t(3)));
-        // A later plain `schedule` still replaces outright.
-        list.schedule(4, t(9));
-        assert_eq!(list.time_for(4), Some(t(9)));
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * [`sfuncs`] — the MSYNC/MSYNC2 semantic functions (BSYNC reuses
 //!   [`sdso_core::EveryTick`]);
 //! * [`shard`] — the region-sharded MSYNC2-SHARD s-function and interest
-//!   router (the 64/256-node scaling extension over `sdso-shard`);
+//!   router with its region lattice, interest sets and handoff log (the
+//!   64/256-node scaling extension);
 //! * [`driver`] — the game state and the one node driver producing
 //!   [`NodeStats`]: one loop for every protocol, played under a
 //!   [`RunPlan`] (players leave and join mid-game through epoch-numbered
@@ -76,5 +77,5 @@ pub use durable::{Journal, Recovered};
 pub use render::{render, scoreboard, RenderOptions};
 pub use scenario::{Scenario, GOAL_POINTS};
 pub use sfuncs::{team_positions, Msync, Msync2};
-pub use shard::{interest_radius, shard_lattice, ShardMsync2, ShardRouter, GROUP_EVERY};
+pub use shard::{interest_radius, ShardMsync2, ShardRouter, GROUP_EVERY};
 pub use world::{Direction, Grid, Pos};

@@ -17,7 +17,7 @@
 
 use sdso_core::{Epoch, LogicalTime, ObjectId};
 
-use crate::lattice::RegionId;
+use super::lattice::RegionId;
 
 /// One ownership transfer: the write pair of a boundary crossing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,21 +53,6 @@ impl HandoffLog {
         self.records.push(record);
     }
 
-    /// The active records, oldest first.
-    pub fn records(&self) -> &[HandoffRecord] {
-        &self.records
-    }
-
-    /// Number of active records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no handoffs are active.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// The region `object` is coupled to through active handoffs: for a
     /// source cell its destination region and vice versa. Yields one
     /// entry per active record touching `object`.
@@ -98,8 +83,30 @@ impl HandoffLog {
 }
 
 #[cfg(test)]
+impl HandoffLog {
+    /// The active records, oldest first.
+    pub fn records(&self) -> &[HandoffRecord] {
+        &self.records
+    }
+
+    /// Number of active records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Whether no handoffs are active.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use sdso_core::{Diff, SlottedBuffer, Version};
+
+    use crate::shard::lattice::RegionLattice;
 
     fn rec(from: u32, to: u32, fr: u16, tr: u16, epoch: u32, tick: u64) -> HandoffRecord {
         HandoffRecord {
@@ -141,5 +148,55 @@ mod tests {
         assert_eq!(log.len(), 4);
         assert!(log.records().iter().all(|r| r.tick >= LogicalTime::from_ticks(6)));
         assert!(!log.is_empty());
+    }
+
+    proptest! {
+        // ------------------------------------------------------------------
+        // Handoff preserves object state: splitting a peer's slot along
+        // any region boundary and delivering both halves (in either
+        // order) reproduces exactly the state the unsplit drain produces.
+        // ------------------------------------------------------------------
+        #[test]
+        fn handoff_transfer_then_merge_is_a_no_op(
+            writes in proptest::collection::vec((0u32..24, 0u32..15, any::<u8>()), 1..48),
+            boundary in 0u32..24,
+        ) {
+            const SIZE: usize = 16;
+            let lattice = RegionLattice::new(6, 4, 2, 2);
+            let fill = |buf: &mut SlottedBuffer| {
+                for (i, &(obj, offset, byte)) in writes.iter().enumerate() {
+                    let stamp = Version::new(LogicalTime::from_ticks(i as u64 + 1), 0);
+                    buf.buffer_for_all(ObjectId(obj), &Diff::single(offset, vec![byte]), stamp, &[]);
+                }
+            };
+            let apply = |target: &mut Vec<Vec<u8>>, updates: Vec<sdso_core::PendingUpdate>| {
+                for u in updates {
+                    u.diff.apply(&mut target[u.object.0 as usize]).unwrap();
+                }
+            };
+
+            // Reference: one unfiltered drain (what a broadcast flush ships).
+            let mut whole = SlottedBuffer::new(2, 0, true);
+            fill(&mut whole);
+            let mut reference = vec![vec![0u8; SIZE]; 24];
+            apply(&mut reference, whole.drain_slot(1));
+
+            // Split: the "transferred" region half first, then the merge of
+            // what stayed behind — and the reverse order too.
+            let side = |obj: ObjectId| {
+                lattice.region_of_object(obj) == lattice.region_of_object(ObjectId(boundary))
+            };
+            for flip in [false, true] {
+                let mut split = SlottedBuffer::new(2, 0, true);
+                fill(&mut split);
+                let first = split.drain_slot_filtered(1, |o| side(o) != flip);
+                let second = split.drain_slot_filtered(1, |o| side(o) == flip);
+                let mut state = vec![vec![0u8; SIZE]; 24];
+                apply(&mut state, first);
+                apply(&mut state, second);
+                prop_assert_eq!(&state, &reference, "split delivery diverged (flip={})", flip);
+                prop_assert_eq!(split.slot_len(1), 0, "nothing lost in the split");
+            }
+        }
     }
 }

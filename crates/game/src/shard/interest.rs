@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use sdso_core::Epoch;
 use sdso_net::NodeId;
 
-use crate::lattice::{RegionId, RegionLattice};
+use super::lattice::{RegionId, RegionLattice};
 
 /// The set of regions a node currently cares about: a fixed-width bitset
 /// over a lattice's region indices.
@@ -20,15 +20,6 @@ impl InterestSet {
     /// The empty interest set over `regions` regions.
     pub fn empty(regions: u16) -> Self {
         InterestSet { bits: vec![0; usize::from(regions).div_ceil(64)], regions }
-    }
-
-    /// The full interest set (every region) — the conservative default.
-    pub fn full(regions: u16) -> Self {
-        let mut set = InterestSet::empty(regions);
-        for r in 0..regions {
-            set.insert(RegionId(r));
-        }
-        set
     }
 
     /// Adds `region`; returns whether it was newly added. Out-of-range
@@ -48,36 +39,6 @@ impl InterestSet {
     pub fn contains(&self, region: RegionId) -> bool {
         region.0 < self.regions
             && self.bits[usize::from(region.0) / 64] & (1u64 << (region.0 % 64)) != 0
-    }
-
-    /// Unions `other` into `self` (same-lattice sets only; extra regions
-    /// in a differently-sized `other` are ignored).
-    pub fn union_with(&mut self, other: &InterestSet) {
-        for (dst, src) in self.bits.iter_mut().zip(&other.bits) {
-            *dst |= src;
-        }
-    }
-
-    /// Whether every region of `other` is also in `self` — the
-    /// monotonicity relation the subscription proptest checks.
-    pub fn is_superset_of(&self, other: &InterestSet) -> bool {
-        self.bits.iter().zip(&other.bits).all(|(a, b)| a & b == *b)
-            && other.bits.len() <= self.bits.len()
-    }
-
-    /// Number of regions in the set.
-    pub fn len(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.bits.iter().all(|&w| w == 0)
-    }
-
-    /// The regions in the set, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = RegionId> + '_ {
-        (0..self.regions).map(RegionId).filter(|&r| self.contains(r))
     }
 }
 
@@ -126,12 +87,6 @@ impl SubscriptionManager {
         }
     }
 
-    /// The interest set observed for `node`, if any observation has been
-    /// made this epoch.
-    pub fn interest_of(&self, node: NodeId) -> Option<&InterestSet> {
-        self.interest.get(&node)
-    }
-
     /// Whether `node`'s interest covers `region`. A node with *no*
     /// observation this epoch covers everything — unknown interest must
     /// never suppress traffic.
@@ -147,6 +102,57 @@ impl SubscriptionManager {
             self.epoch = epoch;
             self.interest.clear();
         }
+    }
+}
+
+#[cfg(test)]
+impl InterestSet {
+    /// The full interest set (every region) — the conservative default.
+    pub fn full(regions: u16) -> Self {
+        let mut set = InterestSet::empty(regions);
+        for r in 0..regions {
+            set.insert(RegionId(r));
+        }
+        set
+    }
+
+    /// Unions `other` into `self` (same-lattice sets only; extra regions
+    /// in a differently-sized `other` are ignored).
+    pub fn union_with(&mut self, other: &InterestSet) {
+        for (dst, src) in self.bits.iter_mut().zip(&other.bits) {
+            *dst |= src;
+        }
+    }
+
+    /// Whether every region of `other` is also in `self` — the
+    /// monotonicity relation the subscription proptest checks.
+    pub fn is_superset_of(&self, other: &InterestSet) -> bool {
+        self.bits.iter().zip(&other.bits).all(|(a, b)| a & b == *b)
+            && other.bits.len() <= self.bits.len()
+    }
+
+    /// Number of regions in the set.
+    pub fn len(&self) -> usize {
+        self.bits.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+
+    /// The regions in the set, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = RegionId> + '_ {
+        (0..self.regions).map(RegionId).filter(|&r| self.contains(r))
+    }
+}
+
+#[cfg(test)]
+impl SubscriptionManager {
+    /// The interest set observed for `node`, if any observation has been
+    /// made this epoch.
+    pub fn interest_of(&self, node: NodeId) -> Option<&InterestSet> {
+        self.interest.get(&node)
     }
 
     /// Forgets nodes that left the group (their slots are gone; keeping

@@ -30,7 +30,7 @@ pub struct RegionLattice {
 
 /// The region edge length the default lattices aim for: the paper's
 /// 32x24 grid becomes 4x3 regions of 8x8 cells.
-pub const DEFAULT_REGION_EDGE: u16 = 8;
+const DEFAULT_REGION_EDGE: u16 = 8;
 
 impl RegionLattice {
     /// A lattice of `regions_x x regions_y` regions over a `width x
@@ -65,31 +65,6 @@ impl RegionLattice {
             width.div_ceil(DEFAULT_REGION_EDGE),
             height.div_ceil(DEFAULT_REGION_EDGE),
         )
-    }
-
-    /// The paper-grid lattice: 4x3 regions of 8x8 cells over 32x24.
-    pub fn paper() -> Self {
-        RegionLattice::for_grid(32, 24)
-    }
-
-    /// Grid width in cells.
-    pub fn width(&self) -> u16 {
-        self.width
-    }
-
-    /// Grid height in cells.
-    pub fn height(&self) -> u16 {
-        self.height
-    }
-
-    /// Region columns.
-    pub fn regions_x(&self) -> u16 {
-        self.regions_x
-    }
-
-    /// Region rows.
-    pub fn regions_y(&self) -> u16 {
-        self.regions_y
     }
 
     /// Total region count.
@@ -138,8 +113,27 @@ impl RegionLattice {
 }
 
 #[cfg(test)]
+impl RegionLattice {
+    /// The paper-grid lattice: 4x3 regions of 8x8 cells over 32x24.
+    pub fn paper() -> Self {
+        RegionLattice::for_grid(32, 24)
+    }
+
+    /// Region columns.
+    pub fn regions_x(&self) -> u16 {
+        self.regions_x
+    }
+
+    /// Region rows.
+    pub fn regions_y(&self) -> u16 {
+        self.regions_y
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn paper_lattice_is_4x3_of_8x8() {
@@ -196,5 +190,35 @@ mod tests {
         let l = RegionLattice::paper();
         assert_eq!(l.region_of_xy(500, 500), RegionId(11));
         assert_eq!(l.region_of_object(ObjectId(u32::MAX)), RegionId(11));
+    }
+
+    proptest! {
+        // ------------------------------------------------------------------
+        // Total partition: every cell maps to exactly one region, every
+        // region id is in range, and no region is empty.
+        // ------------------------------------------------------------------
+        #[test]
+        fn region_assignment_is_a_total_partition(
+            width in 1u16..48,
+            height in 1u16..48,
+            regions_x in 1u16..8,
+            regions_y in 1u16..8,
+        ) {
+            let lattice = RegionLattice::new(width, height, regions_x, regions_y);
+            let mut per_region = vec![0u32; usize::from(lattice.regions())];
+            for y in 0..height {
+                for x in 0..width {
+                    let RegionId(r) = lattice.region_of_xy(x, y);
+                    prop_assert!(r < lattice.regions(), "region id in range");
+                    per_region[usize::from(r)] += 1;
+                    // The object mapping agrees with the coordinate mapping.
+                    let object = ObjectId(u32::from(y) * u32::from(width) + u32::from(x));
+                    prop_assert_eq!(lattice.region_of_object(object), RegionId(r));
+                }
+            }
+            let total: u32 = per_region.iter().sum();
+            prop_assert_eq!(total, u32::from(width) * u32::from(height), "partition is total");
+            prop_assert!(per_region.iter().all(|&c| c > 0), "no region is empty");
+        }
     }
 }

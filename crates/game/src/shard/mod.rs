@@ -4,21 +4,25 @@
 //! distant pairs exchange rarely. But every exchange still ships the
 //! node's whole dirty set to the peer, and over a long run every pair
 //! rendezvouses often enough that per-node traffic grows linearly with
-//! the cluster. MSYNC2-SHARD adds the spatial dimension on top of the
-//! `sdso-shard` lattice:
+//! the cluster. MSYNC2-SHARD adds the spatial dimension on top of a
+//! region lattice, a total partition of the grid into rectangular
+//! regions of at most 8x8 cells:
 //!
 //! * **Grouped schedule** ([`ShardMsync2`]) — a pair whose interest
-//!   regions overlap ("in-group", exactly the [`sdso_shard::RegionGroups`]
-//!   shared-group relation) keeps the MSYNC2 interaction bound tick-exact;
-//!   an out-of-group pair snaps that bound *down* onto multiples of
-//!   [`GROUP_EVERY`], so the cluster's sparse long-range rendezvous
-//!   batch onto shared group ticks instead of smearing across every
-//!   tick.
+//!   regions overlap ("in-group": some candidate position of each side
+//!   has an interest box meeting a common region) keeps the MSYNC2
+//!   interaction bound tick-exact; an out-of-group pair snaps that bound
+//!   *down* onto multiples of [`GROUP_EVERY`], so the cluster's sparse
+//!   long-range rendezvous batch onto shared group ticks instead of
+//!   smearing across every tick.
 //! * **Interest routing** ([`ShardRouter`]) — live exchanges ship only
 //!   the objects inside the destination's interest regions (plus every
 //!   cell currently holding a tank, see below); everything else stays
 //!   merged in the peer's slot and flushes at the next broadcast
 //!   exchange, so final worlds stay bit-identical with full-mesh runs.
+//!   Interest sets grow monotonically within a membership epoch and
+//!   reset at view-change barriers; a handoff log couples the two cells
+//!   of a boundary crossing so no peer sees half of it.
 //!
 //! # Symmetry: pair-agreed positions
 //!
@@ -59,16 +63,22 @@
 //! implies more than `d + 2·GROUP_EVERY` blocks of separation, so a
 //! strictly-future group tick always exists before the bound expires.
 
+mod handoff;
+mod interest;
+mod lattice;
+
 use std::collections::{BTreeMap, BTreeSet};
 
 use sdso_core::{DiffRouter, LogicalTime, ObjectId, ObjectStore, SFunction};
 use sdso_net::NodeId;
-use sdso_shard::{InterestRouter, RegionLattice};
 
 use crate::block::Block;
 use crate::scenario::Scenario;
 use crate::sfuncs::StoreMemo;
 use crate::world::Pos;
+use handoff::{HandoffLog, HandoffRecord};
+use interest::SubscriptionManager;
+use lattice::RegionLattice;
 
 /// The group cadence, in logical ticks: out-of-group rendezvous are
 /// snapped down onto multiples of this, batching the cluster's sparse
@@ -87,7 +97,7 @@ pub fn interest_radius(scenario: &Scenario) -> u16 {
 }
 
 /// The region lattice a scenario's grid shards into.
-pub fn shard_lattice(scenario: &Scenario) -> RegionLattice {
+fn shard_lattice(scenario: &Scenario) -> RegionLattice {
     RegionLattice::for_grid(scenario.grid.width, scenario.grid.height)
 }
 
@@ -154,8 +164,8 @@ impl ShardMsync2 {
     }
 
     /// Whether two candidate positions share at least one interest
-    /// region — the [`sdso_shard::RegionGroups`] criterion for the pair
-    /// belonging to a common per-region exchange group.
+    /// region: the interest boxes of radius [`interest_radius`] around
+    /// them meet a common region of the lattice.
     fn shares_region(&self, a: Pos, b: Pos) -> bool {
         let ra = self.lattice.regions_within(a.x, a.y, self.r_int);
         let rb = self.lattice.regions_within(b.x, b.y, self.r_int);
@@ -253,22 +263,49 @@ impl SFunction for ShardMsync2 {
     }
 }
 
-/// The region-aware diff router for the game: wraps
-/// [`sdso_shard::InterestRouter`] with the game-specific observations —
-/// tank positions (sensed with [`interest_radius`] slack), standing
-/// spawn-point interests, and an always-ship set of the cells currently
-/// holding *this node's own* tanks (the anchor of the pair-agreed
-/// position scheme: each endpoint of a rendezvous ships its own true
-/// position, so the pair bound never depends on third-party relays).
+/// How many ticks a handoff record stays active after its crossing: long
+/// enough for every live exchange cadence in the workspace to have
+/// shipped both cells to every interested peer, short enough to bound
+/// the log. Records also retire wholesale at view-change barriers.
+const HANDOFF_WINDOW_TICKS: u64 = 32;
+
+/// The region-aware diff router for the game, the one [`DiffRouter`]
+/// MSYNC2-SHARD installs. A live diff of `object` ships to `peer` when
+/// any of three holds:
+///
+/// * **anchored** — the object is a cell currently holding one of *this
+///   node's own* tanks, or its own spawn cell. Each endpoint of a
+///   rendezvous ships its own true position, so the pair-agreed position
+///   scheme never depends on third-party relays;
+/// * **interest cover** — the peer's interest set covers the object's
+///   region. Interest is fed each exchange from the store: every visible
+///   tank block of a team, sensed with [`interest_radius`] slack, plus
+///   a standing interest around every spawn point;
+/// * **handoff coupling** — an active handoff record couples the object
+///   to a region the peer's interest covers, so a boundary crossing's
+///   vacated and occupied cells are never half-seen.
+///
+/// Routing is *conservative* in three ways: a peer with no observation
+/// this epoch receives everything; region granularity gives up to a
+/// region's width of slack around the exact sensing range; and the
+/// interest radius widens the relevance distance by the group cadence,
+/// covering a position read from a replica that lags by the
+/// inter-exchange gap. None of this affects convergence — suppressed
+/// diffs stay buffered and flush at the next broadcast exchange — it
+/// only tunes how much live traffic survives.
 #[derive(Debug)]
 pub struct ShardRouter {
     scenario: Scenario,
     me: NodeId,
-    inner: InterestRouter,
     r_int: u16,
     /// Cells that currently hold one of this node's own tanks, plus its
     /// own spawn cell: these ship to every due peer unconditionally.
     anchored: BTreeSet<ObjectId>,
+    /// Interest per team; its epoch mirrors the membership epoch.
+    subs: SubscriptionManager,
+    handoffs: HandoffLog,
+    /// Last observed cell per team, for boundary-crossing detection.
+    last_pos: BTreeMap<NodeId, Pos>,
 }
 
 impl ShardRouter {
@@ -276,19 +313,49 @@ impl ShardRouter {
     /// first observed.
     pub fn new(scenario: Scenario, me: NodeId) -> Self {
         let r_int = interest_radius(&scenario);
-        let inner = InterestRouter::new(shard_lattice(&scenario));
-        ShardRouter { scenario, me, inner, r_int, anchored: BTreeSet::new() }
+        let subs = SubscriptionManager::new(shard_lattice(&scenario));
+        ShardRouter {
+            scenario,
+            me,
+            r_int,
+            anchored: BTreeSet::new(),
+            subs,
+            handoffs: HandoffLog::new(),
+            last_pos: BTreeMap::new(),
+        }
     }
 
-    /// The wrapped interest router (for inspection in tests).
-    pub fn inner(&self) -> &InterestRouter {
-        &self.inner
+    /// Records that `team`'s tank stands at `pos` at tick `now`. Widens
+    /// the team's interest (monotone within the epoch) and, when the tank
+    /// crossed a region boundary since its previous observation, appends
+    /// an epoch-stamped [`HandoffRecord`] coupling the vacated and
+    /// occupied cells.
+    fn note_position(&mut self, team: NodeId, pos: Pos, now: LogicalTime) {
+        self.subs.observe(team, pos.x, pos.y, self.r_int);
+        let lattice = *self.subs.lattice();
+        if let Some(&prev) = self.last_pos.get(&team) {
+            let from_region = lattice.region_of_xy(prev.x, prev.y);
+            let to_region = lattice.region_of_xy(pos.x, pos.y);
+            if from_region != to_region {
+                let grid = self.scenario.grid;
+                self.handoffs.record(HandoffRecord {
+                    from: grid.object_at(prev),
+                    to: grid.object_at(pos),
+                    from_region,
+                    to_region,
+                    epoch: self.subs.epoch(),
+                    tick: now,
+                });
+            }
+        }
+        self.last_pos.insert(team, pos);
     }
 }
 
 impl DiffRouter for ShardRouter {
     fn observe(&mut self, store: &ObjectStore, now: LogicalTime) {
-        self.inner.begin_round(now);
+        let horizon = now.as_ticks().saturating_sub(HANDOFF_WINDOW_TICKS);
+        self.handoffs.retire_before_tick(LogicalTime::from_ticks(horizon));
         self.anchored.clear();
         let grid = self.scenario.grid;
         // Every spawn cell anchors a standing interest — a scoring or
@@ -302,7 +369,7 @@ impl DiffRouter for ShardRouter {
             if team == self.me {
                 self.anchored.insert(grid.object_at(start));
             }
-            self.inner.note_interest(team, start.x, start.y, self.r_int);
+            self.subs.observe(team, start.x, start.y, self.r_int);
         }
         let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
         for (id, replica) in store.iter() {
@@ -316,7 +383,7 @@ impl DiffRouter for ShardRouter {
             // Conservative: every visible tank block (phantoms included)
             // widens the team's interest; only the freshest one counts
             // as its position for boundary-handoff tracking.
-            self.inner.note_interest(team, pos.x, pos.y, self.r_int);
+            self.subs.observe(team, pos.x, pos.y, self.r_int);
             let seen = (pos, replica.version().time);
             frontier
                 .entry(team)
@@ -328,16 +395,29 @@ impl DiffRouter for ShardRouter {
                 .or_insert(seen);
         }
         for (team, (pos, _)) in frontier {
-            self.inner.note_position(team, pos.x, pos.y, self.r_int, now);
+            self.note_position(team, pos, now);
         }
     }
 
     fn routes(&self, peer: NodeId, object: ObjectId) -> bool {
-        self.anchored.contains(&object) || self.inner.routes(peer, object)
+        if self.anchored.contains(&object) {
+            return true;
+        }
+        let region = self.subs.lattice().region_of_object(object);
+        // Handoff coupling: ship a boundary pair's cells to any peer
+        // interested in either side, so a crossing is never half-seen.
+        self.subs.covers(peer, region)
+            || self.handoffs.coupled_regions(object).any(|r| self.subs.covers(peer, r))
     }
 
-    fn on_view_change(&mut self, joined: &[NodeId], left: &[NodeId]) {
-        self.inner.on_view_change(joined, left);
+    fn on_view_change(&mut self, _joined: &[NodeId], _left: &[NodeId]) {
+        // The barrier's broadcast exchange flushed every slot: interest
+        // rebuilds from post-barrier observations and pre-barrier
+        // handoffs are no longer needed.
+        let epoch = self.subs.epoch().next();
+        self.subs.on_epoch(epoch);
+        self.handoffs.retire_before_epoch(epoch);
+        self.last_pos.clear();
         self.anchored.clear();
     }
 }
@@ -346,7 +426,8 @@ impl DiffRouter for ShardRouter {
 mod tests {
     use super::*;
     use crate::world::Direction;
-    use sdso_core::{ObjectStore, Version};
+    use proptest::prelude::*;
+    use sdso_core::{Epoch, ObjectStore, Version};
 
     fn store_with_tanks(scenario: &Scenario, tanks: &[(NodeId, Pos)]) -> ObjectStore {
         let mut store = ObjectStore::new();
@@ -521,5 +602,133 @@ mod tests {
         // Peer 1's interest box covers cells near its tank.
         let near = s.grid.object_at(Pos::new(36, 21));
         assert!(router.routes(1, near));
+    }
+
+    fn t(n: u64) -> LogicalTime {
+        LogicalTime::from_ticks(n)
+    }
+
+    /// A router for node 0 on the 64-node grid: 64x48 cells, 8x6 regions
+    /// of 8x8, interest radius 9.
+    fn router_64() -> (Scenario, ShardRouter) {
+        let s = Scenario::scaled(64, 1);
+        assert_eq!(interest_radius(&s), 9);
+        (s.clone(), ShardRouter::new(s, 0))
+    }
+
+    #[test]
+    fn routes_everything_until_observed() {
+        let (s, router) = router_64();
+        assert!(router.routes(3, ObjectId(0)));
+        assert!(router.routes(3, s.grid.object_at(Pos::new(63, 47))));
+    }
+
+    #[test]
+    fn suppresses_out_of_interest_regions_after_observation() {
+        let (s, mut router) = router_64();
+        // Peer 1 sits at (2, 2): its interest is the 2x2 regions around
+        // the top-left corner.
+        router.note_position(1, Pos::new(2, 2), t(1));
+        assert!(router.routes(1, ObjectId(0)), "own region routed");
+        // Cell (63, 47) is in the far corner region.
+        let far = s.grid.object_at(Pos::new(63, 47));
+        assert!(!router.routes(1, far));
+        // An unobserved peer still gets everything.
+        assert!(router.routes(2, far));
+    }
+
+    #[test]
+    fn boundary_crossing_couples_both_cells() {
+        let (s, mut router) = router_64();
+        // Peer 5 at (0, 20) is interested in region columns 0 and 1
+        // (x < 16) only.
+        router.note_position(5, Pos::new(0, 20), t(1));
+        // Peer 9 (the mover) steps from (15, 20) in column 1 to (16, 20)
+        // in column 2.
+        let (src, dest) = (Pos::new(15, 20), Pos::new(16, 20));
+        router.note_position(9, src, t(1));
+        assert!(!router.routes(5, s.grid.object_at(dest)), "column 2 is outside peer 5's interest");
+        router.note_position(9, dest, t(2));
+        assert_eq!(router.handoffs.len(), 1);
+        assert!(
+            router.routes(5, s.grid.object_at(dest)),
+            "...but the handoff couples it to column 1, so peer 5 gets it"
+        );
+        assert!(router.routes(5, s.grid.object_at(src)));
+    }
+
+    #[test]
+    fn same_region_moves_record_no_handoff() {
+        let (_, mut router) = router_64();
+        router.note_position(9, Pos::new(2, 2), t(1));
+        router.note_position(9, Pos::new(3, 2), t(2));
+        assert!(router.handoffs.is_empty());
+    }
+
+    #[test]
+    fn view_change_resets_interest_and_retires_handoffs() {
+        let (s, mut router) = router_64();
+        let far = s.grid.object_at(Pos::new(63, 47));
+        router.note_position(1, Pos::new(2, 2), t(1));
+        router.note_position(9, Pos::new(15, 20), t(1));
+        router.note_position(9, Pos::new(16, 20), t(2));
+        assert!(!router.routes(1, far));
+        assert_eq!(router.handoffs.len(), 1);
+        router.on_view_change(&[3], &[9]);
+        assert_eq!(router.subs.epoch(), Epoch(1));
+        assert!(router.routes(1, far), "interest reset to unknown");
+        assert!(router.handoffs.is_empty(), "pre-barrier handoffs retired");
+    }
+
+    #[test]
+    fn observation_rounds_retire_stale_handoffs() {
+        let (_, mut router) = router_64();
+        router.note_position(9, Pos::new(15, 20), t(1));
+        router.note_position(9, Pos::new(16, 20), t(2));
+        let empty = ObjectStore::new();
+        router.observe(&empty, t(3));
+        assert_eq!(router.handoffs.len(), 1, "fresh record survives");
+        router.observe(&empty, t(HANDOFF_WINDOW_TICKS + 10));
+        assert!(router.handoffs.is_empty());
+    }
+
+    proptest! {
+        // ------------------------------------------------------------------
+        // Interest monotonicity: within one epoch, every observation only
+        // grows a node's interest set, and covered regions stay covered.
+        // ------------------------------------------------------------------
+        #[test]
+        fn interest_updates_are_monotone_within_an_epoch(
+            moves in proptest::collection::vec((0u16..32, 0u16..24, 0u16..6), 1..32),
+            node in 0u16..4,
+        ) {
+            let mut subs = SubscriptionManager::new(RegionLattice::paper());
+            let mut previous = None;
+            for &(x, y, range) in &moves {
+                subs.observe(node, x, y, range);
+                let current = subs.interest_of(node).unwrap().clone();
+                if let Some(prev) = previous {
+                    prop_assert!(
+                        current.is_superset_of(&prev),
+                        "interest shrank within an epoch"
+                    );
+                }
+                previous = Some(current);
+            }
+            // And the router built on top never *starts* suppressing an
+            // object it once routed (same epoch, same peer). The paper
+            // scenario's grid shards into the paper lattice.
+            let mut router = ShardRouter::new(Scenario::paper(4, 1), 0);
+            let probe = ObjectId(12 * 32 + 16);
+            let mut routed_before = false;
+            for (i, &(x, y, _)) in moves.iter().enumerate() {
+                router.note_position(node, Pos::new(x, y), LogicalTime::from_ticks(i as u64 + 1));
+                let routed_now = router.routes(node, probe);
+                if routed_before {
+                    prop_assert!(routed_now, "a routed object became suppressed mid-epoch");
+                }
+                routed_before = routed_now;
+            }
+        }
     }
 }

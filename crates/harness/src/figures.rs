@@ -399,4 +399,46 @@ mod tests {
             }
         }
     }
+
+    /// Fig. 6 and Fig. 7 at 16 processes, pinned to the message: the
+    /// simulator is deterministic, so `experiments fig6`/`fig7` print
+    /// exactly these counts. Also holds the paper's gradient sentence for
+    /// Fig. 5: at range 1 the EC∶BSYNC time ratio falls from 8 to 16
+    /// processes. Ten 8- and 16-process runs take ~9 s in debug.
+    #[test]
+    #[ignore = "ten 16-process runs, ~9 s in debug: run by the CI contracts job"]
+    fn contract_paper_figures_pin_the_16_process_message_counts() {
+        let sweep = Sweep::paper();
+        assert_eq!(sweep.seeds.len(), 1, "one run per cell: its counts are the figure's");
+        let run = |n: u16, range: u16, protocol: Protocol| {
+            let scenario = sweep.scenario(n, range);
+            let runs = run_seeds(&scenario, protocol, sweep.model, &sweep.seeds).unwrap();
+            runs.into_iter().next().unwrap()
+        };
+        // Per range, per protocol in `Protocol::PAPER` order: (all, data).
+        let pinned = [
+            (1, [(58_709, 2_569), (95_595, 47_355), (65_241, 32_341), (20_399, 10_133)]),
+            (3, [(120_643, 3_773), (96_060, 47_820), (61_290, 30_518), (20_862, 10_396)]),
+        ];
+        let mut ec_over_bsync_16 = 0.0;
+        for (range, counts) in pinned {
+            let mut secs = Vec::new();
+            for (protocol, (all, data)) in Protocol::PAPER.into_iter().zip(counts) {
+                let r = run(16, range, protocol);
+                let got = (r.total_messages(), r.data_messages());
+                assert_eq!(got, (all, data), "{} at n=16, range {range}", protocol.name());
+                secs.push(r.avg_time_per_modification_secs());
+            }
+            if range == 1 {
+                ec_over_bsync_16 = secs[0] / secs[1];
+            }
+        }
+        let secs_8 = |protocol| run(8, 1, protocol).avg_time_per_modification_secs();
+        let ec_over_bsync_8 = secs_8(Protocol::Entry) / secs_8(Protocol::Bsync);
+        assert!(
+            ec_over_bsync_16 < ec_over_bsync_8,
+            "EC:BSYNC at range 1 must fall from n=8 ({ec_over_bsync_8:.2}) to n=16 \
+             ({ec_over_bsync_16:.2})"
+        );
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation stops at 16 processes on a full mesh. This
 //! module drives the region-sharded MSYNC2-SHARD protocol (see
-//! `sdso_game::shard` and the `sdso-shard` crate) against plain MSYNC2
+//! `sdso_game::shard`) against plain MSYNC2
 //! on [`Scenario::scaled`] grids, and reports the first-class scaling
 //! metric: per-node live bytes per tick in a steady-state window, sharded
 //! as a fraction of full-mesh. The tests below hold its contract;
