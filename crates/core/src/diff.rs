@@ -282,6 +282,9 @@ impl Diff {
             self.runs = newer.runs.clone();
             return;
         }
+        if self.overwrite_within(newer.runs()) {
+            return;
+        }
         let old_runs = std::mem::take(&mut self.runs);
         let mut out: Vec<Run> = Vec::with_capacity(old_runs.len() + newer.runs.len());
         let mut old_iter = old_runs.iter();
@@ -327,6 +330,80 @@ impl Diff {
         self.runs = out;
     }
 
+    /// [`Diff::merge_in_place`] of the one-run diff `(offset, bytes)`,
+    /// without building it: a write that lands inside the bytes already
+    /// pending — the game rewrites whole blocks — allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + bytes.len()` exceeds `u32::MAX`.
+    pub fn merge_run(&mut self, offset: u32, bytes: &[u8]) {
+        if !self.overwrite_within(std::iter::once((offset, bytes))) {
+            self.merge_in_place(&Diff::single(offset, bytes.to_vec()));
+        }
+    }
+
+    /// Makes this the one-run diff `(offset, bytes)` — [`Diff::single`] —
+    /// reusing the storage of its first run: rewriting a recycled diff
+    /// with as many bytes as it held allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset + bytes.len()` exceeds `u32::MAX`.
+    pub(crate) fn reset_to(&mut self, offset: u32, bytes: &[u8]) {
+        assert!(
+            u32::try_from(bytes.len()).is_ok_and(|l| offset.checked_add(l).is_some()),
+            "diff run exceeds u32 address space"
+        );
+        self.runs.truncate(1);
+        match self.runs.first_mut() {
+            _ if bytes.is_empty() => self.runs.clear(),
+            Some(run) => {
+                run.offset = offset;
+                run.bytes.clear();
+                run.bytes.extend_from_slice(bytes);
+            }
+            None => self.runs.push(Run { offset, bytes: bytes.to_vec() }),
+        }
+    }
+
+    /// Copies each of `newer`'s runs (ascending, non-overlapping) over the
+    /// bytes of this diff when every one lies inside a single run here,
+    /// returning whether it did; otherwise nothing is touched. The run list
+    /// keeps its shape — the shape the two-pointer merge would rebuild, as
+    /// the fragments of a split covering run are adjacent and rejoin.
+    fn overwrite_within<'a, I>(&mut self, newer: I) -> bool
+    where
+        I: Iterator<Item = (u32, &'a [u8])> + Clone,
+    {
+        let newer = newer.filter(|(_, bytes)| !bytes.is_empty());
+        let mut from = 0;
+        for (offset, bytes) in newer.clone() {
+            match self.covering_run(offset, bytes.len(), from) {
+                Some(at) => from = at,
+                None => return false,
+            }
+        }
+        let mut from = 0;
+        for (offset, bytes) in newer {
+            let Some(at) = self.covering_run(offset, bytes.len(), from) else { continue };
+            let run = &mut self.runs[at];
+            let start = (offset - run.offset) as usize;
+            run.bytes[start..start + bytes.len()].copy_from_slice(bytes);
+            from = at;
+        }
+        true
+    }
+
+    /// Index of the run at or after `from` that holds all of
+    /// `[offset, offset + len)`, if one does.
+    fn covering_run(&self, offset: u32, len: usize, from: usize) -> Option<usize> {
+        let end = u64::from(offset) + len as u64;
+        let at = from + self.runs[from..].partition_point(|r| u64::from(r.end()) < end);
+        let run = self.runs.get(at)?;
+        (run.offset <= offset && end <= u64::from(run.end())).then_some(at)
+    }
+
     /// Number of runs.
     pub fn run_count(&self) -> usize {
         self.runs.len()
@@ -343,7 +420,7 @@ impl Diff {
     }
 
     /// Iterates over `(offset, bytes)` runs in ascending offset order.
-    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> {
+    pub fn runs(&self) -> impl Iterator<Item = (u32, &[u8])> + Clone {
         self.runs.iter().map(|r| (r.offset, r.bytes.as_slice()))
     }
 

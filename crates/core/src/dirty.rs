@@ -1,9 +1,11 @@
-//! Dirty-range tracking for object replicas.
+//! Dirty-range tracking for byte images.
 //!
-//! Every mutation of a replica records the `(offset, len)` span it touched so
-//! diff construction can scan only the bytes that may have changed instead of
-//! the whole object image ([`crate::Diff::between_ranges`]). Tracking is an
-//! optimization, never a correctness dependency: once the span list grows past
+//! A writer records the `(offset, len)` span each mutation touched so diff
+//! construction can scan only the bytes that may have changed instead of the
+//! whole image ([`crate::Diff::between_ranges`]). The object store does not
+//! use it — a write's diff is the bytes written — so what runs it today is
+//! the benchmark's per-block diff kernel. Tracking is an optimization, never
+//! a correctness dependency: once the span list grows past
 //! [`MAX_SPANS`] (or a caller declares an untracked mutation) the set degrades
 //! to [`untracked`](DirtyRanges::is_untracked) and diff builders fall back to
 //! the full scan.

@@ -101,5 +101,5 @@ pub use router::{DiffRouter, RouteAll};
 pub use runtime::{ExchangeReport, SdsoRuntime, SendMode};
 pub use sdso_obs::{text_histogram_dump, Obs, ObsSet};
 pub use sfunction::{EveryTick, Never, SFunction};
-pub use slotted_buffer::{PendingUpdate, SlottedBuffer};
+pub use slotted_buffer::SlottedBuffer;
 pub use store::{ObjectStore, Replica};

@@ -1,5 +1,4 @@
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
 use sdso_net::{Endpoint, MsgClass, NodeId, PeerEvent, SimSpan};
@@ -72,9 +71,20 @@ pub struct SdsoRuntime<E: Endpoint> {
     clock: LogicalClock,
     exchange_list: ExchangeList,
     buffer: SlottedBuffer,
-    /// Local modifications since the last `exchange`, per object, with the
-    /// Lamport stamp of the newest write folded in.
-    current_mods: BTreeMap<ObjectId, (Diff, Version)>,
+    /// Local modifications since the last `exchange`, one per object in
+    /// ascending object order, each with the Lamport stamp of the newest
+    /// write folded in.
+    current_mods: Vec<WireUpdate>,
+    /// The updates one peer's slot drained into its batch, reused from peer
+    /// to peer.
+    batch: Vec<WireUpdate>,
+    /// Which of `current_mods` that batch ships beside them.
+    picks: Vec<usize>,
+    /// Diffs of past intervals, kept for their storage: the next write to
+    /// an object with no pending modification rewrites one.
+    spare: Vec<Diff>,
+    /// The due peers whose SYNC a rendezvous still awaits.
+    outstanding: Vec<NodeId>,
     /// Lamport clock for version stamps. Distinct from the logical
     /// (rendezvous-tick) clock: ticks count exchanges and are *not*
     /// comparable across processes, while version stamps must order
@@ -131,7 +141,11 @@ impl<E: Endpoint> SdsoRuntime<E> {
             clock: LogicalClock::new(),
             exchange_list: ExchangeList::new(),
             buffer: SlottedBuffer::new(n, me, config.merge_diffs),
-            current_mods: BTreeMap::new(),
+            current_mods: Vec::new(),
+            batch: Vec::new(),
+            picks: Vec::new(),
+            spare: Vec::new(),
+            outstanding: Vec::new(),
             lamport: 0,
             early: BTreeMap::new(),
             app_inbox: VecDeque::new(),
@@ -597,16 +611,17 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.lamport += 1;
         let stamp = Version::new(LogicalTime::from_ticks(self.lamport), self.node_id());
         self.store.write(id, offset, bytes, stamp)?;
-        let diff = Diff::single(offset, bytes.to_vec());
-        let merging = match self.current_mods.entry(id) {
-            Entry::Vacant(slot) => {
-                slot.insert((diff, stamp));
+        let merging = match self.current_mods.binary_search_by_key(&id, |u| u.object) {
+            Err(at) => {
+                let mut diff = self.spare.pop().unwrap_or_default();
+                diff.reset_to(offset, bytes);
+                self.current_mods.insert(at, WireUpdate { object: id, diff, version: stamp });
                 false
             }
-            Entry::Occupied(mut slot) => {
-                let (merged, newest) = slot.get_mut();
-                merged.merge_in_place(&diff);
-                *newest = (*newest).max(stamp);
+            Ok(at) => {
+                let pending = &mut self.current_mods[at];
+                pending.diff.merge_run(offset, bytes);
+                pending.version = pending.version.max(stamp);
                 true
             }
         };
@@ -753,59 +768,75 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
         // Ship (data, SYNC) pairs to every due peer: its slot content plus
         // this interval's modifications (both interest-filtered when a
-        // router is active).
-        let current: Vec<(ObjectId, (Diff, Version))> =
-            std::mem::take(&mut self.current_mods).into_iter().collect();
-        let mut updates_sent = 0usize;
-        let mut suppressed = 0u64;
+        // router is active). The slot's updates are moved out of it; a
+        // modification is merged into the slot's update for its object, or
+        // else shipped by reference — the compressed wire encodes straight
+        // from `current_mods`, and only a v1 `Data` message copies it.
+        let router = self.router.as_deref().filter(|_| route_live);
+        let dedup = self.config.wire.batch_dedup;
+        let (mut updates_sent, mut suppressed, mut deduped) = (0usize, 0u64, 0u64);
         for &peer in &due {
-            let mut updates: Vec<WireUpdate> = {
-                let buffer = &mut self.buffer;
-                match self.router.as_deref().filter(|_| route_live) {
-                    Some(router) => buffer.drain_slot_filtered(peer, |o| router.routes(peer, o)),
-                    None => buffer.drain_slot(peer),
+            let (batch, picks) = (&mut self.batch, &mut self.picks);
+            // Empty unless a failed send left it so.
+            batch.clear();
+            match router {
+                Some(router) => {
+                    self.buffer.drain_slot_filtered(peer, |o| router.routes(peer, o), batch);
+                    suppressed += self.buffer.slot_len(peer) as u64;
+                }
+                None => batch.extend(self.buffer.drain_slot(peer)),
+            }
+            if dedup {
+                deduped += coalesce_drained(batch);
+            }
+            picks.clear();
+            for (i, u) in self.current_mods.iter().enumerate() {
+                if router.is_some_and(|router| !router.routes(peer, u.object)) {
+                    suppressed += 1;
+                    continue;
+                }
+                // A slot drains in object order, one update per object
+                // once coalesced.
+                let pending = match dedup {
+                    true => batch.binary_search_by_key(&u.object, |kept| kept.object).ok(),
+                    false => None,
+                };
+                match pending {
+                    Some(at) => {
+                        let kept = &mut batch[at];
+                        kept.diff.merge_in_place(&u.diff);
+                        kept.version = kept.version.max(u.version);
+                        deduped += 1;
+                    }
+                    None => picks.push(i),
                 }
             }
-            .into_iter()
-            .map(|p| WireUpdate { object: p.object, diff: p.diff, version: p.version })
-            .collect();
-            if route_live {
-                suppressed += self.buffer.slot_len(peer) as u64;
-            }
-            for (object, (diff, version)) in &current {
-                match self.router.as_deref().filter(|_| route_live) {
-                    Some(router) if !router.routes(peer, *object) => suppressed += 1,
-                    _ => updates.push(WireUpdate {
-                        object: *object,
-                        diff: diff.clone(),
-                        version: *version,
-                    }),
-                }
-            }
-            if self.config.wire.batch_dedup {
-                self.dedup_updates(&mut updates);
-            }
-            updates_sent += updates.len();
-            self.session.send_rendezvous(peer, t, updates, &self.store)?;
+            updates_sent += batch.len() + picks.len();
+            let current = (&self.current_mods[..], &picks[..]);
+            self.session.send_rendezvous(peer, t, batch, current, &self.store)?;
         }
         if suppressed > 0 {
             self.counters.shard_suppressed.add(suppressed);
+        }
+        if deduped > 0 {
+            self.counters.batch_deduped.add(deduped);
         }
 
         // Buffer this interval's modifications for everyone not exchanged
         // with now — including due peers whose interest excluded an object,
         // so the next broadcast (or an interest-covered later exchange)
         // still delivers it.
-        for (object, (diff, version)) in &current {
-            match self.router.as_deref().filter(|_| route_live) {
+        for u in &self.current_mods {
+            match router {
                 Some(router) => {
                     let recipients: Vec<NodeId> =
-                        due.iter().copied().filter(|&p| router.routes(p, *object)).collect();
-                    self.buffer.buffer_for_all(*object, diff, *version, &recipients);
+                        due.iter().copied().filter(|&p| router.routes(p, u.object)).collect();
+                    self.buffer.buffer_for_all(u.object, &u.diff, u.version, &recipients);
                 }
-                None => self.buffer.buffer_for_all(*object, diff, *version, &due),
+                None => self.buffer.buffer_for_all(u.object, &u.diff, u.version, &due),
             }
         }
+        self.spare.extend(self.current_mods.drain(..).map(|u| u.diff));
 
         let updates_applied = if due.is_empty() { 0 } else { self.await_rendezvous(t, &due)? };
 
@@ -843,14 +874,16 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// arrived, applying updates as they come and buffering early traffic.
     fn await_rendezvous(&mut self, t: LogicalTime, due: &[NodeId]) -> Result<usize, DsoError> {
         let mut applied = 0usize;
-        let mut outstanding: BTreeSet<NodeId> = due.iter().copied().collect();
+        let mut outstanding = std::mem::take(&mut self.outstanding);
+        outstanding.clear();
+        outstanding.extend_from_slice(due);
 
         // Consume rendezvous traffic that arrived before we got here.
         for &peer in due {
             if let Some(entry) = self.early.remove(&(peer, t)) {
                 applied += self.apply_updates(&entry.updates)?;
                 if entry.sync {
-                    outstanding.remove(&peer);
+                    outstanding.retain(|&p| p != peer);
                 }
             }
         }
@@ -886,8 +919,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     }
                 }
                 DsoMessage::Sync { time, .. } => {
-                    if time == t && outstanding.remove(&from) {
+                    let waited_for = outstanding.iter().position(|&p| p == from);
+                    if let Some(at) = waited_for.filter(|_| time == t) {
                         // Rendezvous with `from` complete.
+                        outstanding.swap_remove(at);
                     } else if time > t {
                         self.file_early(from, time, None);
                     } else {
@@ -915,6 +950,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             0,
             0,
         );
+        self.outstanding = outstanding;
         Ok(applied)
     }
 
@@ -943,38 +979,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
             }
         }
         Ok(applied)
-    }
-
-    /// Coalesces same-object updates in an outgoing batch into one update
-    /// each: diffs merged in shipping order (later bytes win overlaps,
-    /// exactly as the receiver would have applied them one by one), the
-    /// newest version stamp kept. Pure batch shrinkage — receivers see
-    /// identical final state.
-    fn dedup_updates(&mut self, updates: &mut Vec<WireUpdate>) {
-        if updates.len() < 2 {
-            return;
-        }
-        let mut slots: BTreeMap<ObjectId, usize> = BTreeMap::new();
-        let mut merged: Vec<WireUpdate> = Vec::with_capacity(updates.len());
-        let mut removed = 0u64;
-        for u in updates.drain(..) {
-            match slots.get(&u.object) {
-                Some(&i) => {
-                    let kept = &mut merged[i];
-                    kept.diff.merge_in_place(&u.diff);
-                    kept.version = kept.version.max(u.version);
-                    removed += 1;
-                }
-                None => {
-                    slots.insert(u.object, merged.len());
-                    merged.push(u);
-                }
-            }
-        }
-        *updates = merged;
-        if removed > 0 {
-            self.counters.batch_deduped.add(removed);
-        }
     }
 
     /// Best-effort tail flush of the reliability layer: keeps receiving
@@ -1197,10 +1201,29 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 }
 
+/// Coalesces the same-object updates a slot drained into `batch` — only
+/// consecutive, as a slot holds them in object order — into the first of
+/// them: diffs merged in shipping order (later bytes win overlaps, exactly as
+/// the receiver would have applied them one by one), the newest version stamp
+/// kept. Returns how many updates it folded away. Pure batch shrinkage —
+/// receivers see identical final state.
+fn coalesce_drained(batch: &mut Vec<WireUpdate>) -> u64 {
+    let before = batch.len();
+    batch.dedup_by(|later, kept| {
+        let same = later.object == kept.object;
+        if same {
+            kept.diff.merge_in_place(&later.diff);
+            kept.version = kept.version.max(later.version);
+        }
+        same
+    });
+    (before - batch.len()) as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sfunction::EveryTick;
+    use crate::sfunction::{EveryTick, Never};
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
     use sdso_net::{Incoming, NetError, Payload};
     use sdso_obs::TraceConfig;
@@ -1354,22 +1377,66 @@ mod tests {
 
     #[test]
     fn dedup_updates_coalesces_same_object_batches() {
-        let mut rt = pair().remove(0);
         let v = |t: u64, w: u16| Version::new(LogicalTime::from_ticks(t), w);
-        let mut updates = vec![
-            WireUpdate { object: ObjectId(1), diff: Diff::single(0, vec![1, 1]), version: v(1, 0) },
-            WireUpdate { object: ObjectId(2), diff: Diff::single(4, vec![9]), version: v(2, 0) },
-            WireUpdate { object: ObjectId(1), diff: Diff::single(1, vec![2, 2]), version: v(3, 0) },
+        let update = |object: u32, offset: u32, bytes: Vec<u8>, version: Version| WireUpdate {
+            object: ObjectId(object),
+            diff: Diff::single(offset, bytes),
+            version,
+        };
+        // What a slot drains with merging off: object 1 twice, oldest first.
+        let mut batch = vec![
+            update(1, 0, vec![1, 1], v(1, 0)),
+            update(1, 1, vec![2, 2], v(3, 0)),
+            update(2, 4, vec![9], v(2, 0)),
         ];
-        rt.dedup_updates(&mut updates);
-        assert_eq!(updates.len(), 2);
-        assert_eq!(updates[0].object, ObjectId(1));
-        assert_eq!(updates[0].version, v(3, 0), "merged update keeps the newest stamp");
+        assert_eq!(coalesce_drained(&mut batch), 1);
+        let objects: Vec<u32> = batch.iter().map(|u| u.object.0).collect();
+        assert_eq!(objects, [1, 2], "first occurrences, in shipping order");
+        assert_eq!(batch[0].version, v(3, 0), "merged update keeps the newest stamp");
         let mut body = [0u8; 4];
-        updates[0].diff.apply(&mut body).unwrap();
+        batch[0].diff.apply(&mut body).unwrap();
         assert_eq!(body, [1, 2, 2, 0], "later bytes win overlaps, as one-by-one application");
-        assert_eq!(updates[1].object, ObjectId(2));
-        assert_eq!(rt.metrics().batch_deduped, 1);
+        assert_eq!(batch[1].object, ObjectId(2));
+    }
+
+    #[test]
+    fn an_exchange_merges_a_modification_into_its_objects_buffered_update() {
+        use crate::config::WireConfig;
+        // Node 0 meets node 1 at t1 while node 2's slot fills, then meets
+        // node 2 at t2 with a fresh write to an object already buffered.
+        let wire = WireConfig { codec_v2: false, xor_delta: false, batch_dedup: true };
+        let mut eps = MemoryHub::new(3).into_endpoints();
+        let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact().with_wire(wire));
+        let (mut one, mut two) = (eps.remove(0), eps.remove(0));
+        for id in 1..=2 {
+            rt.share(ObjectId(id), vec![0u8; 8]).unwrap();
+        }
+        let sync = |t: u64| {
+            let time = LogicalTime::from_ticks(t);
+            DsoMessage::Sync { epoch: Epoch::ZERO, time }.into_payload(None)
+        };
+        rt.exchange_list.schedule(1, LogicalTime::from_ticks(1));
+        rt.write(ObjectId(1), 0, &[1, 1]).unwrap();
+        rt.write(ObjectId(2), 0, &[7]).unwrap();
+        one.send(0, sync(1)).unwrap();
+        rt.exchange(SendMode::Multicast, &mut Never).unwrap();
+        assert_eq!(rt.buffer.slot_len(2), 2, "both writes wait for node 2");
+
+        rt.exchange_list.schedule(2, LogicalTime::from_ticks(2));
+        rt.write(ObjectId(1), 1, &[2, 2]).unwrap();
+        two.send(0, sync(2)).unwrap();
+        let report = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
+        assert_eq!(report.updates_sent, 2);
+        assert_eq!(rt.metrics().batch_deduped, 1, "object 1's write merged into its slot entry");
+        let Incoming { payload, .. } = two.recv().unwrap();
+        let Ok(DsoMessage::Data { updates, .. }) = sdso_net::wire::decode(&payload.bytes) else {
+            panic!("node 2 gets its data first");
+        };
+        let objects: Vec<u32> = updates.iter().map(|u| u.object.0).collect();
+        assert_eq!(objects, [1, 2], "one update per object, in object order");
+        let mut body = [0u8; 8];
+        updates[0].diff.apply(&mut body).unwrap();
+        assert_eq!(body[..3], [1, 2, 2], "the later write wins, as applied one by one");
     }
 
     #[test]

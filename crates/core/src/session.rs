@@ -28,7 +28,6 @@ use crate::codec::{self, ShadowState, CODEC_V2};
 use crate::config::{DsoConfig, RetryConfig};
 use crate::error::DsoError;
 use crate::metrics::DsoCounters;
-use crate::object::ObjectId;
 use crate::store::ObjectStore;
 use crate::wire::{DsoMessage, WireUpdate};
 
@@ -285,51 +284,62 @@ impl<E: Endpoint> Session<E> {
     /// Fig. 4 stamped with the view's epoch: one `Data2` frame that is both
     /// when the link negotiated v2, else the data half (omitted when empty)
     /// and a `Sync`; this process's codec offer in front while it is still
-    /// owed — as one run of [`Session::write`].
+    /// owed — as one run of [`Session::write`]. The data is `batch`'s
+    /// updates followed by the `picks` of `current`, which are only read: a
+    /// `Data2` is encoded from both in place and `batch` is left empty with
+    /// its capacity, while a v1 `Data` takes `batch` and copies the picks
+    /// into it.
     pub(crate) fn send_rendezvous(
         &mut self,
         peer: NodeId,
         time: LogicalTime,
-        updates: Vec<WireUpdate>,
+        batch: &mut Vec<WireUpdate>,
+        (current, picks): (&[WireUpdate], &[usize]),
         store: &ObjectStore,
     ) -> Result<(), DsoError> {
         let epoch = self.view.epoch();
-        let mut msgs = Vec::with_capacity(3);
         // Our codec offer goes first while it is still owed. With
         // compression off none ever is, and peers keep encoding v1 toward us.
         let offered = &mut self.links[usize::from(peer)].offered;
-        if self.config.wire.codec_v2 && !std::mem::replace(offered, true) {
-            msgs.push(DsoMessage::CodecOffer { version: CODEC_V2 });
-        }
-        if !updates.is_empty() {
-            msgs.push(self.encode_data(peer, epoch, time, updates, store));
-        }
-        if matches!(msgs.last(), Some(DsoMessage::Data2 { .. })) {
+        let offer = (self.config.wire.codec_v2 && !std::mem::replace(offered, true))
+            .then_some(DsoMessage::CodecOffer { version: CODEC_V2 });
+        let empty = batch.is_empty() && picks.is_empty();
+        let more = (current, picks);
+        let data = (!empty).then(|| self.encode_data(peer, epoch, time, batch, more, store));
+        let fused = matches!(data, Some(DsoMessage::Data2 { .. }));
+        if fused {
             self.counters.rendezvous_fused.inc();
-        } else {
-            msgs.push(DsoMessage::Sync { epoch, time });
         }
-        self.write(msgs.into_iter().map(|msg| (peer, msg)))
+        let sync = (!fused).then_some(DsoMessage::Sync { epoch, time });
+        self.write(offer.into_iter().chain(data).chain(sync).map(|msg| (peer, msg)))
     }
 
     /// The one send path: sends `msgs` in order, each maximal run of
     /// consecutive messages to one peer as one transport write (a plain
-    /// send for a run of one). A run to a non-member is dropped and counted:
-    /// a departed peer will never consume it, and queueing it on the
-    /// reliability layer would leave permanently-unackable state. Every
-    /// other message is sequenced and encoded in order, a run's frames at
-    /// its write. A window that fills partway through a run still writes
-    /// what the run sequenced before it, then fails with `WindowFull`.
+    /// send for a run of one, which needs no list). A run to a non-member
+    /// is dropped and counted: a departed peer will never consume it, and
+    /// queueing it on the reliability layer would leave permanently-unackable
+    /// state. Every other message is sequenced and encoded in order, a run's
+    /// frames at its write. A window that fills partway through a run still
+    /// writes what the run sequenced before it, then fails with `WindowFull`.
     pub(crate) fn write(
         &mut self,
         msgs: impl IntoIterator<Item = (NodeId, DsoMessage)>,
     ) -> Result<(), DsoError> {
         let mut msgs = msgs.into_iter().peekable();
         while let Some((peer, first)) = msgs.next() {
+            let alone = msgs.peek().is_none_or(|&(to, _)| to != peer);
             let more = std::iter::from_fn(|| msgs.next_if(|&(to, _)| to == peer).map(|(_, m)| m));
-            let run = std::iter::once(first).chain(more);
+            let mut run = std::iter::once(first).chain(more);
             if !self.view.contains(peer) {
                 self.counters.non_member_dropped.add(run.count() as u64);
+                continue;
+            }
+            if alone {
+                if let Some(msg) = run.next() {
+                    let payload = self.wrap(peer, msg)?;
+                    self.endpoint.send(peer, payload).map_err(DsoError::Net)?;
+                }
                 continue;
             }
             let mut payloads = Vec::new();
@@ -399,30 +409,33 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Builds the data message for one exchange send: the compressed `Data2`,
-    /// SYNC on board, once the peer has negotiated v2 — falling back to the
-    /// absolute `Data` when a run exceeds the decoder's inflation budget or an
-    /// XOR shadow cannot be seeded — and plain `Data` before.
+    /// Builds the data message for one exchange send from `batch` and then
+    /// the picks of `current` ([`Session::send_rendezvous`]): the compressed
+    /// `Data2`, SYNC on board, once the peer has negotiated v2 — falling back
+    /// to the absolute `Data` when a run exceeds the decoder's inflation
+    /// budget or an XOR shadow cannot be seeded — and plain `Data` before.
     fn encode_data(
         &mut self,
         peer: NodeId,
         epoch: Epoch,
         time: LogicalTime,
-        updates: Vec<WireUpdate>,
+        batch: &mut Vec<WireUpdate>,
+        (current, picks): (&[WireUpdate], &[usize]),
         store: &ObjectStore,
     ) -> DsoMessage {
         let link = &mut self.links[usize::from(peer)];
         if self.config.wire.codec_v2 && link.peer_version.is_some_and(|v| v >= CODEC_V2) {
-            let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
-            if let Some((basis, blob)) =
-                codec::encode_updates(&updates, self.config.wire.xor_delta, &mut link.tx, &mut seed)
-            {
+            let xor = self.config.wire.xor_delta;
+            let updates = batch.iter().chain(picks.iter().map(|&i| &current[i]));
+            if let Some((basis, blob)) = codec::encode_updates(updates, xor, &mut link.tx, store) {
                 self.counters.codec_v2_sent.inc();
+                batch.clear();
                 return DsoMessage::Data2 { epoch, time, basis, blob, sync: true };
             }
             self.counters.codec_v2_fallbacks.inc();
         }
-        DsoMessage::Data { epoch, time, updates }
+        batch.extend(picks.iter().map(|&i| current[i].clone()));
+        DsoMessage::Data { epoch, time, updates: std::mem::take(batch) }
     }
 
     // ---- Receiving: one step, driven by seven stop rules ----
@@ -430,7 +443,7 @@ impl<E: Endpoint> Session<E> {
     /// The one receive step: take at most one frame off the transport, run
     /// it through the link ([`Session::admit`]) — which queues the logical
     /// messages it completes, none for an ack, an offer, a duplicate, a gap or
-    /// residue — and hand the payload's storage back to the global buffer pool
+    /// residue — and hand the payload's storage back to this thread's buffer pool
     /// (a no-op while the bytes are shared or the pool is full). With a
     /// `residue` counter it also discards, and counts there, what
     /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
@@ -461,7 +474,7 @@ impl<E: Endpoint> Session<E> {
             }
             _ => self.admit(from, msg, store)?,
         }
-        sdso_net::pool::global().reclaim(payload.bytes);
+        sdso_net::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
         Ok(true)
     }
 
@@ -559,8 +572,7 @@ impl<E: Endpoint> Session<E> {
                 if basis == 0 && link.rx.basis() != 0 {
                     link.rx.reset();
                 }
-                let mut seed = |object: ObjectId| store.initial_body(object).map(<[u8]>::to_vec);
-                let updates = codec::decode_updates(&blob, basis, &mut link.rx, &mut seed)
+                let updates = codec::decode_updates(&blob, basis, &mut link.rx, store)
                     .map_err(DsoError::Net)?;
                 self.ready.push_back((from, DsoMessage::Data { epoch, time, updates }));
                 if sync {
@@ -782,7 +794,7 @@ mod tests {
     use crate::config::WireConfig;
     use crate::diff::Diff;
     use crate::membership::ViewChange;
-    use crate::object::Version;
+    use crate::object::{ObjectId, Version};
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
     use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass, NetMetricsSnapshot};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -915,7 +927,8 @@ mod tests {
 
     fn exchange(from: &mut Peer, to: NodeId, t: u64, store: &ObjectStore) {
         let me = from.endpoint.node_id();
-        from.send_rendezvous(to, LogicalTime::from_ticks(t), batch(me, t), store).unwrap();
+        from.send_rendezvous(to, LogicalTime::from_ticks(t), &mut batch(me, t), (&[], &[]), store)
+            .unwrap();
     }
 
     fn app(byte: u8) -> DsoMessage {
@@ -1524,13 +1537,13 @@ mod tests {
         let time = LogicalTime::from_ticks(2);
         let sent = a.links[1].tx_seq;
         // Nothing to report: the SYNC travels alone.
-        a.send_rendezvous(1, time, Vec::new(), &store).unwrap();
+        a.send_rendezvous(1, time, &mut Vec::new(), (&[], &[]), &store).unwrap();
         assert_eq!(a.links[1].tx_seq, sent + 1);
         // An object the store cannot seed an XOR shadow for: plain `Data`
         // and a `Sync`, the compressed stream's basis where it was.
         let unseedable = vec![WireUpdate { object: ObjectId(99), ..batch(0, 2).remove(0) }];
         let basis = a.links[1].tx.basis();
-        a.send_rendezvous(1, time, unseedable.clone(), &store).unwrap();
+        a.send_rendezvous(1, time, &mut Vec::new(), (&unseedable, &[0]), &store).unwrap();
         assert_eq!((a.links[1].tx_seq, a.links[1].tx.basis()), (sent + 3, basis));
         let kinds: Vec<&DsoMessage> = a.links[1].unacked.values().map(|(_, m)| m).collect();
         assert!(

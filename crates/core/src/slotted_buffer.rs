@@ -1,20 +1,8 @@
-use std::collections::BTreeMap;
-
 use sdso_net::NodeId;
 
 use crate::diff::Diff;
 use crate::object::{ObjectId, Version};
-
-/// A pending update for one object in one peer's slot.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PendingUpdate {
-    /// The object modified.
-    pub object: ObjectId,
-    /// The (possibly merged) diff to ship.
-    pub diff: Diff,
-    /// Stamp of the newest local write folded into `diff`.
-    pub version: Version,
-}
+use crate::wire::WireUpdate;
 
 /// The per-process slotted buffer of outstanding modifications (paper
 /// Fig. 3).
@@ -27,6 +15,12 @@ pub struct PendingUpdate {
 /// diff since the last exchange with a given process." With merging disabled
 /// (the ablation configuration) every modification stays a separate pending
 /// update and is shipped separately.
+///
+/// Each slot is one list of pending updates sorted by object, which a drain
+/// empties without giving up its storage: merging into an object already
+/// pending in a slot rewrites its bytes in place when the write lands
+/// inside them (see [`Diff::merge_in_place`]), and a slot that has held as
+/// many objects before takes a new one without allocating the entry.
 ///
 /// # Example
 ///
@@ -41,10 +35,10 @@ pub struct PendingUpdate {
 /// ```
 #[derive(Debug)]
 pub struct SlottedBuffer {
-    /// slot\[peer\] — `None` at the local process's own index. Each object
-    /// maps to one or more pending updates (more than one only when merging
-    /// is disabled).
-    slots: Vec<Option<BTreeMap<ObjectId, Vec<PendingUpdate>>>>,
+    /// slot\[peer\] — `None` at the local process's own index. Ascending by
+    /// object; one entry per object unless merging is disabled, when an
+    /// object's entries stay oldest-first.
+    slots: Vec<Option<Vec<WireUpdate>>>,
     me: usize,
     merge: bool,
     merged_count: u64,
@@ -61,7 +55,7 @@ impl SlottedBuffer {
     pub fn new(num_nodes: usize, me: NodeId, merge: bool) -> Self {
         assert!(usize::from(me) < num_nodes, "local id out of range");
         let slots = (0..num_nodes)
-            .map(|i| if i == usize::from(me) { None } else { Some(BTreeMap::new()) })
+            .map(|i| if i == usize::from(me) { None } else { Some(Vec::new()) })
             .collect();
         SlottedBuffer { slots, me: usize::from(me), merge, merged_count: 0 }
     }
@@ -83,35 +77,33 @@ impl SlottedBuffer {
             if exclude.contains(&(peer as NodeId)) {
                 continue;
             }
-            let entries = slot.entry(object).or_default();
-            match entries.last_mut() {
-                Some(pending) if self.merge => {
+            // Just past the object's last entry, where a new one goes.
+            let at = slot.partition_point(|pending| pending.object <= object);
+            match at.checked_sub(1).map(|last| &mut slot[last]) {
+                Some(pending) if self.merge && pending.object == object => {
                     pending.diff.merge_in_place(diff);
                     pending.version = pending.version.max(version);
                     self.merged_count += 1;
                 }
-                _ => {
-                    entries.push(PendingUpdate { object, diff: diff.clone(), version });
-                }
+                _ => slot.insert(at, WireUpdate { object, diff: diff.clone(), version }),
             }
         }
     }
 
-    /// Drains `peer`'s slot, returning the pending updates in object order
+    /// Drains `peer`'s slot, yielding the pending updates in object order
     /// (oldest-first within one object when merging is disabled).
     ///
     /// # Panics
     ///
     /// Panics if `peer` is the local process or out of range.
-    pub fn drain_slot(&mut self, peer: NodeId) -> Vec<PendingUpdate> {
-        let slot = self.slots[usize::from(peer)].as_mut().expect("drain_slot: peer must be remote");
-        std::mem::take(slot).into_values().flatten().collect()
+    pub fn drain_slot(&mut self, peer: NodeId) -> std::vec::Drain<'_, WireUpdate> {
+        self.slots[usize::from(peer)].as_mut().expect("drain_slot: peer must be remote").drain(..)
     }
 
-    /// Drains only the pending updates for `peer` whose object satisfies
-    /// `ship`, returning them in object order and *retaining* the rest in
-    /// the slot (still merged, so the retained tail stays bounded by the
-    /// object count when merging is on).
+    /// Moves onto `shipped`, in object order, only the pending updates for
+    /// `peer` whose object satisfies `ship`, *retaining* the rest in the
+    /// slot (still merged, so the retained tail stays bounded by the object
+    /// count when merging is on).
     ///
     /// This is the interest-routing drain: a live multicast exchange ships
     /// only the objects inside the peer's interest set; everything else
@@ -127,20 +119,19 @@ impl SlottedBuffer {
         &mut self,
         peer: NodeId,
         mut ship: impl FnMut(ObjectId) -> bool,
-    ) -> Vec<PendingUpdate> {
+        shipped: &mut Vec<WireUpdate>,
+    ) {
         let slot = self.slots[usize::from(peer)]
             .as_mut()
             .expect("drain_slot_filtered: peer must be remote");
-        let mut shipped = Vec::new();
-        let retained = std::mem::take(slot);
-        for (object, updates) in retained {
-            if ship(object) {
-                shipped.extend(updates);
-            } else {
-                slot.insert(object, updates);
+        slot.retain_mut(|pending| {
+            if !ship(pending.object) {
+                return true;
             }
-        }
-        shipped
+            let diff = std::mem::take(&mut pending.diff);
+            shipped.push(WireUpdate { object: pending.object, diff, version: pending.version });
+            false
+        });
     }
 
     /// Number of pending updates for `peer`.
@@ -149,12 +140,7 @@ impl SlottedBuffer {
     ///
     /// Panics if `peer` is the local process or out of range.
     pub fn slot_len(&self, peer: NodeId) -> usize {
-        self.slots[usize::from(peer)]
-            .as_ref()
-            .expect("slot_len: peer must be remote")
-            .values()
-            .map(Vec::len)
-            .sum()
+        self.slots[usize::from(peer)].as_ref().expect("slot_len: peer must be remote").len()
     }
 
     /// Compacts away a departed peer's slot, returning whatever pending
@@ -167,11 +153,8 @@ impl SlottedBuffer {
     ///
     /// Panics if `peer` is the local process, out of range, or already
     /// removed.
-    pub fn remove_peer(&mut self, peer: NodeId) -> Vec<PendingUpdate> {
-        let slot = self.slots[usize::from(peer)]
-            .take()
-            .expect("remove_peer: peer must be an active remote");
-        slot.into_values().flatten().collect()
+    pub fn remove_peer(&mut self, peer: NodeId) -> Vec<WireUpdate> {
+        self.slots[usize::from(peer)].take().expect("remove_peer: peer must be an active remote")
     }
 
     /// (Re-)activates a slot for a peer that joined the group, starting
@@ -185,12 +168,12 @@ impl SlottedBuffer {
         let idx = usize::from(peer);
         assert!(idx != self.me, "add_peer: peer must be remote");
         if idx == self.slots.len() {
-            self.slots.push(Some(BTreeMap::new()));
+            self.slots.push(Some(Vec::new()));
             return;
         }
         let slot = &mut self.slots[idx];
         assert!(slot.is_none(), "add_peer: slot already active");
-        *slot = Some(BTreeMap::new());
+        *slot = Some(Vec::new());
     }
 
     /// Whether `peer` currently has an active slot.
@@ -206,7 +189,7 @@ impl SlottedBuffer {
 
     /// Total updates pending across all slots.
     pub fn total_pending(&self) -> usize {
-        self.slots.iter().flatten().flat_map(BTreeMap::values).map(Vec::len).sum()
+        self.slots.iter().flatten().map(Vec::len).sum()
     }
 }
 
@@ -248,7 +231,7 @@ mod tests {
         b.buffer_for_all(ObjectId(1), &Diff::single(0, vec![1, 1]), v(1, 1), &[]);
         b.buffer_for_all(ObjectId(1), &Diff::single(1, vec![2, 2]), v(2, 1), &[]);
         assert_eq!(b.slot_len(0), 1, "same object merged into one entry");
-        let drained = b.drain_slot(0);
+        let drained: Vec<_> = b.drain_slot(0).collect();
         assert_eq!(drained.len(), 1);
         let mut target = vec![0u8; 3];
         drained[0].diff.apply(&mut target).unwrap();
@@ -264,7 +247,7 @@ mod tests {
         b.buffer_for_all(ObjectId(1), &Diff::single(0, vec![2]), v(2, 0), &[]);
         assert_eq!(b.slot_len(1), 2);
         assert_eq!(b.merged_count(), 0);
-        let drained = b.drain_slot(1);
+        let drained: Vec<_> = b.drain_slot(1).collect();
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[0].version, v(1, 0), "oldest first");
     }
@@ -273,7 +256,7 @@ mod tests {
     fn drain_empties_only_that_slot() {
         let mut b = buf();
         b.buffer_for_all(ObjectId(1), &Diff::single(0, vec![1]), v(1, 1), &[]);
-        let drained = b.drain_slot(2);
+        let drained: Vec<_> = b.drain_slot(2).collect();
         assert_eq!(drained.len(), 1);
         assert_eq!(b.slot_len(2), 0);
         assert_eq!(b.slot_len(0), 1, "other slots untouched");
@@ -290,7 +273,7 @@ mod tests {
     #[should_panic(expected = "remote")]
     fn draining_own_slot_panics() {
         let mut b = buf();
-        let _ = b.drain_slot(1);
+        let _ = b.drain_slot(1).count();
     }
 
     #[test]
@@ -362,7 +345,8 @@ mod tests {
         b.buffer_for_all(ObjectId(1), &Diff::single(0, vec![1]), v(1, 1), &[]);
         b.buffer_for_all(ObjectId(2), &Diff::single(0, vec![2]), v(2, 1), &[]);
         b.buffer_for_all(ObjectId(3), &Diff::single(0, vec![3]), v(3, 1), &[]);
-        let shipped = b.drain_slot_filtered(0, |o| o.0 != 2);
+        let mut shipped = Vec::new();
+        b.drain_slot_filtered(0, |o| o.0 != 2, &mut shipped);
         assert_eq!(
             shipped.iter().map(|u| u.object).collect::<Vec<_>>(),
             vec![ObjectId(1), ObjectId(3)]
@@ -372,7 +356,7 @@ mod tests {
         b.buffer_for_all(ObjectId(2), &Diff::single(1, vec![9]), v(4, 1), &[]);
         assert_eq!(b.slot_len(0), 1, "retained entry merged, not duplicated");
         // A later unfiltered drain (a broadcast flush) ships it.
-        let flushed = b.drain_slot(0);
+        let flushed: Vec<_> = b.drain_slot(0).collect();
         assert_eq!(flushed.len(), 1);
         assert_eq!(flushed[0].object, ObjectId(2));
         assert_eq!(flushed[0].version, v(4, 1));
@@ -390,10 +374,11 @@ mod tests {
             }
             b
         };
-        let full = mk().drain_slot(0);
+        let full: Vec<_> = mk().drain_slot(0).collect();
         let mut split = mk();
-        let mut both = split.drain_slot_filtered(0, |o| o.0 % 2 == 0);
-        both.extend(split.drain_slot_filtered(0, |o| o.0 % 2 != 0));
+        let mut both = Vec::new();
+        split.drain_slot_filtered(0, |o| o.0 % 2 == 0, &mut both);
+        split.drain_slot_filtered(0, |o| o.0 % 2 != 0, &mut both);
         both.sort_by_key(|u| u.object);
         assert_eq!(both, full);
         assert_eq!(split.slot_len(0), 0);
@@ -404,7 +389,7 @@ mod tests {
         let mut b = buf();
         b.buffer_for_all(ObjectId(9), &Diff::single(0, vec![1]), v(1, 1), &[]);
         b.buffer_for_all(ObjectId(3), &Diff::single(0, vec![1]), v(1, 1), &[]);
-        let ids: Vec<_> = b.drain_slot(0).into_iter().map(|u| u.object).collect();
+        let ids: Vec<_> = b.drain_slot(0).map(|u| u.object).collect();
         assert_eq!(ids, vec![ObjectId(3), ObjectId(9)]);
     }
 }

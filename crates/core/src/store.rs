@@ -1,5 +1,4 @@
 use crate::diff::Diff;
-use crate::dirty::DirtyRanges;
 use crate::error::DsoError;
 use crate::object::{ObjectId, Version};
 
@@ -13,9 +12,6 @@ pub struct Replica {
     /// the wire codec's XOR shadows start from it.
     initial: Vec<u8>,
     version: Version,
-    /// Spans touched since the last [`ObjectStore::clear_dirty`]; lets diff
-    /// builders scan only changed regions ([`Diff::between_ranges`]).
-    dirty: DirtyRanges,
 }
 
 impl Replica {
@@ -38,26 +34,6 @@ impl Replica {
     /// Object size in bytes (fixed at `share` time).
     pub fn size(&self) -> usize {
         self.data.len()
-    }
-
-    /// Byte spans mutated since the last baseline
-    /// ([`ObjectStore::clear_dirty`]); untracked means "assume anything
-    /// changed" and forces a full scan.
-    pub fn dirty_ranges(&self) -> &DirtyRanges {
-        &self.dirty
-    }
-
-    /// Diff from `baseline` to the replica's current bytes, scanning only
-    /// dirty spans (full scan when tracking degraded).
-    ///
-    /// `baseline` must be a snapshot of this replica taken when the dirty set
-    /// was last cleared, so the spans cover every byte that differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` has a different length than the replica.
-    pub fn diff_since(&self, baseline: &[u8]) -> Diff {
-        Diff::between_ranges(baseline, &self.data, &self.dirty)
     }
 }
 
@@ -93,12 +69,7 @@ impl ObjectStore {
         let Err(at) = self.position(id) else {
             return Err(DsoError::AlreadyShared(id));
         };
-        let replica = Replica {
-            data: initial.clone(),
-            initial,
-            version: Version::INITIAL,
-            dirty: DirtyRanges::new(),
-        };
+        let replica = Replica { data: initial.clone(), initial, version: Version::INITIAL };
         self.objects.insert(at, (id, replica));
         Ok(())
     }
@@ -163,7 +134,6 @@ impl ObjectStore {
         }
         replica.data[offset as usize..end].copy_from_slice(bytes);
         replica.version = replica.version.max(version);
-        replica.dirty.record(offset, bytes.len() as u32);
         self.generation += 1;
         Ok(())
     }
@@ -187,7 +157,6 @@ impl ObjectStore {
         }
         replica.data.copy_from_slice(body);
         replica.version = version;
-        replica.dirty.record(0, body.len() as u32);
         self.generation += 1;
         Ok(())
     }
@@ -236,24 +205,8 @@ impl ObjectStore {
         }
         diff.apply(&mut replica.data).map_err(DsoError::Net)?;
         replica.version = version;
-        for (offset, bytes) in diff.runs() {
-            replica.dirty.record(offset, bytes.len() as u32);
-        }
         self.generation += 1;
         Ok(true)
-    }
-
-    /// Resets `id`'s dirty tracking — call after capturing a baseline
-    /// snapshot so subsequent [`Replica::diff_since`] calls scan only what
-    /// changed from that snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
-    pub fn clear_dirty(&mut self, id: ObjectId) -> Result<(), DsoError> {
-        let replica = self.replica_mut(id)?;
-        replica.dirty.clear();
-        Ok(())
     }
 
     /// Number of shared objects.
@@ -269,8 +222,8 @@ impl ObjectStore {
     /// A counter that moves whenever some replica's bytes or version may
     /// have: bumped by every successful [`ObjectStore::write`] and
     /// [`ObjectStore::replace`] and every *applied*
-    /// [`ObjectStore::apply_remote`]; a discarded stale update, a failed
-    /// call and [`ObjectStore::clear_dirty`] leave it alone. `share` does
+    /// [`ObjectStore::apply_remote`]; a discarded stale update and a failed
+    /// call leave it alone. `share` does
     /// not bump it either — it moves [`ObjectStore::len`] — so
     /// `(generation(), len())` unchanged means anything derived from this
     /// store's contents is still valid. Only comparable between two
@@ -360,61 +313,6 @@ mod tests {
         assert!(s.replace(ObjectId(1), &[1; 3], v(1, 0)).is_err());
         s.replace(ObjectId(1), &[1; 4], v(1, 0)).unwrap();
         assert_eq!(s.replica(ObjectId(1)).unwrap().version(), v(1, 0));
-    }
-
-    #[test]
-    fn writes_record_dirty_spans_and_diff_since_matches_full_scan() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 128]).unwrap();
-        let baseline = s.read(ObjectId(1)).unwrap().to_vec();
-
-        s.write(ObjectId(1), 8, &[1, 2, 3], v(1, 0)).unwrap();
-        s.write(ObjectId(1), 100, &[4; 10], v(2, 0)).unwrap();
-        let replica = s.replica(ObjectId(1)).unwrap();
-        assert_eq!(replica.dirty_ranges().span_count(), 2);
-        assert_eq!(replica.dirty_ranges().dirty_bytes(), 13);
-
-        let tracked = replica.diff_since(&baseline);
-        assert_eq!(tracked, Diff::between(&baseline, replica.data()));
-        assert_eq!(tracked.byte_count(), 13);
-    }
-
-    #[test]
-    fn clear_dirty_starts_a_new_baseline() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 32]).unwrap();
-        s.write(ObjectId(1), 0, &[1; 4], v(1, 0)).unwrap();
-        s.clear_dirty(ObjectId(1)).unwrap();
-        assert!(s.replica(ObjectId(1)).unwrap().dirty_ranges().is_clean());
-
-        let baseline = s.read(ObjectId(1)).unwrap().to_vec();
-        s.write(ObjectId(1), 10, &[2; 2], v(2, 0)).unwrap();
-        let replica = s.replica(ObjectId(1)).unwrap();
-        let tracked = replica.diff_since(&baseline);
-        assert_eq!(tracked, Diff::between(&baseline, replica.data()));
-        assert_eq!(tracked.byte_count(), 2);
-
-        assert!(s.clear_dirty(ObjectId(9)).is_err());
-    }
-
-    #[test]
-    fn replace_and_apply_remote_record_dirty() {
-        let mut s = ObjectStore::new();
-        s.share(ObjectId(1), vec![0u8; 16]).unwrap();
-        s.replace(ObjectId(1), &[1; 16], v(1, 0)).unwrap();
-        assert_eq!(s.replica(ObjectId(1)).unwrap().dirty_ranges().dirty_bytes(), 16);
-
-        s.clear_dirty(ObjectId(1)).unwrap();
-        let remote = Diff::single(4, vec![9; 4]);
-        assert!(s.apply_remote(ObjectId(1), &remote, v(2, 1)).unwrap());
-        let replica = s.replica(ObjectId(1)).unwrap();
-        assert_eq!(replica.dirty_ranges().span_count(), 1);
-        assert_eq!(replica.dirty_ranges().dirty_bytes(), 4);
-
-        // A stale remote diff is discarded and must not dirty anything.
-        s.clear_dirty(ObjectId(1)).unwrap();
-        assert!(!s.apply_remote(ObjectId(1), &remote, v(1, 0)).unwrap());
-        assert!(s.replica(ObjectId(1)).unwrap().dirty_ranges().is_clean());
     }
 
     #[test]

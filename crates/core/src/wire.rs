@@ -233,14 +233,15 @@ impl DsoMessage {
     /// `frame_wire_len` when configured (the paper's system exchanged
     /// fixed-size 2048-byte frames for control and data alike).
     ///
-    /// Encoding goes through the global buffer pool: the scratch buffer is
-    /// recycled from (and its storage returned to) the freelist, so steady
-    /// state sends allocate nothing.
+    /// Encoding goes through this thread's buffer pool: the scratch buffer
+    /// is recycled from (and its storage returned to) the freelist, so
+    /// steady state sends allocate nothing but the frozen handle.
     ///
     /// sdso-check: hot-path
     pub fn into_payload(self, frame_wire_len: Option<u32>) -> Payload {
         let class = self.class();
-        let bytes = sdso_net::wire::encode_pooled(&self, sdso_net::pool::global());
+        let pooled = sdso_net::pool::thread_pool(|pool| sdso_net::wire::encode_pooled(&self, pool));
+        let bytes = pooled.unwrap_or_else(|| sdso_net::wire::encode(&self));
         let payload = Payload::new(class, bytes);
         match frame_wire_len {
             Some(len) => payload.with_wire_len(len),

@@ -214,6 +214,44 @@ proptest! {
         in_place.merge_in_place(&newer);
         prop_assert_eq!(in_place, overlay);
     }
+
+    #[test]
+    fn merging_one_write_in_place_equals_the_overlay_merge(
+        size in 8usize..96,
+        old_writes in proptest::collection::vec((0u32..96, 1u32..24, any::<u8>()), 0..8),
+        (pick, at, len, byte) in (any::<usize>(), any::<u32>(), 0u32..24, any::<u8>()),
+        inside in any::<bool>(),
+    ) {
+        // A write into a pending diff, half the time inside one of its runs
+        // (the in-place path: the game rewrites whole blocks), else
+        // anywhere. `merge_run` and `merge_in_place` must both produce the
+        // overlay merge's diff.
+        let base = vec![0u8; size];
+        let mut image = base.clone();
+        for &(off, len, byte) in &old_writes {
+            let off = (off as usize) % size;
+            let len = (len as usize).min(size - off);
+            image[off..off + len].fill(byte);
+        }
+        let older = Diff::between(&base, &image);
+        let runs: Vec<(u32, usize)> = older.runs().map(|(o, b)| (o, b.len())).collect();
+        let (offset, len) = match runs.get(pick % runs.len().max(1)) {
+            Some(&(o, run_len)) if inside => {
+                let start = at % run_len as u32;
+                (o + start, (len as usize).min(run_len - start as usize))
+            }
+            _ => (at % size as u32, (len as usize).min(size - (at % size as u32) as usize)),
+        };
+        let bytes = vec![byte; len];
+        let newer = Diff::single(offset, bytes.clone());
+        let overlay = older.merge(&newer);
+        let mut in_place = older.clone();
+        in_place.merge_in_place(&newer);
+        prop_assert_eq!(&in_place, &overlay);
+        let mut one_run = older.clone();
+        one_run.merge_run(offset, &bytes);
+        prop_assert_eq!(&one_run, &overlay);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -291,7 +329,7 @@ proptest! {
             for u in once.drain_slot(peer) {
                 u.diff.apply(&mut from_once[u.object.0 as usize]).unwrap();
             }
-            let drained = twice.drain_slot(peer);
+            let drained: Vec<_> = twice.drain_slot(peer).collect();
             for u in &drained {
                 u.diff.apply(&mut from_twice[u.object.0 as usize]).unwrap();
             }
@@ -333,7 +371,7 @@ proptest! {
     fn object_store_matches_an_ordered_map_model(
         ops in proptest::collection::vec(
             // (operation, id pick, offset, length, fill byte, (version time, writer))
-            (0u8..6, 0usize..12, 0u32..10, 0usize..10, any::<u8>(), (0u64..6, 0u16..3)),
+            (0u8..5, 0usize..12, 0u32..10, 0usize..10, any::<u8>(), (0u64..6, 0u16..3)),
             1..96,
         )
     ) {
@@ -411,7 +449,7 @@ proptest! {
                     }
                     (failure(&result), want, applied)
                 }
-                4 => {
+                _ => {
                     let diff = Diff::single(offset, bytes.clone());
                     let result = store.apply_remote(ObjectId(id), &diff, version);
                     let stale = known.as_ref().is_some_and(|r| version <= r.version);
@@ -431,13 +469,6 @@ proptest! {
                         model.get_mut(&id).unwrap().version = version;
                     }
                     (failure(&result), want, applied)
-                }
-                _ => {
-                    let got = failure(&store.clear_dirty(ObjectId(id)));
-                    if got.is_none() {
-                        prop_assert!(store.replica(ObjectId(id)).unwrap().dirty_ranges().is_clean());
-                    }
-                    (got, known.is_none().then_some(("unknown", id)), false)
                 }
             };
             prop_assert_eq!(got, want, "op {} on id {}", op, id);

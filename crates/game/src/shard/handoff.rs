@@ -169,7 +169,7 @@ mod tests {
                     buf.buffer_for_all(ObjectId(obj), &Diff::single(offset, vec![byte]), stamp, &[]);
                 }
             };
-            let apply = |target: &mut Vec<Vec<u8>>, updates: Vec<sdso_core::PendingUpdate>| {
+            let apply = |target: &mut Vec<Vec<u8>>, updates: Vec<sdso_core::wire::WireUpdate>| {
                 for u in updates {
                     u.diff.apply(&mut target[u.object.0 as usize]).unwrap();
                 }
@@ -179,7 +179,7 @@ mod tests {
             let mut whole = SlottedBuffer::new(2, 0, true);
             fill(&mut whole);
             let mut reference = vec![vec![0u8; SIZE]; 24];
-            apply(&mut reference, whole.drain_slot(1));
+            apply(&mut reference, whole.drain_slot(1).collect());
 
             // Split: the "transferred" region half first, then the merge of
             // what stayed behind — and the reverse order too.
@@ -189,8 +189,9 @@ mod tests {
             for flip in [false, true] {
                 let mut split = SlottedBuffer::new(2, 0, true);
                 fill(&mut split);
-                let first = split.drain_slot_filtered(1, |o| side(o) != flip);
-                let second = split.drain_slot_filtered(1, |o| side(o) == flip);
+                let (mut first, mut second) = (Vec::new(), Vec::new());
+                split.drain_slot_filtered(1, |o| side(o) != flip, &mut first);
+                split.drain_slot_filtered(1, |o| side(o) == flip, &mut second);
                 let mut state = vec![vec![0u8; SIZE]; 24];
                 apply(&mut state, first);
                 apply(&mut state, second);

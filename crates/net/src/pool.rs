@@ -9,10 +9,12 @@
 //!
 //! Pooling is purely an optimization: `get` on an empty pool falls back to a
 //! fresh allocation, and oversized or surplus buffers are dropped rather than
-//! hoarded.
+//! hoarded. The pool the data path uses is per thread ([`thread_pool`]): a buffer
+//! released on a thread other than the one that drew it simply joins that
+//! thread's freelist.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use bytes::{Bytes, BytesMut};
 
@@ -131,10 +133,18 @@ impl BufPool {
     }
 }
 
-/// The process-wide pool shared by encode paths and transport writers.
-pub fn global() -> &'static BufPool {
-    static GLOBAL: OnceLock<BufPool> = OnceLock::new();
-    GLOBAL.get_or_init(BufPool::default)
+/// Runs `f` with the calling thread's pool, the one its encode paths and
+/// transport writers share. A process that hosts several nodes — a
+/// simulated cluster, a loopback mesh — runs each on a thread of its own,
+/// so each node recycles through a freelist no other thread locks, where
+/// one pool per process would have every node's sends and receives contend
+/// on its mutex. Returns `None`, without calling `f`, while the thread's
+/// locals are being torn down; callers then go unpooled.
+pub fn thread_pool<R>(f: impl FnOnce(&BufPool) -> R) -> Option<R> {
+    thread_local! {
+        static LOCAL: BufPool = BufPool::default();
+    }
+    LOCAL.try_with(f).ok()
 }
 
 #[cfg(test)]

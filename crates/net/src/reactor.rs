@@ -150,7 +150,7 @@ impl Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
-            wbuf: crate::pool::global().get(),
+            wbuf: crate::pool::thread_pool(crate::pool::BufPool::get).unwrap_or_default(),
             woff: 0,
             want_write: false,
         }
@@ -967,7 +967,7 @@ impl Reactor {
             if from != KEEPALIVE_FROM {
                 released += payload.bytes.len();
             }
-            crate::pool::global().reclaim(payload.bytes);
+            crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
         }
         self.queued[peer] -= released;
     }
@@ -980,7 +980,7 @@ impl Reactor {
         let Some(conn) = self.conns[peer].take() else { return };
         self.poller.delete(&conn.stream);
         let _ = conn.stream.shutdown(Shutdown::Both);
-        crate::pool::global().put(conn.wbuf);
+        crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         self.peer_events.push(PeerEvent::Down(peer as NodeId));
         if !self.active[peer] {
             self.drop_queue(peer);
@@ -1158,7 +1158,7 @@ impl Reactor {
         if let Some(old) = self.conns[pu].take() {
             self.poller.delete(&old.stream);
             let _ = old.stream.shutdown(Shutdown::Both);
-            crate::pool::global().put(old.wbuf);
+            crate::pool::thread_pool(|pool| pool.put(old.wbuf));
         }
         if self.poller.modify(&p.stream, pu as u64, Interest::READ).is_err() {
             self.poller.delete(&p.stream);
@@ -1188,7 +1188,7 @@ impl Reactor {
             }
             self.poller.delete(&conn.stream);
             let _ = conn.stream.shutdown(Shutdown::Both);
-            crate::pool::global().put(conn.wbuf);
+            crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         }
         for pending in self.pending.iter_mut() {
             if let Some(p) = pending.take() {
@@ -1221,7 +1221,7 @@ fn fill_and_write(
                     *queued -= payload.bytes.len();
                 }
                 append_frame(&mut conn.wbuf, from, &payload);
-                crate::pool::global().reclaim(payload.bytes);
+                crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
             }
             if conn.wbuf.is_empty() {
                 return Ok(());

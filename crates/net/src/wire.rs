@@ -199,6 +199,17 @@ impl WireWriter {
         self.buf.is_empty()
     }
 
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
+    /// Forgets what was written, keeping the allocation for the next
+    /// encoding.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
     /// Finalises the encoding.
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
