@@ -284,20 +284,24 @@ fn put_tokens(
 }
 
 /// Decodes a codec-v2 blob back into the exact update batch the sender
-/// encoded, and advances `state` past it.
+/// encoded, into `updates` — whose entries, and their diffs' storage, are
+/// reused: a batch handed back after it was applied decodes the next one
+/// without allocating — and advances `state` past it.
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Codec`] on a basis mismatch (shadows out of
 /// lockstep), an update for an object `store` never shared, or any
-/// malformed/hostile input. `state` is only advanced on success, and its
-/// shadow table never grows past the store's object count.
+/// malformed/hostile input; `updates` then holds garbage. `state` is only
+/// advanced on success, and its shadow table never grows past the store's
+/// object count.
 pub(crate) fn decode_updates(
     blob: &[u8],
     basis: u64,
     state: &mut ShadowState,
     store: &ObjectStore,
-) -> Result<Vec<WireUpdate>, NetError> {
+    updates: &mut Vec<WireUpdate>,
+) -> Result<(), NetError> {
     if basis != state.basis {
         return Err(NetError::Codec(format!(
             "codec basis mismatch: message {basis}, link {} — XOR shadows out of lockstep",
@@ -312,8 +316,8 @@ pub(crate) fn decode_updates(
             r.remaining()
         )));
     }
-    let mut updates = Vec::with_capacity(count as usize);
-    for _ in 0..count {
+    updates.truncate(count as usize);
+    for n in 0..count as usize {
         let object = r.get_varint()?;
         let object = u32::try_from(object)
             .map(ObjectId)
@@ -341,10 +345,17 @@ pub(crate) fn decode_updates(
                 r.remaining()
             )));
         }
-        let mut runs = Vec::with_capacity(nruns as usize);
+        if n == updates.len() {
+            updates.push(WireUpdate { object, diff: Diff::empty(), version: Version::INITIAL });
+        }
+        let update = &mut updates[n];
+        update.object = object;
+        update.version = Version::new(time, writer);
+        // Gaps only ever move forward, so the runs come out sorted and
+        // disjoint, as a diff's must be.
         let mut prev_end = 0u64;
         let mut first = true;
-        for _ in 0..nruns {
+        update.diff.rebuild(nruns as usize, |body| {
             let gap = r.get_varint()?;
             let offset = if first { Some(gap) } else { prev_end.checked_add(gap) };
             first = false;
@@ -366,18 +377,14 @@ pub(crate) fn decode_updates(
                 0 => &[][..],
                 _ => shadow.get(offset as usize..).unwrap_or_default(),
             };
-            runs.push((offset as u32, rle_decode(&mut r, len as usize, base)?));
-        }
-        updates.push(WireUpdate {
-            object,
-            diff: Diff::from_sorted_runs(runs)?,
-            version: Version::new(time, writer),
-        });
+            rle_decode(&mut r, len as usize, base, body)?;
+            Ok(offset as u32)
+        })?;
     }
     r.finish()?;
-    state.apply_batch(&updates, store);
+    state.apply_batch(updates.iter(), store);
     state.basis += 1;
-    Ok(updates)
+    Ok(())
 }
 
 /// XORs `body` (a run at absolute `offset`) with the shadow in place; bytes
@@ -557,13 +564,19 @@ fn varint_len(v: u64) -> usize {
     (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Reads a zero-RLE token stream producing exactly `len` bytes laid over
-/// `base`: a zero stretch keeps `base`'s bytes, a literal is XORed into
-/// them, and past `base`'s end the base is zero. Over no base that is the
-/// plain decode; over the shadow it undoes the sender's XOR in one pass.
-/// What it allocates is bounded by the tokens present, not by `len`.
-fn rle_decode(r: &mut WireReader<'_>, len: usize, base: &[u8]) -> Result<Vec<u8>, NetError> {
-    let mut out = Vec::with_capacity(len.min(r.remaining().max(64)));
+/// Reads a zero-RLE token stream producing exactly `len` bytes, laid over
+/// `base`, into the empty `out`: a zero stretch keeps `base`'s bytes, a
+/// literal is XORed into them, and past `base`'s end the base is zero. Over
+/// no base that is the plain decode; over the shadow it undoes the sender's
+/// XOR in one pass. What it allocates is bounded by the tokens present, not
+/// by `len`.
+fn rle_decode(
+    r: &mut WireReader<'_>,
+    len: usize,
+    base: &[u8],
+    out: &mut Vec<u8>,
+) -> Result<(), NetError> {
+    out.reserve(len.min(r.remaining().max(64)));
     while out.len() < len {
         let nzeros = r.get_varint()?;
         let nlit = r.get_varint()?;
@@ -586,7 +599,7 @@ fn rle_decode(r: &mut WireReader<'_>, len: usize, base: &[u8]) -> Result<Vec<u8>
         out.extend_from_slice(r.get_raw(nlit as usize)?);
         xor_in_place(&mut out[zeros_end..], base, zeros_end as u32);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The byte-at-a-time kernels the word-at-a-time ones replaced, kept as the
@@ -734,6 +747,17 @@ mod tests {
         store_of(&objects)
     }
 
+    /// [`decode_updates`] into a fresh batch.
+    pub(super) fn decoded(
+        blob: &[u8],
+        basis: u64,
+        state: &mut ShadowState,
+        store: &ObjectStore,
+    ) -> Result<Vec<WireUpdate>, NetError> {
+        let mut updates = Vec::new();
+        decode_updates(blob, basis, state, store, &mut updates).map(|()| updates)
+    }
+
     /// [`encode_blob`] against a shadow map, on fresh scratch.
     pub(super) fn blob_of(
         updates: &[WireUpdate],
@@ -760,7 +784,7 @@ mod tests {
         let mut rx = ShadowState::default();
         let (basis, blob) =
             encode_updates(updates.iter(), false, &mut tx, &store).expect("encodable");
-        let decoded = decode_updates(&blob, basis, &mut rx, &store).unwrap();
+        let decoded = decoded(&blob, basis, &mut rx, &store).unwrap();
         assert_eq!(decoded, updates);
     }
 
@@ -815,7 +839,7 @@ mod tests {
         let mut rx = ShadowState::default();
         let (b_xor, xor_blob) =
             encode_updates(updates.iter(), true, &mut tx, &store).expect("encodable");
-        let decoded = decode_updates(&xor_blob, b_xor, &mut rx, &store).unwrap();
+        let decoded = decoded(&xor_blob, b_xor, &mut rx, &store).unwrap();
         assert_eq!(decoded, updates, "XOR decode must be bit-exact");
 
         let (_, abs_blob) =
@@ -844,7 +868,7 @@ mod tests {
             let (basis, blob) =
                 encode_updates(updates.iter(), true, &mut tx, &store).expect("encodable");
             assert_eq!(basis, round);
-            let decoded = decode_updates(&blob, basis, &mut rx, &store).unwrap();
+            let decoded = decoded(&blob, basis, &mut rx, &store).unwrap();
             assert_eq!(decoded, updates, "round {round}");
             for u in &decoded {
                 u.diff.apply(&mut reference).unwrap();
@@ -859,7 +883,7 @@ mod tests {
         let mut tx = ShadowState::default();
         let (basis, blob) = encode_updates(updates.iter(), false, &mut tx, &store).unwrap();
         let mut rx = ShadowState { basis: basis + 1, ..ShadowState::default() };
-        let err = decode_updates(&blob, basis, &mut rx, &store).unwrap_err();
+        let err = decoded(&blob, basis, &mut rx, &store).unwrap_err();
         assert!(err.to_string().contains("lockstep"), "{err}");
     }
 
@@ -907,7 +931,7 @@ mod tests {
         for object in [u32::MAX, store.len() as u32] {
             for flags in [0, FLAG_XOR] {
                 let mut rx = ShadowState::default();
-                let err = decode_updates(&blob_naming(object, flags), 0, &mut rx, &store)
+                let err = decoded(&blob_naming(object, flags), 0, &mut rx, &store)
                     .expect_err("an object never shared must not decode");
                 assert!(matches!(err, NetError::Codec(_)), "{err:?}");
                 assert!(err.to_string().contains("never shared"), "{err}");
@@ -917,7 +941,7 @@ mod tests {
         }
         // The same blob for a shared object decodes, and seeds its shadow.
         let mut rx = ShadowState::default();
-        let decoded = decode_updates(&blob_naming(2, FLAG_XOR), 0, &mut rx, &store).unwrap();
+        let decoded = decoded(&blob_naming(2, FLAG_XOR), 0, &mut rx, &store).unwrap();
         assert_eq!(decoded, vec![upd(2, Diff::single(0, vec![1, 2, 3, 4]), 0, 0)]);
         assert_eq!(rx.shadows, vec![(ObjectId(2), vec![1, 2, 3, 4])]);
     }
@@ -934,7 +958,7 @@ mod tests {
         // Truncations.
         for cut in 0..blob.len() {
             let mut rx = ShadowState::default();
-            assert!(decode_updates(&blob[..cut], 0, &mut rx, &store).is_err());
+            assert!(decoded(&blob[..cut], 0, &mut rx, &store).is_err());
         }
         // Single-byte corruption: must error or decode to something else,
         // never panic or hang.
@@ -942,7 +966,7 @@ mod tests {
             let mut bad = blob.to_vec();
             bad[i] = 0xFF;
             let mut rx = ShadowState::default();
-            let _ = decode_updates(&bad, 0, &mut rx, &store);
+            let _ = decoded(&bad, 0, &mut rx, &store);
         }
         // A huge claimed run length must not allocate its claim.
         let mut w = WireWriter::new();
@@ -955,7 +979,7 @@ mod tests {
         w.put_varint(0); // offset
         w.put_varint(u32::MAX as u64); // far beyond the decoder budget
         let mut rx = ShadowState::default();
-        let err = decode_updates(w.as_slice(), 0, &mut rx, &store).unwrap_err();
+        let err = decoded(w.as_slice(), 0, &mut rx, &store).unwrap_err();
         assert!(err.to_string().contains("budget"), "{err}");
     }
 
@@ -973,7 +997,7 @@ mod tests {
         w.put_varint(0); // token: 0 zeros,
         w.put_varint(0); //        0 literals — would loop forever
         let mut rx = ShadowState::default();
-        let err = decode_updates(w.as_slice(), 0, &mut rx, &store_of(&[(ObjectId(1), &[])]));
+        let err = decoded(w.as_slice(), 0, &mut rx, &store_of(&[(ObjectId(1), &[])]));
         assert!(err.unwrap_err().to_string().contains("empty zero-RLE token"));
     }
 
@@ -1123,7 +1147,7 @@ mod proptests {
 
     use proptest::prelude::*;
 
-    use super::tests::{blob_of, rle_encode, shared_by, store_of, tokens};
+    use super::tests::{blob_of, decoded, rle_encode, shared_by, store_of, tokens};
     use super::*;
 
     /// A hostile alphabet: heavily biased toward the RLE edge cases
@@ -1257,15 +1281,18 @@ mod proptests {
             bytewise::rle_encode(&mut w, &body);
             prop_assert_eq!(&encoded[..], w.as_slice(), "the byte loops' stream");
             let mut r = WireReader::new(&encoded);
-            let decoded = rle_decode(&mut r, body.len(), &[]).unwrap();
-            prop_assert_eq!(&decoded, &body);
+            let mut plain = Vec::new();
+            rle_decode(&mut r, body.len(), &[], &mut plain).unwrap();
+            prop_assert_eq!(&plain, &body);
             prop_assert_eq!(r.remaining(), 0, "decode must consume the whole stream");
             // Over a base, the decode is the stream XORed with the base (zero
             // past its end): the XOR arm's decode in one pass.
             let mut r = WireReader::new(&encoded);
             let mut want = body.clone();
             bytewise::xor_in_place(&mut want, &under, 0);
-            prop_assert_eq!(rle_decode(&mut r, body.len(), &under).unwrap(), want);
+            let mut over = Vec::new();
+            rle_decode(&mut r, body.len(), &under, &mut over).unwrap();
+            prop_assert_eq!(over, want);
         }
 
         #[test]
@@ -1285,7 +1312,7 @@ mod proptests {
                     prop_assert!(flags <= 1, "unknown flag bits {:#x} were accepted", flags);
                     prop_assert_eq!(sync, flags == 1);
                     let mut rx = ShadowState::default();
-                    for update in decode_updates(&blob, basis, &mut rx, &store).unwrap_or_default() {
+                    for update in decoded(&blob, basis, &mut rx, &store).unwrap_or_default() {
                         for (_, bytes) in update.diff.runs() {
                             prop_assert!(bytes.len() as u64 <= MAX_RUN_LEN);
                         }
@@ -1307,7 +1334,7 @@ mod proptests {
             let mut rx = ShadowState::default();
             let (basis, blob) =
                 encode_updates(updates.iter(), false, &mut tx, &store).expect("encodable");
-            let decoded = decode_updates(&blob, basis, &mut rx, &store).unwrap();
+            let decoded = decoded(&blob, basis, &mut rx, &store).unwrap();
             prop_assert_eq!(decoded, updates);
         }
 
@@ -1330,7 +1357,7 @@ mod proptests {
             let mut rx = ShadowState::default();
             let (basis, blob) =
                 encode_updates(updates.iter(), false, &mut tx, &store).expect("encodable");
-            let decoded = decode_updates(&blob, basis, &mut rx, &store).unwrap();
+            let decoded = decoded(&blob, basis, &mut rx, &store).unwrap();
             prop_assert_eq!(decoded, updates);
             prop_assert_eq!(rx.shadows.len(), 1, "one shadow, however large the id");
         }
@@ -1383,7 +1410,7 @@ mod proptests {
                 let (basis, blob) =
                     encode_updates(updates.iter(), true, &mut tx, &store).expect("seeded");
                 prop_assert_eq!(basis, basis_before);
-                let decoded = decode_updates(&blob, basis, &mut rx, &store).unwrap();
+                let decoded = decoded(&blob, basis, &mut rx, &store).unwrap();
                 prop_assert_eq!(&decoded, &updates, "apply∘encode must be the identity");
                 prop_assert_eq!(tx.basis(), rx.basis(), "lockstep");
                 reference = image;

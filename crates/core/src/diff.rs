@@ -367,6 +367,29 @@ impl Diff {
         }
     }
 
+    /// Rebuilds this diff from `runs` runs in place, reusing its run list
+    /// and each run's storage: `next` writes a run's bytes into the empty
+    /// body it is handed and returns the run's offset. The offsets must
+    /// ascend without overlap, as a decoder's gap encoding guarantees. On
+    /// an error the diff is left half rebuilt, for the caller to discard.
+    pub(crate) fn rebuild<E>(
+        &mut self,
+        runs: usize,
+        mut next: impl FnMut(&mut Vec<u8>) -> Result<u32, E>,
+    ) -> Result<(), E> {
+        self.runs.truncate(runs);
+        for i in 0..runs {
+            if i == self.runs.len() {
+                self.runs.push(Run { offset: 0, bytes: Vec::new() });
+            }
+            let run = &mut self.runs[i];
+            run.bytes.clear();
+            run.offset = next(&mut run.bytes)?;
+        }
+        debug_assert!(self.runs.windows(2).all(|pair| pair[0].end() <= pair[1].offset));
+        Ok(())
+    }
+
     /// Copies each of `newer`'s runs (ascending, non-overlapping) over the
     /// bytes of this diff when every one lies inside a single run here,
     /// returning whether it did; otherwise nothing is touched. The run list
@@ -429,15 +452,15 @@ impl Diff {
         4 + self.runs.iter().map(|r| 8 + r.bytes.len()).sum::<usize>()
     }
 
-    /// Rebuilds a diff from `(offset, bytes)` runs, enforcing the same
-    /// sorted/non-overlapping/no-wraparound invariants as the wire decode.
-    /// Used by the v2 codec, whose delta-offset headers reconstruct the
-    /// sender's run list exactly.
+    /// Builds a diff from `(offset, bytes)` runs, enforcing the same
+    /// sorted/non-overlapping/no-wraparound invariants as the wire decode:
+    /// how the codec's tests write the batches they encode.
     ///
     /// # Errors
     ///
     /// Returns [`NetError::Codec`] when a run wraps the u32 address space
     /// or the list is unsorted/overlapping.
+    #[cfg(test)]
     pub(crate) fn from_sorted_runs(raw: Vec<(u32, Vec<u8>)>) -> Result<Self, NetError> {
         let runs: Vec<Run> = raw.into_iter().map(|(offset, bytes)| Run { offset, bytes }).collect();
         if runs.iter().any(|r| {

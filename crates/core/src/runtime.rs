@@ -910,6 +910,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 DsoMessage::Data { time, updates, .. } => {
                     if time == t && due.contains(&from) {
                         applied += self.apply_updates(&updates)?;
+                        self.session.recycle(updates);
                     } else if time > t {
                         self.file_early(from, time, Some(updates));
                     } else {

@@ -235,6 +235,10 @@ pub(crate) struct Session<E: Endpoint> {
     view: MembershipView,
     /// When this process last took from the transport, or was about to wait.
     heard: SimInstant,
+    /// A decoded batch the kernel handed back once applied
+    /// ([`Session::recycle`]), kept for its storage: the next `Data2`
+    /// decodes into it.
+    spare: Vec<WireUpdate>,
     obs: Obs,
     counters: DsoCounters,
 }
@@ -249,6 +253,7 @@ impl<E: Endpoint> Session<E> {
             ready: VecDeque::new(),
             view: MembershipView::full(n),
             heard: SimInstant::ZERO,
+            spare: Vec::new(),
             obs,
             counters,
         }
@@ -265,6 +270,14 @@ impl<E: Endpoint> Session<E> {
         self.links[usize::from(peer)].reset(why);
         if why == Reset::Left {
             self.ready.retain(|(from, _)| *from != peer);
+        }
+    }
+
+    /// Takes back a batch of updates the kernel has applied, so the next
+    /// `Data2` decodes into its storage instead of allocating its own.
+    pub(crate) fn recycle(&mut self, updates: Vec<WireUpdate>) {
+        if updates.capacity() > self.spare.capacity() {
+            self.spare = updates;
         }
     }
 
@@ -572,7 +585,8 @@ impl<E: Endpoint> Session<E> {
                 if basis == 0 && link.rx.basis() != 0 {
                     link.rx.reset();
                 }
-                let updates = codec::decode_updates(&blob, basis, &mut link.rx, store)
+                let mut updates = std::mem::take(&mut self.spare);
+                codec::decode_updates(&blob, basis, &mut link.rx, store, &mut updates)
                     .map_err(DsoError::Net)?;
                 self.ready.push_back((from, DsoMessage::Data { epoch, time, updates }));
                 if sync {
