@@ -18,7 +18,8 @@
 //!   ext-default Ext. J: v1 vs the default wire, time and messages per tick at the widest range
 //!   all         Everything above, in order
 //!   shard       Ext. F: sharded vs full-mesh traffic at 64 and 256 nodes (fixed shape;
-//!               about seven minutes, so not part of `all`)
+//!               about seven minutes, so not part of `all`); prints the process's
+//!               peak RSS (`VmHWM`) to stderr after each row
 //!
 //! FLAGS
 //!   --quick     Small grid (2–4 processes, 40 ticks) for a fast look
@@ -32,6 +33,7 @@
 //! failing scenario and exits non-zero if any scenario failed to
 //! converge, listing the failures at the end.
 
+use sdso_bench::COMMANDS;
 use sdso_game::{Protocol, Scenario};
 use sdso_harness::{
     chaos_plan, chaos_retry_config, churn_table, crash_table, default_churn_plan,
@@ -83,6 +85,16 @@ fn crash_tables(sweep: &Sweep) -> Result<Vec<Table>, Box<dyn std::error::Error>>
     Ok(tables)
 }
 
+/// The process's peak resident set so far, from `VmHWM` in
+/// `/proc/self/status`; `unknown` where that file does not exist.
+fn peak_rss() -> String {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kib = status.lines().find_map(|line| {
+        line.strip_prefix("VmHWM:")?.trim().strip_suffix("kB")?.trim().parse::<u64>().ok()
+    });
+    kib.map_or_else(|| "unknown".to_owned(), |kib| format!("{:.1} MiB", kib as f64 / 1024.0))
+}
+
 fn print_tables(tables: &[Table], csv: bool) {
     for table in tables {
         if csv {
@@ -121,6 +133,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             other => return Err(format!("unknown flag {other:?}").into()),
         }
     }
+    if !COMMANDS.contains(&command.as_str()) {
+        return Err(format!("unknown command {command:?}; one of {}", COMMANDS.join(" ")).into());
+    }
 
     let mut sweep = if quick { Sweep::quick() } else { Sweep::paper() };
     if let Some(t) = ticks {
@@ -157,7 +172,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "crash" => crash_tables(sweep)?,
             "wire" => vec![wire_table(&wire_sweep()?)],
             "ext-default" => sweep.ext_default_wire()?,
-            "shard" => vec![shard_table()?],
+            "shard" => vec![shard_table(|nodes| {
+                eprintln!("[shard: {nodes} nodes measured; VmHWM {}]", peak_rss())
+            })?],
             other => return Err(format!("unknown command {other:?}").into()),
         };
         print_tables(&tables, csv);
@@ -186,21 +203,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // doesn't hide the rest of the evaluation; report and fail at
         // the end.
         let mut failures: Vec<(String, String)> = Vec::new();
-        let sets = [
-            "fig5",
-            "fig6",
-            "fig7",
-            "fig8",
-            "ext-size",
-            "ext-block",
-            "ext-diff",
-            "ext-proto",
-            "churn",
-            "crash",
-            "wire",
-            "ext-default",
-        ];
-        for name in sets {
+        let sets = COMMANDS.split(|&name| name == "all").next().unwrap_or_default();
+        for &name in sets {
             if let Err(e) = run(name, &sweep) {
                 eprintln!("[{name} FAILED: {e}]\n");
                 failures.push((name.to_owned(), e.to_string()));

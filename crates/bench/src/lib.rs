@@ -10,3 +10,24 @@
 #![warn(missing_docs)]
 
 pub mod json;
+
+/// Every command the `experiments` binary accepts. `all` runs each command
+/// listed before it, in this order; a command after it runs only when
+/// named. The binary's dispatch and the docs check
+/// (`sdso-check`'s `lint::tests`) both read this list.
+pub const COMMANDS: &[&str] = &[
+    "fig5",
+    "fig6",
+    "fig7",
+    "fig8",
+    "ext-size",
+    "ext-block",
+    "ext-diff",
+    "ext-proto",
+    "churn",
+    "crash",
+    "wire",
+    "ext-default",
+    "all",
+    "shard",
+];

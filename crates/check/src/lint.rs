@@ -134,30 +134,36 @@ mod tests {
         assert!(report.diagnostics.is_empty(), "workspace must lint clean:\n{rendered:?}");
     }
 
+    /// The docs the checks below read. History files (CHANGES,
+    /// RELEASE_NOTES, ROADMAP) are out of scope.
+    const LIVING_DOCS: &[&str] = &[
+        "README.md",
+        "DESIGN.md",
+        "docs/ARCHITECTURE.md",
+        "EXPERIMENTS.md",
+        "PAPER.md",
+        ".claude/skills/verify/SKILL.md",
+    ];
+
+    /// `doc` split on backticks, fence lines dropped (they would flip the
+    /// parity): the odd pieces are the backticked spans.
+    fn backtick_pieces(root: &Path, doc: &str) -> Vec<String> {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        let text: Vec<&str> = text.lines().filter(|l| !l.trim_start().starts_with("```")).collect();
+        text.join("\n").split('`').map(str::to_owned).collect()
+    }
+
     /// Every backticked `crates/…`, `tests/…`, `examples/…` or `shims/…`
     /// path in the living docs exists. A `:line` or `::item` suffix is
     /// cut off; globs and `<placeholder>`s are skipped. A path followed
     /// by `` : `name` ``, as in ARCHITECTURE §9's "Asserted by" column,
-    /// cites a function: `fn name` must occur in that file. History files
-    /// (CHANGES, RELEASE_NOTES, ROADMAP) are out of scope.
+    /// cites a function: `fn name` must occur in that file.
     #[test]
     fn documented_paths_exist() {
         let root = workspace_root();
         let mut missing = Vec::new();
-        for doc in [
-            "README.md",
-            "DESIGN.md",
-            "docs/ARCHITECTURE.md",
-            "EXPERIMENTS.md",
-            "PAPER.md",
-            ".claude/skills/verify/SKILL.md",
-        ] {
-            let text = std::fs::read_to_string(root.join(doc)).unwrap();
-            // Fence lines would flip the backtick parity; drop them.
-            let text: Vec<&str> =
-                text.lines().filter(|l| !l.trim_start().starts_with("```")).collect();
-            let text = text.join("\n");
-            let pieces: Vec<&str> = text.split('`').collect();
+        for &doc in LIVING_DOCS {
+            let pieces = backtick_pieces(&root, doc);
             for (i, span) in pieces.iter().enumerate().skip(1).step_by(2) {
                 let Some(word) = span.split_whitespace().next() else { continue };
                 let path = word.split(':').next().unwrap_or(word);
@@ -178,7 +184,7 @@ mod tests {
                     (Some(gap), Some(name))
                         if gap.trim() == ":" && !name.is_empty() && name.chars().all(ident) =>
                     {
-                        *name
+                        name
                     }
                     _ => continue,
                 };
@@ -194,6 +200,39 @@ mod tests {
             missing.is_empty(),
             "documented paths or tests that do not exist:\n{}",
             missing.join("\n")
+        );
+    }
+
+    /// Every backticked `experiments <command>` in the living docs names a
+    /// command the binary accepts: one of `sdso_bench::COMMANDS`, which
+    /// its dispatch reads too. A `--` before the command, as in
+    /// `--bin experiments -- fig5`, is skipped; a flag there is no command.
+    #[test]
+    fn documented_experiments_commands_exist() {
+        let root = workspace_root();
+        let mut unknown = Vec::new();
+        let mut seen = 0;
+        for &doc in LIVING_DOCS {
+            for span in backtick_pieces(&root, doc).iter().skip(1).step_by(2) {
+                let mut words = span.split_whitespace();
+                while words.by_ref().any(|word| word == "experiments") {
+                    let Some(command) = words.by_ref().find(|&word| word != "--") else { break };
+                    if command.starts_with('-') {
+                        continue;
+                    }
+                    seen += 1;
+                    if !sdso_bench::COMMANDS.contains(&command) {
+                        unknown.push(format!("{doc}: `{span}`"));
+                    }
+                }
+            }
+        }
+        assert!(seen > 10, "only {seen} documented `experiments` commands found");
+        assert!(
+            unknown.is_empty(),
+            "documented `experiments` commands the binary does not accept \
+             (sdso_bench::COMMANDS):\n{}",
+            unknown.join("\n")
         );
     }
 

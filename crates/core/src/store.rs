@@ -1,23 +1,51 @@
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use crate::diff::Diff;
 use crate::error::DsoError;
 use crate::object::{ObjectId, Version};
 
+/// How many leading bytes of a registered body [`ObjectStore::share`]
+/// hashes, with the length, to find an equal body already held.
+const INTERN_PREFIX: usize = 64;
+
+/// The intern set's key for `body`: its length and first [`INTERN_PREFIX`]
+/// bytes, folded a word at a time with FxHash's multiply-rotate step.
+/// Cheaper than a SipHash of the same bytes, which would make a 64-byte
+/// `share` slower than the copy it saves.
+fn intern_key(body: &[u8]) -> u64 {
+    let fold =
+        |key: u64, word: u64| (key.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    let mut words = body[..body.len().min(INTERN_PREFIX)].chunks_exact(8);
+    let mut key = body.len() as u64;
+    for word in words.by_ref() {
+        key = fold(key, u64::from_le_bytes(word.try_into().unwrap_or_default()));
+    }
+    words.remainder().iter().fold(key, |key, &byte| fold(key, u64::from(byte)))
+}
+
 /// One local replica of a shared object.
+///
+/// A replica owns no bytes until it is first changed: until then its
+/// current bytes are its registered ones, which its store holds once for
+/// every object registered with equal bytes.
 #[derive(Debug, Clone)]
 pub struct Replica {
-    data: Vec<u8>,
+    /// The replica's own bytes, once a change copied them out of
+    /// `initial`; `None` while they are still the registered ones.
+    written: Option<Box<[u8]>>,
     /// The bytes the object was registered with. Every process registers
     /// the same initial contents (the `share` contract), which makes this a
     /// deterministic seed both ends of a link can derive independently —
     /// the wire codec's XOR shadows start from it.
-    initial: Vec<u8>,
+    initial: Arc<[u8]>,
     version: Version,
 }
 
 impl Replica {
     /// The replica's current bytes.
     pub fn data(&self) -> &[u8] {
-        &self.data
+        self.written.as_deref().unwrap_or(&self.initial)
     }
 
     /// The bytes the object was registered with (identical on every
@@ -33,7 +61,13 @@ impl Replica {
 
     /// Object size in bytes (fixed at `share` time).
     pub fn size(&self) -> usize {
-        self.data.len()
+        self.initial.len()
+    }
+
+    /// The replica's bytes to change in place, copied out of the
+    /// registered ones on the first change.
+    fn data_mut(&mut self) -> &mut [u8] {
+        self.written.get_or_insert_with(|| Box::from(&self.initial[..]))
     }
 }
 
@@ -47,10 +81,19 @@ impl Replica {
 /// Replicas sit in one `Vec` sorted by id. A program that registers ids
 /// `0..n` (every shipped application does) finds object `i` at index `i`
 /// in one probe; any other id set costs a binary search.
+///
+/// The store keeps one copy of each distinct registered body: `share`
+/// looks its bytes up in a content-addressed set and points the new
+/// replica at the copy it finds. A replica's bytes are copied only when
+/// they first change, so a store holds its distinct registered bodies
+/// plus the objects actually written.
 #[derive(Debug, Default)]
 pub struct ObjectStore {
     /// Ascending by id, no duplicates — [`ObjectStore::iter`]'s order.
     objects: Vec<(ObjectId, Replica)>,
+    /// Every distinct registered body, by [`intern_key`]; the bodies of
+    /// one bucket differ somewhere.
+    bodies: BTreeMap<u64, Vec<Arc<[u8]>>>,
     generation: u64,
 }
 
@@ -60,7 +103,9 @@ impl ObjectStore {
         ObjectStore::default()
     }
 
-    /// Registers `id` with its initial contents.
+    /// Registers `id` with its initial contents. If the store already
+    /// holds a body with equal bytes, the new replica shares it and
+    /// `initial` is dropped.
     ///
     /// # Errors
     ///
@@ -69,9 +114,22 @@ impl ObjectStore {
         let Err(at) = self.position(id) else {
             return Err(DsoError::AlreadyShared(id));
         };
-        let replica = Replica { data: initial.clone(), initial, version: Version::INITIAL };
+        let body = self.intern(initial);
+        let replica = Replica { written: None, initial: body, version: Version::INITIAL };
         self.objects.insert(at, (id, replica));
         Ok(())
+    }
+
+    /// The store's copy of `body`: one it already holds with equal bytes
+    /// (and `body` is dropped), or `body` itself, now held.
+    fn intern(&mut self, body: Vec<u8>) -> Arc<[u8]> {
+        let bucket = self.bodies.entry(intern_key(&body)).or_default();
+        if let Some(held) = bucket.iter().find(|held| held[..] == body[..]) {
+            return Arc::clone(held);
+        }
+        let fresh: Arc<[u8]> = Arc::from(body);
+        bucket.push(Arc::clone(&fresh));
+        fresh
     }
 
     /// Where `id` sits in `objects`, or where it would be inserted.
@@ -124,15 +182,15 @@ impl ObjectStore {
     ) -> Result<(), DsoError> {
         let replica = self.replica_mut(id)?;
         let end = offset as usize + bytes.len();
-        if end > replica.data.len() {
+        if end > replica.size() {
             return Err(DsoError::OutOfBounds {
                 object: id,
                 offset,
                 len: bytes.len(),
-                size: replica.data.len(),
+                size: replica.size(),
             });
         }
-        replica.data[offset as usize..end].copy_from_slice(bytes);
+        replica.data_mut()[offset as usize..end].copy_from_slice(bytes);
         replica.version = replica.version.max(version);
         self.generation += 1;
         Ok(())
@@ -147,15 +205,18 @@ impl ObjectStore {
     /// the body size does not match the registered size.
     pub fn replace(&mut self, id: ObjectId, body: &[u8], version: Version) -> Result<(), DsoError> {
         let replica = self.replica_mut(id)?;
-        if body.len() != replica.data.len() {
+        if body.len() != replica.size() {
             return Err(DsoError::OutOfBounds {
                 object: id,
                 offset: 0,
                 len: body.len(),
-                size: replica.data.len(),
+                size: replica.size(),
             });
         }
-        replica.data.copy_from_slice(body);
+        match &mut replica.written {
+            Some(written) => written.copy_from_slice(body),
+            None => replica.written = Some(Box::from(body)),
+        }
         replica.version = version;
         self.generation += 1;
         Ok(())
@@ -203,7 +264,7 @@ impl ObjectStore {
         if version <= replica.version {
             return Ok(false);
         }
-        diff.apply(&mut replica.data).map_err(DsoError::Net)?;
+        diff.apply(replica.data_mut()).map_err(DsoError::Net)?;
         replica.version = version;
         self.generation += 1;
         Ok(true)
@@ -323,6 +384,41 @@ mod tests {
         assert_eq!(s.initial_body(ObjectId(1)).unwrap(), &[7; 4]);
         assert_eq!(s.read(ObjectId(1)).unwrap(), &[1, 2, 7, 7]);
         assert!(s.initial_body(ObjectId(9)).is_none());
+    }
+
+    #[test]
+    fn equal_bodies_share_one_copy_until_written() {
+        let mut s = ObjectStore::new();
+        s.share(ObjectId(0), vec![7; 4096]).unwrap();
+        s.share(ObjectId(1), vec![7; 4096]).unwrap();
+        // Equal past the hashed prefix, different at the end.
+        let mut tail = vec![7; 4096];
+        tail[4095] = 8;
+        s.share(ObjectId(2), tail).unwrap();
+        // Equal to a body registered earlier, after a different one.
+        s.share(ObjectId(3), vec![7; 4096]).unwrap();
+        let at = |s: &ObjectStore, id: u32| s.read(ObjectId(id)).unwrap().as_ptr();
+        let initial_at = |s: &ObjectStore, id: u32| s.initial_body(ObjectId(id)).unwrap().as_ptr();
+        assert_eq!(at(&s, 0), at(&s, 1));
+        assert_eq!(at(&s, 0), at(&s, 3));
+        assert_eq!(at(&s, 0), initial_at(&s, 1));
+        assert_ne!(at(&s, 0), at(&s, 2));
+        assert_eq!(s.read(ObjectId(2)).unwrap()[4095], 8);
+
+        s.write(ObjectId(0), 10, &[1, 2], v(1, 0)).unwrap();
+        assert_ne!(at(&s, 0), at(&s, 1));
+        assert_eq!(&s.read(ObjectId(0)).unwrap()[9..13], &[7, 1, 2, 7]);
+        assert_eq!(s.read(ObjectId(1)).unwrap(), &[7; 4096][..]);
+        assert_eq!(s.initial_body(ObjectId(0)).unwrap(), &[7; 4096][..]);
+        assert_eq!(initial_at(&s, 0), at(&s, 1));
+
+        // Once unique, the replica changes in place.
+        let copied = at(&s, 0);
+        s.write(ObjectId(0), 0, &[3], v(2, 0)).unwrap();
+        s.replace(ObjectId(0), &[5; 4096], v(3, 0)).unwrap();
+        s.apply_remote(ObjectId(0), &Diff::single(0, vec![6]), v(4, 1)).unwrap();
+        assert_eq!(at(&s, 0), copied);
+        assert_eq!(s.read(ObjectId(0)).unwrap()[..2], [6, 5]);
     }
 
     #[test]

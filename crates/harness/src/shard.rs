@@ -144,12 +144,13 @@ pub fn run_shard_window(
 
 /// Ext. F's table: the steady-state pairing at 64 nodes (12..60 t) and at
 /// 256 (48..96 t — past the transient where the mesh's far pairs have not
-/// yet come due; the four 256-process runs take minutes).
+/// yet come due; the four 256-process runs take minutes). `row_done` is
+/// called with the node count after each row is measured.
 ///
 /// # Errors
 ///
 /// Fails if any cluster run fails.
-pub fn shard_table() -> Result<Table, SimError> {
+pub fn shard_table(mut row_done: impl FnMut(u16)) -> Result<Table, SimError> {
     let mut table = Table::new(
         "Sharded vs full-mesh live bytes per node-tick (steady-state window, range 1)",
         &["nodes", "window", "mesh", "sharded", "ratio", "exchange_ratio", "suppressed"],
@@ -165,6 +166,7 @@ pub fn shard_table() -> Result<Table, SimError> {
             format!("{:.3}", win.full.exchange_ratio()),
             win.full.suppressed().to_string(),
         ]);
+        row_done(nodes);
     }
     Ok(table)
 }

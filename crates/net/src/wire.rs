@@ -58,6 +58,14 @@ pub fn encode<T: Wire>(value: &T) -> Bytes {
     w.into_bytes()
 }
 
+/// Encodes a value into a fresh `Vec`, for a caller that sends owned
+/// vectors: no frozen buffer in between, and no copy out of it.
+pub fn encode_vec<T: Wire>(value: &T) -> Vec<u8> {
+    let mut w = WireWriter::new();
+    value.encode(&mut w);
+    w.into_vec()
+}
+
 /// Encodes a value into scratch drawn from `pool`, so steady-state encode
 /// paths reuse recycled allocations instead of allocating per message.
 ///
@@ -213,6 +221,11 @@ impl WireWriter {
     /// Finalises the encoding.
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
+    }
+
+    /// Finalises the encoding as an owned `Vec`.
+    pub fn into_vec(self) -> Vec<u8> {
+        self.buf.into()
     }
 }
 

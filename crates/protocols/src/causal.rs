@@ -136,7 +136,7 @@ impl<E: Endpoint> CausalMemory<E> {
             object,
             diff: Diff::single(offset, bytes.to_vec()),
         };
-        let encoded = sdso_net::wire::encode(&msg).to_vec();
+        let encoded = sdso_net::wire::encode_vec(&msg);
         let peers = (0..self.runtime.num_nodes() as NodeId).filter(|&peer| peer != me);
         self.runtime.send_app(MsgClass::Data, peers.map(|peer| (peer, encoded.clone())))?;
         self.metrics.writes_pushed += 1;

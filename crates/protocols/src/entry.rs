@@ -706,7 +706,7 @@ impl<E: Endpoint> EntryConsistency<E> {
         &mut self,
         out: impl IntoIterator<Item = (NodeId, EcMessage)>,
     ) -> Result<(), DsoError> {
-        let out = out.into_iter().map(|(to, msg)| (to, sdso_net::wire::encode(&msg).to_vec()));
+        let out = out.into_iter().map(|(to, msg)| (to, sdso_net::wire::encode_vec(&msg)));
         self.runtime.send_app(MsgClass::Control, out)
     }
 }

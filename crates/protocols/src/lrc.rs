@@ -466,7 +466,7 @@ impl<E: Endpoint> Lrc<E> {
     }
 
     fn send(&mut self, to: NodeId, class: MsgClass, msg: LrcMessage) -> Result<(), DsoError> {
-        let bytes = sdso_net::wire::encode(&msg).to_vec();
+        let bytes = sdso_net::wire::encode_vec(&msg);
         self.runtime.send_app(class, [(to, bytes)])
     }
 }

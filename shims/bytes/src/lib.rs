@@ -191,6 +191,12 @@ impl BytesMut {
     }
 }
 
+impl From<BytesMut> for Vec<u8> {
+    fn from(v: BytesMut) -> Vec<u8> {
+        v.inner
+    }
+}
+
 impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
@@ -208,6 +214,7 @@ mod tests {
         b.extend_from_slice(&[1, 2]);
         b.extend_from_slice(&[3]);
         assert_eq!(b.len(), 3);
+        assert_eq!(Vec::from(b.clone()), vec![1, 2, 3]);
         let frozen = b.freeze();
         assert_eq!(&frozen[..], &[1, 2, 3]);
         assert_eq!(frozen.to_vec(), vec![1, 2, 3]);

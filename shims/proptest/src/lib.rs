@@ -6,9 +6,10 @@
 //! `ProptestConfig::with_cases`.
 //!
 //! Vendored so the workspace builds fully offline. Differences from
-//! upstream: cases are generated from a fixed deterministic seed, and
-//! there is **no shrinking** — a failing case reports its generated
-//! inputs as-is.
+//! upstream: cases are generated from a fixed deterministic seed unless
+//! `SDSO_PROPTEST_SEED` names another (a failing case prints its seed and
+//! case number), and there is **no shrinking** — a failing case reports
+//! its generated inputs as-is.
 
 #![warn(missing_docs)]
 

@@ -1,0 +1,111 @@
+//! The memory contract of the object store (docs/ARCHITECTURE.md §9): a
+//! store holds one copy of each distinct registered body plus one copy of
+//! each object actually written, not a replica and an initial copy of
+//! every object.
+//!
+//! A counting global allocator tracks this process's live heap bytes; the
+//! store's share is the difference between two readings around the calls.
+//! The counter is process-wide, so this file holds one test: two measured
+//! at once would count each other.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicI64, Ordering};
+
+use sdso_core::{LogicalTime, ObjectId, ObjectStore, Version};
+use sdso_game::Scenario;
+
+/// Tracks live heap bytes, then defers to the system allocator.
+struct Counting;
+
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+fn bytes(n: usize) -> i64 {
+    i64::try_from(n).unwrap_or(i64::MAX)
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic add.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(bytes(layout.size()), Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; the caller's obligations carry over.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LIVE.fetch_add(bytes(layout.size()), Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; the caller's obligations carry over.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_add(bytes(new_size) - bytes(layout.size()), Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; `ptr` came from this allocator,
+        // which is `System`'s.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(bytes(layout.size()), Ordering::Relaxed);
+        // SAFETY: forwarded unchanged; `ptr` came from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn live() -> i64 {
+    LIVE.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_store_holds_its_distinct_bodies_and_its_written_objects() {
+    const BLOCK: usize = 4096;
+    let world = Scenario::paper(2, 3).with_block_bytes(BLOCK).initial_world();
+    let cells = world.len();
+    assert_eq!(cells, 768, "the paper's 32x24 grid");
+    let distinct = world.iter().map(|block| block.encode(BLOCK)).collect::<BTreeSet<_>>().len();
+    let every_body = bytes(cells * BLOCK);
+
+    // Sharing: the distinct bodies, the replica table and the intern set.
+    let before = live();
+    let mut store = ObjectStore::new();
+    for (id, block) in world.iter().enumerate() {
+        store.share(ObjectId(id as u32), block.encode(BLOCK)).unwrap();
+    }
+    let shared = live() - before;
+    assert!(
+        shared < every_body / 10,
+        "sharing {cells} bodies of {BLOCK} bytes ({distinct} distinct) holds {shared} bytes, \
+         not under a tenth of {every_body}"
+    );
+    assert!(shared >= bytes(distinct * BLOCK), "{shared} bytes hold {distinct} distinct bodies");
+
+    // Writing `k` objects copies `k` bodies, whichever body each shares.
+    let k = 96;
+    let written: Vec<u32> = (0..cells as u32).step_by(cells / k).collect();
+    assert_eq!(written.len(), k);
+    let stamp = Version::new(LogicalTime::from_ticks(1), 0);
+    for &id in &written {
+        store.write(ObjectId(id), 1, &[0xA5], stamp).unwrap();
+    }
+    let grew = live() - before - shared;
+    let copies = bytes(k * BLOCK);
+    assert!(
+        (copies..=copies + copies / 20).contains(&grew),
+        "writing {k} objects grew the store by {grew} bytes, not about {copies}"
+    );
+
+    // A written object is its own: writing it again copies nothing.
+    for &id in &written {
+        store.write(ObjectId(id), 2, &[0x5A], stamp).unwrap();
+    }
+    assert_eq!(live() - before - shared, grew, "a second write copied again");
+    println!(
+        "{cells} objects, {distinct} distinct bodies of {BLOCK} bytes: {shared} bytes shared \
+         ({:.1} % of {every_body}), +{grew} after writing {k}",
+        100.0 * shared as f64 / every_body as f64
+    );
+}
