@@ -203,6 +203,61 @@ mod tests {
         );
     }
 
+    /// Config items deleted from `crates/core/src/config.rs`: a living doc
+    /// that still names one, qualified or not, describes a knob that is gone.
+    const RETIRED_CONFIG: &[&str] = &["xor_delta", "batch_frames", "with_transport"];
+
+    /// Every backticked `WireConfig::x`, `DsoConfig::x` or `RetryConfig::x`
+    /// in the living docs — `Type::{x, y}` lists included — names a `pub`
+    /// field or a `pub fn` of `crates/core/src/config.rs` (or, for
+    /// `default`, that type's `Default` impl), and no backticked span names
+    /// a [`RETIRED_CONFIG`] item.
+    #[test]
+    fn documented_config_items_exist() {
+        let root = workspace_root();
+        let src = std::fs::read_to_string(root.join("crates/core/src/config.rs")).unwrap();
+        let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        let exists = |ty: &str, item: &str| {
+            let named = |pattern: String| {
+                src.match_indices(&pattern).any(|(at, m)| !src[at + m.len()..].starts_with(ident))
+            };
+            named(format!("pub fn {item}"))
+                || src.contains(&format!("pub {item}: "))
+                || (item == "default" && src.contains(&format!("impl Default for {ty} ")))
+        };
+        let mut wrong = Vec::new();
+        let mut seen = 0;
+        for &doc in LIVING_DOCS {
+            for span in backtick_pieces(&root, doc).iter().skip(1).step_by(2) {
+                let words = span.split(|c: char| !ident(c));
+                if let Some(name) = words.into_iter().find(|w| RETIRED_CONFIG.contains(w)) {
+                    wrong.push(format!("{doc}: `{span}`: `{name}` was deleted"));
+                }
+                for ty in ["WireConfig", "DsoConfig", "RetryConfig"] {
+                    for (at, _) in span.match_indices(&format!("{ty}::")) {
+                        let rest = &span[at + ty.len() + 2..];
+                        let items = match rest.strip_prefix('{') {
+                            Some(list) => list.split('}').next().unwrap_or_default(),
+                            None => rest.split(|c: char| !ident(c)).next().unwrap_or_default(),
+                        };
+                        for item in items.split(',').map(str::trim).filter(|i| !i.is_empty()) {
+                            seen += 1;
+                            if !exists(ty, item) {
+                                wrong.push(format!("{doc}: `{span}`: no `{ty}::{item}`"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(seen > 10, "only {seen} documented config items found");
+        assert!(
+            wrong.is_empty(),
+            "documented config items that crates/core/src/config.rs does not have:\n{}",
+            wrong.join("\n")
+        );
+    }
+
     /// Every backticked `experiments <command>` in the living docs names a
     /// command the binary accepts: one of `sdso_bench::COMMANDS`, which
     /// its dispatch reads too. A `--` before the command, as in

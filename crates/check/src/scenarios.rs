@@ -33,8 +33,8 @@
 //! choice point picks one of those two workloads and one link fault (see
 //! [`LinkFault`]): a fused frame lost and retransmitted, one delivered
 //! twice, the transport reporting a reconnect flap, or a loss with the flap
-//! before its retransmission — what can take a link's XOR shadows out of
-//! lockstep, interleaved with the delivery orders.
+//! before its retransmission — what could deliver a fused frame twice or
+//! not at all, or keep a link on v1, interleaved with the delivery orders.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -110,9 +110,9 @@ const FAULTED: NodeId = 0;
 const FAULT_PEER: NodeId = 1;
 
 /// The link faults the codec-v2-arq scenario's synthetic first choice point
-/// selects between (crossed with [`CODEC_V2_WORKLOADS`]). The last is the
-/// one a sender's shadows must not be reset for: the lost frame is sent
-/// again after the flap, and still has to decode.
+/// selects between (crossed with [`CODEC_V2_WORKLOADS`]). In the last the
+/// lost frame is sent again after the flap, and still has to decode,
+/// once.
 const LINK_FAULTS: [LinkFault; 5] = [
     LinkFault { frame: Some(FrameFault::Drop), flap: None },
     LinkFault { frame: Some(FrameFault::Dup), flap: None },
@@ -139,8 +139,7 @@ struct LinkFault {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameFault {
-    /// Lost in flight: the retransmission must decode exactly once, against
-    /// the shadow it was built on.
+    /// Lost in flight: the retransmission must decode exactly once.
     Drop,
     /// Delivered twice: the copy must not be resolved again.
     Dup,

@@ -40,23 +40,14 @@ impl Default for RetryConfig {
 /// frames are still what a link speaks until then, toward a peer
 /// configured [`WireConfig::v1`] (it never offers, and mixed clusters
 /// interoperate per link), for a batch the codec cannot take (a run past
-/// the decoder's budget, an object no XOR shadow can be seeded for) and
-/// for an empty batch. [`WireConfig::v1`] is also the reference the
-/// paper's figures are reproduced on.
+/// the decoder's budget) and for an empty batch. [`WireConfig::v1`] is
+/// also the reference the paper's figures are reproduced on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireConfig {
     /// Offer codec v2 (varint/run-length diff encoding) to peers and use
     /// it on links where the peer offered it back. Peers that never offer
     /// (or older builds) keep receiving the v1 format.
     pub codec_v2: bool,
-    /// On negotiated v2 links, XOR each diff against the link's shadow of
-    /// the peer's last-delivered state before run-length encoding, so
-    /// unchanged bytes inside rewritten ranges collapse to zero runs.
-    /// Requires in-order exactly-once delivery on the link (the ARQ
-    /// reliability layer, or a lossless FIFO transport); falls back to
-    /// absolute encoding per update whenever no shadow exists. Implies
-    /// nothing unless `codec_v2` is also set.
-    pub xor_delta: bool,
     /// Coalesce overlapping/duplicate ranges to the same object inside one
     /// outgoing batch before framing (a buffered slot update and a
     /// current-interval update to the same object become one update).
@@ -72,12 +63,12 @@ impl Default for WireConfig {
 impl WireConfig {
     /// Everything off — the v1 wire format, byte-for-byte.
     pub fn v1() -> Self {
-        WireConfig { codec_v2: false, xor_delta: false, batch_dedup: false }
+        WireConfig { codec_v2: false, batch_dedup: false }
     }
 
-    /// The full bandwidth diet: v2 codec, XOR-delta, batch dedup.
+    /// The full bandwidth diet: v2 codec, batch dedup.
     pub fn compressed() -> Self {
-        WireConfig { codec_v2: true, xor_delta: true, batch_dedup: true }
+        WireConfig { codec_v2: true, batch_dedup: true }
     }
 }
 
@@ -98,8 +89,7 @@ pub struct DsoConfig {
     /// testbed network did not lose messages) adds zero wire or metric
     /// overhead.
     pub reliability: Option<RetryConfig>,
-    /// Wire-compression layer (codec v2 negotiation, XOR-delta, batch
-    /// dedup). Defaults to all-on; [`WireConfig::v1`] reproduces the v1
+    /// Wire-compression layer (codec v2 negotiation, batch dedup). Defaults to all-on; [`WireConfig::v1`] reproduces the v1
     /// wire format byte-for-byte, as does any link whose peer never offers.
     pub wire: WireConfig,
 }
@@ -184,8 +174,8 @@ mod tests {
         assert_eq!(DsoConfig::paper().wire, WireConfig::compressed());
         assert_eq!(DsoConfig::compact().wire, WireConfig::default());
         let on = WireConfig::compressed();
-        assert!(on.codec_v2 && on.xor_delta && on.batch_dedup);
+        assert!(on.codec_v2 && on.batch_dedup);
         let c = DsoConfig::paper().with_wire(WireConfig::v1());
-        assert!(!c.wire.codec_v2 && !c.wire.xor_delta && !c.wire.batch_dedup);
+        assert!(!c.wire.codec_v2 && !c.wire.batch_dedup);
     }
 }

@@ -61,13 +61,13 @@ pub struct DsoMetrics {
     /// stay buffered and flush at the next broadcast exchange).
     pub shard_suppressed: u64,
     /// Update batches shipped in the compressed v2 wire encoding
-    /// (varint/run-length, optionally XOR-delta'd against the link shadow).
+    /// (varint headers, zero-run-length bodies).
     pub codec_v2_sent: u64,
     /// Rendezvous sent as one frame: a v2 data frame that is also the SYNC,
     /// so no `Sync` message followed it.
     pub rendezvous_fused: u64,
     /// Update batches that fell back to the absolute v1 encoding after v2
-    /// was negotiated (oversized run, or no seedable XOR shadow).
+    /// was negotiated (a run past the decoder's budget).
     pub codec_v2_fallbacks: u64,
     /// Updates coalesced away by batch-level dedup before framing
     /// (overlapping same-object diffs merged into one update).

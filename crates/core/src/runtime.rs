@@ -261,7 +261,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport and codec errors.
     pub fn drain_crash_residue(&mut self) -> Result<u64, DsoError> {
-        self.session.drain_residue(&self.store)
+        self.session.drain_residue()
     }
 
     /// The exchange list (for inspection by tests and protocol layers).
@@ -349,7 +349,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         // member and acks flow normally.
         for &leaver in &change.left {
             if leaver != self.node_id() {
-                self.session.settle_link(leaver, &self.store)?;
+                self.session.settle_link(leaver)?;
             }
         }
         for &leaver in &change.left {
@@ -479,7 +479,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// snapshot is stamped with a different epoch than this view's.
     pub fn await_snapshot(&mut self, donor: NodeId) -> Result<LogicalTime, DsoError> {
         loop {
-            let (from, msg) = self.session.recv_patiently(&self.store)?;
+            let (from, msg) = self.session.recv_patiently()?;
             match msg {
                 DsoMessage::Snapshot { epoch, time, lamport, updates } if from == donor => {
                     if epoch != self.view.epoch() {
@@ -813,7 +813,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             }
             updates_sent += batch.len() + picks.len();
             let current = (&self.current_mods[..], &picks[..]);
-            self.session.send_rendezvous(peer, t, batch, current, &self.store)?;
+            self.session.send_rendezvous(peer, t, batch, current)?;
         }
         if suppressed > 0 {
             self.counters.shard_suppressed.add(suppressed);
@@ -897,7 +897,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             0,
         );
         while !outstanding.is_empty() {
-            let (from, msg) = self.session.recv(&self.store)?;
+            let (from, msg) = self.session.recv()?;
             // Cross-epoch traffic never errors the engine: residue from a
             // peer that has since left is dropped (and counted), traffic
             // from a peer that is an epoch ahead is buffered by its
@@ -996,7 +996,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// Returns transport errors other than end-of-run conditions.
     pub fn settle(&mut self) -> Result<bool, DsoError> {
         loop {
-            if let Some(acked) = self.session.settle_recv(&self.store)? {
+            if let Some(acked) = self.session.settle_recv()? {
                 return Ok(acked);
             }
             while let Some((from, msg)) = self.session.pop_ready() {
@@ -1063,7 +1063,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.session.send(peer, msg)?;
         let target = self.acks_received + 1;
         while self.acks_received < target {
-            let (from, msg) = self.session.recv(&self.store)?;
+            let (from, msg) = self.session.recv()?;
             self.dispatch(from, msg)?;
         }
         Ok(())
@@ -1091,7 +1091,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     pub fn sync_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
         self.session.send(peer, DsoMessage::GetReq { object: id })?;
         loop {
-            let (from, msg) = self.session.recv(&self.store)?;
+            let (from, msg) = self.session.recv()?;
             let reply =
                 from == peer && matches!(msg, DsoMessage::GetRep { object, .. } if object == id);
             self.dispatch(from, msg)?;
@@ -1132,7 +1132,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             if let Some(app) = self.app_inbox.pop_front() {
                 return Ok(app);
             }
-            let (from, msg) = self.session.recv(&self.store)?;
+            let (from, msg) = self.session.recv()?;
             self.dispatch(from, msg)?;
         }
     }
@@ -1149,7 +1149,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             if let Some(app) = self.app_inbox.pop_front() {
                 return Ok(Some(app));
             }
-            let Some((from, msg)) = self.session.recv_now(&self.store)? else { return Ok(None) };
+            let Some((from, msg)) = self.session.recv_now()? else { return Ok(None) };
             self.dispatch(from, msg)?;
         }
     }
@@ -1377,6 +1377,37 @@ mod tests {
     }
 
     #[test]
+    fn a_data2_naming_an_unshared_object_fails_at_apply_and_grows_nothing() {
+        use crate::config::WireConfig;
+        // Three objects at ids 0..3. Id u32::MAX (a table indexed by id
+        // would need 96 GiB) and id 3, one past the last object, decode —
+        // the codec holds no per-object state — and the store refuses them.
+        for object in [u32::MAX, 3] {
+            let mut eps = MemoryHub::new(2).into_endpoints();
+            let config = DsoConfig::compact().with_wire(WireConfig::compressed());
+            let mut rt = SdsoRuntime::new(eps.remove(0), config);
+            let mut peer = eps.remove(0);
+            for id in 0..3 {
+                rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+            }
+            let update = WireUpdate {
+                object: ObjectId(object),
+                diff: Diff::single(0, vec![1, 2, 3, 4]),
+                version: Version::new(LogicalTime::from_ticks(1), 1),
+            };
+            let mut scratch = sdso_net::wire::WireWriter::new();
+            let blob = crate::codec::encode_updates([update].iter(), &mut scratch).unwrap();
+            let time = LogicalTime::from_ticks(1);
+            let fused = DsoMessage::Data2 { epoch: Epoch::ZERO, time, blob, sync: true };
+            peer.send(0, fused.into_payload(None)).unwrap();
+            rt.exchange_list.schedule(1, time);
+            let err = rt.exchange(SendMode::Multicast, &mut Never).unwrap_err();
+            assert!(matches!(err, DsoError::UnknownObject(ObjectId(id)) if id == object), "{err}");
+            assert_eq!(rt.object_ids(), [ObjectId(0), ObjectId(1), ObjectId(2)], "id {object}");
+        }
+    }
+
+    #[test]
     fn dedup_updates_coalesces_same_object_batches() {
         let v = |t: u64, w: u16| Version::new(LogicalTime::from_ticks(t), w);
         let update = |object: u32, offset: u32, bytes: Vec<u8>, version: Version| WireUpdate {
@@ -1405,7 +1436,7 @@ mod tests {
         use crate::config::WireConfig;
         // Node 0 meets node 1 at t1 while node 2's slot fills, then meets
         // node 2 at t2 with a fresh write to an object already buffered.
-        let wire = WireConfig { codec_v2: false, xor_delta: false, batch_dedup: true };
+        let wire = WireConfig { codec_v2: false, batch_dedup: true };
         let mut eps = MemoryHub::new(3).into_endpoints();
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact().with_wire(wire));
         let (mut one, mut two) = (eps.remove(0), eps.remove(0));

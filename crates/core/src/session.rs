@@ -6,8 +6,7 @@
 //! [`crate::runtime`] hands logical messages to [`Session::write`], which
 //! puts each run of them to one peer in one transport write, and takes
 //! them from the `recv*` family; sequencing, acknowledgement, retransmission
-//! (the paper's `resync` path), codec negotiation and the XOR shadows never
-//! leave this module. Every reset of per-peer state goes through
+//! (the paper's `resync` path) and codec negotiation never leave this module. Every reset of per-peer state goes through
 //! [`Link::reset`], the only table of which fields each reason clears.
 //!
 //! The ARQ is a sliding window that is free while nothing is lost: acks
@@ -20,15 +19,15 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::membership::{Epoch, MembershipView};
+use sdso_net::wire::WireWriter;
 use sdso_net::{Endpoint, Incoming, NetError, NodeId, Payload, SimInstant, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
 use crate::clock::LogicalTime;
-use crate::codec::{self, ShadowState, CODEC_V2};
+use crate::codec::{self, CODEC_V2};
 use crate::config::{DsoConfig, RetryConfig};
 use crate::error::DsoError;
 use crate::metrics::DsoCounters;
-use crate::store::ObjectStore;
 use crate::wire::{DsoMessage, WireUpdate};
 
 /// A logical message and the peer it came from.
@@ -62,10 +61,10 @@ fn backed_off(rto: SimSpan, rounds: u32) -> SimSpan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Reset {
     /// The peer left the view: the link is gone for good, and a joiner
-    /// reusing the slot starts from sequence 0 / basis 0.
+    /// reusing the slot starts from sequence 0.
     Left,
     /// The transport reported a reconnect flap: the peer may have
-    /// restarted, losing its XOR shadows and its knowledge of our offer.
+    /// restarted, losing its knowledge of our offer.
     Flapped,
     /// A retransmission found the peer permanently disconnected: it finished
     /// its run, so what is unacknowledged is residue, not recoverable traffic.
@@ -107,32 +106,27 @@ pub(crate) struct Link {
     peer_version: Option<u8>,
     /// Whether this process's own offer has gone out on the link.
     offered: bool,
-    /// Sender-side shadows for the `Data2` batches this process emits.
-    tx: ShadowState,
-    /// Receiver-side shadows for the `Data2` batches the peer emits.
-    rx: ShadowState,
 }
 
 impl Link {
     /// The one reset entry point. Which fields each reason clears:
     ///
-    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` | `peer_version` `offered` `tx` | `rx` |
-    /// |-------------|-----------|-----------|-----------|---------|
-    /// | `Left`      | cleared   | cleared   | cleared   | cleared |
-    /// | `Flapped`   | kept      | kept      | cleared   | kept    |
-    /// | `Abandoned` | kept      | cleared   | kept      | kept    |
+    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` | `peer_version` `offered` |
+    /// |-------------|-----------|-----------|-----------|
+    /// | `Left`      | cleared   | cleared   | cleared   |
+    /// | `Flapped`   | kept      | kept      | cleared   |
+    /// | `Abandoned` | kept      | cleared   | kept      |
     ///
-    /// A flap keeps the receive shadows on purpose: frames the peer encoded
-    /// before it may still be in flight or be retransmitted, and must decode
-    /// against the shadows they were built on. If the peer really restarted,
-    /// its first fresh `Data2` carries basis 0 ([`Session::deliver`]).
+    /// A flap keeps the sequencing on purpose: frames the peer sent before
+    /// it may still be in flight or be retransmitted, and are delivered
+    /// once, in order, like any other — a `Data2` among them decodes on its
+    /// own, whatever the link negotiated since.
     pub(crate) fn reset(&mut self, why: Reset) {
         match why {
             Reset::Left => *self = Link::default(),
             Reset::Flapped => {
                 self.peer_version = None;
                 self.offered = false;
-                self.tx.reset();
             }
             Reset::Abandoned => {
                 self.unacked.clear();
@@ -239,6 +233,9 @@ pub(crate) struct Session<E: Endpoint> {
     /// ([`Session::recycle`]), kept for its storage: the next `Data2`
     /// decodes into it.
     spare: Vec<WireUpdate>,
+    /// The codec's scratch: each `Data2` blob is written here, then copied
+    /// out at its size.
+    blob: WireWriter,
     obs: Obs,
     counters: DsoCounters,
 }
@@ -254,6 +251,7 @@ impl<E: Endpoint> Session<E> {
             view: MembershipView::full(n),
             heard: SimInstant::ZERO,
             spare: Vec::new(),
+            blob: WireWriter::new(),
             obs,
             counters,
         }
@@ -308,7 +306,6 @@ impl<E: Endpoint> Session<E> {
         time: LogicalTime,
         batch: &mut Vec<WireUpdate>,
         (current, picks): (&[WireUpdate], &[usize]),
-        store: &ObjectStore,
     ) -> Result<(), DsoError> {
         let epoch = self.view.epoch();
         // Our codec offer goes first while it is still owed. With
@@ -318,7 +315,7 @@ impl<E: Endpoint> Session<E> {
             .then_some(DsoMessage::CodecOffer { version: CODEC_V2 });
         let empty = batch.is_empty() && picks.is_empty();
         let more = (current, picks);
-        let data = (!empty).then(|| self.encode_data(peer, epoch, time, batch, more, store));
+        let data = (!empty).then(|| self.encode_data(peer, epoch, time, batch, more));
         let fused = matches!(data, Some(DsoMessage::Data2 { .. }));
         if fused {
             self.counters.rendezvous_fused.inc();
@@ -425,8 +422,8 @@ impl<E: Endpoint> Session<E> {
     /// Builds the data message for one exchange send from `batch` and then
     /// the picks of `current` ([`Session::send_rendezvous`]): the compressed
     /// `Data2`, SYNC on board, once the peer has negotiated v2 — falling back
-    /// to the absolute `Data` when a run exceeds the decoder's inflation
-    /// budget or an XOR shadow cannot be seeded — and plain `Data` before.
+    /// to the plain `Data` when a run exceeds the decoder's inflation
+    /// budget — and plain `Data` before.
     fn encode_data(
         &mut self,
         peer: NodeId,
@@ -434,16 +431,14 @@ impl<E: Endpoint> Session<E> {
         time: LogicalTime,
         batch: &mut Vec<WireUpdate>,
         (current, picks): (&[WireUpdate], &[usize]),
-        store: &ObjectStore,
     ) -> DsoMessage {
-        let link = &mut self.links[usize::from(peer)];
+        let link = &self.links[usize::from(peer)];
         if self.config.wire.codec_v2 && link.peer_version.is_some_and(|v| v >= CODEC_V2) {
-            let xor = self.config.wire.xor_delta;
             let updates = batch.iter().chain(picks.iter().map(|&i| &current[i]));
-            if let Some((basis, blob)) = codec::encode_updates(updates, xor, &mut link.tx, store) {
+            if let Some(blob) = codec::encode_updates(updates, &mut self.blob) {
                 self.counters.codec_v2_sent.inc();
                 batch.clear();
-                return DsoMessage::Data2 { epoch, time, basis, blob, sync: true };
+                return DsoMessage::Data2 { epoch, time, blob, sync: true };
             }
             self.counters.codec_v2_fallbacks.inc();
         }
@@ -460,12 +455,7 @@ impl<E: Endpoint> Session<E> {
     /// (a no-op while the bytes are shared or the pool is full). With a
     /// `residue` counter it also discards, and counts there, what
     /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
-    fn step(
-        &mut self,
-        wait: Wait,
-        store: &ObjectStore,
-        residue: Option<&mut u64>,
-    ) -> Result<bool, DsoError> {
+    fn step(&mut self, wait: Wait, residue: Option<&mut u64>) -> Result<bool, DsoError> {
         let arrived = match wait {
             Wait::Block => self.endpoint.recv().map(Some),
             Wait::For(span) => self.endpoint.recv_deadline(span),
@@ -485,7 +475,7 @@ impl<E: Endpoint> Session<E> {
                 *dropped += 1;
                 self.counters.cross_epoch_dropped.inc();
             }
-            _ => self.admit(from, msg, store)?,
+            _ => self.admit(from, msg)?,
         }
         sdso_net::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
         Ok(true)
@@ -494,13 +484,8 @@ impl<E: Endpoint> Session<E> {
     /// Runs one decoded frame through the reliability layer and on to the
     /// codec layer whatever this arrival put in order. Without a reliability
     /// config every frame passes straight through.
-    fn admit(
-        &mut self,
-        from: NodeId,
-        msg: DsoMessage,
-        store: &ObjectStore,
-    ) -> Result<(), DsoError> {
-        let Some(cfg) = self.config.reliability else { return self.deliver(from, msg, store) };
+    fn admit(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
+        let Some(cfg) = self.config.reliability else { return self.deliver(from, msg) };
         let now = self.endpoint.now();
         let link = &mut self.links[usize::from(from)];
         // Residue of a slot's previous occupant — a departed member's last
@@ -530,9 +515,9 @@ impl<E: Endpoint> Session<E> {
                     }
                     self.ack(from)?;
                 }
-                // Codec resolution happens here, after sequencing: the
-                // exactly-once point the XOR shadows' lockstep relies on.
-                chain.unwrap_or_default().into_iter().try_for_each(|m| self.deliver(from, m, store))
+                // Codec resolution happens here, after sequencing: a fused
+                // frame's SYNC is queued once, however often it arrived.
+                chain.unwrap_or_default().into_iter().try_for_each(|m| self.deliver(from, m))
             }
             DsoMessage::SeqAck { next } => {
                 link.acked(next, now, &cfg);
@@ -540,21 +525,16 @@ impl<E: Endpoint> Session<E> {
             }
             // A plain message from a peer running without the layer is
             // delivered as-is, codec resolution included.
-            other => self.deliver(from, other, store),
+            other => self.deliver(from, other),
         }
     }
 
     /// Resolves codec-layer messages at their exactly-once delivery point and
     /// queues the result for the kernel: consumes a [`DsoMessage::CodecOffer`],
     /// decodes a [`DsoMessage::Data2`] back into the plain `Data` it compresses
-    /// (advancing this link's receive shadows) with, directly behind it, the
-    /// `Sync` it carries, and passes everything else through untouched.
-    fn deliver(
-        &mut self,
-        from: NodeId,
-        msg: DsoMessage,
-        store: &ObjectStore,
-    ) -> Result<(), DsoError> {
+    /// with, directly behind it, the `Sync` it carries, and passes everything
+    /// else through untouched.
+    fn deliver(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         let link = &mut self.links[usize::from(from)];
         match msg {
             // Compression is off here: never offer back, so the peer keeps
@@ -577,17 +557,9 @@ impl<E: Endpoint> Session<E> {
                     "compressed Data2 from {from} but codec v2 is not enabled here"
                 )));
             }
-            DsoMessage::Data2 { epoch, time, basis, blob, sync } => {
-                // Basis 0 announces a fresh compressed stream: the peer
-                // restarted its transmit shadows (a flap or a process
-                // restart). Restart ours to match — a sender's basis only
-                // returns to 0 by reset, never by wraparound.
-                if basis == 0 && link.rx.basis() != 0 {
-                    link.rx.reset();
-                }
+            DsoMessage::Data2 { epoch, time, blob, sync } => {
                 let mut updates = std::mem::take(&mut self.spare);
-                codec::decode_updates(&blob, basis, &mut link.rx, store, &mut updates)
-                    .map_err(DsoError::Net)?;
+                codec::decode_updates(&blob, &mut updates).map_err(DsoError::Net)?;
                 self.ready.push_back((from, DsoMessage::Data { epoch, time, updates }));
                 if sync {
                     self.ready.push_back((from, DsoMessage::Sync { epoch, time }));
@@ -602,19 +574,19 @@ impl<E: Endpoint> Session<E> {
     /// sleeps until the earliest link timer and serves it, and fails with
     /// [`DsoError::Timeout`] once a link went `max_retries` rounds
     /// unanswered, or after as many idle rounds, each twice the last.
-    pub(crate) fn recv(&mut self, store: &ObjectStore) -> Result<Delivery, DsoError> {
-        self.recv_next(false, store)
+    pub(crate) fn recv(&mut self) -> Result<Delivery, DsoError> {
+        self.recv_next(false)
     }
 
     /// Blocking receive without the idle-round budget: for a joiner awaiting
     /// admission, where arbitrarily long silence is expected. With no link
     /// timer pending, a genuine group failure parks this process in the
     /// transport and surfaces through the scheduler's stall detection instead.
-    pub(crate) fn recv_patiently(&mut self, store: &ObjectStore) -> Result<Delivery, DsoError> {
-        self.recv_next(true, store)
+    pub(crate) fn recv_patiently(&mut self) -> Result<Delivery, DsoError> {
+        self.recv_next(true)
     }
 
-    fn recv_next(&mut self, patient: bool, store: &ObjectStore) -> Result<Delivery, DsoError> {
+    fn recv_next(&mut self, patient: bool) -> Result<Delivery, DsoError> {
         let mut idle = 0u32;
         loop {
             if let Some(m) = self.ready.pop_front() {
@@ -626,7 +598,7 @@ impl<E: Endpoint> Session<E> {
                 (None, Some(cfg)) if !patient => Wait::For(backed_off(cfg.rto, idle)),
                 _ => Wait::Block,
             };
-            if self.step(wait, store, None)? {
+            if self.step(wait, None)? {
                 idle = 0;
                 continue;
             }
@@ -640,12 +612,12 @@ impl<E: Endpoint> Session<E> {
 
     /// Non-blocking receive of the next logical message; serves the link
     /// timers once nothing is left to take.
-    pub(crate) fn recv_now(&mut self, store: &ObjectStore) -> Result<Option<Delivery>, DsoError> {
+    pub(crate) fn recv_now(&mut self) -> Result<Option<Delivery>, DsoError> {
         loop {
             if let Some(m) = self.ready.pop_front() {
                 return Ok(Some(m));
             }
-            if !self.step(Wait::Poll, store, None)? {
+            if !self.step(Wait::Poll, None)? {
                 return self.serve_timers().map(|_| None);
             }
         }
@@ -658,7 +630,7 @@ impl<E: Endpoint> Session<E> {
     /// acknowledged everything this process sent (always, without a
     /// reliability config), `Some(false)` when a link went [`SETTLE_ROUNDS`]
     /// rounds unanswered or every other node has finished.
-    pub(crate) fn settle_recv(&mut self, store: &ObjectStore) -> Result<Option<bool>, DsoError> {
+    pub(crate) fn settle_recv(&mut self) -> Result<Option<bool>, DsoError> {
         let Some(cfg) = self.config.reliability else { return Ok(Some(true)) };
         for peer in 0..self.links.len() as NodeId {
             if self.links[usize::from(peer)].ack_owed.is_some() {
@@ -670,7 +642,7 @@ impl<E: Endpoint> Session<E> {
             // links that still hold unacknowledged frames.
             let Some(deadline) = self.next_timer() else { return Ok(Some(true)) };
             let wait = Wait::For(deadline.saturating_since(self.endpoint.now()));
-            match self.step(wait, store, None) {
+            match self.step(wait, None) {
                 Ok(true) => return Ok(None),
                 Ok(false) => {
                     if self.serve_timers()? >= SETTLE_ROUNDS.min(cfg.max_retries) {
@@ -689,11 +661,7 @@ impl<E: Endpoint> Session<E> {
     /// waits, serving every link's timers, until it has acknowledged all this
     /// process sent it or [`SETTLE_ROUNDS`] rounds went unanswered. What other
     /// peers deliver meanwhile is queued as usual.
-    pub(crate) fn settle_link(
-        &mut self,
-        peer: NodeId,
-        store: &ObjectStore,
-    ) -> Result<(), DsoError> {
+    pub(crate) fn settle_link(&mut self, peer: NodeId) -> Result<(), DsoError> {
         let Some(cfg) = self.config.reliability else { return Ok(()) };
         if self.links[usize::from(peer)].ack_owed.is_some() {
             self.ack(peer)?;
@@ -705,7 +673,7 @@ impl<E: Endpoint> Session<E> {
             }
             let Some(timer) = self.next_timer() else { return Ok(()) };
             let wait = Wait::For(timer.saturating_since(self.endpoint.now()));
-            if !self.step(wait, store, None)? {
+            if !self.step(wait, None)? {
                 self.serve_timers()?;
             }
         }
@@ -716,12 +684,12 @@ impl<E: Endpoint> Session<E> {
     /// before the view's epoch is dropped unacked, and so is any ack. Fresh
     /// traffic that overtook the drain is admitted and parked where the
     /// blocking receives look first. Returns the frames dropped.
-    pub(crate) fn drain_residue(&mut self, store: &ObjectStore) -> Result<u64, DsoError> {
+    pub(crate) fn drain_residue(&mut self) -> Result<u64, DsoError> {
         if self.config.reliability.is_none() {
             return Ok(0);
         }
         let mut dropped = 0u64;
-        while self.step(Wait::Poll, store, Some(&mut dropped))? {}
+        while self.step(Wait::Poll, Some(&mut dropped))? {}
         Ok(dropped)
     }
 
@@ -891,16 +859,15 @@ mod tests {
         Session::new(FaultyEndpoint::new(endpoint, plan.clone()), config, obs, counters)
     }
 
-    /// Nodes `0..n` on one clock, and the store they seed their XOR shadows
-    /// from.
-    fn group(n: usize, plan: &FaultPlan) -> (Vec<Peer>, ObjectStore) {
+    /// Nodes `0..n` on one clock.
+    fn group(n: usize, plan: &FaultPlan) -> Vec<Peer> {
         group_on(&vec![WireConfig::compressed(); n], plan)
     }
 
     /// As [`group`], node `i` speaking `wires[i]`.
-    fn group_on(wires: &[WireConfig], plan: &FaultPlan) -> (Vec<Peer>, ObjectStore) {
+    fn group_on(wires: &[WireConfig], plan: &FaultPlan) -> Vec<Peer> {
         let micros = Arc::new(AtomicU64::new(0));
-        let nodes = MemoryHub::new(wires.len())
+        MemoryHub::new(wires.len())
             .into_endpoints()
             .into_iter()
             .zip(wires)
@@ -908,17 +875,14 @@ mod tests {
                 let wound = Wound { inner, micros: micros.clone(), writes: Vec::new() };
                 session_on(wound, plan, wire)
             })
-            .collect();
-        let mut store = ObjectStore::new();
-        store.share(OBJECT, vec![0u8; 16]).unwrap();
-        (nodes, store)
+            .collect()
     }
 
-    /// Node 0, node 1, and their store.
-    fn pair(plan: &FaultPlan) -> (Peer, Peer, ObjectStore) {
-        let (mut nodes, store) = group(2, plan);
+    /// Node 0 and node 1.
+    fn pair(plan: &FaultPlan) -> (Peer, Peer) {
+        let mut nodes = group(2, plan);
         let b = nodes.pop().unwrap();
-        (nodes.pop().unwrap(), b, store)
+        (nodes.pop().unwrap(), b)
     }
 
     /// The one-update batch `who` reports at tick `t`.
@@ -939,9 +903,9 @@ mod tests {
         ]
     }
 
-    fn exchange(from: &mut Peer, to: NodeId, t: u64, store: &ObjectStore) {
+    fn exchange(from: &mut Peer, to: NodeId, t: u64) {
         let me = from.endpoint.node_id();
-        from.send_rendezvous(to, LogicalTime::from_ticks(t), &mut batch(me, t), (&[], &[]), store)
+        from.send_rendezvous(to, LogicalTime::from_ticks(t), &mut batch(me, t), (&[], &[]))
             .unwrap();
     }
 
@@ -951,15 +915,15 @@ mod tests {
 
     /// Takes whatever already arrived, then serves the timers due on the
     /// clock as it stands.
-    fn poll(s: &mut Peer, store: &ObjectStore, got: &mut Vec<Delivery>) {
-        while let Some(d) = s.recv_now(store).unwrap() {
+    fn poll(s: &mut Peer, got: &mut Vec<Delivery>) {
+        while let Some(d) = s.recv_now().unwrap() {
             got.push(d);
         }
     }
 
     /// Listens for `span`, taking what arrives and serving the timers as
     /// they fall due.
-    fn listen(s: &mut Peer, span: SimSpan, store: &ObjectStore, got: &mut Vec<Delivery>) {
+    fn listen(s: &mut Peer, span: SimSpan, got: &mut Vec<Delivery>) {
         let until = s.endpoint.now() + span;
         loop {
             got.extend(s.ready.drain(..));
@@ -968,7 +932,7 @@ mod tests {
                 return;
             }
             let wake = s.next_timer().map_or(until, |at| at.min(until));
-            if !s.step(Wait::For(wake.saturating_since(now)), store, None).unwrap() {
+            if !s.step(Wait::For(wake.saturating_since(now)), None).unwrap() {
                 s.serve_timers().unwrap();
             }
         }
@@ -992,18 +956,12 @@ mod tests {
 
     /// Runs retransmission rounds until neither side has anything
     /// unacknowledged.
-    fn pump(
-        a: &mut Peer,
-        b: &mut Peer,
-        store: &ObjectStore,
-        got_a: &mut Vec<Delivery>,
-        got_b: &mut Vec<Delivery>,
-    ) {
+    fn pump(a: &mut Peer, b: &mut Peer, got_a: &mut Vec<Delivery>, got_b: &mut Vec<Delivery>) {
         for _ in 1..200 {
             // Twice: the second pass collects the acks the first provoked.
             for _ in 0..2 {
-                poll(a, store, got_a);
-                poll(b, store, got_b);
+                poll(a, got_a);
+                poll(b, got_b);
             }
             if acked(a) && acked(b) {
                 return;
@@ -1016,13 +974,13 @@ mod tests {
 
     #[test]
     fn delivery_is_exactly_once_and_fifo_per_directed_link() {
-        let (mut a, mut b, store) = pair(&lossy());
+        let (mut a, mut b) = pair(&lossy());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
         for t in 1..=12u64 {
-            exchange(&mut a, 1, t, &store);
+            exchange(&mut a, 1, t);
             sent_a.extend(pair_of(0, Epoch(0), t));
-            exchange(&mut b, 0, t, &store);
+            exchange(&mut b, 0, t);
             sent_b.extend(pair_of(1, Epoch(0), t));
             // Runs of several messages to one peer, in one write each.
             if t % 4 == 0 {
@@ -1035,10 +993,10 @@ mod tests {
                 b.write(run.clone().map(|msg| (0, msg))).unwrap();
                 sent_b.extend(run.map(|msg| (1, msg)));
             }
-            poll(&mut a, &store, &mut got_a);
-            poll(&mut b, &store, &mut got_b);
+            poll(&mut a, &mut got_a);
+            poll(&mut b, &mut got_b);
         }
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(got_b, sent_a, "0 → 1: every Data2 decoded back to the Data that was sent");
         assert_eq!(got_a, sent_b, "1 → 0");
         let (a, b) = (a.counters.view(), b.counters.view());
@@ -1054,17 +1012,17 @@ mod tests {
         // six times the configured timeout to come back: the two sides
         // listen in turn, 3 ms each.
         let late = FaultPlan::new(0xDE1A).with_reorder(0.4, SimSpan::from_millis(4));
-        let (mut a, mut b, store) = pair(&late);
+        let (mut a, mut b) = pair(&late);
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
         let mut warm = None;
         for t in 1..=40u64 {
-            exchange(&mut a, 1, t, &store);
+            exchange(&mut a, 1, t);
             sent_a.extend(pair_of(0, Epoch(0), t));
-            exchange(&mut b, 0, t, &store);
+            exchange(&mut b, 0, t);
             sent_b.extend(pair_of(1, Epoch(0), t));
-            listen(&mut a, SimSpan::from_millis(3), &store, &mut got_a);
-            listen(&mut b, SimSpan::from_millis(3), &store, &mut got_b);
+            listen(&mut a, SimSpan::from_millis(3), &mut got_a);
+            listen(&mut b, SimSpan::from_millis(3), &mut got_b);
             if a.links[1].rtt.is_some() && b.links[0].rtt.is_some() {
                 warm.get_or_insert((t, a.counters.view(), b.counters.view()));
             }
@@ -1076,7 +1034,7 @@ mod tests {
             assert_eq!(now.duplicates_dropped, then.duplicates_dropped);
             assert_eq!(now.resyncs, then.resyncs);
         }
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(got_b, sent_a, "0 → 1: exactly once, in order");
         assert_eq!(got_a, sent_b, "1 → 0");
         // The estimator learnt the round trip it was shown.
@@ -1086,10 +1044,10 @@ mod tests {
 
     #[test]
     fn a_lost_piggybacked_ack_is_repaired_by_the_next_frames_cumulative_ack() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         a.send(1, app(1)).unwrap();
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         // Node 1's reply carries the ack for it — and is lost in flight.
         b.send(0, app(2)).unwrap();
         assert_eq!(b.counters.view().acks_piggybacked, 1);
@@ -1098,35 +1056,35 @@ mod tests {
         // The next frame that way arrives ahead of a gap, which node 0
         // reports at once; its cumulative ack already covers node 0's frame.
         b.send(0, app(3)).unwrap();
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         assert!(a.links[1].unacked.is_empty() && a.links[1].deadline.is_none());
         assert!(got_a.is_empty(), "nothing is delivered past the gap");
         assert_eq!(a.counters.view().acks_standalone, 1, "the gap report");
         // The lost frame itself comes back by node 1's own timeout.
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(got_a, [(1, app(2)), (1, app(3))]);
         assert_eq!((a.counters.view().retransmits, b.counters.view().resyncs), (0, 1));
     }
 
     #[test]
     fn an_owed_ack_travels_alone_only_after_its_delay() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         a.send(1, app(1)).unwrap();
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert_eq!(b.links[0].ack_owed, Some(SimInstant::ZERO));
         // Just short of the delay nothing goes out...
         let delay = b.links[0].ack_delay(&RETRY);
         assert_eq!(delay.as_micros(), RETRY.rto.as_micros() / 2, "nothing known of the link yet");
         b.endpoint.advance(SimSpan::from_micros(delay.as_micros() - 1));
-        poll(&mut b, &store, &mut got_b);
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut b, &mut got_b);
+        poll(&mut a, &mut got_a);
         assert_eq!((b.counters.view().acks_standalone, a.links[1].unacked.len()), (0, 1));
         // ...and at the delay, with nothing going that way, the ack does —
         // still inside the sender's timeout.
         b.endpoint.advance(SimSpan::from_micros(1));
-        poll(&mut b, &store, &mut got_b);
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut b, &mut got_b);
+        poll(&mut a, &mut got_a);
         assert_eq!((b.counters.view().acks_standalone, b.links[0].ack_owed), (1, None));
         assert!(a.links[1].unacked.is_empty());
         assert_eq!(a.counters.view().retransmits, 0);
@@ -1134,33 +1092,33 @@ mod tests {
 
     #[test]
     fn the_ack_delay_follows_how_long_acks_on_the_link_usually_take() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         // An ack that found a ride after 400 µs: the next may wait half
         // the floor longer than that.
         a.send(1, app(1)).unwrap();
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         b.endpoint.advance(SimSpan::from_micros(400));
         b.send(0, app(2)).unwrap();
         assert_eq!(
             (b.links[0].lag, b.links[0].ack_delay(&RETRY).as_micros()),
             (Some((400, 200)), 900)
         );
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         a.send(1, app(3)).unwrap();
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         b.endpoint.advance(SimSpan::from_micros(899));
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert_eq!(b.counters.view().acks_standalone, 0);
         b.endpoint.advance(SimSpan::from_micros(1));
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert_eq!(b.counters.view().acks_standalone, 1);
         // An ack that went alone counts only once a frame follows that
         // could have carried it: a link nothing rides on keeps its delay.
         assert_eq!((b.links[0].lag, b.links[0].alone), (Some((400, 200)), Some(900)));
         b.send(0, app(4)).unwrap();
         assert_eq!((b.links[0].lag, b.links[0].alone), (Some((462, 275)), None));
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         assert_eq!(a.counters.view().retransmits, 0);
     }
 
@@ -1198,7 +1156,7 @@ mod tests {
 
     #[test]
     fn deadlines_stand_still_while_away_but_not_for_a_process_that_only_polls() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let mut got = Vec::new();
         a.send(1, app(1)).unwrap();
         while b.endpoint.try_recv().unwrap().is_some() {}
@@ -1207,39 +1165,39 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(a.counters.view().retransmits, 0);
             a.endpoint.advance(RETRY.rto);
-            poll(&mut a, &store, &mut got);
+            poll(&mut a, &mut got);
         }
         assert_eq!(a.counters.view().retransmits, 1);
         // A receive that blocks after 10 ms away gives the peer, as busy as
         // this process was, its whole doubled timeout again.
         a.endpoint.advance(SimSpan::from_millis(10));
-        listen(&mut a, SimSpan::from_millis(5), &store, &mut got);
+        listen(&mut a, SimSpan::from_millis(5), &mut got);
         assert_eq!(a.counters.view().retransmits, 1);
-        listen(&mut a, SimSpan::from_millis(1), &store, &mut got);
+        listen(&mut a, SimSpan::from_millis(1), &mut got);
         assert_eq!((a.counters.view().retransmits, a.links[1].expiries), (2, 2));
     }
 
     #[test]
     fn draining_one_link_keeps_the_other_links_timers() {
-        let (mut nodes, store) = group(3, &lossless());
+        let mut nodes = group(3, &lossless());
         let mut got = Vec::new();
         // Node 0 owes node 2 an ack while it drains its link to node 1,
         // which never answers.
         nodes[2].send(0, app(1)).unwrap();
-        poll(&mut nodes[0], &store, &mut got);
+        poll(&mut nodes[0], &mut got);
         nodes[0].send(1, app(2)).unwrap();
-        nodes[0].settle_link(1, &store).unwrap();
+        nodes[0].settle_link(1).unwrap();
         assert_eq!(nodes[0].links[1].expiries, RETRY.max_retries, "node 1 was given up on");
         // The ack left when it fell due, not at link 1's first deadline.
         assert_eq!(nodes[0].links[2].alone, Some(RETRY.rto.as_micros() / 2));
-        poll(&mut nodes[2], &store, &mut got);
+        poll(&mut nodes[2], &mut got);
         assert!(nodes[2].links[0].unacked.is_empty());
         assert_eq!(nodes[2].counters.view().retransmits, 0);
     }
 
     #[test]
     fn a_peer_that_never_acks_fills_the_window() {
-        let (mut a, mut b, _store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         for i in 0..WINDOW - 1 {
             a.send(1, app(i as u8)).unwrap();
         }
@@ -1265,7 +1223,7 @@ mod tests {
     #[test]
     fn each_run_of_messages_to_one_peer_is_one_write_with_or_without_reliability() {
         for reliability in [None, Some(RETRY)] {
-            let (mut nodes, store) = group(3, &lossless());
+            let mut nodes = group(3, &lossless());
             for node in &mut nodes {
                 node.config.reliability = reliability;
             }
@@ -1277,10 +1235,10 @@ mod tests {
                 "{reliability:?}"
             );
             let mut got = Vec::new();
-            poll(&mut nodes[1], &store, &mut got);
+            poll(&mut nodes[1], &mut got);
             assert_eq!(got, [(0, app(1)), (0, app(2)), (0, app(4))], "{reliability:?}");
             got.clear();
-            poll(&mut nodes[2], &store, &mut got);
+            poll(&mut nodes[2], &mut got);
             assert_eq!(got, [(0, app(3))], "{reliability:?}");
         }
     }
@@ -1288,14 +1246,14 @@ mod tests {
     #[test]
     fn left_restarts_the_slot_and_ignores_the_old_occupants_residue() {
         let plan = lossy();
-        let (mut a, mut b, store) = pair(&plan);
+        let (mut a, mut b) = pair(&plan);
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         for t in 1..=4 {
-            exchange(&mut a, 1, t, &store);
-            exchange(&mut b, 0, t, &store);
-            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+            exchange(&mut a, 1, t);
+            exchange(&mut b, 0, t);
+            pump(&mut a, &mut b, &mut got_a, &mut got_b);
         }
-        assert!(a.links[1].tx_seq > 0 && a.links[1].tx.basis() > 0 && a.links[1].rx.basis() > 0);
+        assert!(a.links[1].tx_seq > 0 && a.counters.view().codec_v2_sent > 0);
 
         // Node 1 leaves; node 0 prunes it.
         let mut view = MembershipView::full(2);
@@ -1310,14 +1268,13 @@ mod tests {
         assert!(link.unacked.is_empty() && link.ooo.is_empty());
         assert_eq!((link.deadline, link.ack_owed, link.rtt, link.expiries), (None, None, None, 0));
         assert_eq!((link.lag, link.alone), (None, None));
-        assert_eq!((link.tx.basis(), link.rx.basis()), (0, 0));
 
         // The old occupant's last frames (old epoch, old sequence numbers)
         // are pretend-acked and leave no trace in the slot.
-        exchange(&mut b, 0, 5, &store);
+        exchange(&mut b, 0, 5);
         expire(&mut b);
         got_a.clear();
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         assert!(got_a.is_empty());
         assert!(a.counters.view().cross_epoch_dropped > 0);
         assert_eq!(a.links[1].rx_next, 0);
@@ -1329,37 +1286,36 @@ mod tests {
         a.set_view(view.clone());
         let mut b = session(b.endpoint.into_inner(), &plan);
         b.set_view(view.clone());
-        assert!(b.drain_residue(&store).unwrap() > 0, "the pretend-acks are residue");
+        assert!(b.drain_residue().unwrap() > 0, "the pretend-acks are residue");
         let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
         got_b.clear();
         for t in 6..=9 {
-            exchange(&mut a, 1, t, &store);
+            exchange(&mut a, 1, t);
             sent_a.extend(pair_of(0, view.epoch(), t));
-            exchange(&mut b, 0, t, &store);
+            exchange(&mut b, 0, t);
             sent_b.extend(pair_of(1, view.epoch(), t));
-            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+            pump(&mut a, &mut b, &mut got_a, &mut got_b);
         }
         assert_eq!(got_b, sent_a);
         assert_eq!(got_a, sent_b);
-        // From sequence 0 / basis 0: the offer and the first batch's v1 pair,
-        // then one frame for each of the other three exchanges.
+        // From sequence 0: the offer and the first batch's v1 pair, then one
+        // frame for each of the other three exchanges.
         assert_eq!((a.links[1].tx_seq, a.links[1].rx_next), (6, 6));
-        assert_eq!((a.links[1].tx.basis(), a.links[1].rx.basis()), (3, 3));
     }
 
     #[test]
     fn frames_retransmitted_at_a_restarted_process_are_residue() {
         let plan = lossless();
-        let (mut a, mut b, store) = pair(&plan);
+        let (mut a, mut b) = pair(&plan);
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         b.send(0, app(1)).unwrap();
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         // Node 1 takes three frames and dies owing their ack: its next
         // incarnation is a fresh session on the same endpoint.
         for byte in 2..5 {
             a.send(1, app(byte)).unwrap();
         }
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert!(b.links[0].ack_owed.is_some());
         let mut b = session(b.endpoint.into_inner(), &plan);
         // Node 0's retransmissions acknowledge a frame the new incarnation
@@ -1367,14 +1323,14 @@ mod tests {
         // delivered, nor sequenced, nor parked out of order.
         got_b.clear();
         expire(&mut a);
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert!(got_b.is_empty());
         assert_eq!(b.counters.view().cross_epoch_dropped, 3);
         assert_eq!((b.links[0].rx_next, b.links[0].ooo.len()), (0, 0));
         // The pretend-acks let node 0's settle converge; it then prunes the
         // crashed member, and both fresh streams deliver from zero. An ack
         // meant for the old stream is ignored by the new one.
-        poll(&mut a, &store, &mut got_a);
+        poll(&mut a, &mut got_a);
         assert!(a.links[1].unacked.is_empty());
         a.reset(1, Reset::Left);
         a.send(1, app(9)).unwrap();
@@ -1382,73 +1338,64 @@ mod tests {
         assert_eq!(a.links[1].unacked.len(), 1);
         got_a.clear();
         b.send(0, app(8)).unwrap();
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!((got_a, got_b), (vec![(1, app(8))], vec![(0, app(9))]));
     }
 
     #[test]
     fn flapped_sends_v1_until_offers_cross_and_still_decodes_pre_flap_retransmits() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         for t in 1..=3 {
-            exchange(&mut a, 1, t, &store);
-            exchange(&mut b, 0, t, &store);
-            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+            exchange(&mut a, 1, t);
+            exchange(&mut b, 0, t);
+            pump(&mut a, &mut b, &mut got_a, &mut got_b);
         }
         let v2_before = b.counters.view().codec_v2_sent;
         assert_eq!(v2_before, 2);
 
         // Node 0's next compressed batch is lost in flight, then node 1's
         // side of the link flaps.
-        exchange(&mut a, 1, 4, &store);
+        exchange(&mut a, 1, 4);
         while b.endpoint.try_recv().unwrap().is_some() {}
         b.reset(0, Reset::Flapped);
-        assert_eq!(b.links[0].rx.basis(), 2, "the receive shadows survive a flap");
+        let link = &b.links[0];
+        assert_eq!((link.peer_version, link.offered, link.rx_next), (None, false, 5));
 
-        // Node 1 is back to v1, re-offering; node 0's retransmit of the
-        // pre-flap Data2 still decodes against the shadows it was built on.
+        // Node 1 is back to v1, re-offering; node 0 retransmits the
+        // pre-flap Data2 twice, and it is decoded and delivered once.
         got_b.clear();
-        exchange(&mut b, 0, 4, &store);
+        exchange(&mut b, 0, 4);
         assert_eq!(b.counters.view().codec_v2_sent, v2_before);
         expire(&mut a);
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        expire(&mut a);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(got_b, pair_of(0, Epoch(0), 4));
+        assert!(b.counters.view().duplicates_dropped > 0, "the second copy was dropped");
 
-        // The repeat offer made node 0 offer again; v2 resumes from basis 0,
-        // which restarts node 0's receive shadows to match.
+        // The repeat offer made node 0 offer again, and v2 resumes.
         got_a.clear();
-        exchange(&mut b, 0, 5, &store);
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        exchange(&mut b, 0, 5);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(b.counters.view().codec_v2_sent, v2_before + 1);
         assert_eq!(got_a, pair_of(1, Epoch(0), 5));
-        assert_eq!(a.links[1].rx.basis(), 1);
     }
 
     #[test]
     fn abandoned_clears_only_unacked() {
-        let (mut a, mut b, store) = pair(&lossless());
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         for t in 1..=2 {
-            exchange(&mut a, 1, t, &store);
-            exchange(&mut b, 0, t, &store);
-            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+            exchange(&mut a, 1, t);
+            exchange(&mut b, 0, t);
+            pump(&mut a, &mut b, &mut got_a, &mut got_b);
         }
-        exchange(&mut a, 1, 3, &store);
-        exchange(&mut a, 1, 4, &store);
+        exchange(&mut a, 1, 3);
+        exchange(&mut a, 1, 4);
         assert_eq!(a.links[1].unacked.len(), 2, "one frame per rendezvous");
-        let rest = |l: &Link| {
-            (
-                l.tx_seq,
-                l.rx_next,
-                l.ooo.len(),
-                l.peer_version,
-                l.offered,
-                l.tx.basis(),
-                l.rx.basis(),
-            )
-        };
+        let rest = |l: &Link| (l.tx_seq, l.rx_next, l.ooo.len(), l.peer_version, l.offered);
         let before = rest(&a.links[1]);
-        assert_eq!(before, (6, 4, 0, Some(CODEC_V2), true, 3, 1));
+        assert_eq!(before, (6, 4, 0, Some(CODEC_V2), true));
         // Node 1 finishes and tears its endpoint down: the next
         // retransmission round writes the link off — once, however many
         // frames it held.
@@ -1463,12 +1410,12 @@ mod tests {
 
     /// Both sides' offers cross and the first, v1, pair is delivered: from
     /// here on every non-empty batch travels as one fused frame.
-    fn negotiated() -> (Peer, Peer, ObjectStore) {
-        let (mut a, mut b, store) = pair(&lossless());
+    fn negotiated() -> (Peer, Peer) {
+        let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
-        exchange(&mut a, 1, 1, &store);
-        exchange(&mut b, 0, 1, &store);
-        pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+        exchange(&mut a, 1, 1);
+        exchange(&mut b, 0, 1);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
         assert_eq!(
             (got_a, got_b),
             (pair_of(1, Epoch(0), 1).to_vec(), pair_of(0, Epoch(0), 1).to_vec())
@@ -1478,26 +1425,26 @@ mod tests {
             0,
             "nothing to fuse before the offers cross"
         );
-        (a, b, store)
+        (a, b)
     }
 
     #[test]
     fn a_fused_frame_is_one_frame_and_delivers_data_then_sync() {
-        let (mut a, mut b, store) = negotiated();
+        let (mut a, mut b) = negotiated();
         let mut got_b = Vec::new();
         let sent = a.links[1].tx_seq;
-        exchange(&mut a, 1, 2, &store);
+        exchange(&mut a, 1, 2);
         assert_eq!((a.links[1].tx_seq, a.links[1].unacked.len()), (sent + 1, 1));
         let (seq, frame) = a.links[1].unacked.first_key_value().map(|(s, (_, m))| (*s, m)).unwrap();
         assert!(matches!(frame, DsoMessage::Data2 { sync: true, .. }), "seq {seq}: {frame:?}");
         assert_eq!(frame.class(), MsgClass::Data);
         assert_eq!(a.counters.view().rendezvous_fused, 1);
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert_eq!(got_b, pair_of(0, Epoch(0), 2));
         // Retransmitted unacknowledged, the duplicate yields no second SYNC.
         let before = (a.counters.view().retransmits, b.counters.view().duplicates_dropped);
         expire(&mut a);
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         let after = (a.counters.view().retransmits, b.counters.view().duplicates_dropped);
         assert_eq!(after, (before.0 + 1, before.1 + 1));
         assert_eq!(got_b, pair_of(0, Epoch(0), 2));
@@ -1505,40 +1452,40 @@ mod tests {
 
     #[test]
     fn a_fused_frame_keeps_its_place_in_a_gap_filled_chain() {
-        let (mut a, mut b, store) = negotiated();
+        let (mut a, mut b) = negotiated();
         let mut got_b = Vec::new();
         // The frame ahead of the fused one is lost; it and its successor wait
         // out of order until the retransmission fills the gap.
         a.send(1, app(1)).unwrap();
         drop(b.endpoint.try_recv().unwrap().expect("the frame to lose"));
-        exchange(&mut a, 1, 2, &store);
+        exchange(&mut a, 1, 2);
         a.send(1, app(3)).unwrap();
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         assert!(got_b.is_empty() && b.links[0].ooo.len() == 2);
         expire(&mut a);
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         let [data, sync] = pair_of(0, Epoch(0), 2);
         assert_eq!(got_b, [(0, app(1)), data, sync, (0, app(3))]);
     }
 
     #[test]
     fn the_settles_queue_a_fused_frames_sync_directly_behind_its_data() {
-        let (mut a, mut b, store) = negotiated();
+        let (mut a, mut b) = negotiated();
         let [data, sync] = pair_of(1, Epoch(0), 2);
         // Node 0 settles while it holds an unacknowledged frame; node 1's
         // traffic, sent before that frame reached it, acknowledges nothing.
         b.send(0, app(7)).unwrap();
-        exchange(&mut b, 0, 2, &store);
+        exchange(&mut b, 0, 2);
         a.send(1, app(1)).unwrap();
-        assert_eq!(a.settle_recv(&store).unwrap(), None, "a frame arrived: not settled yet");
-        assert_eq!(a.settle_recv(&store).unwrap(), None);
+        assert_eq!(a.settle_recv().unwrap(), None, "a frame arrived: not settled yet");
+        assert_eq!(a.settle_recv().unwrap(), None);
         let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
         assert_eq!(queued, [(1, app(7)), data.clone(), sync.clone()]);
         // The same through the per-link drain, which node 1 never answers.
         b.send(0, app(8)).unwrap();
         let [data3, sync3] = pair_of(1, Epoch(0), 3);
-        exchange(&mut b, 0, 3, &store);
-        a.settle_link(1, &store).unwrap();
+        exchange(&mut b, 0, 3);
+        a.settle_link(1).unwrap();
         assert_eq!(a.links[1].expiries, RETRY.max_retries, "node 1 was given up on");
         let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
         assert_eq!(queued, [(1, app(8)), data3, sync3]);
@@ -1546,55 +1493,43 @@ mod tests {
 
     #[test]
     fn fallback_and_empty_batches_keep_their_v1_frames() {
-        let (mut a, mut b, store) = negotiated();
+        let (mut a, mut b) = negotiated();
         let mut got_b = Vec::new();
         let time = LogicalTime::from_ticks(2);
         let sent = a.links[1].tx_seq;
         // Nothing to report: the SYNC travels alone.
-        a.send_rendezvous(1, time, &mut Vec::new(), (&[], &[]), &store).unwrap();
+        a.send_rendezvous(1, time, &mut Vec::new(), (&[], &[])).unwrap();
         assert_eq!(a.links[1].tx_seq, sent + 1);
-        // An object the store cannot seed an XOR shadow for: plain `Data`
-        // and a `Sync`, the compressed stream's basis where it was.
-        let unseedable = vec![WireUpdate { object: ObjectId(99), ..batch(0, 2).remove(0) }];
-        let basis = a.links[1].tx.basis();
-        a.send_rendezvous(1, time, &mut Vec::new(), (&unseedable, &[0]), &store).unwrap();
-        assert_eq!((a.links[1].tx_seq, a.links[1].tx.basis()), (sent + 3, basis));
-        let kinds: Vec<&DsoMessage> = a.links[1].unacked.values().map(|(_, m)| m).collect();
-        assert!(
-            matches!(
-                kinds[..],
-                [DsoMessage::Sync { .. }, DsoMessage::Data { .. }, DsoMessage::Sync { .. }]
-            ),
-            "{kinds:?}"
-        );
-        let view = a.counters.view();
-        assert_eq!((view.codec_v2_fallbacks, view.rendezvous_fused), (1, 0));
-        poll(&mut b, &store, &mut got_b);
+        poll(&mut b, &mut got_b);
         let epoch = Epoch(0);
-        assert_eq!(
-            got_b,
-            [
-                (0, DsoMessage::Sync { epoch, time }),
-                (0, DsoMessage::Data { epoch, time, updates: unseedable }),
-                (0, DsoMessage::Sync { epoch, time }),
-            ]
-        );
+        assert_eq!(got_b, [(0, DsoMessage::Sync { epoch, time })]);
+        // A run past the decoder's budget: the data goes as a plain `Data`,
+        // which a `Sync` follows, as before the offers crossed (checked by
+        // `negotiated`). Zeroed pages: the run is never touched, so it
+        // costs no memory.
+        let run = vec![0; codec::MAX_RUN_LEN as usize + 1];
+        let mut oversized =
+            vec![WireUpdate { diff: Diff::single(0, run), ..batch(0, 2).remove(0) }];
+        let data = a.encode_data(1, epoch, time, &mut oversized, (&[], &[]));
+        let DsoMessage::Data { updates, .. } = data else { panic!("{:?}", data.class()) };
+        assert_eq!(updates[0].diff.byte_count(), codec::MAX_RUN_LEN as usize + 1);
+        let view = a.counters.view();
+        assert_eq!((view.codec_v2_fallbacks, view.codec_v2_sent, view.rendezvous_fused), (1, 0, 0));
     }
 
     #[test]
     fn toward_a_v1_peer_nothing_changes() {
-        let (mut nodes, store) =
-            group_on(&[WireConfig::compressed(), WireConfig::v1()], &lossless());
+        let mut nodes = group_on(&[WireConfig::compressed(), WireConfig::v1()], &lossless());
         let mut b = nodes.pop().unwrap();
         let mut a = nodes.pop().unwrap();
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
         let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
         for t in 1..=3 {
-            exchange(&mut a, 1, t, &store);
+            exchange(&mut a, 1, t);
             sent_a.extend(pair_of(0, Epoch(0), t));
-            exchange(&mut b, 0, t, &store);
+            exchange(&mut b, 0, t);
             sent_b.extend(pair_of(1, Epoch(0), t));
-            pump(&mut a, &mut b, &store, &mut got_a, &mut got_b);
+            pump(&mut a, &mut b, &mut got_a, &mut got_b);
         }
         assert_eq!((got_a, got_b), (sent_b, sent_a));
         // The offer that is never answered, then a (data, SYNC) pair a tick.

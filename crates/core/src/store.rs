@@ -34,10 +34,8 @@ pub struct Replica {
     /// The replica's own bytes, once a change copied them out of
     /// `initial`; `None` while they are still the registered ones.
     written: Option<Box<[u8]>>,
-    /// The bytes the object was registered with. Every process registers
-    /// the same initial contents (the `share` contract), which makes this a
-    /// deterministic seed both ends of a link can derive independently —
-    /// the wire codec's XOR shadows start from it.
+    /// The bytes the object was registered with, shared with every replica
+    /// registered with equal bytes.
     initial: Arc<[u8]>,
     version: Version,
 }
@@ -46,12 +44,6 @@ impl Replica {
     /// The replica's current bytes.
     pub fn data(&self) -> &[u8] {
         self.written.as_deref().unwrap_or(&self.initial)
-    }
-
-    /// The bytes the object was registered with (identical on every
-    /// process by the `share` contract).
-    pub fn initial_body(&self) -> &[u8] {
-        &self.initial
     }
 
     /// The replica's version stamp.
@@ -298,12 +290,6 @@ impl ObjectStore {
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, &Replica)> {
         self.objects.iter().map(|(id, r)| (*id, r))
     }
-
-    /// The bytes `id` was registered with, or `None` if it was never
-    /// shared. See [`Replica::initial_body`].
-    pub fn initial_body(&self, id: ObjectId) -> Option<&[u8]> {
-        self.replica(id).ok().map(Replica::initial_body)
-    }
 }
 
 #[cfg(test)]
@@ -378,12 +364,16 @@ mod tests {
 
     #[test]
     fn initial_body_survives_writes() {
+        // The registered body stays held once its replica is written: an
+        // object registered later with equal bytes reads that very copy.
         let mut s = ObjectStore::new();
         s.share(ObjectId(1), vec![7; 4]).unwrap();
+        let registered = s.read(ObjectId(1)).unwrap().as_ptr();
         s.write(ObjectId(1), 0, &[1, 2], v(1, 0)).unwrap();
-        assert_eq!(s.initial_body(ObjectId(1)).unwrap(), &[7; 4]);
         assert_eq!(s.read(ObjectId(1)).unwrap(), &[1, 2, 7, 7]);
-        assert!(s.initial_body(ObjectId(9)).is_none());
+        s.share(ObjectId(2), vec![7; 4]).unwrap();
+        assert_eq!(s.read(ObjectId(2)).unwrap(), &[7; 4]);
+        assert_eq!(s.read(ObjectId(2)).unwrap().as_ptr(), registered);
     }
 
     #[test]
@@ -398,10 +388,8 @@ mod tests {
         // Equal to a body registered earlier, after a different one.
         s.share(ObjectId(3), vec![7; 4096]).unwrap();
         let at = |s: &ObjectStore, id: u32| s.read(ObjectId(id)).unwrap().as_ptr();
-        let initial_at = |s: &ObjectStore, id: u32| s.initial_body(ObjectId(id)).unwrap().as_ptr();
         assert_eq!(at(&s, 0), at(&s, 1));
         assert_eq!(at(&s, 0), at(&s, 3));
-        assert_eq!(at(&s, 0), initial_at(&s, 1));
         assert_ne!(at(&s, 0), at(&s, 2));
         assert_eq!(s.read(ObjectId(2)).unwrap()[4095], 8);
 
@@ -409,8 +397,6 @@ mod tests {
         assert_ne!(at(&s, 0), at(&s, 1));
         assert_eq!(&s.read(ObjectId(0)).unwrap()[9..13], &[7, 1, 2, 7]);
         assert_eq!(s.read(ObjectId(1)).unwrap(), &[7; 4096][..]);
-        assert_eq!(s.initial_body(ObjectId(0)).unwrap(), &[7; 4096][..]);
-        assert_eq!(initial_at(&s, 0), at(&s, 1));
 
         // Once unique, the replica changes in place.
         let copied = at(&s, 0);

@@ -144,24 +144,17 @@ pub enum DsoMessage {
         version: u8,
     },
     /// The v2 data frame of a rendezvous: the update list of a
-    /// [`DsoMessage::Data`], encoded by the varint/run-length (and
-    /// optionally XOR-delta) codec into an opaque blob, and — with `sync`
-    /// set — the [`DsoMessage::Sync`] that would have followed it, so one
-    /// frame is the whole `(data, SYNC)` pair. The session resolves it back
-    /// into those plain messages at its exactly-once delivery point (where
-    /// the per-link XOR shadows live), keeping this decode pure so stored
-    /// ARQ retransmit clones re-encode safely.
+    /// [`DsoMessage::Data`], encoded by the varint/run-length codec into an
+    /// opaque blob, and — with `sync` set — the [`DsoMessage::Sync`] that
+    /// would have followed it, so one frame is the whole `(data, SYNC)`
+    /// pair. The session resolves it back into those plain messages at its
+    /// exactly-once delivery point; the blob needs nothing but itself to
+    /// decode.
     Data2 {
         /// Membership epoch the sender computed this exchange under.
         epoch: Epoch,
         /// Sender's logical time.
         time: LogicalTime,
-        /// Count of prior `Data2` messages the sender has put on this link
-        /// since the last codec reset. The receiver cross-checks it against
-        /// its own delivery count: a mismatch means the XOR shadows are out
-        /// of lockstep and decoding must fail loudly instead of silently
-        /// applying garbage.
-        basis: u64,
         /// The codec-v2 encoded update list (see `crate::codec`).
         blob: Vec<u8>,
         /// Whether this frame is also the sender's SYNC for `time`: no
@@ -308,12 +301,11 @@ impl Wire for DsoMessage {
                 w.put_u8(TAG_CODEC_OFFER);
                 w.put_u8(*version);
             }
-            DsoMessage::Data2 { epoch, time, basis, blob, sync } => {
+            DsoMessage::Data2 { epoch, time, blob, sync } => {
                 w.put_u8(TAG_DATA2);
                 w.put_u8(if *sync { DATA2_SYNC } else { 0 });
                 w.put_u32(epoch.0);
                 w.put_u64(time.as_ticks());
-                w.put_u64(*basis);
                 w.put_bytes(blob);
             }
         }
@@ -380,9 +372,8 @@ impl Wire for DsoMessage {
                 }
                 let epoch = Epoch(r.get_u32()?);
                 let time = LogicalTime::from_ticks(r.get_u64()?);
-                let basis = r.get_u64()?;
                 let blob = r.get_bytes()?.to_vec();
-                Ok(DsoMessage::Data2 { epoch, time, basis, blob, sync: flags == DATA2_SYNC })
+                Ok(DsoMessage::Data2 { epoch, time, blob, sync: flags == DATA2_SYNC })
             }
             tag => Err(NetError::Codec(format!("unknown DsoMessage tag {tag:#x}"))),
         }
@@ -464,7 +455,6 @@ mod tests {
             roundtrip(DsoMessage::Data2 {
                 epoch: Epoch(4),
                 time: LogicalTime::from_ticks(11),
-                basis: 3,
                 blob: vec![0x81, 0x02, 0x00],
                 sync,
             });
@@ -476,7 +466,6 @@ mod tests {
         let fused = DsoMessage::Data2 {
             epoch: Epoch(1),
             time: LogicalTime::from_ticks(2),
-            basis: 0,
             blob: vec![0],
             sync: true,
         };
@@ -569,7 +558,6 @@ mod tests {
         let d2 = DsoMessage::Data2 {
             epoch: Epoch(1),
             time: LogicalTime::ZERO,
-            basis: 0,
             blob: vec![],
             sync: true,
         };
@@ -624,7 +612,6 @@ mod tests {
             DsoMessage::Data2 {
                 epoch: Epoch(2),
                 time: LogicalTime::from_ticks(6),
-                basis: 1,
                 blob: vec![3, 1, 4, 1, 5],
                 sync: true,
             },

@@ -351,7 +351,6 @@ proptest! {
 #[derive(Debug, Clone, PartialEq)]
 struct ModelReplica {
     data: Vec<u8>,
-    initial: Vec<u8>,
     version: Version,
 }
 
@@ -417,11 +416,7 @@ proptest! {
                     let got = failure(&store.share(ObjectId(id), body.clone()));
                     let want = known.as_ref().map(|_| ("already shared", id));
                     if known.is_none() {
-                        let fresh = ModelReplica {
-                            data: body.clone(),
-                            initial: body,
-                            version: Version::INITIAL,
-                        };
+                        let fresh = ModelReplica { data: body, version: Version::INITIAL };
                         model.insert(id, fresh);
                     }
                     (got, want, false)
@@ -499,7 +494,6 @@ proptest! {
                 .map(|(id, r)| {
                     let seen = ModelReplica {
                         data: r.data().to_vec(),
-                        initial: r.initial_body().to_vec(),
                         version: r.version(),
                     };
                     (id.0, seen)
@@ -513,7 +507,6 @@ proptest! {
                 let probe = pool(pick, store.len());
                 let held = model.get(&probe);
                 prop_assert_eq!(store.read(ObjectId(probe)).ok(), held.map(|r| &r.data[..]));
-                prop_assert_eq!(store.initial_body(ObjectId(probe)), held.map(|r| &r.initial[..]));
                 let replica = store.replica(ObjectId(probe));
                 prop_assert_eq!(failure(&replica), held.is_none().then_some(("unknown", probe)));
                 prop_assert_eq!(replica.ok().map(|r| r.version()), held.map(|r| r.version));

@@ -24,8 +24,8 @@ pub struct FireRecord {
     /// The block fired at.
     pub target: Pos,
     /// The shooter's iteration count when firing (monotonic per shooter,
-    /// used by victims to deduplicate).
-    pub tick: u64,
+    /// used by victims to deduplicate). Four bytes in the encoded block.
+    pub tick: u32,
 }
 
 /// What a block holds.
@@ -95,7 +95,7 @@ impl Block {
                     buf[6] = 1;
                     buf[7..9].copy_from_slice(&f.target.x.to_le_bytes());
                     buf[9..11].copy_from_slice(&f.target.y.to_le_bytes());
-                    buf[11..15].copy_from_slice(&(f.tick as u32).to_le_bytes());
+                    buf[11..15].copy_from_slice(&f.tick.to_le_bytes());
                 }
             }
         }
@@ -127,9 +127,7 @@ impl Block {
                             u16::from_le_bytes([bytes[7], bytes[8]]),
                             u16::from_le_bytes([bytes[9], bytes[10]]),
                         ),
-                        tick: u64::from(u32::from_le_bytes([
-                            bytes[11], bytes[12], bytes[13], bytes[14],
-                        ])),
+                        tick: u32::from_le_bytes([bytes[11], bytes[12], bytes[13], bytes[14]]),
                     })
                 } else {
                     None
@@ -182,6 +180,13 @@ mod tests {
             hp: 1,
             facing: Direction::North,
             fired: Some(FireRecord { target: Pos::new(31, 23), tick: 12345 }),
+        });
+        roundtrip(Block::Tank {
+            team: NodeId::MAX,
+            tank: 1,
+            hp: 2,
+            facing: Direction::West,
+            fired: Some(FireRecord { target: Pos::new(0, 0), tick: u32::MAX }),
         });
     }
 

@@ -532,10 +532,11 @@ impl GameCore {
                 continue;
             }
             let last = self.processed_fires.get(&team).copied().unwrap_or(0);
-            if record.tick <= last || record.tick + 1 < self.tick.saturating_sub(1) {
+            let tick = u64::from(record.tick);
+            if tick <= last || tick + 1 < self.tick.saturating_sub(1) {
                 continue;
             }
-            self.processed_fires.insert(team, record.tick);
+            self.processed_fires.insert(team, tick);
             hits += 1;
         }
         for _ in 0..hits {
@@ -567,7 +568,10 @@ impl GameCore {
             Action::Fire { target, dir } => {
                 self.tank.facing = dir;
                 self.shots += 1;
-                let record = FireRecord { target, tick: self.tick };
+                // A block holds four bytes of tick; past them the record
+                // stays at the last one (2^32 ticks on, no run gets there).
+                let tick = u32::try_from(self.tick).unwrap_or(u32::MAX);
+                let record = FireRecord { target, tick };
                 let block = self.my_tank_block(Some(record));
                 self.write(port, self.tank.pos, block)
             }

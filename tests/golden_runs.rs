@@ -331,7 +331,7 @@ fn chaos_4_nodes() {
     );
 }
 
-/// Everything on at once — reliability, codec v2 (XOR-delta, batch dedup)
+/// Everything on at once — reliability, codec v2 (zero-RLE, batch dedup)
 /// and drop/dup/reorder: [`chaos_4_nodes`] on the default wire. What a
 /// negotiated link puts on the wire moves this row and the next; EC never
 /// exchanges, so its constants are the v1 twins'.
