@@ -241,7 +241,7 @@ fn static_sharded_64() {
         &Scenario::scaled(64, 1).with_ticks(12),
         &RunPlan::default(),
         &[(Protocol::Msync2Shard, 0x1B51_5A93_261E_0739)],
-        &[(Protocol::Msync2Shard, 0xDE78_BF1B_8324_C249)],
+        &[(Protocol::Msync2Shard, 0x9DC3_BEF8_A068_F35D)],
     );
 }
 
@@ -385,9 +385,9 @@ fn static_codec_v2_fat_blocks() {
         &RunPlan::default(),
         &[
             (Protocol::Entry, 0x9052_2D1D_35ED_2BC2),
-            (Protocol::Bsync, 0x9BA1_3B19_750D_A9D5),
-            (Protocol::Msync, 0xA3F1_44E6_C7B2_CEFE),
-            (Protocol::Msync2, 0x9D4A_190B_035B_2F54),
+            (Protocol::Bsync, 0xAE4B_40A4_E910_C767),
+            (Protocol::Msync, 0x89C8_3B00_B0B6_86F4),
+            (Protocol::Msync2, 0xBB4D_AAE3_F983_C277),
         ],
     );
 }
