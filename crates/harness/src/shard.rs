@@ -201,7 +201,7 @@ mod tests {
 
     /// Interest routing must cut live traffic well below full mesh: at 64
     /// nodes the sharded steady-state rate is at most 0.55 of the mesh's
-    /// (measured 0.286; 0.498 on the v1 wire). The window starts late enough for the mesh's far
+    /// (measured 0.264; 0.498 on the v1 wire). The window starts late enough for the mesh's far
     /// pairs to have come due — a cumulative short run flatters the mesh.
     #[test]
     fn sharding_cuts_traffic_at_64_nodes() {
@@ -213,10 +213,10 @@ mod tests {
     }
 
     /// The flagship scale claim: at 256 nodes, sharded steady-state
-    /// bytes/node-tick at most a quarter of full-mesh (measured 0.119; 0.223
+    /// bytes/node-tick at most a quarter of full-mesh (measured 0.109; 0.223
     /// on the v1 wire), and per-node load follows the interest set, not the
     /// cluster — four times the nodes, at most 2.5 times the sharded rate
-    /// (measured 1.86; 1.57 on v1).
+    /// (measured 1.89; 1.57 on v1).
     /// Eight cluster runs, four of them 256 processes wide: seven minutes.
     #[test]
     #[ignore = "256-node pairing, minutes long: run by the CI contracts job"]

@@ -253,7 +253,7 @@ fn a_fused_rendezvous_is_one_data_message_and_no_control_message() {
 /// same game; it changes the message flow in two ways only — a negotiated
 /// link sends each rendezvous as one frame, and negotiating costs at most one
 /// offer per directed link, none under EC, which never exchanges; MSYNC2
-/// ships at least 40 % fewer bytes on its worst link (measured 83.4 %); and
+/// ships at least 40 % fewer bytes on its worst link (measured 84.0 %); and
 /// no cell pays more than the 2 % negotiation allowance over its v1 bytes.
 #[test]
 fn the_wire_diet_saves_bytes_and_changes_nothing_else() {
