@@ -205,7 +205,7 @@ mod tests {
 
     /// Config items deleted from `crates/core/src/config.rs`: a living doc
     /// that still names one, qualified or not, describes a knob that is gone.
-    const RETIRED_CONFIG: &[&str] = &["xor_delta", "batch_frames"];
+    const RETIRED_CONFIG: &[&str] = &["xor_delta", "batch_frames", "batch_dedup"];
 
     /// Every backticked `WireConfig::x`, `DsoConfig::x` or `RetryConfig::x`
     /// in the living docs — `Type::{x, y}` lists included — names a `pub`

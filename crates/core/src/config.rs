@@ -46,12 +46,11 @@ impl Default for RetryConfig {
 pub struct WireConfig {
     /// Offer codec v2 (varint/run-length diff encoding) to peers and use
     /// it on links where the peer offered it back. Peers that never offer
-    /// (or older builds) keep receiving the v1 format.
+    /// (or older builds) keep receiving the v1 format. It also coalesces
+    /// the updates to one object inside each outgoing batch before framing
+    /// (a buffered slot update and a current-interval update to the same
+    /// object become one update), on every link.
     pub codec_v2: bool,
-    /// Coalesce overlapping/duplicate ranges to the same object inside one
-    /// outgoing batch before framing (a buffered slot update and a
-    /// current-interval update to the same object become one update).
-    pub batch_dedup: bool,
 }
 
 impl Default for WireConfig {
@@ -63,12 +62,12 @@ impl Default for WireConfig {
 impl WireConfig {
     /// Everything off — the v1 wire format, byte-for-byte.
     pub fn v1() -> Self {
-        WireConfig { codec_v2: false, batch_dedup: false }
+        WireConfig { codec_v2: false }
     }
 
     /// The full bandwidth diet: v2 codec, batch dedup.
     pub fn compressed() -> Self {
-        WireConfig { codec_v2: true, batch_dedup: true }
+        WireConfig { codec_v2: true }
     }
 }
 
@@ -174,8 +173,8 @@ mod tests {
         assert_eq!(DsoConfig::paper().wire, WireConfig::compressed());
         assert_eq!(DsoConfig::compact().wire, WireConfig::default());
         let on = WireConfig::compressed();
-        assert!(on.codec_v2 && on.batch_dedup);
+        assert!(on.codec_v2);
         let c = DsoConfig::paper().with_wire(WireConfig::v1());
-        assert!(!c.wire.codec_v2 && !c.wire.batch_dedup);
+        assert!(!c.wire.codec_v2);
     }
 }

@@ -24,9 +24,6 @@ pub struct DsoMetrics {
     /// Remote updates dropped because a newer version was already applied
     /// (the last-writer-wins convergence rule).
     pub updates_stale: u64,
-    /// Messages that arrived stamped in the logical future and were
-    /// buffered until their tick.
-    pub early_buffered: u64,
     /// Link retransmission deadlines that expired and triggered the resync
     /// path (retransmission of that link's unacknowledged traffic).
     pub resyncs: u64,
@@ -96,7 +93,6 @@ impl DsoMetrics {
             updates_sent: self.updates_sent + other.updates_sent,
             updates_applied: self.updates_applied + other.updates_applied,
             updates_stale: self.updates_stale + other.updates_stale,
-            early_buffered: self.early_buffered + other.early_buffered,
             resyncs: self.resyncs + other.resyncs,
             retransmits: self.retransmits + other.retransmits,
             duplicates_dropped: self.duplicates_dropped + other.duplicates_dropped,
@@ -140,7 +136,6 @@ pub(crate) struct DsoCounters {
     pub(crate) updates_sent: Counter,
     pub(crate) updates_applied: Counter,
     pub(crate) updates_stale: Counter,
-    pub(crate) early_buffered: Counter,
     pub(crate) resyncs: Counter,
     pub(crate) retransmits: Counter,
     pub(crate) duplicates_dropped: Counter,
@@ -175,7 +170,6 @@ impl DsoCounters {
             updates_sent: registry.counter("dso.updates.sent"),
             updates_applied: registry.counter("dso.updates.applied"),
             updates_stale: registry.counter("dso.updates.stale"),
-            early_buffered: registry.counter("dso.early_buffered"),
             resyncs: registry.counter("dso.resyncs"),
             retransmits: registry.counter("dso.retransmits"),
             duplicates_dropped: registry.counter("dso.duplicates_dropped"),
@@ -209,7 +203,6 @@ impl DsoCounters {
             updates_sent: self.updates_sent.get(),
             updates_applied: self.updates_applied.get(),
             updates_stale: self.updates_stale.get(),
-            early_buffered: self.early_buffered.get(),
             resyncs: self.resyncs.get(),
             retransmits: self.retransmits.get(),
             duplicates_dropped: self.duplicates_dropped.get(),

@@ -1,5 +1,3 @@
-use std::collections::{BTreeMap, VecDeque};
-
 use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
 use sdso_net::{Endpoint, MsgClass, NodeId, PeerEvent, SimSpan};
 use sdso_obs::{EventKind, Obs};
@@ -41,12 +39,6 @@ pub struct ExchangeReport {
     pub updates_sent: usize,
     /// Remote updates applied locally during the rendezvous.
     pub updates_applied: usize,
-}
-
-#[derive(Debug, Default)]
-struct EarlyEntry {
-    updates: Vec<WireUpdate>,
-    sync: bool,
 }
 
 /// The S-DSO runtime: one per process.
@@ -92,11 +84,6 @@ pub struct SdsoRuntime<E: Endpoint> {
     /// slow-ticking process's fresh write would lose last-writer-wins
     /// against a fast process's stale one.
     lamport: u64,
-    /// Rendezvous messages stamped in the logical future, buffered per
-    /// (peer, time) until this process's clock reaches them.
-    early: BTreeMap<(NodeId, LogicalTime), EarlyEntry>,
-    /// App messages received and not yet taken by `recv_app`.
-    app_inbox: VecDeque<(NodeId, Vec<u8>)>,
     /// `sync_put` acknowledgements received so far.
     acks_received: u64,
     /// The membership view every exchange is computed under. Starts as the
@@ -147,8 +134,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
             spare: Vec::new(),
             outstanding: Vec::new(),
             lamport: 0,
-            early: BTreeMap::new(),
-            app_inbox: VecDeque::new(),
             acks_received: 0,
             view: MembershipView::full(n),
             router: None,
@@ -315,10 +300,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     /// Applies one view change at a barrier: prunes departed peers from
-    /// every data structure (exchange list, slotted buffer, session
-    /// links, early-arrival buffer, transport), bumps the epoch, activates
-    /// slots for joiners and asks the s-function for their first exchange
-    /// times, and fires the s-function's membership-delta hook.
+    /// every data structure (exchange list, slotted buffer, session links
+    /// and the deliveries queued from them, transport), bumps the epoch,
+    /// activates slots for joiners and asks the s-function for their first
+    /// exchange times, and fires the s-function's membership-delta hook.
     ///
     /// Call this after the barrier exchange of the trigger tick has
     /// completed (every old-view member has flushed and converged) — the
@@ -359,7 +344,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.counters.slots_compacted.add(orphaned.len() as u64);
             }
             self.session.reset(leaver, Reset::Left);
-            self.early.retain(|&(peer, _), _| peer != leaver);
             self.session.endpoint.remove_peer(leaver);
         }
         self.install_view(next_view);
@@ -468,8 +452,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// it: object bodies apply under last-writer-wins, the logical clock
     /// jumps to the donor's frontier, and the Lamport clock folds in the
     /// donor's stamp. Rendezvous traffic from other members that overtakes
-    /// the snapshot is early-buffered for the joiner's first exchanges;
-    /// protocol traffic is queued or serviced as usual.
+    /// the snapshot stays queued in the session for the joiner's first
+    /// exchanges, app messages for [`SdsoRuntime::recv_app`]; object traffic
+    /// is serviced as usual.
     ///
     /// Returns the installed snapshot's logical time.
     ///
@@ -478,10 +463,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// Returns transport errors, or [`DsoError::ProtocolViolation`] if the
     /// snapshot is stamped with a different epoch than this view's.
     pub fn await_snapshot(&mut self, donor: NodeId) -> Result<LogicalTime, DsoError> {
+        let serviced = |msg: &DsoMessage| not_app(msg) && msg.rendezvous_time().is_none();
         loop {
-            let (from, msg) = self.session.recv_patiently()?;
-            match msg {
-                DsoMessage::Snapshot { epoch, time, lamport, updates } if from == donor => {
+            match self.session.recv_patiently(serviced)? {
+                (from, DsoMessage::Snapshot { epoch, time, lamport, updates }) if from == donor => {
                     if epoch != self.view.epoch() {
                         return Err(DsoError::ProtocolViolation(format!(
                             "snapshot from {from} stamped {epoch}, joiner is at {}",
@@ -501,16 +486,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     );
                     return Ok(time);
                 }
-                DsoMessage::Data { epoch, time, updates } if epoch >= self.view.epoch() => {
-                    self.file_early(from, time, Some(updates));
-                }
-                DsoMessage::Sync { epoch, time } if epoch >= self.view.epoch() => {
-                    self.file_early(from, time, None);
-                }
-                DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {
-                    self.counters.cross_epoch_dropped.inc();
-                }
-                other => self.dispatch(from, other)?,
+                (from, other) => self.dispatch(from, other)?,
             }
         }
     }
@@ -773,7 +749,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         // else shipped by reference — the compressed wire encodes straight
         // from `current_mods`, and only a v1 `Data` message copies it.
         let router = self.router.as_deref().filter(|_| route_live);
-        let dedup = self.config.wire.batch_dedup;
+        let dedup = self.config.wire.codec_v2;
         let (mut updates_sent, mut suppressed, mut deduped) = (0usize, 0u64, 0u64);
         for &peer in &due {
             let (batch, picks) = (&mut self.batch, &mut self.picks);
@@ -871,23 +847,14 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     /// Blocks until every due peer's `(data, SYNC)` pair for tick `t` has
-    /// arrived, applying updates as they come and buffering early traffic.
+    /// arrived, applying updates as they come — first those already queued
+    /// in the session. A half stamped after `t` stays queued for its own
+    /// exchange (the paper's "buffer data").
     fn await_rendezvous(&mut self, t: LogicalTime, due: &[NodeId]) -> Result<usize, DsoError> {
         let mut applied = 0usize;
         let mut outstanding = std::mem::take(&mut self.outstanding);
         outstanding.clear();
         outstanding.extend_from_slice(due);
-
-        // Consume rendezvous traffic that arrived before we got here.
-        for &peer in due {
-            if let Some(entry) = self.early.remove(&(peer, t)) {
-                applied += self.apply_updates(&entry.updates)?;
-                if entry.sync {
-                    outstanding.retain(|&p| p != peer);
-                }
-            }
-        }
-
         let wait_start = self.now();
         self.obs.record(
             wait_start.as_micros(),
@@ -896,44 +863,34 @@ impl<E: Endpoint> SdsoRuntime<E> {
             outstanding.len() as u32,
             0,
         );
+        // A past epoch's residue never gets here: the session dropped it.
+        let due_now = |msg: &DsoMessage| msg.rendezvous_time().is_none_or(|time| time <= t);
         while !outstanding.is_empty() {
-            let (from, msg) = self.session.recv()?;
-            // Cross-epoch traffic never errors the engine: residue from a
-            // peer that has since left is dropped (and counted), traffic
-            // from a peer that is an epoch ahead is buffered by its
-            // logical time like any early arrival.
-            if msg.epoch().is_some_and(|e| e < self.view.epoch()) {
-                self.counters.cross_epoch_dropped.inc();
-                continue;
-            }
-            match msg {
-                DsoMessage::Data { time, updates, .. } => {
-                    if time == t && due.contains(&from) {
-                        applied += self.apply_updates(&updates)?;
-                        self.session.recycle(updates);
-                    } else if time > t {
-                        self.file_early(from, time, Some(updates));
-                    } else {
-                        return Err(DsoError::ProtocolViolation(format!(
-                            "data from {from} stamped {time} during rendezvous at {t}"
-                        )));
-                    }
+            match self.session.recv(due_now)? {
+                (from, DsoMessage::Data { time, updates, .. })
+                    if time == t && due.contains(&from) =>
+                {
+                    applied += self.apply_updates(&updates)?;
+                    self.session.recycle(updates);
                 }
-                DsoMessage::Sync { time, .. } => {
-                    let waited_for = outstanding.iter().position(|&p| p == from);
-                    if let Some(at) = waited_for.filter(|_| time == t) {
-                        // Rendezvous with `from` complete.
-                        outstanding.swap_remove(at);
-                    } else if time > t {
-                        self.file_early(from, time, None);
-                    } else {
-                        return Err(DsoError::ProtocolViolation(format!(
-                            "SYNC from {from} stamped {time} during rendezvous at {t}"
-                        )));
-                    }
+                (from, DsoMessage::Sync { time, .. })
+                    if time == t && outstanding.contains(&from) =>
+                {
+                    // Rendezvous with `from` complete.
+                    outstanding.retain(|&p| p != from);
                 }
-                DsoMessage::Snapshot { .. } => {} // duplicate of an installed snapshot
-                other => {
+                (from, DsoMessage::Data { time, .. }) => {
+                    return Err(DsoError::ProtocolViolation(format!(
+                        "data from {from} stamped {time} during rendezvous at {t}"
+                    )));
+                }
+                (from, DsoMessage::Sync { time, .. }) => {
+                    return Err(DsoError::ProtocolViolation(format!(
+                        "SYNC from {from} stamped {time} during rendezvous at {t}"
+                    )));
+                }
+                (_, DsoMessage::Snapshot { .. }) => {} // duplicate of an installed snapshot
+                (from, other) => {
                     return Err(DsoError::ProtocolViolation(format!(
                         "unexpected {other:?} from {from} during rendezvous at {t}"
                     )));
@@ -953,17 +910,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         );
         self.outstanding = outstanding;
         Ok(applied)
-    }
-
-    /// Buffers one half of a rendezvous pair stamped in the logical future
-    /// (`None` is the SYNC half) until this process's clock reaches it.
-    fn file_early(&mut self, from: NodeId, time: LogicalTime, updates: Option<Vec<WireUpdate>>) {
-        self.counters.early_buffered.inc();
-        let entry = self.early.entry((from, time)).or_default();
-        match updates {
-            Some(updates) => entry.updates.extend(updates),
-            None => entry.sync = true,
-        }
     }
 
     fn apply_updates(&mut self, updates: &[WireUpdate]) -> Result<usize, DsoError> {
@@ -989,41 +935,23 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// whatever was still unacknowledged is then undeliverable.
     ///
     /// Call this at the end of a run so that peers still waiting on lost
-    /// traffic can recover; a no-op without a reliability config.
+    /// traffic can recover; a no-op without a reliability config. Object
+    /// traffic that arrives meanwhile is serviced; app and rendezvous
+    /// messages stay queued in the session.
     ///
     /// # Errors
     ///
     /// Returns transport errors other than end-of-run conditions.
     pub fn settle(&mut self) -> Result<bool, DsoError> {
+        let serviced = |msg: &DsoMessage| not_app(msg) && msg.rendezvous_time().is_none();
         loop {
             if let Some(acked) = self.session.settle_recv()? {
                 return Ok(acked);
             }
-            while let Some((from, msg)) = self.session.pop_ready() {
-                self.absorb_settled(from, msg)?;
+            while let Some((from, msg)) = self.session.take(serviced) {
+                self.dispatch(from, msg)?;
             }
         }
-    }
-
-    /// Files a logical message that arrived during [`SdsoRuntime::settle`]:
-    /// object traffic is serviced, app messages are queued, late rendezvous
-    /// traffic is buffered (future) or ignored (already satisfied).
-    fn absorb_settled(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
-        if msg.epoch().is_some_and(|e| e < self.view.epoch()) {
-            self.counters.cross_epoch_dropped.inc();
-            return Ok(());
-        }
-        match msg {
-            DsoMessage::Data { time, updates, .. } if time > self.clock.now() => {
-                self.file_early(from, time, Some(updates));
-            }
-            DsoMessage::Sync { time, .. } if time > self.clock.now() => {
-                self.file_early(from, time, None);
-            }
-            DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {}
-            other => self.dispatch(from, other)?,
-        }
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1063,7 +991,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.session.send(peer, msg)?;
         let target = self.acks_received + 1;
         while self.acks_received < target {
-            let (from, msg) = self.session.recv()?;
+            let (from, msg) = self.session.recv(not_app)?;
             self.dispatch(from, msg)?;
         }
         Ok(())
@@ -1091,7 +1019,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
     pub fn sync_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
         self.session.send(peer, DsoMessage::GetReq { object: id })?;
         loop {
-            let (from, msg) = self.session.recv()?;
+            let (from, msg) = self.session.recv(not_app)?;
             let reply =
                 from == peer && matches!(msg, DsoMessage::GetRep { object, .. } if object == id);
             self.dispatch(from, msg)?;
@@ -1129,11 +1057,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// mixed on one runtime).
     pub fn recv_app(&mut self) -> Result<(NodeId, Vec<u8>), DsoError> {
         loop {
-            if let Some(app) = self.app_inbox.pop_front() {
-                return Ok(app);
+            match self.session.recv(|_| true)? {
+                (from, DsoMessage::App { bytes, .. }) => return Ok((from, bytes)),
+                (from, msg) => self.dispatch(from, msg)?,
             }
-            let (from, msg) = self.session.recv()?;
-            self.dispatch(from, msg)?;
         }
     }
 
@@ -1146,17 +1073,17 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// traffic.
     pub fn try_recv_app(&mut self) -> Result<Option<(NodeId, Vec<u8>)>, DsoError> {
         loop {
-            if let Some(app) = self.app_inbox.pop_front() {
-                return Ok(Some(app));
+            match self.session.recv_now(|_| true)? {
+                Some((from, DsoMessage::App { bytes, .. })) => return Ok(Some((from, bytes))),
+                Some((from, msg)) => self.dispatch(from, msg)?,
+                None => return Ok(None),
             }
-            let Some((from, msg)) = self.session.recv_now()? else { return Ok(None) };
-            self.dispatch(from, msg)?;
         }
     }
 
     /// Services one logical message outside a rendezvous: object traffic
-    /// is answered or applied, a `sync_put` ack is counted, and an app
-    /// message joins the inbox [`SdsoRuntime::recv_app`] reads.
+    /// is answered or applied, and a `sync_put` ack is counted. App messages
+    /// are [`SdsoRuntime::recv_app`]'s alone.
     fn dispatch(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         match msg {
             DsoMessage::Put { object, version, body, wants_ack } => {
@@ -1180,7 +1107,11 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.store.replace_if_newer(object, &body, version)?;
             }
             DsoMessage::Ack => self.acks_received += 1,
-            DsoMessage::App { bytes, .. } => self.app_inbox.push_back((from, bytes)),
+            DsoMessage::App { .. } => {
+                return Err(DsoError::ProtocolViolation(format!(
+                    "App from {from} reached dispatch, which only recv_app may take"
+                )));
+            }
             // A duplicate of a snapshot this process already installed.
             DsoMessage::Snapshot { .. } => {}
             DsoMessage::Data { .. } | DsoMessage::Sync { .. } => {
@@ -1200,6 +1131,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
         Ok(())
     }
+}
+
+/// Every message but a protocol layer's own, which waits in the session for
+/// [`SdsoRuntime::recv_app`].
+fn not_app(msg: &DsoMessage) -> bool {
+    !matches!(msg, DsoMessage::App { .. })
 }
 
 /// Coalesces the same-object updates a slot drained into `batch` — only
@@ -1436,7 +1373,7 @@ mod tests {
         use crate::config::WireConfig;
         // Node 0 meets node 1 at t1 while node 2's slot fills, then meets
         // node 2 at t2 with a fresh write to an object already buffered.
-        let wire = WireConfig { codec_v2: false, batch_dedup: true };
+        let wire = WireConfig::compressed();
         let mut eps = MemoryHub::new(3).into_endpoints();
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact().with_wire(wire));
         let (mut one, mut two) = (eps.remove(0), eps.remove(0));
@@ -1460,15 +1397,77 @@ mod tests {
         let report = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
         assert_eq!(report.updates_sent, 2);
         assert_eq!(rt.metrics().batch_deduped, 1, "object 1's write merged into its slot entry");
-        let Incoming { payload, .. } = two.recv().unwrap();
-        let Ok(DsoMessage::Data { updates, .. }) = sdso_net::wire::decode(&payload.bytes) else {
-            panic!("node 2 gets its data first");
+        let mut next = || sdso_net::wire::decode::<DsoMessage>(&two.recv().unwrap().payload.bytes);
+        assert!(matches!(next(), Ok(DsoMessage::CodecOffer { .. })), "node 0's offer leads");
+        // Node 2 never offered back, so the batch goes out v1.
+        let Ok(DsoMessage::Data { updates, .. }) = next() else {
+            panic!("node 2 gets its data behind the offer");
         };
         let objects: Vec<u32> = updates.iter().map(|u| u.object.0).collect();
         assert_eq!(objects, [1, 2], "one update per object, in object order");
         let mut body = [0u8; 8];
         updates[0].diff.apply(&mut body).unwrap();
         assert_eq!(body[..3], [1, 2, 2], "the later write wins, as applied one by one");
+    }
+
+    #[test]
+    fn a_rendezvous_half_from_the_logical_future_waits_in_the_session_for_its_exchange() {
+        // Reliability on only so that a wait for traffic that never comes
+        // times out instead of hanging.
+        let retry = crate::config::RetryConfig { rto: SimSpan::from_millis(1), max_retries: 3 };
+        let mut eps = MemoryHub::new(3).into_endpoints();
+        let config = DsoConfig::compact().with_reliability(Some(retry));
+        let mut rt = SdsoRuntime::new(eps.remove(0), config);
+        for id in 1..=2 {
+            rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+        }
+        let pair = |peer: NodeId, t: u64| {
+            let (epoch, time) = (Epoch::ZERO, LogicalTime::from_ticks(t));
+            let update = WireUpdate {
+                object: ObjectId(u32::from(peer)),
+                diff: Diff::single(0, vec![peer as u8; 4]),
+                version: Version::new(LogicalTime::from_ticks(1), peer),
+            };
+            [
+                DsoMessage::Data { epoch, time, updates: vec![update] },
+                DsoMessage::Sync { epoch, time },
+            ]
+        };
+        // Peer 2's t2 pair overtakes peer 1's t1 pair.
+        for (peer, t) in [(2, 2), (1, 1)] {
+            for msg in pair(peer, t) {
+                eps[usize::from(peer) - 1].send(0, msg.into_payload(None)).unwrap();
+            }
+        }
+        rt.exchange_list.schedule(1, LogicalTime::from_ticks(1));
+        rt.exchange_list.schedule(2, LogicalTime::from_ticks(2));
+        let first = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
+        assert_eq!((first.peers, first.updates_applied), (vec![1], 1));
+        assert_eq!(rt.read(ObjectId(2)).unwrap(), [0; 4], "t2's data is not applied at t1");
+        let second = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
+        assert_eq!((second.peers, second.updates_applied), (vec![2], 1));
+        assert_eq!(rt.read(ObjectId(2)).unwrap(), [2; 4]);
+        assert_eq!(rt.session.take(|_| true), None, "nothing is left queued");
+    }
+
+    #[test]
+    fn an_app_message_met_by_sync_get_waits_for_recv_app() {
+        let mut eps = MemoryHub::new(2).into_endpoints();
+        let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
+        let mut peer = eps.remove(0);
+        rt.share(ObjectId(1), vec![0u8; 4]).unwrap();
+        let app = |byte| DsoMessage::App { class: MsgClass::Control, bytes: vec![byte] };
+        let version = Version::new(LogicalTime::from_ticks(1), 1);
+        let reply = DsoMessage::GetRep { object: ObjectId(1), version, body: vec![9; 4] };
+        // The first app message arrives before the reply sync_get waits for;
+        // the second, after it, would be what recv_app returns were the first lost.
+        for msg in [app(7), reply, app(8)] {
+            peer.send(0, msg.into_payload(None)).unwrap();
+        }
+        rt.sync_get(1, ObjectId(1)).unwrap();
+        assert_eq!(rt.read(ObjectId(1)).unwrap(), [9; 4]);
+        assert_eq!(rt.recv_app().unwrap(), (1, vec![7]));
+        assert_eq!(rt.recv_app().unwrap(), (1, vec![8]));
     }
 
     #[test]

@@ -222,8 +222,10 @@ pub(crate) struct Session<E: Endpoint> {
     pub(crate) endpoint: E,
     config: DsoConfig,
     links: Vec<Link>,
-    /// In-order messages delivered by a link but not yet consumed: every
-    /// receive queues here first, so per-link FIFO holds by construction.
+    /// In-order messages delivered by a link but not yet taken: the one
+    /// place a received message waits — a rendezvous half for its exchange,
+    /// an app message for `recv_app`. Every receive queues here first, so
+    /// per-link FIFO holds by construction.
     ready: VecDeque<Delivery>,
     /// The kernel's current view: who may be sent to, and which epoch
     /// separates live traffic from a departed member's residue.
@@ -280,9 +282,11 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Takes the oldest delivered-but-unconsumed message, if any.
-    pub(crate) fn pop_ready(&mut self) -> Option<Delivery> {
-        self.ready.pop_front()
+    /// Takes the oldest queued delivery `wanted` accepts, if any. The ones it
+    /// passes over keep their place and their order.
+    pub(crate) fn take(&mut self, wanted: impl Fn(&DsoMessage) -> bool) -> Option<Delivery> {
+        let at = self.ready.iter().position(|(_, msg)| wanted(msg))?;
+        self.ready.remove(at)
     }
 
     // ---- Sending ----
@@ -531,11 +535,16 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Resolves codec-layer messages at their exactly-once delivery point and
-    /// queues the result for the kernel: consumes a [`DsoMessage::CodecOffer`],
-    /// decodes a [`DsoMessage::Data2`] back into the plain `Data` it compresses
-    /// with, directly behind it, the `Sync` it carries, and passes everything
-    /// else through untouched.
+    /// queues the result for the kernel: drops (and counts) a past epoch's
+    /// rendezvous residue, whose exchange is over; consumes a
+    /// [`DsoMessage::CodecOffer`]; decodes a [`DsoMessage::Data2`] back into
+    /// the plain `Data` it compresses with, directly behind it, the `Sync` it
+    /// carries; and passes everything else through untouched.
     fn deliver(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
+        if msg.rendezvous_time().is_some() && msg.epoch().is_some_and(|e| e < self.view.epoch()) {
+            self.counters.cross_epoch_dropped.inc();
+            return Ok(());
+        }
         let link = &mut self.links[usize::from(from)];
         match msg {
             // Compression is off here: never offer back, so the peer keeps
@@ -571,26 +580,37 @@ impl<E: Endpoint> Session<E> {
         Ok(())
     }
 
-    /// Blocking receive of the next logical message. With reliability on it
-    /// sleeps until the earliest link timer and serves it, and fails with
-    /// [`DsoError::Timeout`] once a link went `max_retries` rounds
-    /// unanswered, or after as many idle rounds, each twice the last.
-    pub(crate) fn recv(&mut self) -> Result<Delivery, DsoError> {
-        self.recv_next(false)
+    /// Blocking receive of the next logical message `wanted` accepts
+    /// ([`Session::take`]); what it passes over stays queued. With
+    /// reliability on it sleeps until the earliest link timer and serves it,
+    /// and fails with [`DsoError::Timeout`] once a link went `max_retries`
+    /// rounds unanswered, or after as many idle rounds, each twice the last.
+    pub(crate) fn recv(
+        &mut self,
+        wanted: impl Fn(&DsoMessage) -> bool,
+    ) -> Result<Delivery, DsoError> {
+        self.recv_next(false, wanted)
     }
 
     /// Blocking receive without the idle-round budget: for a joiner awaiting
     /// admission, where arbitrarily long silence is expected. With no link
     /// timer pending, a genuine group failure parks this process in the
     /// transport and surfaces through the scheduler's stall detection instead.
-    pub(crate) fn recv_patiently(&mut self) -> Result<Delivery, DsoError> {
-        self.recv_next(true)
+    pub(crate) fn recv_patiently(
+        &mut self,
+        wanted: impl Fn(&DsoMessage) -> bool,
+    ) -> Result<Delivery, DsoError> {
+        self.recv_next(true, wanted)
     }
 
-    fn recv_next(&mut self, patient: bool) -> Result<Delivery, DsoError> {
+    fn recv_next(
+        &mut self,
+        patient: bool,
+        wanted: impl Fn(&DsoMessage) -> bool,
+    ) -> Result<Delivery, DsoError> {
         let mut idle = 0u32;
         loop {
-            if let Some(m) = self.ready.pop_front() {
+            if let Some(m) = self.take(&wanted) {
                 return Ok(m);
             }
             let timer = self.next_timer();
@@ -611,11 +631,14 @@ impl<E: Endpoint> Session<E> {
         }
     }
 
-    /// Non-blocking receive of the next logical message; serves the link
-    /// timers once nothing is left to take.
-    pub(crate) fn recv_now(&mut self) -> Result<Option<Delivery>, DsoError> {
+    /// Non-blocking receive of the next logical message `wanted` accepts;
+    /// serves the link timers once nothing is left to take.
+    pub(crate) fn recv_now(
+        &mut self,
+        wanted: impl Fn(&DsoMessage) -> bool,
+    ) -> Result<Option<Delivery>, DsoError> {
         loop {
-            if let Some(m) = self.ready.pop_front() {
+            if let Some(m) = self.take(&wanted) {
                 return Ok(Some(m));
             }
             if !self.step(Wait::Poll, None)? {
@@ -917,7 +940,7 @@ mod tests {
     /// Takes whatever already arrived, then serves the timers due on the
     /// clock as it stands.
     fn poll(s: &mut Peer, got: &mut Vec<Delivery>) {
-        while let Some(d) = s.recv_now().unwrap() {
+        while let Some(d) = s.recv_now(|_| true).unwrap() {
             got.push(d);
         }
     }
@@ -1245,6 +1268,29 @@ mod tests {
     }
 
     #[test]
+    fn take_passes_over_unwanted_deliveries_in_order_and_left_purges_them() {
+        let mut nodes = group(3, &lossless());
+        let mut c = nodes.pop().unwrap();
+        let mut b = nodes.pop().unwrap();
+        let mut a = nodes.pop().unwrap();
+        b.send(0, app(1)).unwrap();
+        exchange(&mut b, 0, 1);
+        b.send(0, app(2)).unwrap();
+        c.send(0, app(3)).unwrap();
+        while a.step(Wait::Poll, None).unwrap() {}
+        let [data, sync] = pair_of(1, Epoch(0), 1);
+        let is_sync = |msg: &DsoMessage| matches!(msg, DsoMessage::Sync { .. });
+        assert_eq!(a.take(is_sync), Some(sync));
+        assert_eq!(a.take(is_sync), None);
+        let passed_over = [(1, app(1)), data, (1, app(2)), (2, app(3))];
+        assert!(a.ready.iter().eq(passed_over.iter()), "{:?}", a.ready);
+        // Node 1 leaves: what it delivered and nobody took goes with it.
+        a.reset(1, Reset::Left);
+        assert_eq!(a.take(|_| true), Some((2, app(3))));
+        assert_eq!(a.take(|_| true), None);
+    }
+
+    #[test]
     fn left_restarts_the_slot_and_ignores_the_old_occupants_residue() {
         let plan = lossy();
         let (mut a, mut b) = pair(&plan);
@@ -1480,7 +1526,7 @@ mod tests {
         a.send(1, app(1)).unwrap();
         assert_eq!(a.settle_recv().unwrap(), None, "a frame arrived: not settled yet");
         assert_eq!(a.settle_recv().unwrap(), None);
-        let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
+        let queued: Vec<Delivery> = std::iter::from_fn(|| a.take(|_| true)).collect();
         assert_eq!(queued, [(1, app(7)), data.clone(), sync.clone()]);
         // The same through the per-link drain, which node 1 never answers.
         b.send(0, app(8)).unwrap();
@@ -1488,7 +1534,7 @@ mod tests {
         exchange(&mut b, 0, 3);
         a.settle_link(1).unwrap();
         assert_eq!(a.links[1].expiries, RETRY.max_retries, "node 1 was given up on");
-        let queued: Vec<Delivery> = std::iter::from_fn(|| a.pop_ready()).collect();
+        let queued: Vec<Delivery> = std::iter::from_fn(|| a.take(|_| true)).collect();
         assert_eq!(queued, [(1, app(8)), data3, sync3]);
     }
 

@@ -203,6 +203,25 @@ impl DsoMessage {
         }
     }
 
+    /// The logical time a rendezvous half (`Data`, `Data2`, `Sync`) is
+    /// stamped with; `None` for every other kind.
+    pub(crate) fn rendezvous_time(&self) -> Option<LogicalTime> {
+        match self {
+            DsoMessage::Data { time, .. }
+            | DsoMessage::Data2 { time, .. }
+            | DsoMessage::Sync { time, .. } => Some(*time),
+            DsoMessage::Snapshot { .. }
+            | DsoMessage::Env { .. }
+            | DsoMessage::Put { .. }
+            | DsoMessage::GetReq { .. }
+            | DsoMessage::GetRep { .. }
+            | DsoMessage::Ack
+            | DsoMessage::App { .. }
+            | DsoMessage::SeqAck { .. }
+            | DsoMessage::CodecOffer { .. } => None,
+        }
+    }
+
     /// The accounting class of this message (data messages carry object
     /// state; everything else is control).
     pub fn class(&self) -> MsgClass {

@@ -33,16 +33,14 @@
 //! wants the CPU: a spinner whose replies come back promptly keeps
 //! spinning on a CPU it shares with other threads.
 //!
-//! Topologies: [`ReactorMesh::local`] builds a full loopback mesh,
+//! Topologies: [`ReactorMesh::local`] builds a full loopback mesh and
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
-//! other node — the shape the 256-peer soak and its timed twin use), and
-//! [`ReactorMesh::join`] a distributed mesh from a list of listen addresses.
+//! other node — the shape the 256-peer soak and its timed twin use).
 //!
 //! Sends are asynchronous: what the socket does not take is queued and a
 //! later turn drains it. A peer that stops draining accumulates queued
-//! bytes until the per-peer budget ([`ReactorTuning::max_queued_bytes`]) is
-//! hit, at which point `send` fails with [`NetError::Backpressure`] instead
-//! of growing without bound.
+//! bytes until the per-peer budget (32 MiB) is hit, at which point `send`
+//! fails with [`NetError::Backpressure`] instead of growing without bound.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -84,24 +82,25 @@ const WRITE_COALESCE_BUDGET: usize = 256 * 1024;
 const SPIN_MICROS: u64 = 50;
 
 /// Timeout, backoff, keepalive, and queue-budget tuning for a
-/// [`ReactorEndpoint`].
+/// [`ReactorEndpoint`]. Every endpoint runs the defaults; the tests shorten
+/// them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReactorTuning {
+pub(crate) struct ReactorTuning {
     /// Timeout for each (re)connection attempt.
-    pub connect_timeout: Duration,
+    connect_timeout: Duration,
     /// First reconnect backoff; doubles per attempt.
-    pub backoff_base: Duration,
+    backoff_base: Duration,
     /// Backoff growth cap.
-    pub backoff_max: Duration,
+    backoff_max: Duration,
     /// Backed-off reconnection attempts (after the immediate one) before the
     /// link is declared dead and sends to it fail for good.
-    pub max_reconnect_attempts: u32,
+    max_reconnect_attempts: u32,
     /// Interval between keepalive frames on idle links; `Duration::ZERO`
     /// disables keepalives.
-    pub keepalive_interval: Duration,
+    keepalive_interval: Duration,
     /// Per-peer cap on queued (accepted but unwritten) payload bytes; sends
     /// beyond it fail with [`NetError::Backpressure`].
-    pub max_queued_bytes: usize,
+    max_queued_bytes: usize,
 }
 
 impl Default for ReactorTuning {
@@ -185,21 +184,13 @@ impl ReactorMesh {
     }
 
     /// [`ReactorMesh::local`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds `NodeId::MAX - 1`.
-    pub fn local_with(n: usize, tuning: ReactorTuning) -> Result<Vec<ReactorEndpoint>, NetError> {
+    fn local_with(n: usize, tuning: ReactorTuning) -> Result<Vec<ReactorEndpoint>, NetError> {
         assert!(n > 0, "cluster must have at least one node");
         assert!(n < usize::from(NodeId::MAX), "cluster too large");
         // A full mesh holds both ends of every pairwise connection in this
         // process: n*(n-1) stream fds plus each endpoint's listener and
         // waker socket pair. At 256 nodes that is ~66k descriptors — far past
-        // the usual 1024 soft limit, so bump it like `star_with` does.
+        // the usual 1024 soft limit, so bump it like `star` does.
         crate::sys::raise_nofile_limit((n as u64) * (n as u64) + 4 * (n as u64) + 64);
         let listeners: Vec<TcpListener> =
             (0..n).map(|_| TcpListener::bind(("127.0.0.1", 0))).collect::<Result<_, _>>()?;
@@ -256,19 +247,7 @@ impl ReactorMesh {
     ///
     /// Panics if `n` is less than two or exceeds `NodeId::MAX - 1`.
     pub fn star(n: usize) -> Result<Vec<ReactorEndpoint>, NetError> {
-        ReactorMesh::star_with(n, ReactorTuning::default())
-    }
-
-    /// [`ReactorMesh::star`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket setup errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is less than two or exceeds `NodeId::MAX - 1`.
-    pub fn star_with(n: usize, tuning: ReactorTuning) -> Result<Vec<ReactorEndpoint>, NetError> {
+        let tuning = ReactorTuning::default();
         assert!(n >= 2, "a star needs a hub and at least one spoke");
         assert!(n < usize::from(NodeId::MAX), "cluster too large");
         crate::sys::raise_nofile_limit((n as u64) * 4 + 64);
@@ -306,70 +285,6 @@ impl ReactorMesh {
             endpoints.push(ReactorEndpoint::spawn(id, n, row, None, addrs.clone(), links, tuning)?);
         }
         Ok(endpoints)
-    }
-
-    /// Joins a distributed full mesh as node `id`, given every node's listen
-    /// address: listen on `addrs[id]`, dial every lower-id peer (sending a
-    /// 2-byte id handshake), accept one connection from every higher-id
-    /// peer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors and rejects malformed handshakes.
-    pub fn join(id: NodeId, addrs: &[SocketAddr]) -> Result<ReactorEndpoint, NetError> {
-        ReactorMesh::join_with(id, addrs, ReactorTuning::default())
-    }
-
-    /// [`ReactorMesh::join`] with explicit tuning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors and rejects malformed handshakes.
-    pub fn join_with(
-        id: NodeId,
-        addrs: &[SocketAddr],
-        tuning: ReactorTuning,
-    ) -> Result<ReactorEndpoint, NetError> {
-        let n = addrs.len();
-        if usize::from(id) >= n {
-            return Err(NetError::InvalidPeer { peer: id, cluster: n });
-        }
-        let listener = TcpListener::bind(addrs[usize::from(id)])?;
-        let mut peers: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        for peer in 0..id {
-            let stream = connect_with_retry(addrs[usize::from(peer)], tuning.connect_timeout)?;
-            stream.set_nodelay(true)?;
-            let mut s = stream.try_clone()?;
-            s.write_all(&id.to_le_bytes())?;
-            peers[usize::from(peer)] = Some(stream);
-        }
-        for _ in (id + 1)..n as u16 {
-            let (mut stream, _) = listener.accept()?;
-            stream.set_nodelay(true)?;
-            let mut idbuf = [0u8; 2];
-            stream.read_exact(&mut idbuf)?;
-            let peer = NodeId::from_le_bytes(idbuf);
-            if usize::from(peer) >= n || peer <= id || peers[usize::from(peer)].is_some() {
-                return Err(NetError::Codec(format!("bad handshake id {peer}")));
-            }
-            peers[usize::from(peer)] = Some(stream);
-        }
-        let links: Vec<bool> = (0..n).map(|p| p != usize::from(id)).collect();
-        let addrs: Vec<Option<SocketAddr>> = addrs.iter().copied().map(Some).collect();
-        ReactorEndpoint::spawn(id, n, peers, Some(listener), addrs, links, tuning)
-    }
-}
-
-fn connect_with_retry(addr: SocketAddr, timeout: Duration) -> Result<TcpStream, NetError> {
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match TcpStream::connect_timeout(&addr, timeout) {
-            Ok(s) => return Ok(s),
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
-            Err(e) => return Err(NetError::Io(e)),
-        }
     }
 }
 
