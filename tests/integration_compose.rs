@@ -175,11 +175,11 @@ fn reliability_is_free_on_the_paper_testbed_when_nothing_is_lost() {
 
 /// A fused rendezvous in the books: on a negotiated link the SYNC rides in
 /// the v2 data frame, so against the v1 twin (the same batches, undeduped,
-/// in the absolute format) every node sends the same data messages, receives
-/// the same updates less those v2's dedup folded, and ends in the same world,
-/// and its control messages are
-/// the twin's less one per fused rendezvous plus its one codec offer per
-/// peer (standalone acks aside, whose number follows the timing). With
+/// in the absolute format) every node sends the same data messages and ends
+/// in the same world, the run receives the twin's updates less those v2's
+/// dedup folded, and its control messages are the twin's less one per fused
+/// rendezvous plus its one codec offer per peer (standalone acks aside,
+/// whose number follows the timing). With
 /// reliability on top — the paper's operating point with everything on — the
 /// run still beats the bare v1 run's time per modification and BSYNC still
 /// retransmits nothing.
