@@ -307,7 +307,6 @@ mod tests {
             "fd-ownership",
             "no-blocking-in-reactor",
             "region-routing",
-            "wire-compat",
         ] {
             assert!(rules.contains(rule), "fixture must trip {rule}; got {rules:?}");
         }

@@ -16,7 +16,6 @@ pub mod no_panic;
 pub mod region_routing;
 pub mod unsafe_audit;
 pub mod wall_clock;
-pub mod wire_compat;
 
 use crate::diag::Diagnostic;
 use crate::lexer::line_of;
@@ -96,6 +95,5 @@ pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     out.extend(region_routing::check(ctx));
     out.extend(unsafe_audit::check(ctx));
     out.extend(fd_ownership::check(ctx));
-    out.extend(wire_compat::check(ctx));
     out
 }

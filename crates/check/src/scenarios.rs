@@ -25,16 +25,18 @@
 //! scheduler deadlock, which is a violation like any other).
 //!
 //! The codec-v2 scenario runs the lookahead workloads with
-//! `WireConfig::compressed()` on every link, so what the oracle reorders
-//! across senders are `CodecOffer`s and the fused `Data2` frames that carry
-//! their own SYNC: BSYNC's workload, then MSYNC2's, in every schedule.
+//! `WireConfig::compressed()` on every node, so what the oracle reorders
+//! across senders are the fused `Data2` frames that carry their own SYNC,
+//! from each link's first rendezvous on: BSYNC's workload, then MSYNC2's,
+//! in every schedule.
 //!
 //! The codec-v2-arq scenario turns the ARQ on as well. Its synthetic first
 //! choice point picks one of those two workloads and one link fault (see
 //! [`LinkFault`]): a fused frame lost and retransmitted, one delivered
 //! twice, the transport reporting a reconnect flap, or a loss with the flap
 //! before its retransmission — what could deliver a fused frame twice or
-//! not at all, or keep a link on v1, interleaved with the delivery orders.
+//! not at all, or stop a link's fused frames, interleaved with the delivery
+//! orders.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -100,7 +102,7 @@ const CRASHER: NodeId = 1;
 
 /// Workloads every schedule of the codec-v2 scenario plays, in order: a
 /// rendezvous with everyone every tick, then per-pair s-functions under
-/// which offers and fused frames of different ticks are in flight together.
+/// which fused frames of different ticks are in flight together.
 const CODEC_V2_WORKLOADS: [Protocol; 2] = [Protocol::Bsync, Protocol::Msync2];
 
 /// The node whose links the codec-v2-arq scenario faults.
@@ -122,7 +124,7 @@ const LINK_FAULTS: [LinkFault; 5] = [
 ];
 
 /// Ticks BSYNC's workload runs for under the ARQ: twice its usual three, so
-/// that a flap halfway leaves the offers time to cross again.
+/// that a flap halfway still has fused frames to follow it.
 const ARQ_BSYNC_TICKS: u8 = 6;
 
 /// What goes wrong in one schedule of the codec-v2-arq scenario, on node
@@ -132,8 +134,9 @@ struct LinkFault {
     /// The fate of its first fused `Data2` to [`FAULT_PEER`].
     frame: Option<FrameFault>,
     /// This many ticks past the workload's midpoint the transport reports
-    /// every link down and up again: both negotiations start over, through
-    /// `SdsoRuntime::drain_departures`, and must come back to fused frames.
+    /// every link down and up again, through
+    /// `SdsoRuntime::drain_departures`: the flap cancels out of the view,
+    /// and fused frames must follow it.
     flap: Option<u8>,
 }
 
@@ -167,8 +170,8 @@ pub enum Protocol {
     /// fail-stops at an oracle-chosen tick (its host partitioned from the
     /// group while down) and rejoins from its WAL with pre-crash state.
     CrashChurn,
-    /// The wire format negotiated per link: BSYNC's workload, then
-    /// MSYNC2's, with codec v2 offered by every node.
+    /// The compressed wire: BSYNC's workload, then MSYNC2's, with codec v2
+    /// on at every node.
     CodecV2,
     /// One of [`Protocol::CodecV2`]'s workloads with the ARQ on, under one
     /// link fault: a fused frame dropped or duplicated, a reconnect flap.
@@ -294,7 +297,7 @@ pub fn run_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), Str
         Protocol::CrashChurn => run_crash_churn_once(oracle),
         // One cluster after the other under the one oracle: the branching
         // depth spans the end of the first workload and the start of the
-        // second, where the offers cross.
+        // second.
         Protocol::CodecV2 => CODEC_V2_WORKLOADS
             .into_iter()
             .try_for_each(|workload| run_static_once(workload, Wire::V2, &oracle)),
@@ -324,7 +327,7 @@ fn synthetic(arity: usize) -> Vec<Candidate> {
 enum Wire {
     /// The paper's frames.
     V1,
-    /// Codec v2 offered by every node.
+    /// Codec v2 at every node.
     V2,
     /// Codec v2 over the ARQ, with one link fault for it to repair.
     V2Arq(LinkFault),
@@ -375,13 +378,13 @@ fn run_static_once(
     for (id, node) in outcome.nodes.into_iter().enumerate() {
         snaps.push(node.result.map_err(|e| format!("{} node {id}: {e}", workload.name()))?);
     }
-    // A run that never left v1 explores nothing a v2 scenario is for.
+    // A run that never fused a rendezvous explores nothing a v2 scenario is for.
     let fused = |snap: &NodeSnap| snap.metrics.rendezvous_fused;
     if let Some(id) = snaps.iter().position(|snap| wire != Wire::V1 && fused(snap) == 0) {
         return Err(format!("{} node {id} never sent a fused frame", workload.name()));
     }
     // Nor does a fault that never bit: the lost frame was sent again, the
-    // doubled one dropped once, the flapped links are back to fused frames.
+    // doubled one dropped once, the flapped links still send fused frames.
     let (faulted, peer) = (&snaps[usize::from(FAULTED)], &snaps[usize::from(FAULT_PEER)]);
     let fault = wire.fault();
     let unrepaired = match fault.frame {
@@ -389,8 +392,8 @@ fn run_static_once(
         Some(FrameFault::Dup) => peer.metrics.duplicates_dropped == 0,
         None => false,
     };
-    let still_v1 = faulted.fused_at_flap.is_none_or(|then| fused(faulted) <= then);
-    if unrepaired || (fault.flap.is_some() && still_v1) {
+    let unfused = faulted.fused_at_flap.is_none_or(|then| fused(faulted) <= then);
+    if unrepaired || (fault.flap.is_some() && unfused) {
         return Err(format!(
             "{} under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}, \
              fused at the flap: {:?}; node {FAULT_PEER}: {:?})",

@@ -3,8 +3,8 @@
 //! The v1 wire format ships every diff run as a fixed 8-byte header plus
 //! literal bytes. For game-style workloads that rewrite whole blocks where
 //! most bytes are zero padding, the payload is dominated by headers and
-//! zeros. Codec v2 (negotiated per peer via
-//! [`crate::wire::DsoMessage::CodecOffer`]) attacks both:
+//! zeros. Codec v2 (every `Data2` frame of a run whose
+//! [`crate::WireConfig::codec_v2`] is on) attacks both:
 //!
 //! * **Varint headers** — object ids, versions, counts, offsets and lengths
 //!   are LEB128 varints; each run offset is encoded as the gap from the
@@ -32,11 +32,6 @@ use crate::clock::LogicalTime;
 use crate::diff::Diff;
 use crate::object::{ObjectId, Version};
 use crate::wire::WireUpdate;
-
-/// The original fixed-header wire format.
-pub const CODEC_V1: u8 = 1;
-/// Varint/run-length encoding — this module.
-pub const CODEC_V2: u8 = 2;
 
 /// Decoder inflation budget: a single run may not claim more than this many
 /// bytes, bounding what a hostile tiny blob can make the decoder allocate
@@ -576,7 +571,10 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use proptest::arbitrary::Arbitrary;
     use proptest::prelude::*;
+    use proptest::sample::Index;
+    use proptest::test_runner::TestRng;
 
     use super::tests::{decoded, encoded, rle_encode, tokens};
     use super::*;
@@ -631,7 +629,81 @@ mod proptests {
             .prop_map(|raw| raw.into_iter().map(|b| if b < 240 { 0 } else { b }).collect())
     }
 
+    /// One structural mutation of an encoded blob: what a damaged or
+    /// hostile `Data2` puts in front of a decoder that, with no handshake,
+    /// accepts one from a link's first frame.
+    #[derive(Debug, Clone, Copy)]
+    enum Mutation {
+        /// XOR one byte with a non-zero mask.
+        Flip,
+        /// Cut the blob short.
+        Truncate,
+        /// Insert one byte.
+        Insert,
+        /// A head of this blob followed by a tail of another.
+        Splice,
+    }
+
+    impl Arbitrary for Mutation {
+        fn arbitrary(rng: &mut TestRng) -> Mutation {
+            [Mutation::Flip, Mutation::Truncate, Mutation::Insert, Mutation::Splice]
+                [rng.below(4) as usize]
+        }
+    }
+
+    /// `blob` under `mutation`, at the positions `at` and `from` pick.
+    fn mutate(
+        blob: &[u8],
+        mutation: Mutation,
+        (at, from): (Index, Index),
+        byte: u8,
+        other: &[u8],
+    ) -> Vec<u8> {
+        let mut bad = blob.to_vec();
+        match mutation {
+            Mutation::Flip => bad[at.index(blob.len())] ^= byte.max(1),
+            Mutation::Truncate => bad.truncate(at.index(blob.len())),
+            Mutation::Insert => bad.insert(at.index(blob.len() + 1), byte),
+            Mutation::Splice => {
+                bad.truncate(at.index(blob.len() + 1));
+                bad.extend_from_slice(&other[from.index(other.len() + 1)..]);
+            }
+        }
+        bad
+    }
+
     proptest! {
+        /// A well-formed blob, mutated once, either fails with a codec
+        /// error or decodes to what its bytes can address: no run past the
+        /// decoder's budget, at most one run per two header bytes, and no
+        /// more non-zero bytes than the blob holds, since only a literal
+        /// token puts one there.
+        #[test]
+        fn a_mutated_blob_fails_as_a_codec_error_or_decodes_within_its_bounds(
+            updates in arb_updates(),
+            other in arb_updates(),
+            mutation in any::<Mutation>(),
+            at in any::<Index>(),
+            from in any::<Index>(),
+            byte in any::<u8>(),
+        ) {
+            let blob = encoded(&updates).expect("encodable");
+            let other = encoded(&other).expect("encodable");
+            let bad = mutate(&blob, mutation, (at, from), byte, &other);
+            match decoded(&bad) {
+                Ok(got) => {
+                    let runs: Vec<&[u8]> =
+                        got.iter().flat_map(|u| u.diff.runs().map(|(_, bytes)| bytes)).collect();
+                    prop_assert!(runs.iter().all(|run| run.len() as u64 <= MAX_RUN_LEN));
+                    prop_assert!(runs.len() <= bad.len() / 2, "{} runs", runs.len());
+                    let set: usize =
+                        runs.iter().map(|run| run.iter().filter(|&&b| b != 0).count()).sum();
+                    prop_assert!(set <= bad.len(), "{} non-zero bytes from {}", set, bad.len());
+                }
+                Err(e) => prop_assert!(matches!(e, NetError::Codec(_)), "{:?}", e),
+            }
+        }
+
         #[test]
         fn token_stream_matches_the_byte_loop(body in arb_body(512), sparse in arb_sparse(512)) {
             for body in [&body, &sparse] {

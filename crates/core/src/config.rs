@@ -34,22 +34,22 @@ impl Default for RetryConfig {
 
 /// Wire-compression tunables (codec v2; see `ARCHITECTURE.md` §14).
 ///
-/// Everything here defaults to **on** ([`WireConfig::compressed`]): a
-/// process offers codec v2 on every link and, once the peer's offer has
-/// crossed, sends each rendezvous as one compressed frame. The paper's v1
-/// frames are still what a link speaks until then, toward a peer
-/// configured [`WireConfig::v1`] (it never offers, and mixed clusters
-/// interoperate per link), for a batch the codec cannot take (a run past
-/// the decoder's budget) and for an empty batch. [`WireConfig::v1`] is
-/// also the reference the paper's figures are reproduced on.
+/// Everything here defaults to **on** ([`WireConfig::compressed`]): every
+/// link sends each rendezvous with data as one compressed frame, from its
+/// first. The wire is a setting of the run, not of a link: every node of a
+/// run must be built from the same `WireConfig`, and a compressed frame
+/// that reaches a [`WireConfig::v1`] node is a protocol violation. The
+/// paper's v1 frames still carry a batch the codec cannot take (a run past
+/// the decoder's budget) and an empty batch's lone SYNC.
+/// [`WireConfig::v1`] is also the reference the paper's figures are
+/// reproduced on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WireConfig {
-    /// Offer codec v2 (varint/run-length diff encoding) to peers and use
-    /// it on links where the peer offered it back. Peers that never offer
-    /// (or older builds) keep receiving the v1 format. It also coalesces
-    /// the updates to one object inside each outgoing batch before framing
-    /// (a buffered slot update and a current-interval update to the same
-    /// object become one update), on every link.
+    /// Send every rendezvous batch in codec v2 (varint/run-length diff
+    /// encoding), the SYNC on board, and accept such frames. It also
+    /// coalesces the updates to one object inside each outgoing batch
+    /// before framing (a buffered slot update and a current-interval update
+    /// to the same object become one update), on every link.
     pub codec_v2: bool,
 }
 
@@ -88,8 +88,8 @@ pub struct DsoConfig {
     /// testbed network did not lose messages) adds zero wire or metric
     /// overhead.
     pub reliability: Option<RetryConfig>,
-    /// Wire-compression layer (codec v2 negotiation, batch dedup). Defaults to all-on; [`WireConfig::v1`] reproduces the v1
-    /// wire format byte-for-byte, as does any link whose peer never offers.
+    /// Wire-compression layer (codec v2, batch dedup). Defaults to all-on;
+    /// [`WireConfig::v1`] reproduces the v1 wire format byte-for-byte.
     pub wire: WireConfig,
 }
 

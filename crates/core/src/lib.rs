@@ -86,7 +86,6 @@ mod store;
 pub mod wire;
 
 pub use clock::{LogicalClock, LogicalTime};
-pub use codec::{CODEC_V1, CODEC_V2};
 pub use config::{DsoConfig, RetryConfig, WireConfig};
 pub use diff::Diff;
 pub use dirty::DirtyRanges;

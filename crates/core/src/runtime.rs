@@ -1,5 +1,5 @@
 use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
-use sdso_net::{Endpoint, MsgClass, NodeId, PeerEvent, SimSpan};
+use sdso_net::{Endpoint, MsgClass, NodeId, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
 use crate::clock::{LogicalClock, LogicalTime};
@@ -394,12 +394,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// change at the same logical time.
     pub fn drain_departures(&mut self) -> Option<ViewChange> {
         let events = self.session.endpoint.take_peer_events();
-        // Any link flap invalidates codec negotiation with that peer —
-        // even when the flap cancels out of the membership change below.
-        for event in &events {
-            let (PeerEvent::Down(peer) | PeerEvent::Up(peer)) = *event;
-            self.session.reset(peer, Reset::Flapped);
-        }
         let change = leave_change_from_events(&self.view, &events);
         if change.is_empty() {
             None
@@ -1119,8 +1113,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     "rendezvous message from {from} outside an exchange"
                 )));
             }
-            // Envelopes, sequence acks, codec offers and compressed batches
-            // are the session's vocabulary, consumed or resolved into plain
+            // Envelopes, sequence acks and compressed batches are the
+            // session's vocabulary, consumed or resolved into plain
             // `Data` below this layer; one reaching dispatch means a receive
             // path skipped the session.
             other => {
@@ -1205,7 +1199,7 @@ mod tests {
     }
 
     #[test]
-    fn compressed_exchange_negotiates_lazily_and_converges() {
+    fn compressed_exchange_sends_data2_from_the_first_round_and_converges() {
         use crate::config::WireConfig;
         let runtimes = pair_with(DsoConfig::compact().with_wire(WireConfig::compressed()));
         let done = run_pair(runtimes, |rt| {
@@ -1214,14 +1208,9 @@ mod tests {
             for round in 0..4u8 {
                 rt.write(obj, usize::from(round) as u32, &[me as u8 + 1]).unwrap();
                 rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-                if round == 0 {
-                    // Offers cross during the first exchange, so its data
-                    // had to go out v1 absolute.
-                    assert_eq!(rt.metrics().codec_v2_sent, 0);
-                }
+                // No handshake: the first batch is already compressed.
+                assert_eq!(rt.metrics().codec_v2_sent, u64::from(round) + 1);
             }
-            // Every post-negotiation batch went out compressed.
-            assert_eq!(rt.metrics().codec_v2_sent, 3);
             assert_eq!(rt.metrics().codec_v2_fallbacks, 0);
         });
         // Bit-identical convergence: same final bytes as an uncompressed
@@ -1233,14 +1222,13 @@ mod tests {
     }
 
     #[test]
-    fn compressed_node_interops_with_uncompressed_peer() {
+    fn a_data2_into_a_v1_node_is_a_protocol_violation_not_a_hang() {
         use crate::config::WireConfig;
         let runtimes: Vec<_> = MemoryHub::new(2)
             .into_endpoints()
             .into_iter()
             .map(|ep| {
-                // Node 0 wants compression; node 1 has it off and must
-                // simply ignore the offer.
+                // A cluster that mixes wires: node 0 compresses, node 1 runs v1.
                 let wire =
                     if ep.node_id() == 0 { WireConfig::compressed() } else { WireConfig::v1() };
                 let mut rt = SdsoRuntime::new(ep, DsoConfig::compact().with_wire(wire));
@@ -1250,67 +1238,20 @@ mod tests {
                 rt
             })
             .collect();
-        let done = run_pair(runtimes, |rt| {
+        run_pair(runtimes, |rt| {
             let me = rt.node_id();
-            let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
-            for _ in 0..3 {
-                rt.write(obj, 0, &[me as u8 + 1; 4]).unwrap();
-                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
+            rt.write(ObjectId(u32::from(me) + 1), 0, &[me as u8 + 1; 4]).unwrap();
+            // Each side sends before it receives: node 0 takes node 1's v1
+            // pair, node 1 refuses node 0's `Data2`.
+            match rt.exchange(SendMode::Multicast, &mut EveryTick) {
+                Ok(_) => assert_eq!(me, 0),
+                Err(DsoError::ProtocolViolation(why)) => {
+                    assert_eq!(me, 1);
+                    assert!(why.contains("Data2"), "{why}");
+                }
+                Err(e) => panic!("node {me}: {e}"),
             }
-            // The peer never offers back, so node 0 stays on v1 forever.
-            assert_eq!(rt.metrics().codec_v2_sent, 0);
         });
-        for rt in &done {
-            assert_eq!(&rt.read(ObjectId(1)).unwrap()[..4], &[1; 4]);
-            assert_eq!(&rt.read(ObjectId(2)).unwrap()[..4], &[2; 4]);
-        }
-    }
-
-    #[test]
-    fn codec_version_downgrades_after_reconnect() {
-        use crate::config::WireConfig;
-        let runtimes = pair_with(DsoConfig::compact().with_wire(WireConfig::compressed()));
-        let done = run_pair(runtimes, |rt| {
-            let me = rt.node_id();
-            let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
-            let mut round = 0u8;
-            let mut step = |rt: &mut SdsoRuntime<MemoryEndpoint>| {
-                rt.write(obj, u32::from(round % 8), &[me as u8 + 1]).unwrap();
-                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-                round += 1;
-            };
-            step(rt);
-            step(rt); // Negotiated: this batch went out v2.
-            assert_eq!(rt.metrics().codec_v2_sent, 1);
-            if me == 0 {
-                // What drain_departures does when node 1's link flaps:
-                // forget the negotiation, restart the compressed stream.
-                rt.session.reset(1, Reset::Flapped);
-            }
-            let before = rt.metrics().codec_v2_sent;
-            step(rt); // Node 0 re-offers; its data goes v1 this round.
-            if me == 0 {
-                assert_eq!(
-                    rt.metrics().codec_v2_sent,
-                    before,
-                    "a downgraded link must not send compressed batches"
-                );
-            }
-            // The repeat offer makes the peer re-offer; within two more
-            // rounds both replies have crossed and v2 resumes.
-            step(rt);
-            step(rt);
-            assert!(
-                rt.metrics().codec_v2_sent > before,
-                "renegotiation must restore the compressed encoding"
-            );
-        });
-        // The downgrade round, the v1 rounds, and the restored-v2 rounds
-        // must all have applied: full bit-identical convergence.
-        for rt in &done {
-            assert_eq!(rt.read(ObjectId(1)).unwrap(), &[1, 1, 1, 1, 1, 0, 0, 0]);
-            assert_eq!(rt.read(ObjectId(2)).unwrap(), &[2, 2, 2, 2, 2, 0, 0, 0]);
-        }
     }
 
     #[test]
@@ -1398,11 +1339,11 @@ mod tests {
         assert_eq!(report.updates_sent, 2);
         assert_eq!(rt.metrics().batch_deduped, 1, "object 1's write merged into its slot entry");
         let mut next = || sdso_net::wire::decode::<DsoMessage>(&two.recv().unwrap().payload.bytes);
-        assert!(matches!(next(), Ok(DsoMessage::CodecOffer { .. })), "node 0's offer leads");
-        // Node 2 never offered back, so the batch goes out v1.
-        let Ok(DsoMessage::Data { updates, .. }) = next() else {
-            panic!("node 2 gets its data behind the offer");
+        let Ok(DsoMessage::Data2 { blob, .. }) = next() else {
+            panic!("node 2 gets one compressed frame");
         };
+        let mut updates = Vec::new();
+        crate::codec::decode_updates(&blob, &mut updates).unwrap();
         let objects: Vec<u32> = updates.iter().map(|u| u.object.0).collect();
         assert_eq!(objects, [1, 2], "one update per object, in object order");
         let mut body = [0u8; 8];

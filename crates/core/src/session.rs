@@ -6,8 +6,8 @@
 //! [`crate::runtime`] hands logical messages to [`Session::write`], which
 //! puts each run of them to one peer in one transport write, and takes
 //! them from the `recv*` family; sequencing, acknowledgement, retransmission
-//! (the paper's `resync` path) and codec negotiation never leave this
-//! module. Every reset of per-peer state goes through [`Link::reset`], the
+//! (the paper's `resync` path) and the choice of wire frame never leave
+//! this module. Every reset of per-peer state goes through [`Link::reset`], the
 //! only table of which fields each reason clears.
 //!
 //! The ARQ is a sliding window that is free while nothing is lost: acks
@@ -25,7 +25,7 @@ use sdso_net::{Endpoint, Incoming, NetError, NodeId, Payload, SimInstant, SimSpa
 use sdso_obs::{EventKind, Obs};
 
 use crate::clock::LogicalTime;
-use crate::codec::{self, CODEC_V2};
+use crate::codec;
 use crate::config::{DsoConfig, RetryConfig};
 use crate::error::DsoError;
 use crate::metrics::DsoCounters;
@@ -64,17 +64,14 @@ pub(crate) enum Reset {
     /// The peer left the view: the link is gone for good, and a joiner
     /// reusing the slot starts from sequence 0.
     Left,
-    /// The transport reported a reconnect flap: the peer may have
-    /// restarted, losing its knowledge of our offer.
-    Flapped,
     /// A retransmission found the peer permanently disconnected: it finished
     /// its run, so what is unacknowledged is residue, not recoverable traffic.
     Abandoned,
 }
 
 /// Everything this process remembers about its link with one peer: ARQ
-/// sequencing both ways (moved only when reliability is configured) and the
-/// wire codec negotiated on it (only when [`crate::WireConfig::codec_v2`] is).
+/// sequencing both ways, moved only when reliability is configured. The
+/// wire a link speaks is the run's ([`crate::WireConfig`]), not the link's.
 #[derive(Debug, Default)]
 pub(crate) struct Link {
     /// Next sequence number to assign to an outgoing message.
@@ -102,33 +99,22 @@ pub(crate) struct Link {
     /// How long the last ack sent alone had waited; it counts in `lag` once
     /// a frame follows that could have carried it.
     alone: Option<u64>,
-    /// Highest codec version the peer has offered; `None` until its
-    /// [`DsoMessage::CodecOffer`] arrives — sends stay v1 until then.
-    peer_version: Option<u8>,
-    /// Whether this process's own offer has gone out on the link.
-    offered: bool,
 }
 
 impl Link {
     /// The one reset entry point. Which fields each reason clears:
     ///
-    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` | `peer_version` `offered` |
-    /// |-------------|-----------|-----------|-----------|
-    /// | `Left`      | cleared   | cleared   | cleared   |
-    /// | `Flapped`   | kept      | kept      | cleared   |
-    /// | `Abandoned` | kept      | cleared   | kept      |
+    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` |
+    /// |-------------|-----------|-----------|
+    /// | `Left`      | cleared   | cleared   |
+    /// | `Abandoned` | kept      | cleared   |
     ///
-    /// A flap keeps the sequencing on purpose: frames the peer sent before
-    /// it may still be in flight or be retransmitted, and are delivered
-    /// once, in order, like any other — a `Data2` among them decodes on its
-    /// own, whatever the link negotiated since.
+    /// A reconnect flap resets nothing: frames the peer sent before it may
+    /// still be in flight or be retransmitted, and are delivered once, in
+    /// order, like any other — a `Data2` among them decodes on its own.
     pub(crate) fn reset(&mut self, why: Reset) {
         match why {
             Reset::Left => *self = Link::default(),
-            Reset::Flapped => {
-                self.peer_version = None;
-                self.offered = false;
-            }
             Reset::Abandoned => {
                 self.unacked.clear();
                 self.deadline = None;
@@ -298,9 +284,8 @@ impl<E: Endpoint> Session<E> {
 
     /// Sends one exchange's traffic to `peer` — the `(data, SYNC)` pair of
     /// Fig. 4 stamped with the view's epoch: one `Data2` frame that is both
-    /// when the link negotiated v2, else the data half (omitted when empty)
-    /// and a `Sync`; this process's codec offer in front while it is still
-    /// owed — as one run of [`Session::write`]. The data is `batch`'s
+    /// on a compressed wire, else the data half (omitted when empty) and a
+    /// `Sync` — as one run of [`Session::write`]. The data is `batch`'s
     /// updates followed by the `picks` of `current`, which are only read: a
     /// `Data2` is encoded from both in place and `batch` is left empty with
     /// its capacity, while a v1 `Data` takes `batch` and copies the picks
@@ -313,20 +298,14 @@ impl<E: Endpoint> Session<E> {
         (current, picks): (&[WireUpdate], &[usize]),
     ) -> Result<(), DsoError> {
         let epoch = self.view.epoch();
-        // Our codec offer goes first while it is still owed. With
-        // compression off none ever is, and peers keep encoding v1 toward us.
-        let offered = &mut self.links[usize::from(peer)].offered;
-        let offer = (self.config.wire.codec_v2 && !std::mem::replace(offered, true))
-            .then_some(DsoMessage::CodecOffer { version: CODEC_V2 });
         let empty = batch.is_empty() && picks.is_empty();
-        let more = (current, picks);
-        let data = (!empty).then(|| self.encode_data(peer, epoch, time, batch, more));
+        let data = (!empty).then(|| self.encode_data(epoch, time, batch, (current, picks)));
         let fused = matches!(data, Some(DsoMessage::Data2 { .. }));
         if fused {
             self.counters.rendezvous_fused.inc();
         }
         let sync = (!fused).then_some(DsoMessage::Sync { epoch, time });
-        self.write(offer.into_iter().chain(data).chain(sync).map(|msg| (peer, msg)))
+        self.write(data.into_iter().chain(sync).map(|msg| (peer, msg)))
     }
 
     /// The one send path: sends `msgs` in order, each maximal run of
@@ -425,20 +404,18 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Builds the data message for one exchange send from `batch` and then
-    /// the picks of `current` ([`Session::send_rendezvous`]): the compressed
-    /// `Data2`, SYNC on board, once the peer has negotiated v2 — falling back
-    /// to the plain `Data` when a run exceeds the decoder's inflation
-    /// budget — and plain `Data` before.
+    /// the picks of `current` ([`Session::send_rendezvous`]): on a
+    /// compressed wire the `Data2`, SYNC on board — falling back to the
+    /// plain `Data` when a run exceeds the decoder's inflation budget — and
+    /// plain `Data` on v1.
     fn encode_data(
         &mut self,
-        peer: NodeId,
         epoch: Epoch,
         time: LogicalTime,
         batch: &mut Vec<WireUpdate>,
         (current, picks): (&[WireUpdate], &[usize]),
     ) -> DsoMessage {
-        let link = &self.links[usize::from(peer)];
-        if self.config.wire.codec_v2 && link.peer_version.is_some_and(|v| v >= CODEC_V2) {
+        if self.config.wire.codec_v2 {
             let updates = batch.iter().chain(picks.iter().map(|&i| &current[i]));
             if let Some(blob) = codec::encode_updates(updates, &mut self.blob) {
                 self.counters.codec_v2_sent.inc();
@@ -455,8 +432,7 @@ impl<E: Endpoint> Session<E> {
 
     /// The one receive step: take at most one frame off the transport, run
     /// it through the link ([`Session::admit`]) — which queues the logical
-    /// messages it completes, none for an ack, an offer, a duplicate, a gap or
-    /// residue — and hand the payload's storage back to this thread's buffer pool
+    /// messages it completes, none for an ack, a duplicate, a gap or residue — and hand the payload's storage back to this thread's buffer pool
     /// (a no-op while the bytes are shared or the pool is full). With a
     /// `residue` counter it also discards, and counts there, what
     /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
@@ -536,32 +512,17 @@ impl<E: Endpoint> Session<E> {
 
     /// Resolves codec-layer messages at their exactly-once delivery point and
     /// queues the result for the kernel: drops (and counts) a past epoch's
-    /// rendezvous residue, whose exchange is over; consumes a
-    /// [`DsoMessage::CodecOffer`]; decodes a [`DsoMessage::Data2`] back into
-    /// the plain `Data` it compresses with, directly behind it, the `Sync` it
-    /// carries; and passes everything else through untouched.
+    /// rendezvous residue, whose exchange is over; decodes a
+    /// [`DsoMessage::Data2`] back into the plain `Data` it compresses with,
+    /// directly behind it, the `Sync` it carries; and passes everything else
+    /// through untouched. A `Data2` on a v1 run is a typed error: every node
+    /// of a run speaks the one wire its [`crate::WireConfig`] names.
     fn deliver(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         if msg.rendezvous_time().is_some() && msg.epoch().is_some_and(|e| e < self.view.epoch()) {
             self.counters.cross_epoch_dropped.inc();
             return Ok(());
         }
-        let link = &mut self.links[usize::from(from)];
         match msg {
-            // Compression is off here: never offer back, so the peer keeps
-            // encoding v1 toward us. Interop, not an error.
-            DsoMessage::CodecOffer { .. } if !self.config.wire.codec_v2 => {}
-            DsoMessage::CodecOffer { version } => {
-                // A *repeat* offer on a negotiated link means the peer
-                // downgraded its side (a flap, or a restart without a view
-                // change) and no longer knows our version: our offer must
-                // cross again before it resumes v2 toward us. No storm: the
-                // sender's `peer_version` is then `None` and absorbs our reply.
-                let repeat = link.peer_version.replace(version).is_some();
-                if repeat || !link.offered {
-                    link.offered = true;
-                    self.send(from, DsoMessage::CodecOffer { version: CODEC_V2 })?;
-                }
-            }
             DsoMessage::Data2 { .. } if !self.config.wire.codec_v2 => {
                 return Err(DsoError::ProtocolViolation(format!(
                     "compressed Data2 from {from} but codec v2 is not enabled here"
@@ -1024,7 +985,7 @@ mod tests {
         assert_eq!(got_b, sent_a, "0 → 1: every Data2 decoded back to the Data that was sent");
         assert_eq!(got_a, sent_b, "1 → 0");
         let (a, b) = (a.counters.view(), b.counters.view());
-        assert!(a.codec_v2_sent > 0 && b.codec_v2_sent > 0, "both directions negotiated v2");
+        assert!(a.codec_v2_sent > 0 && b.codec_v2_sent > 0, "both directions sent v2");
         assert!(a.retransmits + b.retransmits > 0, "the plan really lost frames");
         assert!(a.duplicates_dropped + b.duplicates_dropped > 0);
         assert!(a.acks_piggybacked > 0 && b.acks_piggybacked > 0, "acks rode the exchanges");
@@ -1308,10 +1269,7 @@ mod tests {
         a.reset(1, Reset::Left);
         a.set_view(view.clone());
         let link = &a.links[1];
-        assert_eq!(
-            (link.tx_seq, link.rx_next, link.peer_version, link.offered),
-            (0, 0, None, false)
-        );
+        assert_eq!((link.tx_seq, link.rx_next), (0, 0));
         assert!(link.unacked.is_empty() && link.ooo.is_empty());
         assert_eq!((link.deadline, link.ack_owed, link.rtt, link.expiries), (None, None, None, 0));
         assert_eq!((link.lag, link.alone), (None, None));
@@ -1345,9 +1303,8 @@ mod tests {
         }
         assert_eq!(got_b, sent_a);
         assert_eq!(got_a, sent_b);
-        // From sequence 0: the offer and the first batch's v1 pair, then one
-        // frame for each of the other three exchanges.
-        assert_eq!((a.links[1].tx_seq, a.links[1].rx_next), (6, 6));
+        // From sequence 0: one frame for each of the four exchanges.
+        assert_eq!((a.links[1].tx_seq, a.links[1].rx_next), (4, 4));
     }
 
     #[test]
@@ -1390,45 +1347,6 @@ mod tests {
     }
 
     #[test]
-    fn flapped_sends_v1_until_offers_cross_and_still_decodes_pre_flap_retransmits() {
-        let (mut a, mut b) = pair(&lossless());
-        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
-        for t in 1..=3 {
-            exchange(&mut a, 1, t);
-            exchange(&mut b, 0, t);
-            pump(&mut a, &mut b, &mut got_a, &mut got_b);
-        }
-        let v2_before = b.counters.view().codec_v2_sent;
-        assert_eq!(v2_before, 2);
-
-        // Node 0's next compressed batch is lost in flight, then node 1's
-        // side of the link flaps.
-        exchange(&mut a, 1, 4);
-        while b.endpoint.try_recv().unwrap().is_some() {}
-        b.reset(0, Reset::Flapped);
-        let link = &b.links[0];
-        assert_eq!((link.peer_version, link.offered, link.rx_next), (None, false, 5));
-
-        // Node 1 is back to v1, re-offering; node 0 retransmits the
-        // pre-flap Data2 twice, and it is decoded and delivered once.
-        got_b.clear();
-        exchange(&mut b, 0, 4);
-        assert_eq!(b.counters.view().codec_v2_sent, v2_before);
-        expire(&mut a);
-        expire(&mut a);
-        pump(&mut a, &mut b, &mut got_a, &mut got_b);
-        assert_eq!(got_b, pair_of(0, Epoch(0), 4));
-        assert!(b.counters.view().duplicates_dropped > 0, "the second copy was dropped");
-
-        // The repeat offer made node 0 offer again, and v2 resumes.
-        got_a.clear();
-        exchange(&mut b, 0, 5);
-        pump(&mut a, &mut b, &mut got_a, &mut got_b);
-        assert_eq!(b.counters.view().codec_v2_sent, v2_before + 1);
-        assert_eq!(got_a, pair_of(1, Epoch(0), 5));
-    }
-
-    #[test]
     fn abandoned_clears_only_unacked() {
         let (mut a, mut b) = pair(&lossless());
         let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
@@ -1440,9 +1358,9 @@ mod tests {
         exchange(&mut a, 1, 3);
         exchange(&mut a, 1, 4);
         assert_eq!(a.links[1].unacked.len(), 2, "one frame per rendezvous");
-        let rest = |l: &Link| (l.tx_seq, l.rx_next, l.ooo.len(), l.peer_version, l.offered);
+        let rest = |l: &Link| (l.tx_seq, l.rx_next, l.ooo.len());
         let before = rest(&a.links[1]);
-        assert_eq!(before, (6, 4, 0, Some(CODEC_V2), true));
+        assert_eq!(before, (4, 2, 0));
         // Node 1 finishes and tears its endpoint down: the next
         // retransmission round writes the link off — once, however many
         // frames it held.
@@ -1455,29 +1373,36 @@ mod tests {
         assert_eq!(rest(&a.links[1]), before);
     }
 
-    /// Both sides' offers cross and the first, v1, pair is delivered: from
-    /// here on every non-empty batch travels as one fused frame.
-    fn negotiated() -> (Peer, Peer) {
-        let (mut a, mut b) = pair(&lossless());
-        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
-        exchange(&mut a, 1, 1);
-        exchange(&mut b, 0, 1);
-        pump(&mut a, &mut b, &mut got_a, &mut got_b);
-        assert_eq!(
-            (got_a, got_b),
-            (pair_of(1, Epoch(0), 1).to_vec(), pair_of(0, Epoch(0), 1).to_vec())
-        );
-        assert_eq!(
-            a.counters.view().rendezvous_fused,
-            0,
-            "nothing to fuse before the offers cross"
-        );
-        (a, b)
+    /// A compressed link has no handshake: its first rendezvous with data
+    /// is one `Data2`, no offer ahead of it and no `Sync` behind it. The v1
+    /// twin sends the paper's pair.
+    #[test]
+    fn a_compressed_links_first_rendezvous_is_one_data2_frame() {
+        for wire in [WireConfig::compressed(), WireConfig::v1()] {
+            let mut nodes = group_on(&[wire; 2], &lossless());
+            let mut got = Vec::new();
+            exchange(&mut nodes[0], 1, 1);
+            let sent: Vec<&DsoMessage> =
+                nodes[0].links[1].unacked.values().map(|(_, m)| m).collect();
+            let writes = &nodes[0].endpoint.inner().writes;
+            if wire.codec_v2 {
+                assert_eq!(writes, &[(1, 1)], "one write of one frame");
+                assert!(matches!(sent[..], [DsoMessage::Data2 { sync: true, .. }]), "{sent:?}");
+            } else {
+                assert_eq!(writes, &[(1, 2)], "the pair in one write");
+                assert!(sent.into_iter().eq(&pair_of(0, Epoch(0), 1).map(|(_, msg)| msg)));
+            }
+            poll(&mut nodes[1], &mut got);
+            assert_eq!(got, pair_of(0, Epoch(0), 1), "{wire:?}");
+            let view = nodes[0].counters.view();
+            let fused = u64::from(wire.codec_v2);
+            assert_eq!((view.codec_v2_sent, view.rendezvous_fused), (fused, fused), "{wire:?}");
+        }
     }
 
     #[test]
     fn a_fused_frame_is_one_frame_and_delivers_data_then_sync() {
-        let (mut a, mut b) = negotiated();
+        let (mut a, mut b) = pair(&lossless());
         let mut got_b = Vec::new();
         let sent = a.links[1].tx_seq;
         exchange(&mut a, 1, 2);
@@ -1499,7 +1424,7 @@ mod tests {
 
     #[test]
     fn a_fused_frame_keeps_its_place_in_a_gap_filled_chain() {
-        let (mut a, mut b) = negotiated();
+        let (mut a, mut b) = pair(&lossless());
         let mut got_b = Vec::new();
         // The frame ahead of the fused one is lost; it and its successor wait
         // out of order until the retransmission fills the gap.
@@ -1517,7 +1442,7 @@ mod tests {
 
     #[test]
     fn the_settles_queue_a_fused_frames_sync_directly_behind_its_data() {
-        let (mut a, mut b) = negotiated();
+        let (mut a, mut b) = pair(&lossless());
         let [data, sync] = pair_of(1, Epoch(0), 2);
         // Node 0 settles while it holds an unacknowledged frame; node 1's
         // traffic, sent before that frame reached it, acknowledges nothing.
@@ -1540,7 +1465,7 @@ mod tests {
 
     #[test]
     fn fallback_and_empty_batches_keep_their_v1_frames() {
-        let (mut a, mut b) = negotiated();
+        let (mut a, mut b) = pair(&lossless());
         let mut got_b = Vec::new();
         let time = LogicalTime::from_ticks(2);
         let sent = a.links[1].tx_seq;
@@ -1551,37 +1476,15 @@ mod tests {
         let epoch = Epoch(0);
         assert_eq!(got_b, [(0, DsoMessage::Sync { epoch, time })]);
         // A run past the decoder's budget: the data goes as a plain `Data`,
-        // which a `Sync` follows, as before the offers crossed (checked by
-        // `negotiated`). Zeroed pages: the run is never touched, so it
-        // costs no memory.
+        // which a `Sync` follows, as on the v1 wire. Zeroed pages: the run
+        // is never touched, so it costs no memory.
         let run = vec![0; codec::MAX_RUN_LEN as usize + 1];
         let mut oversized =
             vec![WireUpdate { diff: Diff::single(0, run), ..batch(0, 2).remove(0) }];
-        let data = a.encode_data(1, epoch, time, &mut oversized, (&[], &[]));
+        let data = a.encode_data(epoch, time, &mut oversized, (&[], &[]));
         let DsoMessage::Data { updates, .. } = data else { panic!("{:?}", data.class()) };
         assert_eq!(updates[0].diff.byte_count(), codec::MAX_RUN_LEN as usize + 1);
         let view = a.counters.view();
         assert_eq!((view.codec_v2_fallbacks, view.codec_v2_sent, view.rendezvous_fused), (1, 0, 0));
-    }
-
-    #[test]
-    fn toward_a_v1_peer_nothing_changes() {
-        let mut nodes = group_on(&[WireConfig::compressed(), WireConfig::v1()], &lossless());
-        let mut b = nodes.pop().unwrap();
-        let mut a = nodes.pop().unwrap();
-        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
-        let (mut sent_a, mut sent_b) = (Vec::new(), Vec::new());
-        for t in 1..=3 {
-            exchange(&mut a, 1, t);
-            sent_a.extend(pair_of(0, Epoch(0), t));
-            exchange(&mut b, 0, t);
-            sent_b.extend(pair_of(1, Epoch(0), t));
-            pump(&mut a, &mut b, &mut got_a, &mut got_b);
-        }
-        assert_eq!((got_a, got_b), (sent_b, sent_a));
-        // The offer that is never answered, then a (data, SYNC) pair a tick.
-        assert_eq!((a.links[1].tx_seq, b.links[0].tx_seq), (7, 6));
-        let view = a.counters.view();
-        assert_eq!((view.codec_v2_sent, view.rendezvous_fused), (0, 0));
     }
 }

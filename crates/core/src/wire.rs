@@ -133,16 +133,6 @@ pub enum DsoMessage {
         /// Current state of every modified object.
         updates: Vec<WireUpdate>,
     },
-    /// A codec capability offer (wire format v2 negotiation, §14). Sent at
-    /// most once per link per codec generation; the receiver records the
-    /// offered version, replies with its own offer if it has not already,
-    /// and consumes the message in the admission layer — protocol dispatch
-    /// never sees it. Until a peer's offer arrives, everything sent to it
-    /// uses the v1 format.
-    CodecOffer {
-        /// Highest codec version the sender can decode.
-        version: u8,
-    },
     /// The v2 data frame of a rendezvous: the update list of a
     /// [`DsoMessage::Data`], encoded by the varint/run-length codec into an
     /// opaque blob, and — with `sync` set — the [`DsoMessage::Sync`] that
@@ -176,11 +166,10 @@ const TAG_ACK: u8 = 6;
 const TAG_APP: u8 = 7;
 const TAG_ENV: u8 = 8;
 const TAG_SEQ_ACK: u8 = 9;
-// Tag 10 is retired (it carried a joiner's snapshot request, which no
-// process sends): it decodes to a codec error like any unknown tag. Do
-// not reuse it.
+// Tags 10 and 12 are retired (a joiner's snapshot request, which no
+// process sends, and a per-link codec offer: the wire is the run's):
+// each decodes to a codec error like any unknown tag. Do not reuse them.
 const TAG_SNAPSHOT: u8 = 11;
-const TAG_CODEC_OFFER: u8 = 12;
 const TAG_DATA2: u8 = 13;
 
 impl DsoMessage {
@@ -198,8 +187,7 @@ impl DsoMessage {
             | DsoMessage::GetRep { .. }
             | DsoMessage::Ack
             | DsoMessage::App { .. }
-            | DsoMessage::SeqAck { .. }
-            | DsoMessage::CodecOffer { .. } => None,
+            | DsoMessage::SeqAck { .. } => None,
         }
     }
 
@@ -217,8 +205,7 @@ impl DsoMessage {
             | DsoMessage::GetRep { .. }
             | DsoMessage::Ack
             | DsoMessage::App { .. }
-            | DsoMessage::SeqAck { .. }
-            | DsoMessage::CodecOffer { .. } => None,
+            | DsoMessage::SeqAck { .. } => None,
         }
     }
 
@@ -234,10 +221,9 @@ impl DsoMessage {
             DsoMessage::Sync { .. }
             | DsoMessage::GetReq { .. }
             | DsoMessage::Ack
-            | DsoMessage::CodecOffer { .. } => MsgClass::Control,
+            | DsoMessage::SeqAck { .. } => MsgClass::Control,
             DsoMessage::App { class, .. } => *class,
             DsoMessage::Env { inner, .. } => inner.class(),
-            DsoMessage::SeqAck { .. } => MsgClass::Control,
         }
     }
 
@@ -316,10 +302,6 @@ impl Wire for DsoMessage {
                 w.put_u64(*lamport);
                 w.put_seq(updates, |w, u| u.encode(w));
             }
-            DsoMessage::CodecOffer { version } => {
-                w.put_u8(TAG_CODEC_OFFER);
-                w.put_u8(*version);
-            }
             DsoMessage::Data2 { epoch, time, blob, sync } => {
                 w.put_u8(TAG_DATA2);
                 w.put_u8(if *sync { DATA2_SYNC } else { 0 });
@@ -383,7 +365,6 @@ impl Wire for DsoMessage {
                 let updates = r.get_seq(WireUpdate::decode)?;
                 Ok(DsoMessage::Snapshot { epoch, time, lamport, updates })
             }
-            TAG_CODEC_OFFER => Ok(DsoMessage::CodecOffer { version: r.get_u8()? }),
             TAG_DATA2 => {
                 let flags = r.get_u8()?;
                 if flags & !DATA2_SYNC != 0 {
@@ -469,7 +450,6 @@ mod tests {
                 version: v,
             }],
         });
-        roundtrip(DsoMessage::CodecOffer { version: 2 });
         for sync in [true, false] {
             roundtrip(DsoMessage::Data2 {
                 epoch: Epoch(4),
@@ -573,7 +553,6 @@ mod tests {
             MsgClass::Data
         );
         assert_eq!(DsoMessage::Ack.class(), MsgClass::Control);
-        assert_eq!(DsoMessage::CodecOffer { version: 2 }.class(), MsgClass::Control);
         let d2 = DsoMessage::Data2 {
             epoch: Epoch(1),
             time: LogicalTime::ZERO,
@@ -586,7 +565,6 @@ mod tests {
             "compressed data is still data, SYNC on board or not"
         );
         assert_eq!(d2.epoch(), Some(Epoch(1)));
-        assert_eq!(DsoMessage::CodecOffer { version: 2 }.epoch(), None);
     }
 
     #[test]
@@ -601,8 +579,9 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         // The second frame is what a snapshot request for epoch 2 encoded
-        // to under the retired tag 10 (the epoch is little-endian).
-        for frame in [&[0xEE][..], &[10, 2, 0, 0, 0]] {
+        // to under the retired tag 10 (the epoch is little-endian), the
+        // third a codec offer of version 2 under the retired tag 12.
+        for frame in [&[0xEE][..], &[10, 2, 0, 0, 0], &[12, 2]] {
             let res: Result<DsoMessage, _> = wire::decode(frame);
             assert!(matches!(res, Err(NetError::Codec(_))), "{frame:?} decoded as {res:?}");
         }
@@ -627,7 +606,6 @@ mod tests {
             DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9] },
             DsoMessage::Env { seq: 17, ack: 9, inner: Box::new(DsoMessage::Ack) },
             DsoMessage::SeqAck { next: 42 },
-            DsoMessage::CodecOffer { version: 2 },
             DsoMessage::Data2 {
                 epoch: Epoch(2),
                 time: LogicalTime::from_ticks(6),

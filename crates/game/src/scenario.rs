@@ -42,8 +42,8 @@ pub struct Scenario {
     /// testbed) adds zero overhead; chaos runs set it so drops and
     /// reordering are recovered via the resync path.
     pub reliability: Option<RetryConfig>,
-    /// Wire-compression tunables. The library default: codec v2 offered
-    /// on every link, one compressed frame per rendezvous once negotiated.
+    /// Wire-compression tunables. The library default: codec v2 at every
+    /// node, one compressed frame per rendezvous from each link's first.
     /// [`WireConfig::v1`] reproduces the paper's absolute diff encoding and
     /// its (data, SYNC) frame pair byte-for-byte — the figure sweeps and
     /// the wire-diet sweep name it.
