@@ -14,7 +14,7 @@
 //! and says so; a refactor only ever touches the call sites in `play`.
 //! The four rows that turn the reliability layer on were re-recorded when
 //! its ARQ became a sliding window (see `check_reliable`), and the two of
-//! them that also negotiate codec v2 again when a v2 rendezvous became one
+//! them that also run codec v2 again when a v2 rendezvous became one
 //! frame; every other row still holds its `ba53507` value. The EC
 //! constants of those four rows were re-recorded once more when the session
 //! began to write each run of messages to one peer as one write: a run's
@@ -27,7 +27,10 @@
 //! the default wire (see `check_wires`; the two chaos rows' twins are the
 //! `*_codec_v2` rows, whose constants did not move either), recorded when
 //! the default flipped, and the lookahead family must play the v1 row's
-//! game there.
+//! game there. Every default-wire row's lookahead constants were
+//! re-recorded when a compressed link stopped negotiating its codec and
+//! began sending `Data2` from its first frame: no offers, no v1 pair
+//! before them. EC, LRC and causal memory never rendezvous, and held.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
@@ -200,9 +203,9 @@ fn static_range_1() {
         ],
         &[
             (Protocol::Entry, 0x710D_E2D9_116B_0C2B),
-            (Protocol::Bsync, 0xFF8D_9CF4_E50D_AF68),
-            (Protocol::Msync, 0xEDB5_09BA_5B36_86D8),
-            (Protocol::Msync2, 0x9BDA_A3DB_9593_F837),
+            (Protocol::Bsync, 0x9B3A_BB46_B735_94E9),
+            (Protocol::Msync, 0x5E6A_1F35_3260_07AD),
+            (Protocol::Msync2, 0xE20E_DC79_ABE7_7225),
             (Protocol::Lrc, 0x47A3_BCF7_0995_0C70),
             (Protocol::Causal, 0xBAAD_E7BB_B9B4_4C8A),
         ],
@@ -225,9 +228,9 @@ fn static_range_3() {
         ],
         &[
             (Protocol::Entry, 0x9B01_2377_F485_F46C),
-            (Protocol::Bsync, 0x790D_224A_2106_5DB8),
-            (Protocol::Msync, 0xA24D_440C_CF36_AAB6),
-            (Protocol::Msync2, 0x6C7F_469E_685C_A00F),
+            (Protocol::Bsync, 0x03D7_7026_D164_3B72),
+            (Protocol::Msync, 0x7F08_E658_7148_8443),
+            (Protocol::Msync2, 0xE76C_5ADF_C3C9_37C9),
             (Protocol::Lrc, 0x0E79_FB32_5743_6178),
             (Protocol::Causal, 0x4721_ECD6_BCF0_3B5A),
         ],
@@ -241,7 +244,7 @@ fn static_sharded_64() {
         &Scenario::scaled(64, 1).with_ticks(12),
         &RunPlan::default(),
         &[(Protocol::Msync2Shard, 0x1B51_5A93_261E_0739)],
-        &[(Protocol::Msync2Shard, 0x9DC3_BEF8_A068_F35D)],
+        &[(Protocol::Msync2Shard, 0x8463_02B9_C30A_6A2F)],
     );
 }
 
@@ -259,9 +262,9 @@ fn churn_16_slots_four_changes() {
         ],
         &[
             (Protocol::Entry, 0xCA5F_77FA_7CA4_9631),
-            (Protocol::Bsync, 0x3AD3_9BDA_90CB_D28B),
-            (Protocol::Msync, 0x5F56_AD44_870E_E270),
-            (Protocol::Msync2, 0x19F2_E585_9BCE_95DE),
+            (Protocol::Bsync, 0x0FB6_3391_0464_7906),
+            (Protocol::Msync, 0xEA97_E76D_3231_F838),
+            (Protocol::Msync2, 0x6CC6_A964_062A_3993),
         ],
     );
 }
@@ -300,9 +303,9 @@ fn crash_16_teams() {
     ];
     let default = [
         (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
-        (Protocol::Bsync, 0x54F3_2B73_1681_1EEE),
-        (Protocol::Msync, 0x9F77_EEF0_EA24_23FC),
-        (Protocol::Msync2, 0x5DB4_8BD2_1169_45A0),
+        (Protocol::Bsync, 0x8B47_4BDF_284A_6596),
+        (Protocol::Msync, 0x000D_7E66_C276_6961),
+        (Protocol::Msync2, 0x78AD_AAF3_302A_3306),
     ];
     for run in check_wires("crash, 16 teams", &scenario, &plan, &v1, &default) {
         let protocol = run.protocol;
@@ -333,7 +336,7 @@ fn chaos_4_nodes() {
 
 /// Everything on at once — reliability, codec v2 (zero-RLE, batch dedup)
 /// and drop/dup/reorder: [`chaos_4_nodes`] on the default wire. What a
-/// negotiated link puts on the wire moves this row and the next; EC never
+/// compressed link puts on the wire moves this row and the next; EC never
 /// exchanges, so its constants are the v1 twins'.
 #[test]
 fn chaos_4_nodes_codec_v2() {
@@ -343,9 +346,9 @@ fn chaos_4_nodes_codec_v2() {
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
             (Protocol::Entry, 0x1BF1_73D3_8CD1_A741),
-            (Protocol::Bsync, 0xC646_FF31_D930_D2F9),
-            (Protocol::Msync, 0x90C8_C337_1C99_02D1),
-            (Protocol::Msync2, 0x9413_9EA8_7351_F1F5),
+            (Protocol::Bsync, 0xA337_800E_02CC_E139),
+            (Protocol::Msync, 0xDD6D_C95B_629E_7B66),
+            (Protocol::Msync2, 0x9F71_B244_6A87_02B4),
         ],
     );
 }
@@ -361,9 +364,9 @@ fn churn_with_chaos_8_slots_codec_v2() {
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
             (Protocol::Entry, 0x5166_0C6D_E760_CF95),
-            (Protocol::Bsync, 0x2C92_F44B_D084_1DD7),
-            (Protocol::Msync, 0x62FB_C6A0_622D_1886),
-            (Protocol::Msync2, 0xCFED_8ED4_EF1D_4BDA),
+            (Protocol::Bsync, 0x8CB7_D4CD_D4D1_818E),
+            (Protocol::Msync, 0xB416_0B18_152A_7CF9),
+            (Protocol::Msync2, 0x5F17_8F61_F5D2_9B3E),
         ],
     );
 }
@@ -385,9 +388,9 @@ fn static_codec_v2_fat_blocks() {
         &RunPlan::default(),
         &[
             (Protocol::Entry, 0x9052_2D1D_35ED_2BC2),
-            (Protocol::Bsync, 0xAE4B_40A4_E910_C767),
-            (Protocol::Msync, 0x89C8_3B00_B0B6_86F4),
-            (Protocol::Msync2, 0xBB4D_AAE3_F983_C277),
+            (Protocol::Bsync, 0xE28F_053C_607A_9C22),
+            (Protocol::Msync, 0x88FB_F99B_9CD1_C4FE),
+            (Protocol::Msync2, 0x7DB3_57F5_2B0E_F511),
         ],
     );
 }
