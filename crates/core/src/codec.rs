@@ -651,27 +651,6 @@ mod proptests {
         }
     }
 
-    /// `blob` under `mutation`, at the positions `at` and `from` pick.
-    fn mutate(
-        blob: &[u8],
-        mutation: Mutation,
-        (at, from): (Index, Index),
-        byte: u8,
-        other: &[u8],
-    ) -> Vec<u8> {
-        let mut bad = blob.to_vec();
-        match mutation {
-            Mutation::Flip => bad[at.index(blob.len())] ^= byte.max(1),
-            Mutation::Truncate => bad.truncate(at.index(blob.len())),
-            Mutation::Insert => bad.insert(at.index(blob.len() + 1), byte),
-            Mutation::Splice => {
-                bad.truncate(at.index(blob.len() + 1));
-                bad.extend_from_slice(&other[from.index(other.len() + 1)..]);
-            }
-        }
-        bad
-    }
-
     proptest! {
         /// A well-formed blob, mutated once, either fails with a codec
         /// error or decodes to what its bytes can address: no run past the
@@ -688,8 +667,17 @@ mod proptests {
             byte in any::<u8>(),
         ) {
             let blob = encoded(&updates).expect("encodable");
-            let other = encoded(&other).expect("encodable");
-            let bad = mutate(&blob, mutation, (at, from), byte, &other);
+            let mut bad = blob.clone();
+            match mutation {
+                Mutation::Flip => bad[at.index(blob.len())] ^= byte.max(1),
+                Mutation::Truncate => bad.truncate(at.index(blob.len())),
+                Mutation::Insert => bad.insert(at.index(blob.len() + 1), byte),
+                Mutation::Splice => {
+                    let other = encoded(&other).expect("encodable");
+                    bad.truncate(at.index(blob.len() + 1));
+                    bad.extend_from_slice(&other[from.index(other.len() + 1)..]);
+                }
+            }
             match decoded(&bad) {
                 Ok(got) => {
                     let runs: Vec<&[u8]> =

@@ -7,8 +7,8 @@
 //! puts each run of them to one peer in one transport write, and takes
 //! them from the `recv*` family; sequencing, acknowledgement, retransmission
 //! (the paper's `resync` path) and the choice of wire frame never leave
-//! this module. Every reset of per-peer state goes through [`Link::reset`], the
-//! only table of which fields each reason clears.
+//! this module. Every reset of per-peer state goes through [`Link::reset`],
+//! the only table of which fields each reason clears.
 //!
 //! The ARQ is a sliding window that is free while nothing is lost: acks
 //! ride the frames going the other way (alone only after
