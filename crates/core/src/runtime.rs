@@ -1338,8 +1338,8 @@ mod tests {
         let report = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
         assert_eq!(report.updates_sent, 2);
         assert_eq!(rt.metrics().batch_deduped, 1, "object 1's write merged into its slot entry");
-        let mut next = || sdso_net::wire::decode::<DsoMessage>(&two.recv().unwrap().payload.bytes);
-        let Ok(DsoMessage::Data2 { blob, .. }) = next() else {
+        let frame = sdso_net::wire::decode::<DsoMessage>(&two.recv().unwrap().payload.bytes);
+        let Ok(DsoMessage::Data2 { blob, .. }) = frame else {
             panic!("node 2 gets one compressed frame");
         };
         let mut updates = Vec::new();
