@@ -5,8 +5,8 @@
 //!
 //! ```text
 //! # comment
-//! crates/net/src/reactor.rs              # whole file
-//! crates/net/src/reactor.rs: spawn_dialer( # only lines containing the needle
+//! crates/net/src/reactor.rs          # whole file
+//! crates/net/src/reactor.rs: shutdown( # only lines containing the needle
 //! ```
 //!
 //! A diagnostic is suppressed when its path ends with the entry's path and,

@@ -23,8 +23,8 @@
 //! * `ThreadSpawn(child, WORKER)` snapshots the spawner's clock; the
 //!   child's stream joins it before its first event. `ThreadJoin(child,
 //!   WORKER)` waits for the child's stream to drain, then joins its final
-//!   clock. Reactor/dialer roles are internal threads without streams of
-//!   their own and carry no cross-stream edge.
+//!   clock. Other roles (retired ones, in old logs) are internal threads
+//!   without streams of their own and carry no cross-stream edge.
 //! * `ObjectRead`/`ObjectWrite` are the accesses being checked.
 //!
 //! The ring buffer drops oldest events under pressure, so a `Recv` may

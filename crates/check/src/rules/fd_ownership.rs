@@ -1,13 +1,12 @@
 //! `fd-ownership`: raw file descriptors stay inside `sys.rs`.
 //!
 //! The reactor's safety story rests on every descriptor having exactly one
-//! owner whose `Drop` closes it: `UnixStream` for the waker's socket pair,
-//! `TcpStream`/`TcpListener` for sockets. A `RawFd` returned, stored, or
-//! converted anywhere else in `sdso-net` is a leak or a double-close
-//! waiting to happen (and is exactly how fd-recycling races start: a stale
-//! raw fd closed after the number was reused now closes an unrelated
-//! socket). `sys.rs` — the FFI boundary — is the single file
-//! allowed to touch raw descriptors; its `Poller` API takes
+//! owner whose `Drop` closes it: `TcpStream`/`TcpListener` for sockets. A
+//! `RawFd` returned, stored, or converted anywhere else in `sdso-net` is a
+//! leak or a double-close waiting to happen (and is exactly how
+//! fd-recycling races start: a stale raw fd closed after the number was
+//! reused now closes an unrelated socket). `sys.rs` — the FFI boundary — is
+//! the single file allowed to touch raw descriptors; its `Poller` API takes
 //! `&impl AsRawFd` so callers never need to.
 
 use super::FileCtx;

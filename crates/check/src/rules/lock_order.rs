@@ -36,7 +36,7 @@ const TABLES: &[Table] = &[
     // scheduler.rs: the single state mutex; anything else is undeclared.
     Table { path: "crates/sim/src/scheduler.rs", order: &[&["state"]] },
     // reactor.rs: no lock at all. The poll loop runs on its owner's thread
-    // and shares nothing but channels with the dialer; a lock here would
+    // and shares nothing with another thread; a lock here would
     // be a hold-across-`poll` hazard for `no-blocking-in-reactor` to reason
     // about, so any acquisition is flagged as undeclared.
     Table { path: "crates/net/src/reactor.rs", order: &[] },

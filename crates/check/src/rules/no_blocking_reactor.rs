@@ -3,8 +3,8 @@
 //!
 //! One poll loop multiplexes every connection of an endpoint, and its turn
 //! runs inside every endpoint call, on the owner's thread. Any other
-//! blocking point in a turn — a sleeping backoff, a blocking channel
-//! receive, a connect, a blocking socket write — stalls *all* peers at once
+//! blocking point in a turn — a sleep, a blocking channel receive, a
+//! connect, a blocking socket write — stalls *all* peers at once
 //! and the caller with them, and holding a lock across the `poll` call
 //! publishes that stall to every thread that touches the lock. The
 //! rule takes the poll turn (`fn turn` in `crates/net/src/reactor.rs`),
@@ -17,9 +17,9 @@
 //! * a lock guard held live across a `.wait(` call (the `poll` wrapper)
 //!   in any reachable function.
 //!
-//! The dialer thread exists precisely so a turn never connects; code it
-//! alone runs is not reachable from `turn` and is exempt by construction,
-//! as is the endpoint's bounded blocking flush on drop. A deliberate
+//! Every link is connected once, at setup, so a turn never connects; code
+//! that only setup or the endpoint's bounded blocking flush on drop runs is
+//! not reachable from `turn` and is exempt by construction. A deliberate
 //! exception would carry an inline `sdso-check: allow(no-blocking-in-reactor)`
 //! with its justification.
 
@@ -39,11 +39,11 @@ const ROOT_FN: &str = "turn";
 
 /// Blocking constructs and why each stalls the poll turn.
 const PATTERNS: &[(&str, &str)] = &[
-    ("thread::sleep", "sleeps the poll turn; use a DeadlineQueue timer"),
-    (".recv()", "blocking channel receive; use try_recv and the waker"),
-    (".recv_timeout(", "blocking channel receive; use try_recv and the waker"),
-    ("connect_timeout(", "blocking connect; hand the dial to the dialer thread"),
-    ("TcpStream::connect(", "blocking connect; hand the dial to the dialer thread"),
+    ("thread::sleep", "sleeps the poll turn; wait in `poll` with a timeout"),
+    (".recv()", "blocking channel receive; use try_recv"),
+    (".recv_timeout(", "blocking channel receive; use try_recv"),
+    ("connect_timeout(", "blocking connect; connect links at mesh setup"),
+    ("TcpStream::connect(", "blocking connect; connect links at mesh setup"),
     (".write_all(", "blocking write loop; queue bytes and wait for writability"),
     (".read_to_end(", "unbounded blocking read; read readiness-driven chunks"),
     (".read_exact(", "blocking read loop; decode incrementally from the buffer"),
@@ -210,7 +210,7 @@ mod tests {
         let d = run_rule(&[(
             "crates/net/src/reactor.rs",
             "impl Reactor { fn turn(&mut self) {} }\n\
-             fn dialer_loop() { thread::sleep(MS); rx.recv(); }",
+             fn setup_only() { thread::sleep(MS); rx.recv(); }",
         )]);
         assert!(d.is_empty(), "{d:?}");
     }

@@ -31,12 +31,10 @@
 //! in every schedule.
 //!
 //! The codec-v2-arq scenario turns the ARQ on as well. Its synthetic first
-//! choice point picks one of those two workloads and one link fault (see
-//! [`LinkFault`]): a fused frame lost and retransmitted, one delivered
-//! twice, the transport reporting a reconnect flap, or a loss with the flap
-//! before its retransmission — what could deliver a fused frame twice or
-//! not at all, or stop a link's fused frames, interleaved with the delivery
-//! orders.
+//! choice point picks one of those two workloads and one frame fault (see
+//! [`FrameFault`]): a fused frame lost and retransmitted, or one delivered
+//! twice — what could deliver a fused frame twice or not at all,
+//! interleaved with the delivery orders.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -48,8 +46,7 @@ use sdso_core::{
 };
 use sdso_game::Journal;
 use sdso_net::{
-    Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, PeerEvent, SimInstant,
-    SimSpan,
+    Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, SimInstant, SimSpan,
 };
 use sdso_protocols::{EntryConsistency, LockRequest, Lookahead};
 use sdso_sim::{
@@ -111,35 +108,17 @@ const FAULTED: NodeId = 0;
 /// The peer whose frame from [`FAULTED`] is lost or doubled.
 const FAULT_PEER: NodeId = 1;
 
-/// The link faults the codec-v2-arq scenario's synthetic first choice point
-/// selects between (crossed with [`CODEC_V2_WORKLOADS`]). In the last the
-/// lost frame is sent again after the flap, and still has to decode,
-/// once.
-const LINK_FAULTS: [LinkFault; 5] = [
-    LinkFault { frame: Some(FrameFault::Drop), flap: None },
-    LinkFault { frame: Some(FrameFault::Dup), flap: None },
-    LinkFault { frame: None, flap: Some(0) },
-    LinkFault { frame: None, flap: Some(1) },
-    LinkFault { frame: Some(FrameFault::Drop), flap: Some(0) },
-];
+/// The frame faults the codec-v2-arq scenario's synthetic first choice
+/// point selects between (crossed with [`CODEC_V2_WORKLOADS`]).
+const FRAME_FAULTS: [FrameFault; 2] = [FrameFault::Drop, FrameFault::Dup];
 
 /// Ticks BSYNC's workload runs for under the ARQ: twice its usual three, so
-/// that a flap halfway still has fused frames to follow it.
+/// that the fault and its repair have ticks of fused frames around them to
+/// interleave with.
 const ARQ_BSYNC_TICKS: u8 = 6;
 
-/// What goes wrong in one schedule of the codec-v2-arq scenario, on node
-/// [`FAULTED`]'s side. The default: nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct LinkFault {
-    /// The fate of its first fused `Data2` to [`FAULT_PEER`].
-    frame: Option<FrameFault>,
-    /// This many ticks past the workload's midpoint the transport reports
-    /// every link down and up again, through
-    /// `SdsoRuntime::drain_departures`: the flap cancels out of the view,
-    /// and fused frames must follow it.
-    flap: Option<u8>,
-}
-
+/// What happens, on node [`FAULTED`]'s side, to its first fused `Data2` to
+/// [`FAULT_PEER`] in one schedule of the codec-v2-arq scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameFault {
     /// Lost in flight: the retransmission must decode exactly once.
@@ -174,7 +153,7 @@ pub enum Protocol {
     /// on at every node.
     CodecV2,
     /// One of [`Protocol::CodecV2`]'s workloads with the ARQ on, under one
-    /// link fault: a fused frame dropped or duplicated, a reconnect flap.
+    /// frame fault: a fused frame dropped or duplicated.
     CodecV2Arq,
 }
 
@@ -213,12 +192,12 @@ impl Protocol {
     }
 
     /// Ways the scenario's synthetic first choice point can go: trigger
-    /// ticks, or workloads × link faults. One where it has none.
+    /// ticks, or workloads × frame faults. One where it has none.
     pub fn variants(self) -> usize {
         match self {
             Protocol::Churn | Protocol::ChurnEc => CHURN_TRIGGERS.len(),
             Protocol::CrashChurn => CRASH_TRIGGERS.len(),
-            Protocol::CodecV2Arq => CODEC_V2_WORKLOADS.len() * LINK_FAULTS.len(),
+            Protocol::CodecV2Arq => CODEC_V2_WORKLOADS.len() * FRAME_FAULTS.len(),
             Protocol::Bsync
             | Protocol::Msync
             | Protocol::Msync2
@@ -245,14 +224,12 @@ impl Protocol {
 }
 
 /// What one node reports back: per-step exchange times, a final snapshot
-/// of every replica, its runtime counters, and — where its links flapped —
-/// how many rendezvous it had sent as one fused frame by then.
+/// of every replica, and its runtime counters.
 #[derive(Debug, PartialEq, Eq)]
 struct NodeSnap {
     times: Vec<LogicalTime>,
     objects: Vec<(u32, Vec<u8>)>,
     metrics: DsoMetrics,
-    fused_at_flap: Option<u64>,
 }
 
 /// Adapts a protocol to the `Explorer`'s scenario signature.
@@ -306,8 +283,8 @@ pub fn run_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), Str
         // does, whichever it is.
         Protocol::CodecV2Arq => {
             let case = oracle.choose(0, &synthetic(protocol.variants()));
-            let fault = LINK_FAULTS[case % LINK_FAULTS.len()];
-            let workload = CODEC_V2_WORKLOADS[case / LINK_FAULTS.len()];
+            let fault = FRAME_FAULTS[case % FRAME_FAULTS.len()];
+            let workload = CODEC_V2_WORKLOADS[case / FRAME_FAULTS.len()];
             run_static_once(workload, Wire::V2Arq(fault), &oracle)
         }
         Protocol::Bsync | Protocol::Msync | Protocol::Msync2 | Protocol::Ec => {
@@ -329,8 +306,8 @@ enum Wire {
     V1,
     /// Codec v2 at every node.
     V2,
-    /// Codec v2 over the ARQ, with one link fault for it to repair.
-    V2Arq(LinkFault),
+    /// Codec v2 over the ARQ, with one frame fault for it to repair.
+    V2Arq(FrameFault),
 }
 
 impl Wire {
@@ -345,10 +322,10 @@ impl Wire {
         }
     }
 
-    fn fault(self) -> LinkFault {
+    fn fault(self) -> Option<FrameFault> {
         match self {
-            Wire::V2Arq(fault) => fault,
-            Wire::V1 | Wire::V2 => LinkFault::default(),
+            Wire::V2Arq(fault) => Some(fault),
+            Wire::V1 | Wire::V2 => None,
         }
     }
 
@@ -384,22 +361,20 @@ fn run_static_once(
         return Err(format!("{} node {id} never sent a fused frame", workload.name()));
     }
     // Nor does a fault that never bit: the lost frame was sent again, the
-    // doubled one dropped once, the flapped links still send fused frames.
+    // doubled one dropped once.
     let (faulted, peer) = (&snaps[usize::from(FAULTED)], &snaps[usize::from(FAULT_PEER)]);
     let fault = wire.fault();
-    let unrepaired = match fault.frame {
+    let unrepaired = match fault {
         Some(FrameFault::Drop) => faulted.metrics.retransmits == 0,
         Some(FrameFault::Dup) => peer.metrics.duplicates_dropped == 0,
         None => false,
     };
-    let unfused = faulted.fused_at_flap.is_none_or(|then| fused(faulted) <= then);
-    if unrepaired || (fault.flap.is_some() && unfused) {
+    if unrepaired {
         return Err(format!(
-            "{} under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}, \
-             fused at the flap: {:?}; node {FAULT_PEER}: {:?})",
+            "{} under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}; \
+             node {FAULT_PEER}: {:?})",
             workload.name(),
             faulted.metrics,
-            faulted.fused_at_flap,
             peer.metrics
         ));
     }
@@ -762,13 +737,11 @@ fn check_churn_invariants(
 }
 
 /// BSYNC / MSYNC / MSYNC2: every node owns one object and writes the tick
-/// number into it before each exchange. Every tick starts by draining the
-/// transport's link events, as a deployment's driver does; only
-/// [`LinkFault::flap`] ever queues any.
+/// number into it before each exchange.
 fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
-    let fault = if me == FAULTED { wire.fault() } else { LinkFault::default() };
-    let transport = Faulted { inner: ep, fault: fault.frame, events: Vec::new() };
+    let fault = if me == FAULTED { wire.fault() } else { None };
+    let transport = Faulted { inner: ep, fault };
     let mut rt = SdsoRuntime::new(transport, wire.config());
     for id in 0..NODES as u32 {
         rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
@@ -797,48 +770,23 @@ fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<Nod
     };
     let mut la = Lookahead::new(rt, sfunc).map_err(NetError::from)?;
     let mut times = Vec::new();
-    let mut fused_at_flap = None;
-    let ticks = wire.ticks(protocol);
-    for tick in 1..=ticks {
-        let rt = la.runtime_mut();
-        if fault.flap.is_some_and(|late| tick == ticks / 2 + late) {
-            rt.endpoint_mut().flap();
-            fused_at_flap = Some(rt.metrics().rendezvous_fused);
-        }
-        if let Some(change) = rt.drain_departures() {
-            return Err(NetError::from(DsoError::ProtocolViolation(format!(
-                "a flap that cancels out proposed {change:?}"
-            ))));
-        }
-        rt.write(ObjectId(u32::from(me)), 0, &[tick]).map_err(NetError::from)?;
+    for tick in 1..=wire.ticks(protocol) {
+        la.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick]).map_err(NetError::from)?;
         times.push(la.step().map_err(NetError::from)?.time);
     }
     let mut rt = la.into_runtime();
     rt.settle().map_err(NetError::from)?;
-    Ok(NodeSnap { fused_at_flap, ..snapshot(&rt, times)? })
+    snapshot(&rt, times)
 }
 
 /// The transport under every lookahead node: a [`SimEndpoint`] that is
-/// transparent but for the [`LinkFault`] node [`FAULTED`] carries in a
+/// transparent but for the [`FrameFault`] node [`FAULTED`] carries in a
 /// codec-v2-arq schedule.
 #[derive(Debug)]
 struct Faulted {
     inner: SimEndpoint,
     /// The frame fault still to inject, if any.
     fault: Option<FrameFault>,
-    /// Link events queued for [`Endpoint::take_peer_events`].
-    events: Vec<PeerEvent>,
-}
-
-impl Faulted {
-    /// Every link goes down and comes back, as a reconnecting transport
-    /// reports it.
-    fn flap(&mut self) {
-        let me = self.node_id();
-        for peer in (0..self.num_nodes() as NodeId).filter(|&peer| peer != me) {
-            self.events.extend([PeerEvent::Down(peer), PeerEvent::Up(peer)]);
-        }
-    }
 }
 
 /// Whether `payload` is a sequenced `Data2` frame that carries its SYNC.
@@ -883,9 +831,6 @@ impl Endpoint for Faulted {
     fn metrics(&self) -> NetMetricsSnapshot {
         self.inner.metrics()
     }
-    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
-        std::mem::take(&mut self.events)
-    }
 }
 
 /// EC: three shared counters whose managers are spread across all three
@@ -924,7 +869,7 @@ fn snapshot<E: Endpoint>(
     for id in rt.object_ids() {
         objects.push((id.0, rt.read(id).map_err(NetError::from)?.to_vec()));
     }
-    Ok(NodeSnap { times, objects, metrics: rt.metrics(), fused_at_flap: None })
+    Ok(NodeSnap { times, objects, metrics: rt.metrics() })
 }
 
 fn check_invariants(protocol: Protocol, last_write: u8, snaps: &[NodeSnap]) -> Result<(), String> {

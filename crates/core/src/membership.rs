@@ -354,12 +354,10 @@ impl MembershipPlan {
 /// transport (the reactor, on a torn connection) reports links going down
 /// via
 /// [`Endpoint::take_peer_events`](sdso_net::Endpoint::take_peer_events),
-/// the *net* effect of the drain decides who leaves. A peer whose **last**
-/// event in the batch is [`PeerEvent::Down`] and who is a live member of
-/// `view` becomes a leaver; a peer that flapped (`Down` then `Up` within
-/// the same drain — a successful reconnect) stays. Events for nodes that
-/// are not members of `view` are ignored, so a transport-level hiccup on a
-/// slot that already left cannot produce an invalid change.
+/// every live member of `view` with a [`PeerEvent::Down`] in the drain
+/// becomes a leaver: no transport brings a torn link back. Events for
+/// nodes that are not members of `view` are ignored, so a transport-level
+/// hiccup on a slot that already left cannot produce an invalid change.
 ///
 /// The returned change is empty when nothing needs to happen; callers
 /// should check [`ViewChange::is_empty`] before applying it (applying an
@@ -367,20 +365,9 @@ impl MembershipPlan {
 /// responsible for the one failure this helper cannot rule out:
 /// [`MembershipView::apply`] rejects a change that would empty the group.
 pub fn leave_change_from_events(view: &MembershipView, events: &[PeerEvent]) -> ViewChange {
-    let mut down: BTreeSet<NodeId> = BTreeSet::new();
-    for event in events {
-        match *event {
-            PeerEvent::Down(peer) => {
-                if view.contains(peer) {
-                    down.insert(peer);
-                }
-            }
-            PeerEvent::Up(peer) => {
-                down.remove(&peer);
-            }
-        }
-    }
-    ViewChange::leave(down)
+    ViewChange::leave(
+        events.iter().map(|&PeerEvent::Down(peer)| peer).filter(|&peer| view.contains(peer)),
+    )
 }
 
 #[cfg(test)]
@@ -493,15 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_flap_within_one_drain_is_not_a_leave() {
-        let view = MembershipView::full(3);
-        // Peer 1 dropped and came back before the drain; peer 2 stayed down.
-        let events = [PeerEvent::Down(1), PeerEvent::Down(2), PeerEvent::Up(1), PeerEvent::Down(2)];
-        let change = leave_change_from_events(&view, &events);
-        assert_eq!(change, ViewChange::leave([2]));
-    }
-
-    #[test]
     fn events_for_non_members_are_ignored() {
         let view = MembershipView::initial(6, [0, 1, 2]).unwrap();
         // Node 4 is a provisioned slot but not a live member: its link
@@ -515,7 +493,5 @@ mod tests {
     fn quiet_drain_yields_an_empty_change() {
         let view = MembershipView::full(2);
         assert!(leave_change_from_events(&view, &[]).is_empty());
-        // An Up with no preceding Down (initial connect) is also quiet.
-        assert!(leave_change_from_events(&view, &[PeerEvent::Up(1)]).is_empty());
     }
 }

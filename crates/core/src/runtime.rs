@@ -383,9 +383,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
     /// Drains the transport's queued link events and folds them into the
     /// leave-side [`ViewChange`] they imply under the current view: peers
-    /// whose link ended the drain down (the reactor's teardown after a lost
-    /// connection) become leavers; reconnect flaps cancel out. Returns `None`
-    /// when no live member departed.
+    /// whose link went down (the reactor's teardown after a lost
+    /// connection) become leavers. Returns `None` when no live member
+    /// departed.
     ///
     /// This is a *proposal*, not an applied change: the caller decides when
     /// the barrier happens and feeds the change to

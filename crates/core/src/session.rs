@@ -52,8 +52,8 @@ fn observe(estimate: &mut Option<(u64, u64)>, sample: u64) {
     });
 }
 
-/// `rto` doubled once per unanswered round, at most [`MAX_BACKOFF`] times:
-/// the policy of [`sdso_net::Backoff`], over a base that moves.
+/// `rto` doubled once per unanswered round, at most [`MAX_BACKOFF`] times,
+/// over a base that moves.
 fn backed_off(rto: SimSpan, rounds: u32) -> SimSpan {
     SimSpan::from_micros(rto.as_micros() << rounds.min(MAX_BACKOFF))
 }
@@ -108,10 +108,6 @@ impl Link {
     /// |-------------|-----------|-----------|
     /// | `Left`      | cleared   | cleared   |
     /// | `Abandoned` | kept      | cleared   |
-    ///
-    /// A reconnect flap resets nothing: frames the peer sent before it may
-    /// still be in flight or be retransmitted, and are delivered once, in
-    /// order, like any other — a `Data2` among them decodes on its own.
     pub(crate) fn reset(&mut self, why: Reset) {
         match why {
             Reset::Left => *self = Link::default(),

@@ -1,22 +1,22 @@
 //! The TCP transport's [`Endpoint`](sdso_net::Endpoint) contract, checked
-//! the way protocol code meets the transport: endpoints built with the
-//! production tuning, mostly as [`local_cluster`](crate::transports::local_cluster)
-//! hands them out (boxed, `Send`). The reactor's own unit tests
-//! (`sdso_net::reactor`) drive `ReactorMesh` with test tuning and probe its
-//! internals; these hold only what a protocol holds, plus the
-//! `inject_disconnect` test hook where a test needs a torn link.
+//! the way protocol code meets the transport: endpoints mostly as
+//! [`local_cluster`](crate::transports::local_cluster) hands them out
+//! (boxed, `Send`). The reactor's own unit tests (`sdso_net::reactor`)
+//! probe its internals and feed it raw sockets; these hold only what a
+//! protocol holds.
 //!
-//! A link makes progress only inside its owner's endpoint calls, so a test
-//! that needs a re-dial runs the dialling side on a thread of its own,
-//! waiting in `recv_deadline`.
+//! Every link is connected once, at setup, and a torn one is never
+//! re-dialled: the torn-link test holds `MemoryHub`'s endpoints to the same
+//! contract, since on both transports a torn link means the peer is gone.
 
 #[cfg(test)]
 #[cfg(unix)]
 mod tests {
     use std::time::Duration;
 
+    use sdso_net::memory::MemoryHub;
     use sdso_net::reactor::ReactorMesh;
-    use sdso_net::{Endpoint, NodeId, Payload, PeerEvent, SimSpan, TransportKind};
+    use sdso_net::{Endpoint, NetError, NodeId, Payload, PeerEvent, SimSpan, TransportKind};
 
     use crate::transports::{local_cluster, BoxedTransport};
 
@@ -111,52 +111,12 @@ mod tests {
     }
 
     #[test]
-    fn send_batch_after_forced_drop_degrades_to_redial() {
-        let mut eps = ReactorMesh::local(2).unwrap();
-        let mut b = eps.pop().unwrap(); // id 1: the dialling side
-        let mut a = eps.pop().unwrap(); // id 0: the accepting side
-        let dialler = std::thread::spawn(move || {
-            b.inject_disconnect(0).unwrap();
-            b.send_batch(0, vec![Payload::data(b"x".as_ref()), Payload::data(b"y".as_ref())])
-                .unwrap();
-            let ack = b
-                .recv_deadline(SimSpan::from_millis(10_000))
-                .unwrap()
-                .expect("a acknowledges over the re-dialled link");
-            assert_eq!(&ack.payload.bytes[..], b"ack");
-            assert_eq!(b.metrics().reconnects, 1);
-            b
-        });
-        assert_eq!(&a.recv().unwrap().payload.bytes[..], b"x");
-        assert_eq!(&a.recv().unwrap().payload.bytes[..], b"y");
-        a.send(1, Payload::control(b"ack".as_ref())).unwrap();
-        drop(dialler.join().unwrap());
-    }
-
-    #[test]
     fn wire_len_travels_in_frame_header() {
         let (mut a, mut b) = pair();
         a.send(1, Payload::data(vec![0u8; 10]).with_wire_len(2048)).unwrap();
         let got = b.recv().unwrap();
         assert_eq!(got.payload.wire_len(), 2048);
         assert_eq!(b.metrics().data_recv.bytes, 2048);
-    }
-
-    #[test]
-    fn drop_disconnects_peers() {
-        let (mut a, b) = pair();
-        drop(b);
-        // Node 0 is the accepting side of the pair (it never re-dials), so
-        // its sends must eventually fail.
-        let mut disconnected = false;
-        for _ in 0..100 {
-            if a.send(1, Payload::control(vec![0u8; 1024])).is_err() {
-                disconnected = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(disconnected, "send to dropped peer should eventually fail");
     }
 
     #[test]
@@ -171,56 +131,55 @@ mod tests {
         assert_eq!(&got.payload.bytes[..], b"late");
     }
 
+    /// A torn link is `Down` once, for good, on both real transports. Once
+    /// node 1's endpoint drops, sends to it fail with `Disconnected` from the
+    /// lower-id side (node 0) and the higher-id side (node 2) alike, and
+    /// keep failing; each survivor queues exactly one `Down(1)`; and after
+    /// `remove_peer` the sends are dropped silently, uncounted.
     #[test]
-    fn reconnect_with_backoff_after_forced_drop() {
-        let mut eps = ReactorMesh::local(2).unwrap();
-        let mut b = eps.pop().unwrap(); // id 1: the dialling side
-        let mut a = eps.pop().unwrap(); // id 0: the accepting side
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let dialler = std::thread::spawn(move || {
-            b.send(0, Payload::data(b"one".as_ref())).unwrap();
-            go_rx.recv().unwrap();
-            // Tear the connection down; the next send parks and flushes
-            // once b's own calls have re-dialled.
-            b.inject_disconnect(0).unwrap();
-            b.send(0, Payload::data(b"two".as_ref())).unwrap();
-            let ack = b
-                .recv_deadline(SimSpan::from_millis(10_000))
-                .unwrap()
-                .expect("traffic keeps flowing both ways on the fresh connection");
-            assert_eq!(&ack.payload.bytes[..], b"ack");
-            let m = b.metrics();
-            assert!(m.retries >= 1, "reconnect attempts are counted, got {m:?}");
-            assert_eq!(m.reconnects, 1, "exactly one re-established connection");
-            // The torn link surfaced as a first-class Down, the fresh one as Up.
-            let events = b.take_peer_events();
-            assert!(events.contains(&PeerEvent::Down(0)), "torn link must surface: {events:?}");
-            assert!(events.contains(&PeerEvent::Up(0)), "redial must surface: {events:?}");
-            b
-        });
-        assert_eq!(&a.recv().unwrap().payload.bytes[..], b"one");
-        go_tx.send(()).unwrap();
-        let got = a.recv().unwrap();
-        assert_eq!(got.from, 1);
-        assert_eq!(&got.payload.bytes[..], b"two");
-        a.send(1, Payload::control(b"ack".as_ref())).unwrap();
-        drop(dialler.join().unwrap());
-    }
-
-    #[test]
-    fn peer_exit_surfaces_as_down_event() {
-        let (mut a, b) = pair();
-        drop(b);
-        // a notices the EOF inside its own calls: take_peer_events polls.
-        let mut seen = Vec::new();
-        for _ in 0..200 {
-            seen.extend(a.take_peer_events());
-            if seen.contains(&PeerEvent::Down(1)) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+    fn a_torn_link_is_down_for_good_from_either_side() {
+        fn boxed<E: Endpoint + Send + 'static>(eps: Vec<E>) -> Vec<BoxedTransport> {
+            eps.into_iter().map(|e| Box::new(e) as BoxedTransport).collect()
         }
-        assert!(seen.contains(&PeerEvent::Down(1)), "EOF must surface as Down: {seen:?}");
+        let transports = [
+            ("memory", boxed(MemoryHub::new(3).into_endpoints())),
+            ("reactor", boxed(ReactorMesh::local(3).unwrap())),
+        ];
+        for (name, mut eps) in transports {
+            let mut c = eps.pop().unwrap();
+            drop(eps.pop());
+            let mut a = eps.pop().unwrap();
+            for survivor in [&mut a, &mut c] {
+                let me = survivor.node_id();
+                let mut events = Vec::new();
+                let mut sent = Ok(());
+                for _ in 0..200 {
+                    sent = survivor.send(1, Payload::control(vec![0u8; 64]));
+                    events.extend(survivor.take_peer_events());
+                    if sent.is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(5));
+                }
+                assert!(matches!(sent, Err(NetError::Disconnected)), "{name} node {me}: {sent:?}");
+                assert_eq!(events, vec![PeerEvent::Down(1)], "{name} node {me}");
+                let again = survivor.send(1, Payload::data(vec![1]));
+                assert!(
+                    matches!(again, Err(NetError::Disconnected)),
+                    "{name} node {me}: {again:?}"
+                );
+                assert!(survivor.take_peer_events().is_empty(), "{name} node {me}: Down once");
+            }
+            a.remove_peer(1);
+            let before = a.metrics().total_sent();
+            for _ in 0..10 {
+                a.send(1, Payload::control(vec![0u8; 64])).unwrap();
+            }
+            assert_eq!(a.metrics().total_sent(), before, "{name}: drops are not traffic");
+            // The survivors' own link is untouched.
+            a.send(2, Payload::data(b"still here".as_ref())).unwrap();
+            assert_eq!(&c.recv().unwrap().payload.bytes[..], b"still here", "{name}");
+        }
     }
 
     #[test]
@@ -228,8 +187,8 @@ mod tests {
         let (mut a, b) = pair();
         a.remove_peer(1);
         drop(b);
-        // Without removal this loop eventually errors (drop_disconnects_peers
-        // above); with the peer removed every send must stay Ok.
+        // Without removal this loop errors (see the torn-link test above);
+        // with the peer removed every send must stay Ok.
         for _ in 0..100 {
             a.send(1, Payload::control(vec![0u8; 1024])).unwrap();
             std::thread::sleep(Duration::from_millis(1));

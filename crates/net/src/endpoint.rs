@@ -9,15 +9,14 @@ pub type NodeId = u16;
 
 /// A first-class link/membership event surfaced by a transport, consumed
 /// via [`Endpoint::take_peer_events`]. Transports queue these instead of
-/// burying link failures inside reconnect loops, so the layers above can
-/// react (and the flight recorder can trace) when a peer goes away.
+/// burying link failures inside send errors, so the layers above can react
+/// (and the flight recorder can trace) when a peer goes away.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeerEvent {
-    /// The link to this peer went down: its connection was lost, or it was
-    /// administratively removed from the mesh.
+    /// The link to this peer went down, for good: the peer is gone, and
+    /// every later send to it fails with [`NetError::Disconnected`] unless
+    /// the peer was removed from the group.
     Down(NodeId),
-    /// The link to this peer came (back) up.
-    Up(NodeId),
 }
 
 /// The transport abstraction every consistency protocol is written against.
@@ -155,9 +154,9 @@ pub trait Endpoint: Send {
         let _ = peer;
     }
 
-    /// Drains link events observed since the previous call: peer
-    /// disconnects detected by the transport (and reconnects, where the
-    /// transport can tell). The default returns none.
+    /// Drains link events observed since the previous call: one
+    /// [`PeerEvent::Down`] per peer whose link the transport found torn.
+    /// No link comes back. The default returns none.
     fn take_peer_events(&mut self) -> Vec<PeerEvent> {
         Vec::new()
     }

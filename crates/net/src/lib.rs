@@ -49,7 +49,6 @@ mod metrics;
 mod time;
 mod transport;
 
-pub mod deadline;
 pub mod fault;
 pub mod faulty;
 pub mod frame;
@@ -61,7 +60,6 @@ pub mod reactor;
 mod sys;
 pub mod wire;
 
-pub use deadline::{Backoff, DeadlineQueue};
 pub use endpoint::{Endpoint, NodeId, PeerEvent};
 pub use error::NetError;
 pub use fault::{CrashEvent, DetRng, FaultInjector, FaultPlan, Partition};

@@ -128,6 +128,11 @@ impl Endpoint for MemoryEndpoint {
 
     fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
         check_peer(self.id, to, self.num_nodes)?;
+        let idx = usize::from(to);
+        if self.down_noted[idx] {
+            // The peer is gone: nothing is sent, and nothing counted.
+            return if self.active[idx] { Err(NetError::Disconnected) } else { Ok(()) };
+        }
         self.metrics.record_send(payload.class, payload.wire_len());
         self.recorder.record(
             self.now().as_micros(),
@@ -136,9 +141,9 @@ impl Endpoint for MemoryEndpoint {
             obs_class(payload.class),
             payload.wire_len(),
         );
-        if self.peers[usize::from(to)].send(Incoming { from: self.id, payload }).is_err() {
+        if self.peers[idx].send(Incoming { from: self.id, payload }).is_err() {
             self.note_peer_down(to);
-            if self.active[usize::from(to)] {
+            if self.active[idx] {
                 return Err(NetError::Disconnected);
             }
         }

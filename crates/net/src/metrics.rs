@@ -44,10 +44,6 @@ pub struct NetMetricsSnapshot {
     pub dups_injected: u64,
     /// Messages the fault layer delayed (reorder hold-back or jitter).
     pub delays_injected: u64,
-    /// Send attempts that were retried after a transport error.
-    pub retries: u64,
-    /// Connections re-established after a peer drop.
-    pub reconnects: u64,
 }
 
 impl NetMetricsSnapshot {
@@ -85,8 +81,6 @@ impl NetMetricsSnapshot {
             drops_injected: self.drops_injected + other.drops_injected,
             dups_injected: self.dups_injected + other.dups_injected,
             delays_injected: self.delays_injected + other.delays_injected,
-            retries: self.retries + other.retries,
-            reconnects: self.reconnects + other.reconnects,
         }
     }
 
@@ -108,8 +102,6 @@ impl NetMetricsSnapshot {
             drops_injected: self.drops_injected.saturating_sub(earlier.drops_injected),
             dups_injected: self.dups_injected.saturating_sub(earlier.dups_injected),
             delays_injected: self.delays_injected.saturating_sub(earlier.delays_injected),
-            retries: self.retries.saturating_sub(earlier.retries),
-            reconnects: self.reconnects.saturating_sub(earlier.reconnects),
         }
     }
 }
@@ -136,8 +128,6 @@ pub struct NetMetrics {
     drops_injected: Counter,
     dups_injected: Counter,
     delays_injected: Counter,
-    retries: Counter,
-    reconnects: Counter,
     batch_count: Counter,
     batch_msgs: Counter,
     batch_bytes: Counter,
@@ -176,8 +166,6 @@ impl NetMetrics {
             drops_injected: registry.counter("net.faults.drops"),
             dups_injected: registry.counter("net.faults.dups"),
             delays_injected: registry.counter("net.faults.delays"),
-            retries: registry.counter("net.retries"),
-            reconnects: registry.counter("net.reconnects"),
             batch_count: registry.counter("net.batch.count"),
             batch_msgs: registry.counter("net.batch.msgs"),
             batch_bytes: registry.counter("net.batch.bytes"),
@@ -247,16 +235,6 @@ impl NetMetrics {
         self.batch_occupancy.observe(msgs as u64);
     }
 
-    /// Records one retried send attempt.
-    pub fn record_retry(&self) {
-        self.retries.inc();
-    }
-
-    /// Records one re-established connection.
-    pub fn record_reconnect(&self) {
-        self.reconnects.inc();
-    }
-
     /// Reads the current cumulative counter values.
     pub fn snapshot(&self) -> NetMetricsSnapshot {
         NetMetricsSnapshot {
@@ -280,8 +258,6 @@ impl NetMetrics {
             drops_injected: self.drops_injected.get(),
             dups_injected: self.dups_injected.get(),
             delays_injected: self.delays_injected.get(),
-            retries: self.retries.get(),
-            reconnects: self.reconnects.get(),
         }
     }
 

@@ -2,29 +2,37 @@
 //! the endpoint owner's thread. It is the workspace's one real-socket
 //! transport, on every unix.
 //!
-//! `ReactorMesh` multiplexes *all* connections of one endpoint onto a
-//! single poll loop built on a hand-rolled POSIX `poll(2)` table
-//! ([`crate::sys`]), and runs that loop inside the endpoint's own calls, so
-//! a message crosses no thread hand-off between socket and application and
-//! a process is not capped at a few hundred peers by a thread per
-//! connection. Readiness-driven reads decode frames incrementally out of a
-//! flat buffer ([`decode_frame_at`]) into an inbox, `send` and `send_batch`
-//! encode into one pooled write buffer and `write` at once, and a
-//! [`DeadlineQueue`] fires reconnect backoff and keepalives in deadline
-//! order. Torn links surface as [`PeerEvent`]s for the membership layer.
+//! `ReactorMesh` connects every link once, at setup, and multiplexes *all*
+//! connections of one endpoint onto a single poll loop built on a
+//! hand-rolled POSIX `poll(2)` table ([`crate::sys`]). The loop runs inside
+//! the endpoint's own calls, so a message crosses no thread hand-off
+//! between socket and application and a process is not capped at a few
+//! hundred peers by a thread per connection. Readiness-driven reads decode
+//! frames incrementally out of a flat buffer ([`decode_frame_at`]) into an
+//! inbox; `send` and `send_batch` encode into one pooled write buffer and
+//! `write` at once.
+//!
+//! # Torn links
+//!
+//! A link is never re-dialled: when it tears (EOF, a reset, a corrupt
+//! frame, or a frame naming a sender other than the connection's peer),
+//! the peer is gone, as in the crash-stop model. The endpoint queues one
+//! [`PeerEvent::Down`] for the membership layer and releases what was
+//! queued for the peer, and every later send to it fails with
+//! [`NetError::Disconnected`] — from either side of the pair — unless the
+//! peer was removed from the group, when sends to it are dropped silently.
+//! A blocking `recv` with no live link left returns what is still queued,
+//! then `Disconnected`.
 //!
 //! # Progress
 //!
 //! A link makes progress while its owner is inside an endpoint call, not
 //! while the owner computes. Every receive (`recv`, `recv_deadline`,
-//! `try_recv`) and `take_peer_events` runs poll turns, which read, finish
-//! partial writes, accept re-dials and fire timers; every `send` writes
-//! what the socket takes right away. Every caller in the tree blocks in a
-//! receive after it sends, which is all this asks. A send toward a link
-//! that is down first applies the dialer's results and fires the due timers
-//! (without polling), so a caller that only retries sends still sees the
-//! reconnect or the exhausted budget. The one thread an endpoint starts is
-//! its dialer, which keeps a blocking `connect` off the owner's thread.
+//! `try_recv`) and `take_peer_events` runs poll turns, which read and
+//! finish partial writes; every `send` writes what the socket takes right
+//! away. Every caller in the tree blocks in a receive after it sends, which
+//! is all this asks. An endpoint starts no thread.
+//!
 //! A receive that has to wait spins on non-blocking turns for a few tens of
 //! microseconds before it parks in `poll`, so a prompt reply does not pay
 //! for waking a parked thread; a wait that no message ends inside the
@@ -45,32 +53,18 @@
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use bytes::{Bytes, BytesMut};
-use sdso_obs::{EventKind, MonoClock, Recorder, THREAD_ROLE_DIALER};
+use bytes::BytesMut;
+use sdso_obs::{EventKind, MonoClock, Recorder};
 
-use crate::deadline::{Backoff, DeadlineQueue};
 use crate::endpoint::{check_peer, Endpoint, NodeId, PeerEvent};
 use crate::error::NetError;
 use crate::frame::{append_frame, decode_frame_at};
 use crate::message::{Incoming, Payload};
 use crate::metrics::{obs_class, NetMetrics, NetMetricsSnapshot};
-use crate::sys::{Interest, Poller, Ready, WakeHandle};
+use crate::sys::{Interest, Poller, Ready};
 use crate::time::{SimInstant, SimSpan};
-
-/// Frame `from` id reserved for reactor keepalives; filtered before the
-/// application sees them and excluded from protocol metrics.
-const KEEPALIVE_FROM: NodeId = NodeId::MAX;
-
-/// Poll token of the waker the dialer writes.
-const TOKEN_WAKER: u64 = u64::MAX;
-/// Poll token of the listening socket.
-const TOKEN_LISTENER: u64 = u64::MAX - 1;
-/// Poll tokens at or above this are handshake-pending inbound connections.
-const TOKEN_PENDING_BASE: u64 = 1 << 32;
 
 /// Per-`read` syscall chunk size.
 const READ_CHUNK: usize = 64 * 1024;
@@ -80,56 +74,9 @@ const WRITE_COALESCE_BUDGET: usize = 256 * 1024;
 /// `poll`. A parked thread woken on an idle CPU costs about half a loopback
 /// round trip; a reply that lands inside this window skips that wake-up.
 const SPIN_MICROS: u64 = 50;
-
-/// Timeout, backoff, keepalive, and queue-budget tuning for a
-/// [`ReactorEndpoint`]. Every endpoint runs the defaults; the tests shorten
-/// them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReactorTuning {
-    /// Timeout for each (re)connection attempt.
-    connect_timeout: Duration,
-    /// First reconnect backoff; doubles per attempt.
-    backoff_base: Duration,
-    /// Backoff growth cap.
-    backoff_max: Duration,
-    /// Backed-off reconnection attempts (after the immediate one) before the
-    /// link is declared dead and sends to it fail for good.
-    max_reconnect_attempts: u32,
-    /// Interval between keepalive frames on idle links; `Duration::ZERO`
-    /// disables keepalives.
-    keepalive_interval: Duration,
-    /// Per-peer cap on queued (accepted but unwritten) payload bytes; sends
-    /// beyond it fail with [`NetError::Backpressure`].
-    max_queued_bytes: usize,
-}
-
-impl Default for ReactorTuning {
-    fn default() -> Self {
-        ReactorTuning {
-            connect_timeout: Duration::from_secs(5),
-            backoff_base: Duration::from_millis(10),
-            backoff_max: Duration::from_secs(1),
-            max_reconnect_attempts: 8,
-            keepalive_interval: Duration::from_secs(1),
-            max_queued_bytes: 32 * 1024 * 1024,
-        }
-    }
-}
-
-/// A dial order for the auxiliary dialer thread.
-struct DialReq {
-    peer: NodeId,
-    addr: SocketAddr,
-}
-
-/// Timers multiplexed on the reactor's [`DeadlineQueue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Timer {
-    /// Periodic keepalive sweep over all live links.
-    Keepalive,
-    /// Next reconnect attempt for a torn dial-side link.
-    Reconnect(NodeId),
-}
+/// Per-peer cap on queued (accepted but unwritten) payload bytes; sends
+/// beyond it fail with [`NetError::Backpressure`].
+const MAX_QUEUED_BYTES: usize = 32 * 1024 * 1024;
 
 /// One live connection inside the reactor.
 struct Conn {
@@ -156,21 +103,14 @@ impl Conn {
     }
 }
 
-/// An inbound connection that has not yet delivered its 2-byte peer-id
-/// handshake.
-struct PendingConn {
-    stream: TcpStream,
-    got: [u8; 2],
-    len: usize,
-}
-
 /// Constructors for reactor-driven TCP clusters.
 #[derive(Debug)]
 pub struct ReactorMesh;
 
 impl ReactorMesh {
     /// Builds an `n`-node full mesh over loopback, one poll loop per
-    /// endpoint.
+    /// endpoint. Every link is connected here, once; the listeners that
+    /// wired it are closed before this returns.
     ///
     /// # Errors
     ///
@@ -180,18 +120,13 @@ impl ReactorMesh {
     ///
     /// Panics if `n` is zero or exceeds `NodeId::MAX - 1`.
     pub fn local(n: usize) -> Result<Vec<ReactorEndpoint>, NetError> {
-        ReactorMesh::local_with(n, ReactorTuning::default())
-    }
-
-    /// [`ReactorMesh::local`] with explicit tuning.
-    fn local_with(n: usize, tuning: ReactorTuning) -> Result<Vec<ReactorEndpoint>, NetError> {
         assert!(n > 0, "cluster must have at least one node");
         assert!(n < usize::from(NodeId::MAX), "cluster too large");
         // A full mesh holds both ends of every pairwise connection in this
-        // process: n*(n-1) stream fds plus each endpoint's listener and
-        // waker socket pair. At 256 nodes that is ~66k descriptors — far past
-        // the usual 1024 soft limit, so bump it like `star` does.
-        crate::sys::raise_nofile_limit((n as u64) * (n as u64) + 4 * (n as u64) + 64);
+        // process: n*(n-1) stream fds, plus each endpoint's listener while
+        // the mesh is wired. At 256 nodes that is ~66k descriptors — far
+        // past the usual 1024 soft limit, so bump it like `star` does.
+        crate::sys::raise_nofile_limit((n as u64) * (n as u64) + 64);
         let listeners: Vec<TcpListener> =
             (0..n).map(|_| TcpListener::bind(("127.0.0.1", 0))).collect::<Result<_, _>>()?;
         let addrs: Vec<SocketAddr> =
@@ -211,23 +146,11 @@ impl ReactorMesh {
                 streams[i][j] = Some(inc);
             }
         }
-        let all_addrs: Vec<Option<SocketAddr>> = addrs.into_iter().map(Some).collect();
+        drop(listeners);
         streams
             .into_iter()
-            .zip(listeners)
             .enumerate()
-            .map(|(id, (peers, listener))| {
-                let links: Vec<bool> = (0..n).map(|p| p != id).collect();
-                ReactorEndpoint::spawn(
-                    id as NodeId,
-                    n,
-                    peers,
-                    Some(listener),
-                    all_addrs.clone(),
-                    links,
-                    tuning,
-                )
-            })
+            .map(|(id, peers)| ReactorEndpoint::spawn(id as NodeId, peers))
             .collect()
     }
 
@@ -247,74 +170,32 @@ impl ReactorMesh {
     ///
     /// Panics if `n` is less than two or exceeds `NodeId::MAX - 1`.
     pub fn star(n: usize) -> Result<Vec<ReactorEndpoint>, NetError> {
-        let tuning = ReactorTuning::default();
         assert!(n >= 2, "a star needs a hub and at least one spoke");
         assert!(n < usize::from(NodeId::MAX), "cluster too large");
-        crate::sys::raise_nofile_limit((n as u64) * 4 + 64);
+        crate::sys::raise_nofile_limit((n as u64) * 2 + 64);
         let hub_listener = TcpListener::bind(("127.0.0.1", 0))?;
         let hub_addr = hub_listener.local_addr()?;
         let mut hub_row: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut spoke_streams: Vec<Option<TcpStream>> = Vec::with_capacity(n - 1);
+        let mut spoke_streams: Vec<TcpStream> = Vec::with_capacity(n - 1);
         for hub_slot in hub_row.iter_mut().skip(1) {
             let out = TcpStream::connect(hub_addr)?;
             let (inc, _) = hub_listener.accept()?;
             out.set_nodelay(true)?;
             inc.set_nodelay(true)?;
-            spoke_streams.push(Some(out));
+            spoke_streams.push(out);
             *hub_slot = Some(inc);
         }
-        let mut addrs: Vec<Option<SocketAddr>> = (0..n).map(|_| None).collect();
-        addrs[0] = Some(hub_addr);
+        drop(hub_listener);
 
-        let hub_links: Vec<bool> = (0..n).map(|p| p != 0).collect();
         let mut endpoints = Vec::with_capacity(n);
-        endpoints.push(ReactorEndpoint::spawn(
-            0,
-            n,
-            hub_row,
-            Some(hub_listener),
-            addrs.clone(),
-            hub_links,
-            tuning,
-        )?);
+        endpoints.push(ReactorEndpoint::spawn(0, hub_row)?);
         for (spoke, stream) in spoke_streams.into_iter().enumerate() {
-            let id = (spoke + 1) as NodeId;
             let mut row: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-            row[0] = stream;
-            let links: Vec<bool> = (0..n).map(|p| p == 0).collect();
-            endpoints.push(ReactorEndpoint::spawn(id, n, row, None, addrs.clone(), links, tuning)?);
+            row[0] = Some(stream);
+            endpoints.push(ReactorEndpoint::spawn((spoke + 1) as NodeId, row)?);
         }
         Ok(endpoints)
     }
-}
-
-/// The auxiliary dialer thread: the only blocking connect in the transport,
-/// and the only thread an endpoint starts. The reactor posts [`DialReq`]s;
-/// each outcome comes back over `results` with a waker nudge, so an owner
-/// blocked in `poll` sees it. `None` stops the thread. One thread
-/// serves all peers — reconnects are rare and the backoff schedule
-/// serializes them naturally.
-fn spawn_dialer(
-    me: NodeId,
-    rx: Receiver<Option<DialReq>>,
-    results: Sender<(NodeId, std::io::Result<TcpStream>)>,
-    waker: WakeHandle,
-    connect_timeout: Duration,
-) -> JoinHandle<()> {
-    std::thread::spawn(move || {
-        while let Ok(Some(req)) = rx.recv() {
-            let stream =
-                TcpStream::connect_timeout(&req.addr, connect_timeout).and_then(|mut s| {
-                    s.set_nodelay(true)?;
-                    s.write_all(&me.to_le_bytes())?;
-                    Ok(s)
-                });
-            if results.send((req.peer, stream)).is_err() {
-                return;
-            }
-            waker.wake();
-        }
-    })
 }
 
 /// One node's endpoint over the reactor transport.
@@ -322,10 +203,9 @@ fn spawn_dialer(
 /// The poll loop runs inside this endpoint's calls, on its owner's thread:
 /// links make progress while the owner sends, receives or drains peer
 /// events, not while it computes (see the module docs). Dropping it flushes
-/// what is queued (bounded), closes every socket and joins the dialer.
+/// what is queued (bounded) and closes every socket.
 pub struct ReactorEndpoint {
     reactor: Reactor,
-    dialer: Option<JoinHandle<()>>,
     recorder: Recorder,
 }
 
@@ -334,30 +214,17 @@ impl std::fmt::Debug for ReactorEndpoint {
         f.debug_struct("ReactorEndpoint")
             .field("id", &self.reactor.me)
             .field("num_nodes", &self.reactor.n)
-            .field("tuning", &self.reactor.tuning)
             .finish_non_exhaustive()
     }
 }
 
 impl ReactorEndpoint {
-    #[allow(clippy::too_many_arguments)]
-    fn spawn(
-        id: NodeId,
-        num_nodes: usize,
-        peers: Vec<Option<TcpStream>>,
-        listener: Option<TcpListener>,
-        addrs: Vec<Option<SocketAddr>>,
-        has_link: Vec<bool>,
-        tuning: ReactorTuning,
-    ) -> Result<ReactorEndpoint, NetError> {
+    /// Node `id`'s endpoint over its connected `peers`, indexed by node id
+    /// (`None`: no link to that node, and never one).
+    fn spawn(id: NodeId, peers: Vec<Option<TcpStream>>) -> Result<ReactorEndpoint, NetError> {
+        let n = peers.len();
         let mut poller = Poller::new();
-        let waker = WakeHandle::new()?;
-        poller.add(&waker, TOKEN_WAKER, Interest::READ)?;
-        if let Some(l) = &listener {
-            l.set_nonblocking(true)?;
-            poller.add(l, TOKEN_LISTENER, Interest::READ)?;
-        }
-        let mut conns: Vec<Option<Conn>> = Vec::with_capacity(num_nodes);
+        let mut conns: Vec<Option<Conn>> = Vec::with_capacity(n);
         for (peer, stream) in peers.into_iter().enumerate() {
             conns.push(match stream {
                 None => None,
@@ -368,44 +235,15 @@ impl ReactorEndpoint {
                 }
             });
         }
-        let (dial_tx, dial_rx) = channel();
-        let (results_tx, results_rx) = channel();
-        let dialer = spawn_dialer(id, dial_rx, results_tx, waker.clone(), tuning.connect_timeout);
-        let clock = MonoClock::new();
-        let mut timers = DeadlineQueue::new();
-        if !tuning.keepalive_interval.is_zero() {
-            let first = clock.micros() + tuning.keepalive_interval.as_micros() as u64;
-            timers.schedule(first, Timer::Keepalive);
-        }
         let reactor = Reactor {
             me: id,
-            n: num_nodes,
-            tuning,
+            n,
             poller,
-            waker,
             conns,
-            queues: (0..num_nodes).map(|_| VecDeque::new()).collect(),
-            queued: vec![0; num_nodes],
-            dead: vec![false; num_nodes],
-            active: vec![true; num_nodes],
-            pending: Vec::new(),
-            listener,
-            addrs,
-            has_link,
-            backoff: (0..num_nodes)
-                .map(|_| {
-                    Backoff::new(
-                        tuning.backoff_base,
-                        tuning.backoff_max,
-                        tuning.max_reconnect_attempts,
-                    )
-                })
-                .collect(),
-            dialing: vec![false; num_nodes],
-            timers,
-            clock,
-            dial_tx,
-            dialed_rx: results_rx,
+            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            queued: vec![0; n],
+            active: vec![true; n],
+            clock: MonoClock::new(),
             inbox: VecDeque::new(),
             peer_events: Vec::new(),
             events: Vec::new(),
@@ -413,7 +251,7 @@ impl ReactorEndpoint {
             spin: true,
             metrics: NetMetrics::new(),
         };
-        Ok(ReactorEndpoint { reactor, dialer: Some(dialer), recorder: Recorder::disabled() })
+        Ok(ReactorEndpoint { reactor, recorder: Recorder::disabled() })
     }
 
     fn note_send(&self, to: NodeId, payload: &Payload) {
@@ -436,25 +274,6 @@ impl ReactorEndpoint {
             obs_class(msg.payload.class),
             msg.payload.wire_len(),
         );
-    }
-
-    /// Test hook: forcibly tears down the connection to `peer`, as if the
-    /// network dropped it. On the dialling side the next calls re-dial with
-    /// backoff; on the accepting side sends fail until the peer re-dials.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidPeer`] for out-of-range peers.
-    pub fn inject_disconnect(&mut self, peer: NodeId) -> Result<(), NetError> {
-        check_peer(self.reactor.me, peer, self.reactor.n)?;
-        self.reactor.teardown(usize::from(peer));
-        Ok(())
-    }
-
-    /// The address this endpoint accepts re-dials on, if it listens at all
-    /// (star spokes do not).
-    pub fn listen_addr(&self) -> Option<SocketAddr> {
-        self.reactor.listener.as_ref().and_then(|l| l.local_addr().ok())
     }
 }
 
@@ -546,16 +365,6 @@ impl Endpoint for ReactorEndpoint {
 
     fn attach_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
-        // The dialer was spawned before any recorder existed; announce it
-        // now. Attachment happens-before everything the recorder sees from
-        // it, so the edge is sound.
-        self.recorder.record(
-            self.reactor.clock.micros(),
-            EventKind::ThreadSpawn,
-            u32::from(self.reactor.me),
-            THREAD_ROLE_DIALER,
-            0,
-        );
     }
 
     fn remove_peer(&mut self, peer: NodeId) {
@@ -565,16 +374,8 @@ impl Endpoint for ReactorEndpoint {
     }
 
     fn add_peer(&mut self, peer: NodeId) {
-        let p = usize::from(peer);
-        let r = &mut self.reactor;
-        if p < r.n {
-            r.active[p] = true;
-            r.dead[p] = false;
-            // Dial side: proactively re-establish the link for the rejoiner.
-            if r.me > peer && r.conns[p].is_none() && !r.dialing[p] && r.addrs[p].is_some() {
-                r.backoff[p].reset();
-                r.schedule_dial(p, 0);
-            }
+        if let Some(active) = self.reactor.active.get_mut(usize::from(peer)) {
+            *active = true;
         }
     }
 
@@ -582,16 +383,14 @@ impl Endpoint for ReactorEndpoint {
         // A poll failure resurfaces on the next receive, which returns it.
         let _ = self.reactor.turn(Some(Duration::ZERO));
         let events = std::mem::take(&mut self.reactor.peer_events);
-        for ev in &events {
-            if let PeerEvent::Down(peer) = ev {
-                self.recorder.record(
-                    self.reactor.clock.micros(),
-                    EventKind::PeerDown,
-                    u32::from(*peer),
-                    0,
-                    0,
-                );
-            }
+        for &PeerEvent::Down(peer) in &events {
+            self.recorder.record(
+                self.reactor.clock.micros(),
+                EventKind::PeerDown,
+                u32::from(peer),
+                0,
+                0,
+            );
         }
         events
     }
@@ -600,16 +399,6 @@ impl Endpoint for ReactorEndpoint {
 impl Drop for ReactorEndpoint {
     fn drop(&mut self) {
         self.reactor.shutdown();
-        if let Some(t) = self.dialer.take() {
-            let _ = t.join();
-            self.recorder.record(
-                self.reactor.clock.micros(),
-                EventKind::ThreadJoin,
-                u32::from(self.reactor.me),
-                THREAD_ROLE_DIALER,
-                0,
-            );
-        }
     }
 }
 
@@ -618,32 +407,17 @@ impl Drop for ReactorEndpoint {
 struct Reactor {
     me: NodeId,
     n: usize,
-    tuning: ReactorTuning,
     poller: Poller,
-    /// Written by the dialer with each result; only drained here.
-    waker: WakeHandle,
-    /// Live connections; `Some` exactly while the link is up.
+    /// Live connections; `Some` exactly while the link is up. A link that
+    /// tears stays `None` for good.
     conns: Vec<Option<Conn>>,
-    /// Per-peer queues of `(frame-from, payload)` accepted but not yet
-    /// encoded. Parked entries survive reconnects (the peer just gets them
-    /// late), which is what lets backoff state outlive a torn link.
-    queues: Vec<VecDeque<(NodeId, Payload)>>,
+    /// Per-peer payloads accepted but not yet encoded.
+    queues: Vec<VecDeque<Payload>>,
     /// Accepted-but-unwritten payload bytes per peer (backpressure gauge).
     queued: Vec<usize>,
-    /// Whether the link is permanently dead (reconnect budget exhausted).
-    dead: Vec<bool>,
     /// Membership: sends to inactive peers are dropped silently.
     active: Vec<bool>,
-    pending: Vec<Option<PendingConn>>,
-    listener: Option<TcpListener>,
-    addrs: Vec<Option<SocketAddr>>,
-    has_link: Vec<bool>,
-    backoff: Vec<Backoff>,
-    dialing: Vec<bool>,
-    timers: DeadlineQueue<Timer>,
     clock: MonoClock,
-    dial_tx: Sender<Option<DialReq>>,
-    dialed_rx: Receiver<(NodeId, std::io::Result<TcpStream>)>,
     /// Decoded messages (and fatal decode errors, in order) not yet handed
     /// to the application.
     inbox: VecDeque<Result<Incoming, NetError>>,
@@ -661,62 +435,34 @@ struct Reactor {
 
 impl Reactor {
     /// One poll turn: waits for readiness no longer than `timeout` (`None`:
-    /// no bound of its own) and no longer than the next timer, then serves
-    /// socket readiness, the dialer's results and the timers that are due.
-    /// Runs inside every endpoint call, on the owner's thread, so the only
-    /// place it may block is `poll`. sdso-check: hot-path
+    /// no bound), then serves it. Runs inside every endpoint call, on the
+    /// owner's thread, so the only place it may block is `poll`.
+    /// sdso-check: hot-path
     fn turn(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
-        let wait = match (timeout, self.timers.timeout_until(self.clock.micros())) {
-            (Some(t), Some(timer)) => Some(t.min(timer)),
-            (t, timer) => t.or(timer),
-        };
         let mut events = std::mem::take(&mut self.events);
         events.clear();
-        let polled = self.poller.wait(&mut events, wait);
+        let polled = self.poller.wait(&mut events, timeout);
         for ev in &events {
-            match ev.token {
-                TOKEN_WAKER => self.waker.drain(),
-                TOKEN_LISTENER => self.accept_ready(),
-                t if t >= TOKEN_PENDING_BASE => {
-                    self.pending_ready((t - TOKEN_PENDING_BASE) as usize);
-                }
-                t => {
-                    let peer = t as usize;
-                    if peer >= self.n {
-                        continue;
-                    }
-                    if ev.readable {
-                        self.conn_readable(peer);
-                    }
-                    if ev.error {
-                        self.teardown(peer);
-                    } else if ev.writable {
-                        self.drain_writes(peer);
-                    }
-                }
+            let peer = ev.token as usize;
+            if ev.readable {
+                self.conn_readable(peer);
+            }
+            if ev.error {
+                self.teardown(peer);
+            } else if ev.writable {
+                self.drain_writes(peer);
             }
         }
         self.events = events;
         polled?;
-        self.serve_due();
         Ok(())
     }
 
-    /// Applies the dialer's results and fires the timers that are due,
-    /// without polling the sockets.
-    fn serve_due(&mut self) {
-        while let Ok((peer, stream)) = self.dialed_rx.try_recv() {
-            self.dialed(usize::from(peer), stream);
-        }
-        let now = self.clock.micros();
-        while let Some(timer) = self.timers.pop_due(now) {
-            self.fire_timer(timer);
-        }
-    }
-
     /// Turns until the inbox has a message or `deadline` (µs on the
-    /// reactor's clock; `None`: never) has passed — and at least once, so a
-    /// deadline already due still polls without blocking.
+    /// reactor's clock) has passed — and at least once, so a deadline
+    /// already due still polls without blocking. With no deadline (`None`)
+    /// it also stops once no live link is left, returning `None`: nothing
+    /// can arrive any more.
     ///
     /// A wait (empty inbox, deadline not yet due) spins for up to
     /// [`SPIN_MICROS`], never past `deadline`, before it parks in `poll`,
@@ -745,6 +491,9 @@ impl Reactor {
                 self.spin = !self.inbox.is_empty() && now - start < SPIN_MICROS;
                 return self.inbox.pop_front().transpose();
             }
+            if deadline.is_none() && self.conns.iter().all(Option::is_none) {
+                return Ok(None);
+            }
             self.turn(left.map(Duration::from_micros))?;
             polled = true;
         }
@@ -769,32 +518,15 @@ impl Reactor {
     fn admit(&mut self, to: NodeId, bytes: usize) -> Result<bool, NetError> {
         check_peer(self.me, to, self.n)?;
         let p = usize::from(to);
-        if !self.has_link[p] {
-            return Err(NetError::Disconnected);
-        }
-        if self.conns[p].is_none() {
-            // The link is down: let a caller that only retries sends see
-            // the reconnect or the exhausted budget. A live link skips this.
-            self.serve_due();
-        }
         if !self.active[p] {
             return Ok(false);
         }
-        if self.dead[p] {
-            return Err(NetError::Disconnected);
-        }
-        // The higher-id side of a pair dials; the lower-id side can only
-        // wait to be re-dialled, so its sends fail while the link is down.
-        if self.me < to && self.conns[p].is_none() {
+        if self.conns[p].is_none() {
             return Err(NetError::Disconnected);
         }
         let queued = self.queued[p];
-        if queued + bytes > self.tuning.max_queued_bytes {
-            return Err(NetError::Backpressure {
-                peer: to,
-                queued,
-                limit: self.tuning.max_queued_bytes,
-            });
+        if queued + bytes > MAX_QUEUED_BYTES {
+            return Err(NetError::Backpressure { peer: to, queued, limit: MAX_QUEUED_BYTES });
         }
         self.queued[p] += bytes;
         Ok(true)
@@ -803,109 +535,22 @@ impl Reactor {
     /// Queues admitted `payloads` for `peer` and writes what the socket
     /// takes now; a partial write arms write interest for a later turn.
     fn enqueue(&mut self, peer: usize, payloads: impl IntoIterator<Item = Payload>) {
-        let me = self.me;
-        self.queues[peer].extend(payloads.into_iter().map(|p| (me, p)));
+        self.queues[peer].extend(payloads);
         self.drain_writes(peer);
     }
 
-    fn fire_timer(&mut self, timer: Timer) {
-        match timer {
-            Timer::Keepalive => {
-                for peer in 0..self.n {
-                    if self.conns[peer].is_some() {
-                        self.queues[peer]
-                            .push_back((KEEPALIVE_FROM, Payload::control(Bytes::new())));
-                        self.drain_writes(peer);
-                    }
-                }
-                let ka = self.tuning.keepalive_interval.as_micros() as u64;
-                self.timers.schedule(self.clock.micros() + ka, Timer::Keepalive);
-            }
-            Timer::Reconnect(peer) => {
-                let p = usize::from(peer);
-                self.dialing[p] = false;
-                if !self.active[p] || self.dead[p] || self.conns[p].is_some() {
-                    return;
-                }
-                let Some(addr) = self.addrs[p] else { return };
-                self.metrics.record_retry();
-                if self.dial_tx.send(Some(DialReq { peer, addr })).is_ok() {
-                    self.dialing[p] = true;
-                }
-            }
-        }
-    }
-
-    fn schedule_dial(&mut self, peer: usize, delay_micros: u64) {
-        self.dialing[peer] = true;
-        self.timers.schedule(self.clock.micros() + delay_micros, Timer::Reconnect(peer as NodeId));
-    }
-
-    fn dialed(&mut self, peer: usize, stream: std::io::Result<TcpStream>) {
-        self.dialing[peer] = false;
-        match stream {
-            Ok(s) => {
-                if s.set_nonblocking(true).is_err()
-                    || self.poller.add(&s, peer as u64, Interest::READ).is_err()
-                {
-                    self.dial_failed(peer);
-                    return;
-                }
-                self.conns[peer] = Some(Conn::new(s));
-                self.backoff[peer].reset();
-                self.metrics.record_reconnect();
-                self.dead[peer] = false;
-                self.peer_events.push(PeerEvent::Up(peer as NodeId));
-                self.drain_writes(peer);
-            }
-            Err(_) => self.dial_failed(peer),
-        }
-    }
-
-    fn dial_failed(&mut self, peer: usize) {
-        if !self.active[peer] {
-            return;
-        }
-        match self.backoff[peer].next_delay() {
-            Some(delay) => self.schedule_dial(peer, delay.as_micros() as u64),
-            None => {
-                // Budget exhausted: the link is dead. Release queued bytes.
-                self.dead[peer] = true;
-                self.drop_queue(peer);
-            }
-        }
-    }
-
-    fn drop_queue(&mut self, peer: usize) {
-        let mut released = 0usize;
-        for (from, payload) in self.queues[peer].drain(..) {
-            if from != KEEPALIVE_FROM {
-                released += payload.bytes.len();
-            }
-            crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
-        }
-        self.queued[peer] -= released;
-    }
-
-    /// Tears the connection to `peer` down: deregister, close, surface a
-    /// [`PeerEvent::Down`], and — on the dialling side of the pair — start
-    /// the reconnect schedule. Queued payloads stay parked for the next
-    /// incarnation of the link unless the peer is gone for good.
+    /// Tears the link to `peer` down for good: deregister, close, release
+    /// what was queued for it, and surface one [`PeerEvent::Down`].
     fn teardown(&mut self, peer: usize) {
         let Some(conn) = self.conns[peer].take() else { return };
         self.poller.delete(&conn.stream);
         let _ = conn.stream.shutdown(Shutdown::Both);
         crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
+        for payload in self.queues[peer].drain(..) {
+            crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
+        }
+        self.queued[peer] = 0;
         self.peer_events.push(PeerEvent::Down(peer as NodeId));
-        if !self.active[peer] {
-            self.drop_queue(peer);
-            return;
-        }
-        let dial_side = usize::from(self.me) > peer;
-        if dial_side && self.addrs[peer].is_some() && !self.dialing[peer] {
-            self.backoff[peer].reset();
-            self.schedule_dial(peer, 0);
-        }
     }
 
     /// Coalesces queued payloads into the connection's pooled write buffer
@@ -913,7 +558,8 @@ impl Reactor {
     /// match whether anything is left. sdso-check: hot-path
     fn drain_writes(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
-        let result = fill_and_write(&mut conn, &mut self.queues[peer], &mut self.queued[peer]);
+        let result =
+            fill_and_write(&mut conn, self.me, &mut self.queues[peer], &mut self.queued[peer]);
         match result {
             Ok(()) => {
                 let want = conn.woff < conn.wbuf.len() || !self.queues[peer].is_empty();
@@ -933,9 +579,10 @@ impl Reactor {
     }
 
     /// Reads until the socket blocks, decoding complete frames out of the
-    /// flat inbound buffer into the inbox (keepalive frames excepted). EOF
-    /// and connection resets tear the link down; a partial frame left in the
-    /// buffer at that point is discarded — its sender never completed it.
+    /// flat inbound buffer into the inbox. EOF, connection resets and a
+    /// frame that fails to decode — or names a sender other than `peer` —
+    /// tear the link down; a partial frame left in the buffer at that point
+    /// is discarded — its sender never completed it.
     /// sdso-check: hot-path
     fn conn_readable(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
@@ -950,12 +597,8 @@ impl Reactor {
                     conn.rbuf.extend_from_slice(&self.chunk[..got]);
                     let mut pos = 0usize;
                     loop {
-                        match decode_frame_at(&conn.rbuf, &mut pos) {
-                            Ok(Some(inc)) => {
-                                if inc.from != KEEPALIVE_FROM {
-                                    self.inbox.push_back(Ok(inc));
-                                }
-                            }
+                        match decode_frame_from(peer, &conn.rbuf, &mut pos) {
+                            Ok(Some(inc)) => self.inbox.push_back(Ok(inc)),
                             Ok(None) => break,
                             Err(e) => {
                                 self.inbox.push_back(Err(e));
@@ -1001,92 +644,7 @@ impl Reactor {
         }
     }
 
-    /// Accepts inbound re-dials; each parks as a pending connection until
-    /// its 2-byte id handshake arrives.
-    fn accept_ready(&mut self) {
-        loop {
-            let Some(listener) = &self.listener else { return };
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let idx = match self.pending.iter().position(Option::is_none) {
-                        Some(i) => i,
-                        None => {
-                            self.pending.push(None);
-                            self.pending.len() - 1
-                        }
-                    };
-                    let token = TOKEN_PENDING_BASE + idx as u64;
-                    if self.poller.add(&stream, token, Interest::READ).is_ok() {
-                        self.pending[idx] = Some(PendingConn { stream, got: [0; 2], len: 0 });
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Drives a pending inbound connection's handshake forward; promotes it
-    /// to a live peer connection once the 2-byte id is in.
-    fn pending_ready(&mut self, idx: usize) {
-        let Some(mut p) = self.pending.get_mut(idx).and_then(Option::take) else { return };
-        loop {
-            match p.stream.read(&mut p.got[p.len..]) {
-                Ok(0) => {
-                    self.poller.delete(&p.stream);
-                    return; // handshake never arrived
-                }
-                Ok(got) => {
-                    p.len += got;
-                    if p.len == 2 {
-                        self.promote(p);
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    self.pending[idx] = Some(p);
-                    return;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.poller.delete(&p.stream);
-                    return;
-                }
-            }
-        }
-    }
-
-    fn promote(&mut self, p: PendingConn) {
-        let peer = NodeId::from_le_bytes(p.got);
-        let pu = usize::from(peer);
-        // Re-dials always come from the higher-id (dialling) side.
-        if pu >= self.n || peer <= self.me || !self.has_link[pu] {
-            self.poller.delete(&p.stream);
-            return;
-        }
-        // Quietly retire any stale incarnation of the link: the Down/Up pair
-        // is only meaningful when connectivity was actually interrupted.
-        if let Some(old) = self.conns[pu].take() {
-            self.poller.delete(&old.stream);
-            let _ = old.stream.shutdown(Shutdown::Both);
-            crate::pool::thread_pool(|pool| pool.put(old.wbuf));
-        }
-        if self.poller.modify(&p.stream, pu as u64, Interest::READ).is_err() {
-            self.poller.delete(&p.stream);
-            return;
-        }
-        self.conns[pu] = Some(Conn::new(p.stream));
-        self.metrics.record_reconnect();
-        self.dead[pu] = false;
-        self.peer_events.push(PeerEvent::Up(peer));
-        self.drain_writes(pu);
-    }
-
-    /// Closes every socket and stops the dialer. Runs once, from the
+    /// Flushes what is queued and closes every socket. Runs once, from the
     /// endpoint's `Drop` — never inside a turn.
     fn shutdown(&mut self) {
         for peer in 0..self.n {
@@ -1099,31 +657,50 @@ impl Reactor {
                 && conn.stream.set_nonblocking(false).is_ok()
             {
                 let _ = conn.stream.set_write_timeout(Some(Duration::from_millis(250)));
-                let _ = fill_and_write(&mut conn, &mut self.queues[peer], &mut self.queued[peer]);
+                let _ = fill_and_write(
+                    &mut conn,
+                    self.me,
+                    &mut self.queues[peer],
+                    &mut self.queued[peer],
+                );
             }
             self.poller.delete(&conn.stream);
             let _ = conn.stream.shutdown(Shutdown::Both);
             crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         }
-        for pending in self.pending.iter_mut() {
-            if let Some(p) = pending.take() {
-                self.poller.delete(&p.stream);
-            }
-        }
-        if let Some(listener) = self.listener.take() {
-            self.poller.delete(&listener);
-        }
-        let _ = self.dial_tx.send(None);
     }
 }
 
-/// Encodes queued payloads into `conn.wbuf` (batch coalescing) and writes
-/// until the socket blocks or everything is flushed, releasing each encoded
-/// payload's bytes from `queued`. A free function so the reactor can
-/// split-borrow its connection and queue tables. sdso-check: hot-path
+/// Decodes the next frame on `peer`'s connection. The connection is the
+/// only authority on who sent it: a frame whose header names another sender
+/// is as corrupt as one with a bad length.
+fn decode_frame_from(
+    peer: usize,
+    buf: &[u8],
+    pos: &mut usize,
+) -> Result<Option<Incoming>, NetError> {
+    match decode_frame_at(buf, pos)? {
+        Some(inc) if usize::from(inc.from) != peer => Err(wrong_sender(inc.from, peer)),
+        frame => Ok(frame),
+    }
+}
+
+/// The error for a frame naming a sender other than its connection's peer,
+/// out of line like the frame decoder's own (the `format!` lives here).
+#[cold]
+fn wrong_sender(from: NodeId, peer: usize) -> NetError {
+    NetError::Codec(format!("frame names sender {from} on the link to node {peer}"))
+}
+
+/// Encodes queued payloads into `conn.wbuf` as frames from `me` (batch
+/// coalescing) and writes until the socket blocks or everything is flushed,
+/// releasing each encoded payload's bytes from `queued`. A free function so
+/// the reactor can split-borrow its connection and queue tables.
+/// sdso-check: hot-path
 fn fill_and_write(
     conn: &mut Conn,
-    queue: &mut VecDeque<(NodeId, Payload)>,
+    me: NodeId,
+    queue: &mut VecDeque<Payload>,
     queued: &mut usize,
 ) -> Result<(), std::io::Error> {
     loop {
@@ -1131,11 +708,9 @@ fn fill_and_write(
             conn.wbuf.clear();
             conn.woff = 0;
             while conn.wbuf.len() < WRITE_COALESCE_BUDGET {
-                let Some((from, payload)) = queue.pop_front() else { break };
-                if from != KEEPALIVE_FROM {
-                    *queued -= payload.bytes.len();
-                }
-                append_frame(&mut conn.wbuf, from, &payload);
+                let Some(payload) = queue.pop_front() else { break };
+                *queued -= payload.bytes.len();
+                append_frame(&mut conn.wbuf, me, &payload);
                 crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
             }
             if conn.wbuf.is_empty() {
@@ -1156,15 +731,6 @@ fn fill_and_write(
 mod tests {
     use super::*;
     use std::time::Instant;
-
-    fn fast_tuning() -> ReactorTuning {
-        ReactorTuning {
-            backoff_base: Duration::from_millis(5),
-            backoff_max: Duration::from_millis(40),
-            keepalive_interval: Duration::from_millis(200),
-            ..ReactorTuning::default()
-        }
-    }
 
     #[test]
     fn local_mesh_ping_pong() {
@@ -1284,63 +850,25 @@ mod tests {
         assert!(matches!(s1.send(2, Payload::data(vec![0])), Err(NetError::Disconnected)));
     }
 
-    /// The re-dial happens inside the dialling side's own calls, so node b
-    /// runs on a thread of its own and waits in `recv_deadline` for the
-    /// acknowledgement while the test thread drives node a.
-    #[test]
-    fn reconnect_with_backoff_after_forced_drop() {
-        let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
-        let mut b = eps.pop().unwrap(); // id 1: the dialling side
-        let mut a = eps.pop().unwrap(); // id 0: the accepting side
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let dialler = std::thread::spawn(move || {
-            b.send(0, Payload::data(b"one".as_ref())).unwrap();
-            go_rx.recv().unwrap();
-            b.inject_disconnect(0).unwrap();
-            // The send parks in the queue and flushes once b's own turns
-            // have re-dialled.
-            b.send(0, Payload::data(b"two".as_ref())).unwrap();
-            let ack = b
-                .recv_deadline(SimSpan::from_millis(10_000))
-                .unwrap()
-                .expect("a acknowledges over the re-dialled link");
-            assert_eq!(&ack.payload.bytes[..], b"ack");
-            let m = b.metrics();
-            assert!(m.retries >= 1, "reconnect attempts are counted, got {m:?}");
-            assert!(m.reconnects >= 1, "re-established connection is counted, got {m:?}");
-            let events = b.take_peer_events();
-            assert!(events.contains(&PeerEvent::Down(0)), "torn link must surface: {events:?}");
-            assert!(events.contains(&PeerEvent::Up(0)), "redial must surface: {events:?}");
-            b
-        });
-        assert_eq!(&a.recv().unwrap().payload.bytes[..], b"one");
-        go_tx.send(()).unwrap();
-        let got = a.recv().unwrap();
-        assert_eq!(got.from, 1);
-        assert_eq!(&got.payload.bytes[..], b"two");
-        a.send(1, Payload::control(b"ack".as_ref())).unwrap();
-        drop(dialler.join().unwrap());
+    /// Node 0 of a two-node endpoint whose link to node 1 is a plain
+    /// socket: the test writes node 1's side of the wire by hand.
+    fn endpoint_over_raw_socket() -> (ReactorEndpoint, TcpStream) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (ReactorEndpoint::spawn(0, vec![None, Some(accepted)]).unwrap(), raw)
     }
 
     #[test]
     fn peer_socket_eof_mid_frame_surfaces_down_without_phantom_message() {
-        let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let addr = a.listen_addr().expect("node 0 listens");
-        drop(b); // node 1 exits; its Down surfaces in a's next calls
-
-        // A raw socket impersonates node 1 re-dialling: handshake, then a
-        // *partial* frame (length prefix says 20 bytes, only 5 arrive), then
-        // a hard close.
-        let mut raw = TcpStream::connect(addr).unwrap();
-        raw.write_all(&1u16.to_le_bytes()).unwrap();
+        let (mut a, mut raw) = endpoint_over_raw_socket();
+        // A *partial* frame from node 1 (the length prefix says 20 bytes,
+        // only 5 arrive), then a hard close.
         let mut partial = Vec::new();
         partial.extend_from_slice(&20u32.to_le_bytes());
         partial.extend_from_slice(&[1, 0, 0, 9, 9]);
         raw.write_all(&partial).unwrap();
         raw.flush().unwrap();
-        std::thread::sleep(Duration::from_millis(100));
         drop(raw);
 
         // The EOF mid-frame must surface as a link event, not as a message
@@ -1348,88 +876,83 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..200 {
             seen.extend(a.take_peer_events());
-            if seen.iter().filter(|e| matches!(e, PeerEvent::Down(1))).count() >= 2 {
+            if !seen.is_empty() {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert!(
-            seen.iter().filter(|e| matches!(e, PeerEvent::Down(1))).count() >= 2,
-            "both the real node's exit and the torn impostor must surface: {seen:?}"
-        );
-        assert!(seen.contains(&PeerEvent::Up(1)), "the re-dial surfaced: {seen:?}");
+        assert_eq!(seen, vec![PeerEvent::Down(1)], "the torn link surfaces once");
         assert!(a.try_recv().unwrap().is_none(), "no phantom message from the partial frame");
+        assert!(a.take_peer_events().is_empty(), "a torn link is Down for good, once");
+    }
+
+    /// The connection, not the frame header, says who sent a frame: a frame
+    /// on node 1's link that names node 7 is corrupt, and tears that link.
+    #[test]
+    fn a_frame_naming_another_sender_is_a_codec_error_and_tears_the_link() {
+        let (mut a, mut raw) = endpoint_over_raw_socket();
+        let mut forged = BytesMut::new();
+        append_frame(&mut forged, 7, &Payload::data(b"forged".as_ref()));
+        raw.write_all(&forged).unwrap();
+        match a.recv_deadline(SimSpan::from_millis(2_000)) {
+            Err(NetError::Codec(_)) => {}
+            other => panic!("expected a codec error, got {other:?}"),
+        }
+        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
+        assert!(matches!(a.send(1, Payload::data(vec![0])), Err(NetError::Disconnected)));
+    }
+
+    /// Once every link is torn nothing can arrive, so a blocking `recv`
+    /// hands over what is still queued and then fails instead of parking
+    /// for good. It runs on a thread of its own, so a `recv` that never
+    /// returns fails the test at the watchdog instead of hanging it.
+    #[test]
+    fn a_blocking_recv_with_no_live_link_left_returns_disconnected() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let mut b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        b.send(0, Payload::data(b"last".as_ref())).unwrap();
+        drop(b);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let last = a.recv().map(|msg| msg.payload.bytes);
+            let after = a.recv().map(|msg| msg.payload.bytes);
+            let _ = tx.send((last, after));
+        });
+        let (last, after) =
+            rx.recv_timeout(Duration::from_secs(10)).expect("recv still blocked after 10 s");
+        assert_eq!(&last.unwrap()[..], b"last", "what was queued is handed over first");
+        assert!(matches!(after, Err(NetError::Disconnected)), "{after:?}");
     }
 
     #[test]
     fn write_queue_backpressure_overflow_errors_instead_of_growing() {
-        let tuning = ReactorTuning {
-            max_queued_bytes: 4 * 1024,
-            backoff_base: Duration::from_secs(2), // keep the link down
-            backoff_max: Duration::from_secs(2),
-            ..ReactorTuning::default()
-        };
-        let mut eps = ReactorMesh::local_with(2, tuning).unwrap();
-        let mut b = eps.pop().unwrap(); // id 1: the dialling side, so sends park
-
-        // Node 0 goes away, so the immediate re-dial is refused and the
-        // backoff keeps the link down for the whole burst. (With node 0 alive
-        // the re-dial races the burst, and a link that comes back mid-burst
-        // takes every later send straight into its socket buffer.)
-        drop(eps);
-        b.inject_disconnect(0).unwrap();
-
+        const CHUNK: usize = 1 << 20;
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let _b = eps.pop().unwrap(); // alive, but never reads
+        let mut a = eps.pop().unwrap();
+        // The socket buffers take a few MiB; the rest queues until the
+        // budget is spent.
         let mut hit = None;
-        for _ in 0..64 {
-            match b.send(0, Payload::data(vec![0u8; 256])) {
-                Ok(()) => {}
-                Err(e) => {
-                    hit = Some(e);
-                    break;
-                }
+        for _ in 0..2 * MAX_QUEUED_BYTES / CHUNK {
+            if let Err(e) = a.send(1, Payload::data(vec![0u8; CHUNK])) {
+                hit = Some(e);
+                break;
             }
         }
         match hit {
             Some(NetError::Backpressure { peer, queued, limit }) => {
-                assert_eq!(peer, 0);
-                assert_eq!(limit, 4 * 1024);
-                assert!(queued + 256 > limit, "queue was genuinely full: {queued}");
+                assert_eq!(peer, 1);
+                assert_eq!(limit, MAX_QUEUED_BYTES);
+                assert!(queued + CHUNK > limit, "queue was genuinely full: {queued}");
             }
             other => panic!("expected Backpressure, got {other:?}"),
         }
     }
 
     #[test]
-    fn exhausted_reconnect_budget_kills_the_link() {
-        let tuning = ReactorTuning {
-            backoff_base: Duration::from_millis(2),
-            backoff_max: Duration::from_millis(4),
-            max_reconnect_attempts: 2,
-            connect_timeout: Duration::from_millis(200),
-            ..ReactorTuning::default()
-        };
-        let mut eps = ReactorMesh::local_with(2, tuning).unwrap();
-        let mut b = eps.pop().unwrap(); // id 1: dialling side
-        let a = eps.remove(0);
-        drop(a); // listener gone: re-dials fail outright
-        b.inject_disconnect(0).unwrap();
-        b.send(0, Payload::data(vec![1u8; 8])).ok();
-
-        let mut dead = false;
-        for _ in 0..400 {
-            if matches!(b.send(0, Payload::data(vec![2u8; 8])), Err(NetError::Disconnected)) {
-                dead = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(dead, "sends must fail for good once the reconnect budget is spent");
-        assert!(b.metrics().retries >= 1);
-    }
-
-    #[test]
     fn sends_to_removed_peer_are_dropped_silently() {
-        let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
+        let mut eps = ReactorMesh::local(2).unwrap();
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         a.remove_peer(1);
@@ -1439,24 +962,6 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(a.metrics().total_sent(), 0, "dropped sends are not counted as traffic");
-    }
-
-    #[test]
-    fn keepalives_are_invisible_to_the_application() {
-        let tuning = ReactorTuning {
-            keepalive_interval: Duration::from_millis(20),
-            ..ReactorTuning::default()
-        };
-        let mut eps = ReactorMesh::local_with(2, tuning).unwrap();
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        std::thread::sleep(Duration::from_millis(250));
-        assert!(a.try_recv().unwrap().is_none(), "keepalives never reach the app");
-        assert!(b.try_recv().unwrap().is_none());
-        assert_eq!(a.metrics().total_recv(), 0, "keepalives never count as traffic");
-        // The link is still healthy after an idle stretch full of keepalives.
-        a.send(1, Payload::data(b"still here".as_ref())).unwrap();
-        assert_eq!(&b.recv().unwrap().payload.bytes[..], b"still here");
     }
 
     #[test]
@@ -1542,23 +1047,6 @@ mod tests {
     }
 
     #[test]
-    fn accept_side_sends_fail_while_peer_is_down() {
-        let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
-        let b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap(); // id 0: accept side, never re-dials
-        drop(b);
-        let mut disconnected = false;
-        for _ in 0..200 {
-            if a.send(1, Payload::control(vec![0u8; 64])).is_err() {
-                disconnected = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(disconnected, "send to dropped peer should eventually fail");
-    }
-
-    #[test]
     fn large_payload_crosses_intact() {
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
@@ -1599,32 +1087,5 @@ mod tests {
             .expect("the reply arrives: receive turns flush pending writes");
         assert_eq!(&reply.payload.bytes[..], &[1u8]);
         drop(receiver.join().unwrap());
-    }
-
-    /// As for the forced drop: the dialling side re-dials inside its own
-    /// calls, so it runs on its own thread, waiting in `recv_deadline`.
-    #[test]
-    fn messages_queued_during_outage_arrive_in_order_after_reconnect() {
-        let mut eps = ReactorMesh::local_with(2, fast_tuning()).unwrap();
-        let mut b = eps.pop().unwrap(); // dialling side
-        let mut a = eps.pop().unwrap();
-        let dialler = std::thread::spawn(move || {
-            b.inject_disconnect(0).unwrap();
-            for i in 0..10u8 {
-                b.send(0, Payload::data(vec![i])).unwrap();
-            }
-            let done = b
-                .recv_deadline(SimSpan::from_millis(10_000))
-                .unwrap()
-                .expect("a confirms over the re-dialled link");
-            assert_eq!(&done.payload.bytes[..], b"done");
-            b
-        });
-        for i in 0..10u8 {
-            let got = a.recv().unwrap();
-            assert_eq!(got.payload.bytes[0], i, "order preserved across the outage");
-        }
-        a.send(1, Payload::control(b"done".as_ref())).unwrap();
-        drop(dialler.join().unwrap());
     }
 }

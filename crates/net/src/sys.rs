@@ -5,8 +5,8 @@
 //! three C library entry points the reactor needs directly: `std` already
 //! links the platform C library, and `poll`/`getrlimit`/`setrlimit` are
 //! POSIX, with one ABI on every unix up to the two constants `cfg`'d below.
-//! Everything is wrapped in safe types ([`Poller`], [`WakeHandle`])
-//! immediately; no raw fd escapes this module.
+//! Everything is wrapped in a safe type ([`Poller`]) immediately; no raw
+//! fd escapes this module.
 //!
 //! Non-unix builds compile this module away (`#[cfg(unix)]` at the `mod`
 //! site), and with it the reactor.
@@ -32,10 +32,7 @@
 //! delete fails at the next add instead of misrouting readiness.
 
 use std::ffi::{c_int, c_short};
-use std::io::{Read, Write};
 use std::os::fd::{AsRawFd, RawFd};
-use std::os::unix::net::UnixStream;
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::NetError;
@@ -240,49 +237,6 @@ impl Poller {
     }
 }
 
-/// A socket-pair waker: any thread can nudge the poll loop out of `poll`
-/// by writing a byte to one end, while the loop polls the other. Cloning
-/// shares the same pair.
-#[derive(Debug, Clone)]
-pub struct WakeHandle {
-    /// (polled end, written end), both nonblocking.
-    pair: Arc<(UnixStream, UnixStream)>,
-}
-
-impl WakeHandle {
-    /// Creates the socket pair (nonblocking, close-on-exec).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the `socketpair` / `fcntl` errno.
-    pub fn new() -> Result<WakeHandle, NetError> {
-        let (polled, written) = UnixStream::pair()?;
-        polled.set_nonblocking(true)?;
-        written.set_nonblocking(true)?;
-        Ok(WakeHandle { pair: Arc::new((polled, written)) })
-    }
-
-    /// Wakes the poll loop. A full buffer (`WouldBlock`) is fine — the
-    /// loop is already guaranteed to wake.
-    pub fn wake(&self) {
-        let _ = (&self.pair.1).write(&[1]);
-    }
-
-    /// Reads every pending byte so the next `wake` is visible again.
-    pub fn drain(&self) {
-        let mut buf = [0u8; 64];
-        while matches!((&self.pair.0).read(&mut buf), Ok(n) if n > 0) {}
-    }
-}
-
-impl AsRawFd for WakeHandle {
-    /// Lets a `WakeHandle` be registered with a [`Poller`] directly,
-    /// without ever exposing its raw fd to callers.
-    fn as_raw_fd(&self) -> RawFd {
-        self.pair.0.as_raw_fd()
-    }
-}
-
 /// Best-effort bump of `RLIMIT_NOFILE` to at least `want` descriptors (the
 /// 256-peer soak and net bench need ~4 fds per spoke). Never fails the
 /// caller: if the hard limit forbids it, the subsequent `socket()` calls
@@ -304,30 +258,9 @@ pub fn raise_nofile_limit(want: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
     use std::net::{TcpListener, TcpStream};
-
-    #[test]
-    fn waker_wakes_and_drains() {
-        let mut poller = Poller::new();
-        let waker = WakeHandle::new().unwrap();
-        poller.add(&waker, 42, Interest::READ).unwrap();
-
-        let mut out = Vec::new();
-        // Nothing pending: times out.
-        assert_eq!(poller.wait(&mut out, Some(Duration::from_millis(1))).unwrap(), 0);
-
-        waker.wake();
-        waker.wake();
-        let n = poller.wait(&mut out, Some(Duration::from_secs(2))).unwrap();
-        assert_eq!(n, 1);
-        assert_eq!(out[0].token, 42);
-        assert!(out[0].readable);
-
-        // Drained: quiet again (level-triggered would re-report otherwise).
-        waker.drain();
-        out.clear();
-        assert_eq!(poller.wait(&mut out, Some(Duration::from_millis(1))).unwrap(), 0);
-    }
+    use std::os::unix::net::UnixStream;
 
     #[test]
     fn socket_readability_and_interest_changes() {

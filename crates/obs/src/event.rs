@@ -79,9 +79,8 @@ pub enum EventKind {
 /// Number of distinct event kinds (size of the per-kind counter array).
 pub const KIND_COUNT: usize = 25;
 
-/// `ThreadSpawn`/`ThreadJoin` role operand: a transport dialer thread.
-/// (Role 1, a reactor poll thread, is retired: recorded logs may hold it.)
-pub const THREAD_ROLE_DIALER: u32 = 2;
+// `ThreadSpawn`/`ThreadJoin` roles 1 (a reactor poll thread) and 2 (a
+// transport dialer thread) are retired: recorded logs may hold them.
 /// `ThreadSpawn`/`ThreadJoin` role operand: a test/application worker
 /// running another node's endpoint (the operand `a` is that node's id).
 pub const THREAD_ROLE_WORKER: u32 = 3;

@@ -27,8 +27,7 @@ mod registry;
 
 pub use clock::MonoClock;
 pub use event::{
-    EventKind, EventRecord, FAULT_DELAY, FAULT_DROP, FAULT_DUP, KIND_COUNT, THREAD_ROLE_DIALER,
-    THREAD_ROLE_WORKER,
+    EventKind, EventRecord, FAULT_DELAY, FAULT_DROP, FAULT_DUP, KIND_COUNT, THREAD_ROLE_WORKER,
 };
 pub use export::{chrome_trace, event_log, text_histogram_dump};
 pub use recorder::{Recorder, TraceConfig, TraceMode};
