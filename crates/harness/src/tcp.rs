@@ -183,6 +183,37 @@ mod tests {
     }
 
     #[test]
+    fn drop_disconnects_peers() {
+        let (mut a, b) = pair();
+        drop(b);
+        let mut sent = Ok(());
+        for _ in 0..200 {
+            sent = a.send(1, Payload::control(vec![0u8; 1024]));
+            if sent.is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(matches!(sent, Err(NetError::Disconnected)), "send to a dropped peer: {sent:?}");
+    }
+
+    #[test]
+    fn peer_exit_surfaces_as_down_event() {
+        let (mut a, b) = pair();
+        drop(b);
+        // a notices the EOF inside its own calls: take_peer_events polls.
+        let mut seen = Vec::new();
+        for _ in 0..200 {
+            seen.extend(a.take_peer_events());
+            if !seen.is_empty() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(seen, vec![PeerEvent::Down(1)], "EOF surfaces as one Down");
+    }
+
+    #[test]
     fn sends_to_removed_peer_are_dropped_silently() {
         let (mut a, b) = pair();
         a.remove_peer(1);

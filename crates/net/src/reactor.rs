@@ -902,6 +902,28 @@ mod tests {
         assert!(matches!(a.send(1, Payload::data(vec![0])), Err(NetError::Disconnected)));
     }
 
+    /// Node 0 took node 1's connection at setup. Once node 1 drops, node
+    /// 0's sends to it fail with `Disconnected`, and keep failing: nothing
+    /// brings the link back.
+    #[test]
+    fn accept_side_sends_fail_while_peer_is_down() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let b = eps.pop().unwrap();
+        let mut a = eps.pop().unwrap();
+        drop(b);
+        let mut sent = Ok(());
+        for _ in 0..200 {
+            sent = a.send(1, Payload::control(vec![0u8; 64]));
+            if sent.is_err() {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert!(matches!(sent, Err(NetError::Disconnected)), "{sent:?}");
+        let again = a.send(1, Payload::control(vec![0u8; 64]));
+        assert!(matches!(again, Err(NetError::Disconnected)), "{again:?}");
+    }
+
     /// Once every link is torn nothing can arrive, so a blocking `recv`
     /// hands over what is still queued and then fails instead of parking
     /// for good. It runs on a thread of its own, so a `recv` that never
