@@ -15,7 +15,7 @@
 //!
 //! * `Send(peer, ..)` snapshots the sender's clock into a FIFO per
 //!   `(sender, peer)` channel; the matching `Recv` pops and joins it.
-//!   (TCP preserves per-pair order, so FIFO matching is sound.)
+//!   (A stream socket preserves per-pair order, so FIFO matching is sound.)
 //! * `LockGrant(object)` joins the lock's clock; `LockRelease(object)`
 //!   stores the holder's clock into it. The EC lock manager hands grants
 //!   over messages, so the send/recv edges carry the strong ordering;

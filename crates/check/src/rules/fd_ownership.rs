@@ -1,7 +1,7 @@
 //! `fd-ownership`: raw file descriptors stay inside `sys.rs`.
 //!
 //! The reactor's safety story rests on every descriptor having exactly one
-//! owner whose `Drop` closes it: `TcpStream`/`TcpListener` for sockets. A
+//! owner whose `Drop` closes it: `UnixStream` for the reactor's sockets. A
 //! `RawFd` returned, stored, or converted anywhere else in `sdso-net` is a
 //! leak or a double-close waiting to happen (and is exactly how
 //! fd-recycling races start: a stale raw fd closed after the number was

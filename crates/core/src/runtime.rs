@@ -50,7 +50,7 @@ pub struct ExchangeReport {
 /// [`SdsoRuntime::exchange`] (Fig. 4).
 ///
 /// The runtime is transport-generic: `E` may be the in-process transport,
-/// the TCP mesh, or the virtual-time simulator endpoint. The endpoint
+/// the reactor mesh, or the virtual-time simulator endpoint. The endpoint
 /// lives one layer down, in the session, which hands this kernel
 /// exactly-once, in-order logical messages whatever the transport does.
 #[derive(Debug)]

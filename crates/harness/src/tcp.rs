@@ -1,10 +1,12 @@
-//! The TCP transport's [`Endpoint`](sdso_net::Endpoint) contract, checked
+//! The socket transport's [`Endpoint`](sdso_net::Endpoint) contract, checked
 //! the way protocol code meets the transport: endpoints mostly as
 //! [`local_cluster`](crate::transports::local_cluster) hands them out
 //! (boxed, `Send`). The reactor's own unit tests (`sdso_net::reactor`)
 //! probe its internals and feed it raw sockets; these hold only what a
 //! protocol holds.
 //!
+//! The module and its tests keep the names they had when the transport
+//! ran over loopback TCP; its links are Unix-domain socket pairs now.
 //! Every link is connected once, at setup, and a torn one is never
 //! re-dialled: the torn-link test holds `MemoryHub`'s endpoints to the same
 //! contract, since on both transports a torn link means the peer is gone.

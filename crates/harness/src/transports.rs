@@ -2,11 +2,12 @@
 //!
 //! The runtime is written against the [`Endpoint`] trait and does not care
 //! which transport carries its frames. This module is the single place that
-//! turns "a cluster on loopback" into live endpoints, so experiments,
+//! turns "a cluster in this process" into live endpoints, so experiments,
 //! integration tests, and the bench harness all construct clusters the same
 //! way: over the reactor mesh (one `poll(2)` loop per endpoint, run on the
 //! endpoint owner's thread inside its calls, see `sdso_net::reactor`), which
-//! exists on every unix. Elsewhere building a cluster is an error rather
+//! exists on every unix and links each pair of nodes with a Unix-domain
+//! socket pair. Elsewhere building a cluster is an error rather
 //! than a silent substitution, so CI jobs that gate reactor behaviour
 //! cannot pass vacuously.
 
@@ -15,7 +16,7 @@ use sdso_net::{Endpoint, NetError, TransportKind};
 /// An owned, boxed endpoint: what [`local_cluster`] hands back.
 pub type BoxedTransport = Box<dyn Endpoint + Send>;
 
-/// Builds an `n`-node full-mesh cluster on loopback. `TransportKind` has
+/// Builds an `n`-node full-mesh cluster in this process. `TransportKind` has
 /// one value, the reactor; the argument stays until the `benchmark/` crate
 /// that passes it stops doing so.
 ///

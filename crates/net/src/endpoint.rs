@@ -26,9 +26,10 @@ pub enum PeerEvent {
 ///
 /// * [`memory::MemoryEndpoint`](crate::memory::MemoryEndpoint) — `std` mpsc
 ///   channels, real threads, wall-clock time;
-/// * `reactor::ReactorEndpoint` — a real TCP mesh driven by one `poll(2)`
+/// * `reactor::ReactorEndpoint` — a real-socket mesh driven by one `poll(2)`
 ///   loop per endpoint (every unix), the moral equivalent of the original
-///   system's socket layer;
+///   system's socket layer: its links are Unix-domain socket pairs inside
+///   one process, where the original's were TCP connections across hosts;
 /// * `sdso_sim::SimEndpoint` — deterministic virtual time over a modelled
 ///   network, used for the paper's evaluation figures.
 ///

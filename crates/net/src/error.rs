@@ -16,7 +16,7 @@ pub enum NetError {
     Disconnected,
     /// A frame or message failed to decode.
     Codec(String),
-    /// An underlying I/O error (TCP transport only).
+    /// An underlying I/O error (reactor transport only).
     Io(std::io::Error),
     /// The virtual-time scheduler detected that every node is blocked with no
     /// message in flight — a distributed deadlock in the protocol under test.

@@ -1,6 +1,6 @@
 //! A fault-injecting decorator for any [`Endpoint`].
 //!
-//! [`FaultyEndpoint`] wraps a real transport (in-process channels, TCP)
+//! [`FaultyEndpoint`] wraps a real transport (in-process channels, sockets)
 //! and executes a [`FaultPlan`] against its traffic: sends may be dropped
 //! or duplicated, receives may be held back to let later messages
 //! overtake, and timed partitions sever links until they heal. The same

@@ -9,8 +9,9 @@
 //!   split).
 //! * [`Endpoint`] — the transport abstraction all protocols are written
 //!   against. Implementations exist for in-process channels
-//!   ([`memory::MemoryHub`]), real TCP meshes (`reactor::ReactorMesh`, on
-//!   every unix), and the virtual-time cluster simulator in the `sdso-sim`
+//!   ([`memory::MemoryHub`]), real-socket meshes (`reactor::ReactorMesh`,
+//!   on every unix: one Unix-domain socket pair per link, all in one
+//!   process), and the virtual-time cluster simulator in the `sdso-sim`
 //!   crate.
 //! * [`wire`] — a small, dependency-free binary codec used by every message
 //!   type in the workspace.

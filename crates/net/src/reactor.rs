@@ -1,5 +1,5 @@
-//! Event-driven reactor TCP transport: one poll loop for every peer, run on
-//! the endpoint owner's thread. It is the workspace's one real-socket
+//! Event-driven reactor transport: one poll loop for every peer, run on the
+//! endpoint owner's thread. It is the workspace's one real-socket
 //! transport, on every unix.
 //!
 //! `ReactorMesh` connects every link once, at setup, and multiplexes *all*
@@ -41,9 +41,11 @@
 //! wants the CPU: a spinner whose replies come back promptly keeps
 //! spinning on a CPU it shares with other threads.
 //!
-//! Topologies: [`ReactorMesh::local`] builds a full loopback mesh and
+//! Topologies: [`ReactorMesh::local`] builds a full mesh and
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
-//! other node — the shape the 256-peer soak and its timed twin use).
+//! other node — the shape the 256-peer soak and its timed twin use), both in
+//! one process, each link a Unix-domain stream pair ([`stream_pair`]): a
+//! frame skips the TCP/IP stack, and nothing here connects across hosts.
 //!
 //! Sends are asynchronous: what the socket does not take is queued and a
 //! later turn drains it. A peer that stops draining accumulates queued
@@ -52,7 +54,7 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use bytes::BytesMut;
@@ -63,7 +65,7 @@ use crate::error::NetError;
 use crate::frame::{append_frame, decode_frame_at};
 use crate::message::{Incoming, Payload};
 use crate::metrics::{obs_class, NetMetrics, NetMetricsSnapshot};
-use crate::sys::{Interest, Poller, Ready};
+use crate::sys::{stream_pair, Interest, Poller, Ready};
 use crate::time::{SimInstant, SimSpan};
 
 /// Per-`read` syscall chunk size.
@@ -71,7 +73,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Bytes of queued payloads coalesced into one write buffer per refill.
 const WRITE_COALESCE_BUDGET: usize = 256 * 1024;
 /// How long a receive keeps running non-blocking turns before it parks in
-/// `poll`. A parked thread woken on an idle CPU costs about half a loopback
+/// `poll`. A parked thread woken on an idle CPU costs about half a socket
 /// round trip; a reply that lands inside this window skips that wake-up.
 const SPIN_MICROS: u64 = 50;
 /// Per-peer cap on queued (accepted but unwritten) payload bytes; sends
@@ -80,7 +82,7 @@ const MAX_QUEUED_BYTES: usize = 32 * 1024 * 1024;
 
 /// One live connection inside the reactor.
 struct Conn {
-    stream: TcpStream,
+    stream: UnixStream,
     /// Flat inbound buffer; frames are decoded out of it incrementally.
     rbuf: Vec<u8>,
     /// Encoded outbound bytes in flight (pooled).
@@ -92,7 +94,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
+    fn new(stream: UnixStream) -> Conn {
         Conn {
             stream,
             rbuf: Vec::new(),
@@ -103,14 +105,13 @@ impl Conn {
     }
 }
 
-/// Constructors for reactor-driven TCP clusters.
+/// Constructors for reactor-driven clusters in one process.
 #[derive(Debug)]
 pub struct ReactorMesh;
 
 impl ReactorMesh {
-    /// Builds an `n`-node full mesh over loopback, one poll loop per
-    /// endpoint. Every link is connected here, once; the listeners that
-    /// wired it are closed before this returns.
+    /// Builds an `n`-node full mesh, one poll loop per endpoint. Every link
+    /// is connected here, once.
     ///
     /// # Errors
     ///
@@ -121,43 +122,13 @@ impl ReactorMesh {
     /// Panics if `n` is zero or exceeds `NodeId::MAX - 1`.
     pub fn local(n: usize) -> Result<Vec<ReactorEndpoint>, NetError> {
         assert!(n > 0, "cluster must have at least one node");
-        assert!(n < usize::from(NodeId::MAX), "cluster too large");
-        // A full mesh holds both ends of every pairwise connection in this
-        // process: n*(n-1) stream fds, plus each endpoint's listener while
-        // the mesh is wired. At 256 nodes that is ~66k descriptors — far
-        // past the usual 1024 soft limit, so bump it like `star` does.
-        crate::sys::raise_nofile_limit((n as u64) * (n as u64) + 64);
-        let listeners: Vec<TcpListener> =
-            (0..n).map(|_| TcpListener::bind(("127.0.0.1", 0))).collect::<Result<_, _>>()?;
-        let addrs: Vec<SocketAddr> =
-            listeners.iter().map(TcpListener::local_addr).collect::<Result<_, _>>()?;
-        let mut streams: Vec<Vec<Option<TcpStream>>> =
-            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-        // Symmetric assignment into streams[i][j] and streams[j][i]: no
-        // iterator form can hold both mutable slots at once.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let out = TcpStream::connect(addrs[i])?;
-                let (inc, _) = listeners[i].accept()?;
-                out.set_nodelay(true)?;
-                inc.set_nodelay(true)?;
-                streams[j][i] = Some(out);
-                streams[i][j] = Some(inc);
-            }
-        }
-        drop(listeners);
-        streams
-            .into_iter()
-            .enumerate()
-            .map(|(id, peers)| ReactorEndpoint::spawn(id as NodeId, peers))
-            .collect()
+        Self::wire(n, (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect())
     }
 
-    /// Builds an `n`-node hub-and-spokes cluster over loopback: node 0 (the
-    /// hub) is connected to every spoke, spokes are connected only to the
-    /// hub. `n - 1` connections total instead of `n·(n-1)/2`, which is what
-    /// makes 256+ peers practical on one machine.
+    /// Builds an `n`-node hub-and-spokes cluster in this process: node 0
+    /// (the hub) is linked to every spoke, spokes only to the hub. `n - 1`
+    /// links total instead of `n·(n-1)/2`, which is what makes 256+ peers
+    /// practical on one machine.
     ///
     /// Sends between two spokes fail with [`NetError::Disconnected`]; route
     /// through the hub at the protocol layer instead.
@@ -171,30 +142,26 @@ impl ReactorMesh {
     /// Panics if `n` is less than two or exceeds `NodeId::MAX - 1`.
     pub fn star(n: usize) -> Result<Vec<ReactorEndpoint>, NetError> {
         assert!(n >= 2, "a star needs a hub and at least one spoke");
-        assert!(n < usize::from(NodeId::MAX), "cluster too large");
-        crate::sys::raise_nofile_limit((n as u64) * 2 + 64);
-        let hub_listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let hub_addr = hub_listener.local_addr()?;
-        let mut hub_row: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut spoke_streams: Vec<TcpStream> = Vec::with_capacity(n - 1);
-        for hub_slot in hub_row.iter_mut().skip(1) {
-            let out = TcpStream::connect(hub_addr)?;
-            let (inc, _) = hub_listener.accept()?;
-            out.set_nodelay(true)?;
-            inc.set_nodelay(true)?;
-            spoke_streams.push(out);
-            *hub_slot = Some(inc);
-        }
-        drop(hub_listener);
+        Self::wire(n, (1..n).map(|spoke| (0, spoke)).collect())
+    }
 
-        let mut endpoints = Vec::with_capacity(n);
-        endpoints.push(ReactorEndpoint::spawn(0, hub_row)?);
-        for (spoke, stream) in spoke_streams.into_iter().enumerate() {
-            let mut row: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-            row[0] = Some(stream);
-            endpoints.push(ReactorEndpoint::spawn((spoke + 1) as NodeId, row)?);
+    /// `n` endpoints with one [`stream_pair`] per link `(i, j)`. Both ends
+    /// of every link live in this process — ~66k descriptors for a full
+    /// mesh of 256, far past the usual soft limit, which is raised first.
+    fn wire(n: usize, links: Vec<(usize, usize)>) -> Result<Vec<ReactorEndpoint>, NetError> {
+        assert!(n < usize::from(NodeId::MAX), "cluster too large");
+        crate::sys::raise_nofile_limit(2 * links.len() as u64 + 64);
+        let mut rows: Vec<Vec<Option<UnixStream>>> =
+            (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
+        for (i, j) in links {
+            let (a, b) = stream_pair()?;
+            rows[i][j] = Some(a);
+            rows[j][i] = Some(b);
         }
-        Ok(endpoints)
+        rows.into_iter()
+            .enumerate()
+            .map(|(id, peers)| ReactorEndpoint::spawn(id as NodeId, peers))
+            .collect()
     }
 }
 
@@ -221,19 +188,16 @@ impl std::fmt::Debug for ReactorEndpoint {
 impl ReactorEndpoint {
     /// Node `id`'s endpoint over its connected `peers`, indexed by node id
     /// (`None`: no link to that node, and never one).
-    fn spawn(id: NodeId, peers: Vec<Option<TcpStream>>) -> Result<ReactorEndpoint, NetError> {
+    fn spawn(id: NodeId, peers: Vec<Option<UnixStream>>) -> Result<ReactorEndpoint, NetError> {
         let n = peers.len();
         let mut poller = Poller::new();
         let mut conns: Vec<Option<Conn>> = Vec::with_capacity(n);
         for (peer, stream) in peers.into_iter().enumerate() {
-            conns.push(match stream {
-                None => None,
-                Some(s) => {
-                    s.set_nonblocking(true)?;
-                    poller.add(&s, peer as u64, Interest::READ)?;
-                    Some(Conn::new(s))
-                }
-            });
+            if let Some(s) = &stream {
+                s.set_nonblocking(true)?;
+                poller.add(s, peer as u64, Interest::READ)?;
+            }
+            conns.push(stream.map(Conn::new));
         }
         let reactor = Reactor {
             me: id,
@@ -544,7 +508,6 @@ impl Reactor {
     fn teardown(&mut self, peer: usize) {
         let Some(conn) = self.conns[peer].take() else { return };
         self.poller.delete(&conn.stream);
-        let _ = conn.stream.shutdown(Shutdown::Both);
         crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         for payload in self.queues[peer].drain(..) {
             crate::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
@@ -665,7 +628,6 @@ impl Reactor {
                 );
             }
             self.poller.delete(&conn.stream);
-            let _ = conn.stream.shutdown(Shutdown::Both);
             crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         }
     }
@@ -730,7 +692,16 @@ fn fill_and_write(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
     use std::time::Instant;
+
+    /// Held by the tests that time themselves and by those that move bulk
+    /// payloads: a timing taken beside a bulk transfer measures its load.
+    static TIMING: Mutex<()> = Mutex::new(());
+
+    fn timing_alone() -> MutexGuard<'static, ()> {
+        crate::unpoisoned(TIMING.lock())
+    }
 
     #[test]
     fn local_mesh_ping_pong() {
@@ -852,11 +823,9 @@ mod tests {
 
     /// Node 0 of a two-node endpoint whose link to node 1 is a plain
     /// socket: the test writes node 1's side of the wire by hand.
-    fn endpoint_over_raw_socket() -> (ReactorEndpoint, TcpStream) {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        (ReactorEndpoint::spawn(0, vec![None, Some(accepted)]).unwrap(), raw)
+    fn endpoint_over_raw_socket() -> (ReactorEndpoint, UnixStream) {
+        let (link, raw) = UnixStream::pair().unwrap();
+        (ReactorEndpoint::spawn(0, vec![None, Some(link)]).unwrap(), raw)
     }
 
     #[test]
@@ -950,6 +919,7 @@ mod tests {
     #[test]
     fn write_queue_backpressure_overflow_errors_instead_of_growing() {
         const CHUNK: usize = 1 << 20;
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let _b = eps.pop().unwrap(); // alive, but never reads
         let mut a = eps.pop().unwrap();
@@ -1009,6 +979,7 @@ mod tests {
     /// of several calls, so a preempted one does not count.
     #[test]
     fn a_timeout_shorter_than_the_spin_window_bounds_the_spin() {
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let _b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -1028,6 +999,7 @@ mod tests {
 
     #[test]
     fn try_recv_on_an_empty_inbox_does_not_spin() {
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let _b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -1051,6 +1023,7 @@ mod tests {
     /// Retried, because a preempted short wait may outlast the window too.
     #[test]
     fn a_long_wait_clears_the_spin_and_a_short_wait_rearms_it() {
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
@@ -1070,22 +1043,48 @@ mod tests {
 
     #[test]
     fn large_payload_crosses_intact() {
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         let body: Vec<u8> = (0..1_000_000u32).map(|i| (i % 251) as u8).collect();
+        // A megabyte can outgrow a link's socket buffers, and the rest
+        // crosses only while `a` waits in a receive: `b` gets a thread.
+        let receiver = std::thread::spawn(move || {
+            let got = b.recv().unwrap();
+            b.send(0, Payload::control(vec![1u8])).unwrap();
+            (b, got)
+        });
         a.send(1, Payload::data(body.clone())).unwrap();
-        let got = b.recv().unwrap();
+        a.recv_deadline(SimSpan::from_millis(10_000)).unwrap().expect("the receiver's ack");
+        let (_b, got) = receiver.join().unwrap();
         assert_eq!(got.payload.bytes.len(), body.len());
         assert_eq!(&got.payload.bytes[..], &body[..], "megabyte payload survives chunked reads");
     }
 
-    /// 16 MiB is far past what loopback's socket buffers hold and under the
+    /// A link's send buffer takes a burst whole: 64 frames of 4 KiB to a
+    /// peer that reads none of them all reach the kernel. At the default
+    /// Unix-domain send buffer only about 44 of them fit.
+    #[test]
+    fn a_256_kib_burst_to_a_peer_that_does_not_read_leaves_nothing_queued() {
+        let mut eps = ReactorMesh::local(2).unwrap();
+        let _b = eps.pop().unwrap(); // alive, but never reads
+        let mut a = eps.pop().unwrap();
+        for _ in 0..64 {
+            a.send(1, Payload::data(vec![0u8; 4096])).unwrap();
+        }
+        assert_eq!(a.reactor.queued[1], 0, "payloads still wait to be encoded");
+        let conn = a.reactor.conns[1].as_ref().expect("the link is up");
+        assert_eq!(conn.woff, conn.wbuf.len(), "encoded bytes still wait for the socket");
+    }
+
+    /// 16 MiB is past what a link's socket buffers hold and under the
     /// 32 MiB queue budget: what `send`'s one write leaves queued crosses
     /// only because the sender's receive turns keep flushing it.
     #[test]
     fn a_payload_larger_than_the_socket_buffers_crosses_while_its_sender_waits_in_recv() {
         const LEN: u32 = 16 << 20;
+        let _alone = timing_alone();
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();

@@ -1,12 +1,12 @@
-//! Minimal POSIX `poll(2)` bindings for the reactor transport.
+//! Minimal POSIX `poll(2)` and socket bindings for the reactor transport.
 //!
 //! The workspace builds with no external crates (every dependency is a
 //! vendored shim), so instead of `mio` or `libc` this module declares the
-//! three C library entry points the reactor needs directly: `std` already
-//! links the platform C library, and `poll`/`getrlimit`/`setrlimit` are
-//! POSIX, with one ABI on every unix up to the two constants `cfg`'d below.
-//! Everything is wrapped in a safe type ([`Poller`]) immediately; no raw
-//! fd escapes this module.
+//! four C library entry points the reactor needs directly: `std` already
+//! links the platform C library, and `poll`/`getrlimit`/`setrlimit`/
+//! `setsockopt` are POSIX, with one ABI on every unix up to the constants
+//! `cfg`'d below. Everything is wrapped in a safe type ([`Poller`]) or
+//! function ([`stream_pair`]) immediately; no raw fd escapes this module.
 //!
 //! Non-unix builds compile this module away (`#[cfg(unix)]` at the `mod`
 //! site), and with it the reactor.
@@ -18,11 +18,12 @@
 //! block declares, with its soundness argument, and a `// SAFETY:` comment
 //! at each `unsafe` use.
 //!
-//! | entry point | contract                                               |
-//! |-------------|--------------------------------------------------------|
-//! | `poll`      | `fds` points at `nfds` live, writable `PollFd` records |
-//! | `getrlimit` | `rlim` points at a live, writable `Rlimit`             |
-//! | `setrlimit` | `rlim` points at a live, readable `Rlimit`             |
+//! | entry point  | contract                                                |
+//! |--------------|---------------------------------------------------------|
+//! | `poll`       | `fds` points at `nfds` live, writable `PollFd` records  |
+//! | `getrlimit`  | `rlim` points at a live, writable `Rlimit`              |
+//! | `setrlimit`  | `rlim` points at a live, readable `Rlimit`              |
+//! | `setsockopt` | `socket` is open; `value` points at `len` readable bytes |
 //!
 //! The poll table holds descriptor *numbers*, not owners. A socket closed
 //! while still registered leaves an entry that reports `POLLNVAL` or, once
@@ -31,8 +32,9 @@
 //! and [`Poller::add`] refuses a number that is still registered: a missed
 //! delete fails at the next add instead of misrouting readiness.
 
-use std::ffi::{c_int, c_short};
+use std::ffi::{c_int, c_short, c_void};
 use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 use crate::error::NetError;
@@ -72,11 +74,39 @@ const RLIMIT_NOFILE: c_int = 7;
 #[cfg(not(target_os = "linux"))]
 const RLIMIT_NOFILE: c_int = 8;
 
+/// `SOL_SOCKET` and `SO_SNDBUF`: 1 and 7 on Linux, `0xffff` and `0x1001`
+/// on macOS and the BSDs.
+#[cfg(target_os = "linux")]
+const SOL_SOCKET: c_int = 1;
+#[cfg(target_os = "linux")]
+const SO_SNDBUF: c_int = 7;
+#[cfg(not(target_os = "linux"))]
+const SOL_SOCKET: c_int = 0xffff;
+#[cfg(not(target_os = "linux"))]
+const SO_SNDBUF: c_int = 0x1001;
+
+/// `socklen_t`: 32 bits on every unix.
+type SocklenT = u32;
+
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
     fn getrlimit(resource: c_int, rlim: *mut Rlimit) -> c_int;
     fn setrlimit(resource: c_int, rlim: *const Rlimit) -> c_int;
+    fn setsockopt(
+        socket: c_int,
+        level: c_int,
+        name: c_int,
+        value: *const c_void,
+        len: SocklenT,
+    ) -> c_int;
 }
+
+/// The send buffer each end of a [`stream_pair`] asks for. A Unix-domain
+/// stream holds no more unread bytes than its sender's `SO_SNDBUF`, whose
+/// default (~208 KiB on Linux) is a few dozen 4 KiB frames; loopback TCP
+/// grows toward 4 MiB by itself. The kernel caps the request at its
+/// `wmem_max`.
+const STREAM_SNDBUF: c_int = 4 << 20;
 
 // --- safe wrappers ---------------------------------------------------------
 
@@ -255,18 +285,37 @@ pub fn raise_nofile_limit(want: u64) {
     let _ = unsafe { setrlimit(RLIMIT_NOFILE, &new) };
 }
 
+/// A connected pair of Unix-domain stream sockets, each end asking for a
+/// [`STREAM_SNDBUF`] send buffer: one reactor link between two endpoints
+/// of this process.
+///
+/// # Errors
+///
+/// Propagates `socketpair(2)` and `setsockopt(2)` errors.
+pub fn stream_pair() -> Result<(UnixStream, UnixStream), NetError> {
+    let (a, b) = UnixStream::pair()?;
+    let (bytes, len) = (STREAM_SNDBUF, std::mem::size_of::<c_int>() as SocklenT);
+    for end in [&a, &b] {
+        // SAFETY: `end` is borrowed for the call, so its descriptor is open;
+        // `value` points at the live local `bytes`, `len` bytes long.
+        let ret = unsafe {
+            setsockopt(end.as_raw_fd(), SOL_SOCKET, SO_SNDBUF, (&raw const bytes).cast(), len)
+        };
+        if ret != 0 {
+            return Err(NetError::Io(std::io::Error::last_os_error()));
+        }
+    }
+    Ok((a, b))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::net::{TcpListener, TcpStream};
-    use std::os::unix::net::UnixStream;
 
     #[test]
     fn socket_readability_and_interest_changes() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (server, mut client) = UnixStream::pair().unwrap();
         server.set_nonblocking(true).unwrap();
 
         let mut poller = Poller::new();
@@ -288,9 +337,7 @@ mod tests {
 
     #[test]
     fn peer_close_reports_readable_eof() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (server, _) = listener.accept().unwrap();
+        let (server, client) = UnixStream::pair().unwrap();
         let mut poller = Poller::new();
         poller.add(&server, 1, Interest::READ).unwrap();
         drop(client);

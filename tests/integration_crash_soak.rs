@@ -6,7 +6,7 @@
 //! * [`crash_soak_64_full`] is `#[ignore]`d and run explicitly by the
 //!   `crash-soak` CI job (`cargo test -- --ignored`);
 //! * [`reactor_abrupt_death_is_detected_as_a_leave`] exercises crash
-//!   *detection* on the real TCP transport: spokes die abruptly and the
+//!   *detection* on the real socket transport: spokes die abruptly and the
 //!   hub's peer events must derive exactly that leave set.
 //!
 //! When `SDSO_CRASH_TRACE` names a file, the merged flight-recorder trace
@@ -133,7 +133,7 @@ fn reactor_abrupt_death_is_detected_as_a_leave() {
     let mut endpoints = ReactorMesh::star(N).expect("star setup");
     let mut hub = endpoints.remove(0);
     // Every spoke announces itself so the hub has live links, then the
-    // doomed ones drop their endpoint — an abrupt TCP teardown, the
+    // doomed ones drop their endpoint — an abrupt socket teardown, the
     // closest a test harness gets to SIGKILL.
     let handles: Vec<_> = endpoints
         .into_iter()

@@ -28,7 +28,8 @@
 #![cfg(unix)]
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::Shutdown;
+use std::os::unix::net::UnixStream;
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -223,7 +224,7 @@ fn soak_256_spokes_full() {
 /// 6-byte ping body, tagged with `peer`, to the application's channel
 /// until the socket closes.
 fn spawn_reader(
-    mut sock: TcpStream,
+    mut sock: UnixStream,
     peer: usize,
     to_app: Sender<(usize, [u8; 6])>,
 ) -> JoinHandle<()> {
@@ -238,18 +239,15 @@ fn spawn_reader(
 /// reader thread that funnels into its owner's channel; the hub thread
 /// drains its one channel and echoes with a blocking write. That is the
 /// shape of the thread-per-peer transport the reactor replaced, minus its
-/// framing. Returns how long the exchange took; socket setup is excluded,
-/// as it is for the reactor's star.
+/// framing. Its sockets are Unix-domain pairs, like the reactor's star, so
+/// the ratio compares the two designs and not two socket families. Returns
+/// how long the exchange took; socket setup is excluded, as it is for the
+/// reactor's star.
 fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("addr");
     let (to_hub, hub_inbox) = channel();
     let (mut hub_socks, mut spoke_ends, mut readers) = (Vec::new(), Vec::new(), Vec::new());
     for i in 0..spokes {
-        let spoke = TcpStream::connect(addr).expect("connect");
-        let (hub, _) = listener.accept().expect("accept");
-        spoke.set_nodelay(true).expect("nodelay");
-        hub.set_nodelay(true).expect("nodelay");
+        let (hub, spoke) = UnixStream::pair().expect("socket pair");
         readers.push(spawn_reader(hub.try_clone().expect("clone"), i, to_hub.clone()));
         let (to_spoke, spoke_inbox) = channel();
         readers.push(spawn_reader(spoke.try_clone().expect("clone"), 0, to_spoke));
@@ -282,7 +280,7 @@ fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
         let (i, ping) = hub_inbox.recv().expect("a reader hands the hub a ping");
         hub_socks[i].write_all(&ping).expect("echo");
     }
-    let spoke_socks: Vec<TcpStream> =
+    let spoke_socks: Vec<UnixStream> =
         spoke_threads.into_iter().map(|t| t.join().expect("spoke thread")).collect();
     let took = started.elapsed();
     // Each reader holds a clone of its socket, so only a shutdown ends it.
@@ -299,9 +297,10 @@ fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
 /// peer. Same host, same process, the two stars back to back at 256 spokes x
 /// 100 pings, best of three each — a fresh ratio, which travels across hosts
 /// where a wall-clock number does not: the reactor sustains at least 0.9 of
-/// the thread-per-peer rate. Measured 1.12–1.65 against
-/// [`thread_per_peer_soak`] (1.14–1.34 before receives spun before
-/// parking); the `epoll` reactor this one replaced read
+/// the thread-per-peer rate. Measured 1.39–2.02 against
+/// [`thread_per_peer_soak`] with both stars wired from Unix-domain pairs
+/// (1.12–1.65 when both were loopback TCP; 1.14–1.34 before receives spun
+/// before parking); the `epoll` reactor this one replaced read
 /// 0.92–1.31 against it and 1.32–1.57 against the deleted thread-per-peer
 /// transport, which this hub outruns by 1.1–1.5×.
 #[test]
@@ -325,14 +324,18 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
 
 /// A message must not cost the reactor more than it costs the socket under
 /// it. Two nodes on two threads bounce a 64-byte payload 20 000 times over
-/// `ReactorMesh::local(2)` and then over a plain `TCP_NODELAY` `TcpStream`
-/// pair doing `write_all` / `read_exact`, back to back in this process,
-/// best of three each — a fresh ratio: the reactor's round trip is at most
-/// the blocking pair's. The reactor's receive spins briefly before it
-/// parks, so a prompt reply skips the wake-up of a parked thread that the
-/// blocking pair pays on every trip (measured 0.50–0.62×; 1.11–1.35×
-/// before the spin, when the contract allowed 2×; 2.81–2.87× while the
-/// poll loop ran on a thread of its own).
+/// `ReactorMesh::local(2)` and then over a plain blocking `UnixStream` pair
+/// — the socket family the reactor's links use — doing `write_all` /
+/// `read_exact`, back to back in this process, best of three each — a
+/// fresh ratio: the reactor's round trip is at most the blocking pair's.
+/// The reactor's receive spins briefly before it parks, so a prompt reply
+/// skips the wake-up of a parked thread that the blocking pair pays on
+/// every trip (measured 0.49–0.76× in 18 of 20 runs; 0.50–0.62× when both
+/// sides were loopback TCP; 1.11–1.35× before the spin, when the contract
+/// allowed 2×; 2.81–2.87× while the poll loop ran on a thread of its own).
+/// The threads are not placed: where the scheduler puts a side's two on
+/// one CPU, the blocking pair skips that wake-up and the ratio reads above
+/// 1 (1.33× and 1.39× in the other 2 of those 20 runs).
 #[test]
 #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
 fn contract_reactor_round_trip_is_no_slower_than_a_blocking_socket_pair() {
@@ -361,11 +364,7 @@ fn contract_reactor_round_trip_is_no_slower_than_a_blocking_socket_pair() {
     }
 
     fn over_a_socket_pair() -> Duration {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let mut a = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
-        let (mut b, _) = listener.accept().expect("accept");
-        a.set_nodelay(true).expect("nodelay");
-        b.set_nodelay(true).expect("nodelay");
+        let (mut a, mut b) = UnixStream::pair().expect("socket pair");
         let echo = std::thread::spawn(move || {
             let mut buf = [0u8; LEN];
             for _ in 0..TRIPS {
