@@ -1,5 +1,6 @@
 //! Fixture: the bug-removed twin of the violations sys.rs — FFI with its
-//! audit table and a justified `unsafe` (must lint clean).
+//! audit table (must lint clean), and a `// SAFETY:` comment on its
+//! `unsafe` block, as `clippy::undocumented_unsafe_blocks` asks.
 //!
 //! ## Safety audit
 //!

@@ -1,5 +1,6 @@
-//! Fixture: FFI module without a `## Safety audit` table and an `unsafe`
-//! block without a SAFETY: justification (must trip `unsafe-audit` twice).
+//! Fixture: FFI module without a `## Safety audit` table (must trip
+//! `unsafe-audit` once). Its undocumented `unsafe` block is
+//! `clippy::undocumented_unsafe_blocks`'s to flag.
 
 extern "C" {
     fn eventfd(initval: u32, flags: i32) -> i32;

@@ -4,14 +4,16 @@
 //! Three engines (see `ARCHITECTURE.md` §6 and §11):
 //!
 //! * **lint** — a deny-by-default static pass over workspace source
-//!   enforcing invariants the compiler cannot see: no panics on protocol
-//!   paths, no wall-clock/OS-entropy in deterministic code, declared
-//!   lock-acquisition order, exhaustive matches over wire enums, audited
-//!   `unsafe`/FFI, fd ownership, and no blocking calls on the reactor
-//!   event path. Scoped rules run twice: per-file, then again over a
-//!   name-resolved workspace call graph (`callgraph`) so a violation
-//!   reached *through* a helper in another crate is reported at the
-//!   point where scoped code calls out.
+//!   enforcing invariants neither the compiler nor clippy can see:
+//!   declared lock-acquisition order, exhaustive matches over wire enums,
+//!   audited FFI, fd ownership, no allocation in marked hot paths, region
+//!   routing, and no blocking calls on the reactor event path. Scoped
+//!   rules also run over a name-resolved workspace call graph
+//!   (`callgraph`), so a violation reached *through* a helper in another
+//!   crate is reported at the point where scoped code calls out; that is
+//!   all that is left of `no-panic`, whose in-file half, like host time
+//!   in deterministic code and undocumented `unsafe`, is clippy's (the
+//!   root `Cargo.toml`'s `[workspace.lints.clippy]` and `clippy.toml`).
 //! * **explore** — a bounded systematic interleaving checker: protocol
 //!   scenarios run under the virtual-time scheduler's delivery-choice
 //!   oracle while a DFS enumerates message-delivery orders and asserts

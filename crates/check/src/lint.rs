@@ -299,7 +299,6 @@ mod tests {
             report.diagnostics.iter().map(|d| d.rule).collect();
         for rule in [
             "no-panic",
-            "wall-clock",
             "lock-order",
             "exhaustive-match",
             "no-alloc-in-hot-path",

@@ -1,16 +1,17 @@
 //! Cross-file reachability passes for `no-panic` and
 //! `no-alloc-in-hot-path`, built on [`crate::callgraph`].
 //!
-//! The file-scoped rules police constructs *written in* protocol-path
-//! files; these passes police what protocol-path code *calls*:
+//! Clippy and the file-scoped rules police constructs *written in*
+//! protocol-path files; these passes police what protocol-path code
+//! *calls*:
 //!
 //! * **`no-panic` reachability** — a call from an in-scope file (see
-//!   [`super::no_panic::in_scope`]) to an out-of-scope function that may
+//!   [`super::no_panic::scope`]) to an out-of-scope function that may
 //!   panic (directly or transitively) is a finding at the call site, with
-//!   the full chain to the panicking construct in the message. Together
-//!   with the file-scoped pass this reports a superset of the old
-//!   findings: in-scope panics directly, out-of-scope panics at the
-//!   boundary call that can reach them.
+//!   the full chain to the panicking construct in the message. Clippy's
+//!   `unwrap_used`/`panic`/… denies report in-scope panics directly; this
+//!   pass reports out-of-scope panics at the boundary call that can reach
+//!   them.
 //! * **`no-alloc-in-hot-path` cross-file** — a `sdso-check: hot-path`
 //!   function calling a function that *directly* allocates is a finding at
 //!   the call site. One level deep by design: transitive alloc taint over
@@ -33,11 +34,12 @@ pub fn check(files: &[Prepared], graph: &CallGraph) -> Vec<Diagnostic> {
 }
 
 fn cross_panic(files: &[Prepared], graph: &CallGraph, refs: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let in_scope = no_panic::scope(files);
     // Direct facts: panicking constructs in OUT-of-scope files only — the
-    // in-scope ones are already direct findings of the file-scoped pass.
+    // in-scope ones are clippy's to report.
     let mut direct: Vec<Option<Reason>> = vec![None; graph.defs.len()];
     for (file_idx, file) in files.iter().enumerate() {
-        if no_panic::in_scope(&file.rel_path) || file.rel_path.starts_with("crates/check/") {
+        if in_scope[file_idx] || file.rel_path.starts_with("crates/check/") {
             continue;
         }
         for &(pat, what) in no_panic::PATTERNS {
@@ -54,12 +56,12 @@ fn cross_panic(files: &[Prepared], graph: &CallGraph, refs: &[(&str, &str)]) -> 
     let mut out = Vec::new();
     for (caller_idx, caller) in graph.defs.iter().enumerate() {
         let caller_file = &files[caller.file];
-        if !no_panic::in_scope(&caller_file.rel_path) {
+        if !in_scope[caller.file] {
             continue;
         }
         for e in &graph.calls_from[caller_idx] {
             let callee = &graph.defs[e.callee];
-            if no_panic::in_scope(&files[callee.file].rel_path) {
+            if in_scope[callee.file] {
                 continue; // the boundary is crossed at the first out-call
             }
             if reasons[e.callee].is_some() {
@@ -174,9 +176,14 @@ mod tests {
         check(&prepared, &graph)
     }
 
+    /// Puts `crates/protocols` in the `no-panic` scope.
+    const PROTOCOLS_LIB: (&str, &str) =
+        ("crates/protocols/src/lib.rs", "#![cfg_attr(not(test), deny(clippy::unwrap_used))]");
+
     #[test]
     fn panic_two_files_away_is_reported_at_the_boundary_call() {
         let d = run_rule(&[
+            PROTOCOLS_LIB,
             ("crates/protocols/src/entry.rs", "fn apply() { let v = decode_all(b); }"),
             (
                 "crates/core/src/codec.rs",
@@ -194,6 +201,7 @@ mod tests {
     #[test]
     fn non_panicking_callee_is_fine() {
         let d = run_rule(&[
+            PROTOCOLS_LIB,
             ("crates/protocols/src/entry.rs", "fn apply() { total(b); }"),
             ("crates/core/src/codec.rs", "pub fn total(b: &[u8]) -> usize { b.len() }"),
         ]);

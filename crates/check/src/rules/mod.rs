@@ -15,7 +15,6 @@ pub mod no_blocking_reactor;
 pub mod no_panic;
 pub mod region_routing;
 pub mod unsafe_audit;
-pub mod wall_clock;
 
 use crate::diag::Diagnostic;
 use crate::lexer::line_of;
@@ -87,8 +86,6 @@ impl FileCtx<'_> {
 /// Runs every rule over one file.
 pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(no_panic::check(ctx));
-    out.extend(wall_clock::check(ctx));
     out.extend(lock_order::check(ctx));
     out.extend(exhaustive_match::check(ctx));
     out.extend(no_alloc_hot_path::check(ctx));

@@ -1,25 +1,27 @@
-//! `no-panic`: no `unwrap()`/`expect()`/`panic!` (or their cousins) in
-//! protocol-path non-test code.
+//! `no-panic`: protocol-path code does not call into code that may panic.
 //!
 //! S-DSO's runtime, protocols, and transports must surface failures through
 //! the typed `error.rs` paths — a panic in a replica is an availability
-//! fault the paper's model does not allow for. Tests and scoped-out crates
-//! (the simulator harness, the game) may panic freely.
+//! fault the paper's model does not allow for. Clippy polices the panics
+//! *written in* that code: the scope denies `clippy::{unwrap_used,
+//! expect_used, panic, unreachable, todo, unimplemented}` outside tests.
+//! What clippy cannot see is a call out of the scope into a helper that
+//! panics; [`super::cross`] reports those, and this module tells it which
+//! files are in scope by reading that same deny.
 
-use super::FileCtx;
-use crate::diag::Diagnostic;
+use std::collections::HashSet;
+
+use super::Prepared;
 
 /// Rule identifier.
 pub const RULE: &str = "no-panic";
 
-/// Exact files in scope.
-const SCOPE_FILES: &[&str] = &["crates/core/src/runtime.rs", "crates/core/src/session.rs"];
-/// Path prefixes in scope.
-const SCOPE_PREFIXES: &[&str] =
-    &["crates/protocols/src/", "crates/net/src/", "crates/game/src/shard/"];
+/// The lint whose `deny` puts a file in scope: the first of the six the
+/// scope denies.
+const SCOPE_LINT: &str = "clippy::unwrap_used";
 
-/// Panicking constructs and how to refer to them in the diagnostic.
-/// Shared with the cross-file reachability pass in [`super::cross`].
+/// Panicking constructs and how to refer to them in the diagnostic, for
+/// the reachability pass in [`super::cross`].
 pub const PATTERNS: &[(&str, &str)] = &[
     (".unwrap()", "`.unwrap()`"),
     (".expect(", "`.expect(..)`"),
@@ -29,68 +31,118 @@ pub const PATTERNS: &[(&str, &str)] = &[
     ("unimplemented!", "`unimplemented!`"),
 ];
 
-/// True if `rel_path` is governed by this rule.
-pub fn in_scope(rel_path: &str) -> bool {
-    SCOPE_FILES.contains(&rel_path) || SCOPE_PREFIXES.iter().any(|p| rel_path.starts_with(p))
+/// Which of `files` are in scope, by index. A file is when it, an ancestor
+/// `mod.rs` or its crate's `lib.rs` carries an inner attribute that denies
+/// [`SCOPE_LINT`]: lint levels reach down the module tree the same way.
+pub fn scope(files: &[Prepared]) -> Vec<bool> {
+    let denies: HashSet<&str> =
+        files.iter().filter(|f| denies_panics(&f.clean)).map(|f| f.rel_path.as_str()).collect();
+    files
+        .iter()
+        .map(|f| {
+            denies.contains(f.rel_path.as_str())
+                || f.rel_path.match_indices('/').any(|(at, _)| {
+                    let dir = &f.rel_path[..=at];
+                    ["mod.rs", "lib.rs"]
+                        .iter()
+                        .any(|file| denies.contains(format!("{dir}{file}").as_str()))
+                })
+        })
+        .collect()
 }
 
-/// Runs the rule over one prepared file.
-pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
-    if !in_scope(ctx.rel_path) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for &(pat, what) in PATTERNS {
-        for at in crate::lexer::find_bounded(ctx.clean, pat) {
-            out.push(ctx.diag(
-                RULE,
-                at,
-                format!(
-                    "{what} in non-test protocol code; propagate a typed error \
-                     (see error.rs) instead of panicking"
-                ),
-            ));
-        }
-    }
-    out
+/// True if the cleaned source has an inner attribute whose `deny(..)`
+/// lists [`SCOPE_LINT`], as `#![cfg_attr(not(test), deny(..))]` does.
+fn denies_panics(clean: &str) -> bool {
+    let flat: String = clean.split_whitespace().collect();
+    flat.match_indices("#![").any(|(at, _)| {
+        let attr = flat[at..].split(']').next().unwrap_or_default();
+        attr.split("deny(").skip(1).any(|group| {
+            group.split(')').next().unwrap_or_default().split(',').any(|l| l == SCOPE_LINT)
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::callgraph::CallGraph;
+    use crate::diag::Diagnostic;
     use crate::lexer::{clean_source, strip_test_modules};
 
-    fn run(path: &str, src: &str) -> Vec<Diagnostic> {
-        let clean = strip_test_modules(&clean_source(src));
-        let lines: Vec<&str> = src.lines().collect();
-        check(&FileCtx { rel_path: path, clean: &clean, lines: &lines })
+    /// Spread over lines, as rustfmt leaves a long attribute.
+    const DENY: &str =
+        "#![cfg_attr(\n    not(test),\n    deny(clippy::panic, clippy::unwrap_used)\n)]\n";
+
+    fn prepare(files: &[(&str, &str)]) -> Vec<Prepared> {
+        let prepare = |(p, s): &(&str, &str)| Prepared {
+            rel_path: (*p).to_owned(),
+            src: (*s).to_owned(),
+            clean: strip_test_modules(&clean_source(s)),
+        };
+        files.iter().map(prepare).collect()
     }
 
+    fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+        let prepared = prepare(files);
+        let refs: Vec<(&str, &str)> =
+            prepared.iter().map(|f| (f.rel_path.as_str(), f.clean.as_str())).collect();
+        crate::rules::cross::check(&prepared, &CallGraph::build(&refs))
+    }
+
+    /// A call from a file under the deny into a helper that unwraps is
+    /// flagged; the same call from a file without it is not.
     #[test]
     fn flags_unwrap_in_scope() {
-        for path in ["crates/protocols/src/entry.rs", "crates/core/src/session.rs"] {
-            let d = run(path, "fn f() { x.unwrap(); }");
-            assert_eq!(d.len(), 1, "{path}");
-            assert_eq!(d[0].line, 1);
-        }
+        let helper =
+            ("crates/core/src/util.rs", "pub fn first(b: &[u8]) -> u8 { *b.first().unwrap() }");
+        let caller = ("crates/protocols/src/entry.rs", "fn apply(b: &[u8]) -> u8 { first(b) }");
+        let d = run(&[("crates/protocols/src/lib.rs", DENY), caller, helper]);
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert_eq!((d[0].rule, d[0].path.as_str()), (RULE, caller.0));
+        assert!(run(&[("crates/protocols/src/lib.rs", "mod entry;"), caller, helper]).is_empty());
     }
 
+    /// The deny reaches its own file, the files below an ancestor module
+    /// file and the whole crate below `lib.rs`, and nothing else; a deny
+    /// inside a test module is not the scope's.
     #[test]
     fn ignores_out_of_scope_and_tests() {
-        assert!(run("crates/game/src/ai.rs", "fn f() { x.unwrap(); }").is_empty());
-        let src = "#[cfg(test)]\nmod tests { fn t() { x.unwrap(); } }";
-        assert!(run("crates/protocols/src/entry.rs", src).is_empty());
+        let in_test = format!("#[cfg(test)]\nmod tests {{\n{DENY}}}");
+        let files = prepare(&[
+            ("crates/core/src/runtime.rs", DENY),
+            ("crates/core/src/store.rs", ""),
+            ("crates/game/src/shard/mod.rs", DENY),
+            ("crates/game/src/shard/lattice.rs", ""),
+            ("crates/game/src/ai.rs", ""),
+            ("crates/net/src/lib.rs", DENY),
+            ("crates/net/src/reactor.rs", ""),
+            ("crates/sim/src/lib.rs", &in_test),
+        ]);
+        assert_eq!(scope(&files), [true, false, true, true, false, true, true, false]);
     }
 
     #[test]
     fn unwrap_or_variants_are_fine() {
-        let src = "fn f() { x.unwrap_or(0); y.unwrap_or_else(id); z.unwrap_or_default(); }";
-        assert!(run("crates/net/src/reactor.rs", src).is_empty());
+        let total = "pub fn first(b: &[u8]) -> u8 { b.first().copied().unwrap_or_default() }";
+        let d = run(&[
+            ("crates/net/src/lib.rs", DENY),
+            ("crates/net/src/reactor.rs", "fn turn(b: &[u8]) -> u8 { first(b) }"),
+            ("crates/core/src/util.rs", total),
+        ]);
+        assert!(d.is_empty(), "{d:?}");
     }
 
+    /// A deny written in a comment or a string, or one of another lint,
+    /// puts nothing in scope.
     #[test]
     fn strings_and_comments_do_not_count() {
-        let src = "fn f() { let s = \".unwrap()\"; } // panic!(\"no\")";
-        assert!(run("crates/core/src/runtime.rs", src).is_empty());
+        let files = prepare(&[
+            ("crates/a/src/lib.rs", "// #![deny(clippy::unwrap_used)]"),
+            ("crates/b/src/lib.rs", "const S: &str = \"#![deny(clippy::unwrap_used)]\";"),
+            ("crates/c/src/lib.rs", "#![deny(clippy::todo)]\n#![allow(clippy::unwrap_used)]"),
+            ("crates/d/src/lib.rs", "#![deny(clippy::panic, clippy::unwrap_used)]"),
+        ]);
+        assert_eq!(scope(&files), [false, false, false, true]);
     }
 }

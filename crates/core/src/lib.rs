@@ -66,6 +66,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Replay-critical: no host time outside tests. The banned calls and types
+// are listed in the workspace's clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 
 mod clock;
 mod codec;

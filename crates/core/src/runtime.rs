@@ -1,3 +1,8 @@
+// No panics on a protocol path; `sdso-check lint` reads this deny as the
+// scope of its cross-file `no-panic` pass.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
+
 use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
 use sdso_net::{Endpoint, MsgClass, NodeId, SimSpan};
 use sdso_obs::{EventKind, Obs};

@@ -42,6 +42,10 @@
 //! ```
 
 #![warn(missing_docs)]
+// No panics on a protocol path; `sdso-check lint` reads this deny as the
+// scope of its cross-file `no-panic` pass.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 mod endpoint;
 mod error;

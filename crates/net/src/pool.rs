@@ -13,132 +13,84 @@
 //! released on a thread other than the one that drew it simply joins that
 //! thread's freelist.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use bytes::{Bytes, BytesMut};
 
-use crate::unpoisoned;
-
-/// Default cap on pooled buffers (per pool).
+/// Cap on pooled buffers (per pool).
 pub const DEFAULT_MAX_BUFFERS: usize = 64;
 
-/// Default cap on a single pooled buffer's capacity; larger buffers are
-/// dropped on return so one jumbo frame cannot pin memory forever.
+/// Cap on a single pooled buffer's capacity; larger buffers are dropped on
+/// return so one jumbo frame cannot pin memory forever.
 pub const DEFAULT_MAX_CAPACITY: usize = 1 << 20;
 
-/// Cumulative counters describing how well the pool is working.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// `get` calls served from the freelist.
-    pub hits: u64,
-    /// `get` calls that had to allocate.
-    pub misses: u64,
-    /// Buffers accepted back into the freelist.
-    pub returns: u64,
-    /// Buffers rejected on return (pool full, buffer oversized, or storage
-    /// still shared).
-    pub discards: u64,
-}
-
-/// A mutex-guarded freelist of [`BytesMut`] buffers.
-#[derive(Debug)]
+/// A freelist of [`BytesMut`] buffers, owned by one thread.
+#[derive(Default)]
 pub struct BufPool {
-    free: Mutex<Vec<BytesMut>>,
-    max_buffers: usize,
-    max_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    returns: AtomicU64,
-    discards: AtomicU64,
-}
-
-impl Default for BufPool {
-    fn default() -> Self {
-        BufPool::new(DEFAULT_MAX_BUFFERS, DEFAULT_MAX_CAPACITY)
-    }
+    free: Cell<Vec<BytesMut>>,
 }
 
 impl BufPool {
-    /// Creates a pool holding at most `max_buffers` buffers of at most
-    /// `max_capacity` bytes each.
-    pub fn new(max_buffers: usize, max_capacity: usize) -> Self {
-        BufPool {
-            free: Mutex::new(Vec::new()),
-            max_buffers,
-            max_capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            returns: AtomicU64::new(0),
-            discards: AtomicU64::new(0),
-        }
+    /// Creates an empty pool holding at most [`DEFAULT_MAX_BUFFERS`] buffers
+    /// of at most [`DEFAULT_MAX_CAPACITY`] bytes each.
+    pub fn new() -> Self {
+        BufPool::default()
+    }
+
+    /// Runs `f` on the freelist, taken out of its cell for the call and put
+    /// back after: a pool reached again from inside `f` finds it empty
+    /// instead of panicking, as a `RefCell` borrowed twice would.
+    fn with_free<R>(&self, f: impl FnOnce(&mut Vec<BytesMut>) -> R) -> R {
+        let mut free = self.free.take();
+        let out = f(&mut free);
+        self.free.set(free);
+        out
     }
 
     /// Takes a cleared buffer from the freelist, allocating if it is empty.
     pub fn get(&self) -> BytesMut {
-        let recycled = unpoisoned(self.free.lock()).pop();
-        match recycled {
+        match self.with_free(Vec::pop) {
             Some(mut buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
                 buf.clear();
                 buf
             }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                BytesMut::new()
-            }
+            None => BytesMut::new(),
         }
     }
 
     /// Returns a buffer to the freelist; drops it if the pool is full or the
     /// buffer outgrew the per-buffer capacity cap.
     pub fn put(&self, buf: BytesMut) {
-        if buf.capacity() == 0 || buf.capacity() > self.max_capacity {
-            self.discards.fetch_add(1, Ordering::Relaxed);
+        if buf.capacity() == 0 || buf.capacity() > DEFAULT_MAX_CAPACITY {
             return;
         }
-        let mut free = unpoisoned(self.free.lock());
-        if free.len() >= self.max_buffers {
-            self.discards.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.returns.fetch_add(1, Ordering::Relaxed);
-        free.push(buf);
+        self.with_free(|free| {
+            if free.len() < DEFAULT_MAX_BUFFERS {
+                free.push(buf);
+            }
+        });
     }
 
     /// Recovers the storage behind a frozen [`Bytes`] when this was its last
     /// handle; shared or oversized storage is simply dropped.
     pub fn reclaim(&self, bytes: Bytes) {
-        match bytes.try_into_mut() {
-            Ok(buf) => self.put(buf),
-            Err(_still_shared) => {
-                self.discards.fetch_add(1, Ordering::Relaxed);
-            }
+        if let Ok(buf) = bytes.try_into_mut() {
+            self.put(buf);
         }
     }
 
     /// Buffers currently parked in the freelist.
     pub fn idle(&self) -> usize {
-        unpoisoned(self.free.lock()).len()
-    }
-
-    /// Cumulative hit/miss/return/discard counts.
-    pub fn stats(&self) -> PoolStats {
-        PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            returns: self.returns.load(Ordering::Relaxed),
-            discards: self.discards.load(Ordering::Relaxed),
-        }
+        self.with_free(|free| free.len())
     }
 }
 
 /// Runs `f` with the calling thread's pool, the one its encode paths and
 /// transport writers share. A process that hosts several nodes — a
 /// simulated cluster, a loopback mesh — runs each on a thread of its own,
-/// so each node recycles through a freelist no other thread locks, where
+/// so each node recycles through a freelist no other thread touches, where
 /// one pool per process would have every node's sends and receives contend
-/// on its mutex. Returns `None`, without calling `f`, while the thread's
+/// on a lock. Returns `None`, without calling `f`, while the thread's
 /// locals are being torn down; callers then go unpooled.
 pub fn thread_pool<R>(f: impl FnOnce(&BufPool) -> R) -> Option<R> {
     thread_local! {
@@ -153,9 +105,9 @@ mod tests {
 
     #[test]
     fn get_put_recycles_storage() {
-        let pool = BufPool::new(4, 1024);
+        let pool = BufPool::new();
         let mut buf = pool.get();
-        assert_eq!(pool.stats().misses, 1);
+        assert_eq!(buf.capacity(), 0, "an empty pool allocates nothing up front");
         buf.extend_from_slice(&[7u8; 100]);
         pool.put(buf);
         assert_eq!(pool.idle(), 1);
@@ -163,29 +115,29 @@ mod tests {
         let recycled = pool.get();
         assert!(recycled.is_empty(), "recycled buffers come back cleared");
         assert!(recycled.capacity() >= 100, "allocation survives the round trip");
-        assert_eq!(pool.stats().hits, 1);
+        assert_eq!(pool.idle(), 0);
     }
 
     #[test]
     fn pool_caps_are_enforced() {
-        let pool = BufPool::new(2, 64);
-        for _ in 0..3 {
+        let pool = BufPool::new();
+        for _ in 0..=DEFAULT_MAX_BUFFERS {
             let mut b = BytesMut::with_capacity(32);
             b.extend_from_slice(&[0u8; 8]);
             pool.put(b);
         }
-        assert_eq!(pool.idle(), 2, "third buffer dropped, pool full");
+        assert_eq!(pool.idle(), DEFAULT_MAX_BUFFERS, "the buffer past the cap dropped");
 
-        let mut jumbo = BytesMut::with_capacity(128);
+        let pool = BufPool::new();
+        let mut jumbo = BytesMut::with_capacity(DEFAULT_MAX_CAPACITY + 1);
         jumbo.extend_from_slice(&[0u8; 65]);
         pool.put(jumbo);
-        assert_eq!(pool.idle(), 2, "oversized buffer dropped");
-        assert!(pool.stats().discards >= 2);
+        assert_eq!(pool.idle(), 0, "oversized buffer dropped");
     }
 
     #[test]
     fn reclaim_recovers_unique_bytes_only() {
-        let pool = BufPool::new(4, 1024);
+        let pool = BufPool::new();
         pool.reclaim(Bytes::from(vec![1u8; 16]));
         assert_eq!(pool.idle(), 1);
 
@@ -197,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_buffers_are_not_pooled() {
-        let pool = BufPool::new(4, 1024);
+        let pool = BufPool::new();
         pool.put(BytesMut::new());
         assert_eq!(pool.idle(), 0);
     }

@@ -15,8 +15,9 @@
 //!
 //! This is the workspace's only FFI module; `sdso-check`'s `unsafe-audit`
 //! rule requires this table to name every foreign function the `extern`
-//! block declares, with its soundness argument, and a `// SAFETY:` comment
-//! at each `unsafe` use.
+//! block declares, with its soundness argument, and
+//! `clippy::undocumented_unsafe_blocks` a `// SAFETY:` comment at each
+//! `unsafe` use.
 //!
 //! | entry point  | contract                                                |
 //! |--------------|---------------------------------------------------------|

@@ -179,6 +179,13 @@ impl WireWriter {
     ///
     /// Panics if `bytes.len()` exceeds `u32::MAX`.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
+        // Length prefixes are u32 by wire-format definition; exceeding one
+        // needs a single in-memory message over 4 GiB (or 2^32 sequence
+        // items), which the runtime cannot construct: objects are diffed and
+        // framed far below that. A fallible builder would push a Result
+        // through every encoder for an unreachable branch; the panic
+        // documents the invariant instead.
+        #[allow(clippy::expect_used)]
         let len = u32::try_from(bytes.len()).expect("byte string too long for wire format");
         self.put_u32(len);
         self.buf.extend_from_slice(bytes);
@@ -190,6 +197,9 @@ impl WireWriter {
     ///
     /// Panics if the sequence is longer than `u32::MAX` items.
     pub fn put_seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
+        // Item counts are u32 by wire-format definition; 2^32 items in one
+        // message is more than the runtime can construct (see `put_bytes`).
+        #[allow(clippy::expect_used)]
         let len = u32::try_from(items.len()).expect("sequence too long for wire format");
         self.put_u32(len);
         for item in items {
@@ -471,7 +481,7 @@ mod tests {
                 Ok(Blob(r.get_bytes()?.to_vec()))
             }
         }
-        let pool = crate::pool::BufPool::new(4, 1024);
+        let pool = crate::pool::BufPool::new();
         let blob = Blob(vec![9u8; 64]);
         let pooled = encode_pooled(&blob, &pool);
         assert_eq!(&pooled[..], &encode(&blob)[..]);
@@ -479,7 +489,7 @@ mod tests {
         pool.reclaim(pooled);
         assert_eq!(pool.idle(), 1);
         let again = encode_pooled(&blob, &pool);
-        assert_eq!(pool.stats().hits, 1, "second encode reused pooled scratch");
+        assert_eq!(pool.idle(), 0, "second encode reused pooled scratch");
         let decoded: Blob = decode(&again).unwrap();
         assert_eq!(decoded.0, blob.0);
     }

@@ -4,8 +4,14 @@
 //! This module is the single place in the workspace where observability
 //! code may read the host clock: the deterministic sim stamps events with
 //! virtual time from its scheduler, while `ReactorEndpoint`/`MemoryEndpoint`
-//! stamp with a [`MonoClock`]. The `sdso-check` wall-clock lint scopes
-//! `crates/obs` and allowlists exactly this file.
+//! stamp with a [`MonoClock`]. `crates/obs` denies host time outside tests
+//! (see `lib.rs`), and this file alone allows it.
+
+// MonoClock stamps flight-recorder events on real transports (the reactor,
+// MemoryEndpoint) only; deterministic sim runs stamp with virtual time and
+// never touch it. Anything else in crates/obs (or sim/core/protocols) that
+// reads host time is a bug, not a candidate for this allow.
+#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
 
 use std::time::Instant;
 

@@ -19,57 +19,20 @@
 //! One test function on purpose: the counter is process-wide, so two cells
 //! measured at once would count each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use sdso_game::{Protocol, Scenario};
 use sdso_harness::{converged, run_experiment};
 use sdso_sim::NetworkModel;
 
-/// Counts every allocation and reallocation, then defers to the system
-/// allocator.
-struct Counting;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic add.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; `ptr` came from this allocator,
-        // which is `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: forwarded unchanged; `ptr` came from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "common/counting.rs"]
+mod counting;
 
 /// Allocations of one whole run of `ticks` ticks.
 fn allocations(protocol: Protocol, nodes: u16, ticks: u64) -> u64 {
     let scenario = Scenario::paper(nodes, 1).with_ticks(ticks);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = counting::allocations();
     let run = run_experiment(&scenario, protocol, NetworkModel::paper_testbed())
         .expect("every node finishes");
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = counting::allocations();
     assert!(converged(&run), "{protocol} at {nodes} nodes did not converge");
     after - before
 }

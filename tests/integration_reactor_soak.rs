@@ -323,72 +323,66 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
 }
 
 /// A message must not cost the reactor more than it costs the socket under
-/// it. Two nodes on two threads bounce a 64-byte payload 20 000 times over
+/// it. Two threads bounce a 64-byte payload 20 000 times over
 /// `ReactorMesh::local(2)` and then over a plain blocking `UnixStream` pair
 /// — the socket family the reactor's links use — doing `write_all` /
-/// `read_exact`, back to back in this process, best of three each — a
+/// `read_exact`, alternating for three rounds, best of three each — a
 /// fresh ratio: the reactor's round trip is at most the blocking pair's.
 /// The reactor's receive spins briefly before it parks, so a prompt reply
 /// skips the wake-up of a parked thread that the blocking pair pays on
-/// every trip (measured 0.49–0.76× in 18 of 20 runs; 0.50–0.62× when both
-/// sides were loopback TCP; 1.11–1.35× before the spin, when the contract
-/// allowed 2×; 2.81–2.87× while the poll loop ran on a thread of its own).
-/// The threads are not placed: where the scheduler puts a side's two on
-/// one CPU, the blocking pair skips that wake-up and the ratio reads above
-/// 1 (1.33× and 1.39× in the other 2 of those 20 runs).
+/// every trip (measured 0.49–0.65× in 19 of 20 runs on a 2-CPU Linux VM;
+/// 0.50–0.62× when both sides were loopback TCP; 1.11–1.35× before the
+/// spin, when the contract allowed 2×; 2.81–2.87× while the poll loop ran
+/// on a thread of its own). Both sides are timed on the same two threads,
+/// but the threads are not pinned: where the scheduler puts the two on one
+/// CPU, the blocking pair skips that wake-up and the ratio reads above 1
+/// (1.02× in the other run of those 20; 1.21–1.37× under `taskset -c 0`).
 #[test]
 #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
 fn contract_reactor_round_trip_is_no_slower_than_a_blocking_socket_pair() {
     const TRIPS: u32 = 20_000;
     const LEN: usize = 64;
+    const ROUNDS: usize = 3;
 
-    fn over_the_reactor() -> Duration {
-        let mut eps = ReactorMesh::local(2).expect("reactor pair");
-        let mut b = eps.pop().expect("node 1");
-        let mut a = eps.pop().expect("node 0");
-        let echo = std::thread::spawn(move || {
+    let _alone = timing_alone();
+    let mut eps = ReactorMesh::local(2).expect("reactor pair");
+    let mut b = eps.pop().expect("node 1");
+    let mut a = eps.pop().expect("node 0");
+    let (mut pair_a, mut pair_b) = UnixStream::pair().expect("socket pair");
+    // One echo thread serves both pairs, a reactor round then a socket-pair
+    // round, in the order this thread drives them: both sides are timed on
+    // the same two threads, wherever the scheduler places them.
+    let echo = std::thread::spawn(move || {
+        let mut buf = [0u8; LEN];
+        for _ in 0..ROUNDS {
             for _ in 0..TRIPS {
                 let msg = b.recv().expect("echo recv");
                 b.send(0, msg.payload).expect("echo send");
             }
-            b
-        });
+            for _ in 0..TRIPS {
+                pair_b.read_exact(&mut buf).expect("echo read");
+                pair_b.write_all(&buf).expect("echo write");
+            }
+        }
+        b
+    });
+    let (mut reactor, mut pair) = (Duration::MAX, Duration::MAX);
+    let mut buf = [7u8; LEN];
+    for _ in 0..ROUNDS {
         let started = Instant::now();
         for _ in 0..TRIPS {
             a.send(1, Payload::control(vec![7u8; LEN])).expect("send");
             a.recv().expect("recv");
         }
-        let took = started.elapsed();
-        drop(echo.join().expect("echo thread"));
-        took
-    }
-
-    fn over_a_socket_pair() -> Duration {
-        let (mut a, mut b) = UnixStream::pair().expect("socket pair");
-        let echo = std::thread::spawn(move || {
-            let mut buf = [0u8; LEN];
-            for _ in 0..TRIPS {
-                b.read_exact(&mut buf).expect("echo read");
-                b.write_all(&buf).expect("echo write");
-            }
-        });
-        let mut buf = [7u8; LEN];
+        reactor = reactor.min(started.elapsed());
         let started = Instant::now();
         for _ in 0..TRIPS {
-            a.write_all(&buf).expect("write");
-            a.read_exact(&mut buf).expect("read");
+            pair_a.write_all(&buf).expect("write");
+            pair_a.read_exact(&mut buf).expect("read");
         }
-        let took = started.elapsed();
-        echo.join().expect("echo thread");
-        took
+        pair = pair.min(started.elapsed());
     }
-
-    let _alone = timing_alone();
-    let (mut reactor, mut pair) = (Duration::MAX, Duration::MAX);
-    for _ in 0..3 {
-        reactor = reactor.min(over_the_reactor());
-        pair = pair.min(over_a_socket_pair());
-    }
+    drop(echo.join().expect("echo thread"));
     let micros = |d: Duration| d.as_secs_f64() * 1e6 / f64::from(TRIPS);
     let ratio = reactor.as_secs_f64() / pair.as_secs_f64();
     println!(

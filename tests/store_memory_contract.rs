@@ -8,57 +8,15 @@
 //! The counter is process-wide, so this file holds one test: two measured
 //! at once would count each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicI64, Ordering};
 
 use sdso_core::{LogicalTime, ObjectId, ObjectStore, Version};
 use sdso_game::Scenario;
 
-/// Tracks live heap bytes, then defers to the system allocator.
-struct Counting;
+#[path = "common/counting.rs"]
+mod counting;
 
-static LIVE: AtomicI64 = AtomicI64::new(0);
-
-fn bytes(n: usize) -> i64 {
-    i64::try_from(n).unwrap_or(i64::MAX)
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a relaxed atomic add.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(bytes(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        LIVE.fetch_add(bytes(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_add(bytes(new_size) - bytes(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; `ptr` came from this allocator,
-        // which is `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(bytes(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; `ptr` came from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn live() -> i64 {
-    LIVE.load(Ordering::Relaxed)
-}
+use counting::{bytes, live};
 
 #[test]
 fn a_store_holds_its_distinct_bodies_and_its_written_objects() {

@@ -11,61 +11,13 @@
 //! counter is process-wide, so this file holds one test: two runs measured
 //! at once would count each other.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use sdso_core::{RetryConfig, WireConfig};
 use sdso_game::{Protocol, Scenario};
 use sdso_harness::{converged, run_experiment};
 use sdso_sim::NetworkModel;
 
-/// Tracks live heap bytes and their high-water mark, then defers to the
-/// system allocator.
-struct Counting;
-
-static LIVE: AtomicI64 = AtomicI64::new(0);
-static PEAK: AtomicI64 = AtomicI64::new(0);
-
-fn bytes(n: usize) -> i64 {
-    i64::try_from(n).unwrap_or(i64::MAX)
-}
-
-fn grow(n: i64) {
-    let live = LIVE.fetch_add(n, Ordering::Relaxed) + n;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are relaxed atomics.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(bytes(layout.size()));
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grow(bytes(layout.size()));
-        // SAFETY: forwarded unchanged; the caller's obligations carry over.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(bytes(new_size) - bytes(layout.size()));
-        // SAFETY: forwarded unchanged; `ptr` came from this allocator,
-        // which is `System`'s.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(bytes(layout.size()), Ordering::Relaxed);
-        // SAFETY: forwarded unchanged; `ptr` came from `System`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "common/counting.rs"]
+mod counting;
 
 /// The peak live heap of one run above what was live before it, in bytes.
 fn peak_heap(protocol: Protocol, wire: WireConfig) -> i64 {
@@ -75,11 +27,10 @@ fn peak_heap(protocol: Protocol, wire: WireConfig) -> i64 {
         .with_wire(wire)
         .with_ticks(100);
     scenario.frame_wire_len = None;
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = counting::reset_peak();
     let run = run_experiment(&scenario, protocol, NetworkModel::datacenter())
         .expect("every node finishes");
-    let peak = PEAK.load(Ordering::Relaxed) - before;
+    let peak = counting::peak() - before;
     assert!(converged(&run), "{protocol} on {wire:?} did not converge");
     drop(run);
     peak
