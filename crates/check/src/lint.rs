@@ -1,15 +1,14 @@
-//! The lint driver: file discovery, rule execution, allowlisting.
+//! The lint driver: file discovery, rule execution, suppression.
 //!
 //! Two phases. Phase one reads every source file and runs the per-file
 //! rules. Phase two builds the workspace call graph and runs the
 //! cross-file passes (`no-panic` reachability, hot-path alloc propagation,
-//! `no-blocking-in-reactor`). Both phases' findings then pass through the
-//! allowlists, and any allowlist entry that suppressed nothing becomes a
-//! `stale-allow` finding of its own.
+//! `no-blocking-in-reactor`). A finding on a line that carries an inline
+//! `sdso-check: allow(R)` marker for its rule is dropped
+//! ([`crate::allowlist`]).
 
 use std::path::{Path, PathBuf};
 
-use crate::allowlist::{AllowUse, Allowlists};
 use crate::callgraph::CallGraph;
 use crate::diag::Diagnostic;
 use crate::lexer::{clean_source, strip_test_modules};
@@ -18,26 +17,19 @@ use crate::rules::{self, FileCtx, Prepared};
 /// Result of one lint run.
 #[derive(Debug)]
 pub struct LintReport {
-    /// Surviving (non-allowlisted) diagnostics, sorted by path then line.
+    /// Surviving (unsuppressed) diagnostics, sorted by path then line.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of source files scanned.
     pub files_scanned: usize,
-    /// Every allowlist entry with its hit count (for `--list-allows`).
-    pub allow_usage: Vec<AllowUse>,
 }
 
 /// Lints every `crates/*/src/**/*.rs` under `root`.
-///
-/// `allow_dir` defaults to `<root>/crates/check/allowlists`; pointing
-/// `root` at a fixture tree therefore starts with no suppressions.
 ///
 /// # Errors
 ///
 /// Returns a description if `root` has no `crates/` directory or a source
 /// file cannot be read.
-pub fn run(root: &Path, allow_dir: Option<&Path>) -> Result<LintReport, String> {
-    let default_allow = root.join("crates/check/allowlists");
-    let allow = Allowlists::load(allow_dir.unwrap_or(&default_allow));
+pub fn run(root: &Path) -> Result<LintReport, String> {
     let files = discover(root)?;
     let mut prepared = Vec::with_capacity(files.len());
     for path in &files {
@@ -60,7 +52,6 @@ pub fn run(root: &Path, allow_dir: Option<&Path>) -> Result<LintReport, String> 
     let graph = CallGraph::build(&refs);
     raw.extend(rules::cross::check(&prepared, &graph));
     raw.extend(rules::no_blocking_reactor::check(&prepared, &graph));
-    // Allowlisting (counts hits), then rot detection.
     let mut diagnostics = Vec::new();
     for d in raw {
         let line_text = prepared
@@ -68,13 +59,12 @@ pub fn run(root: &Path, allow_dir: Option<&Path>) -> Result<LintReport, String> 
             .find(|f| f.rel_path == d.path)
             .and_then(|f| f.src.lines().nth(d.line.saturating_sub(1)))
             .unwrap_or("");
-        if !allow.allows(d.rule, &d.path, line_text) {
+        if !crate::allowlist::allows(d.rule, line_text) {
             diagnostics.push(d);
         }
     }
-    diagnostics.extend(allow.stale_diagnostics());
     diagnostics.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    Ok(LintReport { diagnostics, files_scanned: files.len(), allow_usage: allow.usage() })
+    Ok(LintReport { diagnostics, files_scanned: files.len() })
 }
 
 /// All `.rs` files under `<root>/crates/*/src`, sorted for determinism.
@@ -128,7 +118,7 @@ mod tests {
 
     #[test]
     fn workspace_is_clean() {
-        let report = run(&workspace_root(), None).unwrap();
+        let report = run(&workspace_root()).unwrap();
         assert!(report.files_scanned > 30, "scanned {}", report.files_scanned);
         let rendered: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
         assert!(report.diagnostics.is_empty(), "workspace must lint clean:\n{rendered:?}");
@@ -294,7 +284,7 @@ mod tests {
     #[test]
     fn violation_fixture_is_caught() {
         let fixture = workspace_root().join("crates/check/fixtures/violations");
-        let report = run(&fixture, None).unwrap();
+        let report = run(&fixture).unwrap();
         let rules: std::collections::BTreeSet<&str> =
             report.diagnostics.iter().map(|d| d.rule).collect();
         for rule in [
@@ -314,7 +304,7 @@ mod tests {
     #[test]
     fn cross_file_findings_land_at_the_boundary() {
         let fixture = workspace_root().join("crates/check/fixtures/violations");
-        let report = run(&fixture, None).unwrap();
+        let report = run(&fixture).unwrap();
         // The panic lives in core/helper_panics.rs (out of scope); the
         // finding must sit on the protocols-side call.
         assert!(
@@ -344,7 +334,7 @@ mod tests {
     #[test]
     fn clean_fixture_lints_clean() {
         let fixture = workspace_root().join("crates/check/fixtures/clean");
-        let report = run(&fixture, None).unwrap();
+        let report = run(&fixture).unwrap();
         let rendered: Vec<String> = report.diagnostics.iter().map(ToString::to_string).collect();
         assert!(report.diagnostics.is_empty(), "bug-removed twins must pass:\n{rendered:?}");
     }

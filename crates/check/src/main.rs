@@ -1,8 +1,7 @@
 //! `sdso-check` CLI: the workspace's lint pass and schedule explorer.
 //!
 //! ```text
-//! sdso-check lint    [--root DIR] [--allow-dir DIR] [--json PATH|-]
-//!                    [--list-allows]
+//! sdso-check lint    [--root DIR] [--json PATH|-]
 //! sdso-check explore [--protocol NAME|all] [--depth N] [--max-runs N]
 //!                    [--min-distinct N]
 //! sdso-check replay  --protocol NAME [--schedule N,N,...]
@@ -20,7 +19,7 @@ use sdso_sim::{Explorer, ReplayOracle, Schedule};
 
 const USAGE: &str = "\
 usage:
-  sdso-check lint    [--root DIR] [--allow-dir DIR] [--json PATH|-] [--list-allows]
+  sdso-check lint    [--root DIR] [--json PATH|-]
   sdso-check explore [--protocol NAME|all] [--depth N] [--max-runs N] [--min-distinct N]
   sdso-check replay  --protocol NAME [--schedule N,N,...]
   sdso-check race    TRACE.json [TRACE.json ...]
@@ -82,22 +81,11 @@ fn parse_num(args: &[String], flag: &str, default: usize) -> Result<usize, Strin
 }
 
 fn lint(args: &[String]) -> Result<bool, String> {
-    // `--list-allows` is valueless; strip it before flag parsing.
-    let list_allows = args.iter().any(|a| a == "--list-allows");
-    let args: Vec<String> = args.iter().filter(|a| *a != "--list-allows").cloned().collect();
-    let args = args.as_slice();
-    reject_unknown(args, &["--root", "--allow-dir", "--json"])?;
+    reject_unknown(args, &["--root", "--json"])?;
     let root = PathBuf::from(flag_value(args, "--root")?.unwrap_or_else(|| ".".into()));
-    let allow_dir = flag_value(args, "--allow-dir")?.map(PathBuf::from);
-    let report = sdso_check::run_lint(&root, allow_dir.as_deref())?;
+    let report = sdso_check::run_lint(&root)?;
     for d in &report.diagnostics {
         println!("{d}");
-    }
-    if list_allows {
-        println!("allowlist entries ({}):", report.allow_usage.len());
-        for u in &report.allow_usage {
-            println!("  [{}] {} hit(s)  {}  ({})", u.rule, u.hits, u.entry, u.location);
-        }
     }
     if let Some(path) = flag_value(args, "--json")? {
         let json = sdso_check::diag::to_json(&report.diagnostics, report.files_scanned);

@@ -43,7 +43,7 @@ pub const PATTERNS: &[(&str, &str)] = &[
 /// inside strings cannot mislead the matcher).
 pub fn check(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     // The lint infrastructure itself spells the marker as data (this file,
-    // its fixtures, allowlist plumbing) and is not protocol code.
+    // its fixtures, suppression plumbing) and is not protocol code.
     if ctx.rel_path.starts_with("crates/check/") {
         return Vec::new();
     }

@@ -4,6 +4,8 @@
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
+use bytes::Bytes;
+use sdso_net::wire::Wire;
 use sdso_net::{Endpoint, MsgClass, NodeId, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
@@ -15,7 +17,7 @@ use crate::exchange_list::ExchangeList;
 use crate::metrics::{DsoCounters, DsoMetrics};
 use crate::object::{ObjectId, Version};
 use crate::router::DiffRouter;
-use crate::session::{Reset, Session};
+use crate::session::{AppMessage, Reset, Session};
 use crate::sfunction::SFunction;
 use crate::slotted_buffer::SlottedBuffer;
 use crate::store::ObjectStore;
@@ -1028,36 +1030,37 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
     }
 
-    /// Sends protocol-layer messages, each `(peer, bytes)` under the
+    /// Sends protocol-layer messages, each `(peer, message)` under the
     /// accounting `class`, in order: each run of consecutive messages to
-    /// one peer goes out as one transport write.
+    /// one peer goes out as one transport write. Each message is encoded
+    /// once, straight into its frame.
     ///
     /// # Errors
     ///
     /// Returns transport errors; the messages before the failing run have
     /// been sent.
-    pub fn send_app(
+    pub fn send_app<'m, M: Wire + 'm>(
         &mut self,
         class: MsgClass,
-        msgs: impl IntoIterator<Item = (NodeId, Vec<u8>)>,
+        msgs: impl IntoIterator<Item = (NodeId, &'m M)>,
     ) -> Result<(), DsoError> {
-        let msgs = msgs.into_iter().map(|(peer, bytes)| (peer, DsoMessage::App { class, bytes }));
-        self.session.write(msgs)
+        self.session.write(msgs.into_iter().map(|(peer, body)| (peer, AppMessage { class, body })))
     }
 
-    /// Blocks until the next protocol-layer message arrives, servicing
-    /// object traffic (`Put`, `GetReq`, `GetRep`, `Ack`) internally along
-    /// the way.
+    /// Blocks until the next protocol-layer message arrives and decodes it,
+    /// servicing object traffic (`Put`, `GetReq`, `GetRep`, `Ack`)
+    /// internally along the way.
     ///
     /// # Errors
     ///
-    /// Returns transport errors or a protocol violation if rendezvous
-    /// traffic shows up (exchange- and pull-based protocols must not be
-    /// mixed on one runtime).
-    pub fn recv_app(&mut self) -> Result<(NodeId, Vec<u8>), DsoError> {
+    /// Returns transport errors, a codec error for a message that does not
+    /// decode as an `M`, or a protocol violation if rendezvous traffic shows
+    /// up (exchange- and pull-based protocols must not be mixed on one
+    /// runtime).
+    pub fn recv_app<M: Wire>(&mut self) -> Result<(NodeId, M), DsoError> {
         loop {
             match self.session.recv(|_| true)? {
-                (from, DsoMessage::App { bytes, .. }) => return Ok((from, bytes)),
+                (from, DsoMessage::App { bytes, .. }) => return decode_app(from, bytes),
                 (from, msg) => self.dispatch(from, msg)?,
             }
         }
@@ -1070,10 +1073,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
     ///
     /// Returns transport errors or a protocol violation on rendezvous
     /// traffic.
-    pub fn try_recv_app(&mut self) -> Result<Option<(NodeId, Vec<u8>)>, DsoError> {
+    pub fn try_recv_app<M: Wire>(&mut self) -> Result<Option<(NodeId, M)>, DsoError> {
         loop {
             match self.session.recv_now(|_| true)? {
-                Some((from, DsoMessage::App { bytes, .. })) => return Ok(Some((from, bytes))),
+                Some((from, DsoMessage::App { bytes, .. })) => {
+                    return decode_app(from, bytes).map(Some)
+                }
                 Some((from, msg)) => self.dispatch(from, msg)?,
                 None => return Ok(None),
             }
@@ -1130,6 +1135,14 @@ impl<E: Endpoint> SdsoRuntime<E> {
         }
         Ok(())
     }
+}
+
+/// Decodes a protocol layer's message from the body of its `App`, then hands
+/// the frame's storage, which the body shared, back to this thread's pool.
+fn decode_app<M: Wire>(from: NodeId, body: Bytes) -> Result<(NodeId, M), DsoError> {
+    let msg = sdso_net::wire::decode(&body).map_err(DsoError::Net);
+    sdso_net::pool::thread_pool(|pool| pool.reclaim(body));
+    Ok((from, msg?))
 }
 
 /// Every message but a protocol layer's own, which waits in the session for
@@ -1402,7 +1415,10 @@ mod tests {
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
         let mut peer = eps.remove(0);
         rt.share(ObjectId(1), vec![0u8; 4]).unwrap();
-        let app = |byte| DsoMessage::App { class: MsgClass::Control, bytes: vec![byte] };
+        let app = |id| DsoMessage::App {
+            class: MsgClass::Control,
+            bytes: sdso_net::wire::encode(&ObjectId(id)),
+        };
         let version = Version::new(LogicalTime::from_ticks(1), 1);
         let reply = DsoMessage::GetRep { object: ObjectId(1), version, body: vec![9; 4] };
         // The first app message arrives before the reply sync_get waits for;
@@ -1412,8 +1428,8 @@ mod tests {
         }
         rt.sync_get(1, ObjectId(1)).unwrap();
         assert_eq!(rt.read(ObjectId(1)).unwrap(), [9; 4]);
-        assert_eq!(rt.recv_app().unwrap(), (1, vec![7]));
-        assert_eq!(rt.recv_app().unwrap(), (1, vec![8]));
+        assert_eq!(rt.recv_app().unwrap(), (1, ObjectId(7)));
+        assert_eq!(rt.recv_app().unwrap(), (1, ObjectId(8)));
     }
 
     #[test]
@@ -1483,14 +1499,14 @@ mod tests {
         let t = std::thread::spawn(move || {
             // B services the put via its pump (waits for an app message that
             // A sends afterwards as a completion signal).
-            let (_, bytes) = b.recv_app().unwrap();
-            assert_eq!(bytes, b"done");
+            let (_, done): (_, ObjectId) = b.recv_app().unwrap();
+            assert_eq!(done, ObjectId(1));
             assert_eq!(b.read(ObjectId(1)).unwrap(), &[9u8; 8]);
             b
         });
         a.write(ObjectId(1), 0, &[9u8; 8]).unwrap();
         a.sync_put(1, ObjectId(1)).unwrap();
-        a.send_app(MsgClass::Control, [(1, b"done".to_vec())]).unwrap();
+        a.send_app(MsgClass::Control, [(1, &ObjectId(1))]).unwrap();
         t.join().unwrap();
     }
 
@@ -1501,13 +1517,13 @@ mod tests {
         let mut a = runtimes.pop().unwrap();
         let t = std::thread::spawn(move || {
             // B answers A's GetReq inside its pump, then returns.
-            let (_, bytes) = b.recv_app().unwrap();
-            assert_eq!(bytes, b"bye");
+            let (_, bye): (_, ObjectId) = b.recv_app().unwrap();
+            assert_eq!(bye, ObjectId(2));
             b
         });
         // Make B's copy the newer one first.
         a.sync_get(1, ObjectId(1)).unwrap(); // pulls (identical) state
-        a.send_app(MsgClass::Control, [(1, b"bye".to_vec())]).unwrap();
+        a.send_app(MsgClass::Control, [(1, &ObjectId(2))]).unwrap();
         t.join().unwrap();
     }
 
@@ -1639,7 +1655,7 @@ mod tests {
         let (epoch, past, now) = (Epoch::ZERO, LogicalTime::ZERO, LogicalTime::from_ticks(1));
         let data = |time| DsoMessage::Data { epoch, time, updates: vec![] };
         let sync = |time| DsoMessage::Sync { epoch, time };
-        let app = || DsoMessage::App { class: MsgClass::Control, bytes: vec![7] };
+        let app = || DsoMessage::App { class: MsgClass::Control, bytes: vec![7].into() };
         // Each row's offending input comes first; what follows it would
         // end the wait cleanly, so a missing check fails instead of hanging.
         let cases: [Case; 5] = [
@@ -1687,7 +1703,7 @@ mod tests {
             }
             let outcome = match wait {
                 Wait::Rendezvous => rt.exchange(SendMode::Multicast, &mut only_peer_1).map(drop),
-                Wait::RecvApp => rt.recv_app().map(drop),
+                Wait::RecvApp => rt.recv_app::<ObjectId>().map(drop),
             };
             match outcome {
                 Err(DsoError::ProtocolViolation(why)) => {

@@ -25,8 +25,8 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::membership::{Epoch, MembershipView};
-use sdso_net::wire::WireWriter;
-use sdso_net::{Endpoint, Incoming, NetError, NodeId, Payload, SimInstant, SimSpan};
+use sdso_net::wire::{Wire, WireWriter};
+use sdso_net::{Endpoint, Incoming, MsgClass, NetError, NodeId, Payload, SimInstant, SimSpan};
 use sdso_obs::{EventKind, Obs};
 
 use crate::clock::LogicalTime;
@@ -191,6 +191,43 @@ impl Link {
     }
 }
 
+/// A logical message as [`Session::write`] takes it.
+pub(crate) trait Outgoing {
+    /// The message itself, which a sequencing link keeps until it is acked.
+    fn message(self) -> DsoMessage;
+
+    /// Its frame, on a run that sequences nothing.
+    fn payload(self, frame_wire_len: Option<u32>) -> Payload;
+}
+
+impl Outgoing for DsoMessage {
+    fn message(self) -> DsoMessage {
+        self
+    }
+
+    fn payload(self, frame_wire_len: Option<u32>) -> Payload {
+        self.into_payload(frame_wire_len)
+    }
+}
+
+/// A protocol layer's message, which travels as a [`DsoMessage::App`]: its
+/// frame is encoded straight from `body`, and only a link that must keep it
+/// for retransmission encodes the `App` on its own.
+pub(crate) struct AppMessage<'m, M> {
+    pub(crate) class: MsgClass,
+    pub(crate) body: &'m M,
+}
+
+impl<M: Wire> Outgoing for AppMessage<'_, M> {
+    fn message(self) -> DsoMessage {
+        DsoMessage::App { class: self.class, bytes: sdso_net::wire::encode(self.body) }
+    }
+
+    fn payload(self, frame_wire_len: Option<u32>) -> Payload {
+        DsoMessage::app_payload(self.class, self.body, frame_wire_len)
+    }
+}
+
 /// How long one receive step may wait on the transport.
 enum Wait {
     /// Until something arrives.
@@ -217,7 +254,8 @@ pub(crate) struct Session<E: Endpoint> {
     /// The kernel's current view: who may be sent to, and which epoch
     /// separates live traffic from a departed member's residue.
     view: MembershipView,
-    /// When this process last took from the transport, or was about to wait.
+    /// When this process last took from the transport, or was about to wait;
+    /// kept only for the link timers, so only with reliability on.
     heard: SimInstant,
     /// A decoded batch the kernel handed back once applied
     /// ([`Session::recycle`]), kept for its storage: the next `Data2`
@@ -319,7 +357,7 @@ impl<E: Endpoint> Session<E> {
     /// writes what the run sequenced before it, then fails with `WindowFull`.
     pub(crate) fn write(
         &mut self,
-        msgs: impl IntoIterator<Item = (NodeId, DsoMessage)>,
+        msgs: impl IntoIterator<Item = (NodeId, impl Outgoing)>,
     ) -> Result<(), DsoError> {
         let mut msgs = msgs.into_iter().peekable();
         while let Some((peer, first)) = msgs.next() {
@@ -354,14 +392,15 @@ impl<E: Endpoint> Session<E> {
     /// Sequences `msg` on `peer`'s link (when reliability is configured) and
     /// encodes it for the wire. [`Session::write`] has done non-member
     /// suppression.
-    fn wrap(&mut self, peer: NodeId, msg: DsoMessage) -> Result<Payload, DsoError> {
+    fn wrap(&mut self, peer: NodeId, msg: impl Outgoing) -> Result<Payload, DsoError> {
         let Some(cfg) = self.config.reliability else {
-            return Ok(msg.into_payload(self.config.frame_wire_len));
+            return Ok(msg.payload(self.config.frame_wire_len));
         };
         let link = &mut self.links[usize::from(peer)];
         if link.unacked.len() >= WINDOW {
             return Err(DsoError::WindowFull { peer, unacked: link.unacked.len() });
         }
+        let msg = msg.message();
         let seq = link.sequence(&msg, self.endpoint.now(), &cfg);
         Ok(self.envelope(peer, seq, msg))
     }
@@ -433,8 +472,10 @@ impl<E: Endpoint> Session<E> {
 
     /// The one receive step: take at most one frame off the transport, run
     /// it through the link ([`Session::admit`]) — which queues the logical
-    /// messages it completes, none for an ack, a duplicate, a gap or residue — and hand the payload's storage back to this thread's buffer pool
-    /// (a no-op while the bytes are shared or the pool is full). With a
+    /// messages it completes, none for an ack, a duplicate, a gap or
+    /// residue — and hand the payload's storage back to this thread's buffer
+    /// pool (a no-op while the bytes are shared, as an app message's body
+    /// shares them until `recv_app` decodes it, or the pool is full). With a
     /// `residue` counter it also discards, and counts there, what
     /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
     fn step(&mut self, wait: Wait, residue: Option<&mut u64>) -> Result<bool, DsoError> {
@@ -443,11 +484,13 @@ impl<E: Endpoint> Session<E> {
             Wait::For(span) => self.endpoint.recv_deadline(span),
             Wait::Poll => self.endpoint.try_recv(),
         };
-        self.heard = self.endpoint.now();
+        if self.config.reliability.is_some() {
+            self.heard = self.endpoint.now();
+        }
         let Some(Incoming { from, payload }) = arrived.map_err(DsoError::Net)? else {
             return Ok(false);
         };
-        let msg: DsoMessage = sdso_net::wire::decode(&payload.bytes).map_err(DsoError::Net)?;
+        let msg = DsoMessage::decode_frame(&payload.bytes).map_err(DsoError::Net)?;
         let stale = |msg: &DsoMessage| match msg {
             DsoMessage::SeqAck { .. } => true,
             other => other.epoch().is_some_and(|e| e < self.view.epoch()),
@@ -896,7 +939,7 @@ mod tests {
     }
 
     fn app(byte: u8) -> DsoMessage {
-        DsoMessage::App { class: MsgClass::Control, bytes: vec![byte] }
+        DsoMessage::App { class: MsgClass::Control, bytes: vec![byte].into() }
     }
 
     /// Takes whatever already arrived, then serves the timers due on the

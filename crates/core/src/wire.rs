@@ -6,6 +6,7 @@
 //! [`DsoMessage::App`] escape hatch so that one framing layer serves all.
 
 use crate::membership::Epoch;
+use bytes::Bytes;
 use sdso_net::wire::{Wire, WireReader, WireWriter};
 use sdso_net::{MsgClass, NetError, Payload};
 
@@ -93,8 +94,9 @@ pub enum DsoMessage {
     App {
         /// Accounting class of the embedded message.
         class: MsgClass,
-        /// The embedded encoding.
-        bytes: Vec<u8>,
+        /// The embedded encoding; in a received frame, a slice of that
+        /// frame.
+        bytes: Bytes,
     },
     /// A sequenced envelope added by the reliability layer: `inner` is the
     /// `seq`-th message on this link, and `ack` acknowledges the reverse
@@ -240,11 +242,48 @@ impl DsoMessage {
         let class = self.class();
         let pooled = sdso_net::pool::thread_pool(|pool| sdso_net::wire::encode_pooled(&self, pool));
         let bytes = pooled.unwrap_or_else(|| sdso_net::wire::encode(&self));
-        let payload = Payload::new(class, bytes);
-        match frame_wire_len {
-            Some(len) => payload.with_wire_len(len),
-            None => payload,
-        }
+        padded(Payload::new(class, bytes), frame_wire_len)
+    }
+
+    /// The payload of the [`DsoMessage::App`] that carries `body`'s encoding
+    /// under `class`: the bytes `into_payload` makes of it, with `body`
+    /// encoded once, in place, and no buffer of its own in between.
+    /// sdso-check: hot-path
+    pub(crate) fn app_payload<M: Wire>(
+        class: MsgClass,
+        body: &M,
+        frame_wire_len: Option<u32>,
+    ) -> Payload {
+        let scratch = sdso_net::pool::thread_pool(sdso_net::pool::BufPool::get);
+        let mut w = WireWriter::from_scratch(scratch.unwrap_or_default());
+        w.put_u8(TAG_APP);
+        w.put_u8(class.to_wire_u8());
+        w.put_nested(|w| body.encode(w));
+        padded(Payload::new(class, w.into_bytes()), frame_wire_len)
+    }
+
+    /// Decodes a received frame, which must hold exactly one message. An
+    /// `App` body, enveloped or not, is a slice of `frame`, not a copy, so
+    /// the frame's storage goes back to the pool with the body's last
+    /// handle.
+    ///
+    /// # Errors
+    ///
+    /// As [`sdso_net::wire::decode`].
+    pub(crate) fn decode_frame(frame: &Bytes) -> Result<DsoMessage, NetError> {
+        let mut r = WireReader::new(frame);
+        let msg = DsoMessage::decode_in(&mut r, Some(frame))?;
+        r.finish()?;
+        Ok(msg)
+    }
+}
+
+/// `payload` with its modelled wire size padded to `frame_wire_len`, when
+/// one is configured.
+fn padded(payload: Payload, frame_wire_len: Option<u32>) -> Payload {
+    match frame_wire_len {
+        Some(len) => payload.with_wire_len(len),
+        None => payload,
     }
 }
 
@@ -313,6 +352,14 @@ impl Wire for DsoMessage {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        DsoMessage::decode_in(r, None)
+    }
+}
+
+impl DsoMessage {
+    /// Decodes one message; an `App` body is a slice of `frame` when the
+    /// reader reads that frame, else a copy.
+    fn decode_in(r: &mut WireReader<'_>, frame: Option<&Bytes>) -> Result<Self, NetError> {
         match r.get_u8()? {
             TAG_DATA => {
                 let epoch = Epoch(r.get_u32()?);
@@ -342,13 +389,15 @@ impl Wire for DsoMessage {
             TAG_ACK => Ok(DsoMessage::Ack),
             TAG_APP => {
                 let class = MsgClass::from_wire_u8(r.get_u8()?)?;
-                let bytes = r.get_bytes()?.to_vec();
+                let body = r.get_bytes()?;
+                let bytes =
+                    frame.map_or_else(|| Bytes::copy_from_slice(body), |f| f.slice_ref(body));
                 Ok(DsoMessage::App { class, bytes })
             }
             TAG_ENV => {
                 let seq = r.get_u64()?;
                 let ack = r.get_u64()?;
-                let inner = DsoMessage::decode(r)?;
+                let inner = DsoMessage::decode_in(r, frame)?;
                 // Legitimate senders wrap exactly once and never envelope
                 // acks; rejecting the alternatives here bounds decoder
                 // recursion against adversarial input.
@@ -436,7 +485,7 @@ mod tests {
         roundtrip(DsoMessage::GetReq { object: ObjectId(8) });
         roundtrip(DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] });
         roundtrip(DsoMessage::Ack);
-        roundtrip(DsoMessage::App { class: MsgClass::Control, bytes: vec![9, 9] });
+        roundtrip(DsoMessage::App { class: MsgClass::Control, bytes: vec![9, 9].into() });
         roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: Box::new(DsoMessage::Ack) });
         roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: Box::new(DsoMessage::Ack) });
         roundtrip(DsoMessage::SeqAck { next: 42 });
@@ -603,7 +652,7 @@ mod tests {
             DsoMessage::Put { object: ObjectId(1), version: v, body: vec![0; 16], wants_ack: true },
             DsoMessage::GetReq { object: ObjectId(8) },
             DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] },
-            DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9] },
+            DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9].into() },
             DsoMessage::Env { seq: 17, ack: 9, inner: Box::new(DsoMessage::Ack) },
             DsoMessage::SeqAck { next: 42 },
             DsoMessage::Data2 {
@@ -650,6 +699,39 @@ mod tests {
                 let _ = wire::decode::<DsoMessage>(&bad);
             }
         }
+    }
+
+    /// An app message encoded in place is the frame its two-step encoding
+    /// makes, under every wire-size setting, and a received one hands its
+    /// body over as a slice of the frame, enveloped or not.
+    #[test]
+    fn an_app_payload_is_the_app_message_encoded_and_decodes_as_a_slice_of_its_frame() {
+        let body = WireUpdate {
+            object: ObjectId(4),
+            diff: Diff::single(1, vec![2, 3]),
+            version: Version::new(LogicalTime::from_ticks(5), 1),
+        };
+        let app = DsoMessage::App { class: MsgClass::Data, bytes: wire::encode(&body) };
+        for frame_wire_len in [None, Some(2048)] {
+            let direct = DsoMessage::app_payload(MsgClass::Data, &body, frame_wire_len);
+            assert_eq!(direct, app.clone().into_payload(frame_wire_len));
+        }
+        let env = DsoMessage::Env { seq: 3, ack: 1, inner: Box::new(app.clone()) };
+        for msg in [app, env] {
+            let frame = wire::encode(&msg);
+            let decoded = DsoMessage::decode_frame(&frame).unwrap();
+            assert_eq!(decoded, msg);
+            let inner = match &decoded {
+                DsoMessage::Env { inner, .. } => inner,
+                other => other,
+            };
+            let DsoMessage::App { bytes, .. } = inner else { panic!("{decoded:?}") };
+            let within = frame.as_ptr_range();
+            assert!(within.contains(&bytes.as_ptr()), "the body is a slice of the frame");
+        }
+        let mut long = wire::encode(&DsoMessage::Ack).to_vec();
+        long.push(0);
+        assert!(DsoMessage::decode_frame(&long.into()).is_err(), "trailing bytes are an error");
     }
 
     #[test]

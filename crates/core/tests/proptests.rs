@@ -278,7 +278,7 @@ proptest! {
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         use sdso_core::wire::DsoMessage;
-        let inner = DsoMessage::App { class: sdso_net::MsgClass::Control, bytes };
+        let inner = DsoMessage::App { class: sdso_net::MsgClass::Control, bytes: bytes.into() };
         let env = DsoMessage::Env { seq, ack, inner: Box::new(inner) };
         let decoded: DsoMessage = sdso_net::wire::decode(&sdso_net::wire::encode(&env)).unwrap();
         prop_assert_eq!(decoded, env);

@@ -56,10 +56,22 @@ fn codec_bad_class(byte: u8) -> NetError {
     NetError::Codec(format!("invalid message class {byte:#x}"))
 }
 
+/// A frozen copy of `body` in storage drawn from this thread's buffer pool,
+/// which the receiver hands back once it has consumed the message.
+fn pooled_copy(body: &[u8]) -> Bytes {
+    let copy = crate::pool::thread_pool(|pool| {
+        let mut buf = pool.get();
+        buf.extend_from_slice(body);
+        buf.freeze()
+    });
+    copy.unwrap_or_else(|| Bytes::copy_from_slice(body))
+}
+
 /// Decodes one frame from `buf` starting at `*pos` without consuming input
 /// beyond the frame. On success advances `*pos` past the frame and returns
-/// the message; returns `Ok(None)` when `buf[*pos..]` holds only a frame
-/// prefix (the caller should read more bytes and retry).
+/// the message, its body in storage drawn from this thread's
+/// [`crate::pool::BufPool`]; returns `Ok(None)` when `buf[*pos..]` holds
+/// only a frame prefix (the caller should read more bytes and retry).
 ///
 /// Made for transports that accumulate socket reads in a flat buffer: the
 /// caller owns compaction (dropping `buf[..pos]` once a read burst is
@@ -86,7 +98,7 @@ pub fn decode_frame_at(buf: &[u8], pos: &mut usize) -> Result<Option<Incoming>, 
     let from = NodeId::from_le_bytes([frame[0], frame[1]]);
     let class = MsgClass::from_wire(frame[2]).ok_or_else(|| codec_bad_class(frame[2]))?;
     let wire_len = u32::from_le_bytes([frame[3], frame[4], frame[5], frame[6]]);
-    let body = Bytes::copy_from_slice(&frame[HEADER..]);
+    let body = pooled_copy(&frame[HEADER..]);
     let wire_len = wire_len.max(body.len() as u32);
     *pos += 4 + len;
     Ok(Some(Incoming { from, payload: Payload { class, bytes: body, wire_len } }))

@@ -41,6 +41,13 @@
 //! wants the CPU: a spinner whose replies come back promptly keeps
 //! spinning on a CPU it shares with other threads.
 //!
+//! A non-blocking turn (a spin's, `try_recv`'s, `take_peer_events`') on an
+//! endpoint with exactly one live link reads that link and finishes any
+//! write pending on it, without asking `poll`: the non-blocking `read` is
+//! its own readiness test. Every other turn polls — one that may park,
+//! and any turn on an endpoint with several live links. The live-link
+//! count chooses; no option does.
+//!
 //! Topologies: [`ReactorMesh::local`] builds a full mesh and
 //! [`ReactorMesh::star`] a hub-and-spokes cluster (node 0 connected to every
 //! other node — the shape the 256-peer soak and its timed twin use), both in
@@ -199,11 +206,13 @@ impl ReactorEndpoint {
             }
             conns.push(stream.map(Conn::new));
         }
+        let lone = lone_link(&conns);
         let reactor = Reactor {
             me: id,
             n,
             poller,
             conns,
+            lone,
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             queued: vec![0; n],
             active: vec![true; n],
@@ -218,26 +227,23 @@ impl ReactorEndpoint {
         Ok(ReactorEndpoint { reactor, recorder: Recorder::disabled() })
     }
 
+    /// Records one event on the attached recorder, reading the clock only
+    /// when the recorder is on.
+    fn record(&self, kind: EventKind, a: u32, b: u32, c: u32) {
+        if self.recorder.enabled() {
+            self.recorder.record(self.reactor.clock.micros(), kind, a, b, c);
+        }
+    }
+
     fn note_send(&self, to: NodeId, payload: &Payload) {
         self.reactor.metrics.record_send(payload.class, payload.wire_len());
-        self.recorder.record(
-            self.reactor.clock.micros(),
-            EventKind::Send,
-            u32::from(to),
-            obs_class(payload.class),
-            payload.wire_len(),
-        );
+        self.record(EventKind::Send, u32::from(to), obs_class(payload.class), payload.wire_len());
     }
 
     fn note_recv(&self, msg: &Incoming) {
         self.reactor.metrics.record_recv(msg.payload.class, msg.payload.wire_len());
-        self.recorder.record(
-            self.reactor.clock.micros(),
-            EventKind::Recv,
-            u32::from(msg.from),
-            obs_class(msg.payload.class),
-            msg.payload.wire_len(),
-        );
+        let class = obs_class(msg.payload.class);
+        self.record(EventKind::Recv, u32::from(msg.from), class, msg.payload.wire_len());
     }
 }
 
@@ -272,28 +278,23 @@ impl Endpoint for ReactorEndpoint {
             self.note_send(to, payload);
         }
         self.reactor.metrics.record_batch(payloads.len(), wire_bytes);
-        self.recorder.record(
-            self.reactor.clock.micros(),
-            EventKind::BatchSend,
-            u32::from(to),
-            payloads.len() as u32,
-            wire_bytes as u32,
-        );
+        self.record(EventKind::BatchSend, u32::from(to), payloads.len() as u32, wire_bytes as u32);
         self.reactor.enqueue(usize::from(to), payloads);
         Ok(())
     }
 
     fn recv(&mut self) -> Result<Incoming, NetError> {
-        let before = self.now();
-        let msg = self.reactor.next_incoming(None)?.ok_or(NetError::Disconnected)?;
-        self.reactor.metrics.record_blocked(self.now().saturating_since(before));
+        let before = self.reactor.clock.micros();
+        let (msg, after) = self.reactor.next_incoming(before, None)?;
+        let msg = msg.ok_or(NetError::Disconnected)?;
+        self.reactor.metrics.record_blocked(SimSpan::from_micros(after - before));
         self.note_recv(&msg);
         Ok(msg)
     }
 
     fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
         let now = self.reactor.clock.micros();
-        let msg = self.reactor.next_incoming(Some(now))?;
+        let (msg, _) = self.reactor.next_incoming(now, Some(now))?;
         if let Some(msg) = &msg {
             self.note_recv(msg);
         }
@@ -301,10 +302,10 @@ impl Endpoint for ReactorEndpoint {
     }
 
     fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
-        let before = self.now();
-        let deadline = before.as_micros().saturating_add(timeout.as_micros());
-        let msg = self.reactor.next_incoming(Some(deadline))?;
-        self.reactor.metrics.record_blocked(self.now().saturating_since(before));
+        let before = self.reactor.clock.micros();
+        let deadline = before.saturating_add(timeout.as_micros());
+        let (msg, after) = self.reactor.next_incoming(before, Some(deadline))?;
+        self.reactor.metrics.record_blocked(SimSpan::from_micros(after - before));
         if let Some(msg) = &msg {
             self.note_recv(msg);
         }
@@ -348,13 +349,7 @@ impl Endpoint for ReactorEndpoint {
         let _ = self.reactor.turn(Some(Duration::ZERO));
         let events = std::mem::take(&mut self.reactor.peer_events);
         for &PeerEvent::Down(peer) in &events {
-            self.recorder.record(
-                self.reactor.clock.micros(),
-                EventKind::PeerDown,
-                u32::from(peer),
-                0,
-                0,
-            );
+            self.record(EventKind::PeerDown, u32::from(peer), 0, 0);
         }
         events
     }
@@ -375,6 +370,8 @@ struct Reactor {
     /// Live connections; `Some` exactly while the link is up. A link that
     /// tears stays `None` for good.
     conns: Vec<Option<Conn>>,
+    /// The peer of the one live link, while exactly one is left.
+    lone: Option<usize>,
     /// Per-peer payloads accepted but not yet encoded.
     queues: Vec<VecDeque<Payload>>,
     /// Accepted-but-unwritten payload bytes per peer (backpressure gauge).
@@ -398,11 +395,21 @@ struct Reactor {
 }
 
 impl Reactor {
-    /// One poll turn: waits for readiness no longer than `timeout` (`None`:
-    /// no bound), then serves it. Runs inside every endpoint call, on the
-    /// owner's thread, so the only place it may block is `poll`.
-    /// sdso-check: hot-path
+    /// One turn: waits for readiness no longer than `timeout` (`None`: no
+    /// bound), then serves it. Runs inside every endpoint call, on the
+    /// owner's thread, so the only place it may block is `poll`. A turn that
+    /// may not wait, on an endpoint with one live link, asks no `poll`: it
+    /// reads that link, whose `read` is its own readiness test, and finishes
+    /// any write pending on it. sdso-check: hot-path
     fn turn(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
+        if let (Some(peer), Some(Duration::ZERO)) = (self.lone, timeout) {
+            self.conn_readable(peer);
+            let pending = |c: &Conn| c.woff < c.wbuf.len();
+            if self.conns[peer].as_ref().is_some_and(pending) || !self.queues[peer].is_empty() {
+                self.drain_writes(peer);
+            }
+            return Ok(());
+        }
         let mut events = std::mem::take(&mut self.events);
         events.clear();
         let polled = self.poller.wait(&mut events, timeout);
@@ -426,7 +433,9 @@ impl Reactor {
     /// reactor's clock) has passed — and at least once, so a deadline
     /// already due still polls without blocking. With no deadline (`None`)
     /// it also stops once no live link is left, returning `None`: nothing
-    /// can arrive any more.
+    /// can arrive any more. `start` is the clock's reading at the call, and
+    /// the reading it returns beside the message is the wait's end, so a
+    /// caller that times the wait reads the clock no further.
     ///
     /// A wait (empty inbox, deadline not yet due) spins for up to
     /// [`SPIN_MICROS`], never past `deadline`, before it parks in `poll`,
@@ -434,43 +443,48 @@ impl Reactor {
     /// window: only a message that lands within [`SPIN_MICROS`] makes the
     /// next wait spin, so a timeout, however short, parks the next one. A
     /// deadline already due (`try_recv`) neither spins nor moves the flag.
-    fn next_incoming(&mut self, deadline: Option<u64>) -> Result<Option<Incoming>, NetError> {
+    fn next_incoming(
+        &mut self,
+        start: u64,
+        deadline: Option<u64>,
+    ) -> Result<(Option<Incoming>, u64), NetError> {
         if let Some(msg) = self.inbox.pop_front() {
-            return msg.map(Some);
+            return msg.map(|msg| (Some(msg), start));
         }
-        let start = self.clock.micros();
         if deadline.is_some_and(|at| at <= start) {
             self.turn(Some(Duration::ZERO))?;
-            return self.inbox.pop_front().transpose();
+            return self.inbox.pop_front().transpose().map(|msg| (msg, start));
         }
         let mut polled = self.spin;
+        let mut now = start;
         if self.spin {
             let window = start + SPIN_MICROS;
-            self.spin_until(deadline.map_or(window, |at| at.min(window)))?;
+            now = self.spin_until(deadline.map_or(window, |at| at.min(window)))?;
         }
         loop {
-            let now = self.clock.micros();
             let left = deadline.map(|at| at.saturating_sub(now));
             if !self.inbox.is_empty() || (polled && left == Some(0)) {
                 self.spin = !self.inbox.is_empty() && now - start < SPIN_MICROS;
-                return self.inbox.pop_front().transpose();
+                return self.inbox.pop_front().transpose().map(|msg| (msg, now));
             }
             if deadline.is_none() && self.conns.iter().all(Option::is_none) {
-                return Ok(None);
+                return Ok((None, now));
             }
             self.turn(left.map(Duration::from_micros))?;
             polled = true;
+            now = self.clock.micros();
         }
     }
 
     /// Runs non-blocking turns, yielding the CPU between them, until the
     /// inbox has a message or the reactor's clock reaches `until`; at least
-    /// one turn. sdso-check: hot-path
-    fn spin_until(&mut self, until: u64) -> Result<(), NetError> {
+    /// one turn. Returns the clock's last reading. sdso-check: hot-path
+    fn spin_until(&mut self, until: u64) -> Result<u64, NetError> {
         loop {
             self.turn(Some(Duration::ZERO))?;
-            if !self.inbox.is_empty() || self.clock.micros() >= until {
-                return Ok(());
+            let now = self.clock.micros();
+            if !self.inbox.is_empty() || now >= until {
+                return Ok(now);
             }
             std::thread::yield_now();
         }
@@ -514,6 +528,7 @@ impl Reactor {
         }
         self.queued[peer] = 0;
         self.peer_events.push(PeerEvent::Down(peer as NodeId));
+        self.lone = lone_link(&self.conns);
     }
 
     /// Coalesces queued payloads into the connection's pooled write buffer
@@ -631,6 +646,12 @@ impl Reactor {
             crate::pool::thread_pool(|pool| pool.put(conn.wbuf));
         }
     }
+}
+
+/// The peer of the one live link in `conns`, if exactly one is live.
+fn lone_link(conns: &[Option<Conn>]) -> Option<usize> {
+    let mut live = conns.iter().enumerate().filter(|(_, c)| c.is_some()).map(|(peer, _)| peer);
+    live.next().filter(|_| live.next().is_none())
 }
 
 /// Decodes the next frame on `peer`'s connection. The connection is the
@@ -821,54 +842,85 @@ mod tests {
         assert!(matches!(s1.send(2, Payload::data(vec![0])), Err(NetError::Disconnected)));
     }
 
-    /// Node 0 of a two-node endpoint whose link to node 1 is a plain
-    /// socket: the test writes node 1's side of the wire by hand.
-    fn endpoint_over_raw_socket() -> (ReactorEndpoint, UnixStream) {
+    /// Node 0 of an endpoint whose link to node 1 is a plain socket: the
+    /// test writes node 1's side of the wire by hand. With `idle_link` node
+    /// 0 also has a link to node 2 that nothing crosses, so its turns that
+    /// may not wait poll both links instead of reading node 1's alone; the
+    /// idle link's far end is returned, to be kept open.
+    fn endpoint_over_raw_socket(
+        idle_link: bool,
+    ) -> (ReactorEndpoint, UnixStream, Option<UnixStream>) {
         let (link, raw) = UnixStream::pair().unwrap();
-        (ReactorEndpoint::spawn(0, vec![None, Some(link)]).unwrap(), raw)
+        let (idle, far) = match idle_link {
+            true => UnixStream::pair().map(|(a, b)| (Some(a), Some(b))).unwrap(),
+            false => (None, None),
+        };
+        let a = ReactorEndpoint::spawn(0, vec![None, Some(link), idle]).unwrap();
+        assert_eq!(a.reactor.lone.is_some(), !idle_link, "the turn kind under test");
+        (a, raw, far)
     }
+
+    /// A mesh of two nodes, or with `idle_link` of three, node 2 an idle
+    /// peer of both: the turns of nodes 0 and 1 then poll instead of reading
+    /// their one link. Returns nodes 0 and 1, and node 2 to be kept alive.
+    fn mesh_with(idle_link: bool) -> (ReactorEndpoint, ReactorEndpoint, Option<ReactorEndpoint>) {
+        let mut eps = ReactorMesh::local(2 + usize::from(idle_link)).unwrap();
+        let idle = if idle_link { eps.pop() } else { None };
+        let b = eps.pop().unwrap();
+        let a = eps.pop().unwrap();
+        assert_eq!(a.reactor.lone.is_some(), !idle_link, "the turn kind under test");
+        (a, b, idle)
+    }
+
+    /// Each torn-link case runs on both turn kinds: the lone link's read
+    /// and the poll of several links.
+    const TURN_KINDS: [bool; 2] = [false, true];
 
     #[test]
     fn peer_socket_eof_mid_frame_surfaces_down_without_phantom_message() {
-        let (mut a, mut raw) = endpoint_over_raw_socket();
-        // A *partial* frame from node 1 (the length prefix says 20 bytes,
-        // only 5 arrive), then a hard close.
-        let mut partial = Vec::new();
-        partial.extend_from_slice(&20u32.to_le_bytes());
-        partial.extend_from_slice(&[1, 0, 0, 9, 9]);
-        raw.write_all(&partial).unwrap();
-        raw.flush().unwrap();
-        drop(raw);
+        for idle_link in TURN_KINDS {
+            let (mut a, mut raw, _idle) = endpoint_over_raw_socket(idle_link);
+            // A *partial* frame from node 1 (the length prefix says 20
+            // bytes, only 5 arrive), then a hard close.
+            let mut partial = Vec::new();
+            partial.extend_from_slice(&20u32.to_le_bytes());
+            partial.extend_from_slice(&[1, 0, 0, 9, 9]);
+            raw.write_all(&partial).unwrap();
+            raw.flush().unwrap();
+            drop(raw);
 
-        // The EOF mid-frame must surface as a link event, not as a message
-        // and not as a reactor crash.
-        let mut seen = Vec::new();
-        for _ in 0..200 {
-            seen.extend(a.take_peer_events());
-            if !seen.is_empty() {
-                break;
+            // The EOF mid-frame must surface as a link event, not as a
+            // message and not as a reactor crash.
+            let mut seen = Vec::new();
+            for _ in 0..200 {
+                seen.extend(a.take_peer_events());
+                if !seen.is_empty() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(5));
             }
-            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(seen, vec![PeerEvent::Down(1)], "the torn link surfaces once");
+            assert!(a.try_recv().unwrap().is_none(), "no phantom message from the partial frame");
+            assert!(a.take_peer_events().is_empty(), "a torn link is Down for good, once");
         }
-        assert_eq!(seen, vec![PeerEvent::Down(1)], "the torn link surfaces once");
-        assert!(a.try_recv().unwrap().is_none(), "no phantom message from the partial frame");
-        assert!(a.take_peer_events().is_empty(), "a torn link is Down for good, once");
     }
 
     /// The connection, not the frame header, says who sent a frame: a frame
     /// on node 1's link that names node 7 is corrupt, and tears that link.
     #[test]
     fn a_frame_naming_another_sender_is_a_codec_error_and_tears_the_link() {
-        let (mut a, mut raw) = endpoint_over_raw_socket();
-        let mut forged = BytesMut::new();
-        append_frame(&mut forged, 7, &Payload::data(b"forged".as_ref()));
-        raw.write_all(&forged).unwrap();
-        match a.recv_deadline(SimSpan::from_millis(2_000)) {
-            Err(NetError::Codec(_)) => {}
-            other => panic!("expected a codec error, got {other:?}"),
+        for idle_link in TURN_KINDS {
+            let (mut a, mut raw, _idle) = endpoint_over_raw_socket(idle_link);
+            let mut forged = BytesMut::new();
+            append_frame(&mut forged, 7, &Payload::data(b"forged".as_ref()));
+            raw.write_all(&forged).unwrap();
+            match a.recv_deadline(SimSpan::from_millis(2_000)) {
+                Err(NetError::Codec(_)) => {}
+                other => panic!("expected a codec error, got {other:?}"),
+            }
+            assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
+            assert!(matches!(a.send(1, Payload::data(vec![0])), Err(NetError::Disconnected)));
         }
-        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
-        assert!(matches!(a.send(1, Payload::data(vec![0])), Err(NetError::Disconnected)));
     }
 
     /// Node 0 took node 1's connection at setup. Once node 1 drops, node
@@ -896,24 +948,25 @@ mod tests {
     /// Once every link is torn nothing can arrive, so a blocking `recv`
     /// hands over what is still queued and then fails instead of parking
     /// for good. It runs on a thread of its own, so a `recv` that never
-    /// returns fails the test at the watchdog instead of hanging it.
+    /// returns fails the test at the watchdog instead of hanging it. The
+    /// idle peer, when there is one, goes too: no link may be left.
     #[test]
     fn a_blocking_recv_with_no_live_link_left_returns_disconnected() {
-        let mut eps = ReactorMesh::local(2).unwrap();
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        b.send(0, Payload::data(b"last".as_ref())).unwrap();
-        drop(b);
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let last = a.recv().map(|msg| msg.payload.bytes);
-            let after = a.recv().map(|msg| msg.payload.bytes);
-            let _ = tx.send((last, after));
-        });
-        let (last, after) =
-            rx.recv_timeout(Duration::from_secs(10)).expect("recv still blocked after 10 s");
-        assert_eq!(&last.unwrap()[..], b"last", "what was queued is handed over first");
-        assert!(matches!(after, Err(NetError::Disconnected)), "{after:?}");
+        for idle_link in TURN_KINDS {
+            let (mut a, mut b, idle) = mesh_with(idle_link);
+            b.send(0, Payload::data(b"last".as_ref())).unwrap();
+            drop((b, idle));
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let last = a.recv().map(|msg| msg.payload.bytes);
+                let after = a.recv().map(|msg| msg.payload.bytes);
+                let _ = tx.send((last, after));
+            });
+            let (last, after) =
+                rx.recv_timeout(Duration::from_secs(10)).expect("recv still blocked after 10 s");
+            assert_eq!(&last.unwrap()[..], b"last", "what was queued is handed over first");
+            assert!(matches!(after, Err(NetError::Disconnected)), "{after:?}");
+        }
     }
 
     #[test]
@@ -1078,6 +1131,35 @@ mod tests {
         assert_eq!(conn.woff, conn.wbuf.len(), "encoded bytes still wait for the socket");
     }
 
+    /// A turn that may not wait finishes a write still pending on the link,
+    /// on either turn kind: `try_recv` alone flushes a payload larger than
+    /// the socket buffers while its peer reads.
+    #[test]
+    fn try_recv_finishes_a_pending_write_on_either_turn_kind() {
+        const LEN: usize = 16 << 20;
+        let _alone = timing_alone();
+        for idle_link in TURN_KINDS {
+            let (mut a, mut b, _idle) = mesh_with(idle_link);
+            let reader = std::thread::spawn(move || {
+                let got = b.recv_deadline(SimSpan::from_millis(10_000)).unwrap();
+                assert_eq!(got.expect("the payload arrives").payload.bytes.len(), LEN);
+                b
+            });
+            a.send(1, Payload::data(vec![0u8; LEN])).unwrap();
+            let pending = |a: &ReactorEndpoint| {
+                let conn = a.reactor.conns[1].as_ref().expect("the link is up");
+                conn.woff < conn.wbuf.len() || !a.reactor.queues[1].is_empty()
+            };
+            assert!(pending(&a), "the payload outgrew the socket buffers");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pending(&a) {
+                assert!(Instant::now() < deadline, "try_recv left the write pending");
+                assert!(a.try_recv().unwrap().is_none());
+            }
+            drop(reader.join().unwrap());
+        }
+    }
+
     /// 16 MiB is past what a link's socket buffers hold and under the
     /// 32 MiB queue budget: what `send`'s one write leaves queued crosses
     /// only because the sender's receive turns keep flushing it.
@@ -1085,28 +1167,29 @@ mod tests {
     fn a_payload_larger_than_the_socket_buffers_crosses_while_its_sender_waits_in_recv() {
         const LEN: u32 = 16 << 20;
         let _alone = timing_alone();
-        let mut eps = ReactorMesh::local(2).unwrap();
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        let receiver = std::thread::spawn(move || {
-            let got = b
+        for idle_link in TURN_KINDS {
+            let (mut a, mut b, _idle) = mesh_with(idle_link);
+            let receiver = std::thread::spawn(move || {
+                let got = b
+                    .recv_deadline(SimSpan::from_millis(10_000))
+                    .unwrap()
+                    .expect("the payload arrives while its sender waits");
+                assert_eq!(got.payload.bytes.len(), LEN as usize);
+                assert!(
+                    got.payload.bytes.iter().zip(0..LEN).all(|(&x, i)| x == (i % 251) as u8),
+                    "the payload crosses intact"
+                );
+                b.send(0, Payload::control(vec![1u8])).unwrap();
+                b
+            });
+            let body = (0..LEN).map(|i| (i % 251) as u8).collect::<Vec<u8>>();
+            a.send(1, Payload::data(body)).unwrap();
+            let reply = a
                 .recv_deadline(SimSpan::from_millis(10_000))
                 .unwrap()
-                .expect("the payload arrives while its sender waits");
-            assert_eq!(got.payload.bytes.len(), LEN as usize);
-            assert!(
-                got.payload.bytes.iter().zip(0..LEN).all(|(&x, i)| x == (i % 251) as u8),
-                "the payload crosses intact"
-            );
-            b.send(0, Payload::control(vec![1u8])).unwrap();
-            b
-        });
-        a.send(1, Payload::data((0..LEN).map(|i| (i % 251) as u8).collect::<Vec<u8>>())).unwrap();
-        let reply = a
-            .recv_deadline(SimSpan::from_millis(10_000))
-            .unwrap()
-            .expect("the reply arrives: receive turns flush pending writes");
-        assert_eq!(&reply.payload.bytes[..], &[1u8]);
-        drop(receiver.join().unwrap());
+                .expect("the reply arrives: receive turns flush pending writes");
+            assert_eq!(&reply.payload.bytes[..], &[1u8]);
+            drop(receiver.join().unwrap());
+        }
     }
 }

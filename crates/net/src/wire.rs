@@ -58,14 +58,6 @@ pub fn encode<T: Wire>(value: &T) -> Bytes {
     w.into_bytes()
 }
 
-/// Encodes a value into a fresh `Vec`, for a caller that sends owned
-/// vectors: no frozen buffer in between, and no copy out of it.
-pub fn encode_vec<T: Wire>(value: &T) -> Vec<u8> {
-    let mut w = WireWriter::new();
-    value.encode(&mut w);
-    w.into_vec()
-}
-
 /// Encodes a value into scratch drawn from `pool`, so steady-state encode
 /// paths reuse recycled allocations instead of allocating per message.
 ///
@@ -189,6 +181,24 @@ impl WireWriter {
         let len = u32::try_from(bytes.len()).expect("byte string too long for wire format");
         self.put_u32(len);
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Appends a `u32`-length-prefixed byte string that `f` writes in place:
+    /// the bytes [`WireWriter::put_bytes`] would append for `f`'s own
+    /// encoding, with no buffer in between. The prefix is patched in once
+    /// `f` returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` writes more than `u32::MAX` bytes (see `put_bytes`).
+    pub fn put_nested(&mut self, f: impl FnOnce(&mut Self)) {
+        let at = self.buf.len();
+        self.put_u32(0);
+        f(self);
+        #[allow(clippy::expect_used)]
+        let len =
+            u32::try_from(self.buf.len() - at - 4).expect("byte string too long for wire format");
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Appends a `u32`-length-prefixed sequence via a per-item closure.
@@ -492,6 +502,26 @@ mod tests {
         assert_eq!(pool.idle(), 0, "second encode reused pooled scratch");
         let decoded: Blob = decode(&again).unwrap();
         assert_eq!(decoded.0, blob.0);
+    }
+
+    #[test]
+    fn put_nested_writes_what_put_bytes_writes_for_the_same_encoding() {
+        let mut nested = WireWriter::new();
+        nested.put_u8(1);
+        nested.put_nested(|w| {
+            w.put_u64(7);
+            w.put_bytes(b"inner");
+        });
+        let mut inner = WireWriter::new();
+        inner.put_u64(7);
+        inner.put_bytes(b"inner");
+        let mut flat = WireWriter::new();
+        flat.put_u8(1);
+        flat.put_bytes(inner.as_slice());
+        assert_eq!(nested.as_slice(), flat.as_slice());
+        let mut empty = WireWriter::new();
+        empty.put_nested(|_| {});
+        assert_eq!(empty.as_slice(), &0u32.to_le_bytes());
     }
 
     #[test]

@@ -136,9 +136,8 @@ impl<E: Endpoint> CausalMemory<E> {
             object,
             diff: Diff::single(offset, bytes.to_vec()),
         };
-        let encoded = sdso_net::wire::encode_vec(&msg);
         let peers = (0..self.runtime.num_nodes() as NodeId).filter(|&peer| peer != me);
-        self.runtime.send_app(MsgClass::Data, peers.map(|peer| (peer, encoded.clone())))?;
+        self.runtime.send_app(MsgClass::Data, peers.map(|peer| (peer, &msg)))?;
         self.metrics.writes_pushed += 1;
         Ok(())
     }
@@ -151,8 +150,7 @@ impl<E: Endpoint> CausalMemory<E> {
     /// Propagates transport and store errors.
     pub fn deliver_pending(&mut self) -> Result<usize, DsoError> {
         let mut delivered = 0usize;
-        while let Some((from, bytes)) = self.runtime.try_recv_app()? {
-            let msg: CausalMsg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+        while let Some((from, msg)) = self.runtime.try_recv_app()? {
             delivered += self.enqueue_and_drain(from, msg)?;
         }
         Ok(delivered)
@@ -165,8 +163,7 @@ impl<E: Endpoint> CausalMemory<E> {
     /// Propagates transport and store errors.
     pub fn deliver_blocking(&mut self) -> Result<usize, DsoError> {
         loop {
-            let (from, bytes) = self.runtime.recv_app()?;
-            let msg: CausalMsg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+            let (from, msg) = self.runtime.recv_app()?;
             let n = self.enqueue_and_drain(from, msg)?;
             if n > 0 {
                 return Ok(n);

@@ -277,10 +277,16 @@ impl EcMetrics {
 pub struct EntryConsistency<E: Endpoint> {
     runtime: SdsoRuntime<E>,
     managed: BTreeMap<ObjectId, ManagedLock>,
-    /// Grants received but not yet consumed by `acquire`.
-    granted: BTreeMap<ObjectId, (NodeId, Version)>,
-    /// Locks currently held by this process.
-    held: BTreeMap<ObjectId, LockMode>,
+    /// Grants received but not yet consumed by `acquire`: `(object, owner,
+    /// version)`, one per object.
+    granted: Vec<(ObjectId, NodeId, Version)>,
+    /// Locks currently held by this process, one per object.
+    held: Vec<(ObjectId, LockMode)>,
+    /// The lockset `acquire` works through, sorted; kept for its storage.
+    lockset: Vec<LockRequest>,
+    /// What the current call has yet to send, in order; kept for its
+    /// storage ([`EntryConsistency::flush`]).
+    out: Vec<(NodeId, EcMessage)>,
     /// Peers that have announced the end of their run.
     dones_seen: usize,
     /// Peers that have completed their final-sync state pushes.
@@ -298,8 +304,10 @@ impl<E: Endpoint> EntryConsistency<E> {
         EntryConsistency {
             runtime,
             managed: BTreeMap::new(),
-            granted: BTreeMap::new(),
-            held: BTreeMap::new(),
+            granted: Vec::new(),
+            held: Vec::new(),
+            lockset: Vec::new(),
+            out: Vec::new(),
             dones_seen: 0,
             sync_dones_seen: 0,
             deferred: VecDeque::new(),
@@ -361,8 +369,17 @@ impl<E: Endpoint> EntryConsistency<E> {
     /// a request for a lock this process already holds (locksets do not
     /// nest), are a [`DsoError::ProtocolViolation`].
     pub fn acquire(&mut self, locks: &[LockRequest]) -> Result<(), DsoError> {
-        let mut sorted = locks.to_vec();
+        let mut sorted = std::mem::take(&mut self.lockset);
+        sorted.clear();
+        sorted.extend_from_slice(locks);
         sorted.sort_by_key(|l| l.object);
+        let acquired = self.acquire_sorted(&sorted);
+        self.lockset = sorted;
+        acquired
+    }
+
+    /// [`EntryConsistency::acquire`] of a lockset sorted by object.
+    fn acquire_sorted(&mut self, sorted: &[LockRequest]) -> Result<(), DsoError> {
         for pair in sorted.windows(2) {
             if pair[0].object == pair[1].object {
                 return Err(DsoError::ProtocolViolation(format!(
@@ -372,8 +389,8 @@ impl<E: Endpoint> EntryConsistency<E> {
             }
         }
         let me = self.runtime.node_id();
-        for req in sorted {
-            if self.held.contains_key(&req.object) {
+        for &req in sorted {
+            if self.held.iter().any(|&(object, _)| object == req.object) {
                 return Err(DsoError::ProtocolViolation(format!(
                     "lock {} already held; locksets do not nest",
                     req.object
@@ -394,12 +411,14 @@ impl<E: Endpoint> EntryConsistency<E> {
             } else {
                 let epoch = self.runtime.epoch();
                 let acquire = EcMessage::Acquire { object: req.object, mode: req.mode, epoch };
-                self.send_ec([(manager, acquire)])?;
+                self.out.push((manager, acquire));
+                self.flush()?;
             }
             // Wait for the grant (self-grants land in `granted` too).
             let (owner, version) = loop {
-                if let Some(grant) = self.granted.remove(&req.object) {
-                    break grant;
+                if let Some(at) = self.granted.iter().position(|g| g.0 == req.object) {
+                    let (_, owner, version) = self.granted.swap_remove(at);
+                    break (owner, version);
                 }
                 self.pump_one()?;
             };
@@ -413,7 +432,7 @@ impl<E: Endpoint> EntryConsistency<E> {
             );
             self.metrics.lock_wait += granted_at.saturating_since(wait_start);
             self.metrics.acquires += 1;
-            self.held.insert(req.object, req.mode);
+            self.held.push((req.object, req.mode));
             // Pull the up-to-date copy if ours is stale.
             if owner != me && version > self.runtime.version_of(req.object)? {
                 let pull_start = self.runtime.now();
@@ -432,7 +451,7 @@ impl<E: Endpoint> EntryConsistency<E> {
     /// Returns [`DsoError::ProtocolViolation`] if the write lock is not
     /// held, plus any store error.
     pub fn write(&mut self, object: ObjectId, offset: u32, bytes: &[u8]) -> Result<(), DsoError> {
-        if self.held.get(&object) != Some(&LockMode::Write) {
+        if !self.held.contains(&(object, LockMode::Write)) {
             return Err(DsoError::ProtocolViolation(format!(
                 "write to {object} without an exclusive lock"
             )));
@@ -463,9 +482,9 @@ impl<E: Endpoint> EntryConsistency<E> {
     /// Propagates transport failures.
     pub fn release_all(&mut self, modified: &BTreeSet<ObjectId>) -> Result<(), DsoError> {
         let me = self.runtime.node_id();
-        let held = std::mem::take(&mut self.held);
-        let mut out = Vec::new();
-        for (object, _mode) in held {
+        let mut held = std::mem::take(&mut self.held);
+        held.sort_unstable_by_key(|&(object, _)| object);
+        for (object, _mode) in held.drain(..) {
             self.runtime.obs().record(
                 self.runtime.now().as_micros(),
                 EventKind::LockRelease,
@@ -474,15 +493,24 @@ impl<E: Endpoint> EntryConsistency<E> {
                 0,
             );
             let was_modified = modified.contains(&object);
-            let version = self.runtime.version_of(object)?;
+            let version = match self.runtime.version_of(object) {
+                Ok(version) => version,
+                Err(e) => {
+                    // A release that fails sends none of what it queued.
+                    self.out.clear();
+                    return Err(e);
+                }
+            };
             let manager = self.manager_of_view(object);
             if manager == me {
-                self.local_release(object, me, was_modified, version, &mut out);
+                self.local_release(object, me, was_modified, version);
             } else {
-                out.push((manager, EcMessage::Release { object, modified: was_modified, version }));
+                let release = EcMessage::Release { object, modified: was_modified, version };
+                self.out.push((manager, release));
             }
         }
-        self.send_ec(out)
+        self.held = held;
+        self.flush()
     }
 
     /// Announces the end of this process's run, then keeps serving manager
@@ -496,7 +524,8 @@ impl<E: Endpoint> EntryConsistency<E> {
     pub fn finish(&mut self) -> Result<(), DsoError> {
         let me = self.runtime.node_id();
         let peers = self.runtime.membership().peers_of(me);
-        self.send_ec(peers.iter().map(|&peer| (peer, EcMessage::Done)))?;
+        self.runtime
+            .send_app(MsgClass::Control, peers.iter().map(|&peer| (peer, &EcMessage::Done)))?;
         while self.dones_seen < peers.len() {
             self.pump_one()?;
         }
@@ -540,13 +569,12 @@ impl<E: Endpoint> EntryConsistency<E> {
             if version.writer != me || version.time == LogicalTime::ZERO {
                 continue;
             }
-            let bytes = self.runtime.read(object)?.to_vec();
-            for &peer in &peers {
-                self.send_ec([(peer, EcMessage::State { object, version, bytes: bytes.clone() })])?;
-            }
+            let state =
+                EcMessage::State { object, version, bytes: self.runtime.read(object)?.to_vec() };
+            self.runtime.send_app(MsgClass::Control, peers.iter().map(|&peer| (peer, &state)))?;
         }
-        let epoch = self.runtime.epoch();
-        self.send_ec(peers.iter().map(|&peer| (peer, EcMessage::SyncDone { epoch })))?;
+        let sync_done = EcMessage::SyncDone { epoch: self.runtime.epoch() };
+        self.runtime.send_app(MsgClass::Control, peers.iter().map(|&peer| (peer, &sync_done)))?;
         while self.sync_dones_seen < peers.len() {
             self.pump_one()?;
         }
@@ -590,8 +618,7 @@ impl<E: Endpoint> EntryConsistency<E> {
     ///
     /// Propagates transport failures.
     pub fn service_pending(&mut self) -> Result<(), DsoError> {
-        while let Some((from, bytes)) = self.runtime.try_recv_app()? {
-            let msg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+        while let Some((from, msg)) = self.runtime.try_recv_app()? {
             self.handle(from, msg)?;
         }
         Ok(())
@@ -599,8 +626,7 @@ impl<E: Endpoint> EntryConsistency<E> {
 
     /// Blocks on one message and services it.
     fn pump_one(&mut self) -> Result<(), DsoError> {
-        let (from, bytes) = self.runtime.recv_app()?;
-        let msg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+        let (from, msg) = self.runtime.recv_app()?;
         self.handle(from, msg)
     }
 
@@ -616,7 +642,6 @@ impl<E: Endpoint> EntryConsistency<E> {
                 return Ok(());
             }
         }
-        let mut out = Vec::new();
         match msg {
             EcMessage::Acquire { object, mode, epoch: _ } => {
                 let me = self.runtime.node_id();
@@ -624,17 +649,15 @@ impl<E: Endpoint> EntryConsistency<E> {
                 if lock.queue.is_empty() && lock.compatible(mode) {
                     lock.add_holder(from, mode);
                     let (owner, version) = (lock.owner, lock.version);
-                    self.deliver_grant(from, object, owner, version, &mut out);
+                    self.deliver_grant(from, object, owner, version);
                 } else {
                     lock.queue.push_back((from, mode));
                 }
             }
             EcMessage::Release { object, modified, version } => {
-                self.local_release(object, from, modified, version, &mut out);
+                self.local_release(object, from, modified, version);
             }
-            EcMessage::Grant { object, owner, version } => {
-                self.granted.insert(object, (owner, version));
-            }
+            EcMessage::Grant { object, owner, version } => self.note_grant(object, owner, version),
             EcMessage::Done => self.dones_seen += 1,
             EcMessage::State { object, version, bytes } => {
                 let diff = Diff::single(0, bytes);
@@ -642,7 +665,7 @@ impl<E: Endpoint> EntryConsistency<E> {
             }
             EcMessage::SyncDone { epoch: _ } => self.sync_dones_seen += 1,
         }
-        self.send_ec(out)
+        self.flush()
     }
 
     /// Acquire when this process is the manager: grant immediately when
@@ -654,15 +677,8 @@ impl<E: Endpoint> EntryConsistency<E> {
     }
 
     /// Release processing at the manager (local or remote requester); the
-    /// Grants it frees for remote waiters are appended to `out`.
-    fn local_release(
-        &mut self,
-        object: ObjectId,
-        who: NodeId,
-        modified: bool,
-        version: Version,
-        out: &mut Vec<(NodeId, EcMessage)>,
-    ) {
+    /// Grants it frees for remote waiters are queued on `self.out`.
+    fn local_release(&mut self, object: ObjectId, who: NodeId, modified: bool, version: Version) {
         let me = self.runtime.node_id();
         let lock = self.managed.entry(object).or_insert_with(|| ManagedLock::new(me));
         lock.remove_holder(who);
@@ -679,35 +695,38 @@ impl<E: Endpoint> EntryConsistency<E> {
             lock.queue.pop_front();
             lock.add_holder(next, mode);
             let (owner, version) = (lock.owner, lock.version);
-            self.deliver_grant(next, object, owner, version, out);
+            self.deliver_grant(next, object, owner, version);
         }
     }
 
     /// Grants `object` to `to`: at once when `to` is this process, else as
-    /// a Grant appended to `out`.
-    fn deliver_grant(
-        &mut self,
-        to: NodeId,
-        object: ObjectId,
-        owner: NodeId,
-        version: Version,
-        out: &mut Vec<(NodeId, EcMessage)>,
-    ) {
+    /// a Grant queued on `self.out`.
+    fn deliver_grant(&mut self, to: NodeId, object: ObjectId, owner: NodeId, version: Version) {
         if to == self.runtime.node_id() {
-            self.granted.insert(object, (owner, version));
+            self.note_grant(object, owner, version);
         } else {
-            out.push((to, EcMessage::Grant { object, owner, version }));
+            self.out.push((to, EcMessage::Grant { object, owner, version }));
         }
     }
 
-    /// Sends `out` in order, each run of consecutive messages to one peer
-    /// as one transport write.
-    fn send_ec(
-        &mut self,
-        out: impl IntoIterator<Item = (NodeId, EcMessage)>,
-    ) -> Result<(), DsoError> {
-        let out = out.into_iter().map(|(to, msg)| (to, sdso_net::wire::encode_vec(&msg)));
-        self.runtime.send_app(MsgClass::Control, out)
+    /// Files a grant of `object` for `acquire`, replacing an unconsumed one.
+    fn note_grant(&mut self, object: ObjectId, owner: NodeId, version: Version) {
+        match self.granted.iter_mut().find(|g| g.0 == object) {
+            Some(grant) => *grant = (object, owner, version),
+            None => self.granted.push((object, owner, version)),
+        }
+    }
+
+    /// Sends what `self.out` holds in order, each run of consecutive
+    /// messages to one peer as one transport write, and empties it.
+    fn flush(&mut self) -> Result<(), DsoError> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let out = self.out.iter().map(|(to, msg)| (*to, msg));
+        let sent = self.runtime.send_app(MsgClass::Control, out);
+        self.out.clear();
+        sent
     }
 }
 
@@ -834,16 +853,32 @@ mod tests {
             EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch::ZERO },
         )
         .unwrap();
-        n0.held.insert(ObjectId(1), LockMode::Write);
-        n0.held.insert(ObjectId(3), LockMode::Write);
+        n0.held.push((ObjectId(1), LockMode::Write));
+        n0.held.push((ObjectId(3), LockMode::Write));
         n0.release_all(&BTreeSet::from([ObjectId(1), ObjectId(3)])).unwrap();
         let counts = recorder.counts();
         assert_eq!(counts[EventKind::Send as usize], 3, "a Grant and two Releases");
         assert_eq!(counts[EventKind::BatchSend as usize], 1, "all three in one write");
         n1.service_pending().unwrap();
-        assert!(n1.granted.contains_key(&ObjectId(0)), "the freed Grant arrived");
+        assert!(n1.granted.iter().any(|g| g.0 == ObjectId(0)), "the freed Grant arrived");
         assert_eq!(n1.managed[&ObjectId(1)].owner, 0);
         assert_eq!(n1.managed[&ObjectId(3)].owner, 0);
+    }
+
+    /// A release that fails partway (here, on an object that is not shared)
+    /// sends nothing, then or with a later call.
+    #[test]
+    fn a_failed_release_leaves_nothing_to_send() {
+        let mut nodes = cluster(2, 4);
+        let mut n1 = nodes.pop().unwrap();
+        let mut n0 = nodes.pop().unwrap();
+        n0.held.push((ObjectId(1), LockMode::Write));
+        n0.held.push((ObjectId(9), LockMode::Write));
+        let failed = n0.release_all(&BTreeSet::new());
+        assert!(matches!(failed, Err(DsoError::UnknownObject(_))), "{failed:?}");
+        n0.release_all(&BTreeSet::new()).unwrap();
+        n1.service_pending().unwrap();
+        assert!(!n1.managed.contains_key(&ObjectId(1)), "object 1's Release went out");
     }
 
     #[test]

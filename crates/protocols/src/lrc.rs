@@ -360,16 +360,14 @@ impl<E: Endpoint> Lrc<E> {
     ///
     /// Propagates transport errors.
     pub fn service_pending(&mut self) -> Result<(), DsoError> {
-        while let Some((from, bytes)) = self.runtime.try_recv_app()? {
-            let msg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+        while let Some((from, msg)) = self.runtime.try_recv_app()? {
             self.handle(from, msg)?;
         }
         Ok(())
     }
 
     fn pump_one(&mut self) -> Result<(), DsoError> {
-        let (from, bytes) = self.runtime.recv_app()?;
-        let msg = sdso_net::wire::decode(&bytes).map_err(DsoError::Net)?;
+        let (from, msg) = self.runtime.recv_app()?;
         self.handle(from, msg)
     }
 
@@ -466,8 +464,7 @@ impl<E: Endpoint> Lrc<E> {
     }
 
     fn send(&mut self, to: NodeId, class: MsgClass, msg: LrcMessage) -> Result<(), DsoError> {
-        let bytes = sdso_net::wire::encode_vec(&msg);
-        self.runtime.send_app(class, [(to, bytes)])
+        self.runtime.send_app(class, [(to, &msg)])
     }
 }
 

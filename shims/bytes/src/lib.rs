@@ -9,13 +9,16 @@
 #![warn(missing_docs)]
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// An immutable, cheaply-cloneable byte buffer.
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// An immutable, cheaply-cloneable byte buffer: a view of shared storage,
+/// so a [`Bytes::slice_ref`] of it shares that storage instead of copying.
+#[derive(Clone, Default)]
 pub struct Bytes {
     inner: Arc<Vec<u8>>,
+    start: usize,
+    end: usize,
 }
 
 impl Bytes {
@@ -26,61 +29,115 @@ impl Bytes {
 
     /// Copies `data` into a new buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes { inner: Arc::new(data.to_vec()) }
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.inner.len()
+        self.end - self.start
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
+        self.start == self.end
     }
 
     /// The contents as a slice.
     pub fn as_ref(&self) -> &[u8] {
-        &self.inner
+        &self.inner[self.start..self.end]
     }
 
     /// Copies the contents into a fresh `Vec<u8>`.
     pub fn to_vec(&self) -> Vec<u8> {
-        self.inner.as_ref().clone()
+        self.as_ref().to_vec()
     }
 
-    /// Converts back into a [`BytesMut`] without copying when this is the
-    /// only handle to the storage; returns `self` unchanged otherwise.
-    /// Mirrors the real crate's `Bytes::try_into_mut`, and is what lets a
-    /// buffer pool reclaim frozen buffers once their last clone is gone.
+    /// The part of `self` that `subset` borrows, sharing its storage: no
+    /// copy. Mirrors the real crate's `Bytes::slice_ref`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subset` does not lie within `self`, as the real crate does.
+    pub fn slice_ref(&self, subset: &[u8]) -> Bytes {
+        if subset.is_empty() {
+            return Bytes::new();
+        }
+        let base = self.as_ref().as_ptr() as usize;
+        let at = (subset.as_ptr() as usize).wrapping_sub(base);
+        assert!(
+            at <= self.len() && subset.len() <= self.len() - at,
+            "slice_ref: the subset is not a part of this buffer"
+        );
+        let start = self.start + at;
+        Bytes { inner: Arc::clone(&self.inner), start, end: start + subset.len() }
+    }
+
+    /// Converts back into a [`BytesMut`] holding this view's bytes without
+    /// copying the storage when this is its only handle; returns `self`
+    /// unchanged otherwise. Mirrors the real crate's `Bytes::try_into_mut`,
+    /// and is what lets a buffer pool reclaim frozen buffers once their last
+    /// clone is gone.
     ///
     /// # Errors
     ///
     /// Returns `Err(self)` if other clones still share the storage.
     pub fn try_into_mut(self) -> Result<BytesMut, Bytes> {
-        match Arc::try_unwrap(self.inner) {
-            Ok(vec) => Ok(BytesMut { inner: vec }),
-            Err(inner) => Err(Bytes { inner }),
+        let Bytes { mut inner, start, end } = self;
+        match Arc::get_mut(&mut inner) {
+            Some(vec) => {
+                let mut vec = std::mem::take(vec);
+                vec.truncate(end);
+                vec.drain(..start);
+                Ok(BytesMut { inner: vec, shell: Some(inner) })
+            }
+            None => Err(Bytes { inner, start, end }),
         }
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Bytes) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Bytes) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Bytes) -> std::cmp::Ordering {
+        self.as_ref().cmp(other.as_ref())
+    }
+}
+
+impl std::hash::Hash for Bytes {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
     }
 }
 
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.inner
+        Bytes::as_ref(self)
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.inner
+        Bytes::as_ref(self)
     }
 }
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        Bytes { inner: Arc::new(v) }
+        let end = v.len();
+        Bytes { inner: Arc::new(v), start: 0, end }
     }
 }
 
@@ -104,7 +161,7 @@ impl From<&str> for Bytes {
 
 impl From<String> for Bytes {
     fn from(v: String) -> Bytes {
-        Bytes { inner: Arc::new(v.into_bytes()) }
+        Bytes::from(v.into_bytes())
     }
 }
 
@@ -117,7 +174,7 @@ impl From<BytesMut> for Bytes {
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.inner.iter() {
+        for &b in Bytes::as_ref(self) {
             for esc in std::ascii::escape_default(b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -128,20 +185,28 @@ impl fmt::Debug for Bytes {
 
 impl PartialEq<[u8]> for Bytes {
     fn eq(&self, other: &[u8]) -> bool {
-        self.inner.as_slice() == other
+        Bytes::as_ref(self) == other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
     fn eq(&self, other: &Vec<u8>) -> bool {
-        self.inner.as_ref() == other
+        Bytes::as_ref(self) == other.as_slice()
     }
 }
 
-/// A growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, PartialEq, Eq, Debug)]
+/// A growable byte buffer that freezes into [`Bytes`]. A buffer that was
+/// frozen before keeps the shared handle it was frozen into, emptied, and
+/// [`BytesMut::freeze`] moves its bytes back into that handle: a buffer
+/// cycled through a pool (`freeze`, then a successful
+/// [`Bytes::try_into_mut`]) allocates and frees nothing, while writes touch
+/// a plain `Vec`.
+#[derive(Default)]
 pub struct BytesMut {
     inner: Vec<u8>,
+    /// The handle a previous `freeze` used, held by this buffer alone and
+    /// empty; `None` for a buffer never frozen.
+    shell: Option<Arc<Vec<u8>>>,
 }
 
 impl BytesMut {
@@ -152,7 +217,7 @@ impl BytesMut {
 
     /// Creates a builder with `cap` bytes preallocated.
     pub fn with_capacity(cap: usize) -> Self {
-        BytesMut { inner: Vec::with_capacity(cap) }
+        BytesMut { inner: Vec::with_capacity(cap), shell: None }
     }
 
     /// Appends `data`.
@@ -185,9 +250,42 @@ impl BytesMut {
         self.inner.is_empty()
     }
 
-    /// Converts into an immutable [`Bytes`] without copying.
+    /// Converts into an immutable [`Bytes`] without copying; a buffer that
+    /// was frozen before reuses its handle instead of allocating one.
     pub fn freeze(self) -> Bytes {
-        Bytes { inner: Arc::new(self.inner) }
+        let BytesMut { inner, shell } = self;
+        let end = inner.len();
+        let inner = match shell {
+            Some(mut shell) => match Arc::get_mut(&mut shell) {
+                Some(slot) => {
+                    *slot = inner;
+                    shell
+                }
+                None => Arc::new(inner),
+            },
+            None => Arc::new(inner),
+        };
+        Bytes { inner, start: 0, end }
+    }
+}
+
+impl Clone for BytesMut {
+    fn clone(&self) -> Self {
+        BytesMut { inner: self.inner.clone(), shell: None }
+    }
+}
+
+impl PartialEq for BytesMut {
+    fn eq(&self, other: &BytesMut) -> bool {
+        self.inner == other.inner
+    }
+}
+
+impl Eq for BytesMut {}
+
+impl fmt::Debug for BytesMut {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("BytesMut").field("inner", &self.inner).finish()
     }
 }
 
@@ -201,6 +299,12 @@ impl Deref for BytesMut {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
         &self.inner
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.inner
     }
 }
 
@@ -262,5 +366,49 @@ mod tests {
         let other = shared.clone();
         let back = shared.try_into_mut().expect_err("shared storage stays frozen");
         assert_eq!(back, other);
+    }
+
+    #[test]
+    fn a_reclaimed_buffer_freezes_into_its_old_handle() {
+        let mut b = BytesMut::with_capacity(16);
+        b.extend_from_slice(&[1, 2, 3]);
+        let frozen = b.freeze();
+        let handle = Arc::as_ptr(&frozen.inner);
+        let storage = Arc::clone(&frozen.inner);
+        let shared = frozen.try_into_mut().expect_err("a second handle keeps it frozen");
+        drop(storage);
+        let mut back = shared.try_into_mut().expect("the last handle reclaims");
+        back.clear();
+        back.extend_from_slice(&[4]);
+        let copy = back.clone();
+        let again = back.freeze();
+        assert_eq!(&again[..], &[4]);
+        assert_eq!(Arc::as_ptr(&again.inner), handle, "the handle is reused");
+        assert_ne!(Arc::as_ptr(&copy.freeze().inner), handle, "a clone has its own");
+    }
+
+    #[test]
+    fn slice_ref_shares_storage_and_reclaims_as_its_view() {
+        let whole = Bytes::from(vec![1u8, 2, 3, 4, 5]);
+        let part = whole.slice_ref(&whole[1..4]);
+        assert_eq!(&part[..], &[2, 3, 4]);
+        assert!(Arc::ptr_eq(&part.inner, &whole.inner), "no copy");
+        assert_eq!(part, Bytes::from(vec![2u8, 3, 4]), "equality is by contents");
+        assert!(whole.slice_ref(&[]).is_empty());
+        let part = match part.try_into_mut() {
+            Err(part) => part,
+            Ok(_) => panic!("the whole still shares the storage"),
+        };
+        drop(whole);
+        let back = part.try_into_mut().expect("the last handle reclaims");
+        assert_eq!(&back[..], &[2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a part of this buffer")]
+    fn slice_ref_outside_the_buffer_panics() {
+        let whole = Bytes::from(vec![0u8; 4]);
+        let other = vec![0u8; 2];
+        let _ = whole.slice_ref(&other);
     }
 }

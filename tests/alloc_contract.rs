@@ -12,9 +12,11 @@
 //! nodes, 362.7 at 16; 177 is the tighter of that and an earlier
 //! measurement's 353) and three quarters of it (MSYNC: 27.9 and 289.3;
 //! MSYNC2: 21.7 and 175.1). EC's allocations are lock messages, a
-//! different path; its budgets are what it cost while each message was
-//! encoded into a frozen buffer and then copied out (61.0 at 2 nodes,
-//! 127.8 at 16), so a second copy per message cannot come back.
+//! different path; its budgets are what it costs since a lock message is
+//! encoded once into a pooled frame, decoded from a slice of the received
+//! one, and freezes and reclaims its buffer without allocating (8.6 at 2
+//! nodes, 22.9 at 16), each rounded up to the next whole allocation. It
+//! cost 46.4 and 97.9 before, so none of those allocations can come back.
 //!
 //! One test function on purpose: the counter is process-wide, so two cells
 //! measured at once would count each other.
@@ -55,8 +57,8 @@ fn lookahead_exchanges_allocate_within_budget_per_node_tick() {
         (Protocol::Msync, 16, 217.0),
         (Protocol::Msync2, 2, 16.3),
         (Protocol::Msync2, 16, 131.0),
-        (Protocol::Entry, 2, 61.0),
-        (Protocol::Entry, 16, 127.8),
+        (Protocol::Entry, 2, 9.0),
+        (Protocol::Entry, 16, 23.0),
     ];
     let mut report = String::new();
     let mut over = Vec::new();

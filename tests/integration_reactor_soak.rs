@@ -297,10 +297,11 @@ fn thread_per_peer_soak(spokes: usize, pings: u32) -> Duration {
 /// peer. Same host, same process, the two stars back to back at 256 spokes x
 /// 100 pings, best of three each — a fresh ratio, which travels across hosts
 /// where a wall-clock number does not: the reactor sustains at least 0.9 of
-/// the thread-per-peer rate. Measured 1.39–2.02 against
-/// [`thread_per_peer_soak`] with both stars wired from Unix-domain pairs
-/// (1.12–1.65 when both were loopback TCP; 1.14–1.34 before receives spun
-/// before parking); the `epoll` reactor this one replaced read
+/// the thread-per-peer rate. Measured 1.61–2.09 against
+/// [`thread_per_peer_soak`] with both stars wired from Unix-domain pairs,
+/// the spokes reading their one link without `poll` and the hub polling
+/// (1.39–2.02 when every turn polled; 1.12–1.65 when both were loopback
+/// TCP; 1.14–1.34 before receives spun before parking); the `epoll` reactor this one replaced read
 /// 0.92–1.31 against it and 1.32–1.57 against the deleted thread-per-peer
 /// transport, which this hub outruns by 1.1–1.5×.
 #[test]
@@ -330,13 +331,15 @@ fn contract_reactor_sustains_the_thread_per_peer_rate() {
 /// fresh ratio: the reactor's round trip is at most the blocking pair's.
 /// The reactor's receive spins briefly before it parks, so a prompt reply
 /// skips the wake-up of a parked thread that the blocking pair pays on
-/// every trip (measured 0.49–0.65× in 19 of 20 runs on a 2-CPU Linux VM;
-/// 0.50–0.62× when both sides were loopback TCP; 1.11–1.35× before the
-/// spin, when the contract allowed 2×; 2.81–2.87× while the poll loop ran
-/// on a thread of its own). Both sides are timed on the same two threads,
-/// but the threads are not pinned: where the scheduler puts the two on one
-/// CPU, the blocking pair skips that wake-up and the ratio reads above 1
-/// (1.02× in the other run of those 20; 1.21–1.37× under `taskset -c 0`).
+/// every trip (measured 0.41–0.70× in 19 of 20 runs on a 2-CPU Linux VM
+/// since a lone link is read without `poll`; 0.49–0.65× when every turn
+/// polled; 0.50–0.62× when both sides were loopback TCP; 1.11–1.35×
+/// before the spin, when the contract allowed 2×; 2.81–2.87× while the
+/// poll loop ran on a thread of its own). Both sides are timed on the same
+/// two threads, but the threads are not pinned: where the scheduler puts
+/// the two on one CPU, the blocking pair skips that wake-up and the ratio
+/// reads above 1 (1.07× in the other run of those 20; 0.95–1.22× under
+/// `taskset -c 0`, where it read 1.19–1.55× when every turn polled).
 #[test]
 #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
 fn contract_reactor_round_trip_is_no_slower_than_a_blocking_socket_pair() {

@@ -135,8 +135,8 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
         let mut rt = SdsoRuntime::new(b, DsoConfig::compact());
         rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
         // Service A's put, then answer its app message.
-        let (_, bytes) = rt.recv_app().unwrap();
-        assert_eq!(bytes, b"check");
+        let (_, check): (_, ObjectId) = rt.recv_app().unwrap();
+        assert_eq!(check, ObjectId(42));
         assert_eq!(rt.read(ObjectId(0)).unwrap(), &[7u8; 8]);
     });
 
@@ -144,7 +144,7 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
     rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
     rt.write(ObjectId(0), 0, &[7u8; 8]).unwrap();
     rt.sync_put(1, ObjectId(0)).unwrap();
-    rt.send_app(sdso_net::MsgClass::Control, [(1, b"check".to_vec())]).unwrap();
+    rt.send_app(sdso_net::MsgClass::Control, [(1, &ObjectId(42))]).unwrap();
     tb.join().unwrap();
 }
 
