@@ -559,6 +559,16 @@ impl<E: Endpoint> SdsoRuntime<E> {
         Ok(replica.data())
     }
 
+    /// The bytes `id` was registered with at [`SdsoRuntime::share`] —
+    /// identical at every process — whatever its replica holds now.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
+    pub fn registered(&self, id: ObjectId) -> Result<&[u8], DsoError> {
+        self.store.registered(id)
+    }
+
     /// An object's current version stamp.
     ///
     /// # Errors

@@ -160,6 +160,17 @@ impl ObjectStore {
         Ok(self.replica(id)?.data())
     }
 
+    /// The bytes `id` was registered with, whatever its replica holds now.
+    /// Every process registers the same bodies, so a diff taken against
+    /// them at one process applies to them at any other.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
+    pub fn registered(&self, id: ObjectId) -> Result<&[u8], DsoError> {
+        Ok(&self.replica(id)?.initial)
+    }
+
     /// Writes `bytes` at `offset`, stamping the replica with `version`.
     ///
     /// # Errors
@@ -364,13 +375,18 @@ mod tests {
 
     #[test]
     fn initial_body_survives_writes() {
-        // The registered body stays held once its replica is written: an
-        // object registered later with equal bytes reads that very copy.
+        // The registered body stays held once its replica is written:
+        // `registered` reads it, and an object registered later with equal
+        // bytes reads that very copy.
         let mut s = ObjectStore::new();
         s.share(ObjectId(1), vec![7; 4]).unwrap();
         let registered = s.read(ObjectId(1)).unwrap().as_ptr();
         s.write(ObjectId(1), 0, &[1, 2], v(1, 0)).unwrap();
         assert_eq!(s.read(ObjectId(1)).unwrap(), &[1, 2, 7, 7]);
+        s.replace(ObjectId(1), &[3; 4], v(2, 1)).unwrap();
+        assert_eq!(s.registered(ObjectId(1)).unwrap(), &[7; 4]);
+        assert_eq!(s.registered(ObjectId(1)).unwrap().as_ptr(), registered);
+        assert!(s.registered(ObjectId(9)).is_err());
         s.share(ObjectId(2), vec![7; 4]).unwrap();
         assert_eq!(s.read(ObjectId(2)).unwrap(), &[7; 4]);
         assert_eq!(s.read(ObjectId(2)).unwrap().as_ptr(), registered);

@@ -70,7 +70,8 @@ impl Sweep {
     }
 
     /// Runs the whole grid once per (protocol, n, range) cell and formats
-    /// one table per range with `metric` as the cell value.
+    /// one table per range with `metric` as the cell value, printed with
+    /// `decimals` digits after the point (0 for message counts).
     ///
     /// # Errors
     ///
@@ -79,6 +80,7 @@ impl Sweep {
         &self,
         title: &str,
         unit: &str,
+        decimals: usize,
         metric: impl Fn(&[RunSummary]) -> f64,
     ) -> Result<Vec<Table>, SimError> {
         let mut tables = Vec::new();
@@ -98,7 +100,7 @@ impl Sweep {
                 for &n in &self.process_counts {
                     let scenario = self.scenario(n, range);
                     let runs = run_seeds(&scenario, protocol, self.model, &self.seeds)?;
-                    row.push(format!("{:.4}", metric(&runs)));
+                    row.push(format!("{:.decimals$}", metric(&runs)));
                 }
                 table.push_row(row);
             }
@@ -114,7 +116,7 @@ impl Sweep {
     ///
     /// Fails on the first failing run.
     pub fn figure5(&self) -> Result<Vec<Table>, SimError> {
-        self.sweep_metric("Figure 5: normalised execution time", "s/modification", |runs| {
+        self.sweep_metric("Figure 5: normalised execution time", "s/modification", 4, |runs| {
             mean_of(runs, RunSummary::avg_time_per_modification_secs)
         })
     }
@@ -125,7 +127,7 @@ impl Sweep {
     ///
     /// Fails on the first failing run.
     pub fn figure6(&self) -> Result<Vec<Table>, SimError> {
-        self.sweep_metric("Figure 6: total message transfers", "messages", |runs| {
+        self.sweep_metric("Figure 6: total message transfers", "messages", 0, |runs| {
             mean_of(runs, |r| r.total_messages() as f64)
         })
     }
@@ -136,7 +138,7 @@ impl Sweep {
     ///
     /// Fails on the first failing run.
     pub fn figure7(&self) -> Result<Vec<Table>, SimError> {
-        self.sweep_metric("Figure 7: data message transfers", "messages", |runs| {
+        self.sweep_metric("Figure 7: data message transfers", "messages", 0, |runs| {
             mean_of(runs, |r| r.data_messages() as f64)
         })
     }
@@ -328,11 +330,13 @@ impl Sweep {
         let mut tables = extended.sweep_metric(
             "Ext. D: normalised execution time, all protocols",
             "s/modification",
+            4,
             |runs| mean_of(runs, RunSummary::avg_time_per_modification_secs),
         )?;
         tables.extend(extended.sweep_metric(
             "Ext. D: total message transfers, all protocols",
             "messages",
+            0,
             |runs| mean_of(runs, |r| r.total_messages() as f64),
         )?);
         Ok(tables)

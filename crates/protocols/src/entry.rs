@@ -104,12 +104,13 @@ enum EcMessage {
     },
     /// Fixed-length runs: "I have finished my iterations but keep serving".
     Done,
-    /// Final-sync push: the full body of an object this process wrote
-    /// last, so every replica converges before the final snapshot.
+    /// Flush push, one per peer: every object this process wrote last,
+    /// with its version and the diff from its registered body to its
+    /// current one. The receiver rebuilds the body from its own
+    /// registered copy — every process registers the same bodies — so an
+    /// empty diff still carries a body: the registered one.
     State {
-        object: ObjectId,
-        version: Version,
-        bytes: Vec<u8>,
+        entries: Vec<(ObjectId, Version, Diff)>,
     },
     /// Final-sync barrier: "I have pushed all my owned state".
     SyncDone {
@@ -146,11 +147,13 @@ impl Wire for EcMessage {
                 version.encode(w);
             }
             EcMessage::Done => w.put_u8(TAG_DONE),
-            EcMessage::State { object, version, bytes } => {
+            EcMessage::State { entries } => {
                 w.put_u8(TAG_STATE);
-                object.encode(w);
-                version.encode(w);
-                w.put_bytes(bytes);
+                w.put_seq(entries, |w, (object, version, diff)| {
+                    object.encode(w);
+                    version.encode(w);
+                    diff.encode(w);
+                });
             }
             EcMessage::SyncDone { epoch } => {
                 w.put_u8(TAG_SYNC_DONE);
@@ -177,9 +180,9 @@ impl Wire for EcMessage {
             }),
             TAG_DONE => Ok(EcMessage::Done),
             TAG_STATE => Ok(EcMessage::State {
-                object: ObjectId::decode(r)?,
-                version: Version::decode(r)?,
-                bytes: r.get_bytes()?.to_vec(),
+                entries: r.get_seq(|r| {
+                    Ok((ObjectId::decode(r)?, Version::decode(r)?, Diff::decode(r)?))
+                })?,
             }),
             TAG_SYNC_DONE => Ok(EcMessage::SyncDone { epoch: Epoch(r.get_u32()?) }),
             tag => Err(NetError::Codec(format!("unknown EcMessage tag {tag:#x}"))),
@@ -536,12 +539,14 @@ impl<E: Endpoint> EntryConsistency<E> {
     /// its terminal snapshot. Must be called after [`EntryConsistency::finish`]
     /// (every process has stopped iterating).
     ///
-    /// Each process pushes the full body of every object whose replica it
-    /// wrote last — by construction the globally newest version of an
-    /// object lives at its writer — and receivers apply it version-gated.
-    /// A second barrier (`SyncDone`) keeps everyone serving until all
-    /// pushes have landed. The pushes are control-class termination
-    /// traffic, not part of the paper's measured data exchange.
+    /// Each process pushes every object whose replica it wrote last — by
+    /// construction the globally newest version of an object lives at its
+    /// writer — to every peer, and receivers apply each body
+    /// version-gated, so every live replica ends holding every newest
+    /// body. A second barrier (`SyncDone`) keeps everyone serving until
+    /// all pushes have landed. The pushes are control-class termination
+    /// traffic, not part of the paper's measured data exchange; see
+    /// [`EntryConsistency::view_sync`] for their shape.
     ///
     /// # Errors
     ///
@@ -551,8 +556,13 @@ impl<E: Endpoint> EntryConsistency<E> {
     }
 
     /// Flush barrier over the current view: every member pushes its
-    /// last-written object bodies and waits for every other member's
-    /// pushes, leaving all live replicas convergent. Reusable — the
+    /// last-written objects and waits for every other member's pushes,
+    /// leaving all live replicas convergent. The push is one `State` per
+    /// peer, sent only by a member that wrote some object last: each
+    /// object rides as the diff from its registered body, which every
+    /// process holds (S-DSO registers identical bodies everywhere, a late
+    /// joiner and a restarted process included), so a flush costs the
+    /// bytes the run changed, not whole bodies. Reusable — the
     /// barrier counter resets on completion — so churn drivers run one
     /// flush per view change (with no locks held) before
     /// [`EntryConsistency::apply_view_change`], and a leaver's newest
@@ -564,13 +574,17 @@ impl<E: Endpoint> EntryConsistency<E> {
     pub fn view_sync(&mut self) -> Result<(), DsoError> {
         let me = self.runtime.node_id();
         let peers = self.runtime.membership().peers_of(me);
+        let mut entries = Vec::new();
         for object in self.runtime.object_ids() {
             let version = self.runtime.version_of(object)?;
             if version.writer != me || version.time == LogicalTime::ZERO {
                 continue;
             }
-            let state =
-                EcMessage::State { object, version, bytes: self.runtime.read(object)?.to_vec() };
+            let diff = Diff::between(self.runtime.registered(object)?, self.runtime.read(object)?);
+            entries.push((object, version, diff));
+        }
+        if !entries.is_empty() {
+            let state = EcMessage::State { entries };
             self.runtime.send_app(MsgClass::Control, peers.iter().map(|&peer| (peer, &state)))?;
         }
         let sync_done = EcMessage::SyncDone { epoch: self.runtime.epoch() };
@@ -659,9 +673,12 @@ impl<E: Endpoint> EntryConsistency<E> {
             }
             EcMessage::Grant { object, owner, version } => self.note_grant(object, owner, version),
             EcMessage::Done => self.dones_seen += 1,
-            EcMessage::State { object, version, bytes } => {
-                let diff = Diff::single(0, bytes);
-                self.runtime.apply_remote(object, &diff, version)?;
+            EcMessage::State { entries } => {
+                for (object, version, diff) in entries {
+                    let mut body = self.runtime.registered(object)?.to_vec();
+                    diff.apply(&mut body).map_err(DsoError::Net)?;
+                    self.runtime.apply_remote(object, &Diff::single(0, body), version)?;
+                }
             }
             EcMessage::SyncDone { epoch: _ } => self.sync_dones_seen += 1,
         }
@@ -737,17 +754,43 @@ mod tests {
     use sdso_net::memory::{MemoryEndpoint, MemoryHub};
 
     fn cluster(n: usize, objects: u32) -> Vec<EntryConsistency<MemoryEndpoint>> {
+        cluster_of(n, objects, 8)
+    }
+
+    /// `n` processes sharing `objects` zeroed objects of `size` bytes.
+    fn cluster_of(n: usize, objects: u32, size: usize) -> Vec<EntryConsistency<MemoryEndpoint>> {
         MemoryHub::new(n)
             .into_endpoints()
             .into_iter()
             .map(|ep| {
                 let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
                 for id in 0..objects {
-                    rt.share(ObjectId(id), vec![0u8; 8]).unwrap();
+                    rt.share(ObjectId(id), vec![0u8; size]).unwrap();
                 }
                 EntryConsistency::new(rt)
             })
             .collect()
+    }
+
+    /// Runs one [`EntryConsistency::view_sync`] flush at every process at
+    /// once, each on a thread of its own, and hands the processes back.
+    fn flush_all(
+        nodes: Vec<EntryConsistency<MemoryEndpoint>>,
+    ) -> Vec<EntryConsistency<MemoryEndpoint>> {
+        let flushing: Vec<_> = nodes
+            .into_iter()
+            .map(|mut node| {
+                std::thread::spawn(move || {
+                    node.view_sync().unwrap();
+                    node
+                })
+            })
+            .collect();
+        flushing.into_iter().map(|t| t.join().unwrap()).collect()
+    }
+
+    fn v(ticks: u64, writer: NodeId) -> Version {
+        Version::new(LogicalTime::from_ticks(ticks), writer)
     }
 
     #[test]
@@ -769,6 +812,67 @@ mod tests {
             let decoded: EcMessage = sdso_net::wire::decode(&sdso_net::wire::encode(&msg)).unwrap();
             assert_eq!(decoded, msg);
         }
+    }
+
+    #[test]
+    fn state_roundtrips_its_entries_and_their_diffs() {
+        let registered = [0u8; 64];
+        let mut written = registered;
+        written[3] = 1;
+        written[20..24].copy_from_slice(&[2, 3, 4, 5]);
+        written[63] = 6;
+        let runs = Diff::between(&registered, &written);
+        assert_eq!(runs.run_count(), 3);
+        let msg = EcMessage::State {
+            entries: vec![(ObjectId(2), v(4, 1), Diff::empty()), (ObjectId(7), v(9, 1), runs)],
+        };
+        let decoded: EcMessage = sdso_net::wire::decode(&sdso_net::wire::encode(&msg)).unwrap();
+        assert_eq!(decoded, msg);
+    }
+
+    /// A peer's stale image of an object whose newest body is its
+    /// registered one: the newest writer's diff is empty, and the peer
+    /// must still end holding the registered bytes at the newest version.
+    #[test]
+    fn an_empty_diff_overwrites_a_stale_image() {
+        let mut nodes = cluster(2, 1);
+        let object = ObjectId(0);
+        nodes[1].runtime_mut().write_local(object, 0, &[5], v(1, 1)).unwrap();
+        nodes[0].runtime_mut().write_local(object, 0, &[5], v(1, 1)).unwrap();
+        nodes[0].runtime_mut().write_local(object, 0, &[0], v(2, 0)).unwrap();
+        assert_eq!(nodes[0].read(object).unwrap(), nodes[0].runtime().registered(object).unwrap());
+        let nodes = flush_all(nodes);
+        for node in &nodes {
+            assert_eq!(node.read(object).unwrap(), &[0u8; 8]);
+            assert_eq!(node.runtime().version_of(object).unwrap(), v(2, 0));
+        }
+    }
+
+    /// A flush sends one `State` to each peer, whatever number of objects
+    /// it carries, and its size follows the bytes that changed: a 4 KiB
+    /// object with one changed byte costs tens of bytes, not its body.
+    #[test]
+    fn a_flush_sends_one_state_per_peer_sized_by_the_changed_bytes() {
+        let mut nodes = cluster_of(3, 4, 4096);
+        for (id, at) in [(0, 17), (2, 4095)] {
+            nodes[0].runtime_mut().write_local(ObjectId(id), at, &[9], v(1, 0)).unwrap();
+        }
+        let before = nodes[0].runtime().net_metrics().control_sent;
+        let nodes = flush_all(nodes);
+        let sent = nodes[0].runtime().net_metrics().control_sent;
+        let (msgs, bytes) = (sent.msgs - before.msgs, sent.bytes - before.bytes);
+        assert_eq!(msgs, 4, "one State and one SyncDone to each of two peers");
+        let sync_done = sdso_net::wire::encode(&EcMessage::SyncDone { epoch: Epoch::ZERO }).len();
+        let state = bytes / 2 - sync_done as u64;
+        assert!(state < 256, "a State of two one-byte diffs took {state} bytes");
+        for node in &nodes {
+            assert_eq!(node.read(ObjectId(0)).unwrap()[17], 9);
+            assert_eq!(node.read(ObjectId(2)).unwrap()[4095], 9);
+            assert_eq!(node.runtime().version_of(ObjectId(2)).unwrap(), v(1, 0));
+        }
+        // Peers that wrote nothing last send no State at all.
+        let quiet = nodes[1].runtime().net_metrics().control_sent.msgs;
+        assert_eq!(quiet, 2, "a SyncDone to each peer, no State");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The counting global allocator of the allocation and memory contracts
 //! (`alloc_contract.rs`, `store_memory_contract.rs`,
-//! `wire_memory_contract.rs`). A contract includes it with
+//! `wire_memory_contract.rs`, `ec_memory_contract.rs`). A contract includes it with
 //! `#[path = "common/counting.rs"] mod counting;`, which installs it for
 //! the whole test process. It counts allocations, live heap bytes and
 //! their high-water mark, then defers to the system allocator.
