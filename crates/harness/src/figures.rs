@@ -421,8 +421,8 @@ mod tests {
         };
         // Per range, per protocol in `Protocol::PAPER` order: (all, data).
         let pinned = [
-            (1, [(58_709, 2_569), (95_595, 47_355), (65_241, 32_341), (20_399, 10_133)]),
-            (3, [(120_643, 3_773), (96_060, 47_820), (61_290, 30_518), (20_862, 10_396)]),
+            (1, [(49_289, 2_569), (95_595, 47_355), (65_241, 32_341), (20_399, 10_133)]),
+            (3, [(115_918, 3_773), (96_060, 47_820), (61_290, 30_518), (20_862, 10_396)]),
         ];
         let mut ec_over_bsync_16 = 0.0;
         for (range, counts) in pinned {

@@ -31,6 +31,13 @@
 //! re-recorded when a compressed link stopped negotiating its codec and
 //! began sending `Data2` from its first frame: no offers, no v1 pair
 //! before them. EC, LRC and causal memory never rendezvous, and held.
+//!
+//! Every row's EC constant was re-recorded when EC's flush
+//! (`EntryConsistency::view_sync`, run at every view change and at the
+//! end of the run) began to send one `State` per peer, carrying each
+//! object as a diff from its registered body, instead of one whole body
+//! per object per peer: fewer messages and bytes move `exec_time` and
+//! `net.total_sent`. No other protocol's constant moved.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
@@ -194,7 +201,7 @@ fn static_range_1() {
         &Scenario::paper(8, 1).with_ticks(40),
         &RunPlan::default(),
         &[
-            (Protocol::Entry, 0x710D_E2D9_116B_0C2B),
+            (Protocol::Entry, 0xBFD7_815E_EE9E_02A0),
             (Protocol::Bsync, 0x58FA_A6F2_02D1_3638),
             (Protocol::Msync, 0xEA9C_C108_4729_2D74),
             (Protocol::Msync2, 0xB720_4728_86A6_7859),
@@ -202,7 +209,7 @@ fn static_range_1() {
             (Protocol::Causal, 0xBAAD_E7BB_B9B4_4C8A),
         ],
         &[
-            (Protocol::Entry, 0x710D_E2D9_116B_0C2B),
+            (Protocol::Entry, 0xBFD7_815E_EE9E_02A0),
             (Protocol::Bsync, 0x9B3A_BB46_B735_94E9),
             (Protocol::Msync, 0x5E6A_1F35_3260_07AD),
             (Protocol::Msync2, 0xE20E_DC79_ABE7_7225),
@@ -219,7 +226,7 @@ fn static_range_3() {
         &Scenario::paper(8, 3).with_ticks(40),
         &RunPlan::default(),
         &[
-            (Protocol::Entry, 0x9B01_2377_F485_F46C),
+            (Protocol::Entry, 0xA9F1_4689_2608_AF2A),
             (Protocol::Bsync, 0x5367_C27C_136E_0350),
             (Protocol::Msync, 0xF698_1CD4_3FC5_7CAD),
             (Protocol::Msync2, 0xA4BE_D1B1_83C2_CCB4),
@@ -227,7 +234,7 @@ fn static_range_3() {
             (Protocol::Causal, 0x4721_ECD6_BCF0_3B5A),
         ],
         &[
-            (Protocol::Entry, 0x9B01_2377_F485_F46C),
+            (Protocol::Entry, 0xA9F1_4689_2608_AF2A),
             (Protocol::Bsync, 0x03D7_7026_D164_3B72),
             (Protocol::Msync, 0x7F08_E658_7148_8443),
             (Protocol::Msync2, 0xE76C_5ADF_C3C9_37C9),
@@ -255,13 +262,13 @@ fn churn_16_slots_four_changes() {
         &Scenario::paper(16, 1).with_ticks(24),
         &RunPlan::default().with_membership(four_change_plan()),
         &[
-            (Protocol::Entry, 0xCA5F_77FA_7CA4_9631),
+            (Protocol::Entry, 0x7BAC_BCFE_4FF0_84A6),
             (Protocol::Bsync, 0x0DFF_4E59_2CC2_7816),
             (Protocol::Msync, 0x0C11_61B5_DA73_E2A6),
             (Protocol::Msync2, 0xF968_1BBE_15E2_868B),
         ],
         &[
-            (Protocol::Entry, 0xCA5F_77FA_7CA4_9631),
+            (Protocol::Entry, 0x7BAC_BCFE_4FF0_84A6),
             (Protocol::Bsync, 0x0FB6_3391_0464_7906),
             (Protocol::Msync, 0xEA97_E76D_3231_F838),
             (Protocol::Msync2, 0x6CC6_A964_062A_3993),
@@ -278,7 +285,7 @@ fn churn_with_chaos_8_slots() {
             .with_membership(default_churn_plan(8, 40))
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
-            (Protocol::Entry, 0x5166_0C6D_E760_CF95),
+            (Protocol::Entry, 0x348F_964C_E94F_C24E),
             (Protocol::Bsync, 0x5A49_A4F4_630E_2942),
             (Protocol::Msync, 0x902D_BA55_BFBE_5BCA),
             (Protocol::Msync2, 0xF339_66E4_495B_9C7F),
@@ -296,13 +303,13 @@ fn crash_16_teams() {
     let scenario = Scenario::paper(16, 1).with_ticks(24);
     let plan = RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 16, 24));
     let v1 = [
-        (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
+        (Protocol::Entry, 0x7B3E_9E4C_8601_4A33),
         (Protocol::Bsync, 0x3224_0A2D_6FD7_3211),
         (Protocol::Msync, 0x9D9B_A465_6D6A_66D1),
         (Protocol::Msync2, 0xFBB1_BCE4_D7CE_6462),
     ];
     let default = [
-        (Protocol::Entry, 0x6F1F_7168_4BB2_3A3A),
+        (Protocol::Entry, 0x7B3E_9E4C_8601_4A33),
         (Protocol::Bsync, 0x8B47_4BDF_284A_6596),
         (Protocol::Msync, 0x000D_7E66_C276_6961),
         (Protocol::Msync2, 0x78AD_AAF3_302A_3306),
@@ -326,7 +333,7 @@ fn chaos_4_nodes() {
         &Scenario::paper(4, 1).with_ticks(60).with_wire(WireConfig::v1()),
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
-            (Protocol::Entry, 0x1BF1_73D3_8CD1_A741),
+            (Protocol::Entry, 0x0EAD_D455_2D92_722E),
             (Protocol::Bsync, 0xABB9_07D9_1607_953D),
             (Protocol::Msync, 0x8F6F_B8AF_9B22_66ED),
             (Protocol::Msync2, 0x0E48_F757_E166_1F51),
@@ -345,7 +352,7 @@ fn chaos_4_nodes_codec_v2() {
         &Scenario::paper(4, 1).with_ticks(60).with_wire(WireConfig::compressed()),
         &RunPlan::default().with_faults(chaos_plan(0xBAD_CAB1E)),
         &[
-            (Protocol::Entry, 0x1BF1_73D3_8CD1_A741),
+            (Protocol::Entry, 0x0EAD_D455_2D92_722E),
             (Protocol::Bsync, 0xA337_800E_02CC_E139),
             (Protocol::Msync, 0xDD6D_C95B_629E_7B66),
             (Protocol::Msync2, 0x9F71_B244_6A87_02B4),
@@ -363,7 +370,7 @@ fn churn_with_chaos_8_slots_codec_v2() {
             .with_membership(default_churn_plan(8, 40))
             .with_faults(chaos_plan(0x5D50_1997)),
         &[
-            (Protocol::Entry, 0x5166_0C6D_E760_CF95),
+            (Protocol::Entry, 0x348F_964C_E94F_C24E),
             (Protocol::Bsync, 0x8CB7_D4CD_D4D1_818E),
             (Protocol::Msync, 0xB416_0B18_152A_7CF9),
             (Protocol::Msync2, 0x5F17_8F61_F5D2_9B3E),
@@ -387,7 +394,7 @@ fn static_codec_v2_fat_blocks() {
         &scenario,
         &RunPlan::default(),
         &[
-            (Protocol::Entry, 0x9052_2D1D_35ED_2BC2),
+            (Protocol::Entry, 0xE5A3_AEA2_894D_0DB6),
             (Protocol::Bsync, 0xE28F_053C_607A_9C22),
             (Protocol::Msync, 0x88FB_F99B_9CD1_C4FE),
             (Protocol::Msync2, 0x7DB3_57F5_2B0E_F511),
