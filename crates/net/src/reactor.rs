@@ -1140,7 +1140,12 @@ mod tests {
         let _alone = timing_alone();
         for idle_link in TURN_KINDS {
             let (mut a, mut b, _idle) = mesh_with(idle_link);
+            // The peer starts reading only once the send has returned: a
+            // reader already draining the socket could take the whole
+            // payload inside `send`, leaving no write pending to test.
+            let (go, wait) = std::sync::mpsc::channel();
             let reader = std::thread::spawn(move || {
+                wait.recv().unwrap();
                 let got = b.recv_deadline(SimSpan::from_millis(10_000)).unwrap();
                 assert_eq!(got.expect("the payload arrives").payload.bytes.len(), LEN);
                 b
@@ -1151,6 +1156,7 @@ mod tests {
                 conn.woff < conn.wbuf.len() || !a.reactor.queues[1].is_empty()
             };
             assert!(pending(&a), "the payload outgrew the socket buffers");
+            go.send(()).unwrap();
             let deadline = Instant::now() + Duration::from_secs(10);
             while pending(&a) {
                 assert!(Instant::now() < deadline, "try_recv left the write pending");
