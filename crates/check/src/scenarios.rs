@@ -629,14 +629,17 @@ fn churn_lookahead_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetEr
     snapshot(&rt, times)
 }
 
-/// EC churn: two lock-protected counters, every member increments both
-/// each round. The managers straddle the view change (the leaver manages
-/// one counter in the old view), so lock state genuinely migrates.
+/// EC churn: three lock-protected counters, every member increments all
+/// three each round. The managers straddle the view change (the leaver
+/// manages one counter in the old view), so lock state genuinely
+/// migrates. Three counters, not two, keep the schedule space above the
+/// explorer's 600 at depth 12 now that a flush sends one `State` per
+/// peer: with two it held 324 schedules in all.
 fn churn_ec_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
     let plan = churn_plan(trigger);
     let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-    let lockset = [ObjectId(0), ObjectId(1)];
+    let lockset = [ObjectId(0), ObjectId(1), ObjectId(2)];
     for &obj in &lockset {
         rt.share(obj, vec![0u8; 1]).map_err(NetError::from)?;
     }

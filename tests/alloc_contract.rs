@@ -14,9 +14,12 @@
 //! MSYNC2: 21.7 and 175.1). EC's allocations are lock messages, a
 //! different path; its budgets are what it costs since a lock message is
 //! encoded once into a pooled frame, decoded from a slice of the received
-//! one, and freezes and reclaims its buffer without allocating (8.6 at 2
-//! nodes, 22.9 at 16), each rounded up to the next whole allocation. It
-//! cost 46.4 and 97.9 before, so none of those allocations can come back.
+//! one, and freezes and reclaims its buffer without allocating, and since
+//! its end-of-run flush sends each peer one `State` of diffs instead of a
+//! whole body per object (7.9 at 2 nodes, 14.3 at 16), each rounded up to
+//! the next whole allocation. It cost 46.4 and 97.9 before the pooled
+//! frames and 8.6 and 22.9 before the diff flush, so none of those
+//! allocations can come back.
 //!
 //! One test function on purpose: the counter is process-wide, so two cells
 //! measured at once would count each other.
@@ -57,8 +60,8 @@ fn lookahead_exchanges_allocate_within_budget_per_node_tick() {
         (Protocol::Msync, 16, 217.0),
         (Protocol::Msync2, 2, 16.3),
         (Protocol::Msync2, 16, 131.0),
-        (Protocol::Entry, 2, 9.0),
-        (Protocol::Entry, 16, 23.0),
+        (Protocol::Entry, 2, 8.0),
+        (Protocol::Entry, 16, 15.0),
     ];
     let mut report = String::new();
     let mut over = Vec::new();
