@@ -1,6 +1,6 @@
 //! Fixture: the bug-removed twin of the violations reactor.rs — no lock at
-//! all (the reactor declares none), the channel is drained nonblockingly,
-//! and nothing blocks but `poll` (must lint clean).
+//! all, the channel is drained nonblockingly, and nothing blocks but
+//! `poll` (must lint clean).
 
 impl Reactor {
     fn turn(&mut self, timeout: Option<Duration>) {

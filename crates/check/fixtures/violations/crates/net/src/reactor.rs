@@ -1,8 +1,7 @@
 //! Fixture: blocking constructs in the poll turn (must trip
 //! `no-blocking-in-reactor` three ways: a direct sleep, a lock guard held
 //! across `poll`, and a blocking receive reached through a helper in
-//! another file). The lock also trips `lock-order`: the reactor declares
-//! no lock, so any acquisition is undeclared.
+//! another file).
 
 impl Reactor {
     fn turn(&mut self, timeout: Option<Duration>) {

@@ -15,8 +15,7 @@
 //!   name **if exactly one exists**; otherwise no edge.
 //!
 //! Missing edges make the dependent rules (`no-panic` reachability,
-//! `no-alloc-in-hot-path` cross-file, `no-blocking-in-reactor`) under-
-//! approximate, never false-positive on a nonexistent call. The few names
+//! `no-blocking-in-reactor`) under-approximate, never false-positive on a nonexistent call. The few names
 //! that collide with ubiquitous std methods (`new`, `len`, `clone`, …) are
 //! ambiguous by construction and drop out on their own.
 
@@ -31,8 +30,6 @@ pub struct Def {
     pub file: usize,
     /// The bare function name (no path, no generics).
     pub name: String,
-    /// Byte offset of the `fn` keyword in the cleaned text.
-    pub sig_offset: usize,
     /// Body span in cleaned-text bytes, exclusive of the braces.
     pub body: (usize, usize),
 }
@@ -228,12 +225,7 @@ fn parse_defs(file_idx: usize, clean: &str, out: &mut Vec<Def>) {
         }
         let Some(open) = open else { continue };
         let Some(close) = match_brace(b, open) else { continue };
-        out.push(Def {
-            file: file_idx,
-            name: name.to_owned(),
-            sig_offset: at,
-            body: (open + 1, close),
-        });
+        out.push(Def { file: file_idx, name: name.to_owned(), body: (open + 1, close) });
     }
 }
 

@@ -5,7 +5,7 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`no-panic`, `lock-order`, `exhaustive-match`, …).
+    /// Rule identifier (`no-panic`, `unsafe-audit`, `fd-ownership`, …).
     pub rule: &'static str,
     /// Root-relative path with forward slashes.
     pub path: String,

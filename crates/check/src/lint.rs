@@ -2,8 +2,7 @@
 //!
 //! Two phases. Phase one reads every source file and runs the per-file
 //! rules. Phase two builds the workspace call graph and runs the
-//! cross-file passes (`no-panic` reachability, hot-path alloc propagation,
-//! `no-blocking-in-reactor`). A finding on a line that carries an inline
+//! cross-file passes (`no-panic` reachability, `no-blocking-in-reactor`). A finding on a line that carries an inline
 //! `sdso-check: allow(R)` marker for its rule is dropped
 //! ([`crate::allowlist`]).
 
@@ -287,16 +286,7 @@ mod tests {
         let report = run(&fixture).unwrap();
         let rules: std::collections::BTreeSet<&str> =
             report.diagnostics.iter().map(|d| d.rule).collect();
-        for rule in [
-            "no-panic",
-            "lock-order",
-            "exhaustive-match",
-            "no-alloc-in-hot-path",
-            "unsafe-audit",
-            "fd-ownership",
-            "no-blocking-in-reactor",
-            "region-routing",
-        ] {
+        for rule in ["no-panic", "unsafe-audit", "fd-ownership", "no-blocking-in-reactor"] {
             assert!(rules.contains(rule), "fixture must trip {rule}; got {rules:?}");
         }
     }
@@ -312,13 +302,6 @@ mod tests {
                 && d.path == "crates/protocols/src/cross_panic.rs"
                 && d.message.contains("`decode_update_header`")),
             "cross-panic boundary finding missing:\n{:#?}",
-            report.diagnostics
-        );
-        // The hot path's callee allocates one file-local level away.
-        assert!(
-            report.diagnostics.iter().any(|d| d.rule == "no-alloc-in-hot-path"
-                && d.message.contains("`flush_badly` calls `make_scratch_badly`")),
-            "cross-alloc finding missing:\n{:#?}",
             report.diagnostics
         );
         // The blocking recv is reached through a helper in another file.

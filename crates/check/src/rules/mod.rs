@@ -7,13 +7,9 @@
 //! original lines for snippets and inline allow markers.
 
 pub mod cross;
-pub mod exhaustive_match;
 pub mod fd_ownership;
-pub mod lock_order;
-pub mod no_alloc_hot_path;
 pub mod no_blocking_reactor;
 pub mod no_panic;
-pub mod region_routing;
 pub mod unsafe_audit;
 
 use crate::diag::Diagnostic;
@@ -76,20 +72,11 @@ impl FileCtx<'_> {
             snippet: self.lines.get(line - 1).map(|l| l.trim().to_owned()).unwrap_or_default(),
         }
     }
-
-    /// Original text of the line containing cleaned-text byte `offset`.
-    pub fn line_text(&self, offset: usize) -> &str {
-        self.lines.get(line_of(self.clean, offset) - 1).copied().unwrap_or("")
-    }
 }
 
 /// Runs every rule over one file.
 pub fn run_all(ctx: &FileCtx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    out.extend(lock_order::check(ctx));
-    out.extend(exhaustive_match::check(ctx));
-    out.extend(no_alloc_hot_path::check(ctx));
-    out.extend(region_routing::check(ctx));
     out.extend(unsafe_audit::check(ctx));
     out.extend(fd_ownership::check(ctx));
     out

@@ -165,8 +165,6 @@ fn word(chunk: &[u8]) -> u64 {
 /// length: a word at a time while `word_hit` (a little-endian word test
 /// whose lowest set bit marks the first such byte) finds nothing, then
 /// bytewise for the tail.
-///
-/// sdso-check: hot-path
 #[inline]
 fn find(bytes: &[u8], i: usize, word_hit: impl Fn(u64) -> u64, hit: impl Fn(u8) -> bool) -> usize {
     let rest = &bytes[i..];
@@ -184,8 +182,6 @@ fn find(bytes: &[u8], i: usize, word_hit: impl Fn(u64) -> u64, hit: impl Fn(u8) 
 /// Index of the first non-zero byte of `bytes` at or after `i`, or its
 /// length: 32 bytes per step while four ORed words are zero, then a word
 /// at a time.
-///
-/// sdso-check: hot-path
 fn skip_zeros(bytes: &[u8], i: usize) -> usize {
     let zero = |block: &[u8]| (0..4).fold(0, |or, k| or | word(&block[8 * k..8 * k + 8])) == 0;
     let i = i + 32 * bytes[i..].chunks_exact(32).take_while(|&block| zero(block)).count();
@@ -196,8 +192,6 @@ fn skip_zeros(bytes: &[u8], i: usize) -> usize {
 /// A word holds a zero byte iff `(w - 0x01…01) & !w & 0x80…80` is non-zero,
 /// and the lowest set bit of that mask marks the first one exactly (a
 /// borrow only ever flags bytes above a real zero).
-///
-/// sdso-check: hot-path
 fn skip_nonzeros(bytes: &[u8], i: usize) -> usize {
     const LO: u64 = u64::from_le_bytes([0x01; 8]);
     const HI: u64 = u64::from_le_bytes([0x80; 8]);
@@ -209,8 +203,6 @@ fn skip_nonzeros(bytes: &[u8], i: usize) -> usize {
 /// literal shorter than [`ZERO_BREAK`] is cheaper shipped as literal bytes
 /// than split into its own token. Each byte is scanned once: the zero
 /// stretch that ends a literal is the next token's leading zeros.
-///
-/// sdso-check: hot-path
 fn for_each_token(bytes: &[u8], mut f: impl FnMut(usize, usize, usize)) {
     let n = bytes.len();
     let mut z0 = 0usize;

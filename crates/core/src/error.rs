@@ -72,7 +72,12 @@ impl std::error::Error for DsoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             DsoError::Net(e) => Some(e),
-            _ => None,
+            DsoError::UnknownObject(_)
+            | DsoError::AlreadyShared(_)
+            | DsoError::OutOfBounds { .. }
+            | DsoError::ProtocolViolation(_)
+            | DsoError::Timeout { .. }
+            | DsoError::WindowFull { .. } => None,
         }
     }
 }
@@ -88,6 +93,10 @@ impl From<DsoError> for NetError {
     /// details flatten into a codec-error message). Exists so cluster
     /// closures whose signature is `Result<T, NetError>` can use `?` on
     /// runtime calls instead of hand-rolling this match at every site.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "every runtime error but a transport one, a new one too, lowers to a codec error"
+    )]
     fn from(e: DsoError) -> Self {
         match e {
             DsoError::Net(net) => net,

@@ -66,6 +66,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every enum match names its variants: a new wire message kind must fail
+// clippy where it is matched, not fall into a catch-all arm.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 // Replay-critical: no host time outside tests. The banned calls and types
 // are listed in the workspace's clippy.toml.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]

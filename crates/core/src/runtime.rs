@@ -537,7 +537,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
 
     /// Reads an object's local replica: one store lookup, and — the
     /// paper's premise that every read is local — no clock unless a
-    /// recorder is listening. sdso-check: hot-path
+    /// recorder is listening.
     ///
     /// # Errors
     ///
@@ -1137,7 +1137,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
             // session's vocabulary, consumed or resolved into plain
             // `Data` below this layer; one reaching dispatch means a receive
             // path skipped the session.
-            other => {
+            other @ (DsoMessage::Env { .. }
+            | DsoMessage::SeqAck { .. }
+            | DsoMessage::Data2 { .. }) => {
                 return Err(DsoError::ProtocolViolation(format!(
                     "session-layer message {other:?} from {from} reached dispatch"
                 )));

@@ -491,6 +491,10 @@ impl<E: Endpoint> Session<E> {
             return Ok(false);
         };
         let msg = DsoMessage::decode_frame(&payload.bytes).map_err(DsoError::Net)?;
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "every message but an ack is stale by its epoch, a new kind too"
+        )]
         let stale = |msg: &DsoMessage| match msg {
             DsoMessage::SeqAck { .. } => true,
             other => other.epoch().is_some_and(|e| e < self.view.epoch()),
@@ -509,6 +513,10 @@ impl<E: Endpoint> Session<E> {
     /// Runs one decoded frame through the reliability layer and on to the
     /// codec layer whatever this arrival put in order. Without a reliability
     /// config every frame passes straight through.
+    #[expect(
+        clippy::wildcard_enum_match_arm,
+        reason = "the layer reads its own two kinds; every other, a new one too, passes through"
+    )]
     fn admit(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         let Some(cfg) = self.config.reliability else { return self.deliver(from, msg) };
         let now = self.endpoint.now();
@@ -566,6 +574,10 @@ impl<E: Endpoint> Session<E> {
             self.counters.cross_epoch_dropped.inc();
             return Ok(());
         }
+        #[expect(
+            clippy::wildcard_enum_match_arm,
+            reason = "the codec layer resolves `Data2`; every other kind, a new one too, passes through"
+        )]
         match msg {
             DsoMessage::Data2 { .. } if !self.config.wire.codec_v2 => {
                 return Err(DsoError::ProtocolViolation(format!(

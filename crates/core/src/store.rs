@@ -125,7 +125,6 @@ impl ObjectStore {
     }
 
     /// Where `id` sits in `objects`, or where it would be inserted.
-    /// sdso-check: hot-path
     #[inline]
     fn position(&self, id: ObjectId) -> Result<usize, usize> {
         let dense = id.0 as usize;

@@ -236,8 +236,6 @@ impl DsoMessage {
     /// Encoding goes through this thread's buffer pool: the scratch buffer
     /// is recycled from (and its storage returned to) the freelist, so
     /// steady state sends allocate nothing but the frozen handle.
-    ///
-    /// sdso-check: hot-path
     pub fn into_payload(self, frame_wire_len: Option<u32>) -> Payload {
         let class = self.class();
         let pooled = sdso_net::pool::thread_pool(|pool| sdso_net::wire::encode_pooled(&self, pool));
@@ -248,7 +246,6 @@ impl DsoMessage {
     /// The payload of the [`DsoMessage::App`] that carries `body`'s encoding
     /// under `class`: the bytes `into_payload` makes of it, with `body`
     /// encoded once, in place, and no buffer of its own in between.
-    /// sdso-check: hot-path
     pub(crate) fn app_payload<M: Wire>(
         class: MsgClass,
         body: &M,

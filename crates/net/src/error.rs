@@ -55,7 +55,11 @@ impl std::error::Error for NetError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             NetError::Io(e) => Some(e),
-            _ => None,
+            NetError::InvalidPeer { .. }
+            | NetError::Disconnected
+            | NetError::Codec(_)
+            | NetError::Deadlock(_)
+            | NetError::Backpressure { .. } => None,
         }
     }
 }

@@ -30,7 +30,7 @@ const HEADER: usize = 2 + 1 + 4;
 /// Maximum accepted frame body, a defence against corrupt length prefixes.
 pub const MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Appends one framed message to `out`. sdso-check: hot-path
+/// Appends one framed message to `out`.
 pub fn append_frame(out: &mut BytesMut, from: NodeId, payload: &Payload) {
     let body_len = payload.bytes.len();
     let len = (HEADER + body_len) as u32;

@@ -42,6 +42,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// Every enum match names its variants: a new wire message kind must fail
+// clippy where it is matched, not fall into a catch-all arm.
+#![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
 // No panics on a protocol path; `sdso-check lint` reads this deny as the
 // scope of its cross-file `no-panic` pass.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]

@@ -400,7 +400,7 @@ impl Reactor {
     /// owner's thread, so the only place it may block is `poll`. A turn that
     /// may not wait, on an endpoint with one live link, asks no `poll`: it
     /// reads that link, whose `read` is its own readiness test, and finishes
-    /// any write pending on it. sdso-check: hot-path
+    /// any write pending on it.
     fn turn(&mut self, timeout: Option<Duration>) -> Result<(), NetError> {
         if let (Some(peer), Some(Duration::ZERO)) = (self.lone, timeout) {
             self.conn_readable(peer);
@@ -478,7 +478,7 @@ impl Reactor {
 
     /// Runs non-blocking turns, yielding the CPU between them, until the
     /// inbox has a message or the reactor's clock reaches `until`; at least
-    /// one turn. Returns the clock's last reading. sdso-check: hot-path
+    /// one turn. Returns the clock's last reading.
     fn spin_until(&mut self, until: u64) -> Result<u64, NetError> {
         loop {
             self.turn(Some(Duration::ZERO))?;
@@ -533,7 +533,7 @@ impl Reactor {
 
     /// Coalesces queued payloads into the connection's pooled write buffer
     /// and writes until the socket blocks, adjusting the poll write interest to
-    /// match whether anything is left. sdso-check: hot-path
+    /// match whether anything is left.
     fn drain_writes(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
         let result =
@@ -561,7 +561,6 @@ impl Reactor {
     /// frame that fails to decode — or names a sender other than `peer` —
     /// tear the link down; a partial frame left in the buffer at that point
     /// is discarded — its sender never completed it.
-    /// sdso-check: hot-path
     fn conn_readable(&mut self, peer: usize) {
         let Some(mut conn) = self.conns[peer].take() else { return };
         let mut torn = false;
@@ -679,7 +678,6 @@ fn wrong_sender(from: NodeId, peer: usize) -> NetError {
 /// coalescing) and writes until the socket blocks or everything is flushed,
 /// releasing each encoded payload's bytes from `queued`. A free function so
 /// the reactor can split-borrow its connection and queue tables.
-/// sdso-check: hot-path
 fn fill_and_write(
     conn: &mut Conn,
     me: NodeId,

@@ -63,7 +63,7 @@ pub fn encode<T: Wire>(value: &T) -> Bytes {
 ///
 /// The returned [`Bytes`] is ordinary frozen storage; hand it back with
 /// [`crate::pool::BufPool::reclaim`] once its last clone is done to keep the
-/// cycle closed. sdso-check: hot-path
+/// cycle closed.
 pub fn encode_pooled<T: Wire>(value: &T, pool: &crate::pool::BufPool) -> Bytes {
     let mut w = WireWriter::from_scratch(pool.get());
     value.encode(&mut w);

@@ -988,10 +988,19 @@ mod tests {
     #[test]
     fn duplicate_lockset_rejected() {
         let mut nodes = cluster(1, 2);
-        let err = nodes[0]
-            .acquire(&[LockRequest::read(ObjectId(0)), LockRequest::write(ObjectId(0))])
-            .unwrap_err();
-        assert!(matches!(err, DsoError::ProtocolViolation(_)));
+        let (r, w) = (LockRequest::read, LockRequest::write);
+        // Adjacent and apart: only the sort brings a split duplicate
+        // together, so the check sees it before any lock is taken.
+        let adjacent = [r(ObjectId(0)), w(ObjectId(0))];
+        let apart = [w(ObjectId(0)), w(ObjectId(1)), r(ObjectId(0))];
+        for lockset in [&adjacent[..], &apart[..]] {
+            let err = nodes[0].acquire(lockset).unwrap_err();
+            assert!(
+                matches!(&err, DsoError::ProtocolViolation(m) if m.contains("twice")),
+                "{lockset:?}: {err}"
+            );
+            assert!(nodes[0].held.is_empty(), "{lockset:?} took a lock before its rejection");
+        }
     }
 
     #[test]

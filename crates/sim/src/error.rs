@@ -37,7 +37,7 @@ impl std::error::Error for SimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SimError::Net(e) => Some(e),
-            _ => None,
+            SimError::NodePanic { .. } | SimError::Deadlock(_) => None,
         }
     }
 }

@@ -1,31 +1,39 @@
-//! The allocation contract of the lookahead exchange path
+//! The allocation contract of the exchange and lock paths
 //! (docs/ARCHITECTURE.md §9): heap allocations per node-tick of a whole
-//! simulated game, set-up cancelled out.
+//! simulated game, set-up cancelled out, and per EC lock round trip over
+//! real sockets.
 //!
 //! A counting global allocator sees every allocation in this process: the
-//! game, the runtime, the session, the codec and the simulator's scheduler.
-//! One cell plays the same scenario for 200 ticks and for 100 ticks; the
-//! difference over the 100 extra ticks of every node is what one steady
-//! node-tick costs, since world generation, `share`, the schedule seed and
-//! the final read-out happen once in both runs. The budgets are half of
-//! what the path cost before its buffers were reused (BSYNC: 33.2 at 2
-//! nodes, 362.7 at 16; 177 is the tighter of that and an earlier
-//! measurement's 353) and three quarters of it (MSYNC: 27.9 and 289.3;
-//! MSYNC2: 21.7 and 175.1). EC's allocations are lock messages, a
-//! different path; its budgets are what it costs since a lock message is
-//! encoded once into a pooled frame, decoded from a slice of the received
-//! one, and freezes and reclaims its buffer without allocating, and since
-//! its end-of-run flush sends each peer one `State` of diffs instead of a
-//! whole body per object (7.9 at 2 nodes, 14.3 at 16), each rounded up to
-//! the next whole allocation. It cost 46.4 and 97.9 before the pooled
-//! frames and 8.6 and 22.9 before the diff flush, so none of those
-//! allocations can come back.
+//! game, the runtime, the session, the codec, the simulator's scheduler and
+//! the reactor. A simulated cell plays the same scenario for 200 ticks and
+//! for 100 ticks; the difference over the 100 extra ticks of every node is
+//! what one steady node-tick costs, since world generation, `share`, the
+//! schedule seed and the final read-out happen once in both runs. Each
+//! budget is the measured count rounded up to the next whole allocation
+//! (BSYNC 5.1 at 2 nodes and 39.2 at 16; MSYNC 7.1 and 69.9; MSYNC2 5.9
+//! and 55.7; EC 7.9 and 14.3). The counts are deterministic, the same in
+//! debug and release, so one allocation more per node-tick anywhere on a
+//! path a cell runs (the pooled encode, the local read, the store lookup,
+//! codec v2's scan kernels) fails the cell.
+//!
+//! The socket cells time nothing; they count. Node 0 takes and releases a
+//! write lock that node 1 manages, over `ReactorMesh::local(2)` — where a
+//! turn reads its lone link without asking `poll` — and over `local(3)`,
+//! where it polls. After 2 000 round trips of warm-up, 20 000 more may
+//! allocate at most once per 100 trips, on every node together: a frame
+//! is encoded into a pooled buffer, written, read, and decoded from a
+//! slice of the read buffer without a fresh allocation.
 //!
 //! One test function on purpose: the counter is process-wide, so two cells
 //! measured at once would count each other.
 
+use std::collections::BTreeSet;
+
+use sdso_core::{DsoConfig, ObjectId, SdsoRuntime};
 use sdso_game::{Protocol, Scenario};
 use sdso_harness::{converged, run_experiment};
+use sdso_net::reactor::ReactorMesh;
+use sdso_protocols::{EntryConsistency, LockRequest};
 use sdso_sim::NetworkModel;
 
 #[path = "common/counting.rs"]
@@ -50,16 +58,57 @@ fn per_node_tick(protocol: Protocol, nodes: u16) -> f64 {
     long.saturating_sub(short) as f64 / (100.0 * f64::from(nodes))
 }
 
+/// Allocations per EC write-lock round trip on a lock node 1 manages, over
+/// `ReactorMesh::local(nodes)`: node 0 counts its last 20 000 of 22 000
+/// acquire/release pairs; every other node serves in `finish` until node 0
+/// is done.
+fn per_socket_round_trip(nodes: usize) -> f64 {
+    const WARM_UP: u32 = 2_000;
+    const TRIPS: u32 = 20_000;
+    let object = ObjectId(1);
+    let handles: Vec<_> = ReactorMesh::local(nodes)
+        .expect("mesh")
+        .into_iter()
+        .map(|ep| {
+            std::thread::spawn(move || {
+                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+                rt.share(object, vec![0; 8]).expect("share");
+                let me = rt.node_id();
+                let mut ec = EntryConsistency::new(rt);
+                assert_eq!(ec.manager_of_view(object), 1);
+                let mut counted = None;
+                if me == 0 {
+                    let lock = [LockRequest::write(object)];
+                    let unmodified = BTreeSet::new();
+                    let mut before = 0;
+                    for trip in 0..WARM_UP + TRIPS {
+                        if trip == WARM_UP {
+                            before = counting::allocations();
+                        }
+                        ec.acquire(&lock).expect("acquire");
+                        ec.release_all(&unmodified).expect("release");
+                    }
+                    counted = Some(counting::allocations() - before);
+                }
+                ec.finish().expect("finish");
+                counted
+            })
+        })
+        .collect();
+    let counted: u64 = handles.into_iter().filter_map(|h| h.join().expect("node panicked")).sum();
+    counted as f64 / f64::from(TRIPS)
+}
+
 #[test]
 fn lookahead_exchanges_allocate_within_budget_per_node_tick() {
     // (protocol, nodes, budget per node-tick)
     let budgets = [
-        (Protocol::Bsync, 2, 16.6),
-        (Protocol::Bsync, 16, 177.0),
-        (Protocol::Msync, 2, 20.9),
-        (Protocol::Msync, 16, 217.0),
-        (Protocol::Msync2, 2, 16.3),
-        (Protocol::Msync2, 16, 131.0),
+        (Protocol::Bsync, 2, 6.0),
+        (Protocol::Bsync, 16, 40.0),
+        (Protocol::Msync, 2, 8.0),
+        (Protocol::Msync, 16, 70.0),
+        (Protocol::Msync2, 2, 6.0),
+        (Protocol::Msync2, 16, 56.0),
         (Protocol::Entry, 2, 8.0),
         (Protocol::Entry, 16, 15.0),
     ];
@@ -72,6 +121,17 @@ fn lookahead_exchanges_allocate_within_budget_per_node_tick() {
         ));
         if measured > budget {
             over.push(format!("{protocol} at {nodes} nodes: {measured:.1} > {budget}"));
+        }
+    }
+    for nodes in [2, 3] {
+        let budget = 0.01;
+        let measured = per_socket_round_trip(nodes);
+        report.push_str(&format!(
+            "EC over ReactorMesh::local({nodes}): {measured:.4} allocations per lock round trip \
+             (budget {budget})\n"
+        ));
+        if measured > budget {
+            over.push(format!("EC over ReactorMesh::local({nodes}): {measured:.4} > {budget}"));
         }
     }
     println!("{report}");
