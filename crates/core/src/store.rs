@@ -79,10 +79,19 @@ impl Replica {
 /// replica at the copy it finds. A replica's bytes are copied only when
 /// they first change, so a store holds its distinct registered bodies
 /// plus the objects actually written.
+///
+/// Beside each replica the store keeps the [`ObjectStore::generation`]
+/// of its last change, so a reader that derives something from the
+/// store's contents can re-read only what changed since it last looked
+/// ([`ObjectStore::changed_since`]).
 #[derive(Debug, Default)]
 pub struct ObjectStore {
     /// Ascending by id, no duplicates — [`ObjectStore::iter`]'s order.
     objects: Vec<(ObjectId, Replica)>,
+    /// `stamps[i]` is the generation at which `objects[i]` last changed,
+    /// 0 if it never did. Dense, so [`ObjectStore::changed_since`] sweeps
+    /// eight bytes per object rather than a whole replica.
+    stamps: Vec<u64>,
     /// Every distinct registered body, by [`intern_key`]; the bodies of
     /// one bucket differ somewhere.
     bodies: BTreeMap<u64, Vec<Arc<[u8]>>>,
@@ -109,6 +118,7 @@ impl ObjectStore {
         let body = self.intern(initial);
         let replica = Replica { written: None, initial: body, version: Version::INITIAL };
         self.objects.insert(at, (id, replica));
+        self.stamps.insert(at, 0);
         Ok(())
     }
 
@@ -134,9 +144,15 @@ impl ObjectStore {
         }
     }
 
-    fn replica_mut(&mut self, id: ObjectId) -> Result<&mut Replica, DsoError> {
-        let at = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
-        Ok(&mut self.objects[at].1)
+    fn index_of(&self, id: ObjectId) -> Result<usize, DsoError> {
+        self.position(id).map_err(|_| DsoError::UnknownObject(id))
+    }
+
+    /// Records that the replica at index `at` changed: the store's
+    /// generation moves and the replica is stamped with it.
+    fn stamp(&mut self, at: usize) {
+        self.generation += 1;
+        self.stamps[at] = self.generation;
     }
 
     /// Looks up a replica.
@@ -146,8 +162,7 @@ impl ObjectStore {
     /// Returns [`DsoError::UnknownObject`] if `id` was never shared.
     #[inline]
     pub fn replica(&self, id: ObjectId) -> Result<&Replica, DsoError> {
-        let at = self.position(id).map_err(|_| DsoError::UnknownObject(id))?;
-        Ok(&self.objects[at].1)
+        Ok(&self.objects[self.index_of(id)?].1)
     }
 
     /// Reads an object's bytes.
@@ -182,7 +197,8 @@ impl ObjectStore {
         bytes: &[u8],
         version: Version,
     ) -> Result<(), DsoError> {
-        let replica = self.replica_mut(id)?;
+        let at = self.index_of(id)?;
+        let replica = &mut self.objects[at].1;
         let end = offset as usize + bytes.len();
         if end > replica.size() {
             return Err(DsoError::OutOfBounds {
@@ -194,7 +210,7 @@ impl ObjectStore {
         }
         replica.data_mut()[offset as usize..end].copy_from_slice(bytes);
         replica.version = replica.version.max(version);
-        self.generation += 1;
+        self.stamp(at);
         Ok(())
     }
 
@@ -206,7 +222,8 @@ impl ObjectStore {
     /// Returns [`DsoError::UnknownObject`], or [`DsoError::OutOfBounds`] if
     /// the body size does not match the registered size.
     pub fn replace(&mut self, id: ObjectId, body: &[u8], version: Version) -> Result<(), DsoError> {
-        let replica = self.replica_mut(id)?;
+        let at = self.index_of(id)?;
+        let replica = &mut self.objects[at].1;
         if body.len() != replica.size() {
             return Err(DsoError::OutOfBounds {
                 object: id,
@@ -220,7 +237,7 @@ impl ObjectStore {
             None => replica.written = Some(Box::from(body)),
         }
         replica.version = version;
-        self.generation += 1;
+        self.stamp(at);
         Ok(())
     }
 
@@ -262,13 +279,14 @@ impl ObjectStore {
         diff: &Diff,
         version: Version,
     ) -> Result<bool, DsoError> {
-        let replica = self.replica_mut(id)?;
+        let at = self.index_of(id)?;
+        let replica = &mut self.objects[at].1;
         if version <= replica.version {
             return Ok(false);
         }
         diff.apply(replica.data_mut()).map_err(DsoError::Net)?;
         replica.version = version;
-        self.generation += 1;
+        self.stamp(at);
         Ok(true)
     }
 
@@ -293,6 +311,21 @@ impl ObjectStore {
     /// observations of the same store.
     pub fn generation(&self) -> u64 {
         self.generation
+    }
+
+    /// The replicas changed after the store stood at `generation`, in
+    /// ascending id order: every one whose last successful
+    /// [`ObjectStore::write`], [`ObjectStore::replace`] or applied
+    /// [`ObjectStore::apply_remote`] moved [`ObjectStore::generation`]
+    /// past it. A replica registered since is not among them unless it
+    /// changed too — a reader that saw [`ObjectStore::len`] move must
+    /// look at the whole store.
+    pub fn changed_since(&self, generation: u64) -> impl Iterator<Item = (ObjectId, &Replica)> {
+        self.stamps
+            .iter()
+            .zip(&self.objects)
+            .filter(move |&(&stamp, _)| stamp > generation)
+            .map(|(_, (id, r))| (*id, r))
     }
 
     /// Iterates over `(id, replica)` pairs in ascending id order (snapshots,
@@ -430,5 +463,26 @@ mod tests {
         // A later write with an *older* stamp must not roll the version back.
         s.write(ObjectId(1), 1, &[1], v(3, 1)).unwrap();
         assert_eq!(s.replica(ObjectId(1)).unwrap().version(), v(5, 2));
+    }
+
+    #[test]
+    fn changed_since_lists_the_replicas_that_moved_the_generation() {
+        let mut s = ObjectStore::new();
+        for id in 0..4 {
+            s.share(ObjectId(id), vec![0; 4]).unwrap();
+        }
+        let ids =
+            |s: &ObjectStore, g: u64| s.changed_since(g).map(|(id, _)| id.0).collect::<Vec<_>>();
+        assert!(ids(&s, 0).is_empty(), "a share stamps nothing");
+        s.write(ObjectId(2), 0, &[1], v(1, 0)).unwrap();
+        let after_write = s.generation();
+        s.apply_remote(ObjectId(0), &Diff::single(0, vec![2]), v(2, 1)).unwrap();
+        assert!(!s.apply_remote(ObjectId(3), &Diff::single(0, vec![2]), Version::INITIAL).unwrap());
+        assert!(s.write(ObjectId(1), 3, &[1, 1], v(3, 0)).is_err());
+        s.replace(ObjectId(2), &[4; 4], v(4, 0)).unwrap();
+        assert_eq!(ids(&s, 0), [0, 2], "ascending; stale and failed calls stamp nothing");
+        assert_eq!(ids(&s, after_write), [0, 2]);
+        assert_eq!(ids(&s, s.generation() - 1), [2]);
+        assert!(ids(&s, s.generation()).is_empty());
     }
 }

@@ -378,6 +378,9 @@ proptest! {
         let mut store = ObjectStore::new();
         let mut model: std::collections::BTreeMap<u32, ModelReplica> = Default::default();
         let mut generation = 0u64;
+        // The generation at which each object last changed; a share, a
+        // stale update and a failed call stamp nothing.
+        let mut stamps: std::collections::BTreeMap<u32, u64> = Default::default();
         // Dense, sparse and out-of-order ids; the last two track `len()`,
         // where the dense guess runs off the end or lands on a neighbour.
         let pool = |pick: usize, len: usize| -> u32 {
@@ -481,6 +484,9 @@ proptest! {
             };
             prop_assert_eq!(got, want, "op {} on id {}", op, id);
             generation += u64::from(applied);
+            if applied {
+                stamps.insert(id, generation);
+            }
             prop_assert_eq!(
                 store.generation(),
                 generation,
@@ -510,6 +516,20 @@ proptest! {
                 let replica = store.replica(ObjectId(probe));
                 prop_assert_eq!(failure(&replica), held.is_none().then_some(("unknown", probe)));
                 prop_assert_eq!(replica.ok().map(|r| r.version()), held.map(|r| r.version));
+            }
+            // What changed since each generation the store has stood at,
+            // in ascending id order, read from the replicas themselves.
+            for since in 0..=generation {
+                let changed: Vec<(u32, ModelReplica)> = store
+                    .changed_since(since)
+                    .map(|(id, r)| (id.0, ModelReplica { data: r.data().to_vec(), version: r.version() }))
+                    .collect();
+                let want: Vec<(u32, ModelReplica)> = stamps
+                    .iter()
+                    .filter(|&(_, &stamp)| stamp > since)
+                    .map(|(&id, _)| (id, model[&id].clone()))
+                    .collect();
+                prop_assert_eq!(changed, want, "changed since generation {}", since);
             }
         }
     }

@@ -74,8 +74,22 @@ impl Block {
     ///
     /// Panics if `size < MIN_BLOCK_BYTES`.
     pub fn encode(&self, size: usize) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode_into(size, &mut buf);
+        buf
+    }
+
+    /// [`Block::encode`] into `buf`, which ends up exactly `size` bytes
+    /// long whatever it held before; a buffer kept across writes
+    /// allocates only when it grows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `size < MIN_BLOCK_BYTES`.
+    pub fn encode_into(&self, size: usize, buf: &mut Vec<u8>) {
         assert!(size >= MIN_BLOCK_BYTES, "block payload too small");
-        let mut buf = vec![0u8; size];
+        buf.clear();
+        buf.resize(size, 0);
         match self {
             Block::Empty => buf[0] = TAG_EMPTY,
             Block::Goal => buf[0] = TAG_GOAL,
@@ -99,7 +113,6 @@ impl Block {
                 }
             }
         }
-        buf
     }
 
     /// Decodes a block from an object payload.
@@ -159,10 +172,13 @@ mod tests {
     use super::*;
 
     fn roundtrip(block: Block) {
-        for size in [MIN_BLOCK_BYTES, 64, 2048] {
+        let mut reused = vec![0xAB; 100];
+        for size in [MIN_BLOCK_BYTES, 64, 2048, 64] {
             let encoded = block.encode(size);
             assert_eq!(encoded.len(), size);
             assert_eq!(Block::decode(&encoded), Some(block));
+            block.encode_into(size, &mut reused);
+            assert_eq!(reused, encoded, "a reused buffer encodes alike");
         }
     }
 

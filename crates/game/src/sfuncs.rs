@@ -26,7 +26,7 @@
 //! known position cannot predict, so the pair must bound the interaction
 //! time over the spawn positions too.
 
-use sdso_core::{LogicalTime, ObjectStore, SFunction};
+use sdso_core::{LogicalTime, ObjectId, ObjectStore, Replica, SFunction};
 use sdso_net::NodeId;
 
 use crate::block::Block;
@@ -48,72 +48,136 @@ pub fn team_positions(store: &ObjectStore, scenario: &Scenario, team: NodeId) ->
         .collect()
 }
 
-/// A value derived from a store's contents, rebuilt only when the store
-/// has changed: `(generation, len)` unchanged means no replica's bytes or
-/// version moved and no object was shared since (see
-/// [`ObjectStore::generation`]). The runtime asks an s-function for each
-/// due peer in turn after a rendezvous and nothing is written between
-/// those calls, so one scan serves them all.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct StoreMemo<T> {
-    pub(crate) value: T,
-    built_at: Option<(u64, usize)>,
-    /// Rebuilds so far.
-    pub(crate) builds: u64,
+/// One tank-holding object of a replica of the world.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Tank {
+    /// The cell holding the tank.
+    pub(crate) object: ObjectId,
+    /// The tank's team.
+    pub(crate) team: NodeId,
+    /// The Lamport time of the cell's version.
+    pub(crate) time: LogicalTime,
 }
 
-impl<T> StoreMemo<T> {
-    pub(crate) fn get(&mut self, store: &ObjectStore, build: impl FnOnce(&ObjectStore) -> T) -> &T {
-        let state = (store.generation(), store.len());
-        if self.built_at != Some(state) {
-            self.value = build(store);
-            self.built_at = Some(state);
-            self.builds += 1;
+impl Tank {
+    /// The tank `replica` of `object` holds, if it holds one.
+    fn of(object: ObjectId, replica: &Replica) -> Option<Tank> {
+        match Block::decode(replica.data())? {
+            Block::Tank { team, .. } => Some(Tank { object, team, time: replica.version().time }),
+            _ => None,
         }
-        &self.value
     }
 }
 
-/// Every tank on the board as `(team, position)`, in ascending object
-/// order — [`team_positions`] for all teams in one scan.
-fn tanks_on(store: &ObjectStore, scenario: &Scenario) -> Vec<(NodeId, Pos)> {
-    let grid = scenario.grid;
-    store
-        .iter()
-        .filter_map(|(id, replica)| match Block::decode(replica.data())? {
-            Block::Tank { team, .. } => Some((team, grid.pos_of(id))),
-            _ => None,
-        })
-        .collect()
+/// Every tank-holding object of one store, ascending by object, kept
+/// current by re-reading only the replicas that changed since the last
+/// look ([`ObjectStore::changed_since`]); a full scan happens only on the
+/// first look and when [`ObjectStore::len`] moved. The runtime asks an
+/// s-function for each due peer in turn after a rendezvous, and an
+/// exchange changes a handful of cells, so a rendezvous costs a sweep of
+/// the store's change stamps and a decode per changed cell, not a decode
+/// of every replica.
+///
+/// A board follows the one store it is refreshed from: generations are
+/// only comparable between observations of the same store.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TankBoard {
+    tanks: Vec<Tank>,
+    /// The store's `(generation, len)` as of the last refresh.
+    seen: Option<(u64, usize)>,
+    /// Full scans so far.
+    pub(crate) rescans: u64,
+}
+
+impl TankBoard {
+    /// Brings the board up to `store`'s contents; returns whether any
+    /// tank entry changed.
+    pub(crate) fn refresh(&mut self, store: &ObjectStore) -> bool {
+        let now = (store.generation(), store.len());
+        let moved = match self.seen {
+            Some(seen) if seen == now => return false,
+            Some((generation, len)) if len == now.1 => {
+                let mut moved = false;
+                for (object, replica) in store.changed_since(generation) {
+                    moved |= self.update(object, Tank::of(object, replica));
+                }
+                moved
+            }
+            _ => {
+                self.tanks.clear();
+                self.tanks.extend(store.iter().filter_map(|(id, replica)| Tank::of(id, replica)));
+                self.rescans += 1;
+                true
+            }
+        };
+        self.seen = Some(now);
+        moved
+    }
+
+    /// Sets what `object` holds; returns whether the board changed.
+    fn update(&mut self, object: ObjectId, tank: Option<Tank>) -> bool {
+        match (self.tanks.binary_search_by_key(&object, |t| t.object), tank) {
+            (Ok(at), Some(tank)) if self.tanks[at] == tank => false,
+            (Ok(at), Some(tank)) => {
+                self.tanks[at] = tank;
+                true
+            }
+            (Ok(at), None) => {
+                self.tanks.remove(at);
+                true
+            }
+            (Err(at), Some(tank)) => {
+                self.tanks.insert(at, tank);
+                true
+            }
+            (Err(_), None) => false,
+        }
+    }
+
+    /// The board's tanks, ascending by object.
+    pub(crate) fn tanks(&self) -> &[Tank] {
+        &self.tanks
+    }
 }
 
 /// The candidate positions of `team` for lookahead purposes: its visible
 /// tanks plus its spawn point (the ghost position respawns teleport to).
-fn candidate_positions(tanks: &[(NodeId, Pos)], scenario: &Scenario, team: NodeId) -> Vec<Pos> {
-    let mut positions: Vec<Pos> =
-        tanks.iter().filter(|&&(t, _)| t == team).map(|&(_, pos)| pos).collect();
-    positions.push(scenario.start_of(team));
-    positions
+fn candidate_positions<'a>(
+    tanks: &'a [Tank],
+    scenario: &'a Scenario,
+    team: NodeId,
+) -> impl Iterator<Item = Pos> + Clone + 'a {
+    let grid = scenario.grid;
+    tanks
+        .iter()
+        .filter(move |t| t.team == team)
+        .map(move |t| grid.pos_of(t.object))
+        .chain(std::iter::once(scenario.start_of(team)))
 }
 
 /// Ticks until *any* cross-team tank pair could reach row/column alignment
 /// (the MSYNC trigger), minimised over pairs and ghost positions.
-fn ticks_to_any_alignment(ours: &[Pos], theirs: &[Pos]) -> u64 {
-    ours.iter()
-        .flat_map(|&m| theirs.iter().map(move |&t| m.ticks_to_alignment(t)))
+fn ticks_to_any_alignment(
+    ours: impl Iterator<Item = Pos>,
+    theirs: impl Iterator<Item = Pos> + Clone,
+) -> u64 {
+    ours.flat_map(|m| theirs.clone().map(move |t| m.ticks_to_alignment(t)))
         .min()
         .unwrap_or(u64::MAX)
 }
 
 /// Ticks until any cross-team pair could be aligned **and** within `d`
 /// blocks (the MSYNC2 trigger).
-fn ticks_to_any_interaction(ours: &[Pos], theirs: &[Pos], d: u32) -> u64 {
-    ours.iter()
-        .flat_map(|&m| {
-            theirs.iter().map(move |&t| m.ticks_to_alignment(t).max(m.ticks_to_within(t, d)))
-        })
-        .min()
-        .unwrap_or(u64::MAX)
+fn ticks_to_any_interaction(
+    ours: impl Iterator<Item = Pos>,
+    theirs: impl Iterator<Item = Pos> + Clone,
+    d: u32,
+) -> u64 {
+    ours.flat_map(|m| {
+        theirs.clone().map(move |t| m.ticks_to_alignment(t).max(m.ticks_to_within(t, d)))
+    })
+    .min()
+    .unwrap_or(u64::MAX)
 }
 
 /// The MSYNC s-function.
@@ -121,13 +185,13 @@ fn ticks_to_any_interaction(ours: &[Pos], theirs: &[Pos], d: u32) -> u64 {
 pub struct Msync {
     me: NodeId,
     scenario: Scenario,
-    board: StoreMemo<Vec<(NodeId, Pos)>>,
+    board: TankBoard,
 }
 
 impl Msync {
     /// Creates the s-function for process `me`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
-        Msync { me, scenario, board: StoreMemo::default() }
+        Msync { me, scenario, board: TankBoard::default() }
     }
 }
 
@@ -138,11 +202,11 @@ impl SFunction for Msync {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let scenario = &self.scenario;
-        let tanks = self.board.get(view, |store| tanks_on(store, scenario));
+        self.board.refresh(view);
+        let (tanks, scenario) = (self.board.tanks(), &self.scenario);
         let delta = ticks_to_any_alignment(
-            &candidate_positions(tanks, scenario, self.me),
-            &candidate_positions(tanks, scenario, peer),
+            candidate_positions(tanks, scenario, self.me),
+            candidate_positions(tanks, scenario, peer),
         );
         Some(now.plus(delta.max(1)))
     }
@@ -154,7 +218,7 @@ pub struct Msync2 {
     me: NodeId,
     scenario: Scenario,
     d: u32,
-    board: StoreMemo<Vec<(NodeId, Pos)>>,
+    board: TankBoard,
 }
 
 impl Msync2 {
@@ -162,7 +226,7 @@ impl Msync2 {
     /// relevance distance as `d`.
     pub fn new(me: NodeId, scenario: Scenario) -> Self {
         let d = scenario.relevance_distance();
-        Msync2 { me, scenario, d, board: StoreMemo::default() }
+        Msync2 { me, scenario, d, board: TankBoard::default() }
     }
 }
 
@@ -173,11 +237,11 @@ impl SFunction for Msync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let scenario = &self.scenario;
-        let tanks = self.board.get(view, |store| tanks_on(store, scenario));
+        self.board.refresh(view);
+        let (tanks, scenario) = (self.board.tanks(), &self.scenario);
         let delta = ticks_to_any_interaction(
-            &candidate_positions(tanks, scenario, self.me),
-            &candidate_positions(tanks, scenario, peer),
+            candidate_positions(tanks, scenario, self.me),
+            candidate_positions(tanks, scenario, peer),
             self.d,
         );
         Some(now.plus(delta.max(1)))
@@ -248,8 +312,8 @@ mod tests {
         // bound, so compare against the full candidate-set computation.
         let store = store_with_tanks(&s, &[(0, Pos::new(3, 2)), (1, Pos::new(25, 10))]);
         let expected = ticks_to_any_alignment(
-            &scanned_candidates(&store, &s, 0),
-            &scanned_candidates(&store, &s, 1),
+            scanned_candidates(&store, &s, 0).into_iter(),
+            scanned_candidates(&store, &s, 1).into_iter(),
         )
         .max(1);
         let mut f = Msync::new(0, s);
@@ -321,9 +385,19 @@ mod tests {
         use sdso_net::DetRng;
 
         let s = Scenario::paper(16, 1);
+        let grid = s.grid;
+        // A few cells are registered only during the walk — each as a
+        // phantom tank of some team — so the board must notice `len()`
+        // move and rescan.
+        let starts = s.starts();
+        let mut late: Vec<Pos> =
+            grid.iter().filter(|p| p.x % 7 == 3 && p.y % 5 == 2 && !starts.contains(p)).collect();
         let mut store = ObjectStore::new();
         for (idx, block) in s.initial_world().iter().enumerate() {
-            store.share(ObjectId(idx as u32), block.encode(s.block_bytes)).unwrap();
+            let id = ObjectId(idx as u32);
+            if !late.contains(&grid.pos_of(id)) {
+                store.share(id, block.encode(s.block_bytes)).unwrap();
+            }
         }
         let tank = |team: NodeId| Block::Tank {
             team,
@@ -333,12 +407,21 @@ mod tests {
             fired: None,
         };
         let mut at: Vec<Pos> = s.starts();
+        let mut phantoms: Vec<Pos> = Vec::new();
         let (mut msync, mut msync2) = (Msync::new(0, s.clone()), Msync2::new(3, s.clone()));
         let mut rng = DetRng::new(0x5F_CAC4E);
         let mut lamport = 0u64;
-        let mut applied_steps = 0u64;
+        let (mut applied_steps, mut shares) = (0u64, 0u64);
 
         for step in 0..200u64 {
+            if step % 16 == 8 {
+                if let Some(pos) = late.pop() {
+                    let team = rng.up_to(15) as u16;
+                    store.share(grid.object_at(pos), tank(team).encode(s.block_bytes)).unwrap();
+                    phantoms.push(pos);
+                    shares += 1;
+                }
+            }
             // One tank moves to a free neighbouring cell — or, every
             // eighth step, dies back to its spawn — and the two cells
             // reach the store one of four ways.
@@ -348,9 +431,10 @@ mod tests {
                 s.start_of(team)
             } else {
                 let dir = crate::world::Direction::ALL[rng.up_to(3) as usize];
-                from.step(dir, s.grid).unwrap_or(from)
+                from.step(dir, grid).unwrap_or(from)
             };
-            if to == from || at.contains(&to) {
+            let unshared = store.replica(grid.object_at(to)).is_err();
+            if to == from || at.contains(&to) || unshared {
                 continue;
             }
             let how = rng.up_to(3) as u8;
@@ -358,7 +442,7 @@ mod tests {
             for (pos, block) in [(from, Block::Empty), (to, tank(team))] {
                 lamport += 1;
                 let fresh = Version::new(LogicalTime::from_ticks(lamport), team);
-                let (id, body) = (s.grid.object_at(pos), block.encode(s.block_bytes));
+                let (id, body) = (grid.object_at(pos), block.encode(s.block_bytes));
                 match how {
                     0 => store.write(id, 0, &body, fresh).unwrap(),
                     1 => assert!(store.apply_remote(id, &Diff::single(0, body), fresh).unwrap()),
@@ -372,14 +456,15 @@ mod tests {
             }
             if !stale {
                 at[usize::from(team)] = to;
+                phantoms.retain(|&p| p != to);
                 applied_steps += 1;
             }
 
             let now = LogicalTime::from_ticks(step);
             for peer in (0..16).filter(|&p| p != 0) {
                 let bound = ticks_to_any_alignment(
-                    &scanned_candidates(&store, &s, 0),
-                    &scanned_candidates(&store, &s, peer),
+                    scanned_candidates(&store, &s, 0).into_iter(),
+                    scanned_candidates(&store, &s, peer).into_iter(),
                 );
                 assert_eq!(
                     msync.next_exchange(peer, now, &store),
@@ -389,8 +474,8 @@ mod tests {
             }
             for peer in (0..16).filter(|&p| p != 3) {
                 let bound = ticks_to_any_interaction(
-                    &scanned_candidates(&store, &s, 3),
-                    &scanned_candidates(&store, &s, peer),
+                    scanned_candidates(&store, &s, 3).into_iter(),
+                    scanned_candidates(&store, &s, peer).into_iter(),
                     s.relevance_distance(),
                 );
                 assert_eq!(
@@ -399,15 +484,39 @@ mod tests {
                     "MSYNC2 towards {peer} at step {step}"
                 );
             }
-            // Fifteen peers asked, one scan — and none at all when the
-            // only thing that happened was a discarded update.
-            assert_eq!(msync.board.builds, applied_steps.max(1), "step {step} ({how})");
-            assert_eq!(msync2.board.builds, applied_steps.max(1), "step {step} ({how})");
+            // The incremental board is the board a fresh full scan finds.
+            let mut fresh = TankBoard::default();
+            fresh.refresh(&store);
+            assert_eq!(msync.board.tanks(), fresh.tanks(), "step {step} ({how})");
+            assert_eq!(msync2.board.tanks(), fresh.tanks(), "step {step} ({how})");
+            // Fifteen peers asked and any number of writes since: one
+            // full scan for the first look and one per registration.
+            assert_eq!(msync.board.rescans, 1 + shares, "step {step}");
+            assert_eq!(msync2.board.rescans, 1 + shares, "step {step}");
         }
         assert!(applied_steps > 100, "the walk really moved tanks: {applied_steps}");
+        assert!(shares > 5 && !phantoms.is_empty(), "{shares} phantoms registered");
         let mut seen: Vec<Pos> = (0..16).flat_map(|t| team_positions(&store, &s, t)).collect();
         seen.sort();
+        at.extend(phantoms);
         at.sort();
         assert_eq!(seen, at, "the store holds the walk's board");
+    }
+
+    #[test]
+    fn a_board_refresh_reports_only_tank_changes() {
+        let s = scenario();
+        let mut store = store_with_tanks(&s, &[(0, Pos::new(3, 3)), (1, Pos::new(20, 10))]);
+        let mut board = TankBoard::default();
+        assert!(board.refresh(&store), "the first look builds the board");
+        assert!(!board.refresh(&store), "nothing changed");
+        let v = |t: u64| sdso_core::Version::new(LogicalTime::from_ticks(t), 0);
+        let empty = Block::Empty.encode(s.block_bytes);
+        store.write(s.grid.object_at(Pos::new(9, 9)), 0, &empty, v(1)).unwrap();
+        assert!(!board.refresh(&store), "an empty cell rewritten empty moves no tank");
+        store.write(s.grid.object_at(Pos::new(3, 3)), 0, &empty, v(2)).unwrap();
+        assert!(board.refresh(&store), "a tank left its cell");
+        assert_eq!(board.tanks().len(), 1);
+        assert_eq!(board.rescans, 1);
     }
 }

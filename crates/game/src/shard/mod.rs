@@ -77,10 +77,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use sdso_core::{DiffRouter, LogicalTime, ObjectId, ObjectStore, SFunction};
 use sdso_net::NodeId;
 
-use crate::block::Block;
 use crate::scenario::Scenario;
-use crate::sfuncs::StoreMemo;
-use crate::world::Pos;
+use crate::sfuncs::{Tank, TankBoard};
+use crate::world::{Grid, Pos};
 use handoff::{HandoffLog, HandoffRecord};
 use interest::SubscriptionManager;
 use lattice::RegionLattice;
@@ -106,20 +105,17 @@ fn shard_lattice(scenario: &Scenario) -> RegionLattice {
     RegionLattice::for_grid(scenario.grid.width, scenario.grid.height)
 }
 
-/// The latest-versioned tank position per team visible in a store, as
-/// `(position, Lamport stamp)`. One linear scan; the s-function keeps
-/// the result until the store changes, so rescheduling `n` due peers
-/// costs one scan instead of `n`.
-fn tank_frontier(store: &ObjectStore, scenario: &Scenario) -> BTreeMap<NodeId, (Pos, LogicalTime)> {
-    let grid = scenario.grid;
+/// The latest-versioned tank position per team on a board, as
+/// `(position, Lamport stamp)`. Folded in ascending object order, so of
+/// two images stamped alike the lower object's stands. The s-function
+/// refolds it only when its board changed, so rescheduling `n` due peers
+/// costs one fold instead of `n`.
+fn tank_frontier(tanks: &[Tank], grid: Grid) -> BTreeMap<NodeId, (Pos, LogicalTime)> {
     let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
-    for (id, replica) in store.iter() {
-        let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
-            continue;
-        };
-        let seen = (grid.pos_of(id), replica.version().time);
+    for tank in tanks {
+        let seen = (grid.pos_of(tank.object), tank.time);
         frontier
-            .entry(team)
+            .entry(tank.team)
             .and_modify(|best| {
                 if seen.1 > best.1 {
                     *best = seen;
@@ -146,8 +142,10 @@ pub struct ShardMsync2 {
     /// Own position as of the last rendezvous with each peer — what that
     /// peer's replica says about this team while this tank is dead.
     last_delivered: BTreeMap<NodeId, Pos>,
-    /// Memo of [`tank_frontier`] (the caching rule MSYNC and MSYNC2 use).
-    cache: StoreMemo<BTreeMap<NodeId, (Pos, LogicalTime)>>,
+    /// The tanks of the store, kept as MSYNC and MSYNC2 keep theirs.
+    board: TankBoard,
+    /// [`tank_frontier`] of `board`.
+    frontier: BTreeMap<NodeId, (Pos, LogicalTime)>,
 }
 
 impl ShardMsync2 {
@@ -164,7 +162,8 @@ impl ShardMsync2 {
             r_int,
             last_seen: BTreeMap::new(),
             last_delivered: BTreeMap::new(),
-            cache: StoreMemo::default(),
+            board: TankBoard::default(),
+            frontier: BTreeMap::new(),
         }
     }
 
@@ -194,8 +193,10 @@ impl SFunction for ShardMsync2 {
         now: LogicalTime,
         view: &ObjectStore,
     ) -> Option<LogicalTime> {
-        let scenario = &self.scenario;
-        let frontier = self.cache.get(view, |store| tank_frontier(store, scenario));
+        if self.board.refresh(view) {
+            self.frontier = tank_frontier(self.board.tanks(), self.scenario.grid);
+        }
+        let frontier = &self.frontier;
         let my_start = self.scenario.start_of(self.me);
         let peer_start = self.scenario.start_of(peer);
 
@@ -311,6 +312,8 @@ pub struct ShardRouter {
     handoffs: HandoffLog,
     /// Last observed cell per team, for boundary-crossing detection.
     last_pos: BTreeMap<NodeId, Pos>,
+    /// The tanks of the store it observes.
+    board: TankBoard,
 }
 
 impl ShardRouter {
@@ -327,6 +330,7 @@ impl ShardRouter {
             subs,
             handoffs: HandoffLog::new(),
             last_pos: BTreeMap::new(),
+            board: TankBoard::default(),
         }
     }
 
@@ -376,30 +380,18 @@ impl DiffRouter for ShardRouter {
             }
             self.subs.observe(team, start.x, start.y, self.r_int);
         }
-        let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
-        for (id, replica) in store.iter() {
-            let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
-                continue;
-            };
-            if team == self.me {
-                self.anchored.insert(id);
+        self.board.refresh(store);
+        for tank in self.board.tanks() {
+            if tank.team == self.me {
+                self.anchored.insert(tank.object);
             }
-            let pos = grid.pos_of(id);
             // Conservative: every visible tank block (phantoms included)
             // widens the team's interest; only the freshest one counts
             // as its position for boundary-handoff tracking.
-            self.subs.observe(team, pos.x, pos.y, self.r_int);
-            let seen = (pos, replica.version().time);
-            frontier
-                .entry(team)
-                .and_modify(|best| {
-                    if seen.1 > best.1 {
-                        *best = seen;
-                    }
-                })
-                .or_insert(seen);
+            let pos = grid.pos_of(tank.object);
+            self.subs.observe(tank.team, pos.x, pos.y, self.r_int);
         }
-        for (team, (pos, _)) in frontier {
+        for (team, (pos, _)) in tank_frontier(self.board.tanks(), grid) {
             self.note_position(team, pos, now);
         }
     }
@@ -430,6 +422,7 @@ impl DiffRouter for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use crate::world::Direction;
     use proptest::prelude::*;
     use sdso_core::{Epoch, ObjectStore, Version};
@@ -523,6 +516,89 @@ mod tests {
         }
     }
 
+    /// The frontier as a scan of the whole store finds it: every replica
+    /// decoded, in ascending object order, the later stamp winning.
+    fn scanned_frontier(
+        store: &ObjectStore,
+        scenario: &Scenario,
+    ) -> BTreeMap<NodeId, (Pos, LogicalTime)> {
+        let mut frontier: BTreeMap<NodeId, (Pos, LogicalTime)> = BTreeMap::new();
+        for (id, replica) in store.iter() {
+            let Some(Block::Tank { team, .. }) = Block::decode(replica.data()) else {
+                continue;
+            };
+            let seen = (scenario.grid.pos_of(id), replica.version().time);
+            frontier
+                .entry(team)
+                .and_modify(|best| {
+                    if seen.1 > best.1 {
+                        *best = seen;
+                    }
+                })
+                .or_insert(seen);
+        }
+        frontier
+    }
+
+    #[test]
+    fn the_board_frontier_is_the_scanned_frontier_over_a_walk_with_phantoms() {
+        use sdso_core::Diff;
+        use sdso_net::DetRng;
+
+        let s = Scenario::paper(16, 1);
+        let grid = s.grid;
+        let mut store = ObjectStore::new();
+        for (idx, block) in s.initial_world().iter().enumerate() {
+            store.share(ObjectId(idx as u32), block.encode(s.block_bytes)).unwrap();
+        }
+        let tank = |team: NodeId| {
+            Block::Tank { team, tank: 0, hp: 2, facing: Direction::North, fired: None }
+                .encode(s.block_bytes)
+        };
+        let mut at = s.starts();
+        let mut rng = DetRng::new(0xF40_4715);
+        let mut board = TankBoard::default();
+        let (mut moves, mut ties) = (0, 0);
+        for step in 0..400u64 {
+            let team = rng.up_to(15) as u16;
+            let from = at[usize::from(team)];
+            let dir = Direction::ALL[rng.up_to(3) as usize];
+            let Some(to) = from.step(dir, grid).filter(|to| !at.contains(to)) else {
+                continue;
+            };
+            // Stamps from a narrow window, so a team's images often tie
+            // (and a late image may lose to an older one).
+            let time = LogicalTime::from_ticks(step / 4 + rng.up_to(2));
+            let version = Version::new(time, team);
+            let moved =
+                store.apply_remote(grid.object_at(to), &Diff::single(0, tank(team)), version);
+            if !moved.unwrap() {
+                continue;
+            }
+            // One move in three leaves its old image behind: a phantom.
+            if rng.up_to(2) != 0 {
+                let empty = Block::Empty.encode(s.block_bytes);
+                let cleared = Diff::single(0, empty);
+                store.apply_remote(grid.object_at(from), &cleared, version).unwrap();
+            }
+            at[usize::from(team)] = to;
+            moves += 1;
+
+            board.refresh(&store);
+            let scanned = scanned_frontier(&store, &s);
+            assert_eq!(tank_frontier(board.tanks(), grid), scanned, "step {step}");
+            ties += scanned
+                .iter()
+                .filter(|&(&team, &(_, best))| {
+                    board.tanks().iter().filter(|t| t.team == team && t.time == best).count() > 1
+                })
+                .count();
+        }
+        assert!(moves > 200, "the walk moved: {moves}");
+        assert!(ties > 20, "equal stamps met: {ties}");
+        assert_eq!(board.rescans, 1, "every refresh after the first re-read only what changed");
+    }
+
     #[test]
     fn dead_peer_uses_frozen_last_delivered_position() {
         let s = Scenario::scaled(64, 1);
@@ -551,13 +627,9 @@ mod tests {
                 Block::Tank { team: 0, tank: 0, hp: 2, facing: Direction::North, fired: None };
             put(Pos::new(30, 21), moved, 3);
         }
-        assert_eq!(
-            a.cache.value.get(&1),
-            Some(&(Pos::new(32, 20), LogicalTime::ZERO)),
-            "seen alive"
-        );
+        assert_eq!(a.frontier.get(&1), Some(&(Pos::new(32, 20), LogicalTime::ZERO)), "seen alive");
         assert_eq!(a.next_exchange(1, later, &store_a), b.next_exchange(0, later, &store_b));
-        assert_eq!(a.cache.value.get(&1), None, "the rescan saw the tank gone");
+        assert_eq!(a.frontier.get(&1), None, "the refresh saw the tank gone");
         assert_eq!(a.last_seen[&1].0, Pos::new(32, 20), "and the belief froze where it was");
         assert_eq!(b.last_delivered[&0], Pos::new(32, 20));
     }

@@ -65,6 +65,7 @@ impl Obs {
     }
 
     /// The node's flight recorder.
+    #[inline]
     pub fn recorder(&self) -> &Recorder {
         &self.recorder
     }

@@ -127,7 +127,9 @@ impl Recorder {
         self.shared.mode.store(mode.as_u8(), Ordering::Relaxed);
     }
 
-    /// True unless the mode is [`TraceMode::Off`].
+    /// True unless the mode is [`TraceMode::Off`]. Inlined: the runtime
+    /// asks on every object read and write.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.shared.mode.load(Ordering::Relaxed) != MODE_OFF
     }

@@ -10,11 +10,12 @@
 //! what one steady node-tick costs, since world generation, `share`, the
 //! schedule seed and the final read-out happen once in both runs. Each
 //! budget is the measured count rounded up to the next whole allocation
-//! (BSYNC 5.1 at 2 nodes and 39.2 at 16; MSYNC 7.1 and 69.9; MSYNC2 5.9
-//! and 55.7; EC 7.9 and 14.3). The counts are deterministic, the same in
+//! (BSYNC 3.1 at 2 nodes and 37.4 at 16; MSYNC 3.5 and 44.6; MSYNC2 3.2
+//! and 44.5; EC 6.0 and 12.5). The counts are deterministic, the same in
 //! debug and release, so one allocation more per node-tick anywhere on a
 //! path a cell runs (the pooled encode, the local read, the store lookup,
-//! codec v2's scan kernels) fails the cell.
+//! codec v2's scan kernels, a block's encoding, an s-function's board)
+//! fails the cell.
 //!
 //! The socket cells time nothing; they count. Node 0 takes and releases a
 //! write lock that node 1 manages, over `ReactorMesh::local(2)` — where a
@@ -103,14 +104,14 @@ fn per_socket_round_trip(nodes: usize) -> f64 {
 fn lookahead_exchanges_allocate_within_budget_per_node_tick() {
     // (protocol, nodes, budget per node-tick)
     let budgets = [
-        (Protocol::Bsync, 2, 6.0),
-        (Protocol::Bsync, 16, 40.0),
-        (Protocol::Msync, 2, 8.0),
-        (Protocol::Msync, 16, 70.0),
-        (Protocol::Msync2, 2, 6.0),
-        (Protocol::Msync2, 16, 56.0),
-        (Protocol::Entry, 2, 8.0),
-        (Protocol::Entry, 16, 15.0),
+        (Protocol::Bsync, 2, 4.0),
+        (Protocol::Bsync, 16, 38.0),
+        (Protocol::Msync, 2, 4.0),
+        (Protocol::Msync, 16, 45.0),
+        (Protocol::Msync2, 2, 4.0),
+        (Protocol::Msync2, 16, 45.0),
+        (Protocol::Entry, 2, 6.0),
+        (Protocol::Entry, 16, 13.0),
     ];
     let mut report = String::new();
     let mut over = Vec::new();
