@@ -230,8 +230,7 @@ pub fn analyze(streams: &[NodeStream]) -> RaceReport {
             }
         }
         clocks[i][i] += 1;
-        let kind = usize::from(kind);
-        let kind = if kind < EventKind::ALL.len() { Some(EventKind::ALL[kind]) } else { None };
+        let kind = EventKind::ALL.into_iter().find(|&k| k as u8 == kind);
         match kind {
             Some(EventKind::Send) => {
                 if let Some(&peer) = index_of.get(&a) {

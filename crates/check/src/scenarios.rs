@@ -82,7 +82,7 @@ const CHURN_JOINER: NodeId = 3;
 const CHURN_TOMBSTONE: u8 = 0xEE;
 
 /// Ticks the crash-churn scenario runs for — long enough for a join, a
-/// crash, a WAL-backed rejoin, and a tail of live play.
+/// crash, a journal-backed rejoin, and a tail of live play.
 pub const CRASH_TICKS: u64 = 8;
 
 /// Crash ticks the synthetic first choice point selects between (offset
@@ -94,7 +94,7 @@ pub const CRASH_TRIGGERS: [u64; 2] = [3, 4];
 /// queues as crash-era residue the restart must digest, not deliver).
 const CRASH_RESTART_GAP: u64 = 2;
 
-/// The member that crashes and recovers from its WAL.
+/// The member that crashes and recovers from its journal.
 const CRASHER: NodeId = 1;
 
 /// Workloads every schedule of the codec-v2 scenario plays, in order: a
@@ -147,7 +147,7 @@ pub enum Protocol {
     ChurnEc,
     /// Crash faults on top of churn: a member joins mid-run, another
     /// fail-stops at an oracle-chosen tick (its host partitioned from the
-    /// group while down) and rejoins from its WAL with pre-crash state.
+    /// group while down) and rejoins from its journal with pre-crash state.
     CrashChurn,
     /// The compressed wire: BSYNC's workload, then MSYNC2's, with codec v2
     /// on at every node.
@@ -414,7 +414,7 @@ fn churn_plan(trigger: u64) -> MembershipPlan {
 
 /// Runs one schedule of the crash-churn scenario: node 3 joins at tick 2
 /// (churn), node 1 fail-stops at the oracle-chosen crash tick and rejoins
-/// [`CRASH_RESTART_GAP`] ticks later from its WAL. While down, the dead
+/// [`CRASH_RESTART_GAP`] ticks later from its journal. While down, the dead
 /// host is effectively partitioned from the group: survivor traffic
 /// towards it queues on its enduring endpoint as crash-era residue, which
 /// the restarted incarnation must drop (stale epochs, stale acks) rather
@@ -448,7 +448,7 @@ fn crash_churn_plan(crash: u64) -> MembershipPlan {
 }
 
 /// Crash-churn node: every live member writes the tick into its own
-/// object each tick; the crasher additionally WAL-logs its state so the
+/// object each tick; the crasher additionally journals its state so the
 /// post-crash incarnation proves it rejoined with pre-crash identity.
 fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
@@ -480,7 +480,6 @@ fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
             };
             times.push(report.time);
             if me == CRASHER {
-                journal.ident(me, la.runtime().membership().epoch());
                 journal.tick(la.runtime(), tick, vec![tick as u8]);
                 if tick == crash {
                     break;

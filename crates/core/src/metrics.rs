@@ -63,8 +63,8 @@ pub struct DsoMetrics {
     /// Rendezvous sent as one frame: a v2 data frame that is also the SYNC,
     /// so no `Sync` message followed it.
     pub rendezvous_fused: u64,
-    /// Update batches that fell back to the absolute v1 encoding after v2
-    /// was negotiated (a run past the decoder's budget).
+    /// Update batches that fell back to the absolute v1 encoding on a
+    /// compressed link (a run past the decoder's budget).
     pub codec_v2_fallbacks: u64,
     /// Updates coalesced away by batch-level dedup before framing
     /// (overlapping same-object diffs merged into one update).

@@ -79,7 +79,7 @@ pub fn decide(
     //    firing range (obstacles and other tanks block the line of sight).
     for dir in Direction::ALL {
         let mut cursor = pos;
-        for _ in 0..scenario.fire_range {
+        for _ in 0..scenario.fire_range() {
             let Some(next) = cursor.step(dir, grid) else {
                 break;
             };

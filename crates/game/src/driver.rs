@@ -58,16 +58,16 @@
 //! view change `crate::durable::crash_views` derives for tick `C`,
 //! so the regular churn machinery (epoch bump, slot compaction, link
 //! pruning) executes the failure. Two things survive the crash, as they
-//! would on a real host: the journal (`crate::durable`: WAL + snapshot
-//! image, one record set per tick, logged after the tick's barrier and
-//! before the view change) and the transport endpoint — a rebooted host
-//! keeps its address.
+//! would on a real host: the journal (`crate::durable`: one checked image
+//! per tick, written after the tick's barrier and before the view change,
+//! alternately into two slots) and the transport endpoint — a rebooted
+//! host keeps its address.
 //!
-//! At its restart tick `R` the process replays the journal for its
-//! pre-crash identity, clock frontier and game state, restores the
-//! frontier, installs the rejoin view, drains crash-era residue frames,
-//! pulls the donor's snapshot, and resumes at tick `R + 1`. Replaying the
-//! same plan reproduces the same run.
+//! At its restart tick `R` the process reads the journal's newest image
+//! back for its pre-crash identity, clock frontier and game state,
+//! restores the frontier, installs the rejoin view, drains crash-era
+//! residue frames, pulls the donor's snapshot, and resumes at tick
+//! `R + 1`. Replaying the same plan reproduces the same run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -195,8 +195,6 @@ pub struct NodeStats {
     pub final_world: Vec<Block>,
     /// Crash/restart cycles this process performed (crash runs only).
     pub recoveries: u64,
-    /// WAL records replayed across all recoveries.
-    pub wal_replayed: u64,
     /// Virtual time this process was absent from the group: from each
     /// crash instant to the completed rejoin (snapshot installed), summed
     /// over recoveries. The raw material for the recovery-time gate.
@@ -287,13 +285,7 @@ impl GameCore {
     /// A fresh game state with the tank on its spawn point, using lock-free
     /// contention arbitration (the lookahead default).
     pub fn new(scenario: Scenario, me: NodeId) -> Self {
-        GameCore::with_arbitration(scenario, me, true)
-    }
-
-    /// A fresh game state with explicit control over the contention rule
-    /// (lock-based drivers pass `false`).
-    pub fn with_arbitration(scenario: Scenario, me: NodeId, arbitrate: bool) -> Self {
-        Self::with_flags(scenario, me, arbitrate, arbitrate)
+        GameCore::with_flags(scenario, me, true, true)
     }
 
     /// Full control: `arbitrate` enables the lowest-ID-blocks rule,
@@ -337,7 +329,7 @@ impl GameCore {
 
     /// Serialises the dynamic game state — everything
     /// [`GameCore::with_flags`] cannot reconstruct from its arguments —
-    /// for the crash-recovery journal's `App` records.
+    /// for the crash-recovery journal's images.
     /// Fixed-width little-endian fields behind a leading version byte;
     /// the format is private to this crate.
     pub fn encode(&self) -> Vec<u8> {
@@ -521,7 +513,7 @@ impl GameCore {
         // equivalent to scanning the whole grid. The cross is read in the
         // grid's x-major order, which decides which of one shooter's
         // images (a stale one beside a fresh one) counts first.
-        let (Pos { x, y }, range) = (self.tank.pos, self.scenario.fire_range);
+        let (Pos { x, y }, range) = (self.tank.pos, self.scenario.fire_range());
         let west = x.saturating_sub(range)..x;
         let north = y.saturating_sub(range)..y;
         let south = y + 1..=y.saturating_add(range).min(grid.height - 1);
@@ -704,11 +696,6 @@ impl RunPlan {
         protocol: Protocol,
     ) -> Result<MembershipPlan, DsoError> {
         let violation = |why: String| Err(DsoError::ProtocolViolation(why));
-        if scenario.team_size != 1 {
-            return violation(
-                "multi-tank teams are not implemented (the paper fixes team size to one)".into(),
-            );
-        }
         let teams = usize::from(scenario.teams);
         let static_group = MembershipPlan::static_group(teams);
         let explicit = self.membership.as_ref().unwrap_or(&static_group);
@@ -1142,7 +1129,7 @@ pub fn run_node<E: Endpoint>(
 /// recovers from its journal and rejoins, finishing the game with its
 /// pre-crash state; everyone else weathers the crash as a view change.
 /// With tracing on, flight-recorder events (exchanges, rendezvous waits,
-/// locks, view changes, snapshots, WAL replays) land in the node's
+/// locks, view changes, snapshots, recoveries) land in the node's
 /// recorder and every counter in its registry.
 ///
 /// # Errors
@@ -1216,9 +1203,6 @@ fn drive<E: Endpoint, F: Family<E = E>>(
 
     let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
     let mut tick = enter(&mut rt, views, None)?;
-    if let Some(journal) = &mut journal {
-        journal.ident(me, rt.membership().epoch());
-    }
     let mut node = make(rt)?;
     let mut core = GameCore::with_flags(scenario.clone(), me, F::FLAGS.0, F::FLAGS.1);
     if tick > 1 {
@@ -1287,9 +1271,6 @@ fn drive<E: Endpoint, F: Family<E = E>>(
             tick = back;
         } else if let Some(change) = change {
             node.apply_view_change(change)?;
-            if let Some(journal) = &mut journal {
-                journal.ident(me, node.runtime_mut().membership().epoch());
-            }
             // The donor — the lowest continuing member — pushes one
             // O(objects) state snapshot to each joiner.
             if node.runtime_mut().membership().donor_for(change) == Some(me) {
@@ -1341,7 +1322,7 @@ fn drive<E: Endpoint, F: Family<E = E>>(
 
 /// Fail-stop and recovery. The volatile state (runtime, reliability
 /// links, game core) vanishes; the journal and the endpoint — the disk and
-/// the host's address — survive. The new incarnation replays the journal
+/// the host's address — survive. The new incarnation reads the journal back
 /// for its pre-crash identity, clock frontier and game state, rejoins
 /// through the late-joiner path and resumes at the tick after its restart
 /// with its score, tank and fire-record history intact.
@@ -1367,18 +1348,14 @@ fn restart<E: Endpoint, F: Family<E = E>>(
     })?;
     let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
     rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
-    let (records, truncated) = (recovered.records as u32, recovered.truncated as u32);
-    obs.record(rt.now().as_micros(), EventKind::WalReplay, records, truncated, 0);
     enter(&mut rt, views, Some(back))?;
-    let epoch = rt.membership().epoch();
-    obs.record(rt.now().as_micros(), EventKind::Recover, u32::from(me), records, epoch.0);
+    let epoch = rt.membership().epoch().0;
+    obs.record(rt.now().as_micros(), EventKind::Recover, u32::from(me), epoch, 0);
 
     let downtime = rt.now().saturating_since(down_at);
     tally.recoveries += 1;
-    tally.wal_replayed += recovered.records;
     tally.recovery_time += downtime;
-    record_recovery(obs, recovered.records, downtime);
-    journal.ident(me, epoch);
+    record_recovery(obs, downtime);
     let mut node = make(rt)?;
 
     // The tick counter aligns with the global tick, and the tank falls back
@@ -1575,7 +1552,7 @@ mod tests {
                 let s = Scenario::paper(6, 1).with_seed(seed);
                 let mut port = CheckedPort {
                     inner: LocalPort::from_world(&s),
-                    fire_range: u32::from(s.fire_range),
+                    fire_range: u32::from(s.fire_range()),
                     tank_at: (0..s.teams).map(|team| (team, s.start_of(team))).collect(),
                     records: 0,
                     relocations: 0,
@@ -1747,11 +1724,17 @@ mod tests {
             let leaver_present =
                 stats[0].final_world.iter().any(|b| matches!(b, Block::Tank { team: 1, .. }));
             assert!(!leaver_present, "{protocol}: leaver's tank must be gone");
-            assert!(stats.iter().all(|s| s.recoveries == 0 && s.wal_replayed == 0));
+            assert!(stats.iter().all(|s| s.recoveries == 0));
 
             let stats = run_all(protocol, &scenario, &crash_plan());
             assert_eq!(stats[1].recoveries, 1, "{protocol}: one crash/restart cycle");
-            assert!(stats[1].wal_replayed > 0, "{protocol}: the WAL replayed something");
+            // Every tick played costs the same compute, plus `write_cost`
+            // per modification: node 1 played 7 of node 0's 10 ticks, and
+            // its modification count is part of the state it recovered.
+            let write = scenario.write_cost.as_micros();
+            let thinking = |s: &NodeStats| s.compute_time.as_micros() - write * s.modifications;
+            let kept = thinking(&stats[1]) == 7 * (thinking(&stats[0]) / 10);
+            assert!(kept, "{protocol}: the restart lost its pre-crash state");
             assert_eq!(stats[1].ticks, 10, "{protocol}: the restarted process finishes");
             assert_eq!(stats[3].ticks, 7, "{protocol}: the unrecovered crasher died at its tick");
             for survivor in [0, 2] {

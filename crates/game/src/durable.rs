@@ -2,49 +2,32 @@
 //! and re-opens when it restarts, and the membership views a crash
 //! schedule plays out as.
 //!
-//! A [`Journal`] holds the two byte strings a disk would: a write-ahead
-//! log and the newest checkpoint image. The driver holds it across a
+//! A [`Journal`] holds what a disk would: two image slots. After every
+//! completed tick the driver writes one self-checking image of the
+//! process's identity, clock frontier and game state into the slot that
+//! does not hold the newest image. The driver holds the journal across a
 //! process's incarnations, the way a disk outlives a reboot, and keeps one
 //! only when the run's plan has crashes — static and churn runs journal
 //! nothing and pay nothing.
 //!
-//! WAL frames are little-endian:
+//! An image is little-endian, between a header and a checksum trailer:
 //!
 //! ```text
-//! [payload_len: u32][crc32(payload): u32][payload: payload_len bytes]
+//! ["SDSN"][version: u8][node: u32][tick: u64][time: u64][lamport: u64]
+//! [app_len: u32][app: app_len bytes][crc32(node..app): u32]
 //! ```
 //!
-//! A crash can interrupt an append anywhere — a partial header, a partial
-//! payload, or garbage from a sector rewrite. [`Journal::reopen`] scans
-//! from the front and stops at the first frame that is incomplete, fails
-//! its checksum or does not decode as a record, and cuts the log back to
-//! there. Recovery therefore always observes a *prefix* of the appended
-//! history, never a reordered or interior-corrupted one: an interior
-//! corruption cuts the prefix at that point, which is strictly safer than
-//! trusting the tail behind it.
-//!
-//! Every [`CHECKPOINT_EVERY`] ticks the journal folds its state into a
-//! self-checking image (magic, version, CRC trailer) and empties the log,
-//! bounding replay to one checkpoint interval. A torn image is ignored.
+//! A crash can tear the write in progress anywhere, or leave garbage from a
+//! sector rewrite. That slot then fails its checksum, and
+//! [`Journal::reopen`] takes the other: recovery loses at most the tick
+//! whose write was torn, and never reads a half-written image.
 
-use sdso_core::{DsoError, Epoch, MembershipPlan, Obs, SdsoRuntime, ViewChange};
+use sdso_core::{DsoError, MembershipPlan, Obs, SdsoRuntime, ViewChange};
 use sdso_net::{Endpoint, FaultPlan, NodeId, SimSpan};
 use sdso_obs::EventKind;
 
-/// Checkpoint cadence: fold the WAL into a snapshot image every this many
-/// ticks, bounding replay length to one checkpoint interval.
-const CHECKPOINT_EVERY: u64 = 8;
-
-/// Bytes of framing per WAL record: payload length + checksum.
-const FRAME_HEADER: usize = 8;
-
-/// Upper bound on a single record's payload; anything larger in a header
-/// is treated as corruption (a torn header can otherwise fabricate an
-/// absurd length that swallows the rest of the log).
-const MAX_RECORD: u32 = 1 << 26;
-
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`. Bitwise, table-free: records
-/// are small and appended a few times per tick.
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`. Bitwise, table-free: one
+/// small image is written per tick.
 fn crc32(bytes: &[u8]) -> u32 {
     let mut crc: u32 = 0xFFFF_FFFF;
     for &b in bytes {
@@ -55,89 +38,6 @@ fn crc32(bytes: &[u8]) -> u32 {
         }
     }
     !crc
-}
-
-/// Appends one framed record payload to `wal`.
-///
-/// # Panics
-///
-/// Panics if `payload` exceeds [`MAX_RECORD`] bytes.
-fn append_frame(wal: &mut Vec<u8>, payload: &[u8]) {
-    assert!(payload.len() as u64 <= u64::from(MAX_RECORD), "WAL record too large");
-    wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    wal.extend_from_slice(&crc32(payload).to_le_bytes());
-    wal.extend_from_slice(payload);
-}
-
-/// The frame starting at byte `pos` of `wal`: its payload and the offset
-/// just past it. `None` when the frame is incomplete, claims more than
-/// [`MAX_RECORD`] bytes, or fails its checksum.
-fn frame_at(wal: &[u8], pos: usize) -> Option<(&[u8], usize)> {
-    let mut r = Reader::new(wal.get(pos..)?);
-    let (len, crc) = (r.u32()?, r.u32()?);
-    if len > MAX_RECORD {
-        return None;
-    }
-    let payload = r.take(len as usize)?;
-    (crc32(payload) == crc).then_some((payload, pos + FRAME_HEADER + payload.len()))
-}
-
-/// One committed fact in a process's write-ahead log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum DurRecord {
-    /// Who this log belongs to and which membership epoch it last operated
-    /// in: logged at the start of each incarnation and after every view
-    /// change. Recovery checks the identity before trusting anything else.
-    Ident { node: NodeId, epoch: u32 },
-    /// A completed tick's logical-clock and Lamport frontiers.
-    Tick { time: u64, lamport: u64 },
-    /// The application state after a tick ([`crate::GameCore::encode`]
-    /// bytes).
-    App(Vec<u8>),
-}
-
-const TAG_IDENT: u8 = 1;
-const TAG_TICK: u8 = 2;
-const TAG_APP: u8 = 4;
-// Tags 3 (object writes) and 5 (replicated lock-manager entries) are
-// retired: they decode to `None` like any unknown tag. Do not reuse them.
-
-impl DurRecord {
-    /// Encodes the record as a WAL payload: its tag byte, then its fields.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            DurRecord::Ident { node, epoch } => {
-                out.push(TAG_IDENT);
-                out.extend_from_slice(&u32::from(*node).to_le_bytes());
-                out.extend_from_slice(&epoch.to_le_bytes());
-            }
-            DurRecord::Tick { time, lamport } => {
-                out.push(TAG_TICK);
-                out.extend_from_slice(&time.to_le_bytes());
-                out.extend_from_slice(&lamport.to_le_bytes());
-            }
-            DurRecord::App(bytes) => {
-                out.push(TAG_APP);
-                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                out.extend_from_slice(bytes);
-            }
-        }
-        out
-    }
-
-    /// Decodes a WAL payload; `None` on any malformed input (recovery
-    /// treats that as corruption and stops replay there).
-    fn decode(payload: &[u8]) -> Option<DurRecord> {
-        let mut r = Reader::new(payload);
-        let rec = match r.u8()? {
-            TAG_IDENT => DurRecord::Ident { node: r.node()?, epoch: r.u32()? },
-            TAG_TICK => DurRecord::Tick { time: r.u64()?, lamport: r.u64()? },
-            TAG_APP => DurRecord::App(r.bytes()?.to_vec()),
-            _ => return None,
-        };
-        r.end(rec)
-    }
 }
 
 /// A bounds-checked little-endian cursor; every read is `None` past the
@@ -187,41 +87,42 @@ impl<'a> Reader<'a> {
 }
 
 const MAGIC: &[u8; 4] = b"SDSN";
-/// Version 1 images also carried object bodies, which no run wrote.
-const VERSION: u8 = 2;
+/// Version 1 images also carried object bodies, which no run wrote;
+/// version 2 carried the membership epoch, which no reader used.
+const VERSION: u8 = 3;
 
-/// A checkpoint: one process's durable state at a tick boundary.
+/// One process's durable state after a completed tick.
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct SnapshotImage {
+struct Image {
     node: NodeId,
-    epoch: u32,
+    /// The tick it was taken after: of two images that decode, the later
+    /// one is recovered.
+    tick: u64,
     time: u64,
     lamport: u64,
     app: Vec<u8>,
 }
 
-impl SnapshotImage {
+impl Image {
     /// Encodes the image between its magic/version header and CRC trailer.
     fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.extend_from_slice(&u32::from(self.node).to_le_bytes());
-        body.extend_from_slice(&self.epoch.to_le_bytes());
-        body.extend_from_slice(&self.time.to_le_bytes());
-        body.extend_from_slice(&self.lamport.to_le_bytes());
-        body.extend_from_slice(&(self.app.len() as u32).to_le_bytes());
-        body.extend_from_slice(&self.app);
-
-        let mut out = Vec::with_capacity(body.len() + 9);
+        let mut out = Vec::with_capacity(41 + self.app.len());
         out.extend_from_slice(MAGIC);
         out.push(VERSION);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
+        out.extend_from_slice(&u32::from(self.node).to_le_bytes());
+        for word in [self.tick, self.time, self.lamport] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        out.extend_from_slice(&(self.app.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.app);
+        let crc = crc32(&out[MAGIC.len() + 1..]);
+        out.extend_from_slice(&crc.to_le_bytes());
         out
     }
 
     /// Decodes an image; `None` when the bytes are missing, torn, or fail
-    /// their checksum (recovery then proceeds without a snapshot).
-    fn decode(bytes: &[u8]) -> Option<SnapshotImage> {
+    /// their checksum.
+    fn decode(bytes: &[u8]) -> Option<Image> {
         let mut r = Reader::new(bytes);
         if r.take(4)? != MAGIC || r.u8()? != VERSION {
             return None;
@@ -231,117 +132,73 @@ impl SnapshotImage {
             return None;
         }
         let mut r = Reader::new(body);
-        let (node, epoch, time, lamport) = (r.node()?, r.u32()?, r.u64()?, r.u64()?);
+        let (node, tick, time, lamport) = (r.node()?, r.u64()?, r.u64()?, r.u64()?);
         let app = r.bytes()?.to_vec();
-        r.end(SnapshotImage { node, epoch, time, lamport, app })
+        r.end(Image { node, tick, time, lamport, app })
     }
 }
 
-/// One process's stable storage: the write-ahead log and the newest
-/// checkpoint image, as the bytes a disk would hold.
+/// One process's stable storage: two image slots, as the bytes a disk
+/// would hold.
 #[derive(Debug, Default)]
 pub struct Journal {
-    wal: Vec<u8>,
-    snapshot: Vec<u8>,
+    slots: [Vec<u8>; 2],
+    /// The slot the next image overwrites: never the one that holds the
+    /// newest image.
+    next: usize,
 }
 
 /// What a restarted incarnation read back from its [`Journal`].
 #[derive(Debug)]
 pub struct Recovered {
-    /// The newest application state logged.
+    /// The application state of the newest whole image.
     pub app: Vec<u8>,
     /// Logical-clock frontier.
     pub time: u64,
     /// Lamport frontier.
     pub lamport: u64,
-    /// WAL records replayed.
-    pub(crate) records: u64,
-    /// Bytes cut from the WAL: a torn tail, or everything from the first
-    /// record that failed its checksum or did not decode.
-    pub(crate) truncated: u64,
 }
 
 impl Journal {
-    fn append(&mut self, rec: &DurRecord) {
-        append_frame(&mut self.wal, &rec.encode());
-    }
-
-    /// Replaces the image, then empties the log it supersedes.
-    fn checkpoint(&mut self, image: &SnapshotImage) {
-        self.snapshot = image.encode();
-        self.wal.clear();
-    }
-
-    /// Logs the identity this process holds in `epoch`.
-    pub fn ident(&mut self, me: NodeId, epoch: Epoch) {
-        self.append(&DurRecord::Ident { node: me, epoch: epoch.0 });
-    }
-
-    /// Logs one completed tick: the clock frontier and the encoded
-    /// application `state` — or, on the checkpoint cadence, an image of
-    /// both that replaces the log.
+    /// Journals one completed tick: an image of this process's identity,
+    /// its clock frontier and the encoded application `state`, written
+    /// over the older slot.
     pub fn tick<E: Endpoint>(&mut self, rt: &SdsoRuntime<E>, tick: u64, state: Vec<u8>) {
         let at = rt.now().as_micros();
-        rt.obs().record(at, EventKind::WalAppend, tick as u32, state.len() as u32, 0);
-        let (time, lamport) = (rt.logical_now().as_ticks(), rt.lamport());
-        if tick % CHECKPOINT_EVERY == 0 {
-            let (node, epoch) = (rt.node_id(), rt.membership().epoch().0);
-            self.checkpoint(&SnapshotImage { node, epoch, time, lamport, app: state });
-        } else {
-            self.append(&DurRecord::Tick { time, lamport });
-            self.append(&DurRecord::App(state));
-        }
+        rt.obs().record(at, EventKind::ImageWrite, tick as u32, state.len() as u32, 0);
+        let (node, time, lamport) = (rt.node_id(), rt.logical_now().as_ticks(), rt.lamport());
+        self.slots[self.next] = Image { node, tick, time, lamport, app: state }.encode();
+        self.next ^= 1;
     }
 
-    /// Re-reads stable storage after a crash — the WAL's whole-record
-    /// prefix replays over the newest checkpoint image, and the log is cut
-    /// back to that prefix — and checks the recovered identity is `me`.
+    /// Re-reads stable storage after a crash — the newest slot whose image
+    /// is whole — and checks the recovered identity is `me`. The next tick
+    /// is written over the other slot, so this image outlives it.
     ///
     /// # Errors
     ///
-    /// A [`DsoError::ProtocolViolation`] when no identity or no
-    /// application state survived, or the identity is another process's.
+    /// A [`DsoError::ProtocolViolation`] when no slot holds a whole image,
+    /// or the image is another process's.
     pub fn reopen(&mut self, me: NodeId) -> Result<Recovered, DsoError> {
         let violation = |why: String| DsoError::ProtocolViolation(why);
-        let image = SnapshotImage::decode(&self.snapshot);
-        let mut node = image.as_ref().map(|s| s.node);
-        let (mut time, mut lamport) = image.as_ref().map_or((0, 0), |s| (s.time, s.lamport));
-        let mut app = image.map(|s| s.app).filter(|a| !a.is_empty());
-        let (mut pos, mut records) = (0, 0);
-        while let Some((payload, next)) = frame_at(&self.wal, pos) {
-            // A framed record that does not decode is corruption the CRC
-            // missed, or a format from the future: nothing after it can be
-            // trusted.
-            let Some(rec) = DurRecord::decode(payload) else { break };
-            match rec {
-                DurRecord::Ident { node: n, .. } => node = Some(n),
-                DurRecord::Tick { time: t, lamport: l } => {
-                    time = time.max(t);
-                    lamport = lamport.max(l);
-                }
-                DurRecord::App(bytes) => app = Some(bytes),
-            }
-            (pos, records) = (next, records + 1);
-        }
-        let truncated = (self.wal.len() - pos) as u64;
-        self.wal.truncate(pos);
-
-        let node =
-            node.ok_or_else(|| violation("recovered storage holds no identity record".into()))?;
-        if node != me {
+        let (slot, image) = (0..2)
+            .filter_map(|slot| Some((slot, Image::decode(&self.slots[slot])?)))
+            .max_by_key(|(_, image)| image.tick)
+            .ok_or_else(|| violation("recovered storage holds no whole image".into()))?;
+        if image.node != me {
             return Err(violation(format!(
-                "recovered identity {node} does not match process {me}"
+                "recovered identity {} does not match process {me}",
+                image.node
             )));
         }
-        let app = app.ok_or_else(|| violation("recovered storage holds no game state".into()))?;
-        Ok(Recovered { app, time, lamport, records, truncated })
+        self.next = slot ^ 1;
+        Ok(Recovered { app: image.app, time: image.time, lamport: image.lamport })
     }
 }
 
 /// Counts one completed recovery in the node's metrics registry.
-pub(crate) fn record_recovery(obs: &Obs, records: u64, downtime: SimSpan) {
+pub(crate) fn record_recovery(obs: &Obs, downtime: SimSpan) {
     obs.registry().counter("dso.recovery.recoveries").add(1);
-    obs.registry().counter("dso.recovery.wal_replayed").add(records);
     obs.registry().counter("dso.recovery.downtime_micros").add(downtime.as_micros());
 }
 
@@ -411,84 +268,66 @@ mod tests {
     use sdso_core::{DsoConfig, LogicalTime};
     use sdso_net::memory::MemoryHub;
 
-    /// A log of raw `payloads`, framed.
-    fn wal_with(payloads: &[&[u8]]) -> Vec<u8> {
-        let mut wal = Vec::new();
-        for p in payloads {
-            append_frame(&mut wal, p);
-        }
-        wal
+    fn image(node: NodeId, tick: u64, app: &[u8]) -> Image {
+        Image { node, tick, time: tick, lamport: tick ^ 0xFF, app: app.to_vec() }
     }
 
-    /// Every whole, checksum-valid payload at the front of `wal`.
-    fn scan(wal: &[u8]) -> Vec<Vec<u8>> {
-        let (mut pos, mut out) = (0, Vec::new());
-        while let Some((payload, next)) = frame_at(wal, pos) {
-            out.push(payload.to_vec());
-            pos = next;
+    /// Journals ticks `ticks` for process 0 as the driver does: tick `t`
+    /// has the frontier `(t, 10 t)` and the state `[t; len]`.
+    fn journal_ticks(journal: &mut Journal, ticks: std::ops::RangeInclusive<u64>, len: usize) {
+        let ep = MemoryHub::new(1).into_endpoints().remove(0);
+        let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+        for t in ticks {
+            rt.restore_frontier(LogicalTime::from_ticks(t), 10 * t);
+            journal.tick(&rt, t, vec![t as u8; len]);
         }
+    }
+
+    fn journal_of(ticks: u64, len: usize) -> Journal {
+        let mut journal = Journal::default();
+        journal_ticks(&mut journal, 1..=ticks, len);
+        journal
+    }
+
+    /// The tick whose image `journal` recovers for process 0, checking that
+    /// its frontier and state came from that one image; `None` for a typed
+    /// violation.
+    fn recovered_tick(journal: &mut Journal) -> Option<u64> {
+        match journal.reopen(0) {
+            Ok(rec) => {
+                let t = u64::from(rec.app[0]);
+                assert!(rec.app.iter().all(|&b| u64::from(b) == t), "one tick's state");
+                assert_eq!((rec.time, rec.lamport), (t, 10 * t), "and that tick's frontier");
+                Some(t)
+            }
+            Err(DsoError::ProtocolViolation(_)) => None,
+            Err(e) => panic!("not a typed violation: {e:?}"),
+        }
+    }
+
+    /// What a copy of `journal` recovers once `damage` has hit the slot
+    /// its newest image went to.
+    fn recover_after(journal: &Journal, damage: impl FnOnce(&mut Vec<u8>)) -> Option<u64> {
+        let mut copy = Journal { slots: journal.slots.clone(), next: journal.next };
+        damage(&mut copy.slots[journal.next ^ 1]);
+        recovered_tick(&mut copy)
+    }
+
+    /// The header and CRC trailer around `body`, as [`Image::encode`]
+    /// seals them.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut out = [&MAGIC[..], &[VERSION], body].concat();
+        out.extend_from_slice(&crc32(body).to_le_bytes());
         out
     }
 
-    fn app(bytes: &[u8]) -> DurRecord {
-        DurRecord::App(bytes.to_vec())
-    }
-
-    fn image(node: NodeId, epoch: u32, time: u64, lamport: u64, app: &[u8]) -> SnapshotImage {
-        SnapshotImage { node, epoch, time, lamport, app: app.to_vec() }
-    }
-
-    #[test]
-    fn round_trips_records_in_order() {
-        let wal = wal_with(&[b"one", b"two", b"", b"three"]);
-        assert_eq!(scan(&wal), vec![b"one".to_vec(), b"two".to_vec(), vec![], b"three".to_vec()]);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_to_last_whole_record() {
-        let mut journal = Journal::default();
-        journal.ident(1, Epoch(0));
-        journal.append(&app(b"alpha"));
-        journal.append(&app(b"beta"));
-        // Cut mid-way through the last record's payload.
-        journal.wal.truncate(journal.wal.len() - 2);
-        let rec = journal.reopen(1).unwrap();
-        assert_eq!(rec.app, b"alpha");
-        assert_eq!(rec.records, 2);
-        assert!(rec.truncated > 0);
-        // The log itself was cut back: reopening is clean.
-        let rec2 = journal.reopen(1).unwrap();
-        assert_eq!((rec2.app, rec2.records, rec2.truncated), (b"alpha".to_vec(), 2, 0));
-    }
-
-    #[test]
-    fn corrupt_byte_cuts_the_prefix_there() {
-        let mut bytes = wal_with(&[b"aaaa", b"bbbb", b"cccc"]);
-        // Flip a bit inside the second record's payload.
-        let second_payload_at = (FRAME_HEADER + 4) + FRAME_HEADER + 1;
-        bytes[second_payload_at] ^= 0x40;
-        assert_eq!(scan(&bytes), vec![b"aaaa".to_vec()], "corruption cuts from its record on");
-    }
-
-    #[test]
-    fn absurd_length_header_is_corruption_not_allocation() {
-        let mut bytes = wal_with(&[b"ok"]);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        assert_eq!(scan(&bytes).len(), 1);
-    }
-
-    #[test]
-    fn append_after_torn_open_continues_cleanly() {
-        let mut journal = Journal::default();
-        journal.ident(1, Epoch(0));
-        journal.append(&app(b"first"));
-        journal.append(&app(b"second"));
-        journal.wal.truncate(journal.wal.len() - 3);
-        assert_eq!(journal.reopen(1).unwrap().records, 2);
-        journal.append(&app(b"third"));
-        let rec = journal.reopen(1).unwrap();
-        assert_eq!((rec.app, rec.records, rec.truncated), (b"third".to_vec(), 3, 0));
+    /// The decoder's contract on any input: it never panics, and whatever
+    /// it accepts re-encodes to exactly the bytes it was given.
+    fn check_decode(input: &[u8]) -> Result<(), TestCaseError> {
+        if let Some(img) = Image::decode(input) {
+            prop_assert_eq!(img.encode(), input.to_vec(), "accepted {:?}", img);
+        }
+        Ok(())
     }
 
     #[test]
@@ -498,70 +337,111 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
-    fn samples() -> Vec<DurRecord> {
-        vec![
-            DurRecord::Ident { node: 3, epoch: 7 },
-            DurRecord::Tick { time: 42, lamport: 99 },
-            app(b"state"),
-            app(b""),
-        ]
+    #[test]
+    fn image_round_trips() {
+        for app in [&b"core-state"[..], b""] {
+            let img = image(2, 31, app);
+            assert_eq!(Image::decode(&img.encode()), Some(img));
+        }
     }
 
     #[test]
-    fn records_round_trip() {
-        for rec in samples() {
-            let encoded = rec.encode();
-            assert_eq!(DurRecord::decode(&encoded), Some(rec));
+    fn torn_or_corrupt_image_is_rejected() {
+        let encoded = image(2, 31, b"core-state").encode();
+        for cut in [0, 3, 5, encoded.len() / 2, encoded.len() - 1] {
+            assert_eq!(Image::decode(&encoded[..cut]), None, "torn at {cut}");
         }
+        let mut flipped = encoded.clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x10;
+        assert_eq!(Image::decode(&flipped), None, "interior corruption");
+        assert_eq!(Image::decode(b"not a snapshot"), None);
     }
 
     #[test]
     fn trailing_garbage_and_truncation_are_rejected() {
-        for rec in samples() {
-            let mut encoded = rec.encode();
-            encoded.push(0);
-            assert_eq!(DurRecord::decode(&encoded), None, "trailing byte must fail");
-            let short = &encoded[..encoded.len() - 2];
-            assert_eq!(DurRecord::decode(short), None, "truncated payload must fail");
-        }
-        assert_eq!(DurRecord::decode(&[]), None);
-        assert_eq!(DurRecord::decode(&[200]), None, "unknown tag");
-        // An object write as tag 3 used to write it: object, offset,
-        // stamp, writer, then the length-prefixed bytes.
-        let mut write = vec![3];
-        for field in [5u32, 16, 8, 0, 2, 1] {
-            write.extend_from_slice(&field.to_le_bytes());
-        }
-        write.push(9);
-        assert_eq!(DurRecord::decode(&write), None, "tag 3 is retired");
-        // A lock entry as tag 5 used to write it: term, index, then a
-        // grant of lock 4 to node 1.
-        let mut retired = vec![5];
-        retired.extend_from_slice(&2u64.to_le_bytes());
-        retired.extend_from_slice(&11u64.to_le_bytes());
-        retired.push(0);
-        retired.extend_from_slice(&4u32.to_le_bytes());
-        retired.extend_from_slice(&1u32.to_le_bytes());
-        assert_eq!(DurRecord::decode(&retired), None, "tag 5 is retired");
+        let encoded = image(1, 4, b"state").encode();
+        let body = &encoded[MAGIC.len() + 1..encoded.len() - 4];
+        assert_eq!(Image::decode(&sealed(body)), Some(image(1, 4, b"state")));
+        let long = [body, &[0]].concat();
+        assert_eq!(Image::decode(&sealed(&long)), None, "a sealed trailing byte");
+        assert_eq!(Image::decode(&sealed(&body[..body.len() - 1])), None, "a sealed short body");
+        let mut old = sealed(body);
+        old[MAGIC.len()] = VERSION - 1;
+        assert_eq!(Image::decode(&old), None, "another version");
     }
 
-    /// A record of every kind, built from raw fields.
-    fn record(kind: u8, a: u16, b: u32, c: u64, bytes: Vec<u8>) -> DurRecord {
-        match kind {
-            0 => DurRecord::Ident { node: a, epoch: b },
-            1 => DurRecord::Tick { time: c, lamport: c ^ u64::from(b) },
-            _ => DurRecord::App(bytes),
+    #[test]
+    fn absurd_length_header_is_corruption_not_allocation() {
+        let encoded = image(1, 4, b"ok").encode();
+        let mut body = encoded[MAGIC.len() + 1..encoded.len() - 4].to_vec();
+        let len_at = body.len() - 2 - 4;
+        body[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert_eq!(Image::decode(&sealed(&body)), None);
+    }
+
+    #[test]
+    fn round_trips_records_in_order() {
+        // A reopen after each tick reads that tick, whichever slot it went
+        // to, and does not disturb the alternation.
+        let mut journal = Journal::default();
+        assert_eq!(recovered_tick(&mut journal), None, "an empty disk");
+        for t in 1..=5 {
+            journal_ticks(&mut journal, t..=t, 3);
+            assert_eq!(recovered_tick(&mut journal), Some(t));
         }
     }
 
-    /// The decoder's contract on any input: it never panics, and whatever
-    /// it accepts re-encodes to exactly the bytes it was given (so no
-    /// payload with retired tag 3 or 5 is accepted).
-    fn check_decode(input: &[u8]) -> Result<(), TestCaseError> {
-        if let Some(rec) = DurRecord::decode(input) {
-            prop_assert_eq!(rec.encode(), input.to_vec(), "accepted {:?}", rec);
+    #[test]
+    fn append_crash_recover_round_trip() {
+        let mut journal = journal_of(2, 3);
+        assert_eq!(recovered_tick(&mut journal), Some(2));
+        let Err(DsoError::ProtocolViolation(why)) = journal.reopen(1) else {
+            panic!("another process's journal must not recover");
+        };
+        assert!(why.contains("does not match"), "{why}");
+    }
+
+    #[test]
+    fn torn_snapshot_falls_back_to_none() {
+        let journal = journal_of(1, 3);
+        assert_eq!(recover_after(&journal, |slot| slot.truncate(slot.len() / 2)), None);
+    }
+
+    #[test]
+    fn append_after_torn_open_continues_cleanly() {
+        let mut journal = journal_of(3, 3);
+        let torn = journal.next ^ 1;
+        journal.slots[torn].truncate(10);
+        assert_eq!(recovered_tick(&mut journal), Some(2));
+        // Tick 4 goes over the torn slot, not over tick 2's image...
+        journal_ticks(&mut journal, 4..=4, 3);
+        assert_eq!(journal.next ^ 1, torn);
+        assert_eq!(recovered_tick(&mut journal), Some(4));
+        // ...so tearing it too still leaves tick 2.
+        assert_eq!(recover_after(&journal, |slot| slot.truncate(10)), Some(2));
+    }
+
+    #[test]
+    fn journal_recovers_the_previous_tick_from_a_slot_torn_at_every_byte() {
+        // The first tick has no earlier image to fall back to; every later
+        // one falls back to the tick before it.
+        for ticks in [1, 2, 5] {
+            let journal = journal_of(ticks, 3);
+            let previous = ticks.checked_sub(1).filter(|&t| t > 0);
+            let len = journal.slots[journal.next ^ 1].len();
+            assert_eq!(recover_after(&journal, |_| {}), Some(ticks), "{ticks} ticks, whole");
+            for cut in 0..len {
+                let got = recover_after(&journal, |slot| slot.truncate(cut));
+                assert_eq!(got, previous, "{ticks} ticks, torn at {cut}");
+            }
+            for at in 0..len {
+                for flip in [0x01, 0x80, 0xFF] {
+                    let got = recover_after(&journal, |slot| slot[at] ^= flip);
+                    assert_eq!(got, previous, "{ticks} ticks, {flip:#x} at byte {at}");
+                }
+            }
         }
-        Ok(())
     }
 
     proptest! {
@@ -569,201 +449,66 @@ mod tests {
 
         #[test]
         fn arbitrary_payloads_decode_canonically_or_not_at_all(
-            tag in 0u8..=6,
-            body in proptest::collection::vec(any::<u8>(), 0..40),
+            body in proptest::collection::vec(any::<u8>(), 0..64),
         ) {
-            let mut input = vec![tag];
-            input.extend_from_slice(&body);
-            check_decode(&input)?;
+            check_decode(&sealed(&body))?;
         }
 
         #[test]
         fn damaged_records_decode_canonically_or_not_at_all(
-            (kind, a, b, c) in (0u8..3, any::<u16>(), any::<u32>(), any::<u64>()),
-            bytes in proptest::collection::vec(any::<u8>(), 0..16),
+            (node, tick) in (any::<u16>(), any::<u64>()),
+            app in proptest::collection::vec(any::<u8>(), 0..16),
             pos_permille in 0u64..1000,
             flip in any::<u8>(),
             cut in any::<bool>(),
         ) {
-            let mut input = record(kind, a, b, c, bytes).encode();
-            let pos = (input.len() * pos_permille as usize) / 1000;
+            // Damage the body and seal it again, so the parser, not the
+            // checksum, has to refuse it.
+            let encoded = image(node, tick, &app).encode();
+            let mut body = encoded[MAGIC.len() + 1..encoded.len() - 4].to_vec();
+            let pos = (body.len() * pos_permille as usize) / 1000;
             if cut {
-                input.truncate(pos);
+                body.truncate(pos);
             } else {
-                input[pos] ^= flip;
+                body[pos] ^= flip;
             }
-            check_decode(&input)?;
+            check_decode(&sealed(&body))?;
         }
-    }
-
-    /// Payload `i` is `lens[i]` copies of the byte `i + 1`, so a splice or
-    /// a shift shows.
-    fn indexed(lens: &[usize]) -> Vec<Vec<u8>> {
-        lens.iter().enumerate().map(|(i, &l)| vec![i as u8 + 1; l]).collect()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Truncating the log at *any* byte offset recovers a prefix of the
-        /// appended records, never garbage, never a gap.
+        /// Tearing the newest image anywhere recovers a prefix of the
+        /// journalled ticks: all of them, or all but the torn one.
         #[test]
         fn truncation_anywhere_yields_a_prefix(
-            payload_lens in proptest::collection::vec(0usize..40, 1..8),
-            cut_permille in 0u64..1000,
+            (ticks, len) in (1u64..8, 1usize..40),
+            cut_permille in 0u64..=1000,
         ) {
-            let payloads = indexed(&payload_lens);
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let full = wal_with(&refs);
-            let cut = (full.len() * cut_permille as usize) / 1000;
-            let got = scan(&full[..cut]);
-            prop_assert!(got.len() <= payloads.len());
-            prop_assert_eq!(&got[..], &payloads[..got.len()], "a clean prefix");
+            let journal = journal_of(ticks, len);
+            let got = recover_after(&journal, |slot| {
+                slot.truncate((slot.len() * cut_permille as usize) / 1000);
+            });
+            let whole = cut_permille == 1000;
+            let expected = if whole { Some(ticks) } else { Some(ticks - 1).filter(|&t| t > 0) };
+            prop_assert_eq!(got, expected);
         }
 
-        /// Flipping a byte anywhere in the log still recovers a prefix of
-        /// the appended records (corruption cuts, it never fabricates).
+        /// Flipping a byte anywhere in the newest image recovers the tick
+        /// before it: corruption cuts, it never fabricates.
         #[test]
         fn corruption_anywhere_yields_a_prefix(
-            payload_lens in proptest::collection::vec(1usize..40, 1..8),
+            (ticks, len) in (1u64..8, 1usize..40),
             pos_permille in 0u64..1000,
             flip in 1u8..=255,
         ) {
-            let payloads = indexed(&payload_lens);
-            let refs: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-            let mut bytes = wal_with(&refs);
-            let pos = ((bytes.len() - 1) * pos_permille as usize) / 1000;
-            bytes[pos] ^= flip;
-            let got = scan(&bytes);
-            prop_assert!(got.len() < payloads.len(), "the flipped record is not recovered");
-            prop_assert_eq!(&got[..], &payloads[..got.len()], "a clean prefix");
-        }
-    }
-
-    #[test]
-    fn image_round_trips() {
-        let img = image(2, 5, 31, 90, b"core-state");
-        assert_eq!(SnapshotImage::decode(&img.encode()), Some(img));
-    }
-
-    #[test]
-    fn torn_or_corrupt_image_is_rejected() {
-        let encoded = image(2, 5, 31, 90, b"core-state").encode();
-        for cut in [0, 3, 5, encoded.len() / 2, encoded.len() - 1] {
-            assert_eq!(SnapshotImage::decode(&encoded[..cut]), None, "torn at {cut}");
-        }
-        let mut flipped = encoded.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        assert_eq!(SnapshotImage::decode(&flipped), None, "interior corruption");
-        assert_eq!(SnapshotImage::decode(b"not a snapshot"), None);
-    }
-
-    #[test]
-    fn append_crash_recover_round_trip() {
-        let mut journal = Journal::default();
-        journal.ident(1, Epoch(0));
-        journal.append(&DurRecord::Tick { time: 1, lamport: 10 });
-        journal.append(&app(b"s"));
-
-        let rec = journal.reopen(1).unwrap();
-        assert_eq!((rec.time, rec.lamport), (1, 10));
-        assert_eq!(rec.app, b"s");
-        assert_eq!((rec.records, rec.truncated), (3, 0));
-        let Err(DsoError::ProtocolViolation(why)) = journal.reopen(2) else {
-            panic!("another process's journal must not recover");
-        };
-        assert!(why.contains("does not match"), "{why}");
-    }
-
-    #[test]
-    fn checkpoint_bounds_replay_and_survives() {
-        let mut journal = Journal::default();
-        journal.append(&app(b"old"));
-        journal.checkpoint(&image(2, 3, 9, 20, b"app"));
-        assert!(journal.wal.is_empty(), "checkpoint truncates the log");
-        journal.append(&DurRecord::Tick { time: 10, lamport: 21 });
-
-        let rec = journal.reopen(2).unwrap();
-        assert_eq!((rec.time, rec.lamport), (10, 21), "WAL ticks advance the snapshot frontier");
-        assert_eq!(rec.app, b"app");
-        assert_eq!(rec.records, 1);
-    }
-
-    #[test]
-    fn torn_snapshot_falls_back_to_none() {
-        let mut journal = Journal::default();
-        journal.checkpoint(&image(0, 1, 5, 6, b"img"));
-        journal.ident(0, Epoch(1));
-        journal.append(&DurRecord::Tick { time: 3, lamport: 3 });
-        journal.append(&app(b"wal"));
-        journal.snapshot.truncate(journal.snapshot.len() / 2);
-
-        let rec = journal.reopen(0).unwrap();
-        assert_eq!((rec.time, rec.lamport), (3, 3), "half-written image is ignored");
-        assert_eq!((rec.app, rec.records), (b"wal".to_vec(), 3), "the WAL still replays");
-    }
-
-    #[test]
-    fn wal_app_state_shadows_snapshot_app_state() {
-        let mut journal = Journal::default();
-        journal.checkpoint(&image(0, 0, 1, 1, b"old"));
-        journal.append(&app(b"new"));
-        assert_eq!(journal.reopen(0).unwrap().app, b"new");
-    }
-
-    /// A journal of `ticks` ticks as the driver keeps it: identity first,
-    /// then each tick's frontier `(t, 10 t)` and state `[t; 3]`.
-    fn journal_of(ticks: u64) -> Journal {
-        let ep = MemoryHub::new(1).into_endpoints().remove(0);
-        let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-        let mut journal = Journal::default();
-        journal.ident(0, rt.membership().epoch());
-        for t in 1..=ticks {
-            rt.restore_frontier(LogicalTime::from_ticks(t), 10 * t);
-            journal.tick(&rt, t, vec![t as u8; 3]);
-        }
-        journal
-    }
-
-    #[test]
-    fn journal_recovers_a_prefix_from_a_wal_torn_at_every_byte() {
-        // 5 ticks never checkpoint; 12 cross the checkpoint at tick 8.
-        for ticks in [5, 12] {
-            let whole = journal_of(ticks);
-            let checkpointed = ticks >= CHECKPOINT_EVERY;
-            assert_eq!(whole.snapshot.is_empty(), !checkpointed);
-            for cut in 0..=whole.wal.len() {
-                let mut journal =
-                    Journal { wal: whole.wal[..cut].to_vec(), snapshot: whole.snapshot.clone() };
-                // What survives the cut, by the frames themselves.
-                let (mut pos, mut survived) = (0, Vec::new());
-                while let Some((payload, next)) = frame_at(&journal.wal, pos) {
-                    survived.push(DurRecord::decode(payload).unwrap());
-                    pos = next;
-                }
-                let ident = checkpointed || !survived.is_empty();
-                let newest = survived.iter().rev().find_map(|r| match r {
-                    DurRecord::App(s) => Some(s.clone()),
-                    _ => None,
-                });
-                let newest = newest.or(checkpointed.then(|| vec![CHECKPOINT_EVERY as u8; 3]));
-                match (journal.reopen(0), ident, newest) {
-                    (Ok(rec), true, Some(state)) => {
-                        assert_eq!(rec.app, state, "{ticks} ticks cut at {cut}");
-                        let t = u64::from(state[0]);
-                        assert!(rec.time >= t && rec.lamport >= 10 * t, "cut at {cut}");
-                        assert_eq!(rec.records, survived.len() as u64);
-                        assert_eq!(rec.truncated, (cut - pos) as u64);
-                        assert_eq!(journal.wal.len(), pos, "the torn tail is cut off");
-                    }
-                    (Err(DsoError::ProtocolViolation(_)), false, _)
-                    | (Err(DsoError::ProtocolViolation(_)), _, None) => {}
-                    (got, ident, newest) => panic!(
-                        "{ticks} ticks, cut {cut}: identity {ident}, state {newest:?}, got {got:?}"
-                    ),
-                }
-            }
+            let journal = journal_of(ticks, len);
+            let got = recover_after(&journal, |slot| {
+                let pos = (slot.len() * pos_permille as usize) / 1000;
+                slot[pos] ^= flip;
+            });
+            prop_assert_eq!(got, Some(ticks - 1).filter(|&t| t > 0));
         }
     }
 

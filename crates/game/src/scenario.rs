@@ -21,13 +21,9 @@ pub struct Scenario {
     pub grid: Grid,
     /// Number of teams = number of processes.
     pub teams: u16,
-    /// Tanks per team (the paper fixes this to 1).
-    pub team_size: u8,
     /// Sensing range: how many blocks a tank sees in each of the four
     /// directions (the paper evaluates 1 and 3).
     pub range: u16,
-    /// Firing range (the paper ties it to the sensing range).
-    pub fire_range: u16,
     /// Placement seed.
     pub seed: u64,
     /// Iterations each process performs.
@@ -77,9 +73,7 @@ impl Scenario {
         Scenario {
             grid: Grid::PAPER,
             teams,
-            team_size: 1,
             range,
-            fire_range: range,
             seed: 0x5D50_1997,
             ticks: 200,
             block_bytes: 64,
@@ -272,11 +266,16 @@ impl Scenario {
         )
     }
 
+    /// Firing range: the paper ties it to the sensing range.
+    pub fn fire_range(&self) -> u16 {
+        self.range
+    }
+
     /// The spatial-relevance radius `d`: a peer can affect this process's
     /// next operation when aligned and within `d` blocks — the larger of
     /// the sensing/fire range and the 2-block move-contention margin.
     pub fn relevance_distance(&self) -> u32 {
-        u32::from(self.range.max(self.fire_range)).max(2)
+        u32::from(self.fire_range()).max(2)
     }
 }
 

@@ -1,20 +1,20 @@
 //! Crash experiments: games under planned fail-stop crashes and
-//! WAL-backed recovery.
+//! journal-backed recovery.
 //!
 //! Extension G over the paper's evaluation: processes crash abruptly at
 //! seeded trigger ticks, survivors excise them through the membership
-//! machinery, and scheduled restarts recover from the write-ahead log and
-//! rejoin with their pre-crash identity. The experiment reports the
-//! recovery statistics the durability layer is gated on — recovery count,
-//! WAL records replayed, and the summed virtual absence (downtime) per
-//! process — alongside the survivors' mean tick and the usual convergence
-//! check over the final view.
+//! machinery, and scheduled restarts recover their newest journalled image
+//! and rejoin with their pre-crash identity. The experiment reports the
+//! recovery statistics the durability layer is gated on — recovery count
+//! and the summed virtual absence (downtime) per process — alongside the
+//! survivors' mean tick and the usual convergence check over the final
+//! view.
 
-use sdso_game::{Protocol, RunPlan, Scenario};
+use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
 use sdso_net::{FaultPlan, NetError, SimSpan};
 use sdso_sim::{NetworkModel, SimError};
 
-use crate::experiment::{converged_in, run_planned};
+use crate::experiment::{converged_in, run_planned, RunSummary};
 use crate::table::Table;
 
 /// The default crash plan for an `n`-team run over `ticks` ticks: one
@@ -36,6 +36,36 @@ pub fn default_crash_plan(seed: u64, n: usize, ticks: u64) -> FaultPlan {
     )
 }
 
+/// Whether every process that restarted under `faults` in `run` carried
+/// its game state across the crash. A process's compute time covers both
+/// incarnations: the same think time for each tick it plays (priced at a
+/// process that never crashed) plus `write_cost` per modification. Its
+/// modification count is part of the state it recovers, so a restart that
+/// lost the pre-crash state reports fewer modifications than it paid for.
+pub fn restarts_kept_their_state(
+    scenario: &Scenario,
+    faults: &FaultPlan,
+    run: &RunSummary,
+) -> bool {
+    let per_write = scenario.write_cost.as_micros();
+    let thinking =
+        |s: &NodeStats| s.compute_time.as_micros().checked_sub(per_write * s.modifications);
+    let Some(per_tick) = run
+        .per_node
+        .iter()
+        .find(|s| faults.crash_of(s.node).is_none())
+        .and_then(thinking)
+        .map(|t| t / scenario.ticks)
+    else {
+        return false;
+    };
+    faults.crashes.iter().all(|c| {
+        let Some(back) = c.restart_tick else { return true };
+        let played = scenario.ticks - (back - c.crash_tick);
+        run.per_node.iter().find(|s| s.node == c.node).and_then(thinking) == Some(per_tick * played)
+    })
+}
+
 /// Runs the crash scenario for each protocol in `protocols` and renders
 /// the recovery statistics as an Extension G table.
 ///
@@ -53,7 +83,6 @@ pub fn crash_table(
         &[
             "protocol",
             "recoveries",
-            "wal_replayed",
             "downtime_ms",
             "tick_ms",
             "cross_epoch",
@@ -66,7 +95,6 @@ pub fn crash_table(
         let summary = run_planned(scenario, protocol, model, &run)?;
         let final_view = run.views(scenario, protocol).map_err(NetError::from)?.final_view();
         let recoveries: u64 = summary.per_node.iter().map(|s| s.recoveries).sum();
-        let wal_replayed: u64 = summary.per_node.iter().map(|s| s.wal_replayed).sum();
         let downtime: SimSpan =
             summary.per_node.iter().fold(SimSpan::ZERO, |acc, s| acc + s.recovery_time);
         let cross_epoch: u64 = summary.per_node.iter().map(|s| s.dso.cross_epoch_dropped).sum();
@@ -78,7 +106,6 @@ pub fn crash_table(
         table.push_row(vec![
             protocol.name().to_owned(),
             recoveries.to_string(),
-            wal_replayed.to_string(),
             format!("{:.2}", downtime.as_micros() as f64 / 1000.0),
             format!("{tick_ms:.2}"),
             cross_epoch.to_string(),
@@ -105,15 +132,18 @@ mod tests {
     #[test]
     fn crash_experiment_recovers_and_converges() {
         let scenario = Scenario::paper(4, 1).with_ticks(12);
-        let plan = RunPlan::default().with_faults(default_crash_plan(3, 4, 12));
+        let faults = default_crash_plan(3, 4, 12);
+        let plan = RunPlan::default().with_faults(faults.clone());
         let summary =
             run_planned(&scenario, Protocol::Bsync, NetworkModel::paper_testbed(), &plan).unwrap();
         let final_view = plan.views(&scenario, Protocol::Bsync).unwrap().final_view();
         assert!(converged_in(&summary, &final_view));
         let recoveries: u64 = summary.per_node.iter().map(|s| s.recoveries).sum();
         assert_eq!(recoveries, 1, "one process came back");
-        let replayed: u64 = summary.per_node.iter().map(|s| s.wal_replayed).sum();
-        assert!(replayed > 0, "the WAL carried state across the crash");
+        assert!(
+            restarts_kept_their_state(&scenario, &faults, &summary),
+            "the journal carried state across the crash"
+        );
     }
 
     #[test]

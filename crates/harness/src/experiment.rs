@@ -226,7 +226,7 @@ mod tests {
             assert!(s.total_modifications() > 0);
             // BSYNC: one SYNC per peer per tick at minimum — a control message
             // of its own on the paper's frames, on board the data frame of
-            // every rendezvous a negotiated link fused.
+            // every rendezvous a compressed link fused.
             let fused: u64 = s.per_node.iter().map(|n| n.dso.rendezvous_fused).sum();
             assert_eq!(fused > 0, wire.codec_v2, "{wire:?}");
             assert!(s.control_messages() + fused >= 2 * 30, "{wire:?}");

@@ -62,7 +62,7 @@ impl Sweep {
     }
 
     /// One cell's scenario, on the paper's own frames: the figures count
-    /// messages, and a negotiated v2 link sends half of them (under it BSYNC
+    /// messages, and a compressed v2 link sends half of them (under it BSYNC
     /// at 16 processes would undercut EC and reverse Fig. 6's observation).
     /// [`Sweep::ext_default_wire`] shows the library default beside it.
     fn scenario(&self, teams: u16, range: u16) -> Scenario {
@@ -271,7 +271,7 @@ impl Sweep {
         Ok(vec![table])
     }
 
-    /// **Ext. J**: the library-default wire (codec v2 negotiated, one frame
+    /// **Ext. J**: the library-default wire (codec v2 on every link, one frame
     /// per rendezvous) beside the paper's frames, over the sweep's process
     /// counts at its widest range: normalised time, and messages per process
     /// per tick.

@@ -47,7 +47,7 @@ mod wire;
 
 pub use chaos::{chaos_plan, chaos_retry_config, chaos_table};
 pub use churn::{churn_table, default_churn_plan};
-pub use crash::{crash_table, default_crash_plan};
+pub use crash::{crash_table, default_crash_plan, restarts_kept_their_state};
 pub use experiment::{
     converged, converged_in, mean_of, run_experiment, run_planned, run_seeds, RunSummary,
 };

@@ -16,7 +16,7 @@ pub struct WireCell {
     pub link: &'static str,
     /// The run on the absolute v1 format.
     pub v1: RunSummary,
-    /// The same run with codec v2 and batch dedup negotiated.
+    /// The same run with codec v2 and batch dedup on.
     pub v2: RunSummary,
 }
 

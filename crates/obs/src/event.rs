@@ -65,18 +65,18 @@ pub enum EventKind {
     /// A shared object was written through the runtime.
     /// `(object, version_lo32, bytes)`.
     ObjectWrite = 21,
-    /// A completed tick was journalled for crash recovery.
+    /// A completed tick's recovery image was written to stable storage.
     /// `(tick, app_state_bytes, 0)`.
-    WalAppend = 22,
-    /// A recovering process replayed its write-ahead log.
-    /// `(records_replayed, truncated_bytes, 0)`.
-    WalReplay = 23,
+    ImageWrite = 22,
+    // 23 (a write-ahead log's replay) is retired: recorded logs may hold
+    // it. Do not reuse it.
     /// A crashed process finished local recovery and is rejoining.
-    /// `(node, epoch, records_replayed)`.
+    /// `(node, epoch, 0)`.
     Recover = 24,
 }
 
-/// Number of distinct event kinds (size of the per-kind counter array).
+/// One past the highest kind number: the size of the per-kind counter
+/// array, whose retired slots stay zero.
 pub const KIND_COUNT: usize = 25;
 
 // `ThreadSpawn`/`ThreadJoin` roles 1 (a reactor poll thread) and 2 (a
@@ -86,8 +86,8 @@ pub const KIND_COUNT: usize = 25;
 pub const THREAD_ROLE_WORKER: u32 = 3;
 
 impl EventKind {
-    /// Every kind, indexable by its `u8` value.
-    pub const ALL: [EventKind; KIND_COUNT] = [
+    /// Every kind in use, in ascending order of its `u8` value.
+    pub const ALL: [EventKind; KIND_COUNT - 1] = [
         EventKind::ExchangeBegin,
         EventKind::ExchangeEnd,
         EventKind::RendezvousWaitBegin,
@@ -110,8 +110,7 @@ impl EventKind {
         EventKind::ThreadJoin,
         EventKind::ObjectRead,
         EventKind::ObjectWrite,
-        EventKind::WalAppend,
-        EventKind::WalReplay,
+        EventKind::ImageWrite,
         EventKind::Recover,
     ];
 
@@ -140,8 +139,7 @@ impl EventKind {
             EventKind::ThreadJoin => "thread_join",
             EventKind::ObjectRead => "object_read",
             EventKind::ObjectWrite => "object_write",
-            EventKind::WalAppend => "wal_append",
-            EventKind::WalReplay => "wal_replay",
+            EventKind::ImageWrite => "image_write",
             EventKind::Recover => "recover",
         }
     }
@@ -178,10 +176,10 @@ mod tests {
 
     #[test]
     fn kinds_are_dense_and_named() {
-        for (i, kind) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(*kind as usize, i, "ALL must be indexed by discriminant");
-            assert!(!kind.name().is_empty());
-        }
+        // Every number below `KIND_COUNT` but the retired 23, in order.
+        let numbers: Vec<usize> = EventKind::ALL.iter().map(|&kind| kind as usize).collect();
+        assert_eq!(numbers, (0..KIND_COUNT).filter(|&i| i != 23).collect::<Vec<_>>());
+        assert!(EventKind::ALL.iter().all(|kind| !kind.name().is_empty()));
     }
 
     #[test]

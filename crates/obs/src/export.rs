@@ -227,22 +227,12 @@ pub fn chrome_trace(nodes: &[(u16, Vec<EventRecord>)]) -> String {
                     &mut out,
                     &mut first,
                 ),
-                EventKind::WalReplay => emit(
-                    instant(
-                        tid,
-                        "wal_replay",
-                        ev.at,
-                        &format!("\"records\":{},\"truncated\":{}", ev.a, ev.b),
-                    ),
-                    &mut out,
-                    &mut first,
-                ),
                 EventKind::Recover => emit(
                     instant(
                         tid,
                         "recover",
                         ev.at,
-                        &format!("\"node\":{},\"epoch\":{},\"records\":{}", ev.a, ev.b, ev.c),
+                        &format!("\"node\":{},\"epoch\":{}", ev.a, ev.b),
                     ),
                     &mut out,
                     &mut first,
@@ -254,7 +244,7 @@ pub fn chrome_trace(nodes: &[(u16, Vec<EventRecord>)]) -> String {
                 | EventKind::Recv
                 | EventKind::ObjectRead
                 | EventKind::ObjectWrite
-                | EventKind::WalAppend => {}
+                | EventKind::ImageWrite => {}
             }
         }
     }

@@ -184,11 +184,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if do_crash {
         let stats: Vec<_> = outcome.nodes.iter().filter_map(|n| n.result.as_ref().ok()).collect();
         let recoveries: u64 = stats.iter().map(|s| s.recoveries).sum();
-        let wal_replayed: u64 = stats.iter().map(|s| s.wal_replayed).sum();
         let downtime = stats.iter().fold(SimSpan::ZERO, |acc, s| acc + s.recovery_time);
         println!(
-            "recovery: {recoveries} WAL recover{} ({wal_replayed} record(s) replayed), \
-             {downtime} of summed virtual unavailability",
+            "recovery: {recoveries} journal recover{}, {downtime} of summed virtual unavailability",
             if recoveries == 1 { "y" } else { "ies" }
         );
     }

@@ -95,7 +95,7 @@ fn sharding_composes_with_churn_and_crash_at_32_nodes() {
         let summary = play_converged(&scenario, Protocol::Msync2Shard, &plan);
         let sum = |f: fn(&sdso_game::NodeStats) -> u64| summary.per_node.iter().map(f).sum::<u64>();
         assert!(sum(|s| s.dso.shard_suppressed) > 0, "interest routing must suppress diffs");
-        // Sharded links negotiate the default wire like any other.
+        // Sharded links speak the default wire like any other.
         assert!(sum(|s| s.dso.codec_v2_sent) > 0, "codec v2 never ran under sharding");
         assert!(sum(|s| s.dso.rendezvous_fused) > 0, "no sharded rendezvous was fused");
         let restarted =

@@ -1,4 +1,4 @@
-//! Crash soak: games under seeded fail-stop crashes with WAL-backed
+//! Crash soak: games under seeded fail-stop crashes with journal-backed
 //! recovery, at two sizes plus a real-transport detection check.
 //!
 //! * [`crash_soak_16_smoke`] always runs — 16 teams, three seeded
@@ -10,12 +10,12 @@
 //!   hub's peer events must derive exactly that leave set.
 //!
 //! When `SDSO_CRASH_TRACE` names a file, the merged flight-recorder trace
-//! (Chrome/Perfetto JSON) of every node — recovery and WAL events
+//! (Chrome/Perfetto JSON) of every node — recovery and journal events
 //! included — is written there win or lose; the CI job uploads it as an
 //! artifact when the job fails.
 
 use sdso_game::{Protocol, RunPlan, Scenario};
-use sdso_harness::{converged_in, default_crash_plan, run_planned};
+use sdso_harness::{converged_in, default_crash_plan, restarts_kept_their_state, run_planned};
 use sdso_net::FaultPlan;
 use sdso_obs::{ObsSet, TraceConfig};
 use sdso_sim::NetworkModel;
@@ -31,9 +31,9 @@ fn run_crash_soak(
 ) -> Result<(), String> {
     let scenario = Scenario::paper(n, 1).with_ticks(ticks);
     let plan = RunPlan::default().with_faults(faults.clone()).with_obs(obs.clone());
-    let stats = run_planned(&scenario, protocol, NetworkModel::paper_testbed(), &plan)
-        .map_err(|e| format!("{protocol} node failed: {e}"))?
-        .per_node;
+    let run = run_planned(&scenario, protocol, NetworkModel::paper_testbed(), &plan)
+        .map_err(|e| format!("{protocol} node failed: {e}"))?;
+    let stats = &run.per_node;
 
     let restarters: Vec<_> =
         faults.crashes.iter().filter(|c| c.restart_tick.is_some()).map(|c| c.node).collect();
@@ -42,12 +42,12 @@ fn run_crash_soak(
         if s.recoveries != 1 {
             return Err(format!("{protocol}: node {node} recorded {} recoveries", s.recoveries));
         }
-        if s.wal_replayed == 0 {
-            return Err(format!("{protocol}: node {node} replayed nothing from its WAL"));
-        }
         if s.ticks != ticks {
             return Err(format!("{protocol}: restarted node {node} stopped at tick {}", s.ticks));
         }
+    }
+    if !restarts_kept_their_state(&scenario, faults, &run) {
+        return Err(format!("{protocol}: a restart lost its pre-crash state"));
     }
     // Every final-view member agrees; crashers without a restart need not.
     let gone: Vec<_> =
@@ -112,7 +112,6 @@ fn crash_experiment_is_deterministic_across_replays() {
         assert_eq!(x.final_world, y.final_world, "node {}: deterministic final state", x.node);
         assert_eq!(x.score, y.score, "node {}: deterministic score", x.node);
         assert_eq!(x.recovery_time, y.recovery_time, "node {}: deterministic downtime", x.node);
-        assert_eq!(x.wal_replayed, y.wal_replayed, "node {}: deterministic replay", x.node);
     }
 }
 

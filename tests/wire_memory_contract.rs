@@ -1,4 +1,4 @@
-//! The memory contract of the negotiated wire (docs/ARCHITECTURE.md §9):
+//! The memory contract of the default wire (docs/ARCHITECTURE.md §9):
 //! codec v2 holds no per-link copy of the objects it carries, so a run on
 //! the default wire peaks at no more live heap than the same run on the
 //! paper's v1 frames.
