@@ -46,7 +46,8 @@ use sdso_core::{
 };
 use sdso_game::Journal;
 use sdso_net::{
-    Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, SimInstant, SimSpan,
+    Endpoint, Incoming, NetError, NetMetricsSnapshot, NodeId, Payload, PeerEvent, Recorder,
+    SimInstant, SimSpan,
 };
 use sdso_protocols::{EntryConsistency, LockRequest, Lookahead};
 use sdso_sim::{
@@ -832,6 +833,21 @@ impl Endpoint for Faulted {
     }
     fn metrics(&self) -> NetMetricsSnapshot {
         self.inner.metrics()
+    }
+    fn metrics_delta(&mut self) -> NetMetricsSnapshot {
+        self.inner.metrics_delta()
+    }
+    fn attach_recorder(&mut self, recorder: Recorder) {
+        self.inner.attach_recorder(recorder);
+    }
+    fn remove_peer(&mut self, peer: NodeId) {
+        self.inner.remove_peer(peer);
+    }
+    fn add_peer(&mut self, peer: NodeId) {
+        self.inner.add_peer(peer);
+    }
+    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
+        self.inner.take_peer_events()
     }
 }
 

@@ -42,24 +42,21 @@
 //!
 //! ```
 //! use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime, SendMode};
-//! use sdso_net::memory::MemoryHub;
+//! use sdso_sim::{NetworkModel, SimCluster};
 //!
-//! # fn main() -> Result<(), sdso_core::DsoError> {
-//! let mut handles = Vec::new();
-//! for ep in MemoryHub::new(2).into_endpoints() {
-//!     handles.push(std::thread::spawn(move || -> Result<(u8, u8), sdso_core::DsoError> {
-//!         let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
-//!         rt.share(ObjectId(0), vec![0u8; 1])?;
-//!         rt.share(ObjectId(1), vec![0u8; 1])?;
-//!         rt.init_schedule(&mut EveryTick)?;
-//!         let me = rt.node_id();
-//!         rt.write(ObjectId(u32::from(me)), 0, &[me as u8 + 1])?;
-//!         rt.exchange(SendMode::Multicast, &mut EveryTick)?;
-//!         Ok((rt.read(ObjectId(0))?[0], rt.read(ObjectId(1))?[0]))
-//!     }));
-//! }
-//! for h in handles {
-//!     assert_eq!(h.join().unwrap()?, (1, 2)); // both writes visible
+//! # fn main() -> Result<(), sdso_sim::SimError> {
+//! let outcome = SimCluster::new(2, NetworkModel::instant()).run(|ep| {
+//!     let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
+//!     rt.share(ObjectId(0), vec![0u8; 1])?;
+//!     rt.share(ObjectId(1), vec![0u8; 1])?;
+//!     rt.init_schedule(&mut EveryTick)?;
+//!     let me = rt.node_id();
+//!     rt.write(ObjectId(u32::from(me)), 0, &[me as u8 + 1])?;
+//!     rt.exchange(SendMode::Multicast, &mut EveryTick)?;
+//!     Ok((rt.read(ObjectId(0))?[0], rt.read(ObjectId(1))?[0]))
+//! })?;
+//! for seen in outcome.into_results()? {
+//!     assert_eq!(seen, (1, 2)); // both writes visible
 //! }
 //! # Ok(())
 //! # }
@@ -90,6 +87,8 @@ mod sfunction;
 mod slotted_buffer;
 mod store;
 pub mod wire;
+#[cfg(test)]
+mod wound;
 
 pub use clock::{LogicalClock, LogicalTime};
 pub use config::{DsoConfig, RetryConfig, WireConfig};

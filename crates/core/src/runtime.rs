@@ -1186,53 +1186,36 @@ fn coalesce_drained(batch: &mut Vec<WireUpdate>) -> u64 {
 mod tests {
     use super::*;
     use crate::sfunction::{EveryTick, Never};
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
-    use sdso_net::{Incoming, NetError, Payload};
+    use crate::wound;
     use sdso_obs::TraceConfig;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-    fn pair_with(config: DsoConfig) -> Vec<SdsoRuntime<MemoryEndpoint>> {
-        MemoryHub::new(2)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, config);
-                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
-                rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
-                rt.init_schedule(&mut EveryTick).unwrap();
-                rt
-            })
-            .collect()
+    /// A runtime sharing objects 1 and 2 (8 zero bytes each) on an
+    /// every-tick schedule.
+    fn shared<E: Endpoint>(ep: E, config: DsoConfig) -> SdsoRuntime<E> {
+        let mut rt = SdsoRuntime::new(ep, config);
+        rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+        rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
+        rt.init_schedule(&mut EveryTick).unwrap();
+        rt
     }
 
-    fn pair() -> Vec<SdsoRuntime<MemoryEndpoint>> {
-        pair_with(DsoConfig::compact())
-    }
-
-    /// Runs both runtimes' closures on separate threads (exchange blocks).
-    fn run_pair<E, F>(mut runtimes: Vec<SdsoRuntime<E>>, f: F) -> Vec<SdsoRuntime<E>>
+    /// Runs `f` on both nodes of an instant simulator and hands back what
+    /// each returned. A node that panics fails the test.
+    fn simulate<T, F>(f: F) -> Vec<T>
     where
-        E: Endpoint + 'static,
-        F: Fn(&mut SdsoRuntime<E>) + Send + Sync + 'static + Copy,
+        T: Send + 'static,
+        F: Fn(SimEndpoint) -> T + Send + Sync + 'static,
     {
-        let handles: Vec<_> = runtimes
-            .drain(..)
-            .map(|mut rt| {
-                std::thread::spawn(move || {
-                    f(&mut rt);
-                    rt
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let run = SimCluster::new(2, NetworkModel::instant()).run(move |ep| Ok(f(ep)));
+        run.unwrap().into_results().unwrap()
     }
 
     #[test]
     fn compressed_exchange_sends_data2_from_the_first_round_and_converges() {
         use crate::config::WireConfig;
-        let runtimes = pair_with(DsoConfig::compact().with_wire(WireConfig::compressed()));
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact().with_wire(WireConfig::compressed()));
             let me = rt.node_id();
             let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
             for round in 0..4u8 {
@@ -1242,6 +1225,7 @@ mod tests {
                 assert_eq!(rt.metrics().codec_v2_sent, u64::from(round) + 1);
             }
             assert_eq!(rt.metrics().codec_v2_fallbacks, 0);
+            rt
         });
         // Bit-identical convergence: same final bytes as an uncompressed
         // pair applying the same writes would produce.
@@ -1254,21 +1238,10 @@ mod tests {
     #[test]
     fn a_data2_into_a_v1_node_is_a_protocol_violation_not_a_hang() {
         use crate::config::WireConfig;
-        let runtimes: Vec<_> = MemoryHub::new(2)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                // A cluster that mixes wires: node 0 compresses, node 1 runs v1.
-                let wire =
-                    if ep.node_id() == 0 { WireConfig::compressed() } else { WireConfig::v1() };
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact().with_wire(wire));
-                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
-                rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
-                rt.init_schedule(&mut EveryTick).unwrap();
-                rt
-            })
-            .collect();
-        run_pair(runtimes, |rt| {
+        simulate(|ep| {
+            // A cluster that mixes wires: node 0 compresses, node 1 runs v1.
+            let wire = if ep.node_id() == 0 { WireConfig::compressed() } else { WireConfig::v1() };
+            let mut rt = shared(ep, DsoConfig::compact().with_wire(wire));
             let me = rt.node_id();
             rt.write(ObjectId(u32::from(me) + 1), 0, &[me as u8 + 1; 4]).unwrap();
             // Each side sends before it receives: node 0 takes node 1's v1
@@ -1291,7 +1264,7 @@ mod tests {
         // would need 96 GiB) and id 3, one past the last object, decode —
         // the codec holds no per-object state — and the store refuses them.
         for object in [u32::MAX, 3] {
-            let mut eps = MemoryHub::new(2).into_endpoints();
+            let mut eps = wound::group(2);
             let config = DsoConfig::compact().with_wire(WireConfig::compressed());
             let mut rt = SdsoRuntime::new(eps.remove(0), config);
             let mut peer = eps.remove(0);
@@ -1345,7 +1318,7 @@ mod tests {
         // Node 0 meets node 1 at t1 while node 2's slot fills, then meets
         // node 2 at t2 with a fresh write to an object already buffered.
         let wire = WireConfig::compressed();
-        let mut eps = MemoryHub::new(3).into_endpoints();
+        let mut eps = wound::group(3);
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact().with_wire(wire));
         let (mut one, mut two) = (eps.remove(0), eps.remove(0));
         for id in 1..=2 {
@@ -1386,7 +1359,7 @@ mod tests {
         // Reliability on only so that a wait for traffic that never comes
         // times out instead of hanging.
         let retry = crate::config::RetryConfig { rto: SimSpan::from_millis(1), max_retries: 3 };
-        let mut eps = MemoryHub::new(3).into_endpoints();
+        let mut eps = wound::group(3);
         let config = DsoConfig::compact().with_reliability(Some(retry));
         let mut rt = SdsoRuntime::new(eps.remove(0), config);
         for id in 1..=2 {
@@ -1423,7 +1396,7 @@ mod tests {
 
     #[test]
     fn an_app_message_met_by_sync_get_waits_for_recv_app() {
-        let mut eps = MemoryHub::new(2).into_endpoints();
+        let mut eps = wound::group(2);
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
         let mut peer = eps.remove(0);
         rt.share(ObjectId(1), vec![0u8; 4]).unwrap();
@@ -1446,11 +1419,11 @@ mod tests {
 
     #[test]
     fn drain_departures_proposes_leave_for_dead_links() {
-        let mut eps = MemoryHub::new(3).into_endpoints();
-        drop(eps.pop().unwrap()); // Node 2 dies: its channels close.
+        let mut eps = wound::group(3);
+        drop(eps.pop().unwrap()); // Node 2 dies: its inbox goes.
         let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
         assert!(rt.drain_departures().is_none(), "no link events before any traffic");
-        // Sending into the closed channel surfaces the dead link.
+        // Sending into the dead inbox surfaces the dead link.
         assert!(rt.endpoint_mut().send(2, sdso_net::Payload::control(vec![0u8])).is_err());
         assert_eq!(rt.drain_departures(), Some(ViewChange::leave([2])));
         assert!(rt.drain_departures().is_none(), "the drain consumes its events");
@@ -1458,14 +1431,15 @@ mod tests {
 
     #[test]
     fn exchange_propagates_writes_both_ways() {
-        let runtimes = pair();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
             let me = rt.node_id();
             let obj = if me == 0 { ObjectId(1) } else { ObjectId(2) };
             rt.write(obj, 0, &[me as u8 + 1; 4]).unwrap();
             let report = rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             assert_eq!(report.time, LogicalTime::from_ticks(1));
             assert_eq!(report.peers.len(), 1);
+            rt
         });
         for rt in &done {
             assert_eq!(&rt.read(ObjectId(1)).unwrap()[..4], &[1, 1, 1, 1]);
@@ -1475,12 +1449,13 @@ mod tests {
 
     #[test]
     fn concurrent_writes_to_one_object_converge_lww() {
-        let runtimes = pair();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
             let me = rt.node_id();
             // Both write the same object in the same interval.
             rt.write(ObjectId(1), 0, &[me as u8 + 10; 8]).unwrap();
             rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
+            rt
         });
         // Same tick, higher writer id wins everywhere.
         for rt in &done {
@@ -1490,12 +1465,13 @@ mod tests {
 
     #[test]
     fn repeated_exchanges_tick_the_clock() {
-        let runtimes = pair();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
             for i in 0..5u8 {
                 rt.write(ObjectId(1), 0, &[i]).unwrap();
                 rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
+            rt
         });
         for rt in &done {
             assert_eq!(rt.logical_now(), LogicalTime::from_ticks(5));
@@ -1505,55 +1481,50 @@ mod tests {
 
     #[test]
     fn sync_put_transfers_and_acknowledges() {
-        let mut runtimes = pair();
-        let mut b = runtimes.pop().unwrap();
-        let mut a = runtimes.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            // B services the put via its pump (waits for an app message that
-            // A sends afterwards as a completion signal).
-            let (_, done): (_, ObjectId) = b.recv_app().unwrap();
-            assert_eq!(done, ObjectId(1));
-            assert_eq!(b.read(ObjectId(1)).unwrap(), &[9u8; 8]);
-            b
+        simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
+            if rt.node_id() == 0 {
+                rt.write(ObjectId(1), 0, &[9u8; 8]).unwrap();
+                rt.sync_put(1, ObjectId(1)).unwrap();
+                rt.send_app(MsgClass::Control, [(1, &ObjectId(1))]).unwrap();
+            } else {
+                // Node 1 services the put via its pump (waits for an app
+                // message that node 0 sends afterwards as a completion signal).
+                let (_, done): (_, ObjectId) = rt.recv_app().unwrap();
+                assert_eq!(done, ObjectId(1));
+                assert_eq!(rt.read(ObjectId(1)).unwrap(), &[9u8; 8]);
+            }
         });
-        a.write(ObjectId(1), 0, &[9u8; 8]).unwrap();
-        a.sync_put(1, ObjectId(1)).unwrap();
-        a.send_app(MsgClass::Control, [(1, &ObjectId(1))]).unwrap();
-        t.join().unwrap();
     }
 
     #[test]
     fn sync_get_pulls_remote_state() {
-        let mut runtimes = pair();
-        let mut b = runtimes.pop().unwrap();
-        let mut a = runtimes.pop().unwrap();
-        let t = std::thread::spawn(move || {
-            // B answers A's GetReq inside its pump, then returns.
-            let (_, bye): (_, ObjectId) = b.recv_app().unwrap();
-            assert_eq!(bye, ObjectId(2));
-            b
+        simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
+            if rt.node_id() == 0 {
+                rt.sync_get(1, ObjectId(1)).unwrap(); // pulls (identical) state
+                rt.send_app(MsgClass::Control, [(1, &ObjectId(2))]).unwrap();
+            } else {
+                // Node 1 answers node 0's GetReq inside its pump, then returns.
+                let (_, bye): (_, ObjectId) = rt.recv_app().unwrap();
+                assert_eq!(bye, ObjectId(2));
+            }
         });
-        // Make B's copy the newer one first.
-        a.sync_get(1, ObjectId(1)).unwrap(); // pulls (identical) state
-        a.send_app(MsgClass::Control, [(1, &ObjectId(2))]).unwrap();
-        t.join().unwrap();
     }
 
     #[test]
     fn stale_version_dropped_on_apply() {
-        let mut runtimes = pair();
-        let mut b = runtimes.pop().unwrap();
-        let mut a = runtimes.pop().unwrap();
-        // A writes at tick 1 (clock 0 → stamp 1).
-        a.write(ObjectId(1), 0, &[5; 8]).unwrap();
-        let t = std::thread::spawn(move || {
-            // B writes the same object at stamp 1 too but with higher id.
-            b.write(ObjectId(1), 0, &[7; 8]).unwrap();
-            b.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-            b
+        let mut done = simulate(|ep| {
+            let mut rt = shared(ep, DsoConfig::compact());
+            // Node 0 (A) writes at tick 1 (clock 0 → stamp 1); node 1 (B)
+            // writes the same object at stamp 1 too but with higher id.
+            let body = if rt.node_id() == 0 { 5 } else { 7 };
+            rt.write(ObjectId(1), 0, &[body; 8]).unwrap();
+            rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
+            rt
         });
-        a.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-        let b = t.join().unwrap();
+        let b = done.pop().unwrap();
+        let a = done.pop().unwrap();
         assert_eq!(a.read(ObjectId(1)).unwrap(), &[7; 8]);
         assert_eq!(b.read(ObjectId(1)).unwrap(), &[7; 8]);
         assert_eq!(b.metrics().updates_stale, 1, "A's tied-but-lower write dropped at B");
@@ -1561,7 +1532,7 @@ mod tests {
 
     #[test]
     fn frame_padding_applies_to_all_runtime_traffic() {
-        let eps = MemoryHub::new(2).into_endpoints();
+        let eps = wound::group(2);
         let mut runtimes: Vec<_> = eps
             .into_iter()
             .map(|ep| {
@@ -1579,19 +1550,13 @@ mod tests {
     fn broadcast_mode_ignores_schedule() {
         // Without init_schedule, multicast exchanges with nobody; broadcast
         // must still reach the peer.
-        let eps = MemoryHub::new(2).into_endpoints();
-        let runtimes: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
-                rt
-            })
-            .collect();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
             rt.write(ObjectId(1), 0, &[rt.node_id() as u8 + 1]).unwrap();
             let report = rt.exchange(SendMode::Broadcast, &mut EveryTick).unwrap();
             assert_eq!(report.peers.len(), 1);
+            rt
         });
         for rt in &done {
             assert_eq!(rt.read(ObjectId(1)).unwrap()[0], 2);
@@ -1604,22 +1569,16 @@ mod tests {
         let plan = FaultPlan::new(7).with_drop(0.3).with_dup(0.1);
         let retry = crate::RetryConfig { rto: SimSpan::from_millis(5), max_retries: 400 };
         let cfg = DsoConfig::compact().with_reliability(Some(retry));
-        let runtimes: Vec<_> = MemoryHub::new(2)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(FaultyEndpoint::new(ep, plan.clone()), cfg);
-                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
-                rt.init_schedule(&mut EveryTick).unwrap();
-                rt
-            })
-            .collect();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(move |ep| {
+            let mut rt = SdsoRuntime::new(FaultyEndpoint::new(ep, plan.clone()), cfg);
+            rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+            rt.init_schedule(&mut EveryTick).unwrap();
             for i in 0..10u8 {
                 rt.write(ObjectId(1), 0, &[(rt.node_id() as u8 + 1) * 10 + i]).unwrap();
                 rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
             rt.settle().unwrap();
+            rt
         });
         assert_eq!(
             done[0].read(ObjectId(1)).unwrap(),
@@ -1639,7 +1598,7 @@ mod tests {
     fn reliability_off_adds_no_wire_overhead() {
         // The EC fast path and the paper-fidelity metrics depend on plain
         // (unenveloped) traffic when reliability is off.
-        let mut eps = MemoryHub::new(2).into_endpoints();
+        let mut eps = wound::group(2);
         let b = eps.pop().unwrap();
         let mut a = SdsoRuntime::new(eps.pop().unwrap(), DsoConfig::compact());
         a.share(ObjectId(1), vec![0u8; 8]).unwrap();
@@ -1703,7 +1662,7 @@ mod tests {
             ),
         ];
         for (name, wait, inputs, expected) in cases {
-            let mut eps = MemoryHub::new(3).into_endpoints();
+            let mut eps = wound::group(3);
             let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
             rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
             let mut only_peer_1 =
@@ -1728,46 +1687,11 @@ mod tests {
 
     #[test]
     fn unknown_object_write_rejected() {
-        let mut runtimes = pair();
-        let a = &mut runtimes[0];
+        let mut a = shared(wound::group(2).remove(0), DsoConfig::compact());
         assert!(matches!(a.write(ObjectId(99), 0, &[1]), Err(DsoError::UnknownObject(_))));
     }
 
     // --- local access: one lookup, and a clock only for a live recorder ---
-
-    /// An endpoint that counts its `now()` calls.
-    struct ClockCounting {
-        inner: MemoryEndpoint,
-        now_calls: Arc<AtomicU64>,
-    }
-
-    impl Endpoint for ClockCounting {
-        fn node_id(&self) -> NodeId {
-            self.inner.node_id()
-        }
-        fn num_nodes(&self) -> usize {
-            self.inner.num_nodes()
-        }
-        fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
-            self.inner.send(to, payload)
-        }
-        fn recv(&mut self) -> Result<Incoming, NetError> {
-            self.inner.recv()
-        }
-        fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
-            self.inner.try_recv()
-        }
-        fn advance(&mut self, dt: SimSpan) {
-            self.inner.advance(dt);
-        }
-        fn now(&self) -> sdso_net::SimInstant {
-            self.now_calls.fetch_add(1, Ordering::Relaxed);
-            self.inner.now()
-        }
-        fn metrics(&self) -> sdso_net::NetMetricsSnapshot {
-            self.inner.metrics()
-        }
-    }
 
     /// 1 000 reads with 100 writes interleaved (one before every tenth
     /// read), over two 8-byte objects.
@@ -1785,19 +1709,17 @@ mod tests {
 
     #[test]
     fn local_access_with_recording_off_never_reads_the_clock() {
-        let now_calls = Arc::new(AtomicU64::new(0));
-        let inner = MemoryHub::new(2).into_endpoints().remove(0);
-        let endpoint = ClockCounting { inner, now_calls: now_calls.clone() };
+        let endpoint = wound::group(2).remove(0);
         let mut rt = SdsoRuntime::with_obs(endpoint, DsoConfig::compact(), Obs::disabled());
         thousand_reads_hundred_writes(&mut rt);
-        assert_eq!(now_calls.load(Ordering::Relaxed), 0);
+        assert_eq!(rt.endpoint_mut().now_calls.get(), 0);
         assert_eq!(rt.read(ObjectId(1)).unwrap()[1..3], [99, 0xEE], "the last write landed");
     }
 
     #[test]
     fn local_access_with_recording_on_records_every_read_and_write() {
         let obs = Obs::new(0, TraceConfig::full());
-        let endpoint = MemoryHub::new(2).into_endpoints().remove(0);
+        let endpoint = wound::group(2).remove(0);
         let mut rt = SdsoRuntime::with_obs(endpoint, DsoConfig::compact(), obs.clone());
         thousand_reads_hundred_writes(&mut rt);
 
@@ -1836,19 +1758,12 @@ mod tests {
 
     #[test]
     fn a_traced_bsync_run_records_its_reads_writes_and_merges() {
-        let runtimes: Vec<_> = MemoryHub::new(2)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let obs = Obs::new(ep.node_id(), TraceConfig::full());
-                let mut rt = SdsoRuntime::with_obs(ep, DsoConfig::compact(), obs);
-                rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
-                rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
-                rt.init_schedule(&mut EveryTick).unwrap();
-                rt
-            })
-            .collect();
-        let done = run_pair(runtimes, |rt| {
+        let done = simulate(|ep| {
+            let obs = Obs::new(ep.node_id(), TraceConfig::full());
+            let mut rt = SdsoRuntime::with_obs(ep, DsoConfig::compact(), obs);
+            rt.share(ObjectId(1), vec![0u8; 8]).unwrap();
+            rt.share(ObjectId(2), vec![0u8; 8]).unwrap();
+            rt.init_schedule(&mut EveryTick).unwrap();
             let own = ObjectId(1 + u32::from(rt.node_id()));
             for round in 0..5u8 {
                 rt.write(own, 0, &[round]).unwrap();
@@ -1857,6 +1772,7 @@ mod tests {
                 rt.read(ObjectId(2)).unwrap();
                 rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
             }
+            rt
         });
         for rt in &done {
             let counts = rt.obs().recorder().counts();

@@ -818,60 +818,8 @@ mod tests {
     use crate::diff::Diff;
     use crate::membership::ViewChange;
     use crate::object::{ObjectId, Version};
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
-    use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass, NetMetricsSnapshot};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-
-    /// An in-process endpoint on a hand-wound clock shared by both ends:
-    /// time passes only when a test winds it or a bounded wait runs out,
-    /// so every link timer fires exactly where the test puts it. It logs
-    /// each transport write as `(peer, messages)`.
-    #[derive(Debug)]
-    struct Wound {
-        inner: MemoryEndpoint,
-        micros: Arc<AtomicU64>,
-        writes: Vec<(NodeId, usize)>,
-    }
-
-    impl Endpoint for Wound {
-        fn node_id(&self) -> NodeId {
-            self.inner.node_id()
-        }
-        fn num_nodes(&self) -> usize {
-            self.inner.num_nodes()
-        }
-        fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
-            self.writes.push((to, 1));
-            self.inner.send(to, payload)
-        }
-        fn send_batch(&mut self, to: NodeId, payloads: Vec<Payload>) -> Result<(), NetError> {
-            self.writes.push((to, payloads.len()));
-            self.inner.send_batch(to, payloads)
-        }
-        fn recv(&mut self) -> Result<Incoming, NetError> {
-            self.inner.recv()
-        }
-        fn try_recv(&mut self) -> Result<Option<Incoming>, NetError> {
-            self.inner.try_recv()
-        }
-        fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
-            let arrived = self.inner.try_recv()?;
-            if arrived.is_none() {
-                self.advance(timeout);
-            }
-            Ok(arrived)
-        }
-        fn advance(&mut self, dt: SimSpan) {
-            self.micros.fetch_add(dt.as_micros(), Ordering::Relaxed);
-        }
-        fn now(&self) -> SimInstant {
-            SimInstant::from_micros(self.micros.load(Ordering::Relaxed))
-        }
-        fn metrics(&self) -> NetMetricsSnapshot {
-            self.inner.metrics()
-        }
-    }
+    use crate::wound::{self, Wound};
+    use sdso_net::{FaultPlan, FaultyEndpoint, MsgClass};
 
     type Peer = Session<FaultyEndpoint<Wound>>;
 
@@ -907,15 +855,10 @@ mod tests {
 
     /// As [`group`], node `i` speaking `wires[i]`.
     fn group_on(wires: &[WireConfig], plan: &FaultPlan) -> Vec<Peer> {
-        let micros = Arc::new(AtomicU64::new(0));
-        MemoryHub::new(wires.len())
-            .into_endpoints()
+        wound::group(wires.len())
             .into_iter()
             .zip(wires)
-            .map(|(inner, &wire)| {
-                let wound = Wound { inner, micros: micros.clone(), writes: Vec::new() };
-                session_on(wound, plan, wire)
-            })
+            .map(|(endpoint, &wire)| session_on(endpoint, plan, wire))
             .collect()
     }
 

@@ -1634,10 +1634,11 @@ mod tests {
     /// A tick reads only its tank's fire cross and what `decide` looks
     /// at, so fixed per-tick work is a large share of either side and
     /// the ratio moves between runs; the limit leaves room for that.
+    #[cfg(unix)]
     #[test]
     #[ignore = "wall-clock ratio: run by the CI contracts job, in release"]
     fn contract_a_tick_through_the_runtime_costs_at_most_8x_the_in_memory_port() {
-        use sdso_net::memory::MemoryHub;
+        use sdso_net::reactor::ReactorMesh;
         use std::hint::black_box;
         const TICKS: u32 = 20_000;
         let s = Scenario::paper(2, 1);
@@ -1657,7 +1658,7 @@ mod tests {
         }
         let (in_memory, bare_game) = best_of_3(|| play(&s, &mut LocalPort::from_world(&s)));
         let (through_runtime, shared_game) = best_of_3(|| {
-            let endpoint = MemoryHub::new(2).into_endpoints().remove(0);
+            let endpoint = ReactorMesh::local(2).unwrap().remove(0);
             let rt = build_runtime(endpoint, &s, &views, Obs::disabled()).unwrap();
             let mut node = Lookahead::new(rt, AnySFunction(Box::new(EveryTick))).unwrap();
             play(&s, &mut Port { node: &mut node, scenario: &s, scratch: &mut Vec::new() })
@@ -1671,19 +1672,15 @@ mod tests {
         assert!(ratio <= 8.0, "a local tick costs {ratio:.1}x the in-memory port");
     }
 
-    // --- the driver under plans (in-process channels: a bug here hangs) ---
+    // --- the driver under plans (instant simulator: a bug here is a
+    // reported deadlock or a failed node) ---
 
     fn run_all(protocol: Protocol, scenario: &Scenario, plan: &RunPlan) -> Vec<NodeStats> {
-        use sdso_net::memory::MemoryHub;
-        let handles: Vec<_> = MemoryHub::new(usize::from(scenario.teams))
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let (s, p) = (scenario.clone(), plan.clone());
-                std::thread::spawn(move || run_node_with(ep, &s, protocol, &p))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap().unwrap()).collect()
+        use sdso_sim::{NetworkModel, SimCluster};
+        let (s, p) = (scenario.clone(), plan.clone());
+        let run = SimCluster::new(usize::from(scenario.teams), NetworkModel::instant())
+            .run(move |ep| Ok(run_node_with(ep, &s, protocol, &p).unwrap()));
+        run.unwrap().into_results().unwrap()
     }
 
     /// 4 capacity slots, 3 initial members; node 1 leaves and node 3
@@ -1782,6 +1779,7 @@ mod tests {
         );
     }
 
+    #[cfg(unix)]
     #[test]
     fn unsupported_plans_are_typed_errors_before_any_message() {
         let scenario = Scenario::paper(4, 1).with_ticks(10);
@@ -1809,9 +1807,10 @@ mod tests {
             ("one slot too many", Protocol::Bsync, five_slots),
         ];
         for (what, protocol, plan) in rejected {
-            // One endpoint on its own: a driver that sent or awaited
-            // anything first would block here instead of returning.
-            let ep = sdso_net::memory::MemoryHub::new(4).into_endpoints().remove(0);
+            // One endpoint on its own, its peers gone: a driver that sent
+            // or awaited anything first would fail with a transport error
+            // instead of the plan's violation.
+            let ep = sdso_net::reactor::ReactorMesh::local(4).unwrap().remove(0);
             let err = run_node_with(ep, &scenario, protocol, &plan).unwrap_err();
             assert!(matches!(err, DsoError::ProtocolViolation(_)), "{what}: {err}");
         }

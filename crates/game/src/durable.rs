@@ -261,12 +261,13 @@ pub(crate) fn crash_views(faults: &FaultPlan, teams: usize) -> Result<Membership
     Ok(views)
 }
 
-#[cfg(test)]
+// The journal's runtime stands on a reactor endpoint that never sends.
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use sdso_core::{DsoConfig, LogicalTime};
-    use sdso_net::memory::MemoryHub;
+    use sdso_net::reactor::ReactorMesh;
 
     fn image(node: NodeId, tick: u64, app: &[u8]) -> Image {
         Image { node, tick, time: tick, lamport: tick ^ 0xFF, app: app.to_vec() }
@@ -275,7 +276,7 @@ mod tests {
     /// Journals ticks `ticks` for process 0 as the driver does: tick `t`
     /// has the frontier `(t, 10 t)` and the state `[t; len]`.
     fn journal_ticks(journal: &mut Journal, ticks: std::ops::RangeInclusive<u64>, len: usize) {
-        let ep = MemoryHub::new(1).into_endpoints().remove(0);
+        let ep = ReactorMesh::local(1).unwrap().remove(0);
         let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
         for t in ticks {
             rt.restore_frontier(LogicalTime::from_ticks(t), 10 * t);

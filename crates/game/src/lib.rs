@@ -34,21 +34,17 @@
 //!
 //! # Example
 //!
-//! Running a two-process BSYNC game over in-process channels:
+//! Running a two-process BSYNC game on the instant simulator:
 //!
 //! ```
 //! use sdso_game::{run_node, Protocol, Scenario};
-//! use sdso_net::memory::MemoryHub;
+//! use sdso_sim::{NetworkModel, SimCluster};
 //!
-//! # fn main() -> Result<(), sdso_core::DsoError> {
+//! # fn main() -> Result<(), sdso_sim::SimError> {
 //! let scenario = Scenario::paper(2, 1).with_ticks(10);
-//! let mut handles = Vec::new();
-//! for ep in MemoryHub::new(2).into_endpoints() {
-//!     let s = scenario.clone();
-//!     handles.push(std::thread::spawn(move || run_node(ep, &s, Protocol::Bsync)));
-//! }
-//! for h in handles {
-//!     let stats = h.join().unwrap()?;
+//! let outcome = SimCluster::new(2, NetworkModel::instant())
+//!     .run(move |ep| Ok(run_node(ep, &scenario, Protocol::Bsync)?))?;
+//! for stats in outcome.into_results()? {
 //!     assert_eq!(stats.ticks, 10);
 //! }
 //! # Ok(())

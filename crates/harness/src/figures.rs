@@ -360,17 +360,18 @@ mod tests {
         assert!(ec > msync2, "EC ({ec}) should be slower per modification than MSYNC2 ({msync2})");
     }
 
+    #[cfg(unix)]
     #[test]
     fn node_stats_net_counters_are_per_run_deltas() {
         use sdso_game::run_node;
-        use sdso_net::{memory::MemoryHub, Endpoint, Payload};
+        use sdso_net::{reactor::ReactorMesh, Endpoint, Payload};
 
         // The same game, with and without pre-run endpoint traffic, must
         // report identical net counters: NodeStats.net is a per-run delta,
         // not the endpoint's lifetime totals.
         let scenario = Scenario::paper(2, 1).with_ticks(15);
         let run = |pre_traffic: bool| {
-            let mut eps = MemoryHub::new(2).into_endpoints();
+            let mut eps = ReactorMesh::local(2).unwrap();
             let mut b = eps.pop().unwrap();
             let mut a = eps.pop().unwrap();
             if pre_traffic {

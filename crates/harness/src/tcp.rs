@@ -8,15 +8,13 @@
 //! The module and its tests keep the names they had when the transport
 //! ran over loopback TCP; its links are Unix-domain socket pairs now.
 //! Every link is connected once, at setup, and a torn one is never
-//! re-dialled: the torn-link test holds `MemoryHub`'s endpoints to the same
-//! contract, since on both transports a torn link means the peer is gone.
+//! re-dialled: a torn link means the peer is gone.
 
 #[cfg(test)]
 #[cfg(unix)]
 mod tests {
     use std::time::Duration;
 
-    use sdso_net::memory::MemoryHub;
     use sdso_net::reactor::ReactorMesh;
     use sdso_net::{Endpoint, NetError, NodeId, Payload, PeerEvent, SimSpan, TransportKind};
 
@@ -133,55 +131,44 @@ mod tests {
         assert_eq!(&got.payload.bytes[..], b"late");
     }
 
-    /// A torn link is `Down` once, for good, on both real transports. Once
-    /// node 1's endpoint drops, sends to it fail with `Disconnected` from the
-    /// lower-id side (node 0) and the higher-id side (node 2) alike, and
-    /// keep failing; each survivor queues exactly one `Down(1)`; and after
-    /// `remove_peer` the sends are dropped silently, uncounted.
+    /// A torn link is `Down` once, for good. Once node 1's endpoint drops,
+    /// sends to it fail with `Disconnected` from the lower-id side (node 0)
+    /// and the higher-id side (node 2) alike, and keep failing; each
+    /// survivor queues exactly one `Down(1)`; and after `remove_peer` the
+    /// sends are dropped silently, uncounted.
     #[test]
     fn a_torn_link_is_down_for_good_from_either_side() {
-        fn boxed<E: Endpoint + Send + 'static>(eps: Vec<E>) -> Vec<BoxedTransport> {
-            eps.into_iter().map(|e| Box::new(e) as BoxedTransport).collect()
-        }
-        let transports = [
-            ("memory", boxed(MemoryHub::new(3).into_endpoints())),
-            ("reactor", boxed(ReactorMesh::local(3).unwrap())),
-        ];
-        for (name, mut eps) in transports {
-            let mut c = eps.pop().unwrap();
-            drop(eps.pop());
-            let mut a = eps.pop().unwrap();
-            for survivor in [&mut a, &mut c] {
-                let me = survivor.node_id();
-                let mut events = Vec::new();
-                let mut sent = Ok(());
-                for _ in 0..200 {
-                    sent = survivor.send(1, Payload::control(vec![0u8; 64]));
-                    events.extend(survivor.take_peer_events());
-                    if sent.is_err() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
+        let mut eps = local_cluster(TransportKind, 3).unwrap();
+        let mut c = eps.pop().unwrap();
+        drop(eps.pop());
+        let mut a = eps.pop().unwrap();
+        for survivor in [&mut a, &mut c] {
+            let me = survivor.node_id();
+            let mut events = Vec::new();
+            let mut sent = Ok(());
+            for _ in 0..200 {
+                sent = survivor.send(1, Payload::control(vec![0u8; 64]));
+                events.extend(survivor.take_peer_events());
+                if sent.is_err() {
+                    break;
                 }
-                assert!(matches!(sent, Err(NetError::Disconnected)), "{name} node {me}: {sent:?}");
-                assert_eq!(events, vec![PeerEvent::Down(1)], "{name} node {me}");
-                let again = survivor.send(1, Payload::data(vec![1]));
-                assert!(
-                    matches!(again, Err(NetError::Disconnected)),
-                    "{name} node {me}: {again:?}"
-                );
-                assert!(survivor.take_peer_events().is_empty(), "{name} node {me}: Down once");
+                std::thread::sleep(Duration::from_millis(5));
             }
-            a.remove_peer(1);
-            let before = a.metrics().total_sent();
-            for _ in 0..10 {
-                a.send(1, Payload::control(vec![0u8; 64])).unwrap();
-            }
-            assert_eq!(a.metrics().total_sent(), before, "{name}: drops are not traffic");
-            // The survivors' own link is untouched.
-            a.send(2, Payload::data(b"still here".as_ref())).unwrap();
-            assert_eq!(&c.recv().unwrap().payload.bytes[..], b"still here", "{name}");
+            assert!(matches!(sent, Err(NetError::Disconnected)), "node {me}: {sent:?}");
+            assert_eq!(events, vec![PeerEvent::Down(1)], "node {me}");
+            let again = survivor.send(1, Payload::data(vec![1]));
+            assert!(matches!(again, Err(NetError::Disconnected)), "node {me}: {again:?}");
+            assert!(survivor.take_peer_events().is_empty(), "node {me}: Down once");
         }
+        a.remove_peer(1);
+        let before = a.metrics().total_sent();
+        for _ in 0..10 {
+            a.send(1, Payload::control(vec![0u8; 64])).unwrap();
+        }
+        assert_eq!(a.metrics().total_sent(), before, "drops are not traffic");
+        // The survivors' own link is untouched.
+        a.send(2, Payload::data(b"still here".as_ref())).unwrap();
+        assert_eq!(&c.recv().unwrap().payload.bytes[..], b"still here");
     }
 
     #[test]

@@ -22,10 +22,8 @@ pub enum PeerEvent {
 /// The transport abstraction every consistency protocol is written against.
 ///
 /// An endpoint belongs to exactly one node of a fixed-size cluster and can
-/// exchange [`Payload`]s with every other node. Three implementations exist:
+/// exchange [`Payload`]s with every other node. Two implementations exist:
 ///
-/// * [`memory::MemoryEndpoint`](crate::memory::MemoryEndpoint) — `std` mpsc
-///   channels, real threads, wall-clock time;
 /// * `reactor::ReactorEndpoint` — a real-socket mesh driven by one `poll(2)`
 ///   loop per endpoint (every unix), the moral equivalent of the original
 ///   system's socket layer: its links are Unix-domain socket pairs inside
@@ -40,6 +38,13 @@ pub enum PeerEvent {
 /// [`Endpoint::advance`] models local computation: the simulator advances the
 /// node's virtual clock, real transports treat it as a no-op (the computation
 /// itself already took wall time).
+///
+/// # Defaults
+///
+/// Only [`Endpoint::send_batch`] and [`Endpoint::broadcast`] have default
+/// bodies, because each is derived from [`Endpoint::send`]. Every other
+/// method is stated by each implementor, so a wrapper that forgets to
+/// forward one fails to compile instead of silently dropping behaviour.
 pub trait Endpoint: Send {
     /// This node's id.
     fn node_id(&self) -> NodeId;
@@ -99,18 +104,13 @@ pub trait Endpoint: Send {
     /// Receives the next message, giving up after `timeout` (measured on
     /// this node's clock) and returning `Ok(None)`.
     ///
-    /// The default implementation blocks without a timeout — transports
-    /// that can bound their waits (all three in-tree transports do)
-    /// override this; resilience layers rely on it to turn lost messages
-    /// into retransmissions instead of hangs.
+    /// Both in-tree transports bound the wait; resilience layers rely on it
+    /// to turn lost messages into retransmissions instead of hangs.
     ///
     /// # Errors
     ///
     /// Same failure modes as [`Endpoint::recv`].
-    fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError> {
-        let _ = timeout;
-        self.recv().map(Some)
-    }
+    fn recv_deadline(&mut self, timeout: SimSpan) -> Result<Option<Incoming>, NetError>;
 
     /// Models `dt` of local computation on this node.
     fn advance(&mut self, dt: SimSpan);
@@ -127,40 +127,27 @@ pub trait Endpoint: Send {
     ///
     /// Use this for per-run accounting over a reused transport; the
     /// cumulative [`Endpoint::metrics`] double-counts back-to-back runs.
-    /// The default forwards to `metrics()`, which is correct for
-    /// transports that live exactly one run.
-    fn metrics_delta(&mut self) -> NetMetricsSnapshot {
-        self.metrics()
-    }
+    fn metrics_delta(&mut self) -> NetMetricsSnapshot;
 
     /// Attaches a flight recorder: subsequent sends/receives (and fault
     /// verdicts, for fault-injecting transports) are recorded as events
-    /// stamped with this endpoint's clock. The default ignores the
-    /// recorder — transports that can trace override this.
-    fn attach_recorder(&mut self, recorder: sdso_obs::Recorder) {
-        let _ = recorder;
-    }
+    /// stamped with this endpoint's clock.
+    fn attach_recorder(&mut self, recorder: sdso_obs::Recorder);
 
     /// Marks the link to `peer` as administratively removed (the peer left
     /// the group): send failures on it become expected and are dropped
-    /// silently instead of surfacing as transport errors. The default is a
-    /// no-op for transports that do not track per-peer liveness.
-    fn remove_peer(&mut self, peer: NodeId) {
-        let _ = peer;
-    }
+    /// silently instead of surfacing as transport errors. A no-op on a
+    /// transport that does not track per-peer liveness.
+    fn remove_peer(&mut self, peer: NodeId);
 
     /// (Re-)activates the link to `peer` (the peer joined the group).
-    /// Inverse of [`Endpoint::remove_peer`]; a no-op by default.
-    fn add_peer(&mut self, peer: NodeId) {
-        let _ = peer;
-    }
+    /// Inverse of [`Endpoint::remove_peer`].
+    fn add_peer(&mut self, peer: NodeId);
 
     /// Drains link events observed since the previous call: one
     /// [`PeerEvent::Down`] per peer whose link the transport found torn.
-    /// No link comes back. The default returns none.
-    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
-        Vec::new()
-    }
+    /// No link comes back; a transport without links returns none.
+    fn take_peer_events(&mut self) -> Vec<PeerEvent>;
 
     /// Sends a copy of `payload` to every other node in the cluster.
     ///
@@ -178,7 +165,7 @@ pub trait Endpoint: Send {
     }
 }
 
-/// A boxed endpoint is an endpoint: every method — including the ones with
+/// A boxed endpoint is an endpoint: every method — including the two with
 /// default bodies — forwards to the inner transport, so boxing never
 /// silently downgrades behaviour (batched writes stay batched, peer events
 /// still surface). This is what lets harness code hand the runtime one
@@ -258,9 +245,10 @@ mod tests {
         assert!(check_peer(0, 3, 4).is_ok());
     }
 
+    #[cfg(unix)]
     #[test]
     fn boxed_endpoint_forwards_to_the_inner_transport() {
-        let mut eps = crate::memory::MemoryHub::new(2).into_endpoints();
+        let mut eps = crate::reactor::ReactorMesh::local(2).unwrap();
         let mut b: Box<dyn Endpoint + Send> = Box::new(eps.pop().unwrap());
         let mut a: Box<dyn Endpoint + Send> = Box::new(eps.pop().unwrap());
         assert_eq!(a.node_id(), 0);

@@ -1,7 +1,7 @@
 //! A fault-injecting decorator for any [`Endpoint`].
 //!
-//! [`FaultyEndpoint`] wraps a real transport (in-process channels, sockets)
-//! and executes a [`FaultPlan`] against its traffic: sends may be dropped
+//! [`FaultyEndpoint`] wraps a real transport (the reactor's sockets) and
+//! executes a [`FaultPlan`] against its traffic: sends may be dropped
 //! or duplicated, receives may be held back to let later messages
 //! overtake, and timed partitions sever links until they heal. The same
 //! plan type drives the virtual-time simulator, so a chaos scenario runs
@@ -270,15 +270,13 @@ impl<E: Endpoint> Endpoint for FaultyEndpoint<E> {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
-    use crate::memory::MemoryHub;
+    use crate::reactor::{ReactorEndpoint, ReactorMesh};
 
-    fn pair(
-        plan: FaultPlan,
-    ) -> (FaultyEndpoint<crate::memory::MemoryEndpoint>, crate::memory::MemoryEndpoint) {
-        let mut eps = MemoryHub::new(2).into_endpoints();
+    fn pair(plan: FaultPlan) -> (FaultyEndpoint<ReactorEndpoint>, ReactorEndpoint) {
+        let mut eps = ReactorMesh::local(2).unwrap();
         let receiver = eps.pop().unwrap();
         let sender = FaultyEndpoint::new(eps.pop().unwrap(), plan);
         (sender, receiver)
@@ -359,23 +357,35 @@ mod tests {
 
     /// Faults are injected on traffic only: link events and membership pass
     /// straight through, so a torn link reaches the membership layer and a
-    /// removed peer's torn link stays quiet.
+    /// removed peer's torn link stays quiet. The reactor reports a torn
+    /// link once, for good: re-adding the peer brings back its send errors,
+    /// not a second `Down`.
     #[test]
     fn peer_events_and_membership_pass_through_to_the_transport() {
         let (mut a, b) = pair(FaultPlan::new(5));
         drop(b);
-        assert!(matches!(a.send(1, Payload::data(vec![1])), Err(NetError::Disconnected)));
-        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
+        let mut events = Vec::new();
+        let mut sent = Ok(());
+        for _ in 0..200 {
+            sent = a.send(1, Payload::data(vec![1]));
+            events.extend(a.take_peer_events());
+            if sent.is_err() {
+                break;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        assert!(matches!(sent, Err(NetError::Disconnected)), "{sent:?}");
+        assert_eq!(events, vec![PeerEvent::Down(1)]);
         a.remove_peer(1);
         a.send(1, Payload::data(vec![2])).unwrap();
         a.add_peer(1);
         assert!(matches!(a.send(1, Payload::data(vec![3])), Err(NetError::Disconnected)));
-        assert_eq!(a.take_peer_events(), vec![PeerEvent::Down(1)]);
+        assert!(a.take_peer_events().is_empty(), "a torn link is Down once");
     }
 
     #[test]
     fn partition_severs_then_heals_on_wall_clock() {
-        // The partition window is in wall time here (MemoryEndpoint's
+        // The partition window is in wall time here (the reactor's
         // epoch), so use a generous healed-from-zero window: [0, 0) never
         // active ⇒ everything flows.
         let plan = FaultPlan::new(5).with_partition(vec![0], SimInstant::ZERO, SimInstant::ZERO);
@@ -387,7 +397,7 @@ mod tests {
     #[test]
     fn reordering_holds_messages_back_but_loses_none() {
         let plan = FaultPlan::new(42).with_reorder(0.5, SimSpan::from_millis(3));
-        let mut eps = MemoryHub::new(2).into_endpoints();
+        let mut eps = ReactorMesh::local(2).unwrap();
         let mut receiver = FaultyEndpoint::new(eps.pop().unwrap(), plan);
         let mut sender = eps.pop().unwrap();
         let n = 50u8;

@@ -8,27 +8,28 @@
 //!   messages separately (the paper's Figures 6 and 7 plot exactly that
 //!   split).
 //! * [`Endpoint`] — the transport abstraction all protocols are written
-//!   against. Implementations exist for in-process channels
-//!   ([`memory::MemoryHub`]), real-socket meshes (`reactor::ReactorMesh`,
-//!   on every unix: one Unix-domain socket pair per link, all in one
-//!   process), and the virtual-time cluster simulator in the `sdso-sim`
-//!   crate.
+//!   against. Two implementations exist: real-socket meshes
+//!   (`reactor::ReactorMesh`, on every unix: one Unix-domain socket pair per
+//!   link, all in one process) and the virtual-time cluster simulator in the
+//!   `sdso-sim` crate.
 //! * [`wire`] — a small, dependency-free binary codec used by every message
 //!   type in the workspace.
 //! * [`frame`] — length-prefixed framing for stream transports.
 //!
 //! The original S-DSO system (West, Schwan, Tacic, Ahamad; ICDCS 1997) was
 //! "directly layered onto sockets"; the reactor plays that role here — one
-//! `poll(2)` loop per endpoint — while [`memory`] and the simulator make the
-//! same protocol code testable and measurable deterministically.
+//! `poll(2)` loop per endpoint — while the simulator models the paper's
+//! testbed in virtual time, which makes the same protocol code testable and
+//! measurable deterministically.
 //!
 //! # Example
 //!
 //! ```
-//! use sdso_net::{memory::MemoryHub, Endpoint, MsgClass, Payload};
-//!
+//! # #[cfg(unix)]
 //! # fn main() -> Result<(), sdso_net::NetError> {
-//! let mut eps = MemoryHub::new(2).into_endpoints();
+//! use sdso_net::{reactor::ReactorMesh, Endpoint, MsgClass, Payload};
+//!
+//! let mut eps = ReactorMesh::local(2)?;
 //! let mut b = eps.pop().unwrap();
 //! let mut a = eps.pop().unwrap();
 //!
@@ -39,6 +40,8 @@
 //! assert_eq!(msg.payload.class, MsgClass::Control);
 //! # Ok(())
 //! # }
+//! # #[cfg(not(unix))]
+//! # fn main() {}
 //! ```
 
 #![warn(missing_docs)]
@@ -60,7 +63,6 @@ mod transport;
 pub mod fault;
 pub mod faulty;
 pub mod frame;
-pub mod memory;
 pub mod pool;
 #[cfg(unix)]
 pub mod reactor;

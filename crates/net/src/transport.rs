@@ -6,8 +6,7 @@
 /// calls `local_cluster(TransportKind::default(), n)`; ROADMAP item 2
 /// deletes it, with `local_cluster`'s argument, in the next `benchmark` PR.
 ///
-/// Simulated and in-memory transports are not named here: they are chosen
-/// structurally (by calling into `sdso-sim` or
-/// [`memory::MemoryHub`](crate::memory::MemoryHub)).
+/// The simulator is not named here: it is chosen structurally, by calling
+/// into `sdso-sim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct TransportKind;

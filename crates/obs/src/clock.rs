@@ -3,12 +3,12 @@
 //!
 //! This module is the single place in the workspace where observability
 //! code may read the host clock: the deterministic sim stamps events with
-//! virtual time from its scheduler, while `ReactorEndpoint`/`MemoryEndpoint`
-//! stamp with a [`MonoClock`]. `crates/obs` denies host time outside tests
+//! virtual time from its scheduler, while `ReactorEndpoint` stamps with a
+//! [`MonoClock`]. `crates/obs` denies host time outside tests
 //! (see `lib.rs`), and this file alone allows it.
 
-// MonoClock stamps flight-recorder events on real transports (the reactor,
-// MemoryEndpoint) only; deterministic sim runs stamp with virtual time and
+// MonoClock stamps flight-recorder events on the real transport (the
+// reactor) only; deterministic sim runs stamp with virtual time and
 // never touch it. Anything else in crates/obs (or sim/core/protocols) that
 // reads host time is a bug, not a candidate for this allow.
 #![allow(clippy::disallowed_methods, clippy::disallowed_types)]

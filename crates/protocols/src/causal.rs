@@ -199,72 +199,86 @@ impl<E: Endpoint> CausalMemory<E> {
 mod tests {
     use super::*;
     use sdso_core::DsoConfig;
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
+    use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-    fn cluster(n: usize) -> Vec<CausalMemory<MemoryEndpoint>> {
-        MemoryHub::new(n)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                for id in 0..4u32 {
-                    rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
-                }
-                CausalMemory::new(rt)
-            })
-            .collect()
+    /// Runs `f` on every process of an `n`-process instant simulator, each
+    /// sharing objects 0..4. A process that panics fails the test.
+    fn cluster(n: usize, f: impl Fn(CausalMemory<SimEndpoint>) + Send + Sync + 'static) {
+        let run = SimCluster::new(n, NetworkModel::instant()).run(move |ep| {
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            for id in 0..4u32 {
+                rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+            }
+            f(CausalMemory::new(rt));
+            Ok(())
+        });
+        run.unwrap().into_results().unwrap();
     }
 
     #[test]
     fn writes_reach_everyone() {
-        let mut nodes = cluster(3);
-        nodes[0].write(ObjectId(0), 0, &[7]).unwrap();
-        for node in nodes.iter_mut().skip(1) {
+        cluster(3, |mut node| {
+            if node.runtime().node_id() == 0 {
+                node.write(ObjectId(0), 0, &[7]).unwrap();
+                return;
+            }
             let delivered = node.deliver_blocking().unwrap();
             assert_eq!(delivered, 1);
             assert_eq!(node.read(ObjectId(0)).unwrap()[0], 7);
-        }
+        });
     }
 
     #[test]
     fn causal_order_respected_across_forwarders() {
-        let mut nodes = cluster(3);
-        // w1 at node 0.
-        nodes[0].write(ObjectId(0), 0, &[1]).unwrap();
-        // Node 1 sees w1, then writes w2 (causally after w1).
-        nodes[1].deliver_blocking().unwrap();
-        nodes[1].write(ObjectId(1), 0, &[2]).unwrap();
-        // Node 2 receives w2 *first* (pull it from the queue before w1 by
-        // manipulating arrival: both are in flight; deliverability decides).
-        // Regardless of arrival order, after draining everything node 2 has
-        // both writes and w2 was never applied before w1.
-        let mut total = 0;
-        while total < 2 {
-            total += nodes[2].deliver_blocking().unwrap();
-        }
-        assert_eq!(nodes[2].read(ObjectId(0)).unwrap()[0], 1);
-        assert_eq!(nodes[2].read(ObjectId(1)).unwrap()[0], 2);
+        cluster(3, |mut node| match node.runtime().node_id() {
+            // w1 at node 0.
+            0 => node.write(ObjectId(0), 0, &[1]).unwrap(),
+            // Node 1 sees w1, then writes w2 (causally after w1).
+            1 => {
+                node.deliver_blocking().unwrap();
+                node.write(ObjectId(1), 0, &[2]).unwrap();
+            }
+            // Node 2 may receive w2 *first*: both are in flight, and
+            // deliverability decides. Regardless of arrival order, after
+            // draining everything node 2 has both writes and w2 was never
+            // applied before w1.
+            _ => {
+                let mut total = 0;
+                while total < 2 {
+                    total += node.deliver_blocking().unwrap();
+                }
+                assert_eq!(node.read(ObjectId(0)).unwrap()[0], 1);
+                assert_eq!(node.read(ObjectId(1)).unwrap()[0], 2);
+            }
+        });
     }
 
     #[test]
     fn out_of_order_message_is_delayed_not_dropped() {
-        let mut nodes = cluster(2);
         // Two writes from node 0; deliver both at node 1 and check both
         // applied in order.
-        nodes[0].write(ObjectId(0), 0, &[1]).unwrap();
-        nodes[0].write(ObjectId(0), 1, &[2]).unwrap();
-        let mut total = 0;
-        while total < 2 {
-            total += nodes[1].deliver_blocking().unwrap();
-        }
-        assert_eq!(&nodes[1].read(ObjectId(0)).unwrap()[..2], &[1, 2]);
-        assert_eq!(nodes[1].metrics().delivered, 2);
+        cluster(2, |mut node| {
+            if node.runtime().node_id() == 0 {
+                node.write(ObjectId(0), 0, &[1]).unwrap();
+                node.write(ObjectId(0), 1, &[2]).unwrap();
+                return;
+            }
+            let mut total = 0;
+            while total < 2 {
+                total += node.deliver_blocking().unwrap();
+            }
+            assert_eq!(&node.read(ObjectId(0)).unwrap()[..2], &[1, 2]);
+            assert_eq!(node.metrics().delivered, 2);
+        });
     }
 
     #[test]
     fn traffic_scales_with_cluster_size() {
-        let mut nodes = cluster(3);
-        nodes[0].write(ObjectId(0), 0, &[1]).unwrap();
-        assert_eq!(nodes[0].runtime().net_metrics().data_sent.msgs, 2, "push to all");
+        cluster(3, |mut node| {
+            if node.runtime().node_id() == 0 {
+                node.write(ObjectId(0), 0, &[1]).unwrap();
+                assert_eq!(node.runtime().net_metrics().data_sent.msgs, 2, "push to all");
+            }
+        });
     }
 }

@@ -751,42 +751,49 @@ impl<E: Endpoint> EntryConsistency<E> {
 mod tests {
     use super::*;
     use sdso_core::DsoConfig;
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
+    use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-    fn cluster(n: usize, objects: u32) -> Vec<EntryConsistency<MemoryEndpoint>> {
-        cluster_of(n, objects, 8)
+    type Process = EntryConsistency<SimEndpoint>;
+
+    /// Runs `f` on every process of an `n`-process instant simulator, each
+    /// sharing `objects` zeroed objects of `size` bytes, and hands back what
+    /// each returned. A process that panics fails the test.
+    ///
+    /// Among equal clocks the simulator runs the lowest id first, so a
+    /// process 0 that never waits finishes before process 1 takes a
+    /// message: a test may hand-drive process 0, then read what reached
+    /// process 1.
+    fn cluster_of<T, F>(n: usize, objects: u32, size: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(Process) -> T + Send + Sync + 'static,
+    {
+        let run = SimCluster::new(n, NetworkModel::instant()).run(move |ep| {
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            for id in 0..objects {
+                rt.share(ObjectId(id), vec![0u8; size]).unwrap();
+            }
+            Ok(f(EntryConsistency::new(rt)))
+        });
+        run.unwrap().into_results().unwrap()
     }
 
-    /// `n` processes sharing `objects` zeroed objects of `size` bytes.
-    fn cluster_of(n: usize, objects: u32, size: usize) -> Vec<EntryConsistency<MemoryEndpoint>> {
-        MemoryHub::new(n)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                for id in 0..objects {
-                    rt.share(ObjectId(id), vec![0u8; size]).unwrap();
-                }
-                EntryConsistency::new(rt)
-            })
-            .collect()
+    fn cluster<T, F>(n: usize, objects: u32, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(Process) -> T + Send + Sync + 'static,
+    {
+        cluster_of(n, objects, 8, f)
     }
 
-    /// Runs one [`EntryConsistency::view_sync`] flush at every process at
-    /// once, each on a thread of its own, and hands the processes back.
-    fn flush_all(
-        nodes: Vec<EntryConsistency<MemoryEndpoint>>,
-    ) -> Vec<EntryConsistency<MemoryEndpoint>> {
-        let flushing: Vec<_> = nodes
-            .into_iter()
-            .map(|mut node| {
-                std::thread::spawn(move || {
-                    node.view_sync().unwrap();
-                    node
-                })
-            })
-            .collect();
-        flushing.into_iter().map(|t| t.join().unwrap()).collect()
+    /// Runs `f` on process 0 of `n`; the others are only there to be
+    /// addressed.
+    fn at_process_0(n: usize, objects: u32, f: impl Fn(&mut Process) + Send + Sync + 'static) {
+        cluster(n, objects, move |mut node| {
+            if node.runtime().node_id() == 0 {
+                f(&mut node);
+            }
+        });
     }
 
     fn v(ticks: u64, writer: NodeId) -> Version {
@@ -835,13 +842,16 @@ mod tests {
     /// must still end holding the registered bytes at the newest version.
     #[test]
     fn an_empty_diff_overwrites_a_stale_image() {
-        let mut nodes = cluster(2, 1);
         let object = ObjectId(0);
-        nodes[1].runtime_mut().write_local(object, 0, &[5], v(1, 1)).unwrap();
-        nodes[0].runtime_mut().write_local(object, 0, &[5], v(1, 1)).unwrap();
-        nodes[0].runtime_mut().write_local(object, 0, &[0], v(2, 0)).unwrap();
-        assert_eq!(nodes[0].read(object).unwrap(), nodes[0].runtime().registered(object).unwrap());
-        let nodes = flush_all(nodes);
+        let nodes = cluster(2, 1, move |mut node| {
+            node.runtime_mut().write_local(object, 0, &[5], v(1, 1)).unwrap();
+            if node.runtime().node_id() == 0 {
+                node.runtime_mut().write_local(object, 0, &[0], v(2, 0)).unwrap();
+                assert_eq!(node.read(object).unwrap(), node.runtime().registered(object).unwrap());
+            }
+            node.view_sync().unwrap();
+            node
+        });
         for node in &nodes {
             assert_eq!(node.read(object).unwrap(), &[0u8; 8]);
             assert_eq!(node.runtime().version_of(object).unwrap(), v(2, 0));
@@ -853,12 +863,18 @@ mod tests {
     /// object with one changed byte costs tens of bytes, not its body.
     #[test]
     fn a_flush_sends_one_state_per_peer_sized_by_the_changed_bytes() {
-        let mut nodes = cluster_of(3, 4, 4096);
-        for (id, at) in [(0, 17), (2, 4095)] {
-            nodes[0].runtime_mut().write_local(ObjectId(id), at, &[9], v(1, 0)).unwrap();
-        }
-        let before = nodes[0].runtime().net_metrics().control_sent;
-        let nodes = flush_all(nodes);
+        let flushed = cluster_of(3, 4, 4096, |mut node| {
+            if node.runtime().node_id() == 0 {
+                for (id, at) in [(0, 17), (2, 4095)] {
+                    node.runtime_mut().write_local(ObjectId(id), at, &[9], v(1, 0)).unwrap();
+                }
+            }
+            let before = node.runtime().net_metrics().control_sent;
+            node.view_sync().unwrap();
+            (before, node)
+        });
+        let before = flushed[0].0;
+        let nodes: Vec<_> = flushed.into_iter().map(|(_, node)| node).collect();
         let sent = nodes[0].runtime().net_metrics().control_sent;
         let (msgs, bytes) = (sent.msgs - before.msgs, sent.bytes - before.bytes);
         assert_eq!(msgs, 4, "one State and one SyncDone to each of two peers");
@@ -878,7 +894,7 @@ mod tests {
     #[test]
     fn manager_assignment_is_static_and_even() {
         let counts = (0..32u32).fold([0usize; 4], |mut acc, id| {
-            acc[usize::from(EntryConsistency::<MemoryEndpoint>::manager_of(ObjectId(id), 4))] += 1;
+            acc[usize::from(Process::manager_of(ObjectId(id), 4))] += 1;
             acc
         });
         assert_eq!(counts, [8, 8, 8, 8]);
@@ -887,120 +903,116 @@ mod tests {
     #[test]
     fn local_lock_no_messages() {
         // One node: every manager is local; no traffic at all.
-        let mut nodes = cluster(1, 4);
-        let node = &mut nodes[0];
-        node.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
-        node.write(ObjectId(0), 0, &[7]).unwrap();
-        node.release_all(&BTreeSet::from([ObjectId(0)])).unwrap();
-        assert_eq!(node.runtime().net_metrics().total_sent(), 0);
-        assert_eq!(node.metrics().local_grants, 1);
+        at_process_0(1, 4, |node| {
+            node.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
+            node.write(ObjectId(0), 0, &[7]).unwrap();
+            node.release_all(&BTreeSet::from([ObjectId(0)])).unwrap();
+            assert_eq!(node.runtime().net_metrics().total_sent(), 0);
+            assert_eq!(node.metrics().local_grants, 1);
+        });
     }
 
     #[test]
     fn write_without_lock_rejected() {
-        let mut nodes = cluster(1, 1);
-        assert!(matches!(
-            nodes[0].write(ObjectId(0), 0, &[1]),
-            Err(DsoError::ProtocolViolation(_))
-        ));
+        at_process_0(1, 1, |node| {
+            assert!(matches!(
+                node.write(ObjectId(0), 0, &[1]),
+                Err(DsoError::ProtocolViolation(_))
+            ));
+        });
     }
 
     #[test]
     fn writes_propagate_through_pull() {
         // Node 0 writes object 1 (managed by node 1); node 1 then reads it.
-        let mut nodes = cluster(2, 2);
-        let mut n1 = nodes.pop().unwrap();
-        let mut n0 = nodes.pop().unwrap();
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let t = std::thread::spawn(move || {
-            // Node 1: serve manager duties until n0's release lands (owner
-            // of object 1 becomes node 0), then acquire & read.
-            loop {
-                n1.service_pending().unwrap();
-                if n1.managed.get(&ObjectId(1)).is_some_and(|l| l.owner == 0) {
-                    break;
+        // Each ends in `finish`, which serves manager duties and pulls until
+        // the other is done too.
+        cluster(2, 2, |mut node| {
+            if node.runtime().node_id() == 0 {
+                node.acquire(&[LockRequest::write(ObjectId(1))]).unwrap();
+                node.write(ObjectId(1), 0, &[42]).unwrap();
+                node.release_all(&BTreeSet::from([ObjectId(1)])).unwrap();
+            } else {
+                // Serve manager duties until node 0's release lands (owner
+                // of object 1 becomes node 0), then acquire & read.
+                while node.managed.get(&ObjectId(1)).is_none_or(|l| l.owner != 0) {
+                    node.pump_one().unwrap();
                 }
-                std::thread::yield_now();
+                node.acquire(&[LockRequest::read(ObjectId(1))]).unwrap();
+                assert_eq!(node.read(ObjectId(1)).unwrap()[0], 42);
+                assert_eq!(node.metrics().pulls, 1);
+                node.release_all(&BTreeSet::new()).unwrap();
             }
-            n1.acquire(&[LockRequest::read(ObjectId(1))]).unwrap();
-            assert_eq!(n1.read(ObjectId(1)).unwrap()[0], 42);
-            assert_eq!(n1.metrics().pulls, 1);
-            n1.release_all(&BTreeSet::new()).unwrap();
-            done_tx.send(()).unwrap();
-            n1
+            node.finish().unwrap();
         });
-        n0.acquire(&[LockRequest::write(ObjectId(1))]).unwrap();
-        n0.write(ObjectId(1), 0, &[42]).unwrap();
-        n0.release_all(&BTreeSet::from([ObjectId(1)])).unwrap();
-        // Keep servicing n1's pull (GetReq) until it finishes.
-        while done_rx.try_recv().is_err() {
-            n0.service_pending().unwrap();
-            std::thread::yield_now();
-        }
-        let n1 = t.join().unwrap();
-        let _ = (n0, n1);
     }
 
     #[test]
     fn release_all_sends_one_batch_per_run_of_messages_to_one_peer() {
         use sdso_net::{Recorder, TraceConfig};
-        let mut nodes = cluster(2, 4);
-        let mut n1 = nodes.pop().unwrap();
-        let mut n0 = nodes.pop().unwrap();
-        let recorder = Recorder::new(0, TraceConfig::counters());
-        n0.runtime_mut().endpoint_mut().attach_recorder(recorder.clone());
-        // n0 manages object 0 and holds it, with n1 queued behind; it also
-        // holds objects 1 and 3, which n1 manages.
-        n0.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
-        n0.handle(
-            1,
-            EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch::ZERO },
-        )
-        .unwrap();
-        n0.held.push((ObjectId(1), LockMode::Write));
-        n0.held.push((ObjectId(3), LockMode::Write));
-        n0.release_all(&BTreeSet::from([ObjectId(1), ObjectId(3)])).unwrap();
-        let counts = recorder.counts();
-        assert_eq!(counts[EventKind::Send as usize], 3, "a Grant and two Releases");
-        assert_eq!(counts[EventKind::BatchSend as usize], 1, "all three in one write");
-        n1.service_pending().unwrap();
-        assert!(n1.granted.iter().any(|g| g.0 == ObjectId(0)), "the freed Grant arrived");
-        assert_eq!(n1.managed[&ObjectId(1)].owner, 0);
-        assert_eq!(n1.managed[&ObjectId(3)].owner, 0);
+        cluster(2, 4, |mut node| {
+            if node.runtime().node_id() == 1 {
+                node.service_pending().unwrap();
+                assert!(node.granted.iter().any(|g| g.0 == ObjectId(0)), "the freed Grant arrived");
+                assert_eq!(node.managed[&ObjectId(1)].owner, 0);
+                assert_eq!(node.managed[&ObjectId(3)].owner, 0);
+                return;
+            }
+            let recorder = Recorder::new(0, TraceConfig::counters());
+            node.runtime_mut().endpoint_mut().attach_recorder(recorder.clone());
+            // Node 0 manages object 0 and holds it, with node 1 queued behind;
+            // it also holds objects 1 and 3, which node 1 manages.
+            node.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
+            let acquire = EcMessage::Acquire {
+                object: ObjectId(0),
+                mode: LockMode::Write,
+                epoch: Epoch::ZERO,
+            };
+            node.handle(1, acquire).unwrap();
+            node.held.push((ObjectId(1), LockMode::Write));
+            node.held.push((ObjectId(3), LockMode::Write));
+            node.release_all(&BTreeSet::from([ObjectId(1), ObjectId(3)])).unwrap();
+            let counts = recorder.counts();
+            assert_eq!(counts[EventKind::Send as usize], 3, "a Grant and two Releases");
+            assert_eq!(counts[EventKind::BatchSend as usize], 1, "all three in one write");
+        });
     }
 
     /// A release that fails partway (here, on an object that is not shared)
     /// sends nothing, then or with a later call.
     #[test]
     fn a_failed_release_leaves_nothing_to_send() {
-        let mut nodes = cluster(2, 4);
-        let mut n1 = nodes.pop().unwrap();
-        let mut n0 = nodes.pop().unwrap();
-        n0.held.push((ObjectId(1), LockMode::Write));
-        n0.held.push((ObjectId(9), LockMode::Write));
-        let failed = n0.release_all(&BTreeSet::new());
-        assert!(matches!(failed, Err(DsoError::UnknownObject(_))), "{failed:?}");
-        n0.release_all(&BTreeSet::new()).unwrap();
-        n1.service_pending().unwrap();
-        assert!(!n1.managed.contains_key(&ObjectId(1)), "object 1's Release went out");
+        cluster(2, 4, |mut node| {
+            if node.runtime().node_id() == 1 {
+                node.service_pending().unwrap();
+                assert!(!node.managed.contains_key(&ObjectId(1)), "object 1's Release went out");
+                return;
+            }
+            node.held.push((ObjectId(1), LockMode::Write));
+            node.held.push((ObjectId(9), LockMode::Write));
+            let failed = node.release_all(&BTreeSet::new());
+            assert!(matches!(failed, Err(DsoError::UnknownObject(_))), "{failed:?}");
+            node.release_all(&BTreeSet::new()).unwrap();
+        });
     }
 
     #[test]
     fn duplicate_lockset_rejected() {
-        let mut nodes = cluster(1, 2);
-        let (r, w) = (LockRequest::read, LockRequest::write);
-        // Adjacent and apart: only the sort brings a split duplicate
-        // together, so the check sees it before any lock is taken.
-        let adjacent = [r(ObjectId(0)), w(ObjectId(0))];
-        let apart = [w(ObjectId(0)), w(ObjectId(1)), r(ObjectId(0))];
-        for lockset in [&adjacent[..], &apart[..]] {
-            let err = nodes[0].acquire(lockset).unwrap_err();
-            assert!(
-                matches!(&err, DsoError::ProtocolViolation(m) if m.contains("twice")),
-                "{lockset:?}: {err}"
-            );
-            assert!(nodes[0].held.is_empty(), "{lockset:?} took a lock before its rejection");
-        }
+        at_process_0(1, 2, |node| {
+            let (r, w) = (LockRequest::read, LockRequest::write);
+            // Adjacent and apart: only the sort brings a split duplicate
+            // together, so the check sees it before any lock is taken.
+            let adjacent = [r(ObjectId(0)), w(ObjectId(0))];
+            let apart = [w(ObjectId(0)), w(ObjectId(1)), r(ObjectId(0))];
+            for lockset in [&adjacent[..], &apart[..]] {
+                let err = node.acquire(lockset).unwrap_err();
+                assert!(
+                    matches!(&err, DsoError::ProtocolViolation(m) if m.contains("twice")),
+                    "{lockset:?}: {err}"
+                );
+                assert!(node.held.is_empty(), "{lockset:?} took a lock before its rejection");
+            }
+        });
     }
 
     #[test]
@@ -1008,37 +1020,42 @@ mod tests {
         // Node 0 exercises its manager queueing logic directly through
         // handle; the simulated contenders (9, …) are real cluster members
         // whose endpoints simply never read their grants.
-        let mut nodes = cluster(10, 1);
-        let node = &mut nodes[0];
-        // A remote reader (fictitious node id 0 is us; use handle with from=0
-        // only for self) — instead simulate: we hold the read lock, then a
-        // queued self-write must wait. Single-node can't deadlock because
-        // release drains the queue.
-        node.acquire(&[LockRequest::read(ObjectId(0))]).unwrap();
-        // A (simulated) remote writer request goes into the queue.
-        node.handle(
-            9,
-            EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch::ZERO },
-        )
-        .unwrap();
-        assert_eq!(node.managed[&ObjectId(0)].queue.len(), 1);
-        node.release_all(&BTreeSet::new()).unwrap();
-        // Release drained the queue: the writer got the lock.
-        assert_eq!(node.managed[&ObjectId(0)].queue.len(), 0);
-        assert_eq!(node.managed[&ObjectId(0)].writer, Some(9));
+        at_process_0(10, 1, |node| {
+            // A remote reader (fictitious node id 0 is us; use handle with from=0
+            // only for self) — instead simulate: we hold the read lock, then a
+            // queued self-write must wait. Single-node can't deadlock because
+            // release drains the queue.
+            node.acquire(&[LockRequest::read(ObjectId(0))]).unwrap();
+            // A (simulated) remote writer request goes into the queue.
+            node.handle(
+                9,
+                EcMessage::Acquire {
+                    object: ObjectId(0),
+                    mode: LockMode::Write,
+                    epoch: Epoch::ZERO,
+                },
+            )
+            .unwrap();
+            assert_eq!(node.managed[&ObjectId(0)].queue.len(), 1);
+            node.release_all(&BTreeSet::new()).unwrap();
+            // Release drained the queue: the writer got the lock.
+            assert_eq!(node.managed[&ObjectId(0)].queue.len(), 0);
+            assert_eq!(node.managed[&ObjectId(0)].writer, Some(9));
+        });
     }
 
     #[test]
     fn manager_mapping_follows_the_view() {
-        let mut nodes = cluster(4, 4);
-        let view = sdso_core::MembershipView::initial(4, [0, 2, 3]).unwrap();
-        nodes[0].runtime_mut().set_membership(view);
-        // Members sorted {0, 2, 3}: object k maps to the k-mod-3rd member,
-        // never to absent node 1.
-        assert_eq!(nodes[0].manager_of_view(ObjectId(0)), 0);
-        assert_eq!(nodes[0].manager_of_view(ObjectId(1)), 2);
-        assert_eq!(nodes[0].manager_of_view(ObjectId(2)), 3);
-        assert_eq!(nodes[0].manager_of_view(ObjectId(3)), 0);
+        at_process_0(4, 4, |node| {
+            let view = sdso_core::MembershipView::initial(4, [0, 2, 3]).unwrap();
+            node.runtime_mut().set_membership(view);
+            // Members sorted {0, 2, 3}: object k maps to the k-mod-3rd member,
+            // never to absent node 1.
+            assert_eq!(node.manager_of_view(ObjectId(0)), 0);
+            assert_eq!(node.manager_of_view(ObjectId(1)), 2);
+            assert_eq!(node.manager_of_view(ObjectId(2)), 3);
+            assert_eq!(node.manager_of_view(ObjectId(3)), 0);
+        });
     }
 
     #[test]
@@ -1046,22 +1063,26 @@ mod tests {
         use sdso_core::ViewChange;
         // Node 0 manages object 0 and has granted a write lock to node 3;
         // node 3 then leaves at a barrier without releasing.
-        let mut nodes = cluster(4, 2);
-        let node = &mut nodes[0];
-        node.handle(
-            3,
-            EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch::ZERO },
-        )
-        .unwrap();
-        assert_eq!(node.managed[&ObjectId(0)].writer, Some(3));
-        node.apply_view_change(&ViewChange::leave([3])).unwrap();
-        assert!(node.managed.is_empty(), "the leaver's hold is revoked");
-        // Fresh acquires succeed under the new 3-member view (objects 0
-        // and 1 both manage locally at node 0 now: {0,1,2}[k mod 3]).
-        node.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
-        node.write(ObjectId(0), 0, &[5]).unwrap();
-        node.release_all(&BTreeSet::from([ObjectId(0)])).unwrap();
-        assert_eq!(node.managed[&ObjectId(0)].owner, 0);
+        at_process_0(4, 2, |node| {
+            node.handle(
+                3,
+                EcMessage::Acquire {
+                    object: ObjectId(0),
+                    mode: LockMode::Write,
+                    epoch: Epoch::ZERO,
+                },
+            )
+            .unwrap();
+            assert_eq!(node.managed[&ObjectId(0)].writer, Some(3));
+            node.apply_view_change(&ViewChange::leave([3])).unwrap();
+            assert!(node.managed.is_empty(), "the leaver's hold is revoked");
+            // Fresh acquires succeed under the new 3-member view (objects 0
+            // and 1 both manage locally at node 0 now: {0,1,2}[k mod 3]).
+            node.acquire(&[LockRequest::write(ObjectId(0))]).unwrap();
+            node.write(ObjectId(0), 0, &[5]).unwrap();
+            node.release_all(&BTreeSet::from([ObjectId(0)])).unwrap();
+            assert_eq!(node.managed[&ObjectId(0)].owner, 0);
+        });
     }
 
     #[test]
@@ -1071,41 +1092,45 @@ mod tests {
         // manager is still at epoch 0 (inside the view-change barrier):
         // acting on it now would grant under lock state the view change is
         // about to clear, silently losing the lock.
-        let mut nodes = cluster(4, 2);
-        let node = &mut nodes[0];
-        node.handle(
-            2,
-            EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch(1) },
-        )
-        .unwrap();
-        assert!(node.managed.is_empty(), "future-epoch acquire must not touch lock state");
-        node.apply_view_change(&ViewChange::leave([3])).unwrap();
-        assert_eq!(
-            node.managed[&ObjectId(0)].writer,
-            Some(2),
-            "deferred acquire granted once the barrier is crossed"
-        );
+        at_process_0(4, 2, |node| {
+            node.handle(
+                2,
+                EcMessage::Acquire { object: ObjectId(0), mode: LockMode::Write, epoch: Epoch(1) },
+            )
+            .unwrap();
+            assert!(node.managed.is_empty(), "future-epoch acquire must not touch lock state");
+            node.apply_view_change(&ViewChange::leave([3])).unwrap();
+            assert_eq!(
+                node.managed[&ObjectId(0)].writer,
+                Some(2),
+                "deferred acquire granted once the barrier is crossed"
+            );
+        });
     }
 
     #[test]
     fn fifo_prevents_queue_jumping() {
-        let mut nodes = cluster(10, 1);
-        let node = &mut nodes[0];
-        let acq = |mode| EcMessage::Acquire { object: ObjectId(0), mode, epoch: Epoch::ZERO };
-        // Simulated remote writer holds the lock...
-        node.handle(7, acq(LockMode::Write)).unwrap();
-        // ...a remote writer queues...
-        node.handle(8, acq(LockMode::Write)).unwrap();
-        // ...then a compatible-looking reader must still queue behind it.
-        node.handle(9, acq(LockMode::Read)).unwrap();
-        assert_eq!(node.managed[&ObjectId(0)].queue.len(), 2);
-        // First release grants the writer only; second grants the reader.
-        node.handle(
-            7,
-            EcMessage::Release { object: ObjectId(0), modified: false, version: Version::INITIAL },
-        )
-        .unwrap();
-        assert_eq!(node.managed[&ObjectId(0)].writer, Some(8));
-        assert_eq!(node.managed[&ObjectId(0)].queue.len(), 1);
+        at_process_0(10, 1, |node| {
+            let acq = |mode| EcMessage::Acquire { object: ObjectId(0), mode, epoch: Epoch::ZERO };
+            // Simulated remote writer holds the lock...
+            node.handle(7, acq(LockMode::Write)).unwrap();
+            // ...a remote writer queues...
+            node.handle(8, acq(LockMode::Write)).unwrap();
+            // ...then a compatible-looking reader must still queue behind it.
+            node.handle(9, acq(LockMode::Read)).unwrap();
+            assert_eq!(node.managed[&ObjectId(0)].queue.len(), 2);
+            // First release grants the writer only; second grants the reader.
+            node.handle(
+                7,
+                EcMessage::Release {
+                    object: ObjectId(0),
+                    modified: false,
+                    version: Version::INITIAL,
+                },
+            )
+            .unwrap();
+            assert_eq!(node.managed[&ObjectId(0)].writer, Some(8));
+            assert_eq!(node.managed[&ObjectId(0)].queue.len(), 1);
+        });
     }
 }

@@ -26,16 +26,18 @@ use sdso_net::Endpoint;
 ///
 /// ```no_run
 /// use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime};
-/// use sdso_net::memory::MemoryHub;
 /// use sdso_protocols::Lookahead;
+/// use sdso_sim::{NetworkModel, SimCluster};
 ///
-/// # fn main() -> Result<(), sdso_core::DsoError> {
-/// let ep = MemoryHub::new(2).into_endpoints().remove(0);
-/// let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
-/// rt.share(ObjectId(0), vec![0u8; 16])?;
-/// let mut node = Lookahead::new(rt, EveryTick)?; // BSYNC
-/// node.runtime_mut().write(ObjectId(0), 0, &[1])?;
-/// node.step()?; // rendezvous with whoever is due
+/// # fn main() -> Result<(), sdso_sim::SimError> {
+/// SimCluster::new(2, NetworkModel::paper_testbed()).run(|ep| {
+///     let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
+///     rt.share(ObjectId(0), vec![0u8; 16])?;
+///     let mut node = Lookahead::new(rt, EveryTick)?; // BSYNC
+///     node.runtime_mut().write(ObjectId(0), 0, &[1])?;
+///     node.step()?; // rendezvous with whoever is due
+///     Ok(())
+/// })?;
 /// # Ok(())
 /// # }
 /// ```
@@ -113,42 +115,40 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
 mod tests {
     use super::*;
     use sdso_core::{DsoConfig, EveryTick, LogicalTime, ObjectId, ObjectStore};
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
     use sdso_net::NodeId;
+    use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-    fn cluster(n: usize) -> Vec<SdsoRuntime<MemoryEndpoint>> {
-        MemoryHub::new(n)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                for id in 0..4u32 {
-                    rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
-                }
-                rt
-            })
-            .collect()
+    /// Runs `f` on every process of an `n`-process instant simulator, each
+    /// sharing objects 0..4, and hands back what each returned. A process
+    /// that panics fails the test.
+    fn cluster<T, F>(n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(SdsoRuntime<SimEndpoint>) -> T + Send + Sync + 'static,
+    {
+        let run = SimCluster::new(n, NetworkModel::instant()).run(move |ep| {
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            for id in 0..4u32 {
+                rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+            }
+            Ok(f(rt))
+        });
+        run.unwrap().into_results().unwrap()
     }
 
     #[test]
     fn bsync_three_nodes_full_visibility() {
-        let handles: Vec<_> = cluster(3)
-            .into_iter()
-            .map(|rt| {
-                std::thread::spawn(move || {
-                    let mut node = Lookahead::new(rt, EveryTick).unwrap();
-                    let me = node.runtime().node_id();
-                    for tick in 0..3u8 {
-                        node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick + 1]).unwrap();
-                        let report = node.step().unwrap();
-                        assert_eq!(report.peers.len(), 2, "BSYNC meets everyone");
-                    }
-                    node.into_runtime()
-                })
-            })
-            .collect();
-        for h in handles {
-            let rt = h.join().unwrap();
+        let done = cluster(3, |rt| {
+            let mut node = Lookahead::new(rt, EveryTick).unwrap();
+            let me = node.runtime().node_id();
+            for tick in 0..3u8 {
+                node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick + 1]).unwrap();
+                let report = node.step().unwrap();
+                assert_eq!(report.peers.len(), 2, "BSYNC meets everyone");
+            }
+            node.into_runtime()
+        });
+        for rt in done {
             for id in 0..3u32 {
                 assert_eq!(rt.read(ObjectId(id)).unwrap()[0], 3, "all writes visible");
             }
@@ -176,23 +176,17 @@ mod tests {
                 Some(now.plus(2))
             }
         }
-        let handles: Vec<_> = cluster(2)
-            .into_iter()
-            .map(|rt| {
-                std::thread::spawn(move || {
-                    let mut node = Lookahead::new(rt, Cadence).unwrap();
-                    let me = node.runtime().node_id();
-                    let mut rendezvous = 0;
-                    for tick in 0..6u8 {
-                        node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick + 1]).unwrap();
-                        rendezvous += node.step().unwrap().peers.len();
-                    }
-                    (node.into_runtime(), rendezvous)
-                })
-            })
-            .collect();
-        for h in handles {
-            let (rt, rendezvous) = h.join().unwrap();
+        let done = cluster(2, |rt| {
+            let mut node = Lookahead::new(rt, Cadence).unwrap();
+            let me = node.runtime().node_id();
+            let mut rendezvous = 0;
+            for tick in 0..6u8 {
+                node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick + 1]).unwrap();
+                rendezvous += node.step().unwrap().peers.len();
+            }
+            (node.into_runtime(), rendezvous)
+        });
+        for (rt, rendezvous) in done {
             assert_eq!(rendezvous, 3, "met the peer at ticks 2, 4, 6 only");
             // Writes up to the final rendezvous (tick 6) are visible.
             for id in 0..2u32 {

@@ -472,20 +472,24 @@ impl<E: Endpoint> Lrc<E> {
 mod tests {
     use super::*;
     use sdso_core::DsoConfig;
-    use sdso_net::memory::{MemoryEndpoint, MemoryHub};
+    use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-    fn cluster(n: usize) -> Vec<Lrc<MemoryEndpoint>> {
-        MemoryHub::new(n)
-            .into_endpoints()
-            .into_iter()
-            .map(|ep| {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                for id in 0..4u32 {
-                    rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
-                }
-                Lrc::new(rt)
-            })
-            .collect()
+    /// Runs `f` on every process of an `n`-process instant simulator, each
+    /// sharing objects 0..4, and hands back what each returned. A process
+    /// that panics fails the test.
+    fn cluster<T, F>(n: usize, f: F) -> Vec<T>
+    where
+        T: Send + 'static,
+        F: Fn(Lrc<SimEndpoint>) -> T + Send + Sync + 'static,
+    {
+        let run = SimCluster::new(n, NetworkModel::instant()).run(move |ep| {
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            for id in 0..4u32 {
+                rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+            }
+            Ok(f(Lrc::new(rt)))
+        });
+        run.unwrap().into_results().unwrap()
     }
 
     #[test]
@@ -516,51 +520,46 @@ mod tests {
 
     #[test]
     fn lock_transfer_carries_updates() {
-        let mut nodes = cluster(2);
-        let mut n1 = nodes.pop().unwrap();
-        let mut n0 = nodes.pop().unwrap();
-        // Lock 0 is managed by node 0.
-        n0.acquire(0).unwrap();
-        n0.write(ObjectId(1), 0, &[5]).unwrap();
-        n0.release(0).unwrap();
-
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let t = std::thread::spawn(move || {
-            n1.acquire(0).unwrap();
-            assert_eq!(n1.read(ObjectId(1)).unwrap()[0], 5, "update travelled with lock");
-            n1.release(0).unwrap();
-            done_tx.send(()).unwrap();
-            n1
+        // Each ends in `finish`, which serves lock and interval traffic
+        // until the other is done too.
+        let metrics = cluster(2, |mut node| {
+            if node.runtime().node_id() == 0 {
+                // Lock 0 is managed by node 0.
+                node.acquire(0).unwrap();
+                node.write(ObjectId(1), 0, &[5]).unwrap();
+                node.release(0).unwrap();
+            } else {
+                node.acquire(0).unwrap();
+                assert_eq!(node.read(ObjectId(1)).unwrap()[0], 5, "update travelled with lock");
+                node.release(0).unwrap();
+            }
+            node.finish().unwrap();
+            node.metrics()
         });
-        while done_rx.try_recv().is_err() {
-            n0.service_pending().unwrap();
-            std::thread::yield_now();
-        }
-        let n1 = t.join().unwrap();
-        assert_eq!(n1.metrics().intervals_applied, 1);
-        assert!(n0.metrics().intervals_sent >= 1);
+        assert_eq!(metrics[1].intervals_applied, 1);
+        assert!(metrics[0].intervals_sent >= 1);
     }
 
     #[test]
     fn second_acquire_does_not_refetch_seen_intervals() {
-        let mut nodes = cluster(1);
-        let node = &mut nodes[0];
-        node.acquire(0).unwrap();
-        node.write(ObjectId(0), 0, &[1]).unwrap();
-        node.release(0).unwrap();
-        // Re-acquiring our own lock needs no interval transfer.
-        node.acquire(0).unwrap();
-        node.release(0).unwrap();
-        assert_eq!(node.metrics().intervals_applied, 0);
-        assert_eq!(node.runtime().net_metrics().total_sent(), 0);
+        cluster(1, |mut node| {
+            node.acquire(0).unwrap();
+            node.write(ObjectId(0), 0, &[1]).unwrap();
+            node.release(0).unwrap();
+            // Re-acquiring our own lock needs no interval transfer.
+            node.acquire(0).unwrap();
+            node.release(0).unwrap();
+            assert_eq!(node.metrics().intervals_applied, 0);
+            assert_eq!(node.runtime().net_metrics().total_sent(), 0);
+        });
     }
 
     #[test]
     fn empty_interval_still_closes_epoch() {
-        let mut nodes = cluster(1);
-        let node = &mut nodes[0];
-        node.acquire(7).unwrap();
-        node.release(7).unwrap();
-        assert_eq!(node.vc.get(0), 1, "release advances the vector");
+        cluster(1, |mut node| {
+            node.acquire(7).unwrap();
+            node.release(7).unwrap();
+            assert_eq!(node.vc.get(0), 1, "release advances the vector");
+        });
     }
 }

@@ -1,7 +1,10 @@
 //! Randomised safety tests of the entry-consistency lock layer: mutual
 //! exclusion, reader sharing, and progress under contention — the paper's
 //! claim that its EC baseline "explicitly deals with data races by
-//! associating distributed locks with objects" made checkable.
+//! associating distributed locks with objects" made checkable. The
+//! processes run over the reactor's sockets, one thread each, so grants
+//! follow real arrival order.
+#![cfg(unix)]
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,7 +12,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdso_core::{DsoConfig, ObjectId, SdsoRuntime};
-use sdso_net::memory::MemoryHub;
+use sdso_net::reactor::ReactorMesh;
 use sdso_protocols::{EntryConsistency, LockRequest};
 
 /// Runs `nodes` processes that each perform `rounds` lock/increment/unlock
@@ -20,8 +23,8 @@ fn contended_run(nodes: usize, objects: u32, rounds: usize, seed: u64) -> Vec<u6
     // holders[obj] counts concurrent write-lock holders (must stay ≤ 1).
     let holders: Arc<Vec<AtomicU64>> = Arc::new((0..objects).map(|_| AtomicU64::new(0)).collect());
 
-    let handles: Vec<_> = MemoryHub::new(nodes)
-        .into_endpoints()
+    let handles: Vec<_> = ReactorMesh::local(nodes)
+        .unwrap()
         .into_iter()
         .map(|ep| {
             let holders = Arc::clone(&holders);
@@ -94,8 +97,8 @@ fn ec_increments_are_never_lost() {
     // final exclusive lock equals the number of increments performed.
     let nodes = 3;
     let rounds = 15;
-    let handles: Vec<_> = MemoryHub::new(nodes)
-        .into_endpoints()
+    let handles: Vec<_> = ReactorMesh::local(nodes)
+        .unwrap()
         .into_iter()
         .map(|ep| {
             std::thread::spawn(move || {
@@ -133,8 +136,8 @@ fn lrc_lock_chain_transfers_a_counter() {
     // Token-style counter passed around via one LRC lock.
     let nodes = 3;
     let rounds = 6;
-    let handles: Vec<_> = MemoryHub::new(nodes)
-        .into_endpoints()
+    let handles: Vec<_> = ReactorMesh::local(nodes)
+        .unwrap()
         .into_iter()
         .map(|ep| {
             std::thread::spawn(move || {

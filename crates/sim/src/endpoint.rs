@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use sdso_net::{
     Endpoint, EventKind, Incoming, MsgClass, NetError, NetMetrics, NetMetricsSnapshot, NodeId,
-    Payload, Recorder, SimInstant, SimSpan,
+    Payload, PeerEvent, Recorder, SimInstant, SimSpan,
 };
 
 use crate::scheduler::Scheduler;
@@ -184,5 +184,15 @@ impl Endpoint for SimEndpoint {
 
     fn attach_recorder(&mut self, recorder: Recorder) {
         self.recorder = recorder;
+    }
+
+    // The modelled network has no links to tear: membership changes are
+    // the protocol layer's alone, and no peer event ever surfaces.
+    fn remove_peer(&mut self, _peer: NodeId) {}
+
+    fn add_peer(&mut self, _peer: NodeId) {}
+
+    fn take_peer_events(&mut self) -> Vec<PeerEvent> {
+        Vec::new()
     }
 }

@@ -6,44 +6,41 @@
 //!
 //! Run with: `cargo run -p sdso-harness --example quickstart`
 
-use sdso_core::{DsoConfig, DsoError, EveryTick, ObjectId, SdsoRuntime, SendMode};
-use sdso_net::memory::MemoryHub;
-use sdso_net::Endpoint;
+use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime, SendMode};
+use sdso_net::{Endpoint, NetError};
+use sdso_sim::{NetworkModel, SimCluster};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let endpoints = MemoryHub::new(2).into_endpoints();
+    // Two processes on the simulator's instant network, each on a thread
+    // of its own.
+    let outcome = SimCluster::new(2, NetworkModel::instant()).run(|ep| -> Result<_, NetError> {
+        let me = ep.node_id();
+        let mut runtime = SdsoRuntime::new(ep, DsoConfig::paper());
 
-    let mut handles = Vec::new();
-    for ep in endpoints {
-        handles.push(std::thread::spawn(move || -> Result<String, DsoError> {
-            let me = ep.node_id();
-            let mut runtime = SdsoRuntime::new(ep, DsoConfig::paper());
+        // Everything is declared shared once, at initialisation — S-DSO
+        // has no unshare (paper §3.1).
+        runtime.share(ObjectId(0), b"....".to_vec())?;
+        runtime.share(ObjectId(1), b"....".to_vec())?;
+        runtime.init_schedule(&mut EveryTick)?;
 
-            // Everything is declared shared once, at initialisation — S-DSO
-            // has no unshare (paper §3.1).
-            runtime.share(ObjectId(0), b"....".to_vec())?;
-            runtime.share(ObjectId(1), b"....".to_vec())?;
-            runtime.init_schedule(&mut EveryTick)?;
+        // Each process writes its own object...
+        let text: &[u8] = if me == 0 { b"ping" } else { b"pong" };
+        runtime.write(ObjectId(u32::from(me)), 0, text)?;
 
-            // Each process writes its own object...
-            let text: &[u8] = if me == 0 { b"ping" } else { b"pong" };
-            runtime.write(ObjectId(u32::from(me)), 0, text)?;
+        // ...and exchanges with whoever is due (here: the other side).
+        let report = runtime.exchange(SendMode::Multicast, &mut EveryTick)?;
+        assert_eq!(report.peers.len(), 1);
 
-            // ...and exchanges with whoever is due (here: the other side).
-            let report = runtime.exchange(SendMode::Multicast, &mut EveryTick)?;
-            assert_eq!(report.peers.len(), 1);
+        Ok(format!(
+            "process {me}: obj0={:?} obj1={:?} after tick {}",
+            String::from_utf8_lossy(runtime.read(ObjectId(0))?),
+            String::from_utf8_lossy(runtime.read(ObjectId(1))?),
+            report.time,
+        ))
+    })?;
 
-            Ok(format!(
-                "process {me}: obj0={:?} obj1={:?} after tick {}",
-                String::from_utf8_lossy(runtime.read(ObjectId(0))?),
-                String::from_utf8_lossy(runtime.read(ObjectId(1))?),
-                report.time,
-            ))
-        }));
-    }
-
-    for handle in handles {
-        println!("{}", handle.join().expect("thread panicked")?);
+    for line in outcome.into_results()? {
+        println!("{line}");
     }
     println!("both replicas converged: obj0=ping obj1=pong everywhere");
     Ok(())

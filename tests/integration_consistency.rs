@@ -7,8 +7,8 @@ use sdso_core::{
     Diff, DsoConfig, EveryTick, LogicalTime, ObjectId, SdsoRuntime, SendMode, Version,
 };
 use sdso_game::{team_positions, Msync, Msync2, Pos, Scenario};
-use sdso_net::memory::MemoryHub;
-use sdso_net::NodeId;
+use sdso_net::{Endpoint, NodeId};
+use sdso_sim::{NetworkModel, SimCluster};
 
 // ---------------------------------------------------------------------
 // Invariant 1: diff algebra
@@ -162,35 +162,6 @@ proptest! {
         writes_a in proptest::collection::vec((0u32..6, any::<u8>()), 1..12),
         writes_b in proptest::collection::vec((0u32..6, any::<u8>()), 1..12),
     ) {
-        let mut endpoints = MemoryHub::new(2).into_endpoints();
-        let eb = endpoints.pop().unwrap();
-        let ea = endpoints.pop().unwrap();
-
-        let run = |ep: sdso_net::memory::MemoryEndpoint,
-                   writes: Vec<(u32, u8)>|
-         -> std::thread::JoinHandle<Vec<Vec<u8>>> {
-            std::thread::spawn(move || {
-                let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-                for id in 0..6u32 {
-                    rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
-                }
-                rt.init_schedule(&mut EveryTick).unwrap();
-                // Whole-object writes (the documented convergence unit).
-                for (obj, value) in writes {
-                    rt.write(ObjectId(obj), 0, &[value; 4]).unwrap();
-                    rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-                }
-                // Drain the tick difference: keep exchanging until both
-                // sides have performed the same number of exchanges.
-                (0..16)
-                    .map(|_| ())
-                    .for_each(|()| {
-                        rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
-                    });
-                (0..6u32).map(|id| rt.read(ObjectId(id)).unwrap().to_vec()).collect()
-            })
-        };
-
         // Pad both write sequences to the same length so the BSYNC-style
         // rendezvous count matches on both sides.
         let len = writes_a.len().max(writes_b.len());
@@ -198,11 +169,32 @@ proptest! {
         let mut wb = writes_b;
         while wa.len() < len { wa.push((0, 0)); }
         while wb.len() < len { wb.push((1, 0)); }
+        let writes = [wa, wb];
 
-        let ha = run(ea, wa);
-        let hb = run(eb, wb);
-        let sa = ha.join().unwrap();
-        let sb = hb.join().unwrap();
+        let run = SimCluster::new(2, NetworkModel::instant()).run(move |ep| {
+            let writes = writes[usize::from(ep.node_id())].clone();
+            let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+            for id in 0..6u32 {
+                rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+            }
+            rt.init_schedule(&mut EveryTick).unwrap();
+            // Whole-object writes (the documented convergence unit).
+            for (obj, value) in writes {
+                rt.write(ObjectId(obj), 0, &[value; 4]).unwrap();
+                rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
+            }
+            // Drain the tick difference: keep exchanging until both
+            // sides have performed the same number of exchanges.
+            (0..16)
+                .map(|_| ())
+                .for_each(|()| {
+                    rt.exchange(SendMode::Multicast, &mut EveryTick).unwrap();
+                });
+            Ok((0..6u32).map(|id| rt.read(ObjectId(id)).unwrap().to_vec()).collect::<Vec<_>>())
+        });
+        let mut stores = run.unwrap().into_results().unwrap();
+        let sb = stores.pop().unwrap();
+        let sa = stores.pop().unwrap();
         prop_assert_eq!(sa, sb, "replicas must converge after synchronous exchanges");
     }
 }

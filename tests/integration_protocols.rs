@@ -1,33 +1,28 @@
-//! Cross-crate integration tests of the consistency protocols on real
-//! (in-process) transports and on the virtual-time cluster.
+//! Cross-crate integration tests of the consistency protocols on the
+//! virtual-time cluster: its instant network for protocol logic, the
+//! paper's testbed for timing.
 
 use std::collections::BTreeSet;
 
 use sdso_core::{DsoConfig, EveryTick, ObjectId, SdsoRuntime};
-use sdso_net::memory::MemoryHub;
 use sdso_net::{Endpoint, NodeId};
 use sdso_protocols::{EntryConsistency, LockRequest, Lookahead};
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-fn spawn_nodes<T, F>(n: usize, f: F) -> Vec<T>
+/// Runs `f` on every node of an `n`-node instant simulator and hands back
+/// what each returned. A node that panics fails the test.
+fn simulate<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send + 'static,
-    F: Fn(sdso_net::memory::MemoryEndpoint) -> T + Send + Sync + Clone + 'static,
+    F: Fn(SimEndpoint) -> T + Send + Sync + 'static,
 {
-    let handles: Vec<_> = MemoryHub::new(n)
-        .into_endpoints()
-        .into_iter()
-        .map(|ep| {
-            let f = f.clone();
-            std::thread::spawn(move || f(ep))
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().expect("node panicked")).collect()
+    let run = SimCluster::new(n, NetworkModel::instant()).run(move |ep| Ok(f(ep)));
+    run.unwrap().into_results().unwrap()
 }
 
 #[test]
 fn bsync_full_visibility_after_every_tick() {
-    let results = spawn_nodes(4, |ep| {
+    let results = simulate(4, |ep| {
         let me = ep.node_id();
         let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
         for id in 0..4u32 {
@@ -51,7 +46,7 @@ fn bsync_logical_clocks_stay_within_one_tick() {
     // The paper: "all processes' logical clocks are synchronized to within
     // one time-tick". Exercised by checking every node ends at exactly the
     // same logical time after the same number of exchanges.
-    let results = spawn_nodes(3, |ep| {
+    let results = simulate(3, |ep| {
         let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
         rt.share(ObjectId(0), vec![0u8; 4]).unwrap();
         let mut node = Lookahead::new(rt, EveryTick).unwrap();
@@ -68,9 +63,9 @@ fn bsync_logical_clocks_stay_within_one_tick() {
 #[test]
 fn entry_consistency_serialises_counter_increments() {
     // A shared counter incremented under an exclusive lock must not lose
-    // updates — the classic mutual-exclusion check, run over real threads.
+    // updates — the classic mutual-exclusion check.
     const ROUNDS: u64 = 20;
-    let results = spawn_nodes(4, |ep| {
+    let results = simulate(4, |ep| {
         let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
         rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
         let mut ec = EntryConsistency::new(rt);
@@ -94,7 +89,7 @@ fn entry_consistency_serialises_counter_increments() {
 fn entry_consistency_read_locks_share() {
     // Multiple readers may hold a lock concurrently; a writer waits. Here
     // we simply verify a mixed workload completes and pulls propagate.
-    let results = spawn_nodes(3, |ep| {
+    let results = simulate(3, |ep| {
         let me = ep.node_id();
         let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
         for id in 0..3u32 {
@@ -155,7 +150,7 @@ fn lookahead_protocols_work_on_the_simulator_too() {
 fn ec_local_manager_fast_path_sends_no_messages() {
     // With one remote peer and an object managed locally + never contended,
     // acquire/release must not generate traffic.
-    let results = spawn_nodes(2, |ep| {
+    let results = simulate(2, |ep| {
         let me = ep.node_id();
         let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
         rt.share(ObjectId(0), vec![0u8; 4]).unwrap(); // manager: node 0
@@ -179,7 +174,7 @@ fn ec_local_manager_fast_path_sends_no_messages() {
 
 #[test]
 fn distinct_node_ids_and_cluster_sizes_are_reported() {
-    let ids = spawn_nodes(5, |ep| (ep.node_id(), ep.num_nodes()));
+    let ids = simulate(5, |ep| (ep.node_id(), ep.num_nodes()));
     let unique: BTreeSet<NodeId> = ids.iter().map(|&(id, _)| id).collect();
     assert_eq!(unique.len(), 5);
     assert!(ids.iter().all(|&(_, n)| n == 5));

@@ -1,30 +1,33 @@
 //! Transport-equivalence tests: the same protocol code must behave
-//! identically (at the logical level) over in-process channels, a real TCP
-//! mesh (the reactor), and the virtual-time simulator.
+//! identically (at the logical level) over the reactor's sockets and the
+//! virtual-time simulator.
 
 #![cfg(unix)]
 
 use sdso_core::{DsoConfig, EveryTick, ObjectId, ObsSet, RetryConfig, SdsoRuntime};
 use sdso_game::{run_node, run_node_with, Protocol, RunPlan, Scenario};
 use sdso_harness::transports::local_cluster;
-use sdso_net::memory::MemoryHub;
 use sdso_net::reactor::ReactorMesh;
-use sdso_net::{Endpoint, EventKind, NetMetricsSnapshot, TraceConfig, TransportKind};
+use sdso_net::{Endpoint, EventKind, NetMetricsSnapshot, Payload, TraceConfig, TransportKind};
 use sdso_protocols::Lookahead;
-use sdso_sim::{NetworkModel, SimCluster};
+use sdso_sim::{NetworkModel, SimCluster, SimEndpoint};
 
-/// Runs a small BSYNC game over any set of endpoints, returning per-node
-/// (score, modifications, messages-sent).
+/// Per-node (score, modifications, messages sent), sorted.
+type Outcome = Vec<(i64, u64, u64)>;
+
+/// Plays a small game of `protocol` over real endpoints, each on a thread
+/// of its own.
 fn play_game<E: Endpoint + 'static>(
     endpoints: Vec<E>,
     scenario: &Scenario,
-) -> Vec<(i64, u64, u64)> {
+    protocol: Protocol,
+) -> Outcome {
     let handles: Vec<_> = endpoints
         .into_iter()
         .map(|ep| {
             let s = scenario.clone();
             std::thread::spawn(move || {
-                let stats = run_node(ep, &s, Protocol::Bsync).expect("game run");
+                let stats = run_node(ep, &s, protocol).expect("game run");
                 (stats.score, stats.modifications, stats.net.total_sent())
             })
         })
@@ -34,62 +37,47 @@ fn play_game<E: Endpoint + 'static>(
     results
 }
 
-#[test]
-fn game_outcome_is_identical_across_all_three_transports() {
-    // The lookahead rendezvous are logically synchronous, so the *game*
-    // (scores, modifications, message counts) must not depend on the
-    // transport's timing at all. The TCP mesh is built the way deployment
-    // and benchmark code build it: `local_cluster`, boxed endpoints.
-    let scenario = Scenario::paper(3, 1).with_ticks(40);
-
-    let memory = play_game(MemoryHub::new(3).into_endpoints(), &scenario);
-    let tcp = play_game(local_cluster(TransportKind, 3).unwrap(), &scenario);
-
-    let sim_scenario = scenario.clone();
-    let sim_outcome = SimCluster::new(3, NetworkModel::paper_testbed())
-        .run(move |ep| {
-            run_node(ep, &sim_scenario, Protocol::Bsync).map_err(sdso_net::NetError::from)
-        })
-        .unwrap();
-    let mut sim: Vec<(i64, u64, u64)> = sim_outcome
+/// Plays the same game on the simulator over `model`.
+fn simulate_game(scenario: &Scenario, protocol: Protocol, model: NetworkModel) -> Outcome {
+    let scenario = scenario.clone();
+    let run = SimCluster::new(usize::from(scenario.teams), model)
+        .run(move |ep| Ok(run_node(ep, &scenario, protocol).expect("game run")));
+    let mut results: Outcome = run
+        .unwrap()
         .into_results()
         .unwrap()
         .into_iter()
         .map(|s| (s.score, s.modifications, s.net.total_sent()))
         .collect();
-    sim.sort_by_key(|&(score, mods, _)| (score, mods));
-
-    assert_eq!(memory, tcp, "memory vs TCP");
-    assert_eq!(memory, sim, "memory vs simulator");
+    results.sort_by_key(|&(score, mods, _)| (score, mods));
+    results
 }
 
 #[test]
-fn game_outcome_is_identical_over_the_reactor() {
-    // The reactor multiplexes every peer behind one poll loop on the
-    // caller's thread, but at the logical level it must be
-    // indistinguishable from in-process channels — typed endpoints here,
-    // no boxing.
+fn every_lookahead_game_is_identical_on_the_simulator_and_the_reactor() {
+    // The lookahead rendezvous are logically synchronous, so the *game*
+    // (scores, modifications, message counts) must not depend on the
+    // transport's timing at all. The reactor cluster is built the way
+    // deployment and benchmark code build it: `local_cluster`, boxed
+    // endpoints. EC is left out: its lock grants follow arrival order, so
+    // its game is not bound to match across transports.
     let scenario = Scenario::paper(3, 1).with_ticks(40);
-    let memory = play_game(MemoryHub::new(3).into_endpoints(), &scenario);
-    let reactor = play_game(ReactorMesh::local(3).unwrap(), &scenario);
-    assert_eq!(memory, reactor, "memory vs reactor");
-}
-
-#[test]
-fn config_selected_transport_runs_the_game() {
-    // The same path deployment and benchmark code take: the one
-    // `TransportKind` (so `DsoConfig` no longer names it), the harness
-    // builds the cluster, the game neither knows nor cares.
-    let scenario = Scenario::paper(2, 1).with_ticks(20);
-    let via_default = play_game(local_cluster(TransportKind, 2).unwrap(), &scenario);
-    let via_memory = play_game(MemoryHub::new(2).into_endpoints(), &scenario);
-    assert_eq!(via_default, via_memory);
+    for protocol in [Protocol::Bsync, Protocol::Msync, Protocol::Msync2] {
+        let instant = simulate_game(&scenario, protocol, NetworkModel::instant());
+        let runs = [
+            ("paper_testbed", simulate_game(&scenario, protocol, NetworkModel::paper_testbed())),
+            ("reactor", play_game(local_cluster(TransportKind, 3).unwrap(), &scenario, protocol)),
+        ];
+        for (name, outcome) in runs {
+            assert_eq!(instant, outcome, "{protocol}: instant simulator vs {name}");
+        }
+    }
 }
 
 #[test]
 fn tcp_mesh_supports_the_full_exchange_protocol() {
     let scenario = Scenario::paper(2, 1).with_ticks(25);
-    let results = play_game(ReactorMesh::local(2).unwrap(), &scenario);
+    let results = play_game(ReactorMesh::local(2).unwrap(), &scenario, Protocol::Bsync);
     assert_eq!(results.len(), 2);
     for (_, mods, msgs) in results {
         assert!(mods > 0);
@@ -150,72 +138,63 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
 
 #[test]
 fn metrics_agree_between_transports_for_identical_traffic() {
-    // Send the same frames over memory and the reactor: counters must agree.
-    let run = |snapshotter: &dyn Fn() -> (NetMetricsSnapshot, NetMetricsSnapshot)| snapshotter();
-
-    let memory = run(&|| {
-        let mut eps = MemoryHub::new(2).into_endpoints();
-        let mut b = eps.pop().unwrap();
-        let mut a = eps.pop().unwrap();
-        a.send(1, sdso_net::Payload::data(vec![0u8; 100]).with_wire_len(2048)).unwrap();
-        a.send(1, sdso_net::Payload::control(vec![0u8; 10])).unwrap();
-        let _ = b.recv().unwrap();
-        let _ = b.recv().unwrap();
-        (a.metrics(), b.metrics())
-    });
-    let tcp = run(&|| {
+    // Send the same frames over the simulator and the reactor: counters
+    // must agree.
+    fn traffic(a: &mut impl Endpoint) {
+        a.send(1, Payload::data(vec![0u8; 100]).with_wire_len(2048)).unwrap();
+        a.send(1, Payload::control(vec![0u8; 10])).unwrap();
+    }
+    let sim = SimCluster::new(2, NetworkModel::instant())
+        .run(|mut ep| {
+            if ep.node_id() == 0 {
+                traffic(&mut ep);
+            } else {
+                let _ = ep.recv().unwrap();
+                let _ = ep.recv().unwrap();
+            }
+            Ok(ep.metrics())
+        })
+        .unwrap()
+        .into_results()
+        .unwrap();
+    let tcp: (NetMetricsSnapshot, NetMetricsSnapshot) = {
         let mut eps = ReactorMesh::local(2).unwrap();
         let mut b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
-        a.send(1, sdso_net::Payload::data(vec![0u8; 100]).with_wire_len(2048)).unwrap();
-        a.send(1, sdso_net::Payload::control(vec![0u8; 10])).unwrap();
+        traffic(&mut a);
         let _ = b.recv().unwrap();
         let _ = b.recv().unwrap();
         (a.metrics(), b.metrics())
-    });
+    };
 
-    assert_eq!(memory.0.data_sent, tcp.0.data_sent);
-    assert_eq!(memory.0.control_sent, tcp.0.control_sent);
-    assert_eq!(memory.1.data_recv, tcp.1.data_recv);
-    assert_eq!(memory.1.control_recv, tcp.1.control_recv);
+    assert_eq!(sim[0].data_sent, tcp.0.data_sent);
+    assert_eq!(sim[0].control_sent, tcp.0.control_sent);
+    assert_eq!(sim[1].data_recv, tcp.1.data_recv);
+    assert_eq!(sim[1].control_recv, tcp.1.control_recv);
 }
 
 #[test]
-fn lookahead_over_tcp_matches_memory_visibility() {
-    // Writes exchanged over TCP land exactly as over channels.
-    fn game(eps: Vec<Box<dyn Endpoint + Send>>) -> Vec<Vec<u8>> {
-        let handles: Vec<_> = eps
-            .into_iter()
-            .map(|ep| {
-                std::thread::spawn(move || {
-                    let me = ep.node_id();
-                    let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
-                    for id in 0..2u32 {
-                        rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
-                    }
-                    let mut node = Lookahead::new(rt, EveryTick).unwrap();
-                    node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[me as u8 + 1]).unwrap();
-                    node.step().unwrap();
-                    let rt = node.into_runtime();
-                    (0..2u32)
-                        .flat_map(|id| rt.read(ObjectId(id)).unwrap().to_vec())
-                        .collect::<Vec<u8>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+fn lookahead_over_the_reactor_matches_sim_visibility() {
+    // Writes exchanged over sockets land exactly as on the simulator.
+    fn visible<E: Endpoint>(ep: E) -> Vec<u8> {
+        let me = ep.node_id();
+        let mut rt = SdsoRuntime::new(ep, DsoConfig::paper());
+        for id in 0..2u32 {
+            rt.share(ObjectId(id), vec![0u8; 4]).unwrap();
+        }
+        let mut node = Lookahead::new(rt, EveryTick).unwrap();
+        node.runtime_mut().write(ObjectId(u32::from(me)), 0, &[me as u8 + 1]).unwrap();
+        node.step().unwrap();
+        let rt = node.into_runtime();
+        (0..2u32).flat_map(|id| rt.read(ObjectId(id)).unwrap().to_vec()).collect()
     }
 
-    let mem: Vec<Box<dyn Endpoint + Send>> = MemoryHub::new(2)
-        .into_endpoints()
-        .into_iter()
-        .map(|e| Box::new(e) as Box<dyn Endpoint + Send>)
-        .collect();
+    let sim = SimCluster::new(2, NetworkModel::instant()).run(|ep: SimEndpoint| Ok(visible(ep)));
+    let mut via_sim = sim.unwrap().into_results().unwrap();
     let tcp = local_cluster(TransportKind, 2).unwrap();
-
-    let mut via_mem = game(mem);
-    let mut via_tcp = game(tcp);
-    via_mem.sort();
+    let handles: Vec<_> = tcp.into_iter().map(|ep| std::thread::spawn(|| visible(ep))).collect();
+    let mut via_tcp: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    via_sim.sort();
     via_tcp.sort();
-    assert_eq!(via_mem, via_tcp);
+    assert_eq!(via_sim, via_tcp);
 }
