@@ -25,6 +25,8 @@ pub(crate) struct Wound {
     inboxes: Inboxes,
     micros: Arc<AtomicU64>,
     metrics: NetMetrics,
+    /// Per peer, `false` once [`Endpoint::remove_peer`] took it out.
+    active: Vec<bool>,
     /// The peers whose dropped endpoint a send already reported.
     down: Vec<bool>,
     events: Vec<PeerEvent>,
@@ -44,6 +46,7 @@ pub(crate) fn group(n: usize) -> Vec<Wound> {
             inboxes: inboxes.clone(),
             micros: micros.clone(),
             metrics: NetMetrics::new(),
+            active: vec![true; n],
             down: vec![false; n],
             events: Vec::new(),
             writes: Vec::new(),
@@ -53,18 +56,31 @@ pub(crate) fn group(n: usize) -> Vec<Wound> {
 }
 
 impl Wound {
-    /// Puts `payload` in `to`'s inbox. A dropped peer fails the send with
-    /// `Disconnected`, and its first failure queues one `Down`.
-    fn deliver(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
+    /// Puts `payloads` in `to`'s inbox as one transport write, checked as
+    /// the real transports check a send: to itself or beyond the group is
+    /// `InvalidPeer`, to a removed peer is dropped silently and uncounted,
+    /// and to a dropped peer fails with `Disconnected`, whose first failure
+    /// queues one `Down`.
+    fn deliver(&mut self, to: NodeId, payloads: Vec<Payload>) -> Result<(), NetError> {
+        let (p, cluster) = (usize::from(to), self.active.len());
+        if to == self.id || p >= cluster {
+            return Err(NetError::InvalidPeer { peer: to, cluster });
+        }
+        if !self.active[p] {
+            return Ok(());
+        }
         let mut inboxes = unpoisoned(self.inboxes.lock());
-        let Some(inbox) = &mut inboxes[usize::from(to)] else {
-            if !std::mem::replace(&mut self.down[usize::from(to)], true) {
+        let Some(inbox) = &mut inboxes[p] else {
+            if !std::mem::replace(&mut self.down[p], true) {
                 self.events.push(PeerEvent::Down(to));
             }
             return Err(NetError::Disconnected);
         };
-        self.metrics.record_send(payload.class, payload.wire_len());
-        inbox.push_back(Incoming { from: self.id, payload });
+        self.writes.push((to, payloads.len()));
+        for payload in payloads {
+            self.metrics.record_send(payload.class, payload.wire_len());
+            inbox.push_back(Incoming { from: self.id, payload });
+        }
         Ok(())
     }
 }
@@ -83,12 +99,16 @@ impl Endpoint for Wound {
         self.down.len()
     }
     fn send(&mut self, to: NodeId, payload: Payload) -> Result<(), NetError> {
-        self.writes.push((to, 1));
-        self.deliver(to, payload)
+        self.deliver(to, vec![payload])
     }
     fn send_batch(&mut self, to: NodeId, payloads: Vec<Payload>) -> Result<(), NetError> {
-        self.writes.push((to, payloads.len()));
-        payloads.into_iter().try_for_each(|payload| self.deliver(to, payload))
+        let (msgs, wire_bytes) =
+            (payloads.len(), payloads.iter().map(|p| u64::from(p.wire_len())).sum());
+        self.deliver(to, payloads)?;
+        if msgs > 0 && self.active[usize::from(to)] {
+            self.metrics.record_batch(msgs, wire_bytes);
+        }
+        Ok(())
     }
     fn recv(&mut self) -> Result<Incoming, NetError> {
         self.try_recv()?
@@ -124,9 +144,40 @@ impl Endpoint for Wound {
         self.metrics.snapshot_delta()
     }
     fn attach_recorder(&mut self, _recorder: Recorder) {}
-    fn remove_peer(&mut self, _peer: NodeId) {}
-    fn add_peer(&mut self, _peer: NodeId) {}
+    fn remove_peer(&mut self, peer: NodeId) {
+        if let Some(active) = self.active.get_mut(usize::from(peer)) {
+            *active = false;
+        }
+    }
+    fn add_peer(&mut self, peer: NodeId) {
+        if let Some(active) = self.active.get_mut(usize::from(peer)) {
+            *active = true;
+        }
+    }
     fn take_peer_events(&mut self) -> Vec<PeerEvent> {
         std::mem::take(&mut self.events)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sends_are_checked_as_the_real_transports_check_them() {
+        let mut eps = group(3);
+        let ping = || Payload::control(vec![1u8]);
+        assert!(matches!(eps[0].send(0, ping()), Err(NetError::InvalidPeer { peer: 0, .. })));
+        assert!(matches!(eps[0].send(3, ping()), Err(NetError::InvalidPeer { peer: 3, .. })));
+        drop(eps.pop());
+        assert!(matches!(eps[0].send(2, ping()), Err(NetError::Disconnected)));
+        assert!(matches!(eps[0].send(2, ping()), Err(NetError::Disconnected)));
+        assert_eq!(eps[0].take_peer_events(), [PeerEvent::Down(2)], "one Down per peer");
+        eps[0].remove_peer(2);
+        eps[0].send_batch(2, vec![ping(), ping()]).unwrap();
+        eps[0].send_batch(1, vec![ping(), ping()]).unwrap();
+        assert_eq!(eps[0].writes, [(1, 2)], "a removed peer's sends write nothing");
+        assert_eq!(eps[0].metrics().total_sent(), 2, "and count nothing");
+        assert_eq!(eps[1].try_recv().unwrap().map(|m| m.from), Some(0));
     }
 }

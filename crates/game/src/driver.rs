@@ -1779,7 +1779,6 @@ mod tests {
         );
     }
 
-    #[cfg(unix)]
     #[test]
     fn unsupported_plans_are_typed_errors_before_any_message() {
         let scenario = Scenario::paper(4, 1).with_ticks(10);
@@ -1807,12 +1806,22 @@ mod tests {
             ("one slot too many", Protocol::Bsync, five_slots),
         ];
         for (what, protocol, plan) in rejected {
-            // One endpoint on its own, its peers gone: a driver that sent
-            // or awaited anything first would fail with a transport error
-            // instead of the plan's violation.
-            let ep = sdso_net::reactor::ReactorMesh::local(4).unwrap().remove(0);
-            let err = run_node_with(ep, &scenario, protocol, &plan).unwrap_err();
-            assert!(matches!(err, DsoError::ProtocolViolation(_)), "{what}: {err}");
+            // Node 0 runs the plan while its peers only listen: a message
+            // the driver sent first reaches a peer and fails the run, and
+            // one it awaited first is a reported deadlock, not the
+            // plan's violation.
+            use sdso_sim::{NetworkModel, SimCluster};
+            let s = scenario.clone();
+            let run = SimCluster::new(4, NetworkModel::instant()).run(move |mut ep| {
+                if ep.node_id() == 0 {
+                    return Ok(run_node_with(ep, &s, protocol, &plan).err());
+                }
+                let heard = ep.recv_deadline(SimSpan::from_secs(60))?;
+                assert!(heard.is_none(), "{what}: node {} heard {heard:?}", ep.node_id());
+                Ok(None)
+            });
+            let err = run.unwrap().into_results().unwrap().swap_remove(0);
+            assert!(matches!(err, Some(DsoError::ProtocolViolation(_))), "{what}: {err:?}");
         }
         for protocol in Protocol::ALL {
             assert!(RunPlan::default().views(&scenario, protocol).is_ok(), "{protocol}: static");
