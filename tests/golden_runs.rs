@@ -51,6 +51,7 @@ use sdso_harness::{
     chaos_plan, chaos_retry_config, converged_in, default_churn_plan, default_crash_plan,
     restarts_kept_their_state, run_planned, RunSummary,
 };
+use sdso_net::{FaultPlan, SimInstant};
 use sdso_sim::NetworkModel;
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
@@ -410,4 +411,72 @@ fn static_codec_v2_fat_blocks() {
             (Protocol::Msync2, 0x7DB3_57F5_2B0E_F511),
         ],
     );
+}
+
+/// The partition-only plan: no random faults, one timed partition that
+/// isolates node 1 for `[1 ms, 6 ms)` and heals. Every protocol stalls
+/// through the window on retransmissions and converges after it.
+#[test]
+fn partition_4_nodes() {
+    let partition = FaultPlan::new(9).with_partition(
+        vec![1],
+        SimInstant::from_micros(1_000),
+        SimInstant::from_micros(6_000),
+    );
+    check(
+        "partition, 4 nodes",
+        &Scenario::paper(4, 1).with_ticks(40).with_reliability(chaos_retry_config()),
+        &RunPlan::default().with_faults(partition),
+        &[
+            (Protocol::Entry, 0x00FB_B39F_F145_9F4A),
+            (Protocol::Bsync, 0x9D58_09DF_CE93_FA06),
+            (Protocol::Msync, 0x77E2_CB0E_1A36_9BEF),
+            (Protocol::Msync2, 0x46FB_5B8F_3009_1713),
+        ],
+    );
+}
+
+/// The default crash plan with the reliability layer on: a restarted
+/// process meets its peers' retransmissions.
+#[test]
+fn crash_8_teams_reliable() {
+    check(
+        "crash + reliability, 8 teams",
+        &Scenario::paper(8, 1).with_ticks(24).with_reliability(chaos_retry_config()),
+        &RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 8, 24)),
+        &[
+            (Protocol::Entry, 0xD717_6211_9861_1783),
+            (Protocol::Bsync, 0x5F3A_1BA5_7A1C_BDF6),
+            (Protocol::Msync, 0x8B6F_5E63_EBDE_0834),
+            (Protocol::Msync2, 0xA3ED_276A_9B82_521D),
+        ],
+    );
+}
+
+/// Sharding under churn and crash at 32 nodes on the default wire: one
+/// join off the group cadence (the minimal reproducer of a desynchronised
+/// pair schedule), the default churn plan and the default crash plan.
+#[test]
+fn sharded_32_churn_and_crash() {
+    let scenario = Scenario::scaled(32, 1).with_ticks(24);
+    let join_at_5 = MembershipPlan::new(32, 0..31).with_change(5, ViewChange::join([31]));
+    for (case, plan, pinned) in [
+        (
+            "sharded, 32 nodes, one join",
+            RunPlan::default().with_membership(join_at_5),
+            0xF310_3702_0D79_FF4D,
+        ),
+        (
+            "sharded, 32 nodes, churn",
+            RunPlan::default().with_membership(default_churn_plan(32, 24)),
+            0xC001_89CB_33FF_28D3,
+        ),
+        (
+            "sharded, 32 nodes, crash",
+            RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 32, 24)),
+            0x4285_C558_B2BB_1737,
+        ),
+    ] {
+        check(case, &scenario, &plan, &[(Protocol::Msync2Shard, pinned)]);
+    }
 }
