@@ -34,10 +34,10 @@
 //! converge, listing the failures at the end.
 
 use sdso_bench::COMMANDS;
-use sdso_game::{Protocol, Scenario};
+use sdso_game::{Protocol, RunPlan, Scenario};
 use sdso_harness::{
-    chaos_plan, chaos_retry_config, churn_table, crash_table, default_churn_plan,
-    default_crash_plan, shard_table, wire_sweep, wire_table, Sweep, Table,
+    chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan, plan_table,
+    shard_table, wire_sweep, wire_table, Sweep, Table,
 };
 use sdso_sim::NetworkModel;
 
@@ -47,27 +47,19 @@ use sdso_sim::NetworkModel;
 fn churn_tables(sweep: &Sweep) -> Result<Vec<Table>, Box<dyn std::error::Error>> {
     let teams: u16 = 8;
     let ticks = sweep.ticks.max(12);
-    let plan = default_churn_plan(usize::from(teams), ticks);
+    let churn = RunPlan::default().with_membership(default_churn_plan(usize::from(teams), ticks));
     let clean = Scenario::paper(teams, 1).with_ticks(ticks);
-    let clean_table =
-        churn_table(&clean, NetworkModel::paper_testbed(), &plan, None, &Protocol::PAPER)?;
     let faulty = clean.clone().with_reliability(chaos_retry_config());
-    let faults = chaos_plan(0x5D50_1997);
-    let faulty_table = churn_table(
-        &faulty,
-        NetworkModel::paper_testbed(),
-        &plan,
-        Some(&faults),
-        &Protocol::PAPER,
-    )?;
-    Ok(vec![clean_table, faulty_table])
+    let model = NetworkModel::paper_testbed();
+    Ok(vec![
+        plan_table(&clean, model, &churn, &Protocol::PAPER)?,
+        plan_table(&faulty, model, &churn.with_faults(chaos_plan(0x5D50_1997)), &Protocol::PAPER)?,
+    ])
 }
 
-/// Ext. G: the game under seeded fail-stop crashes — one WAL recovery in
-/// the first half, one unrecovered crash in the second — at 16 teams and
-/// at 64, for every protocol with a view-change barrier. Run length is
-/// held off the periodic checkpoint boundary so the recovery genuinely
-/// replays log records.
+/// Ext. G: the game under seeded fail-stop crashes — one journal recovery
+/// in the first half, one unrecovered crash in the second — at 16 teams
+/// and at 64, for every protocol with a view-change barrier.
 fn crash_tables(sweep: &Sweep) -> Result<Vec<Table>, Box<dyn std::error::Error>> {
     let ticks = sweep.ticks.clamp(12, 36);
     let ticks = if ticks % 32 == 0 { ticks + 4 } else { ticks };
@@ -75,12 +67,8 @@ fn crash_tables(sweep: &Sweep) -> Result<Vec<Table>, Box<dyn std::error::Error>>
     for teams in [16u16, 64] {
         let scenario = Scenario::paper(teams, 1).with_ticks(ticks).with_seed(0x5D50_C4A5);
         let faults = default_crash_plan(0x5D50_C4A5, usize::from(teams), ticks);
-        tables.push(crash_table(
-            &scenario,
-            NetworkModel::paper_testbed(),
-            &faults,
-            &Protocol::PAPER,
-        )?);
+        let plan = RunPlan::default().with_faults(faults);
+        tables.push(plan_table(&scenario, NetworkModel::paper_testbed(), &plan, &Protocol::PAPER)?);
     }
     Ok(tables)
 }

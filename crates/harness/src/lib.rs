@@ -15,6 +15,7 @@
 //! | Ext. B | blocking breakdown | [`Sweep::ext_blocking`] |
 //! | Ext. C | diff-merging ablation | [`Sweep::ext_diff_merging`] |
 //! | Ext. D | LRC + causal comparison | [`Sweep::ext_protocols`] |
+//! | Ext. E, G | a plan's faults, churn and crashes | [`plan_table`] |
 //! | Ext. F | sharded vs full-mesh traffic | [`shard_table`] |
 //! | Ext. H | wire diet across link speeds | [`wire_sweep`] |
 //!
@@ -33,11 +34,9 @@
 
 #![warn(missing_docs)]
 
-mod chaos;
-mod churn;
-mod crash;
 mod experiment;
 mod figures;
+mod plans;
 mod shard;
 mod table;
 #[cfg(test)]
@@ -45,13 +44,14 @@ mod tcp;
 pub mod transports;
 mod wire;
 
-pub use chaos::{chaos_plan, chaos_retry_config, chaos_table};
-pub use churn::{churn_table, default_churn_plan};
-pub use crash::{crash_table, default_crash_plan, restarts_kept_their_state};
 pub use experiment::{
     converged, converged_in, mean_of, run_experiment, run_planned, run_seeds, RunSummary,
 };
 pub use figures::Sweep;
+pub use plans::{
+    chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan, plan_table,
+    restarts_kept_their_state,
+};
 pub use shard::{
     run_shard_comparison, run_shard_window, shard_table, ShardComparison, ShardWindow,
 };

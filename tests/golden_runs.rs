@@ -1,12 +1,17 @@
-//! Golden runs: per-run fingerprints of everything a node reports, pinned
-//! across commits.
+//! Golden runs: the Protocol × `RunPlan` × wire × reliability matrix, each
+//! row's per-node fingerprints of everything a node reports pinned across
+//! commits.
 //!
-//! The replay tests compare two runs of the same build. This file pins,
-//! across commits, the exact per-node outcome — game result, virtual
-//! timing, traffic, membership and recovery counters, final replica — of
-//! static, churn, churn + chaos, crash and chaos runs on the simulated
-//! testbed, so a driver refactor that claims "no behaviour change" is
-//! checked bit for bit.
+//! Each row pins, across commits, the exact per-node outcome — game
+//! result, virtual timing, traffic, membership and recovery counters,
+//! final replica — of one scenario under one plan on the simulated
+//! testbed: static, churn, churn + chaos, crash, crash + reliability,
+//! partition, chaos and sharded runs. A driver refactor that claims "no
+//! behaviour change" is checked bit for bit, and a pinned constant is also
+//! the replay check: a run that did not replay bit-identically would not
+//! match it. Beside the fingerprints, `check_plan` (`tests/common/plans.rs`)
+//! asserts on every row what each part of its plan promises, so those
+//! promises hold however the constants are re-recorded.
 //!
 //! The constants were recorded at commit `ba53507` from the three per-plan
 //! node entry points that existed then (static, churn, crash — each on a
@@ -43,16 +48,25 @@
 //! journal's write-ahead log gave way to one image per tick: the
 //! restarted node had hashed the 13 log records it replayed in the word
 //! that now holds 0. Hashed there again, 13 reproduces the old constants.
+//!
+//! The `partition_4_nodes`, `crash_8_teams_reliable` and
+//! `sharded_32_churn_and_crash` constants were recorded in a commit of
+//! their own, just before the chaos, churn and crash test files folded
+//! into this matrix.
 
 use sdso_core::{MembershipPlan, ViewChange, WireConfig};
 use sdso_game::block::MIN_BLOCK_BYTES;
 use sdso_game::{NodeStats, Protocol, RunPlan, Scenario};
 use sdso_harness::{
-    chaos_plan, chaos_retry_config, converged_in, default_churn_plan, default_crash_plan,
-    restarts_kept_their_state, run_planned, RunSummary,
+    chaos_plan, chaos_retry_config, default_churn_plan, default_crash_plan, run_planned, RunSummary,
 };
 use sdso_net::{FaultPlan, SimInstant};
 use sdso_sim::NetworkModel;
+
+#[path = "common/plans.rs"]
+mod plans;
+
+use plans::{check_plan, lookahead};
 
 fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
@@ -96,7 +110,8 @@ fn play(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> RunSummary {
         .expect("every node finishes")
 }
 
-/// Plays each protocol and compares the fold of its per-node fingerprints
+/// Plays each protocol, checks what the plan promises of the run
+/// (`check_plan`) and compares the fold of its per-node fingerprints
 /// (node-id order) with the pinned constant; a mismatch lists every
 /// protocol's actual value and the per-node fingerprints behind it.
 /// Returns the runs, in `golden`'s order.
@@ -111,6 +126,7 @@ fn check(
     let mut runs = Vec::new();
     for &(protocol, expected) in golden {
         let run = play(scenario, protocol, plan);
+        check_plan(case, scenario, plan, &run);
         let per_node: Vec<u64> = run.per_node.iter().map(node_fingerprint).collect();
         runs.push(run);
         let mut run = 0xCBF2_9CE4_8422_2325u64;
@@ -123,14 +139,6 @@ fn check(
     }
     assert!(ok, "{case}: fingerprints moved\n{report}");
     runs
-}
-
-/// Whether `protocol` synchronises by rendezvous: its game is decided by
-/// what the exchanges deliver, never by how the bytes travelled. (EC's lock
-/// order follows message timing; LRC and causal memory never rendezvous.)
-fn lookahead(protocol: Protocol) -> bool {
-    use Protocol::{Bsync, Msync, Msync2, Msync2Shard};
-    matches!(protocol, Bsync | Msync | Msync2 | Msync2Shard)
 }
 
 /// Asserts that `run` played `twin`'s game, node by node.
@@ -148,7 +156,8 @@ fn assert_same_game(case: &str, run: &RunSummary, twin: &RunSummary, twin_is: &s
 
 /// A row on the paper's v1 frames, pinned at `ba53507`, and its twin on the
 /// default wire (`scenario`'s own). Beside the fingerprints, the lookahead
-/// family must play the same game on both. Returns every run, the v1 ones
+/// family must play the same game on both, fusing no rendezvous on the v1
+/// frames and some on the default wire. Returns every run, the v1 ones
 /// first.
 fn check_wires(
     case: &str,
@@ -164,36 +173,41 @@ fn check_wires(
     for (run, twin) in twins.iter().zip(&runs).filter(|(run, _)| lookahead(run.protocol)) {
         assert_eq!(run.protocol, twin.protocol, "{case}: the two rows list the same protocols");
         assert_same_game(case, run, twin, "v1");
+        let fused = |run: &RunSummary| run.per_node.iter().map(|s| s.dso.rendezvous_fused).sum();
+        let (plain, packed): (u64, u64) = (fused(twin), fused(run));
+        assert_eq!(plain, 0, "{case}, {}: the v1 row fused a rendezvous", run.protocol);
+        assert!(packed > 0, "{case}, {}: the default wire fused no rendezvous", run.protocol);
     }
     runs.extend(twins);
     runs
 }
 
-/// A row with the reliability layer on (and link faults for it to repair).
-/// Its fingerprints hold `exec_time` and `net.total_sent`, so they move
-/// with every change to ack or retransmit traffic — they were last
-/// re-recorded when acks began to ride on reverse traffic and each link
-/// got its own retransmit timer. What must hold however that traffic
-/// moves is asserted beside them: the plan's final view converges, and the
-/// lookahead family plays exactly the game of its bare twin — the same
-/// scenario and membership plan on the paper's v1 frames, reliability off,
-/// no link faults. (EC's lock order follows message timing; convergence is
-/// its oracle.)
+/// A row with the reliability layer on (and, in most rows, link faults for
+/// it to repair). Its fingerprints hold `exec_time` and `net.total_sent`,
+/// so they move with every change to ack or retransmit traffic — they were
+/// last re-recorded when acks began to ride on reverse traffic and each
+/// link got its own retransmit timer. What must hold however that traffic
+/// moves is asserted beside them: the lookahead family plays exactly the
+/// game of its bare twin — the same scenario, membership plan and crashes
+/// on the paper's v1 frames, reliability off, no link faults. (EC's lock
+/// order follows message timing; convergence, in `check_plan`, is its
+/// oracle.)
 fn check_reliable(case: &str, bare: &Scenario, plan: &RunPlan, golden: &[(Protocol, u64)]) {
     let reliable = bare.clone().with_reliability(chaos_retry_config());
     let runs = check(case, &reliable, plan, golden);
-    let lossless = RunPlan { faults: None, ..plan.clone() };
+    let crashes = plan.faults.as_ref().filter(|f| !f.crashes.is_empty());
+    let lossless = RunPlan {
+        faults: crashes.map(|f| FaultPlan { crashes: f.crashes.clone(), ..FaultPlan::new(f.seed) }),
+        ..plan.clone()
+    };
     let bare_v1 = bare.clone().with_wire(WireConfig::v1());
-    for (&(protocol, _), run) in golden.iter().zip(&runs) {
-        let last = plan.views(&reliable, protocol).expect("the run validated it").final_view();
-        assert!(converged_in(run, &last), "{case}, {protocol}: the final view diverged");
-        if lookahead(protocol) {
-            assert_same_game(case, run, &play(&bare_v1, protocol, &lossless), "bare v1");
-        }
+    for run in runs.iter().filter(|run| lookahead(run.protocol)) {
+        assert_same_game(case, run, &play(&bare_v1, run.protocol, &lossless), "bare v1");
     }
 }
 
-/// The 16-slot / 4-change plan of `tests/integration_churn.rs`.
+/// Twelve initial members of 16 slots; one leave and one join at each of
+/// four barriers.
 fn four_change_plan() -> MembershipPlan {
     let mut plan = MembershipPlan::new(16, 0..12);
     for (tick, leaver, joiner) in [(5, 1, 12), (9, 4, 13), (13, 7, 14), (17, 10, 15)] {
@@ -301,40 +315,30 @@ fn churn_with_chaos_8_slots() {
     );
 }
 
-/// Beside the fingerprints, the recovery contract that holds however they
-/// are re-recorded: the final view converges, the plan's one restart is the
-/// one recovery, it carries the process's game state across the crash, and
-/// the restarted process is away — abrupt death to completed snapshot
-/// rejoin — for at most 3 s of virtual time (its scheduled absence is 6
-/// ticks; measured 76–976 ms).
+/// The recovery contract beside the fingerprints is `check_plan`'s: the
+/// plan's one restart is the one recovery, it carries the process's game
+/// state across the crash, and the restarted process is away for at most
+/// 3 s of virtual time (its scheduled absence is 6 ticks; measured 76–976
+/// ms).
 #[test]
 fn crash_16_teams() {
-    let scenario = Scenario::paper(16, 1).with_ticks(24);
-    let faults = default_crash_plan(0x5D50_C4A5, 16, 24);
-    let plan = RunPlan::default().with_faults(faults.clone());
-    let v1 = [
-        (Protocol::Entry, 0x4995_EA77_BE5E_4E42),
-        (Protocol::Bsync, 0xDBC9_7198_3EF7_7B6D),
-        (Protocol::Msync, 0x7AD9_85BE_06ED_373E),
-        (Protocol::Msync2, 0x1CDE_13B2_8EE1_8BCF),
-    ];
-    let default = [
-        (Protocol::Entry, 0x4995_EA77_BE5E_4E42),
-        (Protocol::Bsync, 0x6A54_189D_3564_7F81),
-        (Protocol::Msync, 0xF720_CC4B_38C2_9853),
-        (Protocol::Msync2, 0x74E6_E135_13F4_5582),
-    ];
-    for run in check_wires("crash, 16 teams", &scenario, &plan, &v1, &default) {
-        let protocol = run.protocol;
-        let last = plan.views(&scenario, protocol).expect("the run validated it").final_view();
-        assert!(converged_in(&run, &last), "{protocol}: the final view diverged");
-        let sum = |f: fn(&NodeStats) -> u64| run.per_node.iter().map(f).sum::<u64>();
-        assert_eq!(sum(|s| s.recoveries), 1, "{protocol}: one process came back");
-        let kept = restarts_kept_their_state(&scenario, &faults, &run);
-        assert!(kept, "{protocol}: the restart lost its pre-crash state");
-        let down = sum(|s| s.recovery_time.as_micros());
-        assert!((1..=3_000_000).contains(&down), "{protocol}: away for {down} us");
-    }
+    check_wires(
+        "crash, 16 teams",
+        &Scenario::paper(16, 1).with_ticks(24),
+        &RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 16, 24)),
+        &[
+            (Protocol::Entry, 0x4995_EA77_BE5E_4E42),
+            (Protocol::Bsync, 0xDBC9_7198_3EF7_7B6D),
+            (Protocol::Msync, 0x7AD9_85BE_06ED_373E),
+            (Protocol::Msync2, 0x1CDE_13B2_8EE1_8BCF),
+        ],
+        &[
+            (Protocol::Entry, 0x4995_EA77_BE5E_4E42),
+            (Protocol::Bsync, 0x6A54_189D_3564_7F81),
+            (Protocol::Msync, 0xF720_CC4B_38C2_9853),
+            (Protocol::Msync2, 0x74E6_E135_13F4_5582),
+        ],
+    );
 }
 
 #[test]
@@ -423,9 +427,9 @@ fn partition_4_nodes() {
         SimInstant::from_micros(1_000),
         SimInstant::from_micros(6_000),
     );
-    check(
+    check_reliable(
         "partition, 4 nodes",
-        &Scenario::paper(4, 1).with_ticks(40).with_reliability(chaos_retry_config()),
+        &Scenario::paper(4, 1).with_ticks(40),
         &RunPlan::default().with_faults(partition),
         &[
             (Protocol::Entry, 0x00FB_B39F_F145_9F4A),
@@ -436,13 +440,13 @@ fn partition_4_nodes() {
     );
 }
 
-/// The default crash plan with the reliability layer on: a restarted
-/// process meets its peers' retransmissions.
+/// The default crash plan with the reliability layer on, on the default
+/// wire: a restarted process meets its peers' retransmissions.
 #[test]
 fn crash_8_teams_reliable() {
-    check(
+    check_reliable(
         "crash + reliability, 8 teams",
-        &Scenario::paper(8, 1).with_ticks(24).with_reliability(chaos_retry_config()),
+        &Scenario::paper(8, 1).with_ticks(24),
         &RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 8, 24)),
         &[
             (Protocol::Entry, 0xD717_6211_9861_1783),
@@ -454,29 +458,42 @@ fn crash_8_teams_reliable() {
 }
 
 /// Sharding under churn and crash at 32 nodes on the default wire: one
-/// join off the group cadence (the minimal reproducer of a desynchronised
-/// pair schedule), the default churn plan and the default crash plan.
+/// join off the group cadence (the minimal reproducer of a pair schedule
+/// that desynchronised at a view change), the default churn plan and the
+/// default crash plan.
 #[test]
 fn sharded_32_churn_and_crash() {
     let scenario = Scenario::scaled(32, 1).with_ticks(24);
     let join_at_5 = MembershipPlan::new(32, 0..31).with_change(5, ViewChange::join([31]));
     for (case, plan, pinned) in [
+        ("one join", RunPlan::default().with_membership(join_at_5), 0xF310_3702_0D79_FF4D),
         (
-            "sharded, 32 nodes, one join",
-            RunPlan::default().with_membership(join_at_5),
-            0xF310_3702_0D79_FF4D,
-        ),
-        (
-            "sharded, 32 nodes, churn",
+            "churn",
             RunPlan::default().with_membership(default_churn_plan(32, 24)),
             0xC001_89CB_33FF_28D3,
         ),
         (
-            "sharded, 32 nodes, crash",
+            "crash",
             RunPlan::default().with_faults(default_crash_plan(0x5D50_C4A5, 32, 24)),
             0x4285_C558_B2BB_1737,
         ),
     ] {
-        check(case, &scenario, &plan, &[(Protocol::Msync2Shard, pinned)]);
+        let case = format!("sharded, 32 nodes, {case}");
+        check(&case, &scenario, &plan, &[(Protocol::Msync2Shard, pinned)]);
     }
+}
+
+/// Two fault seeds, two fault streams: both runs drop something, and not
+/// the same number of messages.
+#[test]
+fn different_fault_seeds_inject_different_faults() {
+    let scenario = Scenario::paper(2, 1).with_ticks(40).with_reliability(chaos_retry_config());
+    let drops = |seed| {
+        let run =
+            play(&scenario, Protocol::Bsync, &RunPlan::default().with_faults(chaos_plan(seed)));
+        run.per_node.iter().map(|s| s.net.drops_injected).sum::<u64>()
+    };
+    let (a, b) = (drops(1), drops(2));
+    assert!(a > 0 && b > 0, "seeds 1 and 2 dropped {a} and {b} messages");
+    assert_ne!(a, b, "independent seeds should produce distinct drop counts");
 }

@@ -1,26 +1,17 @@
-//! Features in composition: codec v2 and region sharding under membership
-//! churn and crash/restart.
+//! Features in composition at the paper's operating point: the
+//! reliability layer when nothing is lost, and the compressed wire against
+//! the paper's frames, message by message and across the Ext. H sweep.
 //!
-//! Each feature was proven alone; both of these compositions were broken
-//! until the game got one driver. The churn/crash runners built their
-//! runtime from a copy of the static builder that dropped
-//! `Scenario::wire`, so codec v2 silently never ran under either plan.
-//! And MSYNC2-SHARD's s-function forgot its pair-agreed positions at every
-//! view change, so a tank dying between a barrier and its pair's next
-//! rendezvous desynchronised that pair's schedule — a distributed deadlock
-//! at 32 nodes (which the crash runner sidestepped by rejecting the
-//! protocol outright).
+//! The compositions with a plan — codec v2 and region sharding under churn
+//! and crash, reliability under crash — are rows of the golden matrix
+//! (`tests/golden_runs.rs`), which checks what each part of a plan
+//! promises on every row.
 
-use sdso_core::{MembershipPlan, RetryConfig, ViewChange, WireConfig};
+use sdso_core::{RetryConfig, WireConfig};
 use sdso_game::{Protocol, RunPlan, Scenario};
-use sdso_harness::{
-    chaos_retry_config, converged_in, default_churn_plan, default_crash_plan, run_planned,
-    wire_sweep, RunSummary,
-};
+use sdso_harness::{converged_in, run_planned, wire_sweep, RunSummary};
 use sdso_net::SimSpan;
 use sdso_sim::NetworkModel;
-
-const CRASH_SEED: u64 = 0x5D50_C4A5;
 
 /// The paper's Fig. 5 metric, summed over the nodes of a run.
 fn secs_per_mod(run: &RunSummary) -> f64 {
@@ -35,92 +26,6 @@ fn play_converged(scenario: &Scenario, protocol: Protocol, plan: &RunPlan) -> Ru
     let final_view = plan.views(scenario, protocol).expect("the run validated it").final_view();
     assert!(converged_in(&summary, &final_view), "{protocol}: the final view diverged");
     summary
-}
-
-/// Asserts that two runs played the same game, node by node: the wire
-/// changes bytes and frames, never what the game can see.
-fn assert_same_game(case: &str, plain: &RunSummary, packed: &RunSummary) {
-    for (a, b) in plain.per_node.iter().zip(&packed.per_node) {
-        assert_eq!(
-            (a.ticks, a.modifications, a.score, &a.final_world),
-            (b.ticks, b.modifications, b.score, &b.final_world),
-            "{case}, node {}: v2 changed the outcome",
-            a.node
-        );
-    }
-}
-
-#[test]
-fn codec_v2_composes_with_churn_and_crash() {
-    // 16 nodes on the bare testbed, 8 with the reliability layer on.
-    let worlds = [
-        Scenario::paper(16, 1).with_ticks(24),
-        Scenario::paper(8, 1).with_ticks(24).with_reliability(chaos_retry_config()),
-    ];
-    for v1 in worlds.map(|world| world.with_wire(WireConfig::v1())) {
-        let teams = usize::from(v1.teams);
-        let plans = [
-            RunPlan::default().with_membership(default_churn_plan(teams, v1.ticks)),
-            RunPlan::default().with_faults(default_crash_plan(CRASH_SEED, teams, v1.ticks)),
-        ];
-        let v2 = v1.clone().with_wire(WireConfig::compressed());
-        for plan in &plans {
-            for protocol in Protocol::PAPER {
-                let plain = play_converged(&v1, protocol, plan);
-                let packed = play_converged(&v2, protocol, plan);
-                assert_same_game(&format!("{protocol}, {teams} teams"), &plain, &packed);
-                // ...and it must actually have run (EC ships no exchange
-                // data; the paper scenario's fixed 2 KiB frames hide the
-                // byte saving, so count frames).
-                let v2_frames: u64 = packed.per_node.iter().map(|s| s.dso.codec_v2_sent).sum();
-                assert!(
-                    v2_frames > 0 || protocol == Protocol::Entry,
-                    "{protocol}, {teams} teams: codec v2 never ran"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn sharding_composes_with_churn_and_crash_at_32_nodes() {
-    let scenario = Scenario::scaled(32, 1).with_ticks(24);
-    // The minimal reproducer: one join off the group cadence.
-    let join_at_5 = MembershipPlan::new(32, 0..31).with_change(5, ViewChange::join([31]));
-    for plan in [
-        RunPlan::default().with_membership(join_at_5),
-        RunPlan::default().with_membership(default_churn_plan(32, 24)),
-        RunPlan::default().with_faults(default_crash_plan(CRASH_SEED, 32, 24)),
-    ] {
-        let summary = play_converged(&scenario, Protocol::Msync2Shard, &plan);
-        let sum = |f: fn(&sdso_game::NodeStats) -> u64| summary.per_node.iter().map(f).sum::<u64>();
-        assert!(sum(|s| s.dso.shard_suppressed) > 0, "interest routing must suppress diffs");
-        // Sharded links speak the default wire like any other.
-        assert!(sum(|s| s.dso.codec_v2_sent) > 0, "codec v2 never ran under sharding");
-        assert!(sum(|s| s.dso.rendezvous_fused) > 0, "no sharded rendezvous was fused");
-        let restarted =
-            plan.faults.iter().flat_map(|f| &f.crashes).filter(|c| c.restart_tick.is_some());
-        for crash in restarted {
-            let node = &summary.per_node[usize::from(crash.node)];
-            assert_eq!((node.recoveries, node.ticks), (1, 24), "node {} came back", crash.node);
-        }
-    }
-}
-
-/// Sharding on the default wire against its twin on the paper's frames, static
-/// group: region groups and interest routing decide who exchanges what, the
-/// codec only how it travels, so every node plays the same game.
-#[test]
-fn sharding_plays_the_same_game_on_v1_and_on_the_default_wire() {
-    let scenario = Scenario::scaled(32, 1).with_ticks(24);
-    let plan = RunPlan::default();
-    let packed = play_converged(&scenario, Protocol::Msync2Shard, &plan);
-    let plain =
-        play_converged(&scenario.clone().with_wire(WireConfig::v1()), Protocol::Msync2Shard, &plan);
-    assert_same_game("MSYNC2-SHARD, 32 teams", &plain, &packed);
-    let fused = |run: &RunSummary| run.per_node.iter().map(|s| s.dso.rendezvous_fused).sum::<u64>();
-    assert_eq!(fused(&plain), 0, "the v1 twin fused a rendezvous");
-    assert!(fused(&packed) > 0, "no sharded rendezvous was fused");
 }
 
 /// The paper's own operating point with the reliability layer on and no

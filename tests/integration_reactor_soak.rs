@@ -7,23 +7,23 @@
 //!
 //! * [`soak_64_spokes_smoke`] always runs — small enough for a laptop's
 //!   `cargo test`;
-//! * [`soak_256_spokes_full`] is `#[ignore]`d and run explicitly by the
-//!   `reactor-soak` CI job (`cargo test -- --ignored`) under a hard
+//! * [`soak_reactor_256_spokes`] is `#[ignore]`d and run explicitly by
+//!   CI's `soak` job (`cargo test -- --ignored soak_reactor`) under a hard
 //!   wall-clock timeout.
 //!
 //! The same exchange timed over the reactor and over a test-local
 //! thread-per-peer hub ([`thread_per_peer_soak`]) is the throughput
 //! contract ([`contract_reactor_sustains_the_thread_per_peer_rate`]).
+//! Crash detection on the same transport — spokes that die abruptly are
+//! the hub's leave set — is
+//! [`reactor_abrupt_death_is_detected_as_a_leave`].
 //!
-//! When `SDSO_SOAK_TRACE` names a file, the merged flight-recorder trace
-//! (Chrome/Perfetto JSON) of every node is written there win or lose; the
-//! CI job uploads it as an artifact when the job fails.
-//!
-//! When `SDSO_SOAK_EVENTS` names a file, tracing switches to full event
-//! recording and the raw per-node event log (the `sdso-check race` input
-//! format) is written there win or lose, with worker spawn/join edges
-//! recorded on the hub's stream so the happens-before replay can order
-//! hub and spokes.
+//! When `SDSO_TRACE_DIR` names a directory, tracing switches to full event
+//! recording, and each soak writes its merged flight-recorder trace and
+//! its raw per-node event log (the `sdso-check race` input format) there
+//! win or lose (`tests/common/trace.rs`), with worker spawn/join edges
+//! recorded on the hub's stream so the happens-before replay can order hub
+//! and spokes.
 
 #![cfg(unix)]
 
@@ -38,6 +38,9 @@ use std::time::{Duration, Instant};
 use sdso_net::reactor::ReactorMesh;
 use sdso_net::{Endpoint, MsgClass, Payload};
 use sdso_obs::{EventKind, MonoClock, ObsSet, TraceConfig, THREAD_ROLE_WORKER};
+
+#[path = "common/trace.rs"]
+mod trace;
 
 /// Pings a spoke keeps in flight: enough to keep every spoke's traffic
 /// moving at once without serialising on round trips.
@@ -177,16 +180,15 @@ fn run_soak<E: Endpoint + 'static>(
     Ok(elapsed)
 }
 
-/// Runs a soak and, when `SDSO_SOAK_TRACE` / `SDSO_SOAK_EVENTS` are set,
-/// writes the merged flight-recorder trace / raw event log there before
-/// reporting the outcome.
-fn soak_with_trace(spokes: usize, pings: u32, deadline: Duration) {
+/// Runs a soak, writes its trace and event log when `SDSO_TRACE_DIR` is
+/// set, then reports the outcome.
+fn soak_with_trace(name: &str, spokes: usize, pings: u32, deadline: Duration) {
     let n = spokes + 1;
-    let events_path = std::env::var("SDSO_SOAK_EVENTS").ok().filter(|p| !p.is_empty());
+    let events = trace::trace_dir().is_some();
     // Full recording only when the event log is wanted: the ring must hold
     // every send/recv of the busiest node (the hub sees 2 events per ping
     // per spoke, plus batching and teardown).
-    let config = if events_path.is_some() {
+    let config = if events {
         TraceConfig::full_with_capacity((spokes * pings as usize * 4).max(64 * 1024))
     } else {
         TraceConfig::counters()
@@ -195,15 +197,7 @@ fn soak_with_trace(spokes: usize, pings: u32, deadline: Duration) {
     let outcome = ReactorMesh::star(n)
         .map_err(|e| format!("star setup: {e}"))
         .and_then(|star| run_soak(star, pings, deadline, &obs));
-    // Best-effort: a trace-write failure must not mask the soak verdict.
-    if let Ok(path) = std::env::var("SDSO_SOAK_TRACE") {
-        if !path.is_empty() {
-            let _ = std::fs::write(&path, obs.chrome_trace());
-        }
-    }
-    if let Some(path) = events_path {
-        let _ = std::fs::write(&path, obs.event_log());
-    }
+    trace::write_trace(name, &obs, events);
     if let Err(why) = outcome {
         panic!("reactor soak ({spokes} spokes, {pings} pings) failed: {why}");
     }
@@ -211,13 +205,61 @@ fn soak_with_trace(spokes: usize, pings: u32, deadline: Duration) {
 
 #[test]
 fn soak_64_spokes_smoke() {
-    soak_with_trace(64, 25, Duration::from_secs(60));
+    soak_with_trace("soak_64_spokes_smoke", 64, 25, Duration::from_secs(60));
 }
 
 #[test]
-#[ignore = "full-scale soak; run via the reactor-soak CI job (cargo test -- --ignored)"]
-fn soak_256_spokes_full() {
-    soak_with_trace(256, 50, Duration::from_secs(240));
+#[ignore = "full-scale soak; run via CI's soak job (cargo test -- --ignored soak_)"]
+fn soak_reactor_256_spokes() {
+    soak_with_trace("soak_reactor_256_spokes", 256, 50, Duration::from_secs(240));
+}
+
+/// Crash *detection* on the real transport: when spokes die abruptly
+/// (their process vanishes without a goodbye), the hub's reactor surfaces
+/// peer-down events and the membership layer derives exactly the dead
+/// nodes as the leave set.
+#[test]
+fn reactor_abrupt_death_is_detected_as_a_leave() {
+    use sdso_core::{leave_change_from_events, MembershipPlan};
+    use sdso_net::PeerEvent;
+
+    const N: usize = 8;
+    const DEAD: [u16; 3] = [2, 5, 7];
+    let mut endpoints = ReactorMesh::star(N).expect("star setup");
+    let mut hub = endpoints.remove(0);
+    // Every spoke announces itself so the hub has live links, then the
+    // doomed ones drop their endpoint — an abrupt socket teardown, the
+    // closest a test harness gets to SIGKILL. A survivor hands its
+    // endpoint back in the thread's result, which keeps its link open
+    // until the join below.
+    let handles: Vec<_> = endpoints
+        .into_iter()
+        .map(|mut ep| {
+            std::thread::spawn(move || {
+                let me = ep.node_id();
+                ep.send(0, Payload::control(vec![me as u8])).expect("hello");
+                (!DEAD.contains(&me)).then_some(ep)
+            })
+        })
+        .collect();
+
+    let mut hellos = 0;
+    let mut downs: Vec<PeerEvent> = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while (hellos < N - 1 || downs.len() < DEAD.len()) && Instant::now() < deadline {
+        if hub.recv_deadline(sdso_net::SimSpan::from_millis(200)).expect("hub recv").is_some() {
+            hellos += 1;
+        }
+        downs.extend(hub.take_peer_events());
+    }
+    assert_eq!(hellos, N - 1, "every spoke said hello before the cull");
+    let view = MembershipPlan::new(N, 0..N as u16).view_at(0);
+    let change = leave_change_from_events(&view, &downs);
+    let left: Vec<u16> = change.left.iter().copied().collect();
+    assert_eq!(left, DEAD.to_vec(), "the derived leave set is exactly the dead spokes");
+    for h in handles {
+        drop(h.join().expect("spoke thread"));
+    }
 }
 
 /// Spawns the reader thread of one thread-per-peer socket: it hands every
