@@ -3,9 +3,6 @@
 //! (`soak.rs`) on every run. A file includes it with
 //! `#[path = "common/plans.rs"] mod plans;`.
 
-// Each includer reads only the helpers it needs.
-#![allow(dead_code)]
-
 use sdso_core::WireConfig;
 use sdso_game::{Block, NodeStats, Protocol, RunPlan, Scenario};
 use sdso_harness::{converged_in, restarts_kept_their_state, RunSummary};
