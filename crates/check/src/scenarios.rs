@@ -1027,6 +1027,52 @@ mod tests {
         );
     }
 
+    /// FNV-1a-64 of every choice point (receiver, arity, chosen, delivered)
+    /// of `protocol`'s runs under a fixed preset list: the base presets,
+    /// then each synthetic variant alone and followed by each base preset.
+    fn schedule_space_hash(protocol: Protocol) -> u64 {
+        const BASE: [&[usize]; 4] = [&[], &[1], &[1, 1], &[0, 1, 0, 1, 1]];
+        let variants = (0..protocol.variants())
+            .flat_map(|v| BASE.iter().map(move |tail| [&[v][..], tail].concat()));
+        let mut hash = 0xCBF2_9CE4_8422_2325u64;
+        for preset in BASE.iter().map(|p| p.to_vec()).chain(variants) {
+            let oracle = Arc::new(ReplayOracle::new(preset.clone()));
+            run_once(protocol, Arc::clone(&oracle))
+                .unwrap_or_else(|e| panic!("{} under {preset:?}: {e}", protocol.name()));
+            for point in oracle.trace() {
+                let (from, seq) = point.delivered;
+                let words = [u64::from(point.receiver), point.arity as u64, point.chosen as u64];
+                for word in words.into_iter().chain([u64::from(from), seq]) {
+                    for b in word.to_le_bytes() {
+                        hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    #[test]
+    fn schedule_spaces_are_pinned() {
+        // A change that moves a message, a send order or a choice point in
+        // any scenario moves its hash: re-pin only in a commit of its own.
+        let pinned: [(Protocol, u64); 9] = [
+            (Protocol::Bsync, 0xCDBC_E19B_CD4A_5765),
+            (Protocol::Msync, 0xCE28_AFE4_EF06_2565),
+            (Protocol::Msync2, 0x0C9D_BCFF_58A1_26A3),
+            (Protocol::Ec, 0x57D7_229C_C3A4_BC87),
+            (Protocol::Churn, 0x4957_925F_69EB_2C48),
+            (Protocol::ChurnEc, 0x00B5_FB3B_26C0_3146),
+            (Protocol::CrashChurn, 0xFF77_A562_0FAD_56DF),
+            (Protocol::CodecV2, 0x09AA_DF20_3210_5F2E),
+            (Protocol::CodecV2Arq, 0x062E_E635_D936_1886),
+        ];
+        for (protocol, expected) in pinned {
+            let hash = schedule_space_hash(protocol);
+            assert_eq!(hash, expected, "{}: {hash:#018X}", protocol.name());
+        }
+    }
+
     #[test]
     fn protocol_names_round_trip() {
         for p in Protocol::ALL {
