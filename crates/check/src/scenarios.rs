@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use sdso_core::wire::DsoMessage;
 use sdso_core::{
-    DsoConfig, DsoError, DsoMetrics, EveryTick, LogicalTime, MembershipPlan, Never, ObjectId,
+    DsoConfig, DsoError, DsoMetrics, LogicalTime, MembershipPlan, MembershipView, Never, ObjectId,
     ObjectStore, RetryConfig, SdsoRuntime, SendMode, ViewChange, WireConfig,
 };
 use sdso_game::Journal;
@@ -98,10 +98,36 @@ const CRASH_RESTART_GAP: u64 = 2;
 /// The member that crashes and recovers from its journal.
 const CRASHER: NodeId = 1;
 
+/// How often each pair of a lookahead run meets, and for how long.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Workload {
+    /// Ticks between two rendezvous of ring neighbours, and of any other
+    /// pair.
+    gaps: (u64, u64),
+    /// The last tick played. In a static group every pair is due at it, so
+    /// the run ends converged.
+    ticks: u64,
+}
+
+/// Barrier-synchronous: every pair meets every tick.
+const BSYNC: Workload = Workload { gaps: (1, 1), ticks: 3 };
+
+/// MSYNC stand-in: every pair meets every 2 ticks.
+const MSYNC: Workload = Workload { gaps: (2, 2), ticks: 8 };
+
+/// MSYNC2 stand-in: ring neighbours meet every 2 ticks, the distance-2
+/// pair every 4 — distinct per-pair s-functions.
+const MSYNC2: Workload = Workload { gaps: (2, 4), ticks: 12 };
+
 /// Workloads every schedule of the codec-v2 scenario plays, in order: a
 /// rendezvous with everyone every tick, then per-pair s-functions under
 /// which fused frames of different ticks are in flight together.
-const CODEC_V2_WORKLOADS: [Protocol; 2] = [Protocol::Bsync, Protocol::Msync2];
+const CODEC_V2_WORKLOADS: [Workload; 2] = [BSYNC, MSYNC2];
+
+/// The codec-v2-arq scenario's workloads: BSYNC's for twice its usual
+/// three ticks, so that the fault and its repair have ticks of fused frames
+/// around them to interleave with, and MSYNC2's.
+const ARQ_WORKLOADS: [Workload; 2] = [Workload { ticks: 6, ..BSYNC }, MSYNC2];
 
 /// The node whose links the codec-v2-arq scenario faults.
 const FAULTED: NodeId = 0;
@@ -110,13 +136,8 @@ const FAULTED: NodeId = 0;
 const FAULT_PEER: NodeId = 1;
 
 /// The frame faults the codec-v2-arq scenario's synthetic first choice
-/// point selects between (crossed with [`CODEC_V2_WORKLOADS`]).
+/// point selects between (crossed with [`ARQ_WORKLOADS`]).
 const FRAME_FAULTS: [FrameFault; 2] = [FrameFault::Drop, FrameFault::Dup];
-
-/// Ticks BSYNC's workload runs for under the ARQ: twice its usual three, so
-/// that the fault and its repair have ticks of fused frames around them to
-/// interleave with.
-const ARQ_BSYNC_TICKS: u8 = 6;
 
 /// What happens, on node [`FAULTED`]'s side, to its first fused `Data2` to
 /// [`FAULT_PEER`] in one schedule of the codec-v2-arq scenario.
@@ -198,28 +219,12 @@ impl Protocol {
         match self {
             Protocol::Churn | Protocol::ChurnEc => CHURN_TRIGGERS.len(),
             Protocol::CrashChurn => CRASH_TRIGGERS.len(),
-            Protocol::CodecV2Arq => CODEC_V2_WORKLOADS.len() * FRAME_FAULTS.len(),
+            Protocol::CodecV2Arq => ARQ_WORKLOADS.len() * FRAME_FAULTS.len(),
             Protocol::Bsync
             | Protocol::Msync
             | Protocol::Msync2
             | Protocol::Ec
             | Protocol::CodecV2 => 1,
-        }
-    }
-
-    /// Ticks the lookahead scenarios run for (the last tick is chosen so
-    /// every pair's s-function is due, forcing full convergence).
-    fn ticks(self) -> u8 {
-        match self {
-            Protocol::Bsync => 3,
-            Protocol::Msync => 8,
-            Protocol::Msync2 => 12,
-            Protocol::Ec
-            | Protocol::Churn
-            | Protocol::ChurnEc
-            | Protocol::CrashChurn
-            | Protocol::CodecV2
-            | Protocol::CodecV2Arq => 0,
         }
     }
 }
@@ -271,25 +276,65 @@ pub fn explore(protocol: Protocol, explorer: Explorer) -> ExploreReport {
 /// node failing outright, e.g. a schedule-induced deadlock).
 pub fn run_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), String> {
     match protocol {
-        Protocol::Churn | Protocol::ChurnEc => run_churn_once(protocol, oracle),
-        Protocol::CrashChurn => run_crash_churn_once(oracle),
+        Protocol::Bsync => run_lookahead_once(LookaheadRun::fixed(BSYNC, Wire::V1), &oracle),
+        Protocol::Msync => run_lookahead_once(LookaheadRun::fixed(MSYNC, Wire::V1), &oracle),
+        Protocol::Msync2 => run_lookahead_once(LookaheadRun::fixed(MSYNC2, Wire::V1), &oracle),
+        Protocol::Ec => {
+            let snaps = play(NODES, &oracle, ec_node)?;
+            // Each round, every counter appears in exactly two of the three
+            // staggered locksets, so it gains exactly two increments.
+            let counters = converged(&snaps, MembershipView::full(NODES).members())?;
+            counters_at(counters, 2 * EC_ITERS, "an update was lost or applied twice")
+        }
+        // The churn scenarios' first choice point is synthetic: it picks the
+        // view-change trigger tick, so the explorer branches over join/leave
+        // timings exactly like it branches over delivery races.
+        Protocol::Churn => {
+            let trigger = CHURN_TRIGGERS[oracle.choose(0, &synthetic(CHURN_TRIGGERS.len()))];
+            let run = LookaheadRun {
+                workload: Workload { ticks: CHURN_TICKS, ..BSYNC },
+                wire: Wire::V2,
+                plan: churn_plan(trigger),
+                crash: None,
+            };
+            run_lookahead_once(run, &oracle).map_err(|e| format!("churn at tick {trigger}: {e}"))
+        }
+        Protocol::ChurnEc => {
+            let trigger = CHURN_TRIGGERS[oracle.choose(0, &synthetic(CHURN_TRIGGERS.len()))];
+            let counted = || {
+                let snaps = play(CHURN_CAPACITY, &oracle, move |ep| churn_ec_node(ep, trigger))?;
+                // Per counter: nodes 0 and 2 increment every round, the
+                // leaver up to the trigger, the joiner after it — 3 *
+                // CHURN_TICKS in total regardless of the trigger tick.
+                let counters = converged(&snaps, churn_plan(trigger).final_view().members())?;
+                counters_at(counters, (3 * CHURN_TICKS) as u8, "a lock grant or increment was lost")
+            };
+            counted().map_err(|e| format!("churn at tick {trigger}: {e}"))
+        }
+        Protocol::CrashChurn => {
+            let crash = CRASH_TRIGGERS[oracle.choose(0, &synthetic(CRASH_TRIGGERS.len()))];
+            let run = LookaheadRun {
+                workload: Workload { ticks: CRASH_TICKS, ..BSYNC },
+                wire: Wire::V2,
+                plan: crash_churn_plan(crash),
+                crash: Some(crash),
+            };
+            run_lookahead_once(run, &oracle).map_err(|e| format!("crash at tick {crash}: {e}"))
+        }
         // One cluster after the other under the one oracle: the branching
         // depth spans the end of the first workload and the start of the
         // second.
-        Protocol::CodecV2 => CODEC_V2_WORKLOADS
-            .into_iter()
-            .try_for_each(|workload| run_static_once(workload, Wire::V2, &oracle)),
+        Protocol::CodecV2 => CODEC_V2_WORKLOADS.into_iter().try_for_each(|workload| {
+            run_lookahead_once(LookaheadRun::fixed(workload, Wire::V2), &oracle)
+        }),
         // One workload under one fault, the pair picked by the synthetic first
         // choice point: the branching depth then starts where that workload
         // does, whichever it is.
         Protocol::CodecV2Arq => {
             let case = oracle.choose(0, &synthetic(protocol.variants()));
             let fault = FRAME_FAULTS[case % FRAME_FAULTS.len()];
-            let workload = CODEC_V2_WORKLOADS[case / FRAME_FAULTS.len()];
-            run_static_once(workload, Wire::V2Arq(fault), &oracle)
-        }
-        Protocol::Bsync | Protocol::Msync | Protocol::Msync2 | Protocol::Ec => {
-            run_static_once(protocol, Wire::V1, &oracle)
+            let workload = ARQ_WORKLOADS[case / FRAME_FAULTS.len()];
+            run_lookahead_once(LookaheadRun::fixed(workload, Wire::V2Arq(fault)), &oracle)
         }
     }
 }
@@ -300,7 +345,25 @@ fn synthetic(arity: usize) -> Vec<Candidate> {
     (0..arity).map(|i| Candidate { from: i as NodeId, seq: i as u64, deliver_at: 0 }).collect()
 }
 
-/// What a static-group workload's links speak.
+/// Plays one schedule of `node` on `n` simulated nodes under `oracle` and
+/// returns what each node reported.
+fn play<F>(n: usize, oracle: &Arc<ReplayOracle>, node: F) -> Result<Vec<NodeSnap>, String>
+where
+    F: Fn(SimEndpoint) -> Result<NodeSnap, NetError> + Send + Sync + 'static,
+{
+    let outcome = SimCluster::new(n, NetworkModel::instant())
+        .with_oracle(Arc::clone(oracle) as Arc<dyn DeliveryOracle>)
+        .run(node)
+        .map_err(|e| format!("cluster failed to run: {e}"))?;
+    outcome
+        .nodes
+        .into_iter()
+        .enumerate()
+        .map(|(id, node)| node.result.map_err(|e| format!("node {id}: {e}")))
+        .collect()
+}
+
+/// What a lookahead run's links speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Wire {
     /// The paper's frames.
@@ -329,42 +392,44 @@ impl Wire {
             Wire::V1 | Wire::V2 => None,
         }
     }
+}
 
-    /// Ticks `workload` runs for on this wire.
-    fn ticks(self, workload: Protocol) -> u8 {
-        match (self, workload) {
-            (Wire::V2Arq(_), Protocol::Bsync) => ARQ_BSYNC_TICKS,
-            _ => workload.ticks(),
-        }
+/// One run of the lookahead runner: how often each pair meets, what the
+/// links speak, who is in the group when, and whether [`CRASHER`] crashes.
+#[derive(Debug, Clone)]
+struct LookaheadRun {
+    workload: Workload,
+    wire: Wire,
+    plan: MembershipPlan,
+    /// The tick [`CRASHER`] fail-stops at; it rejoins from its journal
+    /// [`CRASH_RESTART_GAP`] ticks later, where the plan says it joins.
+    crash: Option<u64>,
+}
+
+impl LookaheadRun {
+    /// `workload` in a static group of [`NODES`] on `wire`.
+    fn fixed(workload: Workload, wire: Wire) -> Self {
+        LookaheadRun { workload, wire, plan: MembershipPlan::static_group(NODES), crash: None }
     }
 }
 
-/// Runs one schedule of a static-group workload on the given wire.
-fn run_static_once(
-    workload: Protocol,
-    wire: Wire,
-    oracle: &Arc<ReplayOracle>,
-) -> Result<(), String> {
-    let cluster = SimCluster::new(NODES, NetworkModel::instant())
-        .with_oracle(Arc::clone(oracle) as Arc<dyn DeliveryOracle>);
-    let outcome = match workload {
-        Protocol::Ec => cluster.run(ec_node),
-        _ => cluster.run(move |ep| lookahead_node(ep, workload, wire)),
-    }
-    .map_err(|e| format!("cluster failed to run: {e}"))?;
-    let mut snaps = Vec::with_capacity(NODES);
-    for (id, node) in outcome.nodes.into_iter().enumerate() {
-        snaps.push(node.result.map_err(|e| format!("{} node {id}: {e}", workload.name()))?);
-    }
+/// Runs one schedule of a lookahead run and checks what it promises: on a
+/// compressed wire every node fused a rendezvous, a frame fault left its
+/// trace in the counters, and [`check_lookahead`]'s invariants hold. A node
+/// stuck in a view-change barrier, or a restart stuck awaiting its
+/// snapshot, shows up as a scheduler deadlock.
+fn run_lookahead_once(run: LookaheadRun, oracle: &Arc<ReplayOracle>) -> Result<(), String> {
+    let node_run = run.clone();
+    let snaps = play(run.plan.capacity(), oracle, move |ep| lookahead_node(ep, &node_run))?;
     // A run that never fused a rendezvous explores nothing a v2 scenario is for.
     let fused = |snap: &NodeSnap| snap.metrics.rendezvous_fused;
-    if let Some(id) = snaps.iter().position(|snap| wire != Wire::V1 && fused(snap) == 0) {
-        return Err(format!("{} node {id} never sent a fused frame", workload.name()));
+    if let Some(id) = snaps.iter().position(|snap| run.wire != Wire::V1 && fused(snap) == 0) {
+        return Err(format!("node {id} never sent a fused frame"));
     }
     // Nor does a fault that never bit: the lost frame was sent again, the
     // doubled one dropped once.
     let (faulted, peer) = (&snaps[usize::from(FAULTED)], &snaps[usize::from(FAULT_PEER)]);
-    let fault = wire.fault();
+    let fault = run.wire.fault();
     let unrepaired = match fault {
         Some(FrameFault::Drop) => faulted.metrics.retransmits == 0,
         Some(FrameFault::Dup) => peer.metrics.duplicates_dropped == 0,
@@ -372,71 +437,18 @@ fn run_static_once(
     };
     if unrepaired {
         return Err(format!(
-            "{} under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}; \
+            "under {fault:?}: the fault left no trace in the counters (node {FAULTED}: {:?}; \
              node {FAULT_PEER}: {:?})",
-            workload.name(),
-            faulted.metrics,
-            peer.metrics
+            faulted.metrics, peer.metrics
         ));
     }
-    check_invariants(workload, wire.ticks(workload), &snaps)
-}
-
-/// Runs one schedule of a churn scenario. The first choice point is
-/// synthetic: it picks the view-change trigger tick out of
-/// [`CHURN_TRIGGERS`], so the explorer branches over join/leave timings
-/// exactly like it branches over delivery races.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant; a node stuck in
-/// the view-change barrier shows up as a scheduler deadlock here.
-fn run_churn_once(protocol: Protocol, oracle: Arc<ReplayOracle>) -> Result<(), String> {
-    let trigger = CHURN_TRIGGERS[oracle.choose(0, &synthetic(CHURN_TRIGGERS.len()))];
-    let cluster = SimCluster::new(CHURN_CAPACITY, NetworkModel::instant())
-        .with_oracle(oracle as Arc<dyn DeliveryOracle>);
-    let outcome = match protocol {
-        Protocol::ChurnEc => cluster.run(move |ep| churn_ec_node(ep, trigger)),
-        _ => cluster.run(move |ep| churn_lookahead_node(ep, trigger)),
-    }
-    .map_err(|e| format!("cluster failed to run: {e}"))?;
-    let mut snaps = Vec::with_capacity(CHURN_CAPACITY);
-    for (id, node) in outcome.nodes.into_iter().enumerate() {
-        snaps.push(node.result.map_err(|e| format!("churn trigger {trigger}, node {id}: {e}"))?);
-    }
-    check_churn_invariants(protocol, trigger, &snaps)
+    check_lookahead(&run, &snaps)
 }
 
 /// One leave plus one join at the same barrier, `trigger` ticks in.
 fn churn_plan(trigger: u64) -> MembershipPlan {
     MembershipPlan::new(CHURN_CAPACITY, [0, 1, 2])
         .with_change(trigger, ViewChange::new([CHURN_JOINER], [CHURN_LEAVER]))
-}
-
-/// Runs one schedule of the crash-churn scenario: node 3 joins at tick 2
-/// (churn), node 1 fail-stops at the oracle-chosen crash tick and rejoins
-/// [`CRASH_RESTART_GAP`] ticks later from its journal. While down, the dead
-/// host is effectively partitioned from the group: survivor traffic
-/// towards it queues on its enduring endpoint as crash-era residue, which
-/// the restarted incarnation must drop (stale epochs, stale acks) rather
-/// than deliver — the composition the residue drain exists for.
-///
-/// # Errors
-///
-/// Returns a description of the first violated invariant; a restart stuck
-/// awaiting its snapshot shows up as a scheduler deadlock here.
-fn run_crash_churn_once(oracle: Arc<ReplayOracle>) -> Result<(), String> {
-    let crash = CRASH_TRIGGERS[oracle.choose(0, &synthetic(CRASH_TRIGGERS.len()))];
-    let cluster = SimCluster::new(CHURN_CAPACITY, NetworkModel::instant())
-        .with_oracle(oracle as Arc<dyn DeliveryOracle>);
-    let outcome = cluster
-        .run(move |ep| crash_churn_node(ep, crash))
-        .map_err(|e| format!("cluster failed to run: {e}"))?;
-    let mut snaps = Vec::with_capacity(CHURN_CAPACITY);
-    for (id, node) in outcome.nodes.into_iter().enumerate() {
-        snaps.push(node.result.map_err(|e| format!("crash at tick {crash}, node {id}: {e}"))?);
-    }
-    check_crash_churn_invariants(crash, &snaps)
 }
 
 /// The crash-churn membership plan: a planned join at tick 2, then the
@@ -448,118 +460,106 @@ fn crash_churn_plan(crash: u64) -> MembershipPlan {
         .with_change(crash + CRASH_RESTART_GAP, ViewChange::join([CRASHER]))
 }
 
-/// Crash-churn node: every live member writes the tick into its own
-/// object each tick; the crasher additionally journals its state so the
-/// post-crash incarnation proves it rejoined with pre-crash identity.
-fn crash_churn_node(ep: SimEndpoint, crash: u64) -> Result<NodeSnap, NetError> {
+/// The lookahead runner. Every live member writes the tick into its own
+/// object each tick, then meets whoever its gaps make due; at a tick that
+/// carries a view change the old view meets in full instead, and the
+/// continuers then apply the change. A planned leaver's last write is a
+/// tombstone, and it settles out after the barrier.
+///
+/// When the run crashes [`CRASHER`], it journals every tick. At its crash
+/// tick it fail-stops: runtime and s-function vanish, the journal and the
+/// host's endpoint survive. While it is down its host is partitioned from
+/// the group, so survivor traffic towards it queues as crash-era residue
+/// that the restarted incarnation must drop (stale epochs, stale acks)
+/// rather than deliver. It rejoins from its journal with pre-crash state.
+fn lookahead_node(ep: SimEndpoint, run: &LookaheadRun) -> Result<NodeSnap, NetError> {
     let me = ep.node_id();
-    let plan = crash_churn_plan(crash);
-    let restart = crash + CRASH_RESTART_GAP;
-    let build = |ep: SimEndpoint| -> Result<SdsoRuntime<SimEndpoint>, NetError> {
-        let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-        for id in 0..CHURN_CAPACITY as u32 {
-            rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
+    let (near, far) = run.workload.gaps;
+    let sfunc = move |peer: NodeId, now: LogicalTime, _: &ObjectStore| {
+        Some(now.plus(if me.abs_diff(peer) == 1 { near } else { far }))
+    };
+    let build = |transport: Faulted| -> Result<SdsoRuntime<Faulted>, NetError> {
+        let mut rt = SdsoRuntime::new(transport, run.wire.config());
+        for id in 0..run.plan.capacity() as u32 {
+            rt.share(ObjectId(id), vec![0u8; 4])?;
         }
         Ok(rt)
     };
-    let mut rt = build(ep)?;
+    let crash = run.crash.filter(|_| me == CRASHER);
+    // A crash is a leave only to the survivors.
+    let leave = run.plan.leave_tick_of(me).filter(|_| crash.is_none());
+    let fault = if me == FAULTED { run.wire.fault() } else { None };
+    let mut rt = build(Faulted { inner: ep, fault })?;
+    let mut tick = rt.enter(&run.plan, None)?;
+    let mut la = Lookahead::new(rt, sfunc)?;
     let mut journal = Journal::default();
-    let start = churn_enter(&mut rt, &plan, me)?;
-    let mut la = Lookahead::new(rt, EveryTick).map_err(NetError::from)?;
     let mut times = Vec::new();
-    let mut tick = start;
-    loop {
-        while tick <= CRASH_TICKS {
-            la.runtime_mut()
-                .write(ObjectId(u32::from(me)), 0, &[tick as u8])
-                .map_err(NetError::from)?;
-            let change = plan.change_at(tick);
-            let report = if change.is_some() {
-                la.step_barrier().map_err(NetError::from)?
-            } else {
-                la.step().map_err(NetError::from)?
-            };
-            times.push(report.time);
-            if me == CRASHER {
-                journal.tick(la.runtime(), tick, vec![tick as u8]);
-                if tick == crash {
-                    break;
-                }
+    while tick <= run.workload.ticks {
+        let value = if leave == Some(tick) { CHURN_TOMBSTONE } else { tick as u8 };
+        la.runtime_mut().write(ObjectId(u32::from(me)), 0, &[value])?;
+        let change = run.plan.change_at(tick);
+        times.push(if change.is_some() { la.step_barrier() } else { la.step() }?.time);
+        if leave == Some(tick) {
+            let mut rt = la.into_runtime();
+            rt.settle()?;
+            return snapshot(&rt, times);
+        }
+        if crash.is_some() {
+            journal.tick(la.runtime(), tick, vec![tick as u8]);
+        }
+        if crash == Some(tick) {
+            let endpoint = la.into_runtime().into_endpoint();
+            let recovered = journal.reopen(me)?;
+            if recovered.app != [tick as u8] {
+                return Err(NetError::from(DsoError::ProtocolViolation(format!(
+                    "recovered state {:?} is not the crash-tick write {tick}",
+                    recovered.app
+                ))));
             }
-            if let Some(change) = change {
-                la.apply_view_change(change).map_err(NetError::from)?;
-                if la.runtime().membership().donor_for(change) == Some(me) {
-                    for &joiner in &change.joined {
-                        la.runtime_mut().send_snapshot(joiner).map_err(NetError::from)?;
-                    }
-                }
-            }
-            tick += 1;
+            let mut rt = build(endpoint)?;
+            rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
+            tick = rt.enter(&run.plan, Some(tick + CRASH_RESTART_GAP))?;
+            la = Lookahead::new(rt, sfunc)?;
+            continue;
         }
-        if me != CRASHER || tick > CRASH_TICKS {
-            break;
+        if let Some(change) = change {
+            la.apply_view_change(change)?;
         }
-        // Fail-stop: volatile state vanishes; the journal and the host's
-        // endpoint survive. While down, the group sees a leave. Reopening
-        // checks the recovered identity is the crasher's.
-        let endpoint = la.into_runtime().into_endpoint();
-        let recovered = journal.reopen(me).map_err(NetError::from)?;
-        if recovered.app != [crash as u8] {
-            return Err(NetError::from(DsoError::ProtocolViolation(format!(
-                "recovered state {:?} is not the crash-tick write {crash}",
-                recovered.app
-            ))));
-        }
-        let mut rt = build(endpoint)?;
-        rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
-        let change = plan.change_at(restart).expect("restart tick carries the rejoin");
-        let view = plan.view_at(restart);
-        let donor = view.donor_for(change).expect("a survivor donates the snapshot");
-        rt.set_membership(view);
-        rt.drain_crash_residue().map_err(NetError::from)?;
-        rt.await_snapshot(donor).map_err(NetError::from)?;
-        la = Lookahead::new(rt, EveryTick).map_err(NetError::from)?;
-        tick = restart + 1;
+        tick += 1;
     }
     let mut rt = la.into_runtime();
-    rt.exchange(SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
-    rt.settle().map_err(NetError::from)?;
+    // A static group's last tick has every pair due; a group that changed
+    // meets once more in full, across its final view.
+    if !run.plan.changes().is_empty() {
+        rt.exchange(SendMode::Broadcast, &mut Never)?;
+    }
+    rt.settle()?;
     snapshot(&rt, times)
 }
 
-fn check_crash_churn_invariants(crash: u64, snaps: &[NodeSnap]) -> Result<(), String> {
+/// The lookahead invariants: every node's clock strictly increases (across
+/// a crash too: the restored frontier forbids reusing pre-crash times),
+/// every final-view member holds the same objects, and each object holds
+/// its writer's last write — a planned leaver's tombstone, otherwise the
+/// last tick (a recovered crasher's resumed writes overwrite its pre-crash
+/// value). A stale byte is an update dropped or applied out of order.
+fn check_lookahead(run: &LookaheadRun, snaps: &[NodeSnap]) -> Result<(), String> {
     for (id, snap) in snaps.iter().enumerate() {
-        // Monotone across the crash too: the restored frontier forbids the
-        // restarted incarnation from reusing pre-crash timestamps.
-        for w in snap.times.windows(2) {
-            if w[1] <= w[0] {
-                return Err(format!(
-                    "logical clock not strictly monotone on node {id} across a crash at \
-                     {crash}: {} then {}",
-                    w[0], w[1]
-                ));
-            }
-        }
-    }
-    // Every node is a final-view member here — the crasher came back.
-    for (id, snap) in snaps.iter().enumerate().skip(1) {
-        if snap.objects != snaps[0].objects {
+        if let Some(w) = snap.times.windows(2).find(|w| w[1] <= w[0]) {
             return Err(format!(
-                "replica divergence after crash at tick {crash}: node 0 holds {:?}, \
-                 node {id} holds {:?}",
-                snaps[0].objects, snap.objects
+                "logical clock not strictly monotone on node {id}: {} then {}",
+                w[0], w[1]
             ));
         }
     }
-    // Every object ends at its writer's last live tick: survivors and the
-    // joiner write through the final tick, and the recovered crasher's
-    // resumed writes overwrite its pre-crash value.
-    for (obj, bytes) in &snaps[0].objects {
-        let expected = CRASH_TICKS as u8;
+    let members = run.plan.final_view();
+    for (obj, bytes) in converged(snaps, members.members())? {
+        let stays = members.members().iter().any(|&m| u32::from(m) == *obj);
+        let expected = if stays { run.workload.ticks as u8 } else { CHURN_TOMBSTONE };
         if bytes[0] != expected {
             return Err(format!(
-                "object {obj} holds {} after crash at tick {crash}, expected {expected}: \
-                 a write was lost across the crash/recovery cycle",
+                "object {obj} holds {} but its writer's last write was {expected}: an update \
+                 was dropped or applied out of order",
                 bytes[0]
             ));
         }
@@ -567,219 +567,30 @@ fn check_crash_churn_invariants(crash: u64, snaps: &[NodeSnap]) -> Result<(), St
     Ok(())
 }
 
-/// Brings a churn node into the group: initial members install the
-/// initial view, the joiner installs its join-epoch view and blocks for
-/// the donor's snapshot. Returns the node's first tick.
-fn churn_enter<E: Endpoint>(
-    rt: &mut SdsoRuntime<E>,
-    plan: &MembershipPlan,
-    me: NodeId,
-) -> Result<u64, NetError> {
-    if plan.is_initial(me) {
-        rt.set_membership(plan.view_at(0));
-        return Ok(1);
+/// The objects every node in `members` holds, if they all hold the same.
+fn converged<'a>(
+    snaps: &'a [NodeSnap],
+    members: &BTreeSet<NodeId>,
+) -> Result<&'a [(u32, Vec<u8>)], String> {
+    let mut ids = members.iter().map(|&m| usize::from(m));
+    let first = ids.next().expect("a view is never empty");
+    if let Some(id) = ids.find(|&id| snaps[id].objects != snaps[first].objects) {
+        return Err(format!(
+            "replica divergence: node {first} holds {:?}, node {id} holds {:?}",
+            snaps[first].objects, snaps[id].objects
+        ));
     }
-    let join = plan.join_tick_of(me).expect("non-initial churn node joins");
-    let change = plan.change_at(join).expect("join tick carries its change");
-    let view = plan.view_at(join);
-    let donor = view.donor_for(change).expect("a continuing member remains");
-    rt.set_membership(view);
-    rt.await_snapshot(donor).map_err(NetError::from)?;
-    Ok(join + 1)
+    Ok(&snaps[first].objects)
 }
 
-/// BSYNC-style churn: every member writes the tick into its own object
-/// each tick; the leaver's last write is a tombstone. At the trigger the
-/// old view runs the barrier exchange, the leaver settles out, continuers
-/// apply the change and the donor pushes the joiner its snapshot.
-fn churn_lookahead_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetError> {
-    let me = ep.node_id();
-    let plan = churn_plan(trigger);
-    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-    for id in 0..CHURN_CAPACITY as u32 {
-        rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
-    }
-    let start = churn_enter(&mut rt, &plan, me)?;
-    let mut la = Lookahead::new(rt, EveryTick).map_err(NetError::from)?;
-    let leave = plan.leave_tick_of(me);
-    let mut times = Vec::new();
-    for tick in start..=CHURN_TICKS {
-        let value = if leave == Some(tick) { CHURN_TOMBSTONE } else { tick as u8 };
-        la.runtime_mut().write(ObjectId(u32::from(me)), 0, &[value]).map_err(NetError::from)?;
-        let Some(change) = plan.change_at(tick) else {
-            times.push(la.step().map_err(NetError::from)?.time);
-            continue;
-        };
-        times.push(la.step_barrier().map_err(NetError::from)?.time);
-        if leave == Some(tick) {
-            let mut rt = la.into_runtime();
-            rt.settle().map_err(NetError::from)?;
-            return snapshot(&rt, times);
+/// Fails unless every EC counter in `objects` reached `expected`.
+fn counters_at(objects: &[(u32, Vec<u8>)], expected: u8, why: &str) -> Result<(), String> {
+    match objects.iter().find(|(_, bytes)| bytes[0] != expected) {
+        Some((obj, bytes)) => {
+            Err(format!("EC counter {obj} is {}, expected {expected}: {why}", bytes[0]))
         }
-        la.apply_view_change(change).map_err(NetError::from)?;
-        if la.runtime().membership().donor_for(change) == Some(me) {
-            for &joiner in &change.joined {
-                la.runtime_mut().send_snapshot(joiner).map_err(NetError::from)?;
-            }
-        }
+        None => Ok(()),
     }
-    let mut rt = la.into_runtime();
-    rt.exchange(SendMode::Broadcast, &mut Never).map_err(NetError::from)?;
-    rt.settle().map_err(NetError::from)?;
-    snapshot(&rt, times)
-}
-
-/// EC churn: three lock-protected counters, every member increments all
-/// three each round. The managers straddle the view change (the leaver
-/// manages one counter in the old view), so lock state genuinely
-/// migrates. Three counters, not two, keep the schedule space above the
-/// explorer's 600 at depth 12 now that a flush sends one `State` per
-/// peer: with two it held 324 schedules in all.
-fn churn_ec_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetError> {
-    let me = ep.node_id();
-    let plan = churn_plan(trigger);
-    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
-    let lockset = [ObjectId(0), ObjectId(1), ObjectId(2)];
-    for &obj in &lockset {
-        rt.share(obj, vec![0u8; 1]).map_err(NetError::from)?;
-    }
-    let start = churn_enter(&mut rt, &plan, me)?;
-    let mut ec = EntryConsistency::new(rt);
-    let leave = plan.leave_tick_of(me);
-    for round in start..=CHURN_TICKS {
-        ec.service_pending().map_err(NetError::from)?;
-        let requests: Vec<LockRequest> = lockset.iter().map(|&o| LockRequest::write(o)).collect();
-        ec.acquire(&requests).map_err(NetError::from)?;
-        for &counter in &lockset {
-            let current = ec.read(counter).map_err(NetError::from)?[0];
-            ec.write(counter, 0, &[current + 1]).map_err(NetError::from)?;
-        }
-        ec.release_all(&lockset.into_iter().collect::<BTreeSet<_>>()).map_err(NetError::from)?;
-        let Some(change) = plan.change_at(round) else { continue };
-        ec.view_sync().map_err(NetError::from)?;
-        if leave == Some(round) {
-            ec.runtime_mut().settle().map_err(NetError::from)?;
-            return snapshot(ec.runtime(), Vec::new());
-        }
-        ec.apply_view_change(change).map_err(NetError::from)?;
-        if ec.runtime().membership().donor_for(change) == Some(me) {
-            for &joiner in &change.joined {
-                ec.runtime_mut().send_snapshot(joiner).map_err(NetError::from)?;
-            }
-        }
-    }
-    ec.finish().map_err(NetError::from)?;
-    ec.final_sync().map_err(NetError::from)?;
-    ec.runtime_mut().settle().map_err(NetError::from)?;
-    snapshot(ec.runtime(), Vec::new())
-}
-
-fn check_churn_invariants(
-    protocol: Protocol,
-    trigger: u64,
-    snaps: &[NodeSnap],
-) -> Result<(), String> {
-    for (id, snap) in snaps.iter().enumerate() {
-        for w in snap.times.windows(2) {
-            if w[1] <= w[0] {
-                return Err(format!(
-                    "logical clock not strictly monotone on node {id}: {} then {}",
-                    w[0], w[1]
-                ));
-            }
-        }
-    }
-    // Every final-view member (all but the leaver) converges.
-    let survivors: Vec<usize> =
-        (0..CHURN_CAPACITY).filter(|&id| id != usize::from(CHURN_LEAVER)).collect();
-    for &id in &survivors[1..] {
-        if snaps[id].objects != snaps[survivors[0]].objects {
-            return Err(format!(
-                "replica divergence after churn at tick {trigger}: node {} holds {:?}, \
-                 node {id} holds {:?}",
-                survivors[0], snaps[survivors[0]].objects, snaps[id].objects
-            ));
-        }
-    }
-    let converged = &snaps[survivors[0]].objects;
-    match protocol {
-        Protocol::ChurnEc => {
-            // Per counter: nodes 0 and 2 increment every round, the leaver
-            // up to the trigger, the joiner after it — 3 * CHURN_TICKS in
-            // total regardless of the trigger tick.
-            let expected = (3 * CHURN_TICKS) as u8;
-            for (obj, bytes) in converged {
-                if bytes[0] != expected {
-                    return Err(format!(
-                        "EC counter {obj} is {} after churn at tick {trigger}, expected \
-                         {expected}: a lock grant or increment was lost across the view change",
-                        bytes[0]
-                    ));
-                }
-            }
-        }
-        Protocol::Churn => {
-            for (obj, bytes) in converged {
-                let expected = if *obj == u32::from(CHURN_LEAVER) {
-                    CHURN_TOMBSTONE // the leaver's final write survives
-                } else {
-                    CHURN_TICKS as u8 // last write of a full participant
-                };
-                if bytes[0] != expected {
-                    return Err(format!(
-                        "object {obj} holds {} after churn at tick {trigger}, expected \
-                         {expected}: an update was dropped across the epoch turn",
-                        bytes[0]
-                    ));
-                }
-            }
-        }
-        _ => unreachable!("static protocols use check_invariants"),
-    }
-    Ok(())
-}
-
-/// BSYNC / MSYNC / MSYNC2: every node owns one object and writes the tick
-/// number into it before each exchange.
-fn lookahead_node(ep: SimEndpoint, protocol: Protocol, wire: Wire) -> Result<NodeSnap, NetError> {
-    let me = ep.node_id();
-    let fault = if me == FAULTED { wire.fault() } else { None };
-    let transport = Faulted { inner: ep, fault };
-    let mut rt = SdsoRuntime::new(transport, wire.config());
-    for id in 0..NODES as u32 {
-        rt.share(ObjectId(id), vec![0u8; 4]).map_err(NetError::from)?;
-    }
-    let sfunc = move |peer: NodeId, now: LogicalTime, _store: &ObjectStore| {
-        let gap = match protocol {
-            Protocol::Bsync => 1,
-            Protocol::Msync => 2,
-            Protocol::Msync2 => {
-                if me.abs_diff(peer) == 1 {
-                    2
-                } else {
-                    4
-                }
-            }
-            Protocol::Ec
-            | Protocol::Churn
-            | Protocol::ChurnEc
-            | Protocol::CrashChurn
-            | Protocol::CodecV2
-            | Protocol::CodecV2Arq => {
-                unreachable!("EC, churn and crash have dedicated node runners; codec v2 picks one")
-            }
-        };
-        Some(now.plus(gap))
-    };
-    let mut la = Lookahead::new(rt, sfunc).map_err(NetError::from)?;
-    let mut times = Vec::new();
-    for tick in 1..=wire.ticks(protocol) {
-        la.runtime_mut().write(ObjectId(u32::from(me)), 0, &[tick]).map_err(NetError::from)?;
-        times.push(la.step().map_err(NetError::from)?.time);
-    }
-    let mut rt = la.into_runtime();
-    rt.settle().map_err(NetError::from)?;
-    snapshot(&rt, times)
 }
 
 /// The transport under every lookahead node: a [`SimEndpoint`] that is
@@ -879,6 +690,46 @@ fn ec_node(ep: SimEndpoint) -> Result<NodeSnap, NetError> {
     snapshot(ec.runtime(), Vec::new())
 }
 
+/// EC churn: three lock-protected counters, every member increments all
+/// three each round. The managers straddle the view change (the leaver
+/// manages one counter in the old view), so lock state genuinely
+/// migrates. Three counters, not two, keep the schedule space above the
+/// explorer's 600 at depth 12 now that a flush sends one `State` per
+/// peer: with two it held 324 schedules in all.
+fn churn_ec_node(ep: SimEndpoint, trigger: u64) -> Result<NodeSnap, NetError> {
+    let me = ep.node_id();
+    let plan = churn_plan(trigger);
+    let mut rt = SdsoRuntime::new(ep, DsoConfig::compact());
+    let lockset = [ObjectId(0), ObjectId(1), ObjectId(2)];
+    for &obj in &lockset {
+        rt.share(obj, vec![0u8; 1]).map_err(NetError::from)?;
+    }
+    let start = rt.enter(&plan, None)?;
+    let mut ec = EntryConsistency::new(rt);
+    let leave = plan.leave_tick_of(me);
+    for round in start..=CHURN_TICKS {
+        ec.service_pending().map_err(NetError::from)?;
+        let requests: Vec<LockRequest> = lockset.iter().map(|&o| LockRequest::write(o)).collect();
+        ec.acquire(&requests).map_err(NetError::from)?;
+        for &counter in &lockset {
+            let current = ec.read(counter).map_err(NetError::from)?[0];
+            ec.write(counter, 0, &[current + 1]).map_err(NetError::from)?;
+        }
+        ec.release_all(&lockset.into_iter().collect::<BTreeSet<_>>()).map_err(NetError::from)?;
+        let Some(change) = plan.change_at(round) else { continue };
+        ec.view_sync().map_err(NetError::from)?;
+        if leave == Some(round) {
+            ec.runtime_mut().settle().map_err(NetError::from)?;
+            return snapshot(ec.runtime(), Vec::new());
+        }
+        ec.apply_view_change(change).map_err(NetError::from)?;
+    }
+    ec.finish().map_err(NetError::from)?;
+    ec.final_sync().map_err(NetError::from)?;
+    ec.runtime_mut().settle().map_err(NetError::from)?;
+    snapshot(ec.runtime(), Vec::new())
+}
+
 fn snapshot<E: Endpoint>(
     rt: &SdsoRuntime<E>,
     times: Vec<LogicalTime>,
@@ -888,55 +739,6 @@ fn snapshot<E: Endpoint>(
         objects.push((id.0, rt.read(id).map_err(NetError::from)?.to_vec()));
     }
     Ok(NodeSnap { times, objects, metrics: rt.metrics() })
-}
-
-fn check_invariants(protocol: Protocol, last_write: u8, snaps: &[NodeSnap]) -> Result<(), String> {
-    for (id, snap) in snaps.iter().enumerate() {
-        for w in snap.times.windows(2) {
-            if w[1] <= w[0] {
-                return Err(format!(
-                    "logical clock not strictly monotone on node {id}: {} then {}",
-                    w[0], w[1]
-                ));
-            }
-        }
-    }
-    for (id, snap) in snaps.iter().enumerate().skip(1) {
-        if snap.objects != snaps[0].objects {
-            return Err(format!(
-                "replica divergence: node 0 holds {:?}, node {id} holds {:?}",
-                snaps[0].objects, snap.objects
-            ));
-        }
-    }
-    match protocol {
-        Protocol::Ec => {
-            // Each round, every counter appears in exactly two of the three
-            // staggered locksets, so it gains exactly two increments.
-            let expected = 2 * EC_ITERS;
-            for (obj, bytes) in &snaps[0].objects {
-                if bytes[0] != expected {
-                    return Err(format!(
-                        "EC counter {obj} is {}, expected {expected} (2 increments x \
-                         {EC_ITERS} rounds): an update was lost or applied twice",
-                        bytes[0]
-                    ));
-                }
-            }
-        }
-        _ => {
-            for (obj, bytes) in &snaps[0].objects {
-                if bytes[0] != last_write {
-                    return Err(format!(
-                        "object {obj} holds {} but its writer's last write was {last_write}: \
-                         an update was dropped or applied out of order",
-                        bytes[0]
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -979,17 +781,17 @@ mod tests {
         // must outlast BSYNC's, or MSYNC2's races would never be permuted.
         let of = |workload| {
             let oracle = Arc::new(ReplayOracle::new(Vec::new()));
-            run_static_once(workload, Wire::V2, &oracle).unwrap();
+            run_lookahead_once(LookaheadRun::fixed(workload, Wire::V2), &oracle).unwrap();
             oracle.trace().len()
         };
-        let (first, second) = (of(Protocol::Bsync), of(Protocol::Msync2));
+        let (first, second) = (of(BSYNC), of(MSYNC2));
         assert!(first < 12 && second > 0, "{first} then {second} choice points");
     }
 
     #[test]
     fn every_link_fault_is_injected_and_repaired() {
         // Each preset [i] resolves the synthetic first choice point to one
-        // workload under one fault; `run_static_once` fails a fault that left
+        // workload under one fault; `run_lookahead_once` fails a fault that left
         // no trace in the counters.
         for case in 0..Protocol::CodecV2Arq.variants() {
             run_once(Protocol::CodecV2Arq, Arc::new(ReplayOracle::new(vec![case])))

@@ -100,11 +100,6 @@ impl DirtyRanges {
     pub fn span_count(&self) -> usize {
         self.spans.len()
     }
-
-    /// Total bytes covered by recorded spans.
-    pub fn dirty_bytes(&self) -> usize {
-        self.spans.iter().map(|&(_, l)| l as usize).sum()
-    }
 }
 
 #[cfg(test)]
@@ -130,7 +125,6 @@ mod tests {
         d.record(0, 4);
         d.record(20, 4);
         assert_eq!(spans(&d), vec![(0, 4), (20, 4), (40, 4)]);
-        assert_eq!(d.dirty_bytes(), 12);
     }
 
     #[test]

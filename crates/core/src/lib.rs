@@ -96,9 +96,7 @@ pub use diff::Diff;
 pub use dirty::DirtyRanges;
 pub use error::DsoError;
 pub use exchange_list::ExchangeList;
-pub use membership::{
-    leave_change_from_events, Epoch, MemberError, MembershipPlan, MembershipView, ViewChange,
-};
+pub use membership::{Epoch, MemberError, MembershipPlan, MembershipView, ViewChange};
 pub use metrics::DsoMetrics;
 pub use object::{ObjectId, Version};
 pub use router::{DiffRouter, RouteAll};

@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use sdso_net::{NodeId, PeerEvent};
+use sdso_net::NodeId;
 
 /// A monotonically increasing view number. Every process that applies the
 /// same [`ViewChange`] sequence computes the same epoch, so the epoch tag
@@ -297,11 +297,6 @@ impl MembershipPlan {
         self.capacity
     }
 
-    /// The initial member set.
-    pub fn initial_members(&self) -> &BTreeSet<NodeId> {
-        &self.initial
-    }
-
     /// The scheduled changes, ascending by trigger tick.
     pub fn changes(&self) -> &[(u64, ViewChange)] {
         &self.changes
@@ -345,29 +340,6 @@ impl MembershipPlan {
     pub fn is_initial(&self, node: NodeId) -> bool {
         self.initial.contains(&node)
     }
-}
-
-/// Folds a transport's drained [`PeerEvent`]s into the leave half of a
-/// [`ViewChange`].
-///
-/// This is the bridge from connection teardown to membership: when a
-/// transport (the reactor, on a torn connection) reports links going down
-/// via
-/// [`Endpoint::take_peer_events`](sdso_net::Endpoint::take_peer_events),
-/// every live member of `view` with a [`PeerEvent::Down`] in the drain
-/// becomes a leaver: no transport brings a torn link back. Events for
-/// nodes that are not members of `view` are ignored, so a transport-level
-/// hiccup on a slot that already left cannot produce an invalid change.
-///
-/// The returned change is empty when nothing needs to happen; callers
-/// should check [`ViewChange::is_empty`] before applying it (applying an
-/// empty change would still bump the epoch). The caller remains
-/// responsible for the one failure this helper cannot rule out:
-/// [`MembershipView::apply`] rejects a change that would empty the group.
-pub fn leave_change_from_events(view: &MembershipView, events: &[PeerEvent]) -> ViewChange {
-    ViewChange::leave(
-        events.iter().map(|&PeerEvent::Down(peer)| peer).filter(|&peer| view.contains(peer)),
-    )
 }
 
 #[cfg(test)]
@@ -443,7 +415,6 @@ mod tests {
         assert!(plan.change_at(4).is_none());
         assert_eq!(plan.changes().len(), 1);
         assert_eq!(plan.capacity(), 4);
-        assert_eq!(plan.initial_members().len(), 2);
     }
 
     #[test]
@@ -465,33 +436,5 @@ mod tests {
     fn epoch_displays_compactly() {
         assert_eq!(Epoch(3).to_string(), "e3");
         assert_eq!(Epoch::ZERO.next(), Epoch(1));
-    }
-
-    #[test]
-    fn teardown_events_become_a_leave_change() {
-        let view = MembershipView::full(4);
-        let events = [PeerEvent::Down(2), PeerEvent::Down(3)];
-        let change = leave_change_from_events(&view, &events);
-        assert_eq!(change, ViewChange::leave([2, 3]));
-        let mut after = view.clone();
-        after.apply(&change).unwrap();
-        assert_eq!(after.epoch(), Epoch(1));
-        assert!(!after.contains(2) && !after.contains(3) && after.contains(0));
-    }
-
-    #[test]
-    fn events_for_non_members_are_ignored() {
-        let view = MembershipView::initial(6, [0, 1, 2]).unwrap();
-        // Node 4 is a provisioned slot but not a live member: its link
-        // noise must not fabricate a leaver.
-        let events = [PeerEvent::Down(4), PeerEvent::Down(1)];
-        let change = leave_change_from_events(&view, &events);
-        assert_eq!(change, ViewChange::leave([1]));
-    }
-
-    #[test]
-    fn quiet_drain_yields_an_empty_change() {
-        let view = MembershipView::full(2);
-        assert!(leave_change_from_events(&view, &[]).is_empty());
     }
 }

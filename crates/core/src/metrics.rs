@@ -87,32 +87,48 @@ pub struct DsoMetrics {
 impl DsoMetrics {
     /// Element-wise sum (for aggregating across processes).
     pub fn merged(&self, other: &DsoMetrics) -> DsoMetrics {
+        self.zip(other, |a, b| a + b)
+    }
+
+    /// Element-wise `self - earlier`, saturating at zero: what a runtime
+    /// counted since `earlier` was read from the same registry.
+    pub fn since(&self, earlier: &DsoMetrics) -> DsoMetrics {
+        self.zip(earlier, u64::saturating_sub)
+    }
+
+    fn zip(&self, other: &DsoMetrics, op: fn(u64, u64) -> u64) -> DsoMetrics {
         DsoMetrics {
-            exchanges: self.exchanges + other.exchanges,
-            rendezvous_peers: self.rendezvous_peers + other.rendezvous_peers,
-            updates_sent: self.updates_sent + other.updates_sent,
-            updates_applied: self.updates_applied + other.updates_applied,
-            updates_stale: self.updates_stale + other.updates_stale,
-            resyncs: self.resyncs + other.resyncs,
-            retransmits: self.retransmits + other.retransmits,
-            duplicates_dropped: self.duplicates_dropped + other.duplicates_dropped,
-            links_abandoned: self.links_abandoned + other.links_abandoned,
-            acks_piggybacked: self.acks_piggybacked + other.acks_piggybacked,
-            acks_standalone: self.acks_standalone + other.acks_standalone,
-            view_changes: self.view_changes + other.view_changes,
-            cross_epoch_dropped: self.cross_epoch_dropped + other.cross_epoch_dropped,
-            slots_compacted: self.slots_compacted + other.slots_compacted,
-            non_member_dropped: self.non_member_dropped + other.non_member_dropped,
-            shard_suppressed: self.shard_suppressed + other.shard_suppressed,
-            codec_v2_sent: self.codec_v2_sent + other.codec_v2_sent,
-            rendezvous_fused: self.rendezvous_fused + other.rendezvous_fused,
-            codec_v2_fallbacks: self.codec_v2_fallbacks + other.codec_v2_fallbacks,
-            batch_deduped: self.batch_deduped + other.batch_deduped,
-            snapshots_sent: self.snapshots_sent + other.snapshots_sent,
-            snapshot_bytes: self.snapshot_bytes + other.snapshot_bytes,
-            snapshots_installed: self.snapshots_installed + other.snapshots_installed,
-            exchange_time: self.exchange_time + other.exchange_time,
-            exchange_wait: self.exchange_wait + other.exchange_wait,
+            exchanges: op(self.exchanges, other.exchanges),
+            rendezvous_peers: op(self.rendezvous_peers, other.rendezvous_peers),
+            updates_sent: op(self.updates_sent, other.updates_sent),
+            updates_applied: op(self.updates_applied, other.updates_applied),
+            updates_stale: op(self.updates_stale, other.updates_stale),
+            resyncs: op(self.resyncs, other.resyncs),
+            retransmits: op(self.retransmits, other.retransmits),
+            duplicates_dropped: op(self.duplicates_dropped, other.duplicates_dropped),
+            links_abandoned: op(self.links_abandoned, other.links_abandoned),
+            acks_piggybacked: op(self.acks_piggybacked, other.acks_piggybacked),
+            acks_standalone: op(self.acks_standalone, other.acks_standalone),
+            view_changes: op(self.view_changes, other.view_changes),
+            cross_epoch_dropped: op(self.cross_epoch_dropped, other.cross_epoch_dropped),
+            slots_compacted: op(self.slots_compacted, other.slots_compacted),
+            non_member_dropped: op(self.non_member_dropped, other.non_member_dropped),
+            shard_suppressed: op(self.shard_suppressed, other.shard_suppressed),
+            codec_v2_sent: op(self.codec_v2_sent, other.codec_v2_sent),
+            rendezvous_fused: op(self.rendezvous_fused, other.rendezvous_fused),
+            codec_v2_fallbacks: op(self.codec_v2_fallbacks, other.codec_v2_fallbacks),
+            batch_deduped: op(self.batch_deduped, other.batch_deduped),
+            snapshots_sent: op(self.snapshots_sent, other.snapshots_sent),
+            snapshot_bytes: op(self.snapshot_bytes, other.snapshot_bytes),
+            snapshots_installed: op(self.snapshots_installed, other.snapshots_installed),
+            exchange_time: SimSpan::from_micros(op(
+                self.exchange_time.as_micros(),
+                other.exchange_time.as_micros(),
+            )),
+            exchange_wait: SimSpan::from_micros(op(
+                self.exchange_wait.as_micros(),
+                other.exchange_wait.as_micros(),
+            )),
         }
     }
 

@@ -3,7 +3,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
-use crate::membership::{leave_change_from_events, Epoch, MembershipView, ViewChange};
+use crate::membership::{Epoch, MembershipPlan, MembershipView, ViewChange};
 use bytes::Bytes;
 use sdso_net::wire::Wire;
 use sdso_net::{Endpoint, MsgClass, NodeId, SimSpan};
@@ -225,37 +225,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.lamport = self.lamport.max(lamport);
     }
 
-    /// Discards crash-era residue sitting in this endpoint's receive
-    /// queue, admitting anything already stamped for the current view.
-    ///
-    /// A restarted process reuses its pre-crash endpoint (a rebooted host
-    /// keeps its address), so frames addressed to the dead incarnation —
-    /// barrier duplicates, leaver-settling retransmits, acks for sends
-    /// that died with it — are still queued when recovery completes. On a
-    /// fresh reliability layer their stale sequence numbers would squat in
-    /// the out-of-order buffer and shadow live frames at colliding
-    /// sequence numbers, so they must never reach the admit path: any
-    /// sequenced frame stamped before this view's epoch is dropped
-    /// unacked (the sender reset that link when it pruned the crashed
-    /// member), and any ack is dropped too (this incarnation has sent
-    /// nothing an ack could cover). Fresh traffic that overtook the drain
-    /// — a snapshot, or early rendezvous frames from peers already past
-    /// the rejoin barrier — is admitted through the regular reliability
-    /// path and queued for the next blocking receive.
-    ///
-    /// Call after [`SdsoRuntime::set_membership`] with the rejoin view and
-    /// before [`SdsoRuntime::await_snapshot`]. Without a reliability layer
-    /// there is no sequence state to protect (the epoch checks already
-    /// drop stale traffic on delivery) and this is a no-op. Returns the
-    /// number of residue frames dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport and codec errors.
-    pub fn drain_crash_residue(&mut self) -> Result<u64, DsoError> {
-        self.session.drain_residue()
-    }
-
     /// The exchange list (for inspection by tests and protocol layers).
     pub fn exchange_list(&self) -> &ExchangeList {
         &self.exchange_list
@@ -284,26 +253,70 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.view.epoch()
     }
 
-    /// Installs an explicit membership view, reconciling the slotted
-    /// buffer so exactly the view's remote members have active slots.
-    /// Called once at startup by churn-aware drivers: initial members
-    /// install the plan's initial view; a late joiner installs the view of
-    /// the epoch it joins in (then obtains state via
-    /// [`SdsoRuntime::await_snapshot`]).
+    /// Brings this process into the group `plan` schedules and returns the
+    /// first tick it plays. An initial member installs the plan's initial
+    /// view and plays from tick 1. A planned joiner installs the view of
+    /// its join epoch and blocks for the donor's snapshot (see
+    /// [`SdsoRuntime::push_snapshots`]), then plays from the tick after its
+    /// join. A restarted process passes its restart tick as `rejoin` and
+    /// takes the joiner's path at that tick, after [`SdsoRuntime::restore_frontier`].
     ///
-    /// # Panics
+    /// A restarted process reuses its pre-crash endpoint (a rebooted host
+    /// keeps its address), so frames addressed to the dead incarnation —
+    /// barrier duplicates, leaver-settling retransmits, acks for sends
+    /// that died with it — are still queued when it rejoins. On a fresh
+    /// reliability layer their stale sequence numbers would squat in the
+    /// out-of-order buffer and shadow live frames at colliding sequence
+    /// numbers, so before awaiting the snapshot a rejoin drops every
+    /// sequenced frame stamped before the rejoin view's epoch, unacked
+    /// (the sender reset that link when it pruned the crashed member), and
+    /// every ack (this incarnation has sent nothing an ack could cover).
+    /// Fresh traffic that overtook the drain — the snapshot, or early
+    /// rendezvous frames from peers already past the rejoin barrier — is
+    /// admitted and queued for the next blocking receive.
     ///
-    /// Panics if the view's capacity differs from the transport's node
-    /// count, or if this process is not a member of the view.
-    pub fn set_membership(&mut self, view: MembershipView) {
-        assert_eq!(
-            view.capacity(),
-            self.num_nodes(),
-            "membership capacity must match the transport"
-        );
-        assert!(view.contains(self.node_id()), "set_membership: local process not in view");
-        self.install_view(view);
-        self.reconcile_buffer_slots();
+    /// # Errors
+    ///
+    /// [`DsoError::ProtocolViolation`] for a plan whose capacity is not the
+    /// transport's node count, a process the plan neither starts with nor
+    /// admits at its join (or `rejoin`) tick, a join tick that leaves no
+    /// donor, or a snapshot stamped with another epoch; transport errors.
+    pub fn enter(&mut self, plan: &MembershipPlan, rejoin: Option<u64>) -> Result<u64, DsoError> {
+        let violation = |why: String| DsoError::ProtocolViolation(why);
+        let me = self.node_id();
+        if plan.capacity() != self.num_nodes() {
+            return Err(violation(format!(
+                "the plan provisions {} slots for {} nodes",
+                plan.capacity(),
+                self.num_nodes()
+            )));
+        }
+        let join = match rejoin {
+            Some(restart) => restart,
+            None if plan.is_initial(me) => {
+                self.adopt_view(plan.view_at(0));
+                return Ok(1);
+            }
+            None => plan.join_tick_of(me).ok_or_else(|| {
+                violation(format!("process {me} is neither an initial member nor a planned joiner"))
+            })?,
+        };
+        let change = plan.change_at(join).ok_or_else(|| {
+            violation(format!("tick {join} carries no view change for {me} to join"))
+        })?;
+        let view = plan.view_at(join);
+        if !view.contains(me) {
+            return Err(violation(format!("the view change at tick {join} does not admit {me}")));
+        }
+        let donor = view
+            .donor_for(change)
+            .ok_or_else(|| violation("view change admits joiners but leaves no donor".into()))?;
+        self.adopt_view(view);
+        if rejoin.is_some() {
+            self.session.drain_residue()?;
+        }
+        self.await_snapshot(donor)?;
+        Ok(join + 1)
     }
 
     /// Applies one view change at a barrier: prunes departed peers from
@@ -388,37 +401,29 @@ impl<E: Endpoint> SdsoRuntime<E> {
         Ok(())
     }
 
-    /// Drains the transport's queued link events and folds them into the
-    /// leave-side [`ViewChange`] they imply under the current view: peers
-    /// whose link went down (the reactor's teardown after a lost
-    /// connection) become leavers. Returns `None` when no live member
-    /// departed.
+    /// Pushes one state snapshot to each joiner of `change` if this process
+    /// is its donor — the lowest continuing member, whose post-barrier
+    /// replicas are what every joiner must converge to — and does nothing
+    /// otherwise. Protocols call it last in their view change, after the
+    /// new view is installed and the protocol's own state has turned with
+    /// it; the joiner is blocked in [`SdsoRuntime::enter`] until it arrives.
     ///
-    /// This is a *proposal*, not an applied change: the caller decides when
-    /// the barrier happens and feeds the change to
-    /// [`SdsoRuntime::apply_view_change`] — typically after the tick's
-    /// exchange completes, so every surviving member applies the same
-    /// change at the same logical time.
-    pub fn drain_departures(&mut self) -> Option<ViewChange> {
-        let events = self.session.endpoint.take_peer_events();
-        let change = leave_change_from_events(&self.view, &events);
-        if change.is_empty() {
-            None
-        } else {
-            Some(change)
+    /// # Errors
+    ///
+    /// Returns transport errors.
+    pub fn push_snapshots(&mut self, change: &ViewChange) -> Result<(), DsoError> {
+        if self.view.donor_for(change) != Some(self.node_id()) {
+            return Ok(());
         }
+        change.joined.iter().try_for_each(|&joiner| self.send_snapshot(joiner))
     }
 
     /// Pushes a state snapshot to a late joiner: every object modified
     /// since initialisation as a from-zero diff (the joiner shares the
     /// same initial bodies, so pristine objects need no transfer), plus
     /// this donor's logical-time and Lamport frontiers. O(objects) bytes,
-    /// never O(history). Returns the encoded snapshot size in bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    pub fn send_snapshot(&mut self, to: NodeId) -> Result<usize, DsoError> {
+    /// never O(history).
+    fn send_snapshot(&mut self, to: NodeId) -> Result<(), DsoError> {
         let updates: Vec<WireUpdate> = self
             .store
             .iter()
@@ -445,8 +450,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             bytes as u32,
             self.view.epoch().0,
         );
-        self.session.send(to, msg)?;
-        Ok(bytes)
+        self.session.send(to, msg)
     }
 
     /// Blocks until the designated donor's snapshot arrives, then installs
@@ -457,13 +461,9 @@ impl<E: Endpoint> SdsoRuntime<E> {
     /// exchanges, app messages for [`SdsoRuntime::recv_app`]; object traffic
     /// is serviced as usual.
     ///
-    /// Returns the installed snapshot's logical time.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors, or [`DsoError::ProtocolViolation`] if the
-    /// snapshot is stamped with a different epoch than this view's.
-    pub fn await_snapshot(&mut self, donor: NodeId) -> Result<LogicalTime, DsoError> {
+    /// Fails with [`DsoError::ProtocolViolation`] if the snapshot is
+    /// stamped with a different epoch than this view's.
+    fn await_snapshot(&mut self, donor: NodeId) -> Result<(), DsoError> {
         let serviced = |msg: &DsoMessage| not_app(msg) && msg.rendezvous_time().is_none();
         loop {
             match self.session.recv_patiently(serviced)? {
@@ -485,7 +485,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
                         updates.len() as u32,
                         epoch.0,
                     );
-                    return Ok(time);
+                    return Ok(());
                 }
                 (from, other) => self.dispatch(from, other)?,
             }
@@ -499,10 +499,12 @@ impl<E: Endpoint> SdsoRuntime<E> {
         self.view = view;
     }
 
-    /// Deactivates slotted-buffer slots for non-members and activates
-    /// slots for members, so buffered diffs accumulate for exactly the
-    /// current view's remote peers.
-    fn reconcile_buffer_slots(&mut self) {
+    /// Installs the view a process enters under, then deactivates
+    /// slotted-buffer slots for non-members and activates slots for
+    /// members, so buffered diffs accumulate for exactly the view's remote
+    /// peers.
+    fn adopt_view(&mut self, view: MembershipView) {
+        self.install_view(view);
         let me = self.node_id();
         for peer in 0..self.num_nodes() as NodeId {
             if peer == me {
@@ -1418,15 +1420,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_departures_proposes_leave_for_dead_links() {
+    fn enter_rejects_a_plan_that_does_not_admit_this_process() {
         let mut eps = wound::group(3);
-        drop(eps.pop().unwrap()); // Node 2 dies: its inbox goes.
-        let mut rt = SdsoRuntime::new(eps.remove(0), DsoConfig::compact());
-        assert!(rt.drain_departures().is_none(), "no link events before any traffic");
-        // Sending into the dead inbox surfaces the dead link.
-        assert!(rt.endpoint_mut().send(2, sdso_net::Payload::control(vec![0u8])).is_err());
-        assert_eq!(rt.drain_departures(), Some(ViewChange::leave([2])));
-        assert!(rt.drain_departures().is_none(), "the drain consumes its events");
+        let mut rt = SdsoRuntime::new(eps.remove(2), DsoConfig::compact());
+        let refused = |r: Result<u64, DsoError>| matches!(r, Err(DsoError::ProtocolViolation(_)));
+        assert!(refused(rt.enter(&MembershipPlan::new(4, [0, 1, 2]), None)), "capacity");
+        assert!(refused(rt.enter(&MembershipPlan::new(3, [0, 1]), None)), "never admitted");
+        let plan = MembershipPlan::new(3, [0, 1, 2]).with_change(4, ViewChange::leave([2]));
+        assert!(refused(rt.enter(&plan, Some(4))), "a rejoin at its own leave");
+        assert_eq!(rt.enter(&plan, None).unwrap(), 1, "an initial member plays from tick 1");
     }
 
     #[test]

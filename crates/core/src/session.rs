@@ -721,7 +721,7 @@ impl<E: Endpoint> Session<E> {
     }
 
     /// Discards crash-era residue in a restarted process's receive queue
-    /// ([`crate::SdsoRuntime::drain_crash_residue`]): a sequenced frame stamped
+    /// (on a rejoin through [`crate::SdsoRuntime::enter`]): a sequenced frame stamped
     /// before the view's epoch is dropped unacked, and so is any ack. Fresh
     /// traffic that overtook the drain is admitted and parked where the
     /// blocking receives look first. Returns the frames dropped.

@@ -155,16 +155,6 @@ impl Block {
     pub fn passable(&self) -> bool {
         matches!(self, Block::Empty | Block::Goal | Block::Bonus { .. } | Block::Bomb)
     }
-
-    /// The tank stored here, if any.
-    pub fn as_tank(&self) -> Option<(NodeId, u8, u8, Direction, Option<FireRecord>)> {
-        match self {
-            Block::Tank { team, tank, hp, facing, fired } => {
-                Some((*team, *tank, *hp, *facing, *fired))
-            }
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]

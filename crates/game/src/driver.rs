@@ -31,10 +31,10 @@
 //! 3. leavers settle their reliability tails and exit with their stats;
 //! 4. continuers apply the view change (epoch bump; leavers pruned from
 //!    exchange list, slotted buffer, reliability links and transport;
-//!    joiners scheduled);
-//! 5. the donor — the lowest continuing member — pushes one O(objects)
-//!    state snapshot to each joiner;
-//! 6. joiners install the snapshot (replica bodies plus the logical-clock
+//!    joiners scheduled), whose last step is the donor's — the lowest
+//!    continuing member's — one O(objects) state snapshot to each joiner;
+//! 5. joiners, blocked in [`SdsoRuntime::enter`] since they started,
+//!    install the snapshot (replica bodies plus the logical-clock
 //!    frontier) and enter the loop at tick `T + 1` in respawn limbo.
 //!
 //! Epoch stamps keep the transition safe under skew: rendezvous traffic
@@ -65,9 +65,9 @@
 //!
 //! At its restart tick `R` the process reads the journal's newest image
 //! back for its pre-crash identity, clock frontier and game state,
-//! restores the frontier, installs the rejoin view, drains crash-era
-//! residue frames, pulls the donor's snapshot, and resumes at tick
-//! `R + 1`. Replaying the same plan reproduces the same run.
+//! restores the frontier, rejoins through [`SdsoRuntime::enter`] (the
+//! rejoin view, crash-era residue dropped, the donor's snapshot), and
+//! resumes at tick `R + 1`. Replaying the same plan reproduces the same run.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -1028,45 +1028,6 @@ fn build_runtime<E: Endpoint>(
     Ok(rt)
 }
 
-/// Brings a runtime into the group and returns the first game tick this
-/// process executes. Initial members install the plan's initial view and
-/// start at tick 1. A joiner installs the view of its join epoch and
-/// blocks for the donor's snapshot; a restarted process (`rejoin_at`)
-/// takes the same late-joiner path at its restart tick, draining the
-/// crash-era residue (ghost ARQ frames, stale acks) addressed to its
-/// previous incarnation first.
-fn enter<E: Endpoint>(
-    rt: &mut SdsoRuntime<E>,
-    views: &MembershipPlan,
-    rejoin_at: Option<u64>,
-) -> Result<u64, DsoError> {
-    let violation = |why: String| DsoError::ProtocolViolation(why);
-    let me = rt.node_id();
-    let join = match rejoin_at {
-        Some(restart) => restart,
-        None if views.is_initial(me) => {
-            rt.set_membership(views.view_at(0));
-            return Ok(1);
-        }
-        None => views.join_tick_of(me).ok_or_else(|| {
-            violation(format!("process {me} is neither an initial member nor a planned joiner"))
-        })?,
-    };
-    let change = views
-        .change_at(join)
-        .ok_or_else(|| violation(format!("tick {join} carries no view change for {me} to join")))?;
-    let view = views.view_at(join);
-    let donor = view
-        .donor_for(change)
-        .ok_or_else(|| violation("view change admits joiners but leaves no donor".into()))?;
-    rt.set_membership(view);
-    if rejoin_at.is_some() {
-        rt.drain_crash_residue()?;
-    }
-    rt.await_snapshot(donor)?;
-    Ok(join + 1)
-}
-
 /// Decodes a runtime's final replica of the whole grid.
 fn snapshot_world<E: Endpoint>(rt: &SdsoRuntime<E>, scenario: &Scenario) -> Vec<Block> {
     scenario
@@ -1202,7 +1163,10 @@ fn drive<E: Endpoint, F: Family<E = E>>(
     let mut tally = NodeStats::default();
 
     let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
-    let mut tick = enter(&mut rt, views, None)?;
+    // The registry may outlive this run (one `ObsSet` over several runs),
+    // and a restarted process's second incarnation counts into it too.
+    let dso_before = rt.metrics();
+    let mut tick = rt.enter(views, None)?;
     let mut node = make(rt)?;
     let mut core = GameCore::with_flags(scenario.clone(), me, F::FLAGS.0, F::FLAGS.1);
     if tick > 1 {
@@ -1271,13 +1235,6 @@ fn drive<E: Endpoint, F: Family<E = E>>(
             tick = back;
         } else if let Some(change) = change {
             node.apply_view_change(change)?;
-            // The donor — the lowest continuing member — pushes one
-            // O(objects) state snapshot to each joiner.
-            if node.runtime_mut().membership().donor_for(change) == Some(me) {
-                for &joiner in &change.joined {
-                    node.runtime_mut().send_snapshot(joiner)?;
-                }
-            }
         }
         tick += 1;
     };
@@ -1307,7 +1264,7 @@ fn drive<E: Endpoint, F: Family<E = E>>(
         exec_time: rt.now().saturating_since(sdso_net::SimInstant::ZERO),
         net: net_live.merged(&rt.net_metrics_delta()),
         net_live,
-        dso: rt.metrics(),
+        dso: rt.metrics().since(&dso_before),
         final_world: snapshot_world(rt, scenario),
         ..tally
     };
@@ -1348,7 +1305,7 @@ fn restart<E: Endpoint, F: Family<E = E>>(
     })?;
     let mut rt = build_runtime(endpoint, scenario, views, obs.clone())?;
     rt.restore_frontier(LogicalTime::from_ticks(recovered.time), recovered.lamport);
-    enter(&mut rt, views, Some(back))?;
+    rt.enter(views, Some(back))?;
     let epoch = rt.membership().epoch().0;
     obs.record(rt.now().as_micros(), EventKind::Recover, u32::from(me), epoch, 0);
 
@@ -1741,6 +1698,22 @@ mod tests {
             assert_eq!(stats[0].final_world, stats[1].final_world, "{protocol}: 0 vs 1");
             assert_eq!(stats[0].final_world, stats[2].final_world, "{protocol}: 0 vs 2");
         }
+    }
+
+    #[test]
+    fn runs_sharing_one_obs_set_each_count_only_their_own() {
+        let scenario = Scenario::paper(4, 1).with_ticks(10);
+        let obs = ObsSet::new(4, sdso_obs::TraceConfig::counters());
+        for protocol in [Protocol::Entry, Protocol::Bsync] {
+            let stats = run_all(protocol, &scenario, &churn_plan().with_obs(obs.clone()));
+            let snapshots = (stats[0].dso.snapshots_sent, stats[3].dso.snapshots_installed);
+            assert_eq!(snapshots, (1, 1), "{protocol}: one snapshot for the one joiner");
+        }
+        // A restarted process's two incarnations count into one report:
+        // BSYNC meets once a tick, and node 1 played 7 of 10 ticks before
+        // its final broadcast.
+        let stats = run_all(Protocol::Bsync, &scenario, &crash_plan().with_obs(obs));
+        assert_eq!((stats[1].dso.exchanges, stats[1].dso.snapshots_installed), (8, 1));
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl RunSummary {
         self.per_node.iter().map(|s| s.net_live.bytes_sent()).sum()
     }
 
-    /// Total object modifications.
-    pub fn total_modifications(&self) -> u64 {
-        self.per_node.iter().map(|s| s.modifications).sum()
-    }
-
     /// Figure 8: the share of execution time that is protocol overhead
     /// (everything that is not modelled application compute), in `[0, 1]`.
     pub fn overhead_fraction(&self) -> f64 {
@@ -223,7 +218,6 @@ mod tests {
             assert!(s.total_messages() > 0);
             assert!(s.avg_exec_secs() > 0.0);
             assert!(s.avg_time_per_modification_secs() > 0.0);
-            assert!(s.total_modifications() > 0);
             // BSYNC: one SYNC per peer per tick at minimum — a control message
             // of its own on the paper's frames, on board the data frame of
             // every rendezvous a compressed link fused.

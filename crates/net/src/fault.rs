@@ -256,11 +256,6 @@ impl FaultPlan {
         self.crashes.iter().find(|c| c.node == node)
     }
 
-    /// Every node with a scheduled crash, in schedule order.
-    pub fn crashing_nodes(&self) -> Vec<NodeId> {
-        self.crashes.iter().map(|c| c.node).collect()
-    }
-
     /// Whether the plan makes links misbehave (as opposed to only
     /// scheduling crashes, which the transport never sees).
     pub fn has_link_faults(&self) -> bool {
@@ -269,11 +264,6 @@ impl FaultPlan {
             || self.reorder_prob > 0.0
             || self.jitter != SimSpan::ZERO
             || !self.partitions.is_empty()
-    }
-
-    /// Whether the plan can inject anything at all.
-    pub fn is_noop(&self) -> bool {
-        !self.has_link_faults() && self.crashes.is_empty()
     }
 
     /// Whether `a → b` traffic at `at` crosses an active partition.
@@ -343,7 +333,6 @@ mod tests {
             let v = inj.judge(0, 1, SimInstant::from_micros(u64::from(i)));
             assert_eq!(v, Verdict::default());
         }
-        assert!(FaultPlan::new(7).is_noop());
     }
 
     #[test]
@@ -428,19 +417,16 @@ mod tests {
             }
         }
         // Per-node single-shot: no node crashes twice.
-        let nodes = a.crashing_nodes();
-        let distinct: std::collections::BTreeSet<_> = nodes.iter().collect();
-        assert_eq!(distinct.len(), nodes.len());
+        let distinct: std::collections::BTreeSet<_> = a.crashes.iter().map(|c| c.node).collect();
+        assert_eq!(distinct.len(), a.crashes.len());
     }
 
     #[test]
     fn with_crash_builder_and_queries() {
         let plan = FaultPlan::new(1).with_crash(3, 10, Some(14)).with_crash(5, 20, None);
-        assert!(!plan.is_noop(), "a crash schedule is not a no-op plan");
         assert_eq!(plan.crash_of(3).unwrap().restart_tick, Some(14));
         assert_eq!(plan.crash_of(5).unwrap().restart_tick, None);
         assert!(plan.crash_of(0).is_none());
-        assert_eq!(plan.crashing_nodes(), vec![3, 5]);
     }
 
     #[test]

@@ -129,16 +129,6 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Appends a little-endian `i64`.
-    pub fn put_i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian IEEE-754 `f64`.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Appends a `bool` as one byte.
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(v as u8);
@@ -242,11 +232,6 @@ impl WireWriter {
     pub fn into_bytes(self) -> Bytes {
         self.buf.freeze()
     }
-
-    /// Finalises the encoding as an owned `Vec`.
-    pub fn into_vec(self) -> Vec<u8> {
-        self.buf.into()
-    }
 }
 
 /// A bounds-checked decoder over a byte slice.
@@ -303,18 +288,6 @@ impl<'a> WireReader<'a> {
     get_int!(get_u16, u16);
     get_int!(get_u32, u32);
     get_int!(get_u64, u64);
-    get_int!(get_i64, i64);
-
-    /// Reads a little-endian IEEE-754 `f64`.
-    ///
-    /// # Errors
-    /// Returns [`NetError::Codec`] if the input is exhausted.
-    pub fn get_f64(&mut self) -> Result<f64, NetError> {
-        let slice = self.take(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(slice);
-        Ok(f64::from_le_bytes(arr))
-    }
 
     /// Reads a one-byte `bool`.
     ///
@@ -430,8 +403,6 @@ mod tests {
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
-        w.put_i64(-42);
-        w.put_f64(3.25);
         w.put_bool(true);
         w.put_bytes(b"payload");
         let bytes = w.into_bytes();
@@ -441,8 +412,6 @@ mod tests {
         assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), 0x0123_4567_89AB_CDEF);
-        assert_eq!(r.get_i64().unwrap(), -42);
-        assert_eq!(r.get_f64().unwrap(), 3.25);
         assert!(r.get_bool().unwrap());
         assert_eq!(r.get_bytes().unwrap(), b"payload");
         r.finish().unwrap();

@@ -122,11 +122,6 @@ impl Recorder {
         self.shared.node
     }
 
-    /// Switches the recording mode at runtime.
-    pub fn set_mode(&self, mode: TraceMode) {
-        self.shared.mode.store(mode.as_u8(), Ordering::Relaxed);
-    }
-
     /// True unless the mode is [`TraceMode::Off`]. Inlined: the runtime
     /// asks on every object read and write.
     #[inline]
@@ -226,16 +221,6 @@ mod tests {
         assert_eq!(events.iter().map(|e| e.a).collect::<Vec<_>>(), vec![6, 7, 8, 9]);
         assert_eq!(r.dropped(), 6, "evictions are accounted");
         assert_eq!(r.counts()[EventKind::DiffMerge as usize], 10, "counters see every event");
-    }
-
-    #[test]
-    fn mode_can_change_at_runtime() {
-        let r = Recorder::new(0, TraceConfig::off());
-        r.record(1, EventKind::Resync, 0, 0, 0);
-        r.set_mode(TraceMode::Full);
-        r.record(2, EventKind::Resync, 1, 0, 0);
-        assert_eq!(r.total_events(), 1);
-        assert_eq!(r.events().len(), 1);
     }
 
     #[test]

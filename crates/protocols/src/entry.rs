@@ -606,11 +606,12 @@ impl<E: Endpoint> EntryConsistency<E> {
     /// are implicitly revoked, and ownership of every object transfers to
     /// its (re-mapped) manager. The fresh `Version::INITIAL` owner floor
     /// is correct post-flush — no grant can name a newer copy than the
-    /// acquirer already holds, so no stale pull is ever issued.
+    /// acquirer already holds, so no stale pull is ever issued. Last, the
+    /// donor pushes each joiner its snapshot.
     ///
     /// # Errors
     ///
-    /// Propagates runtime view-change failures.
+    /// Propagates runtime view-change and transport failures.
     pub fn apply_view_change(&mut self, change: &ViewChange) -> Result<(), DsoError> {
         self.runtime.apply_view_change(change, &mut Never)?;
         self.managed.clear();
@@ -622,7 +623,7 @@ impl<E: Endpoint> EntryConsistency<E> {
         for (from, msg) in deferred {
             self.handle(from, msg)?;
         }
-        Ok(())
+        self.runtime.push_snapshots(change)
     }
 
     /// Services any pending protocol traffic without blocking; call freely
@@ -1047,8 +1048,8 @@ mod tests {
     #[test]
     fn manager_mapping_follows_the_view() {
         at_process_0(4, 4, |node| {
-            let view = sdso_core::MembershipView::initial(4, [0, 2, 3]).unwrap();
-            node.runtime_mut().set_membership(view);
+            let plan = sdso_core::MembershipPlan::new(4, [0, 2, 3]);
+            assert_eq!(node.runtime_mut().enter(&plan, None).unwrap(), 1);
             // Members sorted {0, 2, 3}: object k maps to the k-mod-3rd member,
             // never to absent node 1.
             assert_eq!(node.manager_of_view(ObjectId(0)), 0);

@@ -84,14 +84,17 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     }
 
     /// Applies one membership change through the runtime, letting this
-    /// node's s-function schedule first exchanges for joiners. Call only
-    /// after the [`Lookahead::step_barrier`] of the trigger tick.
+    /// node's s-function schedule first exchanges for joiners; the donor
+    /// then pushes each joiner its snapshot. Call only after the
+    /// [`Lookahead::step_barrier`] of the trigger tick.
     ///
     /// # Errors
     ///
-    /// Propagates [`sdso_core::SdsoRuntime::apply_view_change`] errors.
+    /// Propagates [`sdso_core::SdsoRuntime::apply_view_change`] and
+    /// transport errors.
     pub fn apply_view_change(&mut self, change: &ViewChange) -> Result<(), DsoError> {
-        self.runtime.apply_view_change(change, &mut self.sfunc)
+        self.runtime.apply_view_change(change, &mut self.sfunc)?;
+        self.runtime.push_snapshots(change)
     }
 
     /// The underlying runtime.

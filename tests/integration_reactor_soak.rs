@@ -14,9 +14,9 @@
 //! The same exchange timed over the reactor and over a test-local
 //! thread-per-peer hub ([`thread_per_peer_soak`]) is the throughput
 //! contract ([`contract_reactor_sustains_the_thread_per_peer_rate`]).
-//! Crash detection on the same transport — spokes that die abruptly are
-//! the hub's leave set — is
-//! [`reactor_abrupt_death_is_detected_as_a_leave`].
+//! Crash detection on the same transport — each spoke that dies abruptly
+//! is one `Down` at the hub — is
+//! [`reactor_abrupt_death_surfaces_one_down_per_dead_spoke`].
 //!
 //! When `SDSO_TRACE_DIR` names a directory, tracing switches to full event
 //! recording, and each soak writes its merged flight-recorder trace and
@@ -216,11 +216,9 @@ fn soak_reactor_256_spokes() {
 
 /// Crash *detection* on the real transport: when spokes die abruptly
 /// (their process vanishes without a goodbye), the hub's reactor surfaces
-/// peer-down events and the membership layer derives exactly the dead
-/// nodes as the leave set.
+/// exactly one peer-down event per dead spoke and none for a live one.
 #[test]
-fn reactor_abrupt_death_is_detected_as_a_leave() {
-    use sdso_core::{leave_change_from_events, MembershipPlan};
+fn reactor_abrupt_death_surfaces_one_down_per_dead_spoke() {
     use sdso_net::PeerEvent;
 
     const N: usize = 8;
@@ -253,10 +251,9 @@ fn reactor_abrupt_death_is_detected_as_a_leave() {
         downs.extend(hub.take_peer_events());
     }
     assert_eq!(hellos, N - 1, "every spoke said hello before the cull");
-    let view = MembershipPlan::new(N, 0..N as u16).view_at(0);
-    let change = leave_change_from_events(&view, &downs);
-    let left: Vec<u16> = change.left.iter().copied().collect();
-    assert_eq!(left, DEAD.to_vec(), "the derived leave set is exactly the dead spokes");
+    let mut down: Vec<u16> = downs.iter().map(|&PeerEvent::Down(peer)| peer).collect();
+    down.sort_unstable();
+    assert_eq!(down, DEAD.to_vec(), "one Down per dead spoke, none for a live one");
     for h in handles {
         drop(h.join().expect("spoke thread"));
     }
