@@ -22,10 +22,10 @@ mod tests {
 
     #[test]
     fn inline_marker_suppresses_one_rule() {
-        let line = "let t = Instant::now(); // sdso-check: allow(wall-clock)";
-        assert!(allows("wall-clock", line));
-        assert!(!allows("no-panic", line));
-        let both = "x.unwrap(); // sdso-check: allow(no-panic, wall-clock)";
-        assert!(allows("no-panic", both) && allows("wall-clock", both));
+        let line = "let fd = s.into_raw_fd(); // sdso-check: allow(fd-ownership)";
+        assert!(allows("fd-ownership", line));
+        assert!(!allows("unsafe-audit", line));
+        let both = "unsafe { f(fd) }; // sdso-check: allow(unsafe-audit, fd-ownership)";
+        assert!(allows("unsafe-audit", both) && allows("fd-ownership", both));
     }
 }

@@ -14,14 +14,12 @@
 //!   same-file definition first, else to a workspace definition with that
 //!   name **if exactly one exists**; otherwise no edge.
 //!
-//! Missing edges make the dependent rules (`no-panic` reachability,
-//! `no-blocking-in-reactor`) under-approximate, never false-positive on a nonexistent call. The few names
+//! Missing edges make the dependent rule (`no-blocking-in-reactor`)
+//! under-approximate, never false-positive on a nonexistent call. The few names
 //! that collide with ubiquitous std methods (`new`, `len`, `clone`, …) are
 //! ambiguous by construction and drop out on their own.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-
-use crate::lexer::line_of;
 
 /// One function definition, located in a prepared file.
 #[derive(Debug)]
@@ -50,23 +48,6 @@ pub struct CallGraph {
     pub defs: Vec<Def>,
     /// Resolved outgoing edges per definition.
     pub calls_from: Vec<Vec<CallEdge>>,
-}
-
-/// Why a definition is tainted (used by [`CallGraph::propagate`]).
-#[derive(Debug, Clone)]
-pub enum Reason {
-    /// The definition itself contains the construct.
-    Direct {
-        /// Which pattern was found (for the diagnostic message).
-        what: String,
-        /// Byte offset of the construct in the definition's file.
-        offset: usize,
-    },
-    /// The definition calls a tainted definition.
-    Via {
-        /// The tainted callee's definition index.
-        callee: usize,
-    },
 }
 
 impl CallGraph {
@@ -101,12 +82,6 @@ impl CallGraph {
         CallGraph { defs, calls_from }
     }
 
-    /// The definition whose body contains cleaned-text byte `offset` of
-    /// file `file` (innermost on nesting), if any.
-    pub fn def_at(&self, file: usize, offset: usize) -> Option<usize> {
-        innermost_def(&self.defs, file, offset)
-    }
-
     /// Definitions reachable from `roots` by following call edges
     /// (including the roots themselves).
     pub fn reachable_from(&self, roots: &[usize]) -> HashSet<usize> {
@@ -120,62 +95,6 @@ impl CallGraph {
             }
         }
         seen
-    }
-
-    /// Propagates per-definition direct facts backwards over call edges:
-    /// a definition is tainted if it has a direct fact or calls a tainted
-    /// definition. Returns one optional [`Reason`] per definition; `Via`
-    /// links form chains that [`CallGraph::render_chain`] can print.
-    pub fn propagate(&self, direct: Vec<Option<Reason>>) -> Vec<Option<Reason>> {
-        let mut reasons = direct;
-        // Reverse adjacency for the worklist.
-        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); self.defs.len()];
-        for (caller, edges) in self.calls_from.iter().enumerate() {
-            for e in edges {
-                callers[e.callee].push(caller);
-            }
-        }
-        let mut queue: VecDeque<usize> =
-            reasons.iter().enumerate().filter(|(_, r)| r.is_some()).map(|(i, _)| i).collect();
-        while let Some(tainted) = queue.pop_front() {
-            for &caller in &callers[tainted] {
-                if reasons[caller].is_none() {
-                    reasons[caller] = Some(Reason::Via { callee: tainted });
-                    queue.push_back(caller);
-                }
-            }
-        }
-        reasons
-    }
-
-    /// Renders the taint chain starting at `def` as
-    /// `` `a` -> `b`: `panic!` at crates/x/src/y.rs:12 ``.
-    ///
-    /// `reasons` must be the output of [`CallGraph::propagate`] and `files`
-    /// the same slice the graph was built from.
-    pub fn render_chain(
-        &self,
-        reasons: &[Option<Reason>],
-        files: &[(&str, &str)],
-        def: usize,
-    ) -> String {
-        let mut names = Vec::new();
-        let mut cur = def;
-        loop {
-            names.push(format!("`{}`", self.defs[cur].name));
-            match &reasons[cur] {
-                Some(Reason::Via { callee }) => cur = *callee,
-                Some(Reason::Direct { what, offset }) => {
-                    let (path, clean) = files[self.defs[cur].file];
-                    return format!(
-                        "{}: {what} at {path}:{}",
-                        names.join(" -> "),
-                        line_of(clean, *offset)
-                    );
-                }
-                None => return names.join(" -> "),
-            }
-        }
     }
 }
 
@@ -451,27 +370,6 @@ mod tests {
         let target = g.defs.iter().position(|d| d.name == "target").unwrap();
         assert_eq!(g.calls_from[inner].iter().map(|e| e.callee).collect::<Vec<_>>(), vec![target]);
         assert_eq!(g.calls_from[outer].iter().map(|e| e.callee).collect::<Vec<_>>(), vec![inner]);
-    }
-
-    #[test]
-    fn taint_propagates_with_renderable_chain() {
-        let files = [
-            ("crates/protocols/src/x.rs", "fn top() { mid(); }\nfn mid() { deep_panics(); }"),
-            ("crates/core/src/y.rs", "pub fn deep_panics() { oops() }"),
-        ];
-        let (g, prepared) = graph(&files);
-        let refs: Vec<(&str, &str)> =
-            prepared.iter().map(|(p, s)| (p.as_str(), s.as_str())).collect();
-        let deep = g.defs.iter().position(|d| d.name == "deep_panics").unwrap();
-        let mut direct = vec![None; g.defs.len()];
-        direct[deep] =
-            Some(Reason::Direct { what: "`panic!`".into(), offset: g.defs[deep].body.0 });
-        let reasons = g.propagate(direct);
-        let top = g.defs.iter().position(|d| d.name == "top").unwrap();
-        assert!(reasons[top].is_some(), "taint must reach the transitive caller");
-        let chain = g.render_chain(&reasons, &refs, top);
-        assert!(chain.contains("`top` -> `mid` -> `deep_panics`"), "{chain}");
-        assert!(chain.contains("crates/core/src/y.rs:1"), "{chain}");
     }
 
     #[test]

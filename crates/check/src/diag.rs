@@ -5,7 +5,7 @@ use std::fmt;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule identifier (`no-panic`, `unsafe-audit`, `fd-ownership`, …).
+    /// Rule identifier (`unsafe-audit`, `fd-ownership`, …).
     pub rule: &'static str,
     /// Root-relative path with forward slashes.
     pub path: String,
@@ -78,11 +78,11 @@ mod tests {
     #[test]
     fn json_report_is_well_formed() {
         let diags = vec![Diagnostic {
-            rule: "no-panic",
-            path: "crates/core/src/runtime.rs".into(),
+            rule: "fd-ownership",
+            path: "crates/net/src/sys.rs".into(),
             line: 42,
-            message: "`.unwrap()` in non-test code".into(),
-            snippet: "let x = y.unwrap(); // \"quoted\"".into(),
+            message: "raw fd escapes without an owner".into(),
+            snippet: "let fd = sock.into_raw_fd(); // \"quoted\"".into(),
         }];
         let json = to_json(&diags, 7);
         assert!(json.contains("\"violations\": 1"));

@@ -6,14 +6,13 @@
 //! * **lint** — a deny-by-default static pass over workspace source
 //!   enforcing invariants neither the compiler nor clippy can see:
 //!   audited FFI, fd ownership, and no blocking calls on the reactor
-//!   event path. Scoped rules also run over a name-resolved workspace
-//!   call graph (`callgraph`), so a violation reached *through* a helper
-//!   in another crate is reported at the point where scoped code calls
-//!   out; that is all that is left of `no-panic`, whose in-file half,
-//!   like host time in deterministic code, undocumented `unsafe` and
-//!   catch-all arms over wire enums, is clippy's (the root `Cargo.toml`'s
-//!   `[workspace.lints.clippy]`, `clippy.toml` and the library crates'
-//!   `lib.rs` denies).
+//!   event path. The last runs over a name-resolved workspace call graph
+//!   (`callgraph`), so a blocking call reached *through* a helper in
+//!   another file is reported where it is made. No panics on a replica's
+//!   path, like host time in deterministic code, undocumented `unsafe`
+//!   and catch-all arms over wire enums, is clippy's (the root
+//!   `Cargo.toml`'s `[workspace.lints.clippy]`, `clippy.toml` and the
+//!   runtime crates' `lib.rs` denies).
 //! * **explore** — a bounded systematic interleaving checker: protocol
 //!   scenarios run under the virtual-time scheduler's delivery-choice
 //!   oracle while a DFS enumerates message-delivery orders and asserts

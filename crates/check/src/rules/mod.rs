@@ -6,10 +6,8 @@
 //! brace-depth reasoning cannot be fooled by strings or docs, plus the
 //! original lines for snippets and inline allow markers.
 
-pub mod cross;
 pub mod fd_ownership;
 pub mod no_blocking_reactor;
-pub mod no_panic;
 pub mod unsafe_audit;
 
 use crate::diag::Diagnostic;
@@ -18,8 +16,8 @@ use crate::lexer::line_of;
 /// One fully-read source file, owned.
 ///
 /// The per-file rules borrow a [`FileCtx`] view of one of these; the
-/// cross-file passes ([`cross`], [`no_blocking_reactor`]) take the whole
-/// slice so the call graph can resolve names across files.
+/// cross-file pass ([`no_blocking_reactor`]) takes the whole slice so the
+/// call graph can resolve names across files.
 #[derive(Debug)]
 pub struct Prepared {
     /// Root-relative path, forward slashes.

@@ -269,6 +269,10 @@ impl MembershipPlan {
     /// Panics if the initial set is empty or a member is beyond capacity
     /// (plans are built by test/driver code; a bad one is a bug, not a
     /// runtime condition).
+    #[expect(
+        clippy::expect_used,
+        reason = "plans are written by test, driver and harness code over member sets inside their capacity"
+    )]
     pub fn new(capacity: usize, initial: impl IntoIterator<Item = NodeId>) -> Self {
         let view = MembershipView::initial(capacity, initial).expect("valid initial member set");
         MembershipPlan { capacity, initial: view.members.clone(), changes: Vec::new() }
@@ -309,6 +313,10 @@ impl MembershipPlan {
 
     /// The membership view in force *after* all changes triggered at or
     /// before `tick` have been applied.
+    #[expect(
+        clippy::expect_used,
+        reason = "`new` and `with_change` replay every plan as it is built, so a built plan replays cleanly"
+    )]
     pub fn view_at(&self, tick: u64) -> MembershipView {
         let mut view = MembershipView::initial(self.capacity, self.initial.iter().copied())
             .expect("plan invariant: valid initial set");

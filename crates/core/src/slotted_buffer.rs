@@ -96,6 +96,10 @@ impl SlottedBuffer {
     /// # Panics
     ///
     /// Panics if `peer` is the local process or out of range.
+    #[expect(
+        clippy::expect_used,
+        reason = "the runtime names only a remote member of its view, and every view it installs keeps one active slot per such member"
+    )]
     pub fn drain_slot(&mut self, peer: NodeId) -> std::vec::Drain<'_, WireUpdate> {
         self.slots[usize::from(peer)].as_mut().expect("drain_slot: peer must be remote").drain(..)
     }
@@ -115,6 +119,10 @@ impl SlottedBuffer {
     /// # Panics
     ///
     /// Panics if `peer` is the local process or out of range.
+    #[expect(
+        clippy::expect_used,
+        reason = "the runtime names only a remote member of its view, and every view it installs keeps one active slot per such member"
+    )]
     pub fn drain_slot_filtered(
         &mut self,
         peer: NodeId,
@@ -139,6 +147,10 @@ impl SlottedBuffer {
     /// # Panics
     ///
     /// Panics if `peer` is the local process or out of range.
+    #[expect(
+        clippy::expect_used,
+        reason = "the runtime names only a remote member of its view, and every view it installs keeps one active slot per such member"
+    )]
     pub fn slot_len(&self, peer: NodeId) -> usize {
         self.slots[usize::from(peer)].as_ref().expect("slot_len: peer must be remote").len()
     }
@@ -153,6 +165,10 @@ impl SlottedBuffer {
     ///
     /// Panics if `peer` is the local process, out of range, or already
     /// removed.
+    #[expect(
+        clippy::expect_used,
+        reason = "the runtime removes a slot only after `has_peer` found it active"
+    )]
     pub fn remove_peer(&mut self, peer: NodeId) -> Vec<WireUpdate> {
         self.slots[usize::from(peer)].take().expect("remove_peer: peer must be an active remote")
     }

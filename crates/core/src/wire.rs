@@ -62,18 +62,7 @@ pub enum DsoMessage {
         /// Sender's logical time.
         time: LogicalTime,
     },
-    /// A pushed full object body (`async_put` / `sync_put`).
-    Put {
-        /// The object.
-        object: ObjectId,
-        /// Its version at the sender.
-        version: Version,
-        /// Full object contents.
-        body: Vec<u8>,
-        /// Whether the receiver must acknowledge (`sync_put`).
-        wants_ack: bool,
-    },
-    /// A request to pull an object's current body (`async_get`/`sync_get`).
+    /// A request to pull an object's current body (`sync_get`).
     GetReq {
         /// The object requested.
         object: ObjectId,
@@ -87,8 +76,6 @@ pub enum DsoMessage {
         /// Full object contents.
         body: Vec<u8>,
     },
-    /// Acknowledgement of a `sync_put`.
-    Ack,
     /// Opaque bytes for a protocol layered above the runtime, with an
     /// explicit accounting class.
     App {
@@ -161,16 +148,16 @@ const DATA2_SYNC: u8 = 1;
 
 const TAG_DATA: u8 = 1;
 const TAG_SYNC: u8 = 2;
-const TAG_PUT: u8 = 3;
 const TAG_GET_REQ: u8 = 4;
 const TAG_GET_REP: u8 = 5;
-const TAG_ACK: u8 = 6;
 const TAG_APP: u8 = 7;
 const TAG_ENV: u8 = 8;
 const TAG_SEQ_ACK: u8 = 9;
-// Tags 10 and 12 are retired (a joiner's snapshot request, which no
-// process sends, and a per-link codec offer: the wire is the run's):
-// each decodes to a codec error like any unknown tag. Do not reuse them.
+// Tags 3, 6, 10 and 12 are retired (a pushed object body and its
+// acknowledgement, which no protocol sends; a joiner's snapshot request,
+// which no process sends; and a per-link codec offer: the wire is the
+// run's): each decodes to a codec error like any unknown tag. Do not
+// reuse them.
 const TAG_SNAPSHOT: u8 = 11;
 const TAG_DATA2: u8 = 13;
 
@@ -184,10 +171,8 @@ impl DsoMessage {
             | DsoMessage::Sync { epoch, .. }
             | DsoMessage::Snapshot { epoch, .. } => Some(*epoch),
             DsoMessage::Env { inner, .. } => inner.epoch(),
-            DsoMessage::Put { .. }
-            | DsoMessage::GetReq { .. }
+            DsoMessage::GetReq { .. }
             | DsoMessage::GetRep { .. }
-            | DsoMessage::Ack
             | DsoMessage::App { .. }
             | DsoMessage::SeqAck { .. } => None,
         }
@@ -202,10 +187,8 @@ impl DsoMessage {
             | DsoMessage::Sync { time, .. } => Some(*time),
             DsoMessage::Snapshot { .. }
             | DsoMessage::Env { .. }
-            | DsoMessage::Put { .. }
             | DsoMessage::GetReq { .. }
             | DsoMessage::GetRep { .. }
-            | DsoMessage::Ack
             | DsoMessage::App { .. }
             | DsoMessage::SeqAck { .. } => None,
         }
@@ -217,13 +200,11 @@ impl DsoMessage {
         match self {
             DsoMessage::Data { .. }
             | DsoMessage::Data2 { .. }
-            | DsoMessage::Put { .. }
             | DsoMessage::GetRep { .. }
             | DsoMessage::Snapshot { .. } => MsgClass::Data,
-            DsoMessage::Sync { .. }
-            | DsoMessage::GetReq { .. }
-            | DsoMessage::Ack
-            | DsoMessage::SeqAck { .. } => MsgClass::Control,
+            DsoMessage::Sync { .. } | DsoMessage::GetReq { .. } | DsoMessage::SeqAck { .. } => {
+                MsgClass::Control
+            }
             DsoMessage::App { class, .. } => *class,
             DsoMessage::Env { inner, .. } => inner.class(),
         }
@@ -298,13 +279,6 @@ impl Wire for DsoMessage {
                 w.put_u32(epoch.0);
                 w.put_u64(time.as_ticks());
             }
-            DsoMessage::Put { object, version, body, wants_ack } => {
-                w.put_u8(TAG_PUT);
-                object.encode(w);
-                version.encode(w);
-                w.put_bytes(body);
-                w.put_bool(*wants_ack);
-            }
             DsoMessage::GetReq { object } => {
                 w.put_u8(TAG_GET_REQ);
                 object.encode(w);
@@ -315,7 +289,6 @@ impl Wire for DsoMessage {
                 version.encode(w);
                 w.put_bytes(body);
             }
-            DsoMessage::Ack => w.put_u8(TAG_ACK),
             DsoMessage::App { class, bytes } => {
                 w.put_u8(TAG_APP);
                 w.put_u8(class.to_wire_u8());
@@ -369,13 +342,6 @@ impl DsoMessage {
                 let time = LogicalTime::from_ticks(r.get_u64()?);
                 Ok(DsoMessage::Sync { epoch, time })
             }
-            TAG_PUT => {
-                let object = ObjectId::decode(r)?;
-                let version = Version::decode(r)?;
-                let body = r.get_bytes()?.to_vec();
-                let wants_ack = r.get_bool()?;
-                Ok(DsoMessage::Put { object, version, body, wants_ack })
-            }
             TAG_GET_REQ => Ok(DsoMessage::GetReq { object: ObjectId::decode(r)? }),
             TAG_GET_REP => {
                 let object = ObjectId::decode(r)?;
@@ -383,7 +349,6 @@ impl DsoMessage {
                 let body = r.get_bytes()?.to_vec();
                 Ok(DsoMessage::GetRep { object, version, body })
             }
-            TAG_ACK => Ok(DsoMessage::Ack),
             TAG_APP => {
                 let class = MsgClass::from_wire_u8(r.get_u8()?)?;
                 let body = r.get_bytes()?;
@@ -473,18 +438,12 @@ mod tests {
             }],
         });
         roundtrip(DsoMessage::Sync { epoch: Epoch(1), time: LogicalTime::from_ticks(1) });
-        roundtrip(DsoMessage::Put {
-            object: ObjectId(1),
-            version: v,
-            body: vec![0; 16],
-            wants_ack: true,
-        });
         roundtrip(DsoMessage::GetReq { object: ObjectId(8) });
         roundtrip(DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] });
-        roundtrip(DsoMessage::Ack);
         roundtrip(DsoMessage::App { class: MsgClass::Control, bytes: vec![9, 9].into() });
-        roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: Box::new(DsoMessage::Ack) });
-        roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: Box::new(DsoMessage::Ack) });
+        let get = || Box::new(DsoMessage::GetReq { object: ObjectId(2) });
+        roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: get() });
+        roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: get() });
         roundtrip(DsoMessage::SeqAck { next: 42 });
         roundtrip(DsoMessage::Snapshot {
             epoch: Epoch(3),
@@ -556,7 +515,11 @@ mod tests {
         let nested = DsoMessage::Env {
             seq: 1,
             ack: 0,
-            inner: Box::new(DsoMessage::Env { seq: 2, ack: 0, inner: Box::new(DsoMessage::Ack) }),
+            inner: Box::new(DsoMessage::Env {
+                seq: 2,
+                ack: 0,
+                inner: Box::new(DsoMessage::GetReq { object: ObjectId(0) }),
+            }),
         };
         let encoded = wire::encode(&nested);
         assert!(wire::decode::<DsoMessage>(&encoded).is_err());
@@ -588,17 +551,11 @@ mod tests {
             MsgClass::Data,
             "snapshots carry object state"
         );
-        assert_eq!(
-            DsoMessage::Put { object: ObjectId(0), version: v, body: vec![], wants_ack: false }
-                .class(),
-            MsgClass::Data
-        );
         assert_eq!(DsoMessage::GetReq { object: ObjectId(0) }.class(), MsgClass::Control);
         assert_eq!(
             DsoMessage::GetRep { object: ObjectId(0), version: v, body: vec![] }.class(),
             MsgClass::Data
         );
-        assert_eq!(DsoMessage::Ack.class(), MsgClass::Control);
         let d2 = DsoMessage::Data2 {
             epoch: Epoch(1),
             time: LogicalTime::ZERO,
@@ -624,10 +581,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_rejected() {
-        // The second frame is what a snapshot request for epoch 2 encoded
-        // to under the retired tag 10 (the epoch is little-endian), the
-        // third a codec offer of version 2 under the retired tag 12.
-        for frame in [&[0xEE][..], &[10, 2, 0, 0, 0], &[12, 2]] {
+        // Then the retired tags: 3 and 6 (a pushed body and its bare
+        // acknowledgement), a snapshot request for epoch 2 under 10 (the
+        // epoch is little-endian) and a codec offer of version 2 under 12.
+        for frame in [&[0xEE][..], &[3], &[6], &[10, 2, 0, 0, 0], &[12, 2]] {
             let res: Result<DsoMessage, _> = wire::decode(frame);
             assert!(matches!(res, Err(NetError::Codec(_))), "{frame:?} decoded as {res:?}");
         }
@@ -646,11 +603,14 @@ mod tests {
                 }],
             },
             DsoMessage::Sync { epoch: Epoch(1), time: LogicalTime::from_ticks(1) },
-            DsoMessage::Put { object: ObjectId(1), version: v, body: vec![0; 16], wants_ack: true },
             DsoMessage::GetReq { object: ObjectId(8) },
             DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] },
             DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9].into() },
-            DsoMessage::Env { seq: 17, ack: 9, inner: Box::new(DsoMessage::Ack) },
+            DsoMessage::Env {
+                seq: 17,
+                ack: 9,
+                inner: Box::new(DsoMessage::GetReq { object: ObjectId(5) }),
+            },
             DsoMessage::SeqAck { next: 42 },
             DsoMessage::Data2 {
                 epoch: Epoch(2),
@@ -726,14 +686,14 @@ mod tests {
             let within = frame.as_ptr_range();
             assert!(within.contains(&bytes.as_ptr()), "the body is a slice of the frame");
         }
-        let mut long = wire::encode(&DsoMessage::Ack).to_vec();
+        let mut long = wire::encode(&DsoMessage::SeqAck { next: 1 }).to_vec();
         long.push(0);
         assert!(DsoMessage::decode_frame(&long.into()).is_err(), "trailing bytes are an error");
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut encoded = wire::encode(&DsoMessage::Ack).to_vec();
+        let mut encoded = wire::encode(&DsoMessage::SeqAck { next: 1 }).to_vec();
         encoded.push(0x00);
         assert!(wire::decode::<DsoMessage>(&encoded).is_err());
     }

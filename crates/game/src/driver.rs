@@ -295,7 +295,7 @@ impl GameCore {
     pub fn with_flags(scenario: Scenario, me: NodeId, arbitrate: bool, strict: bool) -> Self {
         let tank = TankState {
             pos: scenario.start_of(me),
-            hp: scenario.tank_hp,
+            hp: Scenario::TANK_HP,
             facing: Direction::North,
             alive: true,
         };
@@ -439,7 +439,7 @@ impl GameCore {
             // tick would let an invisible tank race an unaware neighbour
             // into the same block, bypassing the lowest-ID arbitration.
             self.tank.pos = self.scenario.start_of(self.me);
-            self.tank.hp = self.scenario.tank_hp;
+            self.tank.hp = Scenario::TANK_HP;
             self.tank.alive = true;
             let block = self.my_tank_block(None);
             self.write(port, self.tank.pos, block)?;
@@ -1157,7 +1157,10 @@ fn drive<E: Endpoint, F: Family<E = E>>(
     let obs = plan.obs.as_ref().map_or_else(Obs::disabled, |set| set.node(me));
     let crashes = plan.faults.as_ref().map_or(&[][..], |f| &f.crashes);
     let crash = crashes.iter().find(|c| c.node == me).copied();
-    let mut journal = (!crashes.is_empty()).then(Journal::default);
+    // Every process of a run with crashes journals; a crasher reads its
+    // journal back at its restart.
+    let journaled = !crashes.is_empty();
+    let mut journal = Journal::default();
     // Accumulates what spans a process's incarnations: compute time and the
     // recovery counters.
     let mut tally = NodeStats::default();
@@ -1181,8 +1184,8 @@ fn drive<E: Endpoint, F: Family<E = E>>(
     let leave_tick = views.leave_tick_of(me).filter(|_| crash.is_none());
     // Modelled compute per tick: the look phase plus the decision, then
     // the writes.
-    let looks = scenario.look_cost.as_micros() * 4 * u64::from(scenario.range);
-    let think = SimSpan::from_micros(looks) + scenario.decide_cost;
+    let looks = Scenario::LOOK_COST.as_micros() * 4 * u64::from(scenario.range);
+    let think = SimSpan::from_micros(looks) + Scenario::DECIDE_COST;
     let mut scratch = Vec::with_capacity(scenario.block_bytes);
 
     let exit = loop {
@@ -1210,7 +1213,7 @@ fn drive<E: Endpoint, F: Family<E = E>>(
                 core.run_tick(&mut port)?
             }
         };
-        let wc = SimSpan::from_micros(scenario.write_cost.as_micros() * mods);
+        let wc = SimSpan::from_micros(Scenario::WRITE_COST.as_micros() * mods);
         node.runtime_mut().advance(wc);
         tally.compute_time += think + wc;
 
@@ -1219,7 +1222,7 @@ fn drive<E: Endpoint, F: Family<E = E>>(
         // tombstone, the frozen tank) converge before the epoch turns.
         let change = views.change_at(tick);
         node.end_tick(change.is_some())?;
-        if let Some(journal) = &mut journal {
+        if journaled {
             journal.tick(node.runtime_mut(), tick, core.encode());
         }
 
@@ -1230,8 +1233,8 @@ fn drive<E: Endpoint, F: Family<E = E>>(
             let Some(back) = crash.and_then(|c| c.restart_tick) else {
                 break Exit::Died;
             };
-            let journal = journal.as_mut().expect("a run with crashes keeps a journal");
-            (node, core) = restart(node, journal, scenario, views, back, &obs, &mut tally, make)?;
+            (node, core) =
+                restart(node, &mut journal, scenario, views, back, &obs, &mut tally, make)?;
             tick = back;
         } else if let Some(change) = change {
             node.apply_view_change(change)?;
@@ -1682,10 +1685,10 @@ mod tests {
 
             let stats = run_all(protocol, &scenario, &crash_plan());
             assert_eq!(stats[1].recoveries, 1, "{protocol}: one crash/restart cycle");
-            // Every tick played costs the same compute, plus `write_cost`
+            // Every tick played costs the same compute, plus `WRITE_COST`
             // per modification: node 1 played 7 of node 0's 10 ticks, and
             // its modification count is part of the state it recovered.
-            let write = scenario.write_cost.as_micros();
+            let write = Scenario::WRITE_COST.as_micros();
             let thinking = |s: &NodeStats| s.compute_time.as_micros() - write * s.modifications;
             let kept = thinking(&stats[1]) == 7 * (thinking(&stats[0]) / 10);
             assert!(kept, "{protocol}: the restart lost its pre-crash state");

@@ -52,6 +52,11 @@
 //! ```
 
 #![warn(missing_docs)]
+// A replica that panics stops serving its peers: no panic outside tests.
+// An exception is an `#[expect(…, reason = "…")]` naming the invariant
+// that keeps it from firing.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 pub mod ai;
 pub mod block;

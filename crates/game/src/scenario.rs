@@ -44,23 +44,26 @@ pub struct Scenario {
     /// its (data, SYNC) frame pair byte-for-byte — the figure sweeps and
     /// the wire-diet sweep name it.
     pub wire: WireConfig,
-    /// Number of bonus pick-ups scattered on the map.
-    pub bonuses: usize,
-    /// Number of bombs.
-    pub bombs: usize,
-    /// Number of obstacles.
-    pub obstacles: usize,
-    /// Hit points per tank.
-    pub tank_hp: u8,
-    /// Modelled CPU cost of inspecting one block during the look phase.
-    pub look_cost: SimSpan,
-    /// Modelled CPU cost of the per-tick decision.
-    pub decide_cost: SimSpan,
-    /// Modelled CPU cost of one block write.
-    pub write_cost: SimSpan,
 }
 
 impl Scenario {
+    /// Bonus pick-ups on the paper's map; [`Scenario::bonuses`] scales
+    /// them with the grid's area.
+    pub const BONUSES: usize = 20;
+    /// Bombs on the paper's map; see [`Scenario::bombs`].
+    pub const BOMBS: usize = 10;
+    /// Obstacles on the paper's map; see [`Scenario::obstacles`].
+    pub const OBSTACLES: usize = 24;
+    /// Hit points per tank.
+    pub const TANK_HP: u8 = 2;
+    /// Modelled CPU cost of inspecting one block during the look phase,
+    /// calibrated to an R4400-class host like the two below.
+    pub const LOOK_COST: SimSpan = SimSpan::from_micros(15);
+    /// Modelled CPU cost of the per-tick decision.
+    pub const DECIDE_COST: SimSpan = SimSpan::from_micros(150);
+    /// Modelled CPU cost of one block write.
+    pub const WRITE_COST: SimSpan = SimSpan::from_micros(25);
+
     /// The paper's evaluation configuration for a given process count and
     /// sensing range: 32×24 grid, one tank per team, 2048-byte frames,
     /// diff merging on, compute costs calibrated to an R4400-class host.
@@ -81,13 +84,6 @@ impl Scenario {
             merge_diffs: true,
             reliability: None,
             wire: WireConfig::default(),
-            bonuses: 20,
-            bombs: 10,
-            obstacles: 24,
-            tank_hp: 2,
-            look_cost: SimSpan::from_micros(15),
-            decide_cost: SimSpan::from_micros(150),
-            write_cost: SimSpan::from_micros(25),
         }
     }
 
@@ -117,12 +113,29 @@ impl Scenario {
             k += 1;
         }
         scenario.grid = Grid { width: base.width * k as u16, height: base.height * k as u16 };
-        let area = (k * k) as usize;
-        scenario.bonuses *= area;
-        scenario.bombs *= area;
-        scenario.obstacles *= area;
         scenario.frame_wire_len = None;
         scenario
+    }
+
+    /// How many paper maps the grid's area holds: item counts grow with
+    /// it, so a scaled map keeps the paper's density.
+    fn area_factor(&self) -> usize {
+        (self.grid.cells() / Grid::PAPER.cells()) as usize
+    }
+
+    /// Number of bonus pick-ups scattered on the map.
+    pub fn bonuses(&self) -> usize {
+        Scenario::BONUSES * self.area_factor()
+    }
+
+    /// Number of bombs.
+    pub fn bombs(&self) -> usize {
+        Scenario::BOMBS * self.area_factor()
+    }
+
+    /// Number of obstacles.
+    pub fn obstacles(&self) -> usize {
+        Scenario::OBSTACLES * self.area_factor()
     }
 
     /// Returns a copy with a different seed.
@@ -205,7 +218,7 @@ impl Scenario {
                 Block::Tank {
                     team: team as NodeId,
                     tank: 0,
-                    hp: self.tank_hp,
+                    hp: Scenario::TANK_HP,
                     facing: crate::world::Direction::North,
                     fired: None,
                 },
@@ -231,13 +244,13 @@ impl Scenario {
             }
             // The grid is essentially full; skip the item.
         };
-        for _ in 0..self.obstacles {
+        for _ in 0..self.obstacles() {
             place(&mut world, &mut rng, Block::Obstacle);
         }
-        for _ in 0..self.bombs {
+        for _ in 0..self.bombs() {
             place(&mut world, &mut rng, Block::Bomb);
         }
-        for _ in 0..self.bonuses {
+        for _ in 0..self.bonuses() {
             let points = 5 + rng.up_to(20) as u8;
             place(&mut world, &mut rng, Block::Bonus { points });
         }
@@ -351,9 +364,9 @@ mod tests {
         let tanks = world.iter().filter(|b| matches!(b, Block::Tank { .. })).count();
         assert_eq!(tanks, 4);
         let bonuses = world.iter().filter(|b| matches!(b, Block::Bonus { .. })).count();
-        assert_eq!(bonuses, s.bonuses);
+        assert_eq!(bonuses, s.bonuses());
         let bombs = world.iter().filter(|b| matches!(b, Block::Bomb)).count();
-        assert_eq!(bombs, s.bombs);
+        assert_eq!(bombs, s.bombs());
     }
 
     #[test]
@@ -391,7 +404,7 @@ mod tests {
             match world[s.grid.object_at(start).0 as usize] {
                 Block::Tank { team: t, hp, .. } => {
                     assert_eq!(t, team);
-                    assert_eq!(hp, s.tank_hp);
+                    assert_eq!(hp, Scenario::TANK_HP);
                 }
                 other => panic!("expected team {team} tank at {start:?}, found {other:?}"),
             }

@@ -34,9 +34,9 @@ fn damage_is_conserved_across_processes() {
     let stats = play(&scenario, Protocol::Bsync);
     let shots: u64 = stats.iter().map(|s| s.shots).sum();
     let deaths: u64 = stats.iter().map(|s| s.deaths).sum();
-    let bombs = scenario.bombs as u64;
+    let bombs = scenario.bombs() as u64;
     assert!(
-        deaths <= shots / u64::from(scenario.tank_hp) + bombs,
+        deaths <= shots / u64::from(Scenario::TANK_HP) + bombs,
         "{deaths} deaths cannot be explained by {shots} shots and {bombs} bombs"
     );
 }

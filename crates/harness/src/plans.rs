@@ -78,15 +78,16 @@ pub fn default_crash_plan(seed: u64, n: usize, ticks: u64) -> FaultPlan {
 /// Whether every process that restarted under `faults` in `run` carried
 /// its game state across the crash. A process's compute time covers both
 /// incarnations: the same think time for each tick it plays (priced at a
-/// process that never crashed) plus `write_cost` per modification. Its
-/// modification count is part of the state it recovers, so a restart that
-/// lost the pre-crash state reports fewer modifications than it paid for.
+/// process that never crashed) plus `Scenario::WRITE_COST` per
+/// modification. Its modification count is part of the state it recovers,
+/// so a restart that lost the pre-crash state reports fewer modifications
+/// than it paid for.
 pub fn restarts_kept_their_state(
     scenario: &Scenario,
     faults: &FaultPlan,
     run: &RunSummary,
 ) -> bool {
-    let per_write = scenario.write_cost.as_micros();
+    let per_write = Scenario::WRITE_COST.as_micros();
     let thinking =
         |s: &NodeStats| s.compute_time.as_micros().checked_sub(per_write * s.modifications);
     let Some(per_tick) = run

@@ -48,8 +48,9 @@
 // Every enum match names its variants: a new wire message kind must fail
 // clippy where it is matched, not fall into a catch-all arm.
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
-// No panics on a protocol path; `sdso-check lint` reads this deny as the
-// scope of its cross-file `no-panic` pass.
+// A replica that panics stops serving its peers: no panic outside tests.
+// An exception is an `#[expect(…, reason = "…")]` naming the invariant
+// that keeps it from firing.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 #![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 

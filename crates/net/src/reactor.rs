@@ -21,6 +21,8 @@
 //! queued for the peer, and every later send to it fails with
 //! [`NetError::Disconnected`] — from either side of the pair — unless the
 //! peer was removed from the group, when sends to it are dropped silently.
+//! A send whose own write finds the peer's end gone fails the same way,
+//! and is not counted as sent.
 //! A blocking `recv` with no live link left returns what is still queued,
 //! then `Disconnected`.
 //!
@@ -70,7 +72,7 @@ use sdso_obs::{EventKind, MonoClock, Recorder};
 use crate::endpoint::{check_peer, Endpoint, NodeId, PeerEvent};
 use crate::error::NetError;
 use crate::frame::{append_frame, decode_frame_at};
-use crate::message::{Incoming, Payload};
+use crate::message::{Incoming, MsgClass, Payload};
 use crate::metrics::{obs_class, NetMetrics, NetMetricsSnapshot};
 use crate::sys::{stream_pair, Interest, Poller, Ready};
 use crate::time::{SimInstant, SimSpan};
@@ -181,6 +183,10 @@ impl ReactorMesh {
 pub struct ReactorEndpoint {
     reactor: Reactor,
     recorder: Recorder,
+    /// The class and modelled size of each payload of the batch being
+    /// sent, counted once the reactor has taken them; reused across
+    /// batches.
+    batch: Vec<(MsgClass, u32)>,
 }
 
 impl std::fmt::Debug for ReactorEndpoint {
@@ -224,7 +230,7 @@ impl ReactorEndpoint {
             spin: true,
             metrics: NetMetrics::new(),
         };
-        Ok(ReactorEndpoint { reactor, recorder: Recorder::disabled() })
+        Ok(ReactorEndpoint { reactor, recorder: Recorder::disabled(), batch: Vec::new() })
     }
 
     /// Records one event on the attached recorder, reading the clock only
@@ -235,9 +241,9 @@ impl ReactorEndpoint {
         }
     }
 
-    fn note_send(&self, to: NodeId, payload: &Payload) {
-        self.reactor.metrics.record_send(payload.class, payload.wire_len());
-        self.record(EventKind::Send, u32::from(to), obs_class(payload.class), payload.wire_len());
+    fn note_send(&self, to: NodeId, class: MsgClass, wire_len: u32) {
+        self.reactor.metrics.record_send(class, wire_len);
+        self.record(EventKind::Send, u32::from(to), obs_class(class), wire_len);
     }
 
     fn note_recv(&self, msg: &Incoming) {
@@ -260,8 +266,9 @@ impl Endpoint for ReactorEndpoint {
         if !self.reactor.admit(to, payload.bytes.len())? {
             return Ok(());
         }
-        self.note_send(to, &payload);
-        self.reactor.enqueue(usize::from(to), std::iter::once(payload));
+        let (class, wire_len) = (payload.class, payload.wire_len());
+        self.reactor.enqueue(usize::from(to), std::iter::once(payload))?;
+        self.note_send(to, class, wire_len);
         Ok(())
     }
 
@@ -273,13 +280,16 @@ impl Endpoint for ReactorEndpoint {
         if !self.reactor.admit(to, total)? {
             return Ok(());
         }
-        let wire_bytes: u64 = payloads.iter().map(|p| u64::from(p.wire_len())).sum();
-        for payload in &payloads {
-            self.note_send(to, payload);
+        self.batch.clear();
+        self.batch.extend(payloads.iter().map(|p| (p.class, p.wire_len())));
+        self.reactor.enqueue(usize::from(to), payloads)?;
+        for &(class, wire_len) in &self.batch {
+            self.note_send(to, class, wire_len);
         }
-        self.reactor.metrics.record_batch(payloads.len(), wire_bytes);
-        self.record(EventKind::BatchSend, u32::from(to), payloads.len() as u32, wire_bytes as u32);
-        self.reactor.enqueue(usize::from(to), payloads);
+        let wire_bytes: u64 = self.batch.iter().map(|&(_, len)| u64::from(len)).sum();
+        self.reactor.metrics.record_batch(self.batch.len(), wire_bytes);
+        let count = self.batch.len() as u32;
+        self.record(EventKind::BatchSend, u32::from(to), count, wire_bytes as u32);
         Ok(())
     }
 
@@ -512,9 +522,22 @@ impl Reactor {
 
     /// Queues admitted `payloads` for `peer` and writes what the socket
     /// takes now; a partial write arms write interest for a later turn.
-    fn enqueue(&mut self, peer: usize, payloads: impl IntoIterator<Item = Payload>) {
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Disconnected`] if that write tore the link down (the
+    /// peer's end is gone): the payloads went with it.
+    fn enqueue(
+        &mut self,
+        peer: usize,
+        payloads: impl IntoIterator<Item = Payload>,
+    ) -> Result<(), NetError> {
         self.queues[peer].extend(payloads);
         self.drain_writes(peer);
+        match self.conns[peer] {
+            Some(_) => Ok(()),
+            None => Err(NetError::Disconnected),
+        }
     }
 
     /// Tears the link to `peer` down for good: deregister, close, release
@@ -922,23 +945,17 @@ mod tests {
     }
 
     /// Node 0 took node 1's connection at setup. Once node 1 drops, node
-    /// 0's sends to it fail with `Disconnected`, and keep failing: nothing
-    /// brings the link back.
+    /// 0's first send to it fails with `Disconnected`, uncounted, and the
+    /// next fails too: nothing brings the link back.
     #[test]
     fn accept_side_sends_fail_while_peer_is_down() {
         let mut eps = ReactorMesh::local(2).unwrap();
         let b = eps.pop().unwrap();
         let mut a = eps.pop().unwrap();
         drop(b);
-        let mut sent = Ok(());
-        for _ in 0..200 {
-            sent = a.send(1, Payload::control(vec![0u8; 64]));
-            if sent.is_err() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let sent = a.send(1, Payload::control(vec![0u8; 64]));
         assert!(matches!(sent, Err(NetError::Disconnected)), "{sent:?}");
+        assert_eq!(a.metrics().total_sent(), 0, "a failed send is not counted");
         let again = a.send(1, Payload::control(vec![0u8; 64]));
         assert!(matches!(again, Err(NetError::Disconnected)), "{again:?}");
     }

@@ -161,13 +161,12 @@ impl WireWriter {
     ///
     /// Panics if `bytes.len()` exceeds `u32::MAX`.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        // Length prefixes are u32 by wire-format definition; exceeding one
-        // needs a single in-memory message over 4 GiB (or 2^32 sequence
-        // items), which the runtime cannot construct: objects are diffed and
-        // framed far below that. A fallible builder would push a Result
-        // through every encoder for an unreachable branch; the panic
-        // documents the invariant instead.
-        #[allow(clippy::expect_used)]
+        // A fallible builder would push a Result through every encoder for
+        // an unreachable branch; the panic documents the invariant instead.
+        #[expect(
+            clippy::expect_used,
+            reason = "length prefixes are u32 by wire-format definition, and the runtime diffs and frames objects far below 4 GiB"
+        )]
         let len = u32::try_from(bytes.len()).expect("byte string too long for wire format");
         self.put_u32(len);
         self.buf.extend_from_slice(bytes);
@@ -185,7 +184,10 @@ impl WireWriter {
         let at = self.buf.len();
         self.put_u32(0);
         f(self);
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "the runtime frames nothing near 4 GiB (see `put_bytes`)"
+        )]
         let len =
             u32::try_from(self.buf.len() - at - 4).expect("byte string too long for wire format");
         self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
@@ -197,9 +199,10 @@ impl WireWriter {
     ///
     /// Panics if the sequence is longer than `u32::MAX` items.
     pub fn put_seq<T>(&mut self, items: &[T], mut f: impl FnMut(&mut Self, &T)) {
-        // Item counts are u32 by wire-format definition; 2^32 items in one
-        // message is more than the runtime can construct (see `put_bytes`).
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "item counts are u32 by wire-format definition, and no message the runtime builds holds 2^32 items"
+        )]
         let len = u32::try_from(items.len()).expect("sequence too long for wire format");
         self.put_u32(len);
         for item in items {

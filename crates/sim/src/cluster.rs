@@ -107,6 +107,14 @@ impl SimCluster {
     ///
     /// Node-level failures are reported per node inside [`ClusterOutcome`];
     /// this method itself only fails if a worker thread cannot be joined.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the OS refuses a node its thread.
+    #[expect(
+        clippy::expect_used,
+        reason = "one thread per node: callers size a cluster far below the process's thread limit"
+    )]
     pub fn run<T, F>(&self, f: F) -> Result<ClusterOutcome<T>, SimError>
     where
         T: Send + 'static,

@@ -41,6 +41,11 @@
 // Replay-critical: no host time outside tests. The banned calls and types
 // are listed in the workspace's clippy.toml.
 #![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
+// A replica that panics stops serving its peers: no panic outside tests.
+// An exception is an `#[expect(…, reason = "…")]` naming the invariant
+// that keeps it from firing.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::todo, clippy::unimplemented))]
 
 mod cluster;
 mod endpoint;

@@ -113,6 +113,8 @@ fn ec_writes_runs_to_one_manager_as_one_write_with_reliability_off_and_on() {
     }
 }
 
+/// A `sync_get` round trip over real sockets: B writes, then services A's
+/// pull inside `recv_app`, and A reads B's bytes.
 #[test]
 fn runtime_works_over_tcp_for_puts_and_gets() {
     let mut endpoints = ReactorMesh::local(2).unwrap();
@@ -122,16 +124,16 @@ fn runtime_works_over_tcp_for_puts_and_gets() {
     let tb = std::thread::spawn(move || {
         let mut rt = SdsoRuntime::new(b, DsoConfig::compact());
         rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
-        // Service A's put, then answer its app message.
+        rt.write(ObjectId(0), 0, &[7u8; 8]).unwrap();
+        // Answer A's pull, then take its app message.
         let (_, check): (_, ObjectId) = rt.recv_app().unwrap();
         assert_eq!(check, ObjectId(42));
-        assert_eq!(rt.read(ObjectId(0)).unwrap(), &[7u8; 8]);
     });
 
     let mut rt = SdsoRuntime::new(a, DsoConfig::compact());
     rt.share(ObjectId(0), vec![0u8; 8]).unwrap();
-    rt.write(ObjectId(0), 0, &[7u8; 8]).unwrap();
-    rt.sync_put(1, ObjectId(0)).unwrap();
+    rt.sync_get(1, ObjectId(0)).unwrap();
+    assert_eq!(rt.read(ObjectId(0)).unwrap(), &[7u8; 8]);
     rt.send_app(sdso_net::MsgClass::Control, [(1, &ObjectId(42))]).unwrap();
     tb.join().unwrap();
 }
