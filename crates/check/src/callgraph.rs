@@ -19,7 +19,7 @@
 //! that collide with ubiquitous std methods (`new`, `len`, `clone`, …) are
 //! ambiguous by construction and drop out on their own.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// One function definition, located in a prepared file.
 #[derive(Debug)]
@@ -80,21 +80,6 @@ impl CallGraph {
             }
         }
         CallGraph { defs, calls_from }
-    }
-
-    /// Definitions reachable from `roots` by following call edges
-    /// (including the roots themselves).
-    pub fn reachable_from(&self, roots: &[usize]) -> HashSet<usize> {
-        let mut seen: HashSet<usize> = roots.iter().copied().collect();
-        let mut queue: VecDeque<usize> = roots.iter().copied().collect();
-        while let Some(d) = queue.pop_front() {
-            for e in &self.calls_from[d] {
-                if seen.insert(e.callee) {
-                    queue.push_back(e.callee);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -377,18 +362,5 @@ mod tests {
         let (g, _) = graph(&[("a.rs", "fn f() { parse::<u32>(s); }\nfn parse(s: &str) {}")]);
         let f = g.defs.iter().position(|d| d.name == "f").unwrap();
         assert_eq!(g.calls_from[f].len(), 1);
-    }
-
-    #[test]
-    fn reachability_walks_edges() {
-        let (g, _) = graph(&[(
-            "a.rs",
-            "fn run() { step(); }\nfn step() { leaf(); }\nfn leaf() {}\nfn unrelated() {}",
-        )]);
-        let run = g.defs.iter().position(|d| d.name == "run").unwrap();
-        let set = g.reachable_from(&[run]);
-        assert_eq!(set.len(), 3);
-        let unrelated = g.defs.iter().position(|d| d.name == "unrelated").unwrap();
-        assert!(!set.contains(&unrelated));
     }
 }

@@ -39,7 +39,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use sdso_core::wire::DsoMessage;
+use sdso_core::wire::{DsoMessage, Frame};
 use sdso_core::{
     DsoConfig, DsoError, DsoMetrics, LogicalTime, MembershipPlan, MembershipView, Never, ObjectId,
     ObjectStore, RetryConfig, SdsoRuntime, SendMode, ViewChange, WireConfig,
@@ -605,10 +605,10 @@ struct Faulted {
 
 /// Whether `payload` is a sequenced `Data2` frame that carries its SYNC.
 fn is_fused(payload: &Payload) -> bool {
-    let Ok(DsoMessage::Env { inner, .. }) = sdso_net::wire::decode(&payload.bytes) else {
-        return false;
-    };
-    matches!(*inner, DsoMessage::Data2 { sync: true, .. })
+    matches!(
+        sdso_net::wire::decode(&payload.bytes),
+        Ok(Frame::Env { inner: DsoMessage::Data2 { sync: true, .. }, .. })
+    )
 }
 
 impl Endpoint for Faulted {

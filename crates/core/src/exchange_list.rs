@@ -18,8 +18,11 @@ use crate::clock::LogicalTime;
 /// let mut list = ExchangeList::new();
 /// list.schedule(2, LogicalTime::from_ticks(5));
 /// list.schedule(1, LogicalTime::from_ticks(3));
-/// assert_eq!(list.due(LogicalTime::from_ticks(3)), vec![1]);
-/// assert_eq!(list.due(LogicalTime::from_ticks(5)), vec![1, 2]);
+/// let mut due = Vec::new();
+/// list.due(LogicalTime::from_ticks(3), &mut due);
+/// assert_eq!(due, [1]);
+/// list.due(LogicalTime::from_ticks(5), &mut due);
+/// assert_eq!(due, [1, 2]);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ExchangeList {
@@ -49,14 +52,15 @@ impl ExchangeList {
         Some(time)
     }
 
-    /// The peers whose exchange time is `<= now`, in id order (without
-    /// removing them — the exchange engine removes and reschedules each peer
-    /// after a successful rendezvous).
-    pub fn due(&self, now: LogicalTime) -> Vec<NodeId> {
-        let mut peers: Vec<NodeId> =
-            self.by_time.range(..=(now, NodeId::MAX)).map(|(&(_, peer), ())| peer).collect();
+    /// Fills `peers` with the peers whose exchange time is `<= now`, in id
+    /// order (without removing them — the exchange engine removes and
+    /// reschedules each peer after a successful rendezvous). `peers` is
+    /// cleared first and keeps its capacity, so a caller that keeps it
+    /// allocates nothing once it has grown.
+    pub fn due(&self, now: LogicalTime, peers: &mut Vec<NodeId>) {
+        peers.clear();
+        peers.extend(self.by_time.range(..=(now, NodeId::MAX)).map(|(&(_, peer), ())| peer));
         peers.sort_unstable();
-        peers
     }
 
     /// The scheduled time for `peer`, if any.
@@ -103,15 +107,21 @@ mod tests {
         assert_eq!(order, vec![(t(2), 7), (t(5), 3), (t(9), 1)]);
     }
 
+    fn due(list: &ExchangeList, now: LogicalTime) -> Vec<NodeId> {
+        let mut peers = vec![99];
+        list.due(now, &mut peers);
+        peers
+    }
+
     #[test]
     fn due_includes_past_and_present() {
         let mut list = ExchangeList::new();
         list.schedule(1, t(1));
         list.schedule(2, t(3));
         list.schedule(3, t(3));
-        assert_eq!(list.due(t(2)), vec![1]);
-        assert_eq!(list.due(t(3)), vec![1, 2, 3]);
-        assert!(list.due(t(0)).is_empty());
+        assert_eq!(due(&list, t(2)), vec![1]);
+        assert_eq!(due(&list, t(3)), vec![1, 2, 3]);
+        assert!(due(&list, t(0)).is_empty(), "what the buffer held is gone");
     }
 
     #[test]
@@ -140,6 +150,6 @@ mod tests {
         list.schedule(9, t(1));
         list.schedule(2, t(1));
         list.schedule(5, t(1));
-        assert_eq!(list.due(t(1)), vec![2, 5, 9]);
+        assert_eq!(due(&list, t(1)), vec![2, 5, 9]);
     }
 }

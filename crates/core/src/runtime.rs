@@ -32,11 +32,12 @@ pub enum SendMode {
 
 /// What one `exchange` call did.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExchangeReport {
+pub struct ExchangeReport<'a> {
     /// The logical time of this exchange (post-tick).
     pub time: LogicalTime,
-    /// The peers exchanged with.
-    pub peers: Vec<NodeId>,
+    /// The peers exchanged with, in id order: the runtime's own list, which
+    /// the next exchange refills.
+    pub peers: &'a [NodeId],
     /// Updates shipped to those peers (after merging).
     pub updates_sent: usize,
     /// Remote updates applied locally during the rendezvous.
@@ -76,6 +77,9 @@ pub struct SdsoRuntime<E: Endpoint> {
     /// Diffs of past intervals, kept for their storage: the next write to
     /// an object with no pending modification rewrites one.
     spare: Vec<Diff>,
+    /// The peers an exchange meets, kept for its storage from one exchange
+    /// to the next.
+    due: Vec<NodeId>,
     /// The due peers whose SYNC a rendezvous still awaits.
     outstanding: Vec<NodeId>,
     /// Lamport clock for version stamps. Distinct from the logical
@@ -131,6 +135,7 @@ impl<E: Endpoint> SdsoRuntime<E> {
             batch: Vec::new(),
             picks: Vec::new(),
             spare: Vec::new(),
+            due: Vec::new(),
             outstanding: Vec::new(),
             lamport: 0,
             view: MembershipView::full(n),
@@ -719,14 +724,19 @@ impl<E: Endpoint> SdsoRuntime<E> {
         &mut self,
         how: SendMode,
         sfunc: &mut dyn SFunction,
-    ) -> Result<ExchangeReport, DsoError> {
+    ) -> Result<ExchangeReport<'_>, DsoError> {
         let started = self.now();
         let t = self.clock.tick();
 
-        let due: Vec<NodeId> = match how {
-            SendMode::Broadcast => self.view.peers_of(self.node_id()),
-            SendMode::Multicast => self.exchange_list.due(t),
-        };
+        let mut due = std::mem::take(&mut self.due);
+        match how {
+            SendMode::Broadcast => {
+                let me = self.node_id();
+                due.clear();
+                due.extend(self.view.members().iter().filter(|&&peer| peer != me));
+            }
+            SendMode::Multicast => self.exchange_list.due(t, &mut due),
+        }
         self.obs.record(
             started.as_micros(),
             EventKind::ExchangeBegin,
@@ -847,7 +857,8 @@ impl<E: Endpoint> SdsoRuntime<E> {
             updates_sent as u32,
             updates_applied as u32,
         );
-        Ok(ExchangeReport { time: t, peers: due, updates_sent, updates_applied })
+        self.due = due;
+        Ok(ExchangeReport { time: t, peers: &self.due, updates_sent, updates_applied })
     }
 
     /// Blocks until every due peer's `(data, SYNC)` pair for tick `t` has
@@ -1068,13 +1079,10 @@ impl<E: Endpoint> SdsoRuntime<E> {
                     "rendezvous message from {from} outside an exchange"
                 )));
             }
-            // Envelopes, sequence acks and compressed batches are the
-            // session's vocabulary, consumed or resolved into plain
+            // A compressed batch is the session's to resolve into plain
             // `Data` below this layer; one reaching dispatch means a receive
             // path skipped the session.
-            other @ (DsoMessage::Env { .. }
-            | DsoMessage::SeqAck { .. }
-            | DsoMessage::Data2 { .. }) => {
+            other @ DsoMessage::Data2 { .. } => {
                 return Err(DsoError::ProtocolViolation(format!(
                     "session-layer message {other:?} from {from} reached dispatch"
                 )));
@@ -1312,19 +1320,26 @@ mod tests {
                 DsoMessage::Sync { epoch, time },
             ]
         };
-        // Peer 2's t2 pair overtakes peer 1's t1 pair.
+        // Peer 2's t2 pair overtakes peer 1's t1 pair; each pair is the first
+        // two frames on its link.
         for (peer, t) in [(2, 2), (1, 1)] {
-            for msg in pair(peer, t) {
-                eps[usize::from(peer) - 1].send(0, msg.into_payload(None)).unwrap();
+            for (seq, inner) in (0..).zip(pair(peer, t)) {
+                let env = crate::wire::pooled_frame(inner.class(), None, |w| {
+                    sdso_net::wire::Wire::encode(
+                        &crate::wire::Frame::Env { seq, ack: 0, inner },
+                        w,
+                    );
+                });
+                eps[usize::from(peer) - 1].send(0, env).unwrap();
             }
         }
         rt.exchange_list.schedule(1, LogicalTime::from_ticks(1));
         rt.exchange_list.schedule(2, LogicalTime::from_ticks(2));
         let first = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
-        assert_eq!((first.peers, first.updates_applied), (vec![1], 1));
+        assert_eq!((first.peers, first.updates_applied), (&[1][..], 1));
         assert_eq!(rt.read(ObjectId(2)).unwrap(), [0; 4], "t2's data is not applied at t1");
         let second = rt.exchange(SendMode::Multicast, &mut Never).unwrap();
-        assert_eq!((second.peers, second.updates_applied), (vec![2], 1));
+        assert_eq!((second.peers, second.updates_applied), (&[2][..], 1));
         assert_eq!(rt.read(ObjectId(2)).unwrap(), [2; 4]);
         assert_eq!(rt.session.take(|_| true), None, "nothing is left queued");
     }
@@ -1350,6 +1365,42 @@ mod tests {
         assert_eq!(rt.read(ObjectId(1)).unwrap(), [9; 4]);
         assert_eq!(rt.recv_app().unwrap(), (1, ObjectId(7)));
         assert_eq!(rt.recv_app().unwrap(), (1, ObjectId(8)));
+    }
+
+    /// A restarted process's mailbox holds what its donor sent the previous
+    /// incarnation: here a frame under the very sequence number the donor's
+    /// fresh link gives the snapshot. `enter` drops that residue before it
+    /// awaits the snapshot; the other way round the residue takes the
+    /// sequence number and the snapshot is dropped as its duplicate.
+    #[test]
+    fn a_rejoin_drops_the_residue_before_it_awaits_the_snapshot() {
+        use crate::config::RetryConfig;
+        let retry = RetryConfig { rto: SimSpan::from_millis(1), max_retries: 8 };
+        let config = DsoConfig::compact().with_reliability(Some(retry));
+        let rejoin = ViewChange::join([1]);
+        let plan = MembershipPlan::new(2, [0, 1])
+            .with_change(3, ViewChange::leave([1]))
+            .with_change(5, rejoin.clone());
+        let mut eps = wound::group(2);
+        let mut donor = SdsoRuntime::new(eps.remove(0), config);
+        donor.share(ObjectId(1), vec![0; 4]).unwrap();
+        assert_eq!(donor.enter(&plan, None).unwrap(), 1);
+        // Sequence number 0 to the first incarnation, which crashes unread.
+        let time = LogicalTime::from_ticks(2);
+        donor.session.send(1, DsoMessage::Sync { epoch: Epoch::ZERO, time }).unwrap();
+        donor.session.reset(1, Reset::Left);
+        // At the rejoin, sequence number 0 again, on the fresh link.
+        donor.write(ObjectId(1), 0, &[9; 4]).unwrap();
+        donor.install_view(plan.view_at(5));
+        donor.push_snapshots(&rejoin).unwrap();
+
+        let mut restarted = SdsoRuntime::new(eps.remove(0), config);
+        restarted.share(ObjectId(1), vec![0; 4]).unwrap();
+        assert_eq!(restarted.enter(&plan, Some(5)).unwrap(), 6);
+        assert_eq!(restarted.read(ObjectId(1)).unwrap(), [9; 4]);
+        let seen = restarted.metrics();
+        assert_eq!((seen.snapshots_installed, seen.cross_epoch_dropped), (1, 1));
+        assert_eq!(seen.duplicates_dropped, 0);
     }
 
     #[test]

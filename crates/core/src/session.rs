@@ -16,8 +16,20 @@
 //! retransmits alone. Its timers run on time this process spent listening
 //! and are served when a receive finds the transport silent: a frame that
 //! already arrived may carry the very ack a timer is missing.
+//!
+//! It is free on the host too. A send writes the envelope's header and the
+//! message straight into one pooled frame, and the link keeps the message's
+//! bytes, not the message: a queue of `(seq, first sent, byte range)` over
+//! one byte buffer per link that keeps its capacity, up to [`KEPT_SPARE`]
+//! once the peer has acknowledged everything. A retransmission puts a
+//! fresh header in front of those bytes. A receive reads the header itself
+//! and hands an in-order message straight on; only a gap parks one. So a
+//! warm link allocates nothing per frame, and it reads the clock once per
+//! send, once after each transport receive and once before each wait.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use crate::membership::{Epoch, MembershipView};
 use sdso_net::wire::{Wire, WireWriter};
@@ -29,13 +41,19 @@ use crate::codec;
 use crate::config::{DsoConfig, RetryConfig};
 use crate::error::DsoError;
 use crate::metrics::DsoCounters;
-use crate::wire::{DsoMessage, WireUpdate};
+use crate::wire::{self, DsoMessage, Frame, WireUpdate};
 
 /// A logical message and the peer it came from.
 pub(crate) type Delivery = (NodeId, DsoMessage);
 
 /// Frames a link may hold unacknowledged before a send fails with `WindowFull`.
 const WINDOW: usize = 4096;
+
+/// Bytes of capacity a link's kept buffer holds on to once the peer has
+/// acknowledged everything: far above what a warm link has in flight (under
+/// 5 KiB with 4 KiB blocks), far below a snapshot, whose buffer goes with
+/// its ack.
+const KEPT_SPARE: usize = 64 * 1024;
 
 /// Doublings a retransmission timeout, or an idle receive's wait, backs off by.
 const MAX_BACKOFF: u32 = 6;
@@ -69,6 +87,19 @@ pub(crate) enum Reset {
     Abandoned,
 }
 
+/// A frame the peer has not acknowledged yet.
+#[derive(Debug)]
+struct Unacked {
+    /// Its sequence number.
+    seq: u64,
+    /// When it first went out.
+    sent: SimInstant,
+    /// The enveloped message's accounting class, which its frame carries.
+    class: MsgClass,
+    /// Where the enveloped message's bytes are in the link's `kept`.
+    bytes: Range<usize>,
+}
+
 /// Everything this process remembers about its link with one peer: ARQ
 /// sequencing both ways, moved only when reliability is configured. The
 /// wire a link speaks is the run's ([`crate::WireConfig`]), not the link's.
@@ -76,8 +107,14 @@ pub(crate) enum Reset {
 pub(crate) struct Link {
     /// Next sequence number to assign to an outgoing message.
     tx_seq: u64,
-    /// Sent but unacknowledged messages, and when each first went out.
-    unacked: BTreeMap<u64, (SimInstant, DsoMessage)>,
+    /// Sent but unacknowledged frames, oldest first: their sequence numbers
+    /// run without a gap up to `tx_seq`.
+    unacked: VecDeque<Unacked>,
+    /// The enveloped bytes of the unacknowledged frames, back to back in
+    /// sequence order. The acknowledged prefix goes once it outweighs the
+    /// rest; the buffer keeps its capacity, up to [`KEPT_SPARE`] once
+    /// nothing is in flight.
+    kept: Vec<u8>,
     /// When the oldest unacknowledged frame counts as lost, if any is.
     deadline: Option<SimInstant>,
     /// How long the peer's acks take ([`observe`]d round trips), once sampled.
@@ -104,7 +141,7 @@ pub(crate) struct Link {
 impl Link {
     /// The one reset entry point. Which fields each reason clears:
     ///
-    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `deadline` |
+    /// | reason      | `tx_seq` `rx_next` `ooo` `ack_owed`, estimators | `unacked` `kept` `deadline` |
     /// |-------------|-----------|-----------|
     /// | `Left`      | cleared   | cleared   |
     /// | `Abandoned` | kept      | cleared   |
@@ -113,6 +150,8 @@ impl Link {
             Reset::Left => *self = Link::default(),
             Reset::Abandoned => {
                 self.unacked.clear();
+                self.kept.clear();
+                self.kept.shrink_to(KEPT_SPARE);
                 self.deadline = None;
             }
         }
@@ -136,14 +175,30 @@ impl Link {
         SimSpan::from_micros(usual + cfg.rto.as_micros() / 2).min(backed_off(cfg.rto, MAX_BACKOFF))
     }
 
-    /// Assigns `msg` the next sequence number, keeping a copy until the
-    /// peer acknowledges it and arming the deadline if none is running.
-    fn sequence(&mut self, msg: &DsoMessage, now: SimInstant, cfg: &RetryConfig) -> u64 {
-        let seq = self.tx_seq;
+    /// Keeps `inner`, the enveloped bytes of the frame just given the next
+    /// sequence number, until the peer acknowledges them, and arms the
+    /// deadline if none is running.
+    fn keep(&mut self, class: MsgClass, inner: &[u8], now: SimInstant, cfg: &RetryConfig) {
+        let start = self.kept.len();
+        self.kept.extend_from_slice(inner);
+        let bytes = start..self.kept.len();
+        self.unacked.push_back(Unacked { seq: self.tx_seq, sent: now, class, bytes });
         self.tx_seq += 1;
-        self.unacked.insert(seq, (now, msg.clone()));
         self.deadline.get_or_insert(now + self.rto(cfg));
-        seq
+    }
+
+    /// Lets the next frame to the peer carry the ack it is owed, if one is:
+    /// what that ack waited counts in `lag`, and so does the wait of the
+    /// last ack that went alone. Returns whether an ack was owed.
+    fn piggyback(&mut self, now: SimInstant) -> bool {
+        if let Some(waited) = self.alone.take() {
+            observe(&mut self.lag, waited);
+        }
+        let owed = self.ack_owed.take();
+        if let Some(since) = owed {
+            observe(&mut self.lag, now.saturating_since(since).as_micros());
+        }
+        owed.is_some()
     }
 
     /// The peer holds everything below `next`: forget it, restart the deadline
@@ -151,75 +206,102 @@ impl Link {
     /// never-retransmitted frame it covers, which also ends the backoff. An ack
     /// for more than this link ever sent was for the slot's previous occupant.
     fn acked(&mut self, next: u64, now: SimInstant, cfg: &RetryConfig) {
-        let news = self.unacked.first_key_value().is_some_and(|(&oldest, _)| oldest < next);
-        if !news || next > self.tx_seq {
+        let Some(oldest) = self.unacked.front().map(|frame| frame.seq) else { return };
+        if next <= oldest || next > self.tx_seq {
             return;
         }
-        let fresh = self.resent_below.min(next)..next;
-        if let Some((_, &(sent, _))) = self.unacked.range(fresh).next() {
-            observe(&mut self.rtt, now.saturating_since(sent).as_micros());
+        // Sequence numbers are contiguous from `oldest`: the first frame
+        // never retransmitted is at a known place, if the ack covers it.
+        let fresh = self.resent_below.max(oldest);
+        if let Some(frame) = self.unacked.get((fresh - oldest) as usize).filter(|_| fresh < next) {
+            observe(&mut self.rtt, now.saturating_since(frame.sent).as_micros());
             self.expiries = 0;
         }
-        self.unacked.retain(|&s, _| s >= next);
+        self.unacked.drain(..(next - oldest) as usize);
+        // The acknowledged prefix of `kept` goes once it outweighs the rest,
+        // so what moves is always less than what was dropped.
+        let dead = self.unacked.front().map_or(self.kept.len(), |frame| frame.bytes.start);
+        if dead > self.kept.len() / 2 {
+            self.kept.drain(..dead);
+            for frame in &mut self.unacked {
+                frame.bytes = frame.bytes.start - dead..frame.bytes.end - dead;
+            }
+        }
+        // Once nothing is in flight, a burst's capacity beyond the spare goes.
+        if self.unacked.is_empty() {
+            self.kept.shrink_to(KEPT_SPARE);
+        }
         self.deadline = (!self.unacked.is_empty()).then(|| now + self.rto(cfg));
     }
 
-    /// Files the peer's `seq`-th message and returns what became
-    /// deliverable, in order: the message itself plus any out-of-order
-    /// successors it unblocks, nothing while a predecessor is missing.
-    /// `None` is a duplicate of something already delivered.
-    fn accept(&mut self, seq: u64, inner: DsoMessage) -> Option<Vec<DsoMessage>> {
-        let mut chain = Vec::new();
-        if seq == self.rx_next {
-            self.rx_next += 1;
-            chain.push(inner);
-            while let Some(next) = self.ooo.remove(&self.rx_next) {
-                chain.push(next);
+    /// Files the peer's `seq`-th message: hands it back when it is the next
+    /// in order, parks it while a predecessor is missing.
+    fn accept(&mut self, seq: u64, inner: DsoMessage) -> Arrival {
+        match seq.cmp(&self.rx_next) {
+            Ordering::Equal => {
                 self.rx_next += 1;
+                Arrival::Next(inner)
             }
-        } else if seq > self.rx_next {
-            self.ooo.entry(seq).or_insert(inner);
-        } else {
-            return None;
+            Ordering::Greater => {
+                self.ooo.entry(seq).or_insert(inner);
+                Arrival::Gap
+            }
+            Ordering::Less => Arrival::Duplicate,
         }
-        Some(chain)
+    }
+
+    /// The parked message an in-order arrival just unblocked, if any.
+    fn unblocked(&mut self) -> Option<DsoMessage> {
+        let next = self.ooo.remove(&self.rx_next)?;
+        self.rx_next += 1;
+        Some(next)
     }
 }
 
-/// A logical message as [`Session::write`] takes it.
-pub(crate) trait Outgoing {
-    /// The message itself, which a sequencing link keeps until it is acked.
-    fn message(self) -> DsoMessage;
+/// What [`Link::accept`] made of a sequenced message.
+enum Arrival {
+    /// The next in order, to deliver now.
+    Next(DsoMessage),
+    /// Ahead of a missing predecessor: parked until it arrives.
+    Gap,
+    /// A copy of something already delivered.
+    Duplicate,
+}
 
-    /// Its frame, on a run that sequences nothing.
-    fn payload(self, frame_wire_len: Option<u32>) -> Payload;
+/// A logical message as [`Session::write`] takes it: encoded once, straight
+/// into its frame.
+pub(crate) trait Outgoing {
+    /// Its accounting class.
+    fn class(&self) -> MsgClass;
+
+    /// Appends its encoding as a [`DsoMessage`].
+    fn put(&self, w: &mut WireWriter);
 }
 
 impl Outgoing for DsoMessage {
-    fn message(self) -> DsoMessage {
-        self
+    fn class(&self) -> MsgClass {
+        DsoMessage::class(self)
     }
 
-    fn payload(self, frame_wire_len: Option<u32>) -> Payload {
-        self.into_payload(frame_wire_len)
+    fn put(&self, w: &mut WireWriter) {
+        self.encode(w);
     }
 }
 
-/// A protocol layer's message, which travels as a [`DsoMessage::App`]: its
-/// frame is encoded straight from `body`, and only a link that must keep it
-/// for retransmission encodes the `App` on its own.
+/// A protocol layer's message, which travels as a [`DsoMessage::App`]
+/// encoded straight from `body`.
 pub(crate) struct AppMessage<'m, M> {
     pub(crate) class: MsgClass,
     pub(crate) body: &'m M,
 }
 
 impl<M: Wire> Outgoing for AppMessage<'_, M> {
-    fn message(self) -> DsoMessage {
-        DsoMessage::App { class: self.class, bytes: sdso_net::wire::encode(self.body) }
+    fn class(&self) -> MsgClass {
+        self.class
     }
 
-    fn payload(self, frame_wire_len: Option<u32>) -> Payload {
-        DsoMessage::app_payload(self.class, self.body, frame_wire_len)
+    fn put(&self, w: &mut WireWriter) {
+        DsoMessage::put_app(w, self.class, self.body);
     }
 }
 
@@ -250,7 +332,10 @@ pub(crate) struct Session<E: Endpoint> {
     /// separates live traffic from a departed member's residue.
     view: MembershipView,
     /// When this process last took from the transport, or was about to wait;
-    /// kept only for the link timers, so only with reliability on.
+    /// kept only for the link timers, so only with reliability on. It is
+    /// also the one clock reading what follows shares until the next
+    /// transport call: the arrival's link work, the timer round after a
+    /// silent receive, the span of the wait `next_timer` sized.
     heard: SimInstant,
     /// A decoded batch the kernel handed back once applied
     /// ([`Session::recycle`]), kept for its storage: the next `Data2`
@@ -384,36 +469,32 @@ impl<E: Endpoint> Session<E> {
         Ok(())
     }
 
-    /// Sequences `msg` on `peer`'s link (when reliability is configured) and
-    /// encodes it for the wire. [`Session::write`] has done non-member
-    /// suppression.
+    /// Encodes `msg` for the wire, in its envelope when reliability is
+    /// configured: header and message are written once, into one pooled
+    /// frame, and the link keeps the message's bytes until the peer
+    /// acknowledges them. The envelope's cumulative ack carries whatever ack
+    /// was owed, for free. [`Session::write`] has done non-member suppression.
     fn wrap(&mut self, peer: NodeId, msg: impl Outgoing) -> Result<Payload, DsoError> {
+        let (class, frame_wire_len) = (msg.class(), self.config.frame_wire_len);
         let Some(cfg) = self.config.reliability else {
-            return Ok(msg.payload(self.config.frame_wire_len));
+            return Ok(wire::pooled_frame(class, frame_wire_len, |w| msg.put(w)));
         };
-        let link = &mut self.links[usize::from(peer)];
-        if link.unacked.len() >= WINDOW {
-            return Err(DsoError::WindowFull { peer, unacked: link.unacked.len() });
+        let unacked = self.links[usize::from(peer)].unacked.len();
+        if unacked >= WINDOW {
+            return Err(DsoError::WindowFull { peer, unacked });
         }
-        let msg = msg.message();
-        let seq = link.sequence(&msg, self.endpoint.now(), &cfg);
-        Ok(self.envelope(peer, seq, msg))
-    }
-
-    /// Encodes the `seq`-th message to `peer` in its envelope, whose
-    /// cumulative ack carries whatever ack was owed for free.
-    fn envelope(&mut self, peer: NodeId, seq: u64, inner: DsoMessage) -> Payload {
         let now = self.endpoint.now();
         let link = &mut self.links[usize::from(peer)];
-        if let Some(waited) = link.alone.take() {
-            observe(&mut link.lag, waited);
-        }
-        if let Some(since) = link.ack_owed.take() {
-            observe(&mut link.lag, now.saturating_since(since).as_micros());
+        if link.piggyback(now) {
             self.counters.acks_piggybacked.inc();
         }
-        DsoMessage::Env { seq, ack: link.rx_next, inner: Box::new(inner) }
-            .into_payload(self.config.frame_wire_len)
+        let (seq, ack) = (link.tx_seq, link.rx_next);
+        Ok(wire::pooled_frame(class, frame_wire_len, |w| {
+            Frame::put_env_header(w, seq, ack);
+            let at = w.len();
+            msg.put(w);
+            link.keep(class, &w.as_slice()[at..], now, &cfg);
+        }))
     }
 
     /// Tells `peer` where its stream stands, in a frame of its own.
@@ -429,8 +510,7 @@ impl<E: Endpoint> Session<E> {
 
     fn send_ack(&mut self, peer: NodeId, next: u64) -> Result<(), DsoError> {
         self.counters.acks_standalone.inc();
-        let payload = DsoMessage::SeqAck { next }.into_payload(self.config.frame_wire_len);
-        match self.endpoint.send(peer, payload) {
+        match self.endpoint.send(peer, Frame::ack_payload(next, self.config.frame_wire_len)) {
             // The peer may have exited since its frame went out (it sat in
             // our rx queue): an ack nobody is left to consume is not owed.
             Ok(()) | Err(NetError::Disconnected) => Ok(()),
@@ -470,9 +550,11 @@ impl<E: Endpoint> Session<E> {
     /// messages it completes, none for an ack, a duplicate, a gap or
     /// residue — and hand the payload's storage back to this thread's buffer
     /// pool (a no-op while the bytes are shared, as an app message's body
-    /// shares them until `recv_app` decodes it, or the pool is full). With a
-    /// `residue` counter it also discards, and counts there, what
-    /// [`Session::drain_residue`] must never admit. `false`: nothing arrived.
+    /// shares them until `recv_app` decodes it, or the pool is full). With
+    /// reliability on it reads the clock once, into `heard`, which the link
+    /// layer and a timer round that follows share. With a `residue` counter
+    /// it also discards, and counts there, what [`Session::drain_residue`]
+    /// must never admit. `false`: nothing arrived.
     fn step(&mut self, wait: Wait, residue: Option<&mut u64>) -> Result<bool, DsoError> {
         let arrived = match wait {
             Wait::Block => self.endpoint.recv().map(Some),
@@ -485,75 +567,85 @@ impl<E: Endpoint> Session<E> {
         let Some(Incoming { from, payload }) = arrived.map_err(DsoError::Net)? else {
             return Ok(false);
         };
-        let msg = DsoMessage::decode_frame(&payload.bytes).map_err(DsoError::Net)?;
-        #[expect(
-            clippy::wildcard_enum_match_arm,
-            reason = "every message but an ack is stale by its epoch, a new kind too"
-        )]
-        let stale = |msg: &DsoMessage| match msg {
-            DsoMessage::SeqAck { .. } => true,
-            other => other.epoch().is_some_and(|e| e < self.view.epoch()),
+        let frame = Frame::decode_frame(&payload.bytes).map_err(DsoError::Net)?;
+        // Every frame but an ack is stale by its message's epoch.
+        let stale = |frame: &Frame| match frame {
+            Frame::Ack { .. } => true,
+            Frame::Env { inner: msg, .. } | Frame::Plain(msg) => {
+                msg.epoch().is_some_and(|e| e < self.view.epoch())
+            }
         };
         match residue {
-            Some(dropped) if stale(&msg) => {
+            Some(dropped) if stale(&frame) => {
                 *dropped += 1;
                 self.counters.cross_epoch_dropped.inc();
             }
-            _ => self.admit(from, msg)?,
+            _ => self.admit(from, frame)?,
         }
         sdso_net::pool::thread_pool(|pool| pool.reclaim(payload.bytes));
         Ok(true)
     }
 
-    /// Runs one decoded frame through the reliability layer and on to the
-    /// codec layer whatever this arrival put in order. Without a reliability
-    /// config every frame passes straight through.
-    #[expect(
-        clippy::wildcard_enum_match_arm,
-        reason = "the layer reads its own two kinds; every other, a new one too, passes through"
-    )]
-    fn admit(&mut self, from: NodeId, msg: DsoMessage) -> Result<(), DsoError> {
-        let Some(cfg) = self.config.reliability else { return self.deliver(from, msg) };
-        let now = self.endpoint.now();
+    /// Runs one decoded frame through the reliability layer, at the clock
+    /// reading of the step that received it, and on to the codec layer
+    /// whatever this arrival put in order. Without a reliability config
+    /// every plain frame passes straight through. Every node of a run shares
+    /// its reliability setting, so a frame of the other kind — sequenced
+    /// without the layer, plain with it — is a typed error.
+    fn admit(&mut self, from: NodeId, frame: Frame) -> Result<(), DsoError> {
+        let Some(cfg) = self.config.reliability else {
+            return match frame {
+                Frame::Plain(msg) => self.deliver(from, msg),
+                Frame::Env { .. } | Frame::Ack { .. } => Err(DsoError::ProtocolViolation(format!(
+                    "sequenced frame from {from} but reliability is off here"
+                ))),
+            };
+        };
+        let now = self.heard;
         let link = &mut self.links[usize::from(from)];
-        // Residue of a slot's previous occupant — a departed member's last
-        // frames (a past epoch), or what was retransmitted at this process
-        // while it was down (it acknowledges more than this link ever sent):
-        // pretend-ack it so the sender's settle converges, but keep it out of
-        // the live link state — the slot's new streams start from zero.
-        if let DsoMessage::Env { seq, ack, ref inner } = msg {
-            let past = |epoch| !self.view.contains(from) && epoch < self.view.epoch();
-            if ack > link.tx_seq || inner.epoch().is_some_and(past) {
-                self.counters.cross_epoch_dropped.inc();
-                return self.send_ack(from, seq + 1);
-            }
-        }
-        match msg {
-            DsoMessage::Env { seq, ack, inner } => {
+        match frame {
+            Frame::Env { seq, ack, inner } => {
+                // Residue of a slot's previous occupant — a departed member's
+                // last frames (a past epoch), or what was retransmitted at
+                // this process while it was down (it acknowledges more than
+                // this link ever sent): pretend-ack it so the sender's settle
+                // converges, but keep it out of the live link state — the
+                // slot's new streams start from zero.
+                let past = |epoch| !self.view.contains(from) && epoch < self.view.epoch();
+                if ack > link.tx_seq || inner.epoch().is_some_and(past) {
+                    self.counters.cross_epoch_dropped.inc();
+                    return self.send_ack(from, seq + 1);
+                }
                 link.acked(ack, now, &cfg);
-                let chain = link.accept(seq, *inner);
-                if chain.as_ref().is_some_and(|chain| !chain.is_empty()) {
-                    // In order: the ack waits for the next frame that way.
-                    link.ack_owed.get_or_insert(now);
-                } else {
+                match link.accept(seq, inner) {
+                    Arrival::Next(msg) => {
+                        // In order: the ack waits for the next frame that way.
+                        link.ack_owed.get_or_insert(now);
+                        // Codec resolution happens at delivery, after
+                        // sequencing: a fused frame's SYNC is queued once,
+                        // however often it arrived.
+                        self.deliver(from, msg)?;
+                        while let Some(next) = self.links[usize::from(from)].unblocked() {
+                            self.deliver(from, next)?;
+                        }
+                        Ok(())
+                    }
                     // A duplicate (the peer missed an ack) or a gap (we
                     // missed a frame): say where the stream stands at once.
-                    if chain.is_none() {
+                    Arrival::Duplicate => {
                         self.counters.duplicates_dropped.inc();
+                        self.ack(from)
                     }
-                    self.ack(from)?;
+                    Arrival::Gap => self.ack(from),
                 }
-                // Codec resolution happens here, after sequencing: a fused
-                // frame's SYNC is queued once, however often it arrived.
-                chain.unwrap_or_default().into_iter().try_for_each(|m| self.deliver(from, m))
             }
-            DsoMessage::SeqAck { next } => {
+            Frame::Ack { next } => {
                 link.acked(next, now, &cfg);
                 Ok(())
             }
-            // A plain message from a peer running without the layer is
-            // delivered as-is, codec resolution included.
-            other => self.deliver(from, other),
+            Frame::Plain(_) => Err(DsoError::ProtocolViolation(format!(
+                "plain frame from {from} but reliability is on here"
+            ))),
         }
     }
 
@@ -627,7 +719,7 @@ impl<E: Endpoint> Session<E> {
             }
             let timer = self.next_timer();
             let wait = match (timer, self.config.reliability) {
-                (Some(at), _) => Wait::For(at.saturating_since(self.endpoint.now())),
+                (Some(at), _) => Wait::For(at.saturating_since(self.heard)),
                 (None, Some(cfg)) if !patient => Wait::For(backed_off(cfg.rto, idle)),
                 _ => Wait::Block,
             };
@@ -636,7 +728,7 @@ impl<E: Endpoint> Session<E> {
                 continue;
             }
             idle += u32::from(timer.is_none());
-            let rounds = self.serve_timers()?.max(idle);
+            let rounds = self.serve_timers(self.heard)?.max(idle);
             if self.config.reliability.is_some_and(|cfg| rounds >= cfg.max_retries) {
                 return Err(DsoError::Timeout { retries: rounds });
             }
@@ -654,7 +746,7 @@ impl<E: Endpoint> Session<E> {
                 return Ok(Some(m));
             }
             if !self.step(Wait::Poll, None)? {
-                return self.serve_timers().map(|_| None);
+                return self.serve_timers(self.heard).map(|_| None);
             }
         }
     }
@@ -677,11 +769,11 @@ impl<E: Endpoint> Session<E> {
             // No ack is owed, so what timers are left are the deadlines of
             // links that still hold unacknowledged frames.
             let Some(deadline) = self.next_timer() else { return Ok(Some(true)) };
-            let wait = Wait::For(deadline.saturating_since(self.endpoint.now()));
+            let wait = Wait::For(deadline.saturating_since(self.heard));
             match self.step(wait, None) {
                 Ok(true) => return Ok(None),
                 Ok(false) => {
-                    if self.serve_timers()? >= SETTLE_ROUNDS.min(cfg.max_retries) {
+                    if self.serve_timers(self.heard)? >= SETTLE_ROUNDS.min(cfg.max_retries) {
                         return Ok(Some(false));
                     }
                 }
@@ -708,9 +800,9 @@ impl<E: Endpoint> Session<E> {
                 return Ok(());
             }
             let Some(timer) = self.next_timer() else { return Ok(()) };
-            let wait = Wait::For(timer.saturating_since(self.endpoint.now()));
+            let wait = Wait::For(timer.saturating_since(self.heard));
             if !self.step(wait, None)? {
-                self.serve_timers()?;
+                self.serve_timers(self.heard)?;
             }
         }
     }
@@ -735,6 +827,7 @@ impl<E: Endpoint> Session<E> {
     /// heard meanwhile and peers in step with it were as busy, so each
     /// deadline first moves out by the time away — to at most one timeout
     /// from now. (A receive that only polls never waits: its deadlines run on.)
+    /// The clock reading it takes stays in `heard`, for the wait it sizes.
     fn next_timer(&mut self) -> Option<SimInstant> {
         let cfg = self.config.reliability?;
         let now = self.endpoint.now();
@@ -747,12 +840,12 @@ impl<E: Endpoint> Session<E> {
         timers.flatten().min()
     }
 
-    /// Serves every due link timer, once a receive found the transport silent:
-    /// a link whose deadline passed retransmits, an ack that waited its delay
+    /// Serves every link timer due at `now`, once a receive found the
+    /// transport silent (at the reading of that receive's step): a link
+    /// whose deadline passed retransmits, an ack that waited its delay
     /// travels alone. Returns the most unanswered rounds of any link resent.
-    fn serve_timers(&mut self) -> Result<u32, DsoError> {
+    fn serve_timers(&mut self, now: SimInstant) -> Result<u32, DsoError> {
         let Some(cfg) = self.config.reliability else { return Ok(0) };
-        let now = self.endpoint.now();
         let mut rounds = 0;
         for peer in 0..self.links.len() as NodeId {
             if self.links[usize::from(peer)].deadline.is_some_and(|at| at <= now) {
@@ -768,22 +861,31 @@ impl<E: Endpoint> Session<E> {
 
     /// One link's retransmission round — the paper's `resync` path, for
     /// the one peer whose ack is overdue: count it, trace it, double the
-    /// timeout, resend what is unacknowledged. Returns its rounds unanswered.
+    /// timeout, resend what is unacknowledged, each kept message behind a
+    /// fresh envelope header. Returns its rounds unanswered.
     fn retransmit(&mut self, peer: NodeId, cfg: RetryConfig) -> Result<u32, DsoError> {
         let now = self.endpoint.now();
+        let frame_wire_len = self.config.frame_wire_len;
         let link = &mut self.links[usize::from(peer)];
         link.expiries += 1;
         link.resent_below = link.tx_seq;
         link.deadline = Some(now + link.rto(&cfg));
         let round = link.expiries;
-        let pending: Vec<(u64, DsoMessage)> =
-            link.unacked.iter().map(|(&seq, (_, msg))| (seq, msg.clone())).collect();
         self.counters.resyncs.inc();
         self.obs.record(now.as_micros(), EventKind::Resync, round, 0, 0);
-        for (seq, inner) in pending {
+        for i in 0..link.unacked.len() {
+            let link = &mut self.links[usize::from(peer)];
+            let Some(frame) = link.unacked.get(i) else { break };
+            let (seq, class, bytes) = (frame.seq, frame.class, frame.bytes.clone());
             self.counters.retransmits.inc();
             self.obs.record(now.as_micros(), EventKind::Retransmit, u32::from(peer), seq as u32, 0);
-            let payload = self.envelope(peer, seq, inner);
+            if link.piggyback(now) {
+                self.counters.acks_piggybacked.inc();
+            }
+            let payload = wire::pooled_frame(class, frame_wire_len, |w| {
+                Frame::put_env_header(w, seq, link.rx_next);
+                w.put_raw(&link.kept[bytes]);
+            });
             match self.endpoint.send(peer, payload) {
                 Ok(()) => {}
                 // The peer finished and tore its endpoint down: write the
@@ -912,7 +1014,7 @@ mod tests {
             }
             let wake = s.next_timer().map_or(until, |at| at.min(until));
             if !s.step(Wait::For(wake.saturating_since(now)), None).unwrap() {
-                s.serve_timers().unwrap();
+                s.serve_timers(s.heard).unwrap();
             }
         }
     }
@@ -926,7 +1028,14 @@ mod tests {
         if let Some(last) = timers.flatten().max() {
             s.endpoint.advance(last.saturating_since(s.endpoint.now()));
         }
-        s.serve_timers().unwrap();
+        s.serve_timers(s.endpoint.now()).unwrap();
+    }
+
+    /// What `link` keeps for retransmission, oldest first: each
+    /// unacknowledged sequence number and its message.
+    fn kept(link: &Link) -> Vec<(u64, DsoMessage)> {
+        let decode = |frame: &Unacked| sdso_net::wire::decode(&link.kept[frame.bytes.clone()]);
+        link.unacked.iter().map(|frame| (frame.seq, decode(frame).unwrap())).collect()
     }
 
     fn acked(s: &Peer) -> bool {
@@ -1367,6 +1476,81 @@ mod tests {
         assert_eq!(rest(&a.links[1]), before);
     }
 
+    /// A retransmission is its first transmission but for the 8-byte `ack`
+    /// behind the tag and `seq`, whatever the enveloped message: the link
+    /// keeps the message's bytes and puts a fresh header in front. Both are
+    /// the bytes of the envelope as a [`Frame`] encodes it.
+    #[test]
+    fn a_retransmission_is_the_first_transmission_but_for_its_ack() {
+        let body = ObjectId(3);
+        let version = Version::new(LogicalTime::from_ticks(4), 0);
+        let get_rep = DsoMessage::GetRep { object: OBJECT, version, body: vec![5; 64] };
+        let app = DsoMessage::App { class: MsgClass::Data, bytes: sdso_net::wire::encode(&body) };
+        let fused = |a: &Peer| kept(&a.links[1]).remove(0).1;
+        for kind in ["App", "Data2", "GetRep"] {
+            let (mut a, mut b) = pair(&lossless());
+            match kind {
+                "App" => a.write([(1, AppMessage { class: MsgClass::Data, body: &body })]).unwrap(),
+                "Data2" => exchange(&mut a, 1, 1),
+                _ => a.send(1, get_rep.clone()).unwrap(),
+            }
+            let first = b.endpoint.try_recv().unwrap().expect("the first transmission").payload;
+            let inner = match kind {
+                "App" => app.clone(),
+                "Data2" => fused(&a),
+                _ => get_rep.clone(),
+            };
+            let env = Frame::Env { seq: 0, ack: 0, inner };
+            assert_eq!(first.bytes, sdso_net::wire::encode(&env), "{kind}");
+            // Node 0 hears from node 1, so its next frame acks a sequence number.
+            b.send(0, app.clone()).unwrap();
+            poll(&mut a, &mut Vec::new());
+            expire(&mut a);
+            let again = b.endpoint.try_recv().unwrap().expect("the retransmission").payload;
+            assert_eq!(a.counters.view().retransmits, 1, "{kind}");
+            assert_eq!((again.class, again.wire_len()), (first.class, first.wire_len()), "{kind}");
+            let (first, again) = (&first.bytes[..], &again.bytes[..]);
+            assert_eq!(first.len(), again.len(), "{kind}");
+            assert_eq!((&first[..9], &first[17..]), (&again[..9], &again[17..]), "{kind}");
+            assert_eq!(
+                (&first[9..17], &again[9..17]),
+                (&[0; 8][..], &[1, 0, 0, 0, 0, 0, 0, 0][..])
+            );
+        }
+    }
+
+    /// A warm link reads the clock once per send and, for a receive that
+    /// blocks, once before the wait and once after it: the envelope and the
+    /// link share the send's reading, and the link's timers, the arrival and
+    /// the wait share the receive's. Merging across a transport call would
+    /// move the readings in virtual time.
+    #[test]
+    fn a_warm_link_reads_the_clock_once_per_send_and_twice_per_blocking_receive() {
+        let config = DsoConfig::compact().with_reliability(Some(RETRY));
+        let mut nodes: Vec<Session<Wound>> = wound::group(2)
+            .into_iter()
+            .map(|ep| {
+                let obs = Obs::disabled();
+                let counters = DsoCounters::in_registry(obs.registry());
+                Session::new(ep, config, obs, counters)
+            })
+            .collect();
+        let reads = |s: &Session<Wound>| s.endpoint.now_calls.get();
+        for trip in 0..4u8 {
+            for (from, to) in [(0, 1), (1, 0)] {
+                let before = reads(&nodes[from]);
+                nodes[from].send(to as NodeId, app(trip)).unwrap();
+                assert_eq!(reads(&nodes[from]) - before, 1, "a send, trip {trip}");
+                let before = reads(&nodes[to]);
+                assert_eq!(nodes[to].recv(|_| true).unwrap(), (from as NodeId, app(trip)));
+                assert_eq!(reads(&nodes[to]) - before, 2, "a receive, trip {trip}");
+            }
+        }
+        let piggybacked: Vec<u64> =
+            nodes.iter().map(|s| s.counters.view().acks_piggybacked).collect();
+        assert_eq!(piggybacked, [3, 4], "every ack owed rode the next frame");
+    }
+
     /// A compressed link has no handshake: its first rendezvous with data
     /// is one `Data2`, no offer ahead of it and no `Sync` behind it. The v1
     /// twin sends the paper's pair.
@@ -1376,15 +1560,15 @@ mod tests {
             let mut nodes = group_on(&[wire; 2], &lossless());
             let mut got = Vec::new();
             exchange(&mut nodes[0], 1, 1);
-            let sent: Vec<&DsoMessage> =
-                nodes[0].links[1].unacked.values().map(|(_, m)| m).collect();
+            let sent: Vec<DsoMessage> =
+                kept(&nodes[0].links[1]).into_iter().map(|(_, m)| m).collect();
             let writes = &nodes[0].endpoint.inner().writes;
             if wire.codec_v2 {
                 assert_eq!(writes, &[(1, 1)], "one write of one frame");
                 assert!(matches!(sent[..], [DsoMessage::Data2 { sync: true, .. }]), "{sent:?}");
             } else {
                 assert_eq!(writes, &[(1, 2)], "the pair in one write");
-                assert!(sent.into_iter().eq(&pair_of(0, Epoch(0), 1).map(|(_, msg)| msg)));
+                assert!(sent.into_iter().eq(pair_of(0, Epoch(0), 1).map(|(_, msg)| msg)));
             }
             poll(&mut nodes[1], &mut got);
             assert_eq!(got, pair_of(0, Epoch(0), 1), "{wire:?}");
@@ -1394,6 +1578,60 @@ mod tests {
         }
     }
 
+    /// Every node of a run shares its reliability setting: a sequenced
+    /// frame or a standalone ack reaching a session without the layer, or a
+    /// plain frame reaching one with it, is a typed error, not a message.
+    #[test]
+    fn a_frame_of_the_other_reliability_setting_is_a_protocol_violation() {
+        let session = |ep: Wound, reliable: bool| {
+            let retry = reliable.then_some(RETRY);
+            let config = DsoConfig::compact().with_reliability(retry);
+            let obs = Obs::disabled();
+            let counters = DsoCounters::in_registry(obs.registry());
+            Session::new(ep, config, obs, counters)
+        };
+        for (reliable, expected) in [(false, "sequenced frame"), (true, "plain frame")] {
+            let mut eps = wound::group(2);
+            let mut to = session(eps.pop().unwrap(), reliable);
+            let mut from = session(eps.pop().unwrap(), !reliable);
+            from.send(1, app(1)).unwrap();
+            if !reliable {
+                from.endpoint.send(1, Frame::ack_payload(0, None)).unwrap();
+            }
+            for _ in 0..1 + usize::from(!reliable) {
+                match to.recv_now(|_| true) {
+                    Err(DsoError::ProtocolViolation(why)) => {
+                        assert!(why.contains(expected), "{why}")
+                    }
+                    other => panic!("reliable {reliable}: {other:?}"),
+                }
+            }
+        }
+    }
+
+    /// A link keeps its buffer's capacity across acks, so a warm link
+    /// allocates nothing; once a burst beyond [`KEPT_SPARE`] (a snapshot)
+    /// is acknowledged, it holds on to no more than the spare.
+    #[test]
+    fn an_acknowledged_burst_leaves_no_more_than_the_spare() {
+        let (mut a, mut b) = pair(&lossless());
+        let (mut got_a, mut got_b) = (Vec::new(), Vec::new());
+        a.send(1, app(1)).unwrap();
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
+        let warm = a.links[1].kept.capacity();
+        assert!(warm > 0 && warm <= KEPT_SPARE, "{warm}");
+        a.send(1, app(2)).unwrap();
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
+        assert_eq!(a.links[1].kept.capacity(), warm, "a warm link keeps its buffer");
+        let version = Version::new(LogicalTime::from_ticks(1), 0);
+        let body = vec![3; 2 * KEPT_SPARE];
+        a.send(1, DsoMessage::GetRep { object: OBJECT, version, body }).unwrap();
+        assert!(a.links[1].kept.capacity() > 2 * KEPT_SPARE);
+        pump(&mut a, &mut b, &mut got_a, &mut got_b);
+        assert_eq!(got_b.len(), 3, "everything arrived");
+        assert!(a.links[1].kept.capacity() <= KEPT_SPARE, "{}", a.links[1].kept.capacity());
+    }
+
     #[test]
     fn a_fused_frame_is_one_frame_and_delivers_data_then_sync() {
         let (mut a, mut b) = pair(&lossless());
@@ -1401,7 +1639,7 @@ mod tests {
         let sent = a.links[1].tx_seq;
         exchange(&mut a, 1, 2);
         assert_eq!((a.links[1].tx_seq, a.links[1].unacked.len()), (sent + 1, 1));
-        let (seq, frame) = a.links[1].unacked.first_key_value().map(|(s, (_, m))| (*s, m)).unwrap();
+        let (seq, frame) = kept(&a.links[1]).remove(0);
         assert!(matches!(frame, DsoMessage::Data2 { sync: true, .. }), "seq {seq}: {frame:?}");
         assert_eq!(frame.class(), MsgClass::Data);
         assert_eq!(a.counters.view().rendezvous_fused, 1);

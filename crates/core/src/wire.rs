@@ -39,7 +39,8 @@ impl Wire for WireUpdate {
     }
 }
 
-/// The messages exchanged by the S-DSO runtime.
+/// The messages exchanged by the S-DSO runtime. The reliability layer's
+/// own vocabulary, an envelope and an acknowledgement, is [`Frame`]'s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DsoMessage {
     /// The data half of a rendezvous `(data, SYNC)` pair: buffered plus
@@ -84,28 +85,6 @@ pub enum DsoMessage {
         /// The embedded encoding; in a received frame, a slice of that
         /// frame.
         bytes: Bytes,
-    },
-    /// A sequenced envelope added by the reliability layer: `inner` is the
-    /// `seq`-th message on this link, and `ack` acknowledges the reverse
-    /// direction for free. Envelopes never nest and never carry a
-    /// [`DsoMessage::SeqAck`] (the codec rejects both).
-    Env {
-        /// Per-link sequence number, starting at 0.
-        seq: u64,
-        /// Cumulative acknowledgement of the peer's own envelopes: the
-        /// sender's next expected sequence number, as in
-        /// [`DsoMessage::SeqAck`].
-        ack: u64,
-        /// The enveloped message.
-        inner: Box<DsoMessage>,
-    },
-    /// Cumulative acknowledgement of [`DsoMessage::Env`] traffic: every
-    /// sequence number below `next` has been delivered on this link. Sent
-    /// outside any envelope, and only when no envelope went the peer's way
-    /// to carry it (loss is repaired by the next ack of either kind).
-    SeqAck {
-        /// The receiver's next expected sequence number.
-        next: u64,
     },
     /// A full-state transfer to a late joiner: every shared object's
     /// current body (as a from-zero diff reusing the rendezvous wire
@@ -163,18 +142,14 @@ const TAG_DATA2: u8 = 13;
 
 impl DsoMessage {
     /// The membership epoch stamped on this message, for the kinds that
-    /// carry one (rendezvous and snapshot traffic; unwrapping envelopes).
+    /// carry one (rendezvous and snapshot traffic).
     pub fn epoch(&self) -> Option<Epoch> {
         match self {
             DsoMessage::Data { epoch, .. }
             | DsoMessage::Data2 { epoch, .. }
             | DsoMessage::Sync { epoch, .. }
             | DsoMessage::Snapshot { epoch, .. } => Some(*epoch),
-            DsoMessage::Env { inner, .. } => inner.epoch(),
-            DsoMessage::GetReq { .. }
-            | DsoMessage::GetRep { .. }
-            | DsoMessage::App { .. }
-            | DsoMessage::SeqAck { .. } => None,
+            DsoMessage::GetReq { .. } | DsoMessage::GetRep { .. } | DsoMessage::App { .. } => None,
         }
     }
 
@@ -186,11 +161,9 @@ impl DsoMessage {
             | DsoMessage::Data2 { time, .. }
             | DsoMessage::Sync { time, .. } => Some(*time),
             DsoMessage::Snapshot { .. }
-            | DsoMessage::Env { .. }
             | DsoMessage::GetReq { .. }
             | DsoMessage::GetRep { .. }
-            | DsoMessage::App { .. }
-            | DsoMessage::SeqAck { .. } => None,
+            | DsoMessage::App { .. } => None,
         }
     }
 
@@ -202,58 +175,43 @@ impl DsoMessage {
             | DsoMessage::Data2 { .. }
             | DsoMessage::GetRep { .. }
             | DsoMessage::Snapshot { .. } => MsgClass::Data,
-            DsoMessage::Sync { .. } | DsoMessage::GetReq { .. } | DsoMessage::SeqAck { .. } => {
-                MsgClass::Control
-            }
+            DsoMessage::Sync { .. } | DsoMessage::GetReq { .. } => MsgClass::Control,
             DsoMessage::App { class, .. } => *class,
-            DsoMessage::Env { inner, .. } => inner.class(),
         }
     }
 
-    /// Encodes into a transport payload, padding the modelled wire size to
-    /// `frame_wire_len` when configured (the paper's system exchanged
-    /// fixed-size 2048-byte frames for control and data alike).
-    ///
-    /// Encoding goes through this thread's buffer pool: the scratch buffer
-    /// is recycled from (and its storage returned to) the freelist, so
-    /// steady state sends allocate nothing but the frozen handle.
-    pub fn into_payload(self, frame_wire_len: Option<u32>) -> Payload {
-        let class = self.class();
-        let pooled = sdso_net::pool::thread_pool(|pool| sdso_net::wire::encode_pooled(&self, pool));
-        let bytes = pooled.unwrap_or_else(|| sdso_net::wire::encode(&self));
-        padded(Payload::new(class, bytes), frame_wire_len)
+    /// Encodes into a transport payload ([`pooled_frame`]), as a peer
+    /// without the reliability layer sends it, padding the modelled wire
+    /// size to `frame_wire_len` when configured (the paper's system
+    /// exchanged fixed-size 2048-byte frames for control and data alike).
+    #[cfg(test)]
+    pub(crate) fn into_payload(self, frame_wire_len: Option<u32>) -> Payload {
+        pooled_frame(self.class(), frame_wire_len, |w| self.encode(w))
     }
 
-    /// The payload of the [`DsoMessage::App`] that carries `body`'s encoding
-    /// under `class`: the bytes `into_payload` makes of it, with `body`
-    /// encoded once, in place, and no buffer of its own in between.
-    pub(crate) fn app_payload<M: Wire>(
-        class: MsgClass,
-        body: &M,
-        frame_wire_len: Option<u32>,
-    ) -> Payload {
-        let scratch = sdso_net::pool::thread_pool(sdso_net::pool::BufPool::get);
-        let mut w = WireWriter::from_scratch(scratch.unwrap_or_default());
+    /// Appends the encoding of the [`DsoMessage::App`] that carries `body`'s
+    /// encoding under `class`, with `body` encoded once, in place, and no
+    /// buffer of its own in between.
+    pub(crate) fn put_app<M: Wire>(w: &mut WireWriter, class: MsgClass, body: &M) {
         w.put_u8(TAG_APP);
         w.put_u8(class.to_wire_u8());
         w.put_nested(|w| body.encode(w));
-        padded(Payload::new(class, w.into_bytes()), frame_wire_len)
     }
+}
 
-    /// Decodes a received frame, which must hold exactly one message. An
-    /// `App` body, enveloped or not, is a slice of `frame`, not a copy, so
-    /// the frame's storage goes back to the pool with the body's last
-    /// handle.
-    ///
-    /// # Errors
-    ///
-    /// As [`sdso_net::wire::decode`].
-    pub(crate) fn decode_frame(frame: &Bytes) -> Result<DsoMessage, NetError> {
-        let mut r = WireReader::new(frame);
-        let msg = DsoMessage::decode_in(&mut r, Some(frame))?;
-        r.finish()?;
-        Ok(msg)
-    }
+/// A transport payload of `class` whose bytes `encode` writes into scratch
+/// from this thread's buffer pool, so steady-state sends allocate nothing:
+/// the frame's storage goes back to the pool with its last handle. Its
+/// modelled wire size is padded to `frame_wire_len` when one is configured.
+pub(crate) fn pooled_frame(
+    class: MsgClass,
+    frame_wire_len: Option<u32>,
+    encode: impl FnOnce(&mut WireWriter),
+) -> Payload {
+    let scratch = sdso_net::pool::thread_pool(sdso_net::pool::BufPool::get);
+    let mut w = WireWriter::from_scratch(scratch.unwrap_or_default());
+    encode(&mut w);
+    padded(Payload::new(class, w.into_bytes()), frame_wire_len)
 }
 
 /// `payload` with its modelled wire size padded to `frame_wire_len`, when
@@ -294,16 +252,6 @@ impl Wire for DsoMessage {
                 w.put_u8(class.to_wire_u8());
                 w.put_bytes(bytes);
             }
-            DsoMessage::Env { seq, ack, inner } => {
-                w.put_u8(TAG_ENV);
-                w.put_u64(*seq);
-                w.put_u64(*ack);
-                inner.encode(w);
-            }
-            DsoMessage::SeqAck { next } => {
-                w.put_u8(TAG_SEQ_ACK);
-                w.put_u64(*next);
-            }
             DsoMessage::Snapshot { epoch, time, lamport, updates } => {
                 w.put_u8(TAG_SNAPSHOT);
                 w.put_u32(epoch.0);
@@ -330,7 +278,17 @@ impl DsoMessage {
     /// Decodes one message; an `App` body is a slice of `frame` when the
     /// reader reads that frame, else a copy.
     fn decode_in(r: &mut WireReader<'_>, frame: Option<&Bytes>) -> Result<Self, NetError> {
-        match r.get_u8()? {
+        let tag = r.get_u8()?;
+        DsoMessage::decode_tagged(tag, r, frame)
+    }
+
+    /// [`DsoMessage::decode_in`] past the tag byte, which the caller read.
+    fn decode_tagged(
+        tag: u8,
+        r: &mut WireReader<'_>,
+        frame: Option<&Bytes>,
+    ) -> Result<Self, NetError> {
+        match tag {
             TAG_DATA => {
                 let epoch = Epoch(r.get_u32()?);
                 let time = LogicalTime::from_ticks(r.get_u64()?);
@@ -356,19 +314,6 @@ impl DsoMessage {
                     frame.map_or_else(|| Bytes::copy_from_slice(body), |f| f.slice_ref(body));
                 Ok(DsoMessage::App { class, bytes })
             }
-            TAG_ENV => {
-                let seq = r.get_u64()?;
-                let ack = r.get_u64()?;
-                let inner = DsoMessage::decode_in(r, frame)?;
-                // Legitimate senders wrap exactly once and never envelope
-                // acks; rejecting the alternatives here bounds decoder
-                // recursion against adversarial input.
-                if matches!(inner, DsoMessage::Env { .. } | DsoMessage::SeqAck { .. }) {
-                    return Err(NetError::Codec("nested or ack-bearing envelope".into()));
-                }
-                Ok(DsoMessage::Env { seq, ack, inner: Box::new(inner) })
-            }
-            TAG_SEQ_ACK => Ok(DsoMessage::SeqAck { next: r.get_u64()? }),
             TAG_SNAPSHOT => {
                 let epoch = Epoch(r.get_u32()?);
                 let time = LogicalTime::from_ticks(r.get_u64()?);
@@ -388,6 +333,99 @@ impl DsoMessage {
             }
             tag => Err(NetError::Codec(format!("unknown DsoMessage tag {tag:#x}"))),
         }
+    }
+}
+
+/// One frame on the wire, as the session reads it: a message outside the
+/// reliability layer, or one of that layer's two kinds. An envelope holds a
+/// [`DsoMessage`], never a `Frame`, so envelopes never nest and never carry
+/// an acknowledgement: the decoder rejects both as unknown message tags.
+#[derive(Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// A message sent without the reliability layer.
+    Plain(DsoMessage),
+    /// A sequenced envelope: `inner` is the `seq`-th message on this link,
+    /// and `ack` acknowledges the reverse direction for free.
+    Env {
+        /// Per-link sequence number, starting at 0.
+        seq: u64,
+        /// Cumulative acknowledgement of the peer's own envelopes: the
+        /// sender's next expected sequence number, as in [`Frame::Ack`].
+        ack: u64,
+        /// The enveloped message.
+        inner: DsoMessage,
+    },
+    /// Cumulative acknowledgement of [`Frame::Env`] traffic: every sequence
+    /// number below `next` has been delivered on this link. Sent only when
+    /// no envelope went the peer's way to carry it (loss is repaired by the
+    /// next ack of either kind).
+    Ack {
+        /// The receiver's next expected sequence number.
+        next: u64,
+    },
+}
+
+impl Frame {
+    /// Appends an envelope's header, in one write: its tag, `seq` and
+    /// `ack`, each fixed-width, so the enveloped message's bytes follow at
+    /// the same offset whatever the numbers are and a kept message is
+    /// resent behind a fresh header.
+    pub(crate) fn put_env_header(w: &mut WireWriter, seq: u64, ack: u64) {
+        let mut header = [TAG_ENV; 17];
+        header[1..9].copy_from_slice(&seq.to_le_bytes());
+        header[9..].copy_from_slice(&ack.to_le_bytes());
+        w.put_raw(&header);
+    }
+
+    /// A standalone ack's transport payload, counted as control traffic.
+    pub(crate) fn ack_payload(next: u64, frame_wire_len: Option<u32>) -> Payload {
+        pooled_frame(MsgClass::Control, frame_wire_len, |w| Frame::Ack { next }.encode(w))
+    }
+
+    /// Decodes a received frame, which must hold exactly one. An `App`
+    /// body, enveloped or not, is a slice of `frame`, not a copy, so the
+    /// frame's storage goes back to the pool with the body's last handle.
+    ///
+    /// # Errors
+    ///
+    /// As [`sdso_net::wire::decode`].
+    pub(crate) fn decode_frame(frame: &Bytes) -> Result<Frame, NetError> {
+        let mut r = WireReader::new(frame);
+        let decoded = Frame::decode_in(&mut r, Some(frame))?;
+        r.finish()?;
+        Ok(decoded)
+    }
+
+    fn decode_in(r: &mut WireReader<'_>, frame: Option<&Bytes>) -> Result<Self, NetError> {
+        match r.get_u8()? {
+            TAG_ENV => {
+                let seq = r.get_u64()?;
+                let ack = r.get_u64()?;
+                Ok(Frame::Env { seq, ack, inner: DsoMessage::decode_in(r, frame)? })
+            }
+            TAG_SEQ_ACK => Ok(Frame::Ack { next: r.get_u64()? }),
+            tag => DsoMessage::decode_tagged(tag, r, frame).map(Frame::Plain),
+        }
+    }
+}
+
+impl Wire for Frame {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Frame::Plain(msg) => msg.encode(w),
+            Frame::Env { seq, ack, inner } => {
+                Frame::put_env_header(w, *seq, *ack);
+                inner.encode(w);
+            }
+            Frame::Ack { next } => {
+                w.put_u8(TAG_SEQ_ACK);
+                w.put_u64(*next);
+            }
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
+        Frame::decode_in(r, None)
     }
 }
 
@@ -419,9 +457,9 @@ mod tests {
     use super::*;
     use sdso_net::wire;
 
-    fn roundtrip(msg: DsoMessage) {
+    fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(msg: T) {
         let encoded = wire::encode(&msg);
-        let decoded: DsoMessage = wire::decode(&encoded).unwrap();
+        let decoded: T = wire::decode(&encoded).unwrap();
         assert_eq!(decoded, msg);
     }
 
@@ -441,10 +479,11 @@ mod tests {
         roundtrip(DsoMessage::GetReq { object: ObjectId(8) });
         roundtrip(DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] });
         roundtrip(DsoMessage::App { class: MsgClass::Control, bytes: vec![9, 9].into() });
-        let get = || Box::new(DsoMessage::GetReq { object: ObjectId(2) });
-        roundtrip(DsoMessage::Env { seq: 17, ack: 5, inner: get() });
-        roundtrip(DsoMessage::Env { seq: 0, ack: u64::MAX, inner: get() });
-        roundtrip(DsoMessage::SeqAck { next: 42 });
+        let get = || DsoMessage::GetReq { object: ObjectId(2) };
+        roundtrip(Frame::Env { seq: 17, ack: 5, inner: get() });
+        roundtrip(Frame::Env { seq: 0, ack: u64::MAX, inner: get() });
+        roundtrip(Frame::Ack { next: 42 });
+        roundtrip(Frame::Plain(get()));
         roundtrip(DsoMessage::Snapshot {
             epoch: Epoch(3),
             time: LogicalTime::from_ticks(40),
@@ -491,41 +530,81 @@ mod tests {
 
     #[test]
     fn envelope_class_follows_inner() {
-        let env = DsoMessage::Env {
-            seq: 0,
-            ack: 0,
-            inner: Box::new(DsoMessage::Sync { epoch: Epoch::ZERO, time: LogicalTime::ZERO }),
+        // The session frames an envelope under its inner message's class.
+        let frame = |inner: DsoMessage| {
+            let class = inner.class();
+            pooled_frame(class, None, |w| Frame::Env { seq: 0, ack: 0, inner }.encode(w))
         };
-        assert_eq!(env.class(), MsgClass::Control);
-        let env = DsoMessage::Env {
-            seq: 0,
-            ack: 0,
-            inner: Box::new(DsoMessage::Data {
-                epoch: Epoch::ZERO,
-                time: LogicalTime::ZERO,
-                updates: vec![],
-            }),
-        };
-        assert_eq!(env.class(), MsgClass::Data);
-        assert_eq!(DsoMessage::SeqAck { next: 0 }.class(), MsgClass::Control);
+        let sync = DsoMessage::Sync { epoch: Epoch::ZERO, time: LogicalTime::ZERO };
+        assert_eq!(frame(sync).class, MsgClass::Control);
+        let data =
+            DsoMessage::Data { epoch: Epoch::ZERO, time: LogicalTime::ZERO, updates: vec![] };
+        assert_eq!(frame(data).class, MsgClass::Data);
+        assert_eq!(Frame::ack_payload(0, None).class, MsgClass::Control);
     }
 
     #[test]
     fn nested_envelopes_rejected() {
-        let nested = DsoMessage::Env {
-            seq: 1,
-            ack: 0,
-            inner: Box::new(DsoMessage::Env {
-                seq: 2,
-                ack: 0,
-                inner: Box::new(DsoMessage::GetReq { object: ObjectId(0) }),
-            }),
+        // An envelope holds a message, so another envelope, or an ack, in
+        // its place is an unknown message tag.
+        let get = DsoMessage::GetReq { object: ObjectId(0) };
+        let nested = [
+            wire::encode(&Frame::Env { seq: 2, ack: 0, inner: get }),
+            wire::encode(&Frame::Ack { next: 0 }),
+        ];
+        for inner in nested {
+            let mut w = WireWriter::new();
+            Frame::put_env_header(&mut w, 1, 0);
+            w.put_raw(&inner);
+            let encoded = w.into_bytes();
+            match wire::decode::<Frame>(&encoded) {
+                Err(NetError::Codec(why)) => {
+                    assert!(why.contains("unknown DsoMessage tag"), "{why}")
+                }
+                other => panic!("{inner:?} in an envelope decoded as {other:?}"),
+            }
+            assert!(Frame::decode_frame(&encoded).is_err());
+        }
+    }
+
+    /// One golden frame per envelope kind: the header is the tag, then
+    /// `seq` and `ack` little-endian, then the inner message's own bytes.
+    #[test]
+    fn envelope_frames_are_golden() {
+        let header = |seq: u64, ack: u64| {
+            let mut bytes = vec![TAG_ENV];
+            bytes.extend(seq.to_le_bytes());
+            bytes.extend(ack.to_le_bytes());
+            bytes
         };
-        let encoded = wire::encode(&nested);
-        assert!(wire::decode::<DsoMessage>(&encoded).is_err());
-        let acked =
-            DsoMessage::Env { seq: 1, ack: 0, inner: Box::new(DsoMessage::SeqAck { next: 0 }) };
-        assert!(wire::decode::<DsoMessage>(&wire::encode(&acked)).is_err());
+        let v = Version::new(LogicalTime::from_ticks(4), 2);
+        let inner = [
+            DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 8].into() },
+            DsoMessage::Data2 {
+                epoch: Epoch(2),
+                time: LogicalTime::from_ticks(6),
+                blob: vec![3, 1],
+                sync: true,
+            },
+            DsoMessage::GetRep { object: ObjectId(5), version: v, body: vec![7; 3] },
+            DsoMessage::Sync { epoch: Epoch(1), time: LogicalTime::from_ticks(3) },
+        ];
+        let golden: [&[u8]; 4] = [
+            &[TAG_APP, 1, 2, 0, 0, 0, 9, 8],
+            &[TAG_DATA2, DATA2_SYNC, 2, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 3, 1],
+            &[TAG_GET_REP, 5, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 0, 0, 7, 7, 7],
+            &[TAG_SYNC, 1, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        for (inner, body) in inner.into_iter().zip(golden) {
+            assert_eq!(&wire::encode(&inner)[..], body, "{inner:?}");
+            let env = Frame::Env { seq: 0x0102, ack: u64::MAX - 1, inner };
+            let expected = [header(0x0102, u64::MAX - 1), body.to_vec()].concat();
+            assert_eq!(wire::encode(&env), expected);
+            assert_eq!(Frame::decode_frame(&expected.into()).unwrap(), env);
+        }
+        let mut ack = vec![TAG_SEQ_ACK];
+        ack.extend(42u64.to_le_bytes());
+        assert_eq!(wire::encode(&Frame::Ack { next: 42 }), ack);
     }
 
     #[test]
@@ -606,12 +685,6 @@ mod tests {
             DsoMessage::GetReq { object: ObjectId(8) },
             DsoMessage::GetRep { object: ObjectId(8), version: v, body: vec![7; 4] },
             DsoMessage::App { class: MsgClass::Data, bytes: vec![9, 9, 9].into() },
-            DsoMessage::Env {
-                seq: 17,
-                ack: 9,
-                inner: Box::new(DsoMessage::GetReq { object: ObjectId(5) }),
-            },
-            DsoMessage::SeqAck { next: 42 },
             DsoMessage::Data2 {
                 epoch: Epoch(2),
                 time: LogicalTime::from_ticks(6),
@@ -640,7 +713,21 @@ mod tests {
                 assert!(res.is_err(), "strict prefix of {cut} bytes decoded as {msg:?}");
             }
             assert_eq!(wire::decode::<DsoMessage>(&encoded).unwrap(), msg);
+            let env = Frame::Env { seq: 17, ack: 9, inner: msg };
+            let encoded = wire::encode(&env).to_vec();
+            for cut in 0..encoded.len() {
+                let res: Result<Frame, _> = wire::decode(&encoded[..cut]);
+                assert!(res.is_err(), "strict prefix of {cut} bytes decoded as {env:?}");
+            }
+            assert_eq!(wire::decode::<Frame>(&encoded).unwrap(), env);
         }
+        let ack = Frame::Ack { next: 42 };
+        let encoded = wire::encode(&ack).to_vec();
+        for cut in 0..encoded.len() {
+            let res: Result<Frame, _> = wire::decode(&encoded[..cut]);
+            assert!(res.is_err(), "strict prefix of {cut} bytes decoded as {ack:?}");
+        }
+        assert_eq!(wire::decode::<Frame>(&encoded).unwrap(), ack);
     }
 
     #[test]
@@ -649,12 +736,19 @@ mod tests {
         // either fail cleanly or yield some *other* well-formed message —
         // it must never panic on hostile input.
         for msg in sample_messages() {
-            let encoded = wire::encode(&msg).to_vec();
+            let encoded = wire::encode(&Frame::Env { seq: 17, ack: 9, inner: msg }).to_vec();
             for i in 0..encoded.len() {
                 let mut bad = encoded.clone();
                 bad[i] = 0xFF;
-                let _ = wire::decode::<DsoMessage>(&bad);
+                let _ = wire::decode::<Frame>(&bad);
+                let _ = wire::decode::<DsoMessage>(&bad[17..]);
             }
+        }
+        let encoded = wire::encode(&Frame::Ack { next: 42 }).to_vec();
+        for i in 0..encoded.len() {
+            let mut bad = encoded.clone();
+            bad[i] = 0xFF;
+            let _ = wire::decode::<Frame>(&bad);
         }
     }
 
@@ -670,30 +764,35 @@ mod tests {
         };
         let app = DsoMessage::App { class: MsgClass::Data, bytes: wire::encode(&body) };
         for frame_wire_len in [None, Some(2048)] {
-            let direct = DsoMessage::app_payload(MsgClass::Data, &body, frame_wire_len);
+            let direct = pooled_frame(MsgClass::Data, frame_wire_len, |w| {
+                DsoMessage::put_app(w, MsgClass::Data, &body);
+            });
             assert_eq!(direct, app.clone().into_payload(frame_wire_len));
         }
-        let env = DsoMessage::Env { seq: 3, ack: 1, inner: Box::new(app.clone()) };
-        for msg in [app, env] {
-            let frame = wire::encode(&msg);
-            let decoded = DsoMessage::decode_frame(&frame).unwrap();
-            assert_eq!(decoded, msg);
-            let inner = match &decoded {
-                DsoMessage::Env { inner, .. } => inner,
-                other => other,
+        let env = Frame::Env { seq: 3, ack: 1, inner: app.clone() };
+        for frame in [Frame::Plain(app), env] {
+            let bytes = wire::encode(&frame);
+            let decoded = Frame::decode_frame(&bytes).unwrap();
+            assert_eq!(decoded, frame);
+            let (Frame::Plain(DsoMessage::App { bytes: body, .. })
+            | Frame::Env { inner: DsoMessage::App { bytes: body, .. }, .. }) = &decoded
+            else {
+                panic!("{decoded:?}")
             };
-            let DsoMessage::App { bytes, .. } = inner else { panic!("{decoded:?}") };
-            let within = frame.as_ptr_range();
-            assert!(within.contains(&bytes.as_ptr()), "the body is a slice of the frame");
+            let within = bytes.as_ptr_range();
+            assert!(within.contains(&body.as_ptr()), "the body is a slice of the frame");
         }
-        let mut long = wire::encode(&DsoMessage::SeqAck { next: 1 }).to_vec();
+        let mut long = wire::encode(&Frame::Ack { next: 1 }).to_vec();
         long.push(0);
-        assert!(DsoMessage::decode_frame(&long.into()).is_err(), "trailing bytes are an error");
+        assert!(Frame::decode_frame(&long.into()).is_err(), "trailing bytes are an error");
     }
 
     #[test]
     fn trailing_garbage_rejected() {
-        let mut encoded = wire::encode(&DsoMessage::SeqAck { next: 1 }).to_vec();
+        let mut encoded = wire::encode(&Frame::Ack { next: 1 }).to_vec();
+        encoded.push(0x00);
+        assert!(wire::decode::<Frame>(&encoded).is_err());
+        let mut encoded = wire::encode(&DsoMessage::GetReq { object: ObjectId(1) }).to_vec();
         encoded.push(0x00);
         assert!(wire::decode::<DsoMessage>(&encoded).is_err());
     }

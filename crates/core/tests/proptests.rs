@@ -51,7 +51,8 @@ proptest! {
             list.schedule(peer, LogicalTime::from_ticks(time));
         }
         let now_t = LogicalTime::from_ticks(now);
-        let due = list.due(now_t);
+        let mut due = Vec::new();
+        list.due(now_t, &mut due);
         for peer in &due {
             prop_assert!(list.time_for(*peer).unwrap() <= now_t);
         }
@@ -277,10 +278,10 @@ proptest! {
         ack in any::<u64>(),
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        use sdso_core::wire::DsoMessage;
+        use sdso_core::wire::{DsoMessage, Frame};
         let inner = DsoMessage::App { class: sdso_net::MsgClass::Control, bytes: bytes.into() };
-        let env = DsoMessage::Env { seq, ack, inner: Box::new(inner) };
-        let decoded: DsoMessage = sdso_net::wire::decode(&sdso_net::wire::encode(&env)).unwrap();
+        let env = Frame::Env { seq, ack, inner };
+        let decoded: Frame = sdso_net::wire::decode(&sdso_net::wire::encode(&env)).unwrap();
         prop_assert_eq!(decoded, env);
     }
 
@@ -288,10 +289,10 @@ proptest! {
     fn garbage_behind_an_envelope_header_never_panics(
         tail in proptest::collection::vec(any::<u8>(), 0..512)
     ) {
-        // Tag 8 opens an envelope, so the bytes behind it drive the decoder
-        // through `seq`, `ack` and the nested message.
+        // Tag 8 opens an envelope, so the bytes behind it drive the frame
+        // decoder through `seq`, `ack` and the enveloped message.
         let bytes: Vec<u8> = std::iter::once(8).chain(tail).collect();
-        let _ = sdso_net::wire::decode::<sdso_core::wire::DsoMessage>(&bytes);
+        let _ = sdso_net::wire::decode::<sdso_core::wire::Frame>(&bytes);
     }
 }
 

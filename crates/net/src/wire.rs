@@ -58,18 +58,6 @@ pub fn encode<T: Wire>(value: &T) -> Bytes {
     w.into_bytes()
 }
 
-/// Encodes a value into scratch drawn from `pool`, so steady-state encode
-/// paths reuse recycled allocations instead of allocating per message.
-///
-/// The returned [`Bytes`] is ordinary frozen storage; hand it back with
-/// [`crate::pool::BufPool::reclaim`] once its last clone is done to keep the
-/// cycle closed.
-pub fn encode_pooled<T: Wire>(value: &T, pool: &crate::pool::BufPool) -> Bytes {
-    let mut w = WireWriter::from_scratch(pool.get());
-    value.encode(&mut w);
-    w.into_bytes()
-}
-
 /// Decodes a value from a byte slice, requiring the slice to be fully
 /// consumed.
 ///
@@ -450,30 +438,6 @@ mod tests {
     fn invalid_bool_rejected() {
         let mut r = WireReader::new(&[2]);
         assert!(r.get_bool().is_err());
-    }
-
-    #[test]
-    fn pooled_encode_matches_fresh_encode_and_recycles() {
-        struct Blob(Vec<u8>);
-        impl Wire for Blob {
-            fn encode(&self, w: &mut WireWriter) {
-                w.put_bytes(&self.0);
-            }
-            fn decode(r: &mut WireReader<'_>) -> Result<Self, NetError> {
-                Ok(Blob(r.get_bytes()?.to_vec()))
-            }
-        }
-        let pool = crate::pool::BufPool::new();
-        let blob = Blob(vec![9u8; 64]);
-        let pooled = encode_pooled(&blob, &pool);
-        assert_eq!(&pooled[..], &encode(&blob)[..]);
-
-        pool.reclaim(pooled);
-        assert_eq!(pool.idle(), 1);
-        let again = encode_pooled(&blob, &pool);
-        assert_eq!(pool.idle(), 0, "second encode reused pooled scratch");
-        let decoded: Blob = decode(&again).unwrap();
-        assert_eq!(decoded.0, blob.0);
     }
 
     #[test]

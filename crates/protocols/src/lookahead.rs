@@ -66,7 +66,7 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     /// # Errors
     ///
     /// Propagates transport errors and schedule violations.
-    pub fn step(&mut self) -> Result<ExchangeReport, DsoError> {
+    pub fn step(&mut self) -> Result<ExchangeReport<'_>, DsoError> {
         self.runtime.exchange(SendMode::Multicast, &mut self.sfunc)
     }
 
@@ -79,7 +79,7 @@ impl<E: Endpoint, S: SFunction> Lookahead<E, S> {
     /// # Errors
     ///
     /// Propagates transport errors and schedule violations.
-    pub fn step_barrier(&mut self) -> Result<ExchangeReport, DsoError> {
+    pub fn step_barrier(&mut self) -> Result<ExchangeReport<'_>, DsoError> {
         self.runtime.exchange(SendMode::Broadcast, &mut self.sfunc)
     }
 

@@ -29,13 +29,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ...and exchanges with whoever is due (here: the other side).
         let report = runtime.exchange(SendMode::Multicast, &mut EveryTick)?;
-        assert_eq!(report.peers.len(), 1);
+        assert_eq!(report.peers, [1 - me]);
+        let tick = report.time;
 
         Ok(format!(
             "process {me}: obj0={:?} obj1={:?} after tick {}",
             String::from_utf8_lossy(runtime.read(ObjectId(0))?),
             String::from_utf8_lossy(runtime.read(ObjectId(1))?),
-            report.time,
+            tick,
         ))
     })?;
 
