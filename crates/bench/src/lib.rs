@@ -14,7 +14,7 @@ pub mod json;
 /// Every command the `experiments` binary accepts. `all` runs each command
 /// listed before it, in this order; a command after it runs only when
 /// named. The binary's dispatch and the docs check
-/// (`sdso-check`'s `lint::tests`) both read this list.
+/// (`tests/docs.rs`) both read this list.
 pub const COMMANDS: &[&str] = &[
     "fig5",
     "fig6",

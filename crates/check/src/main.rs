@@ -1,7 +1,6 @@
-//! `sdso-check` CLI: the workspace's lint pass and schedule explorer.
+//! `sdso-check` CLI: the workspace's schedule explorer and race checker.
 //!
 //! ```text
-//! sdso-check lint    [--root DIR] [--json PATH|-]
 //! sdso-check explore [--protocol NAME|all] [--depth N] [--max-runs N]
 //!                    [--min-distinct N]
 //! sdso-check replay  --protocol NAME [--schedule N,N,...]
@@ -10,7 +9,6 @@
 //!
 //! Exit codes: 0 clean, 1 findings or violated invariants, 2 usage error.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -19,7 +17,6 @@ use sdso_sim::{Explorer, ReplayOracle, Schedule};
 
 const USAGE: &str = "\
 usage:
-  sdso-check lint    [--root DIR] [--json PATH|-]
   sdso-check explore [--protocol NAME|all] [--depth N] [--max-runs N] [--min-distinct N]
   sdso-check replay  --protocol NAME [--schedule N,N,...]
   sdso-check race    TRACE.json [TRACE.json ...]
@@ -32,7 +29,6 @@ race: TRACE.json is an event log exported by sdso-obs (ObsSet::event_log)";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let verdict = match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
         Some("explore") => explore(&args[1..]),
         Some("replay") => replay(&args[1..]),
         Some("race") => race(&args[1..]),
@@ -78,29 +74,6 @@ fn parse_num(args: &[String], flag: &str, default: usize) -> Result<usize, Strin
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("{flag} expects a number, got `{v}`")),
     }
-}
-
-fn lint(args: &[String]) -> Result<bool, String> {
-    reject_unknown(args, &["--root", "--json"])?;
-    let root = PathBuf::from(flag_value(args, "--root")?.unwrap_or_else(|| ".".into()));
-    let report = sdso_check::run_lint(&root)?;
-    for d in &report.diagnostics {
-        println!("{d}");
-    }
-    if let Some(path) = flag_value(args, "--json")? {
-        let json = sdso_check::diag::to_json(&report.diagnostics, report.files_scanned);
-        if path == "-" {
-            println!("{json}");
-        } else {
-            std::fs::write(&path, json).map_err(|e| format!("cannot write {path}: {e}"))?;
-        }
-    }
-    println!(
-        "sdso-check lint: {} violation(s) in {} file(s) scanned",
-        report.diagnostics.len(),
-        report.files_scanned
-    );
-    Ok(report.diagnostics.is_empty())
 }
 
 fn explore(args: &[String]) -> Result<bool, String> {

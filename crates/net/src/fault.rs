@@ -15,10 +15,6 @@
 //! * [`FaultyEndpoint`](crate::faulty::FaultyEndpoint) wraps any real
 //!   [`Endpoint`](crate::Endpoint) with the same plan for wall-clock runs.
 
-// Replay-critical: no host time outside tests. The banned calls and types
-// are listed in the workspace's clippy.toml.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
-
 use crate::endpoint::NodeId;
 use crate::time::{SimInstant, SimSpan};
 

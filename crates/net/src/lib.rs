@@ -48,6 +48,11 @@
 // Every enum match names its variants: a new wire message kind must fail
 // clippy where it is matched, not fall into a catch-all arm.
 #![cfg_attr(not(test), deny(clippy::wildcard_enum_match_arm))]
+// Outside tests: no host time (fault plans and `SimInstant` are
+// replay-critical), no blocking call (a reactor turn blocks only in
+// `poll`) and no raw fd outside `sys.rs`. The banned calls and types are
+// listed in the workspace's clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
 // A replica that panics stops serving its peers: no panic outside tests.
 // An exception is an `#[expect(…, reason = "…")]` naming the invariant
 // that keeps it from firing.

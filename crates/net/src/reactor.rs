@@ -201,6 +201,10 @@ impl std::fmt::Debug for ReactorEndpoint {
 impl ReactorEndpoint {
     /// Node `id`'s endpoint over its connected `peers`, indexed by node id
     /// (`None`: no link to that node, and never one).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "setup: every socket turns non-blocking before the first turn"
+    )]
     fn spawn(id: NodeId, peers: Vec<Option<UnixStream>>) -> Result<ReactorEndpoint, NetError> {
         let n = peers.len();
         let mut poller = Poller::new();
@@ -646,6 +650,10 @@ impl Reactor {
 
     /// Flushes what is queued and closes every socket. Runs once, from the
     /// endpoint's `Drop` — never inside a turn.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "runs only from `Drop`: a bounded blocking flush after the last turn"
+    )]
     fn shutdown(&mut self) {
         for peer in 0..self.n {
             let Some(mut conn) = self.conns[peer].take() else { continue };

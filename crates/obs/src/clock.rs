@@ -5,13 +5,19 @@
 //! code may read the host clock: the deterministic sim stamps events with
 //! virtual time from its scheduler, while `ReactorEndpoint` stamps with a
 //! [`MonoClock`]. `crates/obs` denies host time outside tests
-//! (see `lib.rs`), and this file alone allows it.
+//! (see `lib.rs`), and this file alone is exempt.
 
 // MonoClock stamps flight-recorder events on the real transport (the
 // reactor) only; deterministic sim runs stamp with virtual time and
-// never touch it. Anything else in crates/obs (or sim/core/protocols) that
-// reads host time is a bug, not a candidate for this allow.
-#![allow(clippy::disallowed_methods, clippy::disallowed_types)]
+// never touch it. Anything else in crates/obs (or net/sim/core/protocols) that
+// reads host time is a bug, not a candidate for this exception. An
+// `expect`, not an `allow`: once this file reads no host clock, the
+// exception itself fails clippy.
+#![expect(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the real transport's one host clock: `MonoClock` stamps reactor events"
+)]
 
 use std::time::Instant;
 

@@ -172,6 +172,10 @@ impl SimCluster {
             })
             .collect();
 
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the run ends by joining its node threads; each has finished or panicked"
+        )]
         let nodes = handles
             .into_iter()
             .enumerate()
